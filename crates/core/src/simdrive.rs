@@ -26,14 +26,13 @@
 
 use crate::config::FederationConfig;
 use crate::coordinator::{CoordAction, CoordEvent, Coordinator};
-use amc_net::comm::SubmitMode;
+use crate::federation::submit_mode_for;
 use amc_net::router::{NetStats, RouterConfig, Routing};
+use amc_net::transport::dispatch_to_manager;
 use amc_net::{Envelope, LocalCommManager, MessageTrace, Payload, Router};
 use amc_obs::{EventKind, EventLog, ObsSink};
 use amc_sim::{EventQueue, FailurePlan, FaultEvent, FaultKind, FaultPlan, LinkDir, SimRng};
-use amc_types::{
-    AmcError, GlobalTxnId, GlobalVerdict, Operation, ProtocolKind, SimDuration, SimTime, SiteId,
-};
+use amc_types::{AmcError, GlobalTxnId, GlobalVerdict, Operation, SimDuration, SimTime, SiteId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -225,14 +224,6 @@ impl SimFederation {
             .expect("bulk load");
     }
 
-    fn submit_mode(&self) -> SubmitMode {
-        match self.cfg.federation.protocol {
-            ProtocolKind::TwoPhaseCommit => SubmitMode::TwoPhase,
-            ProtocolKind::CommitAfter => SubmitMode::CommitAfter,
-            ProtocolKind::CommitBefore => SubmitMode::CommitBefore,
-        }
-    }
-
     fn send(&mut self, from: SiteId, to: SiteId, payload: Payload) {
         let env = Envelope::new(from, to, payload);
         self.trace.record(self.queue.now(), env.clone());
@@ -282,21 +273,8 @@ impl SimFederation {
         if !manager.handle().engine().is_up() {
             return; // crashed between routing and delivery
         }
-        let mode = self.submit_mode();
-        let reply = match payload {
-            Payload::Submit { gtx, ops } => manager.handle_submit(gtx, ops, mode),
-            Payload::SubmitPrepare { gtx, ops, solo } => {
-                manager.handle_submit_prepare(gtx, ops, solo, mode)
-            }
-            Payload::Prepare { gtx } => manager.handle_prepare(gtx),
-            Payload::Decision { gtx, verdict } => manager.handle_decision(gtx, verdict),
-            Payload::Redo { gtx, ops } => manager.handle_redo(gtx, ops),
-            Payload::Undo { gtx, inverse_ops } => manager.handle_undo(gtx, inverse_ops),
-            other => {
-                self.errors.push(format!("local site got {other}"));
-                return;
-            }
-        };
+        let mode = submit_mode_for(self.cfg.federation.protocol);
+        let reply = dispatch_to_manager(&manager, payload, mode);
         match reply {
             Ok(reply) => {
                 // Service time then network back to the central system.
@@ -598,7 +576,7 @@ impl SimFederation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_types::{ObjectId, Value};
+    use amc_types::{ObjectId, ProtocolKind, Value};
 
     fn site(n: u32) -> SiteId {
         SiteId::new(n)

@@ -24,16 +24,14 @@
 //!   transaction, e.g. as an additional relation");
 //! * [`transport`] — the [`FederationTransport`] abstraction over *how* a
 //!   coordinator message reaches a site: in-process function calls (the
-//!   historical runtime) or real TCP sockets (`amc-rpc`);
-//! * [`fleet`] — an in-process transport whose site membership can change
-//!   *while coordinators drive traffic*, the substrate for `amc-shard`'s
-//!   online add/remove/replace reconfiguration.
+//!   historical runtime, with mutable site membership for `amc-shard`'s
+//!   online add/remove/replace reconfiguration) or real TCP sockets
+//!   (`amc-rpc`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod comm;
-pub mod fleet;
 pub mod journal;
 pub mod marker;
 pub mod message;
@@ -42,7 +40,6 @@ pub mod trace;
 pub mod transport;
 
 pub use comm::{CommStats, EngineHandle, LocalCommManager, SubmitMode};
-pub use fleet::FleetTransport;
 pub use journal::{RecoveryStats, WorkEntry, WorkJournal};
 pub use message::{Envelope, Payload};
 pub use router::{NetStats, Router, RouterConfig};

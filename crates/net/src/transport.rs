@@ -8,7 +8,9 @@
 //!
 //! * [`InProcessTransport`] — the historical runtime: the manager lives in
 //!   the same address space and a "message" is a function call, with
-//!   `message_delay` slept on each leg to model the wire;
+//!   `message_delay` slept on each leg to model the wire. Its site
+//!   membership is mutable and it carries a chaos down-set, so it also
+//!   serves online reconfiguration (`amc-shard`);
 //! * `TcpTransport` (in `amc-rpc`) — each site is a separate TCP server
 //!   and messages really cross the OS socket layer, with deadlines,
 //!   retries, and reconnects.
@@ -22,7 +24,8 @@ use crate::journal::RecoveryStats;
 use crate::message::Payload;
 use amc_types::{AmcError, AmcResult, ObjectId, SiteId, Value};
 use amc_wal::LogStats;
-use std::collections::BTreeMap;
+use parking_lot::RwLock;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -165,37 +168,99 @@ pub fn admin_to_manager(manager: &LocalCommManager, req: AdminRequest) -> AmcRes
     }
 }
 
+/// Who is reachable: the member sites and which of them are simulated
+/// as crashed.
+struct Fleet {
+    members: BTreeMap<SiteId, Arc<LocalCommManager>>,
+    /// Members currently simulated as crashed: calls answer `SiteDown`
+    /// without reaching the manager, exactly like a dead TCP peer.
+    down: BTreeSet<SiteId>,
+}
+
 /// The in-process transport: managers live in the same address space and a
 /// message is a function call, with `message_delay` slept on each leg so a
 /// `messages` count of *n* means *n* modelled hops.
+///
+/// Site membership sits behind a lock, so sites can be added and removed
+/// *while coordinators are driving traffic* — the substrate for
+/// `amc-shard`'s online reconfiguration — and a nemesis-style down-set
+/// lets chaos tests crash a site mid-migration without tearing down its
+/// manager. Every coordinator of a sharded federation holds the **same**
+/// `Arc<InProcessTransport>`, so a membership change made by the
+/// reconfiguration protocol is observed by all shards at once;
+/// transactions already past the membership read (in flight on the old
+/// epoch) are exactly the ones the router's drain gate waits out.
 pub struct InProcessTransport {
-    managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
+    fleet: RwLock<Fleet>,
     mode: SubmitMode,
     message_delay: Duration,
 }
 
 impl InProcessTransport {
-    /// Wrap `managers`; protocol submits will use `mode`.
+    /// Wrap the initial fleet `managers`; protocol submits will use
+    /// `mode`.
     pub fn new(
         managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
         mode: SubmitMode,
         message_delay: Duration,
     ) -> Self {
         InProcessTransport {
-            managers,
+            fleet: RwLock::new(Fleet {
+                members: managers,
+                down: BTreeSet::new(),
+            }),
             mode,
             message_delay,
         }
     }
 
-    fn manager(&self, site: SiteId) -> AmcResult<&Arc<LocalCommManager>> {
-        self.managers.get(&site).ok_or(AmcError::SiteDown(site))
+    /// Add `site` to the fleet (idempotent: re-adding replaces the manager).
+    pub fn add_site(&self, site: SiteId, manager: Arc<LocalCommManager>) {
+        let mut fleet = self.fleet.write();
+        fleet.members.insert(site, manager);
+        fleet.down.remove(&site);
+    }
+
+    /// Remove `site` from the fleet, returning its manager if it was a
+    /// member. Calls to a removed site fail with `SiteDown`.
+    pub fn remove_site(&self, site: SiteId) -> Option<Arc<LocalCommManager>> {
+        let mut fleet = self.fleet.write();
+        fleet.down.remove(&site);
+        fleet.members.remove(&site)
+    }
+
+    /// Simulate a crash (`down = true`) or a recovery (`down = false`) of a
+    /// member site. A down member stays in the fleet — its engine state is
+    /// retained — but every call to it answers `SiteDown`.
+    pub fn set_down(&self, site: SiteId, down: bool) {
+        let mut fleet = self.fleet.write();
+        if down {
+            fleet.down.insert(site);
+        } else {
+            fleet.down.remove(&site);
+        }
+    }
+
+    /// Whether `site` is currently a fleet member (regardless of up/down).
+    pub fn is_member(&self, site: SiteId) -> bool {
+        self.fleet.read().members.contains_key(&site)
+    }
+
+    /// The manager of `site`, if it is a member and not simulated down.
+    /// One read lock covers both checks; the manager is cloned out so a
+    /// long dispatch never holds membership changes up.
+    fn manager(&self, site: SiteId) -> AmcResult<Arc<LocalCommManager>> {
+        let fleet = self.fleet.read();
+        match fleet.members.get(&site) {
+            Some(manager) if !fleet.down.contains(&site) => Ok(Arc::clone(manager)),
+            _ => Err(AmcError::SiteDown(site)),
+        }
     }
 }
 
 impl FederationTransport for InProcessTransport {
     fn sites(&self) -> Vec<SiteId> {
-        self.managers.keys().copied().collect()
+        self.fleet.read().members.keys().copied().collect()
     }
 
     fn call(&self, to: SiteId, payload: Payload) -> AmcResult<Payload> {
@@ -204,7 +269,7 @@ impl FederationTransport for InProcessTransport {
         if !self.message_delay.is_zero() {
             std::thread::sleep(self.message_delay);
         }
-        let reply = dispatch_to_manager(manager, payload, self.mode)?;
+        let reply = dispatch_to_manager(&manager, payload, self.mode)?;
         // Reply leg: the model charges both directions of the exchange.
         if !self.message_delay.is_zero() {
             std::thread::sleep(self.message_delay);
@@ -213,7 +278,8 @@ impl FederationTransport for InProcessTransport {
     }
 
     fn admin(&self, to: SiteId, req: AdminRequest) -> AmcResult<AdminReply> {
-        admin_to_manager(self.manager(to)?, req)
+        let manager = self.manager(to)?;
+        admin_to_manager(&manager, req)
     }
 }
 
@@ -225,19 +291,7 @@ mod tests {
     use amc_types::{GlobalTxnId, GlobalVerdict, Operation};
 
     fn transport(sites: u32) -> InProcessTransport {
-        let managers = (1..=sites)
-            .map(|s| {
-                let site = SiteId::new(s);
-                let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
-                (
-                    site,
-                    Arc::new(LocalCommManager::new(
-                        site,
-                        EngineHandle::Preparable(engine),
-                    )),
-                )
-            })
-            .collect();
+        let managers = (1..=sites).map(|s| (SiteId::new(s), manager(s))).collect();
         InProcessTransport::new(managers, SubmitMode::CommitBefore, Duration::ZERO)
     }
 
@@ -326,5 +380,56 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, AmcError::Protocol(_)));
+    }
+
+    fn manager(site: u32) -> Arc<LocalCommManager> {
+        let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
+        Arc::new(LocalCommManager::new(
+            SiteId::new(site),
+            EngineHandle::Preparable(engine),
+        ))
+    }
+
+    #[test]
+    fn membership_changes_are_visible_in_sites() {
+        let t = transport(2);
+        assert_eq!(t.sites(), vec![SiteId::new(1), SiteId::new(2)]);
+        t.add_site(SiteId::new(3), manager(3));
+        assert_eq!(
+            t.sites(),
+            vec![SiteId::new(1), SiteId::new(2), SiteId::new(3)]
+        );
+        assert!(t.remove_site(SiteId::new(1)).is_some());
+        assert_eq!(t.sites(), vec![SiteId::new(2), SiteId::new(3)]);
+        assert!(!t.is_member(SiteId::new(1)));
+    }
+
+    #[test]
+    fn removed_site_answers_site_down() {
+        let t = transport(1);
+        t.remove_site(SiteId::new(1));
+        let err = t.admin(SiteId::new(1), AdminRequest::Ping).unwrap_err();
+        assert!(matches!(err, AmcError::SiteDown(s) if s == SiteId::new(1)));
+    }
+
+    #[test]
+    fn down_site_answers_site_down_but_keeps_state() {
+        let t = transport(1);
+        let site = SiteId::new(1);
+        t.admin(
+            site,
+            AdminRequest::Load(vec![(ObjectId::new(5), Value::counter(9))]),
+        )
+        .unwrap();
+        t.set_down(site, true);
+        assert!(matches!(
+            t.admin(site, AdminRequest::Ping),
+            Err(AmcError::SiteDown(_))
+        ));
+        t.set_down(site, false);
+        match t.admin(site, AdminRequest::Dump).unwrap() {
+            AdminReply::Dump(d) => assert_eq!(d[&ObjectId::new(5)], Value::counter(9)),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

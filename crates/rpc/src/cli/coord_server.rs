@@ -20,13 +20,13 @@
 //! each transaction to the coordinator owning its minimum key and sends
 //! the per-site operation buckets in one `Exec` frame.
 //!
-//! [`CoordClient`]: amc_rpc::CoordClient
+//! [`CoordClient`]: crate::CoordClient
 //! [`Federation`]: amc_core::Federation
 
+use crate::{CoordInfo, CoordServer, RetryPolicy, TcpTransport};
 use amc_core::{Federation, FederationConfig};
 use amc_net::transport::FederationTransport;
 use amc_obs::ObsSink;
-use amc_rpc::{CoordInfo, CoordServer, RetryPolicy, TcpTransport};
 use amc_types::{ProtocolKind, SiteId};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -42,7 +42,8 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
+/// The binary's entry point: parse `std::env::args`, run, exit.
+pub fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut slot = None;
     let mut coordinators = None;

@@ -42,10 +42,10 @@
 //! `--events-out` rows carry `C<k>` in the site column so
 //! `explain --events --coordinator <k>` can isolate one shard's traffic.
 
+use crate::{CoordClient, RetryPolicy, TcpTransport};
 use amc_core::{Federation, FederationConfig, TxnOutcome};
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc_obs::ObsSink;
-use amc_rpc::{CoordClient, RetryPolicy, TcpTransport};
 use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
 use amc_workload::{MixGen, MixKind, MixSpec};
 use parking_lot::Mutex;
@@ -175,7 +175,8 @@ fn op_class_counts(programs: &[Program]) -> (u64, u64, u64, u64) {
     (reads, incs, writes, reserves)
 }
 
-fn main() {
+/// The binary's entry point: parse `std::env::args`, run, exit.
+pub fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addrs: Vec<SocketAddr> = Vec::new();
     let mut coord_addrs: Vec<SocketAddr> = Vec::new();

@@ -20,10 +20,10 @@
 //! forever. The chaos harness then delivers the real `kill -9` and a
 //! standby replica finishes the transaction from the acceptor logs.
 
+use crate::{RetryPolicy, TcpTransport};
 use amc_core::{Federation, FederationConfig, TxnOutcome};
 use amc_net::transport::FederationTransport;
 use amc_obs::ObsSink;
-use amc_rpc::{RetryPolicy, TcpTransport};
 use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -67,7 +67,8 @@ fn transfer(i: u64, sites: u32, objects: u64) -> BTreeMap<SiteId, Vec<Operation>
     ])
 }
 
-fn main() {
+/// The binary's entry point: parse `std::env::args`, run, exit.
+pub fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addrs: Vec<SocketAddr> = Vec::new();
     let mut acceptors = 0u32;

@@ -18,12 +18,12 @@
 //! printed after the replay. Without the flag the site is purely
 //! in-memory, as before.
 
+use crate::{EventServer, SiteRecoveryManager, SiteServer};
 use amc_engine::{TplConfig, TwoPLEngine};
 use amc_net::comm::EngineHandle;
 use amc_net::{LocalCommManager, SubmitMode};
 use amc_obs::ObsSink;
 use amc_paxos::AcceptorHost;
-use amc_rpc::{EventServer, SiteRecoveryManager, SiteServer};
 use amc_types::SiteId;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,7 +47,8 @@ enum Runtime {
     Threaded,
 }
 
-fn main() {
+/// The binary's entry point: parse `std::env::args`, run, exit.
+pub fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut site = None;
     let mut listen = String::from("127.0.0.1:0");

@@ -1,13 +1,19 @@
-//! The connection-supervising RPC client.
+//! The request core every client shares, and the pooled link.
 //!
-//! One [`RpcClient`] fronts one site. Every request gets a fresh id, a
-//! per-request deadline (socket read/write timeouts), and up to
-//! [`RetryPolicy::max_attempts`] tries separated by capped exponential
-//! backoff. Any transport failure — connect refused, write failed,
-//! deadline expired, reply garbled, id mismatch — discards the
-//! connection (the next attempt dials a fresh one) and counts one
-//! attempt. Application errors carried in an `ErrorReply` frame are NOT
-//! retried: the site answered; the answer is an error.
+//! One `Core` fronts one peer. Every request gets a fresh id, a
+//! per-request deadline, and up to [`RetryPolicy::max_attempts`] tries
+//! separated by capped, jittered exponential backoff. *How* one attempt
+//! reaches the peer is the `Link`'s business — a connection checked out
+//! of a pool per request (`PooledLink`, behind [`RpcClient`]) or one
+//! shared multiplexed connection (`MuxLink`, behind
+//! [`MuxClient`](crate::MuxClient)); everything else exists once, here.
+//!
+//! Any transport failure — connect refused, write failed, deadline
+//! expired, reply garbled, id mismatch — discards the connection (the
+//! next attempt dials a fresh one) and counts one attempt. A load-shed
+//! (`BufferExhausted`) is retried with the same backoff. Every other
+//! application error carried in an `ErrorReply` frame is NOT retried:
+//! the peer answered; the answer is an error.
 //!
 //! Retrying protocol messages is safe by construction: every manager
 //! handler is idempotent (work map, tombstones, durable markers), which
@@ -18,7 +24,7 @@ use crate::wire::{read_frame, write_frame, Frame};
 use amc_net::transport::{AdminReply, AdminRequest};
 use amc_net::Payload;
 use amc_obs::{EventKind, ObsSink};
-use amc_types::{AmcError, AmcResult, SiteId};
+use amc_types::{AmcError, AmcResult, GlobalTxnId, SiteId};
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,7 +82,307 @@ impl RetryPolicy {
     }
 }
 
-/// A client for one site: address, pooled connections, retry policy.
+/// What a [`Link`] needs from its client to run one attempt: where to
+/// dial, how long to wait, and where to report what it does.
+pub(crate) struct Endpoint {
+    site: SiteId,
+    addr: Mutex<SocketAddr>,
+    pub(crate) policy: RetryPolicy,
+    ever_connected: AtomicBool,
+    obs: ObsSink,
+}
+
+impl Endpoint {
+    /// Dial a fresh connection; every dial after the first is a
+    /// reconnect and is traced as one.
+    pub(crate) fn dial(&self) -> Result<TcpStream, ()> {
+        let addr = *self.addr.lock();
+        let conn =
+            TcpStream::connect_timeout(&addr, self.policy.connect_timeout).map_err(|_| ())?;
+        let _ = conn.set_nodelay(true);
+        if self.ever_connected.swap(true, Ordering::Relaxed) {
+            self.obs.emit(
+                None,
+                SiteId::CENTRAL,
+                EventKind::RpcReconnect { to: self.site },
+            );
+        }
+        Ok(conn)
+    }
+
+    /// Trace `frame` leaving for the site. Links call this once they
+    /// hold a connection, just before the write: an attempt that never
+    /// got a connection sent nothing.
+    pub(crate) fn sending(&self, frame: &Frame) {
+        if let Frame::Request { payload, .. } = frame {
+            self.obs.emit(
+                Some(payload.gtx()),
+                SiteId::CENTRAL,
+                EventKind::MsgSend {
+                    label: payload.label(),
+                    from: SiteId::CENTRAL,
+                    to: self.site,
+                },
+            );
+        }
+    }
+}
+
+/// A connection strategy: the one thing [`RpcClient`] and
+/// [`MuxClient`](crate::MuxClient) differ in.
+pub(crate) trait Link: Send + Sync {
+    /// One attempt: deliver `frame` and wait out `ep.policy.request_timeout`
+    /// for the reply carrying its request id. `Err` is a transport
+    /// failure — nothing trustworthy came back and the connection it
+    /// happened on is not reused.
+    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()>;
+
+    /// Drop every connection (the address changed).
+    fn reset(&self);
+}
+
+impl Link for Box<dyn Link> {
+    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()> {
+        (**self).attempt(ep, frame)
+    }
+    fn reset(&self) {
+        (**self).reset();
+    }
+}
+
+/// The request core every client shares: request ids, the
+/// attempt/backoff/jitter loop, shed accounting, trace events and reply
+/// matching. Parameterised only by how one attempt reaches the peer.
+pub(crate) struct Core<L> {
+    pub(crate) ep: Endpoint,
+    next_req: AtomicU64,
+    /// SplitMix64 state for backoff jitter (seeded per peer, so two
+    /// clients retrying the same outage desynchronise).
+    jitter_state: AtomicU64,
+    /// Requests the peer answered with a load-shed (`BufferExhausted`).
+    sheds: AtomicU64,
+    pub(crate) link: L,
+}
+
+impl<L: Link> Core<L> {
+    pub(crate) fn new(
+        site: SiteId,
+        addr: SocketAddr,
+        policy: RetryPolicy,
+        obs: ObsSink,
+        link: L,
+    ) -> Self {
+        Core {
+            ep: Endpoint {
+                site,
+                addr: Mutex::new(addr),
+                policy,
+                ever_connected: AtomicBool::new(false),
+                obs,
+            },
+            next_req: AtomicU64::new(1),
+            jitter_state: AtomicU64::new(
+                0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(site.raw()) + 1),
+            ),
+            sheds: AtomicU64::new(0),
+            link,
+        }
+    }
+
+    pub(crate) fn sheds(&self) -> u64 {
+        self.sheds.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn set_addr(&self, addr: SocketAddr) {
+        *self.ep.addr.lock() = addr;
+        self.link.reset();
+    }
+
+    /// Next jitter word (SplitMix64).
+    fn jitter_word(&self) -> u64 {
+        let x = self
+            .jitter_state
+            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
+            .wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Send the frame `make_frame` builds (a fresh request id per
+    /// attempt) until the peer answers, for at most `max_attempts`
+    /// tries separated by jittered backoff. `gtx` attributes the
+    /// retry/shed events to the transaction being retried for.
+    ///
+    /// Two things are retried. A transport failure discards the
+    /// connection and ends as `SiteDown`. A load-shed
+    /// (`BufferExhausted`) is an answer, not a failure — but backing off
+    /// and asking again beats bubbling an overload spike up as an abort;
+    /// every shed is counted and traced distinctly from a transport
+    /// retry so backpressure stays observable. Any other `ErrorReply` is
+    /// the peer's answer and is returned as is.
+    pub(crate) fn request(
+        &self,
+        gtx: Option<GlobalTxnId>,
+        max_attempts: u32,
+        make_frame: impl Fn(u64) -> Frame,
+    ) -> AmcResult<Frame> {
+        let to = self.ep.site;
+        for attempt in 1..=max_attempts {
+            let last = attempt == max_attempts;
+            let frame = make_frame(self.next_req.fetch_add(1, Ordering::Relaxed));
+            let failure = match self.link.attempt(&self.ep, &frame) {
+                Ok(Frame::ErrorReply {
+                    error: AmcError::BufferExhausted,
+                    ..
+                }) => {
+                    self.sheds.fetch_add(1, Ordering::Relaxed);
+                    let shed = EventKind::RpcShed { to, attempt };
+                    self.ep.obs.emit(gtx, SiteId::CENTRAL, shed);
+                    AmcError::BufferExhausted
+                }
+                Ok(reply) => return Ok(reply),
+                Err(()) => {
+                    if !last {
+                        let retry = EventKind::RpcRetry { to, attempt };
+                        self.ep.obs.emit(gtx, SiteId::CENTRAL, retry);
+                    }
+                    AmcError::SiteDown(to)
+                }
+            };
+            if last {
+                return Err(failure);
+            }
+            std::thread::sleep(RetryPolicy::jittered(
+                self.ep.policy.backoff_after(attempt),
+                self.jitter_word(),
+            ));
+        }
+        Err(AmcError::SiteDown(to))
+    }
+
+    /// Send one protocol message and wait for the site's reply.
+    pub(crate) fn call(&self, payload: Payload) -> AmcResult<Payload> {
+        let gtx = payload.gtx();
+        let make_frame = |req_id| Frame::Request {
+            req_id,
+            payload: payload.clone(),
+        };
+        match self.request(Some(gtx), self.ep.policy.max_attempts, make_frame)? {
+            Frame::Reply { payload, .. } => {
+                self.ep.obs.emit(
+                    Some(gtx),
+                    SiteId::CENTRAL,
+                    EventKind::MsgDeliver {
+                        label: payload.label(),
+                        from: self.ep.site,
+                    },
+                );
+                Ok(payload)
+            }
+            Frame::ErrorReply { error, .. } => Err(error),
+            other => Err(AmcError::Protocol(format!(
+                "site answered {} with a non-protocol frame {other:?}",
+                payload.label()
+            ))),
+        }
+    }
+
+    /// Send one admin request and wait for the site's reply.
+    pub(crate) fn admin(&self, req: AdminRequest) -> AmcResult<AdminReply> {
+        let make_frame = |req_id| Frame::AdminRequest {
+            req_id,
+            req: req.clone(),
+        };
+        match self.request(None, self.ep.policy.max_attempts, make_frame)? {
+            Frame::AdminReply { reply, .. } => Ok(reply),
+            Frame::ErrorReply { error, .. } => Err(error),
+            other => Err(AmcError::Protocol(format!(
+                "site answered admin with a non-admin frame {other:?}"
+            ))),
+        }
+    }
+}
+
+/// The client surface [`RpcClient`] and [`MuxClient`](crate::MuxClient)
+/// share, forwarded to the one [`Core`].
+macro_rules! client_surface {
+    ($client:ident, $link:ty) => {
+        impl $client {
+            /// A client for `site` at `addr`. No connection is made until
+            /// the first call.
+            pub fn new(site: SiteId, addr: SocketAddr, policy: RetryPolicy, obs: ObsSink) -> Self {
+                $client {
+                    core: Core::new(site, addr, policy, obs, <$link>::default()),
+                }
+            }
+
+            /// How many requests the site answered with a load-shed
+            /// (`BufferExhausted`) since this client was created —
+            /// retried and terminal sheds both count.
+            pub fn sheds(&self) -> u64 {
+                self.core.sheds()
+            }
+
+            /// Point the client at a new address (a restarted site may
+            /// come back on a different port). Connections to the old
+            /// address are dropped.
+            pub fn set_addr(&self, addr: SocketAddr) {
+                self.core.set_addr(addr);
+            }
+
+            /// Send one protocol message and wait for the site's reply.
+            pub fn call(&self, payload: Payload) -> AmcResult<Payload> {
+                self.core.call(payload)
+            }
+
+            /// Send one admin request and wait for the site's reply.
+            pub fn admin(&self, req: AdminRequest) -> AmcResult<AdminReply> {
+                self.core.admin(req)
+            }
+        }
+    };
+}
+pub(crate) use client_surface;
+
+/// The pooled link: every in-flight request checks a whole connection
+/// out (dialing when the pool is empty), so N concurrent requests use N
+/// sockets. A failed attempt drops its connection instead of returning
+/// it.
+#[derive(Default)]
+pub(crate) struct PooledLink {
+    idle: Mutex<Vec<TcpStream>>,
+}
+
+impl Link for PooledLink {
+    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()> {
+        let mut conn = match self.idle.lock().pop() {
+            Some(c) => c,
+            None => ep.dial()?,
+        };
+        conn.set_read_timeout(Some(ep.policy.request_timeout))
+            .map_err(|_| ())?;
+        conn.set_write_timeout(Some(ep.policy.request_timeout))
+            .map_err(|_| ())?;
+        ep.sending(frame);
+        write_frame(&mut conn, frame).map_err(|_| ())?;
+        let reply = read_frame(&mut conn).map_err(|_| ())?;
+        if reply.req_id() != frame.req_id() {
+            // A stale reply can only come from a connection we should
+            // have discarded; never trust it.
+            return Err(());
+        }
+        self.idle.lock().push(conn);
+        Ok(reply)
+    }
+
+    fn reset(&self) {
+        self.idle.lock().clear();
+    }
+}
+
+/// A client for one site over pooled blocking connections.
 ///
 /// Round-trip against a real [`SiteServer`](crate::SiteServer) on an
 /// ephemeral loopback port:
@@ -102,222 +408,15 @@ impl RetryPolicy {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct RpcClient {
-    site: SiteId,
-    addr: Mutex<SocketAddr>,
-    policy: RetryPolicy,
-    /// Idle connections. Every in-flight request checks one out; failures
-    /// drop it instead of returning it.
-    pool: Mutex<Vec<TcpStream>>,
-    next_req: AtomicU64,
-    ever_connected: AtomicBool,
-    /// SplitMix64 state for backoff jitter (seeded per client, so two
-    /// clients retrying the same outage desynchronise).
-    jitter_state: AtomicU64,
-    /// Requests the site answered with a load-shed (`BufferExhausted`).
-    sheds: AtomicU64,
-    obs: ObsSink,
+    core: Core<PooledLink>,
 }
 
+client_surface!(RpcClient, PooledLink);
+
 impl RpcClient {
-    /// A client for `site` at `addr`.
-    pub fn new(site: SiteId, addr: SocketAddr, policy: RetryPolicy, obs: ObsSink) -> Self {
-        RpcClient {
-            site,
-            addr: Mutex::new(addr),
-            policy,
-            pool: Mutex::new(Vec::new()),
-            next_req: AtomicU64::new(1),
-            ever_connected: AtomicBool::new(false),
-            jitter_state: AtomicU64::new(
-                0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(site.raw()) + 1),
-            ),
-            sheds: AtomicU64::new(0),
-            obs,
-        }
-    }
-
-    /// How many requests the site answered with a load-shed
-    /// (`BufferExhausted`) since this client was created.
-    pub fn sheds(&self) -> u64 {
-        self.sheds.load(Ordering::Relaxed)
-    }
-
-    /// Record one load-shed answer: counted and traced so backpressure is
-    /// attributable per transaction in `explain --events`.
-    fn note_shed(&self, gtx: Option<amc_types::GlobalTxnId>) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
-        self.obs.emit(
-            gtx,
-            SiteId::CENTRAL,
-            EventKind::RpcShed {
-                to: self.site,
-                attempt: 1,
-            },
-        );
-    }
-
-    /// Next jitter word (SplitMix64).
-    fn jitter_word(&self) -> u64 {
-        let x = self
-            .jitter_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// The site this client fronts.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
     /// Idle pooled connections (checked in, not currently in flight).
     pub fn pooled_connections(&self) -> usize {
-        self.pool.lock().len()
-    }
-
-    /// Point the client at a new address (a restarted site may come back
-    /// on a different port). Pooled connections to the old address are
-    /// dropped.
-    pub fn set_addr(&self, addr: SocketAddr) {
-        *self.addr.lock() = addr;
-        self.pool.lock().clear();
-    }
-
-    /// Send one protocol message and wait for the site's reply.
-    pub fn call(&self, payload: Payload) -> AmcResult<Payload> {
-        let gtx = payload.gtx();
-        let label = payload.label();
-        let reply = self.with_retries(|req_id| Frame::Request {
-            req_id,
-            payload: payload.clone(),
-        })?;
-        match reply {
-            Frame::Reply { payload, .. } => {
-                self.obs.emit(
-                    Some(gtx),
-                    SiteId::CENTRAL,
-                    EventKind::MsgDeliver {
-                        label: payload.label(),
-                        from: self.site,
-                    },
-                );
-                Ok(payload)
-            }
-            Frame::ErrorReply { error, .. } => {
-                if matches!(error, AmcError::BufferExhausted) {
-                    self.note_shed(Some(gtx));
-                }
-                Err(error)
-            }
-            other => Err(AmcError::Protocol(format!(
-                "site answered {label} with a non-protocol frame {other:?}"
-            ))),
-        }
-    }
-
-    /// Send one admin request and wait for the site's reply.
-    pub fn admin(&self, req: AdminRequest) -> AmcResult<AdminReply> {
-        let reply = self.with_retries(|req_id| Frame::AdminRequest {
-            req_id,
-            req: req.clone(),
-        })?;
-        match reply {
-            Frame::AdminReply { reply, .. } => Ok(reply),
-            Frame::ErrorReply { error, .. } => {
-                if matches!(error, AmcError::BufferExhausted) {
-                    self.note_shed(None);
-                }
-                Err(error)
-            }
-            other => Err(AmcError::Protocol(format!(
-                "site answered admin with a non-admin frame {other:?}"
-            ))),
-        }
-    }
-
-    /// Run the attempt/backoff loop around [`RpcClient::roundtrip`].
-    fn with_retries(&self, make_frame: impl Fn(u64) -> Frame) -> AmcResult<Frame> {
-        for attempt in 1..=self.policy.max_attempts {
-            let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-            let frame = make_frame(req_id);
-            // Retries of a protocol message carry the transaction they
-            // are retrying for, so a trace can attribute the retry storm
-            // to the right transaction (admin retries have none).
-            let gtx = match &frame {
-                Frame::Request { payload, .. } => Some(payload.gtx()),
-                _ => None,
-            };
-            match self.roundtrip(&frame) {
-                Ok(reply) => return Ok(reply),
-                Err(_) if attempt < self.policy.max_attempts => {
-                    self.obs.emit(
-                        gtx,
-                        SiteId::CENTRAL,
-                        EventKind::RpcRetry {
-                            to: self.site,
-                            attempt,
-                        },
-                    );
-                    std::thread::sleep(RetryPolicy::jittered(
-                        self.policy.backoff_after(attempt),
-                        self.jitter_word(),
-                    ));
-                }
-                Err(_) => break,
-            }
-        }
-        Err(AmcError::SiteDown(self.site))
-    }
-
-    /// One attempt: check out (or dial) a connection, write the frame,
-    /// read the matching reply. Any failure discards the connection.
-    fn roundtrip(&self, frame: &Frame) -> Result<Frame, ()> {
-        let mut conn = match self.pool.lock().pop() {
-            Some(c) => c,
-            None => self.dial()?,
-        };
-        conn.set_read_timeout(Some(self.policy.request_timeout))
-            .map_err(|_| ())?;
-        conn.set_write_timeout(Some(self.policy.request_timeout))
-            .map_err(|_| ())?;
-        if let Frame::Request { payload, .. } = frame {
-            self.obs.emit(
-                Some(payload.gtx()),
-                SiteId::CENTRAL,
-                EventKind::MsgSend {
-                    label: payload.label(),
-                    from: SiteId::CENTRAL,
-                    to: self.site,
-                },
-            );
-        }
-        write_frame(&mut conn, frame).map_err(|_| ())?;
-        let reply = read_frame(&mut conn).map_err(|_| ())?;
-        if reply.req_id() != frame.req_id() {
-            // A stale reply can only come from a connection we should
-            // have discarded; never trust it.
-            return Err(());
-        }
-        self.pool.lock().push(conn);
-        Ok(reply)
-    }
-
-    fn dial(&self) -> Result<TcpStream, ()> {
-        let addr = *self.addr.lock();
-        let conn =
-            TcpStream::connect_timeout(&addr, self.policy.connect_timeout).map_err(|_| ())?;
-        let _ = conn.set_nodelay(true);
-        if self.ever_connected.swap(true, Ordering::Relaxed) {
-            self.obs.emit(
-                None,
-                SiteId::CENTRAL,
-                EventKind::RpcReconnect { to: self.site },
-            );
-        }
-        Ok(conn)
+        self.core.link.idle.lock().len()
     }
 }
 
@@ -370,8 +469,8 @@ mod tests {
             RetryPolicy::default(),
             ObsSink::disabled(),
         );
-        assert_ne!(a.jitter_word(), a.jitter_word());
-        assert_ne!(a.jitter_word(), b.jitter_word());
+        assert_ne!(a.core.jitter_word(), a.core.jitter_word());
+        assert_ne!(a.core.jitter_word(), b.core.jitter_word());
     }
 
     #[test]

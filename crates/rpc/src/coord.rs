@@ -11,29 +11,24 @@
 //! its site fleet, and one [`CoordReply::Done`] comes back with the
 //! outcome and the coordinator-side measurements.
 //!
-//! Concurrency model matches [`SiteServer`](crate::SiteServer):
+//! The server is the same blocking runtime as
+//! [`SiteServer`](crate::SiteServer) with a different frame handler:
 //! thread-per-connection, malformed frames kill their own connection and
 //! nothing else. Application failures travel as `ErrorReply` frames —
 //! the transport stays healthy; the answer is an error.
 //!
 //! [`Federation`]: amc_core::Federation
 
-use crate::client::RetryPolicy;
-use crate::server::bind_with_retry;
-use crate::wire::{read_frame, write_frame, CoordReply, CoordRequest, Frame, FrameBuffer};
+use crate::client::{Core, PooledLink, RetryPolicy};
+use crate::server::{BlockingServer, Handler};
+use crate::wire::{CoordReply, CoordRequest, Frame};
 use amc_core::{Federation, TxnOutcome};
+use amc_obs::ObsSink;
 use amc_types::{AmcError, AmcResult, GlobalTxnId, Operation, SiteId};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::io::{self, Read as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How often a blocked connection read wakes up to check the stop flag.
-const STOP_POLL: Duration = Duration::from_millis(100);
 
 /// A coordinator's advertised identity: what [`CoordRequest::Describe`]
 /// answers.
@@ -67,10 +62,7 @@ pub struct ExecReport {
 /// [`CoordServer::shutdown`]) stops the listener and joins every
 /// connection thread.
 pub struct CoordServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    inner: BlockingServer,
 }
 
 impl CoordServer {
@@ -86,66 +78,21 @@ impl CoordServer {
         info: CoordInfo,
         listen: &str,
     ) -> io::Result<CoordServer> {
-        let listener: TcpListener = bind_with_retry(listen)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let conn_threads = Arc::clone(&conn_threads);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let federation = Arc::clone(&federation);
-                    let info = info.clone();
-                    let stop = Arc::clone(&stop);
-                    let handle = std::thread::spawn(move || {
-                        serve_coord_connection(stream, &federation, &info, &stop);
-                    });
-                    let mut threads = conn_threads.lock();
-                    threads.retain(|h: &JoinHandle<()>| !h.is_finished());
-                    threads.push(handle);
-                }
-            })
-        };
+        let handler: Handler =
+            Arc::new(move |frame| coord_reply_for_frame(frame, &federation, &info));
         Ok(CoordServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            conn_threads,
+            inner: BlockingServer::spawn(listen, handler)?,
         })
     }
 
     /// The address the server actually listens on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr()
     }
 
     /// Stop accepting, close the listener, and join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        for h in self.conn_threads.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for CoordServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop_and_join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -185,52 +132,6 @@ fn coord_reply_for_frame(frame: Frame, federation: &Federation, info: &CoordInfo
     })
 }
 
-/// One connection's request loop; same structure as the site server's.
-fn serve_coord_connection(
-    mut stream: TcpStream,
-    federation: &Federation,
-    info: &CoordInfo,
-    stop: &AtomicBool,
-) {
-    if stream.set_read_timeout(Some(STOP_POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut buf = FrameBuffer::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => buf.extend(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        }
-        loop {
-            let frame = match buf.next_frame() {
-                Ok(Some(frame)) => frame,
-                // Partial frame: wait for more bytes.
-                Ok(None) => break,
-                // Garbage: frame boundaries are gone — drop the
-                // connection (never the server).
-                Err(_) => return,
-            };
-            let Some(reply) = coord_reply_for_frame(frame, federation, info) else {
-                return;
-            };
-            if write_frame(&mut stream, &reply).is_err() {
-                return;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------- client --
 
 /// A blocking client for one coordinator server.
@@ -243,31 +144,24 @@ fn serve_coord_connection(
 /// generator counts it as an error, never as a silent retry that could
 /// double-apply).
 pub struct CoordClient {
-    addr: SocketAddr,
-    policy: RetryPolicy,
-    pool: Mutex<Vec<TcpStream>>,
-    next_req: AtomicU64,
+    /// The shared request core over pooled connections. The peer is the
+    /// central system, so an unreachable coordinator surfaces as
+    /// `SiteDown(CENTRAL)`.
+    core: Core<PooledLink>,
 }
 
 impl CoordClient {
     /// A client for the coordinator at `addr`.
     pub fn new(addr: SocketAddr, policy: RetryPolicy) -> Self {
+        let link = PooledLink::default();
         CoordClient {
-            addr,
-            policy,
-            pool: Mutex::new(Vec::new()),
-            next_req: AtomicU64::new(1),
+            core: Core::new(SiteId::CENTRAL, addr, policy, ObsSink::disabled(), link),
         }
-    }
-
-    /// The address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Liveness probe, retried per the policy.
     pub fn ping(&self) -> AmcResult<()> {
-        match self.with_retries(CoordRequest::Ping, self.policy.max_attempts)? {
+        match self.request(CoordRequest::Ping, self.core.ep.policy.max_attempts)? {
             CoordReply::Pong => Ok(()),
             other => Err(AmcError::Protocol(format!(
                 "coordinator answered ping with {other:?}"
@@ -277,7 +171,7 @@ impl CoordClient {
 
     /// Ask the coordinator who it is, retried per the policy.
     pub fn describe(&self) -> AmcResult<CoordInfo> {
-        match self.with_retries(CoordRequest::Describe, self.policy.max_attempts)? {
+        match self.request(CoordRequest::Describe, self.core.ep.policy.max_attempts)? {
             CoordReply::Coord {
                 slot,
                 coordinators,
@@ -298,7 +192,7 @@ impl CoordClient {
     /// Run one global transaction through the coordinator. Exactly one
     /// attempt (see the type docs).
     pub fn exec(&self, per_site: BTreeMap<SiteId, Vec<Operation>>) -> AmcResult<ExecReport> {
-        match self.with_retries(CoordRequest::Exec { per_site }, 1)? {
+        match self.request(CoordRequest::Exec { per_site }, 1)? {
             CoordReply::Done {
                 gtx,
                 outcome,
@@ -316,57 +210,18 @@ impl CoordClient {
         }
     }
 
-    fn with_retries(&self, req: CoordRequest, max_attempts: u32) -> AmcResult<CoordReply> {
-        for attempt in 1..=max_attempts {
-            let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-            let frame = Frame::CoordRequest {
-                req_id,
-                req: req.clone(),
-            };
-            match self.roundtrip(&frame) {
-                Ok(Frame::CoordReply { reply, .. }) => return Ok(reply),
-                Ok(Frame::ErrorReply { error, .. }) => return Err(error),
-                Ok(other) => {
-                    return Err(AmcError::Protocol(format!(
-                        "coordinator sent a non-coordinator frame {other:?}"
-                    )))
-                }
-                Err(()) if attempt < max_attempts => {
-                    std::thread::sleep(self.policy.backoff_after(attempt));
-                }
-                Err(()) => break,
-            }
-        }
-        // The coordinator is unreachable; reuse the SiteDown shape with
-        // the CENTRAL sentinel (a coordinator is the central system).
-        Err(AmcError::SiteDown(SiteId::CENTRAL))
-    }
-
-    /// One attempt: check out (or dial) a connection, write the frame,
-    /// read the matching reply. Any failure discards the connection.
-    fn roundtrip(&self, frame: &Frame) -> Result<Frame, ()> {
-        let mut conn = match self.pool.lock().pop() {
-            Some(c) => c,
-            None => self.dial()?,
+    fn request(&self, req: CoordRequest, max_attempts: u32) -> AmcResult<CoordReply> {
+        let make_frame = |req_id| Frame::CoordRequest {
+            req_id,
+            req: req.clone(),
         };
-        conn.set_read_timeout(Some(self.policy.request_timeout))
-            .map_err(|_| ())?;
-        conn.set_write_timeout(Some(self.policy.request_timeout))
-            .map_err(|_| ())?;
-        write_frame(&mut conn, frame).map_err(|_| ())?;
-        let reply = read_frame(&mut conn).map_err(|_| ())?;
-        if reply.req_id() != frame.req_id() {
-            return Err(());
+        match self.core.request(None, max_attempts, make_frame)? {
+            Frame::CoordReply { reply, .. } => Ok(reply),
+            Frame::ErrorReply { error, .. } => Err(error),
+            other => Err(AmcError::Protocol(format!(
+                "coordinator sent a non-coordinator frame {other:?}"
+            ))),
         }
-        self.pool.lock().push(conn);
-        Ok(reply)
-    }
-
-    fn dial(&self) -> Result<TcpStream, ()> {
-        let conn =
-            TcpStream::connect_timeout(&self.addr, self.policy.connect_timeout).map_err(|_| ())?;
-        let _ = conn.set_nodelay(true);
-        Ok(conn)
     }
 }
 
@@ -375,6 +230,7 @@ mod tests {
     use super::*;
     use amc_core::{FederationConfig, ProtocolKind};
     use amc_types::{ObjectId, Operation, Value};
+    use std::time::Duration;
 
     fn spawn_coord(slot: u32, coordinators: u32) -> (CoordServer, Arc<Federation>) {
         let cfg =
@@ -437,5 +293,27 @@ mod tests {
         // The connection survives the abort.
         client.ping().unwrap();
         srv.shutdown();
+    }
+    /// A coordinator that never answers is dialed exactly `max_attempts`
+    /// times, then reported down as the central system.
+    #[test]
+    fn unreachable_coordinator_is_down_after_bounded_attempts() {
+        // Bound but never accepting: dials complete in the kernel's
+        // backlog, requests go unanswered, and the backlog afterwards
+        // holds one connection per dial.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let policy = RetryPolicy {
+            connect_timeout: Duration::from_millis(200),
+            request_timeout: Duration::from_millis(100),
+            max_attempts: 3,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+        };
+        let client = CoordClient::new(listener.local_addr().unwrap(), policy);
+        let err = client.ping().unwrap_err();
+        assert!(matches!(err, AmcError::SiteDown(s) if s == SiteId::CENTRAL));
+        listener.set_nonblocking(true).unwrap();
+        let dials = std::iter::from_fn(|| listener.accept().ok()).count();
+        assert_eq!(dials, 3);
     }
 }

@@ -27,7 +27,7 @@
 //! request id — echoed verbatim in every reply — is what lets a
 //! pipelining client match them up again.
 
-use crate::server::reply_for_frame;
+use crate::server::{bind_with_retry, site_handler, Handler};
 use crate::wire::{encode_frame, Frame, FrameBuffer};
 use amc_epoll::{Interest, Poller, Waker};
 use amc_net::{LocalCommManager, SubmitMode};
@@ -171,7 +171,7 @@ impl EventServer {
         obs: ObsSink,
         acceptor: Option<Arc<AcceptorHost>>,
     ) -> io::Result<EventServer> {
-        let listener = crate::server::bind_with_retry(listen)?;
+        let listener = bind_with_retry(listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
@@ -195,16 +195,14 @@ impl EventServer {
             .map(|n| n.get())
             .unwrap_or(4))
         .clamp(16, 32);
-        let mut workers = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            let pool = Arc::clone(&pool);
-            let manager = Arc::clone(&manager);
-            let obs = obs.clone();
-            let acceptor = acceptor.clone();
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&pool, site, &manager, mode, &obs, acceptor.as_deref());
-            }));
-        }
+        let handler = site_handler(site, manager, mode, obs, acceptor);
+        let workers = (0..n_workers)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                let handler = Arc::clone(&handler);
+                std::thread::spawn(move || worker_loop(&pool, &handler))
+            })
+            .collect();
 
         let loop_thread = {
             let stop = Arc::clone(&stop);
@@ -251,11 +249,13 @@ impl EventServer {
     }
 
     /// Stop the loop and the workers, dropping every connection.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    pub fn shutdown(self) {
+        drop(self);
     }
+}
 
-    fn stop_and_join(&mut self) {
+impl Drop for EventServer {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.pool.waker.wake();
         if let Some(h) = self.loop_thread.take() {
@@ -269,24 +269,9 @@ impl EventServer {
     }
 }
 
-impl Drop for EventServer {
-    fn drop(&mut self) {
-        if self.loop_thread.is_some() {
-            self.stop_and_join();
-        }
-    }
-}
-
-/// One worker: pull a job, dispatch it through the shared request path,
-/// hand the reply back to the loop, ring the doorbell.
-fn worker_loop(
-    pool: &Pool,
-    site: SiteId,
-    manager: &LocalCommManager,
-    mode: SubmitMode,
-    obs: &ObsSink,
-    acceptor: Option<&AcceptorHost>,
-) {
+/// One worker: pull a job, run it through the shared site handler, hand
+/// the reply back to the loop, ring the doorbell.
+fn worker_loop(pool: &Pool, handler: &Handler) {
     loop {
         let job = {
             let mut jobs = pool.jobs.lock();
@@ -300,9 +285,9 @@ fn worker_loop(
                 pool.jobs_cv.wait(&mut jobs);
             }
         };
-        // Only request-kind frames are ever enqueued, so `reply_for_frame`
+        // Only request-kind frames are ever enqueued, so the handler
         // always produces a reply here.
-        let Some(reply) = reply_for_frame(job.frame, site, manager, mode, obs, acceptor) else {
+        let Some(reply) = handler(job.frame) else {
             continue;
         };
         pool.completions.lock().push(Completion {

@@ -4,45 +4,53 @@
 //! actually deploys — a central coordinator talking to independent local
 //! systems over a network, not over function calls.
 //!
-//! * [`wire`] — the length-prefixed framed codec (version byte +
-//!   hand-rolled binary body) over the `amc-net` [`amc_net::Payload`]
-//!   vocabulary, so the simulator and the networked runtime share one
-//!   message grammar;
-//! * [`server`] — the blocking TCP **site server**: one listener per
-//!   local system, thread-per-connection, each request dispatched to the
-//!   same `LocalCommManager` the in-process runtime uses. Malformed
-//!   frames kill their connection, never the server;
+//! * [`wire`] — the length-prefixed framed codec (version byte + binary
+//!   body), its layout declared once per type in one table, over the
+//!   `amc-net` [`amc_net::Payload`] vocabulary, so the simulator and the
+//!   networked runtime share one message grammar;
+//! * [`server`] — the one blocking accept/serve/reap/shutdown runtime
+//!   (thread-per-connection, parameterised by a frame handler) and the
+//!   **site server** on it: each request dispatched to the same
+//!   `LocalCommManager` the in-process runtime uses. Malformed frames
+//!   kill their connection, never the server;
 //! * [`event_loop`] — the **event-loop site server**: one epoll thread
 //!   multiplexing every connection, incremental frame decode, batched
-//!   reply writes, a worker pool for dispatch, and explicit per-connection
-//!   backpressure (excess requests are shed with `BufferExhausted`, not
-//!   queued). Same spawn surface and wire vocabulary as [`server`];
+//!   reply writes, a worker pool running the *same* site handler, and
+//!   explicit per-connection backpressure (excess requests are shed with
+//!   `BufferExhausted`, not queued). Same spawn surface and wire
+//!   vocabulary as [`server`];
 //! * [`coord`] — the TCP **coordinator server** + client: one
-//!   [`amc_core::Federation`] shard slot behind a listener speaking the
-//!   coordinator frames (kinds `5`/`6`), so a remote router or load
-//!   generator drives whole global transactions in one round trip;
-//! * [`client`] — the connection-supervising **RPC client**: per-request
-//!   deadlines, capped exponential-backoff retries, automatic reconnect,
-//!   all surfaced as `amc-obs` events so `explain` works on networked
-//!   runs;
-//! * [`mux`] — the **multiplexed pipelining client**: one shared
-//!   connection per site, any number of concurrent callers, replies
-//!   matched to callers by request id in whatever order the server
-//!   finishes them;
+//!   [`amc_core::Federation`] shard slot behind the blocking runtime
+//!   speaking the coordinator frames (kinds `5`/`6`), so a remote router
+//!   or load generator drives whole global transactions in one round
+//!   trip;
+//! * [`client`] — the one **request core**: request ids, per-request
+//!   deadlines, capped jittered exponential-backoff retries (transport
+//!   failures and load-sheds alike), automatic reconnect, all surfaced
+//!   as `amc-obs` events so `explain` works on networked runs — plus the
+//!   pooled link (a connection checked out per request) behind
+//!   [`RpcClient`];
+//! * [`mux`] — the multiplexed pipelining link behind [`MuxClient`]: one
+//!   shared connection per site, any number of concurrent callers,
+//!   replies matched to callers by request id in whatever order the
+//!   server finishes them;
 //! * [`transport`] — the [`amc_net::transport::FederationTransport`] impl
-//!   gluing the two into `amc_core::Federation::with_transport`;
+//!   putting one request core per site under
+//!   `amc_core::Federation::with_transport`;
 //! * [`recovery`] — durable restart: a site started with `--wal-dir`
 //!   persists its engine WAL and work journal there, and
 //!   [`SiteRecoveryManager`] rebuilds both after a `kill -9`, resolving
-//!   in-doubt transactions through the coordinator's inquiry path.
-//!
-//! The binaries `amc-site-server` and `amc-loadgen` run the same pieces
-//! as separate OS processes; experiment E10 measures what the wire costs
-//! relative to the in-process dispatcher.
+//!   in-doubt transactions through the coordinator's inquiry path;
+//! * [`cli`] — the bodies of the `amc-site-server`, `amc-loadgen`,
+//!   `amc-coord-server` and `amc-paxos-coord` binaries (declared by the
+//!   root package), which run the same pieces as separate OS processes;
+//!   experiment E10 measures what the wire costs relative to the
+//!   in-process dispatcher.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod client;
 pub mod coord;
 pub mod event_loop;

@@ -1,4 +1,4 @@
-//! The multiplexed, pipelining RPC client.
+//! The multiplexed, pipelining link and its client.
 //!
 //! Where [`RpcClient`](crate::RpcClient) checks a whole connection out
 //! of a pool per request — N concurrent requests need N sockets — a
@@ -11,24 +11,24 @@
 //! requests in flight on one stream, out-of-order completion, no
 //! head-of-line coupling between callers.
 //!
-//! Failure shape matches the pooled client: a request that cannot be
-//! delivered or answered inside the deadline counts one attempt, the
-//! connection is torn down (failing *every* pending request, each of
-//! which retries independently), and the next attempt redials. Retries
-//! are safe for the same reason they always were: every manager handler
-//! is idempotent.
+//! Only the connection strategy lives here (`MuxLink`); request ids,
+//! retries, backoff, shed accounting and trace events are the shared
+//! request core's ([`crate::client`]). A request that cannot be delivered
+//! or answered inside the deadline is one failed attempt; a dead
+//! connection fails *every* pending request, each of which the core
+//! retries independently, and the next attempt redials.
 
-use crate::client::RetryPolicy;
+use crate::client::{client_surface, Core, Endpoint, Link, RetryPolicy};
 use crate::wire::{write_frame, Frame, FrameBuffer};
 use amc_net::transport::{AdminReply, AdminRequest};
 use amc_net::Payload;
-use amc_obs::{EventKind, ObsSink};
-use amc_types::{AmcError, AmcResult, SiteId};
+use amc_obs::ObsSink;
+use amc_types::{AmcResult, SiteId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::Read as _;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -136,260 +136,86 @@ fn reader_loop(mut stream: TcpStream, chan: Arc<Channel>) {
     }
 }
 
-/// A multiplexed pipelining client for one site.
-///
-/// Cheap to clone-share via `Arc`; any number of threads may
-/// [`MuxClient::call`] concurrently and their requests share one
-/// connection.
-pub struct MuxClient {
-    site: SiteId,
-    addr: Mutex<SocketAddr>,
-    policy: RetryPolicy,
-    /// The current channel, lazily (re)dialed. Dead channels are
-    /// replaced on the next call.
+/// The multiplexed link: one shared connection, lazily (re)dialed, with
+/// a reader thread completing callers by request id.
+#[derive(Default)]
+pub(crate) struct MuxLink {
+    /// The current channel. Dead channels are replaced on the next
+    /// attempt.
     chan: Mutex<Option<Arc<Channel>>>,
     reader: Mutex<Option<std::thread::JoinHandle<()>>>,
-    next_req: AtomicU64,
-    ever_connected: AtomicBool,
-    jitter_state: AtomicU64,
-    sheds: AtomicU64,
-    obs: ObsSink,
 }
 
-impl MuxClient {
-    /// A client for `site` at `addr`. No connection is made until the
-    /// first call.
-    pub fn new(site: SiteId, addr: SocketAddr, policy: RetryPolicy, obs: ObsSink) -> Self {
-        MuxClient {
-            site,
-            addr: Mutex::new(addr),
-            policy,
-            chan: Mutex::new(None),
-            reader: Mutex::new(None),
-            next_req: AtomicU64::new(1),
-            ever_connected: AtomicBool::new(false),
-            jitter_state: AtomicU64::new(
-                0xD1B5_4A32_D192_ED03u64.wrapping_mul(u64::from(site.raw()) + 1),
-            ),
-            sheds: AtomicU64::new(0),
-            obs,
-        }
-    }
-
-    /// The site this client fronts.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
-    /// How many requests the site answered with a load-shed
-    /// (`BufferExhausted`) since this client was created — retried and
-    /// terminal sheds both count.
-    pub fn sheds(&self) -> u64 {
-        self.sheds.load(Ordering::Relaxed)
-    }
-
-    /// Point the client at a new address; the current channel (if any)
-    /// is torn down.
-    pub fn set_addr(&self, addr: SocketAddr) {
-        *self.addr.lock() = addr;
-        if let Some(chan) = self.chan.lock().take() {
-            chan.stop.store(true, Ordering::SeqCst);
-            chan.poison();
-        }
-    }
-
-    fn jitter_word(&self) -> u64 {
-        let x = self
-            .jitter_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Send one protocol message and wait for the site's reply.
-    pub fn call(&self, payload: Payload) -> AmcResult<Payload> {
-        let gtx = payload.gtx();
-        let label = payload.label();
-        let reply = self.with_retries(|req_id| Frame::Request {
-            req_id,
-            payload: payload.clone(),
-        })?;
-        match reply {
-            Frame::Reply { payload, .. } => {
-                self.obs.emit(
-                    Some(gtx),
-                    SiteId::CENTRAL,
-                    EventKind::MsgDeliver {
-                        label: payload.label(),
-                        from: self.site,
-                    },
-                );
-                Ok(payload)
-            }
-            Frame::ErrorReply { error, .. } => Err(error),
-            other => Err(AmcError::Protocol(format!(
-                "site answered {label} with a non-protocol frame {other:?}"
-            ))),
-        }
-    }
-
-    /// Send one admin request and wait for the site's reply.
-    pub fn admin(&self, req: AdminRequest) -> AmcResult<AdminReply> {
-        let reply = self.with_retries(|req_id| Frame::AdminRequest {
-            req_id,
-            req: req.clone(),
-        })?;
-        match reply {
-            Frame::AdminReply { reply, .. } => Ok(reply),
-            Frame::ErrorReply { error, .. } => Err(error),
-            other => Err(AmcError::Protocol(format!(
-                "site answered admin with a non-admin frame {other:?}"
-            ))),
-        }
-    }
-
-    fn with_retries(&self, make_frame: impl Fn(u64) -> Frame) -> AmcResult<Frame> {
-        for attempt in 1..=self.policy.max_attempts {
-            let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-            let frame = make_frame(req_id);
-            let gtx = match &frame {
-                Frame::Request { payload, .. } => Some(payload.gtx()),
-                _ => None,
-            };
-            match self.one_attempt(&frame) {
-                Ok(reply) => return Ok(reply),
-                // The server shedding load is an answer, not a transport
-                // failure — but it IS retryable: back off and try again
-                // rather than bubbling an overload spike up as an abort.
-                // Every shed is counted and traced distinctly from a
-                // transport retry so backpressure stays observable.
-                Err(Some(AmcError::BufferExhausted)) => {
-                    self.sheds.fetch_add(1, Ordering::Relaxed);
-                    self.obs.emit(
-                        gtx,
-                        SiteId::CENTRAL,
-                        EventKind::RpcShed {
-                            to: self.site,
-                            attempt,
-                        },
-                    );
-                    if attempt == self.policy.max_attempts {
-                        return Err(AmcError::BufferExhausted);
-                    }
-                    std::thread::sleep(RetryPolicy::jittered(
-                        self.policy.backoff_after(attempt),
-                        self.jitter_word(),
-                    ));
-                }
-                Err(None) if attempt < self.policy.max_attempts => {
-                    self.obs.emit(
-                        gtx,
-                        SiteId::CENTRAL,
-                        EventKind::RpcRetry {
-                            to: self.site,
-                            attempt,
-                        },
-                    );
-                    std::thread::sleep(RetryPolicy::jittered(
-                        self.policy.backoff_after(attempt),
-                        self.jitter_word(),
-                    ));
-                }
-                Err(Some(err)) => return Err(err),
-                Err(None) => break,
-            }
-        }
-        Err(AmcError::SiteDown(self.site))
-    }
-
-    /// One attempt over the shared channel. `Err(None)` is a transport
-    /// failure (retry, redial); `Err(Some(e))` is the site's answer.
-    fn one_attempt(&self, frame: &Frame) -> Result<Frame, Option<AmcError>> {
-        let chan = self.channel().ok_or(None)?;
+impl Link for MuxLink {
+    /// A deadline that expires withdraws only this request: the
+    /// connection and every other pending request stay healthy, and a
+    /// late reply to this id is dropped by the reader. A dead channel
+    /// fails every pending request, each of which retries independently.
+    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()> {
+        let chan = self.channel(ep)?;
         let req_id = frame.req_id();
         let slot = Slot::new();
         chan.pending.lock().insert(req_id, Arc::clone(&slot));
-        if let Frame::Request { payload, .. } = frame {
-            self.obs.emit(
-                Some(payload.gtx()),
-                SiteId::CENTRAL,
-                EventKind::MsgSend {
-                    label: payload.label(),
-                    from: SiteId::CENTRAL,
-                    to: self.site,
-                },
-            );
+        ep.sending(frame);
+        let written = write_frame(&mut *chan.writer.lock(), frame);
+        if written.is_err() {
+            chan.pending.lock().remove(&req_id);
+            self.discard(&chan);
+            return Err(());
         }
-        {
-            let mut writer = chan.writer.lock();
-            if write_frame(&mut *writer, frame).is_err() {
-                drop(writer);
-                chan.pending.lock().remove(&req_id);
-                self.discard(&chan);
-                return Err(None);
-            }
-        }
-        let deadline = Instant::now() + self.policy.request_timeout;
+        let mut deadline = Some(Instant::now() + ep.policy.request_timeout);
         let mut reply = slot.reply.lock();
         loop {
             if let Some(frame) = reply.take() {
-                return match frame {
-                    Frame::ErrorReply { error, .. } => Err(Some(error)),
-                    other => Ok(other),
-                };
+                return Ok(frame);
             }
             if chan.dead.load(Ordering::SeqCst) {
                 drop(reply);
                 chan.pending.lock().remove(&req_id);
                 self.discard(&chan);
-                return Err(None);
+                return Err(());
             }
-            let now = Instant::now();
-            if now >= deadline {
-                // Withdraw only this request: the connection and every
-                // other pending request stay healthy. A late reply to
-                // this id is dropped by the reader.
-                drop(reply);
-                if chan.pending.lock().remove(&req_id).is_some() {
-                    return Err(None);
-                }
-                // The withdraw lost a race: this id is no longer pending
-                // because the reader (or poison) already claimed it. The
-                // reader fills the slot right after unpending, so the
-                // reply is ours — reporting a timeout here would discard
-                // an answer that arrived in time and retry a request the
-                // site already served.
-                reply = slot.reply.lock();
-                loop {
-                    if let Some(frame) = reply.take() {
-                        return match frame {
-                            Frame::ErrorReply { error, .. } => Err(Some(error)),
-                            other => Ok(other),
-                        };
+            let wait = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                Some(left) if left.is_zero() => {
+                    drop(reply);
+                    if chan.pending.lock().remove(&req_id).is_some() {
+                        return Err(());
                     }
-                    if chan.dead.load(Ordering::SeqCst) {
-                        // Poison drained the table without a fill.
-                        drop(reply);
-                        self.discard(&chan);
-                        return Err(None);
-                    }
-                    slot.cv.wait_for(&mut reply, READ_TICK);
+                    // The withdraw lost a race: this id is no longer
+                    // pending because the reader (or poison) already
+                    // claimed it. The reader fills the slot right after
+                    // unpending, so the reply is ours — reporting a
+                    // timeout here would discard an answer that arrived
+                    // in time and retry a request the site already
+                    // served. Keep waiting, deadline-free, for the fill
+                    // (or for poison to mark the channel dead).
+                    deadline = None;
+                    reply = slot.reply.lock();
+                    continue;
                 }
-            }
-            slot.cv.wait_for(&mut reply, deadline - now);
+                Some(left) => left,
+                None => READ_TICK,
+            };
+            slot.cv.wait_for(&mut reply, wait);
         }
     }
 
+    fn reset(&self) {
+        if let Some(chan) = self.chan.lock().take() {
+            chan.stop.store(true, Ordering::SeqCst);
+            chan.poison();
+        }
+    }
+}
+
+impl MuxLink {
     /// The live channel, dialing a fresh one if there is none or the
     /// current one is dead.
-    fn channel(&self) -> Option<Arc<Channel>> {
-        let mut slot = self.chan.lock();
-        if let Some(chan) = slot.as_ref() {
+    fn channel(&self, ep: &Endpoint) -> Result<Arc<Channel>, ()> {
+        let mut current = self.chan.lock();
+        if let Some(chan) = current.as_ref() {
             if !chan.dead.load(Ordering::SeqCst) {
-                return Some(Arc::clone(chan));
+                return Ok(Arc::clone(chan));
             }
         }
         // (Re)dial. Join the previous reader first so dead readers don't
@@ -397,17 +223,8 @@ impl MuxClient {
         if let Some(h) = self.reader.lock().take() {
             let _ = h.join();
         }
-        let addr = *self.addr.lock();
-        let stream = TcpStream::connect_timeout(&addr, self.policy.connect_timeout).ok()?;
-        let _ = stream.set_nodelay(true);
-        let read_half = stream.try_clone().ok()?;
-        if self.ever_connected.swap(true, Ordering::Relaxed) {
-            self.obs.emit(
-                None,
-                SiteId::CENTRAL,
-                EventKind::RpcReconnect { to: self.site },
-            );
-        }
+        let stream = ep.dial()?;
+        let read_half = stream.try_clone().map_err(|_| ())?;
         let chan = Arc::new(Channel {
             writer: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
@@ -418,38 +235,47 @@ impl MuxClient {
         *self.reader.lock() = Some(std::thread::spawn(move || {
             reader_loop(read_half, reader_chan);
         }));
-        *slot = Some(Arc::clone(&chan));
-        Some(chan)
+        *current = Some(Arc::clone(&chan));
+        Ok(chan)
     }
 
     /// Drop `chan` if it is still the current channel (a racing caller
     /// may already have redialed).
     fn discard(&self, chan: &Arc<Channel>) {
         chan.poison();
-        let mut slot = self.chan.lock();
-        if let Some(current) = slot.as_ref() {
-            if Arc::ptr_eq(current, chan) {
-                *slot = None;
-            }
+        let mut current = self.chan.lock();
+        if current.as_ref().is_some_and(|c| Arc::ptr_eq(c, chan)) {
+            *current = None;
         }
     }
 }
 
-impl Drop for MuxClient {
+impl Drop for MuxLink {
     fn drop(&mut self) {
-        if let Some(chan) = self.chan.lock().take() {
-            chan.stop.store(true, Ordering::SeqCst);
-            chan.poison();
-        }
+        self.reset();
         if let Some(h) = self.reader.lock().take() {
             let _ = h.join();
         }
     }
 }
 
+/// A multiplexed pipelining client for one site.
+///
+/// Cheap to clone-share via `Arc`; any number of threads may
+/// [`MuxClient::call`] concurrently and their requests share one
+/// connection.
+pub struct MuxClient {
+    core: Core<MuxLink>,
+}
+
+client_surface!(MuxClient, MuxLink);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::PooledLink;
+    use amc_obs::EventKind;
+    use amc_types::AmcError;
     use std::net::TcpListener;
 
     /// The timeout-withdraw vs reader-completion race, replayed by hand:
@@ -485,7 +311,13 @@ mod tests {
         let req_id = frame.req_id();
         // The reader's winning interleaving: unpend before the caller's
         // deadline, fill only after it.
-        let chan = client.chan.lock().clone().expect("channel dialed");
+        let chan = client
+            .core
+            .link
+            .chan
+            .lock()
+            .clone()
+            .expect("channel dialed");
         let slot = chan
             .pending
             .lock()
@@ -504,53 +336,71 @@ mod tests {
         assert_eq!(got.unwrap(), AdminReply::Pong);
     }
 
-    /// Load-shed replies are retried away, but never invisibly: every
-    /// `BufferExhausted` answer bumps the client's shed counter and lands
-    /// in the observability log as a distinct `rpc-shed` event.
+    /// Load-shed replies are retried away, but never invisibly — over
+    /// either link: every `BufferExhausted` answer bumps the client's
+    /// shed counter and lands in the observability log as a distinct
+    /// `rpc-shed` event carrying the attempt it answered.
     #[test]
     fn shed_replies_are_counted_and_traced_even_when_the_retry_succeeds() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let policy = RetryPolicy {
-            request_timeout: Duration::from_millis(500),
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            ..RetryPolicy::default()
-        };
-        let obs = ObsSink::enabled(64);
-        let client = Arc::new(MuxClient::new(SiteId::new(1), addr, policy, obs.clone()));
-        let caller = {
-            let client = Arc::clone(&client);
-            std::thread::spawn(move || client.admin(AdminRequest::Ping))
-        };
-        // Act as the server on one persistent connection: shed the first
-        // two attempts, answer the third.
-        let (mut conn, _) = listener.accept().unwrap();
-        for attempt in 0..3 {
-            let frame = crate::wire::read_frame(&mut conn).unwrap();
-            let req_id = frame.req_id();
-            let reply = if attempt < 2 {
-                Frame::ErrorReply {
-                    req_id,
-                    error: AmcError::BufferExhausted,
-                }
-            } else {
-                Frame::AdminReply {
-                    req_id,
-                    reply: AdminReply::Pong,
-                }
+        let links: [(&str, Box<dyn Link>); 2] = [
+            ("pooled", Box::new(PooledLink::default())),
+            ("mux", Box::new(MuxLink::default())),
+        ];
+        for (kind, link) in links {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let policy = RetryPolicy {
+                request_timeout: Duration::from_millis(500),
+                max_attempts: 3,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(2),
+                ..RetryPolicy::default()
             };
-            crate::wire::write_frame(&mut conn, &reply).unwrap();
+            let obs = ObsSink::enabled(64);
+            let client = Arc::new(Core::new(SiteId::new(1), addr, policy, obs.clone(), link));
+            let caller = {
+                let client = Arc::clone(&client);
+                std::thread::spawn(move || client.admin(AdminRequest::Ping))
+            };
+            // Act as the server on one persistent connection: shed the
+            // first two attempts, answer the third.
+            let (mut conn, _) = listener.accept().unwrap();
+            for attempt in 0..3 {
+                let frame = crate::wire::read_frame(&mut conn).unwrap();
+                let req_id = frame.req_id();
+                let reply = if attempt < 2 {
+                    Frame::ErrorReply {
+                        req_id,
+                        error: AmcError::BufferExhausted,
+                    }
+                } else {
+                    Frame::AdminReply {
+                        req_id,
+                        reply: AdminReply::Pong,
+                    }
+                };
+                crate::wire::write_frame(&mut conn, &reply).unwrap();
+            }
+            let got = caller.join().unwrap();
+            assert_eq!(got.unwrap(), AdminReply::Pong, "{kind}");
+            assert_eq!(
+                client.sheds(),
+                2,
+                "{kind}: both shed answers must be counted"
+            );
+            let shed_attempts: Vec<u32> = obs
+                .snapshot()
+                .events()
+                .filter_map(|e| match e.kind {
+                    EventKind::RpcShed { attempt, .. } => Some(attempt),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                shed_attempts,
+                [1, 2],
+                "{kind}: each shed must be traced as rpc-shed with its attempt"
+            );
         }
-        let got = caller.join().unwrap();
-        assert_eq!(got.unwrap(), AdminReply::Pong);
-        assert_eq!(client.sheds(), 2, "both shed answers must be counted");
-        let shed_events = obs
-            .snapshot()
-            .events()
-            .filter(|e| matches!(e.kind, EventKind::RpcShed { .. }))
-            .count();
-        assert_eq!(shed_events, 2, "each shed must be traced as rpc-shed");
     }
 }

@@ -1,13 +1,16 @@
-//! The TCP site server: one independent process (or thread) per local
-//! system, owning its engine + WAL behind a loopback listener.
+//! The blocking server runtime, and the TCP site server on it: one
+//! independent process (or thread) per local system, owning its engine +
+//! WAL behind a loopback listener.
 //!
 //! Concurrency model: thread-per-connection. Every connection runs its
-//! own request loop — decode a frame, dispatch it to the shared
-//! [`LocalCommManager`] (the same dispatch the in-process transport
-//! uses), write the reply with the echoed request id. A malformed frame
-//! poisons only its own connection: the handler drops the socket and
-//! returns, while the listener keeps accepting and every other
-//! connection keeps being served.
+//! own request loop — decode a frame, hand it to the server's
+//! `Handler`, write the reply with the echoed request id. The site
+//! handler dispatches to the shared [`LocalCommManager`] (the same
+//! dispatch the in-process transport uses); the coordinator server
+//! ([`crate::coord`]) runs the same loop with its own handler. A
+//! malformed frame poisons only its own connection: the loop drops the
+//! socket and returns, while the listener keeps accepting and every
+//! other connection keeps being served.
 
 use crate::wire::{write_frame, Frame, FrameBuffer};
 use amc_net::transport::{admin_to_manager, dispatch_to_manager};
@@ -26,28 +29,180 @@ use std::time::Duration;
 /// How often a blocked connection read wakes up to check the stop flag.
 const STOP_POLL: Duration = Duration::from_millis(100);
 
-/// A running site server. Dropping it (or calling
-/// [`SiteServer::shutdown`]) stops the listener and joins every
-/// connection thread.
-pub struct SiteServer {
-    site: SiteId,
+/// What a server does with one decoded frame: the reply to send, or
+/// `None` for a frame it must never receive (the peer is confused and
+/// its connection is dropped).
+pub(crate) type Handler = Arc<dyn Fn(Frame) -> Option<Frame> + Send + Sync>;
+
+/// The blocking runtime: an accept thread plus one thread per
+/// connection, each feeding decoded frames to one [`Handler`]. Dropping
+/// it stops the listener and joins every thread.
+pub(crate) struct BlockingServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
-impl SiteServer {
-    /// Bind `listen` (e.g. `127.0.0.1:0` for an ephemeral loopback port)
-    /// and serve `manager` on it. `mode` selects how submits run — it must
-    /// match the protocol the coordinator drives.
+impl BlockingServer {
+    /// Bind `listen` and serve `handler` on it.
     ///
-    /// Binding retries briefly on `AddrInUse`: a site restarted **in
+    /// Binding retries briefly on `AddrInUse`: a server restarted **in
     /// place** (same port, after a crash or shutdown) can race the kernel
     /// reclaiming the old listener — the previous socket may linger in
     /// `TIME_WAIT` even though `SO_REUSEADDR` is set by default on Unix
     /// listeners. The retry lives here, not in callers, so every runtime
     /// (binary, tests, embedding) gets restart-in-place for free.
+    pub(crate) fn spawn(listen: &str, handler: Handler) -> io::Result<BlockingServer> {
+        let listener = bind_with_retry(listen)?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let accept_thread = {
+            let stop = Arc::clone(&stop);
+            let conn_threads = Arc::clone(&conn_threads);
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { continue };
+                    let handler = Arc::clone(&handler);
+                    let stop = Arc::clone(&stop);
+                    let handle =
+                        std::thread::spawn(move || serve_connection(stream, &handler, &stop));
+                    // Reap finished handles on every accept: a long-running
+                    // server seeing many short-lived connections must not
+                    // retain a JoinHandle (and its thread's unreclaimed
+                    // resources) per connection that ever existed.
+                    let mut threads = conn_threads.lock();
+                    threads.retain(|h: &JoinHandle<()>| !h.is_finished());
+                    threads.push(handle);
+                }
+            })
+        };
+        Ok(BlockingServer {
+            addr,
+            stop,
+            accept_thread: Some(accept_thread),
+            conn_threads,
+        })
+    }
+
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Connection-thread handles currently retained.
+    pub(crate) fn connection_threads(&self) -> usize {
+        self.conn_threads.lock().len()
+    }
+}
+
+impl Drop for BlockingServer {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.accept_thread.take() {
+            let _ = h.join();
+        }
+        for h in self.conn_threads.lock().drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Bounded `AddrInUse` retry around [`TcpListener::bind`] (see
+/// [`BlockingServer::spawn`]). Ephemeral-port binds (`:0`) never collide
+/// and return on the first attempt.
+pub(crate) fn bind_with_retry(listen: &str) -> io::Result<TcpListener> {
+    const ATTEMPTS: u32 = 50;
+    let mut last = None;
+    for attempt in 0..ATTEMPTS {
+        if attempt > 0 {
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        match TcpListener::bind(listen) {
+            Ok(l) => return Ok(l),
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse => last = Some(e),
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last.expect("loop ran at least once"))
+}
+
+/// One connection's request loop. Returns (dropping the connection) on
+/// any read/decode error, on a frame the handler refuses, or when the
+/// stop flag is raised.
+///
+/// Reads go through a [`FrameBuffer`], never `read_exact`: a read
+/// deadline that ticks mid-frame leaves the consumed bytes buffered, so
+/// a slow writer dribbling a frame across many 100 ms windows still
+/// parses. (The old loop discarded partially-read bytes on every
+/// timeout and resumed mid-frame — desyncing the stream and killing a
+/// healthy connection.)
+fn serve_connection(mut stream: TcpStream, handler: &Handler, stop: &AtomicBool) {
+    // Short read timeout so the thread notices shutdown promptly even on
+    // an idle connection.
+    if stream.set_read_timeout(Some(STOP_POLL)).is_err() {
+        return;
+    }
+    let _ = stream.set_nodelay(true);
+    let mut buf = FrameBuffer::new();
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match stream.read(&mut chunk) {
+            // EOF: the peer closed cleanly.
+            Ok(0) => return,
+            Ok(n) => buf.extend(&chunk[..n]),
+            // A deadline tick with no bytes: whatever is buffered stays
+            // buffered; just re-check the stop flag.
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::TimedOut
+                    || e.kind() == io::ErrorKind::Interrupted =>
+            {
+                continue
+            }
+            // Closed, reset: this connection is done — and only this one.
+            Err(_) => return,
+        }
+        loop {
+            let frame = match buf.next_frame() {
+                Ok(Some(f)) => f,
+                // Partial frame: wait for more bytes.
+                Ok(None) => break,
+                // Garbage, oversized: frame boundaries are gone — drop
+                // the connection (never the server).
+                Err(_) => return,
+            };
+            let Some(reply) = handler(frame) else {
+                return;
+            };
+            if write_frame(&mut stream, &reply).is_err() {
+                return;
+            }
+        }
+    }
+}
+
+/// A running site server. Dropping it (or calling
+/// [`SiteServer::shutdown`]) stops the listener and joins every
+/// connection thread.
+pub struct SiteServer {
+    site: SiteId,
+    inner: BlockingServer,
+}
+
+impl SiteServer {
+    /// Bind `listen` (e.g. `127.0.0.1:0` for an ephemeral loopback port)
+    /// and serve `manager` on it. `mode` selects how submits run — it must
+    /// match the protocol the coordinator drives. A site restarted in
+    /// place may reuse its port: binding retries briefly on `AddrInUse`.
     pub fn spawn(
         site: SiteId,
         manager: Arc<LocalCommManager>,
@@ -71,50 +226,10 @@ impl SiteServer {
         obs: ObsSink,
         acceptor: Option<Arc<AcceptorHost>>,
     ) -> io::Result<SiteServer> {
-        let listener = bind_with_retry(listen)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let conn_threads = Arc::clone(&conn_threads);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let manager = Arc::clone(&manager);
-                    let obs = obs.clone();
-                    let stop = Arc::clone(&stop);
-                    let acceptor = acceptor.clone();
-                    let handle = std::thread::spawn(move || {
-                        serve_connection(
-                            stream,
-                            site,
-                            &manager,
-                            mode,
-                            &obs,
-                            &stop,
-                            acceptor.as_deref(),
-                        );
-                    });
-                    // Reap finished handles on every accept: a long-running
-                    // site serving many short-lived connections must not
-                    // retain a JoinHandle (and its thread's unreclaimed
-                    // resources) per connection that ever existed.
-                    let mut threads = conn_threads.lock();
-                    threads.retain(|h: &JoinHandle<()>| !h.is_finished());
-                    threads.push(handle);
-                }
-            })
-        };
+        let handler = site_handler(site, manager, mode, obs, acceptor);
         Ok(SiteServer {
             site,
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            conn_threads,
+            inner: BlockingServer::spawn(listen, handler)?,
         })
     }
 
@@ -125,7 +240,7 @@ impl SiteServer {
 
     /// The address the server actually listens on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr()
     }
 
     /// Connection-thread handles currently retained (live connections
@@ -133,59 +248,32 @@ impl SiteServer {
     /// accept — a churn of thousands of short-lived connections must not
     /// grow this without bound.
     pub fn connection_threads(&self) -> usize {
-        self.conn_threads.lock().len()
+        self.inner.connection_threads()
     }
 
     /// Stop accepting, close the listener, and join every thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        for h in self.conn_threads.lock().drain(..) {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
-/// Bounded `AddrInUse` retry around [`TcpListener::bind`] (see
-/// [`SiteServer::spawn`]). Ephemeral-port binds (`:0`) never collide and
-/// return on the first attempt.
-pub(crate) fn bind_with_retry(listen: &str) -> io::Result<TcpListener> {
-    const ATTEMPTS: u32 = 50;
-    let mut last = None;
-    for attempt in 0..ATTEMPTS {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(100));
-        }
-        match TcpListener::bind(listen) {
-            Ok(l) => return Ok(l),
-            Err(e) if e.kind() == io::ErrorKind::AddrInUse => last = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.expect("loop ran at least once"))
-}
-
-impl Drop for SiteServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop_and_join();
-        }
-    }
+/// The site servers' [`Handler`]: [`reply_for_frame`] over one site's
+/// manager. Both site runtimes serve exactly this.
+pub(crate) fn site_handler(
+    site: SiteId,
+    manager: Arc<LocalCommManager>,
+    mode: SubmitMode,
+    obs: ObsSink,
+    acceptor: Option<Arc<AcceptorHost>>,
+) -> Handler {
+    Arc::new(move |frame| reply_for_frame(frame, site, &manager, mode, &obs, acceptor.as_deref()))
 }
 
 /// Normal dispatch wrapped with acceptor interception (when one is
 /// mounted): Paxos messages are answered by the acceptor, and a vote
 /// reply is durably accepted at ballot 0 — or refused, surfacing as an
 /// error — before it is released.
-pub(crate) fn dispatch_with_acceptor(
+fn dispatch_with_acceptor(
     manager: &LocalCommManager,
     payload: amc_net::Payload,
     mode: SubmitMode,
@@ -207,9 +295,10 @@ pub(crate) fn dispatch_with_acceptor(
 /// *replies* is broken and its connection should be dropped).
 ///
 /// This is the single request-handling path shared by the blocking
-/// thread-per-connection server and the event-loop runtime, so both
-/// interpret the vocabulary (and the acceptor interception) identically.
-pub(crate) fn reply_for_frame(
+/// thread-per-connection server and the event-loop runtime (through
+/// [`site_handler`]), so both interpret the vocabulary (and the acceptor
+/// interception) identically.
+fn reply_for_frame(
     frame: Frame,
     site: SiteId,
     manager: &LocalCommManager,
@@ -263,71 +352,6 @@ pub(crate) fn reply_for_frame(
         | Frame::ErrorReply { .. }
         | Frame::CoordRequest { .. }
         | Frame::CoordReply { .. } => None,
-    }
-}
-
-/// One connection's request loop. Returns (dropping the connection) on
-/// any read/decode error or when the stop flag is raised.
-///
-/// Reads go through a [`FrameBuffer`], never `read_exact`: a read
-/// deadline that ticks mid-frame leaves the consumed bytes buffered, so
-/// a slow writer dribbling a frame across many 100 ms windows still
-/// parses. (The old loop discarded partially-read bytes on every
-/// timeout and resumed mid-frame — desyncing the stream and killing a
-/// healthy connection.)
-fn serve_connection(
-    mut stream: TcpStream,
-    site: SiteId,
-    manager: &LocalCommManager,
-    mode: SubmitMode,
-    obs: &ObsSink,
-    stop: &AtomicBool,
-    acceptor: Option<&AcceptorHost>,
-) {
-    // Short read timeout so the thread notices shutdown promptly even on
-    // an idle connection.
-    if stream.set_read_timeout(Some(STOP_POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut buf = FrameBuffer::new();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            // EOF: the peer closed cleanly.
-            Ok(0) => return,
-            Ok(n) => buf.extend(&chunk[..n]),
-            // A deadline tick with no bytes: whatever is buffered stays
-            // buffered; just re-check the stop flag.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                continue
-            }
-            // Closed, reset: this connection is done — and only this one.
-            Err(_) => return,
-        }
-        loop {
-            let frame = match buf.next_frame() {
-                Ok(Some(f)) => f,
-                // Partial frame: wait for more bytes.
-                Ok(None) => break,
-                // Garbage, oversized: frame boundaries are gone — drop
-                // the connection (never the server).
-                Err(_) => return,
-            };
-            let Some(reply) = reply_for_frame(frame, site, manager, mode, obs, acceptor) else {
-                return;
-            };
-            if write_frame(&mut stream, &reply).is_err() {
-                return;
-            }
-        }
     }
 }
 

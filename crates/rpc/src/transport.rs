@@ -1,9 +1,9 @@
-//! [`FederationTransport`] over TCP: one client per site — pooled
-//! blocking connections ([`RpcClient`]) or a single multiplexed
-//! pipelining connection ([`MuxClient`]) per site.
+//! [`FederationTransport`] over TCP: one request core per site, over
+//! pooled blocking connections or a single multiplexed pipelining
+//! connection.
 
-use crate::client::{RetryPolicy, RpcClient};
-use crate::mux::MuxClient;
+use crate::client::{Core, Link, PooledLink, RetryPolicy};
+use crate::mux::MuxLink;
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc_net::Payload;
 use amc_obs::ObsSink;
@@ -11,89 +11,48 @@ use amc_types::{AmcError, AmcResult, SiteId};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 
-/// One site's client, either flavour.
-enum SiteClient {
-    /// Pooled blocking connections, one checked out per in-flight call.
-    Blocking(RpcClient),
-    /// One shared multiplexed connection; concurrent calls pipeline.
-    Mux(MuxClient),
-}
-
-impl SiteClient {
-    fn call(&self, payload: Payload) -> AmcResult<Payload> {
-        match self {
-            SiteClient::Blocking(c) => c.call(payload),
-            SiteClient::Mux(c) => c.call(payload),
-        }
-    }
-
-    fn admin(&self, req: AdminRequest) -> AmcResult<AdminReply> {
-        match self {
-            SiteClient::Blocking(c) => c.admin(req),
-            SiteClient::Mux(c) => c.admin(req),
-        }
-    }
-
-    fn set_addr(&self, addr: SocketAddr) {
-        match self {
-            SiteClient::Blocking(c) => c.set_addr(addr),
-            SiteClient::Mux(c) => c.set_addr(addr),
-        }
-    }
-
-    fn sheds(&self) -> u64 {
-        match self {
-            SiteClient::Blocking(c) => c.sheds(),
-            SiteClient::Mux(c) => c.sheds(),
-        }
-    }
-}
-
 /// The networked transport: the coordinator reaches every site through a
 /// deadline/retry RPC client over loopback (or any) TCP.
 pub struct TcpTransport {
-    clients: BTreeMap<SiteId, SiteClient>,
+    clients: BTreeMap<SiteId, Core<Box<dyn Link>>>,
     pipelining: bool,
 }
 
 impl TcpTransport {
-    /// A transport for the sites at `addrs`, all sharing `policy` and
-    /// emitting client-side events into `obs`. Uses pooled blocking
-    /// clients (one connection per in-flight call).
-    pub fn new(addrs: BTreeMap<SiteId, SocketAddr>, policy: RetryPolicy, obs: ObsSink) -> Self {
+    fn with_links<L: Link + Default + 'static>(
+        addrs: BTreeMap<SiteId, SocketAddr>,
+        policy: RetryPolicy,
+        obs: ObsSink,
+        pipelining: bool,
+    ) -> Self {
         let clients = addrs
             .into_iter()
             .map(|(site, addr)| {
-                (
-                    site,
-                    SiteClient::Blocking(RpcClient::new(site, addr, policy, obs.clone())),
-                )
+                let link: Box<dyn Link> = Box::new(L::default());
+                (site, Core::new(site, addr, policy, obs.clone(), link))
             })
             .collect();
         TcpTransport {
             clients,
-            pipelining: false,
+            pipelining,
         }
     }
 
+    /// A transport for the sites at `addrs`, all sharing `policy` and
+    /// emitting client-side events into `obs`. Uses pooled blocking
+    /// connections (one per in-flight call), like
+    /// [`RpcClient`](crate::RpcClient).
+    pub fn new(addrs: BTreeMap<SiteId, SocketAddr>, policy: RetryPolicy, obs: ObsSink) -> Self {
+        Self::with_links::<PooledLink>(addrs, policy, obs, false)
+    }
+
     /// Like [`TcpTransport::new`], but every site is reached over a
-    /// single multiplexed connection and concurrent calls pipeline. The
-    /// transport reports [`FederationTransport::supports_pipelining`],
+    /// single multiplexed connection, like
+    /// [`MuxClient`](crate::MuxClient), and concurrent calls pipeline.
+    /// The transport reports [`FederationTransport::supports_pipelining`],
     /// so the coordinator fans message rounds out in parallel.
     pub fn new_mux(addrs: BTreeMap<SiteId, SocketAddr>, policy: RetryPolicy, obs: ObsSink) -> Self {
-        let clients = addrs
-            .into_iter()
-            .map(|(site, addr)| {
-                (
-                    site,
-                    SiteClient::Mux(MuxClient::new(site, addr, policy, obs.clone())),
-                )
-            })
-            .collect();
-        TcpTransport {
-            clients,
-            pipelining: true,
-        }
+        Self::with_links::<MuxLink>(addrs, policy, obs, true)
     }
 
     /// Repoint one site's client (a restarted site server may listen on a
@@ -107,7 +66,7 @@ impl TcpTransport {
     /// Total load-shed (`BufferExhausted`) answers across every site's
     /// client, retried and terminal alike.
     pub fn sheds(&self) -> u64 {
-        self.clients.values().map(SiteClient::sheds).sum()
+        self.clients.values().map(Core::sheds).sum()
     }
 }
 

@@ -21,10 +21,16 @@
 //! 12-byte layout of [`Value::to_bytes`]. The layout is pinned by a
 //! golden-bytes test (`tests/wire_codec.rs`): changing any of it must
 //! bump [`WIRE_VERSION`].
+//!
+//! Each type's layout is declared exactly once, in the codec section
+//! below: primitives implement the private `Wire` trait, every enum is
+//! one `wire_enum!` table of `tag => Variant { field: Type }` rows, and
+//! the writer, the reader, the hostile-count guard and the `BadTag`
+//! label all derive from that one declaration.
 
 use amc_core::TxnOutcome;
 use amc_net::transport::{AdminReply, AdminRequest};
-use amc_net::Payload;
+use amc_net::{CommStats, PaxosOpenEntry, Payload, RecoveryStats};
 use amc_types::{
     AbortReason, AmcError, GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation, SiteId,
     Value,
@@ -217,8 +223,9 @@ impl FrameReadError {
     }
 }
 
-// ---------------------------------------------------------------- writer --
+// ----------------------------------------------------------------- codec --
 
+/// Append-only output for one frame.
 struct Writer {
     buf: Vec<u8>,
 }
@@ -233,434 +240,9 @@ impl Writer {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn value(&mut self, v: Value) {
-        self.buf.extend_from_slice(&v.to_bytes());
-    }
 }
 
-fn write_op(w: &mut Writer, op: &Operation) {
-    match op {
-        Operation::Read { obj } => {
-            w.u8(0);
-            w.u64(obj.raw());
-        }
-        Operation::Write { obj, value } => {
-            w.u8(1);
-            w.u64(obj.raw());
-            w.value(*value);
-        }
-        Operation::Increment { obj, delta } => {
-            w.u8(2);
-            w.u64(obj.raw());
-            w.i64(*delta);
-        }
-        Operation::Insert { obj, value } => {
-            w.u8(3);
-            w.u64(obj.raw());
-            w.value(*value);
-        }
-        Operation::Delete { obj } => {
-            w.u8(4);
-            w.u64(obj.raw());
-        }
-        Operation::Reserve { obj, amount } => {
-            w.u8(5);
-            w.u64(obj.raw());
-            w.u64(*amount);
-        }
-    }
-}
-
-fn write_ops(w: &mut Writer, ops: &[Operation]) {
-    w.u32(ops.len() as u32);
-    for op in ops {
-        write_op(w, op);
-    }
-}
-
-fn write_payload(w: &mut Writer, p: &Payload) {
-    match p {
-        Payload::Submit { gtx, ops } => {
-            w.u8(0);
-            w.u64(gtx.raw());
-            write_ops(w, ops);
-        }
-        Payload::Prepare { gtx } => {
-            w.u8(1);
-            w.u64(gtx.raw());
-        }
-        Payload::Vote { gtx, vote } => {
-            w.u8(2);
-            w.u64(gtx.raw());
-            w.u8(match vote {
-                LocalVote::Ready => 0,
-                LocalVote::ReadyReadOnly => 1,
-                LocalVote::Aborted => 2,
-            });
-        }
-        Payload::Decision { gtx, verdict } => {
-            w.u8(3);
-            w.u64(gtx.raw());
-            w.u8(verdict_tag(*verdict));
-        }
-        Payload::Redo { gtx, ops } => {
-            w.u8(4);
-            w.u64(gtx.raw());
-            write_ops(w, ops);
-        }
-        Payload::Undo { gtx, inverse_ops } => {
-            w.u8(5);
-            w.u64(gtx.raw());
-            write_ops(w, inverse_ops);
-        }
-        Payload::Finished { gtx } => {
-            w.u8(6);
-            w.u64(gtx.raw());
-        }
-        Payload::PaxosRegister { gtx, participants } => {
-            w.u8(7);
-            w.u64(gtx.raw());
-            write_sites(w, participants);
-        }
-        Payload::PaxosAck { gtx } => {
-            w.u8(8);
-            w.u64(gtx.raw());
-        }
-        Payload::PaxosP1a { gtx, ballot } => {
-            w.u8(9);
-            w.u64(gtx.raw());
-            w.u64(*ballot);
-        }
-        Payload::PaxosP1b {
-            gtx,
-            ballot,
-            promised,
-            promised_up_to,
-            participants,
-            accepted,
-        } => {
-            w.u8(10);
-            w.u64(gtx.raw());
-            w.u64(*ballot);
-            w.u8(u8::from(*promised));
-            w.u64(*promised_up_to);
-            write_sites(w, participants);
-            w.u32(accepted.len() as u32);
-            for (site, b, prepared) in accepted {
-                w.u32(site.raw());
-                w.u64(*b);
-                w.u8(u8::from(*prepared));
-            }
-        }
-        Payload::PaxosP2a {
-            gtx,
-            site,
-            ballot,
-            prepared,
-        } => {
-            w.u8(11);
-            w.u64(gtx.raw());
-            w.u32(site.raw());
-            w.u64(*ballot);
-            w.u8(u8::from(*prepared));
-        }
-        Payload::PaxosP2b {
-            gtx,
-            site,
-            ballot,
-            accepted,
-        } => {
-            w.u8(12);
-            w.u64(gtx.raw());
-            w.u32(site.raw());
-            w.u64(*ballot);
-            w.u8(u8::from(*accepted));
-        }
-        Payload::PaxosDecided { gtx, verdict } => {
-            w.u8(13);
-            w.u64(gtx.raw());
-            w.u8(verdict_tag(*verdict));
-        }
-        Payload::SubmitPrepare { gtx, ops, solo } => {
-            w.u8(14);
-            w.u64(gtx.raw());
-            w.u8(u8::from(*solo));
-            write_ops(w, ops);
-        }
-    }
-}
-
-fn write_sites(w: &mut Writer, sites: &[SiteId]) {
-    w.u32(sites.len() as u32);
-    for s in sites {
-        w.u32(s.raw());
-    }
-}
-
-fn verdict_tag(v: GlobalVerdict) -> u8 {
-    match v {
-        GlobalVerdict::Commit => 0,
-        GlobalVerdict::Abort => 1,
-    }
-}
-
-fn abort_reason_tag(r: AbortReason) -> u8 {
-    match r {
-        AbortReason::Intended => 0,
-        AbortReason::Deadlock => 1,
-        AbortReason::LockTimeout => 2,
-        AbortReason::ValidationFailed => 3,
-        AbortReason::SiteCrash => 4,
-        AbortReason::GlobalDecision => 5,
-        AbortReason::Injected => 6,
-    }
-}
-
-fn write_admin_request(w: &mut Writer, req: &AdminRequest) {
-    match req {
-        AdminRequest::Ping => w.u8(0),
-        AdminRequest::Load(data) => {
-            w.u8(1);
-            w.u32(data.len() as u32);
-            for (obj, value) in data {
-                w.u64(obj.raw());
-                w.value(*value);
-            }
-        }
-        AdminRequest::Dump => w.u8(2),
-        AdminRequest::CommStats => w.u8(3),
-        AdminRequest::LogStats => w.u8(4),
-        AdminRequest::Recovery => w.u8(5),
-        AdminRequest::PaxosOpen => w.u8(6),
-    }
-}
-
-fn write_admin_reply(w: &mut Writer, reply: &AdminReply) {
-    match reply {
-        AdminReply::Pong => w.u8(0),
-        AdminReply::Loaded => w.u8(1),
-        AdminReply::Dump(d) => {
-            w.u8(2);
-            w.u32(d.len() as u32);
-            for (obj, value) in d {
-                w.u64(obj.raw());
-                w.value(*value);
-            }
-        }
-        AdminReply::CommStats(s) => {
-            w.u8(3);
-            for v in [
-                s.submits,
-                s.votes_ready,
-                s.votes_aborted,
-                s.redo_runs,
-                s.undo_runs,
-                s.pre_vote_retries,
-                s.marker_checks,
-            ] {
-                w.u64(v);
-            }
-        }
-        AdminReply::LogStats(s) => {
-            w.u8(4);
-            for v in [
-                s.appends,
-                s.forces,
-                s.stable_records,
-                s.stable_bytes,
-                s.group_forces,
-                s.batched_commits,
-            ] {
-                w.u64(v);
-            }
-        }
-        AdminReply::Recovery(stats) => {
-            w.u8(5);
-            match stats {
-                None => w.u8(0),
-                Some(s) => {
-                    w.u8(1);
-                    for v in [
-                        s.committed,
-                        s.rolled_back,
-                        s.in_doubt,
-                        s.replayed,
-                        s.restored_entries,
-                    ] {
-                        w.u64(v);
-                    }
-                    w.u8(u8::from(s.torn_tail));
-                }
-            }
-        }
-        AdminReply::PaxosOpen(entries) => {
-            w.u8(6);
-            w.u32(entries.len() as u32);
-            for e in entries {
-                w.u64(e.gtx.raw());
-                write_sites(w, &e.participants);
-            }
-        }
-    }
-}
-
-fn write_coord_request(w: &mut Writer, req: &CoordRequest) {
-    match req {
-        CoordRequest::Ping => w.u8(0),
-        CoordRequest::Describe => w.u8(1),
-        CoordRequest::Exec { per_site } => {
-            w.u8(2);
-            w.u32(per_site.len() as u32);
-            for (site, ops) in per_site {
-                w.u32(site.raw());
-                write_ops(w, ops);
-            }
-        }
-    }
-}
-
-fn write_coord_reply(w: &mut Writer, reply: &CoordReply) {
-    match reply {
-        CoordReply::Pong => w.u8(0),
-        CoordReply::Coord {
-            slot,
-            coordinators,
-            epoch,
-            sites,
-        } => {
-            w.u8(1);
-            w.u32(*slot);
-            w.u32(*coordinators);
-            w.u64(*epoch);
-            write_sites(w, sites);
-        }
-        CoordReply::Done {
-            gtx,
-            outcome,
-            latency_us,
-            messages,
-        } => {
-            w.u8(2);
-            w.u64(gtx.raw());
-            match outcome {
-                TxnOutcome::Committed => w.u8(0),
-                TxnOutcome::Aborted => w.u8(1),
-                TxnOutcome::L1Rejected(reason) => {
-                    w.u8(2);
-                    w.u8(abort_reason_tag(*reason));
-                }
-            }
-            w.u64(*latency_us);
-            w.u64(*messages);
-        }
-    }
-}
-
-fn write_error(w: &mut Writer, e: &AmcError) {
-    match e {
-        AmcError::Aborted(r) => {
-            w.u8(0);
-            w.u8(abort_reason_tag(*r));
-        }
-        AmcError::NotFound(obj) => {
-            w.u8(1);
-            w.u64(obj.raw());
-        }
-        AmcError::AlreadyExists(obj) => {
-            w.u8(2);
-            w.u64(obj.raw());
-        }
-        AmcError::InsufficientStock { obj, have, want } => {
-            w.u8(3);
-            w.u64(obj.raw());
-            w.i64(*have);
-            w.u64(*want);
-        }
-        AmcError::UnknownTxn => w.u8(4),
-        AmcError::SiteDown(site) => {
-            w.u8(5);
-            w.u32(site.raw());
-        }
-        AmcError::Corruption(m) => {
-            w.u8(6);
-            w.str(m);
-        }
-        AmcError::TransientIo(m) => {
-            w.u8(7);
-            w.str(m);
-        }
-        AmcError::BufferExhausted => w.u8(8),
-        AmcError::Protocol(m) => {
-            w.u8(9);
-            w.str(m);
-        }
-        AmcError::InvalidState(m) => {
-            w.u8(10);
-            w.str(m);
-        }
-    }
-}
-
-/// Encode `frame` into its complete on-wire bytes (length prefix
-/// included).
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(WIRE_VERSION);
-    match frame {
-        Frame::Request { req_id, payload } => {
-            w.u8(0);
-            w.u64(*req_id);
-            write_payload(&mut w, payload);
-        }
-        Frame::Reply { req_id, payload } => {
-            w.u8(1);
-            w.u64(*req_id);
-            write_payload(&mut w, payload);
-        }
-        Frame::AdminRequest { req_id, req } => {
-            w.u8(2);
-            w.u64(*req_id);
-            write_admin_request(&mut w, req);
-        }
-        Frame::AdminReply { req_id, reply } => {
-            w.u8(3);
-            w.u64(*req_id);
-            write_admin_reply(&mut w, reply);
-        }
-        Frame::ErrorReply { req_id, error } => {
-            w.u8(4);
-            w.u64(*req_id);
-            write_error(&mut w, error);
-        }
-        Frame::CoordRequest { req_id, req } => {
-            w.u8(5);
-            w.u64(*req_id);
-            write_coord_request(&mut w, req);
-        }
-        Frame::CoordReply { req_id, reply } => {
-            w.u8(6);
-            w.u64(*req_id);
-            write_coord_reply(&mut w, reply);
-        }
-    }
-    let mut out = Vec::with_capacity(4 + w.buf.len());
-    out.extend_from_slice(&(w.buf.len() as u32).to_le_bytes());
-    out.extend_from_slice(&w.buf);
-    out
-}
-
-// ---------------------------------------------------------------- reader --
-
+/// Cursor over one frame's bytes; every read is bounds-checked.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -671,385 +253,399 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(WireError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-    fn value(&mut self) -> Result<Value, WireError> {
-        let bytes: &[u8; 12] = self.take(12)?.try_into().unwrap();
-        Ok(Value::from_bytes(bytes))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
-}
-
-fn read_op(r: &mut Reader<'_>) -> Result<Operation, WireError> {
-    let tag = r.u8()?;
-    let obj = ObjectId::new(r.u64()?);
-    Ok(match tag {
-        0 => Operation::Read { obj },
-        1 => Operation::Write {
-            obj,
-            value: r.value()?,
-        },
-        2 => Operation::Increment {
-            obj,
-            delta: r.i64()?,
-        },
-        3 => Operation::Insert {
-            obj,
-            value: r.value()?,
-        },
-        4 => Operation::Delete { obj },
-        5 => Operation::Reserve {
-            obj,
-            amount: r.u64()?,
-        },
-        t => return Err(WireError::BadTag("operation", t)),
-    })
-}
-
-fn read_ops(r: &mut Reader<'_>) -> Result<Vec<Operation>, WireError> {
-    let n = r.u32()? as usize;
-    // Each op is at least 9 bytes; a hostile count cannot force a huge
-    // allocation past what the frame itself carries.
-    if n > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        ops.push(read_op(r)?);
-    }
-    Ok(ops)
-}
-
-fn read_payload(r: &mut Reader<'_>) -> Result<Payload, WireError> {
-    let tag = r.u8()?;
-    let gtx = GlobalTxnId::new(r.u64()?);
-    Ok(match tag {
-        0 => Payload::Submit {
-            gtx,
-            ops: read_ops(r)?,
-        },
-        1 => Payload::Prepare { gtx },
-        2 => Payload::Vote {
-            gtx,
-            vote: match r.u8()? {
-                0 => LocalVote::Ready,
-                1 => LocalVote::ReadyReadOnly,
-                2 => LocalVote::Aborted,
-                t => return Err(WireError::BadTag("vote", t)),
-            },
-        },
-        3 => Payload::Decision {
-            gtx,
-            verdict: read_verdict(r)?,
-        },
-        4 => Payload::Redo {
-            gtx,
-            ops: read_ops(r)?,
-        },
-        5 => Payload::Undo {
-            gtx,
-            inverse_ops: read_ops(r)?,
-        },
-        6 => Payload::Finished { gtx },
-        7 => Payload::PaxosRegister {
-            gtx,
-            participants: read_sites(r)?,
-        },
-        8 => Payload::PaxosAck { gtx },
-        9 => Payload::PaxosP1a {
-            gtx,
-            ballot: r.u64()?,
-        },
-        10 => Payload::PaxosP1b {
-            gtx,
-            ballot: r.u64()?,
-            promised: r.u8()? != 0,
-            promised_up_to: r.u64()?,
-            participants: read_sites(r)?,
-            accepted: {
-                let n = r.u32()? as usize;
-                // Each entry is 13 bytes; a hostile count cannot force an
-                // allocation past what the frame carries.
-                if n > r.remaining() {
-                    return Err(WireError::Truncated);
-                }
-                let mut out = Vec::with_capacity(n);
-                for _ in 0..n {
-                    out.push((SiteId::new(r.u32()?), r.u64()?, r.u8()? != 0));
-                }
-                out
-            },
-        },
-        11 => Payload::PaxosP2a {
-            gtx,
-            site: SiteId::new(r.u32()?),
-            ballot: r.u64()?,
-            prepared: r.u8()? != 0,
-        },
-        12 => Payload::PaxosP2b {
-            gtx,
-            site: SiteId::new(r.u32()?),
-            ballot: r.u64()?,
-            accepted: r.u8()? != 0,
-        },
-        13 => Payload::PaxosDecided {
-            gtx,
-            verdict: read_verdict(r)?,
-        },
-        14 => Payload::SubmitPrepare {
-            gtx,
-            solo: r.u8()? != 0,
-            ops: read_ops(r)?,
-        },
-        t => return Err(WireError::BadTag("payload", t)),
-    })
-}
-
-fn read_sites(r: &mut Reader<'_>) -> Result<Vec<SiteId>, WireError> {
-    let n = r.u32()? as usize;
-    // Each site id is 4 bytes; bound the allocation by the frame size.
-    if n > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(SiteId::new(r.u32()?));
-    }
-    Ok(out)
-}
-
-fn read_verdict(r: &mut Reader<'_>) -> Result<GlobalVerdict, WireError> {
-    match r.u8()? {
-        0 => Ok(GlobalVerdict::Commit),
-        1 => Ok(GlobalVerdict::Abort),
-        t => Err(WireError::BadTag("verdict", t)),
+    /// An element count. Every element occupies at least one byte, so a
+    /// count beyond what the frame still carries is hostile: reject it
+    /// before allocating for it.
+    fn count(&mut self) -> Result<usize, WireError> {
+        let n = u32::get(self)? as usize;
+        if n > self.remaining() {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
     }
 }
 
-fn read_abort_reason(r: &mut Reader<'_>) -> Result<AbortReason, WireError> {
-    Ok(match r.u8()? {
-        0 => AbortReason::Intended,
-        1 => AbortReason::Deadlock,
-        2 => AbortReason::LockTimeout,
-        3 => AbortReason::ValidationFailed,
-        4 => AbortReason::SiteCrash,
-        5 => AbortReason::GlobalDecision,
-        6 => AbortReason::Injected,
-        t => return Err(WireError::BadTag("abort-reason", t)),
-    })
+/// The v1 layout of one type. Each type's layout is declared exactly
+/// once — a primitive impl below or a row table further down — and the
+/// writer and the reader are both derived from that one declaration.
+trait Wire: Sized {
+    /// `(tag, variant)` per table row, for the table-completeness test.
+    #[cfg(test)]
+    const ROWS: &'static [(u8, &'static str)] = &[];
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
 }
 
-fn read_pairs(r: &mut Reader<'_>) -> Result<Vec<(ObjectId, Value)>, WireError> {
-    let n = r.u32()? as usize;
-    if n > r.remaining() {
-        return Err(WireError::Truncated);
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let obj = ObjectId::new(r.u64()?);
-        out.push((obj, r.value()?));
-    }
-    Ok(out)
-}
-
-fn read_admin_request(r: &mut Reader<'_>) -> Result<AdminRequest, WireError> {
-    Ok(match r.u8()? {
-        0 => AdminRequest::Ping,
-        1 => AdminRequest::Load(read_pairs(r)?),
-        2 => AdminRequest::Dump,
-        3 => AdminRequest::CommStats,
-        4 => AdminRequest::LogStats,
-        5 => AdminRequest::Recovery,
-        6 => AdminRequest::PaxosOpen,
-        t => return Err(WireError::BadTag("admin-request", t)),
-    })
-}
-
-fn read_admin_reply(r: &mut Reader<'_>) -> Result<AdminReply, WireError> {
-    Ok(match r.u8()? {
-        0 => AdminReply::Pong,
-        1 => AdminReply::Loaded,
-        2 => AdminReply::Dump(read_pairs(r)?.into_iter().collect::<BTreeMap<_, _>>()),
-        3 => AdminReply::CommStats(amc_net::CommStats {
-            submits: r.u64()?,
-            votes_ready: r.u64()?,
-            votes_aborted: r.u64()?,
-            redo_runs: r.u64()?,
-            undo_runs: r.u64()?,
-            pre_vote_retries: r.u64()?,
-            marker_checks: r.u64()?,
-        }),
-        4 => AdminReply::LogStats(LogStats {
-            appends: r.u64()?,
-            forces: r.u64()?,
-            stable_records: r.u64()?,
-            stable_bytes: r.u64()?,
-            group_forces: r.u64()?,
-            batched_commits: r.u64()?,
-        }),
-        5 => AdminReply::Recovery(match r.u8()? {
-            0 => None,
-            1 => Some(amc_net::RecoveryStats {
-                committed: r.u64()?,
-                rolled_back: r.u64()?,
-                in_doubt: r.u64()?,
-                replayed: r.u64()?,
-                restored_entries: r.u64()?,
-                torn_tail: r.u8()? != 0,
-            }),
-            t => return Err(WireError::BadTag("recovery-present", t)),
-        }),
-        6 => AdminReply::PaxosOpen({
-            let n = r.u32()? as usize;
-            if n > r.remaining() {
-                return Err(WireError::Truncated);
+/// Integers travel little-endian.
+macro_rules! wire_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            fn put(&self, w: &mut Writer) {
+                w.buf.extend_from_slice(&self.to_le_bytes());
             }
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(amc_net::PaxosOpenEntry {
-                    gtx: GlobalTxnId::new(r.u64()?),
-                    participants: read_sites(r)?,
-                });
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(<$int>::from_le_bytes(r.array()?))
             }
-            out
-        }),
-        t => return Err(WireError::BadTag("admin-reply", t)),
-    })
+        }
+    )*};
+}
+wire_int!(u8, u32, u64, i64);
+
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(u8::get(r)? != 0)
+    }
 }
 
-fn read_coord_request(r: &mut Reader<'_>) -> Result<CoordRequest, WireError> {
-    Ok(match r.u8()? {
-        0 => CoordRequest::Ping,
-        1 => CoordRequest::Describe,
-        2 => CoordRequest::Exec {
-            per_site: {
-                let n = r.u32()? as usize;
-                // Each site bucket is at least 8 bytes; bound the loop by
-                // what the frame actually carries.
-                if n > r.remaining() {
-                    return Err(WireError::Truncated);
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        w.buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = u32::get(r)? as usize;
+        String::from_utf8(r.take(len)?.to_vec()).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+impl Wire for Value {
+    fn put(&self, w: &mut Writer) {
+        w.buf.extend_from_slice(&self.to_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Value::from_bytes(&r.array()?))
+    }
+}
+
+/// Ids travel as their raw integer.
+macro_rules! wire_id {
+    ($($id:ident: $raw:ty),*) => {$(
+        impl Wire for $id {
+            fn put(&self, w: &mut Writer) {
+                self.raw().put(w);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($id::new(<$raw as Wire>::get(r)?))
+            }
+        }
+    )*};
+}
+wire_id!(ObjectId: u64, GlobalTxnId: u64, SiteId: u32);
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        for x in self {
+            x.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.count()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A `u32` count, then the `(key, value)` pairs in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        (0..r.count()?).map(|_| <(K, V) as Wire>::get(r)).collect()
+    }
+}
+
+/// A presence byte, then the stats if present.
+impl Wire for Option<RecoveryStats> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.u8(0),
+            Some(stats) => {
+                w.u8(1);
+                stats.put(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(RecoveryStats::get(r)?)),
+            t => Err(WireError::BadTag("recovery-present", t)),
+        }
+    }
+}
+
+/// A struct's fields, in wire order.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($ty { $($field: <$fty as Wire>::get(r)?),* })
+            }
+        }
+    };
+}
+
+/// An enum's rows: `tag => Variant`, `tag => Variant(name: Type)` or
+/// `tag => Variant { field: Type, .. }`. On the wire a value is its `u8`
+/// tag followed by its fields in the order the row lists them (which is
+/// the v1 order, not necessarily the Rust declaration order). `$what`
+/// names the enum in [`WireError::BadTag`].
+///
+/// Adding a variant to one of these enums without a row fails to
+/// compile (`put`'s match is exhaustive). To extend v1 without reshaping
+/// it, append a row with the next unused tag and pin it in the
+/// completeness test; never renumber or reorder an existing row.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident
+            $(($x:ident: $xty:ty))?
+            $({ $($field:ident: $fty:ty),* $(,)? })?
+        ),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            #[cfg(test)]
+            const ROWS: &'static [(u8, &'static str)] = &[$(($tag, stringify!($variant))),*];
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $($ty::$variant $(($x))? $({ $($field),* })? => {
+                        w.u8($tag);
+                        $($x.put(w);)?
+                        $($($field.put(w);)*)?
+                    })*
                 }
-                let mut per_site = BTreeMap::new();
-                for _ in 0..n {
-                    let site = SiteId::new(r.u32()?);
-                    per_site.insert(site, read_ops(r)?);
-                }
-                per_site
-            },
-        },
-        t => return Err(WireError::BadTag("coord-request", t)),
-    })
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match u8::get(r)? {
+                    $($tag => $ty::$variant
+                        $((<$xty as Wire>::get(r)?))?
+                        $({ $($field: <$fty as Wire>::get(r)?),* })?,)*
+                    t => return Err(WireError::BadTag($what, t)),
+                })
+            }
+        }
+    };
 }
 
-fn read_coord_reply(r: &mut Reader<'_>) -> Result<CoordReply, WireError> {
-    Ok(match r.u8()? {
-        0 => CoordReply::Pong,
-        1 => CoordReply::Coord {
-            slot: r.u32()?,
-            coordinators: r.u32()?,
-            epoch: r.u64()?,
-            sites: read_sites(r)?,
-        },
-        2 => CoordReply::Done {
-            gtx: GlobalTxnId::new(r.u64()?),
-            outcome: match r.u8()? {
-                0 => TxnOutcome::Committed,
-                1 => TxnOutcome::Aborted,
-                2 => TxnOutcome::L1Rejected(read_abort_reason(r)?),
-                t => return Err(WireError::BadTag("txn-outcome", t)),
-            },
-            latency_us: r.u64()?,
-            messages: r.u64()?,
-        },
-        t => return Err(WireError::BadTag("coord-reply", t)),
-    })
-}
+wire_enum!(Operation, "operation" {
+    0 => Read { obj: ObjectId },
+    1 => Write { obj: ObjectId, value: Value },
+    2 => Increment { obj: ObjectId, delta: i64 },
+    3 => Insert { obj: ObjectId, value: Value },
+    4 => Delete { obj: ObjectId },
+    5 => Reserve { obj: ObjectId, amount: u64 },
+});
 
-fn read_error(r: &mut Reader<'_>) -> Result<AmcError, WireError> {
-    Ok(match r.u8()? {
-        0 => AmcError::Aborted(read_abort_reason(r)?),
-        1 => AmcError::NotFound(ObjectId::new(r.u64()?)),
-        2 => AmcError::AlreadyExists(ObjectId::new(r.u64()?)),
-        3 => AmcError::InsufficientStock {
-            obj: ObjectId::new(r.u64()?),
-            have: r.i64()?,
-            want: r.u64()?,
-        },
-        4 => AmcError::UnknownTxn,
-        5 => AmcError::SiteDown(SiteId::new(r.u32()?)),
-        6 => AmcError::Corruption(r.str()?),
-        7 => AmcError::TransientIo(r.str()?),
-        8 => AmcError::BufferExhausted,
-        9 => AmcError::Protocol(r.str()?),
-        10 => AmcError::InvalidState(r.str()?),
-        t => return Err(WireError::BadTag("error", t)),
-    })
+wire_enum!(LocalVote, "vote" {
+    0 => Ready,
+    1 => ReadyReadOnly,
+    2 => Aborted,
+});
+
+wire_enum!(GlobalVerdict, "verdict" {
+    0 => Commit,
+    1 => Abort,
+});
+
+wire_enum!(AbortReason, "abort-reason" {
+    0 => Intended,
+    1 => Deadlock,
+    2 => LockTimeout,
+    3 => ValidationFailed,
+    4 => SiteCrash,
+    5 => GlobalDecision,
+    6 => Injected,
+});
+
+wire_enum!(TxnOutcome, "txn-outcome" {
+    0 => Committed,
+    1 => Aborted,
+    2 => L1Rejected(reason: AbortReason),
+});
+
+wire_enum!(Payload, "payload" {
+    0 => Submit { gtx: GlobalTxnId, ops: Vec<Operation> },
+    1 => Prepare { gtx: GlobalTxnId },
+    2 => Vote { gtx: GlobalTxnId, vote: LocalVote },
+    3 => Decision { gtx: GlobalTxnId, verdict: GlobalVerdict },
+    4 => Redo { gtx: GlobalTxnId, ops: Vec<Operation> },
+    5 => Undo { gtx: GlobalTxnId, inverse_ops: Vec<Operation> },
+    6 => Finished { gtx: GlobalTxnId },
+    7 => PaxosRegister { gtx: GlobalTxnId, participants: Vec<SiteId> },
+    8 => PaxosAck { gtx: GlobalTxnId },
+    9 => PaxosP1a { gtx: GlobalTxnId, ballot: u64 },
+    10 => PaxosP1b {
+        gtx: GlobalTxnId,
+        ballot: u64,
+        promised: bool,
+        promised_up_to: u64,
+        participants: Vec<SiteId>,
+        accepted: Vec<(SiteId, u64, bool)>,
+    },
+    11 => PaxosP2a { gtx: GlobalTxnId, site: SiteId, ballot: u64, prepared: bool },
+    12 => PaxosP2b { gtx: GlobalTxnId, site: SiteId, ballot: u64, accepted: bool },
+    13 => PaxosDecided { gtx: GlobalTxnId, verdict: GlobalVerdict },
+    14 => SubmitPrepare { gtx: GlobalTxnId, solo: bool, ops: Vec<Operation> },
+});
+
+wire_struct!(CommStats {
+    submits: u64,
+    votes_ready: u64,
+    votes_aborted: u64,
+    redo_runs: u64,
+    undo_runs: u64,
+    pre_vote_retries: u64,
+    marker_checks: u64,
+});
+
+wire_struct!(LogStats {
+    appends: u64,
+    forces: u64,
+    stable_records: u64,
+    stable_bytes: u64,
+    group_forces: u64,
+    batched_commits: u64,
+});
+
+wire_struct!(RecoveryStats {
+    committed: u64,
+    rolled_back: u64,
+    in_doubt: u64,
+    replayed: u64,
+    restored_entries: u64,
+    torn_tail: bool,
+});
+
+wire_struct!(PaxosOpenEntry {
+    gtx: GlobalTxnId,
+    participants: Vec<SiteId>,
+});
+
+wire_enum!(AdminRequest, "admin-request" {
+    0 => Ping,
+    1 => Load(data: Vec<(ObjectId, Value)>),
+    2 => Dump,
+    3 => CommStats,
+    4 => LogStats,
+    5 => Recovery,
+    6 => PaxosOpen,
+});
+
+wire_enum!(AdminReply, "admin-reply" {
+    0 => Pong,
+    1 => Loaded,
+    2 => Dump(data: BTreeMap<ObjectId, Value>),
+    3 => CommStats(stats: CommStats),
+    4 => LogStats(stats: LogStats),
+    5 => Recovery(stats: Option<RecoveryStats>),
+    6 => PaxosOpen(entries: Vec<PaxosOpenEntry>),
+});
+
+wire_enum!(CoordRequest, "coord-request" {
+    0 => Ping,
+    1 => Describe,
+    2 => Exec { per_site: BTreeMap<SiteId, Vec<Operation>> },
+});
+
+wire_enum!(CoordReply, "coord-reply" {
+    0 => Pong,
+    1 => Coord { slot: u32, coordinators: u32, epoch: u64, sites: Vec<SiteId> },
+    2 => Done { gtx: GlobalTxnId, outcome: TxnOutcome, latency_us: u64, messages: u64 },
+});
+
+wire_enum!(AmcError, "error" {
+    0 => Aborted(reason: AbortReason),
+    1 => NotFound(obj: ObjectId),
+    2 => AlreadyExists(obj: ObjectId),
+    3 => InsufficientStock { obj: ObjectId, have: i64, want: u64 },
+    4 => UnknownTxn,
+    5 => SiteDown(site: SiteId),
+    6 => Corruption(message: String),
+    7 => TransientIo(message: String),
+    8 => BufferExhausted,
+    9 => Protocol(message: String),
+    10 => InvalidState(message: String),
+});
+
+wire_enum!(Frame, "frame-kind" {
+    0 => Request { req_id: u64, payload: Payload },
+    1 => Reply { req_id: u64, payload: Payload },
+    2 => AdminRequest { req_id: u64, req: AdminRequest },
+    3 => AdminReply { req_id: u64, reply: AdminReply },
+    4 => ErrorReply { req_id: u64, error: AmcError },
+    5 => CoordRequest { req_id: u64, req: CoordRequest },
+    6 => CoordReply { req_id: u64, reply: CoordReply },
+});
+
+/// Encode `frame` into its complete on-wire bytes (length prefix
+/// included).
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(0); // the length prefix, patched once the body is written
+    w.u8(WIRE_VERSION);
+    frame.put(&mut w);
+    let len = (w.buf.len() - 4) as u32;
+    w.buf[..4].copy_from_slice(&len.to_le_bytes());
+    w.buf
 }
 
 /// Decode the post-prefix bytes of one frame (version byte onward).
 pub fn decode_frame_body(body: &[u8]) -> Result<Frame, WireError> {
     let mut r = Reader::new(body);
-    let version = r.u8()?;
+    let version = u8::get(&mut r)?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let kind = r.u8()?;
-    let req_id = r.u64()?;
-    let frame = match kind {
-        0 => Frame::Request {
-            req_id,
-            payload: read_payload(&mut r)?,
-        },
-        1 => Frame::Reply {
-            req_id,
-            payload: read_payload(&mut r)?,
-        },
-        2 => Frame::AdminRequest {
-            req_id,
-            req: read_admin_request(&mut r)?,
-        },
-        3 => Frame::AdminReply {
-            req_id,
-            reply: read_admin_reply(&mut r)?,
-        },
-        4 => Frame::ErrorReply {
-            req_id,
-            error: read_error(&mut r)?,
-        },
-        5 => Frame::CoordRequest {
-            req_id,
-            req: read_coord_request(&mut r)?,
-        },
-        6 => Frame::CoordReply {
-            req_id,
-            reply: read_coord_reply(&mut r)?,
-        },
-        t => return Err(WireError::BadTag("frame-kind", t)),
-    };
+    let frame = Frame::get(&mut r)?;
     if r.remaining() > 0 {
         return Err(WireError::TrailingBytes(r.remaining()));
     }
@@ -1060,7 +656,7 @@ pub fn decode_frame_body(body: &[u8]) -> Result<Frame, WireError> {
 /// [`encode_frame`].
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut r = Reader::new(bytes);
-    let len = r.u32()?;
+    let len = u32::get(&mut r)?;
     if len > MAX_FRAME_LEN {
         return Err(WireError::Oversized(len));
     }
@@ -1185,6 +781,12 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Writer {
+        fn u64(&mut self, v: u64) {
+            v.put(self);
+        }
+    }
 
     #[test]
     fn round_trips_a_submit() {
@@ -1533,6 +1135,282 @@ mod tests {
             let bytes = encode_frame(&frame);
             assert_eq!(decode_frame(&bytes).unwrap(), frame, "{frame:?}");
         }
+    }
+
+    /// `samples` pairs each variant of `T` with its golden v1 tag. The
+    /// codec table must declare exactly those rows, every sample must
+    /// lead with its tag, and every sample must round-trip.
+    fn assert_table<T: Wire + PartialEq + fmt::Debug>(samples: &[(u8, T)]) {
+        let golden: Vec<u8> = samples.iter().map(|(tag, _)| *tag).collect();
+        let declared: Vec<u8> = T::ROWS.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(declared, golden, "table rows {:?}", T::ROWS);
+        for (tag, value) in samples {
+            let mut w = Writer::new();
+            value.put(&mut w);
+            assert_eq!(w.buf[0], *tag, "{value:?}");
+            let mut r = Reader::new(&w.buf);
+            assert_eq!(&T::get(&mut r).unwrap(), value);
+            assert_eq!(r.remaining(), 0, "{value:?}");
+        }
+    }
+
+    /// Every variant the codec table declares, against its golden tag. A
+    /// variant added to one of these enums without a table row does not
+    /// compile; a row added without a sample here fails.
+    #[test]
+    fn every_table_row_round_trips_under_its_golden_tag() {
+        let gtx = GlobalTxnId::new(7);
+        let obj = ObjectId::new(3);
+        let site = SiteId::new(2);
+        let value = Value::counter(11);
+        let ops = || vec![Operation::Increment { obj, delta: -5 }];
+        let ballot = (1u64 << 32) | 2;
+        assert_table(&[
+            (0, Operation::Read { obj }),
+            (1, Operation::Write { obj, value }),
+            (2, Operation::Increment { obj, delta: -5 }),
+            (3, Operation::Insert { obj, value }),
+            (4, Operation::Delete { obj }),
+            (5, Operation::Reserve { obj, amount: 4 }),
+        ]);
+        assert_table(&[
+            (0, LocalVote::Ready),
+            (1, LocalVote::ReadyReadOnly),
+            (2, LocalVote::Aborted),
+        ]);
+        assert_table(&[(0, GlobalVerdict::Commit), (1, GlobalVerdict::Abort)]);
+        assert_table(&[
+            (0, AbortReason::Intended),
+            (1, AbortReason::Deadlock),
+            (2, AbortReason::LockTimeout),
+            (3, AbortReason::ValidationFailed),
+            (4, AbortReason::SiteCrash),
+            (5, AbortReason::GlobalDecision),
+            (6, AbortReason::Injected),
+        ]);
+        assert_table(&[
+            (0, TxnOutcome::Committed),
+            (1, TxnOutcome::Aborted),
+            (2, TxnOutcome::L1Rejected(AbortReason::Deadlock)),
+        ]);
+        let verdict = GlobalVerdict::Abort;
+        assert_table(&[
+            (0, Payload::Submit { gtx, ops: ops() }),
+            (1, Payload::Prepare { gtx }),
+            (
+                2,
+                Payload::Vote {
+                    gtx,
+                    vote: LocalVote::ReadyReadOnly,
+                },
+            ),
+            (3, Payload::Decision { gtx, verdict }),
+            (4, Payload::Redo { gtx, ops: ops() }),
+            (
+                5,
+                Payload::Undo {
+                    gtx,
+                    inverse_ops: ops(),
+                },
+            ),
+            (6, Payload::Finished { gtx }),
+            (
+                7,
+                Payload::PaxosRegister {
+                    gtx,
+                    participants: vec![site],
+                },
+            ),
+            (8, Payload::PaxosAck { gtx }),
+            (9, Payload::PaxosP1a { gtx, ballot }),
+            (
+                10,
+                Payload::PaxosP1b {
+                    gtx,
+                    ballot,
+                    promised: true,
+                    promised_up_to: ballot,
+                    participants: vec![site],
+                    accepted: vec![(site, 5, false)],
+                },
+            ),
+            (
+                11,
+                Payload::PaxosP2a {
+                    gtx,
+                    site,
+                    ballot,
+                    prepared: true,
+                },
+            ),
+            (
+                12,
+                Payload::PaxosP2b {
+                    gtx,
+                    site,
+                    ballot,
+                    accepted: false,
+                },
+            ),
+            (13, Payload::PaxosDecided { gtx, verdict }),
+            (
+                14,
+                Payload::SubmitPrepare {
+                    gtx,
+                    ops: ops(),
+                    solo: true,
+                },
+            ),
+        ]);
+        assert_table(&[
+            (0, AdminRequest::Ping),
+            (1, AdminRequest::Load(vec![(obj, value)])),
+            (2, AdminRequest::Dump),
+            (3, AdminRequest::CommStats),
+            (4, AdminRequest::LogStats),
+            (5, AdminRequest::Recovery),
+            (6, AdminRequest::PaxosOpen),
+        ]);
+        let recovery = RecoveryStats {
+            committed: 1,
+            rolled_back: 2,
+            in_doubt: 3,
+            replayed: 4,
+            restored_entries: 5,
+            torn_tail: true,
+        };
+        assert_table(&[
+            (0, AdminReply::Pong),
+            (1, AdminReply::Loaded),
+            (2, AdminReply::Dump(BTreeMap::from([(obj, value)]))),
+            (
+                3,
+                AdminReply::CommStats(CommStats {
+                    submits: 1,
+                    marker_checks: 7,
+                    ..CommStats::default()
+                }),
+            ),
+            (
+                4,
+                AdminReply::LogStats(LogStats {
+                    appends: 1,
+                    batched_commits: 6,
+                    ..LogStats::default()
+                }),
+            ),
+            (5, AdminReply::Recovery(Some(recovery))),
+            (
+                6,
+                AdminReply::PaxosOpen(vec![PaxosOpenEntry {
+                    gtx,
+                    participants: vec![site],
+                }]),
+            ),
+        ]);
+        assert_table(&[
+            (0, CoordRequest::Ping),
+            (1, CoordRequest::Describe),
+            (
+                2,
+                CoordRequest::Exec {
+                    per_site: BTreeMap::from([(site, ops())]),
+                },
+            ),
+        ]);
+        assert_table(&[
+            (0, CoordReply::Pong),
+            (
+                1,
+                CoordReply::Coord {
+                    slot: 2,
+                    coordinators: 4,
+                    epoch: 3,
+                    sites: vec![site],
+                },
+            ),
+            (
+                2,
+                CoordReply::Done {
+                    gtx,
+                    outcome: TxnOutcome::Committed,
+                    latency_us: 840,
+                    messages: 12,
+                },
+            ),
+        ]);
+        assert_table(&[
+            (0, AmcError::Aborted(AbortReason::Injected)),
+            (1, AmcError::NotFound(obj)),
+            (2, AmcError::AlreadyExists(obj)),
+            (
+                3,
+                AmcError::InsufficientStock {
+                    obj,
+                    have: -1,
+                    want: 2,
+                },
+            ),
+            (4, AmcError::UnknownTxn),
+            (5, AmcError::SiteDown(site)),
+            (6, AmcError::Corruption("c".into())),
+            (7, AmcError::TransientIo("t".into())),
+            (8, AmcError::BufferExhausted),
+            (9, AmcError::Protocol("p".into())),
+            (10, AmcError::InvalidState("i".into())),
+        ]);
+        let req_id = 9;
+        assert_table(&[
+            (
+                0,
+                Frame::Request {
+                    req_id,
+                    payload: Payload::Prepare { gtx },
+                },
+            ),
+            (
+                1,
+                Frame::Reply {
+                    req_id,
+                    payload: Payload::Finished { gtx },
+                },
+            ),
+            (
+                2,
+                Frame::AdminRequest {
+                    req_id,
+                    req: AdminRequest::Ping,
+                },
+            ),
+            (
+                3,
+                Frame::AdminReply {
+                    req_id,
+                    reply: AdminReply::Recovery(None),
+                },
+            ),
+            (
+                4,
+                Frame::ErrorReply {
+                    req_id,
+                    error: AmcError::UnknownTxn,
+                },
+            ),
+            (
+                5,
+                Frame::CoordRequest {
+                    req_id,
+                    req: CoordRequest::Ping,
+                },
+            ),
+            (
+                6,
+                Frame::CoordReply {
+                    req_id,
+                    reply: CoordReply::Pong,
+                },
+            ),
+        ]);
     }
 
     #[test]

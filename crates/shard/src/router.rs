@@ -4,7 +4,7 @@
 //! Scale-out shape: every coordinator is a full [`Federation`] instance —
 //! its own commit state machines, its own disjoint transaction-id range
 //! ([`amc_core::COORD_GTX_SPAN`]) — and all of them drive the **same**
-//! site fleet through one shared [`FleetTransport`]. The router in front
+//! site fleet through one shared [`InProcessTransport`]. The router in front
 //! routes each transaction to its owning coordinator by the shard map's
 //! deterministic key rule ([`ShardMap::owner_of`]), so the single-central-
 //! system bottleneck of Fig. 1 becomes N parallel central systems with no
@@ -43,7 +43,7 @@ use amc_core::{Federation, FederationConfig, TxnOutcome};
 use amc_engine::TwoPLEngine;
 use amc_net::marker::{is_marker, EPOCH_OBJECT};
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport};
-use amc_net::{EngineHandle, FleetTransport, LocalCommManager};
+use amc_net::{EngineHandle, InProcessTransport, LocalCommManager};
 use amc_types::{AmcError, AmcResult, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -175,7 +175,7 @@ impl Drop for GateGuard<'_> {
 /// N coordinators, one fleet, one shard map. See the module docs.
 pub struct ShardRouter {
     coordinators: Vec<Arc<Federation>>,
-    fleet: Arc<FleetTransport>,
+    fleet: Arc<InProcessTransport>,
     map: RwLock<Arc<ShardMap>>,
     gate: Gate,
     stats: Vec<CoordCounters>,
@@ -208,7 +208,7 @@ impl ShardRouter {
             .into_iter()
             .map(|m| (m.site(), m))
             .collect();
-        let fleet = Arc::new(FleetTransport::new(
+        let fleet = Arc::new(InProcessTransport::new(
             managers,
             submit_mode_for(protocol),
             message_delay,
@@ -255,7 +255,7 @@ impl ShardRouter {
     }
 
     /// The shared fleet transport (chaos hooks: `set_down`).
-    pub fn fleet(&self) -> &Arc<FleetTransport> {
+    pub fn fleet(&self) -> &Arc<InProcessTransport> {
         &self.fleet
     }
 

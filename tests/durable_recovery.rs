@@ -67,22 +67,9 @@ fn fast_policy() -> RetryPolicy {
     }
 }
 
-/// The `amc-site-server` binary, found next to (or above) this test
-/// executable in the target directory.
+/// The `amc-site-server` binary cargo built for this test.
 fn server_bin() -> PathBuf {
-    let exe = std::env::current_exe().expect("test exe path");
-    let mut dir = exe.parent();
-    while let Some(d) = dir {
-        let candidate = d.join("amc-site-server");
-        if candidate.exists() {
-            return candidate;
-        }
-        dir = d.parent();
-    }
-    panic!(
-        "amc-site-server not found near {}; build it first (cargo build -p amc-rpc)",
-        exe.display()
-    );
+    PathBuf::from(env!("CARGO_BIN_EXE_amc-site-server"))
 }
 
 /// One spawned site-server process; killed on drop so failed assertions

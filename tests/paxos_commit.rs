@@ -587,22 +587,8 @@ const TCP_SITES: u32 = 3;
 const TCP_OBJS: u64 = 8;
 const CRASH_TXN: u64 = 6;
 
-/// A workspace binary, found next to (or above) this test executable.
-fn bin(name: &str) -> PathBuf {
-    let exe = std::env::current_exe().expect("test exe path");
-    let mut dir = exe.parent();
-    while let Some(d) = dir {
-        let candidate = d.join(name);
-        if candidate.exists() {
-            return candidate;
-        }
-        dir = d.parent();
-    }
-    panic!(
-        "{name} not found near {}; build it first (cargo build -p amc-rpc)",
-        exe.display()
-    );
-}
+const SITE_SERVER: &str = env!("CARGO_BIN_EXE_amc-site-server");
+const PAXOS_COORD: &str = env!("CARGO_BIN_EXE_amc-paxos-coord");
 
 struct Proc {
     child: Child,
@@ -617,7 +603,7 @@ impl Drop for Proc {
 
 fn spawn_acceptor_site(s: u32, dir: &std::path::Path) -> (Proc, SocketAddr) {
     let log = dir.join(format!("acceptor-{s}.log"));
-    let mut child = Command::new(bin("amc-site-server"))
+    let mut child = Command::new(SITE_SERVER)
         .args([
             "--site",
             &s.to_string(),
@@ -687,7 +673,7 @@ fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
 
     // The incumbent: crashes (parks for our SIGKILL) mid-transaction 6,
     // after both prepare votes are replicated to the acceptor group.
-    let mut coord = Command::new(bin("amc-paxos-coord"))
+    let mut coord = Command::new(PAXOS_COORD)
         .args([
             "--sites",
             &addr_list,
@@ -761,7 +747,7 @@ fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
 
     // A replacement coordinator (fresh gtx range, no reload) keeps the
     // federation moving — the in-doubt window held no locks hostage.
-    let out = Command::new(bin("amc-paxos-coord"))
+    let out = Command::new(PAXOS_COORD)
         .args([
             "--sites",
             &addr_list,

@@ -26,9 +26,10 @@ use amc::net::comm::EngineHandle;
 use amc::net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc::net::{LocalCommManager, Payload, SubmitMode};
 use amc::obs::ObsSink;
-use amc::rpc::wire::{read_frame, write_frame};
+use amc::rpc::wire::{read_frame, write_frame, CoordReply, CoordRequest};
 use amc::rpc::{
-    EventServer, Frame, MuxClient, RetryPolicy, SiteServer, TcpTransport, MAX_IN_FLIGHT_PER_CONN,
+    CoordInfo, CoordServer, EventServer, Frame, MuxClient, RetryPolicy, SiteServer, TcpTransport,
+    MAX_IN_FLIGHT_PER_CONN,
 };
 use amc::types::{AmcError, GlobalTxnId, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
@@ -66,8 +67,26 @@ fn read_until(stream: &mut TcpStream, deadline: Instant) -> Frame {
 
 // ------------------------------------------------- slow-writer framing --
 
+/// Feed `request` to the server at `addr` one byte per 110 ms — every
+/// byte lands in a different 100 ms server read window, so the server
+/// sees ~as many timeouts as bytes while the frame accumulates — and
+/// return its reply.
+fn dribble(addr: std::net::SocketAddr, request: &Frame) -> Frame {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    for b in &amc::rpc::wire::encode_frame(request) {
+        conn.write_all(std::slice::from_ref(b)).unwrap();
+        conn.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(110));
+    }
+    conn.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    read_until(&mut conn, Instant::now() + Duration::from_secs(5))
+}
+
 /// A frame fed one byte per (server) read-timeout window must parse; the
-/// consumed prefix survives every timeout tick in between.
+/// consumed prefix survives every timeout tick in between. Both servers
+/// on the blocking runtime — site and coordinator — share the one serve
+/// loop this pins.
 #[test]
 fn blocking_server_survives_one_byte_per_timeout_window() {
     let site = SiteId::new(1);
@@ -79,31 +98,50 @@ fn blocking_server_survives_one_byte_per_timeout_window() {
         ObsSink::disabled(),
     )
     .expect("bind loopback");
+    let federation = Federation::new(FederationConfig::uniform(1, ProtocolKind::TwoPhaseCommit));
+    let info = CoordInfo {
+        slot: 0,
+        coordinators: 1,
+        epoch: 1,
+        sites: vec![site],
+    };
+    let coord = CoordServer::spawn(Arc::new(federation), info, "127.0.0.1:0").expect("bind");
 
-    let mut conn = TcpStream::connect(srv.addr()).unwrap();
-    let bytes = amc::rpc::wire::encode_frame(&Frame::AdminRequest {
-        req_id: 9,
-        req: AdminRequest::Ping,
+    let (site_reply, coord_reply) = std::thread::scope(|s| {
+        let site_reply = s.spawn(|| {
+            dribble(
+                srv.addr(),
+                &Frame::AdminRequest {
+                    req_id: 9,
+                    req: AdminRequest::Ping,
+                },
+            )
+        });
+        let coord_reply = dribble(
+            coord.addr(),
+            &Frame::CoordRequest {
+                req_id: 11,
+                req: CoordRequest::Ping,
+            },
+        );
+        (site_reply.join().unwrap(), coord_reply)
     });
-    // One byte per 110 ms: every byte lands in a different 100 ms server
-    // read window, so the server sees ~as many timeouts as bytes while
-    // the frame accumulates.
-    for b in &bytes {
-        conn.write_all(std::slice::from_ref(b)).unwrap();
-        conn.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(110));
-    }
-    conn.set_read_timeout(Some(Duration::from_millis(200)))
-        .unwrap();
-    let reply = read_until(&mut conn, Instant::now() + Duration::from_secs(5));
     assert_eq!(
-        reply,
+        site_reply,
         Frame::AdminReply {
             req_id: 9,
             reply: AdminReply::Pong
         }
     );
+    assert_eq!(
+        coord_reply,
+        Frame::CoordReply {
+            req_id: 11,
+            reply: CoordReply::Pong
+        }
+    );
     srv.shutdown();
+    coord.shutdown();
 }
 
 // ----------------------------------------------------------- churn leak --
