@@ -525,7 +525,11 @@ pub fn verdicts(
     let committing = all.iter().filter(|r| r.committed > 0).count();
     out.push(format!(
         "[{}] E15-1: every (lane, axis, regime) cell commits ({committing}/{} cells)",
-        if committing == all.len() { "PASS" } else { "FAIL" },
+        if committing == all.len() {
+            "PASS"
+        } else {
+            "FAIL"
+        },
         all.len(),
     ));
 

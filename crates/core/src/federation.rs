@@ -58,7 +58,10 @@ pub struct TxnReport {
     /// End-to-end latency of the attempt.
     pub latency: Duration,
     /// L0 lock tenures per participating site (first submit → local
-    /// release), only populated for committed transactions.
+    /// release), only populated for committed transactions. Observed at
+    /// the coordinator per message round: a round's submits count from
+    /// when the round is handed to the transport, its releases from when
+    /// the round's replies are processed.
     pub l0_holds: Vec<Duration>,
     /// Messages exchanged (requests + replies).
     pub messages: u64,
@@ -85,6 +88,14 @@ pub fn submit_mode_for(protocol: ProtocolKind) -> SubmitMode {
         ProtocolKind::CommitAfter => SubmitMode::CommitAfter,
         ProtocolKind::CommitBefore => SubmitMode::CommitBefore,
     }
+}
+
+/// Whether `payload` starts a site's work, and with it its L0 tenure.
+fn is_submit(payload: &Payload) -> bool {
+    matches!(
+        payload,
+        Payload::Submit { .. } | Payload::SubmitPrepare { .. }
+    )
 }
 
 /// A running federation: central system + communication managers + sealed
@@ -719,50 +730,42 @@ impl Federation {
         let result: AmcResult<()> = (|| {
             'drive: while let Some(event) = queue.pop_front() {
                 let actions = coordinator.on_event(event);
-                // Over a pipelining transport a round's Sends — one per
-                // site, mutually independent — overlap on the wire
-                // instead of paying one round trip each, in series.
-                // Replies are still *processed* in emission order, so
-                // the coordinator state machine sees exactly the serial
-                // schedule. Paxos rounds stay serial: registration and
-                // vote replication interleave with the sends.
-                let mut prefetched: BTreeMap<usize, AmcResult<Payload>> = BTreeMap::new();
-                if paxos.is_none() && self.transport.supports_pipelining() {
-                    let sends: Vec<(usize, SiteId, Payload)> = actions
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, a)| match a {
-                            CoordAction::Send { site, payload } => {
-                                Some((i, *site, payload.clone()))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    if sends.len() > 1 {
-                        for (_, site, payload) in &sends {
-                            if matches!(
-                                payload,
-                                Payload::Submit { .. } | Payload::SubmitPrepare { .. }
-                            ) {
-                                submit_started.insert(*site, Instant::now());
-                            }
+                // A round's Sends — one per site, mutually independent —
+                // go to the transport together, which may overlap them on
+                // the wire instead of paying one round trip each. Replies
+                // come back in emission order and are *processed* in that
+                // order, so the coordinator state machine sees exactly
+                // the serial schedule. Two kinds of round stay serial, one
+                // call at a time in site order. Paxos rounds: registration
+                // and vote replication interleave with the sends. And the
+                // submit round of a protocol that keeps the L0 locks it
+                // takes until the decision (all but commit-before):
+                // reaching the sites in one global order is what keeps two
+                // transactions from each holding a page at one site while
+                // waiting for the other's at the next — a distributed
+                // deadlock no site can see and only `lock_timeout` breaks.
+                let sends = || {
+                    actions.iter().filter_map(|a| match a {
+                        CoordAction::Send { site, payload } => Some((*site, payload)),
+                        _ => None,
+                    })
+                };
+                let keeps_l0 = self.cfg.protocol != ProtocolKind::CommitBefore;
+                let mut round = Vec::new().into_iter();
+                if paxos.is_none()
+                    && sends().count() > 1
+                    && !(keeps_l0 && sends().any(|(_, p)| is_submit(p)))
+                {
+                    let sent_at = Instant::now();
+                    for (site, payload) in sends() {
+                        if is_submit(payload) {
+                            submit_started.insert(site, sent_at);
                         }
-                        std::thread::scope(|scope| {
-                            let handles: Vec<_> = sends
-                                .iter()
-                                .map(|(i, site, payload)| {
-                                    let (i, site, payload) = (*i, *site, payload.clone());
-                                    (i, scope.spawn(move || self.dispatch(site, payload)))
-                                })
-                                .collect();
-                            for (i, h) in handles {
-                                let r = h.join().expect("fan-out dispatch panicked");
-                                prefetched.insert(i, r);
-                            }
-                        });
                     }
+                    let sends = sends().map(|(site, p)| (site, p.clone())).collect();
+                    round = self.transport.call_round(sends).into_iter();
                 }
-                for (action_idx, action) in actions.into_iter().enumerate() {
+                for action in actions {
                     match action {
                         CoordAction::Send { site, payload } => {
                             // Replicated coordination opens the instance
@@ -785,26 +788,26 @@ impl Federation {
                                     }
                                 }
                             }
-                            let is_submit = matches!(
-                                payload,
-                                Payload::Submit { .. } | Payload::SubmitPrepare { .. }
-                            );
-                            // A prefetched submit already stamped its
-                            // start when the fan-out launched it.
-                            if is_submit && !prefetched.contains_key(&action_idx) {
-                                submit_started.insert(site, Instant::now());
-                            }
                             let was_prepare = matches!(payload, Payload::Prepare { .. });
-                            let vote_phase = matches!(
-                                payload,
-                                Payload::Submit { .. }
-                                    | Payload::SubmitPrepare { .. }
-                                    | Payload::Prepare { .. }
-                            );
+                            let vote_phase = is_submit(&payload) || was_prepare;
                             messages += 2; // request + reply
-                            let dispatched = match prefetched.remove(&action_idx) {
-                                Some(r) => r,
-                                None => self.dispatch(site, payload.clone()),
+                            let dispatched = match round.next() {
+                                // Sent with its round (which stamped the
+                                // submits): record the exchange now, as
+                                // a (request, reply) pair like `dispatch`.
+                                Some(reply) => {
+                                    self.record_envelope(SiteId::CENTRAL, site, &payload);
+                                    if let Ok(reply) = &reply {
+                                        self.record_envelope(site, SiteId::CENTRAL, reply);
+                                    }
+                                    reply
+                                }
+                                None => {
+                                    if is_submit(&payload) {
+                                        submit_started.insert(site, Instant::now());
+                                    }
+                                    self.dispatch(site, payload.clone())
+                                }
                             };
                             let reply = match dispatched {
                                 Ok(reply) => reply,
@@ -1215,6 +1218,8 @@ mod tests {
         inner: InProcessTransport,
         down: Mutex<std::collections::BTreeSet<SiteId>>,
         fail_finish_for: Mutex<Option<SiteId>>,
+        /// The labels of every round handed over whole.
+        rounds: Mutex<Vec<Vec<&'static str>>>,
     }
 
     impl FederationTransport for FlakyTransport {
@@ -1237,6 +1242,11 @@ mod tests {
         fn admin(&self, site: SiteId, request: AdminRequest) -> AmcResult<AdminReply> {
             self.inner.admin(site, request)
         }
+        fn call_round(&self, sends: Vec<(SiteId, Payload)>) -> Vec<AmcResult<Payload>> {
+            let labels = sends.iter().map(|(_, p)| p.label()).collect();
+            self.rounds.lock().push(labels);
+            sends.into_iter().map(|(s, p)| self.call(s, p)).collect()
+        }
     }
 
     fn flaky(protocol: ProtocolKind, sites: u32) -> (Arc<Federation>, Arc<FlakyTransport>) {
@@ -1255,6 +1265,7 @@ mod tests {
             inner: InProcessTransport::new(managers, submit_mode_for(protocol), cfg.message_delay),
             down: Mutex::new(Default::default()),
             fail_finish_for: Mutex::new(None),
+            rounds: Mutex::new(Vec::new()),
         });
         let fed = Federation::with_transport(cfg, transport.clone());
         for s in 1..=sites {
@@ -1262,6 +1273,28 @@ mod tests {
             fed.load_site(site(s), &data).unwrap();
         }
         (Arc::new(fed), transport)
+    }
+
+    /// Rounds go to the transport whole — except a submit round whose L0
+    /// locks outlive it: those submits must reach the sites one at a
+    /// time, in site order, or two transactions could each hold a page at
+    /// one site while waiting for the other's at the next.
+    #[test]
+    fn only_rounds_that_cannot_deadlock_across_sites_are_handed_over_whole() {
+        let expected = [
+            (
+                ProtocolKind::TwoPhaseCommit,
+                vec![vec!["prepare", "prepare"], vec!["commit", "commit"]],
+            ),
+            (ProtocolKind::CommitAfter, vec![vec!["commit", "commit"]]),
+            (ProtocolKind::CommitBefore, vec![vec!["submit", "submit"]]),
+        ];
+        for (protocol, rounds) in expected {
+            let (fed, transport) = flaky(protocol, 2);
+            let report = fed.run_transaction(&transfer(1, 2, 1)).unwrap();
+            assert_eq!(report.outcome, TxnOutcome::Committed);
+            assert_eq!(*transport.rounds.lock(), rounds, "{protocol:?}");
+        }
     }
 
     #[test]

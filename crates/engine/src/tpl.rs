@@ -678,7 +678,10 @@ impl LocalEngine for TwoPLEngine {
     }
 
     fn stats(&self) -> EngineStats {
-        self.txns.lock().stats
+        EngineStats {
+            lock_waits: self.locks.stats().waits,
+            ..self.txns.lock().stats
+        }
     }
 
     fn dump(&self) -> AmcResult<BTreeMap<ObjectId, Value>> {
@@ -1049,6 +1052,36 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(e.dump().unwrap().get(&obj(1)), Some(&v(n * per)));
+    }
+
+    #[test]
+    fn stats_count_an_l0_lock_wait() {
+        let e = std::sync::Arc::new(engine_with(&[(1, 0)]));
+        let write = Op::Write {
+            obj: obj(1),
+            value: v(1),
+        };
+        let holder = e.begin().unwrap();
+        e.execute(holder, &write).unwrap();
+        assert_eq!(e.stats().lock_waits, 0);
+        let waiter = {
+            let e = std::sync::Arc::clone(&e);
+            std::thread::spawn(move || {
+                let t = e.begin().unwrap();
+                e.execute(t, &write).unwrap();
+                e.commit(t).unwrap();
+            })
+        };
+        // The waiter counts as soon as it queues behind the holder's
+        // exclusive page lock; only then let it through.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while e.stats().lock_waits == 0 {
+            assert!(std::time::Instant::now() < deadline, "waiter never queued");
+            std::thread::yield_now();
+        }
+        e.commit(holder).unwrap();
+        waiter.join().unwrap();
+        assert_eq!(e.stats().lock_waits, 1);
     }
 
     #[test]

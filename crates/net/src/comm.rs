@@ -37,7 +37,7 @@ use amc_types::{
     AbortReason, AmcError, AmcResult, GlobalTxnId, LocalRunState, LocalTxnId, LocalVote, ObjectId,
     Operation, SiteId, Value,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -165,11 +165,19 @@ impl EngineHandle {
     }
 }
 
+/// How many independently locked maps the per-transaction state is
+/// spread over.
+const WORK_STRIPES: usize = 16;
+
 /// The per-site communication manager.
 pub struct LocalCommManager {
     site: SiteId,
     handle: EngineHandle,
-    work: Mutex<HashMap<GlobalTxnId, Work>>,
+    /// Per-transaction protocol state, striped by transaction id: the
+    /// entries are never reclaimed, so one map would grow by reallocating
+    /// a single multi-megabyte table (and every handler of every worker
+    /// would serialize on its one lock).
+    work: [Mutex<HashMap<GlobalTxnId, Work>>; WORK_STRIPES],
     stats: Mutex<CommStats>,
     /// Repetition bound — the paper argues repetitions terminate; we bound
     /// them anyway so a sick test fails loudly instead of spinning.
@@ -199,7 +207,7 @@ impl LocalCommManager {
         LocalCommManager {
             site,
             handle,
-            work: Mutex::new(HashMap::new()),
+            work: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             stats: Mutex::new(CommStats::default()),
             max_attempts: 100,
             pre_vote_retries: 5,
@@ -301,17 +309,22 @@ impl LocalCommManager {
                 }
             }
             w.recovered = !w.is_tombstone();
-            self.work.lock().insert(e.gtx, w);
+            self.work(e.gtx).insert(e.gtx, w);
             restored += 1;
         }
         Ok(restored)
+    }
+
+    /// The stripe of the work map that holds `gtx`, locked.
+    fn work(&self, gtx: GlobalTxnId) -> MutexGuard<'_, HashMap<GlobalTxnId, Work>> {
+        self.work[gtx.raw() as usize % WORK_STRIPES].lock()
     }
 
     /// If `gtx` was restored from the journal, this message resolved its
     /// in-doubt window: emit the event once and clear the flag.
     fn resolve_recovered(&self, gtx: GlobalTxnId, verdict: amc_types::GlobalVerdict) {
         let was_recovered = {
-            let mut work = self.work.lock();
+            let mut work = self.work(gtx);
             match work.get_mut(&gtx) {
                 Some(w) if w.recovered => {
                     w.recovered = false;
@@ -373,7 +386,7 @@ impl LocalCommManager {
 
     /// The local transaction currently associated with `gtx`.
     pub fn local_txn_of(&self, gtx: GlobalTxnId) -> Option<LocalTxnId> {
-        self.work.lock().get(&gtx).and_then(|w| w.ltx)
+        self.work(gtx).get(&gtx).and_then(|w| w.ltx)
     }
 
     fn marker_op(gtx: GlobalTxnId, ltx: LocalTxnId, undo: bool) -> Operation {
@@ -492,7 +505,7 @@ impl LocalCommManager {
         // * an existing vote means an earlier copy of this submit already
         //   ran (at-least-once delivery) — re-executing would collide with
         //   the running original (or double-commit); answer idempotently.
-        if let Some(w) = self.work.lock().get(&gtx) {
+        if let Some(w) = self.work(gtx).get(&gtx) {
             if let Some(vote) = w.vote {
                 let vote = if w.is_tombstone() {
                     LocalVote::Aborted
@@ -591,7 +604,7 @@ impl LocalCommManager {
             recovered: false,
         };
         self.journal_record(gtx, &w);
-        self.work.lock().insert(gtx, w);
+        self.work(gtx).insert(gtx, w);
         {
             let mut stats = self.stats.lock();
             match vote {
@@ -645,7 +658,7 @@ impl LocalCommManager {
         // Same duplicate/tombstone guard as `handle_submit`: a prior copy
         // of this dispatch (at-least-once delivery) or a presumed abort
         // answers idempotently without re-executing.
-        if let Some(w) = self.work.lock().get(&gtx) {
+        if let Some(w) = self.work(gtx).get(&gtx) {
             if let Some(vote) = w.vote {
                 let vote = if w.is_tombstone() {
                     LocalVote::Aborted
@@ -713,7 +726,7 @@ impl LocalCommManager {
             recovered: false,
         };
         self.journal_record(gtx, &w);
-        self.work.lock().insert(gtx, w);
+        self.work(gtx).insert(gtx, w);
         {
             let mut stats = self.stats.lock();
             match vote {
@@ -737,7 +750,7 @@ impl LocalCommManager {
     ///   local recovery is finished ... the answer to the prepare message
     ///   is abort" — unless the commit survived).
     pub fn handle_prepare(&self, gtx: GlobalTxnId) -> AmcResult<Payload> {
-        let work_snapshot = self.work.lock().get(&gtx).cloned();
+        let work_snapshot = self.work(gtx).get(&gtx).cloned();
         let vote = match work_snapshot {
             Some(w) => match w.mode {
                 SubmitMode::TwoPhase => {
@@ -823,7 +836,7 @@ impl LocalCommManager {
                 if self.marker_present(forward_marker(gtx))? {
                     LocalVote::Ready
                 } else {
-                    let mut work = self.work.lock();
+                    let mut work = self.work(gtx);
                     work.entry(gtx).or_insert_with(|| {
                         let t = Work::tombstone(SubmitMode::CommitBefore);
                         self.journal_record(gtx, &t);
@@ -849,12 +862,12 @@ impl LocalCommManager {
     /// again as a `Redo`), simply commit it — repetition is only for
     /// transactions that no longer exist.
     fn redo_until_committed(&self, gtx: GlobalTxnId, ops: &[Operation]) -> AmcResult<()> {
-        let live_ltx = self.work.lock().get(&gtx).and_then(|w| w.ltx);
+        let live_ltx = self.work(gtx).get(&gtx).and_then(|w| w.ltx);
         if let Some(ltx) = live_ltx {
             if self.handle.engine().state_of(ltx) == Some(LocalRunState::Running)
                 && self.handle.engine().commit(ltx).is_ok()
             {
-                if let Some(w) = self.work.lock().get_mut(&gtx) {
+                if let Some(w) = self.work(gtx).get_mut(&gtx) {
                     w.committed_locally = true;
                 }
                 return Ok(());
@@ -877,7 +890,7 @@ impl LocalCommManager {
             all_ops.push(Self::marker_op(gtx, LocalTxnId::new(0), false));
             match self.run_ops(&all_ops, true, None)? {
                 Ok(ltx) => {
-                    if let Some(w) = self.work.lock().get_mut(&gtx) {
+                    if let Some(w) = self.work(gtx).get_mut(&gtx) {
                         w.ltx = Some(ltx);
                         w.committed_locally = true;
                     }
@@ -907,7 +920,7 @@ impl LocalCommManager {
         verdict: amc_types::GlobalVerdict,
     ) -> AmcResult<Payload> {
         use amc_types::GlobalVerdict;
-        let work_snapshot = self.work.lock().get(&gtx).cloned();
+        let work_snapshot = self.work(gtx).get(&gtx).cloned();
         let engine = self.handle.engine();
         match work_snapshot {
             // A commit decision can never legitimately follow a presumed
@@ -961,7 +974,7 @@ impl LocalCommManager {
                         None => false,
                     };
                     if fast_committed {
-                        if let Some(work) = self.work.lock().get_mut(&gtx) {
+                        if let Some(work) = self.work(gtx).get_mut(&gtx) {
                             work.committed_locally = true;
                         }
                     } else {
@@ -1007,7 +1020,7 @@ impl LocalCommManager {
                         self.site
                     )));
                 }
-                let mut work = self.work.lock();
+                let mut work = self.work(gtx);
                 work.entry(gtx).or_insert_with(|| {
                     let t = Work::tombstone(SubmitMode::CommitAfter);
                     self.journal_record(gtx, &t);
@@ -1023,7 +1036,7 @@ impl LocalCommManager {
     pub fn handle_redo(&self, gtx: GlobalTxnId, ops: Vec<Operation>) -> AmcResult<Payload> {
         // Adopt the shipped ops if the submit predates our knowledge.
         {
-            let mut work = self.work.lock();
+            let mut work = self.work(gtx);
             work.entry(gtx).or_insert(Work {
                 ops: ops.clone(),
                 mode: SubmitMode::CommitAfter,
@@ -1048,7 +1061,7 @@ impl LocalCommManager {
     /// the "in the global system" placement.
     pub fn handle_undo(&self, gtx: GlobalTxnId, inverse_ops: Vec<Operation>) -> AmcResult<Payload> {
         let inverse_ops = if inverse_ops.is_empty() {
-            let work = self.work.lock();
+            let work = self.work(gtx);
             match work.get(&gtx) {
                 Some(w) => {
                     // Captured forward-order; undo runs newest-first.

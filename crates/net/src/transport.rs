@@ -92,13 +92,29 @@ pub trait FederationTransport: Send + Sync {
     /// Send one admin request to `to` and wait for its reply.
     fn admin(&self, to: SiteId, req: AdminRequest) -> AmcResult<AdminReply>;
 
-    /// Whether concurrent [`FederationTransport::call`]s to *different*
-    /// sites may overlap in flight. A coordinator may fan a message round
-    /// out in parallel over a pipelining transport; over a
-    /// non-pipelining one (notably the in-process transport, whose
-    /// modelled delays assume serial delivery) it must keep the calls
-    /// sequential. Defaults to `false` — serial — so a transport must
-    /// opt in to concurrent dispatch.
+    /// Send one message round — the central system addresses every
+    /// participating site, then waits for all of them — and return the
+    /// replies in *send* order, whatever order the sites answered in.
+    ///
+    /// The default delivers the round as serial [`call`]s: the in-process
+    /// transport keeps it, because its modelled delays charge one
+    /// exchange after another. A transport whose sends can be in flight
+    /// together overrides it to put every request on the wire before
+    /// waiting for the first reply, so a round costs one round trip
+    /// instead of one per site.
+    ///
+    /// [`call`]: FederationTransport::call
+    fn call_round(&self, sends: Vec<(SiteId, Payload)>) -> Vec<AmcResult<Payload>> {
+        sends
+            .into_iter()
+            .map(|(to, payload)| self.call(to, payload))
+            .collect()
+    }
+
+    /// Whether [`FederationTransport::call_round`] overlaps its sends
+    /// (`true` for both TCP transports, `false` for the serial default).
+    /// Informational: the coordinator decides which rounds go to
+    /// `call_round` from the protocol, not from the transport.
     fn supports_pipelining(&self) -> bool {
         false
     }

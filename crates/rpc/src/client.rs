@@ -20,6 +20,7 @@
 //! is exactly the property the paper's inquiry/repetition machinery
 //! already depends on.
 
+use crate::mux::{Channel, Slot};
 use crate::wire::{read_frame, write_frame, Frame};
 use amc_net::transport::{AdminReply, AdminRequest};
 use amc_net::Payload;
@@ -28,6 +29,7 @@ use amc_types::{AmcError, AmcResult, GlobalTxnId, SiteId};
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Deadlines and retry shape for one client.
@@ -128,22 +130,54 @@ impl Endpoint {
     }
 }
 
+/// One request on the wire: what [`Link::start`] leaves for
+/// [`Link::finish`] — the request id to wait for and the connection it
+/// went out on.
+pub(crate) struct InFlight {
+    pub(crate) req_id: u64,
+    pub(crate) conn: InFlightConn,
+}
+
+/// Where a request is in flight, per link kind.
+pub(crate) enum InFlightConn {
+    /// The connection checked out of a [`PooledLink`] for this request.
+    Pooled(TcpStream),
+    /// The shared channel of a `MuxLink` and this request's parking spot.
+    Mux(Arc<Channel>, Arc<Slot>),
+}
+
 /// A connection strategy: the one thing [`RpcClient`] and
 /// [`MuxClient`](crate::MuxClient) differ in.
+///
+/// An attempt is split in two so that a caller can put several requests
+/// on the wire — to different peers, or to one — before it waits for
+/// any reply. Any thread may `start` at any time; every `InFlight` must
+/// be handed to `finish` on the link that produced it. `Err` from either
+/// half is a transport failure — nothing trustworthy came back and the
+/// connection it happened on is not reused.
 pub(crate) trait Link: Send + Sync {
-    /// One attempt: deliver `frame` and wait out `ep.policy.request_timeout`
-    /// for the reply carrying its request id. `Err` is a transport
-    /// failure — nothing trustworthy came back and the connection it
-    /// happened on is not reused.
-    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()>;
+    /// First half of an attempt: obtain a connection and write `frame`.
+    fn start(&self, ep: &Endpoint, frame: &Frame) -> Result<InFlight, ()>;
+
+    /// Second half: wait, for at most `ep.policy.request_timeout` from
+    /// now, for the reply carrying the request's id.
+    fn finish(&self, ep: &Endpoint, sent: InFlight) -> Result<Frame, ()>;
+
+    /// One whole attempt.
+    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()> {
+        self.finish(ep, self.start(ep, frame)?)
+    }
 
     /// Drop every connection (the address changed).
     fn reset(&self);
 }
 
 impl Link for Box<dyn Link> {
-    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()> {
-        (**self).attempt(ep, frame)
+    fn start(&self, ep: &Endpoint, frame: &Frame) -> Result<InFlight, ()> {
+        (**self).start(ep, frame)
+    }
+    fn finish(&self, ep: &Endpoint, sent: InFlight) -> Result<Frame, ()> {
+        (**self).finish(ep, sent)
     }
     fn reset(&self) {
         (**self).reset();
@@ -215,6 +249,11 @@ impl<L: Link> Core<L> {
     /// tries separated by jittered backoff. `gtx` attributes the
     /// retry/shed events to the transaction being retried for.
     ///
+    /// `first` is attempt 1 when the caller already put it on the wire
+    /// (see [`Core::start_call`]): the loop then begins by waiting for
+    /// it, so a send that fails or is shed inside a round is retried,
+    /// counted and traced exactly like one that was never split.
+    ///
     /// Two things are retried. A transport failure discards the
     /// connection and ends as `SiteDown`. A load-shed
     /// (`BufferExhausted`) is an answer, not a failure — but backing off
@@ -227,12 +266,16 @@ impl<L: Link> Core<L> {
         gtx: Option<GlobalTxnId>,
         max_attempts: u32,
         make_frame: impl Fn(u64) -> Frame,
+        mut first: Option<Result<InFlight, ()>>,
     ) -> AmcResult<Frame> {
         let to = self.ep.site;
         for attempt in 1..=max_attempts {
             let last = attempt == max_attempts;
-            let frame = make_frame(self.next_req.fetch_add(1, Ordering::Relaxed));
-            let failure = match self.link.attempt(&self.ep, &frame) {
+            let outcome = match first.take() {
+                Some(sent) => sent.and_then(|sent| self.link.finish(&self.ep, sent)),
+                None => self.link.attempt(&self.ep, &make_frame(self.next_req_id())),
+            };
+            let failure = match outcome {
                 Ok(Frame::ErrorReply {
                     error: AmcError::BufferExhausted,
                     ..
@@ -262,14 +305,40 @@ impl<L: Link> Core<L> {
         Err(AmcError::SiteDown(to))
     }
 
+    fn next_req_id(&self) -> u64 {
+        self.next_req.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Send one protocol message and wait for the site's reply.
     pub(crate) fn call(&self, payload: Payload) -> AmcResult<Payload> {
+        let first = self.start_call(&payload);
+        self.finish_call(payload, first)
+    }
+
+    /// Put the first attempt of a [`Core::call`] on the wire without
+    /// waiting for its reply; [`Core::finish_call`] takes it from there.
+    pub(crate) fn start_call(&self, payload: &Payload) -> Result<InFlight, ()> {
+        let frame = Frame::Request {
+            req_id: self.next_req_id(),
+            payload: payload.clone(),
+        };
+        self.link.start(&self.ep, &frame)
+    }
+
+    /// Wait for the reply to a started call, retrying like any other
+    /// request if the first attempt did not get one.
+    pub(crate) fn finish_call(
+        &self,
+        payload: Payload,
+        first: Result<InFlight, ()>,
+    ) -> AmcResult<Payload> {
         let gtx = payload.gtx();
         let make_frame = |req_id| Frame::Request {
             req_id,
             payload: payload.clone(),
         };
-        match self.request(Some(gtx), self.ep.policy.max_attempts, make_frame)? {
+        let max_attempts = self.ep.policy.max_attempts;
+        match self.request(Some(gtx), max_attempts, make_frame, Some(first))? {
             Frame::Reply { payload, .. } => {
                 self.ep.obs.emit(
                     Some(gtx),
@@ -295,7 +364,7 @@ impl<L: Link> Core<L> {
             req_id,
             req: req.clone(),
         };
-        match self.request(None, self.ep.policy.max_attempts, make_frame)? {
+        match self.request(None, self.ep.policy.max_attempts, make_frame, None)? {
             Frame::AdminReply { reply, .. } => Ok(reply),
             Frame::ErrorReply { error, .. } => Err(error),
             other => Err(AmcError::Protocol(format!(
@@ -356,19 +425,35 @@ pub(crate) struct PooledLink {
 }
 
 impl Link for PooledLink {
-    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()> {
-        let mut conn = match self.idle.lock().pop() {
+    fn start(&self, ep: &Endpoint, frame: &Frame) -> Result<InFlight, ()> {
+        let pooled = self.idle.lock().pop();
+        let mut conn = match pooled {
             Some(c) => c,
-            None => ep.dial()?,
+            None => {
+                // The deadlines are the endpoint's, fixed for its life:
+                // set once per connection, not once per request.
+                let c = ep.dial()?;
+                c.set_read_timeout(Some(ep.policy.request_timeout))
+                    .map_err(|_| ())?;
+                c.set_write_timeout(Some(ep.policy.request_timeout))
+                    .map_err(|_| ())?;
+                c
+            }
         };
-        conn.set_read_timeout(Some(ep.policy.request_timeout))
-            .map_err(|_| ())?;
-        conn.set_write_timeout(Some(ep.policy.request_timeout))
-            .map_err(|_| ())?;
         ep.sending(frame);
         write_frame(&mut conn, frame).map_err(|_| ())?;
+        Ok(InFlight {
+            req_id: frame.req_id(),
+            conn: InFlightConn::Pooled(conn),
+        })
+    }
+
+    fn finish(&self, _ep: &Endpoint, sent: InFlight) -> Result<Frame, ()> {
+        let InFlightConn::Pooled(mut conn) = sent.conn else {
+            unreachable!("a pooled link finishes what a pooled link started")
+        };
         let reply = read_frame(&mut conn).map_err(|_| ())?;
-        if reply.req_id() != frame.req_id() {
+        if reply.req_id() != sent.req_id {
             // A stale reply can only come from a connection we should
             // have discarded; never trust it.
             return Err(());

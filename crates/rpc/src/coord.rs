@@ -215,7 +215,7 @@ impl CoordClient {
             req_id,
             req: req.clone(),
         };
-        match self.core.request(None, max_attempts, make_frame)? {
+        match self.core.request(None, max_attempts, make_frame, None)? {
             Frame::CoordReply { reply, .. } => Ok(reply),
             Frame::ErrorReply { error, .. } => Err(error),
             other => Err(AmcError::Protocol(format!(

@@ -1,7 +1,8 @@
 //! The event-loop site-server runtime.
 //!
-//! One epoll thread owns every socket; a small worker pool owns every
-//! dispatch. The loop never blocks on I/O or on the engine:
+//! One epoll thread reads every socket; a small worker pool owns every
+//! dispatch and, normally, the reply. The loop never blocks on I/O or on
+//! the engine:
 //!
 //! - **Reads** are nonblocking and incremental. Bytes land in a
 //!   per-connection [`FrameBuffer`]; a frame that arrives in ten pieces
@@ -12,10 +13,13 @@
 //!   wait) stalls one worker, not the loop — and concurrent workers
 //!   hitting the WAL together are exactly what
 //!   [`amc_wal::GroupCommitter`] needs to merge their fsyncs.
-//! - **Writes** are batched. Finished replies are serialized into the
-//!   connection's write buffer; whatever has accumulated by the time the
-//!   socket is writable goes out in one syscall. A slow reader causes
-//!   `EPOLLOUT`-driven flushing, never a blocked thread.
+//! - **Writes** are made by whoever has the reply. The worker that
+//!   produced it encodes it and, when the connection has no queued
+//!   output, writes it to the non-blocking socket itself — no hop back
+//!   through the loop. Only what the socket would not take (or a reply
+//!   finishing behind queued output) lands in the connection's write
+//!   buffer; the worker then rings the loop, which flushes on
+//!   `EPOLLOUT`. A slow reader causes buffering, never a blocked thread.
 //! - **Backpressure** is per connection and explicit. At most
 //!   [`MAX_IN_FLIGHT_PER_CONN`] requests may be dispatched concurrently
 //!   per connection; excess requests are not queued but *shed* with an
@@ -97,42 +101,118 @@ struct SharedStats {
 
 /// A dispatch job: which connection asked, and what it asked.
 struct Job {
-    conn: u64,
+    conn: Arc<Peer>,
     frame: Frame,
 }
 
-/// A finished dispatch: which connection to answer, and the reply frame.
-struct Completion {
-    conn: u64,
-    reply: Frame,
-}
-
-/// Worker-pool plumbing: a bounded job queue the loop pushes into and a
-/// completion queue the workers push back, with the eventfd waker as the
-/// loop's doorbell.
+/// Worker-pool plumbing: the job queue the loop pushes into, and the
+/// list of connections a worker left for the loop to look at, with the
+/// eventfd waker as the loop's doorbell.
 struct Pool {
     jobs: Mutex<VecDeque<Job>>,
     jobs_cv: Condvar,
-    completions: Mutex<Vec<Completion>>,
+    /// Tokens of connections whose [`Outbox`] a worker left in a state
+    /// only the loop can act on: output the socket would not take (arm
+    /// `EPOLLOUT`), or a connection that must now close.
+    attention: Mutex<Vec<u64>>,
     waker: Waker,
     stop: AtomicBool,
 }
 
-/// Per-connection state owned by the event loop.
-struct Conn {
+/// The half of a connection the loop shares with the workers: the
+/// socket, and everything about its output side. Whoever holds `out`
+/// may write to the socket, so frames never interleave.
+struct Peer {
+    token: u64,
     stream: TcpStream,
-    rbuf: FrameBuffer,
-    /// Batched outgoing bytes; `wpos` is how much has already been
-    /// written. Replies append here and are flushed together.
+    out: Mutex<Outbox>,
+}
+
+#[derive(Default)]
+struct Outbox {
+    /// Output the socket would not take yet; `wpos` is how much of it
+    /// has already been written. Empty on the fast path: a reply goes
+    /// straight from the worker that made it to the socket.
     wbuf: Vec<u8>,
     wpos: usize,
     /// Requests currently dispatched to the pool for this connection.
     in_flight: usize,
+    /// Reads hit EOF; the connection closes as soon as the write buffer
+    /// drains and the in-flight count is zero.
+    closing: bool,
+    /// No further output is accepted: a write failed, the backlog passed
+    /// [`MAX_WBUF_BYTES`], or the loop has dropped the connection. A
+    /// reply that completes after this is discarded.
+    dead: bool,
+}
+
+impl Outbox {
+    fn pending(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// Queue `bytes` behind whatever is already waiting — or, when
+    /// nothing is, write them to the socket directly and queue only
+    /// what it would not take. Marks the outbox dead on a failed write
+    /// or a backlog past [`MAX_WBUF_BYTES`] (the peer has stopped
+    /// reading; close rather than buffer without bound).
+    fn send(&mut self, stream: &TcpStream, bytes: &[u8], stats: &SharedStats) {
+        if self.pending() > 0 {
+            self.wbuf.extend_from_slice(bytes);
+        } else {
+            match write_some(stream, bytes) {
+                Ok(n) => self.wbuf.extend_from_slice(&bytes[n..]),
+                Err(_) => self.dead = true,
+            }
+        }
+        // Give the socket one chance to take the backlog, then close.
+        if self.pending() > MAX_WBUF_BYTES {
+            self.flush(stream);
+            if !self.dead && self.pending() > MAX_WBUF_BYTES {
+                stats.wbuf_overflows.fetch_add(1, Ordering::Relaxed);
+                self.dead = true;
+            }
+        }
+    }
+
+    /// Write as much queued output as the socket takes right now.
+    fn flush(&mut self, stream: &TcpStream) {
+        match write_some(stream, &self.wbuf[self.wpos..]) {
+            Ok(n) => self.wpos += n,
+            Err(_) => self.dead = true,
+        }
+        if self.wpos == self.wbuf.len() {
+            self.wbuf.clear();
+            self.wpos = 0;
+        } else if self.wpos > 64 * 1024 {
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
+        }
+    }
+}
+
+/// Write `bytes` to a non-blocking socket until it would block; returns
+/// how many it took.
+fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    let mut done = 0;
+    while done < bytes.len() {
+        match stream.write(&bytes[done..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(done)
+}
+
+/// Per-connection state owned by the event loop.
+struct Conn {
+    peer: Arc<Peer>,
+    rbuf: FrameBuffer,
     /// The interest currently registered with the poller.
     interest: Interest,
-    /// Reads hit EOF or a fatal decode error; the connection closes as
-    /// soon as the write buffer drains and the in-flight count is zero.
-    closing: bool,
 }
 
 /// A running event-loop site server. Drop-in replacement for
@@ -180,7 +260,7 @@ impl EventServer {
         let pool = Arc::new(Pool {
             jobs: Mutex::new(VecDeque::new()),
             jobs_cv: Condvar::new(),
-            completions: Mutex::new(Vec::new()),
+            attention: Mutex::new(Vec::new()),
             waker: Waker::new()?,
             stop: AtomicBool::new(false),
         });
@@ -200,7 +280,8 @@ impl EventServer {
             .map(|_| {
                 let pool = Arc::clone(&pool);
                 let handler = Arc::clone(&handler);
-                std::thread::spawn(move || worker_loop(&pool, &handler))
+                let stats = Arc::clone(&stats);
+                std::thread::spawn(move || worker_loop(&pool, &handler, &stats))
             })
             .collect();
 
@@ -269,9 +350,10 @@ impl Drop for EventServer {
     }
 }
 
-/// One worker: pull a job, run it through the shared site handler, hand
-/// the reply back to the loop, ring the doorbell.
-fn worker_loop(pool: &Pool, handler: &Handler) {
+/// One worker: pull a job, run it through the shared site handler and
+/// answer the peer itself. The loop hears of it only when the socket
+/// would not take the whole reply, or the connection is now due to close.
+fn worker_loop(pool: &Pool, handler: &Handler, stats: &SharedStats) {
     loop {
         let job = {
             let mut jobs = pool.jobs.lock();
@@ -285,21 +367,26 @@ fn worker_loop(pool: &Pool, handler: &Handler) {
                 pool.jobs_cv.wait(&mut jobs);
             }
         };
+        let Job { conn, frame } = job;
         // Only request-kind frames are ever enqueued, so the handler
         // always produces a reply here.
-        let Some(reply) = handler(job.frame) else {
-            continue;
-        };
-        pool.completions.lock().push(Completion {
-            conn: job.conn,
-            reply,
-        });
-        pool.waker.wake();
+        let reply = handler(frame).map(|reply| encode_frame(&reply));
+        let mut out = conn.out.lock();
+        out.in_flight -= 1;
+        if let (Some(bytes), false) = (&reply, out.dead) {
+            out.send(&conn.stream, bytes, stats);
+        }
+        let ring = out.dead || out.pending() > 0 || (out.closing && out.in_flight == 0);
+        drop(out);
+        if ring {
+            pool.attention.lock().push(conn.token);
+            pool.waker.wake();
+        }
     }
 }
 
-/// The loop itself: accept, read/decode, hand out jobs, collect
-/// completions, batch-write replies.
+/// The loop itself: accept, read/decode, hand out jobs, and finish what
+/// the workers could not: flush backed-up output, close connections.
 fn event_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
@@ -317,37 +404,43 @@ fn event_loop(
 
     while !stop.load(Ordering::SeqCst) {
         poller.wait(&mut events, Some(WAIT_TICK))?;
-        // Tokens whose connection state changed this round and may need
-        // closing or interest updates.
-        for ev in events.clone() {
+        for ev in &events {
             match ev.token {
                 TOKEN_LISTENER => {
                     accept_ready(&listener, &poller, &mut conns, &mut next_token, &stats);
                 }
                 TOKEN_WAKER => {
                     pool.waker.drain();
-                    drain_completions(&pool, &poller, &mut conns, &stats);
+                    let tokens = std::mem::take(&mut *pool.attention.lock());
+                    for token in tokens {
+                        finish_or_update(&poller, &mut conns, token, &stats);
+                    }
                 }
                 token => {
                     let Some(conn) = conns.get_mut(&token) else {
                         continue;
                     };
-                    let mut dead = ev.error;
-                    if ev.readable && !dead {
-                        dead = read_ready(conn, token, &mut chunk, &pool, &stats);
+                    if ev.error {
+                        conn.peer.out.lock().dead = true;
+                    } else {
+                        if ev.readable {
+                            read_ready(conn, &mut chunk, &pool, &stats);
+                        }
+                        if ev.writable {
+                            conn.peer.out.lock().flush(&conn.peer.stream);
+                        }
                     }
-                    if ev.writable && !dead {
-                        dead = flush(conn).is_err();
-                    }
-                    finish_or_update(&poller, &mut conns, token, dead, &stats);
+                    finish_or_update(&poller, &mut conns, token, &stats);
                 }
             }
         }
     }
 
-    // Shutdown: deregister and drop everything.
+    // Shutdown: deregister and drop everything. Replies still in
+    // workers' hands find their outbox dead.
     for (_, conn) in conns.drain() {
-        poller.deregister(conn.stream.as_raw_fd());
+        conn.peer.out.lock().dead = true;
+        poller.deregister(conn.peer.stream.as_raw_fd());
     }
     poller.deregister(listener.as_raw_fd());
     poller.deregister(pool.waker.fd());
@@ -384,13 +477,13 @@ fn accept_ready(
         conns.insert(
             token,
             Conn {
-                stream,
+                peer: Arc::new(Peer {
+                    token,
+                    stream,
+                    out: Mutex::new(Outbox::default()),
+                }),
                 rbuf: FrameBuffer::new(),
-                wbuf: Vec::new(),
-                wpos: 0,
-                in_flight: 0,
                 interest: Interest::READ,
-                closing: false,
             },
         );
         let now = conns.len() as u64;
@@ -399,140 +492,72 @@ fn accept_ready(
     }
 }
 
-/// Drain the socket into the frame buffer and decode every complete
-/// frame. Returns `true` when the connection must die *immediately*
-/// (poisoned stream or peer sent reply-kind frames).
-fn read_ready(
-    conn: &mut Conn,
-    token: u64,
-    chunk: &mut [u8],
-    pool: &Pool,
-    stats: &SharedStats,
-) -> bool {
+/// Drain the socket into the frame buffer, decode every complete frame
+/// and queue it for the workers (or shed it). A poisoned stream, or a
+/// peer that sends reply-kind frames, marks the outbox dead: the
+/// connection must die *immediately*.
+fn read_ready(conn: &mut Conn, chunk: &mut [u8], pool: &Pool, stats: &SharedStats) {
+    let peer = &conn.peer;
+    let mut eof = false;
+    let mut poisoned = false;
     loop {
-        match conn.stream.read(chunk) {
+        match (&peer.stream).read(chunk) {
             // EOF: no new requests, but in-flight replies still get
             // written back before the close.
             Ok(0) => {
-                conn.closing = true;
+                eof = true;
                 break;
             }
             Ok(n) => conn.rbuf.extend(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
+            Err(_) => {
+                poisoned = true;
+                break;
+            }
         }
     }
-    let mut jobs = Vec::new();
-    loop {
+    let mut out = peer.out.lock();
+    out.closing |= eof;
+    // One queue lock for however many frames arrived, taken only once
+    // there is a job to push.
+    let mut queue = None;
+    let mut queued = 0;
+    while !poisoned {
         match conn.rbuf.next_frame() {
             Ok(Some(frame @ (Frame::Request { .. } | Frame::AdminRequest { .. }))) => {
-                if conn.in_flight >= MAX_IN_FLIGHT_PER_CONN {
-                    // Load shed: answer now, dispatch never. The reply
-                    // goes through the same batched write path.
+                if out.in_flight >= MAX_IN_FLIGHT_PER_CONN {
+                    // Load shed: answer now, dispatch never. A peer that
+                    // floods requests while never reading these replies
+                    // runs the outbox past its bound and is closed.
                     stats.load_sheds.fetch_add(1, Ordering::Relaxed);
                     let shed = Frame::ErrorReply {
                         req_id: frame.req_id(),
                         error: AmcError::BufferExhausted,
                     };
-                    conn.wbuf.extend_from_slice(&encode_frame(&shed));
+                    out.send(&peer.stream, &encode_frame(&shed), stats);
                 } else {
-                    conn.in_flight += 1;
+                    out.in_flight += 1;
                     stats.dispatched.fetch_add(1, Ordering::Relaxed);
-                    jobs.push(Job { conn: token, frame });
+                    let conn = Arc::clone(peer);
+                    queue
+                        .get_or_insert_with(|| pool.jobs.lock())
+                        .push_back(Job { conn, frame });
+                    queued += 1;
                 }
             }
-            // A server only accepts requests (cf. the blocking runtime).
-            Ok(Some(_)) => return true,
             Ok(None) => break,
-            Err(_) => return true,
+            // A server only accepts requests (cf. the blocking runtime).
+            Ok(Some(_)) | Err(_) => poisoned = true,
         }
     }
-    // Shed replies landed in the write buffer above; a peer that floods
-    // requests while never reading replies must not grow it without
-    // bound. Give the socket one chance to take the backlog, then close.
-    if conn.wbuf.len() - conn.wpos > MAX_WBUF_BYTES
-        && (flush(conn).is_err() || conn.wbuf.len() - conn.wpos > MAX_WBUF_BYTES)
-    {
-        stats.wbuf_overflows.fetch_add(1, Ordering::Relaxed);
-        return true;
+    drop(queue);
+    // Wake one worker per job, not the whole pool: `notify_all` here
+    // stampedes every idle worker onto one queue lock per request.
+    for _ in 0..queued {
+        pool.jobs_cv.notify_one();
     }
-    if !jobs.is_empty() {
-        let n = jobs.len();
-        let mut q = pool.jobs.lock();
-        q.extend(jobs);
-        drop(q);
-        // Wake one worker per job, not the whole pool: `notify_all` here
-        // stampedes every idle worker onto one queue lock per request.
-        for _ in 0..n {
-            pool.jobs_cv.notify_one();
-        }
-    }
-    false
-}
-
-/// Serialize finished replies into their connections' write buffers and
-/// flush what the sockets will take.
-fn drain_completions(
-    pool: &Pool,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    stats: &SharedStats,
-) {
-    let completions = std::mem::take(&mut *pool.completions.lock());
-    let mut touched: Vec<u64> = Vec::new();
-    for c in completions {
-        // The connection may have died while its request was in flight;
-        // the reply is then undeliverable and simply dropped.
-        let Some(conn) = conns.get_mut(&c.conn) else {
-            continue;
-        };
-        conn.in_flight -= 1;
-        conn.wbuf.extend_from_slice(&encode_frame(&c.reply));
-        if !touched.contains(&c.conn) {
-            touched.push(c.conn);
-        }
-    }
-    // One flush per touched connection: replies that completed together
-    // leave in one write.
-    for token in touched {
-        let dead = {
-            let conn = conns.get_mut(&token).expect("touched conns exist");
-            if flush(conn).is_err() {
-                true
-            } else if conn.wbuf.len() - conn.wpos > MAX_WBUF_BYTES {
-                // The socket would not take the backlog: the peer has
-                // stopped reading. Close rather than buffer without
-                // bound; its unread replies die with the connection.
-                stats.wbuf_overflows.fetch_add(1, Ordering::Relaxed);
-                true
-            } else {
-                false
-            }
-        };
-        finish_or_update(poller, conns, token, dead, stats);
-    }
-}
-
-/// Write as much buffered output as the socket takes right now.
-fn flush(conn: &mut Conn) -> io::Result<()> {
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => conn.wpos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    if conn.wpos == conn.wbuf.len() {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    } else if conn.wpos > 64 * 1024 {
-        conn.wbuf.drain(..conn.wpos);
-        conn.wpos = 0;
-    }
-    Ok(())
+    out.dead |= poisoned;
 }
 
 /// Close a connection that is done (or dead), or fix up its poller
@@ -541,20 +566,22 @@ fn finish_or_update(
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
     token: u64,
-    dead: bool,
     stats: &SharedStats,
 ) {
     let Some(conn) = conns.get_mut(&token) else {
         return;
     };
-    let drained = conn.wpos == conn.wbuf.len();
-    let done = conn.closing && drained && conn.in_flight == 0;
-    if dead || done {
-        poller.deregister(conn.stream.as_raw_fd());
+    let mut out = conn.peer.out.lock();
+    let drained = out.pending() == 0;
+    if out.dead || (out.closing && drained && out.in_flight == 0) {
+        out.dead = true;
+        drop(out);
+        poller.deregister(conn.peer.stream.as_raw_fd());
         conns.remove(&token);
         stats.current.store(conns.len() as u64, Ordering::Relaxed);
         return;
     }
+    drop(out);
     let want = if drained {
         Interest::READ
     } else {
@@ -562,7 +589,7 @@ fn finish_or_update(
     };
     if want != conn.interest
         && poller
-            .reregister(conn.stream.as_raw_fd(), token, want)
+            .reregister(conn.peer.stream.as_raw_fd(), token, want)
             .is_ok()
     {
         conn.interest = want;

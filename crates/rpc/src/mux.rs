@@ -18,7 +18,7 @@
 //! connection fails *every* pending request, each of which the core
 //! retries independently, and the next attempt redials.
 
-use crate::client::{client_surface, Core, Endpoint, Link, RetryPolicy};
+use crate::client::{client_surface, Core, Endpoint, InFlight, InFlightConn, Link, RetryPolicy};
 use crate::wire::{write_frame, Frame, FrameBuffer};
 use amc_net::transport::{AdminReply, AdminRequest};
 use amc_net::Payload;
@@ -38,7 +38,7 @@ const READ_TICK: Duration = Duration::from_millis(100);
 
 /// One caller's parking spot: its own mutex + condvar, so completing a
 /// reply wakes exactly that caller — never the whole herd of waiters.
-struct Slot {
+pub(crate) struct Slot {
     reply: Mutex<Option<Frame>>,
     cv: Condvar,
 }
@@ -54,7 +54,7 @@ impl Slot {
 
 /// One live multiplexed connection: the shared write half, the pending
 /// table the reader thread completes into, and the reader itself.
-struct Channel {
+pub(crate) struct Channel {
     /// Writers serialize frame writes through this lock; a frame is
     /// written atomically, so interleaved callers never corrupt framing.
     writer: Mutex<TcpStream>,
@@ -147,11 +147,10 @@ pub(crate) struct MuxLink {
 }
 
 impl Link for MuxLink {
-    /// A deadline that expires withdraws only this request: the
-    /// connection and every other pending request stay healthy, and a
-    /// late reply to this id is dropped by the reader. A dead channel
-    /// fails every pending request, each of which retries independently.
-    fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()> {
+    /// Register a parking spot under the request's id, then write the
+    /// frame to the shared connection (callers serialize on the write
+    /// lock, one whole frame each).
+    fn start(&self, ep: &Endpoint, frame: &Frame) -> Result<InFlight, ()> {
         let chan = self.channel(ep)?;
         let req_id = frame.req_id();
         let slot = Slot::new();
@@ -163,6 +162,21 @@ impl Link for MuxLink {
             self.discard(&chan);
             return Err(());
         }
+        Ok(InFlight {
+            req_id,
+            conn: InFlightConn::Mux(chan, slot),
+        })
+    }
+
+    /// A deadline that expires withdraws only this request: the
+    /// connection and every other pending request stay healthy, and a
+    /// late reply to this id is dropped by the reader. A dead channel
+    /// fails every pending request, each of which retries independently.
+    fn finish(&self, ep: &Endpoint, sent: InFlight) -> Result<Frame, ()> {
+        let req_id = sent.req_id;
+        let InFlightConn::Mux(chan, slot) = sent.conn else {
+            unreachable!("a mux link finishes what a mux link started")
+        };
         let mut deadline = Some(Instant::now() + ep.policy.request_timeout);
         let mut reply = slot.reply.lock();
         loop {
@@ -358,35 +372,48 @@ mod tests {
             };
             let obs = ObsSink::enabled(64);
             let client = Arc::new(Core::new(SiteId::new(1), addr, policy, obs.clone(), link));
+            // Once as a whole request, once split-phase as a message
+            // round sends it: the first shed then answers an attempt that
+            // was already on the wire when the retry loop was entered.
+            let gtx = amc_types::GlobalTxnId::new(7);
             let caller = {
                 let client = Arc::clone(&client);
-                std::thread::spawn(move || client.admin(AdminRequest::Ping))
+                std::thread::spawn(move || {
+                    let pong = client.admin(AdminRequest::Ping);
+                    let payload = Payload::Prepare { gtx };
+                    let first = client.start_call(&payload);
+                    (pong, client.finish_call(payload, first))
+                })
             };
-            // Act as the server on one persistent connection: shed the
-            // first two attempts, answer the third.
+            // Act as the server on one persistent connection: of each
+            // request, shed the first two attempts and answer the third.
             let (mut conn, _) = listener.accept().unwrap();
-            for attempt in 0..3 {
+            for attempt in 0..6 {
                 let frame = crate::wire::read_frame(&mut conn).unwrap();
                 let req_id = frame.req_id();
-                let reply = if attempt < 2 {
-                    Frame::ErrorReply {
+                let reply = match frame {
+                    _ if attempt % 3 < 2 => Frame::ErrorReply {
                         req_id,
                         error: AmcError::BufferExhausted,
-                    }
-                } else {
-                    Frame::AdminReply {
+                    },
+                    Frame::Request { .. } => Frame::Reply {
+                        req_id,
+                        payload: Payload::Finished { gtx },
+                    },
+                    _ => Frame::AdminReply {
                         req_id,
                         reply: AdminReply::Pong,
-                    }
+                    },
                 };
                 crate::wire::write_frame(&mut conn, &reply).unwrap();
             }
-            let got = caller.join().unwrap();
-            assert_eq!(got.unwrap(), AdminReply::Pong, "{kind}");
+            let (pong, finished) = caller.join().unwrap();
+            assert_eq!(pong.unwrap(), AdminReply::Pong, "{kind}");
+            assert_eq!(finished.unwrap(), Payload::Finished { gtx }, "{kind}");
             assert_eq!(
                 client.sheds(),
-                2,
-                "{kind}: both shed answers must be counted"
+                4,
+                "{kind}: every shed answer must be counted"
             );
             let shed_attempts: Vec<u32> = obs
                 .snapshot()
@@ -398,7 +425,7 @@ mod tests {
                 .collect();
             assert_eq!(
                 shed_attempts,
-                [1, 2],
+                [1, 2, 1, 2],
                 "{kind}: each shed must be traced as rpc-shed with its attempt"
             );
         }

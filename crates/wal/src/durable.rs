@@ -259,13 +259,13 @@ impl DurableFile {
     ///
     /// # Panics
     /// On I/O failure.
-    pub fn rewrite(&mut self, frames: &[Vec<u8>]) {
+    pub fn rewrite(&mut self, frames: impl IntoIterator<Item = impl AsRef<[u8]>>) {
         self.offsets.clear();
         self.end = 0;
         self.physically_truncate(0)
             .unwrap_or_else(|e| panic!("WAL rewrite of {}: {e}", self.path.display()));
         for f in frames {
-            self.append(f);
+            self.append(f.as_ref());
         }
         self.sync();
     }

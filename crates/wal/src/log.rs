@@ -8,7 +8,7 @@
 //! Force counts are tracked for experiment E4 (log-write complexity per
 //! protocol, cf. [ML 83] in the paper's related work).
 
-use crate::durable::DurableFile;
+use crate::durable::{DurableFile, FRAME_HEADER};
 use crate::record::LogRecord;
 use amc_obs::{EventKind, ObsSink};
 use amc_types::{AmcResult, Lsn, SiteId};
@@ -33,6 +33,61 @@ pub struct LogStats {
     pub batched_commits: u64,
 }
 
+/// Bytes one segment of the stable prefix holds before the next is opened.
+const SEGMENT_BYTES: usize = 64 * 1024;
+
+/// The stable prefix: whole frames, concatenated into fixed-size
+/// segments. A log that is never truncated then grows by one modest
+/// allocation per segment — not by one per frame plus an ever larger
+/// table of them to reallocate. Frames carry their own length (see
+/// [`crate::durable`]), so a segment needs no index.
+#[derive(Debug, Default)]
+struct Frames {
+    segments: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl Frames {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, frame: &[u8]) {
+        match self.segments.last_mut() {
+            Some(seg) if seg.len() + frame.len() <= seg.capacity() => seg.extend_from_slice(frame),
+            _ => {
+                let mut seg = Vec::with_capacity(SEGMENT_BYTES.max(frame.len()));
+                seg.extend_from_slice(frame);
+                self.segments.push(seg);
+            }
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.segments.iter().flat_map(|seg| {
+            let mut rest = seg.as_slice();
+            std::iter::from_fn(move || {
+                let header: [u8; 4] = rest.get(..4)?.try_into().expect("4 bytes");
+                let (frame, tail) =
+                    rest.split_at(FRAME_HEADER + u32::from_le_bytes(header) as usize);
+                rest = tail;
+                Some(frame)
+            })
+        })
+    }
+}
+
+impl<'a> FromIterator<&'a [u8]> for Frames {
+    fn from_iter<I: IntoIterator<Item = &'a [u8]>>(frames: I) -> Self {
+        let mut out = Frames::default();
+        for frame in frames {
+            out.push(frame);
+        }
+        out
+    }
+}
+
 /// An append-only write-ahead log with a volatile tail.
 ///
 /// By default the "stable" prefix lives only in memory (the simulator's
@@ -45,7 +100,7 @@ pub struct LogStats {
 #[derive(Debug, Default)]
 pub struct LogManager {
     /// Durable frames, in LSN order; the first frame has LSN `truncated + 1`.
-    stable: Vec<Vec<u8>>,
+    stable: Frames,
     /// Volatile frames not yet forced.
     tail: Vec<Vec<u8>>,
     /// Records reclaimed from the front (see [`LogManager::truncate_before`]).
@@ -93,7 +148,7 @@ impl LogManager {
             log.stats.stable_records += 1;
             log.stats.stable_bytes += frame.len() as u64;
         }
-        log.stable = frames;
+        log.stable = frames.iter().map(Vec::as_slice).collect();
         if dropped_checkpoints {
             // Keep the file frame-for-frame identical to the in-memory
             // stable prefix (torn-tail truncation indexes rely on it).
@@ -169,7 +224,7 @@ impl LogManager {
             if let Some(sink) = self.sink.as_mut() {
                 sink.append(&frame);
             }
-            self.stable.push(frame);
+            self.stable.push(&frame);
         }
         // One physical fsync per acknowledged force, however many frames
         // it carried — the cost group commit amortizes.
@@ -245,7 +300,7 @@ impl LogManager {
         for frame in self.tail.drain(..keep) {
             self.stats.stable_records += 1;
             self.stats.stable_bytes += frame.len() as u64;
-            self.stable.push(frame);
+            self.stable.push(&frame);
         }
         if torn {
             if let Some(mut frame) = self.tail.first().cloned() {
@@ -255,7 +310,7 @@ impl LogManager {
                     *last ^= 0xFF;
                 }
                 self.stats.stable_bytes += frame.len() as u64;
-                self.stable.push(frame);
+                self.stable.push(&frame);
             }
         }
         self.tail.clear();
@@ -268,7 +323,7 @@ impl LogManager {
     /// directly instead of going through appends.
     fn mirror_stable(&mut self) {
         if let Some(sink) = self.sink.as_mut() {
-            sink.rewrite(&self.stable);
+            sink.rewrite(self.stable.iter());
         }
     }
 
@@ -290,7 +345,7 @@ impl LogManager {
         match first_bad {
             None => Ok(false),
             Some(i) if i + 1 == self.stable.len() => {
-                self.stable.pop();
+                self.stable = self.stable.iter().take(i).collect();
                 if let Some(sink) = self.sink.as_mut() {
                     sink.truncate_frames(i);
                 }
@@ -308,10 +363,12 @@ impl LogManager {
     /// current stable prefix) by flipping its final byte. Used to exercise
     /// the mid-log-corruption-is-fatal path.
     pub fn corrupt_stable(&mut self, idx: usize) {
-        if let Some(frame) = self.stable.get_mut(idx) {
-            if let Some(last) = frame.last_mut() {
+        if idx < self.stable.len() {
+            let mut frames: Vec<Vec<u8>> = self.stable.iter().map(<[u8]>::to_vec).collect();
+            if let Some(last) = frames[idx].last_mut() {
                 *last ^= 0xFF;
             }
+            self.stable = frames.iter().map(Vec::as_slice).collect();
             self.mirror_stable();
         }
     }
@@ -348,12 +405,12 @@ impl LogManager {
     /// after a checkpoint with no transaction active across it.
     pub fn truncate_before(&mut self, lsn: Lsn) {
         let keep_from = lsn.raw().saturating_sub(self.truncated + 1) as usize;
-        if keep_from == 0 || self.stable.is_empty() {
+        if keep_from == 0 || self.stable.len() == 0 {
             return;
         }
         let keep_from = keep_from.min(self.stable.len());
         self.truncated += keep_from as u64;
-        self.stable.drain(..keep_from);
+        self.stable = self.stable.iter().skip(keep_from).collect();
         self.mirror_stable();
     }
 
@@ -465,6 +522,33 @@ mod tests {
         assert_eq!(log.truncated(), 3);
         assert!(log.stable_records().unwrap().is_empty());
         assert_eq!(log.head(), Lsn::new(3));
+    }
+
+    #[test]
+    fn stable_prefix_spans_segments_in_lsn_order() {
+        let mut log = LogManager::new();
+        let n = 3 * (SEGMENT_BYTES / begin(0).encode().len()) as u64;
+        for i in 1..=n {
+            log.append(&begin(i));
+            if i % 7 == 0 {
+                log.force();
+            }
+        }
+        log.force();
+        assert!(log.stable.segments.len() >= 3, "the log must roll over");
+        let records = log.stable_records().unwrap();
+        assert_eq!(records.len() as u64, n);
+        for (i, (lsn, record)) in records.iter().enumerate() {
+            assert_eq!(
+                (*lsn, record),
+                (Lsn::new(i as u64 + 1), &begin(i as u64 + 1))
+            );
+        }
+        // Reclaiming a prefix that ends mid-segment keeps the rest intact.
+        log.truncate_before(Lsn::new(n / 2));
+        let kept = log.stable_records().unwrap();
+        assert_eq!(kept.first().unwrap(), &(Lsn::new(n / 2), begin(n / 2)));
+        assert_eq!(kept.last().unwrap(), &(Lsn::new(n), begin(n)));
     }
 
     #[test]

@@ -98,9 +98,6 @@ fn operators_guide_is_cross_linked() {
     }
     let ops = std::fs::read_to_string(root.join("OPERATORS.md")).expect("OPERATORS.md");
     for back in ["EXPERIMENTS.md", "bench_report.txt"] {
-        assert!(
-            ops.contains(back),
-            "OPERATORS.md does not reference {back}"
-        );
+        assert!(ops.contains(back), "OPERATORS.md does not reference {back}");
     }
 }

@@ -307,3 +307,56 @@ fn read_only_participant_needs_no_undo_on_abort() {
         "no undo message: the read-only commit has no effects to invert"
     );
 }
+
+/// The threaded `Federation` hands a round's sends to the transport
+/// together, but records each exchange as a (request, reply) pair in
+/// emission order — over the serial in-process transport, exactly the
+/// sequence it recorded when it made the calls one by one.
+#[test]
+fn threaded_federation_records_rounds_as_request_reply_pairs() {
+    let goldens = [
+        (
+            ProtocolKind::TwoPhaseCommit,
+            "[t+0us] site-0 -> site-1: submit(G1)\n\
+             [t+0us] site-1 -> site-0: ready(G1)\n\
+             [t+0us] site-0 -> site-2: submit(G1)\n\
+             [t+0us] site-2 -> site-0: ready(G1)\n\
+             [t+0us] site-0 -> site-1: prepare(G1)\n\
+             [t+0us] site-1 -> site-0: ready(G1)\n\
+             [t+0us] site-0 -> site-2: prepare(G1)\n\
+             [t+0us] site-2 -> site-0: ready(G1)\n\
+             [t+0us] site-0 -> site-1: commit(G1)\n\
+             [t+0us] site-1 -> site-0: finished(G1)\n\
+             [t+0us] site-0 -> site-2: commit(G1)\n\
+             [t+0us] site-2 -> site-0: finished(G1)\n",
+        ),
+        (
+            ProtocolKind::CommitAfter,
+            "[t+0us] site-0 -> site-1: submit(G1)\n\
+             [t+0us] site-1 -> site-0: ready(G1)\n\
+             [t+0us] site-0 -> site-2: submit(G1)\n\
+             [t+0us] site-2 -> site-0: ready(G1)\n\
+             [t+0us] site-0 -> site-1: commit(G1)\n\
+             [t+0us] site-1 -> site-0: finished(G1)\n\
+             [t+0us] site-0 -> site-2: commit(G1)\n\
+             [t+0us] site-2 -> site-0: finished(G1)\n",
+        ),
+        (
+            ProtocolKind::CommitBefore,
+            "[t+0us] site-0 -> site-1: submit(G1)\n\
+             [t+0us] site-1 -> site-0: ready(G1)\n\
+             [t+0us] site-0 -> site-2: submit(G1)\n\
+             [t+0us] site-2 -> site-0: ready(G1)\n",
+        ),
+    ];
+    for (protocol, golden) in goldens {
+        let mut fed = amc::core::Federation::new(FederationConfig::uniform(2, protocol));
+        fed.set_recording(true, true);
+        for s in 1..=2u32 {
+            fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))])
+                .unwrap();
+        }
+        fed.run_transaction(&transfer()).unwrap();
+        assert_eq!(fed.trace().render(), golden, "{protocol:?}");
+    }
+}

@@ -427,6 +427,74 @@ fn event_server_closes_a_stalled_reader_instead_of_buffering_without_bound() {
     srv.shutdown();
 }
 
+/// A peer that hangs up while a worker still holds its reply: the worker
+/// answers into a closed connection without panicking, and the loop drops
+/// the connection once that last in-flight request is accounted for.
+#[test]
+fn event_server_drops_a_peer_that_left_before_its_reply() {
+    let site = SiteId::new(1);
+    let srv = EventServer::spawn(
+        site,
+        manager(site, Duration::from_secs(10)),
+        SubmitMode::TwoPhase,
+        "127.0.0.1:0",
+        ObsSink::disabled(),
+    )
+    .expect("bind loopback");
+    let submit = |gtx: u64| Frame::Request {
+        req_id: gtx,
+        payload: Payload::Submit {
+            gtx: GlobalTxnId::new(gtx),
+            ops: vec![Operation::Increment {
+                obj: obj(1, 0),
+                delta: 1,
+            }],
+        },
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+
+    // The holder's submit keeps its page lock until the decision...
+    let mut holder = TcpStream::connect(srv.addr()).unwrap();
+    holder
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    write_frame(&mut holder, &submit(1)).unwrap();
+    read_until(&mut holder, deadline);
+    // ...so the leaver's submit wedges a worker, and the leaver hangs up
+    // on it.
+    let mut leaver = TcpStream::connect(srv.addr()).unwrap();
+    write_frame(&mut leaver, &submit(2)).unwrap();
+    while srv.stats().dispatched < 2 {
+        assert!(Instant::now() < deadline, "{:?}", srv.stats());
+        std::thread::yield_now();
+    }
+    drop(leaver);
+    // Release the lock: the wedged worker finishes and answers nobody.
+    write_frame(
+        &mut holder,
+        &Frame::Request {
+            req_id: 3,
+            payload: Payload::Decision {
+                gtx: GlobalTxnId::new(1),
+                verdict: amc::types::GlobalVerdict::Abort,
+            },
+        },
+    )
+    .unwrap();
+    read_until(&mut holder, deadline);
+    drop(holder);
+    while srv.stats().current_connections > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "connection leaked: {:?}",
+            srv.stats()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(srv.stats().dispatched, 3);
+    srv.shutdown();
+}
+
 // ------------------------------------------------------ mux end-to-end --
 
 /// Hammer the mux client's timeout path: a server whose reply delays
@@ -478,16 +546,20 @@ fn mux_client_survives_short_timeouts_racing_delayed_replies() {
                                 Err(_) => return,
                             };
                             let req_id = frame.req_id();
+                            let reply = match frame {
+                                Frame::Request { payload, .. } => Frame::Reply {
+                                    req_id,
+                                    payload: Payload::Finished { gtx: payload.gtx() },
+                                },
+                                _ => Frame::AdminReply {
+                                    req_id,
+                                    reply: AdminReply::Pong,
+                                },
+                            };
                             let write_half = &write_half;
                             replies.spawn(move || {
                                 std::thread::sleep(Duration::from_millis(2 + (req_id * 7) % 25));
-                                let _ = write_frame(
-                                    &mut *write_half.lock().unwrap(),
-                                    &Frame::AdminReply {
-                                        req_id,
-                                        reply: AdminReply::Pong,
-                                    },
-                                );
+                                let _ = write_frame(&mut *write_half.lock().unwrap(), &reply);
                             });
                         });
                     });
@@ -520,8 +592,30 @@ fn mux_client_survives_short_timeouts_racing_delayed_replies() {
             });
         }
     });
+    // The same race through split-phase rounds: both of a round's
+    // requests are in flight together, and a send whose first attempt
+    // timed out retries inside its own finish while the other's reply
+    // waits in its slot.
+    let sites = [SiteId::new(1), SiteId::new(2)];
+    let addrs = sites.iter().map(|&s| (s, addr)).collect();
+    let transport = TcpTransport::new_mux(addrs, policy, ObsSink::disabled());
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let transport = &transport;
+            scope.spawn(move || {
+                for i in 0..20 {
+                    let gtx = GlobalTxnId::new(1 + t * 100 + i);
+                    let round = sites.map(|s| (s, Payload::Prepare { gtx })).to_vec();
+                    for reply in transport.call_round(round) {
+                        assert_eq!(reply.expect("eventually served"), Payload::Finished { gtx });
+                    }
+                }
+            });
+        }
+    });
     stop.store(true, Ordering::Relaxed);
     drop(client); // closes the socket; the connection handler sees EOF
+    drop(transport);
     server.join().unwrap();
 }
 

@@ -66,8 +66,7 @@ fn per_seed_streams_replay_bit_for_bit() {
             .map(|seed| fingerprint(&MixGen::new(kind, MixSpec::default(), seed).programs(80)))
             .collect();
         for seed in 0..4u64 {
-            let again =
-                fingerprint(&MixGen::new(kind, MixSpec::default(), seed).programs(80));
+            let again = fingerprint(&MixGen::new(kind, MixSpec::default(), seed).programs(80));
             assert_eq!(fps[seed as usize], again, "{kind:?} seed {seed} diverged");
         }
         for a in 0..4 {
@@ -213,7 +212,11 @@ fn tcp_runtime_replays_the_same_stream_and_conserves() {
     let spec = hot_spec();
     let programs = MixGen::new(MixKind::HotKey, spec.clone(), 0xD0).programs(150);
     let des_fp = fingerprint(&MixGen::new(MixKind::HotKey, spec.clone(), 0xD0).programs(150));
-    assert_eq!(fingerprint(&programs), des_fp, "runtimes fed different streams");
+    assert_eq!(
+        fingerprint(&programs),
+        des_fp,
+        "runtimes fed different streams"
+    );
 
     let (fed, servers) =
         tcp_federation(ProtocolKind::CommitBefore, ConflictPolicy::Semantic, &spec);
@@ -224,7 +227,11 @@ fn tcp_runtime_replays_the_same_stream_and_conserves() {
     let m = fed.run_concurrent(batch, 4);
     assert!(m.committed > 0, "nothing committed over TCP");
     let _ = fed.resolve_pending();
-    assert_eq!(counter_sum(&fed), spec.initial_sum(), "sum drifted over TCP");
+    assert_eq!(
+        counter_sum(&fed),
+        spec.initial_sum(),
+        "sum drifted over TCP"
+    );
     drop(fed);
     for srv in servers {
         srv.shutdown();
