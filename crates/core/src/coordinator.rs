@@ -11,9 +11,11 @@
 //! and 6: `Running → Inquiring → WaitingToCommit/WaitingToAbort →
 //! Committed/Aborted`.
 
+use amc_net::Payload;
 use amc_obs::{EventKind, ObsSink};
 use amc_types::{
-    GlobalPhase, GlobalTxnId, GlobalVerdict, LocalVote, Operation, ProtocolKind, SiteId,
+    AmcError, AmcResult, GlobalPhase, GlobalTxnId, GlobalVerdict, LocalVote, Operation,
+    ProtocolKind, SiteId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,9 +36,34 @@ pub enum CoordEvent {
         /// Acknowledging site.
         site: SiteId,
     },
+    /// The driver stopped waiting for `site` in this round (it is down, or
+    /// the link to it failed). Before the decision that is an abort with
+    /// the site's vote left unknown; after it the site simply stays
+    /// outstanding.
+    Unreachable {
+        /// The silent site.
+        site: SiteId,
+    },
     /// Retransmission timer fired (the driver decides the cadence; the
     /// machine re-emits whatever is still outstanding).
     Timer,
+}
+
+impl CoordEvent {
+    /// What `site`'s answer to a coordinator message — or the failure to
+    /// get one — means to the machine. An outage is an event; any other
+    /// error, or a reply no participant should send, is the caller's.
+    pub fn from_reply(site: SiteId, reply: AmcResult<Payload>) -> AmcResult<Self> {
+        match reply {
+            Ok(Payload::Vote { vote, .. }) => Ok(CoordEvent::Vote { site, vote }),
+            Ok(Payload::Finished { .. }) => Ok(CoordEvent::Finished { site }),
+            Ok(other) => Err(AmcError::Protocol(format!("unexpected reply {other}"))),
+            Err(AmcError::SiteDown(_)) | Err(AmcError::TransientIo(_)) => {
+                Ok(CoordEvent::Unreachable { site })
+            }
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// Output of the state machine.
@@ -47,7 +74,7 @@ pub enum CoordAction {
         /// Destination.
         site: SiteId,
         /// Message.
-        payload: amc_net::Payload,
+        payload: Payload,
     },
     /// The global decision has been made (emitted exactly once).
     Decided(GlobalVerdict),
@@ -110,7 +137,7 @@ pub struct Coordinator {
     round: Round,
     votes: BTreeMap<SiteId, Option<LocalVote>>,
     /// Sites we expect a `finished` from, with the payload to retransmit.
-    pending_finish: BTreeMap<SiteId, amc_net::Payload>,
+    pending_finish: BTreeMap<SiteId, Payload>,
     /// Commit-before abort only: sites whose final state was unknown when
     /// the decision fell. §3.3: the coordinator keeps inquiring — a site
     /// that turns out to have committed still needs its undo.
@@ -120,7 +147,8 @@ pub struct Coordinator {
     backoff: BTreeMap<SiteId, Backoff>,
     /// 1PC vote piggyback (2PC only): the work dispatch carries the
     /// prepare, the submit replies are the votes, and the separate prepare
-    /// round disappears.
+    /// round disappears. With one participant the dispatch is `solo` and
+    /// `protocol` is commit-before from then on.
     piggyback: bool,
     verdict: Option<GlobalVerdict>,
     obs: ObsSink,
@@ -167,6 +195,13 @@ impl Coordinator {
     /// Retransmission is unchanged: a silent site is re-inquired with
     /// `Prepare`, which the managers answer idempotently from the durable
     /// prepared state (or presume abort if the dispatch never arrived).
+    ///
+    /// A transaction with **one** participant needs no global round at
+    /// all: its dispatch is marked `solo`, the site commits locally at
+    /// once through its commit-before machinery (forward marker, captured
+    /// inverses, journal), and this machine is a commit-before coordinator
+    /// of one — a ready vote is the commit, a lost reply is inquired about
+    /// and undone if the site had committed (§3.3).
     pub fn with_piggyback(mut self) -> Self {
         debug_assert_eq!(
             self.protocol,
@@ -174,6 +209,9 @@ impl Coordinator {
             "piggyback is a 2PC fast path"
         );
         self.piggyback = true;
+        if self.programs.len() == 1 {
+            self.protocol = ProtocolKind::CommitBefore;
+        }
         self
     }
 
@@ -184,7 +222,18 @@ impl Coordinator {
     }
 
     fn emit(&self, kind: EventKind) {
-        self.obs.emit(Some(self.gtx), SiteId::new(0), kind);
+        self.obs.emit(Some(self.gtx), SiteId::CENTRAL, kind);
+    }
+
+    /// The protocol this machine runs: the one it was built with, except
+    /// that a solo fast-path transaction runs commit-before.
+    pub fn protocol(&self) -> ProtocolKind {
+        self.protocol
+    }
+
+    /// The operations shipped to `site` (empty for a non-participant).
+    pub fn program(&self, site: SiteId) -> &[Operation] {
+        self.programs.get(&site).map_or(&[], Vec::as_slice)
     }
 
     /// This coordinator's transaction.
@@ -220,8 +269,10 @@ impl Coordinator {
         self.round == Round::Done
     }
 
-    /// Rebuild a coordinator after a **central-system crash** (the
-    /// coordinator-side half of crash recovery, cf. [Ske 81]):
+    /// Restart this coordinator after a **central-system crash** (the
+    /// coordinator-side half of crash recovery, cf. [Ske 81]): everything
+    /// volatile is forgotten; the programs and the piggyback choice come
+    /// from construction.
     ///
     /// * `Some(verdict)` — the decision had been forced to the central log
     ///   before the crash: resume the finish round and re-drive every
@@ -232,36 +283,29 @@ impl Coordinator {
     ///   undoes late "committed" answers, the decision-holding protocols
     ///   ship the abort to everyone.
     ///
-    /// Returns the rebuilt machine plus the actions to perform immediately.
-    pub fn resume(
-        gtx: GlobalTxnId,
-        protocol: ProtocolKind,
-        programs: BTreeMap<SiteId, Vec<Operation>>,
-        logged_verdict: Option<GlobalVerdict>,
-    ) -> (Self, Vec<CoordAction>) {
-        let mut c = Coordinator::new(gtx, protocol, programs);
-        let actions = match logged_verdict {
-            Some(GlobalVerdict::Commit) => {
-                // A commit was decided, so every participant had voted yes;
-                // whether any was read-only is lost with the crash — assume
-                // not and re-drive everyone (duplicates are absorbed).
-                for slot in c.votes.values_mut() {
-                    *slot = Some(LocalVote::Ready);
-                }
-                c.decide(GlobalVerdict::Commit)
-            }
-            // Aborts (logged or presumed): votes unknown — `decide` sends
-            // the abort / inquires as the protocol requires.
-            _ => c.decide(GlobalVerdict::Abort),
-        };
+    /// A driver whose replicated decision log overrules the verdict this
+    /// machine reached calls this too: the log wins, as after a crash.
+    ///
+    /// Returns the actions to perform immediately.
+    pub fn resume(&mut self, logged_verdict: Option<GlobalVerdict>) -> Vec<CoordAction> {
+        self.verdict = None;
+        self.pending_finish.clear();
+        self.awaiting_final_state.clear();
+        // A decided commit means every participant had voted yes; whether
+        // any was read-only is lost with the crash — assume not and
+        // re-drive everyone (duplicates are absorbed). Aborts (logged or
+        // presumed): votes unknown — `decide` sends the abort / inquires
+        // as the protocol requires.
+        let verdict = logged_verdict.unwrap_or(GlobalVerdict::Abort);
+        let vote = (verdict == GlobalVerdict::Commit).then_some(LocalVote::Ready);
+        self.votes.values_mut().for_each(|slot| *slot = vote);
         // Drop the duplicate `Decided` marker: the decision (if any) was
         // already counted before the crash, and a presumed abort is
         // reported through `Done`.
-        let actions = actions
+        self.decide(verdict)
             .into_iter()
             .filter(|a| !matches!(a, CoordAction::Decided(_)))
-            .collect();
-        (c, actions)
+            .collect()
     }
 
     /// Feed one event; interpret the returned actions.
@@ -270,6 +314,7 @@ impl Coordinator {
             CoordEvent::Start => self.start(),
             CoordEvent::Vote { site, vote } => self.on_vote(site, vote),
             CoordEvent::Finished { site } => self.on_finished(site),
+            CoordEvent::Unreachable { site } => self.on_unreachable(site),
             CoordEvent::Timer => self.on_timer(),
         }
     }
@@ -281,13 +326,13 @@ impl Coordinator {
             .map(|(site, ops)| CoordAction::Send {
                 site: *site,
                 payload: if self.piggyback {
-                    amc_net::Payload::SubmitPrepare {
+                    Payload::SubmitPrepare {
                         gtx: self.gtx,
                         ops: ops.clone(),
-                        solo: false,
+                        solo: self.programs.len() == 1,
                     }
                 } else {
-                    amc_net::Payload::Submit {
+                    Payload::Submit {
                         gtx: self.gtx,
                         ops: ops.clone(),
                     }
@@ -337,7 +382,7 @@ impl Coordinator {
                     .keys()
                     .map(|site| CoordAction::Send {
                         site: *site,
-                        payload: amc_net::Payload::Prepare { gtx: self.gtx },
+                        payload: Payload::Prepare { gtx: self.gtx },
                     })
                     .collect()
             }
@@ -365,7 +410,7 @@ impl Coordinator {
                 // participant that already aborted locally tolerates the
                 // duplicate abort (§3.2's state diagram).
                 (ProtocolKind::TwoPhaseCommit, v) | (ProtocolKind::CommitAfter, v) => {
-                    Some(amc_net::Payload::Decision {
+                    Some(Payload::Decision {
                         gtx: self.gtx,
                         verdict: v,
                     })
@@ -379,7 +424,7 @@ impl Coordinator {
                 // Sites with *unknown* final state must be inquired until
                 // they answer — a silent site may have committed (§3.3).
                 (ProtocolKind::CommitBefore, GlobalVerdict::Abort) => match voted {
-                    Some(LocalVote::Ready) => Some(amc_net::Payload::Undo {
+                    Some(LocalVote::Ready) => Some(Payload::Undo {
                         gtx: self.gtx,
                         inverse_ops: Vec::new(),
                     }),
@@ -390,12 +435,12 @@ impl Coordinator {
                         self.awaiting_final_state.insert(*site);
                         self.obs.emit(
                             Some(self.gtx),
-                            SiteId::new(0),
+                            SiteId::CENTRAL,
                             EventKind::Inquiry { to: *site },
                         );
                         actions.push(CoordAction::Send {
                             site: *site,
-                            payload: amc_net::Payload::Prepare { gtx: self.gtx },
+                            payload: Payload::Prepare { gtx: self.gtx },
                         });
                         None
                     }
@@ -430,7 +475,7 @@ impl Coordinator {
         self.emit(EventKind::Vote { from: site, vote });
         let mut actions = Vec::new();
         if vote == LocalVote::Ready {
-            let payload = amc_net::Payload::Undo {
+            let payload = Payload::Undo {
                 gtx: self.gtx,
                 inverse_ops: Vec::new(),
             };
@@ -461,78 +506,76 @@ impl Coordinator {
         Vec::new()
     }
 
-    /// Retransmit outstanding messages. In the work/prepare rounds the
-    /// missing piece is a vote: re-inquire with `Prepare` (the paper's
-    /// post-recovery inquiry — the managers answer from durable state). In
-    /// the finish round, re-send the decision — except that a commit-after
-    /// **commit** is retransmitted as `Redo` carrying the operations, since
-    /// a crashed site may have lost the running transaction and needs the
-    /// program to repeat it (§3.2) — and re-inquire every site whose final
-    /// state is still unknown after a commit-before abort: losing either
-    /// the one-shot inquiry or its answer must not end the inquiry (§3.3).
-    ///
-    /// Retransmissions back off per site: the first timer after a send
-    /// retransmits immediately (fast recovery from a single lost message),
-    /// then the gap doubles up to [`BACKOFF_CAP_TICKS`] ticks, so a long
-    /// partition costs O(log + ticks/cap) sends per site instead of one
-    /// per tick. Any answer from the site resets its backoff.
-    fn on_timer(&mut self) -> Vec<CoordAction> {
-        // What is outstanding, and what would we send each site?
-        let targets: Vec<(SiteId, amc_net::Payload, bool)> = match self.round {
+    /// The driver gave up on `site` for this round. A site that cannot be
+    /// heard cannot promise anything, so before the decision this aborts —
+    /// with the site's vote left *unknown*, which `decide` already handles:
+    /// the abort travels to it (2PC, commit-after) or it is inquired and,
+    /// had it committed, undone (commit-before, §3.3's crash race). After
+    /// the decision nothing changes: the site stays outstanding.
+    fn on_unreachable(&mut self, site: SiteId) -> Vec<CoordAction> {
+        let collecting = matches!(self.round, Round::Work | Round::Prepare);
+        if collecting && self.votes.get(&site) == Some(&None) {
+            return self.decide(GlobalVerdict::Abort);
+        }
+        Vec::new()
+    }
+
+    /// Every site this machine still waits for, with the message that asks
+    /// it again. In the work/prepare rounds the missing piece is a vote:
+    /// re-inquire with `Prepare` (the paper's post-recovery inquiry — the
+    /// managers answer from durable state). In the finish round, re-send
+    /// the decision — except that a commit-after **commit** is
+    /// retransmitted as `Redo` carrying the operations, since a crashed
+    /// site may have lost the running transaction and needs the program to
+    /// repeat it (§3.2) — and re-inquire every site whose final state is
+    /// still unknown after a commit-before abort: losing either the
+    /// one-shot inquiry or its answer must not end the inquiry (§3.3).
+    pub fn outstanding(&self) -> Vec<(SiteId, Payload)> {
+        let inquiry = |site: &SiteId| (*site, Payload::Prepare { gtx: self.gtx });
+        match self.round {
             Round::Work | Round::Prepare => self
                 .votes
                 .iter()
                 .filter(|(_, v)| v.is_none())
-                .map(|(site, _)| {
-                    (
-                        *site,
-                        amc_net::Payload::Prepare { gtx: self.gtx },
-                        true, // an inquiry
-                    )
-                })
+                .map(|(site, _)| inquiry(site))
                 .collect(),
             Round::Finish => self
                 .pending_finish
                 .iter()
                 .map(|(site, payload)| {
                     let payload = match (self.protocol, self.verdict) {
-                        (ProtocolKind::CommitAfter, Some(GlobalVerdict::Commit)) => {
-                            amc_net::Payload::Redo {
-                                gtx: self.gtx,
-                                ops: self.programs[site].clone(),
-                            }
-                        }
+                        (ProtocolKind::CommitAfter, Some(GlobalVerdict::Commit)) => Payload::Redo {
+                            gtx: self.gtx,
+                            ops: self.programs[site].clone(),
+                        },
                         _ => payload.clone(),
                     };
-                    (*site, payload, false)
+                    (*site, payload)
                 })
-                .chain(
-                    self.awaiting_final_state
-                        .iter()
-                        .map(|site| (*site, amc_net::Payload::Prepare { gtx: self.gtx }, true)),
-                )
+                .chain(self.awaiting_final_state.iter().map(inquiry))
                 .collect(),
             Round::Done => Vec::new(),
-        };
+        }
+    }
+
+    /// Retransmit what is [`outstanding`](Self::outstanding), backing off
+    /// per site: the first timer after a send retransmits immediately
+    /// (fast recovery from a single lost message), then the gap doubles up
+    /// to [`BACKOFF_CAP_TICKS`] ticks, so a long partition costs
+    /// O(log + ticks/cap) sends per site instead of one per tick. Any
+    /// answer from the site resets its backoff.
+    fn on_timer(&mut self) -> Vec<CoordAction> {
         let mut actions = Vec::new();
-        for (site, payload, is_inquiry) in targets {
-            let due = {
-                let gtx = self.gtx;
-                let slot = self.backoff.entry(site).or_default();
-                if slot.ticks_left > 0 {
-                    slot.ticks_left -= 1;
-                    false
-                } else {
-                    slot.misses += 1;
-                    let base = (1u32 << slot.misses.min(6)).min(BACKOFF_CAP_TICKS);
-                    slot.ticks_left = base + backoff_jitter(gtx, site, slot.misses, base);
-                    true
-                }
-            };
-            if !due {
+        for (site, payload) in self.outstanding() {
+            let slot = self.backoff.entry(site).or_default();
+            if slot.ticks_left > 0 {
+                slot.ticks_left -= 1;
                 continue;
             }
-            if is_inquiry {
+            slot.misses += 1;
+            let base = (1u32 << slot.misses.min(6)).min(BACKOFF_CAP_TICKS);
+            slot.ticks_left = base + backoff_jitter(self.gtx, site, slot.misses, base);
+            if matches!(payload, Payload::Prepare { .. }) {
                 self.emit(EventKind::Inquiry { to: site });
             }
             actions.push(CoordAction::Send { site, payload });
@@ -544,7 +587,6 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_net::Payload;
     use amc_types::Value;
 
     fn gtx() -> GlobalTxnId {
@@ -567,6 +609,18 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// A coordinator restarted after a central crash that left `logged`
+    /// in the decision log, and what it does first.
+    fn resumed(
+        protocol: ProtocolKind,
+        sites: &[u32],
+        logged: Option<GlobalVerdict>,
+    ) -> (Coordinator, Vec<CoordAction>) {
+        let mut c = Coordinator::new(gtx(), protocol, programs(sites));
+        let actions = c.resume(logged);
+        (c, actions)
     }
 
     fn sends(actions: &[CoordAction]) -> Vec<(SiteId, &'static str)> {
@@ -688,6 +742,266 @@ mod tests {
         });
         let a = c.on_event(CoordEvent::Timer);
         assert_eq!(sends(&a), vec![(site(2), "prepare")]);
+    }
+
+    fn vote(c: &mut Coordinator, s: u32, vote: LocalVote) -> Vec<CoordAction> {
+        c.on_event(CoordEvent::Vote {
+            site: site(s),
+            vote,
+        })
+    }
+
+    fn unreachable(c: &mut Coordinator, s: u32) -> Vec<CoordAction> {
+        c.on_event(CoordEvent::Unreachable { site: site(s) })
+    }
+
+    #[test]
+    fn unreachable_in_the_work_round_aborts_with_the_vote_left_unknown() {
+        // Site 1 voted ready, site 2 cannot be reached. The abort goes to
+        // the silent site too (2PC, commit-after: it may hold a running or
+        // prepared transaction); commit-before undoes the site that
+        // committed and *inquires* the silent one — it may have committed.
+        let expected = [
+            (
+                ProtocolKind::TwoPhaseCommit,
+                vec![(site(1), "abort"), (site(2), "abort")],
+            ),
+            (
+                ProtocolKind::CommitAfter,
+                vec![(site(1), "abort"), (site(2), "abort")],
+            ),
+            (
+                ProtocolKind::CommitBefore,
+                vec![(site(1), "undo"), (site(2), "prepare")],
+            ),
+        ];
+        for (protocol, round) in expected {
+            let mut c = Coordinator::new(gtx(), protocol, programs(&[1, 2]));
+            c.on_event(CoordEvent::Start);
+            assert!(vote(&mut c, 1, LocalVote::Ready).is_empty());
+            let a = unreachable(&mut c, 2);
+            assert_eq!(
+                a[0],
+                CoordAction::Decided(GlobalVerdict::Abort),
+                "{protocol}"
+            );
+            assert_eq!(sends(&a[1..]), round, "{protocol}");
+            assert_eq!(c.phase(), GlobalPhase::WaitingToAbort, "{protocol}");
+            // Both sites are still owed something; nothing is faked done.
+            assert_eq!(c.outstanding().len(), 2, "{protocol}");
+            assert!(!c.is_done(), "{protocol}");
+        }
+    }
+
+    #[test]
+    fn unreachable_in_the_prepare_round_aborts_everyone() {
+        // Only 2PC has a prepare round. Site 1 is prepared and in doubt:
+        // it must hear the abort; so must the silent site, whose prepare
+        // may have landed before the link failed.
+        let mut c = Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1, 2]));
+        c.on_event(CoordEvent::Start);
+        vote(&mut c, 1, LocalVote::Ready);
+        let a = vote(&mut c, 2, LocalVote::Ready);
+        assert_eq!(sends(&a), vec![(site(1), "prepare"), (site(2), "prepare")]);
+        assert!(vote(&mut c, 1, LocalVote::Ready).is_empty());
+        assert_eq!(c.phase(), GlobalPhase::Inquiring);
+        let a = unreachable(&mut c, 2);
+        assert_eq!(a[0], CoordAction::Decided(GlobalVerdict::Abort));
+        assert_eq!(sends(&a[1..]), vec![(site(1), "abort"), (site(2), "abort")]);
+        assert_eq!(c.phase(), GlobalPhase::WaitingToAbort);
+        // A site that already voted in this round is not "unreachable".
+        let mut c = Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1, 2]));
+        c.on_event(CoordEvent::Start);
+        vote(&mut c, 1, LocalVote::Ready);
+        assert!(unreachable(&mut c, 1).is_empty());
+        assert!(unreachable(&mut c, 9).is_empty());
+        assert_eq!(c.verdict(), None);
+    }
+
+    #[test]
+    fn unreachable_in_the_finish_round_leaves_the_site_outstanding() {
+        // After the decision an unreachable site changes nothing: no
+        // action, same phase, still owed exactly what it was owed — and
+        // the protocol completes when it finally answers.
+        for protocol in ProtocolKind::ALL {
+            let mut c = Coordinator::new(gtx(), protocol, programs(&[1, 2]));
+            c.on_event(CoordEvent::Start);
+            vote(&mut c, 1, LocalVote::Ready);
+            // An abort, so that commit-before has a finish round too: its
+            // site 1 gets an undo, site 2 (voted no) nothing.
+            vote(&mut c, 2, LocalVote::Aborted);
+            let owed = c.outstanding();
+            assert!(!owed.is_empty(), "{protocol}");
+            assert!(unreachable(&mut c, 1).is_empty(), "{protocol}");
+            assert_eq!(c.phase(), GlobalPhase::WaitingToAbort, "{protocol}");
+            assert_eq!(c.outstanding(), owed, "{protocol}");
+            let mut last = Vec::new();
+            for (s, _) in owed {
+                last = c.on_event(CoordEvent::Finished { site: s });
+            }
+            assert_eq!(
+                last,
+                vec![CoordAction::Done(GlobalVerdict::Abort)],
+                "{protocol}"
+            );
+            assert!(unreachable(&mut c, 1).is_empty(), "{protocol}: done");
+        }
+    }
+
+    #[test]
+    fn outstanding_is_what_the_first_timer_after_a_send_emits() {
+        let first_timer_matches = |c: &mut Coordinator, what: &str| {
+            let owed: Vec<CoordAction> = c
+                .outstanding()
+                .into_iter()
+                .map(|(site, payload)| CoordAction::Send { site, payload })
+                .collect();
+            assert!(!owed.is_empty(), "{what}");
+            assert_eq!(c.on_event(CoordEvent::Timer), owed, "{what}");
+        };
+        for protocol in ProtocolKind::ALL {
+            // Work round: everyone is owed an inquiry.
+            let mut c = Coordinator::new(gtx(), protocol, programs(&[1, 2]));
+            c.on_event(CoordEvent::Start);
+            first_timer_matches(&mut c, &format!("{protocol} work"));
+            // Finish round of a commit (2PC passes its prepare round on the
+            // way; commit-before has no finish round on this path): the
+            // decision, or commit-after's redo carrying the program.
+            vote(&mut c, 1, LocalVote::Ready);
+            vote(&mut c, 2, LocalVote::Ready);
+            if protocol == ProtocolKind::TwoPhaseCommit {
+                first_timer_matches(&mut c, "2pc prepare");
+                vote(&mut c, 1, LocalVote::Ready);
+                vote(&mut c, 2, LocalVote::Ready);
+            }
+            assert_eq!(c.verdict(), Some(GlobalVerdict::Commit), "{protocol}");
+            if protocol != ProtocolKind::CommitBefore {
+                first_timer_matches(&mut c, &format!("{protocol} commit"));
+            }
+            // Finish round of an abort decided on an unknown vote.
+            let mut c = Coordinator::new(gtx(), protocol, programs(&[1, 2]));
+            c.on_event(CoordEvent::Start);
+            vote(&mut c, 1, LocalVote::Ready);
+            unreachable(&mut c, 2);
+            first_timer_matches(&mut c, &format!("{protocol} abort"));
+        }
+        // Done: nothing is owed, the timer is silent.
+        let mut c = Coordinator::new(gtx(), ProtocolKind::CommitBefore, programs(&[1]));
+        c.on_event(CoordEvent::Start);
+        vote(&mut c, 1, LocalVote::Ready);
+        assert!(c.outstanding().is_empty());
+        assert!(c.on_event(CoordEvent::Timer).is_empty());
+    }
+
+    fn solo() -> Coordinator {
+        let mut c =
+            Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1])).with_piggyback();
+        let a = c.on_event(CoordEvent::Start);
+        assert!(
+            matches!(
+                a.as_slice(),
+                [CoordAction::Send {
+                    payload: Payload::SubmitPrepare { solo: true, .. },
+                    ..
+                }]
+            ),
+            "{a:?}"
+        );
+        c
+    }
+
+    #[test]
+    fn solo_fast_path_is_a_commit_before_coordinator_of_one() {
+        // One participant: the dispatch says `solo`, the site commits
+        // locally at once, and the ready vote *is* the commit — two
+        // messages, no decision round.
+        let mut c = solo();
+        assert_eq!(c.protocol(), ProtocolKind::CommitBefore);
+        assert_eq!(
+            vote(&mut c, 1, LocalVote::Ready),
+            vec![
+                CoordAction::Decided(GlobalVerdict::Commit),
+                CoordAction::Done(GlobalVerdict::Commit),
+            ]
+        );
+        assert_eq!(c.phase(), GlobalPhase::Committed);
+        // An abort vote: nothing committed, nothing to send.
+        let mut c = solo();
+        assert_eq!(
+            vote(&mut c, 1, LocalVote::Aborted),
+            vec![
+                CoordAction::Decided(GlobalVerdict::Abort),
+                CoordAction::Done(GlobalVerdict::Abort),
+            ]
+        );
+        // A lost reply: presume abort, but the site may have committed —
+        // inquire, and undo it if so (§3.3's crash race).
+        let mut c = solo();
+        let a = unreachable(&mut c, 1);
+        assert_eq!(a[0], CoordAction::Decided(GlobalVerdict::Abort));
+        assert_eq!(sends(&a[1..]), vec![(site(1), "prepare")]);
+        assert_eq!(c.phase(), GlobalPhase::WaitingToAbort);
+        let a = vote(&mut c, 1, LocalVote::Ready);
+        assert_eq!(sends(&a), vec![(site(1), "undo")]);
+        let a = c.on_event(CoordEvent::Finished { site: site(1) });
+        assert_eq!(a, vec![CoordAction::Done(GlobalVerdict::Abort)]);
+        // With two participants the piggyback stays plain 2PC.
+        let c = Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1, 2]))
+            .with_piggyback();
+        assert_eq!(c.protocol(), ProtocolKind::TwoPhaseCommit);
+    }
+
+    #[test]
+    fn resumed_solo_transaction_inquires_instead_of_shipping_a_bare_abort() {
+        // Central crash before the solo reply was logged: presume abort —
+        // but a bare abort decision would leave a site that had committed
+        // locally committed. The restarted machine asks first.
+        let mut c =
+            Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1])).with_piggyback();
+        let a = c.resume(None);
+        assert_eq!(sends(&a), vec![(site(1), "prepare")]);
+        assert_eq!(c.verdict(), Some(GlobalVerdict::Abort));
+        let a = vote(&mut c, 1, LocalVote::Aborted);
+        assert_eq!(a, vec![CoordAction::Done(GlobalVerdict::Abort)]);
+        // A logged commit needs nothing: the site committed at its vote.
+        let mut c =
+            Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1])).with_piggyback();
+        assert_eq!(
+            c.resume(Some(GlobalVerdict::Commit)),
+            vec![CoordAction::Done(GlobalVerdict::Commit)]
+        );
+    }
+
+    #[test]
+    fn replies_and_failures_map_to_events_in_one_place() {
+        let s = site(3);
+        let event = |reply| CoordEvent::from_reply(s, reply);
+        assert_eq!(
+            event(Ok(Payload::Vote {
+                gtx: gtx(),
+                vote: LocalVote::ReadyReadOnly
+            })),
+            Ok(CoordEvent::Vote {
+                site: s,
+                vote: LocalVote::ReadyReadOnly
+            })
+        );
+        assert_eq!(
+            event(Ok(Payload::Finished { gtx: gtx() })),
+            Ok(CoordEvent::Finished { site: s })
+        );
+        // Outages are events; anything else is an error for the driver.
+        for outage in [AmcError::SiteDown(s), AmcError::TransientIo("reset".into())] {
+            assert_eq!(event(Err(outage)), Ok(CoordEvent::Unreachable { site: s }));
+        }
+        assert!(matches!(
+            event(Err(AmcError::Protocol("rejected".into()))),
+            Err(AmcError::Protocol(_))
+        ));
+        assert!(matches!(
+            event(Ok(Payload::Prepare { gtx: gtx() })),
+            Err(AmcError::Protocol(_))
+        ));
     }
 
     #[test]
@@ -840,8 +1154,7 @@ mod tests {
         // unknown (it never answered the submit). The one-shot inquiry sent
         // at decision time can be lost; every timer must re-ask until the
         // site answers, or a single dropped message wedges the transaction.
-        let (mut c, actions) =
-            Coordinator::resume(gtx(), ProtocolKind::CommitBefore, programs(&[1, 2]), None);
+        let (mut c, actions) = resumed(ProtocolKind::CommitBefore, &[1, 2], None);
         assert_eq!(
             sends(&actions),
             vec![(site(1), "prepare"), (site(2), "prepare")]
@@ -867,8 +1180,7 @@ mod tests {
         // partition that outlives 1000 timer ticks. PR 1 re-inquired every
         // site on every tick — 2000 sends; capped exponential backoff
         // (2, 4, 8, … up to 64 ticks between retries) keeps it sparse.
-        let (mut c, _) =
-            Coordinator::resume(gtx(), ProtocolKind::CommitBefore, programs(&[1, 2]), None);
+        let (mut c, _) = resumed(ProtocolKind::CommitBefore, &[1, 2], None);
         let ticks = 1000usize;
         let mut inquiries = 0usize;
         for _ in 0..ticks {
@@ -994,10 +1306,9 @@ mod tests {
 
     #[test]
     fn resume_with_logged_commit_redrives_participants() {
-        let (mut c, actions) = Coordinator::resume(
-            gtx(),
+        let (mut c, actions) = resumed(
             ProtocolKind::CommitAfter,
-            programs(&[1, 2]),
+            &[1, 2],
             Some(GlobalVerdict::Commit),
         );
         // No duplicate Decided marker; the decision goes back out to every
@@ -1018,16 +1329,14 @@ mod tests {
     #[test]
     fn resume_without_log_presumes_abort() {
         // Commit-before: unknown votes -> inquire everyone.
-        let (c, actions) =
-            Coordinator::resume(gtx(), ProtocolKind::CommitBefore, programs(&[1, 2]), None);
+        let (c, actions) = resumed(ProtocolKind::CommitBefore, &[1, 2], None);
         assert_eq!(c.verdict(), Some(GlobalVerdict::Abort));
         assert_eq!(
             sends(&actions),
             vec![(site(1), "prepare"), (site(2), "prepare")]
         );
         // 2PC: abort decision goes to everyone directly.
-        let (_, actions) =
-            Coordinator::resume(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1, 2]), None);
+        let (_, actions) = resumed(ProtocolKind::TwoPhaseCommit, &[1, 2], None);
         assert_eq!(
             sends(&actions),
             vec![(site(1), "abort"), (site(2), "abort")]
@@ -1036,8 +1345,7 @@ mod tests {
 
     #[test]
     fn resumed_commit_before_abort_undoes_late_committed_answer() {
-        let (mut c, _) =
-            Coordinator::resume(gtx(), ProtocolKind::CommitBefore, programs(&[1, 2]), None);
+        let (mut c, _) = resumed(ProtocolKind::CommitBefore, &[1, 2], None);
         // Site 1 answers the inquiry: it had committed.
         let a = c.on_event(CoordEvent::Vote {
             site: site(1),
@@ -1057,10 +1365,9 @@ mod tests {
 
     #[test]
     fn resume_commit_before_commit_is_immediately_done() {
-        let (c, actions) = Coordinator::resume(
-            gtx(),
+        let (c, actions) = resumed(
             ProtocolKind::CommitBefore,
-            programs(&[1, 2]),
+            &[1, 2],
             Some(GlobalVerdict::Commit),
         );
         // Nothing to re-drive: the locals committed before the decision.

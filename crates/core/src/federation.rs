@@ -26,12 +26,12 @@ use amc_net::transport::{AdminReply, AdminRequest, FederationTransport, InProces
 use amc_net::{Envelope, LocalCommManager, MessageTrace, Payload};
 use amc_paxos::{majority, AcceptorHost, AcceptorTransport, CommitLedger, ReplicaDriver};
 use amc_types::{
-    AbortReason, AmcError, AmcResult, GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation,
+    AbortReason, AmcError, AmcResult, GlobalTxnId, GlobalVerdict, ObjectId, Operation,
     ProtocolKind, SimTime, SiteId, Value,
 };
 use amc_verify::{History, OpEvent};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,18 +67,41 @@ pub struct TxnReport {
     pub messages: u64,
 }
 
-/// A final-state message the coordinator still owes a site that was down
-/// when it was first sent (§3.1: the coordinator must eventually inform
-/// every local system of the decision; §3.2/§3.3 make the retransmission
-/// idempotent through markers).
-#[derive(Debug, Clone)]
-struct PendingObligation {
-    gtx: GlobalTxnId,
-    site: SiteId,
-    payload: Payload,
-    /// The transaction's L1 locks are retained until discharge (§4.3
-    /// strictness: redo/undo obligations are part of the transaction).
-    holds_l1: bool,
+/// One pass of a coordinator through [`Federation::drive`], with what
+/// the pass measures.
+struct Run<'a> {
+    coordinator: Coordinator,
+    /// Replicated coordination (2PC federations that configure it).
+    paxos: Option<PaxosRun<'a>>,
+    /// Messages exchanged in the coordinator's rounds (requests + replies).
+    messages: u64,
+    /// Per site: when its submit was handed to the transport, and when the
+    /// reply that released its L0 locks was processed.
+    l0: BTreeMap<SiteId, (Instant, Option<Instant>)>,
+}
+
+impl<'a> Run<'a> {
+    fn new(coordinator: Coordinator, paxos: Option<PaxosRun<'a>>) -> Self {
+        Run {
+            coordinator,
+            paxos,
+            messages: 0,
+            l0: BTreeMap::new(),
+        }
+    }
+}
+
+/// Paxos Commit bookkeeping of one transaction: the acceptor group, where
+/// the instance set is open, which prepare votes are chosen.
+struct PaxosRun<'a> {
+    px: &'a PaxosCommitConfig,
+    participants: Vec<SiteId>,
+    /// Acceptors that durably acknowledged the registration; `None` until
+    /// the instance set is opened.
+    registered_at: Option<Vec<SiteId>>,
+    ledger: CommitLedger,
+    /// Messages exchanged with the acceptor group.
+    messages: u64,
 }
 
 /// The submit mode a protocol uses on the wire.
@@ -111,7 +134,9 @@ pub struct Federation {
     seq: AtomicU64,
     record_history: bool,
     record_trace: bool,
-    unresolved: Mutex<Vec<PendingObligation>>,
+    /// Coordinators that decided but still owe an unreachable site its
+    /// final state.
+    unresolved: Mutex<Vec<Coordinator>>,
     /// In-process acceptor group (Paxos federations built by
     /// [`Federation::new`] only — TCP deployments mount acceptors in
     /// their site servers).
@@ -280,17 +305,11 @@ impl Federation {
     pub fn comm_stats(&self) -> amc_net::CommStats {
         let mut total = amc_net::CommStats::default();
         for site in self.transport.sites() {
-            let Ok(AdminReply::CommStats(s)) = self.transport.admin(site, AdminRequest::CommStats)
-            else {
-                continue;
-            };
-            total.submits += s.submits;
-            total.votes_ready += s.votes_ready;
-            total.votes_aborted += s.votes_aborted;
-            total.redo_runs += s.redo_runs;
-            total.undo_runs += s.undo_runs;
-            total.pre_vote_retries += s.pre_vote_retries;
-            total.marker_checks += s.marker_checks;
+            if let Ok(AdminReply::CommStats(s)) =
+                self.transport.admin(site, AdminRequest::CommStats)
+            {
+                total += s;
+            }
         }
         total
     }
@@ -299,16 +318,10 @@ impl Federation {
     pub fn log_stats(&self) -> amc_wal::LogStats {
         let mut total = amc_wal::LogStats::default();
         for site in self.transport.sites() {
-            let Ok(AdminReply::LogStats(s)) = self.transport.admin(site, AdminRequest::LogStats)
-            else {
-                continue;
-            };
-            total.appends += s.appends;
-            total.forces += s.forces;
-            total.group_forces += s.group_forces;
-            total.batched_commits += s.batched_commits;
-            total.stable_records += s.stable_records;
-            total.stable_bytes += s.stable_bytes;
+            if let Ok(AdminReply::LogStats(s)) = self.transport.admin(site, AdminRequest::LogStats)
+            {
+                total += s;
+            }
         }
         total
     }
@@ -318,138 +331,119 @@ impl Federation {
         self.l1.stats()
     }
 
-    fn record_envelope(&self, from: SiteId, to: SiteId, payload: &Payload) {
-        if self.record_trace {
-            self.trace
-                .lock()
-                .record(SimTime::ZERO, Envelope::new(from, to, payload.clone()));
+    /// The message trace's copy of an outgoing message, when a trace is
+    /// kept (the message itself moves into the transport).
+    fn traced(&self, payload: &Payload) -> Option<Payload> {
+        self.record_trace.then(|| payload.clone())
+    }
+
+    /// Record one exchange as a (request, reply) pair.
+    fn record_exchange(&self, site: SiteId, request: Option<Payload>, reply: &AmcResult<Payload>) {
+        let Some(request) = request else { return };
+        let mut trace = self.trace.lock();
+        trace.record(SimTime::ZERO, Envelope::new(SiteId::CENTRAL, site, request));
+        if let Ok(reply) = reply {
+            trace.record(
+                SimTime::ZERO,
+                Envelope::new(site, SiteId::CENTRAL, reply.clone()),
+            );
         }
     }
 
-    /// Dispatch one coordinator message through the transport and return
-    /// the reply.
-    fn dispatch(&self, site: SiteId, payload: Payload) -> AmcResult<Payload> {
-        self.record_envelope(SiteId::CENTRAL, site, &payload);
-        let reply = self.transport.call(site, payload)?;
-        self.record_envelope(site, SiteId::CENTRAL, &reply);
-        Ok(reply)
-    }
-
-    /// Record the final-state messages still owed to sites that were down
-    /// when `gtx` finished, translating each into the form a *restarted*
-    /// site can act on.
-    fn queue_obligations(
+    /// The one place messages leave the central system. `sends` — one per
+    /// site, mutually independent — go to the transport together when
+    /// `whole`, which may overlap them on the wire instead of paying one
+    /// round trip each; otherwise one call at a time, in order. Either way
+    /// `on_reply` gets each site's reply (or failure) in emission order,
+    /// with the time its request was handed over, so a coordinator sees
+    /// exactly the serial schedule.
+    fn exchange(
         &self,
-        gtx: GlobalTxnId,
-        verdict: GlobalVerdict,
-        per_site: &BTreeMap<SiteId, Vec<Operation>>,
-        crashed_voters: &[SiteId],
-        deferred: Vec<(SiteId, Payload)>,
-    ) {
-        let holds_l1 = self.cfg.protocol != ProtocolKind::TwoPhaseCommit;
-        let mut obligations = Vec::new();
-        // A coordinator that already tried to send the crashed voter its
-        // abort in the finish round deferred that payload too; the
-        // synthetic obligation below supersedes it (for commit-before it
-        // is the stronger message — an undo rather than a bare decision).
-        let deferred: Vec<(SiteId, Payload)> = deferred
-            .into_iter()
-            .filter(|(site, _)| !crashed_voters.contains(site))
-            .collect();
-        for &site in crashed_voters {
-            // A vote-phase crash forced the abort verdict, but the site may
-            // have gotten further than its lost reply shows: a forced 2PC
-            // prepare awaiting the decision, or a commit-before local
-            // commit whose vote never arrived. Either way it must learn
-            // the abort — as an undo for commit-before (its journal holds
-            // the inverses), as a plain abort decision otherwise.
-            debug_assert_eq!(verdict, GlobalVerdict::Abort);
-            let payload = match self.cfg.protocol {
-                ProtocolKind::CommitBefore => Payload::Undo {
-                    gtx,
-                    inverse_ops: Vec::new(),
-                },
-                _ => Payload::Decision {
-                    gtx,
-                    verdict: GlobalVerdict::Abort,
-                },
-            };
-            obligations.push(PendingObligation {
-                gtx,
-                site,
-                payload,
-                holds_l1,
-            });
+        sends: Vec<(SiteId, Payload)>,
+        whole: bool,
+        mut on_reply: impl FnMut(SiteId, Instant, AmcResult<Payload>) -> AmcResult<()>,
+    ) -> AmcResult<()> {
+        if whole {
+            let requests: Vec<(SiteId, Option<Payload>)> =
+                sends.iter().map(|(s, p)| (*s, self.traced(p))).collect();
+            let sent_at = Instant::now();
+            let replies = self.transport.call_round(sends);
+            for ((site, request), reply) in requests.into_iter().zip(replies) {
+                self.record_exchange(site, request, &reply);
+                on_reply(site, sent_at, reply)?;
+            }
+        } else {
+            for (site, payload) in sends {
+                let request = self.traced(&payload);
+                let sent_at = Instant::now();
+                let reply = self.transport.call(site, payload);
+                self.record_exchange(site, request, &reply);
+                on_reply(site, sent_at, reply)?;
+            }
         }
-        for (site, payload) in deferred {
-            // A restarted commit-after site has lost the running local
-            // transaction a commit decision would land on; re-ship the
-            // program as a redo instead (§3.2) — the forward marker makes
-            // the repetition exactly-once even if the site never died.
-            let payload = match (self.cfg.protocol, &payload) {
-                (
-                    ProtocolKind::CommitAfter,
-                    Payload::Decision {
-                        verdict: GlobalVerdict::Commit,
-                        ..
-                    },
-                ) => Payload::Redo {
-                    gtx,
-                    ops: per_site.get(&site).cloned().unwrap_or_default(),
-                },
-                _ => payload,
-            };
-            obligations.push(PendingObligation {
-                gtx,
-                site,
-                payload,
-                holds_l1,
-            });
-        }
-        self.unresolved.lock().extend(obligations);
+        Ok(())
     }
 
-    /// Number of final-state messages still owed to unreachable sites.
+    /// One message outside a coordinator's rounds (the acceptor group's
+    /// side of a transaction) and its reply.
+    fn dispatch(&self, site: SiteId, payload: Payload) -> AmcResult<Payload> {
+        let mut answer = None;
+        self.exchange(vec![(site, payload)], false, |_, _, reply| {
+            answer = Some(reply);
+            Ok(())
+        })?;
+        answer.expect("one send, one reply")
+    }
+
+    /// Number of final-state messages still owed to unreachable sites: the
+    /// outstanding sites of every parked coordinator.
     pub fn pending_obligations(&self) -> usize {
-        self.unresolved.lock().len()
+        let parked = self.unresolved.lock();
+        parked.iter().map(|c| c.outstanding().len()).sum()
     }
 
-    /// Retry delivery of every owed final-state message — the coordinator
-    /// side of a recovered site's inquiry (§3.1): once the site answers
-    /// again, it learns the verdict it missed, redoes or undoes as the
-    /// protocol demands, and the transaction's retained L1 locks are
-    /// finally released.
+    /// Re-drive every parked coordinator — the coordinator side of a
+    /// recovered site's inquiry (§3.1): once the site answers again, it
+    /// learns the verdict it missed, redoes or undoes as the protocol
+    /// demands, and the transaction's retained L1 locks are finally
+    /// released.
     ///
-    /// One delivery attempt per obligation per call; obligations whose
-    /// site is still down stay queued. Returns how many were discharged.
+    /// One pass per coordinator per call, from what it has
+    /// [outstanding](Coordinator::outstanding); one whose sites are still
+    /// down stays parked, and so does every coordinator not yet done when
+    /// a pass fails with something other than an outage — that error is
+    /// returned. Otherwise returns how many owed messages were discharged.
     pub fn resolve_pending(&self) -> AmcResult<usize> {
-        let pending = std::mem::take(&mut *self.unresolved.lock());
-        if pending.is_empty() {
-            return Ok(0);
-        }
-        let batch: Vec<(GlobalTxnId, bool)> = pending.iter().map(|o| (o.gtx, o.holds_l1)).collect();
-        let mut kept = Vec::new();
+        let parked = std::mem::take(&mut *self.unresolved.lock());
         let mut discharged = 0usize;
-        for ob in pending {
-            match self.dispatch(ob.site, ob.payload.clone()) {
-                Ok(_) => discharged += 1,
-                Err(AmcError::SiteDown(_)) | Err(AmcError::TransientIo(_)) => kept.push(ob),
-                Err(e) => {
-                    // A delivered-but-rejected obligation is a protocol
-                    // bug, not an outage: surface it, keep the rest.
-                    self.unresolved.lock().extend(kept);
-                    return Err(e);
-                }
+        let mut result = Ok(());
+        for coordinator in parked {
+            let mut run = Run::new(coordinator, None);
+            if result.is_ok() {
+                let owed = run.coordinator.outstanding();
+                let before = owed.len();
+                let resend = owed
+                    .into_iter()
+                    .map(|(site, payload)| CoordAction::Send { site, payload })
+                    .collect();
+                result = self.drive(&mut run, resend);
+                discharged += before.saturating_sub(run.coordinator.outstanding().len());
+            }
+            if run.coordinator.is_done() {
+                self.release_l1(run.coordinator.gtx());
+            } else {
+                self.unresolved.lock().push(run.coordinator);
             }
         }
-        let mut unresolved = self.unresolved.lock();
-        unresolved.extend(kept);
-        for (gtx, holds_l1) in batch {
-            if holds_l1 && !unresolved.iter().any(|o| o.gtx == gtx) {
-                self.l1.release_all(gtx);
-            }
+        result.map(|()| discharged)
+    }
+
+    /// Global end of `gtx` under the portable protocols (2PC takes no L1
+    /// locks).
+    fn release_l1(&self, gtx: GlobalTxnId) {
+        if self.cfg.protocol != ProtocolKind::TwoPhaseCommit {
+            self.l1.release_all(gtx);
         }
-        Ok(discharged)
     }
 
     /// Start numbering transactions at `first` instead of 1. A
@@ -497,79 +491,6 @@ impl Federation {
         false
     }
 
-    /// Open `gtx`'s Paxos instances at the acceptor group (*BeginCommit*).
-    /// Returns the acceptors that durably acknowledged the registration.
-    fn paxos_register(
-        &self,
-        gtx: GlobalTxnId,
-        participants: &[SiteId],
-        px: &PaxosCommitConfig,
-        messages: &mut u64,
-    ) -> AmcResult<Vec<SiteId>> {
-        let mut acked = Vec::new();
-        for a in &px.acceptors {
-            *messages += 2;
-            let payload = Payload::PaxosRegister {
-                gtx,
-                participants: participants.to_vec(),
-            };
-            match self.dispatch(*a, payload) {
-                Ok(Payload::PaxosAck { .. }) => acked.push(*a),
-                Ok(other) => {
-                    return Err(AmcError::Protocol(format!(
-                        "unexpected registration reply {other}"
-                    )))
-                }
-                Err(AmcError::SiteDown(_)) | Err(AmcError::TransientIo(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(acked)
-    }
-
-    /// Cross-replicate one prepare vote at ballot 0. The voting site's
-    /// co-located acceptor already holds the accept (the vote reply *was*
-    /// the accept — co-location); the other acceptors get an explicit
-    /// phase-2a message. Successful Prepared accepts feed the commit gate.
-    #[allow(clippy::too_many_arguments)]
-    fn paxos_replicate_vote(
-        &self,
-        gtx: GlobalTxnId,
-        site: SiteId,
-        prepared: bool,
-        px: &PaxosCommitConfig,
-        registered_at: &[SiteId],
-        ledger: &mut CommitLedger,
-        messages: &mut u64,
-    ) {
-        for a in &px.acceptors {
-            if *a == site && registered_at.contains(a) {
-                if prepared {
-                    ledger.record_prepared(site, *a);
-                }
-                continue;
-            }
-            *messages += 2;
-            let payload = Payload::PaxosP2a {
-                gtx,
-                site,
-                ballot: 0,
-                prepared,
-            };
-            // A non-accept (a recovery ballot superseded 0, the acceptor is
-            // unreachable, or the reply is malformed) just means the instance
-            // is not chosen at this acceptor — the commit gate decides what
-            // that means.
-            let accepted = matches!(
-                self.dispatch(*a, payload),
-                Ok(Payload::PaxosP2b { accepted: true, .. })
-            );
-            if prepared && accepted {
-                ledger.record_prepared(site, *a);
-            }
-        }
-    }
-
     /// Whether the 1PC fast path applies to this federation's runs.
     fn fast_path_active(&self) -> bool {
         self.cfg.fast_path
@@ -577,87 +498,17 @@ impl Federation {
             && self.cfg.paxos.is_none()
     }
 
-    /// The single-site bypass: a transaction touching one site needs no
-    /// global round at all. The combined op+prepare dispatch carries
-    /// `solo`, telling the site to commit locally at once (through the
-    /// commit-before machinery: forward marker, captured inverses,
-    /// journal); the coordinator records the presumed outcome from the
-    /// single reply. A lost reply presumes abort and leaves the site an
-    /// undo obligation, discharged by [`Federation::resolve_pending`]
-    /// exactly as a commit-before crash race is.
-    fn run_single_site(
-        &self,
-        gtx: GlobalTxnId,
-        site: SiteId,
-        ops: &[Operation],
-        start: Instant,
-    ) -> AmcResult<TxnReport> {
-        let t0 = Instant::now();
-        let payload = Payload::SubmitPrepare {
-            gtx,
-            ops: ops.to_vec(),
-            solo: true,
-        };
-        let (verdict, l0_holds) = match self.dispatch(site, payload) {
-            Ok(Payload::Vote { vote, .. }) => {
-                if vote.is_yes() {
-                    if self.record_history {
-                        let per_site = BTreeMap::from([(site, ops.to_vec())]);
-                        self.record_site_ops(gtx, site, &per_site);
-                    }
-                    // The site committed locally at its vote: its L0
-                    // tenure is the single exchange.
-                    (GlobalVerdict::Commit, vec![t0.elapsed()])
-                } else {
-                    (GlobalVerdict::Abort, Vec::new())
-                }
-            }
-            Ok(other) => return Err(AmcError::Protocol(format!("unexpected reply {other}"))),
-            Err(AmcError::SiteDown(_)) | Err(AmcError::TransientIo(_)) => {
-                // Presume abort. The site may in fact have committed
-                // locally before the reply was lost (§3.3's crash race);
-                // the empty-inverse undo makes the recovered site consult
-                // its own journal, and its markers make the repair
-                // exactly-once.
-                self.unresolved.lock().push(PendingObligation {
-                    gtx,
-                    site,
-                    payload: Payload::Undo {
-                        gtx,
-                        inverse_ops: Vec::new(),
-                    },
-                    holds_l1: false,
-                });
-                (GlobalVerdict::Abort, Vec::new())
-            }
-            Err(e) => return Err(e),
-        };
-        if self.record_history {
-            self.history.lock().set_outcome(gtx, verdict);
-        }
-        Ok(TxnReport {
-            gtx,
-            outcome: match verdict {
-                GlobalVerdict::Commit => TxnOutcome::Committed,
-                GlobalVerdict::Abort => TxnOutcome::Aborted,
-            },
-            latency: start.elapsed(),
-            l0_holds,
-            messages: 2,
-        })
-    }
-
-    /// Run one global transaction to completion.
+    /// Run one global transaction until its coordinator is done, or has
+    /// decided and can get no further: a site it could not reach is still
+    /// owed its final state. That coordinator is parked — with the
+    /// transaction's L1 locks, the obligation being part of the
+    /// transaction (§4.3) — for [`Federation::resolve_pending`].
     pub fn run_transaction(
         &self,
         per_site: &BTreeMap<SiteId, Vec<Operation>>,
     ) -> AmcResult<TxnReport> {
         let start = Instant::now();
         let gtx = GlobalTxnId::new(self.next_gtx.fetch_add(1, Ordering::Relaxed));
-        if self.fast_path_active() && per_site.len() == 1 {
-            let (&site, ops) = per_site.iter().next().expect("one site");
-            return self.run_single_site(gtx, site, ops, start);
-        }
 
         // --- L1 acquisition (portable protocols only) ---------------------
         if self.cfg.protocol != ProtocolKind::TwoPhaseCommit {
@@ -710,275 +561,30 @@ impl Federation {
         if self.fast_path_active() {
             coordinator = coordinator.with_piggyback();
         }
-        let mut queue = std::collections::VecDeque::from([CoordEvent::Start]);
-        let mut messages = 0u64;
-        let mut submit_started: BTreeMap<SiteId, Instant> = BTreeMap::new();
-        let mut l0_released: BTreeMap<SiteId, Instant> = BTreeMap::new();
-        let mut final_verdict: Option<GlobalVerdict> = None;
-        // Sites that went down mid-protocol. A vote-phase failure counts
-        // as a no vote; a finish-phase failure leaves a final-state
-        // message the coordinator still owes the site once it recovers.
-        let mut crashed_voters: Vec<SiteId> = Vec::new();
-        let mut deferred: Vec<(SiteId, Payload)> = Vec::new();
-        // Paxos Commit bookkeeping (2PC + replicated coordination only).
-        let paxos = self.cfg.paxos.as_ref();
-        let participants: Vec<SiteId> = per_site.keys().copied().collect();
-        let mut registration_done = false;
-        let mut registered_at: Vec<SiteId> = Vec::new();
-        let mut ledger = CommitLedger::new();
-        let mut override_verdict: Option<GlobalVerdict> = None;
-        let result: AmcResult<()> = (|| {
-            'drive: while let Some(event) = queue.pop_front() {
-                let actions = coordinator.on_event(event);
-                // A round's Sends — one per site, mutually independent —
-                // go to the transport together, which may overlap them on
-                // the wire instead of paying one round trip each. Replies
-                // come back in emission order and are *processed* in that
-                // order, so the coordinator state machine sees exactly
-                // the serial schedule. Two kinds of round stay serial, one
-                // call at a time in site order. Paxos rounds: registration
-                // and vote replication interleave with the sends. And the
-                // submit round of a protocol that keeps the L0 locks it
-                // takes until the decision (all but commit-before):
-                // reaching the sites in one global order is what keeps two
-                // transactions from each holding a page at one site while
-                // waiting for the other's at the next — a distributed
-                // deadlock no site can see and only `lock_timeout` breaks.
-                let sends = || {
-                    actions.iter().filter_map(|a| match a {
-                        CoordAction::Send { site, payload } => Some((*site, payload)),
-                        _ => None,
-                    })
-                };
-                let keeps_l0 = self.cfg.protocol != ProtocolKind::CommitBefore;
-                let mut round = Vec::new().into_iter();
-                if paxos.is_none()
-                    && sends().count() > 1
-                    && !(keeps_l0 && sends().any(|(_, p)| is_submit(p)))
-                {
-                    let sent_at = Instant::now();
-                    for (site, payload) in sends() {
-                        if is_submit(payload) {
-                            submit_started.insert(site, sent_at);
-                        }
-                    }
-                    let sends = sends().map(|(site, p)| (site, p.clone())).collect();
-                    round = self.transport.call_round(sends).into_iter();
-                }
-                for action in actions {
-                    match action {
-                        CoordAction::Send { site, payload } => {
-                            // Replicated coordination opens the instance
-                            // set between the work and prepare rounds:
-                            // prepare-round votes (and only those) then
-                            // double as ballot-0 accepts.
-                            if let (Some(px), Payload::Prepare { .. }) = (paxos, &payload) {
-                                if !registration_done {
-                                    registration_done = true;
-                                    registered_at =
-                                        self.paxos_register(gtx, &participants, px, &mut messages)?;
-                                    if registered_at.len() < majority(px.acceptors.len()) {
-                                        // The instances cannot be opened
-                                        // durably; abort before any site
-                                        // prepares (a pre-prepare abort
-                                        // is unilateral-safe: no acceptor
-                                        // can ever choose Prepared).
-                                        override_verdict = Some(GlobalVerdict::Abort);
-                                        break 'drive;
-                                    }
-                                }
-                            }
-                            let was_prepare = matches!(payload, Payload::Prepare { .. });
-                            let vote_phase = is_submit(&payload) || was_prepare;
-                            messages += 2; // request + reply
-                            let dispatched = match round.next() {
-                                // Sent with its round (which stamped the
-                                // submits): record the exchange now, as
-                                // a (request, reply) pair like `dispatch`.
-                                Some(reply) => {
-                                    self.record_envelope(SiteId::CENTRAL, site, &payload);
-                                    if let Ok(reply) = &reply {
-                                        self.record_envelope(site, SiteId::CENTRAL, reply);
-                                    }
-                                    reply
-                                }
-                                None => {
-                                    if is_submit(&payload) {
-                                        submit_started.insert(site, Instant::now());
-                                    }
-                                    self.dispatch(site, payload.clone())
-                                }
-                            };
-                            let reply = match dispatched {
-                                Ok(reply) => reply,
-                                Err(AmcError::SiteDown(_)) | Err(AmcError::TransientIo(_)) => {
-                                    if vote_phase {
-                                        // An unreachable site cannot promise
-                                        // anything: count it as a no vote and
-                                        // reconcile after the verdict (§3.3's
-                                        // crash race: it may in fact have
-                                        // committed locally before dying).
-                                        crashed_voters.push(site);
-                                        queue.push_back(CoordEvent::Vote {
-                                            site,
-                                            vote: LocalVote::Aborted,
-                                        });
-                                    } else {
-                                        // The decision stands; the site learns
-                                        // it through the inquiry path when it
-                                        // comes back (resolve_pending).
-                                        deferred.push((site, payload));
-                                        queue.push_back(CoordEvent::Finished { site });
-                                    }
-                                    continue;
-                                }
-                                Err(e) => return Err(e),
-                            };
-                            // L0 release points: commit-before releases at
-                            // local commit (submit reply); the others at the
-                            // decision/redo/undo reply.
-                            match (&reply, self.cfg.protocol) {
-                                (Payload::Vote { .. }, ProtocolKind::CommitBefore) => {
-                                    l0_released.insert(site, Instant::now());
-                                }
-                                (Payload::Finished { .. }, _) => {
-                                    l0_released.insert(site, Instant::now());
-                                }
-                                _ => {}
-                            }
-                            match reply {
-                                Payload::Vote { vote, .. } => {
-                                    if vote.is_yes() && self.record_history {
-                                        self.record_site_ops(gtx, site, per_site);
-                                    }
-                                    if let Some(px) = paxos {
-                                        if was_prepare && registration_done {
-                                            self.paxos_replicate_vote(
-                                                gtx,
-                                                site,
-                                                vote.is_yes(),
-                                                px,
-                                                &registered_at,
-                                                &mut ledger,
-                                                &mut messages,
-                                            );
-                                            if self.paxos_crash_due() {
-                                                return Err(AmcError::InvalidState(format!(
-                                                    "injected coordinator crash: {gtx} left in doubt"
-                                                )));
-                                            }
-                                        }
-                                    }
-                                    queue.push_back(CoordEvent::Vote { site, vote });
-                                }
-                                Payload::Finished { .. } => {
-                                    queue.push_back(CoordEvent::Finished { site });
-                                }
-                                other => {
-                                    return Err(AmcError::Protocol(format!(
-                                        "unexpected reply {other}"
-                                    )))
-                                }
-                            }
-                        }
-                        CoordAction::Decided(v) => {
-                            let Some(px) = paxos else { continue };
-                            if !registration_done {
-                                // Work-round abort: nothing was ever
-                                // registered, no acceptor can choose
-                                // Prepared — unilateral abort is safe.
-                                continue;
-                            }
-                            let fast_commit = v == GlobalVerdict::Commit
-                                && ledger.all_chosen(&participants, px.acceptors.len());
-                            if fast_commit {
-                                // Every instance chose Prepared at a
-                                // majority at ballot 0: the commit is
-                                // already the replicated, durable fact.
-                                continue;
-                            }
-                            // Anything else after registration — an abort,
-                            // or a commit whose ballot-0 replication fell
-                            // short — must be run through a recovery
-                            // ballot: a unilateral decision could
-                            // contradict what a standby reads from the
-                            // acceptor logs.
-                            messages +=
-                                2 * px.acceptors.len() as u64 * (1 + participants.len() as u64);
-                            let driver = ReplicaDriver::new(
-                                &*self.transport,
-                                px.acceptors.clone(),
-                                px.replica,
-                            );
-                            let (verdict, _) = driver.decide(gtx, &participants)?;
-                            if verdict != v {
-                                // The replicated verdict departs from the
-                                // coordinator's local one (e.g. a crashed
-                                // voter whose durable Prepared survived
-                                // it): the acceptors win — abandon the
-                                // state machine and deliver their verdict.
-                                override_verdict = Some(verdict);
-                                break 'drive;
-                            }
-                        }
-                        CoordAction::Done(v) => final_verdict = Some(v),
-                    }
-                }
-            }
-            // The replicated decision departs from (or pre-empts) the
-            // coordinator's: deliver it ourselves, with the usual
-            // down-site deferral.
-            if let Some(v) = override_verdict {
-                for &s in per_site.keys() {
-                    messages += 2;
-                    let payload = Payload::Decision { gtx, verdict: v };
-                    match self.dispatch(s, payload.clone()) {
-                        Ok(_) => {}
-                        Err(AmcError::SiteDown(_)) | Err(AmcError::TransientIo(_)) => {
-                            deferred.push((s, payload));
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                // Every crashed voter was just re-driven (or queued as an
-                // obligation) with the *replicated* verdict; drop the
-                // synthesized-abort bookkeeping.
-                crashed_voters.clear();
-                final_verdict = Some(v);
-            }
-            Ok(())
-        })();
-
-        let has_obligations = !crashed_voters.is_empty() || !deferred.is_empty();
-        // Strict L1 2PL: release only after every obligation (redo/undo)
-        // has been discharged. A transaction that still owes a crashed
-        // site its final state keeps its L1 locks until resolve_pending
-        // delivers it (§4.3: the obligation is part of the transaction).
-        if self.cfg.protocol != ProtocolKind::TwoPhaseCommit && !(result.is_ok() && has_obligations)
-        {
-            self.l1.release_all(gtx);
+        let paxos = self.cfg.paxos.as_ref().map(|px| PaxosRun {
+            px,
+            participants: per_site.keys().copied().collect(),
+            registered_at: None,
+            ledger: CommitLedger::new(),
+            messages: 0,
+        });
+        let mut run = Run::new(coordinator, paxos);
+        let first = run.coordinator.on_event(CoordEvent::Start);
+        let result = self.drive(&mut run, first).and_then(|()| {
+            let verdict = run.coordinator.verdict();
+            verdict.ok_or_else(|| AmcError::Protocol("coordinator never decided".into()))
+        });
+        // Strict L1 2PL: release only at global end, and a transaction
+        // that still owes a site its final state has not ended.
+        let parked = result.is_ok() && !run.coordinator.is_done();
+        if !parked {
+            self.release_l1(gtx);
         }
-        result?;
-
-        let verdict =
-            final_verdict.ok_or_else(|| AmcError::Protocol("coordinator never finished".into()))?;
-        // Close the instances at acceptors that are not participants —
-        // participants' co-located acceptors noted the decision when the
-        // `Decision` payload passed through them. Best-effort: a missed
-        // note keeps the transaction "open" there, and re-finishing an
-        // already-decided transaction is idempotent.
-        if let Some(px) = paxos {
-            if registration_done {
-                for a in &px.acceptors {
-                    if !per_site.contains_key(a) {
-                        messages += 2;
-                        let _ = self.dispatch(*a, Payload::PaxosDecided { gtx, verdict });
-                    }
-                }
-            }
-        }
-        if has_obligations {
-            self.queue_obligations(gtx, verdict, per_site, &crashed_voters, deferred);
+        let verdict = result?;
+        let mut messages = run.messages;
+        if let Some(paxos) = &mut run.paxos {
+            paxos.close(self, gtx, verdict);
+            messages += paxos.messages;
         }
         if self.record_history {
             self.history.lock().set_outcome(gtx, verdict);
@@ -988,13 +594,16 @@ impl Federation {
         // sites that never saw a finish (commit-before commit path) already
         // released at their vote.
         let l0_holds = if verdict == GlobalVerdict::Commit {
-            submit_started
-                .iter()
-                .filter_map(|(site, t0)| l0_released.get(site).map(|t1| t1.duration_since(*t0)))
+            run.l0
+                .values()
+                .filter_map(|(t0, t1)| Some((*t1)?.duration_since(*t0)))
                 .collect()
         } else {
             Vec::new()
         };
+        if parked {
+            self.unresolved.lock().push(run.coordinator);
+        }
 
         Ok(TxnReport {
             gtx,
@@ -1008,28 +617,123 @@ impl Federation {
         })
     }
 
-    fn record_site_ops(
+    /// Push `run`'s coordinator as far as the sites let it go: perform its
+    /// actions, feed every reply or failure back as an event, repeat until
+    /// no message is in flight. Both `run_transaction` and
+    /// `resolve_pending` come through here, so a final-state message is
+    /// whatever the state machine says it is, the first time and every
+    /// later time.
+    fn drive(&self, run: &mut Run<'_>, mut actions: Vec<CoordAction>) -> AmcResult<()> {
+        let mut events = VecDeque::new();
+        loop {
+            if let Some(verdict) = self.perform(run, actions, &mut events)? {
+                // The replicated verdict departs from (or pre-empts) the
+                // machine's own — e.g. a crashed voter whose durable
+                // Prepared survived it. The acceptors win, exactly as a
+                // decision log wins after a crash: restart from it.
+                events.clear();
+                actions = run.coordinator.resume(Some(verdict));
+                continue;
+            }
+            let Some(event) = events.pop_front() else {
+                return Ok(());
+            };
+            actions = run.coordinator.on_event(event);
+        }
+    }
+
+    /// Perform one batch of coordinator actions: ship its sends as one
+    /// message round and queue, per send, the event its reply or failure
+    /// means. Returns the acceptor group's verdict when that overrules the
+    /// batch (nothing of which has then been sent).
+    ///
+    /// Two kinds of round go out one call at a time, in site order. Paxos
+    /// rounds: registration and vote replication interleave with the
+    /// sends. And the submit round of a protocol that keeps the L0 locks
+    /// it takes until the decision (all but commit-before): reaching the
+    /// sites in one global order is what keeps two transactions from each
+    /// holding a page at one site while waiting for the other's at the
+    /// next — a distributed deadlock no site can see and only
+    /// `lock_timeout` breaks.
+    fn perform(
         &self,
-        gtx: GlobalTxnId,
-        site: SiteId,
-        per_site: &BTreeMap<SiteId, Vec<Operation>>,
-    ) {
-        if let Some(ops) = per_site.get(&site) {
-            let mut history = self.history.lock();
-            // An inquiry retry can re-fetch a site's cached yes vote;
-            // recording its ops twice would fabricate conflict edges.
-            if history.has_events_for(gtx, site) {
-                return;
+        run: &mut Run<'_>,
+        actions: Vec<CoordAction>,
+        events: &mut VecDeque<CoordEvent>,
+    ) -> AmcResult<Option<GlobalVerdict>> {
+        let gtx = run.coordinator.gtx();
+        let protocol = run.coordinator.protocol();
+        let mut sends = Vec::new();
+        for action in actions {
+            match action {
+                CoordAction::Send { site, payload } => sends.push((site, payload)),
+                CoordAction::Decided(v) => {
+                    if let Some(paxos) = &mut run.paxos {
+                        if let Some(verdict) = paxos.on_decided(self, gtx, v)? {
+                            return Ok(Some(verdict));
+                        }
+                    }
+                }
+                CoordAction::Done(_) => {}
             }
-            for op in ops {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                history.record_op(OpEvent {
-                    gtx,
-                    site,
-                    seq,
-                    op: *op,
-                });
+        }
+        let submits = sends.iter().any(|(_, p)| is_submit(p));
+        let prepares = sends
+            .iter()
+            .any(|(_, p)| matches!(p, Payload::Prepare { .. }));
+        if let (true, Some(paxos)) = (prepares, &mut run.paxos) {
+            if let Some(verdict) = paxos.before_prepare(self, gtx)? {
+                return Ok(Some(verdict));
             }
+        }
+        let keeps_l0 = protocol != ProtocolKind::CommitBefore;
+        let whole = run.paxos.is_none() && sends.len() > 1 && !(keeps_l0 && submits);
+        run.messages += 2 * sends.len() as u64; // request + reply
+        self.exchange(sends, whole, |site, sent_at, reply| {
+            if submits {
+                run.l0.insert(site, (sent_at, None));
+            }
+            // L0 release points: commit-before releases at local commit
+            // (submit reply); the others at the decision/redo/undo reply.
+            let released = match &reply {
+                Ok(Payload::Vote { vote, .. }) => {
+                    if vote.is_yes() && self.record_history {
+                        self.record_site_ops(gtx, site, run.coordinator.program(site));
+                    }
+                    if let (true, Some(paxos)) = (prepares, &mut run.paxos) {
+                        paxos.on_prepare_vote(self, gtx, site, vote.is_yes())?;
+                    }
+                    protocol == ProtocolKind::CommitBefore
+                }
+                Ok(Payload::Finished { .. }) => true,
+                _ => false,
+            };
+            if released {
+                if let Some((_, t1)) = run.l0.get_mut(&site) {
+                    *t1 = Some(Instant::now());
+                }
+            }
+            events.push_back(CoordEvent::from_reply(site, reply)?);
+            Ok(())
+        })?;
+        Ok(None)
+    }
+
+    fn record_site_ops(&self, gtx: GlobalTxnId, site: SiteId, ops: &[Operation]) {
+        let mut history = self.history.lock();
+        // An inquiry retry can re-fetch a site's cached yes vote;
+        // recording its ops twice would fabricate conflict edges.
+        if history.has_events_for(gtx, site) {
+            return;
+        }
+        for op in ops {
+            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            history.record_op(OpEvent {
+                gtx,
+                site,
+                seq,
+                op: *op,
+            });
         }
     }
 
@@ -1120,6 +824,140 @@ impl Federation {
         metrics.group_forces = log.group_forces;
         metrics.batched_commits = log.batched_commits;
         metrics
+    }
+}
+
+impl PaxosRun<'_> {
+    /// Before the first `Prepare` leaves: open the transaction's instance
+    /// set at the acceptor group (*BeginCommit*), between the work and
+    /// prepare rounds, so that prepare-round votes (and only those) double
+    /// as ballot-0 accepts. Returns the abort that pre-empts the round
+    /// when the instances cannot be opened durably at a majority — before
+    /// any site prepares that is unilateral-safe: no acceptor can ever
+    /// choose Prepared.
+    fn before_prepare(
+        &mut self,
+        fed: &Federation,
+        gtx: GlobalTxnId,
+    ) -> AmcResult<Option<GlobalVerdict>> {
+        if self.registered_at.is_some() {
+            return Ok(None);
+        }
+        let mut acked = Vec::new();
+        for a in &self.px.acceptors {
+            self.messages += 2;
+            let payload = Payload::PaxosRegister {
+                gtx,
+                participants: self.participants.clone(),
+            };
+            match fed.dispatch(*a, payload) {
+                Ok(Payload::PaxosAck { .. }) => acked.push(*a),
+                Ok(other) => {
+                    return Err(AmcError::Protocol(format!(
+                        "unexpected registration reply {other}"
+                    )))
+                }
+                Err(AmcError::SiteDown(_)) | Err(AmcError::TransientIo(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let minority = acked.len() < majority(self.px.acceptors.len());
+        self.registered_at = Some(acked);
+        Ok(minority.then_some(GlobalVerdict::Abort))
+    }
+
+    /// A prepare vote arrived: cross-replicate it at ballot 0. The voting
+    /// site's co-located acceptor already holds the accept (the vote reply
+    /// *was* the accept — co-location); the other acceptors get an
+    /// explicit phase-2a message. Successful Prepared accepts feed the
+    /// commit gate.
+    fn on_prepare_vote(
+        &mut self,
+        fed: &Federation,
+        gtx: GlobalTxnId,
+        site: SiteId,
+        prepared: bool,
+    ) -> AmcResult<()> {
+        let registered_at = self.registered_at.as_deref().unwrap_or_default();
+        for a in &self.px.acceptors {
+            if *a == site && registered_at.contains(a) {
+                if prepared {
+                    self.ledger.record_prepared(site, *a);
+                }
+                continue;
+            }
+            self.messages += 2;
+            let payload = Payload::PaxosP2a {
+                gtx,
+                site,
+                ballot: 0,
+                prepared,
+            };
+            // A non-accept (a recovery ballot superseded 0, the acceptor is
+            // unreachable, or the reply is malformed) just means the instance
+            // is not chosen at this acceptor — the commit gate decides what
+            // that means.
+            let accepted = matches!(
+                fed.dispatch(*a, payload),
+                Ok(Payload::PaxosP2b { accepted: true, .. })
+            );
+            if prepared && accepted {
+                self.ledger.record_prepared(site, *a);
+            }
+        }
+        if fed.paxos_crash_due() {
+            return Err(AmcError::InvalidState(format!(
+                "injected coordinator crash: {gtx} left in doubt"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The coordinator decided `v` on its own. Returns the acceptors'
+    /// verdict when it departs from that.
+    fn on_decided(
+        &mut self,
+        fed: &Federation,
+        gtx: GlobalTxnId,
+        v: GlobalVerdict,
+    ) -> AmcResult<Option<GlobalVerdict>> {
+        // Work-round abort: nothing was ever registered, no acceptor can
+        // choose Prepared — unilateral abort is safe.
+        if self.registered_at.is_none() {
+            return Ok(None);
+        }
+        // Every instance chose Prepared at a majority at ballot 0: the
+        // commit is already the replicated, durable fact.
+        let acceptors = self.px.acceptors.len();
+        if v == GlobalVerdict::Commit && self.ledger.all_chosen(&self.participants, acceptors) {
+            return Ok(None);
+        }
+        // Anything else after registration — an abort, or a commit whose
+        // ballot-0 replication fell short — must be run through a recovery
+        // ballot: a unilateral decision could contradict what a standby
+        // reads from the acceptor logs.
+        self.messages += 2 * acceptors as u64 * (1 + self.participants.len() as u64);
+        let driver =
+            ReplicaDriver::new(&*fed.transport, self.px.acceptors.clone(), self.px.replica);
+        let (verdict, _) = driver.decide(gtx, &self.participants)?;
+        Ok((verdict != v).then_some(verdict))
+    }
+
+    /// Close the instances at acceptors that are not participants —
+    /// participants' co-located acceptors noted the decision when the
+    /// `Decision` payload passed through them. Best-effort: a missed note
+    /// keeps the transaction "open" there, and re-finishing an
+    /// already-decided transaction is idempotent.
+    fn close(&mut self, fed: &Federation, gtx: GlobalTxnId, verdict: GlobalVerdict) {
+        if self.registered_at.is_none() {
+            return;
+        }
+        for a in &self.px.acceptors {
+            if !self.participants.contains(a) {
+                self.messages += 2;
+                let _ = fed.dispatch(*a, Payload::PaxosDecided { gtx, verdict });
+            }
+        }
     }
 }
 
@@ -1218,6 +1056,9 @@ mod tests {
         inner: InProcessTransport,
         down: Mutex<std::collections::BTreeSet<SiteId>>,
         fail_finish_for: Mutex<Option<SiteId>>,
+        /// This site *answers* final-state messages, with a rejection: a
+        /// protocol error, not an outage.
+        reject_finish_for: Mutex<Option<SiteId>>,
         /// The labels of every round handed over whole.
         rounds: Mutex<Vec<Vec<&'static str>>>,
     }
@@ -1236,6 +1077,9 @@ mod tests {
             );
             if finish && *self.fail_finish_for.lock() == Some(site) {
                 return Err(AmcError::SiteDown(site));
+            }
+            if finish && *self.reject_finish_for.lock() == Some(site) {
+                return Err(AmcError::Protocol(format!("{site} rejects {payload}")));
             }
             self.inner.call(site, payload)
         }
@@ -1265,6 +1109,7 @@ mod tests {
             inner: InProcessTransport::new(managers, submit_mode_for(protocol), cfg.message_delay),
             down: Mutex::new(Default::default()),
             fail_finish_for: Mutex::new(None),
+            reject_finish_for: Mutex::new(None),
             rounds: Mutex::new(Vec::new()),
         });
         let fed = Federation::with_transport(cfg, transport.clone());
@@ -1345,6 +1190,68 @@ mod tests {
             assert_eq!(dumps[&site(1)][&obj(1, 0)], v(70), "{protocol}");
             assert_eq!(dumps[&site(2)][&obj(2, 0)], v(130), "{protocol}");
             assert_eq!(user_sum(&fed), 100 * 2 * 50, "{protocol}");
+        }
+    }
+
+    #[test]
+    fn rejected_final_state_message_surfaces_and_loses_no_obligation() {
+        // Regression: `resolve_pending` used to return the error after
+        // re-queuing only the obligations already found undeliverable —
+        // the rejected one and every one not yet tried were dropped, and
+        // their L1 locks never released.
+        let write_at_2 = BTreeMap::from([(
+            site(2),
+            vec![Operation::Write {
+                obj: obj(2, 0),
+                value: v(7),
+            }],
+        )]);
+        for protocol in ProtocolKind::ALL {
+            let mut cfg = FederationConfig::uniform(4, protocol);
+            cfg.l1_timeout = Duration::from_millis(20);
+            let (fed, transport) = flaky_with(cfg);
+            // Two transactions park. The first aborts at site 1 while site
+            // 2, which did its work, cannot be told: it is owed the abort
+            // (for commit-before, the undo of its local commit). The
+            // second finds site 4 down.
+            *transport.fail_finish_for.lock() = Some(site(2));
+            transport.down.lock().insert(site(4));
+            let mut failing = transfer(1, 2, 30);
+            failing.get_mut(&site(1)).unwrap().push(Operation::Read {
+                obj: obj(1, 999_999),
+            });
+            for program in [failing, transfer(3, 4, 30)] {
+                let report = fed.run_transaction(&program).unwrap();
+                assert_eq!(report.outcome, TxnOutcome::Aborted, "{protocol}");
+            }
+            assert_eq!(fed.pending_obligations(), 2, "{protocol}");
+
+            // Both sites answer again — site 2 with a rejection. The error
+            // surfaces, and neither the rejected transaction nor the one
+            // not yet tried has lost what it owes.
+            *transport.fail_finish_for.lock() = None;
+            transport.down.lock().clear();
+            *transport.reject_finish_for.lock() = Some(site(2));
+            let err = fed.resolve_pending().unwrap_err();
+            assert!(matches!(err, AmcError::Protocol(_)), "{protocol}: {err}");
+            assert_eq!(fed.pending_obligations(), 2, "{protocol}");
+            if protocol != ProtocolKind::TwoPhaseCommit {
+                // Their L1 locks are still held: a conflicting write waits.
+                let blocked = fed.run_transaction(&write_at_2).unwrap();
+                assert!(
+                    matches!(blocked.outcome, TxnOutcome::L1Rejected(_)),
+                    "{protocol}: {blocked:?}"
+                );
+            }
+
+            // The fault clears: one more pass drains them all, and the
+            // same objects take a new transaction.
+            *transport.reject_finish_for.lock() = None;
+            assert_eq!(fed.resolve_pending().unwrap(), 2, "{protocol}");
+            assert_eq!(fed.pending_obligations(), 0, "{protocol}");
+            assert_eq!(user_sum(&fed), 100 * 4 * 50, "{protocol}");
+            let report = fed.run_transaction(&write_at_2).unwrap();
+            assert_eq!(report.outcome, TxnOutcome::Committed, "{protocol}");
         }
     }
 

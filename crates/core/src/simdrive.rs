@@ -224,18 +224,34 @@ impl SimFederation {
             .expect("bulk load");
     }
 
-    fn send(&mut self, from: SiteId, to: SiteId, payload: Payload) {
+    /// Put a message on the network `after` a local delay (a site's
+    /// service time; none at the central system).
+    fn send(&mut self, from: SiteId, to: SiteId, payload: Payload, after: SimDuration) {
         let env = Envelope::new(from, to, payload);
         self.trace.record(self.queue.now(), env.clone());
         match self.router.route(&env) {
             Routing::Deliver(latency) => {
-                self.queue.schedule_after(latency, Event::Deliver(env));
+                self.queue
+                    .schedule_after(after + latency, Event::Deliver(env));
             }
             Routing::DeliverTwice(a, b) => {
-                self.queue.schedule_after(a, Event::Deliver(env.clone()));
-                self.queue.schedule_after(b, Event::Deliver(env));
+                self.queue
+                    .schedule_after(after + a, Event::Deliver(env.clone()));
+                self.queue.schedule_after(after + b, Event::Deliver(env));
             }
             Routing::Dropped => {}
+        }
+    }
+
+    /// The coordinator of `gtx` as it is at start — and again after a
+    /// central crash, before `resume` tells it what the log remembers.
+    fn coordinator_for(&self, gtx: GlobalTxnId) -> Coordinator {
+        let federation = &self.cfg.federation;
+        let coordinator = Coordinator::new(gtx, federation.protocol, self.programs[&gtx].clone());
+        if federation.fast_path {
+            coordinator.with_piggyback()
+        } else {
+            coordinator
         }
     }
 
@@ -243,7 +259,7 @@ impl SimFederation {
         for action in actions {
             match action {
                 CoordAction::Send { site, payload } => {
-                    self.send(SiteId::CENTRAL, site, payload);
+                    self.send(SiteId::CENTRAL, site, payload, SimDuration::ZERO);
                 }
                 CoordAction::Decided(v) => {
                     // Force the decision to the central log *before* the
@@ -276,24 +292,8 @@ impl SimFederation {
         let mode = submit_mode_for(self.cfg.federation.protocol);
         let reply = dispatch_to_manager(&manager, payload, mode);
         match reply {
-            Ok(reply) => {
-                // Service time then network back to the central system.
-                let service = self.cfg.service_time;
-                let env = Envelope::new(site, SiteId::CENTRAL, reply);
-                self.trace.record(self.queue.now(), env.clone());
-                match self.router.route(&env) {
-                    Routing::Deliver(latency) => {
-                        self.queue
-                            .schedule_after(service + latency, Event::Deliver(env));
-                    }
-                    Routing::DeliverTwice(a, b) => {
-                        self.queue
-                            .schedule_after(service + a, Event::Deliver(env.clone()));
-                        self.queue.schedule_after(service + b, Event::Deliver(env));
-                    }
-                    Routing::Dropped => {}
-                }
-            }
+            // Service time then network back to the central system.
+            Ok(reply) => self.send(site, SiteId::CENTRAL, reply, self.cfg.service_time),
             Err(AmcError::SiteDown(_)) => {} // crash race: timer will retry
             Err(e) => self.errors.push(format!("{site}: {e}")),
         }
@@ -304,11 +304,10 @@ impl SimFederation {
             return; // the coordinator is dead; retransmission will recover
         }
         let gtx = payload.gtx();
-        let event = match payload {
-            Payload::Vote { vote, .. } => CoordEvent::Vote { site: from, vote },
-            Payload::Finished { .. } => CoordEvent::Finished { site: from },
-            other => {
-                self.errors.push(format!("central got {other}"));
+        let event = match CoordEvent::from_reply(from, Ok(payload)) {
+            Ok(event) => event,
+            Err(e) => {
+                self.errors.push(format!("central: {e}"));
                 return;
             }
         };
@@ -331,12 +330,11 @@ impl SimFederation {
             .copied()
             .collect();
         for gtx in unfinished {
-            let program = self.programs[&gtx].clone();
             let logged = self.central_log.get(&gtx).copied();
             self.obs
                 .emit(Some(gtx), SiteId::CENTRAL, EventKind::Resume { logged });
-            let (mut coordinator, actions) =
-                Coordinator::resume(gtx, self.cfg.federation.protocol, program, logged);
+            let mut coordinator = self.coordinator_for(gtx);
+            let actions = coordinator.resume(logged);
             coordinator.set_obs(self.obs.clone());
             let done = coordinator.is_done();
             self.txns.insert(gtx, TxnState { coordinator, done });
@@ -384,14 +382,9 @@ impl SimFederation {
                             .schedule_after(self.cfg.retransmit_every, Event::Start(gtx));
                         continue;
                     }
-                    let program = self.programs[&gtx].clone();
                     self.obs
                         .emit(Some(gtx), SiteId::CENTRAL, EventKind::TxnStart);
-                    let mut coordinator =
-                        Coordinator::new(gtx, self.cfg.federation.protocol, program);
-                    if self.cfg.federation.fast_path {
-                        coordinator = coordinator.with_piggyback();
-                    }
+                    let mut coordinator = self.coordinator_for(gtx);
                     coordinator.set_obs(self.obs.clone());
                     let actions = coordinator.on_event(CoordEvent::Start);
                     self.start_times.insert(gtx, at);

@@ -99,6 +99,29 @@ pub struct CommStats {
     pub marker_checks: u64,
 }
 
+impl std::ops::AddAssign for CommStats {
+    fn add_assign(&mut self, other: Self) {
+        // Destructured in full: a new counter does not compile until it
+        // is summed here.
+        let CommStats {
+            submits,
+            votes_ready,
+            votes_aborted,
+            redo_runs,
+            undo_runs,
+            pre_vote_retries,
+            marker_checks,
+        } = other;
+        self.submits += submits;
+        self.votes_ready += votes_ready;
+        self.votes_aborted += votes_aborted;
+        self.redo_runs += redo_runs;
+        self.undo_runs += undo_runs;
+        self.pre_vote_retries += pre_vote_retries;
+        self.marker_checks += marker_checks;
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Work {
     ops: Vec<Operation>,

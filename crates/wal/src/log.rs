@@ -33,6 +33,27 @@ pub struct LogStats {
     pub batched_commits: u64,
 }
 
+impl std::ops::AddAssign for LogStats {
+    fn add_assign(&mut self, other: Self) {
+        // Destructured in full: a new counter does not compile until it
+        // is summed here.
+        let LogStats {
+            appends,
+            forces,
+            stable_records,
+            stable_bytes,
+            group_forces,
+            batched_commits,
+        } = other;
+        self.appends += appends;
+        self.forces += forces;
+        self.stable_records += stable_records;
+        self.stable_bytes += stable_bytes;
+        self.group_forces += group_forces;
+        self.batched_commits += batched_commits;
+    }
+}
+
 /// Bytes one segment of the stable prefix holds before the next is opened.
 const SEGMENT_BYTES: usize = 64 * 1024;
 

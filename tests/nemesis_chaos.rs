@@ -18,32 +18,36 @@ fn obj(site: u32, i: u64) -> ObjectId {
     ObjectId::new(u64::from(site) * (1 << 32) + i)
 }
 
+type Program = BTreeMap<SiteId, Vec<Operation>>;
+
+fn increment(site: u32, i: u64, delta: i64) -> (SiteId, Vec<Operation>) {
+    let obj = obj(site, i);
+    (SiteId::new(site), vec![Operation::Increment { obj, delta }])
+}
+
 /// Five staggered transfers over disjoint object pairs (the discrete-event
 /// driver is single-threaded; programs must not conflict at L0).
-fn programs() -> Vec<(SimDuration, BTreeMap<SiteId, Vec<Operation>>)> {
+fn programs() -> Vec<(SimDuration, Program)> {
     (0..OBJS)
         .map(|i| {
             (
                 SimDuration::from_millis(i * 20),
-                BTreeMap::from([
-                    (
-                        SiteId::new(1),
-                        vec![Operation::Increment {
-                            obj: obj(1, i),
-                            delta: -10,
-                        }],
-                    ),
-                    (
-                        SiteId::new(2),
-                        vec![Operation::Increment {
-                            obj: obj(2, i),
-                            delta: 10,
-                        }],
-                    ),
-                ]),
+                BTreeMap::from([increment(1, i, -10), increment(2, i, 10)]),
             )
         })
         .collect()
+}
+
+/// The same stagger and objects, but every other program touches a single
+/// site (alternating between the two): under the fast path those take the
+/// solo route — local commit at the vote, no global round.
+fn solo_programs() -> Vec<(SimDuration, Program)> {
+    let mut programs = programs();
+    for (i, (_, program)) in programs.iter_mut().enumerate().step_by(2) {
+        let site = 1 + (i as u32 / 2) % 2;
+        *program = BTreeMap::from([increment(site, i as u64, 7)]);
+    }
+    programs
 }
 
 fn run_chaos(
@@ -52,7 +56,7 @@ fn run_chaos(
     seed: u64,
     skip_decision_log: bool,
 ) -> (SimReport, BTreeMap<SiteId, BTreeMap<ObjectId, Value>>) {
-    run_chaos_lane(protocol, false, faults, seed, skip_decision_log)
+    run_chaos_lane(protocol, false, programs(), faults, seed, skip_decision_log)
 }
 
 /// Like [`run_chaos`], with the 1PC fast path (vote piggyback) optionally
@@ -61,6 +65,7 @@ fn run_chaos(
 fn run_chaos_lane(
     protocol: ProtocolKind,
     fast_path: bool,
+    programs: Vec<(SimDuration, Program)>,
     faults: FaultPlan,
     seed: u64,
     skip_decision_log: bool,
@@ -83,7 +88,7 @@ fn run_chaos_lane(
         fed.load_site(SiteId::new(s), &data);
     }
     let managers = fed.managers();
-    let report = fed.run(programs());
+    let report = fed.run(programs);
     let dumps = SimFederation::dumps(&managers);
     (report, dumps)
 }
@@ -91,9 +96,10 @@ fn run_chaos_lane(
 /// The full oracle. Empty return = the run was correct.
 ///
 /// * every transaction resolved by the horizon;
-/// * per-transaction exactly-once: committed → both legs applied once,
-///   aborted → neither;
-/// * conservation: transfers keep the total balance;
+/// * per-transaction exactly-once: committed → every leg applied once,
+///   aborted → none;
+/// * conservation: the total balance moves by exactly the committed
+///   programs' net (zero for transfers);
 /// * marker audit ([`check_atomicity`]) for the two portable protocols
 ///   (2PC leaves no markers);
 /// * final-state equivalence against a serial replay of the committed
@@ -104,67 +110,76 @@ fn oracle(
     dumps: &BTreeMap<SiteId, BTreeMap<ObjectId, Value>>,
     label: &str,
 ) -> Vec<String> {
+    let leaves_markers = |_: &Program| protocol != ProtocolKind::TwoPhaseCommit;
+    oracle_for(&programs(), leaves_markers, report, dumps, label)
+}
+
+/// [`oracle`] over any set of single-increment-per-site programs on
+/// disjoint objects; `leaves_markers` says which of them ran through the
+/// marker-writing (portable-protocol) machinery at their sites.
+fn oracle_for(
+    programs: &[(SimDuration, Program)],
+    leaves_markers: impl Fn(&Program) -> bool,
+    report: &SimReport,
+    dumps: &BTreeMap<SiteId, BTreeMap<ObjectId, Value>>,
+    label: &str,
+) -> Vec<String> {
     let mut violations = Vec::new();
-    let mut total = 0i64;
-    for i in 0..OBJS {
-        let gtx = GlobalTxnId::new(i + 1);
-        let v1 = dumps[&SiteId::new(1)][&obj(1, i)].counter;
-        let v2 = dumps[&SiteId::new(2)][&obj(2, i)].counter;
-        total += v1 + v2;
-        match report.outcomes.get(&gtx) {
-            Some(GlobalVerdict::Commit) => {
-                if (v1, v2) != (PER_OBJ - 10, PER_OBJ + 10) {
-                    violations.push(format!(
-                        "{label}: {gtx} committed but state is ({v1}, {v2})"
-                    ));
+    let mut expected_total = 2 * OBJS as i64 * PER_OBJ;
+    let mut participants: BTreeMap<GlobalTxnId, Vec<SiteId>> = BTreeMap::new();
+    let mut all_programs: BTreeMap<GlobalTxnId, Vec<Operation>> = BTreeMap::new();
+    for (i, (_, program)) in programs.iter().enumerate() {
+        let gtx = GlobalTxnId::new(i as u64 + 1);
+        let outcome = report.outcomes.get(&gtx);
+        if outcome.is_none() {
+            violations.push(format!("{label}: {gtx} unresolved at horizon"));
+        }
+        for (site, ops) in program {
+            for op in ops {
+                let Operation::Increment { obj, delta } = *op else {
+                    panic!("chaos programs are increments: {op:?}");
+                };
+                let applied = dumps[site][&obj].counter - PER_OBJ;
+                match outcome {
+                    Some(GlobalVerdict::Commit) if applied != delta => violations.push(format!(
+                        "{label}: {gtx} committed but {site} shows {applied:+}, not {delta:+}"
+                    )),
+                    Some(GlobalVerdict::Abort) if applied != 0 => violations.push(format!(
+                        "{label}: {gtx} aborted but {site} shows {applied:+}"
+                    )),
+                    _ => {}
+                }
+                if outcome == Some(&GlobalVerdict::Commit) {
+                    expected_total += delta;
                 }
             }
-            Some(GlobalVerdict::Abort) => {
-                if (v1, v2) != (PER_OBJ, PER_OBJ) {
-                    violations.push(format!("{label}: {gtx} aborted but state is ({v1}, {v2})"));
-                }
-            }
-            None => violations.push(format!("{label}: {gtx} unresolved at horizon")),
         }
-    }
-    if total != 2 * OBJS as i64 * PER_OBJ {
-        violations.push(format!("{label}: conservation broken, total {total}"));
-    }
-    if protocol != ProtocolKind::TwoPhaseCommit {
-        let participants: BTreeMap<GlobalTxnId, Vec<SiteId>> = (1..=OBJS)
-            .map(|i| (GlobalTxnId::new(i), vec![SiteId::new(1), SiteId::new(2)]))
-            .collect();
-        for v in check_atomicity(dumps, &report.outcomes, &participants) {
-            violations.push(format!("{label}: {v:?}"));
+        if leaves_markers(program) {
+            participants.insert(gtx, program.keys().copied().collect());
         }
+        all_programs.insert(gtx, program.values().flatten().copied().collect());
+    }
+    let user_objects =
+        || (1..=2u32).flat_map(|s| (0..OBJS).map(move |i| (SiteId::new(s), obj(s, i))));
+    let total: i64 = user_objects().map(|(s, o)| dumps[&s][&o].counter).sum();
+    if total != expected_total {
+        violations.push(format!(
+            "{label}: conservation broken, total {total} (expected {expected_total})"
+        ));
+    }
+    for v in check_atomicity(dumps, &report.outcomes, &participants) {
+        violations.push(format!("{label}: {v:?}"));
     }
     // Serial replay: the programs are disjoint, so ascending gtx order is a
     // valid serialization of whatever interleaving actually happened.
-    let initial: BTreeMap<ObjectId, Value> = (1..=2u32)
-        .flat_map(|s| (0..OBJS).map(move |i| (obj(s, i), Value::counter(PER_OBJ))))
+    let initial: BTreeMap<ObjectId, Value> = user_objects()
+        .map(|(_, o)| (o, Value::counter(PER_OBJ)))
         .collect();
     let committed: Vec<GlobalTxnId> = report
         .outcomes
         .iter()
         .filter(|(_, v)| **v == GlobalVerdict::Commit)
         .map(|(g, _)| *g)
-        .collect();
-    let all_programs: BTreeMap<GlobalTxnId, Vec<Operation>> = (0..OBJS)
-        .map(|i| {
-            (
-                GlobalTxnId::new(i + 1),
-                vec![
-                    Operation::Increment {
-                        obj: obj(1, i),
-                        delta: -10,
-                    },
-                    Operation::Increment {
-                        obj: obj(2, i),
-                        delta: 10,
-                    },
-                ],
-            )
-        })
         .collect();
     let actual: BTreeMap<ObjectId, Value> = dumps
         .values()
@@ -207,7 +222,7 @@ fn fast_path_chaos_sweep_is_violation_free() {
     let protocol = ProtocolKind::TwoPhaseCommit;
     for seed in 0..150u64 {
         let plan = generate_faults(&nemesis, seed);
-        let (report, dumps) = run_chaos_lane(protocol, true, plan.clone(), seed, false);
+        let (report, dumps) = run_chaos_lane(protocol, true, programs(), plan.clone(), seed, false);
         let label = format!("2pc+fast-path seed {seed} ({} fault events)", plan.len());
         let violations = oracle(protocol, &report, &dumps, &label);
         assert!(
@@ -217,6 +232,80 @@ fn fast_path_chaos_sweep_is_violation_free() {
             report.errors
         );
     }
+}
+
+/// The solo lane of the fast-path sweep: every other program touches one
+/// site and takes the single-site route — the coordinator of one that the
+/// threaded runtime's solo transactions also run. A lost reply, a site
+/// crash between local commit and vote, a central crash before the vote is
+/// logged: each must end with the increment applied exactly once or not
+/// at all, the markers agreeing with the verdict, and the same seed giving
+/// the same run.
+#[test]
+fn fast_path_solo_chaos_sweep_is_violation_free() {
+    let nemesis = NemesisConfig::default();
+    let protocol = ProtocolKind::TwoPhaseCommit;
+    let run = |seed: u64| {
+        let plan = generate_faults(&nemesis, seed);
+        let (report, dumps) =
+            run_chaos_lane(protocol, true, solo_programs(), plan.clone(), seed, false);
+        (plan, report, dumps)
+    };
+    let mut solo_commits = 0usize;
+    let mut solo_aborts = 0usize;
+    for seed in 0..150u64 {
+        let (plan, report, dumps) = run(seed);
+        let label = format!(
+            "2pc+fast-path solo seed {seed} ({} fault events)",
+            plan.len()
+        );
+        // Solo transactions commit through the site's commit-before
+        // machinery, markers included; the two-site ones stay plain 2PC.
+        let violations = oracle_for(
+            &solo_programs(),
+            |program| program.len() == 1,
+            &report,
+            &dumps,
+            &label,
+        );
+        assert!(
+            violations.is_empty(),
+            "{violations:?}\nplan: {:?}\nerrors: {:?}",
+            plan.events(),
+            report.errors
+        );
+        for gtx in (1..=OBJS).step_by(2).map(GlobalTxnId::new) {
+            match report.outcomes[&gtx] {
+                GlobalVerdict::Commit => solo_commits += 1,
+                GlobalVerdict::Abort => solo_aborts += 1,
+            }
+        }
+        if seed < 20 {
+            let (_, again, dumps_again) = run(seed);
+            assert_eq!(
+                (
+                    report.outcomes,
+                    report.net,
+                    report.end_time,
+                    report.trace.render(),
+                    dumps
+                ),
+                (
+                    again.outcomes,
+                    again.net,
+                    again.end_time,
+                    again.trace.render(),
+                    dumps_again
+                ),
+                "{label}: not reproducible"
+            );
+        }
+    }
+    // The sweep reached both ends of the solo path.
+    assert!(
+        solo_commits > 0 && solo_aborts > 0,
+        "{solo_commits} / {solo_aborts}"
+    );
 }
 
 /// Determinism contract: re-running a seed reproduces the run bit-for-bit
@@ -232,7 +321,8 @@ fn chaos_runs_reproduce_per_seed() {
         for seed in 0..20u64 {
             let run = || {
                 let plan = generate_faults(&nemesis, seed);
-                let (report, dumps) = run_chaos_lane(protocol, fast_path, plan, seed, false);
+                let (report, dumps) =
+                    run_chaos_lane(protocol, fast_path, programs(), plan, seed, false);
                 (
                     report.outcomes,
                     report.net,
@@ -264,7 +354,14 @@ fn fast_path_crash_between_apply_and_vote_ack_recovers_the_piggybacked_prepare()
         .crash(SiteId::new(2), amc::types::SimTime(2_000))
         .heal(SiteId::new(2), amc::types::SimTime(11_000))
         .restart(SiteId::new(2), amc::types::SimTime(12_000));
-    let (report, dumps) = run_chaos_lane(ProtocolKind::TwoPhaseCommit, true, faults, 11, false);
+    let (report, dumps) = run_chaos_lane(
+        ProtocolKind::TwoPhaseCommit,
+        true,
+        programs(),
+        faults,
+        11,
+        false,
+    );
     let label = "2pc+fast-path vote-lost crash";
     let violations = oracle(ProtocolKind::TwoPhaseCommit, &report, &dumps, label);
     assert!(

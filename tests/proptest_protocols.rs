@@ -39,6 +39,9 @@ fn arb_event(max_site: u32) -> impl Strategy<Value = CoordEvent> {
         (1..=max_site).prop_map(|s| CoordEvent::Finished {
             site: SiteId::new(s)
         }),
+        (1..=max_site).prop_map(|s| CoordEvent::Unreachable {
+            site: SiteId::new(s)
+        }),
         Just(CoordEvent::Timer),
     ]
 }

@@ -308,6 +308,32 @@ fn read_only_participant_needs_no_undo_on_abort() {
     );
 }
 
+/// *To Vote Before Decide*, single-site case: under the fast path a
+/// transaction touching one site is one exchange — the combined dispatch
+/// marked `solo`, and the vote that reports the local commit. No decision
+/// travels; the coordinator is a commit-before coordinator of one.
+#[test]
+fn fast_path_single_site_trace_is_two_messages() {
+    let mut cfg =
+        SimConfig::new(FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_fast_path());
+    cfg.failures = FailurePlan::none();
+    let fed = SimFederation::new(cfg);
+    fed.load_site(SiteId::new(2), &[(obj(2, 0), Value::counter(100))]);
+    let managers = fed.managers();
+    let mut program = transfer();
+    program.remove(&SiteId::new(1));
+    let report = fed.run(vec![(SimDuration::ZERO, program)]);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert_eq!(
+        report.trace.labels_for(G1),
+        vec!["submit-solo:0->2", "ready:2->0"]
+    );
+    assert_eq!(report.sent, 2);
+    assert_eq!(report.outcomes[&G1], GlobalVerdict::Commit);
+    let dumps = SimFederation::dumps(&managers);
+    assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)], Value::counter(130));
+}
+
 /// The threaded `Federation` hands a round's sends to the transport
 /// together, but records each exchange as a (request, reply) pair in
 /// emission order — over the serial in-process transport, exactly the
