@@ -48,6 +48,12 @@ pub enum TxnOutcome {
     L1Rejected(AbortReason),
 }
 
+amc_types::wire_enum!(TxnOutcome, "txn-outcome" {
+    0 => Committed,
+    1 => Aborted,
+    2 => L1Rejected(reason: AbortReason),
+});
+
 /// Per-transaction measurements returned to the driver loop.
 #[derive(Debug, Clone)]
 pub struct TxnReport {

@@ -80,6 +80,12 @@ pub enum SubmitMode {
     CommitBefore,
 }
 
+amc_types::wire_enum!(SubmitMode, "submit-mode" {
+    0 => TwoPhase,
+    1 => CommitAfter,
+    2 => CommitBefore,
+});
+
 /// Counters for E2/E4/E8.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
@@ -98,6 +104,16 @@ pub struct CommStats {
     /// Marker lookups performed.
     pub marker_checks: u64,
 }
+
+amc_types::wire_struct!(CommStats {
+    submits: u64,
+    votes_ready: u64,
+    votes_aborted: u64,
+    redo_runs: u64,
+    undo_runs: u64,
+    pre_vote_retries: u64,
+    marker_checks: u64,
+});
 
 impl std::ops::AddAssign for CommStats {
     fn add_assign(&mut self, other: Self) {
@@ -122,41 +138,57 @@ impl std::ops::AddAssign for CommStats {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One slot of the work map: the journaled entry plus what only this
+/// process knows about it.
+#[derive(Debug)]
 struct Work {
-    ops: Vec<Operation>,
-    mode: SubmitMode,
-    ltx: Option<LocalTxnId>,
-    /// Commit-before: the forward transaction committed locally.
-    committed_locally: bool,
-    /// The vote this manager reported (None until voted).
-    vote: Option<LocalVote>,
-    /// Commit-before: inverse actions captured at execution time, in
-    /// forward order (the local half of the §3.3 undo-log).
-    inverse_ops: Vec<Operation>,
+    entry: WorkEntry,
     /// Restored from the work journal after a site restart; the next
     /// final-state message resolves the in-doubt window and is reported
     /// as an `InDoubtResolved` event.
     recovered: bool,
 }
 
-impl Work {
+/// What a handler reads of an entry once the stripe lock is released:
+/// the scalars, not the programs.
+#[derive(Debug, Clone, Copy)]
+struct Snapshot {
+    mode: SubmitMode,
+    ltx: Option<LocalTxnId>,
+    committed_locally: bool,
+    vote: Option<LocalVote>,
+    read_only: bool,
+}
+
+impl Snapshot {
+    fn is_tombstone(&self) -> bool {
+        self.ltx.is_none() && !self.committed_locally && self.vote == Some(LocalVote::Aborted)
+    }
+}
+
+impl WorkEntry {
     /// A presumed-abort tombstone: the coordinator already treats this
     /// transaction as aborted, so a late `Submit` must not execute.
-    fn tombstone(mode: SubmitMode) -> Work {
-        Work {
-            ops: Vec::new(),
+    fn tombstone(gtx: GlobalTxnId, mode: SubmitMode) -> WorkEntry {
+        WorkEntry {
+            gtx,
             mode,
             ltx: None,
             committed_locally: false,
             vote: Some(LocalVote::Aborted),
+            ops: Vec::new(),
             inverse_ops: Vec::new(),
-            recovered: false,
         }
     }
 
-    fn is_tombstone(&self) -> bool {
-        self.ltx.is_none() && !self.committed_locally && self.vote == Some(LocalVote::Aborted)
+    fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            mode: self.mode,
+            ltx: self.ltx,
+            committed_locally: self.committed_locally,
+            vote: self.vote,
+            read_only: self.ops.iter().all(|op| !op.is_update()),
+        }
     }
 }
 
@@ -270,20 +302,23 @@ impl LocalCommManager {
         *self.recovery.lock()
     }
 
-    /// Persist the current shape of `gtx`'s work record (no-op without a
+    /// Persist the current shape of a work record (no-op without a
     /// journal attached).
-    fn journal_record(&self, gtx: GlobalTxnId, w: &Work) {
+    fn journal_record(&self, entry: &WorkEntry) {
         if let Some(j) = &self.journal {
-            j.record(&WorkEntry {
-                gtx,
-                mode: w.mode,
-                ltx: w.ltx,
-                committed_locally: w.committed_locally,
-                vote: w.vote,
-                ops: w.ops.clone(),
-                inverse_ops: w.inverse_ops.clone(),
-            });
+            j.record(entry);
         }
+    }
+
+    /// Journal `entry` and make it the current work record of its
+    /// transaction.
+    fn record_work(&self, entry: WorkEntry) {
+        self.journal_record(&entry);
+        let slot = Work {
+            entry,
+            recovered: false,
+        };
+        self.work(slot.entry.gtx).insert(slot.entry.gtx, slot);
     }
 
     /// Rebuild the work map from journal entries after a process restart.
@@ -299,26 +334,16 @@ impl LocalCommManager {
     ///
     /// Returns the number of entries restored.
     pub fn restore_work(&self, entries: Vec<WorkEntry>) -> AmcResult<u64> {
-        let mut restored = 0u64;
-        for e in entries {
-            let mut w = Work {
-                ops: e.ops,
-                mode: e.mode,
-                ltx: e.ltx,
-                committed_locally: e.committed_locally,
-                vote: e.vote,
-                inverse_ops: e.inverse_ops,
-                recovered: false,
-            };
-            if w.mode == SubmitMode::CommitBefore
-                && !w.is_tombstone()
-                && w.ops.iter().any(|op| op.is_update())
+        let restored = entries.len() as u64;
+        for mut entry in entries {
+            let before = entry.snapshot();
+            if entry.mode == SubmitMode::CommitBefore && !before.is_tombstone() && !before.read_only
             {
                 // The crash may have raced either side of the local commit;
                 // only the marker knows which side won.
-                let committed = self.marker_present(forward_marker(e.gtx))?;
-                w.committed_locally = committed;
-                w.vote = Some(if committed {
+                let committed = self.marker_present(forward_marker(entry.gtx))?;
+                entry.committed_locally = committed;
+                entry.vote = Some(if committed {
                     LocalVote::Ready
                 } else {
                     LocalVote::Aborted
@@ -327,13 +352,13 @@ impl LocalCommManager {
                     // The forward transaction died with the engine: the
                     // entry degenerates to a presumed-abort tombstone and
                     // the captured inverses are for a run that never was.
-                    w.ltx = None;
-                    w.inverse_ops.clear();
+                    entry.ltx = None;
+                    entry.inverse_ops.clear();
                 }
             }
-            w.recovered = !w.is_tombstone();
-            self.work(e.gtx).insert(e.gtx, w);
-            restored += 1;
+            let recovered = !entry.snapshot().is_tombstone();
+            self.work(entry.gtx)
+                .insert(entry.gtx, Work { entry, recovered });
         }
         Ok(restored)
     }
@@ -346,16 +371,10 @@ impl LocalCommManager {
     /// If `gtx` was restored from the journal, this message resolved its
     /// in-doubt window: emit the event once and clear the flag.
     fn resolve_recovered(&self, gtx: GlobalTxnId, verdict: amc_types::GlobalVerdict) {
-        let was_recovered = {
-            let mut work = self.work(gtx);
-            match work.get_mut(&gtx) {
-                Some(w) if w.recovered => {
-                    w.recovered = false;
-                    true
-                }
-                _ => false,
-            }
-        };
+        let was_recovered = self
+            .work(gtx)
+            .get_mut(&gtx)
+            .is_some_and(|w| std::mem::take(&mut w.recovered));
         if was_recovered {
             self.obs
                 .emit(Some(gtx), self.site, EventKind::InDoubtResolved { verdict });
@@ -409,7 +428,7 @@ impl LocalCommManager {
 
     /// The local transaction currently associated with `gtx`.
     pub fn local_txn_of(&self, gtx: GlobalTxnId) -> Option<LocalTxnId> {
-        self.work(gtx).get(&gtx).and_then(|w| w.ltx)
+        self.work(gtx).get(&gtx).and_then(|w| w.entry.ltx)
     }
 
     fn marker_op(gtx: GlobalTxnId, ltx: LocalTxnId, undo: bool) -> Operation {
@@ -511,6 +530,51 @@ impl LocalCommManager {
         Ok(Ok(ltx))
     }
 
+    /// Count `vote` and wrap it as the reply.
+    fn vote_reply(&self, gtx: GlobalTxnId, vote: LocalVote) -> Payload {
+        let mut stats = self.stats.lock();
+        if vote.is_yes() {
+            stats.votes_ready += 1;
+        } else {
+            stats.votes_aborted += 1;
+        }
+        Payload::Vote { gtx, vote }
+    }
+
+    /// The vote an earlier copy of this submit already produced, if any.
+    /// Duplicate or superseded submits must not execute again:
+    ///
+    /// * a tombstone (an `Aborted` vote with no local transaction) means
+    ///   the coordinator already presumed this transaction aborted (an
+    ///   abort decision or post-crash inquiry beat the submit here) —
+    ///   executing now would resurrect dead work;
+    /// * any other vote means an earlier copy of this submit already ran
+    ///   (at-least-once delivery) — re-executing would collide with the
+    ///   running original (or double-commit); answer idempotently.
+    fn prior_vote(&self, gtx: GlobalTxnId) -> Option<LocalVote> {
+        self.work(gtx).get(&gtx)?.entry.vote
+    }
+
+    /// Run `attempt` until it succeeds, aborts for a reason repetition
+    /// cannot cure, or the pre-vote retry budget is spent: nothing has
+    /// been promised before the vote, so giving up is always safe.
+    fn retry_pre_vote(
+        &self,
+        mut attempt: impl FnMut() -> AmcResult<Result<LocalTxnId, AbortReason>>,
+    ) -> AmcResult<Result<LocalTxnId, AbortReason>> {
+        let mut retries = 0;
+        loop {
+            match attempt()? {
+                Err(r) if r.is_erroneous() && retries < self.pre_vote_retries => {
+                    self.stats.lock().pre_vote_retries += 1;
+                    retries += 1;
+                    self.backoff(retries);
+                }
+                outcome => return Ok(outcome),
+            }
+        }
+    }
+
     /// Handle a `Submit`: run the decomposed local transaction and vote.
     pub fn handle_submit(
         &self,
@@ -519,29 +583,8 @@ impl LocalCommManager {
         mode: SubmitMode,
     ) -> AmcResult<Payload> {
         self.stats.lock().submits += 1;
-        // Duplicate or superseded submits must not execute again:
-        //
-        // * a tombstone means the coordinator already presumed this
-        //   transaction aborted (an abort decision or post-crash inquiry
-        //   beat the submit here) — executing now would resurrect dead
-        //   work;
-        // * an existing vote means an earlier copy of this submit already
-        //   ran (at-least-once delivery) — re-executing would collide with
-        //   the running original (or double-commit); answer idempotently.
-        if let Some(w) = self.work(gtx).get(&gtx) {
-            if let Some(vote) = w.vote {
-                let vote = if w.is_tombstone() {
-                    LocalVote::Aborted
-                } else {
-                    vote
-                };
-                let mut stats = self.stats.lock();
-                match vote {
-                    LocalVote::Ready | LocalVote::ReadyReadOnly => stats.votes_ready += 1,
-                    LocalVote::Aborted => stats.votes_aborted += 1,
-                }
-                return Ok(Payload::Vote { gtx, vote });
-            }
+        if let Some(vote) = self.prior_vote(gtx) {
+            return Ok(self.vote_reply(gtx, vote));
         }
         // Read-only optimization (cf. the derived 2PC protocols of §5): a
         // local transaction with no updates has nothing to redo or undo —
@@ -562,32 +605,29 @@ impl LocalCommManager {
         // to compensate (§3.3: a global abort arriving after a crash must
         // still find the undo-log).
         let split_commit = self.journal.is_some() && mode == SubmitMode::CommitBefore && !read_only;
-        let mut outcome: Result<LocalTxnId, AbortReason> = Err(AbortReason::Injected);
-        let mut inverse_ops = Vec::new();
-        for attempt in 0..=self.pre_vote_retries {
-            let mut all_ops = ops.clone();
+        let mut entry = WorkEntry {
+            gtx,
+            mode,
+            ltx: None,
+            committed_locally: false,
+            vote: None,
+            ops,
+            inverse_ops: Vec::new(),
+        };
+        let outcome = self.retry_pre_vote(|| {
+            let mut all_ops = entry.ops.clone();
             if with_marker {
                 // The ltx id inside the marker is informational; use a
                 // placeholder first, the real id is not known before begin.
                 all_ops.push(Self::marker_op(gtx, LocalTxnId::new(0), false));
             }
-            inverse_ops.clear();
-            let capture = (mode == SubmitMode::CommitBefore).then_some(&mut inverse_ops);
-            outcome = self.run_ops(&all_ops, commit_now && !split_commit, capture)?;
-            if split_commit {
-                if let Ok(ltx) = outcome {
-                    self.journal_record(
-                        gtx,
-                        &Work {
-                            ops: ops.clone(),
-                            mode,
-                            ltx: Some(ltx),
-                            committed_locally: false,
-                            vote: None,
-                            inverse_ops: inverse_ops.clone(),
-                            recovered: false,
-                        },
-                    );
+            entry.inverse_ops.clear();
+            let capture = (mode == SubmitMode::CommitBefore).then_some(&mut entry.inverse_ops);
+            let mut outcome = self.run_ops(&all_ops, commit_now && !split_commit, capture)?;
+            if let Ok(ltx) = outcome {
+                if split_commit {
+                    entry.ltx = Some(ltx);
+                    self.journal_record(&entry);
                     match self.handle.engine().commit(ltx) {
                         Ok(()) => {}
                         Err(AmcError::Aborted(r)) => outcome = Err(r),
@@ -595,46 +635,22 @@ impl LocalCommManager {
                     }
                 }
             }
-            match outcome {
-                Ok(_) => break,
-                Err(ref r) if r.is_erroneous() && attempt < self.pre_vote_retries => {
-                    // Pre-vote retry: nothing has been promised yet.
-                    self.stats.lock().pre_vote_retries += 1;
-                    self.backoff(attempt + 1);
-                    continue;
-                }
-                Err(_) => break,
-            }
-        }
+            Ok(outcome)
+        })?;
 
-        let (vote, ltx, committed) = match outcome {
-            Ok(ltx) if read_only && mode != SubmitMode::TwoPhase => {
-                (LocalVote::ReadyReadOnly, Some(ltx), commit_now)
-            }
-            Ok(ltx) => (LocalVote::Ready, Some(ltx), commit_now),
-            Err(_) => (LocalVote::Aborted, None, false),
+        let vote = match outcome {
+            Ok(_) if read_only && mode != SubmitMode::TwoPhase => LocalVote::ReadyReadOnly,
+            Ok(_) => LocalVote::Ready,
+            Err(_) => LocalVote::Aborted,
         };
-        if !committed {
-            inverse_ops.clear();
+        entry.ltx = outcome.ok();
+        entry.committed_locally = commit_now && outcome.is_ok();
+        entry.vote = Some(vote);
+        if !entry.committed_locally {
+            entry.inverse_ops.clear();
         }
-        let w = Work {
-            ops,
-            mode,
-            ltx,
-            committed_locally: committed,
-            vote: Some(vote),
-            inverse_ops,
-            recovered: false,
-        };
-        self.journal_record(gtx, &w);
-        self.work(gtx).insert(gtx, w);
-        {
-            let mut stats = self.stats.lock();
-            match vote {
-                LocalVote::Ready | LocalVote::ReadyReadOnly => stats.votes_ready += 1,
-                LocalVote::Aborted => stats.votes_aborted += 1,
-            }
-        }
+        let ltx = entry.ltx;
+        self.record_work(entry);
         // E2 injection: the §3.2 hazard — an erroneous abort strikes the
         // still-running transaction *after* the ready vote.
         if mode == SubmitMode::CommitAfter && vote == LocalVote::Ready {
@@ -649,7 +665,7 @@ impl LocalCommManager {
                 }
             }
         }
-        Ok(Payload::Vote { gtx, vote })
+        Ok(self.vote_reply(gtx, vote))
     }
 
     /// Handle a `SubmitPrepare` — the 1PC fast path: the final op dispatch
@@ -678,23 +694,8 @@ impl LocalCommManager {
             return self.handle_submit(gtx, ops, mode);
         }
         self.stats.lock().submits += 1;
-        // Same duplicate/tombstone guard as `handle_submit`: a prior copy
-        // of this dispatch (at-least-once delivery) or a presumed abort
-        // answers idempotently without re-executing.
-        if let Some(w) = self.work(gtx).get(&gtx) {
-            if let Some(vote) = w.vote {
-                let vote = if w.is_tombstone() {
-                    LocalVote::Aborted
-                } else {
-                    vote
-                };
-                let mut stats = self.stats.lock();
-                match vote {
-                    LocalVote::Ready | LocalVote::ReadyReadOnly => stats.votes_ready += 1,
-                    LocalVote::Aborted => stats.votes_aborted += 1,
-                }
-                return Ok(Payload::Vote { gtx, vote });
-            }
+        if let Some(vote) = self.prior_vote(gtx) {
+            return Ok(self.vote_reply(gtx, vote));
         }
         let Some(prep) = self.handle.preparable() else {
             return Err(AmcError::Protocol(format!(
@@ -706,62 +707,42 @@ impl LocalCommManager {
         // to prepare — commit now and drop out of the decision round.
         let read_only = ops.iter().all(|op| !op.is_update());
         let engine = self.handle.engine();
-        let mut outcome: Result<LocalTxnId, AbortReason> = Err(AbortReason::Injected);
-        for attempt in 0..=self.pre_vote_retries {
+        let outcome = self.retry_pre_vote(|| {
             if read_only {
-                outcome = self.run_ops(&ops, true, None)?;
-            } else {
-                let ltx = engine.begin()?;
-                outcome = match prep.apply_and_prepare(ltx, &ops) {
-                    Ok(_) => Ok(ltx),
-                    Err(AmcError::Aborted(r)) => Err(r), // already rolled back
-                    Err(AmcError::SiteDown(s)) => return Err(AmcError::SiteDown(s)),
-                    Err(_logical) => {
-                        // NotFound / AlreadyExists etc.: an intended abort.
-                        engine.abort(ltx, AbortReason::Intended)?;
-                        Err(AbortReason::Intended)
-                    }
-                };
+                return self.run_ops(&ops, true, None);
             }
-            match outcome {
-                Ok(_) => break,
-                Err(ref r) if r.is_erroneous() && attempt < self.pre_vote_retries => {
-                    // Pre-vote retry: no vote has been cast yet.
-                    self.stats.lock().pre_vote_retries += 1;
-                    self.backoff(attempt + 1);
-                    continue;
+            let ltx = engine.begin()?;
+            Ok(match prep.apply_and_prepare(ltx, &ops) {
+                Ok(_) => Ok(ltx),
+                Err(AmcError::Aborted(r)) => Err(r), // already rolled back
+                Err(AmcError::SiteDown(s)) => return Err(AmcError::SiteDown(s)),
+                Err(_logical) => {
+                    // NotFound / AlreadyExists etc.: an intended abort.
+                    engine.abort(ltx, AbortReason::Intended)?;
+                    Err(AbortReason::Intended)
                 }
-                Err(_) => break,
-            }
-        }
-        let (vote, ltx, committed) = match outcome {
-            Ok(ltx) if read_only => (LocalVote::ReadyReadOnly, Some(ltx), true),
-            Ok(ltx) => (LocalVote::Ready, Some(ltx), false),
-            Err(_) => (LocalVote::Aborted, None, false),
+            })
+        })?;
+        let vote = match outcome {
+            Ok(_) if read_only => LocalVote::ReadyReadOnly,
+            Ok(_) => LocalVote::Ready,
+            Err(_) => LocalVote::Aborted,
         };
-        let w = Work {
-            ops,
+        let entry = WorkEntry {
+            gtx,
             mode,
-            ltx,
-            committed_locally: committed,
+            ltx: outcome.ok(),
+            committed_locally: read_only && outcome.is_ok(),
             vote: Some(vote),
+            ops,
             inverse_ops: Vec::new(),
-            recovered: false,
         };
-        self.journal_record(gtx, &w);
-        self.work(gtx).insert(gtx, w);
-        {
-            let mut stats = self.stats.lock();
-            match vote {
-                LocalVote::Ready | LocalVote::ReadyReadOnly => stats.votes_ready += 1,
-                LocalVote::Aborted => stats.votes_aborted += 1,
-            }
-        }
+        self.record_work(entry);
         if vote == LocalVote::Ready {
             // The §5 blocking hazard starts at the piggybacked prepare too.
             self.obs.emit(Some(gtx), self.site, EventKind::BlockEnter);
         }
-        Ok(Payload::Vote { gtx, vote })
+        Ok(self.vote_reply(gtx, vote))
     }
 
     /// Handle a `Prepare` inquiry.
@@ -773,8 +754,8 @@ impl LocalCommManager {
     ///   local recovery is finished ... the answer to the prepare message
     ///   is abort" — unless the commit survived).
     pub fn handle_prepare(&self, gtx: GlobalTxnId) -> AmcResult<Payload> {
-        let work_snapshot = self.work(gtx).get(&gtx).cloned();
-        let vote = match work_snapshot {
+        let snapshot = self.work(gtx).get(&gtx).map(|w| w.entry.snapshot());
+        let vote = match snapshot {
             Some(w) => match w.mode {
                 SubmitMode::TwoPhase => {
                     let Some(prep) = self.handle.preparable() else {
@@ -783,35 +764,23 @@ impl LocalCommManager {
                             self.site
                         )));
                     };
-                    let read_only = w.ops.iter().all(|op| !op.is_update());
-                    match w.ltx {
-                        Some(ltx)
-                            if self.handle.engine().state_of(ltx) == Some(LocalRunState::Ready) =>
-                        {
-                            // Re-inquiry of an already-prepared transaction.
-                            LocalVote::Ready
-                        }
-                        Some(ltx)
-                            if read_only
-                                && self.handle.engine().state_of(ltx)
-                                    == Some(LocalRunState::Running) =>
-                        {
-                            // Read-only optimization: commit now, drop out
-                            // of the decision round.
-                            match self.handle.engine().commit(ltx) {
+                    let engine = self.handle.engine();
+                    match w.ltx.map(|ltx| (ltx, engine.state_of(ltx))) {
+                        // Re-inquiry of an already-prepared transaction.
+                        Some((_, Some(LocalRunState::Ready))) => LocalVote::Ready,
+                        // Read-only optimization: commit now, drop out of
+                        // the decision round.
+                        Some((ltx, Some(LocalRunState::Running))) if w.read_only => {
+                            match engine.commit(ltx) {
                                 Ok(()) => LocalVote::ReadyReadOnly,
                                 Err(_) => LocalVote::Aborted,
                             }
                         }
-                        Some(ltx)
-                            if read_only
-                                && self.handle.engine().state_of(ltx)
-                                    == Some(LocalRunState::Committed) =>
-                        {
-                            // Duplicate prepare after the read-only commit.
+                        // Duplicate prepare after the read-only commit.
+                        Some((_, Some(LocalRunState::Committed))) if w.read_only => {
                             LocalVote::ReadyReadOnly
                         }
-                        Some(ltx) => match prep.prepare(ltx) {
+                        Some((ltx, _)) => match prep.prepare(ltx) {
                             Ok(()) => {
                                 // The §5 blocking hazard starts here: the
                                 // participant is in doubt until a decision
@@ -859,22 +828,34 @@ impl LocalCommManager {
                 if self.marker_present(forward_marker(gtx))? {
                     LocalVote::Ready
                 } else {
-                    let mut work = self.work(gtx);
-                    work.entry(gtx).or_insert_with(|| {
-                        let t = Work::tombstone(SubmitMode::CommitBefore);
-                        self.journal_record(gtx, &t);
-                        t
-                    });
+                    self.lay_tombstone(gtx, SubmitMode::CommitBefore);
                     LocalVote::Aborted
                 }
             }
         };
-        let mut stats = self.stats.lock();
-        match vote {
-            LocalVote::Ready | LocalVote::ReadyReadOnly => stats.votes_ready += 1,
-            LocalVote::Aborted => stats.votes_aborted += 1,
+        Ok(self.vote_reply(gtx, vote))
+    }
+
+    /// Leave a journaled presumed-abort tombstone for `gtx` unless work
+    /// for it is already known.
+    fn lay_tombstone(&self, gtx: GlobalTxnId, mode: SubmitMode) {
+        self.work(gtx).entry(gtx).or_insert_with(|| {
+            let entry = WorkEntry::tombstone(gtx, mode);
+            self.journal_record(&entry);
+            Work {
+                entry,
+                recovered: false,
+            }
+        });
+    }
+
+    /// Mark `gtx`'s work committed locally — by the repetition `redo`
+    /// when there was one, else by its original local transaction.
+    fn note_local_commit(&self, gtx: GlobalTxnId, redo: Option<LocalTxnId>) {
+        if let Some(w) = self.work(gtx).get_mut(&gtx) {
+            w.entry.committed_locally = true;
+            w.entry.ltx = redo.or(w.entry.ltx);
         }
-        Ok(Payload::Vote { gtx, vote })
     }
 
     /// The commit-after redo loop (§3.2, Fig. 4's double arrow): repeat the
@@ -885,14 +866,11 @@ impl LocalCommManager {
     /// again as a `Redo`), simply commit it — repetition is only for
     /// transactions that no longer exist.
     fn redo_until_committed(&self, gtx: GlobalTxnId, ops: &[Operation]) -> AmcResult<()> {
-        let live_ltx = self.work(gtx).get(&gtx).and_then(|w| w.ltx);
-        if let Some(ltx) = live_ltx {
+        if let Some(ltx) = self.local_txn_of(gtx) {
             if self.handle.engine().state_of(ltx) == Some(LocalRunState::Running)
                 && self.handle.engine().commit(ltx).is_ok()
             {
-                if let Some(w) = self.work(gtx).get_mut(&gtx) {
-                    w.committed_locally = true;
-                }
+                self.note_local_commit(gtx, None);
                 return Ok(());
             }
         }
@@ -913,10 +891,7 @@ impl LocalCommManager {
             all_ops.push(Self::marker_op(gtx, LocalTxnId::new(0), false));
             match self.run_ops(&all_ops, true, None)? {
                 Ok(ltx) => {
-                    if let Some(w) = self.work(gtx).get_mut(&gtx) {
-                        w.ltx = Some(ltx);
-                        w.committed_locally = true;
-                    }
+                    self.note_local_commit(gtx, Some(ltx));
                     return Ok(());
                 }
                 Err(r) if r.is_erroneous() => continue,
@@ -943,9 +918,9 @@ impl LocalCommManager {
         verdict: amc_types::GlobalVerdict,
     ) -> AmcResult<Payload> {
         use amc_types::GlobalVerdict;
-        let work_snapshot = self.work(gtx).get(&gtx).cloned();
+        let snapshot = self.work(gtx).get(&gtx).map(|w| w.entry.snapshot());
         let engine = self.handle.engine();
-        match work_snapshot {
+        match snapshot {
             // A commit decision can never legitimately follow a presumed
             // abort: the coordinator decided commit only on unanimous ready
             // votes, and a tombstone means we never voted ready.
@@ -997,13 +972,12 @@ impl LocalCommManager {
                         None => false,
                     };
                     if fast_committed {
-                        if let Some(work) = self.work(gtx).get_mut(&gtx) {
-                            work.committed_locally = true;
-                        }
+                        self.note_local_commit(gtx, None);
                     } else {
                         // Erroneous abort after ready (or crash): repeat
                         // until committed.
-                        self.redo_until_committed(gtx, &w.ops)?;
+                        let ops = self.work(gtx).get(&gtx).map(|w| w.entry.ops.clone());
+                        self.redo_until_committed(gtx, &ops.unwrap_or_default())?;
                     }
                 }
                 (SubmitMode::CommitAfter, GlobalVerdict::Abort) => {
@@ -1043,12 +1017,7 @@ impl LocalCommManager {
                         self.site
                     )));
                 }
-                let mut work = self.work(gtx);
-                work.entry(gtx).or_insert_with(|| {
-                    let t = Work::tombstone(SubmitMode::CommitAfter);
-                    self.journal_record(gtx, &t);
-                    t
-                });
+                self.lay_tombstone(gtx, SubmitMode::CommitAfter);
             }
         }
         self.resolve_recovered(gtx, verdict);
@@ -1058,18 +1027,18 @@ impl LocalCommManager {
     /// Handle a `Redo` retransmission (commit-after, after a site crash).
     pub fn handle_redo(&self, gtx: GlobalTxnId, ops: Vec<Operation>) -> AmcResult<Payload> {
         // Adopt the shipped ops if the submit predates our knowledge.
-        {
-            let mut work = self.work(gtx);
-            work.entry(gtx).or_insert(Work {
-                ops: ops.clone(),
+        self.work(gtx).entry(gtx).or_insert_with(|| Work {
+            entry: WorkEntry {
+                gtx,
                 mode: SubmitMode::CommitAfter,
                 ltx: None,
                 committed_locally: false,
                 vote: Some(LocalVote::Ready),
+                ops: ops.clone(),
                 inverse_ops: Vec::new(),
-                recovered: false,
-            });
-        }
+            },
+            recovered: false,
+        });
         self.redo_until_committed(gtx, &ops)?;
         self.resolve_recovered(gtx, amc_types::GlobalVerdict::Commit);
         Ok(Payload::Finished { gtx })
@@ -1084,16 +1053,10 @@ impl LocalCommManager {
     /// the "in the global system" placement.
     pub fn handle_undo(&self, gtx: GlobalTxnId, inverse_ops: Vec<Operation>) -> AmcResult<Payload> {
         let inverse_ops = if inverse_ops.is_empty() {
+            // Captured forward-order; undo runs newest-first.
             let work = self.work(gtx);
-            match work.get(&gtx) {
-                Some(w) => {
-                    // Captured forward-order; undo runs newest-first.
-                    let mut inv = w.inverse_ops.clone();
-                    inv.reverse();
-                    inv
-                }
-                None => Vec::new(),
-            }
+            let captured = work.get(&gtx).map(|w| w.entry.inverse_ops.clone());
+            captured.unwrap_or_default().into_iter().rev().collect()
         } else {
             inverse_ops
         };

@@ -17,12 +17,10 @@
 //!
 //! A [`WorkEntry`] is the serializable mirror of one work-map record. The
 //! journal is append-only with last-record-per-`gtx` wins, so updating an
-//! entry is just appending it again; `amc-rpc` stores entries in the same
-//! CRC-framed on-disk format as the WAL.
+//! entry is just appending it again; `amc-rpc` stores entries in an
+//! `amc_wal::RecordFile`, the same checksummed frame file as the WAL.
 
-use amc_types::{
-    AmcError, AmcResult, GlobalTxnId, LocalTxnId, LocalVote, ObjectId, Operation, Value,
-};
+use amc_types::{codec, AmcResult, GlobalTxnId, LocalTxnId, LocalVote, Operation};
 
 use crate::comm::SubmitMode;
 
@@ -47,202 +45,25 @@ pub struct WorkEntry {
     pub inverse_ops: Vec<Operation>,
 }
 
-fn put_op(out: &mut Vec<u8>, op: &Operation) {
-    match *op {
-        Operation::Read { obj } => {
-            out.push(0);
-            out.extend_from_slice(&obj.raw().to_le_bytes());
-        }
-        Operation::Write { obj, value } => {
-            out.push(1);
-            out.extend_from_slice(&obj.raw().to_le_bytes());
-            out.extend_from_slice(&value.to_bytes());
-        }
-        Operation::Increment { obj, delta } => {
-            out.push(2);
-            out.extend_from_slice(&obj.raw().to_le_bytes());
-            out.extend_from_slice(&delta.to_le_bytes());
-        }
-        Operation::Insert { obj, value } => {
-            out.push(3);
-            out.extend_from_slice(&obj.raw().to_le_bytes());
-            out.extend_from_slice(&value.to_bytes());
-        }
-        Operation::Delete { obj } => {
-            out.push(4);
-            out.extend_from_slice(&obj.raw().to_le_bytes());
-        }
-        Operation::Reserve { obj, amount } => {
-            out.push(5);
-            out.extend_from_slice(&obj.raw().to_le_bytes());
-            out.extend_from_slice(&amount.to_le_bytes());
-        }
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> AmcResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(AmcError::Corruption("work journal entry truncated".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> AmcResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> AmcResult<u64> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn i64(&mut self) -> AmcResult<i64> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(i64::from_le_bytes(b))
-    }
-
-    fn value(&mut self) -> AmcResult<Value> {
-        let mut b = [0u8; 12];
-        b.copy_from_slice(self.take(12)?);
-        Ok(Value::from_bytes(&b))
-    }
-
-    fn op(&mut self) -> AmcResult<Operation> {
-        let tag = self.u8()?;
-        let obj = ObjectId::new(self.u64()?);
-        Ok(match tag {
-            0 => Operation::Read { obj },
-            1 => Operation::Write {
-                obj,
-                value: self.value()?,
-            },
-            2 => Operation::Increment {
-                obj,
-                delta: self.i64()?,
-            },
-            3 => Operation::Insert {
-                obj,
-                value: self.value()?,
-            },
-            4 => Operation::Delete { obj },
-            5 => Operation::Reserve {
-                obj,
-                amount: self.u64()?,
-            },
-            t => {
-                return Err(AmcError::Corruption(format!(
-                    "work journal: unknown operation tag {t}"
-                )))
-            }
-        })
-    }
-}
-
-fn put_ops(out: &mut Vec<u8>, ops: &[Operation]) {
-    out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        put_op(out, op);
-    }
-}
-
-fn get_ops(c: &mut Cursor<'_>) -> AmcResult<Vec<Operation>> {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(c.take(4)?);
-    let n = u32::from_le_bytes(b) as usize;
-    let mut ops = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        ops.push(c.op()?);
-    }
-    Ok(ops)
-}
+amc_types::wire_struct!(WorkEntry {
+    gtx: GlobalTxnId,
+    mode: SubmitMode,
+    ltx: Option<LocalTxnId>,
+    committed_locally: bool,
+    vote: Option<LocalVote>,
+    ops: Vec<Operation>,
+    inverse_ops: Vec<Operation>,
+});
 
 impl WorkEntry {
-    /// Serialize to the journal's self-describing binary layout.
+    /// Serialize to the journal's binary layout (pre-framing payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + 32 * (self.ops.len() + self.inverse_ops.len()));
-        out.extend_from_slice(&self.gtx.raw().to_le_bytes());
-        out.push(match self.mode {
-            SubmitMode::TwoPhase => 0,
-            SubmitMode::CommitAfter => 1,
-            SubmitMode::CommitBefore => 2,
-        });
-        match self.ltx {
-            Some(l) => {
-                out.push(1);
-                out.extend_from_slice(&l.raw().to_le_bytes());
-            }
-            None => {
-                out.push(0);
-                out.extend_from_slice(&0u64.to_le_bytes());
-            }
-        }
-        out.push(u8::from(self.committed_locally));
-        out.push(match self.vote {
-            None => 0,
-            Some(LocalVote::Ready) => 1,
-            Some(LocalVote::ReadyReadOnly) => 2,
-            Some(LocalVote::Aborted) => 3,
-        });
-        put_ops(&mut out, &self.ops);
-        put_ops(&mut out, &self.inverse_ops);
-        out
+        codec::encode(self)
     }
 
     /// Decode an entry previously produced by [`WorkEntry::encode`].
     pub fn decode(buf: &[u8]) -> AmcResult<WorkEntry> {
-        let mut c = Cursor { buf, pos: 0 };
-        let gtx = GlobalTxnId::new(c.u64()?);
-        let mode = match c.u8()? {
-            0 => SubmitMode::TwoPhase,
-            1 => SubmitMode::CommitAfter,
-            2 => SubmitMode::CommitBefore,
-            t => {
-                return Err(AmcError::Corruption(format!(
-                    "work journal: unknown submit mode {t}"
-                )))
-            }
-        };
-        let has_ltx = c.u8()? != 0;
-        let raw_ltx = c.u64()?;
-        let ltx = has_ltx.then(|| LocalTxnId::new(raw_ltx));
-        let committed_locally = c.u8()? != 0;
-        let vote = match c.u8()? {
-            0 => None,
-            1 => Some(LocalVote::Ready),
-            2 => Some(LocalVote::ReadyReadOnly),
-            3 => Some(LocalVote::Aborted),
-            t => {
-                return Err(AmcError::Corruption(format!(
-                    "work journal: unknown vote tag {t}"
-                )))
-            }
-        };
-        let ops = get_ops(&mut c)?;
-        let inverse_ops = get_ops(&mut c)?;
-        if c.pos != buf.len() {
-            return Err(AmcError::Corruption(
-                "work journal: trailing bytes after entry".into(),
-            ));
-        }
-        Ok(WorkEntry {
-            gtx,
-            mode,
-            ltx,
-            committed_locally,
-            vote,
-            ops,
-            inverse_ops,
-        })
+        Ok(codec::decode(buf)?)
     }
 }
 
@@ -277,9 +98,19 @@ pub struct RecoveryStats {
     pub torn_tail: bool,
 }
 
+amc_types::wire_struct!(RecoveryStats {
+    committed: u64,
+    rolled_back: u64,
+    in_doubt: u64,
+    replayed: u64,
+    restored_entries: u64,
+    torn_tail: bool,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amc_types::{AmcError, ObjectId, Value};
 
     fn entry() -> WorkEntry {
         WorkEntry {

@@ -161,6 +161,31 @@ pub enum Payload {
     },
 }
 
+amc_types::wire_enum!(Payload, "payload" {
+    0 => Submit { gtx: GlobalTxnId, ops: Vec<Operation> },
+    1 => Prepare { gtx: GlobalTxnId },
+    2 => Vote { gtx: GlobalTxnId, vote: LocalVote },
+    3 => Decision { gtx: GlobalTxnId, verdict: GlobalVerdict },
+    4 => Redo { gtx: GlobalTxnId, ops: Vec<Operation> },
+    5 => Undo { gtx: GlobalTxnId, inverse_ops: Vec<Operation> },
+    6 => Finished { gtx: GlobalTxnId },
+    7 => PaxosRegister { gtx: GlobalTxnId, participants: Vec<SiteId> },
+    8 => PaxosAck { gtx: GlobalTxnId },
+    9 => PaxosP1a { gtx: GlobalTxnId, ballot: u64 },
+    10 => PaxosP1b {
+        gtx: GlobalTxnId,
+        ballot: u64,
+        promised: bool,
+        promised_up_to: u64,
+        participants: Vec<SiteId>,
+        accepted: Vec<(SiteId, u64, bool)>,
+    },
+    11 => PaxosP2a { gtx: GlobalTxnId, site: SiteId, ballot: u64, prepared: bool },
+    12 => PaxosP2b { gtx: GlobalTxnId, site: SiteId, ballot: u64, accepted: bool },
+    13 => PaxosDecided { gtx: GlobalTxnId, verdict: GlobalVerdict },
+    14 => SubmitPrepare { gtx: GlobalTxnId, solo: bool, ops: Vec<Operation> },
+});
+
 impl Payload {
     /// The global transaction this message belongs to.
     pub fn gtx(&self) -> GlobalTxnId {

@@ -60,6 +60,21 @@ pub struct PaxosOpenEntry {
     pub participants: Vec<SiteId>,
 }
 
+amc_types::wire_struct!(PaxosOpenEntry {
+    gtx: amc_types::GlobalTxnId,
+    participants: Vec<SiteId>,
+});
+
+amc_types::wire_enum!(AdminRequest, "admin-request" {
+    0 => Ping,
+    1 => Load(data: Vec<(ObjectId, Value)>),
+    2 => Dump,
+    3 => CommStats,
+    4 => LogStats,
+    5 => Recovery,
+    6 => PaxosOpen,
+});
+
 /// Replies to [`AdminRequest`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdminReply {
@@ -79,6 +94,16 @@ pub enum AdminReply {
     /// The acceptor's registered-but-undecided transactions.
     PaxosOpen(Vec<PaxosOpenEntry>),
 }
+
+amc_types::wire_enum!(AdminReply, "admin-reply" {
+    0 => Pong,
+    1 => Loaded,
+    2 => Dump(data: BTreeMap<ObjectId, Value>),
+    3 => CommStats(stats: CommStats),
+    4 => LogStats(stats: LogStats),
+    5 => Recovery(stats: Option<RecoveryStats>),
+    6 => PaxosOpen(entries: Vec<PaxosOpenEntry>),
+});
 
 /// A bidirectional request/reply channel from the central system to every
 /// site of the federation.

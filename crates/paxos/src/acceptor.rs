@@ -6,19 +6,18 @@
 //! acceptor is split sans-IO style:
 //!
 //! * [`Record`] — the durable log vocabulary (registration, promise,
-//!   accept, decision note) with a checksummable binary encoding;
+//!   accept, decision note), one row table in the workspace codec;
 //! * [`AcceptorState`] — the pure state machine: applying a sequence of
 //!   records from any log prefix reproduces exactly the state the acceptor
 //!   had when the last record of that prefix was written;
 //! * [`DurableAcceptor`] — the production wrapper that appends each record
-//!   to an [`amc_wal::DurableFile`] and fsyncs **before** the reply is
+//!   to an [`amc_wal::RecordFile`] and fsyncs **before** the reply is
 //!   released, so an acknowledged promise/accept survives `kill -9`.
 
 use crate::ballot::Ballot;
 use amc_net::PaxosOpenEntry;
-use amc_types::{AmcError, AmcResult, GlobalTxnId, GlobalVerdict, SiteId};
-use amc_wal::durable::{frame, unframe};
-use amc_wal::DurableFile;
+use amc_types::{codec, AmcResult, GlobalTxnId, GlobalVerdict, SiteId};
+use amc_wal::RecordFile;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -59,124 +58,22 @@ pub enum Record {
     },
 }
 
-const TAG_REGISTER: u8 = 1;
-const TAG_PROMISE: u8 = 2;
-const TAG_ACCEPT: u8 = 3;
-const TAG_DECISION: u8 = 4;
+amc_types::wire_enum!(Record, "acceptor-record" {
+    1 => Register { gtx: GlobalTxnId, participants: Vec<SiteId> },
+    2 => Promise { gtx: GlobalTxnId, ballot: Ballot },
+    3 => Accept { gtx: GlobalTxnId, site: SiteId, ballot: Ballot, prepared: bool },
+    4 => Decision { gtx: GlobalTxnId, verdict: GlobalVerdict },
+});
 
 impl Record {
     /// Binary encoding (pre-framing payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        match self {
-            Record::Register { gtx, participants } => {
-                out.push(TAG_REGISTER);
-                out.extend_from_slice(&gtx.raw().to_le_bytes());
-                out.extend_from_slice(&(participants.len() as u32).to_le_bytes());
-                for s in participants {
-                    out.extend_from_slice(&s.raw().to_le_bytes());
-                }
-            }
-            Record::Promise { gtx, ballot } => {
-                out.push(TAG_PROMISE);
-                out.extend_from_slice(&gtx.raw().to_le_bytes());
-                out.extend_from_slice(&ballot.0.to_le_bytes());
-            }
-            Record::Accept {
-                gtx,
-                site,
-                ballot,
-                prepared,
-            } => {
-                out.push(TAG_ACCEPT);
-                out.extend_from_slice(&gtx.raw().to_le_bytes());
-                out.extend_from_slice(&site.raw().to_le_bytes());
-                out.extend_from_slice(&ballot.0.to_le_bytes());
-                out.push(u8::from(*prepared));
-            }
-            Record::Decision { gtx, verdict } => {
-                out.push(TAG_DECISION);
-                out.extend_from_slice(&gtx.raw().to_le_bytes());
-                out.push(u8::from(*verdict == GlobalVerdict::Commit));
-            }
-        }
-        out
+        codec::encode(self)
     }
 
     /// Decode one record. Rejects trailing garbage.
     pub fn decode(buf: &[u8]) -> AmcResult<Record> {
-        let mut r = Reader { buf, at: 0 };
-        let tag = r.u8()?;
-        let rec = match tag {
-            TAG_REGISTER => {
-                let gtx = GlobalTxnId::new(r.u64()?);
-                let n = r.u32()? as usize;
-                // A participant costs 4 bytes; reject hostile counts.
-                if n > r.remaining() / 4 {
-                    return Err(AmcError::Corruption("participant count".into()));
-                }
-                let mut participants = Vec::with_capacity(n);
-                for _ in 0..n {
-                    participants.push(SiteId::new(r.u32()?));
-                }
-                Record::Register { gtx, participants }
-            }
-            TAG_PROMISE => Record::Promise {
-                gtx: GlobalTxnId::new(r.u64()?),
-                ballot: Ballot(r.u64()?),
-            },
-            TAG_ACCEPT => Record::Accept {
-                gtx: GlobalTxnId::new(r.u64()?),
-                site: SiteId::new(r.u32()?),
-                ballot: Ballot(r.u64()?),
-                prepared: r.u8()? != 0,
-            },
-            TAG_DECISION => Record::Decision {
-                gtx: GlobalTxnId::new(r.u64()?),
-                verdict: if r.u8()? != 0 {
-                    GlobalVerdict::Commit
-                } else {
-                    GlobalVerdict::Abort
-                },
-            },
-            other => {
-                return Err(AmcError::Corruption(format!(
-                    "unknown acceptor record tag {other}"
-                )))
-            }
-        };
-        if r.remaining() != 0 {
-            return Err(AmcError::Corruption("trailing bytes".into()));
-        }
-        Ok(rec)
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-    fn take(&mut self, n: usize) -> AmcResult<&[u8]> {
-        if self.remaining() < n {
-            return Err(AmcError::Corruption("truncated acceptor record".into()));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> AmcResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> AmcResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> AmcResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(codec::decode(buf)?)
     }
 }
 
@@ -387,7 +284,7 @@ impl AcceptorState {
     }
 }
 
-/// An acceptor whose log lives in an [`amc_wal::DurableFile`].
+/// An acceptor whose log lives in an [`amc_wal::RecordFile`].
 ///
 /// Invariant: a method returns only after the record it implies has been
 /// appended — and, unless deferred-sync mode is on, **fsynced** — so the
@@ -399,24 +296,18 @@ impl AcceptorState {
 #[derive(Debug)]
 pub struct DurableAcceptor {
     state: AcceptorState,
-    file: DurableFile,
+    file: RecordFile<Record>,
     deferred_sync: bool,
 }
 
 impl DurableAcceptor {
-    /// Open (or create) the acceptor log at `path` and replay it. A torn
-    /// final frame was already truncated by [`DurableFile::open`]; an
-    /// undecodable *complete* frame is real corruption and fails the open.
+    /// Open (or create) the acceptor log at `path` and replay it (torn
+    /// tail truncated, real corruption fatal — see [`RecordFile::open`]).
     pub fn open(path: impl AsRef<Path>) -> AmcResult<DurableAcceptor> {
-        let opened = DurableFile::open(path)?;
-        let mut state = AcceptorState::new();
-        for f in &opened.frames {
-            let rec = Record::decode(unframe(f)?)?;
-            state.apply(&rec);
-        }
+        let (file, records) = RecordFile::open(path)?;
         Ok(DurableAcceptor {
-            state,
-            file: opened.file,
+            state: AcceptorState::replay(&records),
+            file,
             deferred_sync: false,
         })
     }
@@ -431,12 +322,12 @@ impl DurableAcceptor {
     /// A second handle to the log file for issuing batched fsyncs from
     /// the group-syncer while this acceptor keeps appending.
     pub fn sync_handle(&self) -> std::io::Result<std::fs::File> {
-        self.file.sync_handle()
+        self.file.file().sync_handle()
     }
 
     fn persist(&mut self, rec: Option<Record>) {
         if let Some(rec) = rec {
-            self.file.append(&frame(&rec.encode()));
+            self.file.append(&rec);
             if !self.deferred_sync {
                 self.file.sync();
             }
@@ -482,7 +373,7 @@ impl DurableAcceptor {
 
     /// Number of durable log frames (tests).
     pub fn frame_count(&self) -> usize {
-        self.file.frame_count()
+        self.file.file().frame_count()
     }
 }
 
@@ -529,9 +420,13 @@ mod tests {
         assert!(Record::decode(&[]).is_err());
         assert!(Record::decode(&[99, 0, 0]).is_err());
         // Hostile participant count.
-        let mut buf = vec![TAG_REGISTER];
-        buf.extend_from_slice(&7u64.to_le_bytes());
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut buf = Record::Register {
+            gtx: gtx(7),
+            participants: vec![],
+        }
+        .encode();
+        let count_at = buf.len() - 4;
+        buf[count_at..].fill(0xFF);
         assert!(Record::decode(&buf).is_err());
         // Trailing bytes.
         let mut ok = Record::Decision {

@@ -9,6 +9,7 @@
 //! break on the replica id — two distinct replicas can never own the same
 //! ballot.
 
+use amc_types::codec::{CodecError, Reader, Wire, Writer};
 use std::fmt;
 
 /// A packed ballot number: `round << 32 | replica`.
@@ -41,6 +42,16 @@ impl Ballot {
     /// after seeing this ballot refused.
     pub const fn bump(self, replica: u32) -> Ballot {
         Ballot::new(self.round() + 1, replica)
+    }
+}
+
+/// A ballot travels as its packed integer.
+impl Wire for Ballot {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Ballot(u64::get(r)?))
     }
 }
 

@@ -49,7 +49,7 @@ use amc_obs::ObsSink;
 use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
 use amc_workload::{MixGen, MixKind, MixSpec};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -339,10 +339,10 @@ pub fn main() {
     }
 
     let cfg = FederationConfig::uniform(sites, protocol);
-    let fed = Arc::new(Federation::with_transport(
-        cfg,
-        transport.clone() as Arc<dyn FederationTransport>,
-    ));
+    let mut fed =
+        Federation::with_transport(cfg, transport.clone() as Arc<dyn FederationTransport>);
+    fed.set_recording(false, false);
+    let fed = Arc::new(fed);
 
     let programs: Vec<Program> = match workload {
         Some(kind) => {
@@ -373,7 +373,7 @@ pub fn main() {
         }
     };
     let op_counts = op_class_counts(&programs);
-    let queue: Arc<Mutex<Vec<Program>>> = Arc::new(Mutex::new(programs));
+    let queue: Arc<Mutex<VecDeque<Program>>> = Arc::new(Mutex::new(programs.into()));
     let committed = Arc::new(Mutex::new(Vec::<Duration>::new()));
     let aborted = Arc::new(Mutex::new(0u64));
     let site_down = Arc::new(Mutex::new(0u64));
@@ -386,7 +386,9 @@ pub fn main() {
             let aborted = Arc::clone(&aborted);
             let site_down = Arc::clone(&site_down);
             scope.spawn(move || loop {
-                let Some(p) = queue.lock().pop() else { return };
+                let Some(p) = queue.lock().pop_front() else {
+                    return;
+                };
                 // A site mid-restart surfaces as SiteDown after the
                 // client's own retries; give the program a few more
                 // chances before counting it lost.
@@ -582,7 +584,7 @@ fn run_sharded(
     }
 
     let mut rng = seed;
-    let queue: Arc<Mutex<Vec<Program>>> = Arc::new(Mutex::new(
+    let queue: Arc<Mutex<VecDeque<Program>>> = Arc::new(Mutex::new(
         (0..txns)
             .map(|_| program(&mut rng, sites, objects))
             .collect(),
@@ -609,7 +611,9 @@ fn run_sharded(
             let per_coord = Arc::clone(&per_coord);
             let events = Arc::clone(&events);
             scope.spawn(move || loop {
-                let Some(p) = queue.lock().pop() else { return };
+                let Some(p) = queue.lock().pop_front() else {
+                    return;
+                };
                 let owner = owner_of(&p, coordinators);
                 for attempt in 0..5 {
                     match coords[owner as usize].exec(p.clone()) {

@@ -159,7 +159,8 @@ pub fn main() {
         acceptors,
         std::env::temp_dir().join("amc-paxos-coord-unused"),
     );
-    let fed = Federation::with_transport(cfg, transport as Arc<dyn FederationTransport>);
+    let mut fed = Federation::with_transport(cfg, transport as Arc<dyn FederationTransport>);
+    fed.set_recording(false, false);
     fed.set_first_gtx(first_gtx);
 
     if load {

@@ -1,7 +1,7 @@
 //! Site restart recovery: rebuild a networked site from its `--wal-dir`.
 //!
 //! A site server started with a WAL directory keeps two frame files,
-//! both in the CRC-framed format of [`amc_wal::DurableFile`]:
+//! both in the checksummed format of [`amc_wal::DurableFile`]:
 //!
 //! * `site-N.wal` — the engine's write-ahead log; replaying it rebuilds
 //!   the page store, redoes committed updates, rolls back losers, and
@@ -23,20 +23,20 @@ use amc_net::journal::{RecoveryStats, WorkEntry, WorkJournal};
 use amc_net::LocalCommManager;
 use amc_obs::ObsSink;
 use amc_types::{AmcResult, GlobalTxnId, SiteId};
-use amc_wal::durable::{frame, unframe, DurableFile};
+use amc_wal::RecordFile;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// A [`WorkJournal`] persisting entries to an append-only frame file.
+/// A [`WorkJournal`] persisting entries to an append-only record file.
 ///
 /// Appends are synced before `record` returns, so an entry the manager
 /// believes journaled survives a `kill -9`. Supersession is by replay:
 /// the file may hold many records per global transaction; loading keeps
 /// the last one.
 pub struct FileWorkJournal {
-    file: Mutex<DurableFile>,
+    file: Mutex<RecordFile<WorkEntry>>,
 }
 
 impl FileWorkJournal {
@@ -46,15 +46,12 @@ impl FileWorkJournal {
     /// `record` — is truncated away: the entry was never durable, so the
     /// manager never acted on its being journaled.
     pub fn open(path: impl AsRef<Path>) -> AmcResult<(FileWorkJournal, Vec<WorkEntry>)> {
-        let opened = DurableFile::open(path)?;
-        let mut last: HashMap<GlobalTxnId, WorkEntry> = HashMap::new();
-        for f in &opened.frames {
-            let entry = WorkEntry::decode(unframe(f)?)?;
-            last.insert(entry.gtx, entry);
-        }
+        let (file, entries) = RecordFile::<WorkEntry>::open(path)?;
+        let last: HashMap<GlobalTxnId, WorkEntry> =
+            entries.into_iter().map(|e| (e.gtx, e)).collect();
         Ok((
             FileWorkJournal {
-                file: Mutex::new(opened.file),
+                file: Mutex::new(file),
             },
             last.into_values().collect(),
         ))
@@ -64,7 +61,7 @@ impl FileWorkJournal {
 impl WorkJournal for FileWorkJournal {
     fn record(&self, entry: &WorkEntry) {
         let mut file = self.file.lock();
-        file.append(&frame(&entry.encode()));
+        file.append(entry);
         file.sync();
     }
 }

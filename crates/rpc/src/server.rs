@@ -441,7 +441,7 @@ mod tests {
         let mut healthy = TcpStream::connect(srv.addr()).unwrap();
         // A hostile connection: oversized length prefix.
         let mut hostile = TcpStream::connect(srv.addr()).unwrap();
-        hostile.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        hostile.write_all(&[0xFF; 4]).unwrap();
         // The hostile connection gets dropped: the next read sees EOF.
         hostile
             .set_read_timeout(Some(Duration::from_secs(5)))

@@ -16,26 +16,18 @@
 //! is echoed verbatim in the reply so a client can detect stale replies
 //! on a reused connection.
 //!
-//! All integers are little-endian. Enums are `u8` tags. Vectors are a
-//! `u32` count followed by the elements. [`Value`]s reuse the fixed
-//! 12-byte layout of [`Value::to_bytes`]. The layout is pinned by a
-//! golden-bytes test (`tests/wire_codec.rs`): changing any of it must
-//! bump [`WIRE_VERSION`].
-//!
-//! Each type's layout is declared exactly once, in the codec section
-//! below: primitives implement the private `Wire` trait, every enum is
-//! one `wire_enum!` table of `tag => Variant { field: Type }` rows, and
-//! the writer, the reader, the hostile-count guard and the `BadTag`
-//! label all derive from that one declaration.
+//! The body layouts are row tables of the workspace codec
+//! ([`amc_types::codec`]), each declared beside its type; this module
+//! declares only what is the wire's own — [`Frame`], [`CoordRequest`],
+//! [`CoordReply`], the version byte and the length prefix. The layout is
+//! pinned by a golden-bytes test (`tests/wire_codec.rs`): changing any of
+//! it must bump [`WIRE_VERSION`].
 
 use amc_core::TxnOutcome;
 use amc_net::transport::{AdminReply, AdminRequest};
-use amc_net::{CommStats, PaxosOpenEntry, Payload, RecoveryStats};
-use amc_types::{
-    AbortReason, AmcError, GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation, SiteId,
-    Value,
-};
-use amc_wal::LogStats;
+use amc_net::Payload;
+use amc_types::codec::{CodecError, Reader, Wire, Writer};
+use amc_types::{wire_enum, AmcError, GlobalTxnId, Operation, SiteId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -166,29 +158,26 @@ impl Frame {
 /// Why a frame failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The frame ended before its declared content did.
-    Truncated,
+    /// The body does not match its row tables.
+    Codec(CodecError),
     /// The length prefix exceeds [`MAX_FRAME_LEN`].
     Oversized(u32),
     /// Unknown wire version.
     BadVersion(u8),
-    /// An enum tag outside its domain (`what` names the enum).
-    BadTag(&'static str, u8),
-    /// Bytes left over after the body was fully decoded.
-    TrailingBytes(usize),
-    /// A string field was not valid UTF-8.
-    BadUtf8,
+}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Codec(e)
+    }
 }
 
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Truncated => write!(f, "frame truncated"),
+            WireError::Codec(e) => write!(f, "frame body: {e}"),
             WireError::Oversized(n) => write!(f, "frame length {n} exceeds {MAX_FRAME_LEN}"),
             WireError::BadVersion(v) => write!(f, "wire version {v} (expected {WIRE_VERSION})"),
-            WireError::BadTag(what, t) => write!(f, "bad {what} tag {t}"),
-            WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after frame body"),
-            WireError::BadUtf8 => write!(f, "string field is not UTF-8"),
         }
     }
 }
@@ -223,372 +212,7 @@ impl FrameReadError {
     }
 }
 
-// ----------------------------------------------------------------- codec --
-
-/// Append-only output for one frame.
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Cursor over one frame's bytes; every read is bounds-checked.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    /// An element count. Every element occupies at least one byte, so a
-    /// count beyond what the frame still carries is hostile: reject it
-    /// before allocating for it.
-    fn count(&mut self) -> Result<usize, WireError> {
-        let n = u32::get(self)? as usize;
-        if n > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-}
-
-/// The v1 layout of one type. Each type's layout is declared exactly
-/// once — a primitive impl below or a row table further down — and the
-/// writer and the reader are both derived from that one declaration.
-trait Wire: Sized {
-    /// `(tag, variant)` per table row, for the table-completeness test.
-    #[cfg(test)]
-    const ROWS: &'static [(u8, &'static str)] = &[];
-    fn put(&self, w: &mut Writer);
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
-}
-
-/// Integers travel little-endian.
-macro_rules! wire_int {
-    ($($int:ty),*) => {$(
-        impl Wire for $int {
-            fn put(&self, w: &mut Writer) {
-                w.buf.extend_from_slice(&self.to_le_bytes());
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok(<$int>::from_le_bytes(r.array()?))
-            }
-        }
-    )*};
-}
-wire_int!(u8, u32, u64, i64);
-
-impl Wire for bool {
-    fn put(&self, w: &mut Writer) {
-        w.u8(u8::from(*self));
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(u8::get(r)? != 0)
-    }
-}
-
-impl Wire for String {
-    fn put(&self, w: &mut Writer) {
-        w.u32(self.len() as u32);
-        w.buf.extend_from_slice(self.as_bytes());
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = u32::get(r)? as usize;
-        String::from_utf8(r.take(len)?.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-}
-
-impl Wire for Value {
-    fn put(&self, w: &mut Writer) {
-        w.buf.extend_from_slice(&self.to_bytes());
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Value::from_bytes(&r.array()?))
-    }
-}
-
-/// Ids travel as their raw integer.
-macro_rules! wire_id {
-    ($($id:ident: $raw:ty),*) => {$(
-        impl Wire for $id {
-            fn put(&self, w: &mut Writer) {
-                self.raw().put(w);
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok($id::new(<$raw as Wire>::get(r)?))
-            }
-        }
-    )*};
-}
-wire_id!(ObjectId: u64, GlobalTxnId: u64, SiteId: u32);
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn put(&self, w: &mut Writer) {
-        self.0.put(w);
-        self.1.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok((A::get(r)?, B::get(r)?))
-    }
-}
-
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn put(&self, w: &mut Writer) {
-        self.0.put(w);
-        self.1.put(w);
-        self.2.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
-    }
-}
-
-/// A `u32` count, then the elements.
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, w: &mut Writer) {
-        w.u32(self.len() as u32);
-        for x in self {
-            x.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.count()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::get(r)?);
-        }
-        Ok(out)
-    }
-}
-
-/// A `u32` count, then the `(key, value)` pairs in key order.
-impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
-    fn put(&self, w: &mut Writer) {
-        w.u32(self.len() as u32);
-        for (k, v) in self {
-            k.put(w);
-            v.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        (0..r.count()?).map(|_| <(K, V) as Wire>::get(r)).collect()
-    }
-}
-
-/// A presence byte, then the stats if present.
-impl Wire for Option<RecoveryStats> {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            None => w.u8(0),
-            Some(stats) => {
-                w.u8(1);
-                stats.put(w);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::get(r)? {
-            0 => Ok(None),
-            1 => Ok(Some(RecoveryStats::get(r)?)),
-            t => Err(WireError::BadTag("recovery-present", t)),
-        }
-    }
-}
-
-/// A struct's fields, in wire order.
-macro_rules! wire_struct {
-    ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
-        impl Wire for $ty {
-            fn put(&self, w: &mut Writer) {
-                $(self.$field.put(w);)*
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok($ty { $($field: <$fty as Wire>::get(r)?),* })
-            }
-        }
-    };
-}
-
-/// An enum's rows: `tag => Variant`, `tag => Variant(name: Type)` or
-/// `tag => Variant { field: Type, .. }`. On the wire a value is its `u8`
-/// tag followed by its fields in the order the row lists them (which is
-/// the v1 order, not necessarily the Rust declaration order). `$what`
-/// names the enum in [`WireError::BadTag`].
-///
-/// Adding a variant to one of these enums without a row fails to
-/// compile (`put`'s match is exhaustive). To extend v1 without reshaping
-/// it, append a row with the next unused tag and pin it in the
-/// completeness test; never renumber or reorder an existing row.
-macro_rules! wire_enum {
-    ($ty:ident, $what:literal {
-        $($tag:literal => $variant:ident
-            $(($x:ident: $xty:ty))?
-            $({ $($field:ident: $fty:ty),* $(,)? })?
-        ),* $(,)?
-    }) => {
-        impl Wire for $ty {
-            #[cfg(test)]
-            const ROWS: &'static [(u8, &'static str)] = &[$(($tag, stringify!($variant))),*];
-            fn put(&self, w: &mut Writer) {
-                match self {
-                    $($ty::$variant $(($x))? $({ $($field),* })? => {
-                        w.u8($tag);
-                        $($x.put(w);)?
-                        $($($field.put(w);)*)?
-                    })*
-                }
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok(match u8::get(r)? {
-                    $($tag => $ty::$variant
-                        $((<$xty as Wire>::get(r)?))?
-                        $({ $($field: <$fty as Wire>::get(r)?),* })?,)*
-                    t => return Err(WireError::BadTag($what, t)),
-                })
-            }
-        }
-    };
-}
-
-wire_enum!(Operation, "operation" {
-    0 => Read { obj: ObjectId },
-    1 => Write { obj: ObjectId, value: Value },
-    2 => Increment { obj: ObjectId, delta: i64 },
-    3 => Insert { obj: ObjectId, value: Value },
-    4 => Delete { obj: ObjectId },
-    5 => Reserve { obj: ObjectId, amount: u64 },
-});
-
-wire_enum!(LocalVote, "vote" {
-    0 => Ready,
-    1 => ReadyReadOnly,
-    2 => Aborted,
-});
-
-wire_enum!(GlobalVerdict, "verdict" {
-    0 => Commit,
-    1 => Abort,
-});
-
-wire_enum!(AbortReason, "abort-reason" {
-    0 => Intended,
-    1 => Deadlock,
-    2 => LockTimeout,
-    3 => ValidationFailed,
-    4 => SiteCrash,
-    5 => GlobalDecision,
-    6 => Injected,
-});
-
-wire_enum!(TxnOutcome, "txn-outcome" {
-    0 => Committed,
-    1 => Aborted,
-    2 => L1Rejected(reason: AbortReason),
-});
-
-wire_enum!(Payload, "payload" {
-    0 => Submit { gtx: GlobalTxnId, ops: Vec<Operation> },
-    1 => Prepare { gtx: GlobalTxnId },
-    2 => Vote { gtx: GlobalTxnId, vote: LocalVote },
-    3 => Decision { gtx: GlobalTxnId, verdict: GlobalVerdict },
-    4 => Redo { gtx: GlobalTxnId, ops: Vec<Operation> },
-    5 => Undo { gtx: GlobalTxnId, inverse_ops: Vec<Operation> },
-    6 => Finished { gtx: GlobalTxnId },
-    7 => PaxosRegister { gtx: GlobalTxnId, participants: Vec<SiteId> },
-    8 => PaxosAck { gtx: GlobalTxnId },
-    9 => PaxosP1a { gtx: GlobalTxnId, ballot: u64 },
-    10 => PaxosP1b {
-        gtx: GlobalTxnId,
-        ballot: u64,
-        promised: bool,
-        promised_up_to: u64,
-        participants: Vec<SiteId>,
-        accepted: Vec<(SiteId, u64, bool)>,
-    },
-    11 => PaxosP2a { gtx: GlobalTxnId, site: SiteId, ballot: u64, prepared: bool },
-    12 => PaxosP2b { gtx: GlobalTxnId, site: SiteId, ballot: u64, accepted: bool },
-    13 => PaxosDecided { gtx: GlobalTxnId, verdict: GlobalVerdict },
-    14 => SubmitPrepare { gtx: GlobalTxnId, solo: bool, ops: Vec<Operation> },
-});
-
-wire_struct!(CommStats {
-    submits: u64,
-    votes_ready: u64,
-    votes_aborted: u64,
-    redo_runs: u64,
-    undo_runs: u64,
-    pre_vote_retries: u64,
-    marker_checks: u64,
-});
-
-wire_struct!(LogStats {
-    appends: u64,
-    forces: u64,
-    stable_records: u64,
-    stable_bytes: u64,
-    group_forces: u64,
-    batched_commits: u64,
-});
-
-wire_struct!(RecoveryStats {
-    committed: u64,
-    rolled_back: u64,
-    in_doubt: u64,
-    replayed: u64,
-    restored_entries: u64,
-    torn_tail: bool,
-});
-
-wire_struct!(PaxosOpenEntry {
-    gtx: GlobalTxnId,
-    participants: Vec<SiteId>,
-});
-
-wire_enum!(AdminRequest, "admin-request" {
-    0 => Ping,
-    1 => Load(data: Vec<(ObjectId, Value)>),
-    2 => Dump,
-    3 => CommStats,
-    4 => LogStats,
-    5 => Recovery,
-    6 => PaxosOpen,
-});
-
-wire_enum!(AdminReply, "admin-reply" {
-    0 => Pong,
-    1 => Loaded,
-    2 => Dump(data: BTreeMap<ObjectId, Value>),
-    3 => CommStats(stats: CommStats),
-    4 => LogStats(stats: LogStats),
-    5 => Recovery(stats: Option<RecoveryStats>),
-    6 => PaxosOpen(entries: Vec<PaxosOpenEntry>),
-});
+// ---------------------------------------------------------------- tables --
 
 wire_enum!(CoordRequest, "coord-request" {
     0 => Ping,
@@ -600,20 +224,6 @@ wire_enum!(CoordReply, "coord-reply" {
     0 => Pong,
     1 => Coord { slot: u32, coordinators: u32, epoch: u64, sites: Vec<SiteId> },
     2 => Done { gtx: GlobalTxnId, outcome: TxnOutcome, latency_us: u64, messages: u64 },
-});
-
-wire_enum!(AmcError, "error" {
-    0 => Aborted(reason: AbortReason),
-    1 => NotFound(obj: ObjectId),
-    2 => AlreadyExists(obj: ObjectId),
-    3 => InsufficientStock { obj: ObjectId, have: i64, want: u64 },
-    4 => UnknownTxn,
-    5 => SiteDown(site: SiteId),
-    6 => Corruption(message: String),
-    7 => TransientIo(message: String),
-    8 => BufferExhausted,
-    9 => Protocol(message: String),
-    10 => InvalidState(message: String),
 });
 
 wire_enum!(Frame, "frame-kind" {
@@ -633,9 +243,9 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     w.u32(0); // the length prefix, patched once the body is written
     w.u8(WIRE_VERSION);
     frame.put(&mut w);
-    let len = (w.buf.len() - 4) as u32;
-    w.buf[..4].copy_from_slice(&len.to_le_bytes());
-    w.buf
+    let len = (w.as_bytes().len() - 4) as u32;
+    w.set_u32(0, len);
+    w.into_bytes()
 }
 
 /// Decode the post-prefix bytes of one frame (version byte onward).
@@ -646,9 +256,7 @@ pub fn decode_frame_body(body: &[u8]) -> Result<Frame, WireError> {
         return Err(WireError::BadVersion(version));
     }
     let frame = Frame::get(&mut r)?;
-    if r.remaining() > 0 {
-        return Err(WireError::TrailingBytes(r.remaining()));
-    }
+    r.finish()?;
     Ok(frame)
 }
 
@@ -656,15 +264,21 @@ pub fn decode_frame_body(body: &[u8]) -> Result<Frame, WireError> {
 /// [`encode_frame`].
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut r = Reader::new(bytes);
-    let len = u32::get(&mut r)?;
+    let len = body_len(r.take(4)?)?;
+    let body = r.take(len)?;
+    r.finish()?;
+    decode_frame_body(body)
+}
+
+/// The body length a 4-byte prefix announces. A length beyond
+/// [`MAX_FRAME_LEN`] is refused here, *before* anything is allocated or
+/// awaited for it, so a hostile prefix cannot balloon memory.
+fn body_len(prefix: &[u8]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix"));
     if len > MAX_FRAME_LEN {
         return Err(WireError::Oversized(len));
     }
-    let body = r.take(len as usize)?;
-    if r.remaining() > 0 {
-        return Err(WireError::TrailingBytes(r.remaining()));
-    }
-    decode_frame_body(body)
+    Ok(len as usize)
 }
 
 // ---------------------------------------------------------------- stream --
@@ -675,17 +289,11 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.flush()
 }
 
-/// Read exactly one frame off a stream. A declared length beyond
-/// [`MAX_FRAME_LEN`] is rejected *before* any allocation, so a hostile
-/// prefix cannot balloon memory.
+/// Read exactly one frame off a stream.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameReadError> {
     let mut prefix = [0u8; 4];
     r.read_exact(&mut prefix).map_err(FrameReadError::Io)?;
-    let len = u32::from_le_bytes(prefix);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameReadError::Wire(WireError::Oversized(len)));
-    }
-    let mut body = vec![0u8; len as usize];
+    let mut body = vec![0u8; body_len(&prefix).map_err(FrameReadError::Wire)?];
     r.read_exact(&mut body).map_err(FrameReadError::Io)?;
     decode_frame_body(&body).map_err(FrameReadError::Wire)
 }
@@ -764,11 +372,7 @@ impl FrameBuffer {
         if avail.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(avail[..4].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::Oversized(len));
-        }
-        let total = 4 + len as usize;
+        let total = 4 + body_len(&avail[..4])?;
         if avail.len() < total {
             return Ok(None);
         }
@@ -781,11 +385,18 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amc_net::comm::SubmitMode;
+    use amc_net::{CommStats, PaxosOpenEntry, RecoveryStats, WorkEntry};
+    use amc_paxos::{Ballot, Record};
+    use amc_types::{AbortReason, GlobalVerdict, LocalTxnId, LocalVote, ObjectId, Value};
+    use amc_wal::{LogRecord, LogStats};
 
-    impl Writer {
-        fn u64(&mut self, v: u64) {
-            v.put(self);
-        }
+    /// A hand-written (possibly hostile) frame body under its length
+    /// prefix.
+    fn prefixed(body: Writer) -> Vec<u8> {
+        let mut bytes = (body.as_bytes().len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(body.as_bytes());
+        bytes
     }
 
     #[test]
@@ -895,11 +506,11 @@ mod tests {
             Frame::AdminReply {
                 req_id: 5,
                 reply: AdminReply::PaxosOpen(vec![
-                    amc_net::PaxosOpenEntry {
+                    PaxosOpenEntry {
                         gtx: GlobalTxnId::new(11),
                         participants: vec![SiteId::new(1), SiteId::new(2)],
                     },
-                    amc_net::PaxosOpenEntry {
+                    PaxosOpenEntry {
                         gtx: GlobalTxnId::new(12),
                         participants: vec![],
                     },
@@ -918,17 +529,17 @@ mod tests {
         let mut w = Writer::new();
         w.u8(WIRE_VERSION);
         w.u8(1); // reply
-        w.u64(1); // req id
+        1u64.put(&mut w); // req id
         w.u8(10); // p1b
-        w.u64(1); // gtx
-        w.u64(0); // ballot
+        1u64.put(&mut w); // gtx
+        0u64.put(&mut w); // ballot
         w.u8(1); // promised
-        w.u64(0); // promised_up_to
+        0u64.put(&mut w); // promised_up_to
         w.u32(u32::MAX); // participant count
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(w.buf.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&w.buf);
-        assert_eq!(decode_frame(&bytes), Err(WireError::Truncated));
+        assert_eq!(
+            decode_frame(&prefixed(w)),
+            Err(CodecError::Truncated.into())
+        );
     }
 
     #[test]
@@ -970,13 +581,13 @@ mod tests {
         bad_kind[5] = 77;
         assert_eq!(
             decode_frame(&bad_kind),
-            Err(WireError::BadTag("frame-kind", 77))
+            Err(CodecError::BadTag("frame-kind", 77).into())
         );
         let mut bad_payload = good;
         bad_payload[14] = 55;
         assert_eq!(
             decode_frame(&bad_payload),
-            Err(WireError::BadTag("payload", 55))
+            Err(CodecError::BadTag("payload", 55).into())
         );
     }
 
@@ -992,7 +603,10 @@ mod tests {
         bytes.push(0xAB);
         let len = (bytes.len() - 4) as u32;
         bytes[..4].copy_from_slice(&len.to_le_bytes());
-        assert_eq!(decode_frame(&bytes), Err(WireError::TrailingBytes(1)));
+        assert_eq!(
+            decode_frame(&bytes),
+            Err(CodecError::TrailingBytes(1).into())
+        );
     }
 
     #[test]
@@ -1145,12 +759,9 @@ mod tests {
         let declared: Vec<u8> = T::ROWS.iter().map(|(tag, _)| *tag).collect();
         assert_eq!(declared, golden, "table rows {:?}", T::ROWS);
         for (tag, value) in samples {
-            let mut w = Writer::new();
-            value.put(&mut w);
-            assert_eq!(w.buf[0], *tag, "{value:?}");
-            let mut r = Reader::new(&w.buf);
-            assert_eq!(&T::get(&mut r).unwrap(), value);
-            assert_eq!(r.remaining(), 0, "{value:?}");
+            let bytes = amc_types::codec::encode(value);
+            assert_eq!(bytes[0], *tag, "{value:?}");
+            assert_eq!(&amc_types::codec::decode::<T>(&bytes).unwrap(), value);
         }
     }
 
@@ -1413,19 +1024,114 @@ mod tests {
         ]);
     }
 
+    /// The three on-disk formats are tables of the same codec: their tag
+    /// bytes are as fixed as the wire's (a log written by this build must
+    /// replay under the next).
+    #[test]
+    fn every_disk_table_row_round_trips_under_its_golden_tag() {
+        let gtx = GlobalTxnId::new(7);
+        let txn = LocalTxnId::new(4);
+        let obj = ObjectId::new(3);
+        let site = SiteId::new(2);
+        let value = Value::counter(11);
+        assert_table(&[
+            (0, SubmitMode::TwoPhase),
+            (1, SubmitMode::CommitAfter),
+            (2, SubmitMode::CommitBefore),
+        ]);
+        assert_table(&[
+            (1, LogRecord::Begin { txn }),
+            (
+                2,
+                LogRecord::Update {
+                    txn,
+                    obj,
+                    before: None,
+                    after: Some(value),
+                },
+            ),
+            (3, LogRecord::Commit { txn }),
+            (4, LogRecord::Abort { txn }),
+            (5, LogRecord::Checkpoint { active: vec![txn] }),
+            (6, LogRecord::Prepare { txn }),
+        ]);
+        let ballot = Ballot::new(1, 2);
+        assert_table(&[
+            (
+                1,
+                Record::Register {
+                    gtx,
+                    participants: vec![site],
+                },
+            ),
+            (2, Record::Promise { gtx, ballot }),
+            (
+                3,
+                Record::Accept {
+                    gtx,
+                    site,
+                    ballot,
+                    prepared: true,
+                },
+            ),
+            (
+                4,
+                Record::Decision {
+                    gtx,
+                    verdict: GlobalVerdict::Abort,
+                },
+            ),
+        ]);
+    }
+
+    /// "Declared once": the `Operation` bytes inside a journal entry are
+    /// the bytes inside a wire `Submit`.
+    #[test]
+    fn journal_and_wire_share_the_operation_layout() {
+        let gtx = GlobalTxnId::new(7);
+        let ops = vec![
+            Operation::Write {
+                obj: ObjectId::new(9),
+                value: Value::tagged(-3, 5),
+            },
+            Operation::Reserve {
+                obj: ObjectId::new(1),
+                amount: 2,
+            },
+        ];
+        let entry = WorkEntry {
+            gtx,
+            mode: SubmitMode::CommitAfter,
+            ltx: None,
+            committed_locally: false,
+            vote: None,
+            ops: ops.clone(),
+            inverse_ops: vec![],
+        };
+        let op_bytes = amc_types::codec::encode(&ops);
+        let journal = entry.encode();
+        let wire = encode_frame(&Frame::Request {
+            req_id: 1,
+            payload: Payload::Submit { gtx, ops },
+        });
+        let inverse_count = 4;
+        assert!(journal[..journal.len() - inverse_count].ends_with(&op_bytes));
+        assert!(wire.ends_with(&op_bytes));
+    }
+
     #[test]
     fn hostile_coord_site_count_does_not_allocate() {
         // An Exec declaring u32::MAX site buckets in a tiny frame.
         let mut w = Writer::new();
         w.u8(WIRE_VERSION);
         w.u8(5); // coord request
-        w.u64(1); // req id
+        1u64.put(&mut w); // req id
         w.u8(2); // exec
         w.u32(u32::MAX); // site bucket count
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(w.buf.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&w.buf);
-        assert_eq!(decode_frame(&bytes), Err(WireError::Truncated));
+        assert_eq!(
+            decode_frame(&prefixed(w)),
+            Err(CodecError::Truncated.into())
+        );
     }
 
     #[test]
@@ -1435,13 +1141,13 @@ mod tests {
         let mut w = Writer::new();
         w.u8(WIRE_VERSION);
         w.u8(0); // request
-        w.u64(1); // req id
+        1u64.put(&mut w); // req id
         w.u8(0); // submit
-        w.u64(1); // gtx
+        1u64.put(&mut w); // gtx
         w.u32(u32::MAX); // op count
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(w.buf.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&w.buf);
-        assert_eq!(decode_frame(&bytes), Err(WireError::Truncated));
+        assert_eq!(
+            decode_frame(&prefixed(w)),
+            Err(CodecError::Truncated.into())
+        );
     }
 }

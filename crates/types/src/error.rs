@@ -33,6 +33,16 @@ pub enum AbortReason {
     Injected,
 }
 
+crate::wire_enum!(AbortReason, "abort-reason" {
+    0 => Intended,
+    1 => Deadlock,
+    2 => LockTimeout,
+    3 => ValidationFailed,
+    4 => SiteCrash,
+    5 => GlobalDecision,
+    6 => Injected,
+});
+
 impl AbortReason {
     /// True when the abort is *erroneous* in the paper's sense (§3.2): not
     /// caused by transaction logic, so a repetition can be expected to
@@ -94,6 +104,20 @@ pub enum AmcError {
     /// transaction that already voted).
     InvalidState(String),
 }
+
+crate::wire_enum!(AmcError, "error" {
+    0 => Aborted(reason: AbortReason),
+    1 => NotFound(obj: crate::ids::ObjectId),
+    2 => AlreadyExists(obj: crate::ids::ObjectId),
+    3 => InsufficientStock { obj: crate::ids::ObjectId, have: i64, want: u64 },
+    4 => UnknownTxn,
+    5 => SiteDown(site: crate::ids::SiteId),
+    6 => Corruption(message: String),
+    7 => TransientIo(message: String),
+    8 => BufferExhausted,
+    9 => Protocol(message: String),
+    10 => InvalidState(message: String),
+});
 
 impl AmcError {
     /// Shorthand for an intended abort.

@@ -6,8 +6,10 @@
 //!
 //! Every other crate in the workspace builds on the identifiers, values,
 //! operations, error taxonomy and transaction-state enums defined here.
-//! The crate is deliberately dependency-light (only `serde`) so that it can
-//! sit at the bottom of the layering described in `DESIGN.md`:
+//! The binary [`codec`] lives here too, so that every crate above can
+//! declare a byte layout beside its type. The crate is deliberately
+//! dependency-light (only `serde`) so that it can sit at the bottom of the
+//! layering described in `DESIGN.md`:
 //!
 //! ```text
 //! types → {storage, lock, sim} → wal → engine → {net, mlt} → core → ...
@@ -30,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod error;
 pub mod ids;
 pub mod op;

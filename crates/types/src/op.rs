@@ -60,6 +60,15 @@ pub enum Operation {
     },
 }
 
+crate::wire_enum!(Operation, "operation" {
+    0 => Read { obj: ObjectId },
+    1 => Write { obj: ObjectId, value: Value },
+    2 => Increment { obj: ObjectId, delta: i64 },
+    3 => Insert { obj: ObjectId, value: Value },
+    4 => Delete { obj: ObjectId },
+    5 => Reserve { obj: ObjectId, amount: u64 },
+});
+
 impl Operation {
     /// The object this operation touches.
     #[inline]

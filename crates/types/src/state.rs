@@ -104,6 +104,11 @@ pub enum GlobalVerdict {
     Abort,
 }
 
+crate::wire_enum!(GlobalVerdict, "verdict" {
+    0 => Commit,
+    1 => Abort,
+});
+
 impl fmt::Display for GlobalVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -128,6 +133,12 @@ pub enum LocalVote {
     /// Locally aborted / unable to commit.
     Aborted,
 }
+
+crate::wire_enum!(LocalVote, "vote" {
+    0 => Ready,
+    1 => ReadyReadOnly,
+    2 => Aborted,
+});
 
 impl LocalVote {
     /// Whether the vote lets the global transaction proceed to commit.

@@ -1,8 +1,8 @@
-//! The on-disk frame store behind a durable [`LogManager`](crate::LogManager).
+//! The on-disk frame store behind a durable [`LogManager`](crate::LogManager),
+//! the work journal and the acceptor log.
 //!
-//! A [`DurableFile`] persists the log's stable prefix to one append-only
-//! file. The file is a plain concatenation of frames in the exact layout
-//! [`LogRecord::encode`](crate::LogRecord::encode) already produces:
+//! A [`DurableFile`] is one append-only file: a plain concatenation of
+//! frames,
 //!
 //! ```text
 //! 0    4   payload length n (little-endian u32)
@@ -10,10 +10,11 @@
 //! 12   n   payload
 //! ```
 //!
-//! so WAL frames are written to disk byte-for-byte as they exist in
-//! memory, and the file format is shared with the communication manager's
-//! work journal (whose payloads are not [`LogRecord`](crate::LogRecord)s — the framing is
-//! payload-agnostic).
+//! This module is the only code that reads or writes that header
+//! ([`frame`], [`unframe`], [`split_frame`]); the payload is whatever
+//! row table (`amc_types::codec`) the record type declares. WAL frames
+//! are written to disk byte-for-byte as they exist in memory; a
+//! [`RecordFile`] is the same file typed by its record.
 //!
 //! ## Crash contract
 //!
@@ -41,45 +42,57 @@
 //! crash-consistent outcome.
 
 use amc_storage::checksum::fnv1a;
+use amc_types::codec::{self, Wire, Writer};
 use amc_types::{AmcError, AmcResult};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Length + checksum header preceding every frame payload.
 pub const FRAME_HEADER: usize = 12;
 
-/// Wrap `payload` in the `[len][fnv1a][payload]` frame layout.
-///
-/// [`LogRecord::encode`](crate::LogRecord::encode) produces exactly this
-/// layout already; this helper exists for non-`LogRecord` users of the
-/// file format (the work journal).
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// `record`, encoded by its row table, in the `[len][fnv1a][payload]`
+/// frame layout. Written in place — a zeroed header, the payload, then
+/// the header patched from what was written — so a record costs one
+/// allocation (64 bytes hold any fixed-size WAL record, header included).
+#[inline]
+pub fn frame<T: Wire>(record: &T) -> Vec<u8> {
+    let mut w = Writer::with_capacity(64);
+    w.bytes(&[0; FRAME_HEADER]);
+    record.put(&mut w);
+    let payload = &w.as_bytes()[FRAME_HEADER..];
+    let (len, sum) = (payload.len() as u32, fnv1a(payload));
+    w.set_u32(0, len);
+    w.set_u64(4, sum);
+    w.into_bytes()
+}
+
+/// Split the first physically complete frame off `bytes` (header
+/// included, checksum not yet verified). `None` when `bytes` ends inside
+/// the header or before the length the header promises.
+pub fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().expect("4 bytes")) as usize;
+    let total = FRAME_HEADER.checked_add(len)?;
+    (bytes.len() >= total).then(|| bytes.split_at(total))
 }
 
 /// Verify a frame's header and checksum and return its payload.
 pub fn unframe(frame: &[u8]) -> AmcResult<&[u8]> {
-    if frame.len() < FRAME_HEADER {
-        return Err(AmcError::Corruption("frame shorter than header".into()));
+    match split_frame(frame) {
+        Some((whole, [])) => {
+            let stored = u64::from_le_bytes(whole[4..FRAME_HEADER].try_into().expect("8 bytes"));
+            let payload = &whole[FRAME_HEADER..];
+            if fnv1a(payload) != stored {
+                return Err(AmcError::Corruption("frame checksum mismatch".into()));
+            }
+            Ok(payload)
+        }
+        _ => Err(AmcError::Corruption(format!(
+            "frame of {} bytes does not match its length header",
+            frame.len()
+        ))),
     }
-    let len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
-    if frame.len() != FRAME_HEADER + len {
-        return Err(AmcError::Corruption(format!(
-            "frame length mismatch: header says {len}, frame has {}",
-            frame.len() - FRAME_HEADER
-        )));
-    }
-    let stored = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-    let payload = &frame[FRAME_HEADER..];
-    if fnv1a(payload) != stored {
-        return Err(AmcError::Corruption("frame checksum mismatch".into()));
-    }
-    Ok(payload)
 }
 
 /// What [`DurableFile::open`] found on disk.
@@ -131,38 +144,20 @@ impl DurableFile {
         // the last complete frame is a torn append.
         let mut offsets = Vec::new();
         let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut pos = 0u64;
-        let total = bytes.len() as u64;
-        let mut torn = false;
-        while pos < total {
-            let rest = &bytes[pos as usize..];
-            if rest.len() < FRAME_HEADER {
-                torn = true;
-                break;
-            }
-            let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as u64;
-            if pos + FRAME_HEADER as u64 + len > total {
-                // The header (possibly itself garbage from a torn write)
-                // promises more bytes than the file holds.
-                torn = true;
-                break;
-            }
-            let frame_len = FRAME_HEADER + len as usize;
-            offsets.push(pos);
-            frames.push(rest[..frame_len].to_vec());
-            pos += frame_len as u64;
+        let mut rest = bytes.as_slice();
+        while let Some((whole, tail)) = split_frame(rest) {
+            offsets.push((bytes.len() - rest.len()) as u64);
+            frames.push(whole.to_vec());
+            rest = tail;
         }
+        // Leftover bytes: a header (possibly itself garbage from a torn
+        // write) that is incomplete or promises more than the file holds.
+        let mut torn = !rest.is_empty();
+        let mut pos = (bytes.len() - rest.len()) as u64;
 
         // Pass 2: checksum classification — trailing failure is a torn
         // write, anything earlier is fatal.
-        let mut first_bad = None;
-        for (i, f) in frames.iter().enumerate() {
-            if unframe(f).is_err() {
-                first_bad = Some(i);
-                break;
-            }
-        }
-        match first_bad {
+        match frames.iter().position(|f| unframe(f).is_err()) {
             None => {}
             Some(i) if i + 1 == frames.len() => {
                 frames.pop();
@@ -184,7 +179,7 @@ impl DurableFile {
             offsets,
             end: pos,
         };
-        if torn && pos < total {
+        if torn {
             durable.physically_truncate(pos)?;
         }
         Ok(Opened {
@@ -276,6 +271,50 @@ impl DurableFile {
             .set_len(len)
             .and_then(|_| self.file.sync_data())
             .map_err(|e| AmcError::TransientIo(format!("truncate {}: {e}", self.path.display())))
+    }
+}
+
+/// A [`DurableFile`] whose every frame is one `T`, encoded by `T`'s row
+/// table: the work journal and the acceptor log.
+#[derive(Debug)]
+pub struct RecordFile<T> {
+    file: DurableFile,
+    _record: PhantomData<fn(T)>,
+}
+
+impl<T: Wire> RecordFile<T> {
+    /// Open (creating if absent) the record file at `path` and decode
+    /// every surviving record, front to back, for the caller to fold into
+    /// its state. A torn final frame was already truncated by
+    /// [`DurableFile::open`]; an undecodable *complete* frame is real
+    /// corruption and fails the open.
+    pub fn open(path: impl AsRef<Path>) -> AmcResult<(RecordFile<T>, Vec<T>)> {
+        let opened = DurableFile::open(path)?;
+        let records = opened
+            .frames
+            .iter()
+            .map(|f| Ok(codec::decode(unframe(f)?)?))
+            .collect::<AmcResult<_>>()?;
+        let file = RecordFile {
+            file: opened.file,
+            _record: PhantomData,
+        };
+        Ok((file, records))
+    }
+
+    /// Append one record (no fsync — see [`DurableFile::append`]).
+    pub fn append(&mut self, record: &T) {
+        self.file.append(&frame(record));
+    }
+
+    /// The durability barrier — see [`DurableFile::sync`].
+    pub fn sync(&mut self) {
+        self.file.sync();
+    }
+
+    /// The frame file underneath (frame count, sync handle).
+    pub fn file(&self) -> &DurableFile {
+        &self.file
     }
 }
 
@@ -400,9 +439,9 @@ mod tests {
 
     #[test]
     fn frame_and_unframe_roundtrip() {
-        let payload = b"not a log record at all";
-        let f = frame(payload);
-        assert_eq!(unframe(&f).unwrap(), payload);
+        let payload = String::from("not a log record at all");
+        let f = frame(&payload);
+        assert_eq!(unframe(&f).unwrap(), codec::encode(&payload));
         let mut torn = f.clone();
         torn.pop();
         assert!(unframe(&torn).is_err());

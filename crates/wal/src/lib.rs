@@ -36,7 +36,7 @@ pub mod log;
 pub mod record;
 pub mod recovery;
 
-pub use durable::{DurableFile, Opened};
+pub use durable::{DurableFile, Opened, RecordFile};
 pub use group::{GroupCommitConfig, GroupCommitter};
 pub use log::{LogManager, LogStats};
 pub use record::LogRecord;

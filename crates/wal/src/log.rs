@@ -8,7 +8,7 @@
 //! Force counts are tracked for experiment E4 (log-write complexity per
 //! protocol, cf. [ML 83] in the paper's related work).
 
-use crate::durable::{DurableFile, FRAME_HEADER};
+use crate::durable::{split_frame, DurableFile};
 use crate::record::LogRecord;
 use amc_obs::{EventKind, ObsSink};
 use amc_types::{AmcResult, Lsn, SiteId};
@@ -32,6 +32,15 @@ pub struct LogStats {
     /// than one commit — the group-commit win E9 measures.
     pub batched_commits: u64,
 }
+
+amc_types::wire_struct!(LogStats {
+    appends: u64,
+    forces: u64,
+    stable_records: u64,
+    stable_bytes: u64,
+    group_forces: u64,
+    batched_commits: u64,
+});
 
 impl std::ops::AddAssign for LogStats {
     fn add_assign(&mut self, other: Self) {
@@ -89,9 +98,7 @@ impl Frames {
         self.segments.iter().flat_map(|seg| {
             let mut rest = seg.as_slice();
             std::iter::from_fn(move || {
-                let header: [u8; 4] = rest.get(..4)?.try_into().expect("4 bytes");
-                let (frame, tail) =
-                    rest.split_at(FRAME_HEADER + u32::from_le_bytes(header) as usize);
+                let (frame, tail) = split_frame(rest)?;
                 rest = tail;
                 Some(frame)
             })
@@ -356,13 +363,10 @@ impl LogManager {
     /// is mid-log corruption, and recovery must not silently drop committed
     /// history — so that stays a fatal [`amc_types::AmcError::Corruption`].
     pub fn truncate_torn_tail(&mut self) -> AmcResult<bool> {
-        let mut first_bad = None;
-        for (i, frame) in self.stable.iter().enumerate() {
-            if LogRecord::decode(frame).is_err() {
-                first_bad = Some(i);
-                break;
-            }
-        }
+        let first_bad = self
+            .stable
+            .iter()
+            .position(|frame| LogRecord::decode(frame).is_err());
         match first_bad {
             None => Ok(false),
             Some(i) if i + 1 == self.stable.len() => {

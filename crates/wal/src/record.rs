@@ -1,26 +1,11 @@
 //! Log record types and their checksummed binary encoding.
 //!
-//! Frame layout (little-endian):
-//!
-//! ```text
-//! 0    4   payload length n
-//! 4    8   FNV-1a checksum of the payload
-//! 12   n   payload: tag byte + fields
-//! ```
-//!
-//! `Option<Value>` fields encode as a presence byte followed by the value's
-//! fixed 12-byte form. `None` before-images mean "object did not exist";
-//! `None` after-images mean "object deleted".
+//! A record travels as one [`crate::durable`] frame whose payload is the
+//! row table below: a tag byte, then the fields. `None` before-images
+//! mean "object did not exist"; `None` after-images mean "object deleted".
 
-use amc_storage::checksum::fnv1a;
-use amc_types::{AmcError, AmcResult, LocalTxnId, ObjectId, Value};
-
-const TAG_BEGIN: u8 = 1;
-const TAG_UPDATE: u8 = 2;
-const TAG_COMMIT: u8 = 3;
-const TAG_ABORT: u8 = 4;
-const TAG_CHECKPOINT: u8 = 5;
-const TAG_PREPARE: u8 = 6;
+use crate::durable::{frame, unframe};
+use amc_types::{codec, AmcResult, LocalTxnId, ObjectId, Value};
 
 /// One write-ahead-log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,154 +69,26 @@ impl LogRecord {
         }
     }
 
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
-            match v {
-                Some(v) => {
-                    out.push(1);
-                    out.extend_from_slice(&v.to_bytes());
-                }
-                None => {
-                    out.push(0);
-                    out.extend_from_slice(&[0u8; 12]);
-                }
-            }
-        }
-        match self {
-            LogRecord::Begin { txn } => {
-                out.push(TAG_BEGIN);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-            }
-            LogRecord::Update {
-                txn,
-                obj,
-                before,
-                after,
-            } => {
-                out.push(TAG_UPDATE);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-                out.extend_from_slice(&obj.raw().to_le_bytes());
-                put_opt_value(out, before);
-                put_opt_value(out, after);
-            }
-            LogRecord::Prepare { txn } => {
-                out.push(TAG_PREPARE);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-            }
-            LogRecord::Commit { txn } => {
-                out.push(TAG_COMMIT);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-            }
-            LogRecord::Abort { txn } => {
-                out.push(TAG_ABORT);
-                out.extend_from_slice(&txn.raw().to_le_bytes());
-            }
-            LogRecord::Checkpoint { active } => {
-                out.push(TAG_CHECKPOINT);
-                out.extend_from_slice(&(active.len() as u32).to_le_bytes());
-                for t in active {
-                    out.extend_from_slice(&t.raw().to_le_bytes());
-                }
-            }
-        }
-    }
-
     /// Encode into a checksummed frame.
+    #[inline]
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64);
-        self.encode_payload(&mut payload);
-        let sum = fnv1a(&payload);
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&sum.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
+        frame(self)
     }
 
     /// Decode one frame, verifying length and checksum.
     pub fn decode(frame: &[u8]) -> AmcResult<Self> {
-        if frame.len() < 13 {
-            return Err(AmcError::Corruption("log frame too short".into()));
-        }
-        let len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes")) as usize;
-        if frame.len() != 12 + len {
-            return Err(AmcError::Corruption(format!(
-                "log frame length mismatch: header says {len}, frame has {}",
-                frame.len() - 12
-            )));
-        }
-        let stored = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-        let payload = &frame[12..];
-        if fnv1a(payload) != stored {
-            return Err(AmcError::Corruption("log frame checksum mismatch".into()));
-        }
-        Self::decode_payload(payload)
-    }
-
-    fn decode_payload(p: &[u8]) -> AmcResult<Self> {
-        fn get_u64(p: &[u8], off: usize) -> AmcResult<u64> {
-            p.get(off..off + 8)
-                .and_then(|s| s.try_into().ok())
-                .map(u64::from_le_bytes)
-                .ok_or_else(|| AmcError::Corruption("truncated log payload".into()))
-        }
-        fn get_opt_value(p: &[u8], off: usize) -> AmcResult<Option<Value>> {
-            let flag = *p
-                .get(off)
-                .ok_or_else(|| AmcError::Corruption("truncated log payload".into()))?;
-            let bytes: &[u8; 12] = p
-                .get(off + 1..off + 13)
-                .and_then(|s| s.try_into().ok())
-                .ok_or_else(|| AmcError::Corruption("truncated log payload".into()))?;
-            Ok(match flag {
-                0 => None,
-                1 => Some(Value::from_bytes(bytes)),
-                f => {
-                    return Err(AmcError::Corruption(format!(
-                        "bad option flag {f} in log payload"
-                    )))
-                }
-            })
-        }
-        let tag = *p
-            .first()
-            .ok_or_else(|| AmcError::Corruption("empty log payload".into()))?;
-        match tag {
-            TAG_BEGIN => Ok(LogRecord::Begin {
-                txn: LocalTxnId::new(get_u64(p, 1)?),
-            }),
-            TAG_UPDATE => Ok(LogRecord::Update {
-                txn: LocalTxnId::new(get_u64(p, 1)?),
-                obj: ObjectId::new(get_u64(p, 9)?),
-                before: get_opt_value(p, 17)?,
-                after: get_opt_value(p, 30)?,
-            }),
-            TAG_PREPARE => Ok(LogRecord::Prepare {
-                txn: LocalTxnId::new(get_u64(p, 1)?),
-            }),
-            TAG_COMMIT => Ok(LogRecord::Commit {
-                txn: LocalTxnId::new(get_u64(p, 1)?),
-            }),
-            TAG_ABORT => Ok(LogRecord::Abort {
-                txn: LocalTxnId::new(get_u64(p, 1)?),
-            }),
-            TAG_CHECKPOINT => {
-                let n = p
-                    .get(1..5)
-                    .and_then(|s| s.try_into().ok())
-                    .map(u32::from_le_bytes)
-                    .ok_or_else(|| AmcError::Corruption("truncated checkpoint".into()))?
-                    as usize;
-                let mut active = Vec::with_capacity(n);
-                for i in 0..n {
-                    active.push(LocalTxnId::new(get_u64(p, 5 + 8 * i)?));
-                }
-                Ok(LogRecord::Checkpoint { active })
-            }
-            t => Err(AmcError::Corruption(format!("unknown log tag {t}"))),
-        }
+        Ok(codec::decode(unframe(frame)?)?)
     }
 }
+
+amc_types::wire_enum!(LogRecord, "log-record" {
+    1 => Begin { txn: LocalTxnId },
+    2 => Update { txn: LocalTxnId, obj: ObjectId, before: Option<Value>, after: Option<Value> },
+    3 => Commit { txn: LocalTxnId },
+    4 => Abort { txn: LocalTxnId },
+    5 => Checkpoint { active: Vec<LocalTxnId> },
+    6 => Prepare { txn: LocalTxnId },
+});
 
 #[cfg(test)]
 mod tests {
@@ -286,6 +143,19 @@ mod tests {
         let frame = r.encode();
         assert!(LogRecord::decode(&frame[..frame.len() - 1]).is_err());
         assert!(LogRecord::decode(&[]).is_err());
+    }
+
+    /// FNV-1a is a checksum, not a MAC: a frame can be checksum-valid and
+    /// still claim any count. The claim must be rejected before a vector
+    /// is sized from it.
+    #[test]
+    fn checksum_valid_checkpoint_claiming_u32_max_actives_is_corruption() {
+        // Checkpoint tag, active count, one transaction id.
+        let frame = frame(&(5u8, u32::MAX, 0u64));
+        assert!(matches!(
+            LogRecord::decode(&frame),
+            Err(amc_types::AmcError::Corruption(_))
+        ));
     }
 
     #[test]

@@ -104,3 +104,53 @@ fn per_transaction_traffic_scales_linearly_with_participants() {
         assert_eq!(four, two * 2, "{protocol}: {two} vs {four}");
     }
 }
+
+/// Every byte layout is a row table of `amc_types::codec`. Raw
+/// little-endian conversions are the mark of a hand-rolled codec, so
+/// they may appear under `crates/*/src` only where listed here — a new
+/// file that needs them is either a table that should be declared with
+/// `wire_struct!` / `wire_enum!`, or one more line in this list with
+/// its reason.
+#[test]
+fn byte_layouts_are_declared_through_the_one_codec() {
+    const ALLOWED: &[&str] = &[
+        "types/src/codec.rs",      // the codec's integer primitives
+        "types/src/value.rs",      // Value's fixed 12-byte form
+        "storage/src/page.rs",     // the slotted page layout
+        "storage/src/checksum.rs", // FNV-1a
+        "wal/src/durable.rs",      // the [len][fnv1a] frame header
+        "rpc/src/wire.rs",         // the stream's u32 length prefix
+        "workload/src/mixes.rs",   // not a layout: bytes fed to a fingerprint hash
+    ];
+    fn sources(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                sources(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("utf-8 source");
+                out.push((path.to_string_lossy().replace('\\', "/"), text));
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(&crates).expect("crates/ exists") {
+        sources(&krate.expect("dir entry").path().join("src"), &mut files);
+    }
+    let having = |needles: &[&str]| -> Vec<&str> {
+        files
+            .iter()
+            .filter(|(_, text)| needles.iter().any(|n| text.contains(n)))
+            .map(|(path, _)| path.as_str())
+            .collect()
+    };
+    let raw: Vec<&str> = having(&["to_le_bytes", "from_le_bytes"])
+        .into_iter()
+        .filter(|path| !ALLOWED.iter().any(|ok| path.ends_with(ok)))
+        .collect();
+    assert!(raw.is_empty(), "hand-rolled byte codec in {raw:?}");
+    let cursors = having(&["struct Reader", "struct Cursor"]);
+    assert_eq!(cursors.len(), 1, "one cursor over bytes: {cursors:?}");
+    assert!(cursors[0].ends_with("types/src/codec.rs"));
+}
