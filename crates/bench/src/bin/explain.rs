@@ -32,108 +32,12 @@
 //!
 //! Exits non-zero when the requested timeline is empty.
 
-use amc_core::{FederationConfig, SimConfig, SimFederation};
-use amc_sim::{generate_faults, NemesisConfig};
-use amc_types::{
-    GlobalTxnId, ObjectId, Operation, ProtocolKind, SimDuration, SimTime, SiteId, Value,
-};
-use std::collections::BTreeMap;
+use amc_bench::experiments::e5_crash;
+use amc_rpc::cli::Flags;
+use amc_types::{GlobalTxnId, ProtocolKind};
 use std::process::ExitCode;
 
-const OBJS: u64 = 5;
-const PER_OBJ: i64 = 100;
-
-fn obj(site: u32, i: u64) -> ObjectId {
-    ObjectId::new(u64::from(site) * (1 << 32) + i)
-}
-
-struct Args {
-    seed: Option<u64>,
-    events: Option<String>,
-    txn: Option<u64>,
-    coordinator: Option<u32>,
-    protocol: ProtocolKind,
-    skip_decision_log: bool,
-}
-
-/// The seed-mode arguments once an `--events` dump has been ruled out.
-struct SimArgs {
-    seed: u64,
-    txn: Option<u64>,
-    protocol: ProtocolKind,
-    skip_decision_log: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: explain --seed <u64> [--txn <1..={OBJS}>] \
-         [--protocol 2pc|commit-after|commit-before] [--skip-decision-log]\n\
-         \x20      explain --events <dump.tsv> [--txn <gtx>] [--coordinator <k>]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut seed = None;
-    let mut events = None;
-    let mut txn = None;
-    let mut coordinator = None;
-    let mut protocol = ProtocolKind::CommitBefore;
-    let mut skip_decision_log = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok());
-                if seed.is_none() {
-                    usage();
-                }
-            }
-            "--events" => {
-                events = it.next();
-                if events.is_none() {
-                    usage();
-                }
-            }
-            "--txn" => {
-                txn = it.next().and_then(|v| v.parse().ok());
-                if txn.is_none() {
-                    usage();
-                }
-            }
-            "--coordinator" => {
-                coordinator = it.next().and_then(|v| v.parse().ok());
-                if coordinator.is_none() {
-                    usage();
-                }
-            }
-            "--protocol" => {
-                let label = it.next().unwrap_or_default();
-                match ProtocolKind::ALL.iter().find(|p| p.label() == label) {
-                    Some(p) => protocol = *p,
-                    None => usage(),
-                }
-            }
-            "--skip-decision-log" => skip_decision_log = true,
-            _ => usage(),
-        }
-    }
-    if seed.is_none() && events.is_none() {
-        usage();
-    }
-    if coordinator.is_some() && events.is_none() {
-        // The coordinator filter only makes sense on a sharded dump.
-        usage();
-    }
-    Args {
-        seed,
-        events,
-        txn,
-        coordinator,
-        protocol,
-        skip_decision_log,
-    }
-}
+const OBJS: u64 = e5_crash::NEMESIS_TXNS;
 
 /// Explain a networked run from a loadgen `--events-out` TSV dump:
 /// `seq  at_us  txn  site  event`, txn rendered as `G<n>` (or `-`) in
@@ -200,78 +104,45 @@ fn explain_dump(path: &str, txn: Option<u64>, coordinator: Option<u32>) -> ExitC
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    if let Some(path) = &args.events {
-        return explain_dump(path, args.txn, args.coordinator);
+    let mut flags = Flags::from_env(format!(
+        "explain --seed <u64> [--txn <1..={OBJS}>] \
+         [--protocol 2pc|commit-after|commit-before] [--skip-decision-log]\n\
+         \x20      explain --events <dump.tsv> [--txn <gtx>] [--coordinator <k>]"
+    ));
+    let seed: Option<u64> = flags.value("--seed");
+    let events: Option<String> = flags.value("--events");
+    let txn: Option<u64> = flags.value("--txn");
+    let coordinator: Option<u32> = flags.value("--coordinator");
+    let protocol = flags
+        .value_with("--protocol", ProtocolKind::parse)
+        .unwrap_or(ProtocolKind::CommitBefore);
+    let skip_decision_log = flags.switch("--skip-decision-log");
+    flags.finish();
+    if let Some(path) = &events {
+        return explain_dump(path, txn, coordinator);
     }
-    let Some(seed) = args.seed else { usage() };
-    let args = SimArgs {
-        seed,
-        txn: args.txn,
-        protocol: args.protocol,
-        skip_decision_log: args.skip_decision_log,
+    // The coordinator filter only makes sense on a sharded dump.
+    let (Some(seed), None) = (seed, coordinator) else {
+        flags.usage()
     };
-    // Same schedule shape as the E5c sweep: the transfers all land in the
-    // first ~100 ms of virtual time, so the fault horizon is squeezed onto
-    // that span — a seed's plan perturbs live transactions, not idle air.
-    let nemesis = NemesisConfig {
-        fault_horizon: SimTime(120_000),
-        max_hold: SimDuration::from_micros(60_000),
-        ..NemesisConfig::default()
-    };
-    let plan = generate_faults(&nemesis, args.seed);
-    let mut cfg = SimConfig::new(FederationConfig::uniform(2, args.protocol));
-    cfg.seed = args.seed;
-    cfg.faults = plan.clone();
-    cfg.retransmit_every = SimDuration::from_millis(5);
-    cfg.horizon = SimDuration::from_millis(30_000);
-    cfg.unsafe_skip_decision_log = args.skip_decision_log;
-    let fed = SimFederation::new(cfg);
-    for s in 1..=2u32 {
-        let data: Vec<(ObjectId, Value)> = (0..OBJS)
-            .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
-            .collect();
-        fed.load_site(SiteId::new(s), &data);
-    }
-    let programs: Vec<(SimDuration, BTreeMap<SiteId, Vec<Operation>>)> = (0..OBJS)
-        .map(|i| {
-            (
-                SimDuration::from_millis(i * 20),
-                BTreeMap::from([
-                    (
-                        SiteId::new(1),
-                        vec![Operation::Increment {
-                            obj: obj(1, i),
-                            delta: -10,
-                        }],
-                    ),
-                    (
-                        SiteId::new(2),
-                        vec![Operation::Increment {
-                            obj: obj(2, i),
-                            delta: 10,
-                        }],
-                    ),
-                ]),
-            )
-        })
-        .collect();
+    // The E5c sweep's scenario for this seed.
+    let (plan, fed, programs) = e5_crash::nemesis_scenario(protocol, seed, skip_decision_log);
     let report = fed.run(programs);
 
     println!(
         "nemesis run: seed {} protocol {} faults {} ({} events recorded, {} evicted)",
-        args.seed,
-        args.protocol.label(),
+        seed,
+        protocol.label(),
         plan.len(),
         report.events.total_recorded(),
         report.events.evicted(),
     );
-    if args.skip_decision_log {
+    if skip_decision_log {
         println!("decision-log force DISABLED (--skip-decision-log): expect atomicity damage");
     }
     println!();
 
-    let txns: Vec<u64> = match args.txn {
+    let txns: Vec<u64> = match txn {
         Some(t) => vec![t],
         None => (1..=OBJS).collect(),
     };

@@ -25,7 +25,8 @@
 
 use crate::table::{opt2, TextTable};
 use amc_core::{Federation, FederationConfig, TxnOutcome};
-use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
+use amc_types::{Operation, ProtocolKind, SiteId};
+use amc_workload::{initial_counters, object};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -33,11 +34,6 @@ use std::time::{Duration, Instant};
 const SITES: u32 = 5; // sites 1..=3 host the acceptors; 4 and 5 trade
 const ACCEPTORS: u32 = 3; // 2f+1 with f = 1
 const OBJECTS: u64 = 64;
-const PER_OBJ: i64 = 100;
-
-fn obj(site: u32, i: u64) -> ObjectId {
-    ObjectId::new(u64::from(site) * (1 << 32) + i)
-}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("amc-e12-{tag}-{}", std::process::id()));
@@ -45,39 +41,32 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn loaded(paxos_dir: Option<&std::path::Path>) -> Federation {
+/// A loaded 2PC federation; with `paxos`, `(acceptor log dir, group-commit
+/// linger)`, under a Paxos Commit acceptor group.
+fn loaded(paxos: Option<(&std::path::Path, Option<Duration>)>) -> Federation {
     let mut cfg = FederationConfig::uniform(SITES, ProtocolKind::TwoPhaseCommit);
-    if let Some(dir) = paxos_dir {
+    if let Some((dir, linger)) = paxos {
         cfg = cfg.with_paxos_commit(ACCEPTORS, dir);
+        if let Some(d) = linger {
+            cfg.paxos = cfg.paxos.map(|p| p.with_acceptor_linger(d));
+        }
     }
     let fed = Federation::new(cfg);
-    for s in 1..=SITES {
-        let data: Vec<(ObjectId, Value)> = (0..OBJECTS)
-            .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
-            .collect();
-        fed.load_site(SiteId::new(s), &data).expect("load");
+    for site in (1..=SITES).map(SiteId::new) {
+        fed.load_site(site, &initial_counters(site, OBJECTS))
+            .expect("load");
     }
     fed
 }
 
 /// Transfer over object pair `i`: site 4 pays site 5.
 fn transfer(i: u64) -> BTreeMap<SiteId, Vec<Operation>> {
-    BTreeMap::from([
-        (
-            SiteId::new(4),
-            vec![Operation::Increment {
-                obj: obj(4, i % OBJECTS),
-                delta: -1,
-            }],
-        ),
-        (
-            SiteId::new(5),
-            vec![Operation::Increment {
-                obj: obj(5, i % OBJECTS),
-                delta: 1,
-            }],
-        ),
-    ])
+    let pair = i % OBJECTS;
+    amc_workload::transfer(
+        object(SiteId::new(4), pair),
+        object(SiteId::new(5), pair),
+        1,
+    )
 }
 
 // --- part A: blocking window vs coordinator outage -------------------------
@@ -106,7 +95,7 @@ pub struct WindowRow {
 fn run_window_cell(outage_ms: u64, classic: bool) -> f64 {
     let lane = if classic { "classic" } else { "paxos" };
     let dir = scratch_dir(&format!("window-{lane}-{outage_ms}"));
-    let fed = loaded(Some(&dir));
+    let fed = loaded(Some((&dir, None)));
     // Warm the path so neither lane pays first-transaction setup.
     assert_eq!(
         fed.run_transaction(&transfer(1)).expect("warmup").outcome,
@@ -157,7 +146,7 @@ pub struct CostRow {
 
 fn run_cost_cell(mode: &'static str, paxos: bool, txns: u64) -> CostRow {
     let dir = scratch_dir(&format!("cost-{mode}"));
-    let fed = loaded(paxos.then_some(dir.as_path()));
+    let fed = loaded(paxos.then_some((dir.as_path(), None)));
     let mut committed = 0u64;
     let mut messages = 0u64;
     let mut lat_us: Vec<f64> = Vec::with_capacity(txns as usize);
@@ -220,19 +209,7 @@ fn run_linger_cell(linger: Option<Duration>, txns_per_thread: u64, threads: usiz
         Some(d) => format!("group-commit {}µs", d.as_micros()),
     };
     let dir = scratch_dir(&format!("linger-{}", linger.map_or(0, |d| d.as_micros())));
-    let mut cfg = FederationConfig::uniform(SITES, ProtocolKind::TwoPhaseCommit)
-        .with_paxos_commit(ACCEPTORS, &dir);
-    if let Some(d) = linger {
-        cfg.paxos = cfg.paxos.map(|p| p.with_acceptor_linger(d));
-    }
-    let fed = Federation::new(cfg);
-    for s in 1..=SITES {
-        let data: Vec<(ObjectId, Value)> = (0..OBJECTS)
-            .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
-            .collect();
-        fed.load_site(SiteId::new(s), &data).expect("load");
-    }
-    let fed = &fed;
+    let fed = &loaded(Some((&dir, linger)));
     let t0 = Instant::now();
     let per_thread: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)

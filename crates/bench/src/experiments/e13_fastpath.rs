@@ -28,7 +28,8 @@ use amc_net::transport::{FederationTransport, InProcessTransport};
 use amc_net::LocalCommManager;
 use amc_obs::ObsSink;
 use amc_rpc::{RetryPolicy, SiteServer, TcpTransport};
-use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
+use amc_types::{ProtocolKind, SiteId};
+use amc_workload::{initial_counters, object, transfer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,7 +37,6 @@ use std::time::Duration;
 pub use super::e10_rpc::Wire;
 
 const SITES: u32 = 2;
-const PER_OBJ: i64 = 100;
 
 /// The commit layer a cell runs: the fast path or one of its baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,50 +98,18 @@ pub struct Row {
     pub p99_ms: Option<f64>,
 }
 
-fn obj(site: u32, i: u64) -> ObjectId {
-    ObjectId::new(u64::from(site) * (1 << 32) + i)
-}
-
 /// Disjoint sum-neutral programs: transaction *i* touches only its own
 /// objects, so the measured cost is the message path, not lock queueing.
 /// `pct_single` percent of the mix (interleaved, not front-loaded) are
 /// single-site two-op updates; the rest are 2-site transfers.
 fn programs(txns: usize, pct_single: usize) -> ProgramBatch {
-    (0..txns)
+    (0..txns as u64)
         .map(|i| {
-            let i_u = i as u64;
-            let per_site = if (i % 100) < pct_single {
-                let s = (i as u32 % SITES) + 1;
-                BTreeMap::from([(
-                    SiteId::new(s),
-                    vec![
-                        Operation::Increment {
-                            obj: obj(s, i_u),
-                            delta: 3,
-                        },
-                        Operation::Increment {
-                            obj: obj(s, txns as u64 + i_u),
-                            delta: -3,
-                        },
-                    ],
-                )])
+            let per_site = if (i % 100) < pct_single as u64 {
+                let site = SiteId::new((i as u32 % SITES) + 1);
+                transfer(object(site, txns as u64 + i), object(site, i), 3)
             } else {
-                BTreeMap::from([
-                    (
-                        SiteId::new(1),
-                        vec![Operation::Increment {
-                            obj: obj(1, i_u),
-                            delta: -3,
-                        }],
-                    ),
-                    (
-                        SiteId::new(2),
-                        vec![Operation::Increment {
-                            obj: obj(2, i_u),
-                            delta: 3,
-                        }],
-                    ),
-                ])
+                transfer(object(SiteId::new(1), i), object(SiteId::new(2), i), 3)
             };
             (per_site, false)
         })
@@ -215,11 +183,9 @@ fn run_cell(layer: Layer, wire: Wire, pct_single: usize, txns: usize, clients: u
     let mut fed = Federation::with_transport(cfg, transport);
     fed.set_recording(false, false);
     let fed = Arc::new(fed);
-    for s in 1..=SITES {
-        let data: Vec<(ObjectId, Value)> = (0..2 * txns as u64)
-            .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
-            .collect();
-        fed.load_site(SiteId::new(s), &data).expect("load");
+    for site in (1..=SITES).map(SiteId::new) {
+        fed.load_site(site, &initial_counters(site, 2 * txns as u64))
+            .expect("load");
     }
 
     let m = fed.run_concurrent(programs(txns, pct_single), clients);

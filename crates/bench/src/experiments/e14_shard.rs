@@ -26,20 +26,17 @@
 //!   id range.
 
 use crate::table::{f2, TextTable};
-use amc_core::{coord_slot_of, TxnOutcome};
+use amc_core::{closed_loop, coord_slot_of, Program, TxnOutcome};
 use amc_rpc::{CoordClient, CoordInfo, CoordServer, RetryPolicy};
 use amc_shard::{ShardRouter, SiteChange};
-use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use amc_types::{ProtocolKind, SiteId};
+use amc_workload::{initial_counters, object};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fleet size for every lane.
 const SITES: u32 = 3;
-/// Initial counter value of every user object.
-const PER_OBJ: i64 = 100;
 /// Client threads per coordinator in the scaling lane: the fixed
 /// multiprogramming level of one central system.
 const CLIENTS_PER_COORD: usize = 2;
@@ -48,31 +45,20 @@ const CLIENTS_PER_COORD: usize = 2;
 /// resource the coordinators spend in parallel.
 const SCALE_DELAY: Duration = Duration::from_micros(300);
 
-/// A per-site operation program, as `ShardRouter::run` takes it.
-type Program = BTreeMap<SiteId, Vec<Operation>>;
-
-fn obj(site: u32, idx: u64) -> ObjectId {
-    ObjectId::new(u64::from(site) * (1 << 32) + idx)
+/// Sum-neutral transfer `i` of a lane: one unit around the ring of
+/// nominal sites, on object `idx` at both ends.
+fn transfer(i: u64, idx: u64) -> Program {
+    let site = |k: u64| SiteId::new((k % u64::from(SITES)) as u32 + 1);
+    amc_workload::transfer(object(site(i), idx), object(site(i + 1), idx), 1)
 }
 
-/// A sum-neutral 2-site transfer on nominal sites, disjoint per `idx`.
-fn transfer(from: u32, to: u32, idx: u64) -> Program {
-    BTreeMap::from([
-        (
-            SiteId::new(from),
-            vec![Operation::Increment {
-                obj: obj(from, idx),
-                delta: -1,
-            }],
-        ),
-        (
-            SiteId::new(to),
-            vec![Operation::Increment {
-                obj: obj(to, idx),
-                delta: 1,
-            }],
-        ),
-    ])
+/// Load every site's first `objects` counters.
+fn load(router: &ShardRouter, objects: u64) {
+    for site in (1..=SITES).map(SiteId::new) {
+        router
+            .load_site(site, &initial_counters(site, objects))
+            .expect("load");
+    }
 }
 
 /// One weak-scaling point.
@@ -106,52 +92,34 @@ pub fn run_scaling(txns_per_coord: usize, n_values: &[u32]) -> Vec<ScaleRow> {
         // quota; ownership is the map's hash of the minimum key, so the
         // draw is rejection sampling with a generous id budget.
         let budget = (txns_per_coord * n as usize * 8) as u64;
-        let mut queues: Vec<VecDeque<Program>> = (0..n).map(|_| VecDeque::new()).collect();
-        let mut drawn = 0u64;
+        let mut queues: Vec<Vec<(Program, bool)>> = (0..n).map(|_| Vec::new()).collect();
         for idx in 0..budget {
-            let p = transfer((idx % 3) as u32 + 1, ((idx + 1) % 3) as u32 + 1, idx);
-            let owner = router.owner_of(&p) as usize;
-            if queues[owner].len() < txns_per_coord {
-                queues[owner].push_back(p);
-                drawn += 1;
-                if drawn == (txns_per_coord * n as usize) as u64 {
-                    break;
-                }
+            let p = transfer(idx, idx);
+            let queue = &mut queues[router.owner_of(&p) as usize];
+            if queue.len() < txns_per_coord {
+                queue.push((p, false));
             }
         }
-        assert_eq!(
-            drawn,
-            (txns_per_coord * n as usize) as u64,
+        assert!(
+            queues.iter().all(|q| q.len() == txns_per_coord),
             "id budget too small to fill every coordinator's quota"
         );
-        for s in 1..=SITES {
-            let data: Vec<(ObjectId, Value)> = (0..budget)
-                .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
-                .collect();
-            router.load_site(SiteId::new(s), &data).expect("load");
-        }
+        load(&router, budget);
 
-        let committed = AtomicU64::new(0);
-        let queues: Vec<Mutex<VecDeque<Program>>> = queues.into_iter().map(Mutex::new).collect();
+        // One closed loop per coordinator, side by side: each queue is
+        // drained by its own fixed client population.
         let started = Instant::now();
-        std::thread::scope(|s| {
-            for q in &queues {
-                for _ in 0..CLIENTS_PER_COORD {
-                    s.spawn(|| loop {
-                        let Some(p) = q.lock().pop_front() else {
-                            return;
-                        };
-                        if let Ok(r) = router.run(&p) {
-                            if r.outcome == TxnOutcome::Committed {
-                                committed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            }
+        let committed: u64 = std::thread::scope(|s| {
+            let loops: Vec<_> = queues
+                .into_iter()
+                .map(|q| s.spawn(|| closed_loop(q, CLIENTS_PER_COORD, |p| router.run(p))))
+                .collect();
+            loops
+                .into_iter()
+                .map(|l| l.join().expect("client loop").committed)
+                .sum()
         });
         let elapsed = started.elapsed();
-        let committed = committed.into_inner();
         let txn_per_s = committed as f64 / elapsed.as_secs_f64();
         let base = rows.first().map_or(txn_per_s, |r: &ScaleRow| r.txn_per_s);
         rows.push(ScaleRow {
@@ -206,12 +174,7 @@ pub fn run_reconfig(min_txns: u64) -> ReconfigRow {
         )
         .expect("build router"),
     );
-    for s in 1..=SITES {
-        let data: Vec<(ObjectId, Value)> = (0..16)
-            .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
-            .collect();
-        router.load_site(SiteId::new(s), &data).expect("load");
-    }
+    load(&router, 16);
     let sum0 = router.user_sum().expect("sum");
     let count0 = router.user_object_count().expect("count") as i64;
 
@@ -225,7 +188,7 @@ pub fn run_reconfig(min_txns: u64) -> ReconfigRow {
             s.spawn(|| {
                 while !stop.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let p = transfer((i % 3) as u32 + 1, ((i + 1) % 3) as u32 + 1, i % 16);
+                    let p = transfer(i, i % 16);
                     match router.run(&p) {
                         Ok(r) if r.outcome == TxnOutcome::Committed => {
                             committed.fetch_add(1, Ordering::Relaxed);
@@ -324,12 +287,7 @@ pub fn run_tcp(txns: usize, clients: usize) -> TcpRow {
         ShardRouter::in_process(COORDS, SITES, ProtocolKind::TwoPhaseCommit, Duration::ZERO)
             .expect("build router"),
     );
-    for s in 1..=SITES {
-        let data: Vec<(ObjectId, Value)> = (0..txns as u64)
-            .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
-            .collect();
-        router.load_site(SiteId::new(s), &data).expect("load");
-    }
+    load(&router, txns as u64);
     let sites = router.map().sites();
     let mut servers = Vec::new();
     let mut tcp_clients = Vec::new();
@@ -345,57 +303,33 @@ pub fn run_tcp(txns: usize, clients: usize) -> TcpRow {
             "127.0.0.1:0",
         )
         .expect("spawn coordinator server");
-        tcp_clients.push(Arc::new(CoordClient::new(
-            srv.addr(),
-            RetryPolicy::default(),
-        )));
+        tcp_clients.push(CoordClient::new(srv.addr(), RetryPolicy::default()));
         servers.push(srv);
     }
 
-    // Pre-route: each program is paired with its owning coordinator so
-    // worker threads just pop and dispatch.
-    let queue: Mutex<VecDeque<(u32, Program)>> = Mutex::new(
-        (0..txns as u64)
-            .map(|i| {
-                let p = transfer((i % 3) as u32 + 1, ((i + 1) % 3) as u32 + 1, i);
-                (router.owner_of(&p), p)
-            })
-            .collect(),
-    );
-    let committed = AtomicU64::new(0);
+    let programs = (0..txns as u64).map(|i| (transfer(i, i), false)).collect();
     let slot_matched = AtomicU64::new(0);
     let per_coord: Vec<AtomicU64> = (0..COORDS).map(|_| AtomicU64::new(0)).collect();
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..clients.max(1) {
-            s.spawn(|| loop {
-                let Some((owner, p)) = queue.lock().pop_front() else {
-                    return;
-                };
-                let Ok(report) = tcp_clients[owner as usize].exec(p) else {
-                    continue;
-                };
-                if report.outcome == TxnOutcome::Committed {
-                    committed.fetch_add(1, Ordering::Relaxed);
-                    per_coord[owner as usize].fetch_add(1, Ordering::Relaxed);
-                }
-                if coord_slot_of(report.gtx) == owner {
-                    slot_matched.fetch_add(1, Ordering::Relaxed);
-                }
-            });
+    let metrics = closed_loop(programs, clients, |p| {
+        let owner = router.owner_of(p);
+        let report = tcp_clients[owner as usize].exec(p.clone())?;
+        if report.outcome == TxnOutcome::Committed {
+            per_coord[owner as usize].fetch_add(1, Ordering::Relaxed);
         }
+        if coord_slot_of(report.gtx) == owner {
+            slot_matched.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(report)
     });
-    let elapsed = started.elapsed();
     for srv in servers {
         srv.shutdown();
     }
-    let committed = committed.into_inner();
     TcpRow {
         coordinators: COORDS,
         clients,
         offered: txns as u64,
-        committed,
-        txn_per_s: committed as f64 / elapsed.as_secs_f64(),
+        committed: metrics.committed,
+        txn_per_s: metrics.throughput().unwrap_or(0.0),
         slot_matched: slot_matched.into_inner(),
         busy_coordinators: per_coord
             .iter()
@@ -465,7 +399,7 @@ pub fn reconfig_table(r: &ReconfigRow) -> TextTable {
 /// Render the TCP lane.
 pub fn tcp_table(r: &TcpRow) -> TextTable {
     let mut t = TextTable::new(
-        "E14c — coordinator RPC over loopback TCP (frames 5/6, pre-routed clients)",
+        "E14c — coordinator RPC over loopback TCP (frames 5/6, clients route by the shard map)",
         &[
             "coordinators",
             "clients",

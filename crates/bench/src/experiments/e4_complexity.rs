@@ -12,7 +12,8 @@ use crate::table::{f2, opt2, TextTable};
 use amc_core::{FederationConfig, SimConfig, SimFederation};
 use amc_net::NetStats;
 use amc_obs::Histogram;
-use amc_types::{GlobalVerdict, ObjectId, Operation, ProtocolKind, SimDuration, SiteId, Value};
+use amc_types::{GlobalVerdict, Operation, ProtocolKind, SimDuration, SiteId};
+use amc_workload::{initial_counters, object, transfer};
 use std::collections::BTreeMap;
 
 /// One protocol's accounting.
@@ -36,21 +37,15 @@ pub struct Row {
     pub net: NetStats,
 }
 
-fn obj(site: u32, i: u64) -> ObjectId {
-    ObjectId::new(u64::from(site) * (1 << 32) + i)
-}
-
 /// Run `txns` disjoint two-site transfers per protocol on the simulator.
 pub fn run(txns: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     for protocol in ProtocolKind::ALL {
         let cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
         let fed = SimFederation::new(cfg);
-        for s in 1..=2u32 {
-            let data: Vec<(ObjectId, Value)> = (0..txns as u64)
-                .map(|i| (obj(s, i), Value::counter(100)))
-                .collect();
-            fed.load_site(SiteId::new(s), &data);
+        let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+        for site in [s1, s2] {
+            fed.load_site(site, &initial_counters(site, txns as u64));
         }
         let managers = fed.managers();
         // Pre-run force baseline (bulk load may have forced nothing, but be
@@ -67,22 +62,7 @@ pub fn run(txns: usize) -> Vec<Row> {
         // starts so the simulator interleaves them.
         let programs: Vec<(SimDuration, BTreeMap<SiteId, Vec<Operation>>)> = (0..txns)
             .map(|i| {
-                let program = BTreeMap::from([
-                    (
-                        SiteId::new(1),
-                        vec![Operation::Increment {
-                            obj: obj(1, i as u64),
-                            delta: -5,
-                        }],
-                    ),
-                    (
-                        SiteId::new(2),
-                        vec![Operation::Increment {
-                            obj: obj(2, i as u64),
-                            delta: 5,
-                        }],
-                    ),
-                ]);
+                let program = transfer(object(s1, i as u64), object(s2, i as u64), 5);
                 (SimDuration::from_millis(i as u64 * 5), program)
             })
             .collect();

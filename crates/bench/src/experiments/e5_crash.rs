@@ -12,13 +12,11 @@
 //! blocking probe in the integration suite).
 
 use crate::table::{opt2, TextTable};
-use amc_core::{FederationConfig, SimConfig, SimFederation};
+use amc_core::{FederationConfig, Program, SimConfig, SimFederation};
 use amc_net::NetStats;
-use amc_sim::{generate_faults, FailurePlan, NemesisConfig};
-use amc_types::{
-    GlobalVerdict, ObjectId, Operation, ProtocolKind, SimDuration, SimTime, SiteId, Value,
-};
-use std::collections::BTreeMap;
+use amc_sim::{generate_faults, FaultPlan, NemesisConfig};
+use amc_types::{GlobalVerdict, ProtocolKind, SimDuration, SimTime, SiteId};
+use amc_workload::{initial_counters, object, transfer, INITIAL_PER_OBJECT as PER_OBJ};
 
 /// One measured crash scenario.
 #[derive(Debug, Clone)]
@@ -41,114 +39,42 @@ pub struct Row {
     pub atomic: bool,
 }
 
-fn obj(site: u32, i: u64) -> ObjectId {
-    ObjectId::new(u64::from(site) * (1 << 32) + i)
-}
-
-/// Sweep crash times for each protocol. `crash_times_us` are virtual
-/// microseconds after transaction start; the outage lasts `outage_ms`.
+/// Sweep crash times for each protocol: site 2 crashes `crash_times_us`
+/// virtual microseconds after transaction start, for `outage_ms`.
 pub fn run(crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for protocol in ProtocolKind::ALL {
-        for &crash_at in crash_times_us {
-            let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
-            cfg.failures = FailurePlan::none().outage(
-                SiteId::new(2),
-                SimTime(crash_at),
-                SimDuration::from_millis(outage_ms),
-            );
-            cfg.horizon = SimDuration::from_millis(5_000);
-            let fed = SimFederation::new(cfg);
-            for s in 1..=2u32 {
-                fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))]);
-            }
-            let managers = fed.managers();
-            let program = BTreeMap::from([
-                (
-                    SiteId::new(1),
-                    vec![Operation::Increment {
-                        obj: obj(1, 0),
-                        delta: -30,
-                    }],
-                ),
-                (
-                    SiteId::new(2),
-                    vec![Operation::Increment {
-                        obj: obj(2, 0),
-                        delta: 30,
-                    }],
-                ),
-            ]);
-            let report = fed.run(vec![(SimDuration::ZERO, program)]);
-            let gtx = amc_types::GlobalTxnId::new(1);
-            let verdict = report.outcomes.get(&gtx).copied();
-            let dumps = SimFederation::dumps(&managers);
-            let v1 = dumps[&SiteId::new(1)][&obj(1, 0)].counter;
-            let v2 = dumps[&SiteId::new(2)][&obj(2, 0)].counter;
-            let atomic = match verdict {
-                Some(GlobalVerdict::Commit) => v1 == 70 && v2 == 130,
-                Some(GlobalVerdict::Abort) => v1 == 100 && v2 == 100,
-                None => false,
-            };
-            rows.push(Row {
-                protocol,
-                crash_at_us: crash_at,
-                verdict,
-                resolution_ms: report.resolution.get(&gtx).map(|d| d.micros() as f64 / 1e3),
-                blocking_ms: report
-                    .events
-                    .derive()
-                    .blocking_window_us
-                    .max()
-                    .map(|us| us as f64 / 1e3),
-                retransmissions: report.retransmissions,
-                atomic,
-            });
-        }
-    }
-    rows
+    sweep(SiteId::new(2), crash_times_us, outage_ms)
 }
 
 /// Central-system crash sweep (extension: coordinator-side recovery with
 /// a forced decision log and presumed abort).
 pub fn run_central(crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
+    sweep(SiteId::CENTRAL, crash_times_us, outage_ms)
+}
+
+fn sweep(victim: SiteId, crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
     let mut rows = Vec::new();
     for protocol in ProtocolKind::ALL {
         for &crash_at in crash_times_us {
             let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
-            cfg.failures = FailurePlan::none().outage(
-                SiteId::CENTRAL,
+            cfg.faults = FaultPlan::none().outage(
+                victim,
                 SimTime(crash_at),
                 SimDuration::from_millis(outage_ms),
             );
             cfg.horizon = SimDuration::from_millis(5_000);
             let fed = SimFederation::new(cfg);
-            for s in 1..=2u32 {
-                fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))]);
+            let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+            for site in [s1, s2] {
+                fed.load_site(site, &initial_counters(site, 1));
             }
             let managers = fed.managers();
-            let program = BTreeMap::from([
-                (
-                    SiteId::new(1),
-                    vec![Operation::Increment {
-                        obj: obj(1, 0),
-                        delta: -30,
-                    }],
-                ),
-                (
-                    SiteId::new(2),
-                    vec![Operation::Increment {
-                        obj: obj(2, 0),
-                        delta: 30,
-                    }],
-                ),
-            ]);
+            let program = transfer(object(s1, 0), object(s2, 0), 30);
             let report = fed.run(vec![(SimDuration::ZERO, program)]);
             let gtx = amc_types::GlobalTxnId::new(1);
             let verdict = report.outcomes.get(&gtx).copied();
             let dumps = SimFederation::dumps(&managers);
-            let v1 = dumps[&SiteId::new(1)][&obj(1, 0)].counter;
-            let v2 = dumps[&SiteId::new(2)][&obj(2, 0)].counter;
+            let v1 = dumps[&s1][&object(s1, 0)].counter;
+            let v2 = dumps[&s2][&object(s2, 0)].counter;
             let atomic = match verdict {
                 Some(GlobalVerdict::Commit) => v1 == 70 && v2 == 130,
                 Some(GlobalVerdict::Abort) => v1 == 100 && v2 == 100,
@@ -267,67 +193,65 @@ pub struct NemesisRow {
     pub blocking_ms: Option<f64>,
 }
 
+/// Transfers in one nemesis scenario, each over its own object pair.
+pub const NEMESIS_TXNS: u64 = 5;
+
+/// One nemesis scenario's inputs (E5c and `explain --seed`): the schedule
+/// `seed` generates, the loaded two-site federation it strikes, and the
+/// staggered disjoint transfers it strikes it under.
+pub fn nemesis_scenario(
+    protocol: ProtocolKind,
+    seed: u64,
+    unsafe_skip_decision_log: bool,
+) -> (FaultPlan, SimFederation, Vec<(SimDuration, Program)>) {
+    // The transfers are all submitted inside the first ~100 ms of virtual
+    // time; squeeze the fault horizon onto that span so the schedules
+    // land on live transactions instead of an idle federation.
+    let nemesis = NemesisConfig {
+        fault_horizon: SimTime(120_000),
+        max_hold: SimDuration::from_micros(60_000),
+        ..NemesisConfig::default()
+    };
+    let plan = generate_faults(&nemesis, seed);
+    let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
+    cfg.seed = seed;
+    cfg.faults = plan.clone();
+    cfg.retransmit_every = SimDuration::from_millis(5);
+    cfg.horizon = SimDuration::from_millis(30_000);
+    cfg.unsafe_skip_decision_log = unsafe_skip_decision_log;
+    let fed = SimFederation::new(cfg);
+    let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+    for site in [s1, s2] {
+        fed.load_site(site, &initial_counters(site, NEMESIS_TXNS));
+    }
+    let programs = (0..NEMESIS_TXNS)
+        .map(|i| {
+            (
+                SimDuration::from_millis(i * 20),
+                transfer(object(s1, i), object(s2, i), 10),
+            )
+        })
+        .collect();
+    (plan, fed, programs)
+}
+
 /// Run the nemesis sweep: one generated schedule per `(protocol, seed)`.
 pub fn run_nemesis(seeds: &[u64]) -> Vec<NemesisRow> {
-    const OBJS: u64 = 5;
-    const PER_OBJ: i64 = 100;
+    const OBJS: u64 = NEMESIS_TXNS;
+    let (s1, s2) = (SiteId::new(1), SiteId::new(2));
     let mut rows = Vec::new();
     for protocol in ProtocolKind::ALL {
         for &seed in seeds {
-            // The five transfers are all submitted inside the first
-            // ~100 ms of virtual time; squeeze the fault horizon onto
-            // that span so the schedules land on live transactions
-            // instead of an idle federation.
-            let nemesis = NemesisConfig {
-                fault_horizon: SimTime(120_000),
-                max_hold: SimDuration::from_micros(60_000),
-                ..NemesisConfig::default()
-            };
-            let plan = generate_faults(&nemesis, seed);
-            let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
-            cfg.seed = seed;
-            cfg.faults = plan.clone();
-            cfg.retransmit_every = SimDuration::from_millis(5);
-            cfg.horizon = SimDuration::from_millis(30_000);
-            let fed = SimFederation::new(cfg);
-            for s in 1..=2u32 {
-                let data: Vec<(ObjectId, Value)> = (0..OBJS)
-                    .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
-                    .collect();
-                fed.load_site(SiteId::new(s), &data);
-            }
+            let (plan, fed, programs) = nemesis_scenario(protocol, seed, false);
             let managers = fed.managers();
-            let programs: Vec<(SimDuration, BTreeMap<SiteId, Vec<Operation>>)> = (0..OBJS)
-                .map(|i| {
-                    (
-                        SimDuration::from_millis(i * 20),
-                        BTreeMap::from([
-                            (
-                                SiteId::new(1),
-                                vec![Operation::Increment {
-                                    obj: obj(1, i),
-                                    delta: -10,
-                                }],
-                            ),
-                            (
-                                SiteId::new(2),
-                                vec![Operation::Increment {
-                                    obj: obj(2, i),
-                                    delta: 10,
-                                }],
-                            ),
-                        ]),
-                    )
-                })
-                .collect();
             let report = fed.run(programs);
             let dumps = SimFederation::dumps(&managers);
             let (mut committed, mut aborted, mut violations) = (0usize, 0usize, 0usize);
             let mut total = 0i64;
             for i in 0..OBJS {
                 let gtx = amc_types::GlobalTxnId::new(i + 1);
-                let v1 = dumps[&SiteId::new(1)][&obj(1, i)].counter;
-                let v2 = dumps[&SiteId::new(2)][&obj(2, i)].counter;
+                let v1 = dumps[&s1][&object(s1, i)].counter;
+                let v2 = dumps[&s2][&object(s2, i)].counter;
                 total += v1 + v2;
                 match report.outcomes.get(&gtx) {
                     Some(GlobalVerdict::Commit) => {

@@ -11,16 +11,15 @@
 //!
 //! The reproduced number is boring by design: **zero violations**.
 
-use crate::setup::build_recording_federation;
+use crate::setup::{build_recording_federation, program_batch};
 use crate::table::TextTable;
-use amc_core::{Federation, TxnOutcome};
+use amc_core::TxnOutcome;
 use amc_mlt::ConflictPolicy;
 use amc_types::{GlobalTxnId, GlobalVerdict, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use amc_verify::history::ConflictDefinition;
-use amc_workload::{OpMix, WorkloadGen, WorkloadSpec};
+use amc_workload::{OpMix, WorkloadSpec};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One audited run.
 #[derive(Debug, Clone)]
@@ -61,48 +60,15 @@ fn spec() -> WorkloadSpec {
 pub fn run_one(protocol: ProtocolKind, seed: u64, txns: usize, threads: usize) -> Row {
     let spec = spec();
     let fed = build_recording_federation(protocol, ConflictPolicy::Semantic, &spec);
-    let mut gen = WorkloadGen::new(spec.clone(), seed);
-    let programs: Vec<_> = gen.programs(txns);
-
-    // Concurrent execution that keeps the gtx -> program mapping.
-    let work: Mutex<Vec<_>> = Mutex::new(programs.into_iter().collect());
+    // Concurrent execution that keeps the gtx -> program mapping: every
+    // attempt is audited, also the ones the driver offers again (an
+    // aborted attempt must have left no net effect).
     let executed: Mutex<Vec<(GlobalTxnId, Vec<Operation>, TxnOutcome)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let fed: &Arc<Federation> = &fed;
-            let work = &work;
-            let executed = &executed;
-            scope.spawn(move || loop {
-                let Some(program) = work.lock().pop() else {
-                    return;
-                };
-                let mut attempts = 0;
-                loop {
-                    attempts += 1;
-                    let report = fed.run_transaction(&program.per_site).expect("run");
-                    match report.outcome {
-                        TxnOutcome::L1Rejected(_) if attempts < 10 => continue,
-                        // An erroneous global abort (the program did not
-                        // intend one): the aborted attempt left no net
-                        // effect, so retry it like any erroneous abort.
-                        TxnOutcome::Aborted if !program.intends_abort && attempts < 10 => {
-                            executed.lock().push((
-                                report.gtx,
-                                program.merged_ops(),
-                                TxnOutcome::Aborted,
-                            ));
-                            continue;
-                        }
-                        outcome => {
-                            executed
-                                .lock()
-                                .push((report.gtx, program.merged_ops(), outcome));
-                            break; // next program
-                        }
-                    }
-                }
-            });
-        }
+    amc_core::closed_loop(program_batch(&spec, seed, txns), threads, |program| {
+        let report = fed.run_transaction(program).expect("run");
+        let ops = program.values().flatten().copied().collect();
+        executed.lock().push((report.gtx, ops, report.outcome));
+        Ok(report)
     });
 
     let history = fed.history();

@@ -3,7 +3,8 @@
 use amc_engine::{OccEngine, TplConfig, TwoPLEngine};
 use amc_mlt::ConflictPolicy;
 use amc_net::{EngineHandle, LocalCommManager};
-use amc_types::{GlobalTxnId, ProtocolKind, SiteId};
+use amc_types::{GlobalTxnId, Operation, ProtocolKind, SiteId};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,6 +22,27 @@ pub const COORD_GTX_SPAN: u64 = 1 << 40;
 /// whose ids start at 1).
 pub fn coord_slot_of(gtx: GlobalTxnId) -> u32 {
     (gtx.raw() / COORD_GTX_SPAN) as u32
+}
+
+/// Which of `coordinators` slots owns a transaction, from the objects it
+/// touches: SplitMix64 of the minimum object id, modulo the coordinator
+/// count — "lowest key wins", so a cross-shard transaction still has
+/// exactly one owner and every router, in process or across the wire,
+/// computes it with no coordination. A program touching no object falls to
+/// slot 0.
+pub fn owner_slot_of(per_site: &BTreeMap<SiteId, Vec<Operation>>, coordinators: u32) -> u32 {
+    let Some(min_obj) = per_site
+        .values()
+        .flatten()
+        .map(|op| op.object().raw())
+        .min()
+    else {
+        return 0;
+    };
+    let mut x = min_obj.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((x ^ (x >> 31)) % u64::from(coordinators)) as u32
 }
 
 /// Identity of one coordinator in a sharded (multi-coordinator)
@@ -288,6 +310,21 @@ mod tests {
         assert_eq!(coord_slot_of(GlobalTxnId::new(COORD_GTX_SPAN - 1)), 0);
         assert_eq!(coord_slot_of(GlobalTxnId::new(COORD_GTX_SPAN + 1)), 1);
         assert_eq!(coord_slot_of(GlobalTxnId::new(3 * COORD_GTX_SPAN + 7)), 3);
+    }
+
+    #[test]
+    fn ownership_is_splitmix64_of_the_minimum_key() {
+        let program = |objs: &[u64]| -> BTreeMap<SiteId, Vec<Operation>> {
+            let ops = objs.iter().map(|&o| Operation::Read {
+                obj: amc_types::ObjectId::new(o),
+            });
+            BTreeMap::from([(SiteId::new(1), ops.collect())])
+        };
+        // Pinned: routers of different builds must agree on every owner.
+        assert_eq!(owner_slot_of(&program(&[0]), 1000), 535);
+        assert_eq!(owner_slot_of(&program(&[(1 << 32) + 7, 1 << 33]), 5), 3);
+        assert_eq!(owner_slot_of(&program(&[]), 5), 0);
+        assert_eq!(owner_slot_of(&program(&[42]), 1), 0);
     }
 
     #[test]

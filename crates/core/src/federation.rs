@@ -19,6 +19,7 @@
 
 use crate::config::{FederationConfig, PaxosCommitConfig};
 use crate::coordinator::{CoordAction, CoordEvent, Coordinator};
+use crate::drive::closed_loop;
 use crate::metrics::RunMetrics;
 use amc_mlt::L1LockManager;
 use amc_net::comm::SubmitMode;
@@ -743,83 +744,26 @@ impl Federation {
         }
     }
 
-    /// Run a batch of programs on `threads` worker threads. Each program is
-    /// `(per-site ops, intends_abort)`; erroneous global rejections *and*
-    /// erroneous global aborts (an abort of a program that did not intend
-    /// one) are retried (bounded); intended aborts are not.
+    /// Run a batch of programs on `threads` closed-loop clients
+    /// ([`closed_loop`](crate::drive::closed_loop): FIFO, casualties of
+    /// contention retried boundedly, intended aborts final) and add the
+    /// counters only the federation can read off its sites.
+    ///
+    /// # Panics
+    /// When a transaction returns an error: the in-process lanes this
+    /// serves have no failure to survive.
     pub fn run_concurrent(
         self: &Arc<Self>,
         programs: Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)>,
         threads: usize,
     ) -> RunMetrics {
-        let mut metrics = RunMetrics::new(self.cfg.protocol);
-        // FIFO: workers take programs in submission order (a `Vec::pop`
-        // here once drained the batch back-to-front, starving early
-        // submissions under bounded drivers).
-        let queue = Arc::new(Mutex::new(
-            programs
-                .into_iter()
-                .collect::<std::collections::VecDeque<_>>(),
-        ));
-        let results: Arc<Mutex<Vec<(TxnReport, bool)>>> = Arc::new(Mutex::new(Vec::new()));
         let sheds_before = self.transport.load_sheds();
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(1) {
-                let fed = Arc::clone(self);
-                let queue = Arc::clone(&queue);
-                let results = Arc::clone(&results);
-                scope.spawn(move || loop {
-                    let Some((program, intends_abort)) = queue.lock().pop_front() else {
-                        return;
-                    };
-                    let mut attempts = 0;
-                    loop {
-                        attempts += 1;
-                        match fed.run_transaction(&program) {
-                            Ok(report) => {
-                                let erroneous_abort =
-                                    report.outcome == TxnOutcome::Aborted && !intends_abort;
-                                let retry = (matches!(report.outcome, TxnOutcome::L1Rejected(_))
-                                    || erroneous_abort)
-                                    && attempts < 10;
-                                results.lock().push((report, intends_abort));
-                                if retry {
-                                    continue;
-                                }
-                            }
-                            Err(e) => panic!("federation error: {e}"),
-                        }
-                        break;
-                    }
-                });
-            }
+        let mut metrics = closed_loop(programs, threads, |program| {
+            Ok(self
+                .run_transaction(program)
+                .unwrap_or_else(|e| panic!("federation error: {e}")))
         });
-        metrics.wall = start.elapsed();
         metrics.load_sheds = self.transport.load_sheds().saturating_sub(sheds_before);
-        for (report, intends_abort) in results.lock().drain(..) {
-            metrics.messages += report.messages;
-            match report.outcome {
-                TxnOutcome::Committed => {
-                    metrics.committed += 1;
-                    metrics.total_commit_latency += report.latency;
-                    metrics.latency_us.record(report.latency.as_micros() as u64);
-                    for h in &report.l0_holds {
-                        metrics.total_l0_hold += *h;
-                        metrics.l0_hold_count += 1;
-                        metrics.l0_hold_us.record(h.as_micros() as u64);
-                    }
-                }
-                TxnOutcome::Aborted => {
-                    if intends_abort {
-                        metrics.aborted_intended += 1;
-                    } else {
-                        metrics.aborted_erroneous += 1;
-                    }
-                }
-                TxnOutcome::L1Rejected(_) => metrics.l1_rejections += 1,
-            }
-        }
         let comm = self.comm_stats();
         metrics.redo_runs = comm.redo_runs;
         metrics.undo_runs = comm.undo_runs;

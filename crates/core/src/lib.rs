@@ -31,15 +31,18 @@
 
 pub mod config;
 pub mod coordinator;
+pub mod drive;
 pub mod federation;
 pub mod metrics;
 pub mod simdrive;
 
 pub use amc_types::ProtocolKind;
 pub use config::{
-    coord_slot_of, CoordIdentity, FederationConfig, PaxosCommitConfig, COORD_GTX_SPAN,
+    coord_slot_of, owner_slot_of, CoordIdentity, FederationConfig, PaxosCommitConfig,
+    COORD_GTX_SPAN,
 };
 pub use coordinator::{CoordAction, CoordEvent, Coordinator};
-pub use federation::{submit_mode_for, Federation, TxnOutcome};
+pub use drive::{closed_loop, Program};
+pub use federation::{submit_mode_for, Federation, TxnOutcome, TxnReport};
 pub use metrics::RunMetrics;
 pub use simdrive::{SimConfig, SimFederation, SimReport};

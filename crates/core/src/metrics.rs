@@ -1,17 +1,14 @@
 //! Run metrics aggregated across a workload execution.
 
 use amc_obs::Histogram;
-use amc_types::ProtocolKind;
 use std::time::Duration;
 
 /// What one workload run measured. All counters are totals; derived rates
 /// come from the accessor methods, which return `None` instead of a bogus
 /// number when the underlying count is zero (an idle run has no mean
 /// latency — reports must say "n=0", never divide into NaN or fake a 0.0).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
-    /// Protocol under test.
-    pub protocol: ProtocolKind,
     /// Globally committed transactions.
     pub committed: u64,
     /// Global aborts caused by transaction logic (intended).
@@ -22,6 +19,9 @@ pub struct RunMetrics {
     /// Global transactions killed at L1 acquisition (deadlock/timeout)
     /// before touching any engine; the driver retries these.
     pub l1_rejections: u64,
+    /// Attempts that returned an error instead of an outcome (a site or
+    /// coordinator down mid-run); the driver ends that program.
+    pub errors: u64,
     /// Wall-clock duration of the run.
     pub wall: Duration,
     /// Sum of per-transaction latencies (successful commits only).
@@ -61,30 +61,9 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Empty metrics for `protocol`.
-    pub fn new(protocol: ProtocolKind) -> Self {
-        RunMetrics {
-            protocol,
-            committed: 0,
-            aborted_intended: 0,
-            aborted_erroneous: 0,
-            l1_rejections: 0,
-            wall: Duration::ZERO,
-            total_commit_latency: Duration::ZERO,
-            total_l0_hold: Duration::ZERO,
-            l0_hold_count: 0,
-            latency_us: Histogram::new(),
-            l0_hold_us: Histogram::new(),
-            messages: 0,
-            redo_runs: 0,
-            undo_runs: 0,
-            pre_vote_retries: 0,
-            load_sheds: 0,
-            log_forces: 0,
-            log_bytes: 0,
-            group_forces: 0,
-            batched_commits: 0,
-        }
+    /// Empty metrics.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Committed transactions per second; `None` for a zero-length run.
@@ -211,7 +190,7 @@ mod tests {
 
     #[test]
     fn derived_rates() {
-        let mut m = RunMetrics::new(ProtocolKind::CommitBefore);
+        let mut m = RunMetrics::new();
         m.committed = 100;
         m.wall = Duration::from_secs(2);
         m.total_commit_latency = Duration::from_millis(500);
@@ -226,7 +205,7 @@ mod tests {
 
     #[test]
     fn empty_run_yields_none_not_nan() {
-        let m = RunMetrics::new(ProtocolKind::TwoPhaseCommit);
+        let m = RunMetrics::new();
         assert_eq!(m.throughput(), None);
         assert_eq!(m.mean_latency_ms(), None);
         assert_eq!(m.mean_l0_hold_ms(), None);
@@ -245,7 +224,7 @@ mod tests {
 
     #[test]
     fn abort_rate_split_sums_to_the_total() {
-        let mut m = RunMetrics::new(ProtocolKind::CommitBefore);
+        let mut m = RunMetrics::new();
         m.committed = 60;
         m.aborted_intended = 30;
         m.aborted_erroneous = 10;
@@ -263,7 +242,7 @@ mod tests {
 
     #[test]
     fn percentiles_come_from_the_histograms() {
-        let mut m = RunMetrics::new(ProtocolKind::CommitAfter);
+        let mut m = RunMetrics::new();
         for us in [1_000, 2_000, 3_000, 4_000, 100_000] {
             m.latency_us.record(us);
         }
@@ -273,7 +252,7 @@ mod tests {
 
     #[test]
     fn abort_rate_counts_both_kinds() {
-        let mut m = RunMetrics::new(ProtocolKind::CommitAfter);
+        let mut m = RunMetrics::new();
         m.committed = 80;
         m.aborted_intended = 15;
         m.aborted_erroneous = 5;

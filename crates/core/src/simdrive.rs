@@ -2,7 +2,7 @@
 //!
 //! Same managers, same engines, same [`crate::Coordinator`] —
 //! but messages travel through the seeded [`amc_net::Router`] with latency
-//! and loss, sites crash and restart on a [`amc_sim::FailurePlan`], and all
+//! and loss, sites crash and restart on a [`amc_sim::FaultPlan`], and all
 //! timing is virtual. This driver produces the golden message traces
 //! (F2–F5), the crash/blocking experiment (E5) and exact message accounting
 //! (E4).
@@ -31,7 +31,7 @@ use amc_net::router::{NetStats, RouterConfig, Routing};
 use amc_net::transport::dispatch_to_manager;
 use amc_net::{Envelope, LocalCommManager, MessageTrace, Payload, Router};
 use amc_obs::{EventKind, EventLog, ObsSink};
-use amc_sim::{EventQueue, FailurePlan, FaultEvent, FaultKind, FaultPlan, LinkDir, SimRng};
+use amc_sim::{EventQueue, FaultEvent, FaultKind, FaultPlan, LinkDir, SimRng};
 use amc_types::{AmcError, GlobalTxnId, GlobalVerdict, Operation, SimDuration, SimTime, SiteId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -45,10 +45,8 @@ pub struct SimConfig {
     pub router: RouterConfig,
     /// RNG seed (drives latency and loss).
     pub seed: u64,
-    /// Crash/restart schedule (E5 legacy form; merged with `faults`).
-    pub failures: FailurePlan,
-    /// Composed nemesis schedule: crashes (optionally with torn WAL
-    /// tails), link partitions, loss bursts.
+    /// Fault schedule: crashes (optionally with torn WAL tails), link
+    /// partitions, loss bursts.
     pub faults: FaultPlan,
     /// Local handler service time (per message).
     pub service_time: SimDuration,
@@ -80,7 +78,6 @@ impl SimConfig {
             federation,
             router: RouterConfig::default(),
             seed: 42,
-            failures: FailurePlan::none(),
             faults: FaultPlan::none(),
             service_time: SimDuration::from_micros(200),
             retransmit_every: SimDuration::from_millis(20),
@@ -88,14 +85,6 @@ impl SimConfig {
             unsafe_skip_decision_log: false,
             event_cap: amc_obs::log::DEFAULT_EVENT_CAP,
         }
-    }
-
-    /// The legacy crash/restart schedule and the composed fault schedule
-    /// merged into one time-ordered plan.
-    fn merged_faults(&self) -> FaultPlan {
-        let mut events = FaultPlan::from(&self.failures).events();
-        events.extend(self.faults.events());
-        FaultPlan::from_events(events)
     }
 }
 
@@ -174,8 +163,7 @@ impl SimFederation {
     /// Build engines, managers, router and queue from `cfg`.
     pub fn new(cfg: SimConfig) -> Self {
         assert!(cfg.federation.is_runnable(), "unrunnable federation");
-        cfg.failures.validate().expect("invalid failure plan");
-        cfg.merged_faults().validate().expect("invalid fault plan");
+        cfg.faults.validate().expect("invalid fault plan");
         let obs = ObsSink::enabled(cfg.event_cap);
         let managers: BTreeMap<SiteId, Arc<LocalCommManager>> = cfg
             .federation
@@ -360,7 +348,7 @@ impl SimFederation {
                 .schedule_at(SimTime::ZERO + at, Event::Start(gtx));
         }
         let mut pending_failures = 0u32;
-        for ev in self.cfg.merged_faults().events() {
+        for ev in self.cfg.faults.events() {
             self.queue.schedule_at(ev.at, Event::Fault(ev));
             pending_failures += 1;
         }
@@ -597,9 +585,9 @@ mod tests {
         ])
     }
 
-    fn sim(protocol: ProtocolKind, failures: FailurePlan) -> SimFederation {
+    fn sim(protocol: ProtocolKind, failures: FaultPlan) -> SimFederation {
         let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
-        cfg.failures = failures;
+        cfg.faults = failures;
         let fed = SimFederation::new(cfg);
         for s in 1..=2u32 {
             let data: Vec<(ObjectId, Value)> =
@@ -612,7 +600,7 @@ mod tests {
     #[test]
     fn failure_free_run_commits_under_all_protocols() {
         for protocol in ProtocolKind::ALL {
-            let fed = sim(protocol, FailurePlan::none());
+            let fed = sim(protocol, FaultPlan::none());
             let managers = fed.managers();
             let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
             assert!(report.errors.is_empty(), "{protocol}: {:?}", report.errors);
@@ -638,7 +626,7 @@ mod tests {
 
     #[test]
     fn golden_trace_commit_before_matches_fig6_commit_path() {
-        let fed = sim(ProtocolKind::CommitBefore, FailurePlan::none());
+        let fed = sim(ProtocolKind::CommitBefore, FaultPlan::none());
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 5))]);
         // §3.3 commit path: work ships, locals commit and report; the
         // coordinator needs no further messages ("does not need to start
@@ -651,7 +639,7 @@ mod tests {
 
     #[test]
     fn golden_trace_2pc_matches_fig2() {
-        let fed = sim(ProtocolKind::TwoPhaseCommit, FailurePlan::none());
+        let fed = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none());
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 5))]);
         assert_eq!(
             report.trace.labels_for(GlobalTxnId::new(1)),
@@ -672,11 +660,11 @@ mod tests {
         );
     }
 
-    fn sim_fast(failures: FailurePlan) -> SimFederation {
+    fn sim_fast(failures: FaultPlan) -> SimFederation {
         let mut cfg = SimConfig::new(
             FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_fast_path(),
         );
-        cfg.failures = failures;
+        cfg.faults = failures;
         let fed = SimFederation::new(cfg);
         for s in 1..=2u32 {
             let data: Vec<(ObjectId, Value)> =
@@ -691,7 +679,7 @@ mod tests {
         // Vote piggyback: the submit carries PREPARE, so the work ack *is*
         // the vote — 8 messages instead of the classic 12 (fig. 2 minus the
         // explicit prepare round).
-        let fed = sim_fast(FailurePlan::none());
+        let fed = sim_fast(FaultPlan::none());
         let managers = fed.managers();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 5))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
@@ -755,7 +743,7 @@ mod tests {
     fn fast_path_runs_are_deterministic() {
         let run = || {
             let failures =
-                FailurePlan::none().outage(site(2), SimTime(300), SimDuration::from_millis(10));
+                FaultPlan::none().outage(site(2), SimTime(300), SimDuration::from_millis(10));
             let fed = sim_fast(failures);
             let report = fed.run(vec![
                 (SimDuration::ZERO, transfer(1, 2, 3)),
@@ -778,7 +766,7 @@ mod tests {
         // but before executing it, and restarts later; §3.3: the answer to
         // the post-recovery inquiry is abort, and site 1 gets undone.
         let failures =
-            FailurePlan::none().outage(site(2), SimTime(100), SimDuration::from_millis(50));
+            FaultPlan::none().outage(site(2), SimTime(100), SimDuration::from_millis(50));
         let fed = sim(ProtocolKind::CommitBefore, failures);
         let managers = fed.managers();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
@@ -801,7 +789,7 @@ mod tests {
         // Crash site 2 *after* the votes are in (decision made) but while
         // the commit decision is in flight; the Redo retransmission must
         // finish the job after restart (§3.2).
-        let failures = FailurePlan::none().outage(
+        let failures = FaultPlan::none().outage(
             site(2),
             SimTime(1_200), // after both votes (~2×(500+200) ≈ 1400us)... tuned below
             SimDuration::from_millis(30),
@@ -898,7 +886,7 @@ mod tests {
     fn runs_are_deterministic() {
         let run = || {
             let failures =
-                FailurePlan::none().outage(site(2), SimTime(300), SimDuration::from_millis(10));
+                FaultPlan::none().outage(site(2), SimTime(300), SimDuration::from_millis(10));
             let fed = sim(ProtocolKind::CommitBefore, failures);
             let report = fed.run(vec![
                 (SimDuration::ZERO, transfer(1, 2, 3)),
@@ -919,7 +907,7 @@ mod tests {
     fn message_counts_per_protocol_match_e4_shape() {
         let mut per_protocol = BTreeMap::new();
         for protocol in ProtocolKind::ALL {
-            let fed = sim(protocol, FailurePlan::none());
+            let fed = sim(protocol, FaultPlan::none());
             let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 1))]);
             per_protocol.insert(protocol.label(), report.sent);
         }

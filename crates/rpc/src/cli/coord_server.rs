@@ -23,94 +23,39 @@
 //! [`CoordClient`]: crate::CoordClient
 //! [`Federation`]: amc_core::Federation
 
-use crate::{CoordInfo, CoordServer, RetryPolicy, TcpTransport};
+use super::{coordinator_transport, Flags};
+use crate::{CoordInfo, CoordServer};
 use amc_core::{Federation, FederationConfig};
-use amc_net::transport::FederationTransport;
-use amc_obs::ObsSink;
 use amc_types::{ProtocolKind, SiteId};
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: amc-coord-server --slot <k> --coordinators <n> \
-         --sites <addr,addr,...> --protocol <2pc|commit-after|commit-before> \
-         [--listen <host:port>]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "amc-coord-server --slot <k> --coordinators <n> \
+     --sites <addr,addr,...> --protocol <2pc|commit-after|commit-before> \
+     [--listen <host:port>]";
 
-/// The binary's entry point: parse `std::env::args`, run, exit.
+/// The binary's entry point: parse the process arguments, run, exit.
 pub fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut slot = None;
-    let mut coordinators = None;
-    let mut addrs: Vec<SocketAddr> = Vec::new();
-    let mut protocol = None;
-    let mut listen = String::from("127.0.0.1:0");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--slot" => {
-                i += 1;
-                slot = args.get(i).and_then(|v| v.parse::<u32>().ok());
-            }
-            "--coordinators" => {
-                i += 1;
-                coordinators = args.get(i).and_then(|v| v.parse::<u32>().ok());
-            }
-            "--sites" => {
-                i += 1;
-                let list = args.get(i).unwrap_or_else(|| usage());
-                addrs = list
-                    .split(',')
-                    .map(|a| a.parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--protocol" => {
-                i += 1;
-                protocol = match args.get(i).map(String::as_str) {
-                    Some("2pc") => Some(ProtocolKind::TwoPhaseCommit),
-                    Some("commit-after") => Some(ProtocolKind::CommitAfter),
-                    Some("commit-before") => Some(ProtocolKind::CommitBefore),
-                    _ => usage(),
-                };
-            }
-            "--listen" => {
-                i += 1;
-                listen = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let Some(slot) = slot else { usage() };
-    let Some(coordinators) = coordinators else {
-        usage()
+    let mut flags = Flags::from_env(USAGE);
+    let slot: Option<u32> = flags.value("--slot");
+    let coordinators: Option<u32> = flags.value("--coordinators");
+    let addrs: Vec<SocketAddr> = flags.list("--sites");
+    let protocol = flags.value_with("--protocol", ProtocolKind::parse);
+    let listen: String = flags
+        .value("--listen")
+        .unwrap_or_else(|| "127.0.0.1:0".into());
+    flags.finish();
+    let (Some(slot), Some(coordinators), Some(protocol)) = (slot, coordinators, protocol) else {
+        flags.usage()
     };
-    let Some(protocol) = protocol else { usage() };
     if addrs.is_empty() || slot >= coordinators {
-        usage();
+        flags.usage();
     }
 
     let sites = addrs.len() as u32;
-    let addr_map: BTreeMap<SiteId, SocketAddr> = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (SiteId::new(i as u32 + 1), *a))
-        .collect();
-    let policy = RetryPolicy {
-        connect_timeout: Duration::from_millis(500),
-        request_timeout: Duration::from_secs(5),
-        max_attempts: 6,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(50),
-    };
-    let transport = Arc::new(TcpTransport::new(addr_map, policy, ObsSink::disabled()));
     let cfg = FederationConfig::uniform(sites, protocol).sharded(slot, coordinators);
-    let mut fed = Federation::with_transport(cfg, transport as Arc<dyn FederationTransport>);
+    let mut fed = Federation::with_transport(cfg, coordinator_transport(&addrs));
     fed.set_recording(false, false);
     let info = CoordInfo {
         slot,

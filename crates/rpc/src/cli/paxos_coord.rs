@@ -20,156 +20,47 @@
 //! forever. The chaos harness then delivers the real `kill -9` and a
 //! standby replica finishes the transaction from the acceptor logs.
 
-use crate::{RetryPolicy, TcpTransport};
+use super::{coordinator_transport, Flags};
 use amc_core::{Federation, FederationConfig, TxnOutcome};
-use amc_net::transport::FederationTransport;
-use amc_obs::ObsSink;
-use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
-use std::collections::BTreeMap;
+use amc_types::{ProtocolKind, SiteId};
+use amc_workload::{initial_counters, object, transfer};
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: amc-paxos-coord --sites <addr,addr,...> --acceptors <n> \
-         [--txns <n>] [--objects <n>] [--no-load] [--first-gtx <n>] \
-         [--crash-at-txn <i> --crash-after-votes <k>]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "amc-paxos-coord --sites <addr,addr,...> --acceptors <n> \
+     [--txns <n>] [--objects <n>] [--no-load] [--first-gtx <n>] \
+     [--crash-at-txn <i> --crash-after-votes <k>]";
 
-fn obj(site: u32, idx: u64) -> ObjectId {
-    ObjectId::new(u64::from(site) * (1 << 32) + idx)
-}
-
-/// Transfer `i`: site pair and object pair cycle deterministically so the
-/// harness can reconstruct the expected books from the printed outcomes.
-fn transfer(i: u64, sites: u32, objects: u64) -> BTreeMap<SiteId, Vec<Operation>> {
-    let from = 1 + (i % u64::from(sites)) as u32;
-    let to = 1 + (from % sites);
-    let amt = 1 + (i % 5) as i64;
-    BTreeMap::from([
-        (
-            SiteId::new(from),
-            vec![Operation::Increment {
-                obj: obj(from, i % objects),
-                delta: -amt,
-            }],
-        ),
-        (
-            SiteId::new(to),
-            vec![Operation::Increment {
-                obj: obj(to, (i + 3) % objects),
-                delta: amt,
-            }],
-        ),
-    ])
-}
-
-/// The binary's entry point: parse `std::env::args`, run, exit.
+/// The binary's entry point: parse the process arguments, run, exit.
 pub fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut addrs: Vec<SocketAddr> = Vec::new();
-    let mut acceptors = 0u32;
-    let mut txns = 20u64;
-    let mut objects = 8u64;
-    let mut load = true;
-    let mut first_gtx = 1u64;
-    let mut crash_at_txn: Option<u64> = None;
-    let mut crash_after_votes = 1u32;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sites" => {
-                i += 1;
-                let list = args.get(i).unwrap_or_else(|| usage());
-                addrs = list
-                    .split(',')
-                    .map(|a| a.parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--acceptors" => {
-                i += 1;
-                acceptors = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--txns" => {
-                i += 1;
-                txns = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--objects" => {
-                i += 1;
-                objects = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--no-load" => load = false,
-            "--first-gtx" => {
-                i += 1;
-                first_gtx = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--crash-at-txn" => {
-                i += 1;
-                crash_at_txn = args.get(i).and_then(|v| v.parse().ok());
-                if crash_at_txn.is_none() {
-                    usage();
-                }
-            }
-            "--crash-after-votes" => {
-                i += 1;
-                crash_after_votes = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
+    let mut flags = Flags::from_env(USAGE);
+    let addrs: Vec<SocketAddr> = flags.list("--sites");
+    let acceptors: u32 = flags.value("--acceptors").unwrap_or(0);
+    let txns: u64 = flags.value("--txns").unwrap_or(20);
+    let objects: u64 = flags.value("--objects").unwrap_or(8);
+    let load = !flags.switch("--no-load");
+    let first_gtx: u64 = flags.value("--first-gtx").unwrap_or(1);
+    let crash_at_txn: Option<u64> = flags.value("--crash-at-txn");
+    let crash_after_votes: u32 = flags.value("--crash-after-votes").unwrap_or(1);
+    flags.finish();
     if addrs.is_empty() || acceptors == 0 || acceptors as usize > addrs.len() {
-        usage();
+        flags.usage();
     }
     let sites = addrs.len() as u32;
-    let addr_map: BTreeMap<SiteId, SocketAddr> = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (SiteId::new(i as u32 + 1), *a))
-        .collect();
-    let policy = RetryPolicy {
-        connect_timeout: Duration::from_millis(500),
-        request_timeout: Duration::from_secs(5),
-        max_attempts: 6,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(50),
-    };
-    let transport = Arc::new(TcpTransport::new(addr_map, policy, ObsSink::disabled()));
     // The acceptor logs live in the *site servers*; the log_dir here only
     // matters for in-process deployments and stays unused over TCP.
     let cfg = FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit).with_paxos_commit(
         acceptors,
         std::env::temp_dir().join("amc-paxos-coord-unused"),
     );
-    let mut fed = Federation::with_transport(cfg, transport as Arc<dyn FederationTransport>);
+    let mut fed = Federation::with_transport(cfg, coordinator_transport(&addrs));
     fed.set_recording(false, false);
     fed.set_first_gtx(first_gtx);
 
     if load {
-        for s in 1..=sites {
-            let data: Vec<(ObjectId, Value)> = (0..objects)
-                .map(|i| (obj(s, i), Value::counter(100)))
-                .collect();
-            if let Err(e) = fed.load_site(SiteId::new(s), &data) {
-                eprintln!("load site {s}: {e}");
+        for site in (1..=sites).map(SiteId::new) {
+            if let Err(e) = fed.load_site(site, &initial_counters(site, objects)) {
+                eprintln!("load {site}: {e}");
                 std::process::exit(1);
             }
         }
@@ -181,7 +72,16 @@ pub fn main() {
         if crash_at_txn == Some(i) {
             fed.inject_coordinator_crash_after_votes(crash_after_votes);
         }
-        match fed.run_transaction(&transfer(i, sites, objects)) {
+        // Site pair and object pair cycle deterministically, so the harness
+        // can reconstruct the expected books from the printed outcomes.
+        let from = SiteId::new(1 + (i % u64::from(sites)) as u32);
+        let to = SiteId::new(1 + from.raw() % sites);
+        let program = transfer(
+            object(from, i % objects),
+            object(to, (i + 3) % objects),
+            1 + (i % 5) as i64,
+        );
+        match fed.run_transaction(&program) {
             Ok(report) => {
                 match report.outcome {
                     TxnOutcome::Committed => committed += 1,

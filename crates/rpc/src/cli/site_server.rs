@@ -18,25 +18,22 @@
 //! printed after the replay. Without the flag the site is purely
 //! in-memory, as before.
 
+use super::Flags;
 use crate::{EventServer, SiteRecoveryManager, SiteServer};
+use amc_core::submit_mode_for;
 use amc_engine::{TplConfig, TwoPLEngine};
 use amc_net::comm::EngineHandle;
-use amc_net::{LocalCommManager, SubmitMode};
+use amc_net::LocalCommManager;
 use amc_obs::ObsSink;
 use amc_paxos::AcceptorHost;
-use amc_types::SiteId;
+use amc_types::{ProtocolKind, SiteId};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: amc-site-server --site <n> --listen <host:port> \
-         --protocol <2pc|commit-after|commit-before> [--lock-timeout-ms <ms>] \
-         [--wal-dir <dir>] [--acceptor-log <path>] \
-         [--runtime <event-loop|threaded>]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "amc-site-server --site <n> --listen <host:port> \
+     --protocol <2pc|commit-after|commit-before> [--lock-timeout-ms <ms>] \
+     [--wal-dir <dir>] [--acceptor-log <path>] \
+     [--runtime <event-loop|threaded>]";
 
 /// Which server runtime fronts the site.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -47,63 +44,29 @@ enum Runtime {
     Threaded,
 }
 
-/// The binary's entry point: parse `std::env::args`, run, exit.
+/// The binary's entry point: parse the process arguments, run, exit.
 pub fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut site = None;
-    let mut listen = String::from("127.0.0.1:0");
-    let mut mode = None;
-    let mut lock_timeout = Duration::from_millis(500);
-    let mut wal_dir: Option<String> = None;
-    let mut acceptor_log: Option<String> = None;
-    let mut runtime = Runtime::EventLoop;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--site" => {
-                i += 1;
-                site = args.get(i).and_then(|v| v.parse::<u32>().ok());
-            }
-            "--listen" => {
-                i += 1;
-                listen = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            "--protocol" => {
-                i += 1;
-                mode = match args.get(i).map(String::as_str) {
-                    Some("2pc") => Some(SubmitMode::TwoPhase),
-                    Some("commit-after") => Some(SubmitMode::CommitAfter),
-                    Some("commit-before") => Some(SubmitMode::CommitBefore),
-                    _ => usage(),
-                };
-            }
-            "--lock-timeout-ms" => {
-                i += 1;
-                let ms = args.get(i).and_then(|v| v.parse::<u64>().ok());
-                lock_timeout = Duration::from_millis(ms.unwrap_or_else(|| usage()));
-            }
-            "--wal-dir" => {
-                i += 1;
-                wal_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--acceptor-log" => {
-                i += 1;
-                acceptor_log = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--runtime" => {
-                i += 1;
-                runtime = match args.get(i).map(String::as_str) {
-                    Some("event-loop") => Runtime::EventLoop,
-                    Some("threaded") => Runtime::Threaded,
-                    _ => usage(),
-                };
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let Some(site_n) = site else { usage() };
-    let Some(mode) = mode else { usage() };
+    let mut flags = Flags::from_env(USAGE);
+    let site: Option<u32> = flags.value("--site");
+    let listen: String = flags
+        .value("--listen")
+        .unwrap_or_else(|| "127.0.0.1:0".into());
+    let protocol = flags.value_with("--protocol", ProtocolKind::parse);
+    let lock_timeout = Duration::from_millis(flags.value("--lock-timeout-ms").unwrap_or(500));
+    let wal_dir: Option<String> = flags.value("--wal-dir");
+    let acceptor_log: Option<String> = flags.value("--acceptor-log");
+    let runtime = flags
+        .value_with("--runtime", |v| match v {
+            "event-loop" => Some(Runtime::EventLoop),
+            "threaded" => Some(Runtime::Threaded),
+            _ => None,
+        })
+        .unwrap_or(Runtime::EventLoop);
+    flags.finish();
+    let (Some(site_n), Some(protocol)) = (site, protocol) else {
+        flags.usage()
+    };
+    let mode = submit_mode_for(protocol);
     if site_n == 0 {
         eprintln!("site 0 is the central system, not a local site");
         std::process::exit(2);

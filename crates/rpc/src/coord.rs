@@ -22,13 +22,14 @@
 use crate::client::{Core, PooledLink, RetryPolicy};
 use crate::server::{BlockingServer, Handler};
 use crate::wire::{CoordReply, CoordRequest, Frame};
-use amc_core::{Federation, TxnOutcome};
+use amc_core::{Federation, TxnReport};
 use amc_obs::ObsSink;
-use amc_types::{AmcError, AmcResult, GlobalTxnId, Operation, SiteId};
+use amc_types::{AmcError, AmcResult, Operation, SiteId};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A coordinator's advertised identity: what [`CoordRequest::Describe`]
 /// answers.
@@ -43,19 +44,6 @@ pub struct CoordInfo {
     pub epoch: u64,
     /// The site fleet the coordinator drives, ascending.
     pub sites: Vec<SiteId>,
-}
-
-/// One finished [`CoordRequest::Exec`], as reported by the coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecReport {
-    /// The global transaction id the attempt ran under.
-    pub gtx: GlobalTxnId,
-    /// What happened.
-    pub outcome: TxnOutcome,
-    /// End-to-end latency at the coordinator, microseconds.
-    pub latency_us: u64,
-    /// Messages the coordinator exchanged with its sites.
-    pub messages: u64,
 }
 
 /// A running coordinator server. Dropping it (or calling
@@ -190,18 +178,20 @@ impl CoordClient {
     }
 
     /// Run one global transaction through the coordinator. Exactly one
-    /// attempt (see the type docs).
-    pub fn exec(&self, per_site: BTreeMap<SiteId, Vec<Operation>>) -> AmcResult<ExecReport> {
+    /// attempt (see the type docs). The report is the coordinator's own:
+    /// its latency excludes this hop, and L0 tenures do not cross the wire.
+    pub fn exec(&self, per_site: BTreeMap<SiteId, Vec<Operation>>) -> AmcResult<TxnReport> {
         match self.request(CoordRequest::Exec { per_site }, 1)? {
             CoordReply::Done {
                 gtx,
                 outcome,
                 latency_us,
                 messages,
-            } => Ok(ExecReport {
+            } => Ok(TxnReport {
                 gtx,
                 outcome,
-                latency_us,
+                latency: Duration::from_micros(latency_us),
+                l0_holds: Vec::new(),
                 messages,
             }),
             other => Err(AmcError::Protocol(format!(
@@ -228,7 +218,7 @@ impl CoordClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_core::{FederationConfig, ProtocolKind};
+    use amc_core::{FederationConfig, ProtocolKind, TxnOutcome};
     use amc_types::{ObjectId, Operation, Value};
     use std::time::Duration;
 

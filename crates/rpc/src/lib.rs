@@ -61,7 +61,7 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{RetryPolicy, RpcClient};
-pub use coord::{CoordClient, CoordInfo, CoordServer, ExecReport};
+pub use coord::{CoordClient, CoordInfo, CoordServer};
 pub use event_loop::{EventServer, EventServerStats, MAX_IN_FLIGHT_PER_CONN, MAX_WBUF_BYTES};
 pub use mux::MuxClient;
 pub use recovery::{FileWorkJournal, SiteRecoveryManager};

@@ -30,4 +30,4 @@ pub mod map;
 pub mod router;
 
 pub use map::{ShardMap, SiteChange};
-pub use router::{CoordCounters, ReconfigReport, RouterMetrics, ShardRouter};
+pub use router::{CoordCounters, ReconfigReport, ShardRouter};

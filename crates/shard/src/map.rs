@@ -48,14 +48,6 @@ pub enum SiteChange {
     },
 }
 
-/// SplitMix64 — the deterministic hash behind cross-shard ownership.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// One epoch of the sharded topology. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
@@ -104,15 +96,7 @@ impl ShardMap {
     /// count, on every router replica. Programs touching no object (there
     /// are none in practice) fall to slot 0.
     pub fn owner_of(&self, per_site: &BTreeMap<SiteId, Vec<Operation>>) -> u32 {
-        let min_obj = per_site
-            .values()
-            .flatten()
-            .map(|op| op.object().raw())
-            .min();
-        match min_obj {
-            Some(obj) => (splitmix64(obj) % u64::from(self.coordinators)) as u32,
-            None => 0,
-        }
+        amc_core::owner_slot_of(per_site, self.coordinators)
     }
 
     /// Rewrite a nominally-addressed program to actual sites, merging

@@ -72,31 +72,6 @@ pub struct CoordCounters {
     pub errors: AtomicU64,
 }
 
-/// Aggregate result of [`ShardRouter::run_concurrent`].
-#[derive(Debug, Clone)]
-pub struct RouterMetrics {
-    /// Globally committed transactions.
-    pub committed: u64,
-    /// Globally aborted transactions.
-    pub aborted: u64,
-    /// Attempts that returned an error (e.g. a site down mid-run).
-    pub errors: u64,
-    /// Wall-clock time of the whole run.
-    pub elapsed: Duration,
-    /// `(committed, aborted)` per coordinator slot, for the run only.
-    pub per_coord: Vec<(u64, u64)>,
-}
-
-impl RouterMetrics {
-    /// Committed transactions per second.
-    pub fn throughput(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.committed as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
 /// What a completed [`ShardRouter::reconfigure`] did.
 #[derive(Debug, Clone)]
 pub struct ReconfigReport {
@@ -304,69 +279,6 @@ impl ShardRouter {
             Err(_) => self.stats[owner].errors.fetch_add(1, Ordering::Relaxed),
         };
         result
-    }
-
-    /// Drive `programs` through the router from `threads` worker threads
-    /// (FIFO over a shared queue) and aggregate the outcomes.
-    pub fn run_concurrent(
-        self: &Arc<Self>,
-        programs: Vec<BTreeMap<SiteId, Vec<Operation>>>,
-        threads: usize,
-    ) -> RouterMetrics {
-        let queue = Arc::new(Mutex::new(std::collections::VecDeque::from(programs)));
-        let committed = AtomicU64::new(0);
-        let aborted = AtomicU64::new(0);
-        let errors = AtomicU64::new(0);
-        let before: Vec<(u64, u64)> = self
-            .stats
-            .iter()
-            .map(|c| {
-                (
-                    c.committed.load(Ordering::Relaxed),
-                    c.aborted.load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        let started = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..threads.max(1) {
-                s.spawn(|| loop {
-                    let Some(program) = queue.lock().pop_front() else {
-                        return;
-                    };
-                    match self.run(&program) {
-                        Ok(r) if r.outcome == TxnOutcome::Committed => {
-                            committed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(_) => {
-                            aborted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        let elapsed = started.elapsed();
-        let per_coord = self
-            .stats
-            .iter()
-            .zip(before)
-            .map(|(c, (bc, ba))| {
-                (
-                    c.committed.load(Ordering::Relaxed) - bc,
-                    c.aborted.load(Ordering::Relaxed) - ba,
-                )
-            })
-            .collect();
-        RouterMetrics {
-            committed: committed.into_inner(),
-            aborted: aborted.into_inner(),
-            errors: errors.into_inner(),
-            elapsed,
-            per_coord,
-        }
     }
 
     /// Change the fleet online. See the module docs for the
@@ -706,12 +618,17 @@ mod tests {
         let programs: Vec<_> = (0..24)
             .map(|i| transfer(i % 3 + 1, (i + 1) % 3 + 1, i as u64 % 4))
             .collect();
-        let metrics = router.run_concurrent(programs, 4);
+        let programs = programs.into_iter().map(|p| (p, false)).collect();
+        let metrics = amc_core::closed_loop(programs, 4, |p| router.run(p));
         assert_eq!(metrics.committed, 24);
         assert_eq!(metrics.errors, 0);
         assert_eq!(router.user_sum().unwrap(), 3 * 4 * 100);
         // Work spread across more than one coordinator slot.
-        let busy = metrics.per_coord.iter().filter(|(c, _)| *c > 0).count();
+        let busy = router
+            .stats()
+            .iter()
+            .filter(|c| c.committed.load(Ordering::Relaxed) > 0)
+            .count();
         assert!(busy > 1, "expected multiple busy coordinators: {metrics:?}");
     }
 

@@ -13,12 +13,12 @@
 //! The kernel is intentionally generic: [`EventQueue`] orders opaque events
 //! by `(time, sequence)`; the driver in `amc-core` owns the world state and
 //! the event enum. [`SimRng`] wraps a seeded PRNG with the distributions the
-//! workloads need, and [`FailurePlan`] describes site crash/restart
-//! schedules.
+//! workloads need.
 //!
-//! [`nemesis`] extends the hand-written schedules into chaos territory:
-//! composed crash/partition/loss-burst/torn-tail [`FaultPlan`]s, a seeded
-//! generator, and a shrinker that minimizes oracle-violating schedules.
+//! [`nemesis`] holds the fault schedules: composed
+//! crash/partition/loss-burst/torn-tail [`FaultPlan`]s — hand-written for
+//! E5, seeded for chaos runs — a generator, and a shrinker that minimizes
+//! oracle-violating schedules.
 //! [`reconfig`] generates seeded **online-reconfiguration** schedules for
 //! the sharded router — topology changes at transaction-count offsets,
 //! optionally coupled with a site kill timed to land inside the data
@@ -27,13 +27,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod failure;
 pub mod nemesis;
 pub mod queue;
 pub mod reconfig;
 pub mod rng;
 
-pub use failure::{FailureEvent, FailureKind, FailurePlan};
 pub use nemesis::{
     generate as generate_faults, shrink as shrink_faults, FaultEvent, FaultKind, FaultPlan,
     LinkDir, NemesisConfig, TornTail,

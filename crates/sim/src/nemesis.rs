@@ -1,9 +1,9 @@
 //! The nemesis: composed fault schedules, their seeded generator, and a
 //! schedule shrinker.
 //!
-//! [`FailurePlan`] covers E5's hand-written crash
-//! schedules; chaos testing needs more. A [`FaultPlan`] composes four fault
-//! families into one virtual-time schedule:
+//! A [`FaultPlan`] is a declarative schedule of faults in virtual time —
+//! from E5's hand-written single outage to a seeded chaos run. It composes
+//! four fault families:
 //!
 //! * **crash / restart** — whole-site failures, optionally with a **torn
 //!   WAL tail** (the crash strikes mid-`force()`, leaving a checksum-corrupt
@@ -18,7 +18,6 @@
 //! reproduces an oracle violation to the smallest reproducing prefix, then
 //! greedily drops events, Jepsen/QuickCheck style.
 
-use crate::failure::{FailureKind, FailurePlan};
 use crate::rng::SimRng;
 use amc_types::{SimDuration, SimTime, SiteId};
 
@@ -368,26 +367,6 @@ impl FaultPlan {
     }
 }
 
-impl From<&FailurePlan> for FaultPlan {
-    /// Lift a legacy E5 crash/restart schedule into the composed form.
-    fn from(plan: &FailurePlan) -> Self {
-        FaultPlan {
-            events: plan
-                .events()
-                .into_iter()
-                .map(|ev| FaultEvent {
-                    at: ev.at,
-                    site: ev.site,
-                    kind: match ev.kind {
-                        FailureKind::Crash => FaultKind::Crash { torn: None },
-                        FailureKind::Restart => FaultKind::Restart,
-                    },
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Knobs for the seeded schedule generator.
 #[derive(Debug, Clone)]
 pub struct NemesisConfig {
@@ -645,18 +624,6 @@ mod tests {
             .outage(s(1), SimTime(100), SimDuration(500))
             .partition_window(s(2), SimTime(200), SimDuration(500), LinkDir::ToCentral);
         plan.validate().unwrap();
-    }
-
-    #[test]
-    fn legacy_failure_plans_lift() {
-        let legacy = FailurePlan::none().outage(s(2), SimTime(100), SimDuration(50));
-        let plan = FaultPlan::from(&legacy);
-        plan.validate().unwrap();
-        assert_eq!(plan.len(), 2);
-        assert!(matches!(
-            plan.events()[0].kind,
-            FaultKind::Crash { torn: None }
-        ));
     }
 
     #[test]

@@ -40,6 +40,11 @@ impl ProtocolKind {
         }
     }
 
+    /// Parse a [`ProtocolKind::label`] (the `--protocol` flag value).
+    pub fn parse(s: &str) -> Option<ProtocolKind> {
+        ProtocolKind::ALL.into_iter().find(|p| p.label() == s)
+    }
+
     /// Whether the protocol requires local engines to expose a ready state
     /// (i.e. requires *modifying* existing transaction managers — the thing
     /// the paper says is infeasible for integration).
@@ -205,6 +210,10 @@ mod tests {
         assert_eq!(ProtocolKind::TwoPhaseCommit.label(), "2pc");
         assert_eq!(ProtocolKind::CommitAfter.label(), "commit-after");
         assert_eq!(ProtocolKind::CommitBefore.label(), "commit-before");
+        for p in ProtocolKind::ALL {
+            assert_eq!(ProtocolKind::parse(p.label()), Some(p));
+        }
+        assert_eq!(ProtocolKind::parse("3pc"), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The parameterised workload generator.
 
-use crate::program::{object, GlobalProgram};
+use crate::program::{initial_counters, object, GlobalProgram};
 use amc_sim::SimRng;
 use amc_types::{ObjectId, Operation, SiteId, Value};
 use std::collections::BTreeMap;
@@ -80,9 +80,7 @@ impl WorkloadSpec {
     /// The initial data every site must be loaded with: `objects_per_site`
     /// counters, each starting at 100.
     pub fn initial_data(&self, site: SiteId) -> Vec<(ObjectId, Value)> {
-        (0..self.objects_per_site)
-            .map(|i| (object(site, i), Value::counter(100)))
-            .collect()
+        initial_counters(site, self.objects_per_site)
     }
 
     /// Initial state across all sites merged (for the equivalence oracle).

@@ -33,12 +33,12 @@ pub mod generator;
 pub mod mixes;
 pub mod program;
 pub mod scenario;
-pub mod transfers;
 pub mod zipf;
 
 pub use generator::{OpMix, WorkloadGen, WorkloadSpec};
 pub use mixes::{fingerprint, MixGen, MixKind, MixSpec};
-pub use program::{object, site_of_object, GlobalProgram, OBJECTS_PER_SITE_STRIDE};
+pub use program::{
+    initial_counters, object, site_of_object, transfer, GlobalProgram, INITIAL_PER_OBJECT,
+};
 pub use scenario::Scenario;
-pub use transfers::{TransferGen, TransferSpec};
 pub use zipf::ZipfKeys;

@@ -29,7 +29,7 @@
 //!
 //! [`Reserve`]: amc_types::Operation::Reserve
 
-use crate::program::{object, GlobalProgram};
+use crate::program::{self, initial_counters, object, GlobalProgram};
 use amc_sim::SimRng;
 use amc_types::{Operation, SiteId, Value};
 use std::collections::BTreeMap;
@@ -106,13 +106,11 @@ pub struct MixSpec {
 
 impl MixSpec {
     /// Every pre-loaded counter starts at this value.
-    pub const INITIAL_PER_OBJECT: i64 = 100;
+    pub const INITIAL_PER_OBJECT: i64 = program::INITIAL_PER_OBJECT;
 
     /// The initial data one site must be loaded with.
     pub fn initial_data(&self, site: SiteId) -> Vec<(amc_types::ObjectId, Value)> {
-        (0..self.objects_per_site)
-            .map(|i| (object(site, i), Value::counter(Self::INITIAL_PER_OBJECT)))
-            .collect()
+        initial_counters(site, self.objects_per_site)
     }
 
     /// The federation-wide initial counter sum (for conservation checks).
@@ -250,19 +248,7 @@ impl MixGen {
         let amount = 1 + self.rng.below(8) as i64;
         let from_obj = object(from, self.draw_key());
         let to_obj = object(to, self.draw_key());
-        let mut per_site: BTreeMap<SiteId, Vec<Operation>> = BTreeMap::new();
-        per_site
-            .entry(from)
-            .or_default()
-            .push(Operation::Increment {
-                obj: from_obj,
-                delta: -amount,
-            });
-        per_site.entry(to).or_default().push(Operation::Increment {
-            obj: to_obj,
-            delta: amount,
-        });
-        per_site
+        program::transfer(from_obj, to_obj, amount)
     }
 
     /// Generic skewed mix: 6 ops over up to `max_fanout` sites — 20%

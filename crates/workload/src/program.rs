@@ -6,7 +6,7 @@
 //! collision-free, and everything stays far below the reserved marker
 //! region.
 
-use amc_types::{ObjectId, Operation, SiteId};
+use amc_types::{ObjectId, Operation, SiteId, Value};
 use std::collections::BTreeMap;
 
 /// Id stride per site — supports up to this many objects per site.
@@ -26,6 +26,31 @@ pub fn object(site: SiteId, index: u64) -> ObjectId {
 /// The site an object lives at.
 pub fn site_of_object(obj: ObjectId) -> SiteId {
     SiteId::new((obj.raw() / OBJECTS_PER_SITE_STRIDE) as u32)
+}
+
+/// Every pre-loaded counter starts at this value.
+pub const INITIAL_PER_OBJECT: i64 = 100;
+
+/// The initial data of one site: its first `objects` objects, each a
+/// counter at [`INITIAL_PER_OBJECT`].
+pub fn initial_counters(site: SiteId, objects: u64) -> Vec<(ObjectId, Value)> {
+    (0..objects)
+        .map(|i| (object(site, i), Value::counter(INITIAL_PER_OBJECT)))
+        .collect()
+}
+
+/// A balanced transfer: `-amount` on `from`, `+amount` on `to`, each
+/// filed under the site its object lives at (one bucket when both share a
+/// site), so the federation-wide counter sum is invariant.
+pub fn transfer(from: ObjectId, to: ObjectId, amount: i64) -> BTreeMap<SiteId, Vec<Operation>> {
+    let mut per_site: BTreeMap<SiteId, Vec<Operation>> = BTreeMap::new();
+    for (obj, delta) in [(from, -amount), (to, amount)] {
+        per_site
+            .entry(site_of_object(obj))
+            .or_default()
+            .push(Operation::Increment { obj, delta });
+    }
+    per_site
 }
 
 /// One global transaction, decomposed by site.
@@ -80,7 +105,6 @@ impl GlobalProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_types::Value;
 
     #[test]
     fn object_site_roundtrip() {
@@ -102,6 +126,27 @@ mod tests {
     fn object_ids_stay_below_marker_region() {
         let o = object(SiteId::new(1000), OBJECTS_PER_SITE_STRIDE - 1);
         assert!(o.raw() < (1 << 62));
+    }
+
+    #[test]
+    fn transfers_are_balanced_and_filed_at_their_objects_sites() {
+        let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+        let cross = GlobalProgram::new(transfer(object(s2, 7), object(s1, 3), 5));
+        cross.check_placement().unwrap();
+        assert_eq!(cross.sites(), vec![s1, s2]);
+        let local = transfer(object(s1, 0), object(s1, 1), 2);
+        assert_eq!(local[&s1].len(), 2, "one bucket when both share a site");
+        for p in [cross.per_site, local] {
+            let sum: i64 = p
+                .values()
+                .flatten()
+                .map(|op| match op {
+                    Operation::Increment { delta, .. } => *delta,
+                    other => panic!("transfers are increments only: {other}"),
+                })
+                .sum();
+            assert_eq!(sum, 0);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ```
 
 use amc::core::{FederationConfig, ProtocolKind, SimConfig, SimFederation};
-use amc::sim::{generate_faults, FailurePlan, NemesisConfig};
+use amc::sim::{generate_faults, FaultPlan, NemesisConfig};
 use amc::types::{GlobalTxnId, ObjectId, Operation, SimDuration, SimTime, SiteId, Value};
 use std::collections::BTreeMap;
 
@@ -24,11 +24,8 @@ fn main() {
 
     for protocol in ProtocolKind::ALL {
         let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
-        cfg.failures = FailurePlan::none().outage(
-            SiteId::new(2),
-            SimTime(1_200),
-            SimDuration::from_millis(40),
-        );
+        cfg.faults =
+            FaultPlan::none().outage(SiteId::new(2), SimTime(1_200), SimDuration::from_millis(40));
         let fed = SimFederation::new(cfg);
         for s in 1..=2u32 {
             fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))]);

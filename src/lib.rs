@@ -42,12 +42,12 @@
 //!
 //! ```
 //! use amc::core::{FederationConfig, ProtocolKind, SimConfig, SimFederation};
-//! use amc::sim::FailurePlan;
+//! use amc::sim::FaultPlan;
 //! use amc::types::*;
 //! use std::collections::BTreeMap;
 //!
 //! let mut cfg = SimConfig::new(FederationConfig::uniform(2, ProtocolKind::CommitBefore));
-//! cfg.failures = FailurePlan::none().outage(
+//! cfg.faults = FaultPlan::none().outage(
 //!     SiteId::new(2),
 //!     SimTime(100),
 //!     SimDuration::from_millis(40),

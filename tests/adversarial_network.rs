@@ -4,7 +4,7 @@
 //! markers and presumed-abort tombstones exist for.
 
 use amc::core::{FederationConfig, ProtocolKind, SimConfig, SimFederation};
-use amc::sim::FailurePlan;
+use amc::sim::FaultPlan;
 use amc::types::{
     GlobalTxnId, GlobalVerdict, ObjectId, Operation, SimDuration, SimTime, SiteId, Value,
 };
@@ -19,7 +19,7 @@ fn run_with(
     loss: f64,
     duplication: f64,
     seed: u64,
-    failures: FailurePlan,
+    failures: FaultPlan,
 ) -> (
     amc::core::SimReport,
     BTreeMap<SiteId, BTreeMap<ObjectId, Value>>,
@@ -28,7 +28,7 @@ fn run_with(
     cfg.router.loss_probability = loss;
     cfg.router.duplicate_probability = duplication;
     cfg.seed = seed;
-    cfg.failures = failures;
+    cfg.faults = failures;
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(30_000);
     let fed = SimFederation::new(cfg);
@@ -92,7 +92,7 @@ fn check_exactly_once(
 fn duplication_alone_is_harmless() {
     for protocol in ProtocolKind::ALL {
         for seed in [1, 2, 3] {
-            let (report, dumps) = run_with(protocol, 0.0, 0.5, seed, FailurePlan::none());
+            let (report, dumps) = run_with(protocol, 0.0, 0.5, seed, FaultPlan::none());
             assert!(
                 report.unresolved.is_empty(),
                 "{protocol} seed {seed}: {:?}",
@@ -112,7 +112,7 @@ fn duplication_alone_is_harmless() {
 fn loss_plus_duplication_with_retransmission_still_exactly_once() {
     for protocol in ProtocolKind::ALL {
         for seed in [7, 8] {
-            let (report, dumps) = run_with(protocol, 0.15, 0.3, seed, FailurePlan::none());
+            let (report, dumps) = run_with(protocol, 0.15, 0.3, seed, FaultPlan::none());
             assert!(
                 report.unresolved.is_empty(),
                 "{protocol} seed {seed}: unresolved {:?} (retransmission should recover)",
@@ -130,7 +130,7 @@ fn loss_plus_duplication_with_retransmission_still_exactly_once() {
 #[test]
 fn crash_plus_lossy_duplicating_network() {
     for protocol in ProtocolKind::ALL {
-        let failures = FailurePlan::none().outage(
+        let failures = FaultPlan::none().outage(
             SiteId::new(2),
             SimTime(30_000),
             SimDuration::from_millis(50),

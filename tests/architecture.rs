@@ -105,6 +105,41 @@ fn per_transaction_traffic_scales_linearly_with_participants() {
     }
 }
 
+/// Every `crates/*/src/**/*.rs` file as `(path, text)`.
+fn crate_sources() -> Vec<(String, String)> {
+    fn sources(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                sources(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("utf-8 source");
+                out.push((path.to_string_lossy().replace('\\', "/"), text));
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(&crates).expect("crates/ exists") {
+        sources(&krate.expect("dir entry").path().join("src"), &mut files);
+    }
+    files
+}
+
+/// The files under `crates/*/src` whose non-test part — up to the first
+/// column-0 `#[cfg(test)]` — contains one of `needles`, minus those whose
+/// path contains one of `allowed`.
+fn non_test_code_having(needles: &[&str], allowed: &[&str]) -> Vec<String> {
+    crate_sources()
+        .into_iter()
+        .filter(|(path, text)| {
+            let code = text.split("\n#[cfg(test)]").next().unwrap_or(text);
+            needles.iter().any(|n| code.contains(n)) && !allowed.iter().any(|ok| path.contains(ok))
+        })
+        .map(|(path, _)| path)
+        .collect()
+}
+
 /// Every byte layout is a row table of `amc_types::codec`. Raw
 /// little-endian conversions are the mark of a hand-rolled codec, so
 /// they may appear under `crates/*/src` only where listed here — a new
@@ -122,22 +157,7 @@ fn byte_layouts_are_declared_through_the_one_codec() {
         "rpc/src/wire.rs",         // the stream's u32 length prefix
         "workload/src/mixes.rs",   // not a layout: bytes fed to a fingerprint hash
     ];
-    fn sources(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
-        for entry in std::fs::read_dir(dir).expect("readable source dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                sources(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let text = std::fs::read_to_string(&path).expect("utf-8 source");
-                out.push((path.to_string_lossy().replace('\\', "/"), text));
-            }
-        }
-    }
-    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut files = Vec::new();
-    for krate in std::fs::read_dir(&crates).expect("crates/ exists") {
-        sources(&krate.expect("dir entry").path().join("src"), &mut files);
-    }
+    let files = crate_sources();
     let having = |needles: &[&str]| -> Vec<&str> {
         files
             .iter()
@@ -153,4 +173,31 @@ fn byte_layouts_are_declared_through_the_one_codec() {
     let cursors = having(&["struct Reader", "struct Cursor"]);
     assert_eq!(cursors.len(), 1, "one cursor over bytes: {cursors:?}");
     assert!(cursors[0].ends_with("types/src/codec.rs"));
+}
+
+/// Workload objects are named in one place: `amc_workload::object` and
+/// `site_of_object`. A file that spells the `site * 2^32 + index`
+/// arithmetic itself is a private `fn obj` waiting to disagree with them.
+#[test]
+fn object_ids_are_minted_by_the_workload_crate_alone() {
+    let minting = non_test_code_having(
+        &["1 << 32", "OBJECTS_PER_SITE_STRIDE"],
+        &["workload/src/program.rs"],
+    );
+    assert!(minting.is_empty(), "object-id arithmetic in {minting:?}");
+}
+
+/// The deployment binaries read their arguments through `cli::Flags`; only
+/// it and the bench binaries (positional experiment names) touch the
+/// process arguments.
+#[test]
+fn process_arguments_are_parsed_by_one_helper() {
+    let parsing = non_test_code_having(
+        &["std::env::args"],
+        &["rpc/src/cli/mod.rs", "bench/src/bin/"],
+    );
+    assert!(
+        parsing.is_empty(),
+        "a hand-rolled argument parser in {parsing:?}"
+    );
 }

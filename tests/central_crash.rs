@@ -11,7 +11,7 @@
 //!   that had committed, the decision-holding protocols ship the abort.
 
 use amc::core::{FederationConfig, ProtocolKind, SimConfig, SimFederation};
-use amc::sim::FailurePlan;
+use amc::sim::FaultPlan;
 use amc::types::{
     GlobalTxnId, GlobalVerdict, ObjectId, Operation, SimDuration, SimTime, SiteId, Value,
 };
@@ -49,7 +49,7 @@ fn run(
     BTreeMap<SiteId, BTreeMap<ObjectId, Value>>,
 ) {
     let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
-    cfg.failures = FailurePlan::none().outage(
+    cfg.faults = FaultPlan::none().outage(
         SiteId::CENTRAL,
         SimTime(crash_at_us),
         SimDuration::from_millis(outage_ms),
@@ -152,8 +152,8 @@ fn presumed_abort_undoes_committed_locals_under_commit_before() {
 #[test]
 fn client_requests_during_central_outage_are_served_after_restart() {
     let mut cfg = SimConfig::new(FederationConfig::uniform(2, ProtocolKind::CommitBefore));
-    cfg.failures =
-        FailurePlan::none().outage(SiteId::CENTRAL, SimTime(10), SimDuration::from_millis(20));
+    cfg.faults =
+        FaultPlan::none().outage(SiteId::CENTRAL, SimTime(10), SimDuration::from_millis(20));
     let fed = SimFederation::new(cfg);
     for s in 1..=2u32 {
         let data: Vec<(ObjectId, Value)> =

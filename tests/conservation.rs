@@ -6,18 +6,18 @@
 use amc::core::{Federation, FederationConfig, ProtocolKind};
 use amc::net::marker::is_marker;
 use amc::types::{Operation, SiteId};
-use amc::workload::{TransferGen, TransferSpec};
+use amc::workload::{MixGen, MixKind, MixSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn spec() -> TransferSpec {
-    TransferSpec {
+fn spec() -> MixSpec {
+    MixSpec {
         sites: 3,
-        accounts_per_site: 64,
-        zipf_theta: 0.8, // hot accounts: force interleavings
-        max_amount: 25,
-        bad_beneficiary_prob: 0.1,
+        objects_per_site: 64,
+        theta: 0.8, // hot accounts: force interleavings
+        intended_abort_prob: 0.1,
+        max_fanout: 2,
     }
 }
 
@@ -41,7 +41,7 @@ fn transfers_conserve_money_under_every_protocol() {
         let fed = Federation::new(cfg);
         for s in 1..=spec.sites {
             let site = SiteId::new(s);
-            let data: Vec<_> = (0..spec.accounts_per_site)
+            let data: Vec<_> = (0..spec.objects_per_site)
                 .map(|i| {
                     (
                         amc::workload::object(site, i),
@@ -54,7 +54,7 @@ fn transfers_conserve_money_under_every_protocol() {
         let fed = Arc::new(fed);
         let before = total(&fed);
 
-        let mut gen = TransferGen::new(spec.clone(), 0xC0);
+        let mut gen = MixGen::new(MixKind::Transfer, spec.clone(), 0xC0);
         let programs: Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)> = gen
             .programs(200)
             .into_iter()
@@ -92,7 +92,7 @@ fn heterogeneous_conservation_under_portable_protocols() {
         let fed = Federation::new(cfg);
         for s in 1..=spec.sites {
             let site = SiteId::new(s);
-            let data: Vec<_> = (0..spec.accounts_per_site)
+            let data: Vec<_> = (0..spec.objects_per_site)
                 .map(|i| {
                     (
                         amc::workload::object(site, i),
@@ -104,7 +104,7 @@ fn heterogeneous_conservation_under_portable_protocols() {
         }
         let fed = Arc::new(fed);
         let before = total(&fed);
-        let mut gen = TransferGen::new(spec.clone(), 0xC1);
+        let mut gen = MixGen::new(MixKind::Transfer, spec.clone(), 0xC1);
         let programs: Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)> = gen
             .programs(150)
             .into_iter()

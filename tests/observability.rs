@@ -6,7 +6,7 @@
 
 use amc::core::{FederationConfig, ProtocolKind, SimConfig, SimFederation, SimReport};
 use amc::obs::EventKind;
-use amc::sim::{generate_faults, FailurePlan, NemesisConfig};
+use amc::sim::{generate_faults, FaultPlan, NemesisConfig};
 use amc::types::{
     GlobalTxnId, GlobalVerdict, ObjectId, Operation, SimDuration, SimTime, SiteId, Value,
 };
@@ -161,8 +161,8 @@ fn event_log_reconstructs_the_skip_decision_log_bug_as_a_causal_chain() {
     // way + 0.2 ms service); crash the central system just after, restart
     // it 15 ms later.
     let mut cfg = SimConfig::new(FederationConfig::uniform(2, ProtocolKind::CommitAfter));
-    cfg.failures =
-        FailurePlan::none().outage(SiteId::CENTRAL, SimTime(1300), SimDuration::from_millis(15));
+    cfg.faults =
+        FaultPlan::none().outage(SiteId::CENTRAL, SimTime(1300), SimDuration::from_millis(15));
     cfg.unsafe_skip_decision_log = true;
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(5_000);
@@ -242,8 +242,8 @@ fn event_log_reconstructs_the_skip_decision_log_bug_as_a_causal_chain() {
 #[test]
 fn decision_log_force_survives_the_same_crash() {
     let mut cfg = SimConfig::new(FederationConfig::uniform(2, ProtocolKind::CommitAfter));
-    cfg.failures =
-        FailurePlan::none().outage(SiteId::CENTRAL, SimTime(1300), SimDuration::from_millis(15));
+    cfg.faults =
+        FaultPlan::none().outage(SiteId::CENTRAL, SimTime(1300), SimDuration::from_millis(15));
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(5_000);
     let fed = SimFederation::new(cfg);

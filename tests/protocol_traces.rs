@@ -9,7 +9,7 @@
 //! dedicated voting round and in post-crash re-inquiry.
 
 use amc::core::{FederationConfig, ProtocolKind, SimConfig, SimFederation};
-use amc::sim::FailurePlan;
+use amc::sim::FaultPlan;
 use amc::types::{
     GlobalTxnId, GlobalVerdict, ObjectId, Operation, SimDuration, SimTime, SiteId, Value,
 };
@@ -19,9 +19,9 @@ fn obj(site: u32, i: u64) -> ObjectId {
     ObjectId::new(u64::from(site) * (1 << 32) + i)
 }
 
-fn sim(protocol: ProtocolKind, failures: FailurePlan) -> SimFederation {
+fn sim(protocol: ProtocolKind, failures: FaultPlan) -> SimFederation {
     let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
-    cfg.failures = failures;
+    cfg.faults = failures;
     let fed = SimFederation::new(cfg);
     for s in 1..=2u32 {
         fed.load_site(
@@ -67,7 +67,7 @@ const G1: GlobalTxnId = GlobalTxnId::new(1);
 /// F2: Fig. 2 — 2PC commit: work, prepare round, decision, finish.
 #[test]
 fn fig2_two_phase_commit_trace() {
-    let report = sim(ProtocolKind::TwoPhaseCommit, FailurePlan::none())
+    let report = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     assert_eq!(
         report.trace.labels_for(G1),
@@ -93,7 +93,7 @@ fn fig2_two_phase_commit_trace() {
 /// global abort delivered to every participant.
 #[test]
 fn fig2_two_phase_abort_trace() {
-    let report = sim(ProtocolKind::TwoPhaseCommit, FailurePlan::none())
+    let report = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, failing_at_site_2())]);
     let labels = report.trace.labels_for(G1);
     assert_eq!(
@@ -116,7 +116,7 @@ fn fig2_two_phase_abort_trace() {
 /// goes out while locals are still *running*.
 #[test]
 fn fig4_commit_after_trace() {
-    let report = sim(ProtocolKind::CommitAfter, FailurePlan::none())
+    let report = sim(ProtocolKind::CommitAfter, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     assert_eq!(
         report.trace.labels_for(G1),
@@ -140,7 +140,7 @@ fn fig4_redo_retransmission_after_crash() {
     // Crash site 2 right when the decision is in flight (votes arrive at
     // ~1400 µs with 500 µs latency + 200 µs service each way).
     let failures =
-        FailurePlan::none().outage(SiteId::new(2), SimTime(1_450), SimDuration::from_millis(25));
+        FaultPlan::none().outage(SiteId::new(2), SimTime(1_450), SimDuration::from_millis(25));
     let report =
         sim(ProtocolKind::CommitAfter, failures).run(vec![(SimDuration::ZERO, transfer())]);
     let labels = report.trace.labels_for(G1);
@@ -154,7 +154,7 @@ fn fig4_redo_retransmission_after_crash() {
 /// F5: Fig. 6 — commit-before commit path: two messages per site, done.
 #[test]
 fn fig6_commit_before_commit_trace() {
-    let report = sim(ProtocolKind::CommitBefore, FailurePlan::none())
+    let report = sim(ProtocolKind::CommitBefore, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     assert_eq!(
         report.trace.labels_for(G1),
@@ -167,7 +167,7 @@ fn fig6_commit_before_commit_trace() {
 /// inverse transaction, the aborted site needs nothing.
 #[test]
 fn fig6_commit_before_undo_trace() {
-    let report = sim(ProtocolKind::CommitBefore, FailurePlan::none())
+    let report = sim(ProtocolKind::CommitBefore, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, failing_at_site_2())]);
     let labels = report.trace.labels_for(G1);
     assert_eq!(
@@ -189,7 +189,7 @@ fn fig6_commit_before_undo_trace() {
 #[test]
 fn fig3_5_7_commit_point_orderings() {
     // 2PC: decision between ready and commit messages (middle).
-    let two_pc = sim(ProtocolKind::TwoPhaseCommit, FailurePlan::none())
+    let two_pc = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     let labels = two_pc.trace.labels_for(G1);
     let ready_pos = labels.iter().position(|l| l.starts_with("ready")).unwrap();
@@ -198,7 +198,7 @@ fn fig3_5_7_commit_point_orderings() {
 
     // Commit-after: the local commit (triggered by the decision message)
     // happens after every vote — there is no local commit before "commit".
-    let after = sim(ProtocolKind::CommitAfter, FailurePlan::none())
+    let after = sim(ProtocolKind::CommitAfter, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     let labels = after.trace.labels_for(G1);
     let last_vote = labels.iter().rposition(|l| l.starts_with("ready")).unwrap();
@@ -210,7 +210,7 @@ fn fig3_5_7_commit_point_orderings() {
 
     // Commit-before: no decision message exists at all on the commit path —
     // local commits all precede the (silent) decision (Fig. 7).
-    let before = sim(ProtocolKind::CommitBefore, FailurePlan::none())
+    let before = sim(ProtocolKind::CommitBefore, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     let labels = before.trace.labels_for(G1);
     assert!(
@@ -238,7 +238,7 @@ fn read_only_participant_drops_out_of_decision_round() {
     };
     // 2PC: the read-only site answers the prepare inquiry with ready-ro
     // and receives no decision.
-    let report = sim(ProtocolKind::TwoPhaseCommit, FailurePlan::none())
+    let report = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, read_only_program())]);
     assert_eq!(
         report.trace.labels_for(G1),
@@ -259,7 +259,7 @@ fn read_only_participant_drops_out_of_decision_round() {
 
     // Commit-after: the read-only site commits at submit time and is
     // excluded from the decision fan-out.
-    let report = sim(ProtocolKind::CommitAfter, FailurePlan::none())
+    let report = sim(ProtocolKind::CommitAfter, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, read_only_program())]);
     assert_eq!(
         report.trace.labels_for(G1),
@@ -292,8 +292,8 @@ fn read_only_participant_needs_no_undo_on_abort() {
             ],
         ),
     ]);
-    let report = sim(ProtocolKind::CommitBefore, FailurePlan::none())
-        .run(vec![(SimDuration::ZERO, program)]);
+    let report =
+        sim(ProtocolKind::CommitBefore, FaultPlan::none()).run(vec![(SimDuration::ZERO, program)]);
     assert_eq!(report.outcomes[&G1], GlobalVerdict::Abort);
     let labels = report.trace.labels_for(G1);
     assert_eq!(
@@ -316,7 +316,7 @@ fn read_only_participant_needs_no_undo_on_abort() {
 fn fast_path_single_site_trace_is_two_messages() {
     let mut cfg =
         SimConfig::new(FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_fast_path());
-    cfg.failures = FailurePlan::none();
+    cfg.faults = FaultPlan::none();
     let fed = SimFederation::new(cfg);
     fed.load_site(SiteId::new(2), &[(obj(2, 0), Value::counter(100))]);
     let managers = fed.managers();
