@@ -94,7 +94,7 @@ pub fn run(txns: usize) -> Vec<Row> {
         }
         rows.push(Row {
             protocol,
-            msgs_per_txn: report.sent as f64 / committed,
+            msgs_per_txn: report.net.sent as f64 / committed,
             forces_per_txn: (forces_after - forces_before) as f64 / committed,
             log_bytes_per_txn: (bytes_after - bytes_before) as f64 / committed,
             latency_ms: mean_latency_us / 1e3,

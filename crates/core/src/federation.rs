@@ -1,30 +1,26 @@
-//! The threaded federation runtime.
+//! The central system and its blocking pump.
 //!
-//! This is the "real machine" driver: communication-manager calls are
-//! synchronous function calls (zero network latency), many worker threads
-//! push global transactions through the same [`Coordinator`] state machine
-//! the simulator uses, and the engines' blocking lock managers provide the
-//! contention. It exists for the throughput experiments (E1–E3, E7), where
-//! wall-clock concurrency — not failure behaviour — is the measured
-//! quantity. Crashes belong to the discrete-event driver.
-//!
-//! Global concurrency control: for the two portable protocols, every L1
-//! lock of a global transaction is acquired (in canonical object order)
-//! *before* any engine work and released only at global end — the strict
-//! L1 two-phase discipline of §4.3 that discharges both serializability
-//! requirements. The 2PC baseline runs without an L1 layer; distributed
-//! 2PL at L0 (page locks held to the global end) is its isolation story,
-//! and participants are always submitted in ascending site order so
-//! cross-site lock cycles cannot form.
+//! A [`Federation`] is the paper's central system (§2) — L1 lock table,
+//! parked coordinators, decision log, the transport to the sites — and a
+//! [`Txn`] is one global transaction in it, sans IO:
+//! [`Federation::begin`] takes its L1 locks and builds its
+//! [`Coordinator`], [`Federation::step`] feeds it one [`Completion`] and
+//! returns the messages to send, [`Federation::end`] releases or parks
+//! it. No other code constructs, feeds, logs for, parks or resumes a
+//! coordinator. [`Federation::run_transaction`] and
+//! [`Federation::resolve_pending`] are the blocking pump over it (one OS
+//! thread per transaction over a [`FederationTransport`]); the
+//! discrete-event pump is [`SimFederation`](crate::SimFederation).
 
 use crate::config::{FederationConfig, PaxosCommitConfig};
 use crate::coordinator::{CoordAction, CoordEvent, Coordinator};
-use crate::drive::closed_loop;
+use crate::drive::{closed_loop, Program};
 use crate::metrics::RunMetrics;
 use amc_mlt::L1LockManager;
 use amc_net::comm::SubmitMode;
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport, InProcessTransport};
 use amc_net::{Envelope, LocalCommManager, MessageTrace, Payload};
+use amc_obs::{EventKind, ObsSink};
 use amc_paxos::{majority, AcceptorHost, AcceptorTransport, CommitLedger, ReplicaDriver};
 use amc_types::{
     AbortReason, AmcError, AmcResult, GlobalTxnId, GlobalVerdict, ObjectId, Operation,
@@ -74,34 +70,72 @@ pub struct TxnReport {
     pub messages: u64,
 }
 
-/// One pass of a coordinator through [`Federation::drive`], with what
-/// the pass measures.
-struct Run<'a> {
+/// One global transaction at the central system: created by
+/// [`Federation::begin`], advanced by [`Federation::step`], closed by
+/// [`Federation::end`]. Performs no IO itself.
+pub struct Txn {
     coordinator: Coordinator,
     /// Replicated coordination (2PC federations that configure it).
-    paxos: Option<PaxosRun<'a>>,
+    paxos: Option<PaxosRun>,
+    /// The verdict once it stands: the acceptor group let it through, the
+    /// decision log has it. The coordinator's own runs ahead of this — a
+    /// gate that fails leaves it set, and the transaction in doubt.
+    decided: Option<GlobalVerdict>,
     /// Messages exchanged in the coordinator's rounds (requests + replies).
     messages: u64,
-    /// Per site: when its submit was handed to the transport, and when the
-    /// reply that released its L0 locks was processed.
-    l0: BTreeMap<SiteId, (Instant, Option<Instant>)>,
 }
 
-impl<'a> Run<'a> {
-    fn new(coordinator: Coordinator, paxos: Option<PaxosRun<'a>>) -> Self {
-        Run {
+impl Txn {
+    /// Around a new coordinator, or a parked one (which has decided).
+    fn new(coordinator: Coordinator, paxos: Option<PaxosRun>) -> Self {
+        Txn {
+            decided: coordinator.verdict(),
             coordinator,
             paxos,
             messages: 0,
-            l0: BTreeMap::new(),
         }
+    }
+
+    /// This transaction's id.
+    pub fn gtx(&self) -> GlobalTxnId {
+        self.coordinator.gtx()
+    }
+
+    /// True once every site has its final state (global end).
+    pub fn is_done(&self) -> bool {
+        self.coordinator.is_done()
     }
 }
 
-/// Paxos Commit bookkeeping of one transaction: the acceptor group, where
-/// the instance set is open, which prepare votes are chosen.
-struct PaxosRun<'a> {
-    px: &'a PaxosCommitConfig,
+/// What a pump feeds a [`Txn`].
+pub enum Completion {
+    /// `site` answered a message of this transaction, or the pump stopped
+    /// waiting for it: an outage (`SiteDown`, `TransientIo`) is the
+    /// coordinator's `Unreachable` event, any other error is the pump's.
+    Reply {
+        /// The answering (or silent) site.
+        site: SiteId,
+        /// Its answer.
+        reply: AmcResult<Payload>,
+    },
+    /// The retransmission timer fired (the pump decides the cadence).
+    Timer,
+}
+
+/// The messages a [`Txn`] asks its pump to send: one per site, independent.
+pub type Sends = Vec<(SiteId, Payload)>;
+
+/// What moves a coordinator: an event, or the verdict a decision log
+/// remembers (none: presume abort) overruling whatever it knew.
+enum Input {
+    Event(CoordEvent),
+    Resume(Option<GlobalVerdict>),
+}
+
+/// Paxos Commit bookkeeping of one transaction: where the instance set is
+/// open, which prepare votes are chosen.
+#[derive(Default)]
+struct PaxosRun {
     participants: Vec<SiteId>,
     /// Acceptors that durably acknowledged the registration; `None` until
     /// the instance set is opened.
@@ -120,19 +154,15 @@ pub fn submit_mode_for(protocol: ProtocolKind) -> SubmitMode {
     }
 }
 
-/// Whether `payload` starts a site's work, and with it its L0 tenure.
-fn is_submit(payload: &Payload) -> bool {
-    matches!(
-        payload,
-        Payload::Submit { .. } | Payload::SubmitPrepare { .. }
-    )
-}
+/// Per site: when its submit was handed to the transport, and when the
+/// reply that released its L0 locks was processed.
+type L0Tenures = BTreeMap<SiteId, (Instant, Option<Instant>)>;
 
 /// A running federation: central system + communication managers + sealed
 /// engines.
 pub struct Federation {
     cfg: FederationConfig,
-    managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
+    pub(crate) managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
     transport: Arc<dyn FederationTransport>,
     l1: L1LockManager,
     next_gtx: AtomicU64,
@@ -144,6 +174,13 @@ pub struct Federation {
     /// Coordinators that decided but still owe an unreachable site its
     /// final state.
     unresolved: Mutex<Vec<Coordinator>>,
+    /// Given to every coordinator: the simulator's sink, else disabled.
+    obs: ObsSink,
+    /// The central decision log: a verdict is recorded (the acceptors'
+    /// under Paxos Commit) before any message carrying it leaves `step`,
+    /// and a restart resumes from it. In memory, kept only under the
+    /// simulator (ROADMAP item 8 makes it durable and universal).
+    decisions: Option<Mutex<BTreeMap<GlobalTxnId, GlobalVerdict>>>,
     /// In-process acceptor group (Paxos federations built by
     /// [`Federation::new`] only — TCP deployments mount acceptors in
     /// their site servers).
@@ -160,6 +197,12 @@ impl Federation {
     /// When `cfg` is not runnable (2PC over a non-preparable engine) — the
     /// paper's point is that such deployments cannot exist.
     pub fn new(cfg: FederationConfig) -> Self {
+        Self::build(cfg, ObsSink::disabled(), false)
+    }
+
+    /// [`Federation::new`] for the discrete-event pump: `obs` attached to
+    /// the sites and every coordinator, the decision log kept on request.
+    pub(crate) fn build(cfg: FederationConfig, obs: ObsSink, decision_log: bool) -> Self {
         assert!(
             cfg.is_runnable(),
             "2PC cannot run on a federation with non-preparable engines (§3.1)"
@@ -167,49 +210,55 @@ impl Federation {
         let managers: BTreeMap<SiteId, Arc<LocalCommManager>> = cfg
             .build_managers()
             .into_iter()
-            .map(|m| (m.site(), m))
+            .map(|mut m| {
+                if obs.is_enabled() {
+                    Arc::get_mut(&mut m)
+                        .expect("freshly built manager is unshared")
+                        .set_obs(obs.clone());
+                }
+                (m.site(), m)
+            })
             .collect();
         let inner = InProcessTransport::new(
             managers.clone(),
             submit_mode_for(cfg.protocol),
             cfg.message_delay,
         );
-        let Some(px) = &cfg.paxos else {
-            let transport = Arc::new(inner);
-            return Self::assemble(cfg, managers, transport);
+        let mut paxos_transport = None;
+        let transport: Arc<dyn FederationTransport> = match &cfg.paxos {
+            None => Arc::new(inner),
+            // Replicated coordination: mount a durable acceptor at each
+            // configured site by decorating the transport — the same
+            // interception the TCP site server performs.
+            Some(px) => {
+                assert_eq!(
+                    cfg.protocol,
+                    ProtocolKind::TwoPhaseCommit,
+                    "Paxos Commit replicates the 2PC prepare/decision structure; the \
+                     portable protocols have no prepared state to make durable"
+                );
+                assert!(
+                    px.acceptors.iter().all(|a| managers.contains_key(a)),
+                    "acceptors must be co-located with existing sites"
+                );
+                std::fs::create_dir_all(&px.log_dir).expect("create acceptor log dir");
+                let host = |a: &SiteId| {
+                    let path = px.log_dir.join(format!("acceptor-{}.log", a.raw()));
+                    let host = AcceptorHost::open_with_linger(*a, path, px.acceptor_linger);
+                    (*a, host.expect("open acceptor log"))
+                };
+                let hosts = px.acceptors.iter().map(host).collect();
+                let decorated = Arc::new(AcceptorTransport::new(inner, hosts));
+                paxos_transport = Some(Arc::clone(&decorated));
+                decorated
+            }
         };
-        // Replicated coordination: mount a durable acceptor at each
-        // configured site by decorating the transport — the same
-        // interception the TCP site server performs.
-        assert_eq!(
-            cfg.protocol,
-            ProtocolKind::TwoPhaseCommit,
-            "Paxos Commit replicates the 2PC prepare/decision structure; the \
-             portable protocols have no prepared state to make durable"
-        );
-        assert!(
-            px.acceptors.iter().all(|a| managers.contains_key(a)),
-            "acceptors must be co-located with existing sites"
-        );
-        std::fs::create_dir_all(&px.log_dir).expect("create acceptor log dir");
-        let hosts: BTreeMap<SiteId, AcceptorHost> = px
-            .acceptors
-            .iter()
-            .map(|a| {
-                let path = px.log_dir.join(format!("acceptor-{}.log", a.raw()));
-                let host = AcceptorHost::open_with_linger(*a, path, px.acceptor_linger)
-                    .expect("open acceptor log");
-                (*a, host)
-            })
-            .collect();
-        let decorated = Arc::new(AcceptorTransport::new(inner, hosts));
-        let mut fed = Self::assemble(
-            cfg,
-            managers,
-            Arc::clone(&decorated) as Arc<dyn FederationTransport>,
-        );
-        fed.paxos_transport = Some(decorated);
-        fed
+        Federation {
+            obs,
+            decisions: decision_log.then(Mutex::default),
+            paxos_transport,
+            ..Self::assemble(cfg, managers, transport)
+        }
     }
 
     /// Build a federation whose sites are reached through an externally
@@ -244,6 +293,8 @@ impl Federation {
             record_history: true,
             record_trace: true,
             unresolved: Mutex::new(Vec::new()),
+            obs: ObsSink::disabled(),
+            decisions: None,
             paxos_transport: None,
             paxos_crash_after: Mutex::new(None),
         }
@@ -253,11 +304,6 @@ impl Federation {
     pub fn set_recording(&mut self, history: bool, trace: bool) {
         self.record_history = history;
         self.record_trace = trace;
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FederationConfig {
-        &self.cfg
     }
 
     /// The communication manager of `site` — only available when the
@@ -333,6 +379,11 @@ impl Federation {
         total
     }
 
+    /// The L1 lock table (invariant checks, granted count).
+    pub fn l1(&self) -> &L1LockManager {
+        &self.l1
+    }
+
     /// L1 lock-manager counters.
     pub fn l1_stats(&self) -> amc_lock::LockStats {
         self.l1.stats()
@@ -357,49 +408,12 @@ impl Federation {
         }
     }
 
-    /// The one place messages leave the central system. `sends` — one per
-    /// site, mutually independent — go to the transport together when
-    /// `whole`, which may overlap them on the wire instead of paying one
-    /// round trip each; otherwise one call at a time, in order. Either way
-    /// `on_reply` gets each site's reply (or failure) in emission order,
-    /// with the time its request was handed over, so a coordinator sees
-    /// exactly the serial schedule.
-    fn exchange(
-        &self,
-        sends: Vec<(SiteId, Payload)>,
-        whole: bool,
-        mut on_reply: impl FnMut(SiteId, Instant, AmcResult<Payload>) -> AmcResult<()>,
-    ) -> AmcResult<()> {
-        if whole {
-            let requests: Vec<(SiteId, Option<Payload>)> =
-                sends.iter().map(|(s, p)| (*s, self.traced(p))).collect();
-            let sent_at = Instant::now();
-            let replies = self.transport.call_round(sends);
-            for ((site, request), reply) in requests.into_iter().zip(replies) {
-                self.record_exchange(site, request, &reply);
-                on_reply(site, sent_at, reply)?;
-            }
-        } else {
-            for (site, payload) in sends {
-                let request = self.traced(&payload);
-                let sent_at = Instant::now();
-                let reply = self.transport.call(site, payload);
-                self.record_exchange(site, request, &reply);
-                on_reply(site, sent_at, reply)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// One message outside a coordinator's rounds (the acceptor group's
-    /// side of a transaction) and its reply.
+    /// One message and its reply.
     fn dispatch(&self, site: SiteId, payload: Payload) -> AmcResult<Payload> {
-        let mut answer = None;
-        self.exchange(vec![(site, payload)], false, |_, _, reply| {
-            answer = Some(reply);
-            Ok(())
-        })?;
-        answer.expect("one send, one reply")
+        let request = self.traced(&payload);
+        let reply = self.transport.call(site, payload);
+        self.record_exchange(site, request, &reply);
+        reply
     }
 
     /// Number of final-state messages still owed to unreachable sites: the
@@ -407,50 +421,6 @@ impl Federation {
     pub fn pending_obligations(&self) -> usize {
         let parked = self.unresolved.lock();
         parked.iter().map(|c| c.outstanding().len()).sum()
-    }
-
-    /// Re-drive every parked coordinator — the coordinator side of a
-    /// recovered site's inquiry (§3.1): once the site answers again, it
-    /// learns the verdict it missed, redoes or undoes as the protocol
-    /// demands, and the transaction's retained L1 locks are finally
-    /// released.
-    ///
-    /// One pass per coordinator per call, from what it has
-    /// [outstanding](Coordinator::outstanding); one whose sites are still
-    /// down stays parked, and so does every coordinator not yet done when
-    /// a pass fails with something other than an outage — that error is
-    /// returned. Otherwise returns how many owed messages were discharged.
-    pub fn resolve_pending(&self) -> AmcResult<usize> {
-        let parked = std::mem::take(&mut *self.unresolved.lock());
-        let mut discharged = 0usize;
-        let mut result = Ok(());
-        for coordinator in parked {
-            let mut run = Run::new(coordinator, None);
-            if result.is_ok() {
-                let owed = run.coordinator.outstanding();
-                let before = owed.len();
-                let resend = owed
-                    .into_iter()
-                    .map(|(site, payload)| CoordAction::Send { site, payload })
-                    .collect();
-                result = self.drive(&mut run, resend);
-                discharged += before.saturating_sub(run.coordinator.outstanding().len());
-            }
-            if run.coordinator.is_done() {
-                self.release_l1(run.coordinator.gtx());
-            } else {
-                self.unresolved.lock().push(run.coordinator);
-            }
-        }
-        result.map(|()| discharged)
-    }
-
-    /// Global end of `gtx` under the portable protocols (2PC takes no L1
-    /// locks).
-    fn release_l1(&self, gtx: GlobalTxnId) {
-        if self.cfg.protocol != ProtocolKind::TwoPhaseCommit {
-            self.l1.release_all(gtx);
-        }
     }
 
     /// Start numbering transactions at `first` instead of 1. A
@@ -468,14 +438,15 @@ impl Federation {
         self.paxos_transport.as_ref()
     }
 
+    fn paxos_config(&self) -> &PaxosCommitConfig {
+        self.cfg.paxos.as_ref().expect("paxos not configured")
+    }
+
     /// A recovery driver speaking as coordinator replica `replica` over
-    /// this federation's acceptor group.
-    ///
-    /// # Panics
-    /// When the federation has no Paxos configuration.
+    /// this federation's acceptor group (panics when it has none).
     pub fn replica_driver(&self, replica: u32) -> ReplicaDriver<'_> {
-        let px = self.cfg.paxos.as_ref().expect("paxos not configured");
-        ReplicaDriver::new(&*self.transport, px.acceptors.clone(), replica)
+        let acceptors = self.paxos_config().acceptors.clone();
+        ReplicaDriver::new(&*self.transport, acceptors, replica)
     }
 
     /// Fault injection: the incumbent coordinator "dies" (the current
@@ -498,232 +469,342 @@ impl Federation {
         false
     }
 
-    /// Whether the 1PC fast path applies to this federation's runs.
-    fn fast_path_active(&self) -> bool {
-        self.cfg.fast_path
+    // --- The central system: begin → step → end ----------------------------
+
+    /// Acquire every L1 lock `program` needs for `gtx`, or none of them
+    /// (2PC has no L1 layer). The whole lock set is known before execution
+    /// starts, so each object's accesses fold into one *strongest* mode,
+    /// acquired in canonical object order. Ordered acquisition removes lock
+    /// cycles across objects; one-shot strongest-mode acquisition removes
+    /// upgrade deadlocks on the same object. L1 deadlock is impossible by
+    /// construction (timeouts remain the overload safety valve).
+    fn acquire_l1(&self, gtx: GlobalTxnId, program: &Program) -> Result<(), AbortReason> {
+        use amc_lock::blocking::AcquireResult;
+        use amc_lock::LockMode;
+        if self.cfg.protocol == ProtocolKind::TwoPhaseCommit {
+            return Ok(());
+        }
+        let mut needed: BTreeMap<ObjectId, amc_lock::SemanticMode> = BTreeMap::new();
+        for op in program.values().flatten() {
+            let mode = self.cfg.policy.mode_for(op);
+            needed
+                .entry(op.object())
+                .and_modify(|m| *m = m.combine(mode))
+                .or_insert(mode);
+        }
+        for (obj, mode) in needed {
+            let reason = match self.l1.acquire_mode(gtx, obj, mode) {
+                AcquireResult::Granted => continue,
+                AcquireResult::Deadlock => AbortReason::Deadlock,
+                AcquireResult::Timeout => AbortReason::LockTimeout,
+            };
+            self.release_l1(gtx);
+            return Err(reason);
+        }
+        Ok(())
+    }
+
+    /// Global end of `gtx` (2PC takes no L1 locks).
+    fn release_l1(&self, gtx: GlobalTxnId) {
+        if self.cfg.protocol != ProtocolKind::TwoPhaseCommit {
+            self.l1.release_all(gtx);
+        }
+    }
+
+    /// The coordinator of `gtx` as it is before anything happened to it —
+    /// at `begin`, and again when a restarted central system recovers it.
+    fn open(&self, gtx: GlobalTxnId, program: &Program) -> Txn {
+        let mut coordinator = Coordinator::new(gtx, self.cfg.protocol, program.clone());
+        // The 1PC fast path piggybacks 2PC's prepare, and Paxos Commit
+        // hangs its ballot-0 accepts off the explicit prepare round.
+        if self.cfg.fast_path
             && self.cfg.protocol == ProtocolKind::TwoPhaseCommit
             && self.cfg.paxos.is_none()
+        {
+            coordinator = coordinator.with_piggyback();
+        }
+        let paxos = self.cfg.paxos.as_ref().map(|_| PaxosRun {
+            participants: program.keys().copied().collect(),
+            ..PaxosRun::default()
+        });
+        Txn::new(coordinator, paxos)
+    }
+
+    /// Admit one global transaction: allocate its id, take its L1 locks
+    /// before any local work (§4.3), build its coordinator and start it.
+    /// Returns the transaction and the messages that ship its programs —
+    /// or the id it burned and why L1 turned it away (retry).
+    pub fn begin(&self, program: &Program) -> Result<(Txn, Sends), (GlobalTxnId, AbortReason)> {
+        let gtx = GlobalTxnId::new(self.next_gtx.fetch_add(1, Ordering::Relaxed));
+        self.acquire_l1(gtx, program).map_err(|why| (gtx, why))?;
+        self.obs
+            .emit(Some(gtx), SiteId::CENTRAL, EventKind::TxnStart);
+        let mut txn = self.open(gtx, program);
+        txn.coordinator.set_obs(self.obs.clone());
+        let first = self.advance(&mut txn, Input::Event(CoordEvent::Start));
+        Ok((txn, first.expect("no acceptor is asked at a start")))
+    }
+
+    /// Rebuild `gtx` after a central restart from the decision log: a
+    /// logged decision resumes its finish round, anything else is presumed
+    /// aborted. Either way it retakes its L1 locks first — the repair still
+    /// owed (redo, undo) needs the isolation the original work had — so the
+    /// caller recovers every unfinished transaction before admitting a new one.
+    pub(crate) fn recover(&self, gtx: GlobalTxnId, program: &Program) -> (Txn, Sends) {
+        self.acquire_l1(gtx, program)
+            .expect("transactions that held their L1 locks together can retake them");
+        let logged = self
+            .decisions
+            .as_ref()
+            .and_then(|log| log.lock().get(&gtx).copied());
+        self.obs
+            .emit(Some(gtx), SiteId::CENTRAL, EventKind::Resume { logged });
+        let mut txn = self.open(gtx, program);
+        let sends = self.advance(&mut txn, Input::Resume(logged));
+        // Observed only from here on: the log's verdict is not news.
+        txn.coordinator.set_obs(self.obs.clone());
+        (txn, sends.expect("no acceptor is asked at a restart"))
+    }
+
+    /// Central crash: everything volatile is lost — the `live`
+    /// transactions, the parked coordinators, and with them the whole L1
+    /// table. The decision log survives.
+    pub(crate) fn crash(&self, live: impl IntoIterator<Item = Txn>) {
+        let parked = std::mem::take(&mut *self.unresolved.lock());
+        let lost = live.into_iter().map(|txn| txn.coordinator).chain(parked);
+        lost.for_each(|coordinator| self.release_l1(coordinator.gtx()));
+    }
+
+    /// Feed `txn` one completion; returns the messages to send next. An
+    /// `Err` — a reply no participant should send, a failed acceptor group
+    /// — is the pump's to surface, after [`end`](Federation::end)ing `txn`.
+    pub fn step(&self, txn: &mut Txn, completion: Completion) -> AmcResult<Sends> {
+        let gtx = txn.gtx();
+        let (site, reply) = match completion {
+            Completion::Timer => return self.advance(txn, Input::Event(CoordEvent::Timer)),
+            Completion::Reply { site, reply } => (site, reply),
+        };
+        if let Ok(Payload::Vote { vote, .. }) = &reply {
+            if vote.is_yes() && self.record_history {
+                self.record_site_ops(gtx, site, txn.coordinator.program(site));
+            }
+            if let Some(paxos) = &mut txn.paxos {
+                paxos.on_vote(self, gtx, site, vote.is_yes())?;
+            }
+        }
+        self.advance(txn, Input::Event(CoordEvent::from_reply(site, reply)?))
+    }
+
+    /// Move `txn`'s coordinator by `input` and interpret what it asks for.
+    /// Sends are returned; a decision is first gated by the acceptor group
+    /// when there is one — its verdict overrules the machine's as a
+    /// decision log does after a crash: restart from it — and recorded in
+    /// the decision log when one is kept. Only then does it stand.
+    fn advance(&self, txn: &mut Txn, mut input: Input) -> AmcResult<Sends> {
+        let gtx = txn.gtx();
+        loop {
+            let actions = match input {
+                Input::Event(event) => txn.coordinator.on_event(event),
+                Input::Resume(logged) => {
+                    let actions = txn.coordinator.resume(logged);
+                    txn.decided = txn.coordinator.verdict();
+                    actions
+                }
+            };
+            let mut sends = Vec::new();
+            let mut overruled = None;
+            for action in actions {
+                match action {
+                    CoordAction::Send { site, payload } => sends.push((site, payload)),
+                    CoordAction::Decided(v) => {
+                        if let Some(paxos) = &mut txn.paxos {
+                            overruled = paxos.on_decided(self, gtx, v)?;
+                        }
+                        let stands = overruled.unwrap_or(v);
+                        if let Some(log) = &self.decisions {
+                            log.lock().insert(gtx, stands);
+                        }
+                        txn.decided = Some(stands);
+                    }
+                    CoordAction::Done(_) => {}
+                }
+            }
+            if let Some(paxos) = &mut txn.paxos {
+                let prepares = sends
+                    .iter()
+                    .any(|(_, p)| matches!(p, Payload::Prepare { .. }));
+                if overruled.is_none() && prepares {
+                    overruled = paxos.before_prepare(self, gtx)?;
+                }
+            }
+            match overruled {
+                // Nothing of the overruled batch is sent.
+                Some(verdict) => input = Input::Resume(Some(verdict)),
+                None => {
+                    txn.messages += 2 * sends.len() as u64; // request + reply
+                    return Ok(sends);
+                }
+            }
+        }
+    }
+
+    /// Close `txn`: at global end its L1 locks are released. One whose
+    /// verdict stands but still owes a site its final state has not ended:
+    /// its coordinator is parked with the locks (the obligation is part of
+    /// the transaction, §4.3) for [`Federation::resolve_pending`], whatever
+    /// stopped its pump. One whose acceptor group failed it is dropped in
+    /// doubt — a standby decides it. Returns the verdict, if any, and
+    /// messages exchanged.
+    pub fn end(&self, mut txn: Txn) -> (Option<GlobalVerdict>, u64) {
+        let gtx = txn.gtx();
+        let verdict = txn.decided;
+        let mut messages = txn.messages;
+        if let Some(verdict) = verdict {
+            if let Some(paxos) = &mut txn.paxos {
+                paxos.close(self, gtx, verdict);
+                messages += paxos.messages;
+            }
+            if self.record_history {
+                self.history.lock().set_outcome(gtx, verdict);
+            }
+        }
+        if verdict.is_some() && !txn.is_done() {
+            self.unresolved.lock().push(txn.coordinator);
+        } else {
+            self.release_l1(gtx);
+        }
+        (verdict, messages)
+    }
+
+    // --- The blocking pump --------------------------------------------------
+
+    /// Push `txn` as far as the sites let it go: hand each batch of sends
+    /// to the transport as one message round, feed every reply or failure
+    /// to [`Federation::step`] in emission order, repeat until no message
+    /// is in flight. Both `run_transaction` and `resolve_pending` come
+    /// through here, so a final-state message is whatever the state
+    /// machine says it is, the first time and every later time.
+    ///
+    /// A round goes to the transport whole — which may overlap its sends
+    /// instead of paying one round trip each — except two kinds, sent one
+    /// call at a time in site order. Paxos rounds: registration and vote
+    /// replication interleave with the sends. And the submit round of a
+    /// protocol that keeps the L0 locks it takes until the decision (all
+    /// but commit-before): reaching the sites in one global order keeps two
+    /// transactions from each holding a page at one site while waiting for
+    /// the other's at the next — a distributed deadlock no site can see
+    /// and only `lock_timeout` breaks.
+    fn pump(&self, txn: &mut Txn, first: Sends, l0: &mut L0Tenures) -> AmcResult<()> {
+        let keeps_l0 = txn.coordinator.protocol() != ProtocolKind::CommitBefore;
+        let mut batches = VecDeque::from([first]);
+        while let Some(sends) = batches.pop_front() {
+            let is_submit =
+                |p: &Payload| matches!(p, Payload::Submit { .. } | Payload::SubmitPrepare { .. });
+            let submits = sends.iter().any(|(_, p)| is_submit(p));
+            let whole = txn.paxos.is_none() && sends.len() > 1 && !(keeps_l0 && submits);
+            let mut on_reply = |site, sent_at, reply: AmcResult<Payload>| -> AmcResult<()> {
+                if submits {
+                    l0.insert(site, (sent_at, None));
+                }
+                // L0 release points: commit-before releases at local commit
+                // (submit reply); the others at the decision/redo/undo reply.
+                let released = match &reply {
+                    Ok(Payload::Vote { .. }) => !keeps_l0,
+                    Ok(Payload::Finished { .. }) => true,
+                    _ => false,
+                };
+                if let (true, Some((_, t1))) = (released, l0.get_mut(&site)) {
+                    *t1 = Some(Instant::now());
+                }
+                let next = self.step(txn, Completion::Reply { site, reply })?;
+                if !next.is_empty() {
+                    batches.push_back(next);
+                }
+                Ok(())
+            };
+            if whole {
+                let requests: Vec<(SiteId, Option<Payload>)> =
+                    sends.iter().map(|(s, p)| (*s, self.traced(p))).collect();
+                let sent_at = Instant::now();
+                let replies = self.transport.call_round(sends);
+                for ((site, request), reply) in requests.into_iter().zip(replies) {
+                    self.record_exchange(site, request, &reply);
+                    on_reply(site, sent_at, reply)?;
+                }
+            } else {
+                for (site, payload) in sends {
+                    let sent_at = Instant::now();
+                    on_reply(site, sent_at, self.dispatch(site, payload))?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Run one global transaction until its coordinator is done, or has
     /// decided and can get no further: a site it could not reach is still
     /// owed its final state. That coordinator is parked — with the
-    /// transaction's L1 locks, the obligation being part of the
-    /// transaction (§4.3) — for [`Federation::resolve_pending`].
-    pub fn run_transaction(
-        &self,
-        per_site: &BTreeMap<SiteId, Vec<Operation>>,
-    ) -> AmcResult<TxnReport> {
+    /// transaction's L1 locks — for [`Federation::resolve_pending`].
+    pub fn run_transaction(&self, per_site: &Program) -> AmcResult<TxnReport> {
         let start = Instant::now();
-        let gtx = GlobalTxnId::new(self.next_gtx.fetch_add(1, Ordering::Relaxed));
-
-        // --- L1 acquisition (portable protocols only) ---------------------
-        if self.cfg.protocol != ProtocolKind::TwoPhaseCommit {
-            // The whole lock set is known before execution starts, so fold
-            // each object's accesses into one *strongest* mode and acquire
-            // in canonical object order. Ordered acquisition removes lock
-            // cycles across objects; one-shot strongest-mode acquisition
-            // removes upgrade deadlocks on the same object. L1 deadlock is
-            // impossible by construction (timeouts remain the overload
-            // safety valve).
-            use amc_lock::LockMode;
-            let mut needed: BTreeMap<ObjectId, amc_lock::SemanticMode> = BTreeMap::new();
-            for op in per_site.values().flatten() {
-                let mode = self.cfg.policy.mode_for(op);
-                needed
-                    .entry(op.object())
-                    .and_modify(|m| *m = m.combine(mode))
-                    .or_insert(mode);
-            }
-            for (obj, mode) in needed {
-                use amc_lock::blocking::AcquireResult;
-                match self.l1.acquire_mode(gtx, obj, mode) {
-                    AcquireResult::Granted => {}
-                    AcquireResult::Deadlock => {
-                        self.l1.release_all(gtx);
-                        return Ok(TxnReport {
-                            gtx,
-                            outcome: TxnOutcome::L1Rejected(AbortReason::Deadlock),
-                            latency: start.elapsed(),
-                            l0_holds: Vec::new(),
-                            messages: 0,
-                        });
-                    }
-                    AcquireResult::Timeout => {
-                        self.l1.release_all(gtx);
-                        return Ok(TxnReport {
-                            gtx,
-                            outcome: TxnOutcome::L1Rejected(AbortReason::LockTimeout),
-                            latency: start.elapsed(),
-                            l0_holds: Vec::new(),
-                            messages: 0,
-                        });
-                    }
-                }
-            }
-        }
-
-        // --- Drive the coordinator synchronously --------------------------
-        let mut coordinator = Coordinator::new(gtx, self.cfg.protocol, per_site.clone());
-        if self.fast_path_active() {
-            coordinator = coordinator.with_piggyback();
-        }
-        let paxos = self.cfg.paxos.as_ref().map(|px| PaxosRun {
-            px,
-            participants: per_site.keys().copied().collect(),
-            registered_at: None,
-            ledger: CommitLedger::new(),
-            messages: 0,
-        });
-        let mut run = Run::new(coordinator, paxos);
-        let first = run.coordinator.on_event(CoordEvent::Start);
-        let result = self.drive(&mut run, first).and_then(|()| {
-            let verdict = run.coordinator.verdict();
-            verdict.ok_or_else(|| AmcError::Protocol("coordinator never decided".into()))
-        });
-        // Strict L1 2PL: release only at global end, and a transaction
-        // that still owes a site its final state has not ended.
-        let parked = result.is_ok() && !run.coordinator.is_done();
-        if !parked {
-            self.release_l1(gtx);
-        }
-        let verdict = result?;
-        let mut messages = run.messages;
-        if let Some(paxos) = &mut run.paxos {
-            paxos.close(self, gtx, verdict);
-            messages += paxos.messages;
-        }
-        if self.record_history {
-            self.history.lock().set_outcome(gtx, verdict);
-        }
-
-        // 2PC and commit-after hold L0 locks until the decision round; the
-        // sites that never saw a finish (commit-before commit path) already
-        // released at their vote.
-        let l0_holds = if verdict == GlobalVerdict::Commit {
-            run.l0
-                .values()
-                .filter_map(|(t0, t1)| Some((*t1)?.duration_since(*t0)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if parked {
-            self.unresolved.lock().push(run.coordinator);
-        }
-
-        Ok(TxnReport {
+        let report = |gtx, outcome, l0_holds, messages| TxnReport {
             gtx,
-            outcome: match verdict {
-                GlobalVerdict::Commit => TxnOutcome::Committed,
-                GlobalVerdict::Abort => TxnOutcome::Aborted,
-            },
+            outcome,
             latency: start.elapsed(),
             l0_holds,
             messages,
-        })
-    }
-
-    /// Push `run`'s coordinator as far as the sites let it go: perform its
-    /// actions, feed every reply or failure back as an event, repeat until
-    /// no message is in flight. Both `run_transaction` and
-    /// `resolve_pending` come through here, so a final-state message is
-    /// whatever the state machine says it is, the first time and every
-    /// later time.
-    fn drive(&self, run: &mut Run<'_>, mut actions: Vec<CoordAction>) -> AmcResult<()> {
-        let mut events = VecDeque::new();
-        loop {
-            if let Some(verdict) = self.perform(run, actions, &mut events)? {
-                // The replicated verdict departs from (or pre-empts) the
-                // machine's own — e.g. a crashed voter whose durable
-                // Prepared survived it. The acceptors win, exactly as a
-                // decision log wins after a crash: restart from it.
-                events.clear();
-                actions = run.coordinator.resume(Some(verdict));
-                continue;
+        };
+        let (mut txn, first) = match self.begin(per_site) {
+            Ok(begun) => begun,
+            Err((gtx, why)) => return Ok(report(gtx, TxnOutcome::L1Rejected(why), Vec::new(), 0)),
+        };
+        let gtx = txn.gtx();
+        let mut l0 = L0Tenures::new();
+        let pumped = self.pump(&mut txn, first, &mut l0);
+        let (verdict, messages) = self.end(txn);
+        pumped?;
+        // 2PC and commit-after hold L0 locks until the decision round; the
+        // sites that never saw a finish (commit-before commit path) already
+        // released at their vote.
+        let tenure = |(t0, t1): &(Instant, Option<Instant>)| Some((*t1)?.duration_since(*t0));
+        match verdict {
+            Some(GlobalVerdict::Commit) => {
+                let l0_holds = l0.values().filter_map(tenure).collect();
+                Ok(report(gtx, TxnOutcome::Committed, l0_holds, messages))
             }
-            let Some(event) = events.pop_front() else {
-                return Ok(());
-            };
-            actions = run.coordinator.on_event(event);
+            Some(GlobalVerdict::Abort) => {
+                Ok(report(gtx, TxnOutcome::Aborted, Vec::new(), messages))
+            }
+            None => Err(AmcError::Protocol("coordinator never decided".into())),
         }
     }
 
-    /// Perform one batch of coordinator actions: ship its sends as one
-    /// message round and queue, per send, the event its reply or failure
-    /// means. Returns the acceptor group's verdict when that overrules the
-    /// batch (nothing of which has then been sent).
+    /// Re-drive every parked coordinator — the coordinator side of a
+    /// recovered site's inquiry (§3.1): once the site answers again, it
+    /// learns the verdict it missed, redoes or undoes as the protocol
+    /// demands, and the transaction's retained L1 locks are finally
+    /// released.
     ///
-    /// Two kinds of round go out one call at a time, in site order. Paxos
-    /// rounds: registration and vote replication interleave with the
-    /// sends. And the submit round of a protocol that keeps the L0 locks
-    /// it takes until the decision (all but commit-before): reaching the
-    /// sites in one global order is what keeps two transactions from each
-    /// holding a page at one site while waiting for the other's at the
-    /// next — a distributed deadlock no site can see and only
-    /// `lock_timeout` breaks.
-    fn perform(
-        &self,
-        run: &mut Run<'_>,
-        actions: Vec<CoordAction>,
-        events: &mut VecDeque<CoordEvent>,
-    ) -> AmcResult<Option<GlobalVerdict>> {
-        let gtx = run.coordinator.gtx();
-        let protocol = run.coordinator.protocol();
-        let mut sends = Vec::new();
-        for action in actions {
-            match action {
-                CoordAction::Send { site, payload } => sends.push((site, payload)),
-                CoordAction::Decided(v) => {
-                    if let Some(paxos) = &mut run.paxos {
-                        if let Some(verdict) = paxos.on_decided(self, gtx, v)? {
-                            return Ok(Some(verdict));
-                        }
-                    }
-                }
-                CoordAction::Done(_) => {}
+    /// One pass per coordinator per call, from what it has
+    /// [outstanding](Coordinator::outstanding); one whose sites are still
+    /// down stays parked, and so does every coordinator not yet done when
+    /// a pass fails with something other than an outage — that error is
+    /// returned. Otherwise returns how many owed messages were discharged.
+    pub fn resolve_pending(&self) -> AmcResult<usize> {
+        let parked = std::mem::take(&mut *self.unresolved.lock());
+        let mut discharged = 0usize;
+        let mut result = Ok(());
+        for coordinator in parked {
+            let mut txn = Txn::new(coordinator, None);
+            if result.is_ok() {
+                let owed = txn.coordinator.outstanding();
+                let before = owed.len();
+                result = self.pump(&mut txn, owed, &mut L0Tenures::new());
+                discharged += before.saturating_sub(txn.coordinator.outstanding().len());
             }
+            self.end(txn);
         }
-        let submits = sends.iter().any(|(_, p)| is_submit(p));
-        let prepares = sends
-            .iter()
-            .any(|(_, p)| matches!(p, Payload::Prepare { .. }));
-        if let (true, Some(paxos)) = (prepares, &mut run.paxos) {
-            if let Some(verdict) = paxos.before_prepare(self, gtx)? {
-                return Ok(Some(verdict));
-            }
-        }
-        let keeps_l0 = protocol != ProtocolKind::CommitBefore;
-        let whole = run.paxos.is_none() && sends.len() > 1 && !(keeps_l0 && submits);
-        run.messages += 2 * sends.len() as u64; // request + reply
-        self.exchange(sends, whole, |site, sent_at, reply| {
-            if submits {
-                run.l0.insert(site, (sent_at, None));
-            }
-            // L0 release points: commit-before releases at local commit
-            // (submit reply); the others at the decision/redo/undo reply.
-            let released = match &reply {
-                Ok(Payload::Vote { vote, .. }) => {
-                    if vote.is_yes() && self.record_history {
-                        self.record_site_ops(gtx, site, run.coordinator.program(site));
-                    }
-                    if let (true, Some(paxos)) = (prepares, &mut run.paxos) {
-                        paxos.on_prepare_vote(self, gtx, site, vote.is_yes())?;
-                    }
-                    protocol == ProtocolKind::CommitBefore
-                }
-                Ok(Payload::Finished { .. }) => true,
-                _ => false,
-            };
-            if released {
-                if let Some((_, t1)) = run.l0.get_mut(&site) {
-                    *t1 = Some(Instant::now());
-                }
-            }
-            events.push_back(CoordEvent::from_reply(site, reply)?);
-            Ok(())
-        })?;
-        Ok(None)
+        result.map(|()| discharged)
     }
 
     fn record_site_ops(&self, gtx: GlobalTxnId, site: SiteId, ops: &[Operation]) {
@@ -745,7 +826,7 @@ impl Federation {
     }
 
     /// Run a batch of programs on `threads` closed-loop clients
-    /// ([`closed_loop`](crate::drive::closed_loop): FIFO, casualties of
+    /// ([`closed_loop`]: FIFO, casualties of
     /// contention retried boundedly, intended aborts final) and add the
     /// counters only the federation can read off its sites.
     ///
@@ -754,7 +835,7 @@ impl Federation {
     /// serves have no failure to survive.
     pub fn run_concurrent(
         self: &Arc<Self>,
-        programs: Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)>,
+        programs: Vec<(Program, bool)>,
         threads: usize,
     ) -> RunMetrics {
         let sheds_before = self.transport.load_sheds();
@@ -777,7 +858,7 @@ impl Federation {
     }
 }
 
-impl PaxosRun<'_> {
+impl PaxosRun {
     /// Before the first `Prepare` leaves: open the transaction's instance
     /// set at the acceptor group (*BeginCommit*), between the work and
     /// prepare rounds, so that prepare-round votes (and only those) double
@@ -793,8 +874,9 @@ impl PaxosRun<'_> {
         if self.registered_at.is_some() {
             return Ok(None);
         }
+        let acceptors = &fed.paxos_config().acceptors;
         let mut acked = Vec::new();
-        for a in &self.px.acceptors {
+        for a in acceptors {
             self.messages += 2;
             let payload = Payload::PaxosRegister {
                 gtx,
@@ -811,25 +893,27 @@ impl PaxosRun<'_> {
                 Err(e) => return Err(e),
             }
         }
-        let minority = acked.len() < majority(self.px.acceptors.len());
+        let minority = acked.len() < majority(acceptors.len());
         self.registered_at = Some(acked);
         Ok(minority.then_some(GlobalVerdict::Abort))
     }
 
-    /// A prepare vote arrived: cross-replicate it at ballot 0. The voting
-    /// site's co-located acceptor already holds the accept (the vote reply
-    /// *was* the accept — co-location); the other acceptors get an
-    /// explicit phase-2a message. Successful Prepared accepts feed the
-    /// commit gate.
-    fn on_prepare_vote(
+    /// A vote arrived. Once the instance set is open every vote answers a
+    /// `Prepare`: cross-replicate it at ballot 0. The voting site's
+    /// co-located acceptor already holds the accept (the vote reply *was*
+    /// the accept — co-location); the other acceptors get an explicit
+    /// phase-2a message. Successful Prepared accepts feed the commit gate.
+    fn on_vote(
         &mut self,
         fed: &Federation,
         gtx: GlobalTxnId,
         site: SiteId,
         prepared: bool,
     ) -> AmcResult<()> {
-        let registered_at = self.registered_at.as_deref().unwrap_or_default();
-        for a in &self.px.acceptors {
+        let Some(registered_at) = self.registered_at.as_deref() else {
+            return Ok(()); // a work-round vote
+        };
+        for a in &fed.paxos_config().acceptors {
             if *a == site && registered_at.contains(a) {
                 if prepared {
                     self.ledger.record_prepared(site, *a);
@@ -864,7 +948,8 @@ impl PaxosRun<'_> {
     }
 
     /// The coordinator decided `v` on its own. Returns the acceptors'
-    /// verdict when it departs from that.
+    /// verdict when it departs from that — e.g. a crashed voter whose
+    /// durable Prepared survived it.
     fn on_decided(
         &mut self,
         fed: &Federation,
@@ -878,7 +963,8 @@ impl PaxosRun<'_> {
         }
         // Every instance chose Prepared at a majority at ballot 0: the
         // commit is already the replicated, durable fact.
-        let acceptors = self.px.acceptors.len();
+        let px = fed.paxos_config();
+        let acceptors = px.acceptors.len();
         if v == GlobalVerdict::Commit && self.ledger.all_chosen(&self.participants, acceptors) {
             return Ok(None);
         }
@@ -887,8 +973,7 @@ impl PaxosRun<'_> {
         // ballot: a unilateral decision could contradict what a standby
         // reads from the acceptor logs.
         self.messages += 2 * acceptors as u64 * (1 + self.participants.len() as u64);
-        let driver =
-            ReplicaDriver::new(&*fed.transport, self.px.acceptors.clone(), self.px.replica);
+        let driver = fed.replica_driver(px.replica);
         let (verdict, _) = driver.decide(gtx, &self.participants)?;
         Ok((verdict != v).then_some(verdict))
     }
@@ -902,7 +987,7 @@ impl PaxosRun<'_> {
         if self.registered_at.is_none() {
             return;
         }
-        for a in &self.px.acceptors {
+        for a in &fed.paxos_config().acceptors {
             if !self.participants.contains(a) {
                 self.messages += 2;
                 let _ = fed.dispatch(*a, Payload::PaxosDecided { gtx, verdict });
@@ -1202,7 +1287,132 @@ mod tests {
             assert_eq!(user_sum(&fed), 100 * 4 * 50, "{protocol}");
             let report = fed.run_transaction(&write_at_2).unwrap();
             assert_eq!(report.outcome, TxnOutcome::Committed, "{protocol}");
+
+            // The same rejection on the *first* pass after the decision:
+            // `run_transaction` used to release the L1 locks and drop the
+            // coordinator with its outstanding site on any `Err`.
+            *transport.reject_finish_for.lock() = Some(site(2));
+            let mut failing = transfer(1, 2, 30);
+            failing.get_mut(&site(1)).unwrap().push(Operation::Read {
+                obj: obj(1, 999_999),
+            });
+            let err = fed.run_transaction(&failing).unwrap_err();
+            assert!(matches!(err, AmcError::Protocol(_)), "{protocol}: {err}");
+            assert_eq!(fed.pending_obligations(), 1, "{protocol}");
+            if protocol != ProtocolKind::TwoPhaseCommit {
+                let blocked = fed.run_transaction(&write_at_2).unwrap();
+                assert!(
+                    matches!(blocked.outcome, TxnOutcome::L1Rejected(_)),
+                    "{protocol}: {blocked:?}"
+                );
+            }
+            *transport.reject_finish_for.lock() = None;
+            assert_eq!(fed.resolve_pending().unwrap(), 1, "{protocol}");
+            assert_eq!(fed.pending_obligations(), 0, "{protocol}");
+            assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
+            let report = fed.run_transaction(&write_at_2).unwrap();
+            assert_eq!(report.outcome, TxnOutcome::Committed, "{protocol}");
         }
+    }
+
+    /// Drive `begin` / `step` / `end` by hand: every send is delivered at
+    /// once and its reply kept, then the replies are fed in an order, and
+    /// with repetitions, the blocking pump never produces.
+    #[test]
+    fn txn_tolerates_replies_out_of_order_duplicated_and_after_done() {
+        for protocol in ProtocolKind::ALL {
+            let fed = loaded(protocol, 2);
+            let deliver = |sends: Sends| -> Vec<Completion> {
+                let reply = |(site, payload)| Completion::Reply {
+                    site,
+                    reply: fed.transport().call(site, payload),
+                };
+                sends.into_iter().map(reply).collect()
+            };
+            let again = |c: &Completion| match c {
+                Completion::Reply { site, reply } => Completion::Reply {
+                    site: *site,
+                    reply: reply.clone(),
+                },
+                Completion::Timer => Completion::Timer,
+            };
+            let (mut txn, first) = fed
+                .begin(&transfer(1, 2, 30))
+                .unwrap_or_else(|e| panic!("{e:?}"));
+            let mut seen = Vec::new();
+            let mut inbox = deliver(first);
+            assert_eq!(inbox.len(), 2, "{protocol}");
+            while let Some(completion) = inbox.pop() {
+                // Last sent, first answered (site 2 before site 1), and
+                // every reply twice.
+                seen.push(again(&completion));
+                let duplicate = again(&completion);
+                let next = fed.step(&mut txn, completion).unwrap();
+                assert!(
+                    fed.step(&mut txn, duplicate).unwrap().is_empty(),
+                    "{protocol}: a duplicate reply asked for more messages"
+                );
+                inbox.extend(deliver(next));
+            }
+            assert!(txn.is_done(), "{protocol}");
+            // Everything once more, after the end: nothing moves.
+            for completion in seen.iter().map(again).chain([Completion::Timer]) {
+                assert!(
+                    fed.step(&mut txn, completion).unwrap().is_empty(),
+                    "{protocol}"
+                );
+            }
+            assert!(txn.is_done(), "{protocol}");
+            let (verdict, messages) = fed.end(txn);
+            assert_eq!(verdict, Some(GlobalVerdict::Commit), "{protocol}");
+            assert!(messages >= 4, "{protocol}: {messages}");
+            assert_eq!(fed.pending_obligations(), 0, "{protocol}");
+            assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
+            let dumps = fed.dumps().unwrap();
+            assert_eq!(dumps[&site(1)][&obj(1, 0)], v(70), "{protocol}");
+            assert_eq!(dumps[&site(2)][&obj(2, 0)], v(130), "{protocol}");
+        }
+    }
+
+    /// A decided transaction whose pump stops is parked by `end` with its
+    /// locks; an undecided one is not, and holds nothing afterwards.
+    #[test]
+    fn end_parks_exactly_the_decided_and_unfinished() {
+        let fed = loaded(ProtocolKind::CommitAfter, 2);
+        // Undecided: the submits were never delivered.
+        let (txn, first) = fed
+            .begin(&transfer(1, 2, 5))
+            .unwrap_or_else(|e| panic!("{e:?}"));
+        assert_eq!(first.len(), 2);
+        assert!(fed.l1().granted_count() > 0);
+        assert_eq!(fed.end(txn), (None, 4));
+        assert_eq!(
+            (fed.pending_obligations(), fed.l1().granted_count()),
+            (0, 0)
+        );
+        // Decided, site 2 never told: both votes in, no decision delivered.
+        let (mut txn, first) = fed
+            .begin(&transfer(1, 2, 5))
+            .unwrap_or_else(|e| panic!("{e:?}"));
+        let mut decision = Vec::new();
+        for (site, payload) in first {
+            let reply = fed.transport().call(site, payload);
+            decision.extend(
+                fed.step(&mut txn, Completion::Reply { site, reply })
+                    .unwrap(),
+            );
+        }
+        assert_eq!(decision.len(), 2, "{decision:?}");
+        let (verdict, _) = fed.end(txn);
+        assert_eq!(verdict, Some(GlobalVerdict::Commit));
+        assert_eq!(fed.pending_obligations(), 2);
+        assert!(fed.l1().granted_count() > 0, "parked with its locks");
+        assert_eq!(fed.resolve_pending().unwrap(), 2);
+        assert_eq!(
+            (fed.pending_obligations(), fed.l1().granted_count()),
+            (0, 0)
+        );
+        assert_eq!(user_sum(&fed), 100 * 2 * 50);
     }
 
     /// A 2PC federation with Paxos Commit: `acceptors` durable acceptors
@@ -1311,6 +1521,54 @@ mod tests {
         assert_eq!(user_sum(&fed), 100 * 3 * 50);
         // And the group remembers: a second standby sweep finds nothing.
         assert!(fed.replica_driver(8).run_once().unwrap().is_empty());
+    }
+
+    /// The coordinator reaches its own verdict before the acceptor group
+    /// is asked. When the group then fails it (majority lost after the
+    /// registration), that verdict does not stand: `end` must not close the
+    /// instances, record an outcome or park a coordinator that would later
+    /// deliver it — the transaction is a standby's to decide.
+    #[test]
+    fn paxos_gate_failure_leaves_the_transaction_in_doubt_not_parked() {
+        let fed = paxos_loaded(5, 3, "gate-fails");
+        let acceptors = fed.paxos_transport().unwrap();
+        let (mut txn, mut sends) = fed
+            .begin(&transfer(4, 5, 30))
+            .unwrap_or_else(|e| panic!("{e:?}"));
+        let gtx = txn.gtx();
+        let mut failed = None;
+        while !sends.is_empty() && failed.is_none() {
+            if matches!(sends[0].1, Payload::Prepare { .. }) {
+                // Registered at all three; now two of them are gone.
+                acceptors.set_down(site(2), true);
+                acceptors.set_down(site(3), true);
+            }
+            let mut next = Vec::new();
+            for (site, payload) in sends {
+                let reply = fed.transport().call(site, payload);
+                match fed.step(&mut txn, Completion::Reply { site, reply }) {
+                    Ok(more) => next.extend(more),
+                    Err(e) => failed = Some(e),
+                }
+            }
+            sends = next;
+        }
+        assert!(failed.is_some(), "no majority, yet the gate let it through");
+        assert_eq!(fed.end(txn).0, None);
+        assert_eq!(fed.pending_obligations(), 0);
+        assert_eq!(fed.history().outcome(gtx), None);
+        // A standby that reads the other majority finds nothing chosen.
+        acceptors.set_down(site(2), false);
+        acceptors.set_down(site(3), false);
+        acceptors.set_down(site(1), true);
+        let finished = fed.replica_driver(7).run_once().unwrap();
+        assert_eq!(finished, vec![(gtx, GlobalVerdict::Abort)]);
+        acceptors.set_down(site(1), false);
+        assert_eq!(fed.resolve_pending().unwrap(), 0);
+        assert_eq!(user_sum(&fed), 100 * 5 * 50);
+        let dumps = fed.dumps().unwrap();
+        assert_eq!(dumps[&site(4)][&obj(4, 0)], v(100));
+        assert_eq!(dumps[&site(5)][&obj(5, 0)], v(100));
     }
 
     fn fast_loaded(sites: u32) -> Arc<Federation> {

@@ -10,21 +10,26 @@
 //! | [`ProtocolKind::CommitAfter`] | after the global decision | **redo** (repeat the local transaction) | 3.2 |
 //! | [`ProtocolKind::CommitBefore`] | before the global decision | **undo** (inverse transactions, reusing the multi-level machinery) | 3.3 / 4 |
 //!
-//! The protocol logic lives in a **sans-IO state machine**
-//! ([`coordinator::Coordinator`]): it consumes votes/acks and emits
-//! send-message and decision actions, so the exact same code runs under
+//! **One central system, two pumps.** The protocol logic is a sans-IO
+//! state machine ([`coordinator::Coordinator`]), and so is the central
+//! system around it: [`federation::Federation`] owns the L1 lock table,
+//! the decision log and the parked coordinators, and `begin →`
+//! [`Txn`]` → step → end` is the only code that constructs, feeds, logs
+//! for, parks or resumes a coordinator. Two pumps move its messages:
 //!
-//! * [`federation::Federation`] — the threaded runtime used for the
-//!   throughput experiments (E1–E3, E7), and
-//! * [`simdrive::SimFederation`] — the deterministic discrete-event runtime
-//!   used for golden traces (F2–F5), crash experiments (E5) and message
-//!   accounting (E4).
+//! * the **blocking pump** ([`Federation::run_transaction`]) — one OS
+//!   thread per transaction over a transport: the throughput experiments
+//!   (E1–E3, E7) and the TCP deployments;
+//! * the **discrete-event pump** ([`simdrive::SimFederation`]) — seeded
+//!   router, virtual clock, fault plan: golden traces (F2–F5), crash
+//!   experiments (E5), message accounting (E4), the nemesis sweeps.
 //!
-//! Global concurrency control is the L1 lock manager from `amc-mlt`, held
-//! strictly until global end — which is precisely how the serializability
-//! requirements of §3.2 (no conflicting work between an erroneous abort and
-//! its repetition) and §3.3 (no non-commuting work between a commit and its
-//! inverse) are discharged.
+//! Global concurrency control is the L1 lock manager from `amc-mlt`,
+//! taken before any local work and held strictly until global end — which
+//! is how the serializability requirements of §3.2 (no conflicting work
+//! between an erroneous abort and its repetition) and §3.3 (no
+//! non-commuting work between a commit and its inverse) are discharged.
+//! 2PC has no L1 layer: 2PL at L0, sites asked in ascending order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +48,6 @@ pub use config::{
 };
 pub use coordinator::{CoordAction, CoordEvent, Coordinator};
 pub use drive::{closed_loop, Program};
-pub use federation::{submit_mode_for, Federation, TxnOutcome, TxnReport};
+pub use federation::{submit_mode_for, Completion, Federation, Sends, Txn, TxnOutcome, TxnReport};
 pub use metrics::RunMetrics;
 pub use simdrive::{SimConfig, SimFederation, SimReport};

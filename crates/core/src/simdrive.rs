@@ -1,11 +1,10 @@
-//! The deterministic discrete-event federation runtime.
+//! The discrete-event pump over the central system.
 //!
-//! Same managers, same engines, same [`crate::Coordinator`] —
-//! but messages travel through the seeded [`amc_net::Router`] with latency
-//! and loss, sites crash and restart on a [`amc_sim::FaultPlan`], and all
-//! timing is virtual. This driver produces the golden message traces
-//! (F2–F5), the crash/blocking experiment (E5) and exact message accounting
-//! (E4).
+//! Same [`Federation`], managers and engines as the blocking pump — but
+//! messages travel through the seeded [`amc_net::Router`] with latency and
+//! loss, sites and the central system crash and restart on a
+//! [`amc_sim::FaultPlan`], and all timing is virtual. What lives here is
+//! scheduling, fault injection and the report.
 //!
 //! Modelling notes:
 //!
@@ -13,26 +12,24 @@
 //!   after a fixed *service time* (engine work is modelled as instantaneous
 //!   state change plus virtual delay — the protocols only care about
 //!   ordering).
-//! * The coordinator re-arms a retransmission timer per transaction until
-//!   the protocol completes. Messages to a down site are dropped by the
-//!   router; the timer is what eventually gets the protocol unstuck, which
-//!   is exactly the paper's "the global transaction manager has to wait for
-//!   the local system to come up again" (§3.3).
-//! * This driver runs one simulation thread; it relies on workload design
-//!   (not the L1 lock manager) to keep concurrent global transactions
-//!   conflict-free, because a blocking L1 acquisition would stall the
-//!   event loop. Contention experiments belong to the threaded
-//!   [`Federation`](crate::Federation).
+//! * A retransmission timer is re-armed per transaction until the protocol
+//!   completes. Messages to a down site are dropped by the router; the
+//!   timer is what eventually gets the protocol unstuck — the paper's "the
+//!   global transaction manager has to wait for the local system to come
+//!   up again" (§3.3).
+//! * One simulation thread: no lock can be released while an acquisition
+//!   waits, so L1 never waits. A start it turns away is offered again a
+//!   retransmission period later, like one against a dead central system:
+//!   conflicting transactions serialise at the central system.
 
 use crate::config::FederationConfig;
-use crate::coordinator::{CoordAction, CoordEvent, Coordinator};
-use crate::federation::submit_mode_for;
+use crate::drive::Program;
+use crate::federation::{Completion, Federation, Sends, Txn};
 use amc_net::router::{NetStats, RouterConfig, Routing};
-use amc_net::transport::dispatch_to_manager;
 use amc_net::{Envelope, LocalCommManager, MessageTrace, Payload, Router};
 use amc_obs::{EventKind, EventLog, ObsSink};
 use amc_sim::{EventQueue, FaultEvent, FaultKind, FaultPlan, LinkDir, SimRng};
-use amc_types::{AmcError, GlobalTxnId, GlobalVerdict, Operation, SimDuration, SimTime, SiteId};
+use amc_types::{AmcError, GlobalTxnId, GlobalVerdict, SimDuration, SimTime, SiteId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -72,8 +69,10 @@ impl SimConfig {
     pub fn new(mut federation: FederationConfig) -> Self {
         // The event loop is single-threaded: an engine lock wait blocks the
         // whole simulation, so make accidental conflicts fail fast instead
-        // of stalling for the default 2 s.
+        // of stalling for the default 2 s — and an L1 wait can only time
+        // out, so do not wait at all.
         federation.tpl.lock_timeout = std::time::Duration::from_millis(50);
+        federation.l1_timeout = std::time::Duration::ZERO;
         SimConfig {
             federation,
             router: RouterConfig::default(),
@@ -97,12 +96,8 @@ pub struct SimReport {
     pub resolution: BTreeMap<GlobalTxnId, SimDuration>,
     /// Every message that entered the network.
     pub trace: MessageTrace,
-    /// Messages admitted / dropped by the router.
-    pub sent: u64,
-    /// Dropped by loss or down sites.
-    pub dropped: u64,
-    /// Full network accounting (supersets `sent`/`dropped`, which stay for
-    /// compatibility): duplications and partition-caused drops included.
+    /// Network accounting: messages admitted, dropped (loss, down sites,
+    /// partitions), duplicated.
     pub net: NetStats,
     /// Coordinator timer firings that retransmitted something.
     pub retransmissions: u64,
@@ -120,7 +115,6 @@ pub struct SimReport {
     pub events: EventLog,
 }
 
-#[derive(Debug)]
 enum Event {
     Deliver(Envelope),
     Fault(FaultEvent),
@@ -128,30 +122,20 @@ enum Event {
     Timer(GlobalTxnId),
 }
 
-struct TxnState {
-    coordinator: Coordinator,
-    done: bool,
-}
-
-/// The discrete-event federation.
+/// The discrete-event pump over one [`Federation`].
 pub struct SimFederation {
     cfg: SimConfig,
-    managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
+    fed: Arc<Federation>,
     router: Router,
     queue: EventQueue<Event>,
-    txns: BTreeMap<GlobalTxnId, TxnState>,
-    programs: BTreeMap<GlobalTxnId, BTreeMap<SiteId, Vec<Operation>>>,
+    /// In flight at the central system — volatile: a central crash drops
+    /// them, a restart recovers them from `programs` and the decision log.
+    txns: BTreeMap<GlobalTxnId, Txn>,
+    programs: BTreeMap<GlobalTxnId, Program>,
     trace: MessageTrace,
     retransmissions: u64,
     errors: Vec<String>,
-    /// Central-system crash support. The central system is itself a
-    /// database system (the paper's VODAK): its decisions are *forced to
-    /// its own log* before any decision message leaves, so a restarted
-    /// coordinator can resume finish rounds and presume abort for
-    /// everything undecided.
-    central_down: bool,
-    central_log: BTreeMap<GlobalTxnId, GlobalVerdict>,
-    central_log_forces: u64,
+    /// When each transaction was admitted.
     start_times: BTreeMap<GlobalTxnId, SimTime>,
     completed: BTreeMap<GlobalTxnId, (GlobalVerdict, SimTime)>,
     /// Master observability sink: shared (via clone) with the router, the
@@ -160,28 +144,21 @@ pub struct SimFederation {
 }
 
 impl SimFederation {
-    /// Build engines, managers, router and queue from `cfg`.
+    /// Build the federation, router and queue from `cfg`.
     pub fn new(cfg: SimConfig) -> Self {
-        assert!(cfg.federation.is_runnable(), "unrunnable federation");
         cfg.faults.validate().expect("invalid fault plan");
         let obs = ObsSink::enabled(cfg.event_cap);
-        let managers: BTreeMap<SiteId, Arc<LocalCommManager>> = cfg
-            .federation
-            .build_managers()
-            .into_iter()
-            .map(|mut m| {
-                Arc::get_mut(&mut m)
-                    .expect("freshly built manager is unshared")
-                    .set_obs(obs.clone());
-                (m.site(), m)
-            })
-            .collect();
+        let fed = Federation::build(
+            cfg.federation.clone(),
+            obs.clone(),
+            !cfg.unsafe_skip_decision_log,
+        );
         let mut rng = SimRng::new(cfg.seed);
         let mut router = Router::new(cfg.router.clone(), rng.fork());
         router.attach_obs(obs.clone());
         SimFederation {
             cfg,
-            managers,
+            fed: Arc::new(fed),
             router,
             queue: EventQueue::new(),
             txns: BTreeMap::new(),
@@ -189,27 +166,25 @@ impl SimFederation {
             trace: MessageTrace::new(),
             retransmissions: 0,
             errors: Vec::new(),
-            central_down: false,
-            central_log: BTreeMap::new(),
-            central_log_forces: 0,
             start_times: BTreeMap::new(),
             completed: BTreeMap::new(),
             obs,
         }
     }
 
+    /// The federation this pump drives; it outlives `run`.
+    pub fn federation(&self) -> Arc<Federation> {
+        Arc::clone(&self.fed)
+    }
+
     /// Access a site's manager (setup: loading data).
     pub fn manager(&self, site: SiteId) -> &Arc<LocalCommManager> {
-        &self.managers[&site]
+        &self.fed.managers[&site]
     }
 
     /// Load initial data into a site.
     pub fn load_site(&self, site: SiteId, data: &[(amc_types::ObjectId, amc_types::Value)]) {
-        self.managers[&site]
-            .handle()
-            .engine()
-            .bulk_load(data)
-            .expect("bulk load");
+        self.fed.load_site(site, data).expect("bulk load");
     }
 
     /// Put a message on the network `after` a local delay (a site's
@@ -231,55 +206,48 @@ impl SimFederation {
         }
     }
 
-    /// The coordinator of `gtx` as it is at start — and again after a
-    /// central crash, before `resume` tells it what the log remembers.
-    fn coordinator_for(&self, gtx: GlobalTxnId) -> Coordinator {
-        let federation = &self.cfg.federation;
-        let coordinator = Coordinator::new(gtx, federation.protocol, self.programs[&gtx].clone());
-        if federation.fast_path {
-            coordinator.with_piggyback()
-        } else {
-            coordinator
+    /// Ship what `gtx` asked for; at its global end, close it.
+    fn ship(&mut self, gtx: GlobalTxnId, sends: Sends) {
+        for (site, payload) in sends {
+            self.send(SiteId::CENTRAL, site, payload, SimDuration::ZERO);
+        }
+        if self.txns.get(&gtx).is_some_and(Txn::is_done) {
+            let txn = self.txns.remove(&gtx).expect("just seen");
+            let (verdict, _) = self.fed.end(txn);
+            let verdict = verdict.expect("a finished transaction has a verdict");
+            self.completed.insert(gtx, (verdict, self.queue.now()));
         }
     }
 
-    fn apply_actions(&mut self, gtx: GlobalTxnId, actions: Vec<CoordAction>) {
-        for action in actions {
-            match action {
-                CoordAction::Send { site, payload } => {
-                    self.send(SiteId::CENTRAL, site, payload, SimDuration::ZERO);
-                }
-                CoordAction::Decided(v) => {
-                    // Force the decision to the central log *before* the
-                    // decision messages leave (they are queued behind this
-                    // in `actions`, so the order is faithful). The unsafe
-                    // chaos knob omits the force: a central crash then
-                    // presumes abort for a decision other sites may already
-                    // have applied — the atomicity bug the shrinker hunts.
-                    if !self.cfg.unsafe_skip_decision_log {
-                        self.central_log.insert(gtx, v);
-                        self.central_log_forces += 1;
-                    }
-                }
-                CoordAction::Done(v) => {
-                    let now = self.queue.now();
-                    self.completed.insert(gtx, (v, now));
-                    if let Some(t) = self.txns.get_mut(&gtx) {
-                        t.done = true;
-                    }
-                }
+    /// Feed `gtx` a completion and ship what it asks for (returns how many
+    /// messages) — if the central system still has the transaction: a
+    /// finished one ignores stragglers, a dead coordinator hears nothing.
+    /// An error ends the transaction here, unresolved, and is reported.
+    fn step(&mut self, gtx: GlobalTxnId, completion: Completion) -> Option<usize> {
+        match self.fed.step(self.txns.get_mut(&gtx)?, completion) {
+            Ok(sends) => {
+                let sent = sends.len();
+                self.ship(gtx, sends);
+                Some(sent)
+            }
+            Err(e) => {
+                self.errors.push(format!("central: {e}"));
+                let txn = self.txns.remove(&gtx).expect("just stepped");
+                self.fed.end(txn);
+                None
             }
         }
     }
 
+    fn retry_later(&mut self, event: Event) {
+        self.queue.schedule_after(self.cfg.retransmit_every, event);
+    }
+
     fn handle_at_site(&mut self, site: SiteId, payload: Payload) {
-        let manager = Arc::clone(&self.managers[&site]);
-        if !manager.handle().engine().is_up() {
+        if !self.manager(site).handle().engine().is_up() {
             return; // crashed between routing and delivery
         }
-        let mode = submit_mode_for(self.cfg.federation.protocol);
-        let reply = dispatch_to_manager(&manager, payload, mode);
-        match reply {
+        match self.fed.transport().call(site, payload) {
             // Service time then network back to the central system.
             Ok(reply) => self.send(site, SiteId::CENTRAL, reply, self.cfg.service_time),
             Err(AmcError::SiteDown(_)) => {} // crash race: timer will retry
@@ -287,59 +255,38 @@ impl SimFederation {
         }
     }
 
-    fn handle_at_central(&mut self, payload: Payload, from: SiteId) {
-        if self.central_down {
-            return; // the coordinator is dead; retransmission will recover
-        }
-        let gtx = payload.gtx();
-        let event = match CoordEvent::from_reply(from, Ok(payload)) {
-            Ok(event) => event,
-            Err(e) => {
-                self.errors.push(format!("central: {e}"));
-                return;
-            }
-        };
-        let actions = match self.txns.get_mut(&gtx) {
-            Some(t) if !t.done => t.coordinator.on_event(event),
-            _ => Vec::new(),
-        };
-        self.apply_actions(gtx, actions);
+    /// Central crash: the transactions in flight and the L1 table are lost,
+    /// the decision log survives (its force is modelled as atomic: a torn
+    /// WAL tail has no analogue here).
+    fn crash_central(&mut self) {
+        self.router.site_down(SiteId::CENTRAL);
+        self.fed.crash(std::mem::take(&mut self.txns).into_values());
     }
 
-    /// Central restart: resume every unfinished transaction from the
-    /// durable decision log (presumed abort where no decision survived).
-    fn resume_central(&mut self) {
-        self.central_down = false;
+    /// Central restart: recover every unfinished transaction from the
+    /// decision log (presumed abort where no decision survived) before
+    /// any new start is admitted.
+    fn restart_central(&mut self) {
         self.router.site_up(SiteId::CENTRAL);
         let unfinished: Vec<GlobalTxnId> = self
-            .programs
+            .start_times
             .keys()
-            .filter(|g| !self.completed.contains_key(g) && self.start_times.contains_key(g))
+            .filter(|g| !self.completed.contains_key(g))
             .copied()
             .collect();
         for gtx in unfinished {
-            let logged = self.central_log.get(&gtx).copied();
-            self.obs
-                .emit(Some(gtx), SiteId::CENTRAL, EventKind::Resume { logged });
-            let mut coordinator = self.coordinator_for(gtx);
-            let actions = coordinator.resume(logged);
-            coordinator.set_obs(self.obs.clone());
-            let done = coordinator.is_done();
-            self.txns.insert(gtx, TxnState { coordinator, done });
-            self.apply_actions(gtx, actions);
-            if !done {
-                self.queue
-                    .schedule_after(self.cfg.retransmit_every, Event::Timer(gtx));
+            let (txn, sends) = self.fed.recover(gtx, &self.programs[&gtx]);
+            self.txns.insert(gtx, txn);
+            self.ship(gtx, sends);
+            if self.txns.contains_key(&gtx) {
+                self.retry_later(Event::Timer(gtx));
             }
         }
     }
 
     /// Run `programs` (each starting at its given virtual time) to
     /// completion or horizon.
-    pub fn run(
-        mut self,
-        programs: Vec<(SimDuration, BTreeMap<SiteId, Vec<Operation>>)>,
-    ) -> SimReport {
+    pub fn run(mut self, programs: Vec<(SimDuration, Program)>) -> SimReport {
         // Seed starts, failures.
         for (i, (at, program)) in programs.into_iter().enumerate() {
             let gtx = GlobalTxnId::new(i as u64 + 1);
@@ -364,47 +311,35 @@ impl SimFederation {
             self.obs.set_now(at);
             match event {
                 Event::Start(gtx) => {
-                    if self.central_down {
-                        // The client retries against a dead central system.
-                        self.queue
-                            .schedule_after(self.cfg.retransmit_every, Event::Start(gtx));
+                    // Transactions are numbered by program, whatever order
+                    // they start in. The client retries against a dead
+                    // central system, and after L1 turned it away.
+                    self.fed.set_first_gtx(gtx.raw());
+                    let begun = match self.router.is_down(SiteId::CENTRAL) {
+                        true => None,
+                        false => self.fed.begin(&self.programs[&gtx]).ok(),
+                    };
+                    let Some((txn, sends)) = begun else {
+                        self.retry_later(Event::Start(gtx));
                         continue;
-                    }
-                    self.obs
-                        .emit(Some(gtx), SiteId::CENTRAL, EventKind::TxnStart);
-                    let mut coordinator = self.coordinator_for(gtx);
-                    coordinator.set_obs(self.obs.clone());
-                    let actions = coordinator.on_event(CoordEvent::Start);
+                    };
                     self.start_times.insert(gtx, at);
-                    self.txns.insert(
-                        gtx,
-                        TxnState {
-                            coordinator,
-                            done: false,
-                        },
-                    );
-                    self.apply_actions(gtx, actions);
-                    self.queue
-                        .schedule_after(self.cfg.retransmit_every, Event::Timer(gtx));
+                    self.txns.insert(gtx, txn);
+                    self.ship(gtx, sends);
+                    self.retry_later(Event::Timer(gtx));
                 }
                 Event::Timer(gtx) => {
-                    if self.central_down {
-                        continue; // timers die with the coordinator
-                    }
-                    let actions = match self.txns.get_mut(&gtx) {
-                        Some(t) if !t.done => t.coordinator.on_event(CoordEvent::Timer),
-                        _ => continue,
+                    // Timers die with the coordinator, and with the transaction.
+                    let Some(sent) = self.step(gtx, Completion::Timer) else {
+                        continue;
                     };
-                    if !actions.is_empty() {
-                        self.retransmissions += 1;
-                    }
-                    self.apply_actions(gtx, actions);
-                    self.queue
-                        .schedule_after(self.cfg.retransmit_every, Event::Timer(gtx));
+                    self.retransmissions += u64::from(sent > 0);
+                    self.retry_later(Event::Timer(gtx));
                 }
                 Event::Deliver(env) => {
+                    let gtx = env.payload.gtx();
                     self.obs.emit(
-                        Some(env.payload.gtx()),
+                        Some(gtx),
                         env.to,
                         EventKind::MsgDeliver {
                             label: env.payload.label(),
@@ -412,7 +347,8 @@ impl SimFederation {
                         },
                     );
                     if env.to.is_central() {
-                        self.handle_at_central(env.payload, env.from);
+                        let (site, reply) = (env.from, Ok(env.payload));
+                        self.step(gtx, Completion::Reply { site, reply });
                     } else {
                         self.handle_at_site(env.to, env.payload);
                     }
@@ -431,70 +367,42 @@ impl SimFederation {
                         _ => {}
                     }
                     match (ev.kind, ev.site.is_central()) {
-                        (FaultKind::Crash { .. }, true) => {
-                            // Central crash: volatile coordinator state is
-                            // lost; the decision log survives. A torn local
-                            // WAL tail has no analogue here — the decision
-                            // log force is modelled as atomic.
-                            self.central_down = true;
-                            self.router.site_down(SiteId::CENTRAL);
-                            self.txns.clear();
-                        }
-                        (FaultKind::Restart, true) => {
-                            self.resume_central();
+                        // One logical coordinator: a replica crash is a
+                        // central outage, the takeover a restart from the
+                        // decision log. The replicated (blocking-pump)
+                        // runtime gives those events their Paxos semantics.
+                        (FaultKind::Crash { .. }, true)
+                        | (FaultKind::CoordinatorCrash { .. }, _) => self.crash_central(),
+                        (FaultKind::Restart, true) | (FaultKind::CoordinatorTakeover { .. }, _) => {
+                            self.restart_central()
                         }
                         (FaultKind::Crash { torn }, false) => {
                             self.router.site_down(ev.site);
-                            let manager = &self.managers[&ev.site];
+                            let engine = self.manager(ev.site).handle().engine();
                             match torn {
-                                Some(t) => {
-                                    manager.handle().engine().crash_partial(t.keep_frames, true)
-                                }
-                                None => manager.handle().engine().crash(),
+                                Some(t) => engine.crash_partial(t.keep_frames, true),
+                                None => engine.crash(),
                             }
                         }
                         (FaultKind::Restart, false) => {
                             self.router.site_up(ev.site);
-                            if let Err(e) = self.managers[&ev.site].handle().engine().recover() {
+                            if let Err(e) = self.manager(ev.site).handle().engine().recover() {
                                 self.errors.push(format!("recovery at {}: {e}", ev.site));
                             }
                         }
                         (FaultKind::PartitionStart { dir }, _) => match dir {
-                            LinkDir::ToCentral => {
-                                self.router.partition(ev.site, SiteId::CENTRAL);
-                            }
-                            LinkDir::FromCentral => {
-                                self.router.partition(SiteId::CENTRAL, ev.site);
-                            }
-                            LinkDir::Both => {
-                                self.router.partition_both(ev.site, SiteId::CENTRAL);
-                            }
+                            LinkDir::ToCentral => self.router.partition(ev.site, SiteId::CENTRAL),
+                            LinkDir::FromCentral => self.router.partition(SiteId::CENTRAL, ev.site),
+                            LinkDir::Both => self.router.partition_both(ev.site, SiteId::CENTRAL),
                         },
+                        // Heal whatever direction(s) the start severed.
                         (FaultKind::PartitionHeal, _) => {
-                            // Heal whatever direction(s) the start severed.
-                            self.router.heal_both(ev.site, SiteId::CENTRAL);
+                            self.router.heal_both(ev.site, SiteId::CENTRAL)
                         }
                         (FaultKind::LossBurstStart { probability }, _) => {
-                            self.router.set_loss_burst(probability);
+                            self.router.set_loss_burst(probability)
                         }
-                        (FaultKind::LossBurstEnd, _) => {
-                            self.router.clear_loss_burst();
-                        }
-                        // The discrete-event runtime models one logical
-                        // coordinator, so replica-crash lanes degenerate
-                        // to a central outage: volatile state lost, the
-                        // takeover resumes from the durable decision log
-                        // exactly as a restarted central would. The
-                        // replicated (threaded) runtime gives these events
-                        // their full Paxos semantics.
-                        (FaultKind::CoordinatorCrash { .. }, _) => {
-                            self.central_down = true;
-                            self.router.site_down(SiteId::CENTRAL);
-                            self.txns.clear();
-                        }
-                        (FaultKind::CoordinatorTakeover { .. }, _) => {
-                            self.resume_central();
-                        }
+                        (FaultKind::LossBurstEnd, _) => self.router.clear_loss_burst(),
                     }
                 }
             }
@@ -507,7 +415,6 @@ impl SimFederation {
             }
         }
 
-        let net = self.router.stats();
         let mut outcomes = BTreeMap::new();
         let mut resolution = BTreeMap::new();
         let mut unresolved = Vec::new();
@@ -515,8 +422,7 @@ impl SimFederation {
             match self.completed.get(gtx) {
                 Some((v, done_at)) => {
                     outcomes.insert(*gtx, *v);
-                    let started = self.start_times.get(gtx).copied().unwrap_or(SimTime::ZERO);
-                    resolution.insert(*gtx, done_at.since(started));
+                    resolution.insert(*gtx, done_at.since(self.start_times[gtx]));
                 }
                 None => unresolved.push(*gtx),
             }
@@ -525,9 +431,7 @@ impl SimFederation {
             outcomes,
             resolution,
             trace: self.trace,
-            sent: net.sent,
-            dropped: net.dropped,
-            net,
+            net: self.router.stats(),
             retransmissions: self.retransmissions,
             unresolved,
             errors: self.errors,
@@ -550,14 +454,14 @@ impl SimFederation {
     /// Clone the manager map (so callers can inspect state after `run`
     /// consumed the federation).
     pub fn managers(&self) -> BTreeMap<SiteId, Arc<LocalCommManager>> {
-        self.managers.clone()
+        self.fed.managers.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_types::{ObjectId, ProtocolKind, Value};
+    use amc_types::{ObjectId, Operation, ProtocolKind, Value};
 
     fn site(n: u32) -> SiteId {
         SiteId::new(n)
@@ -701,6 +605,125 @@ mod tests {
         assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(105));
     }
 
+    /// `fast_path` is a public field: set where the fast path does not
+    /// apply — a portable protocol, or 2PC under Paxos Commit — it changes
+    /// nothing, exactly as under the blocking pump (the simulator used to
+    /// piggyback regardless: a debug assertion in debug builds, a silent
+    /// `submit-prepare` in release).
+    #[test]
+    fn fast_path_flag_is_inert_where_the_blocking_pump_ignores_it() {
+        let dir = std::env::temp_dir().join(format!("amc-sim-paxos-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let configs = [
+            FederationConfig::uniform(2, ProtocolKind::CommitAfter),
+            FederationConfig::uniform(2, ProtocolKind::CommitBefore),
+            FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_paxos_commit(2, &dir),
+        ];
+        for plain in configs {
+            let labels = |federation: FederationConfig| {
+                let fed = SimFederation::new(SimConfig::new(federation));
+                load(&fed);
+                let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 5))]);
+                assert!(report.errors.is_empty(), "{:?}", report.errors);
+                assert_eq!(report.outcomes[&GlobalTxnId::new(1)], GlobalVerdict::Commit);
+                report.trace.labels_for(GlobalTxnId::new(1))
+            };
+            let mut flagged = plain.clone();
+            flagged.fast_path = true;
+            let expected = labels(plain);
+            assert!(!expected.iter().any(|l| l.starts_with("submit-prepare")));
+            assert_eq!(labels(flagged), expected);
+        }
+    }
+
+    fn sim_paxos(tag: &str, faults: FaultPlan) -> SimFederation {
+        let dir = std::env::temp_dir().join(format!("amc-sim-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let federation =
+            FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_paxos_commit(2, &dir);
+        let mut cfg = SimConfig::new(federation);
+        cfg.faults = faults;
+        let fed = SimFederation::new(cfg);
+        load(&fed);
+        fed
+    }
+
+    /// Retransmission is the only thing that gets a Paxos Commit run past a
+    /// lost message too: a timer re-asks the silent sites, nothing waits
+    /// for an answer that will never come.
+    #[test]
+    fn paxos_commit_survives_a_loss_burst() {
+        let burst = FaultPlan::none().loss_burst(SimTime(0), SimDuration::from_millis(2), 1.0);
+        let fed = sim_paxos("burst", burst);
+        let managers = fed.managers();
+        let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(
+            report.outcomes.get(&GlobalTxnId::new(1)),
+            Some(&GlobalVerdict::Commit),
+            "unresolved: {:?}",
+            report.unresolved
+        );
+        assert!(report.net.dropped > 0, "the burst never bit");
+        assert!(
+            report.retransmissions > 0,
+            "the lost submits needed the timer"
+        );
+        let dumps = SimFederation::dumps(&managers);
+        assert_eq!(dumps[&site(1)][&obj(1, 0)], Value::counter(70));
+        assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(130));
+    }
+
+    /// The commit the acceptors let through is in the central decision log
+    /// like any other: a central outage while the decision is in flight
+    /// resumes it, where presuming abort would tear the transfer apart.
+    #[test]
+    fn paxos_commit_decision_survives_a_central_outage() {
+        // The decision falls at 2.4 ms and reaches the sites at 2.9 ms;
+        // their acks, due at 3.6 ms, find the central system down.
+        let outage = FaultPlan::none().outage(
+            SiteId::CENTRAL,
+            SimTime(3_000),
+            SimDuration::from_millis(10),
+        );
+        let fed = sim_paxos("outage", outage);
+        let managers = fed.managers();
+        let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(
+            report.outcomes.get(&GlobalTxnId::new(1)),
+            Some(&GlobalVerdict::Commit),
+            "unresolved: {:?}",
+            report.unresolved
+        );
+        let resumed = report.events.events().any(|e| {
+            let logged = Some(GlobalVerdict::Commit);
+            e.kind == EventKind::Resume { logged }
+        });
+        assert!(resumed, "the outage missed the window");
+        let dumps = SimFederation::dumps(&managers);
+        assert_eq!(dumps[&site(1)][&obj(1, 0)], Value::counter(70));
+        assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(130));
+    }
+
+    /// A transaction whose step fails is ended on the spot: reported, and
+    /// holding no L1 lock a later start would be turned away by.
+    #[test]
+    fn a_failed_step_ends_the_transaction_and_frees_its_locks() {
+        let mut fed = sim(ProtocolKind::CommitAfter, FaultPlan::none());
+        let (txn, _) = fed.fed.begin(&transfer(1, 2, 5)).expect("admitted");
+        let gtx = txn.gtx();
+        fed.txns.insert(gtx, txn);
+        assert!(fed.fed.l1().granted_count() > 0);
+        let reply = Err(AmcError::Protocol("no participant says this".into()));
+        let site = site(1);
+        assert_eq!(fed.step(gtx, Completion::Reply { site, reply }), None);
+        assert_eq!(fed.errors.len(), 1);
+        assert!(fed.txns.is_empty());
+        assert_eq!(fed.fed.l1().granted_count(), 0);
+        assert_eq!(fed.fed.pending_obligations(), 0);
+    }
+
     #[test]
     fn fast_path_lost_vote_is_reinquired_with_classic_prepare() {
         // Site 2 applies the piggybacked op (prepare is durable) but its
@@ -751,8 +774,7 @@ mod tests {
             ]);
             (
                 report.outcomes,
-                report.sent,
-                report.dropped,
+                report.net,
                 report.end_time,
                 report.trace.render(),
             )
@@ -894,8 +916,7 @@ mod tests {
             ]);
             (
                 report.outcomes,
-                report.sent,
-                report.dropped,
+                report.net,
                 report.end_time,
                 report.trace.render(),
             )
@@ -909,7 +930,7 @@ mod tests {
         for protocol in ProtocolKind::ALL {
             let fed = sim(protocol, FaultPlan::none());
             let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 1))]);
-            per_protocol.insert(protocol.label(), report.sent);
+            per_protocol.insert(protocol.label(), report.net.sent);
         }
         assert_eq!(per_protocol["commit-before"], 4);
         assert_eq!(per_protocol["commit-after"], 8);

@@ -105,7 +105,8 @@ where
                 .is_some_and(|held| held.combine(mode) == held)
     }
 
-    /// Acquire `mode` on `resource` for `txn`, blocking up to `timeout`.
+    /// Acquire `mode` on `resource` for `txn`, blocking up to `timeout` (a
+    /// zero timeout never blocks).
     ///
     /// On `Deadlock`/`Timeout` the queued request is cancelled; locks the
     /// transaction already holds stay held until [`Self::release_txn`] —
@@ -123,6 +124,10 @@ where
             LockOutcome::Queued => {}
         }
         loop {
+            if start.elapsed() >= timeout {
+                Self::cancel_wait(stripe, &mut table, txn);
+                return AcquireResult::Timeout;
+            }
             stripe.cv.wait_for(&mut table, self.check_interval);
             if self.doomed.lock().contains(&txn) {
                 Self::cancel_wait(stripe, &mut table, txn);
@@ -143,10 +148,6 @@ where
             if Self::covered(&table, txn, resource, mode) {
                 // Granted while we were detecting.
                 return AcquireResult::Granted;
-            }
-            if start.elapsed() >= timeout {
-                Self::cancel_wait(stripe, &mut table, txn);
-                return AcquireResult::Timeout;
             }
         }
     }

@@ -120,7 +120,7 @@ fn loss_plus_duplication_with_retransmission_still_exactly_once() {
             );
             check_exactly_once(&report, &dumps, &format!("{protocol} seed {seed}"));
             assert!(
-                report.retransmissions > 0 || report.dropped == 0,
+                report.retransmissions > 0 || report.net.dropped == 0,
                 "{protocol} seed {seed}: losses need retransmissions"
             );
         }

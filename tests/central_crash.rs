@@ -173,3 +173,111 @@ fn client_requests_during_central_outage_are_served_after_restart() {
     assert_eq!(dumps[&SiteId::new(1)][&obj(1, 1)].counter, 70);
     assert_eq!(dumps[&SiteId::new(2)][&obj(2, 1)].counter, 130);
 }
+
+/// Build a two-site federation whose central system is down from
+/// `crash_at_us` for 40 ms, keep a handle on the `Federation` inside, run.
+fn run_keeping_the_federation(
+    protocol: ProtocolKind,
+    crash_at_us: u64,
+    programs: Vec<(SimDuration, BTreeMap<SiteId, Vec<Operation>>)>,
+) -> (
+    amc::core::SimReport,
+    BTreeMap<SiteId, BTreeMap<ObjectId, Value>>,
+    std::sync::Arc<amc::core::Federation>,
+) {
+    let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
+    cfg.faults = FaultPlan::none().outage(
+        SiteId::CENTRAL,
+        SimTime(crash_at_us),
+        SimDuration::from_millis(40),
+    );
+    let sim = SimFederation::new(cfg);
+    for s in 1..=2u32 {
+        let data: Vec<(ObjectId, Value)> =
+            (0..4).map(|i| (obj(s, i), Value::counter(100))).collect();
+        sim.load_site(SiteId::new(s), &data);
+    }
+    let (managers, fed) = (sim.managers(), sim.federation());
+    let report = sim.run(programs);
+    (report, SimFederation::dumps(&managers), fed)
+}
+
+#[test]
+fn central_crash_before_the_decision_leaves_no_l1_lock_behind() {
+    // The L1 locks taken at `begin` die with the central system; the
+    // restarted one retakes them for the presumed abort (its undo needs the
+    // isolation, §3.3) and releases them when the abort is done.
+    for protocol in [ProtocolKind::CommitAfter, ProtocolKind::CommitBefore] {
+        let programs = vec![(SimDuration::ZERO, transfer(0))];
+        let (report, dumps, fed) = run_keeping_the_federation(protocol, 100, programs);
+        assert_eq!(
+            report.outcomes.get(&GlobalTxnId::new(1)),
+            Some(&GlobalVerdict::Abort),
+            "{protocol}"
+        );
+        assert_atomic(&report, &dumps, &format!("{protocol} early-crash"));
+        // Two objects, locked at begin and again at recovery.
+        assert_eq!(fed.l1_stats().requests, 4, "{protocol}");
+        assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
+        fed.l1().check_invariants().unwrap();
+
+        // And while the central system is down there is no L1 table at all.
+        let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
+        cfg.faults = FaultPlan::none().crash(SiteId::CENTRAL, SimTime(100));
+        cfg.horizon = SimDuration::from_millis(50);
+        let sim = SimFederation::new(cfg);
+        for s in 1..=2u32 {
+            sim.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))]);
+        }
+        let fed = sim.federation();
+        let report = sim.run(vec![(SimDuration::ZERO, transfer(0))]);
+        assert_eq!(report.unresolved, vec![GlobalTxnId::new(1)], "{protocol}");
+        assert_eq!(fed.l1_stats().requests, 2, "{protocol}");
+        assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
+    }
+}
+
+#[test]
+fn logged_commit_retakes_its_l1_locks_before_a_new_start_is_admitted() {
+    // G1's commit is logged when the central system dies at 1.45 ms; site
+    // 2 has not heard it. G2 overwrites the very object G1 incremented
+    // there; its start is offered at 1.5 ms (central down), 21.5 ms (down)
+    // and 41.5 ms — 50 µs after the restart, while G1's re-driven decision
+    // is still in flight. Without G1's locks G2 would slip in between G1's
+    // decision and its redo; with them it is turned away once more and runs
+    // strictly after G1's global end.
+    let overwrite = BTreeMap::from([(
+        SiteId::new(2),
+        vec![Operation::Write {
+            obj: obj(2, 0),
+            value: Value::counter(7),
+        }],
+    )]);
+    let programs = vec![
+        (SimDuration::ZERO, transfer(0)),
+        (SimDuration::from_micros(1_500), overwrite),
+    ];
+    let (report, dumps, fed) =
+        run_keeping_the_federation(ProtocolKind::CommitAfter, 1_450, programs);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let (g1, g2) = (GlobalTxnId::new(1), GlobalTxnId::new(2));
+    assert_eq!(report.outcomes.get(&g1), Some(&GlobalVerdict::Commit));
+    assert_eq!(report.outcomes.get(&g2), Some(&GlobalVerdict::Commit));
+    assert_eq!(dumps[&SiteId::new(1)][&obj(1, 0)].counter, 70);
+    assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)].counter, 7);
+    let g1_ended = SimTime::ZERO + report.resolution[&g1];
+    let g2_first_message = report
+        .trace
+        .entries()
+        .iter()
+        .find(|e| e.envelope.payload.gtx() == g2)
+        .expect("G2 ran")
+        .at;
+    assert!(
+        g1_ended > SimTime(41_450) && g2_first_message >= g1_ended,
+        "G1 ended at {g1_ended}, G2 started at {g2_first_message}"
+    );
+    assert!(fed.l1_stats().waits >= 1, "L1 never turned G2 away");
+    assert_eq!(fed.l1().granted_count(), 0);
+    fed.l1().check_invariants().unwrap();
+}

@@ -328,7 +328,7 @@ fn fast_path_single_site_trace_is_two_messages() {
         report.trace.labels_for(G1),
         vec!["submit-solo:0->2", "ready:2->0"]
     );
-    assert_eq!(report.sent, 2);
+    assert_eq!(report.net.sent, 2);
     assert_eq!(report.outcomes[&G1], GlobalVerdict::Commit);
     let dumps = SimFederation::dumps(&managers);
     assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)], Value::counter(130));
@@ -384,5 +384,56 @@ fn threaded_federation_records_rounds_as_request_reply_pairs() {
         }
         fed.run_transaction(&transfer()).unwrap();
         assert_eq!(fed.trace().render(), golden, "{protocol:?}");
+    }
+}
+
+/// One central system, two pumps: for every protocol, on the commit path
+/// and on an intended abort, the blocking pump and the failure-free
+/// simulator exchange the same messages with each site in the same order.
+/// (Across sites the two interleave differently — one waits for a whole
+/// round, the other for each arrival — so the comparison is per link.)
+#[test]
+fn blocking_pump_and_simulator_exchange_the_same_messages_per_link() {
+    let per_link = |labels: Vec<String>| -> BTreeMap<String, Vec<String>> {
+        let mut links: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for label in labels {
+            let (from, to) = label
+                .split_once(':')
+                .and_then(|(_, l)| l.split_once("->"))
+                .unwrap();
+            let site = if from == "0" { to } else { from }.to_string();
+            links.entry(site).or_default().push(label);
+        }
+        links
+    };
+    for protocol in ProtocolKind::ALL {
+        for (program, verdict) in [
+            (transfer(), GlobalVerdict::Commit),
+            (failing_at_site_2(), GlobalVerdict::Abort),
+        ] {
+            let report =
+                sim(protocol, FaultPlan::none()).run(vec![(SimDuration::ZERO, program.clone())]);
+            assert_eq!(report.outcomes.get(&G1), Some(&verdict), "{protocol}");
+
+            let fed = amc::core::Federation::new(FederationConfig::uniform(2, protocol));
+            for s in 1..=2u32 {
+                let data = [
+                    (obj(s, 0), Value::counter(100)),
+                    (obj(s, 1), Value::counter(100)),
+                ];
+                fed.load_site(SiteId::new(s), &data).unwrap();
+            }
+            let pumped = fed.run_transaction(&program).unwrap();
+            assert_eq!(pumped.gtx, G1);
+
+            let simulated = report.trace.labels_for(G1);
+            let blocking = fed.trace().labels_for(G1);
+            assert_eq!(blocking.len(), simulated.len(), "{protocol} {verdict:?}");
+            assert_eq!(
+                per_link(blocking),
+                per_link(simulated),
+                "{protocol} {verdict:?}"
+            );
+        }
     }
 }
