@@ -50,6 +50,28 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
 }
 
+/// Terminal states of finished local transactions, kept so a duplicate
+/// decision finds them. Local ids are dense and monotone, so the table is
+/// indexed by the id: one byte per transaction ever begun, no hashing.
+#[derive(Debug, Default)]
+pub(crate) struct Terminated(Vec<Option<LocalRunState>>);
+
+impl Terminated {
+    /// Record that `txn` ended in `state`.
+    pub(crate) fn insert(&mut self, txn: LocalTxnId, state: LocalRunState) {
+        let at = txn.raw() as usize;
+        if at >= self.0.len() {
+            self.0.resize(at + 1, None);
+        }
+        self.0[at] = Some(state);
+    }
+
+    /// How `txn` ended, if it did.
+    pub(crate) fn get(&self, txn: LocalTxnId) -> Option<LocalRunState> {
+        self.0.get(txn.raw() as usize).copied().flatten()
+    }
+}
+
 /// The unmodifiable local transaction manager interface (§2).
 ///
 /// Implementations are `Sync`: the central system drives many global
@@ -168,6 +190,18 @@ mod tests {
         let s = EngineStats::default();
         assert_eq!(s.begins, 0);
         assert_eq!(s.commits + s.aborts + s.ops, 0);
+    }
+
+    #[test]
+    fn terminated_is_one_byte_per_id_and_sparse_ids_read_none() {
+        assert_eq!(std::mem::size_of::<Option<LocalRunState>>(), 1);
+        let mut t = Terminated::default();
+        t.insert(LocalTxnId::new(3), LocalRunState::Committed);
+        t.insert(LocalTxnId::new(1), LocalRunState::Aborted);
+        assert_eq!(t.get(LocalTxnId::new(3)), Some(LocalRunState::Committed));
+        assert_eq!(t.get(LocalTxnId::new(1)), Some(LocalRunState::Aborted));
+        assert_eq!(t.get(LocalTxnId::new(2)), None);
+        assert_eq!(t.get(LocalTxnId::new(u64::MAX)), None);
     }
 
     #[test]

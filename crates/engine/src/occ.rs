@@ -12,7 +12,7 @@
 //! contains one of these cannot run classical 2PC — the motivating fact of
 //! the whole paper.
 
-use crate::api::{EngineStats, LocalEngine, RecoveryReport};
+use crate::api::{EngineStats, LocalEngine, RecoveryReport, Terminated};
 use amc_storage::{PageStore, StableStorage};
 use amc_types::SiteId;
 use amc_types::{
@@ -40,7 +40,7 @@ struct Inner {
     versions: HashMap<ObjectId, u64>,
     version_clock: u64,
     active: HashMap<LocalTxnId, OccTxn>,
-    terminated: HashMap<LocalTxnId, LocalRunState>,
+    terminated: Terminated,
     next_txn: u64,
     up: bool,
     stats: EngineStats,
@@ -71,7 +71,7 @@ impl OccEngine {
                 versions: HashMap::new(),
                 version_clock: 1,
                 active: HashMap::new(),
-                terminated: HashMap::new(),
+                terminated: Terminated::default(),
                 next_txn: 1,
                 up: true,
                 stats: EngineStats::default(),
@@ -109,7 +109,7 @@ impl OccEngine {
                 versions: HashMap::new(),
                 version_clock: 1,
                 active: HashMap::new(),
-                terminated: HashMap::new(),
+                terminated: Terminated::default(),
                 next_txn: 1,
                 // Down until recover() replays the log and re-opens the door.
                 up: false,
@@ -355,7 +355,7 @@ impl LocalEngine for OccEngine {
         if inner.active.contains_key(&txn) {
             Some(LocalRunState::Running)
         } else {
-            inner.terminated.get(&txn).copied()
+            inner.terminated.get(txn)
         }
     }
 

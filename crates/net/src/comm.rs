@@ -138,8 +138,8 @@ impl std::ops::AddAssign for CommStats {
     }
 }
 
-/// One slot of the work map: the journaled entry plus what only this
-/// process knows about it.
+/// A transaction this site may still have to redo or undo: the journaled
+/// entry, programs included, plus what only this process knows about it.
 #[derive(Debug)]
 struct Work {
     entry: WorkEntry,
@@ -147,6 +147,73 @@ struct Work {
     /// final-state message resolves the in-doubt window and is reported
     /// as an `InDoubtResolved` event.
     recovered: bool,
+}
+
+/// One slot of the work map. Entries are never reclaimed, so what a
+/// finished transaction keeps is what every transaction costs for good.
+#[derive(Debug)]
+enum Slot {
+    Live(Box<Work>),
+    /// Commit-before after its local commit (voted ready, not read-only):
+    /// nothing is left to run forward, and only an `Undo` can still ask
+    /// for something — the inverse program, captured in forward order. A
+    /// site never hears of a commit (§3.3), so until a low-water mark
+    /// tells it (ROADMAP 6(a)) this is what such a transaction keeps.
+    Committed {
+        ltx: LocalTxnId,
+        inverse_ops: Box<[Operation]>,
+    },
+    /// The final state is applied here: a late duplicate is answered from
+    /// the scalars (and the markers); the programs are freed.
+    Done(Snapshot),
+}
+
+impl Slot {
+    fn live(entry: WorkEntry, recovered: bool) -> Slot {
+        Slot::Live(Box::new(Work { entry, recovered }))
+    }
+
+    /// The slot a freshly voted `entry` starts in.
+    fn voted(entry: WorkEntry) -> Slot {
+        match entry {
+            WorkEntry {
+                mode: SubmitMode::CommitBefore,
+                ltx: Some(ltx),
+                committed_locally: true,
+                vote: Some(LocalVote::Ready),
+                inverse_ops,
+                ..
+            } => Slot::Committed {
+                ltx,
+                inverse_ops: inverse_ops.into_boxed_slice(),
+            },
+            entry => Slot::live(entry, false),
+        }
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        match self {
+            Slot::Live(w) => w.entry.snapshot(),
+            Slot::Committed { ltx, .. } => Snapshot {
+                mode: SubmitMode::CommitBefore,
+                ltx: Some(*ltx),
+                committed_locally: true,
+                vote: Some(LocalVote::Ready),
+                read_only: false,
+            },
+            Slot::Done(snapshot) => *snapshot,
+        }
+    }
+
+    /// The captured undo program, forward order (empty once it has run,
+    /// or when nothing committed here).
+    fn inverse_ops(&self) -> &[Operation] {
+        match self {
+            Slot::Live(w) => &w.entry.inverse_ops,
+            Slot::Committed { inverse_ops, .. } => inverse_ops,
+            Slot::Done(_) => &[],
+        }
+    }
 }
 
 /// What a handler reads of an entry once the stripe lock is released:
@@ -232,7 +299,7 @@ pub struct LocalCommManager {
     /// entries are never reclaimed, so one map would grow by reallocating
     /// a single multi-megabyte table (and every handler of every worker
     /// would serialize on its one lock).
-    work: [Mutex<HashMap<GlobalTxnId, Work>>; WORK_STRIPES],
+    work: [Mutex<HashMap<GlobalTxnId, Slot>>; WORK_STRIPES],
     stats: Mutex<CommStats>,
     /// Repetition bound — the paper argues repetitions terminate; we bound
     /// them anyway so a sick test fails loudly instead of spinning.
@@ -314,11 +381,7 @@ impl LocalCommManager {
     /// transaction.
     fn record_work(&self, entry: WorkEntry) {
         self.journal_record(&entry);
-        let slot = Work {
-            entry,
-            recovered: false,
-        };
-        self.work(slot.entry.gtx).insert(slot.entry.gtx, slot);
+        self.work(entry.gtx).insert(entry.gtx, Slot::voted(entry));
     }
 
     /// Rebuild the work map from journal entries after a process restart.
@@ -358,23 +421,31 @@ impl LocalCommManager {
             }
             let recovered = !entry.snapshot().is_tombstone();
             self.work(entry.gtx)
-                .insert(entry.gtx, Work { entry, recovered });
+                .insert(entry.gtx, Slot::live(entry, recovered));
         }
         Ok(restored)
     }
 
     /// The stripe of the work map that holds `gtx`, locked.
-    fn work(&self, gtx: GlobalTxnId) -> MutexGuard<'_, HashMap<GlobalTxnId, Work>> {
+    fn work(&self, gtx: GlobalTxnId) -> MutexGuard<'_, HashMap<GlobalTxnId, Slot>> {
         self.work[gtx.raw() as usize % WORK_STRIPES].lock()
     }
 
-    /// If `gtx` was restored from the journal, this message resolved its
-    /// in-doubt window: emit the event once and clear the flag.
-    fn resolve_recovered(&self, gtx: GlobalTxnId, verdict: amc_types::GlobalVerdict) {
-        let was_recovered = self
-            .work(gtx)
-            .get_mut(&gtx)
-            .is_some_and(|w| std::mem::take(&mut w.recovered));
+    /// What the handlers read of `gtx`'s slot, if there is one.
+    fn snapshot_of(&self, gtx: GlobalTxnId) -> Option<Snapshot> {
+        self.work(gtx).get(&gtx).map(Slot::snapshot)
+    }
+
+    /// This message applied `gtx`'s final state: nothing will be redone or
+    /// undone here again, so the slot shrinks to its scalars. If the entry
+    /// was restored from the journal, the message also resolved its
+    /// in-doubt window: emit that once.
+    fn finish(&self, gtx: GlobalTxnId, verdict: amc_types::GlobalVerdict) {
+        let was_recovered = self.work(gtx).get_mut(&gtx).is_some_and(|slot| {
+            let was_recovered = matches!(slot, Slot::Live(w) if w.recovered);
+            *slot = Slot::Done(slot.snapshot());
+            was_recovered
+        });
         if was_recovered {
             self.obs
                 .emit(Some(gtx), self.site, EventKind::InDoubtResolved { verdict });
@@ -428,7 +499,7 @@ impl LocalCommManager {
 
     /// The local transaction currently associated with `gtx`.
     pub fn local_txn_of(&self, gtx: GlobalTxnId) -> Option<LocalTxnId> {
-        self.work(gtx).get(&gtx).and_then(|w| w.entry.ltx)
+        self.snapshot_of(gtx)?.ltx
     }
 
     fn marker_op(gtx: GlobalTxnId, ltx: LocalTxnId, undo: bool) -> Operation {
@@ -552,7 +623,7 @@ impl LocalCommManager {
     ///   (at-least-once delivery) — re-executing would collide with the
     ///   running original (or double-commit); answer idempotently.
     fn prior_vote(&self, gtx: GlobalTxnId) -> Option<LocalVote> {
-        self.work(gtx).get(&gtx)?.entry.vote
+        self.snapshot_of(gtx)?.vote
     }
 
     /// Run `attempt` until it succeeds, aborts for a reason repetition
@@ -754,7 +825,7 @@ impl LocalCommManager {
     ///   local recovery is finished ... the answer to the prepare message
     ///   is abort" — unless the commit survived).
     pub fn handle_prepare(&self, gtx: GlobalTxnId) -> AmcResult<Payload> {
-        let snapshot = self.work(gtx).get(&gtx).map(|w| w.entry.snapshot());
+        let snapshot = self.snapshot_of(gtx);
         let vote = match snapshot {
             Some(w) => match w.mode {
                 SubmitMode::TwoPhase => {
@@ -842,17 +913,14 @@ impl LocalCommManager {
         self.work(gtx).entry(gtx).or_insert_with(|| {
             let entry = WorkEntry::tombstone(gtx, mode);
             self.journal_record(&entry);
-            Work {
-                entry,
-                recovered: false,
-            }
+            Slot::Done(entry.snapshot())
         });
     }
 
     /// Mark `gtx`'s work committed locally — by the repetition `redo`
     /// when there was one, else by its original local transaction.
     fn note_local_commit(&self, gtx: GlobalTxnId, redo: Option<LocalTxnId>) {
-        if let Some(w) = self.work(gtx).get_mut(&gtx) {
+        if let Some(Slot::Live(w)) = self.work(gtx).get_mut(&gtx) {
             w.entry.committed_locally = true;
             w.entry.ltx = redo.or(w.entry.ltx);
         }
@@ -918,7 +986,7 @@ impl LocalCommManager {
         verdict: amc_types::GlobalVerdict,
     ) -> AmcResult<Payload> {
         use amc_types::GlobalVerdict;
-        let snapshot = self.work(gtx).get(&gtx).map(|w| w.entry.snapshot());
+        let snapshot = self.snapshot_of(gtx);
         let engine = self.handle.engine();
         match snapshot {
             // A commit decision can never legitimately follow a presumed
@@ -963,7 +1031,7 @@ impl LocalCommManager {
                     if w.committed_locally {
                         // Read-only participant: already committed at
                         // submit; a stray decision needs no work.
-                        self.resolve_recovered(gtx, verdict);
+                        self.finish(gtx, verdict);
                         return Ok(Payload::Finished { gtx });
                     }
                     // Fast path: the original transaction is still running.
@@ -976,8 +1044,12 @@ impl LocalCommManager {
                     } else {
                         // Erroneous abort after ready (or crash): repeat
                         // until committed.
-                        let ops = self.work(gtx).get(&gtx).map(|w| w.entry.ops.clone());
-                        self.redo_until_committed(gtx, &ops.unwrap_or_default())?;
+                        let ops = match self.work(gtx).get(&gtx) {
+                            Some(Slot::Live(w)) => w.entry.ops.clone(),
+                            // A duplicate: the marker ends the loop at once.
+                            _ => Vec::new(),
+                        };
+                        self.redo_until_committed(gtx, &ops)?;
                     }
                 }
                 (SubmitMode::CommitAfter, GlobalVerdict::Abort) => {
@@ -1003,6 +1075,11 @@ impl LocalCommManager {
                             engine.abort(ltx, AbortReason::GlobalDecision)?;
                         }
                     }
+                    if w.committed_locally {
+                        // Not final yet: that `Undo` needs the captured
+                        // inverse program this slot still holds.
+                        return Ok(Payload::Finished { gtx });
+                    }
                 }
             },
             None => {
@@ -1020,15 +1097,15 @@ impl LocalCommManager {
                 self.lay_tombstone(gtx, SubmitMode::CommitAfter);
             }
         }
-        self.resolve_recovered(gtx, verdict);
+        self.finish(gtx, verdict);
         Ok(Payload::Finished { gtx })
     }
 
     /// Handle a `Redo` retransmission (commit-after, after a site crash).
     pub fn handle_redo(&self, gtx: GlobalTxnId, ops: Vec<Operation>) -> AmcResult<Payload> {
         // Adopt the shipped ops if the submit predates our knowledge.
-        self.work(gtx).entry(gtx).or_insert_with(|| Work {
-            entry: WorkEntry {
+        self.work(gtx).entry(gtx).or_insert_with(|| {
+            let entry = WorkEntry {
                 gtx,
                 mode: SubmitMode::CommitAfter,
                 ltx: None,
@@ -1036,11 +1113,11 @@ impl LocalCommManager {
                 vote: Some(LocalVote::Ready),
                 ops: ops.clone(),
                 inverse_ops: Vec::new(),
-            },
-            recovered: false,
+            };
+            Slot::live(entry, false)
         });
         self.redo_until_committed(gtx, &ops)?;
-        self.resolve_recovered(gtx, amc_types::GlobalVerdict::Commit);
+        self.finish(gtx, amc_types::GlobalVerdict::Commit);
         Ok(Payload::Finished { gtx })
     }
 
@@ -1054,16 +1131,19 @@ impl LocalCommManager {
     pub fn handle_undo(&self, gtx: GlobalTxnId, inverse_ops: Vec<Operation>) -> AmcResult<Payload> {
         let inverse_ops = if inverse_ops.is_empty() {
             // Captured forward-order; undo runs newest-first.
+            // An unknown transaction has no program to run; nor has one
+            // that never committed here or is already undone (the undo
+            // marker says which).
             let work = self.work(gtx);
-            let captured = work.get(&gtx).map(|w| w.entry.inverse_ops.clone());
-            captured.unwrap_or_default().into_iter().rev().collect()
+            let captured = work.get(&gtx).map_or(&[][..], Slot::inverse_ops);
+            captured.iter().rev().copied().collect()
         } else {
             inverse_ops
         };
         for attempt in 0..self.max_attempts {
             self.backoff(attempt);
             if self.marker_present(undo_marker(gtx))? {
-                self.resolve_recovered(gtx, amc_types::GlobalVerdict::Abort);
+                self.finish(gtx, amc_types::GlobalVerdict::Abort);
                 return Ok(Payload::Finished { gtx });
             }
             self.stats.lock().undo_runs += 1;
@@ -1078,7 +1158,7 @@ impl LocalCommManager {
             all_ops.push(Self::marker_op(gtx, LocalTxnId::new(0), true));
             match self.run_ops(&all_ops, true, None)? {
                 Ok(_) => {
-                    self.resolve_recovered(gtx, amc_types::GlobalVerdict::Abort);
+                    self.finish(gtx, amc_types::GlobalVerdict::Abort);
                     return Ok(Payload::Finished { gtx });
                 }
                 Err(r) if r.is_erroneous() => continue, // Fig. 6: repeat inverse

@@ -6,9 +6,15 @@
 //! layer decides when to flush (force at local commit for the 2PC/ready
 //! path; redo-from-log otherwise).
 //!
-//! Access is scoped: [`BufferPool::with_page`] pins a frame for the duration
-//! of a closure, so eviction can never pull a page out from under an
-//! in-flight operation.
+//! A frame is a [`Page`], which is its 4 KB image: a miss verifies the
+//! stored image and copies it over the victim's frame, an eviction seals a
+//! **dirty** frame into the disk slot's buffer, and neither allocates.
+//! A frame is dirty exactly when the page was mutated (the page notes that
+//! itself); pages a chain walk merely passed through are evicted for free.
+//!
+//! Access is scoped: [`BufferPool::with_page`] lends a frame to a closure
+//! while holding `&mut self`, so eviction can never pull a page out from
+//! under an in-flight operation.
 
 use crate::disk::StableStorage;
 use crate::page::Page;
@@ -31,8 +37,6 @@ pub struct BufferStats {
 #[derive(Debug)]
 struct Frame {
     page: Page,
-    dirty: bool,
-    pinned: bool,
     referenced: bool,
 }
 
@@ -40,9 +44,10 @@ struct Frame {
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    frames: HashMap<PageId, Frame>,
-    /// Clock order: rotated vector of resident page ids.
-    clock: Vec<PageId>,
+    /// At most `capacity` slots, filled in order; the clock hand walks them.
+    frames: Vec<Frame>,
+    /// Which slot holds a resident page.
+    slot_of: HashMap<PageId, usize>,
     hand: usize,
     stats: BufferStats,
 }
@@ -53,8 +58,8 @@ impl BufferPool {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         BufferPool {
             capacity,
-            frames: HashMap::with_capacity(capacity),
-            clock: Vec::with_capacity(capacity),
+            frames: Vec::with_capacity(capacity),
+            slot_of: HashMap::with_capacity(capacity),
             hand: 0,
             stats: BufferStats::default(),
         }
@@ -77,27 +82,18 @@ impl BufferPool {
 
     /// Run `f` with mutable access to the page, faulting it in from `disk`
     /// if necessary (or initializing a fresh page when the slot was never
-    /// written). The frame is pinned for the duration of `f`.
-    ///
-    /// `mark_dirty` must be true when `f` may modify the page.
+    /// written). The frame cannot be evicted while `f` runs, and is written
+    /// back later only if `f` (or an earlier access) mutated the page.
     pub fn with_page<R>(
         &mut self,
         id: PageId,
         disk: &mut StableStorage,
-        mark_dirty: bool,
         f: impl FnOnce(&mut Page) -> R,
     ) -> AmcResult<R> {
-        self.fault_in(id, disk)?;
-        let frame = self.frames.get_mut(&id).expect("just faulted in");
-        frame.pinned = true;
+        let slot = self.fault_in(id, disk)?;
+        let frame = &mut self.frames[slot];
         frame.referenced = true;
-        if mark_dirty {
-            frame.dirty = true;
-        }
-        let out = f(&mut frame.page);
-        let frame = self.frames.get_mut(&id).expect("still resident");
-        frame.pinned = false;
-        Ok(out)
+        Ok(f(&mut frame.page))
     }
 
     /// Bounded retries against injected transient read errors before the
@@ -105,36 +101,45 @@ impl BufferPool {
     /// errors a few times before declaring the page unreadable.
     const READ_RETRIES: usize = 8;
 
-    fn fault_in(&mut self, id: PageId, disk: &mut StableStorage) -> AmcResult<()> {
-        if self.frames.contains_key(&id) {
+    /// The slot holding page `id`, reading it in over an evicted frame on a
+    /// miss.
+    fn fault_in(&mut self, id: PageId, disk: &mut StableStorage) -> AmcResult<usize> {
+        if let Some(&slot) = self.slot_of.get(&id) {
             self.stats.hits += 1;
-            return Ok(());
+            return Ok(slot);
         }
         self.stats.misses += 1;
-        if self.frames.len() >= self.capacity {
-            self.evict_one(disk)?;
-        }
-        let page = match Self::read_with_retry(id, disk)? {
-            Some(page) => page,
-            None => Page::new(id),
-        };
-        self.frames.insert(
-            id,
-            Frame {
+        let slot = if self.frames.len() < self.capacity {
+            let mut page = Page::new(id);
+            Self::read_with_retry(id, disk, &mut page)?;
+            self.frames.push(Frame {
                 page,
-                dirty: false,
-                pinned: false,
                 referenced: true,
-            },
-        );
-        self.clock.push(id);
-        Ok(())
+            });
+            self.frames.len() - 1
+        } else {
+            let slot = self.pick_victim();
+            self.write_back(slot, disk)?;
+            // A failed read leaves the victim resident (and now clean).
+            let page = &mut self.frames[slot].page;
+            let victim = page.id();
+            if !Self::read_with_retry(id, disk, page)? {
+                *page = Page::new(id);
+            }
+            self.slot_of.remove(&victim);
+            self.stats.evictions += 1;
+            slot
+        };
+        self.slot_of.insert(id, slot);
+        Ok(slot)
     }
 
-    fn read_with_retry(id: PageId, disk: &mut StableStorage) -> AmcResult<Option<Page>> {
+    /// Read `id` over `page`; `Ok(false)` (page untouched) when the disk
+    /// never saw it.
+    fn read_with_retry(id: PageId, disk: &mut StableStorage, page: &mut Page) -> AmcResult<bool> {
         let mut last = None;
         for _ in 0..Self::READ_RETRIES {
-            match disk.read_page(id) {
+            match disk.read_into(id, page) {
                 Err(AmcError::TransientIo(m)) => last = Some(AmcError::TransientIo(m)),
                 other => return other,
             }
@@ -143,74 +148,56 @@ impl BufferPool {
     }
 
     /// Second-chance eviction: sweep the clock, clearing reference bits,
-    /// until an unpinned, unreferenced frame is found.
-    fn evict_one(&mut self, disk: &mut StableStorage) -> AmcResult<()> {
-        if self.clock.is_empty() {
-            return Err(AmcError::BufferExhausted);
+    /// until an unreferenced frame is found (two sweeps at most). Only
+    /// called on a full pool, so there is a frame to find.
+    fn pick_victim(&mut self) -> usize {
+        loop {
+            let slot = self.hand;
+            self.hand = (self.hand + 1) % self.frames.len();
+            let frame = &mut self.frames[slot];
+            if !frame.referenced {
+                return slot;
+            }
+            frame.referenced = false;
         }
-        // Two full sweeps guarantee progress unless everything is pinned.
-        for _ in 0..self.clock.len() * 2 {
-            let idx = self.hand % self.clock.len();
-            let id = self.clock[idx];
-            let frame = self.frames.get_mut(&id).expect("clock entry resident");
-            if frame.pinned {
-                self.hand += 1;
-                continue;
-            }
-            if frame.referenced {
-                frame.referenced = false;
-                self.hand += 1;
-                continue;
-            }
-            if frame.dirty {
-                disk.write_page(&frame.page)?;
-                self.stats.writebacks += 1;
-            }
-            self.frames.remove(&id);
-            self.clock.remove(idx);
-            // Keep the hand where the removed slot was.
-            if !self.clock.is_empty() {
-                self.hand %= self.clock.len();
-            } else {
-                self.hand = 0;
-            }
-            self.stats.evictions += 1;
-            return Ok(());
+    }
+
+    /// Write the frame in `slot` back if it is dirty.
+    fn write_back(&mut self, slot: usize, disk: &mut StableStorage) -> AmcResult<()> {
+        let page = &mut self.frames[slot].page;
+        if page.is_dirty() {
+            disk.write_page(page)?;
+            page.written_back();
+            self.stats.writebacks += 1;
         }
-        Err(AmcError::BufferExhausted)
+        Ok(())
     }
 
     /// Write one dirty frame back (no-op if clean or absent).
     pub fn flush_page(&mut self, id: PageId, disk: &mut StableStorage) -> AmcResult<()> {
-        if let Some(frame) = self.frames.get_mut(&id) {
-            if frame.dirty {
-                disk.write_page(&frame.page)?;
-                frame.dirty = false;
-                self.stats.writebacks += 1;
-            }
+        match self.slot_of.get(&id) {
+            Some(&slot) => self.write_back(slot, disk),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Write every dirty frame back (checkpoint).
     pub fn flush_all(&mut self, disk: &mut StableStorage) -> AmcResult<()> {
-        let ids: Vec<PageId> = self.frames.keys().copied().collect();
-        for id in ids {
-            self.flush_page(id, disk)?;
-        }
-        Ok(())
+        (0..self.frames.len()).try_for_each(|slot| self.write_back(slot, disk))
     }
 
     /// Crash: lose every frame, dirty or not. Stable storage is untouched.
     pub fn crash(&mut self) {
         self.frames.clear();
-        self.clock.clear();
+        self.slot_of.clear();
         self.hand = 0;
     }
 
     /// Test hook: whether a page is resident and dirty.
     pub fn is_dirty(&self, id: PageId) -> bool {
-        self.frames.get(&id).is_some_and(|f| f.dirty)
+        self.slot_of
+            .get(&id)
+            .is_some_and(|&slot| self.frames[slot].page.is_dirty())
     }
 }
 
@@ -230,12 +217,12 @@ mod tests {
     fn read_through_and_hit() {
         let mut disk = StableStorage::new(8);
         let mut pool = BufferPool::new(4);
-        pool.with_page(pid(1), &mut disk, true, |p| {
+        pool.with_page(pid(1), &mut disk, |p| {
             p.upsert(obj(1), Value::counter(7)).unwrap();
         })
         .unwrap();
         let v = pool
-            .with_page(pid(1), &mut disk, false, |p| p.get(obj(1)))
+            .with_page(pid(1), &mut disk, |p| p.get(obj(1)))
             .unwrap();
         assert_eq!(v, Some(Value::counter(7)));
         assert_eq!(pool.stats().hits, 1);
@@ -247,7 +234,7 @@ mod tests {
         let mut disk = StableStorage::new(16);
         let mut pool = BufferPool::new(2);
         for i in 0..4u32 {
-            pool.with_page(pid(i), &mut disk, true, |p| {
+            pool.with_page(pid(i), &mut disk, |p| {
                 p.upsert(obj(u64::from(i)), Value::counter(i64::from(i)))
                     .unwrap();
             })
@@ -258,7 +245,7 @@ mod tests {
         // Evicted dirty pages must be durable.
         let mut fresh = BufferPool::new(2);
         let v = fresh
-            .with_page(pid(0), &mut disk, false, |p| p.get(obj(0)))
+            .with_page(pid(0), &mut disk, |p| p.get(obj(0)))
             .unwrap();
         assert_eq!(v, Some(Value::counter(0)));
     }
@@ -267,13 +254,13 @@ mod tests {
     fn crash_loses_unflushed_updates() {
         let mut disk = StableStorage::new(8);
         let mut pool = BufferPool::new(4);
-        pool.with_page(pid(1), &mut disk, true, |p| {
+        pool.with_page(pid(1), &mut disk, |p| {
             p.upsert(obj(1), Value::counter(99)).unwrap();
         })
         .unwrap();
         pool.crash();
         let v = pool
-            .with_page(pid(1), &mut disk, false, |p| p.get(obj(1)))
+            .with_page(pid(1), &mut disk, |p| p.get(obj(1)))
             .unwrap();
         assert_eq!(v, None, "dirty frame must not survive a crash");
     }
@@ -282,7 +269,7 @@ mod tests {
     fn flush_makes_updates_durable_across_crash() {
         let mut disk = StableStorage::new(8);
         let mut pool = BufferPool::new(4);
-        pool.with_page(pid(1), &mut disk, true, |p| {
+        pool.with_page(pid(1), &mut disk, |p| {
             p.upsert(obj(1), Value::counter(5)).unwrap();
         })
         .unwrap();
@@ -290,7 +277,7 @@ mod tests {
         assert!(!pool.is_dirty(pid(1)));
         pool.crash();
         let v = pool
-            .with_page(pid(1), &mut disk, false, |p| p.get(obj(1)))
+            .with_page(pid(1), &mut disk, |p| p.get(obj(1)))
             .unwrap();
         assert_eq!(v, Some(Value::counter(5)));
     }
@@ -300,7 +287,7 @@ mod tests {
         let mut disk = StableStorage::new(8);
         let mut pool = BufferPool::new(4);
         for i in 1..=2u32 {
-            pool.with_page(pid(i), &mut disk, true, |p| {
+            pool.with_page(pid(i), &mut disk, |p| {
                 p.upsert(obj(u64::from(i)), Value::counter(1)).unwrap();
             })
             .unwrap();
@@ -315,7 +302,7 @@ mod tests {
         let mut disk = StableStorage::new(64);
         let mut pool = BufferPool::new(1);
         for i in 0..10u32 {
-            pool.with_page(pid(i), &mut disk, true, |p| {
+            pool.with_page(pid(i), &mut disk, |p| {
                 p.upsert(obj(u64::from(i)), Value::counter(i64::from(i)))
                     .unwrap();
             })
@@ -323,7 +310,7 @@ mod tests {
         }
         for i in 0..10u32 {
             let v = pool
-                .with_page(pid(i), &mut disk, false, |p| p.get(obj(u64::from(i))))
+                .with_page(pid(i), &mut disk, |p| p.get(obj(u64::from(i))))
                 .unwrap();
             assert_eq!(v, Some(Value::counter(i64::from(i))));
         }
@@ -334,7 +321,7 @@ mod tests {
         use crate::fault::FaultConfig;
         let mut disk = StableStorage::new(8);
         let mut pool = BufferPool::new(4);
-        pool.with_page(pid(1), &mut disk, true, |p| {
+        pool.with_page(pid(1), &mut disk, |p| {
             p.upsert(obj(1), Value::counter(7)).unwrap();
         })
         .unwrap();
@@ -350,7 +337,7 @@ mod tests {
         for _ in 0..20 {
             pool.crash();
             let v = pool
-                .with_page(pid(1), &mut disk, false, |p| p.get(obj(1)))
+                .with_page(pid(1), &mut disk, |p| p.get(obj(1)))
                 .unwrap();
             assert_eq!(v, Some(Value::counter(7)));
         }
@@ -362,7 +349,7 @@ mod tests {
         use crate::fault::FaultConfig;
         let mut disk = StableStorage::new(8);
         let mut pool = BufferPool::new(4);
-        pool.with_page(pid(1), &mut disk, true, |p| {
+        pool.with_page(pid(1), &mut disk, |p| {
             p.upsert(obj(1), Value::counter(7)).unwrap();
         })
         .unwrap();
@@ -374,16 +361,40 @@ mod tests {
             seed: 2,
         });
         let err = pool
-            .with_page(pid(1), &mut disk, false, |p| p.get(obj(1)))
+            .with_page(pid(1), &mut disk, |p| p.get(obj(1)))
             .unwrap_err();
         assert!(matches!(err, AmcError::TransientIo(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_failed_read_leaves_the_victim_resident_and_written_back() {
+        use crate::fault::FaultConfig;
+        let mut disk = StableStorage::new(8);
+        let mut pool = BufferPool::new(1);
+        pool.with_page(pid(1), &mut disk, |p| {
+            p.upsert(obj(1), Value::counter(7)).unwrap();
+        })
+        .unwrap();
+        disk.inject_faults(FaultConfig {
+            read_error_probability: 1.0,
+            lost_write_probability: 0.0,
+            seed: 3,
+        });
+        assert!(pool.with_page(pid(2), &mut disk, |_| ()).is_err());
+        disk.clear_faults();
+        assert!(disk.is_allocated(pid(1)) && !pool.is_dirty(pid(1)));
+        let hits = pool.stats().hits;
+        let v = pool
+            .with_page(pid(1), &mut disk, |p| p.get(obj(1)))
+            .unwrap();
+        assert_eq!((v, pool.stats().hits), (Some(Value::counter(7)), hits + 1));
     }
 
     #[test]
     fn stats_reset() {
         let mut disk = StableStorage::new(8);
         let mut pool = BufferPool::new(2);
-        pool.with_page(pid(1), &mut disk, false, |_| ()).unwrap();
+        pool.with_page(pid(1), &mut disk, |_| ()).unwrap();
         assert_ne!(pool.stats(), BufferStats::default());
         pool.reset_stats();
         assert_eq!(pool.stats(), BufferStats::default());

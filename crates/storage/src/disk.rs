@@ -15,7 +15,6 @@
 use crate::fault::{FaultConfig, FaultState};
 use crate::page::{Page, PAGE_SIZE};
 use amc_types::{AmcError, AmcResult, PageId};
-use bytes::Bytes;
 
 /// Cumulative I/O statistics for one simulated disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,7 +32,7 @@ pub struct DiskStats {
 /// A simulated disk holding page images.
 #[derive(Debug, Clone)]
 pub struct StableStorage {
-    pages: Vec<Option<Bytes>>,
+    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
     stats: DiskStats,
     faults: Option<FaultState>,
 }
@@ -86,8 +85,10 @@ impl StableStorage {
                 return Ok(());
             }
         }
-        let img = Bytes::copy_from_slice(&page.to_bytes());
-        self.pages[page.id().raw() as usize] = Some(img);
+        // Seal straight into the slot's buffer; only a slot's first write
+        // allocates one.
+        let slot = &mut self.pages[page.id().raw() as usize];
+        page.seal_into(slot.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE])));
         Ok(())
     }
 
@@ -97,6 +98,14 @@ impl StableStorage {
     /// With faults injected, the read may fail with
     /// [`AmcError::TransientIo`]; retrying redraws the fault dice.
     pub fn read_page(&mut self, id: PageId) -> AmcResult<Option<Page>> {
+        let mut page = Page::new(id);
+        Ok(self.read_into(id, &mut page)?.then_some(page))
+    }
+
+    /// [`StableStorage::read_page`] into an existing frame: verify the
+    /// stored image, then copy it over `page`. `Ok(false)` when the slot
+    /// was never written; then, and on any error, `page` is untouched.
+    pub fn read_into(&mut self, id: PageId, page: &mut Page) -> AmcResult<bool> {
         if let Some(f) = &mut self.faults {
             if f.rng.chance(f.cfg.read_error_probability) {
                 self.stats.read_faults += 1;
@@ -105,25 +114,12 @@ impl StableStorage {
                 )));
             }
         }
-        let idx = id.raw() as usize;
-        let Some(Some(img)) = self.pages.get(idx) else {
-            return Ok(None);
+        let Some(Some(img)) = self.pages.get(id.raw() as usize) else {
+            return Ok(false);
         };
         self.stats.reads += 1;
-        if img.len() != PAGE_SIZE {
-            return Err(AmcError::Corruption(format!(
-                "stored image for {id} has {} bytes",
-                img.len()
-            )));
-        }
-        let page = Page::from_bytes(img)?;
-        if page.id() != id {
-            return Err(AmcError::Corruption(format!(
-                "slot {id} holds page {}",
-                page.id()
-            )));
-        }
-        Ok(Some(page))
+        page.load(id, img)?;
+        Ok(true)
     }
 
     /// True when the slot holds a page image.
@@ -147,10 +143,8 @@ impl StableStorage {
     /// verification.
     pub fn corrupt_page(&mut self, id: PageId, byte_offset: usize) {
         if let Some(Some(img)) = self.pages.get_mut(id.raw() as usize) {
-            let mut raw = img.to_vec();
-            if byte_offset < raw.len() {
-                raw[byte_offset] ^= 0xff;
-                *img = Bytes::from(raw);
+            if let Some(byte) = img.get_mut(byte_offset) {
+                *byte ^= 0xff;
             }
         }
     }

@@ -7,10 +7,11 @@
 //! from scratch:
 //!
 //! * [`page::Page`] — a fixed-size slotted page holding `(ObjectId, Value)`
-//!   entries, serialized with an FNV-1a checksum.
+//!   entries in place in its 4 KB image, sealed with a word-wise checksum.
 //! * [`disk::StableStorage`] — a simulated disk with atomic page writes and
 //!   I/O accounting. Contents survive crashes.
-//! * [`buffer::BufferPool`] — a clock-eviction buffer pool. Contents are
+//! * [`buffer::BufferPool`] — a clock-eviction buffer pool whose frames are
+//!   those images and are written back only when mutated. Contents are
 //!   *volatile*: [`buffer::BufferPool::crash`] drops everything, modelling a
 //!   site failure.
 //! * [`store::PageStore`] — a hash-partitioned object store with overflow

@@ -2,7 +2,10 @@
 //!
 //! A page stores up to [`Page::CAPACITY`] `(ObjectId, Value)` entries plus a
 //! link to an optional overflow page (used by [`crate::store::PageStore`]'s
-//! hash-partitioned layout). The on-disk format is:
+//! hash-partitioned layout). A [`Page`] **is** its 4 KB image: entries are
+//! read and written in place, so a buffer-pool miss is one copy plus one
+//! checksum verify and a write-back is one copy plus one seal — nothing is
+//! transcoded. The format, in memory and on the simulated disk:
 //!
 //! ```text
 //! offset  size  field
@@ -11,11 +14,13 @@
 //! 8       4     overflow link (u32::MAX = none)
 //! 12      2     entry count
 //! 14      2     padding (zero)
-//! 16      8     FNV-1a checksum over bytes [24, PAGE_SIZE)
-//! 24      ...   entries: obj id (8) + value (12), packed
+//! 16      8     checksum::page_sum over bytes [24, PAGE_SIZE); written
+//!               when the image is sealed for the disk, stale in a frame
+//! 24      ...   entries: obj id (8) + value (12), packed; bytes past the
+//!               last entry are zero
 //! ```
 
-use crate::checksum::fnv1a;
+use crate::checksum::page_sum;
 use amc_types::{AmcError, AmcResult, ObjectId, PageId, Value};
 
 /// On-disk page size in bytes.
@@ -27,13 +32,33 @@ pub const ENTRY_SIZE: usize = 8 + 12;
 
 const MAGIC: [u8; 4] = *b"AMCP";
 const NO_OVERFLOW: u32 = u32::MAX;
+const SUM_AT: std::ops::Range<usize> = 16..24;
 
-/// An in-memory slotted page.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A slotted page, held as its image.
+#[derive(Debug, Clone)]
 pub struct Page {
-    id: PageId,
-    overflow: Option<PageId>,
-    entries: Vec<(ObjectId, Value)>,
+    image: Box<[u8; PAGE_SIZE]>,
+    /// An entry or the overflow link changed since the image last matched
+    /// the disk. The page notes this itself, so no caller can forget to.
+    dirty: bool,
+}
+
+/// Equal content: the images agree outside the checksum field, which is
+/// only meaningful in a sealed copy.
+impl PartialEq for Page {
+    fn eq(&self, other: &Self) -> bool {
+        self.image[..SUM_AT.start] == other.image[..SUM_AT.start]
+            && self.image[SUM_AT.end..] == other.image[SUM_AT.end..]
+    }
+}
+impl Eq for Page {}
+
+fn entry_obj(entry: &[u8]) -> u64 {
+    u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"))
+}
+
+fn entry_value(entry: &[u8]) -> Value {
+    Value::from_bytes(entry[8..ENTRY_SIZE].try_into().expect("12 bytes"))
 }
 
 impl Page {
@@ -42,148 +67,202 @@ impl Page {
 
     /// A fresh, empty page.
     pub fn new(id: PageId) -> Self {
+        let mut image = Box::new([0u8; PAGE_SIZE]);
+        image[0..4].copy_from_slice(&MAGIC);
+        image[4..8].copy_from_slice(&id.raw().to_le_bytes());
+        image[8..12].copy_from_slice(&NO_OVERFLOW.to_le_bytes());
         Page {
-            id,
-            overflow: None,
-            entries: Vec::new(),
+            image,
+            dirty: false,
         }
     }
 
     /// This page's id.
     #[inline]
     pub fn id(&self) -> PageId {
-        self.id
+        PageId::new(u32::from_le_bytes(
+            self.image[4..8].try_into().expect("4 bytes"),
+        ))
     }
 
     /// The overflow page chained after this one, if any.
     #[inline]
     pub fn overflow(&self) -> Option<PageId> {
-        self.overflow
+        let link = u32::from_le_bytes(self.image[8..12].try_into().expect("4 bytes"));
+        (link != NO_OVERFLOW).then(|| PageId::new(link))
     }
 
     /// Set or clear the overflow link.
     pub fn set_overflow(&mut self, next: Option<PageId>) {
-        self.overflow = next;
+        let link = next.map_or(NO_OVERFLOW, PageId::raw);
+        self.image[8..12].copy_from_slice(&link.to_le_bytes());
+        self.dirty = true;
     }
 
     /// Number of live entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        usize::from(u16::from_le_bytes([self.image[12], self.image[13]]))
+    }
+
+    fn set_len(&mut self, len: usize) {
+        self.image[12..14].copy_from_slice(&(len as u16).to_le_bytes());
+        self.dirty = true;
     }
 
     /// True when no entries are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// True when no further entry fits.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= Self::CAPACITY
+        self.len() >= Self::CAPACITY
+    }
+
+    /// Whether the page changed since it was loaded or last written back.
+    #[inline]
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+
+    /// The buffer pool wrote this image back: it matches the disk again.
+    pub(crate) fn written_back(&mut self) {
+        self.dirty = false;
+    }
+
+    /// The packed live entries. `len() ≤ CAPACITY` holds for every image a
+    /// `Page` can carry (`new`, `upsert`, and `verify` before `load`).
+    fn entries(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.image[HEADER_SIZE..HEADER_SIZE + self.len() * ENTRY_SIZE].chunks_exact(ENTRY_SIZE)
+    }
+
+    /// Byte offset of the entry holding `obj`.
+    fn find(&self, obj: ObjectId) -> Option<usize> {
+        self.entries()
+            .position(|e| entry_obj(e) == obj.raw())
+            .map(|i| HEADER_SIZE + i * ENTRY_SIZE)
     }
 
     /// Look up an object's value on this page (linear scan; pages are small
     /// and hot pages live in the buffer pool).
     pub fn get(&self, obj: ObjectId) -> Option<Value> {
-        self.entries
-            .iter()
-            .find(|(o, _)| *o == obj)
-            .map(|(_, v)| *v)
+        self.entries()
+            .find(|e| entry_obj(e) == obj.raw())
+            .map(entry_value)
     }
 
     /// Insert or overwrite an entry. Returns the previous value, or an error
     /// if the page is full and the object is not already present.
     pub fn upsert(&mut self, obj: ObjectId, value: Value) -> AmcResult<Option<Value>> {
-        if let Some(slot) = self.entries.iter_mut().find(|(o, _)| *o == obj) {
-            let old = slot.1;
-            slot.1 = value;
-            return Ok(Some(old));
-        }
-        if self.is_full() {
-            return Err(AmcError::InvalidState(format!(
-                "page {} full ({} entries)",
-                self.id,
-                self.entries.len()
-            )));
-        }
-        self.entries.push((obj, value));
-        Ok(None)
+        let len = self.len();
+        let (at, old) = match self.find(obj) {
+            Some(at) => (at, Some(entry_value(&self.image[at..at + ENTRY_SIZE]))),
+            None if len >= Self::CAPACITY => {
+                return Err(AmcError::InvalidState(format!(
+                    "page {} full ({len} entries)",
+                    self.id()
+                )));
+            }
+            None => {
+                let at = HEADER_SIZE + len * ENTRY_SIZE;
+                self.image[at..at + 8].copy_from_slice(&obj.raw().to_le_bytes());
+                self.set_len(len + 1);
+                (at, None)
+            }
+        };
+        self.image[at + 8..at + ENTRY_SIZE].copy_from_slice(&value.to_bytes());
+        self.dirty = true;
+        Ok(old)
     }
 
-    /// Remove an entry, returning its value if present.
+    /// Remove an entry, returning its value if present. The last entry
+    /// moves into the hole and its old slot is zeroed, so equal content
+    /// means equal images.
     pub fn remove(&mut self, obj: ObjectId) -> Option<Value> {
-        let pos = self.entries.iter().position(|(o, _)| *o == obj)?;
-        Some(self.entries.swap_remove(pos).1)
+        let at = self.find(obj)?;
+        let old = entry_value(&self.image[at..at + ENTRY_SIZE]);
+        let last = HEADER_SIZE + (self.len() - 1) * ENTRY_SIZE;
+        self.image.copy_within(last..last + ENTRY_SIZE, at);
+        self.image[last..last + ENTRY_SIZE].fill(0);
+        self.set_len(self.len() - 1);
+        Some(old)
     }
 
     /// Iterate over live entries.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Value)> + '_ {
-        self.entries.iter().copied()
+        self.entries()
+            .map(|e| (ObjectId::new(entry_obj(e)), entry_value(e)))
     }
 
-    /// Serialize to the on-disk format, computing the checksum.
-    pub fn to_bytes(&self) -> [u8; PAGE_SIZE] {
-        let mut buf = [0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(&MAGIC);
-        buf[4..8].copy_from_slice(&self.id.raw().to_le_bytes());
-        let link = self.overflow.map_or(NO_OVERFLOW, PageId::raw);
-        buf[8..12].copy_from_slice(&link.to_le_bytes());
-        buf[12..14].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        let mut off = HEADER_SIZE;
-        for (obj, value) in &self.entries {
-            buf[off..off + 8].copy_from_slice(&obj.raw().to_le_bytes());
-            buf[off + 8..off + 20].copy_from_slice(&value.to_bytes());
-            off += ENTRY_SIZE;
-        }
-        let sum = fnv1a(&buf[HEADER_SIZE..]);
-        buf[16..24].copy_from_slice(&sum.to_le_bytes());
-        buf
+    /// Copy the image into `dst` and seal it there with the checksum — the
+    /// write-back path, straight into the disk slot's buffer.
+    pub(crate) fn seal_into(&self, dst: &mut [u8; PAGE_SIZE]) {
+        *dst = *self.image;
+        let sum = page_sum(&dst[HEADER_SIZE..]);
+        dst[SUM_AT].copy_from_slice(&sum.to_le_bytes());
     }
 
-    /// Deserialize from the on-disk format, verifying magic and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> AmcResult<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(AmcError::Corruption(format!(
-                "page image is {} bytes, expected {PAGE_SIZE}",
-                bytes.len()
-            )));
-        }
-        if bytes[0..4] != MAGIC {
+    /// Check magic, checksum and entry count of a stored image; returns the
+    /// page id it claims.
+    fn verify(img: &[u8; PAGE_SIZE]) -> AmcResult<PageId> {
+        if img[0..4] != MAGIC {
             return Err(AmcError::Corruption("bad page magic".into()));
         }
-        let stored_sum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-        let actual_sum = fnv1a(&bytes[HEADER_SIZE..]);
+        let stored_sum = u64::from_le_bytes(img[SUM_AT].try_into().expect("8 bytes"));
+        let actual_sum = page_sum(&img[HEADER_SIZE..]);
         if stored_sum != actual_sum {
             return Err(AmcError::Corruption(format!(
                 "checksum mismatch: stored {stored_sum:#x}, computed {actual_sum:#x}"
             )));
         }
-        let id = PageId::new(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")));
-        let link = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let overflow = (link != NO_OVERFLOW).then(|| PageId::new(link));
-        let count = u16::from_le_bytes(bytes[12..14].try_into().expect("2 bytes")) as usize;
+        let count = usize::from(u16::from_le_bytes([img[12], img[13]]));
         if count > Self::CAPACITY {
             return Err(AmcError::Corruption(format!(
                 "entry count {count} exceeds capacity {}",
                 Self::CAPACITY
             )));
         }
-        let mut entries = Vec::with_capacity(count);
-        let mut off = HEADER_SIZE;
-        for _ in 0..count {
-            let obj = ObjectId::new(u64::from_le_bytes(
-                bytes[off..off + 8].try_into().expect("8 bytes"),
-            ));
-            let value = Value::from_bytes(bytes[off + 8..off + 20].try_into().expect("12 bytes"));
-            entries.push((obj, value));
-            off += ENTRY_SIZE;
+        Ok(PageId::new(u32::from_le_bytes(
+            img[4..8].try_into().expect("4 bytes"),
+        )))
+    }
+
+    /// Become the stored image of page `id` — the read path: verify, then
+    /// one copy into this frame. On error `self` is untouched.
+    pub(crate) fn load(&mut self, id: PageId, img: &[u8; PAGE_SIZE]) -> AmcResult<()> {
+        let found = Self::verify(img)?;
+        if found != id {
+            return Err(AmcError::Corruption(format!(
+                "slot {id} holds page {found}"
+            )));
         }
+        *self.image = *img;
+        self.dirty = false;
+        Ok(())
+    }
+
+    /// The sealed on-disk image.
+    pub fn to_bytes(&self) -> [u8; PAGE_SIZE] {
+        let mut buf = [0u8; PAGE_SIZE];
+        self.seal_into(&mut buf);
+        buf
+    }
+
+    /// A page from an on-disk image, verifying magic and checksum.
+    pub fn from_bytes(bytes: &[u8]) -> AmcResult<Self> {
+        let img: &[u8; PAGE_SIZE] = bytes.try_into().map_err(|_| {
+            AmcError::Corruption(format!(
+                "page image is {} bytes, expected {PAGE_SIZE}",
+                bytes.len()
+            ))
+        })?;
+        Self::verify(img)?;
         Ok(Page {
-            id,
-            overflow,
-            entries,
+            image: Box::new(*img),
+            dirty: false,
         })
     }
 }
@@ -259,6 +338,49 @@ mod tests {
             Page::from_bytes(&img),
             Err(AmcError::Corruption(_))
         ));
+    }
+
+    #[test]
+    fn a_zeroed_block_is_not_an_empty_page() {
+        let mut img = [0u8; PAGE_SIZE];
+        assert!(Page::from_bytes(&img).is_err());
+        img[0..4].copy_from_slice(&MAGIC); // even with the magic patched in
+        assert!(Page::from_bytes(&img).is_err());
+    }
+
+    #[test]
+    fn a_page_is_dirty_exactly_when_it_was_mutated() {
+        let mut p = Page::new(PageId::new(1));
+        assert!(!p.is_dirty());
+        assert_eq!(
+            (p.get(obj(1)), p.remove(obj(1)), p.overflow()),
+            (None, None, None)
+        );
+        assert!(!p.is_dirty(), "reads and a miss change nothing");
+        p.upsert(obj(1), Value::ZERO).unwrap();
+        assert!(p.is_dirty());
+        p.written_back();
+        p.set_overflow(Some(PageId::new(2)));
+        assert!(p.is_dirty());
+        p.written_back();
+        p.remove(obj(1));
+        assert!(p.is_dirty());
+        assert!(!Page::from_bytes(&p.to_bytes()).unwrap().is_dirty());
+    }
+
+    #[test]
+    fn remove_leaves_no_residue_in_the_image() {
+        let mut p = Page::new(PageId::new(1));
+        let mut q = p.clone();
+        for i in 0..5 {
+            p.upsert(obj(i), Value::counter(i as i64)).unwrap();
+        }
+        for i in [0, 2, 4, 1] {
+            p.remove(obj(i));
+        }
+        q.upsert(obj(3), Value::counter(3)).unwrap();
+        assert_eq!(p, q);
+        assert_eq!(p.to_bytes(), q.to_bytes());
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl PageStore {
         assert!(buckets >= 1, "need at least one bucket");
         let mut pool = BufferPool::new(pool_frames);
         let (buckets, next_free) = if disk.is_allocated(META_PAGE) {
-            let (b, n) = pool.with_page(META_PAGE, &mut disk, false, |meta| {
+            let (b, n) = pool.with_page(META_PAGE, &mut disk, |meta| {
                 (
                     meta.get(META_BUCKETS).map(|v| v.counter as u32),
                     meta.get(META_CURSOR).map(|v| v.counter as u32),
@@ -53,7 +53,7 @@ impl PageStore {
             }
         } else {
             let next_free = buckets + 1;
-            pool.with_page(META_PAGE, &mut disk, true, |meta| {
+            pool.with_page(META_PAGE, &mut disk, |meta| {
                 meta.upsert(META_BUCKETS, Value::counter(i64::from(buckets)))?;
                 meta.upsert(META_CURSOR, Value::counter(i64::from(next_free)))?;
                 Ok::<(), amc_types::AmcError>(())
@@ -82,11 +82,18 @@ impl PageStore {
     /// The bucket-head page an object hashes to. Exposed so the engines can
     /// use page ids as the L0 locking granule.
     pub fn page_of(&self, obj: ObjectId) -> PageId {
+        Self::bucket_page(self.buckets, obj)
+    }
+
+    /// [`PageStore::page_of`] for a store of `buckets` buckets — pure
+    /// arithmetic, so an engine that knows its bucket count need not take
+    /// the store's lock to find a locking granule.
+    pub fn bucket_page(buckets: u32, obj: ObjectId) -> PageId {
         // Objects 0/1 on the meta page are internal; user objects start at
         // bucket pages. A simple multiplicative scramble avoids pathological
         // clustering of consecutive ids while staying deterministic.
         let h = obj.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        PageId::new(1 + (h % u64::from(self.buckets)) as u32)
+        PageId::new(1 + (h % u64::from(buckets)) as u32)
     }
 
     /// Read an object's value.
@@ -95,7 +102,7 @@ impl PageStore {
         loop {
             let (found, next) = self
                 .pool
-                .with_page(pid, &mut self.disk, false, |p| (p.get(obj), p.overflow()))?;
+                .with_page(pid, &mut self.disk, |p| (p.get(obj), p.overflow()))?;
             if found.is_some() {
                 return Ok(found);
             }
@@ -117,7 +124,7 @@ impl PageStore {
                 Next(PageId),
                 EndOfChain,
             }
-            let hit = self.pool.with_page(pid, &mut self.disk, true, |p| {
+            let hit = self.pool.with_page(pid, &mut self.disk, |p| {
                 if p.get(obj).is_some() {
                     let old = p.upsert(obj, value).expect("overwrite cannot overflow");
                     Hit::Replaced(old)
@@ -142,7 +149,7 @@ impl PageStore {
                 Next(PageId),
                 NeedOverflow,
             }
-            let ins = self.pool.with_page(pid, &mut self.disk, true, |p| {
+            let ins = self.pool.with_page(pid, &mut self.disk, |p| {
                 if !p.is_full() {
                     p.upsert(obj, value).expect("space was checked");
                     Ins::Done
@@ -158,10 +165,10 @@ impl PageStore {
                 Ins::Next(n) => pid = n,
                 Ins::NeedOverflow => {
                     let fresh = self.allocate_page()?;
-                    self.pool.with_page(pid, &mut self.disk, true, |p| {
+                    self.pool.with_page(pid, &mut self.disk, |p| {
                         p.set_overflow(Some(fresh));
                     })?;
-                    self.pool.with_page(fresh, &mut self.disk, true, |p| {
+                    self.pool.with_page(fresh, &mut self.disk, |p| {
                         p.upsert(obj, value).expect("fresh page has space");
                     })?;
                     return Ok(None);
@@ -176,7 +183,7 @@ impl PageStore {
         loop {
             let (removed, next) = self
                 .pool
-                .with_page(pid, &mut self.disk, true, |p| (p.remove(obj), p.overflow()))?;
+                .with_page(pid, &mut self.disk, |p| (p.remove(obj), p.overflow()))?;
             if removed.is_some() {
                 return Ok(removed);
             }
@@ -191,33 +198,16 @@ impl PageStore {
         let fresh = PageId::new(self.next_free);
         self.next_free += 1;
         let cursor = self.next_free;
-        self.pool
-            .with_page(META_PAGE, &mut self.disk, true, |meta| {
-                meta.upsert(META_CURSOR, Value::counter(i64::from(cursor)))
-                    .expect("meta page never fills");
-            })?;
+        self.pool.with_page(META_PAGE, &mut self.disk, |meta| {
+            meta.upsert(META_CURSOR, Value::counter(i64::from(cursor)))
+                .expect("meta page never fills");
+        })?;
         Ok(fresh)
     }
 
     /// Flush every dirty buffer frame (checkpoint / force).
     pub fn flush(&mut self) -> AmcResult<()> {
         self.pool.flush_all(&mut self.disk)
-    }
-
-    /// Flush only the page holding `obj` (plus its chain is *not* needed —
-    /// callers that force specific updates know which page they touched).
-    pub fn flush_object_page(&mut self, obj: ObjectId) -> AmcResult<()> {
-        let mut pid = self.page_of(obj);
-        loop {
-            self.pool.flush_page(pid, &mut self.disk)?;
-            let next = self
-                .pool
-                .with_page(pid, &mut self.disk, false, |p| p.overflow())?;
-            match next {
-                Some(n) => pid = n,
-                None => return Ok(()),
-            }
-        }
     }
 
     /// Simulate a site crash: volatile state is lost, stable state kept.
@@ -243,7 +233,7 @@ impl PageStore {
         for b in 1..=self.buckets {
             let mut pid = PageId::new(b);
             loop {
-                let (mut entries, next) = self.pool.with_page(pid, &mut self.disk, false, |p| {
+                let (mut entries, next) = self.pool.with_page(pid, &mut self.disk, |p| {
                     (p.iter().collect::<Vec<_>>(), p.overflow())
                 })?;
                 out.append(&mut entries);
@@ -368,6 +358,93 @@ mod tests {
                 (obj(30), Value::counter(30)),
             ]
         );
+    }
+
+    /// A store whose 4-frame pool spills: 2 buckets, chains of 3+ pages.
+    fn spilling() -> PageStore {
+        let mut s = PageStore::new(2, 4);
+        for i in 0..Page::CAPACITY as u64 * 6 {
+            s.put(obj(i + 10), Value::counter(i as i64)).unwrap();
+        }
+        s.flush().unwrap();
+        s.reset_stats();
+        s
+    }
+
+    /// Disk writes caused by `op` on a flushed store: the pages it dirtied.
+    fn pages_dirtied(s: &mut PageStore, op: impl FnOnce(&mut PageStore)) -> u64 {
+        s.flush().unwrap();
+        s.reset_stats();
+        op(s);
+        s.flush().unwrap();
+        s.stats().0.writes
+    }
+
+    #[test]
+    fn reading_dirties_nothing_however_much_it_evicts() {
+        let mut s = spilling();
+        for i in 0..Page::CAPACITY as u64 * 6 {
+            assert!(s.get(obj(i + 10)).unwrap().is_some());
+        }
+        s.flush().unwrap();
+        let (disk, pool) = s.stats();
+        assert!(pool.evictions > 100, "the pass spilled: {pool:?}");
+        assert_eq!((disk.writes, pool.writebacks), (0, 0));
+    }
+
+    #[test]
+    fn an_update_dirties_the_page_it_changes_not_the_chain_it_walked() {
+        let mut s = spilling();
+        // The last keys inserted live at the end of their chains.
+        let deep = obj(Page::CAPACITY as u64 * 6 + 9);
+        assert_eq!(
+            pages_dirtied(&mut s, |s| {
+                s.put(deep, Value::counter(-1)).unwrap().expect("overwrite");
+            }),
+            1
+        );
+        assert_eq!(
+            pages_dirtied(&mut s, |s| {
+                s.remove(deep).unwrap().expect("present");
+            }),
+            1
+        );
+        assert_eq!(
+            pages_dirtied(&mut s, |s| {
+                assert_eq!(s.put(deep, Value::counter(5)).unwrap(), None);
+            }),
+            1,
+            "an absent key dirties the page it lands on"
+        );
+    }
+
+    #[test]
+    fn linking_an_overflow_page_dirties_predecessor_new_page_and_meta() {
+        let mut s = PageStore::new(1, 4);
+        for i in 0..Page::CAPACITY as u64 {
+            s.put(obj(i + 10), Value::ZERO).unwrap();
+        }
+        let dirtied = pages_dirtied(&mut s, |s| {
+            s.put(obj(5_000), Value::ZERO).unwrap();
+        });
+        assert_eq!(dirtied, 3, "bucket head (link), overflow page, cursor");
+    }
+
+    #[test]
+    fn every_disk_write_is_a_dirty_frame_written_back() {
+        let mut s = spilling();
+        for i in 0..2_000u64 {
+            let key = obj(10 + (i * 37) % (Page::CAPACITY as u64 * 6));
+            match i % 3 {
+                0 => drop(s.get(key).unwrap()),
+                1 => drop(s.put(key, Value::counter(i as i64)).unwrap()),
+                _ => drop(s.remove(key).unwrap()),
+            }
+        }
+        s.flush().unwrap();
+        let (disk, pool) = s.stats();
+        assert!(pool.evictions > pool.writebacks, "clean frames leave free");
+        assert_eq!(disk.writes, pool.writebacks);
     }
 
     #[test]

@@ -1,0 +1,158 @@
+//! What a finished transaction keeps for good (ROADMAP 6(c)'s first
+//! ledger number). Work-map slots, the in-memory WAL and the engines'
+//! terminated tables are never reclaimed — the piggy-backed low-water mark
+//! and log truncation are ROADMAP item 6 — so whatever a finished
+//! transaction retains is what every transaction costs until teardown, and
+//! at tens of thousands of transactions per second it is what decides a
+//! run's peak RSS.
+//!
+//! A counting global allocator measures live-heap growth over 10 000
+//! two-site transfers on an in-process three-site federation and holds it
+//! to a per-protocol budget.
+
+use amc::core::{Federation, FederationConfig, ProtocolKind, TxnOutcome};
+use amc::types::SiteId;
+use amc::workload::{initial_counters, object, transfer};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+
+/// Power-of-two size classes: class `c` counts allocations of
+/// `(2^(c-1), 2^c]` bytes.
+const CLASSES: usize = 32;
+
+struct Counting;
+
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static LIVE_BY_CLASS: [AtomicI64; CLASSES] = [const { AtomicI64::new(0) }; CLASSES];
+static BYTES_BY_CLASS: [AtomicI64; CLASSES] = [const { AtomicI64::new(0) }; CLASSES];
+
+fn note(size: usize, sign: i64) {
+    let class = (size.next_power_of_two().trailing_zeros() as usize).min(CLASSES - 1);
+    LIVE_BYTES.fetch_add(sign * size as i64, Relaxed);
+    LIVE_BY_CLASS[class].fetch_add(sign, Relaxed);
+    BYTES_BY_CLASS[class].fetch_add(sign * size as i64, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// statistics (relaxed atomics) and never influence what is returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size(), 1);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(layout.size(), -1);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size(), 1);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(layout.size(), -1);
+        note(new_size, 1);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+#[derive(Clone, Copy)]
+struct Census {
+    live: i64,
+    count: [i64; CLASSES],
+    bytes: [i64; CLASSES],
+}
+
+fn census() -> Census {
+    Census {
+        live: LIVE_BYTES.load(Relaxed),
+        count: std::array::from_fn(|c| LIVE_BY_CLASS[c].load(Relaxed)),
+        bytes: std::array::from_fn(|c| BYTES_BY_CLASS[c].load(Relaxed)),
+    }
+}
+
+/// The per-size-class growth between two censuses, one row per class that
+/// moved.
+fn table(before: &Census, after: &Census, txns: i64) -> String {
+    let mut out = String::from("  class ≤ B   live allocs      bytes   B/txn\n");
+    for c in 0..CLASSES {
+        let (n, b) = (
+            after.count[c] - before.count[c],
+            after.bytes[c] - before.bytes[c],
+        );
+        if n != 0 || b != 0 {
+            out += &format!(
+                "  {:>9} {:>13} {:>10} {:>7.1}\n",
+                1u64 << c,
+                n,
+                b,
+                b as f64 / txns as f64
+            );
+        }
+    }
+    out
+}
+
+const SITES: u32 = 3;
+const OBJECTS: u64 = 64;
+const TXNS: u64 = 10_000;
+
+/// Live-heap growth per finished transfer, with the table that explains it.
+fn retained_per_txn(protocol: ProtocolKind) -> (f64, String) {
+    let mut fed = Federation::new(FederationConfig::uniform(SITES, protocol));
+    fed.set_recording(false, false);
+    for s in 1..=SITES {
+        let site = SiteId::new(s);
+        fed.load_site(site, &initial_counters(site, OBJECTS))
+            .unwrap();
+    }
+    // Programs exist before the first census: they are the client's.
+    let programs: Vec<_> = (0..TXNS)
+        .map(|i| {
+            let from = SiteId::new(1 + (i % u64::from(SITES)) as u32);
+            let to = SiteId::new(1 + ((i + 1) % u64::from(SITES)) as u32);
+            transfer(
+                object(from, i % OBJECTS),
+                object(to, (i * 7) % OBJECTS),
+                1 + (i % 5) as i64,
+            )
+        })
+        .collect();
+    let before = census();
+    for program in &programs {
+        let report = fed.run_transaction(program).unwrap();
+        assert_eq!(report.outcome, TxnOutcome::Committed, "{protocol}");
+    }
+    assert_eq!(fed.pending_obligations(), 0, "{protocol}");
+    let after = census();
+    let per_txn = (after.live - before.live) as f64 / TXNS as f64;
+    (per_txn, table(&before, &after, TXNS as i64))
+}
+
+/// One test, protocols in turn: the allocator is process-wide, so a
+/// concurrent test would be counted too.
+#[test]
+fn finished_transactions_shrink_to_their_scalars() {
+    // Bytes of live heap a finished two-site transfer may keep: log bytes
+    // (236 / 280 / 280; 10 000 transfers stay under the engines' checkpoint
+    // interval), two work-map slots, and for the portable protocols two
+    // marker entries. 2PC and commit-after hear the decision and shrink to
+    // scalars. Commit-before never hears of a commit (§3.3: "no further
+    // actions"), so its two undo programs (inverse operation + marker
+    // delete, 64 B each) stay until item 6's low-water mark tells the site.
+    let budgets = [
+        (ProtocolKind::TwoPhaseCommit, 400.0),
+        (ProtocolKind::CommitAfter, 450.0),
+        (ProtocolKind::CommitBefore, 600.0),
+    ];
+    for (protocol, budget) in budgets {
+        let (per_txn, table) = retained_per_txn(protocol);
+        println!("{protocol}: {per_txn:.0} B retained per finished transaction (budget {budget})");
+        assert!(
+            per_txn <= budget,
+            "{protocol}: {per_txn:.0} B of live heap per finished transaction > {budget}\n{table}"
+        );
+    }
+}
