@@ -13,7 +13,7 @@
 //! the whole paper.
 
 use crate::api::{EngineStats, LocalEngine, RecoveryReport, Terminated};
-use amc_storage::{PageStore, StableStorage};
+use amc_storage::PageStore;
 use amc_types::SiteId;
 use amc_types::{
     AbortReason, AmcError, AmcResult, LocalRunState, LocalTxnId, ObjectId, OpResult, Operation,
@@ -55,29 +55,28 @@ pub struct OccEngine {
 }
 
 impl OccEngine {
-    /// A fresh engine with `buckets` hash buckets and `pool_frames` buffer
-    /// frames, serving `site`.
-    pub fn new_at(buckets: u32, pool_frames: usize, site: SiteId) -> Self {
-        let store = PageStore::open(
-            StableStorage::new(buckets as usize + 8),
-            buckets,
-            pool_frames,
-        )
-        .expect("fresh store opens");
+    /// An engine over a fresh simulated disk and `log`, serving `site`.
+    fn over(buckets: u32, pool_frames: usize, site: SiteId, log: LogManager, up: bool) -> Self {
         OccEngine {
             inner: Mutex::new(Inner {
-                store,
-                log: LogManager::new(),
+                store: PageStore::new(buckets, pool_frames),
+                log,
                 versions: HashMap::new(),
                 version_clock: 1,
                 active: HashMap::new(),
                 terminated: Terminated::default(),
                 next_txn: 1,
-                up: true,
+                up,
                 stats: EngineStats::default(),
             }),
             site: AtomicU32::new(site.raw()),
         }
+    }
+
+    /// A fresh engine with `buckets` hash buckets and `pool_frames` buffer
+    /// frames, serving `site`.
+    pub fn new_at(buckets: u32, pool_frames: usize, site: SiteId) -> Self {
+        Self::over(buckets, pool_frames, site, LogManager::new(), true)
     }
 
     /// A fresh engine not yet attributed to a site.
@@ -96,27 +95,9 @@ impl OccEngine {
         site: SiteId,
         path: impl AsRef<std::path::Path>,
     ) -> AmcResult<(Self, RecoveryReport)> {
+        // Down until recover() replays the log and re-opens the door.
         let log = LogManager::open_durable(path)?;
-        let store = PageStore::open(
-            StableStorage::new(buckets as usize + 8),
-            buckets,
-            pool_frames,
-        )?;
-        let engine = OccEngine {
-            inner: Mutex::new(Inner {
-                store,
-                log,
-                versions: HashMap::new(),
-                version_clock: 1,
-                active: HashMap::new(),
-                terminated: Terminated::default(),
-                next_txn: 1,
-                // Down until recover() replays the log and re-opens the door.
-                up: false,
-                stats: EngineStats::default(),
-            }),
-            site: AtomicU32::new(site.raw()),
-        };
+        let engine = Self::over(buckets, pool_frames, site, log, false);
         let report = engine.recover()?;
         Ok((engine, report))
     }

@@ -24,10 +24,10 @@
 
 use crate::api::{EngineStats, LocalEngine, PreparableEngine, RecoveryReport, Terminated};
 use amc_lock::{blocking::AcquireResult, BlockingLockManager, PageMode};
-use amc_storage::{PageStore, StableStorage};
+use amc_storage::PageStore;
 use amc_types::{
-    AbortReason, AmcError, AmcResult, LocalRunState, LocalTxnId, Lsn, ObjectId, OpResult,
-    Operation, PageId, SiteId, Value,
+    AbortReason, AmcError, AmcResult, LocalRunState, LocalTxnId, ObjectId, OpResult, Operation,
+    PageId, SiteId, Value,
 };
 use amc_wal::{GroupCommitConfig, GroupCommitter, LogManager, LogRecord};
 use parking_lot::Mutex;
@@ -83,20 +83,11 @@ struct TxnCtx {
 /// independently locked components.
 struct TxnTable {
     active: HashMap<LocalTxnId, TxnCtx>,
-    /// Transactions taken out of `active` whose rollback is still running.
-    aborting: usize,
     terminated: Terminated,
     next_txn: u64,
-    /// Commits since the in-memory log was last cut (see `checkpoint`).
-    since_checkpoint: u64,
     up: bool,
     stats: EngineStats,
 }
-
-/// Commits between checkpoints of an in-memory log: at ≈ 60 log bytes per
-/// record it bounds what a site keeps to a few megabytes instead of
-/// 120–140 bytes per transaction it ever ran.
-const CHECKPOINT_EVERY: u64 = 16_384;
 
 /// A strict-2PL local database engine.
 pub struct TwoPLEngine {
@@ -111,30 +102,27 @@ pub struct TwoPLEngine {
 }
 
 impl TwoPLEngine {
-    /// A fresh engine over a fresh simulated disk, serving `site`.
-    pub fn new_at(cfg: TplConfig, site: SiteId) -> Self {
-        let store = PageStore::open(
-            StableStorage::new(cfg.buckets as usize + 8),
-            cfg.buckets,
-            cfg.pool_frames,
-        )
-        .expect("fresh store opens");
+    /// An engine over a fresh simulated disk and `log`, serving `site`.
+    fn over(cfg: TplConfig, site: SiteId, log: LogManager, up: bool) -> Self {
         TwoPLEngine {
             txns: Mutex::new(TxnTable {
                 active: HashMap::new(),
-                aborting: 0,
                 terminated: Terminated::default(),
                 next_txn: 1,
-                since_checkpoint: 0,
-                up: true,
+                up,
                 stats: EngineStats::default(),
             }),
-            store: Mutex::new(store),
-            wal: GroupCommitter::new(LogManager::new(), cfg.group_commit),
+            store: Mutex::new(PageStore::new(cfg.buckets, cfg.pool_frames)),
+            wal: GroupCommitter::new(log, cfg.group_commit),
             locks: BlockingLockManager::new(cfg.deadlock_check),
             cfg,
             site: AtomicU32::new(site.raw()),
         }
+    }
+
+    /// A fresh engine over a fresh simulated disk, serving `site`.
+    pub fn new_at(cfg: TplConfig, site: SiteId) -> Self {
+        Self::over(cfg, site, LogManager::new(), true)
     }
 
     /// A fresh engine not yet attributed to a site.
@@ -153,29 +141,8 @@ impl TwoPLEngine {
         site: SiteId,
         path: impl AsRef<std::path::Path>,
     ) -> AmcResult<(Self, RecoveryReport)> {
-        let log = LogManager::open_durable(path)?;
-        let store = PageStore::open(
-            StableStorage::new(cfg.buckets as usize + 8),
-            cfg.buckets,
-            cfg.pool_frames,
-        )?;
-        let engine = TwoPLEngine {
-            txns: Mutex::new(TxnTable {
-                active: HashMap::new(),
-                aborting: 0,
-                terminated: Terminated::default(),
-                next_txn: 1,
-                since_checkpoint: 0,
-                // Down until recover() replays the log and re-opens the door.
-                up: false,
-                stats: EngineStats::default(),
-            }),
-            store: Mutex::new(store),
-            wal: GroupCommitter::new(log, cfg.group_commit),
-            locks: BlockingLockManager::new(cfg.deadlock_check),
-            cfg,
-            site: AtomicU32::new(site.raw()),
-        };
+        // Down until recover() replays the log and re-opens the door.
+        let engine = Self::over(cfg, site, LogManager::open_durable(path)?, false);
         let report = engine.recover()?;
         Ok((engine, report))
     }
@@ -292,7 +259,6 @@ impl TwoPLEngine {
             let Some(ctx) = txns.active.remove(&txn) else {
                 return Err(AmcError::UnknownTxn);
             };
-            txns.aborting += 1;
             ctx
         };
         let was_prepared = ctx.state == LocalRunState::Ready;
@@ -332,7 +298,6 @@ impl TwoPLEngine {
         }
         {
             let mut txns = self.txns.lock();
-            txns.aborting = txns.aborting.saturating_sub(1);
             txns.terminated.insert(txn, LocalRunState::Aborted);
             txns.stats.aborts += 1;
             if reason.is_erroneous() {
@@ -374,31 +339,6 @@ impl TwoPLEngine {
         for t in victims {
             self.locks.release_txn(t);
         }
-    }
-
-    /// A quiescent checkpoint, taken with the transaction table locked: no
-    /// transaction is running, prepared or rolling back, so once the log
-    /// tail is forced and every dirty page is flushed, restart recovery
-    /// can never need a record written so far — cut them all
-    /// ([`LogManager::truncate_before`]'s safe case). Only an in-memory log
-    /// is cut: a durable one is replayed by the *next process* into an
-    /// empty store and needs its whole history. Until ROADMAP item 6 lands
-    /// fuzzy checkpoints this is what keeps a long run's log bounded.
-    fn checkpoint(&self, txns: &mut TxnTable) {
-        if !txns.up || !txns.active.is_empty() || txns.aborting > 0 {
-            return; // down, or not quiescent: try again at the next commit
-        }
-        let mut store = self.store.lock();
-        self.wal.with_log(|log| {
-            if log.is_durable() {
-                return;
-            }
-            log.force();
-            if store.flush().is_ok() {
-                log.truncate_before(Lsn::new(log.head().raw() + 1));
-            }
-        });
-        txns.since_checkpoint = 0;
     }
 
     /// The L0 lock hold count right now (observed by E1's instrumentation).
@@ -564,10 +504,6 @@ impl LocalEngine for TwoPLEngine {
                 txns.stats.commits += 1;
             }
             txns.terminated.insert(txn, LocalRunState::Committed);
-            txns.since_checkpoint += 1;
-            if txns.since_checkpoint >= CHECKPOINT_EVERY {
-                self.checkpoint(&mut txns);
-            }
         }
         self.locks.release_txn(txn);
         Ok(())
@@ -793,75 +729,6 @@ mod tests {
         e.load(data.iter().map(|&(o, val)| (obj(o), v(val))))
             .unwrap();
         e
-    }
-
-    fn bump(e: &TwoPLEngine, o: u64) {
-        let t = e.begin().unwrap();
-        let op = Op::Increment {
-            obj: obj(o),
-            delta: 1,
-        };
-        e.execute(t, &op).unwrap();
-        e.commit(t).unwrap();
-    }
-
-    fn stable_log_len(e: &TwoPLEngine) -> usize {
-        e.wal.with_log(|log| log.stable_records().unwrap().len())
-    }
-
-    #[test]
-    fn quiescent_checkpoint_bounds_the_in_memory_log_and_recovery_still_holds() {
-        let e = engine_with(&[(1, 0), (2, 0)]);
-        // A transaction left running holds the checkpoint back: its records
-        // must survive until it ends.
-        let holder = e.begin().unwrap();
-        let op = Op::Increment {
-            obj: obj(2),
-            delta: 7,
-        };
-        e.execute(holder, &op).unwrap();
-        for _ in 0..CHECKPOINT_EVERY + 10 {
-            bump(&e, 1);
-        }
-        assert!(
-            stable_log_len(&e) as u64 > 3 * CHECKPOINT_EVERY,
-            "held back"
-        );
-        e.commit(holder).unwrap(); // quiescent now: this commit cuts the log
-        assert_eq!(stable_log_len(&e), 0);
-        bump(&e, 1);
-        assert_eq!(stable_log_len(&e), 3, "begin, update, commit");
-
-        // What the cut records described is on stable pages; what came
-        // after is replayed; a transaction running at the crash is gone.
-        let loser = e.begin().unwrap();
-        e.execute(loser, &op).unwrap();
-        e.crash();
-        e.recover().unwrap();
-        let dump = e.dump().unwrap();
-        assert_eq!(dump.get(&obj(1)), Some(&v(CHECKPOINT_EVERY as i64 + 11)));
-        assert_eq!(dump.get(&obj(2)), Some(&v(7)));
-        assert_eq!(e.state_of(holder), Some(LocalRunState::Committed));
-    }
-
-    #[test]
-    fn a_prepared_transaction_holds_the_checkpoint_back() {
-        let e = engine_with(&[(1, 0), (2, 0)]);
-        let doubt = e.begin().unwrap();
-        let op = Op::Increment {
-            obj: obj(2),
-            delta: 5,
-        };
-        e.execute(doubt, &op).unwrap();
-        e.prepare(doubt).unwrap();
-        for _ in 0..CHECKPOINT_EVERY + 1 {
-            bump(&e, 1);
-        }
-        assert!(stable_log_len(&e) as u64 > 3 * CHECKPOINT_EVERY);
-        e.crash();
-        assert_eq!(e.recover().unwrap().in_doubt, vec![doubt]);
-        e.commit(doubt).unwrap();
-        assert_eq!(e.dump().unwrap().get(&obj(2)), Some(&v(5)));
     }
 
     #[test]

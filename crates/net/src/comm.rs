@@ -138,70 +138,59 @@ impl std::ops::AddAssign for CommStats {
     }
 }
 
-/// A transaction this site may still have to redo or undo: the journaled
-/// entry, programs included, plus what only this process knows about it.
-#[derive(Debug)]
-struct Work {
-    entry: WorkEntry,
-    /// Restored from the work journal after a site restart; the next
-    /// final-state message resolves the in-doubt window and is reported
-    /// as an `InDoubtResolved` event.
-    recovered: bool,
-}
-
 /// One slot of the work map. Entries are never reclaimed, so what a
 /// finished transaction keeps is what every transaction costs for good.
 #[derive(Debug)]
 enum Slot {
-    Live(Box<Work>),
-    /// Commit-before after its local commit (voted ready, not read-only):
-    /// nothing is left to run forward, and only an `Undo` can still ask
-    /// for something — the inverse program, captured in forward order. A
-    /// site never hears of a commit (§3.3), so until a low-water mark
-    /// tells it (ROADMAP 6(a)) this is what such a transaction keeps.
-    Committed {
-        ltx: LocalTxnId,
-        inverse_ops: Box<[Operation]>,
+    /// May still have to be redone or undone here: the journaled entry,
+    /// programs included. `recovered`: restored from the work journal after
+    /// a site restart; the next final-state message resolves the in-doubt
+    /// window and is reported as an `InDoubtResolved` event.
+    Live {
+        entry: Box<WorkEntry>,
+        recovered: bool,
     },
-    /// The final state is applied here: a late duplicate is answered from
-    /// the scalars (and the markers); the programs are freed.
+    /// Commit-before work that committed here with updates: nothing is left
+    /// to run forward and the local transaction is over, so only an `Undo`
+    /// can still ask for something — the inverse program, captured in
+    /// forward order. A site never hears of a commit (§3.3), so until a
+    /// low-water mark tells it (ROADMAP 6(a)) this is what such work keeps.
+    Committed(Box<[Operation]>),
+    /// Nothing will be redone or undone here: a late duplicate is answered
+    /// from the scalars (and the markers); the programs are freed.
     Done(Snapshot),
 }
 
 impl Slot {
     fn live(entry: WorkEntry, recovered: bool) -> Slot {
-        Slot::Live(Box::new(Work { entry, recovered }))
+        let entry = Box::new(entry);
+        Slot::Live { entry, recovered }
     }
 
     /// The slot a freshly voted `entry` starts in.
     fn voted(entry: WorkEntry) -> Slot {
-        match entry {
-            WorkEntry {
-                mode: SubmitMode::CommitBefore,
-                ltx: Some(ltx),
-                committed_locally: true,
-                vote: Some(LocalVote::Ready),
-                inverse_ops,
-                ..
-            } => Slot::Committed {
-                ltx,
-                inverse_ops: inverse_ops.into_boxed_slice(),
-            },
-            entry => Slot::live(entry, false),
+        let scalars = entry.snapshot();
+        match scalars.vote {
+            Some(LocalVote::Ready) if scalars.undoable() => {
+                Slot::Committed(entry.inverse_ops.into())
+            }
+            // Dropped out of the decision round: nothing to redo or undo.
+            Some(LocalVote::ReadyReadOnly | LocalVote::Aborted) => Slot::Done(scalars),
+            _ => Slot::live(entry, false),
         }
     }
 
     fn snapshot(&self) -> Snapshot {
         match self {
-            Slot::Live(w) => w.entry.snapshot(),
-            Slot::Committed { ltx, .. } => Snapshot {
+            Slot::Live { entry, .. } => entry.snapshot(),
+            Slot::Committed(_) => Snapshot {
                 mode: SubmitMode::CommitBefore,
-                ltx: Some(*ltx),
+                ltx: None,
                 committed_locally: true,
                 vote: Some(LocalVote::Ready),
                 read_only: false,
             },
-            Slot::Done(snapshot) => *snapshot,
+            Slot::Done(scalars) => *scalars,
         }
     }
 
@@ -209,8 +198,8 @@ impl Slot {
     /// or when nothing committed here).
     fn inverse_ops(&self) -> &[Operation] {
         match self {
-            Slot::Live(w) => &w.entry.inverse_ops,
-            Slot::Committed { inverse_ops, .. } => inverse_ops,
+            Slot::Live { entry, .. } => &entry.inverse_ops,
+            Slot::Committed(inverse_ops) => inverse_ops,
             Slot::Done(_) => &[],
         }
     }
@@ -230,6 +219,12 @@ struct Snapshot {
 impl Snapshot {
     fn is_tombstone(&self) -> bool {
         self.ltx.is_none() && !self.committed_locally && self.vote == Some(LocalVote::Aborted)
+    }
+
+    /// Committed here under commit-before with updates: a global abort
+    /// reaches this work as an `Undo`.
+    fn undoable(&self) -> bool {
+        self.mode == SubmitMode::CommitBefore && self.committed_locally && !self.read_only
     }
 }
 
@@ -436,14 +431,18 @@ impl LocalCommManager {
         self.work(gtx).get(&gtx).map(Slot::snapshot)
     }
 
-    /// This message applied `gtx`'s final state: nothing will be redone or
-    /// undone here again, so the slot shrinks to its scalars. If the entry
-    /// was restored from the journal, the message also resolved its
-    /// in-doubt window: emit that once.
-    fn finish(&self, gtx: GlobalTxnId, verdict: amc_types::GlobalVerdict) {
+    /// This message settled `gtx` here: nothing will be redone again, so the
+    /// slot frees its programs — all but the inverse one after an abort
+    /// decision for [`Snapshot::undoable`] work, which the `Undo` that
+    /// follows asks for. If the entry was restored from the journal, the
+    /// message also resolved its in-doubt window: emit that once.
+    fn finish(&self, gtx: GlobalTxnId, verdict: amc_types::GlobalVerdict, undo_follows: bool) {
         let was_recovered = self.work(gtx).get_mut(&gtx).is_some_and(|slot| {
-            let was_recovered = matches!(slot, Slot::Live(w) if w.recovered);
-            *slot = Slot::Done(slot.snapshot());
+            let was_recovered = matches!(slot, Slot::Live { recovered, .. } if *recovered);
+            *slot = match undo_follows {
+                true => Slot::Committed(slot.inverse_ops().into()),
+                false => Slot::Done(slot.snapshot()),
+            };
             was_recovered
         });
         if was_recovered {
@@ -497,7 +496,8 @@ impl LocalCommManager {
         *self.stats.lock()
     }
 
-    /// The local transaction currently associated with `gtx`.
+    /// The local transaction currently associated with `gtx` (none once
+    /// commit-before work has committed: that local transaction is over).
     pub fn local_txn_of(&self, gtx: GlobalTxnId) -> Option<LocalTxnId> {
         self.snapshot_of(gtx)?.ltx
     }
@@ -920,9 +920,9 @@ impl LocalCommManager {
     /// Mark `gtx`'s work committed locally — by the repetition `redo`
     /// when there was one, else by its original local transaction.
     fn note_local_commit(&self, gtx: GlobalTxnId, redo: Option<LocalTxnId>) {
-        if let Some(Slot::Live(w)) = self.work(gtx).get_mut(&gtx) {
-            w.entry.committed_locally = true;
-            w.entry.ltx = redo.or(w.entry.ltx);
+        if let Some(Slot::Live { entry, .. }) = self.work(gtx).get_mut(&gtx) {
+            entry.committed_locally = true;
+            entry.ltx = redo.or(entry.ltx);
         }
     }
 
@@ -1031,7 +1031,7 @@ impl LocalCommManager {
                     if w.committed_locally {
                         // Read-only participant: already committed at
                         // submit; a stray decision needs no work.
-                        self.finish(gtx, verdict);
+                        self.finish(gtx, verdict, false);
                         return Ok(Payload::Finished { gtx });
                     }
                     // Fast path: the original transaction is still running.
@@ -1045,7 +1045,7 @@ impl LocalCommManager {
                         // Erroneous abort after ready (or crash): repeat
                         // until committed.
                         let ops = match self.work(gtx).get(&gtx) {
-                            Some(Slot::Live(w)) => w.entry.ops.clone(),
+                            Some(Slot::Live { entry, .. }) => entry.ops.clone(),
                             // A duplicate: the marker ends the loop at once.
                             _ => Vec::new(),
                         };
@@ -1075,11 +1075,6 @@ impl LocalCommManager {
                             engine.abort(ltx, AbortReason::GlobalDecision)?;
                         }
                     }
-                    if w.committed_locally {
-                        // Not final yet: that `Undo` needs the captured
-                        // inverse program this slot still holds.
-                        return Ok(Payload::Finished { gtx });
-                    }
                 }
             },
             None => {
@@ -1097,7 +1092,9 @@ impl LocalCommManager {
                 self.lay_tombstone(gtx, SubmitMode::CommitAfter);
             }
         }
-        self.finish(gtx, verdict);
+        let undo_follows =
+            verdict == GlobalVerdict::Abort && snapshot.is_some_and(|w| w.undoable());
+        self.finish(gtx, verdict, undo_follows);
         Ok(Payload::Finished { gtx })
     }
 
@@ -1117,7 +1114,7 @@ impl LocalCommManager {
             Slot::live(entry, false)
         });
         self.redo_until_committed(gtx, &ops)?;
-        self.finish(gtx, amc_types::GlobalVerdict::Commit);
+        self.finish(gtx, amc_types::GlobalVerdict::Commit, false);
         Ok(Payload::Finished { gtx })
     }
 
@@ -1143,7 +1140,7 @@ impl LocalCommManager {
         for attempt in 0..self.max_attempts {
             self.backoff(attempt);
             if self.marker_present(undo_marker(gtx))? {
-                self.finish(gtx, amc_types::GlobalVerdict::Abort);
+                self.finish(gtx, amc_types::GlobalVerdict::Abort, false);
                 return Ok(Payload::Finished { gtx });
             }
             self.stats.lock().undo_runs += 1;
@@ -1158,7 +1155,7 @@ impl LocalCommManager {
             all_ops.push(Self::marker_op(gtx, LocalTxnId::new(0), true));
             match self.run_ops(&all_ops, true, None)? {
                 Ok(_) => {
-                    self.finish(gtx, amc_types::GlobalVerdict::Abort);
+                    self.finish(gtx, amc_types::GlobalVerdict::Abort, false);
                     return Ok(Payload::Finished { gtx });
                 }
                 Err(r) if r.is_erroneous() => continue, // Fig. 6: repeat inverse
@@ -1694,5 +1691,118 @@ mod tests {
             mgr.handle_decision(gtx(9), GlobalVerdict::Commit),
             Err(AmcError::Protocol(_))
         ));
+    }
+
+    /// The journal of a manager process that is about to die.
+    struct MemJournal(Arc<Mutex<Vec<WorkEntry>>>);
+
+    impl WorkJournal for MemJournal {
+        fn record(&self, entry: &WorkEntry) {
+            self.0.lock().push(entry.clone());
+        }
+    }
+
+    fn in_doubt_resolutions(sink: &ObsSink) -> usize {
+        let log = sink.snapshot();
+        log.events()
+            .filter(|e| matches!(e.kind, EventKind::InDoubtResolved { .. }))
+            .count()
+    }
+
+    /// Commit-before work restored from the journal: the abort decision
+    /// resolves the in-doubt window (reported once, at the decision, as the
+    /// parent of this change did) and frees the forward program, but the
+    /// slot keeps the captured inverse program for the `Undo` that follows.
+    #[test]
+    fn restored_commit_before_work_resolves_at_the_abort_decision_and_can_still_undo() {
+        let (mut first, engine) = manager_with(&[(1, 10)]);
+        let journal = Arc::new(Mutex::new(Vec::new()));
+        first.set_journal(Box::new(MemJournal(journal.clone())));
+        let inc = Op::Increment {
+            obj: obj(1),
+            delta: 5,
+        };
+        first
+            .handle_submit(gtx(1), vec![inc], SubmitMode::CommitBefore)
+            .unwrap();
+        let entry = journal.lock().last().cloned().unwrap();
+        assert!(entry.committed_locally && !entry.inverse_ops.is_empty());
+
+        // The manager process restarts over the same database.
+        let mut mgr =
+            LocalCommManager::new(SiteId::new(1), EngineHandle::Preparable(engine.clone()));
+        let sink = ObsSink::enabled(64);
+        mgr.set_obs(sink.clone());
+        assert_eq!(mgr.restore_work(vec![entry.clone()]).unwrap(), 1);
+        assert!(matches!(
+            mgr.work(gtx(1)).get(&gtx(1)),
+            Some(Slot::Live {
+                recovered: true,
+                ..
+            })
+        ));
+
+        mgr.handle_decision(gtx(1), GlobalVerdict::Abort).unwrap();
+        assert_eq!(in_doubt_resolutions(&sink), 1);
+        match mgr.work(gtx(1)).get(&gtx(1)) {
+            Some(Slot::Committed(inverse_ops)) => assert_eq!(**inverse_ops, *entry.inverse_ops),
+            other => panic!("the undo program must survive the decision: {other:?}"),
+        }
+        assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(15)));
+
+        mgr.handle_undo(gtx(1), Vec::new()).unwrap();
+        assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
+        assert!(matches!(mgr.work(gtx(1)).get(&gtx(1)), Some(Slot::Done(_))));
+        // A duplicate of either message changes and reports nothing more.
+        mgr.handle_decision(gtx(1), GlobalVerdict::Abort).unwrap();
+        mgr.handle_undo(gtx(1), Vec::new()).unwrap();
+        assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
+        assert_eq!(in_doubt_resolutions(&sink), 1);
+    }
+
+    /// What a slot keeps from the vote on: a vote that leaves the decision
+    /// round (read-only, aborted) keeps scalars only; commit-before's local
+    /// commit keeps the undo program only; a slot is three words.
+    #[test]
+    fn a_slot_keeps_only_what_a_later_message_can_ask_for() {
+        assert!(std::mem::size_of::<Slot>() <= 24);
+        let (mgr, _) = manager_with(&[(1, 10)]);
+        let read = vec![Op::Read { obj: obj(1) }];
+        let missing = vec![Op::Increment {
+            obj: obj(404),
+            delta: 1,
+        }];
+        let bump = vec![Op::Increment {
+            obj: obj(1),
+            delta: 1,
+        }];
+        let vote_of = |p: Payload| match p {
+            Payload::Vote { vote, .. } => vote,
+            other => panic!("not a vote: {other:?}"),
+        };
+        let submit = |n, ops, mode| vote_of(mgr.handle_submit(gtx(n), ops, mode).unwrap());
+        use SubmitMode::{CommitAfter, CommitBefore};
+        assert_eq!(submit(1, read, CommitAfter), LocalVote::ReadyReadOnly);
+        assert_eq!(submit(2, missing.clone(), CommitAfter), LocalVote::Aborted);
+        assert_eq!(submit(3, missing, CommitBefore), LocalVote::Aborted);
+        for n in 1..=3 {
+            let work = mgr.work(gtx(n));
+            assert!(matches!(work.get(&gtx(n)), Some(Slot::Done(_))), "{n}");
+        }
+        assert_eq!(submit(4, bump.clone(), CommitBefore), LocalVote::Ready);
+        assert!(matches!(
+            mgr.work(gtx(4)).get(&gtx(4)),
+            Some(Slot::Committed(undo)) if !undo.is_empty()
+        ));
+        assert_eq!(submit(5, bump, CommitAfter), LocalVote::Ready);
+        assert!(matches!(
+            mgr.work(gtx(5)).get(&gtx(5)),
+            Some(Slot::Live { .. })
+        ));
+        // Duplicates of the submits are answered from the scalars.
+        let again = |n, mode| vote_of(mgr.handle_submit(gtx(n), Vec::new(), mode).unwrap());
+        assert_eq!(again(1, CommitAfter), LocalVote::ReadyReadOnly);
+        assert_eq!(again(3, CommitBefore), LocalVote::Aborted);
+        assert_eq!(again(4, CommitBefore), LocalVote::Ready);
     }
 }

@@ -137,14 +137,13 @@ impl BufferPool {
     /// Read `id` over `page`; `Ok(false)` (page untouched) when the disk
     /// never saw it.
     fn read_with_retry(id: PageId, disk: &mut StableStorage, page: &mut Page) -> AmcResult<bool> {
-        let mut last = None;
-        for _ in 0..Self::READ_RETRIES {
+        for _ in 1..Self::READ_RETRIES {
             match disk.read_into(id, page) {
-                Err(AmcError::TransientIo(m)) => last = Some(AmcError::TransientIo(m)),
+                Err(AmcError::TransientIo(_)) => continue,
                 other => return other,
             }
         }
-        Err(last.expect("loop ran at least once"))
+        disk.read_into(id, page)
     }
 
     /// Second-chance eviction: sweep the clock, clearing reference bits,
@@ -173,14 +172,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Write one dirty frame back (no-op if clean or absent).
-    pub fn flush_page(&mut self, id: PageId, disk: &mut StableStorage) -> AmcResult<()> {
-        match self.slot_of.get(&id) {
-            Some(&slot) => self.write_back(slot, disk),
-            None => Ok(()),
-        }
-    }
-
     /// Write every dirty frame back (checkpoint).
     pub fn flush_all(&mut self, disk: &mut StableStorage) -> AmcResult<()> {
         (0..self.frames.len()).try_for_each(|slot| self.write_back(slot, disk))
@@ -191,13 +182,6 @@ impl BufferPool {
         self.frames.clear();
         self.slot_of.clear();
         self.hand = 0;
-    }
-
-    /// Test hook: whether a page is resident and dirty.
-    pub fn is_dirty(&self, id: PageId) -> bool {
-        self.slot_of
-            .get(&id)
-            .is_some_and(|&slot| self.frames[slot].page.is_dirty())
     }
 }
 
@@ -274,27 +258,13 @@ mod tests {
         })
         .unwrap();
         pool.flush_all(&mut disk).unwrap();
-        assert!(!pool.is_dirty(pid(1)));
+        pool.with_page(pid(1), &mut disk, |p| assert!(!p.is_dirty()))
+            .unwrap();
         pool.crash();
         let v = pool
             .with_page(pid(1), &mut disk, |p| p.get(obj(1)))
             .unwrap();
         assert_eq!(v, Some(Value::counter(5)));
-    }
-
-    #[test]
-    fn flush_page_is_selective() {
-        let mut disk = StableStorage::new(8);
-        let mut pool = BufferPool::new(4);
-        for i in 1..=2u32 {
-            pool.with_page(pid(i), &mut disk, |p| {
-                p.upsert(obj(u64::from(i)), Value::counter(1)).unwrap();
-            })
-            .unwrap();
-        }
-        pool.flush_page(pid(1), &mut disk).unwrap();
-        assert!(!pool.is_dirty(pid(1)));
-        assert!(pool.is_dirty(pid(2)));
     }
 
     #[test]
@@ -382,12 +352,13 @@ mod tests {
         });
         assert!(pool.with_page(pid(2), &mut disk, |_| ()).is_err());
         disk.clear_faults();
-        assert!(disk.is_allocated(pid(1)) && !pool.is_dirty(pid(1)));
+        assert!(disk.is_allocated(pid(1)));
         let hits = pool.stats().hits;
-        let v = pool
-            .with_page(pid(1), &mut disk, |p| p.get(obj(1)))
+        let (dirty, v) = pool
+            .with_page(pid(1), &mut disk, |p| (p.is_dirty(), p.get(obj(1))))
             .unwrap();
-        assert_eq!((v, pool.stats().hits), (Some(Value::counter(7)), hits + 1));
+        assert_eq!((dirty, v), (false, Some(Value::counter(7))));
+        assert_eq!(pool.stats().hits, hits + 1);
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! Checksums for page and log-record integrity.
 //!
 //! A cryptographic hash would be overkill: the threat model is torn or
-//! stale simulated I/O, not an adversary. Both functions are
-//! allocation-free, dependency-free and more than strong enough to catch
-//! the corruption the test suite injects.
-//!
-//! * [`fnv1a`] — byte-serial FNV-1a for the `[len][fnv1a]` frame header of
-//!   the WAL, the work journal and the acceptor log (payloads ≤ 100 bytes,
-//!   bytes on disk under `--wal-dir`).
-//! * [`page_sum`] — word-wise, four independent lanes, for 4 KB page
-//!   images: a buffer-pool miss verifies one and a write-back seals one,
-//!   and FNV-1a's 4 072 dependent multiplies were most of both.
+//! stale simulated I/O, not an adversary. [`fnv1a`] (byte-serial) seals the
+//! `[len][fnv1a]` frame header of the WAL, the work journal and the acceptor
+//! log — payloads ≤ 100 bytes, bytes on disk under `--wal-dir`. [`page_sum`]
+//! (word-wise, four independent lanes) seals 4 KB page images, where
+//! FNV-1a's 4 072 dependent multiplies were most of a buffer-pool miss.
+//! Both are allocation-free and dependency-free.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -51,10 +47,7 @@ fn lane_step(h: u64, word: u64) -> u64 {
 /// # Panics
 /// When `data` is not a whole number of words (a page body is 509).
 pub fn page_sum(data: &[u8]) -> u64 {
-    assert!(
-        data.len().is_multiple_of(8),
-        "page body is whole 8-byte words"
-    );
+    assert_eq!(data.len() % 8, 0, "page body is whole 8-byte words");
     let mut lanes = LANE_SEED;
     let mut blocks = data.chunks_exact(8 * LANES);
     for block in &mut blocks {

@@ -63,21 +63,16 @@ impl StableStorage {
         self.pages.len()
     }
 
-    /// Grow the disk if `page` lies beyond the current capacity.
-    fn ensure(&mut self, page: PageId) {
-        let idx = page.raw() as usize;
-        if idx >= self.pages.len() {
-            self.pages.resize(idx + 1, None);
-        }
-    }
-
     /// Atomically write a page image.
     ///
     /// With faults injected, the write may be silently **lost**: it is
     /// acknowledged (`Ok`) but the previous image stays on the medium —
     /// exactly the failure a caller cannot detect without reading back.
     pub fn write_page(&mut self, page: &Page) -> AmcResult<()> {
-        self.ensure(page.id());
+        let idx = page.id().raw() as usize;
+        if idx >= self.pages.len() {
+            self.pages.resize(idx + 1, None); // the disk grows on demand
+        }
         self.stats.writes += 1;
         if let Some(f) = &mut self.faults {
             if f.rng.chance(f.cfg.lost_write_probability) {
@@ -87,24 +82,17 @@ impl StableStorage {
         }
         // Seal straight into the slot's buffer; only a slot's first write
         // allocates one.
-        let slot = &mut self.pages[page.id().raw() as usize];
-        page.seal_into(slot.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE])));
+        page.seal_into(self.pages[idx].get_or_insert_with(|| Box::new([0u8; PAGE_SIZE])));
         Ok(())
     }
 
-    /// Read and verify a page image. `Ok(None)` when the slot was never
-    /// written (a fresh page the store will initialize).
+    /// Read page `id` into an existing frame: verify the stored image, then
+    /// copy it over `page`. `Ok(false)` when the slot was never written (a
+    /// fresh page the store will initialize); then, and on any error,
+    /// `page` is untouched.
     ///
     /// With faults injected, the read may fail with
     /// [`AmcError::TransientIo`]; retrying redraws the fault dice.
-    pub fn read_page(&mut self, id: PageId) -> AmcResult<Option<Page>> {
-        let mut page = Page::new(id);
-        Ok(self.read_into(id, &mut page)?.then_some(page))
-    }
-
-    /// [`StableStorage::read_page`] into an existing frame: verify the
-    /// stored image, then copy it over `page`. `Ok(false)` when the slot
-    /// was never written; then, and on any error, `page` is untouched.
     pub fn read_into(&mut self, id: PageId, page: &mut Page) -> AmcResult<bool> {
         if let Some(f) = &mut self.faults {
             if f.rng.chance(f.cfg.read_error_probability) {
@@ -124,9 +112,7 @@ impl StableStorage {
 
     /// True when the slot holds a page image.
     pub fn is_allocated(&self, id: PageId) -> bool {
-        self.pages
-            .get(id.raw() as usize)
-            .is_some_and(Option::is_some)
+        matches!(self.pages.get(id.raw() as usize), Some(Some(_)))
     }
 
     /// I/O counters so far.
@@ -138,22 +124,27 @@ impl StableStorage {
     pub fn reset_stats(&mut self) {
         self.stats = DiskStats::default();
     }
-
-    /// Test hook: corrupt one byte of a stored image to exercise checksum
-    /// verification.
-    pub fn corrupt_page(&mut self, id: PageId, byte_offset: usize) {
-        if let Some(Some(img)) = self.pages.get_mut(id.raw() as usize) {
-            if let Some(byte) = img.get_mut(byte_offset) {
-                *byte ^= 0xff;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use amc_types::{ObjectId, Value};
+
+    impl StableStorage {
+        /// Read and verify a page image; `Ok(None)` when never written.
+        fn read_page(&mut self, id: PageId) -> AmcResult<Option<Page>> {
+            let mut page = Page::new(id);
+            Ok(self.read_into(id, &mut page)?.then_some(page))
+        }
+
+        /// Corrupt one byte of a stored image.
+        fn corrupt_page(&mut self, id: PageId, byte_offset: usize) {
+            if let Some(Some(img)) = self.pages.get_mut(id.raw() as usize) {
+                img[byte_offset] ^= 0xff;
+            }
+        }
+    }
 
     #[test]
     fn write_then_read_roundtrips() {

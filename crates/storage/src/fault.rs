@@ -16,9 +16,9 @@
 /// independent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
-    /// Probability that a `read_page` fails with a transient I/O error.
+    /// Probability that a page read fails with a transient I/O error.
     pub read_error_probability: f64,
-    /// Probability that a `write_page` is acknowledged but silently lost.
+    /// Probability that a page write is acknowledged but silently lost.
     pub lost_write_probability: f64,
     /// Seed for the fault PRNG stream.
     pub seed: u64,

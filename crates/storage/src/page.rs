@@ -53,6 +53,10 @@ impl PartialEq for Page {
 }
 impl Eq for Page {}
 
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"))
+}
+
 fn entry_obj(entry: &[u8]) -> u64 {
     u64::from_le_bytes(entry[..8].try_into().expect("8 bytes"))
 }
@@ -80,15 +84,13 @@ impl Page {
     /// This page's id.
     #[inline]
     pub fn id(&self) -> PageId {
-        PageId::new(u32::from_le_bytes(
-            self.image[4..8].try_into().expect("4 bytes"),
-        ))
+        PageId::new(le_u32(&self.image[4..]))
     }
 
     /// The overflow page chained after this one, if any.
     #[inline]
     pub fn overflow(&self) -> Option<PageId> {
-        let link = u32::from_le_bytes(self.image[8..12].try_into().expect("4 bytes"));
+        let link = le_u32(&self.image[8..]);
         (link != NO_OVERFLOW).then(|| PageId::new(link))
     }
 
@@ -101,19 +103,13 @@ impl Page {
 
     /// Number of live entries.
     #[inline]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         usize::from(u16::from_le_bytes([self.image[12], self.image[13]]))
     }
 
     fn set_len(&mut self, len: usize) {
         self.image[12..14].copy_from_slice(&(len as u16).to_le_bytes());
         self.dirty = true;
-    }
-
-    /// True when no entries are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// True when no further entry fits.
@@ -134,7 +130,7 @@ impl Page {
     }
 
     /// The packed live entries. `len() ≤ CAPACITY` holds for every image a
-    /// `Page` can carry (`new`, `upsert`, and `verify` before `load`).
+    /// `Page` can carry (`new`, `upsert`, and what `load` lets through).
     fn entries(&self) -> std::slice::ChunksExact<'_, u8> {
         self.image[HEADER_SIZE..HEADER_SIZE + self.len() * ENTRY_SIZE].chunks_exact(ENTRY_SIZE)
     }
@@ -149,9 +145,7 @@ impl Page {
     /// Look up an object's value on this page (linear scan; pages are small
     /// and hot pages live in the buffer pool).
     pub fn get(&self, obj: ObjectId) -> Option<Value> {
-        self.entries()
-            .find(|e| entry_obj(e) == obj.raw())
-            .map(entry_value)
+        self.find(obj).map(|at| entry_value(&self.image[at..]))
     }
 
     /// Insert or overwrite an entry. Returns the previous value, or an error
@@ -159,7 +153,7 @@ impl Page {
     pub fn upsert(&mut self, obj: ObjectId, value: Value) -> AmcResult<Option<Value>> {
         let len = self.len();
         let (at, old) = match self.find(obj) {
-            Some(at) => (at, Some(entry_value(&self.image[at..at + ENTRY_SIZE]))),
+            Some(at) => (at, Some(entry_value(&self.image[at..]))),
             None if len >= Self::CAPACITY => {
                 return Err(AmcError::InvalidState(format!(
                     "page {} full ({len} entries)",
@@ -183,7 +177,7 @@ impl Page {
     /// means equal images.
     pub fn remove(&mut self, obj: ObjectId) -> Option<Value> {
         let at = self.find(obj)?;
-        let old = entry_value(&self.image[at..at + ENTRY_SIZE]);
+        let old = entry_value(&self.image[at..]);
         let last = HEADER_SIZE + (self.len() - 1) * ENTRY_SIZE;
         self.image.copy_within(last..last + ENTRY_SIZE, at);
         self.image[last..last + ENTRY_SIZE].fill(0);
@@ -205,65 +199,28 @@ impl Page {
         dst[SUM_AT].copy_from_slice(&sum.to_le_bytes());
     }
 
-    /// Check magic, checksum and entry count of a stored image; returns the
-    /// page id it claims.
-    fn verify(img: &[u8; PAGE_SIZE]) -> AmcResult<PageId> {
-        if img[0..4] != MAGIC {
-            return Err(AmcError::Corruption("bad page magic".into()));
-        }
+    /// Become the stored image of page `id` — the read path: check magic,
+    /// checksum, entry count and the id the image claims, then one copy
+    /// into this frame. On error `self` is untouched.
+    pub(crate) fn load(&mut self, id: PageId, img: &[u8; PAGE_SIZE]) -> AmcResult<()> {
         let stored_sum = u64::from_le_bytes(img[SUM_AT].try_into().expect("8 bytes"));
         let actual_sum = page_sum(&img[HEADER_SIZE..]);
-        if stored_sum != actual_sum {
-            return Err(AmcError::Corruption(format!(
-                "checksum mismatch: stored {stored_sum:#x}, computed {actual_sum:#x}"
-            )));
-        }
         let count = usize::from(u16::from_le_bytes([img[12], img[13]]));
-        if count > Self::CAPACITY {
-            return Err(AmcError::Corruption(format!(
-                "entry count {count} exceeds capacity {}",
-                Self::CAPACITY
-            )));
-        }
-        Ok(PageId::new(u32::from_le_bytes(
-            img[4..8].try_into().expect("4 bytes"),
-        )))
-    }
-
-    /// Become the stored image of page `id` — the read path: verify, then
-    /// one copy into this frame. On error `self` is untouched.
-    pub(crate) fn load(&mut self, id: PageId, img: &[u8; PAGE_SIZE]) -> AmcResult<()> {
-        let found = Self::verify(img)?;
-        if found != id {
-            return Err(AmcError::Corruption(format!(
-                "slot {id} holds page {found}"
-            )));
-        }
-        *self.image = *img;
-        self.dirty = false;
-        Ok(())
-    }
-
-    /// The sealed on-disk image.
-    pub fn to_bytes(&self) -> [u8; PAGE_SIZE] {
-        let mut buf = [0u8; PAGE_SIZE];
-        self.seal_into(&mut buf);
-        buf
-    }
-
-    /// A page from an on-disk image, verifying magic and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> AmcResult<Self> {
-        let img: &[u8; PAGE_SIZE] = bytes.try_into().map_err(|_| {
-            AmcError::Corruption(format!(
-                "page image is {} bytes, expected {PAGE_SIZE}",
-                bytes.len()
-            ))
-        })?;
-        Self::verify(img)?;
-        Ok(Page {
-            image: Box::new(*img),
-            dirty: false,
-        })
+        let found = PageId::new(le_u32(&img[4..]));
+        let damage = if img[0..4] != MAGIC {
+            "bad page magic".into()
+        } else if stored_sum != actual_sum {
+            format!("checksum mismatch: stored {stored_sum:#x}, computed {actual_sum:#x}")
+        } else if count > Self::CAPACITY {
+            format!("entry count {count} exceeds capacity {}", Self::CAPACITY)
+        } else if found != id {
+            format!("slot {id} holds page {found}")
+        } else {
+            *self.image = *img;
+            self.dirty = false;
+            return Ok(());
+        };
+        Err(AmcError::Corruption(damage))
     }
 }
 
@@ -274,6 +231,23 @@ mod tests {
 
     fn obj(n: u64) -> ObjectId {
         ObjectId::new(n)
+    }
+
+    impl Page {
+        /// The sealed on-disk image.
+        pub(crate) fn to_bytes(&self) -> [u8; PAGE_SIZE] {
+            let mut buf = [0u8; PAGE_SIZE];
+            self.seal_into(&mut buf);
+            buf
+        }
+
+        /// A page from an on-disk image, verifying magic and checksum.
+        pub(crate) fn from_bytes(img: &[u8; PAGE_SIZE]) -> AmcResult<Self> {
+            let id = PageId::new(le_u32(&img[4..]));
+            let mut page = Page::new(id);
+            page.load(id, img)?;
+            Ok(page)
+        }
     }
 
     #[test]
@@ -381,11 +355,6 @@ mod tests {
         q.upsert(obj(3), Value::counter(3)).unwrap();
         assert_eq!(p, q);
         assert_eq!(p.to_bytes(), q.to_bytes());
-    }
-
-    #[test]
-    fn wrong_length_is_detected() {
-        assert!(Page::from_bytes(&[0u8; 100]).is_err());
     }
 
     proptest! {

@@ -15,11 +15,17 @@
 
 use crate::buffer::{BufferPool, BufferStats};
 use crate::disk::{DiskStats, StableStorage};
-use amc_types::{AmcResult, ObjectId, PageId, Value};
+use crate::page::Page;
+use amc_types::{AmcError, AmcResult, ObjectId, PageId, Value};
 
 const META_PAGE: PageId = PageId::new(0);
 const META_BUCKETS: ObjectId = ObjectId::new(0);
 const META_CURSOR: ObjectId = ObjectId::new(1);
+
+fn set_meta(meta: &mut Page, key: ObjectId, n: u32) {
+    meta.upsert(key, Value::counter(i64::from(n)))
+        .expect("meta page never fills");
+}
 
 /// A persistent object store: `ObjectId -> Value`.
 #[derive(Debug)]
@@ -37,28 +43,18 @@ impl PageStore {
         assert!(buckets >= 1, "need at least one bucket");
         let mut pool = BufferPool::new(pool_frames);
         let (buckets, next_free) = if disk.is_allocated(META_PAGE) {
-            let (b, n) = pool.with_page(META_PAGE, &mut disk, |meta| {
-                (
-                    meta.get(META_BUCKETS).map(|v| v.counter as u32),
-                    meta.get(META_CURSOR).map(|v| v.counter as u32),
-                )
-            })?;
-            match (b, n) {
-                (Some(b), Some(n)) => (b, n),
-                _ => {
-                    return Err(amc_types::AmcError::Corruption(
-                        "meta page missing fields".into(),
-                    ))
-                }
-            }
+            let field = |meta: &Page, key| Some(meta.get(key)?.counter as u32);
+            pool.with_page(META_PAGE, &mut disk, |meta| {
+                Some((field(meta, META_BUCKETS)?, field(meta, META_CURSOR)?))
+            })?
+            .ok_or_else(|| AmcError::Corruption("meta page missing fields".into()))?
         } else {
             let next_free = buckets + 1;
             pool.with_page(META_PAGE, &mut disk, |meta| {
-                meta.upsert(META_BUCKETS, Value::counter(i64::from(buckets)))?;
-                meta.upsert(META_CURSOR, Value::counter(i64::from(next_free)))?;
-                Ok::<(), amc_types::AmcError>(())
-            })??;
-            pool.flush_page(META_PAGE, &mut disk)?;
+                set_meta(meta, META_BUCKETS, buckets);
+                set_meta(meta, META_CURSOR, next_free);
+            })?;
+            pool.flush_all(&mut disk)?;
             (buckets, next_free)
         };
         Ok(PageStore {
@@ -71,12 +67,8 @@ impl PageStore {
 
     /// Convenience constructor over a fresh disk.
     pub fn new(buckets: u32, pool_frames: usize) -> Self {
-        Self::open(
-            StableStorage::new(buckets as usize + 8),
-            buckets,
-            pool_frames,
-        )
-        .expect("fresh store cannot fail to open")
+        let disk = StableStorage::new(buckets as usize + 8);
+        Self::open(disk, buckets, pool_frames).expect("fresh store cannot fail to open")
     }
 
     /// The bucket-head page an object hashes to. Exposed so the engines can
@@ -96,102 +88,62 @@ impl PageStore {
         PageId::new(1 + (h % u64::from(buckets)) as u32)
     }
 
-    /// Read an object's value.
-    pub fn get(&mut self, obj: ObjectId) -> AmcResult<Option<Value>> {
-        let mut pid = self.page_of(obj);
+    /// Walk the overflow chain from `pid`, handing each page to `visit`
+    /// until it answers; `None` when the chain ended first.
+    fn walk<R>(
+        &mut self,
+        mut pid: PageId,
+        mut visit: impl FnMut(&mut Page) -> Option<R>,
+    ) -> AmcResult<Option<R>> {
         loop {
-            let (found, next) = self
+            let (answer, next) = self
                 .pool
-                .with_page(pid, &mut self.disk, |p| (p.get(obj), p.overflow()))?;
-            if found.is_some() {
-                return Ok(found);
-            }
-            match next {
-                Some(n) => pid = n,
-                None => return Ok(None),
+                .with_page(pid, &mut self.disk, |p| (visit(p), p.overflow()))?;
+            match (answer, next) {
+                (None, Some(next)) => pid = next,
+                (answer, _) => return Ok(answer),
             }
         }
+    }
+
+    /// Read an object's value.
+    pub fn get(&mut self, obj: ObjectId) -> AmcResult<Option<Value>> {
+        self.walk(self.page_of(obj), |p| p.get(obj))
     }
 
     /// Insert or overwrite an object, returning the previous value.
     pub fn put(&mut self, obj: ObjectId, value: Value) -> AmcResult<Option<Value>> {
         let head = self.page_of(obj);
         // Pass 1: overwrite in place if present anywhere on the chain.
-        let mut pid = head;
-        loop {
-            enum Hit {
-                Replaced(Option<Value>),
-                Next(PageId),
-                EndOfChain,
-            }
-            let hit = self.pool.with_page(pid, &mut self.disk, |p| {
-                if p.get(obj).is_some() {
-                    let old = p.upsert(obj, value).expect("overwrite cannot overflow");
-                    Hit::Replaced(old)
-                } else {
-                    match p.overflow() {
-                        Some(n) => Hit::Next(n),
-                        None => Hit::EndOfChain,
-                    }
-                }
-            })?;
-            match hit {
-                Hit::Replaced(old) => return Ok(old),
-                Hit::Next(n) => pid = n,
-                Hit::EndOfChain => break,
-            }
+        let overwrite = |p: &mut Page| {
+            let old = p.get(obj)?;
+            p.upsert(obj, value).expect("overwrite cannot overflow");
+            Some(old)
+        };
+        if let Some(old) = self.walk(head, overwrite)? {
+            return Ok(Some(old));
         }
-        // Pass 2: insert into the first page on the chain with space.
-        let mut pid = head;
-        loop {
-            enum Ins {
-                Done,
-                Next(PageId),
-                NeedOverflow,
-            }
-            let ins = self.pool.with_page(pid, &mut self.disk, |p| {
-                if !p.is_full() {
-                    p.upsert(obj, value).expect("space was checked");
-                    Ins::Done
-                } else {
-                    match p.overflow() {
-                        Some(n) => Ins::Next(n),
-                        None => Ins::NeedOverflow,
-                    }
-                }
+        // Pass 2: insert into the first page on the chain with space, or
+        // into a fresh page linked after the last.
+        let mut last = head;
+        let insert = |p: &mut Page| {
+            last = p.id();
+            (!p.is_full()).then(|| p.upsert(obj, value).expect("space was checked"))
+        };
+        if self.walk(head, insert)?.is_none() {
+            let fresh = self.allocate_page()?;
+            self.pool
+                .with_page(last, &mut self.disk, |p| p.set_overflow(Some(fresh)))?;
+            self.pool.with_page(fresh, &mut self.disk, |p| {
+                p.upsert(obj, value).expect("fresh page has space")
             })?;
-            match ins {
-                Ins::Done => return Ok(None),
-                Ins::Next(n) => pid = n,
-                Ins::NeedOverflow => {
-                    let fresh = self.allocate_page()?;
-                    self.pool.with_page(pid, &mut self.disk, |p| {
-                        p.set_overflow(Some(fresh));
-                    })?;
-                    self.pool.with_page(fresh, &mut self.disk, |p| {
-                        p.upsert(obj, value).expect("fresh page has space");
-                    })?;
-                    return Ok(None);
-                }
-            }
         }
+        Ok(None)
     }
 
     /// Remove an object, returning its value if it was present.
     pub fn remove(&mut self, obj: ObjectId) -> AmcResult<Option<Value>> {
-        let mut pid = self.page_of(obj);
-        loop {
-            let (removed, next) = self
-                .pool
-                .with_page(pid, &mut self.disk, |p| (p.remove(obj), p.overflow()))?;
-            if removed.is_some() {
-                return Ok(removed);
-            }
-            match next {
-                Some(n) => pid = n,
-                None => return Ok(None),
-            }
-        }
+        self.walk(self.page_of(obj), |p| p.remove(obj))
     }
 
     fn allocate_page(&mut self) -> AmcResult<PageId> {
@@ -199,8 +151,7 @@ impl PageStore {
         self.next_free += 1;
         let cursor = self.next_free;
         self.pool.with_page(META_PAGE, &mut self.disk, |meta| {
-            meta.upsert(META_CURSOR, Value::counter(i64::from(cursor)))
-                .expect("meta page never fills");
+            set_meta(meta, META_CURSOR, cursor)
         })?;
         Ok(fresh)
     }
@@ -231,17 +182,10 @@ impl PageStore {
     pub fn scan(&mut self) -> AmcResult<Vec<(ObjectId, Value)>> {
         let mut out = Vec::new();
         for b in 1..=self.buckets {
-            let mut pid = PageId::new(b);
-            loop {
-                let (mut entries, next) = self.pool.with_page(pid, &mut self.disk, |p| {
-                    (p.iter().collect::<Vec<_>>(), p.overflow())
-                })?;
-                out.append(&mut entries);
-                match next {
-                    Some(n) => pid = n,
-                    None => break,
-                }
-            }
+            self.walk(PageId::new(b), |p| {
+                out.extend(p.iter());
+                None::<()>
+            })?;
         }
         out.sort_by_key(|(o, _)| *o);
         Ok(out)

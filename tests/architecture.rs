@@ -244,7 +244,7 @@ fn one_file_constructs_feeds_and_resumes_coordinators() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 25_332;
+    const CEILING: usize = 25_100;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| {

@@ -136,16 +136,17 @@ fn retained_per_txn(protocol: ProtocolKind) -> (f64, String) {
 #[test]
 fn finished_transactions_shrink_to_their_scalars() {
     // Bytes of live heap a finished two-site transfer may keep: log bytes
-    // (236 / 280 / 280; 10 000 transfers stay under the engines' checkpoint
-    // interval), two work-map slots, and for the portable protocols two
-    // marker entries. 2PC and commit-after hear the decision and shrink to
-    // scalars. Commit-before never hears of a commit (§3.3: "no further
-    // actions"), so its two undo programs (inverse operation + marker
-    // delete, 64 B each) stay until item 6's low-water mark tells the site.
+    // (236 / 280 / 280: nothing cuts a log yet, ROADMAP item 6), two
+    // work-map slots, and for the portable protocols two marker entries.
+    // 2PC and commit-after hear the decision and shrink to scalars.
+    // Commit-before never hears of a commit (§3.3: "no further actions"),
+    // so its two undo programs (inverse operation + marker delete, 64 B
+    // each) stay until item 6's low-water mark tells the site: the 450 B
+    // the issue asked of it is not met, 550 is what is pinned.
     let budgets = [
         (ProtocolKind::TwoPhaseCommit, 400.0),
         (ProtocolKind::CommitAfter, 450.0),
-        (ProtocolKind::CommitBefore, 600.0),
+        (ProtocolKind::CommitBefore, 550.0),
     ];
     for (protocol, budget) in budgets {
         let (per_txn, table) = retained_per_txn(protocol);
