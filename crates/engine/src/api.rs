@@ -70,6 +70,32 @@ impl Terminated {
     pub(crate) fn get(&self, txn: LocalTxnId) -> Option<LocalRunState> {
         self.0.get(txn.raw() as usize).copied().flatten()
     }
+
+    /// Record the terminal states a log replay found — so that after a
+    /// process restart a duplicate decision for an already-finished
+    /// transaction is a no-op instead of an unknown-txn error — and report.
+    pub(crate) fn absorb(&mut self, outcome: &amc_wal::RecoveryOutcome) -> RecoveryReport {
+        for t in &outcome.committed {
+            self.insert(*t, LocalRunState::Committed);
+        }
+        for t in outcome.aborted.iter().chain(&outcome.losers) {
+            self.insert(*t, LocalRunState::Aborted);
+        }
+        RecoveryReport {
+            committed: outcome.committed.iter().copied().collect(),
+            rolled_back: outcome.losers.iter().copied().collect(),
+            in_doubt: outcome.in_doubt.iter().copied().collect(),
+            replayed: outcome.redo_applied + outcome.undo_applied,
+            torn_tail: outcome.torn_tail_truncated,
+        }
+    }
+}
+
+/// The first local id above every one in `records`: when the table was
+/// rebuilt from a durable log, fresh ids must not collide with replayed ones.
+pub(crate) fn first_id_after(records: &[(amc_types::Lsn, amc_wal::LogRecord)]) -> u64 {
+    let seen = records.iter().filter_map(|(_, r)| r.txn());
+    seen.map(|t| t.raw() + 1).max().unwrap_or(0)
 }
 
 /// The unmodifiable local transaction manager interface (§2).

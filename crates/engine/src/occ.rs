@@ -12,7 +12,7 @@
 //! contains one of these cannot run classical 2PC — the motivating fact of
 //! the whole paper.
 
-use crate::api::{EngineStats, LocalEngine, RecoveryReport, Terminated};
+use crate::api::{first_id_after, EngineStats, LocalEngine, RecoveryReport, Terminated};
 use amc_storage::PageStore;
 use amc_types::SiteId;
 use amc_types::{
@@ -132,8 +132,7 @@ impl OccEngine {
         inner.next_txn += 1;
         inner.log.append(&LogRecord::Begin { txn });
         for (o, v) in data {
-            let before = inner.store.get(o)?;
-            inner.store.put(o, v)?;
+            let before = inner.store.put(o, v)?;
             inner.log.append(&LogRecord::Update {
                 txn,
                 obj: o,
@@ -144,16 +143,6 @@ impl OccEngine {
         inner.store.flush()?;
         inner.log.append_forced(&LogRecord::Commit { txn });
         Ok(())
-    }
-
-    /// The *committed* value an active transaction would observe, tracking
-    /// the read in its read set.
-    fn tracked_read(inner: &mut Inner, txn: LocalTxnId, obj: ObjectId) -> AmcResult<Option<Value>> {
-        let version = inner.versions.get(&obj).copied().unwrap_or(0);
-        let value = inner.store.get(obj)?;
-        let ctx = inner.active.get_mut(&txn).expect("caller verified");
-        ctx.reads.entry(obj).or_insert(version);
-        Ok(value)
     }
 
     /// Shared crash path: `partial` carries `(keep_frames, torn)` when the
@@ -167,27 +156,23 @@ impl OccEngine {
             None => inner.log.crash(),
         }
         inner.versions.clear();
-        let victims: Vec<LocalTxnId> = inner.active.keys().copied().collect();
-        for t in victims {
-            inner.active.remove(&t);
+        for t in std::mem::take(&mut inner.active).into_keys() {
             inner.terminated.insert(t, LocalRunState::Aborted);
             inner.stats.aborts += 1;
             inner.stats.erroneous_aborts += 1;
         }
     }
 
-    /// The value as seen through the transaction's private buffer.
+    /// The value `txn` sees: its own buffered write, else the committed
+    /// value, whose version joins the read set.
     fn buffered_get(inner: &mut Inner, txn: LocalTxnId, obj: ObjectId) -> AmcResult<Option<Value>> {
-        if let Some(buffered) = inner
-            .active
-            .get(&txn)
-            .expect("caller verified")
-            .writes
-            .get(&obj)
-        {
+        let version = inner.versions.get(&obj).copied().unwrap_or(0);
+        let ctx = inner.active.get_mut(&txn).expect("caller verified");
+        if let Some(buffered) = ctx.writes.get(&obj) {
             return Ok(*buffered);
         }
-        Self::tracked_read(inner, txn, obj)
+        ctx.reads.entry(obj).or_insert(version);
+        inner.store.get(obj)
     }
 }
 
@@ -213,58 +198,14 @@ impl LocalEngine for OccEngine {
             return Err(AmcError::UnknownTxn);
         }
         inner.stats.ops += 1;
-        match *op {
-            Operation::Read { obj } => {
-                let v = Self::buffered_get(&mut inner, txn, obj)?.ok_or(AmcError::NotFound(obj))?;
-                Ok(OpResult::Value(v))
-            }
-            Operation::Write { obj, value } => {
-                if Self::buffered_get(&mut inner, txn, obj)?.is_none() {
-                    return Err(AmcError::NotFound(obj));
-                }
-                let ctx = inner.active.get_mut(&txn).expect("checked");
-                ctx.writes.insert(obj, Some(value));
-                Ok(OpResult::Done)
-            }
-            Operation::Increment { obj, delta } => {
-                let cur =
-                    Self::buffered_get(&mut inner, txn, obj)?.ok_or(AmcError::NotFound(obj))?;
-                let ctx = inner.active.get_mut(&txn).expect("checked");
-                ctx.writes.insert(obj, Some(cur.incremented(delta)));
-                Ok(OpResult::Done)
-            }
-            Operation::Insert { obj, value } => {
-                if Self::buffered_get(&mut inner, txn, obj)?.is_some() {
-                    return Err(AmcError::AlreadyExists(obj));
-                }
-                let ctx = inner.active.get_mut(&txn).expect("checked");
-                ctx.writes.insert(obj, Some(value));
-                Ok(OpResult::Done)
-            }
-            Operation::Delete { obj } => {
-                if Self::buffered_get(&mut inner, txn, obj)?.is_none() {
-                    return Err(AmcError::NotFound(obj));
-                }
-                let ctx = inner.active.get_mut(&txn).expect("checked");
-                ctx.writes.insert(obj, None);
-                Ok(OpResult::Done)
-            }
-            Operation::Reserve { obj, amount } => {
-                let cur =
-                    Self::buffered_get(&mut inner, txn, obj)?.ok_or(AmcError::NotFound(obj))?;
-                if cur.counter < amount as i64 {
-                    return Err(AmcError::InsufficientStock {
-                        obj,
-                        have: cur.counter,
-                        want: amount,
-                    });
-                }
-                let ctx = inner.active.get_mut(&txn).expect("checked");
-                ctx.writes
-                    .insert(obj, Some(cur.incremented(-(amount as i64))));
-                Ok(OpResult::Done)
-            }
+        let obj = op.object();
+        let next = op.applied_to(Self::buffered_get(&mut inner, txn, obj)?)?;
+        if !op.is_update() {
+            return Ok(OpResult::Value(next.expect("a read leaves what it found")));
         }
+        let ctx = inner.active.get_mut(&txn).expect("checked");
+        ctx.writes.insert(obj, next);
+        Ok(OpResult::Done)
     }
 
     fn commit(&self, txn: LocalTxnId) -> AmcResult<()> {
@@ -289,15 +230,7 @@ impl LocalEngine for OccEngine {
         if !ctx.writes.is_empty() {
             inner.log.append(&LogRecord::Begin { txn });
             for (&obj, &after) in &ctx.writes {
-                let before = inner.store.get(obj)?;
-                match after {
-                    Some(v) => {
-                        inner.store.put(obj, v)?;
-                    }
-                    None => {
-                        inner.store.remove(obj)?;
-                    }
-                }
+                let (before, _) = inner.store.update(obj, |_| Ok(after))?;
                 inner.log.append(&LogRecord::Update {
                     txn,
                     obj,
@@ -358,48 +291,14 @@ impl LocalEngine for OccEngine {
             return Err(AmcError::InvalidState("recover on a running site".into()));
         }
         let Inner { store, log, .. } = &mut *inner;
-        let outcome = amc_wal::recover(log, |obj, img| {
-            match img {
-                Some(v) => {
-                    store.put(obj, v)?;
-                }
-                None => {
-                    store.remove(obj)?;
-                }
-            }
-            Ok(())
-        })?;
+        let outcome = amc_wal::recover(log, |obj, img| store.update(obj, |_| Ok(img)).map(drop))?;
         inner.store.flush()?;
-        // When the table was rebuilt from a durable log, fresh local ids
-        // must not collide with replayed ones.
-        let max_seen = inner
-            .log
-            .stable_records()?
-            .iter()
-            .filter_map(|(_, r)| r.txn())
-            .map(|t| t.raw())
-            .max()
-            .unwrap_or(0);
-        inner.next_txn = inner.next_txn.max(max_seen + 1);
-        let active: Vec<LocalTxnId> = Vec::new();
+        let after = first_id_after(&inner.log.stable_records()?);
+        inner.next_txn = inner.next_txn.max(after);
+        let active = Vec::new();
         inner.log.append_forced(&LogRecord::Checkpoint { active });
         inner.up = true;
-        for t in &outcome.committed {
-            inner.terminated.insert(*t, LocalRunState::Committed);
-        }
-        for t in &outcome.aborted {
-            inner.terminated.insert(*t, LocalRunState::Aborted);
-        }
-        for t in &outcome.losers {
-            inner.terminated.insert(*t, LocalRunState::Aborted);
-        }
-        Ok(RecoveryReport {
-            committed: outcome.committed.iter().copied().collect(),
-            rolled_back: outcome.losers.iter().copied().collect(),
-            in_doubt: Vec::new(),
-            replayed: outcome.redo_applied + outcome.undo_applied,
-            torn_tail: outcome.torn_tail_truncated,
-        })
+        Ok(inner.terminated.absorb(&outcome))
     }
 
     fn kind(&self) -> &'static str {

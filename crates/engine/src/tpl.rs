@@ -22,9 +22,11 @@
 //! page lock, which is held past the append, so the log orders every
 //! conflicting pair exactly as the store applied them.
 
-use crate::api::{EngineStats, LocalEngine, PreparableEngine, RecoveryReport, Terminated};
+use crate::api::{
+    first_id_after, EngineStats, LocalEngine, PreparableEngine, RecoveryReport, Terminated,
+};
 use amc_lock::{blocking::AcquireResult, BlockingLockManager, PageMode};
-use amc_storage::PageStore;
+use amc_storage::{buffer::BufferStats, disk::DiskStats, PageStore};
 use amc_types::{
     AbortReason, AmcError, AmcResult, LocalRunState, LocalTxnId, ObjectId, OpResult, Operation,
     PageId, SiteId, Value,
@@ -184,8 +186,7 @@ impl TwoPLEngine {
         {
             let mut store = self.store.lock();
             for (o, v) in data {
-                let before = store.get(o)?;
-                store.put(o, v)?;
+                let before = store.put(o, v)?;
                 self.wal.append(&LogRecord::Update {
                     txn,
                     obj: o,
@@ -201,80 +202,20 @@ impl TwoPLEngine {
         Ok(())
     }
 
-    /// Apply one operation to the store, returning `(result, before, after)`.
-    fn apply_op(
-        store: &mut PageStore,
-        op: &Operation,
-    ) -> AmcResult<(OpResult, Option<Value>, Option<Value>)> {
-        match *op {
-            Operation::Read { obj } => {
-                let v = store.get(obj)?.ok_or(AmcError::NotFound(obj))?;
-                Ok((OpResult::Value(v), Some(v), Some(v)))
-            }
-            Operation::Write { obj, value } => {
-                let before = store.get(obj)?.ok_or(AmcError::NotFound(obj))?;
-                store.put(obj, value)?;
-                Ok((OpResult::Done, Some(before), Some(value)))
-            }
-            Operation::Increment { obj, delta } => {
-                let before = store.get(obj)?.ok_or(AmcError::NotFound(obj))?;
-                let after = before.incremented(delta);
-                store.put(obj, after)?;
-                Ok((OpResult::Done, Some(before), Some(after)))
-            }
-            Operation::Insert { obj, value } => {
-                if store.get(obj)?.is_some() {
-                    return Err(AmcError::AlreadyExists(obj));
-                }
-                store.put(obj, value)?;
-                Ok((OpResult::Done, None, Some(value)))
-            }
-            Operation::Delete { obj } => {
-                let before = store.remove(obj)?.ok_or(AmcError::NotFound(obj))?;
-                Ok((OpResult::Done, Some(before), None))
-            }
-            Operation::Reserve { obj, amount } => {
-                let before = store.get(obj)?.ok_or(AmcError::NotFound(obj))?;
-                if before.counter < amount as i64 {
-                    return Err(AmcError::InsufficientStock {
-                        obj,
-                        have: before.counter,
-                        want: amount,
-                    });
-                }
-                let after = before.incremented(-(amount as i64));
-                store.put(obj, after)?;
-                Ok((OpResult::Done, Some(before), Some(after)))
-            }
-        }
-    }
-
     /// Roll back and terminate `txn`; must be called *without* any engine
     /// component mutex held. The transaction's page locks stay held for the
     /// whole rollback (strict 2PL), so nobody observes intermediate undo
     /// state even though the component mutexes interleave.
     fn abort_internal(&self, txn: LocalTxnId, reason: AbortReason) -> AmcResult<()> {
-        let ctx = {
-            let mut txns = self.txns.lock();
-            let Some(ctx) = txns.active.remove(&txn) else {
-                return Err(AmcError::UnknownTxn);
-            };
-            ctx
-        };
+        let ctx = self.txns.lock().active.remove(&txn);
+        let ctx = ctx.ok_or(AmcError::UnknownTxn)?;
         let was_prepared = ctx.state == LocalRunState::Ready;
         // Undo in reverse, logging compensations so forward replay of this
         // (finished) transaction nets out.
         {
             let mut store = self.store.lock();
             for &(obj, before, after) in ctx.undo.iter().rev() {
-                match before {
-                    Some(v) => {
-                        store.put(obj, v)?;
-                    }
-                    None => {
-                        store.remove(obj)?;
-                    }
-                }
+                store.update(obj, |_| Ok(before))?;
                 self.wal.append(&LogRecord::Update {
                     txn,
                     obj,
@@ -352,12 +293,7 @@ impl TwoPLEngine {
     }
 
     /// Disk/buffer counters for E4.
-    pub fn io_stats(
-        &self,
-    ) -> (
-        amc_storage::disk::DiskStats,
-        amc_storage::buffer::BufferStats,
-    ) {
+    pub fn io_stats(&self) -> (DiskStats, BufferStats) {
         self.store.lock().stats()
     }
 
@@ -442,11 +378,17 @@ impl LocalEngine for TwoPLEngine {
         // conflicting pair identically in the store and the log; a crash
         // between the two phases is driver-initiated and quiesced in both
         // runtimes, so the store image cannot outlive its log record.
-        let applied = {
+        let obj = op.object();
+        let applied = if op.is_update() {
+            // One chain walk: the transition runs where the object is found.
             let mut store = self.store.lock();
-            Self::apply_op(&mut store, op)
+            store.update(obj, |found| op.applied_to(found))
+        } else {
+            let found = self.store.lock().get(obj);
+            let seen = found.and_then(|found| op.applied_to(found));
+            seen.map(|seen| (seen, seen))
         };
-        let (result, before, after) = match applied {
+        let (before, after) = match applied {
             Ok(x) => x,
             Err(e) => {
                 // Logical failure (NotFound/AlreadyExists): the transaction
@@ -466,15 +408,16 @@ impl LocalEngine for TwoPLEngine {
             let Some(ctx) = txns.active.get_mut(&txn) else {
                 return Err(AmcError::UnknownTxn);
             };
-            ctx.undo.push((op.object(), before, after));
+            ctx.undo.push((obj, before, after));
             self.wal.append(&LogRecord::Update {
                 txn,
-                obj: op.object(),
+                obj,
                 before,
                 after,
             });
+            return Ok(OpResult::Done);
         }
-        Ok(result)
+        Ok(OpResult::Value(after.expect("a read leaves what it found")))
     }
 
     fn commit(&self, txn: LocalTxnId) -> AmcResult<()> {
@@ -510,11 +453,8 @@ impl LocalEngine for TwoPLEngine {
     }
 
     fn abort(&self, txn: LocalTxnId, reason: AbortReason) -> AmcResult<()> {
-        {
-            let txns = self.txns.lock();
-            if !txns.up {
-                return Err(self.site_down());
-            }
+        if !self.is_up() {
+            return Err(self.site_down());
         }
         self.abort_internal(txn, reason)
     }
@@ -549,54 +489,17 @@ impl LocalEngine for TwoPLEngine {
         let mut store = self.store.lock();
         // Replay the durable log into the store.
         let outcome = self.wal.with_log(|log| {
-            amc_wal::recover(log, |obj, img| {
-                match img {
-                    Some(v) => {
-                        store.put(obj, v)?;
-                    }
-                    None => {
-                        store.remove(obj)?;
-                    }
-                }
-                Ok(())
-            })
+            amc_wal::recover(log, |obj, img| store.update(obj, |_| Ok(img)).map(drop))
         })?;
         store.flush()?;
 
-        let report = RecoveryReport {
-            committed: outcome.committed.iter().copied().collect(),
-            rolled_back: outcome.losers.iter().copied().collect(),
-            in_doubt: outcome.in_doubt.iter().copied().collect(),
-            replayed: outcome.redo_applied + outcome.undo_applied,
-            torn_tail: outcome.torn_tail_truncated,
-        };
-
-        // Record replayed terminal states, so that after a process restart
-        // a duplicate decision for an already-finished transaction is a
-        // no-op instead of an unknown-txn error.
-        for t in &outcome.committed {
-            txns.terminated.insert(*t, LocalRunState::Committed);
-        }
-        for t in &outcome.aborted {
-            txns.terminated.insert(*t, LocalRunState::Aborted);
-        }
-        for t in &outcome.losers {
-            txns.terminated.insert(*t, LocalRunState::Aborted);
-        }
+        let report = txns.terminated.absorb(&outcome);
 
         // Resurrect in-doubt transactions: rebuild their undo lists from the
         // log and re-take exclusive locks on their pages so they stay
         // isolated until the coordinator decides (the blocking 2PC hazard).
         let records = self.wal.with_log(|log| log.stable_records())?;
-        // When the table was rebuilt from a durable log, fresh local ids
-        // must not collide with replayed ones.
-        let max_seen = records
-            .iter()
-            .filter_map(|(_, r)| r.txn())
-            .map(|t| t.raw())
-            .max()
-            .unwrap_or(0);
-        txns.next_txn = txns.next_txn.max(max_seen + 1);
+        txns.next_txn = txns.next_txn.max(first_id_after(&records));
         let mut doubt_pages: HashMap<LocalTxnId, Vec<PageId>> = HashMap::new();
         for t in &outcome.in_doubt {
             txns.active.insert(

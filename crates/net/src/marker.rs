@@ -10,14 +10,14 @@
 //! it *is* part of the transaction — so after any crash, "has the marker"
 //! ⇔ "the transaction committed", and repetitions become exactly-once.
 //!
-//! Marker ids live in a reserved region (top bit set) so they can never
-//! collide with workload objects, and the verification oracle can filter
-//! them out of state comparisons.
+//! Marker ids live in the reserved region ([`ObjectId::RESERVED`]) so they
+//! can never collide with workload objects, the verification oracle can
+//! filter them out of state comparisons, and the store keeps them as the
+//! relation of their own the paper speaks of: direct-mapped by transaction
+//! id, one page touch per marker (`amc_storage::store`).
 
 use amc_types::{GlobalTxnId, ObjectId};
 
-/// Top bit marks the reserved region.
-const MARKER_BIT: u64 = 1 << 63;
 /// Second-highest bit distinguishes undo markers from forward markers.
 const UNDO_BIT: u64 = 1 << 62;
 /// Within the reserved region, this bit marks shard-configuration
@@ -30,21 +30,21 @@ const EPOCH_BIT: u64 = 1 << 61;
 /// on every site of the new fleet **in one global transaction**, so the
 /// epoch change commits (or aborts) atomically through the same machinery
 /// as any workload transaction.
-pub const EPOCH_OBJECT: ObjectId = ObjectId::new(MARKER_BIT | EPOCH_BIT);
+pub const EPOCH_OBJECT: ObjectId = ObjectId::new(ObjectId::RESERVED | EPOCH_BIT);
 
 /// Marker inserted by a forward (or redone) local transaction of `gtx`.
 pub fn forward_marker(gtx: GlobalTxnId) -> ObjectId {
-    ObjectId::new(MARKER_BIT | gtx.raw())
+    ObjectId::new(ObjectId::RESERVED | gtx.raw())
 }
 
 /// Marker inserted by the inverse (undo) transaction of `gtx`.
 pub fn undo_marker(gtx: GlobalTxnId) -> ObjectId {
-    ObjectId::new(MARKER_BIT | UNDO_BIT | gtx.raw())
+    ObjectId::new(ObjectId::RESERVED | UNDO_BIT | gtx.raw())
 }
 
 /// True for any object in the reserved marker region.
 pub fn is_marker(obj: ObjectId) -> bool {
-    obj.raw() & MARKER_BIT != 0
+    obj.is_reserved()
 }
 
 /// Largest workload object id that avoids the reserved region.

@@ -14,7 +14,7 @@
 
 /// Knobs for injected disk faults. All probabilities are per-operation and
 /// independent.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultConfig {
     /// Probability that a page read fails with a transient I/O error.
     pub read_error_probability: f64,
@@ -22,16 +22,6 @@ pub struct FaultConfig {
     pub lost_write_probability: f64,
     /// Seed for the fault PRNG stream.
     pub seed: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            read_error_probability: 0.0,
-            lost_write_probability: 0.0,
-            seed: 0,
-        }
-    }
 }
 
 /// A tiny deterministic PRNG (splitmix64) for fault decisions.

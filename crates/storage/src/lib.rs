@@ -15,7 +15,8 @@
 //!   *volatile*: [`buffer::BufferPool::crash`] drops everything, modelling a
 //!   site failure.
 //! * [`store::PageStore`] — a hash-partitioned object store with overflow
-//!   chaining, the engine-facing API (`get`/`put`/`remove`).
+//!   chaining, plus one direct-mapped page per window of reserved ids; the
+//!   engine-facing API (`get`, and `update` under `put`/`remove`).
 //!
 //! Crash semantics matter here because both alternative commitment protocols
 //! hinge on them: commit-after must redo local transactions lost in a crash

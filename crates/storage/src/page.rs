@@ -130,7 +130,7 @@ impl Page {
     }
 
     /// The packed live entries. `len() ≤ CAPACITY` holds for every image a
-    /// `Page` can carry (`new`, `upsert`, and what `load` lets through).
+    /// `Page` can carry (`new`, `push`, and what `load` lets through).
     fn entries(&self) -> std::slice::ChunksExact<'_, u8> {
         self.image[HEADER_SIZE..HEADER_SIZE + self.len() * ENTRY_SIZE].chunks_exact(ENTRY_SIZE)
     }
@@ -148,41 +148,65 @@ impl Page {
         self.find(obj).map(|at| entry_value(&self.image[at..]))
     }
 
+    fn set_value(&mut self, at: usize, value: Value) {
+        self.image[at + 8..at + ENTRY_SIZE].copy_from_slice(&value.to_bytes());
+        self.dirty = true;
+    }
+
+    /// Append an entry for an object the caller knows is not on the page;
+    /// the page must have space.
+    pub(crate) fn push(&mut self, obj: ObjectId, value: Value) {
+        let len = self.len();
+        assert!(len < Self::CAPACITY, "page {} full", self.id());
+        let at = HEADER_SIZE + len * ENTRY_SIZE;
+        self.image[at..at + 8].copy_from_slice(&obj.raw().to_le_bytes());
+        self.set_len(len + 1);
+        self.set_value(at, value);
+    }
+
     /// Insert or overwrite an entry. Returns the previous value, or an error
     /// if the page is full and the object is not already present.
     pub fn upsert(&mut self, obj: ObjectId, value: Value) -> AmcResult<Option<Value>> {
-        let len = self.len();
-        let (at, old) = match self.find(obj) {
-            Some(at) => (at, Some(entry_value(&self.image[at..]))),
-            None if len >= Self::CAPACITY => {
-                return Err(AmcError::InvalidState(format!(
-                    "page {} full ({len} entries)",
-                    self.id()
-                )));
-            }
-            None => {
-                let at = HEADER_SIZE + len * ENTRY_SIZE;
-                self.image[at..at + 8].copy_from_slice(&obj.raw().to_le_bytes());
-                self.set_len(len + 1);
-                (at, None)
-            }
-        };
-        self.image[at + 8..at + ENTRY_SIZE].copy_from_slice(&value.to_bytes());
-        self.dirty = true;
-        Ok(old)
+        if let Some(at) = self.find(obj) {
+            let old = entry_value(&self.image[at..]);
+            self.set_value(at, value);
+            return Ok(Some(old));
+        }
+        if self.is_full() {
+            let (id, len) = (self.id(), self.len());
+            return Err(AmcError::InvalidState(format!(
+                "page {id} full ({len} entries)"
+            )));
+        }
+        self.push(obj, value);
+        Ok(None)
     }
 
-    /// Remove an entry, returning its value if present. The last entry
-    /// moves into the hole and its old slot is zeroed, so equal content
-    /// means equal images.
-    pub fn remove(&mut self, obj: ObjectId) -> Option<Value> {
+    /// Read-modify-write of an entry that is here, in place: `f` sees its
+    /// value and answers the one to leave (`None` removes the entry), or an
+    /// error that leaves the page untouched. Answers `(before, after)`;
+    /// `None` when the object is not on this page. On removal the last
+    /// entry moves into the hole and its old slot is zeroed, so equal
+    /// content means equal images.
+    pub(crate) fn update(
+        &mut self,
+        obj: ObjectId,
+        f: impl FnOnce(Value) -> AmcResult<Option<Value>>,
+    ) -> Option<AmcResult<(Value, Option<Value>)>> {
         let at = self.find(obj)?;
-        let old = entry_value(&self.image[at..]);
-        let last = HEADER_SIZE + (self.len() - 1) * ENTRY_SIZE;
-        self.image.copy_within(last..last + ENTRY_SIZE, at);
-        self.image[last..last + ENTRY_SIZE].fill(0);
-        self.set_len(self.len() - 1);
-        Some(old)
+        let before = entry_value(&self.image[at..]);
+        Some(f(before).map(|after| {
+            match after {
+                Some(value) => self.set_value(at, value),
+                None => {
+                    let last = HEADER_SIZE + (self.len() - 1) * ENTRY_SIZE;
+                    self.image.copy_within(last..last + ENTRY_SIZE, at);
+                    self.image[last..last + ENTRY_SIZE].fill(0);
+                    self.set_len(self.len() - 1);
+                }
+            }
+            (before, after)
+        }))
     }
 
     /// Iterate over live entries.
@@ -239,6 +263,12 @@ mod tests {
             let mut buf = [0u8; PAGE_SIZE];
             self.seal_into(&mut buf);
             buf
+        }
+
+        /// Remove an entry, returning its value if present.
+        pub(crate) fn remove(&mut self, obj: ObjectId) -> Option<Value> {
+            let removed = self.update(obj, |_| Ok(None))?;
+            Some(removed.expect("the closure cannot fail").0)
         }
 
         /// A page from an on-disk image, verifying magic and checksum.

@@ -1,13 +1,29 @@
-//! Hash-partitioned object store with overflow chaining.
+//! Hash-partitioned object store with overflow chaining, plus a
+//! direct-mapped relation for the reserved id region.
 //!
 //! Layout on the simulated disk:
 //!
-//! * page 0 — metadata (bucket count, allocation cursor), stored as ordinary
-//!   entries so the page machinery (checksums, atomic writes) covers it;
-//! * pages `1..=buckets` — bucket heads; object `o` hashes to bucket
-//!   `o mod buckets`;
-//! * pages `> buckets` — overflow pages, allocated from the cursor and
-//!   chained from their bucket via each page's overflow link.
+//! * page 0 — metadata (bucket count, allocation cursor, head of the window
+//!   list), stored as ordinary entries so the page machinery (checksums,
+//!   atomic writes) covers it;
+//! * pages `1..=buckets` — bucket heads; user object `o` hashes to
+//!   [`PageStore::bucket_page`];
+//! * pages `> buckets`, allocated from the cursor — **overflow pages**,
+//!   chained from their bucket via each page's overflow link, and **window
+//!   pages**: reserved id `r` ([`ObjectId::is_reserved`]) lives on the one
+//!   page of window `(r & !RESERVED) / Page::CAPACITY`, an ordinary packed
+//!   page its `CAPACITY` ids cannot outgrow. These are §3.2/§3.3's "extra
+//!   relation" (`amc_net::marker`), dense and monotone in the transaction
+//!   id: one costs a directory probe and one page, never a chain walk.
+//!
+//! The `window → page` directory is in memory. On disk the window pages are
+//! one list in allocation order — head on the meta page, overflow links —
+//! and the directory is what a walk of it finds, on the first reserved
+//! access after `open` and after `crash` alike. Any entry names its page's
+//! window; a page that lost all of them stays linked, empty and unused.
+//!
+//! Placement is not the lock granule: the engines lock `bucket_page(buckets,
+//! obj)` for every id, or concurrent markers would queue on their window.
 //!
 //! The store is the page-level (L0) interface the local engines use. It has
 //! **no transactional semantics of its own** — atomicity and durability of
@@ -17,14 +33,29 @@ use crate::buffer::{BufferPool, BufferStats};
 use crate::disk::{DiskStats, StableStorage};
 use crate::page::Page;
 use amc_types::{AmcError, AmcResult, ObjectId, PageId, Value};
+use std::collections::HashMap;
 
 const META_PAGE: PageId = PageId::new(0);
 const META_BUCKETS: ObjectId = ObjectId::new(0);
 const META_CURSOR: ObjectId = ObjectId::new(1);
+/// First page of the window list; absent until a reserved id is stored.
+const META_WINDOWS: ObjectId = ObjectId::new(2);
 
 fn set_meta(meta: &mut Page, key: ObjectId, n: u32) {
     meta.upsert(key, Value::counter(i64::from(n)))
         .expect("meta page never fills");
+}
+
+fn window_of(obj: ObjectId) -> u64 {
+    (obj.raw() & !ObjectId::RESERVED) / Page::CAPACITY as u64
+}
+
+/// The directory of the reserved relation.
+#[derive(Debug, Default)]
+struct Windows {
+    page_of: HashMap<u64, PageId>,
+    /// Last page of the window list: where the next one is linked.
+    tail: Option<PageId>,
 }
 
 /// A persistent object store: `ObjectId -> Value`.
@@ -34,6 +65,8 @@ pub struct PageStore {
     pool: BufferPool,
     buckets: u32,
     next_free: u32,
+    /// `None` until read from the disk (see [`PageStore::windows`]).
+    windows: Option<Windows>,
 }
 
 impl PageStore {
@@ -62,6 +95,7 @@ impl PageStore {
             pool,
             buckets,
             next_free,
+            windows: None,
         })
     }
 
@@ -71,8 +105,8 @@ impl PageStore {
         Self::open(disk, buckets, pool_frames).expect("fresh store cannot fail to open")
     }
 
-    /// The bucket-head page an object hashes to. Exposed so the engines can
-    /// use page ids as the L0 locking granule.
+    /// The bucket-head page an object hashes to: the engines' L0 locking
+    /// granule for every id, and where a user object's chain starts.
     pub fn page_of(&self, obj: ObjectId) -> PageId {
         Self::bucket_page(self.buckets, obj)
     }
@@ -88,17 +122,20 @@ impl PageStore {
         PageId::new(1 + (h % u64::from(buckets)) as u32)
     }
 
-    /// Walk the overflow chain from `pid`, handing each page to `visit`
-    /// until it answers; `None` when the chain ended first.
+    /// Visit the page `pid` and, while `follow`, the overflow chain after
+    /// it, until `visit` answers; `None` when the pages ended first. `visit`
+    /// is told whether the page it sees is the last.
     fn walk<R>(
         &mut self,
         mut pid: PageId,
-        mut visit: impl FnMut(&mut Page) -> Option<R>,
+        follow: bool,
+        mut visit: impl FnMut(&mut Page, bool) -> Option<R>,
     ) -> AmcResult<Option<R>> {
         loop {
-            let (answer, next) = self
-                .pool
-                .with_page(pid, &mut self.disk, |p| (visit(p), p.overflow()))?;
+            let (answer, next) = self.pool.with_page(pid, &mut self.disk, |p| {
+                let next = p.overflow().filter(|_| follow);
+                (visit(p, next.is_none()), next)
+            })?;
             match (answer, next) {
                 (None, Some(next)) => pid = next,
                 (answer, _) => return Ok(answer),
@@ -106,53 +143,135 @@ impl PageStore {
         }
     }
 
+    fn window_head(&mut self) -> AmcResult<Option<PageId>> {
+        let head = |meta: &mut Page| Some(PageId::new(meta.get(META_WINDOWS)?.counter as u32));
+        self.pool.with_page(META_PAGE, &mut self.disk, head)
+    }
+
+    /// The window directory, read off the disk's window list when this is
+    /// the first use since `open` or `crash` — so after a crash it is, by
+    /// construction, what a reopen of the same disk would find.
+    fn windows(&mut self) -> AmcResult<&mut Windows> {
+        if self.windows.is_none() {
+            let mut found = Windows::default();
+            if let Some(head) = self.window_head()? {
+                self.walk(head, true, |p, _| {
+                    found.tail = Some(p.id());
+                    if let Some((obj, _)) = p.iter().next() {
+                        found.page_of.insert(window_of(obj), p.id());
+                    }
+                    None::<()>
+                })?;
+            }
+            self.windows = Some(found);
+        }
+        Ok(self.windows.as_mut().expect("just read"))
+    }
+
+    /// Where `obj` is looked for: the first page, and whether the search
+    /// goes on through overflow links (a window is one page; its link
+    /// threads the window list). `None`: a window no page was opened for.
+    fn pages_of(&mut self, obj: ObjectId) -> AmcResult<Option<(PageId, bool)>> {
+        if !obj.is_reserved() {
+            return Ok(Some((self.page_of(obj), true)));
+        }
+        let page = self.windows()?.page_of.get(&window_of(obj));
+        Ok(page.map(|&pid| (pid, false)))
+    }
+
     /// Read an object's value.
     pub fn get(&mut self, obj: ObjectId) -> AmcResult<Option<Value>> {
-        self.walk(self.page_of(obj), |p| p.get(obj))
+        match self.pages_of(obj)? {
+            Some((head, follow)) => self.walk(head, follow, |p, _| p.get(obj)),
+            None => Ok(None),
+        }
+    }
+
+    /// Read-modify-write in one pass over the object's pages: `f` sees the
+    /// current value (`None` = absent) and answers the one to leave, or an
+    /// error that leaves the store untouched. Returns `(before, after)`. A
+    /// present key is rewritten where it is found; an absent one goes to the
+    /// first page with space — noted on the way, so only a hole *before* the
+    /// last page costs a second visit — or to a fresh page linked behind it.
+    pub fn update(
+        &mut self,
+        obj: ObjectId,
+        f: impl FnOnce(Option<Value>) -> AmcResult<Option<Value>>,
+    ) -> AmcResult<(Option<Value>, Option<Value>)> {
+        let mut f = Some(f);
+        let mut decide = |found| f.take().expect("an object is found or not, once")(found);
+        let (mut room, mut last) = (None, None);
+        if let Some((head, follow)) = self.pages_of(obj)? {
+            let done = self.walk(head, follow, |p, is_last| {
+                if let Some(found) = p.update(obj, |v| decide(Some(v))) {
+                    return Some(found.map(|(before, after)| (Some(before), after)));
+                }
+                if room.is_none() && !p.is_full() {
+                    room = Some(p.id());
+                }
+                if !is_last {
+                    return None;
+                }
+                last = Some(p.id());
+                // Absent, and this page is where it would go: same visit.
+                (room == last).then(|| {
+                    let after = decide(None)?;
+                    if let Some(value) = after {
+                        p.push(obj, value);
+                    }
+                    Ok((None, after))
+                })
+            })?;
+            if let Some(done) = done {
+                return done;
+            }
+        }
+        let Some(value) = decide(None)? else {
+            return Ok((None, None));
+        };
+        let target = match room {
+            Some(pid) => pid,
+            None if obj.is_reserved() => {
+                let tail = self.windows()?.tail;
+                let fresh = self.link_fresh(tail)?;
+                let windows = self.windows()?;
+                windows.tail = Some(fresh);
+                windows.page_of.insert(window_of(obj), fresh);
+                fresh
+            }
+            None => self.link_fresh(last)?,
+        };
+        self.pool
+            .with_page(target, &mut self.disk, |p| p.push(obj, value))?;
+        Ok((None, Some(value)))
     }
 
     /// Insert or overwrite an object, returning the previous value.
     pub fn put(&mut self, obj: ObjectId, value: Value) -> AmcResult<Option<Value>> {
-        let head = self.page_of(obj);
-        // Pass 1: overwrite in place if present anywhere on the chain.
-        let overwrite = |p: &mut Page| {
-            let old = p.get(obj)?;
-            p.upsert(obj, value).expect("overwrite cannot overflow");
-            Some(old)
-        };
-        if let Some(old) = self.walk(head, overwrite)? {
-            return Ok(Some(old));
-        }
-        // Pass 2: insert into the first page on the chain with space, or
-        // into a fresh page linked after the last.
-        let mut last = head;
-        let insert = |p: &mut Page| {
-            last = p.id();
-            (!p.is_full()).then(|| p.upsert(obj, value).expect("space was checked"))
-        };
-        if self.walk(head, insert)?.is_none() {
-            let fresh = self.allocate_page()?;
-            self.pool
-                .with_page(last, &mut self.disk, |p| p.set_overflow(Some(fresh)))?;
-            self.pool.with_page(fresh, &mut self.disk, |p| {
-                p.upsert(obj, value).expect("fresh page has space")
-            })?;
-        }
-        Ok(None)
+        Ok(self.update(obj, |_| Ok(Some(value)))?.0)
     }
 
     /// Remove an object, returning its value if it was present.
     pub fn remove(&mut self, obj: ObjectId) -> AmcResult<Option<Value>> {
-        self.walk(self.page_of(obj), |p| p.remove(obj))
+        Ok(self.update(obj, |_| Ok(None))?.0)
     }
 
-    fn allocate_page(&mut self) -> AmcResult<PageId> {
+    /// Allocate a page and link it behind `pred` — or, with none, as the
+    /// head of the window list on the meta page.
+    fn link_fresh(&mut self, pred: Option<PageId>) -> AmcResult<PageId> {
         let fresh = PageId::new(self.next_free);
         self.next_free += 1;
         let cursor = self.next_free;
         self.pool.with_page(META_PAGE, &mut self.disk, |meta| {
-            set_meta(meta, META_CURSOR, cursor)
+            set_meta(meta, META_CURSOR, cursor);
+            if pred.is_none() {
+                set_meta(meta, META_WINDOWS, fresh.raw());
+            }
         })?;
+        if let Some(pred) = pred {
+            self.pool
+                .with_page(pred, &mut self.disk, |p| p.set_overflow(Some(fresh)))?;
+        }
         Ok(fresh)
     }
 
@@ -162,8 +281,11 @@ impl PageStore {
     }
 
     /// Simulate a site crash: volatile state is lost, stable state kept.
+    /// The allocation cursor stays ahead of the disk's (harmless: it skips
+    /// pages); the window directory is forgotten and re-read.
     pub fn crash(&mut self) {
         self.pool.crash();
+        self.windows = None;
     }
 
     /// Combined I/O and buffer statistics.
@@ -177,12 +299,13 @@ impl PageStore {
         self.pool.reset_stats();
     }
 
-    /// Enumerate all user objects (test/verification helper; scans every
-    /// allocated page).
+    /// Enumerate all objects, reserved ones included (test/verification
+    /// helper; scans every linked page).
     pub fn scan(&mut self) -> AmcResult<Vec<(ObjectId, Value)>> {
         let mut out = Vec::new();
-        for b in 1..=self.buckets {
-            self.walk(PageId::new(b), |p| {
+        let heads = (1..=self.buckets).map(PageId::new);
+        for head in heads.chain(self.window_head()?) {
+            self.walk(head, true, |p, _| {
                 out.extend(p.iter());
                 None::<()>
             })?;
@@ -256,35 +379,52 @@ mod tests {
         assert_eq!(s.get(obj(10)).unwrap(), Some(Value::counter(1)));
     }
 
+    /// A reserved id `n` places into the region.
+    fn reserved(n: u64) -> ObjectId {
+        ObjectId::new(ObjectId::RESERVED | n)
+    }
+
+    /// The window directory as a sorted list, and the list's last page.
+    fn directory(s: &mut PageStore) -> (Vec<(u64, PageId)>, Option<PageId>) {
+        let windows = s.windows().unwrap();
+        let mut pages: Vec<_> = windows.page_of.iter().map(|(w, p)| (*w, *p)).collect();
+        pages.sort();
+        (pages, windows.tail)
+    }
+
     #[test]
     fn reopen_from_same_disk_recovers_meta() {
         let mut s = PageStore::new(2, 4);
         let n = Page::CAPACITY + 5; // force at least one overflow allocation
+        let keys = |i: usize| [obj(i as u64 + 10), reserved(i as u64 * 7)];
         for i in 0..n {
-            s.put(obj(i as u64 + 10), Value::counter(i as i64)).unwrap();
+            for key in keys(i) {
+                s.put(key, Value::counter(i as i64)).unwrap();
+            }
         }
         s.flush().unwrap();
         let disk = s.disk.clone();
         let mut reopened = PageStore::open(disk, 2, 4).unwrap();
-        for i in 0..n {
-            assert_eq!(
-                reopened.get(obj(i as u64 + 10)).unwrap(),
-                Some(Value::counter(i as i64))
-            );
+        assert_eq!(directory(&mut reopened), directory(&mut s));
+        assert_eq!(directory(&mut s).0.len(), 8, "ids 0..=1449 by 7: 8 windows");
+        let intact = |reopened: &mut PageStore| {
+            for i in 0..n {
+                for key in keys(i) {
+                    let got = reopened.get(key).unwrap();
+                    assert_eq!(got, Some(Value::counter(i as i64)), "{key}");
+                }
+            }
+        };
+        intact(&mut reopened);
+        // Allocation cursor and the list's tail must have been recovered:
+        // new inserts, and new windows, must not clobber existing pages.
+        for i in 0..Page::CAPACITY as u64 {
+            for key in [obj(i + 100_000), reserved(i * 7 + 100_000)] {
+                reopened.put(key, Value::counter(-1)).unwrap();
+            }
         }
-        // Allocation cursor must have been recovered: new inserts must not
-        // clobber existing overflow pages.
-        for i in 0..Page::CAPACITY {
-            reopened
-                .put(obj(i as u64 + 100_000), Value::counter(-1))
-                .unwrap();
-        }
-        for i in 0..n {
-            assert_eq!(
-                reopened.get(obj(i as u64 + 10)).unwrap(),
-                Some(Value::counter(i as i64))
-            );
-        }
+        intact(&mut reopened);
+        assert_eq!(reopened.scan().unwrap().len(), 2 * (n + Page::CAPACITY));
     }
 
     #[test]
@@ -374,6 +514,100 @@ mod tests {
         assert_eq!(dirtied, 3, "bucket head (link), overflow page, cursor");
     }
 
+    /// Buffer accesses (hits + misses) `op` costs.
+    fn accesses(s: &mut PageStore, op: impl FnOnce(&mut PageStore)) -> u64 {
+        let before = s.stats().1;
+        op(s);
+        let after = s.stats().1;
+        (after.hits + after.misses) - (before.hits + before.misses)
+    }
+
+    /// Pages on the chain `key` hashes to.
+    fn chain_len(s: &mut PageStore, key: ObjectId) -> u64 {
+        let mut pages = 0;
+        let head = s.page_of(key);
+        s.walk(head, true, |_, _| {
+            pages += 1;
+            None::<()>
+        })
+        .unwrap();
+        pages
+    }
+
+    #[test]
+    fn a_reserved_insert_costs_the_same_however_many_came_before() {
+        let mut s = spilling();
+        let mut thousands = Vec::new();
+        for k in 0..10u64 {
+            let cost = accesses(&mut s, |s| {
+                for n in k * 1_000..(k + 1) * 1_000 {
+                    assert_eq!(s.put(reserved(n), Value::ZERO).unwrap(), None);
+                }
+            });
+            thousands.push(cost);
+        }
+        // One access per insert; opening a window adds the meta page and
+        // the list's last page to the fresh one, 4 or 5 times a thousand.
+        // (The first window has no page to link from; reading the meta page
+        // to find the directory empty makes up for it.)
+        assert_eq!((thousands[0], thousands[9]), (1_010, 1_010));
+        let flat = thousands.iter().all(|cost| [1_008, 1_010].contains(cost));
+        assert!(flat, "{thousands:?}");
+        let dense: Vec<u64> = (0..10_000).collect();
+        let found = s.scan().unwrap();
+        let found: Vec<u64> = found
+            .iter()
+            .filter(|(o, _)| o.is_reserved())
+            .map(|(o, _)| o.raw() & !ObjectId::RESERVED)
+            .collect();
+        assert_eq!(found, dense);
+    }
+
+    #[test]
+    fn a_marker_insert_dirties_one_page_and_three_when_it_opens_a_window() {
+        let mut s = spilling();
+        let first = pages_dirtied(&mut s, |s| drop(s.put(reserved(7), Value::ZERO)));
+        assert_eq!(first, 2, "window page; meta (list head and cursor)");
+        let same = pages_dirtied(&mut s, |s| drop(s.put(reserved(8), Value::ZERO)));
+        assert_eq!(same, 1);
+        let far = reserved((1 << 62) | 7);
+        let opens = pages_dirtied(&mut s, |s| drop(s.put(far, Value::ZERO)));
+        assert_eq!(opens, 3, "window page, predecessor link, meta (cursor)");
+        let gone = pages_dirtied(&mut s, |s| drop(s.remove(reserved(7))));
+        assert_eq!(gone, 1);
+        assert_eq!(pages_dirtied(&mut s, |s| drop(s.get(far))), 0);
+    }
+
+    #[test]
+    fn update_and_absent_put_visit_each_page_of_the_chain_at_most_once() {
+        let mut s = spilling();
+        let deep = obj(Page::CAPACITY as u64 * 6 + 9);
+        let pages = chain_len(&mut s, deep);
+        assert!(pages >= 3);
+        let bump = |found: Option<Value>| Ok(found.map(|v| v.incremented(1)));
+        let cost = accesses(&mut s, |s| drop(s.update(deep, bump)));
+        assert_eq!(cost, pages, "the deepest key: every page, once");
+        // Absent keys of the same chain: the first may have to grow it.
+        let head = s.page_of(deep);
+        let mut absent = (1_000_000..).map(obj).filter(|key| s.page_of(*key) == head);
+        let (grower, absent) = (absent.next().unwrap(), absent.next().unwrap());
+        s.put(grower, Value::ZERO).unwrap();
+        let pages = chain_len(&mut s, deep);
+        let cost = accesses(&mut s, |s| drop(s.put(absent, Value::ZERO)));
+        assert_eq!(cost, pages, "found absent and placed in the same visit");
+        // An `Err` from the transition leaves every page clean.
+        let refuse = |_| Err(AmcError::NotFound(absent));
+        let dirtied = pages_dirtied(&mut s, |s| drop(s.update(obj(3), refuse)));
+        assert_eq!(dirtied, 0);
+        // A hole before the last page: the one case with a second visit.
+        let shallow = obj(10);
+        let head = s.page_of(shallow);
+        let filler = (2_000_000..).map(obj).find(|key| s.page_of(*key) == head);
+        assert!(s.remove(shallow).unwrap().is_some());
+        let cost = accesses(&mut s, |s| drop(s.put(filler.unwrap(), Value::ZERO)));
+        assert_eq!(cost, chain_len(&mut s, shallow) + 1);
+    }
+
     #[test]
     fn every_disk_write_is_a_dirty_frame_written_back() {
         let mut s = spilling();
@@ -409,20 +643,29 @@ mod tests {
         /// explicit flush, so after a crash each key must hold one of the
         /// values written since the last flush (or the flushed value) — we
         /// track the set of *possible* post-crash values per key.
+        ///
+        /// Keys come from both regions: user ids, and reserved ids that share
+        /// a window, sit in neighbouring windows, or lie 2^61 and 2^62 apart.
         #[test]
         fn store_matches_model(
-            ops in proptest::collection::vec((0u8..5, 2u64..40, any::<i64>()), 1..200),
+            ops in proptest::collection::vec((0u8..5, 2u64..50, any::<i64>()), 1..200),
             buckets in 1u32..6,
             frames in 2usize..10,
         ) {
+            const FAR: u64 = 1 << 62;
+            const RESERVED: [u64; 10] =
+                [0, 5, 6, 202, 203, 300, 1 << 61, FAR | 5, FAR | 6, FAR + 1_000];
             let mut store = PageStore::new(buckets, frames);
             let mut model: HashMap<u64, i64> = HashMap::new();
             // key -> values that could legally survive a crash (None = absent).
             let mut possible: HashMap<u64, Vec<Option<i64>>> = HashMap::new();
             for (kind, key, val) in ops {
-                // Keep keys clear of the meta ids by offsetting.
-                let k = key + 100;
-                let o = obj(k);
+                // Keep user keys clear of the meta ids by offsetting.
+                let o = match key.checked_sub(40) {
+                    Some(i) => reserved(RESERVED[i as usize]),
+                    None => obj(key + 100),
+                };
+                let k = o.raw();
                 match kind {
                     0 => {
                         let got = store.get(o).unwrap().map(|v| v.counter);
@@ -448,6 +691,10 @@ mod tests {
                     }
                     _ => {
                         store.crash();
+                        // The directory is what a reopen of the disk finds.
+                        let mut reopened =
+                            PageStore::open(store.disk.clone(), buckets, frames).unwrap();
+                        prop_assert_eq!(directory(&mut store), directory(&mut reopened));
                         let surviving: HashMap<u64, i64> = store
                             .scan()
                             .unwrap()

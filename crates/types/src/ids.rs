@@ -103,6 +103,19 @@ impl Lsn {
     }
 }
 
+impl ObjectId {
+    /// Ids with this bit set are the *reserved region*: the protocol's own
+    /// objects (`amc_net::marker`), never a workload's. The store keeps
+    /// them in a relation of their own, so the bit is defined here, once.
+    pub const RESERVED: u64 = 1 << 63;
+
+    /// True for an id in the reserved region.
+    #[inline]
+    pub const fn is_reserved(self) -> bool {
+        self.0 & Self::RESERVED != 0
+    }
+}
+
 impl SiteId {
     /// The central (global) system's site id.
     pub const CENTRAL: SiteId = SiteId(0);
@@ -149,6 +162,13 @@ mod tests {
         let l = Lsn::ZERO;
         assert_eq!(l.next(), Lsn::new(1));
         assert_eq!(l.next().next(), Lsn::new(2));
+    }
+
+    #[test]
+    fn the_reserved_region_is_the_top_bit() {
+        assert!(!ObjectId::new((1 << 63) - 1).is_reserved());
+        assert!(ObjectId::new(ObjectId::RESERVED).is_reserved());
+        assert!(ObjectId::new(u64::MAX).is_reserved());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! multi-level transaction model (§4.1): `amc-mlt` assigns each variant an L1
 //! lock mode and an inverse action.
 
+use crate::error::{AmcError, AmcResult};
 use crate::ids::ObjectId;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -87,6 +88,31 @@ impl Operation {
     #[inline]
     pub fn is_update(&self) -> bool {
         !matches!(self, Operation::Read { .. })
+    }
+
+    /// The operation's state transition: what it leaves of its object given
+    /// what it finds (`None` = absent), or the logical error it fails with.
+    /// A `Read` leaves what it found. Both engines apply exactly this.
+    pub fn applied_to(&self, found: Option<Value>) -> AmcResult<Option<Value>> {
+        let obj = self.object();
+        if let Operation::Insert { value, .. } = *self {
+            return match found {
+                Some(_) => Err(AmcError::AlreadyExists(obj)),
+                None => Ok(Some(value)),
+            };
+        }
+        let cur = found.ok_or(AmcError::NotFound(obj))?;
+        Ok(match *self {
+            Operation::Read { .. } | Operation::Insert { .. } => Some(cur),
+            Operation::Write { value, .. } => Some(value),
+            Operation::Increment { delta, .. } => Some(cur.incremented(delta)),
+            Operation::Delete { .. } => None,
+            Operation::Reserve { amount, .. } if cur.counter < amount as i64 => {
+                let (have, want) = (cur.counter, amount);
+                return Err(AmcError::InsufficientStock { obj, have, want });
+            }
+            Operation::Reserve { amount, .. } => Some(cur.incremented(-(amount as i64))),
+        })
     }
 
     /// Whether two operations *generally commute* in the paper's sense
@@ -282,6 +308,39 @@ mod tests {
             "Incr(obj-3,+1)"
         );
         assert_eq!(Operation::Read { obj: obj(3) }.to_string(), "R(obj-3)");
+    }
+
+    #[test]
+    fn applied_to_is_each_operations_state_transition() {
+        let (o, five) = (obj(1), Some(Value::counter(5)));
+        let value = Value::tagged(9, 1);
+        let applied = |op: Operation, found| op.applied_to(found);
+        assert_eq!(applied(Operation::Read { obj: o }, five), Ok(five));
+        assert_eq!(
+            applied(Operation::Write { obj: o, value }, five),
+            Ok(Some(value))
+        );
+        let incr = Operation::Increment { obj: o, delta: -7 };
+        assert_eq!(applied(incr, five), Ok(Some(Value::counter(-2))));
+        assert_eq!(applied(Operation::Delete { obj: o }, five), Ok(None));
+        let insert = Operation::Insert { obj: o, value };
+        assert_eq!(applied(insert, None), Ok(Some(value)));
+        assert_eq!(applied(insert, five), Err(AmcError::AlreadyExists(o)));
+        let reserve = |amount| Operation::Reserve { obj: o, amount };
+        assert_eq!(applied(reserve(5), five), Ok(Some(Value::counter(0))));
+        let (have, want) = (5, 6);
+        let short = AmcError::InsufficientStock { obj: o, have, want };
+        assert_eq!(applied(reserve(6), five), Err(short));
+        // Everything but an insert needs the object to exist.
+        for op in [
+            Operation::Read { obj: o },
+            Operation::Write { obj: o, value },
+            incr,
+            Operation::Delete { obj: o },
+            reserve(1),
+        ] {
+            assert_eq!(applied(op, None), Err(AmcError::NotFound(o)), "{op}");
+        }
     }
 
     #[test]

@@ -237,6 +237,16 @@ fn one_file_constructs_feeds_and_resumes_coordinators() {
     }
 }
 
+/// The reserved id region — the store's direct-mapped relation, the
+/// markers, the epoch object, every oracle's filter — hangs on one bit, and
+/// one file says which: `ObjectId::RESERVED`.
+#[test]
+fn the_reserved_region_bit_is_defined_in_one_file() {
+    let defining = non_test_code_having(&["<< 63", "0x8000_0000_0000_0000"], &[]);
+    assert_eq!(defining.len(), 1, "the top bit spelled in {defining:?}");
+    assert!(defining[0].ends_with("types/src/ids.rs"), "{defining:?}");
+}
+
 /// ROADMAP 5(c)'s score, computed instead of copied: the lines of every
 /// `crates/*/src` file up to its first column-0 `#[cfg(test)]`. The
 /// ceiling is the count of the last PR that lowered it; a PR that needs
@@ -244,7 +254,7 @@ fn one_file_constructs_feeds_and_resumes_coordinators() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 25_100;
+    const CEILING: usize = 25_098;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| {

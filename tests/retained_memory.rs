@@ -140,9 +140,9 @@ fn finished_transactions_shrink_to_their_scalars() {
     // work-map slots, and for the portable protocols two marker entries.
     // 2PC and commit-after hear the decision and shrink to scalars.
     // Commit-before never hears of a commit (§3.3: "no further actions"),
-    // so its two undo programs (inverse operation + marker delete, 64 B
-    // each) stay until item 6's low-water mark tells the site: the 450 B
-    // the issue asked of it is not met, 550 is what is pinned.
+    // so its two undo programs (the inverse operation, 32 B each; the
+    // marker's delete is implied) stay until item 6's low-water mark tells
+    // the site: the 450 B asked of it is not met, 550 is what is pinned.
     let budgets = [
         (ProtocolKind::TwoPhaseCommit, 400.0),
         (ProtocolKind::CommitAfter, 450.0),
