@@ -8,266 +8,38 @@
 
 use amc_bench::experiments::*;
 
+/// Renders one experiment's section; `quick` picks the reduced sizes.
+type Report = fn(quick: bool) -> String;
+
+/// Every experiment, in report order, by its id on the command line.
+const EXPERIMENTS: [(&str, Report); 14] = [
+    ("e1", e1_concurrency::report),
+    ("e2", e2_redo::report),
+    ("e3", e3_abort_cost::report),
+    ("e4", e4_complexity::report),
+    ("e5", e5_crash::report),
+    ("e6", e6_correctness::report),
+    ("e7", e7_ablation::report),
+    ("e9", e9_threaded::report),
+    ("e10", e10_rpc::report),
+    ("e11", e11_recovery::report),
+    ("e12", e12_paxos::report),
+    ("e13", e13_fastpath::report),
+    ("e14", e14_shard::report),
+    ("e15", e15_regime::report),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "quick");
-    let wants = |id: &str| {
-        args.is_empty() || args.iter().all(|a| a == "quick") || args.iter().any(|a| a == id)
-    };
-    // Sizes: full vs quick.
-    let (txns, threads) = if quick { (60, 4) } else { (240, 6) };
+    let all = args.iter().all(|a| a == "quick");
 
     println!("atomic commitment for integrated database systems — experiment report");
     println!("(reproduction of Muth & Rakow, ICDE 1991; shapes, not 1991 hardware numbers)");
     println!();
-
-    if wants("e1") {
-        let thetas = if quick {
-            vec![0.0, 0.99]
-        } else {
-            vec![0.0, 0.6, 0.9, 0.99]
-        };
-        let rows = e1_concurrency::run(txns, threads, &thetas);
-        print!("{}", e1_concurrency::table(&rows).render());
-        for v in e1_concurrency::verdicts(&rows) {
-            println!("{v}");
+    for (id, report) in EXPERIMENTS {
+        if all || args.iter().any(|a| a == id) {
+            println!("{}", report(quick));
         }
-        println!();
-    }
-
-    if wants("e2") {
-        let ps = if quick {
-            vec![0.0, 0.3]
-        } else {
-            vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        };
-        let rows = e2_redo::run(txns, threads, &ps);
-        print!("{}", e2_redo::table(&rows).render());
-        for v in e2_redo::verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e3") {
-        let rates = if quick {
-            vec![0.0, 0.4]
-        } else {
-            vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        };
-        let rows = e3_abort_cost::run(txns, threads, &rates);
-        print!("{}", e3_abort_cost::table(&rows).render());
-        for v in e3_abort_cost::verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e4") {
-        let rows = e4_complexity::run(if quick { 10 } else { 50 });
-        print!("{}", e4_complexity::table(&rows).render());
-        for v in e4_complexity::verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e5") {
-        let crash_times = if quick {
-            vec![100, 1_500]
-        } else {
-            vec![100, 400, 800, 1_200, 1_600, 2_400]
-        };
-        let rows = e5_crash::run(&crash_times, 40);
-        print!("{}", e5_crash::table(&rows).render());
-        for v in e5_crash::verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-        let rows = e5_crash::run_central(&crash_times, 40);
-        print!("{}", e5_crash::central_table(&rows).render());
-        for v in e5_crash::central_verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-        let seeds: Vec<u64> = if quick {
-            (0..4).collect()
-        } else {
-            (0..20).collect()
-        };
-        let rows = e5_crash::run_nemesis(&seeds);
-        print!("{}", e5_crash::nemesis_table(&rows).render());
-        for v in e5_crash::nemesis_verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e6") {
-        let seeds = if quick { vec![1] } else { vec![1, 2, 3] };
-        let rows = e6_correctness::run(&seeds, if quick { 40 } else { 120 }, threads);
-        print!("{}", e6_correctness::table(&rows).render());
-        for v in e6_correctness::verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e7") {
-        let thetas = if quick {
-            vec![0.99]
-        } else {
-            vec![0.0, 0.9, 0.99]
-        };
-        let rows = e7_ablation::run(txns, threads, &thetas);
-        print!("{}", e7_ablation::table(&rows).render());
-        for v in e7_ablation::verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e9") {
-        let thread_counts = [1usize, 2, 4, 8];
-        let rows = e9_threaded::run(if quick { 60 } else { 200 }, &thread_counts);
-        print!("{}", e9_threaded::table(&rows).render());
-        for v in e9_threaded::verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e10") {
-        let client_counts: &[usize] = if quick { &[1, 4] } else { &[1, 4, 8] };
-        let rows = e10_rpc::run(if quick { 80 } else { 240 }, client_counts);
-        print!("{}", e10_rpc::table(&rows).render());
-        for v in e10_rpc::verdicts(&rows) {
-            println!("{v}");
-        }
-        // High-concurrency profile: hundreds of driver threads, every
-        // server-runtime × client-flavour combination.
-        let hc = e10_rpc::run_high_concurrency(if quick { 400 } else { 1000 }, 200);
-        print!("{}", e10_rpc::hc_table(&hc).render());
-        for v in e10_rpc::hc_verdicts(&hc) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e11") {
-        let lengths: &[usize] = if quick {
-            &[100, 1000]
-        } else {
-            &[200, 1000, 4000]
-        };
-        let lingers: &[u64] = if quick {
-            &[0, 2000]
-        } else {
-            &[0, 100, 500, 2000]
-        };
-        let (recovery, fsync) = e11_recovery::run(lengths, lingers, if quick { 400 } else { 1600 });
-        print!("{}", e11_recovery::recovery_table(&recovery).render());
-        print!("{}", e11_recovery::fsync_table(&fsync).render());
-        for v in e11_recovery::verdicts(&recovery, &fsync) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e12") {
-        let outages: &[u64] = if quick { &[25, 200] } else { &[25, 100, 400] };
-        let (windows, costs) = e12_paxos::run(outages, if quick { 60 } else { 200 });
-        print!("{}", e12_paxos::window_table(&windows).render());
-        print!("{}", e12_paxos::cost_table(&costs).render());
-        for v in e12_paxos::verdicts(&windows, &costs) {
-            println!("{v}");
-        }
-        let linger = e12_paxos::run_linger(if quick { 25 } else { 60 }, 8);
-        print!("{}", e12_paxos::linger_table(&linger).render());
-        for v in e12_paxos::linger_verdicts(&linger) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e13") {
-        let rows = e13_fastpath::run(if quick { 100 } else { 300 }, threads);
-        print!("{}", e13_fastpath::table(&rows).render());
-        for v in e13_fastpath::verdicts(&rows) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e14") {
-        let scale = e14_shard::run_scaling(if quick { 30 } else { 80 }, &[1, 2, 4, 8]);
-        print!("{}", e14_shard::scaling_table(&scale).render());
-        let reconfig = e14_shard::run_reconfig(if quick { 80 } else { 200 });
-        print!("{}", e14_shard::reconfig_table(&reconfig).render());
-        let tcp = e14_shard::run_tcp(if quick { 120 } else { 400 }, 4);
-        print!("{}", e14_shard::tcp_table(&tcp).render());
-        for v in e14_shard::verdicts(&scale, &reconfig, &tcp) {
-            println!("{v}");
-        }
-        println!();
-    }
-
-    if wants("e15") {
-        let (n, clients) = if quick { (40, 4) } else { (160, 6) };
-        let contention = e15_regime::run_contention(n, clients);
-        print!(
-            "{}",
-            e15_regime::table(
-                "E15 — regime map, contention lane (hotkey mix, 48 hot counters/site)",
-                "theta",
-                &contention,
-            )
-            .render()
-        );
-        let fanout = e15_regime::run_fanout(n, clients);
-        print!(
-            "{}",
-            e15_regime::table(
-                "E15 — regime map, fan-out lane (tpcc-lite NewOrder, theta 0.6)",
-                "fan-out",
-                &fanout,
-            )
-            .render()
-        );
-        let aborts = e15_regime::run_aborts(n, clients);
-        print!(
-            "{}",
-            e15_regime::table(
-                "E15 — regime map, intended-abort lane (zipf mix, theta 0.6)",
-                "abort dial",
-                &aborts,
-            )
-            .render()
-        );
-        let wire = e15_regime::run_wire(if quick { 40 } else { 120 }, clients);
-        let wire_rows: Vec<e15_regime::Row> = wire.iter().map(|w| w.row.clone()).collect();
-        print!(
-            "{}",
-            e15_regime::table(
-                "E15 — regime map, wire lane (tpcc-lite escrow reserves, theta 0.9)",
-                "wire",
-                &wire_rows,
-            )
-            .render()
-        );
-        for lane in [
-            ("contention", &contention),
-            ("fan-out", &fanout),
-            ("aborts", &aborts),
-            ("wire", &wire_rows),
-        ] {
-            for w in e15_regime::winners(lane.0, lane.1) {
-                println!("{w}");
-            }
-        }
-        for v in e15_regime::verdicts(&contention, &fanout, &aborts, &wire) {
-            println!("{v}");
-        }
-        println!();
     }
 }

@@ -1,7 +1,7 @@
 //! **E10 — the wire: loopback TCP vs in-process dispatch** (amc-rpc).
 //!
 //! Run the same mixed workload through the same coordinator against the
-//! same engines, swapping only the [`FederationTransport`]: direct
+//! same engines, swapping only the [`Wire`] of the [`Testbed`]: direct
 //! in-process function calls vs the real framed codec over loopback TCP
 //! (thread-per-connection site servers, deadline/retry client). Sweep
 //! client concurrency and report committed-transaction throughput with
@@ -17,49 +17,23 @@
 //!   protocol) at every client count, the E4 message-count ordering
 //!   re-observed as socket round trips.
 
-use crate::setup::program_batch;
-use crate::table::{opt2, TextTable};
-use amc_core::{submit_mode_for, Federation, FederationConfig};
-use amc_engine::{TplConfig, TwoPLEngine};
+use crate::setup::{program_batch, wire_config, Testbed, Wire, WIRES};
+use crate::table::{opt2, section, verdict, TextTable};
 use amc_mlt::ConflictPolicy;
-use amc_net::comm::EngineHandle;
-use amc_net::transport::{FederationTransport, InProcessTransport};
-use amc_net::LocalCommManager;
-use amc_obs::ObsSink;
-use amc_rpc::{EventServer, RetryPolicy, SiteServer, TcpTransport};
-use amc_types::{ProtocolKind, SiteId};
+use amc_types::ProtocolKind;
 use amc_workload::{OpMix, WorkloadSpec};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
 
-/// Which wire the coordinator speaks over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wire {
-    /// Direct dispatch into the managers (the simulator's transport).
-    InProcess,
-    /// Framed codec over loopback TCP through `amc-rpc`.
-    TcpLoopback,
-}
+/// The wire lane's TCP deployment.
+const TCP: Wire = WIRES[1];
 
-impl Wire {
-    /// Short label for the table.
-    pub fn label(self) -> &'static str {
-        match self {
-            Wire::InProcess => "in-process",
-            Wire::TcpLoopback => "tcp-loopback",
-        }
-    }
-}
-
-/// One measured point.
+/// One measured cell of either lane.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Client (driver thread) concurrency.
     pub clients: usize,
     /// Protocol under test.
     pub protocol: ProtocolKind,
-    /// Transport under test.
+    /// Deployment under test.
     pub wire: Wire,
     /// Commits achieved.
     pub committed: u64,
@@ -69,6 +43,12 @@ pub struct Row {
     pub p50_ms: Option<f64>,
     /// Tail commit latency, ms.
     pub p99_ms: Option<f64>,
+    /// Load-shed (`BufferExhausted`) replies the clients absorbed per
+    /// committed transaction — the backpressure the event runtime
+    /// applied past its in-flight cap.
+    pub sheds_per_txn: Option<f64>,
+    /// Server-side connections, summed across site servers.
+    pub connections: u64,
 }
 
 /// Low contention, increment-heavy, 2-site transactions: the measured
@@ -89,82 +69,12 @@ fn spec() -> WorkloadSpec {
     }
 }
 
-/// Engines with no modelled delays: real syscall + scheduling cost is the
-/// thing E10 measures, so nothing synthetic is added on either wire.
-fn managers(sites: u32) -> BTreeMap<SiteId, Arc<LocalCommManager>> {
-    (1..=sites)
-        .map(|s| {
-            let site = SiteId::new(s);
-            let cfg = TplConfig {
-                lock_timeout: Duration::from_millis(100),
-                deadlock_check: Duration::from_millis(1),
-                ..TplConfig::default()
-            };
-            let engine = Arc::new(TwoPLEngine::new(cfg));
-            (
-                site,
-                Arc::new(LocalCommManager::new(
-                    site,
-                    EngineHandle::Preparable(engine),
-                )),
-            )
-        })
-        .collect()
-}
-
-/// Run one (protocol, wire, clients) cell and return its row.
-fn run_cell(protocol: ProtocolKind, wire: Wire, clients: usize, txns: usize) -> Row {
+/// Run one (protocol, wire, clients) cell on the seeded batch `seed`.
+fn run_cell(protocol: ProtocolKind, wire: Wire, clients: usize, txns: usize, seed: u64) -> Row {
     let spec = spec();
-    let mode = submit_mode_for(protocol);
-    let managers = managers(spec.sites);
-
-    // Servers must outlive the run; shutdown happens on drop after it.
-    let mut servers: Vec<SiteServer> = Vec::new();
-    let transport: Arc<dyn FederationTransport> = match wire {
-        Wire::InProcess => Arc::new(InProcessTransport::new(
-            managers.clone(),
-            mode,
-            Duration::ZERO,
-        )),
-        Wire::TcpLoopback => {
-            let mut addrs = BTreeMap::new();
-            for (&site, manager) in &managers {
-                let srv = SiteServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                servers.push(srv);
-            }
-            Arc::new(TcpTransport::new(
-                addrs,
-                RetryPolicy::default(),
-                ObsSink::disabled(),
-            ))
-        }
-    };
-
-    let mut cfg = FederationConfig::uniform(spec.sites, protocol);
-    cfg.policy = ConflictPolicy::Semantic;
-    cfg.l1_timeout = Duration::from_millis(500);
-    let mut fed = Federation::with_transport(cfg, transport);
-    fed.set_recording(false, false);
-    let fed = Arc::new(fed);
-    for s in 1..=spec.sites {
-        let site = SiteId::new(s);
-        fed.load_site(site, &spec.initial_data(site)).expect("load");
-    }
-
-    let batch = program_batch(&spec, 10_000 + clients as u64, txns);
-    let m = fed.run_concurrent(batch, clients);
-    drop(fed);
-    for srv in servers {
-        srv.shutdown();
-    }
+    let cfg = wire_config(spec.sites, protocol, ConflictPolicy::Semantic);
+    let bed = Testbed::build(cfg, wire, spec.objects_per_site);
+    let m = bed.run_concurrent(program_batch(&spec, seed + clients as u64, txns), clients);
     Row {
         clients,
         protocol,
@@ -173,16 +83,18 @@ fn run_cell(protocol: ProtocolKind, wire: Wire, clients: usize, txns: usize) -> 
         throughput: m.throughput(),
         p50_ms: m.latency_p50_ms(),
         p99_ms: m.latency_p99_ms(),
+        sheds_per_txn: m.sheds_per_commit(),
+        connections: bed.fleet().connections(),
     }
 }
 
-/// Run the sweep.
+/// Run the wire sweep: every protocol over both [`WIRES`].
 pub fn run(txns: usize, client_counts: &[usize]) -> Vec<Row> {
     let mut rows = Vec::new();
     for protocol in ProtocolKind::ALL {
-        for wire in [Wire::InProcess, Wire::TcpLoopback] {
+        for wire in WIRES {
             for &clients in client_counts {
-                rows.push(run_cell(protocol, wire, clients, txns));
+                rows.push(run_cell(protocol, wire, clients, txns, 10_000));
             }
         }
     }
@@ -211,168 +123,20 @@ pub fn table(rows: &[Row]) -> TextTable {
     t
 }
 
-// ----------------------------------------------- high concurrency --
-
-/// Which server runtime + client flavour a high-concurrency cell runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HcRuntime {
-    /// Thread-per-connection server, pooled blocking client (one
-    /// connection checked out per in-flight request).
-    ThreadedPooled,
-    /// Event-loop server, pooled blocking client.
-    EventPooled,
-    /// Event-loop server, multiplexed pipelining client (one shared
-    /// connection per site).
-    EventMux,
-}
-
-impl HcRuntime {
-    /// Short label for the table.
-    pub fn label(self) -> &'static str {
-        match self {
-            HcRuntime::ThreadedPooled => "threaded+pooled",
-            HcRuntime::EventPooled => "event-loop+pooled",
-            HcRuntime::EventMux => "event-loop+mux",
-        }
-    }
-
-    /// Every combination, sweep order.
-    pub const ALL: [HcRuntime; 3] = [
-        HcRuntime::ThreadedPooled,
-        HcRuntime::EventPooled,
-        HcRuntime::EventMux,
-    ];
-}
-
-/// One high-concurrency measurement.
-#[derive(Debug, Clone)]
-pub struct HcRow {
-    /// Runtime + client flavour.
-    pub runtime: HcRuntime,
-    /// Driver-thread concurrency.
-    pub clients: usize,
-    /// Commits achieved.
-    pub committed: u64,
-    /// Committed txns per second.
-    pub throughput: Option<f64>,
-    /// Median commit latency, ms.
-    pub p50_ms: Option<f64>,
-    /// Tail commit latency, ms.
-    pub p99_ms: Option<f64>,
-    /// Load-shed (`BufferExhausted`) replies the clients absorbed — the
-    /// backpressure the event runtime applied past its in-flight cap.
-    pub sheds: u64,
-    /// Sheds per committed transaction.
-    pub sheds_per_txn: Option<f64>,
-    /// Peak server-side connections, summed across site servers.
-    pub connections: u64,
-    /// `connections` per available core — the "how many sockets does a
-    /// core carry" figure the event loop exists to improve.
-    pub conns_per_core: f64,
-}
-
-/// Run one high-concurrency cell: hundreds of driver threads hammering
-/// commit-before (the paper's protocol, the cheapest message path — the
-/// transport is the bottleneck under test) over loopback TCP.
-fn run_hc_cell(runtime: HcRuntime, clients: usize, txns: usize) -> HcRow {
-    let protocol = ProtocolKind::CommitBefore;
-    let spec = spec();
-    let mode = submit_mode_for(protocol);
-    let managers = managers(spec.sites);
-
-    let mut threaded: Vec<SiteServer> = Vec::new();
-    let mut event: Vec<EventServer> = Vec::new();
-    let mut addrs = BTreeMap::new();
-    for (&site, manager) in &managers {
-        match runtime {
-            HcRuntime::ThreadedPooled => {
-                let srv = SiteServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                threaded.push(srv);
-            }
-            HcRuntime::EventPooled | HcRuntime::EventMux => {
-                let srv = EventServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                event.push(srv);
-            }
-        }
-    }
-    let policy = RetryPolicy::default();
-    let transport: Arc<dyn FederationTransport> = match runtime {
-        HcRuntime::EventMux => Arc::new(TcpTransport::new_mux(addrs, policy, ObsSink::disabled())),
-        _ => Arc::new(TcpTransport::new(addrs, policy, ObsSink::disabled())),
-    };
-
-    let mut cfg = FederationConfig::uniform(spec.sites, protocol);
-    cfg.policy = ConflictPolicy::Semantic;
-    cfg.l1_timeout = Duration::from_millis(500);
-    let mut fed = Federation::with_transport(cfg, transport);
-    fed.set_recording(false, false);
-    let fed = Arc::new(fed);
-    for s in 1..=spec.sites {
-        let site = SiteId::new(s);
-        fed.load_site(site, &spec.initial_data(site)).expect("load");
-    }
-
-    let batch = program_batch(&spec, 20_000 + clients as u64, txns);
-    let m = fed.run_concurrent(batch, clients);
-    drop(fed);
-    // Connection counts, read before teardown: the threaded runtime's
-    // figure is retained connection threads (each live connection is a
-    // thread); the event runtime's is the loop's high-water mark.
-    let connections: u64 = threaded
-        .iter()
-        .map(|s| s.connection_threads() as u64)
-        .chain(event.iter().map(|s| s.stats().peak_connections))
-        .sum();
-    for srv in threaded {
-        srv.shutdown();
-    }
-    for srv in event {
-        srv.shutdown();
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1) as f64;
-    HcRow {
-        runtime,
-        clients,
-        committed: m.committed,
-        throughput: m.throughput(),
-        p50_ms: m.latency_p50_ms(),
-        p99_ms: m.latency_p99_ms(),
-        sheds: m.load_sheds,
-        sheds_per_txn: m.sheds_per_commit(),
-        connections,
-        conns_per_core: connections as f64 / cores,
-    }
-}
-
-/// Run the high-concurrency sweep: every runtime at `clients` driver
-/// threads (the profile pins `clients >= 200`).
-pub fn run_high_concurrency(txns: usize, clients: usize) -> Vec<HcRow> {
-    HcRuntime::ALL
+/// Run the high-concurrency sweep: every TCP deployment at `clients`
+/// driver threads (the profile pins `clients >= 200`) hammering
+/// commit-before — the paper's protocol, the cheapest message path, so
+/// the transport is the bottleneck under test.
+pub fn run_high_concurrency(txns: usize, clients: usize) -> Vec<Row> {
+    Wire::ALL
         .into_iter()
-        .map(|rt| run_hc_cell(rt, clients, txns))
+        .filter(|w| w.is_tcp())
+        .map(|w| run_cell(ProtocolKind::CommitBefore, w, clients, txns, 20_000))
         .collect()
 }
 
 /// Render the high-concurrency table.
-pub fn hc_table(rows: &[HcRow]) -> TextTable {
+pub fn hc_table(rows: &[Row]) -> TextTable {
     let mut t = TextTable::new(
         "E10 — high concurrency: server runtime × client flavour over loopback TCP",
         &[
@@ -387,9 +151,12 @@ pub fn hc_table(rows: &[HcRow]) -> TextTable {
             "conns/core",
         ],
     );
+    // Connections per available core: the "how many sockets does a core
+    // carry" figure the event loop exists to improve.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as f64;
     for r in rows {
         t.row(vec![
-            r.runtime.label().to_string(),
+            r.wire.label().to_string(),
             r.clients.to_string(),
             r.committed.to_string(),
             opt2(r.throughput),
@@ -397,37 +164,52 @@ pub fn hc_table(rows: &[HcRow]) -> TextTable {
             opt2(r.p99_ms),
             opt2(r.sheds_per_txn),
             r.connections.to_string(),
-            format!("{:.2}", r.conns_per_core),
+            format!("{:.2}", r.connections as f64 / cores),
         ]);
     }
     t
 }
 
+/// The report section: both lanes.
+pub fn report(quick: bool) -> String {
+    let client_counts: &[usize] = if quick { &[1, 4] } else { &[1, 4, 8] };
+    let rows = run(if quick { 80 } else { 240 }, client_counts);
+    // Hundreds of driver threads, every server-runtime × client-flavour
+    // combination.
+    let hc = run_high_concurrency(if quick { 400 } else { 1000 }, 200);
+    section(&[table(&rows)], &verdicts(&rows)) + &section(&[hc_table(&hc)], &hc_verdicts(&hc))
+}
+
 /// Shape checks for the high-concurrency profile.
-pub fn hc_verdicts(rows: &[HcRow]) -> Vec<String> {
+pub fn hc_verdicts(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
     // E10-4: every runtime serves hundreds of concurrent clients.
     let enough = rows.iter().all(|r| r.clients >= 200);
     let all_commit = rows.iter().all(|r| r.committed > 0);
-    out.push(format!(
-        "[{}] E10-4: every runtime commits at >=200 concurrent clients ({} clients)",
-        if enough && all_commit { "PASS" } else { "FAIL" },
-        rows.first().map(|r| r.clients).unwrap_or(0),
+    out.push(verdict(
+        enough && all_commit,
+        format!(
+            "E10-4: every runtime commits at >=200 concurrent clients ({} clients)",
+            rows.first().map(|r| r.clients).unwrap_or(0)
+        ),
     ));
     // E10-5: multiplexing collapses the connection count — the mux
     // transport rides one connection per site where the pooled client
     // opens a connection per in-flight request.
-    let mux = rows.iter().find(|r| r.runtime == HcRuntime::EventMux);
-    let pooled = rows.iter().find(|r| r.runtime == HcRuntime::EventPooled);
+    let mux = rows.iter().find(|r| r.wire == Wire::EventMux);
+    let pooled = rows.iter().find(|r| r.wire == Wire::EventPooled);
     let collapsed = match (mux, pooled) {
         (Some(m), Some(p)) => m.connections <= spec().sites as u64 && m.connections < p.connections,
         _ => false,
     };
-    out.push(format!(
-        "[{}] E10-5: event-loop+mux rides <=1 connection per site (mux {} vs pooled {})",
-        if collapsed { "PASS" } else { "FAIL" },
-        mux.map(|r| r.connections).unwrap_or(0),
-        pooled.map(|r| r.connections).unwrap_or(0),
+    out.push(verdict(
+        collapsed,
+        format!(
+            "E10-5: {} rides <=1 connection per site (mux {} vs pooled {})",
+            Wire::EventMux.label(),
+            mux.map(|r| r.connections).unwrap_or(0),
+            pooled.map(|r| r.connections).unwrap_or(0)
+        ),
     ));
     out
 }
@@ -438,16 +220,18 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
     // E10-1: every cell commits — all three protocols complete the
     // workload over real sockets at every client count.
     let all_commit = rows.iter().all(|r| r.committed > 0);
-    out.push(format!(
-        "[{}] E10-1: every (protocol, wire, clients) cell commits transactions ({} cells)",
-        if all_commit { "PASS" } else { "FAIL" },
-        rows.len(),
+    out.push(verdict(
+        all_commit,
+        format!(
+            "E10-1: every (protocol, wire, clients) cell commits transactions ({} cells)",
+            rows.len()
+        ),
     ));
     // E10-2: the wire costs latency — per (protocol, clients), TCP p50 is
     // at least the in-process p50.
     let mut pairs = 0;
     let mut costly = 0;
-    for r in rows.iter().filter(|r| r.wire == Wire::TcpLoopback) {
+    for r in rows.iter().filter(|r| r.wire == TCP) {
         let twin = rows.iter().find(|q| {
             q.wire == Wire::InProcess && q.protocol == r.protocol && q.clients == r.clients
         });
@@ -458,25 +242,25 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
             }
         }
     }
-    out.push(format!(
-        "[{}] E10-2: tcp-loopback p50 >= in-process p50 in every pair ({costly}/{pairs})",
-        if pairs > 0 && costly == pairs {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+    out.push(verdict(
+        pairs > 0 && costly == pairs,
+        format!(
+            "E10-2: {} p50 >= {} p50 in every pair ({costly}/{pairs})",
+            TCP.label(),
+            Wire::InProcess.label()
+        ),
     ));
     // E10-3: message complexity shows on the wire — at every client
     // count, 2PC's extra voting round costs it at least commit-before's
     // TCP p50 (E4's message ordering, re-observed as socket round trips).
     let p50 = |protocol: ProtocolKind, clients: usize| {
         rows.iter()
-            .find(|r| r.wire == Wire::TcpLoopback && r.protocol == protocol && r.clients == clients)
+            .find(|r| r.wire == TCP && r.protocol == protocol && r.clients == clients)
             .and_then(|r| r.p50_ms)
     };
     let mut counts: Vec<usize> = rows
         .iter()
-        .filter(|r| r.wire == Wire::TcpLoopback)
+        .filter(|r| r.wire == TCP)
         .map(|r| r.clients)
         .collect();
     counts.sort_unstable();
@@ -497,10 +281,12 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
             _ => ordered = false,
         }
     }
-    out.push(format!(
-        "[{}] E10-3: tcp p50(2pc) >= tcp p50(commit-before) at every client count (2pc/cb ms: {})",
-        if ordered { "PASS" } else { "FAIL" },
-        shown.join(", "),
+    out.push(verdict(
+        ordered,
+        format!(
+            "E10-3: tcp p50(2pc) >= tcp p50(commit-before) at every client count (2pc/cb ms: {})",
+            shown.join(", ")
+        ),
     ));
     out
 }

@@ -19,7 +19,7 @@
 //!   the linger — the batching knob, not the disk, decides how often
 //!   the site pays for durability.
 
-use crate::table::{opt2, TextTable};
+use crate::table::{opt2, section, verdict, TextTable};
 use amc_engine::{LocalEngine, TplConfig, TwoPLEngine};
 use amc_types::{ObjectId, Operation, SiteId, Value};
 use amc_wal::GroupCommitConfig;
@@ -241,10 +241,12 @@ pub fn verdicts(recovery: &[RecoveryRow], fsync: &[FsyncRow]) -> Vec<String> {
     // E11-1: every recovery re-commits exactly its log: n transactions
     // plus the bulk load, nothing lost, nothing in doubt.
     let exact = recovery.iter().all(|r| r.committed == r.txns + 1);
-    out.push(format!(
-        "[{}] E11-1: every replay re-commits its full log (n + bulk load), across {} lengths",
-        if exact { "PASS" } else { "FAIL" },
-        recovery.len(),
+    out.push(verdict(
+        exact,
+        format!(
+            "E11-1: every replay re-commits its full log (n + bulk load), across {} lengths",
+            recovery.len()
+        ),
     ));
     // E11-2: replay scales with the log — per-transaction cost stays in
     // one generous band (25×) across the length spread, i.e. no
@@ -257,9 +259,9 @@ pub fn verdicts(recovery: &[RecoveryRow], fsync: &[FsyncRow]) -> Vec<String> {
         (Some(lo), Some(hi)) if lo > 0.0 => hi / lo <= 25.0,
         _ => false,
     };
-    out.push(format!(
-        "[{}] E11-2: per-transaction replay cost stays within a 25x band across log lengths",
-        if linearish { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        linearish,
+        "E11-2: per-transaction replay cost stays within a 25x band across log lengths",
     ));
     // E11-3: the linger knob amortizes fsync — the longest linger packs
     // at least as many commits per force as the zero linger, and some
@@ -276,9 +278,28 @@ pub fn verdicts(recovery: &[RecoveryRow], fsync: &[FsyncRow]) -> Vec<String> {
         && fsync
             .iter()
             .any(|r| r.commits_per_force.is_some_and(|c| c > 1.0));
-    out.push(format!(
-        "[{}] E11-3: group-commit linger amortizes fsyncs (commits/force grows with the window)",
-        if amortizes { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        amortizes,
+        "E11-3: group-commit linger amortizes fsyncs (commits/force grows with the window)",
     ));
     out
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let lengths: &[usize] = if quick {
+        &[100, 1000]
+    } else {
+        &[200, 1000, 4000]
+    };
+    let lingers: &[u64] = if quick {
+        &[0, 2000]
+    } else {
+        &[0, 100, 500, 2000]
+    };
+    let (recovery, fsync) = run(lengths, lingers, if quick { 400 } else { 1600 });
+    section(
+        &[recovery_table(&recovery), fsync_table(&fsync)],
+        &verdicts(&recovery, &fsync),
+    )
 }

@@ -23,10 +23,11 @@
 //!   constant-factor message overhead and a latency cost that buys the
 //!   non-blocking property measured above.
 
-use crate::table::{opt2, TextTable};
+use crate::setup::load;
+use crate::table::{opt2, section, verdict, TextTable};
 use amc_core::{Federation, FederationConfig, TxnOutcome};
 use amc_types::{Operation, ProtocolKind, SiteId};
-use amc_workload::{initial_counters, object};
+use amc_workload::object;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -52,10 +53,7 @@ fn loaded(paxos: Option<(&std::path::Path, Option<Duration>)>) -> Federation {
         }
     }
     let fed = Federation::new(cfg);
-    for site in (1..=SITES).map(SiteId::new) {
-        fed.load_site(site, &initial_counters(site, OBJECTS))
-            .expect("load");
-    }
+    load(&fed, OBJECTS);
     fed
 }
 
@@ -323,10 +321,10 @@ pub fn linger_verdicts(rows: &[LingerRow]) -> Vec<String> {
                 && g.fsyncs < g.appends
                 && g.batching() >= 2.0
     );
-    vec![format!(
-        "[{}] E12-4: group commit amortises the acceptor durability point — concurrent \
+    vec![verdict(
+        amortised,
+        "E12-4: group commit amortises the acceptor durability point — concurrent \
          appends share fsyncs at >= 2x batching, every commit kept",
-        if amortised { "PASS" } else { "FAIL" },
     )]
 }
 
@@ -400,9 +398,9 @@ pub fn verdicts(windows: &[WindowRow], costs: &[CostRow]) -> Vec<String> {
     let classic_tracks = windows
         .iter()
         .all(|r| r.classic_window_ms >= r.outage_ms as f64);
-    out.push(format!(
-        "[{}] E12-1: the classic 2PC window contains the full coordinator outage in every row",
-        if classic_tracks { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        classic_tracks,
+        "E12-1: the classic 2PC window contains the full coordinator outage in every row",
     ));
     // E12-2: the Paxos window is flat and beats classic everywhere — the
     // longest outage never reaches the standby's takeover latency.
@@ -416,10 +414,10 @@ pub fn verdicts(windows: &[WindowRow], costs: &[CostRow]) -> Vec<String> {
             (Some(worst_paxos), Some(longest_outage)) => worst_paxos < longest_outage as f64,
             _ => false,
         };
-    out.push(format!(
-        "[{}] E12-2: the Paxos Commit window stays below every classic window and below the \
+    out.push(verdict(
+        paxos_flat,
+        "E12-2: the Paxos Commit window stays below every classic window and below the \
          longest outage — takeover latency, not dead time",
-        if paxos_flat { "PASS" } else { "FAIL" },
     ));
     // E12-3: replication costs a bounded constant factor — everything
     // still commits, and messages/txn grow by at most 6x (registration +
@@ -433,9 +431,20 @@ pub fn verdicts(windows: &[WindowRow], costs: &[CostRow]) -> Vec<String> {
                 && p.committed == c.committed
                 && p.msgs_per_txn <= 6.0 * c.msgs_per_txn
     );
-    out.push(format!(
-        "[{}] E12-3: f = 1 replication keeps every commit and costs at most 6x the messages",
-        if bounded { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        bounded,
+        "E12-3: f = 1 replication keeps every commit and costs at most 6x the messages",
     ));
     out
+}
+
+/// The report section: blocking window and cost, then acceptor linger.
+pub fn report(quick: bool) -> String {
+    let outages: &[u64] = if quick { &[25, 200] } else { &[25, 100, 400] };
+    let (windows, costs) = run(outages, if quick { 60 } else { 200 });
+    let linger = run_linger(if quick { 25 } else { 60 }, 8);
+    section(
+        &[window_table(&windows), cost_table(&costs)],
+        &verdicts(&windows, &costs),
+    ) + &section(&[linger_table(&linger)], &linger_verdicts(&linger))
 }

@@ -18,66 +18,16 @@
 //!   solo dispatch and its reply are the only messages (2/txn, against
 //!   classic 2PC's 6).
 
-use crate::setup::ProgramBatch;
-use crate::table::{opt2, TextTable};
-use amc_core::{submit_mode_for, Federation, FederationConfig};
-use amc_engine::{TplConfig, TwoPLEngine};
-use amc_mlt::ConflictPolicy;
-use amc_net::comm::EngineHandle;
-use amc_net::transport::{FederationTransport, InProcessTransport};
-use amc_net::LocalCommManager;
-use amc_obs::ObsSink;
-use amc_rpc::{RetryPolicy, SiteServer, TcpTransport};
-use amc_types::{ProtocolKind, SiteId};
-use amc_workload::{initial_counters, object, transfer};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
-
-pub use super::e10_rpc::Wire;
+use crate::setup::{sizes, wire_config, ProgramBatch, Regime, Testbed, Wire, WIRES};
+use crate::table::{opt2, section, verdict, TextTable};
+use amc_types::SiteId;
+use amc_workload::{object, transfer};
 
 const SITES: u32 = 2;
 
-/// The commit layer a cell runs: the fast path or one of its baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layer {
-    /// 2PC with the fast path on: vote piggyback + single-site bypass.
-    FastPath,
-    /// Classic 2PC — explicit work, prepare and decision rounds.
-    Classic2pc,
-    /// Commit-after (redo recovery), the paper's §3.2 baseline.
-    CommitAfter,
-    /// Commit-before (undo recovery), the paper's §3.3 baseline.
-    CommitBefore,
-}
-
-impl Layer {
-    /// Every layer, fast path first.
-    pub const ALL: [Layer; 4] = [
-        Layer::FastPath,
-        Layer::Classic2pc,
-        Layer::CommitAfter,
-        Layer::CommitBefore,
-    ];
-
-    /// Short label for the table.
-    pub fn label(self) -> &'static str {
-        match self {
-            Layer::FastPath => "2pc+fast-path",
-            Layer::Classic2pc => "2pc",
-            Layer::CommitAfter => "commit-after",
-            Layer::CommitBefore => "commit-before",
-        }
-    }
-
-    fn protocol(self) -> ProtocolKind {
-        match self {
-            Layer::FastPath | Layer::Classic2pc => ProtocolKind::TwoPhaseCommit,
-            Layer::CommitAfter => ProtocolKind::CommitAfter,
-            Layer::CommitBefore => ProtocolKind::CommitBefore,
-        }
-    }
-}
+/// The commit layers compared: classic 2PC, the fast path, and the two
+/// portable baselines — [`Regime`] without its L1 ablation.
+pub const LAYERS: &[Regime] = Regime::ALL.split_at(4).0;
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -85,7 +35,7 @@ pub struct Row {
     /// Percentage of single-site transactions in the mix.
     pub pct_single: usize,
     /// Commit layer under test.
-    pub layer: Layer,
+    pub layer: Regime,
     /// Transport under test.
     pub wire: Wire,
     /// Commits achieved.
@@ -116,83 +66,12 @@ fn programs(txns: usize, pct_single: usize) -> ProgramBatch {
         .collect()
 }
 
-/// Engines with no modelled delays, as in E10: the fast path's win is
-/// fewer message rounds, so nothing synthetic is added on either wire.
-fn managers() -> BTreeMap<SiteId, Arc<LocalCommManager>> {
-    (1..=SITES)
-        .map(|s| {
-            let site = SiteId::new(s);
-            let cfg = TplConfig {
-                lock_timeout: Duration::from_millis(100),
-                deadlock_check: Duration::from_millis(1),
-                ..TplConfig::default()
-            };
-            let engine = Arc::new(TwoPLEngine::new(cfg));
-            (
-                site,
-                Arc::new(LocalCommManager::new(
-                    site,
-                    EngineHandle::Preparable(engine),
-                )),
-            )
-        })
-        .collect()
-}
-
 /// Run one (layer, wire, single-site fraction) cell and return its row.
-fn run_cell(layer: Layer, wire: Wire, pct_single: usize, txns: usize, clients: usize) -> Row {
-    let protocol = layer.protocol();
-    let mode = submit_mode_for(protocol);
-    let managers = managers();
-
-    let mut servers: Vec<SiteServer> = Vec::new();
-    let transport: Arc<dyn FederationTransport> = match wire {
-        Wire::InProcess => Arc::new(InProcessTransport::new(
-            managers.clone(),
-            mode,
-            Duration::ZERO,
-        )),
-        Wire::TcpLoopback => {
-            let mut addrs = BTreeMap::new();
-            for (&site, manager) in &managers {
-                let srv = SiteServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                servers.push(srv);
-            }
-            Arc::new(TcpTransport::new(
-                addrs,
-                RetryPolicy::default(),
-                ObsSink::disabled(),
-            ))
-        }
-    };
-
-    let mut cfg = FederationConfig::uniform(SITES, protocol);
-    if layer == Layer::FastPath {
-        cfg = cfg.with_fast_path();
-    }
-    cfg.policy = ConflictPolicy::Semantic;
-    cfg.l1_timeout = Duration::from_millis(500);
-    let mut fed = Federation::with_transport(cfg, transport);
-    fed.set_recording(false, false);
-    let fed = Arc::new(fed);
-    for site in (1..=SITES).map(SiteId::new) {
-        fed.load_site(site, &initial_counters(site, 2 * txns as u64))
-            .expect("load");
-    }
-
-    let m = fed.run_concurrent(programs(txns, pct_single), clients);
-    drop(fed);
-    for srv in servers {
-        srv.shutdown();
-    }
+/// Engines carry no modelled delays ([`wire_config`]): the fast path's
+/// win is fewer message rounds, so nothing synthetic is added.
+fn run_cell(layer: Regime, wire: Wire, pct_single: usize, txns: usize, clients: usize) -> Row {
+    let bed = Testbed::build(layer.config(SITES, wire_config), wire, 2 * txns as u64);
+    let m = bed.run_concurrent(programs(txns, pct_single), clients);
     Row {
         pct_single,
         layer,
@@ -210,14 +89,20 @@ pub const SWEEP: [usize; 5] = [0, 25, 50, 75, 100];
 /// Run the sweep.
 pub fn run(txns: usize, clients: usize) -> Vec<Row> {
     let mut rows = Vec::new();
-    for wire in [Wire::InProcess, Wire::TcpLoopback] {
+    for wire in WIRES {
         for pct in SWEEP {
-            for layer in Layer::ALL {
+            for &layer in LAYERS {
                 rows.push(run_cell(layer, wire, pct, txns, clients));
             }
         }
     }
     rows
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let rows = run(if quick { 100 } else { 300 }, sizes(quick).1);
+    section(&[table(&rows)], &verdicts(&rows))
 }
 
 /// Render as the report table.
@@ -245,17 +130,19 @@ pub fn table(rows: &[Row]) -> TextTable {
 /// The shape checks for this experiment.
 pub fn verdicts(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
-    let cell = |layer: Layer, wire: Wire, pct: usize| {
+    let cell = |layer: Regime, wire: Wire, pct: usize| {
         rows.iter()
             .find(|r| r.layer == layer && r.wire == wire && r.pct_single == pct)
     };
 
     // E13-1: every (layer, wire, fraction) cell commits.
     let all_commit = rows.iter().all(|r| r.committed > 0);
-    out.push(format!(
-        "[{}] E13-1: every (layer, wire, fraction) cell commits transactions ({} cells)",
-        if all_commit { "PASS" } else { "FAIL" },
-        rows.len(),
+    out.push(verdict(
+        all_commit,
+        format!(
+            "E13-1: every (layer, wire, fraction) cell commits transactions ({} cells)",
+            rows.len()
+        ),
     ));
 
     // E13-2: the piggyback saves at least one round trip per multi-site
@@ -264,11 +151,11 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
     // multi-site transactions.
     let mut points = 0;
     let mut saved = 0;
-    for wire in [Wire::InProcess, Wire::TcpLoopback] {
+    for wire in WIRES {
         for pct in SWEEP {
             let (fast, classic) = (
-                cell(Layer::FastPath, wire, pct).and_then(|r| r.msgs_per_txn),
-                cell(Layer::Classic2pc, wire, pct).and_then(|r| r.msgs_per_txn),
+                cell(Regime::FastPath, wire, pct).and_then(|r| r.msgs_per_txn),
+                cell(Regime::Classic2pc, wire, pct).and_then(|r| r.msgs_per_txn),
             );
             if let (Some(f), Some(c)) = (fast, classic) {
                 points += 1;
@@ -279,29 +166,27 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
             }
         }
     }
-    out.push(format!(
-        "[{}] E13-2: fast-path msgs/txn < classic 2pc at every sweep point ({saved}/{points})",
-        if points == 10 && saved == points {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+    out.push(verdict(
+        points == 10 && saved == points,
+        format!("E13-2: fast-path msgs/txn < classic 2pc at every sweep point ({saved}/{points})"),
     ));
 
     // E13-3: a 100%-single-site mix commits with zero global rounds —
     // the solo dispatch and its reply are the only messages.
     let mut solo_ok = true;
-    for wire in [Wire::InProcess, Wire::TcpLoopback] {
-        match cell(Layer::FastPath, wire, 100).and_then(|r| r.msgs_per_txn) {
+    for wire in WIRES {
+        match cell(Regime::FastPath, wire, 100).and_then(|r| r.msgs_per_txn) {
             Some(m) if m <= 2.0 + 1e-9 => {}
             _ => solo_ok = false,
         }
     }
-    out.push(format!(
-        "[{}] E13-3: 100% single-site commits at 2 msgs/txn — no global round ({} / {})",
-        if solo_ok { "PASS" } else { "FAIL" },
-        opt2(cell(Layer::FastPath, Wire::InProcess, 100).and_then(|r| r.msgs_per_txn)),
-        opt2(cell(Layer::FastPath, Wire::TcpLoopback, 100).and_then(|r| r.msgs_per_txn)),
+    out.push(verdict(
+        solo_ok,
+        format!(
+            "E13-3: 100% single-site commits at 2 msgs/txn — no global round ({} / {})",
+            opt2(cell(Regime::FastPath, Wire::InProcess, 100).and_then(|r| r.msgs_per_txn)),
+            opt2(cell(Regime::FastPath, Wire::ThreadedPooled, 100).and_then(|r| r.msgs_per_txn))
+        ),
     ));
     out
 }
@@ -313,22 +198,22 @@ mod tests {
     #[test]
     fn quick_sweep_pins_the_fast_path_shapes() {
         let rows = run(40, 4);
-        assert_eq!(rows.len(), 2 * SWEEP.len() * Layer::ALL.len());
+        assert_eq!(rows.len(), 2 * SWEEP.len() * LAYERS.len());
         for v in verdicts(&rows) {
             assert!(v.starts_with("[PASS]"), "{v}");
         }
         // The exact failure-free message counts: a pure 2-site mix costs
         // the fast path 8 msgs/txn against classic 2PC's 12; a pure
         // single-site mix costs 2 against 6.
-        let cell = |layer: Layer, pct: usize| {
+        let cell = |layer: Regime, pct: usize| {
             rows.iter()
                 .find(|r| r.layer == layer && r.wire == Wire::InProcess && r.pct_single == pct)
                 .and_then(|r| r.msgs_per_txn)
                 .unwrap()
         };
-        assert_eq!(cell(Layer::FastPath, 0), 8.0);
-        assert_eq!(cell(Layer::Classic2pc, 0), 12.0);
-        assert_eq!(cell(Layer::FastPath, 100), 2.0);
-        assert_eq!(cell(Layer::Classic2pc, 100), 6.0);
+        assert_eq!(cell(Regime::FastPath, 0), 8.0);
+        assert_eq!(cell(Regime::Classic2pc, 0), 12.0);
+        assert_eq!(cell(Regime::FastPath, 100), 2.0);
+        assert_eq!(cell(Regime::Classic2pc, 100), 6.0);
     }
 }

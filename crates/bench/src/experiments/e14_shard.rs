@@ -25,12 +25,13 @@
 //!   coordinator with a transaction id in that coordinator's disjoint
 //!   id range.
 
-use crate::table::{f2, TextTable};
+use crate::setup::load;
+use crate::table::{f2, section, verdict, TextTable};
 use amc_core::{closed_loop, coord_slot_of, Program, TxnOutcome};
 use amc_rpc::{CoordClient, CoordInfo, CoordServer, RetryPolicy};
 use amc_shard::{ShardRouter, SiteChange};
 use amc_types::{ProtocolKind, SiteId};
-use amc_workload::{initial_counters, object};
+use amc_workload::object;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,15 +51,6 @@ const SCALE_DELAY: Duration = Duration::from_micros(300);
 fn transfer(i: u64, idx: u64) -> Program {
     let site = |k: u64| SiteId::new((k % u64::from(SITES)) as u32 + 1);
     amc_workload::transfer(object(site(i), idx), object(site(i + 1), idx), 1)
-}
-
-/// Load every site's first `objects` counters.
-fn load(router: &ShardRouter, objects: u64) {
-    for site in (1..=SITES).map(SiteId::new) {
-        router
-            .load_site(site, &initial_counters(site, objects))
-            .expect("load");
-    }
 }
 
 /// One weak-scaling point.
@@ -104,7 +96,7 @@ pub fn run_scaling(txns_per_coord: usize, n_values: &[u32]) -> Vec<ScaleRow> {
             queues.iter().all(|q| q.len() == txns_per_coord),
             "id budget too small to fill every coordinator's quota"
         );
-        load(&router, budget);
+        load(router.coordinator(0), budget);
 
         // One closed loop per coordinator, side by side: each queue is
         // drained by its own fixed client population.
@@ -174,7 +166,7 @@ pub fn run_reconfig(min_txns: u64) -> ReconfigRow {
         )
         .expect("build router"),
     );
-    load(&router, 16);
+    load(router.coordinator(0), 16);
     let sum0 = router.user_sum().expect("sum");
     let count0 = router.user_object_count().expect("count") as i64;
 
@@ -287,7 +279,7 @@ pub fn run_tcp(txns: usize, clients: usize) -> TcpRow {
         ShardRouter::in_process(COORDS, SITES, ProtocolKind::TwoPhaseCommit, Duration::ZERO)
             .expect("build router"),
     );
-    load(&router, txns as u64);
+    load(router.coordinator(0), txns as u64);
     let sites = router.map().sites();
     let mut servers = Vec::new();
     let mut tcp_clients = Vec::new();
@@ -429,10 +421,12 @@ pub fn verdicts(scale: &[ScaleRow], reconfig: &ReconfigRow, tcp: &TcpRow) -> Vec
     // E14-1: every scaling cell commits its full offered load (the
     // transfers are disjoint, so nothing should abort).
     let all_commit = scale.iter().all(|r| r.committed == r.offered);
-    out.push(format!(
-        "[{}] E14-1: every scaling cell commits its full offered load ({} cells)",
-        if all_commit { "PASS" } else { "FAIL" },
-        scale.len(),
+    out.push(verdict(
+        all_commit,
+        format!(
+            "E14-1: every scaling cell commits its full offered load ({} cells)",
+            scale.len()
+        ),
     ));
 
     // E14-2: the pinned scale-out claim — aggregate txn/s at 4
@@ -443,10 +437,12 @@ pub fn verdicts(scale: &[ScaleRow], reconfig: &ReconfigRow, tcp: &TcpRow) -> Vec
         (Some(a), Some(b)) if a.txn_per_s > 0.0 => b.txn_per_s / a.txn_per_s,
         _ => 0.0,
     };
-    out.push(format!(
-        "[{}] E14-2: aggregate txn/s at 4 coordinators >= 2.5x one coordinator ({:.2}x)",
-        if speedup >= 2.5 { "PASS" } else { "FAIL" },
-        speedup,
+    out.push(verdict(
+        speedup >= 2.5,
+        format!(
+            "E14-2: aggregate txn/s at 4 coordinators >= 2.5x one coordinator ({:.2}x)",
+            speedup
+        ),
     ));
 
     // E14-3: reconfiguration conserves everything — sum, object count,
@@ -459,15 +455,17 @@ pub fn verdicts(scale: &[ScaleRow], reconfig: &ReconfigRow, tcp: &TcpRow) -> Vec
         && reconfig.epochs_agree
         && reconfig.old_site_gone
         && reconfig.errors == 0;
-    out.push(format!(
-        "[{}] E14-3: mid-workload add+retire with nemesis kill conserves state \
+    out.push(verdict(
+        conserved,
+        format!(
+            "E14-3: mid-workload add+retire with nemesis kill conserves state \
          (sum Δ={}, objects Δ={}, open={}, epoch={}, errors={})",
-        if conserved { "PASS" } else { "FAIL" },
-        reconfig.sum_delta,
-        reconfig.count_delta,
-        reconfig.open_txns,
-        reconfig.epoch,
-        reconfig.errors,
+            reconfig.sum_delta,
+            reconfig.count_delta,
+            reconfig.open_txns,
+            reconfig.epoch,
+            reconfig.errors
+        ),
     ));
 
     // E14-4: the TCP lane commits everything, every reply's transaction
@@ -476,16 +474,29 @@ pub fn verdicts(scale: &[ScaleRow], reconfig: &ReconfigRow, tcp: &TcpRow) -> Vec
     let tcp_ok = tcp.committed == tcp.offered
         && tcp.slot_matched == tcp.offered
         && tcp.busy_coordinators > 1;
-    out.push(format!(
-        "[{}] E14-4: TCP lane commits {}/{} with {}/{} ids slot-matched across {} coordinators",
-        if tcp_ok { "PASS" } else { "FAIL" },
-        tcp.committed,
-        tcp.offered,
-        tcp.slot_matched,
-        tcp.offered,
-        tcp.busy_coordinators,
+    out.push(verdict(
+        tcp_ok,
+        format!(
+            "E14-4: TCP lane commits {}/{} with {}/{} ids slot-matched across {} coordinators",
+            tcp.committed, tcp.offered, tcp.slot_matched, tcp.offered, tcp.busy_coordinators
+        ),
     ));
     out
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let scale = run_scaling(if quick { 30 } else { 80 }, &[1, 2, 4, 8]);
+    let reconfig = run_reconfig(if quick { 80 } else { 200 });
+    let tcp = run_tcp(if quick { 120 } else { 400 }, 4);
+    section(
+        &[
+            scaling_table(&scale),
+            reconfig_table(&reconfig),
+            tcp_table(&tcp),
+        ],
+        &verdicts(&scale, &reconfig, &tcp),
+    )
 }
 
 #[cfg(test)]

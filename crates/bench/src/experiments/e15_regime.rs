@@ -27,89 +27,13 @@
 //!
 //! [`Reserve`]: amc_types::Operation::Reserve
 
-use crate::setup::{mix_batch, tuned_config};
-use crate::table::{opt2, opt3, TextTable};
-use amc_core::{submit_mode_for, Federation, FederationConfig};
-use amc_engine::{TplConfig, TwoPLEngine};
-use amc_mlt::ConflictPolicy;
-use amc_net::comm::EngineHandle;
+use crate::setup::{batch, mix_batch, tuned_config, wire_config, Regime, Testbed, Wire, WIRES};
+use crate::table::{opt2, opt3, section, verdict, TextTable};
+use amc_core::{Federation, RunMetrics};
 use amc_net::marker::is_marker;
-use amc_net::transport::{FederationTransport, InProcessTransport};
-use amc_net::LocalCommManager;
-use amc_obs::ObsSink;
-use amc_rpc::{RetryPolicy, SiteServer, TcpTransport};
-use amc_types::{ProtocolKind, SiteId};
 use amc_workload::{fingerprint, MixGen, MixKind, MixSpec};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::time::Duration;
-
-pub use super::e10_rpc::Wire;
 
 const SITES: u32 = 3;
-
-/// One column of the regime map: a commit protocol plus its L1 conflict
-/// policy. `CommitBeforeRw` is the MLT-off ablation — same undo protocol,
-/// read/write locks instead of semantic modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Regime {
-    /// Classic 2PC — explicit work, prepare and decision rounds.
-    Classic2pc,
-    /// 2PC with the fast path: vote piggyback + single-site bypass.
-    FastPath,
-    /// Commit-after (redo recovery), §3.2.
-    CommitAfter,
-    /// Commit-before (undo recovery) with semantic L1 locks, §3.3 + §4.
-    CommitBefore,
-    /// Commit-before with read/write L1 locks — MLT commutativity off.
-    CommitBeforeRw,
-}
-
-impl Regime {
-    /// Every regime, in table order.
-    pub const ALL: [Regime; 5] = [
-        Regime::Classic2pc,
-        Regime::FastPath,
-        Regime::CommitAfter,
-        Regime::CommitBefore,
-        Regime::CommitBeforeRw,
-    ];
-
-    /// Short label for the tables and OPERATORS.md.
-    pub fn label(self) -> &'static str {
-        match self {
-            Regime::Classic2pc => "2pc",
-            Regime::FastPath => "2pc+fast-path",
-            Regime::CommitAfter => "commit-after",
-            Regime::CommitBefore => "commit-before",
-            Regime::CommitBeforeRw => "commit-before/rw",
-        }
-    }
-
-    fn protocol(self) -> ProtocolKind {
-        match self {
-            Regime::Classic2pc | Regime::FastPath => ProtocolKind::TwoPhaseCommit,
-            Regime::CommitAfter => ProtocolKind::CommitAfter,
-            Regime::CommitBefore | Regime::CommitBeforeRw => ProtocolKind::CommitBefore,
-        }
-    }
-
-    fn policy(self) -> ConflictPolicy {
-        match self {
-            Regime::CommitBeforeRw => ConflictPolicy::ReadWriteOnly,
-            _ => ConflictPolicy::Semantic,
-        }
-    }
-
-    fn config(self, sites: u32) -> FederationConfig {
-        let cfg = tuned_config(sites, self.protocol(), self.policy());
-        if self == Regime::FastPath {
-            cfg.with_fast_path()
-        } else {
-            cfg
-        }
-    }
-}
 
 /// One measured cell of any lane. `axis` is the lane's sweep coordinate
 /// (theta, fan-out, abort rate, or wire), formatted by the lane.
@@ -140,9 +64,26 @@ pub struct Row {
     pub oracle_ok: bool,
 }
 
-/// Run one DES-transport cell: build a tuned federation for the regime,
-/// load the mix's initial counters, run the seeded batch, then replay the
-/// lane oracle over the final dump.
+impl Row {
+    fn new(axis: String, regime: Regime, m: &RunMetrics, oracle_ok: bool) -> Row {
+        Row {
+            axis,
+            regime,
+            committed: m.committed,
+            txn_s: m.throughput(),
+            done_s: m.completions_per_sec(),
+            p50_ms: m.latency_p50_ms(),
+            p99_ms: m.latency_p99_ms(),
+            abort_rate: m.abort_rate(),
+            intended_rate: m.intended_abort_rate(),
+            msgs_per_txn: m.messages_per_commit(),
+            oracle_ok,
+        }
+    }
+}
+
+/// Run one in-process cell: build a tuned testbed for the regime, run the
+/// seeded batch, then replay the lane oracle over the final dump.
 fn run_cell(
     regime: Regime,
     kind: MixKind,
@@ -152,60 +93,55 @@ fn run_cell(
     txns: usize,
     clients: usize,
 ) -> Row {
-    let mut fed = Federation::new(regime.config(spec.sites));
-    fed.set_recording(false, false);
-    let fed = Arc::new(fed);
-    for s in 1..=spec.sites {
-        let site = SiteId::new(s);
-        fed.load_site(site, &spec.initial_data(site)).expect("load");
-    }
+    let fed = Testbed::build(
+        regime.config(spec.sites, tuned_config),
+        Wire::InProcess,
+        spec.objects_per_site,
+    );
     let m = fed.run_concurrent(mix_batch(kind, spec, seed, txns), clients);
     // Commit-after may still owe redo executions; settle them so the
     // conservation oracle sees the final state.
     let _ = fed.resolve_pending();
-    let oracle_ok = if kind.conserves_sum() && spec.intended_abort_prob == 0.0 {
-        counter_sum(&fed) == spec.initial_sum()
-    } else {
-        true
-    };
-    Row {
-        axis,
-        regime,
-        committed: m.committed,
-        txn_s: m.throughput(),
-        done_s: m.completions_per_sec(),
-        p50_ms: m.latency_p50_ms(),
-        p99_ms: m.latency_p99_ms(),
-        abort_rate: m.abort_rate(),
-        intended_rate: m.intended_abort_rate(),
-        msgs_per_txn: m.messages_per_commit(),
-        oracle_ok,
+    let oracle_ok = !(kind.conserves_sum() && spec.intended_abort_prob == 0.0)
+        || counters(&fed).iter().sum::<i64>() == spec.initial_sum();
+    Row::new(axis, regime, &m, oracle_ok)
+}
+
+/// Every user-object counter in the federation (markers excluded).
+fn counters(fed: &Federation) -> Vec<i64> {
+    let dumps = fed.dumps().expect("dumps");
+    let user = dumps.values().flatten().filter(|(o, _)| !is_marker(**o));
+    user.map(|(_, v)| v.counter).collect()
+}
+
+/// One in-process lane: every regime at every `(axis, spec)` sweep point
+/// of the seeded `kind` mix.
+fn run_lane(
+    kind: MixKind,
+    seed: u64,
+    points: impl IntoIterator<Item = (String, MixSpec)>,
+    txns: usize,
+    clients: usize,
+) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for (axis, spec) in points {
+        for regime in Regime::ALL {
+            let axis = axis.clone();
+            rows.push(run_cell(regime, kind, &spec, seed, axis, txns, clients));
+        }
     }
+    rows
 }
 
-/// Federation-wide user-object counter sum (markers excluded).
-fn counter_sum(fed: &Federation) -> i64 {
-    fed.dumps()
-        .expect("dumps")
-        .values()
-        .flat_map(|d| d.iter())
-        .filter(|(o, _)| !is_marker(**o))
-        .map(|(_, v)| v.counter)
-        .sum()
-}
-
-/// Smallest user-object counter in the federation (the escrow bound: a
-/// correct [`amc_types::Operation::Reserve`] path never drives a stock
-/// counter negative).
-fn min_counter(fed: &Federation) -> i64 {
-    fed.dumps()
-        .expect("dumps")
-        .values()
-        .flat_map(|d| d.iter())
-        .filter(|(o, _)| !is_marker(**o))
-        .map(|(_, v)| v.counter)
-        .min()
-        .unwrap_or(0)
+/// A lane's spec: `SITES` sites, no intended aborts unless dialled.
+fn spec(objects_per_site: u64, theta: f64, max_fanout: u32) -> MixSpec {
+    MixSpec {
+        sites: SITES,
+        objects_per_site,
+        theta,
+        intended_abort_prob: 0.0,
+        max_fanout,
+    }
 }
 
 /// The contention sweep points.
@@ -214,28 +150,8 @@ pub const THETAS: [f64; 4] = [0.0, 0.6, 0.9, 1.2];
 /// Lane 1 — contention: hot-key commuting counters over a small hot set
 /// (48 objects/site), theta 0 → 1.2.
 pub fn run_contention(txns: usize, clients: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for theta in THETAS {
-        let spec = MixSpec {
-            sites: SITES,
-            objects_per_site: 48,
-            theta,
-            intended_abort_prob: 0.0,
-            max_fanout: 3,
-        };
-        for regime in Regime::ALL {
-            rows.push(run_cell(
-                regime,
-                MixKind::HotKey,
-                &spec,
-                0xE15A,
-                format!("theta={theta}"),
-                txns,
-                clients,
-            ));
-        }
-    }
-    rows
+    let points = THETAS.map(|theta| (format!("theta={theta}"), spec(48, theta, 3)));
+    run_lane(MixKind::HotKey, 0xE15A, points, txns, clients)
 }
 
 /// The fan-out sweep points (participating sites per `NewOrder`).
@@ -244,28 +160,8 @@ pub const FANOUTS: [u32; 3] = [1, 2, 3];
 /// Lane 2 — fan-out: the TPC-C-style `NewOrder` profile capped at 1, 2,
 /// then 3 participating sites.
 pub fn run_fanout(txns: usize, clients: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for fanout in FANOUTS {
-        let spec = MixSpec {
-            sites: SITES,
-            objects_per_site: 256,
-            theta: 0.6,
-            intended_abort_prob: 0.0,
-            max_fanout: fanout,
-        };
-        for regime in Regime::ALL {
-            rows.push(run_cell(
-                regime,
-                MixKind::TpccLite,
-                &spec,
-                0xE15B,
-                format!("fanout<={fanout}"),
-                txns,
-                clients,
-            ));
-        }
-    }
-    rows
+    let points = FANOUTS.map(|fanout| (format!("fanout<={fanout}"), spec(256, 0.6, fanout)));
+    run_lane(MixKind::TpccLite, 0xE15B, points, txns, clients)
 }
 
 /// The intended-abort sweep points.
@@ -274,28 +170,14 @@ pub const ABORT_RATES: [f64; 3] = [0.0, 0.2, 0.4];
 /// Lane 3 — intended aborts: the generic Zipf mix with the
 /// transaction-logic abort dial at 0%, 20%, 40%.
 pub fn run_aborts(txns: usize, clients: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for rate in ABORT_RATES {
+    let points = ABORT_RATES.map(|intended_abort_prob| {
         let spec = MixSpec {
-            sites: SITES,
-            objects_per_site: 256,
-            theta: 0.6,
-            intended_abort_prob: rate,
-            max_fanout: 2,
+            intended_abort_prob,
+            ..spec(256, 0.6, 2)
         };
-        for regime in Regime::ALL {
-            rows.push(run_cell(
-                regime,
-                MixKind::Zipf,
-                &spec,
-                0xE15C,
-                format!("abort={rate}"),
-                txns,
-                clients,
-            ));
-        }
-    }
-    rows
+        (format!("abort={intended_abort_prob}"), spec)
+    });
+    run_lane(MixKind::Zipf, 0xE15C, points, txns, clients)
 }
 
 /// One wire-lane cell: `NewOrder` escrow reserves over a real transport.
@@ -316,15 +198,9 @@ pub struct WireRow {
 /// without modelled delays (as in E10/E13): the wire itself is the cost
 /// under test, and the seeded stream is pinned identical on both.
 pub fn run_wire(txns: usize, clients: usize) -> Vec<WireRow> {
-    let spec = MixSpec {
-        sites: SITES,
-        objects_per_site: 128,
-        theta: 0.9,
-        intended_abort_prob: 0.0,
-        max_fanout: 3,
-    };
+    let spec = spec(128, 0.9, 3);
     let mut rows = Vec::new();
-    for wire in [Wire::InProcess, Wire::TcpLoopback] {
+    for wire in WIRES {
         for regime in Regime::ALL {
             rows.push(run_wire_cell(regime, wire, &spec, txns, clients));
         }
@@ -339,99 +215,22 @@ fn run_wire_cell(
     txns: usize,
     clients: usize,
 ) -> WireRow {
-    let protocol = regime.protocol();
-    let mode = submit_mode_for(protocol);
-    let managers: BTreeMap<SiteId, Arc<LocalCommManager>> = (1..=spec.sites)
-        .map(|s| {
-            let site = SiteId::new(s);
-            let cfg = TplConfig {
-                lock_timeout: Duration::from_millis(100),
-                deadlock_check: Duration::from_millis(1),
-                ..TplConfig::default()
-            };
-            let engine = Arc::new(TwoPLEngine::new(cfg));
-            (
-                site,
-                Arc::new(LocalCommManager::new(
-                    site,
-                    EngineHandle::Preparable(engine),
-                )),
-            )
-        })
-        .collect();
-
-    let mut servers: Vec<SiteServer> = Vec::new();
-    let transport: Arc<dyn FederationTransport> = match wire {
-        Wire::InProcess => Arc::new(InProcessTransport::new(
-            managers.clone(),
-            mode,
-            Duration::ZERO,
-        )),
-        Wire::TcpLoopback => {
-            let mut addrs = BTreeMap::new();
-            for (&site, manager) in &managers {
-                let srv = SiteServer::spawn(
-                    site,
-                    Arc::clone(manager),
-                    mode,
-                    "127.0.0.1:0",
-                    ObsSink::disabled(),
-                )
-                .expect("bind loopback");
-                addrs.insert(site, srv.addr());
-                servers.push(srv);
-            }
-            Arc::new(TcpTransport::new(
-                addrs,
-                RetryPolicy::default(),
-                ObsSink::disabled(),
-            ))
-        }
-    };
-
-    let mut cfg = FederationConfig::uniform(spec.sites, protocol);
-    if regime == Regime::FastPath {
-        cfg = cfg.with_fast_path();
-    }
-    cfg.policy = regime.policy();
-    cfg.l1_timeout = Duration::from_millis(500);
-    let mut fed = Federation::with_transport(cfg, transport);
-    fed.set_recording(false, false);
-    let fed = Arc::new(fed);
-    for s in 1..=spec.sites {
-        let site = SiteId::new(s);
-        fed.load_site(site, &spec.initial_data(site)).expect("load");
-    }
-
+    let fed = Testbed::build(
+        regime.config(spec.sites, wire_config),
+        wire,
+        spec.objects_per_site,
+    );
     // The determinism contract in action: both wires replay the same
     // seeded stream, and the fingerprint pins it.
     let programs = MixGen::new(MixKind::TpccLite, spec.clone(), 0xE15D).programs(txns);
     let stream_fp = fingerprint(&programs);
-    let batch = programs
-        .into_iter()
-        .map(|p| (p.per_site, p.intends_abort))
-        .collect();
-    let m = fed.run_concurrent(batch, clients);
+    let m = fed.run_concurrent(batch(programs), clients);
     let _ = fed.resolve_pending();
-    let floor = min_counter(&fed);
-    drop(fed);
-    for srv in servers {
-        srv.shutdown();
-    }
+    // The escrow bound: a correct `Reserve` path never drives a stock
+    // counter negative.
+    let floor = counters(&fed).into_iter().min().unwrap_or(0);
     WireRow {
-        row: Row {
-            axis: wire.label().to_string(),
-            regime,
-            committed: m.committed,
-            txn_s: m.throughput(),
-            done_s: m.completions_per_sec(),
-            p50_ms: m.latency_p50_ms(),
-            p99_ms: m.latency_p99_ms(),
-            abort_rate: m.abort_rate(),
-            intended_rate: m.intended_abort_rate(),
-            msgs_per_txn: m.messages_per_commit(),
-            oracle_ok: floor >= 0,
-        },
+        row: Row::new(wire.label().to_string(), regime, &m, floor >= 0),
         wire,
         min_counter: floor,
         stream_fp,
@@ -523,28 +322,24 @@ pub fn verdicts(
 
     // E15-1: every (lane, axis, regime) cell commits transactions.
     let committing = all.iter().filter(|r| r.committed > 0).count();
-    out.push(format!(
-        "[{}] E15-1: every (lane, axis, regime) cell commits ({committing}/{} cells)",
-        if committing == all.len() {
-            "PASS"
-        } else {
-            "FAIL"
-        },
-        all.len(),
+    out.push(verdict(
+        committing == all.len(),
+        format!(
+            "E15-1: every (lane, axis, regime) cell commits ({committing}/{} cells)",
+            all.len()
+        ),
     ));
 
     // E15-2: the hot-key lane conserves the federation-wide counter sum in
     // every cell — aborted and retried programs roll back exactly, under
     // every regime and every theta.
     let conserved = contention.iter().filter(|r| r.oracle_ok).count();
-    out.push(format!(
-        "[{}] E15-2: counter sum conserved at every contention cell ({conserved}/{})",
-        if conserved == contention.len() {
-            "PASS"
-        } else {
-            "FAIL"
-        },
-        contention.len(),
+    out.push(verdict(
+        conserved == contention.len(),
+        format!(
+            "E15-2: counter sum conserved at every contention cell ({conserved}/{})",
+            contention.len()
+        ),
     ));
 
     // E15-3 (C4): at the hottest point (theta 1.2) semantic L1 locking
@@ -560,11 +355,13 @@ pub fn verdicts(
         (Some(sem), Some(rw)) => sem >= rw,
         _ => false,
     };
-    out.push(format!(
-        "[{}] E15-3 (C4): semantic L1 >= read/write L1 at theta=1.2 ({} vs {} txn/s)",
-        if c4 { "PASS" } else { "FAIL" },
-        opt2(hot(Regime::CommitBefore)),
-        opt2(hot(Regime::CommitBeforeRw)),
+    out.push(verdict(
+        c4,
+        format!(
+            "E15-3 (C4): semantic L1 >= read/write L1 at theta=1.2 ({} vs {} txn/s)",
+            opt2(hot(Regime::CommitBefore)),
+            opt2(hot(Regime::CommitBeforeRw))
+        ),
     ));
 
     // E15-4: the measured intended-abort fraction tracks the dial in the
@@ -585,9 +382,12 @@ pub fn verdicts(
             }
         }
     }
-    out.push(format!(
-        "[{}] E15-4 (C3 dial): measured intended-abort rate tracks the configured rate ({tracked}/{total})",
-        if tracked == total { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        tracked == total,
+        format!(
+            "E15-4 (C3 dial): measured intended-abort rate tracks the configured rate \
+             ({tracked}/{total})"
+        ),
     ));
 
     // E15-5: the wire lane's escrow bound holds (no stock counter below
@@ -601,18 +401,68 @@ pub fn verdicts(
     };
     let streams_match = Regime::ALL
         .iter()
-        .all(|&r| fp(Wire::InProcess, r) == fp(Wire::TcpLoopback, r));
-    out.push(format!(
-        "[{}] E15-5: escrow bound holds over TCP and both wires replay one seeded stream (min counter {}, streams {})",
-        if escrow_ok && streams_match {
-            "PASS"
-        } else {
-            "FAIL"
-        },
-        wire.iter().map(|w| w.min_counter).min().unwrap_or(0),
-        if streams_match { "identical" } else { "DIVERGED" },
+        .all(|&r| fp(WIRES[0], r) == fp(WIRES[1], r));
+    out.push(verdict(
+        escrow_ok && streams_match,
+        format!(
+            "E15-5: escrow bound holds over TCP and both wires replay one seeded stream \
+             (min counter {}, streams {})",
+            wire.iter().map(|w| w.min_counter).min().unwrap_or(0),
+            if streams_match {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        ),
     ));
     out
+}
+
+/// The report section: the four lanes, their winners, the verdicts.
+pub fn report(quick: bool) -> String {
+    let (n, clients) = if quick { (40, 4) } else { (160, 6) };
+    let contention = run_contention(n, clients);
+    let fanout = run_fanout(n, clients);
+    let aborts = run_aborts(n, clients);
+    let wire = run_wire(if quick { 40 } else { 120 }, clients);
+    let wire_rows: Vec<Row> = wire.iter().map(|w| w.row.clone()).collect();
+    // Per lane: winner tag, axis column, title, rows.
+    let lanes = [
+        (
+            "contention",
+            "theta",
+            "contention lane (hotkey mix, 48 hot counters/site)",
+            &contention,
+        ),
+        (
+            "fan-out",
+            "fan-out",
+            "fan-out lane (tpcc-lite NewOrder, theta 0.6)",
+            &fanout,
+        ),
+        (
+            "aborts",
+            "abort dial",
+            "intended-abort lane (zipf mix, theta 0.6)",
+            &aborts,
+        ),
+        (
+            "wire",
+            "wire",
+            "wire lane (tpcc-lite escrow reserves, theta 0.9)",
+            &wire_rows,
+        ),
+    ];
+    let tables: Vec<TextTable> = lanes
+        .iter()
+        .map(|(_, axis, title, rows)| table(&format!("E15 — regime map, {title}"), axis, rows))
+        .collect();
+    let mut lines: Vec<String> = lanes
+        .iter()
+        .flat_map(|(lane, _, _, rows)| winners(lane, rows))
+        .collect();
+    lines.extend(verdicts(&contention, &fanout, &aborts, &wire));
+    section(&tables, &lines)
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! throughput degrades least as contention rises; 2PC and commit-after
 //! hold L0 locks to the global end and lose the multi-level advantage.
 
-use crate::setup::{build_federation, program_batch};
-use crate::table::{f2, opt2, TextTable};
+use crate::setup::{build_federation, program_batch, sizes};
+use crate::table::{f2, opt2, section, verdict, TextTable};
 use amc_mlt::ConflictPolicy;
 use amc_types::ProtocolKind;
 use amc_workload::{OpMix, WorkloadSpec};
@@ -129,33 +129,41 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         let bh = before.l0_hold_ms.unwrap_or(f64::MAX);
         let ah = after.l0_hold_ms.unwrap_or(f64::MAX);
         let th = two_pc.l0_hold_ms.unwrap_or(f64::MAX);
-        out.push(format!(
-            "[{}] C2a: commit-before throughput >= commit-after under contention ({:.1} vs {:.1} txn/s)",
-            if before.throughput.is_some() && bt >= at { "PASS" } else { "FAIL" },
-            bt,
-            at,
+        out.push(verdict(
+            before.throughput.is_some() && bt >= at,
+            format!(
+                "C2a: commit-before throughput >= commit-after under contention \
+                 ({bt:.1} vs {at:.1} txn/s)"
+            ),
         ));
-        out.push(format!(
-            "[{}] C2b: commit-before throughput >= 2PC under contention ({:.1} vs {:.1} txn/s)",
-            if before.throughput.is_some() && bt >= tt {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            bt,
-            tt,
+        out.push(verdict(
+            before.throughput.is_some() && bt >= tt,
+            format!(
+                "C2b: commit-before throughput >= 2PC under contention ({:.1} vs {:.1} txn/s)",
+                bt, tt
+            ),
         ));
-        out.push(format!(
-            "[{}] C2c: commit-before holds L0 locks shortest ({:.2} ms vs {:.2} / {:.2})",
-            if before.l0_hold_ms.is_some() && bh <= ah && bh <= th {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            before.l0_hold_ms.unwrap_or(0.0),
-            after.l0_hold_ms.unwrap_or(0.0),
-            two_pc.l0_hold_ms.unwrap_or(0.0),
+        out.push(verdict(
+            before.l0_hold_ms.is_some() && bh <= ah && bh <= th,
+            format!(
+                "C2c: commit-before holds L0 locks shortest ({:.2} ms vs {:.2} / {:.2})",
+                before.l0_hold_ms.unwrap_or(0.0),
+                after.l0_hold_ms.unwrap_or(0.0),
+                two_pc.l0_hold_ms.unwrap_or(0.0)
+            ),
         ));
     }
     out
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let thetas: &[f64] = if quick {
+        &[0.0, 0.99]
+    } else {
+        &[0.0, 0.6, 0.9, 0.99]
+    };
+    let (txns, threads) = sizes(quick);
+    let rows = run(txns, threads, thetas);
+    section(&[table(&rows)], &verdicts(&rows))
 }

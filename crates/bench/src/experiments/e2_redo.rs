@@ -9,10 +9,10 @@
 //! decreases" — expect redo executions ≈ p/(1-p) per participant and a
 //! monotone throughput decline.
 
-use crate::setup::{build_federation, program_batch};
-use crate::table::{f2, f3, opt2, TextTable};
+use crate::setup::{build_federation, program_batch, sizes};
+use crate::table::{f2, f3, opt2, section, verdict, TextTable};
 use amc_mlt::ConflictPolicy;
-use amc_types::{ProtocolKind, SiteId};
+use amc_types::ProtocolKind;
 use amc_workload::{OpMix, WorkloadSpec};
 
 /// One measured point.
@@ -63,10 +63,9 @@ pub fn run(txns: usize, threads: usize, probabilities: &[f64]) -> Vec<Row> {
                 let spec = spec();
                 let fed =
                     build_federation(ProtocolKind::CommitAfter, ConflictPolicy::Semantic, &spec);
-                for s in 1..=spec.sites {
-                    fed.manager(SiteId::new(s))
-                        .expect("site exists")
-                        .inject_post_ready_aborts(p, 0xE2 + s as u64 + round * 977);
+                for (site, manager) in fed.fleet().managers() {
+                    let seed = 0xE2 + u64::from(site.raw()) + round * 977;
+                    manager.inject_post_ready_aborts(p, seed);
                 }
                 let batch = program_batch(&spec, 2_000 + round, txns);
                 let m = fed.run_concurrent(batch, threads);
@@ -127,39 +126,41 @@ pub fn table(rows: &[Row]) -> TextTable {
 pub fn verdicts(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
     if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
-        out.push(format!(
-            "[{}] C3a-1: redo rate grows with p ({:.3} at p={:.1} -> {:.3} at p={:.1})",
-            if last.redos_per_commit > first.redos_per_commit {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            first.redos_per_commit,
-            first.p,
-            last.redos_per_commit,
-            last.p,
+        out.push(verdict(
+            last.redos_per_commit > first.redos_per_commit,
+            format!(
+                "C3a-1: redo rate grows with p ({:.3} at p={:.1} -> {:.3} at p={:.1})",
+                first.redos_per_commit, first.p, last.redos_per_commit, last.p
+            ),
         ));
         let first_t = first.throughput.unwrap_or(0.0);
         let last_t = last.throughput.unwrap_or(0.0);
-        out.push(format!(
-            "[{}] C3a-2: throughput declines with p ({:.1} -> {:.1} txn/s)",
-            if first.throughput.is_some() && last_t < first_t {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            first_t,
-            last_t,
+        out.push(verdict(
+            first.throughput.is_some() && last_t < first_t,
+            format!(
+                "C3a-2: throughput declines with p ({:.1} -> {:.1} txn/s)",
+                first_t, last_t
+            ),
         ));
-        out.push(format!(
-            "[{}] C3a-3: atomicity holds — every submitted txn still commits ({} commits)",
-            if rows.iter().all(|r| r.committed > 0) {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            last.committed,
+        out.push(verdict(
+            rows.iter().all(|r| r.committed > 0),
+            format!(
+                "C3a-3: atomicity holds — every submitted txn still commits ({} commits)",
+                last.committed
+            ),
         ));
     }
     out
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let ps: &[f64] = if quick {
+        &[0.0, 0.3]
+    } else {
+        &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    };
+    let (txns, threads) = sizes(quick);
+    let rows = run(txns, threads, ps);
+    section(&[table(&rows)], &verdicts(&rows))
 }

@@ -8,8 +8,8 @@
 //! commit-after aborts running locals for free. The shape to reproduce: the
 //! commit-before advantage shrinks (or inverts) as the abort rate grows.
 
-use crate::setup::{build_federation, program_batch};
-use crate::table::{f2, f3, opt2, TextTable};
+use crate::setup::{build_federation, program_batch, sizes};
+use crate::table::{f2, f3, opt2, section, verdict, TextTable};
 use amc_mlt::ConflictPolicy;
 use amc_types::ProtocolKind;
 use amc_workload::{OpMix, WorkloadSpec};
@@ -124,23 +124,19 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         .iter()
         .find(|r| r.protocol == ProtocolKind::CommitAfter && r.abort_rate >= 0.3);
     if let (Some(cb), Some(ca)) = (cb_high, ca_high) {
-        out.push(format!(
-            "[{}] C3b-1: commit-before runs inverse txns on intended aborts ({:.2}/abort)",
-            if cb.undos_per_abort > 0.0 {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            cb.undos_per_abort,
+        out.push(verdict(
+            cb.undos_per_abort > 0.0,
+            format!(
+                "C3b-1: commit-before runs inverse txns on intended aborts ({:.2}/abort)",
+                cb.undos_per_abort
+            ),
         ));
-        out.push(format!(
-            "[{}] C3b-2: commit-after needs no undo machinery ({:.2}/abort)",
-            if ca.undos_per_abort == 0.0 {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            ca.undos_per_abort,
+        out.push(verdict(
+            ca.undos_per_abort == 0.0,
+            format!(
+                "C3b-2: commit-after needs no undo machinery ({:.2}/abort)",
+                ca.undos_per_abort
+            ),
         ));
     }
     // The relative gap between the protocols must shrink as aborts rise.
@@ -159,12 +155,25 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         Some(cb.completions_per_s / ca.completions_per_s.max(1e-9))
     };
     if let (Some(lo), Some(hi)) = (gap_at(true), gap_at(false)) {
-        out.push(format!(
-            "[{}] C3b-3: commit-before's edge shrinks as the abort rate grows (ratio {:.2} -> {:.2})",
-            if hi < lo { "PASS" } else { "FAIL" },
-            lo,
-            hi,
+        out.push(verdict(
+            hi < lo,
+            format!(
+                "C3b-3: commit-before's edge shrinks as the abort rate grows \
+                 (ratio {lo:.2} -> {hi:.2})"
+            ),
         ));
     }
     out
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let rates: &[f64] = if quick {
+        &[0.0, 0.4]
+    } else {
+        &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    };
+    let (txns, threads) = sizes(quick);
+    let rows = run(txns, threads, rates);
+    section(&[table(&rows)], &verdicts(&rows))
 }

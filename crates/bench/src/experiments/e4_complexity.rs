@@ -8,12 +8,13 @@
 //! participant, no decision round), 2PC the most expensive (work + prepare
 //! + decision + finished, plus the forced prepare record).
 
-use crate::table::{f2, opt2, TextTable};
+use crate::setup::load;
+use crate::table::{f2, opt2, section, verdict, TextTable};
 use amc_core::{FederationConfig, SimConfig, SimFederation};
 use amc_net::NetStats;
 use amc_obs::Histogram;
 use amc_types::{GlobalVerdict, Operation, ProtocolKind, SimDuration, SiteId};
-use amc_workload::{initial_counters, object, transfer};
+use amc_workload::{object, transfer};
 use std::collections::BTreeMap;
 
 /// One protocol's accounting.
@@ -44,9 +45,7 @@ pub fn run(txns: usize) -> Vec<Row> {
         let cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
         let fed = SimFederation::new(cfg);
         let (s1, s2) = (SiteId::new(1), SiteId::new(2));
-        for site in [s1, s2] {
-            fed.load_site(site, &initial_counters(site, txns as u64));
-        }
+        load(&fed.federation(), txns as u64);
         let managers = fed.managers();
         // Pre-run force baseline (bulk load may have forced nothing, but be
         // exact anyway).
@@ -145,37 +144,33 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         get(ProtocolKind::CommitAfter),
         get(ProtocolKind::TwoPhaseCommit),
     ) {
-        out.push(format!(
-            "[{}] E4-1: commit-before sends fewest messages ({:.1} < {:.1} < {:.1})",
-            if before.msgs_per_txn < after.msgs_per_txn && after.msgs_per_txn < two_pc.msgs_per_txn
-            {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            before.msgs_per_txn,
-            after.msgs_per_txn,
-            two_pc.msgs_per_txn,
+        out.push(verdict(
+            before.msgs_per_txn < after.msgs_per_txn && after.msgs_per_txn < two_pc.msgs_per_txn,
+            format!(
+                "E4-1: commit-before sends fewest messages ({:.1} < {:.1} < {:.1})",
+                before.msgs_per_txn, after.msgs_per_txn, two_pc.msgs_per_txn
+            ),
         ));
-        out.push(format!(
-            "[{}] E4-2: 2PC pays the extra forced prepare records ({:.1} vs {:.1} forces/txn)",
-            if two_pc.forces_per_txn > before.forces_per_txn {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            two_pc.forces_per_txn,
-            before.forces_per_txn,
+        out.push(verdict(
+            two_pc.forces_per_txn > before.forces_per_txn,
+            format!(
+                "E4-2: 2PC pays the extra forced prepare records ({:.1} vs {:.1} forces/txn)",
+                two_pc.forces_per_txn, before.forces_per_txn
+            ),
         ));
-        out.push(format!(
-            "[{}] E4-3: commit-before has the lowest commit latency ({:.2} ms)",
-            if before.latency_ms <= after.latency_ms && before.latency_ms <= two_pc.latency_ms {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            before.latency_ms,
+        out.push(verdict(
+            before.latency_ms <= after.latency_ms && before.latency_ms <= two_pc.latency_ms,
+            format!(
+                "E4-3: commit-before has the lowest commit latency ({:.2} ms)",
+                before.latency_ms
+            ),
         ));
     }
     out
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let rows = run(if quick { 10 } else { 50 });
+    section(&[table(&rows)], &verdicts(&rows))
 }

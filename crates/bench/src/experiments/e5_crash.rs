@@ -11,12 +11,13 @@
 //! page locks until the decision arrives (demonstrated separately by the
 //! blocking probe in the integration suite).
 
-use crate::table::{opt2, TextTable};
+use crate::setup::load;
+use crate::table::{opt2, section, verdict, TextTable};
 use amc_core::{FederationConfig, Program, SimConfig, SimFederation};
 use amc_net::NetStats;
 use amc_sim::{generate_faults, FaultPlan, NemesisConfig};
 use amc_types::{GlobalVerdict, ProtocolKind, SimDuration, SimTime, SiteId};
-use amc_workload::{initial_counters, object, transfer, INITIAL_PER_OBJECT as PER_OBJ};
+use amc_workload::{object, transfer, INITIAL_PER_OBJECT as PER_OBJ};
 
 /// One measured crash scenario.
 #[derive(Debug, Clone)]
@@ -64,9 +65,7 @@ fn sweep(victim: SiteId, crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
             cfg.horizon = SimDuration::from_millis(5_000);
             let fed = SimFederation::new(cfg);
             let (s1, s2) = (SiteId::new(1), SiteId::new(2));
-            for site in [s1, s2] {
-                fed.load_site(site, &initial_counters(site, 1));
-            }
+            load(&fed.federation(), 1);
             let managers = fed.managers();
             let program = transfer(object(s1, 0), object(s2, 0), 30);
             let report = fed.run(vec![(SimDuration::ZERO, program)]);
@@ -131,22 +130,18 @@ pub fn central_table(rows: &[Row]) -> TextTable {
 /// Shape checks for the central sweep.
 pub fn central_verdicts(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
-    out.push(format!(
-        "[{}] E5b-1: every central-crash scenario resolves atomically",
-        if rows.iter().all(|r| r.atomic) {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+    out.push(verdict(
+        rows.iter().all(|r| r.atomic),
+        "E5b-1: every central-crash scenario resolves atomically",
     ));
     // Undecided-at-crash transactions must end aborted (presumed abort).
     let early = rows.iter().filter(|r| r.crash_at_us <= 200);
     let presumed = early
         .clone()
         .all(|r| r.verdict == Some(GlobalVerdict::Abort));
-    out.push(format!(
-        "[{}] E5b-2: crashes before any decision end in presumed abort",
-        if presumed { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        presumed,
+        "E5b-2: crashes before any decision end in presumed abort",
     ));
     // Commit-before with local commits done before the crash still commits
     // when the decision was logged.
@@ -155,9 +150,9 @@ pub fn central_verdicts(rows: &[Row]) -> Vec<String> {
             && r.crash_at_us >= 1_500
             && r.verdict == Some(GlobalVerdict::Commit)
     });
-    out.push(format!(
-        "[{}] E5b-3: a logged commit-before decision survives the coordinator crash",
-        if cb_late { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        cb_late,
+        "E5b-3: a logged commit-before decision survives the coordinator crash",
     ));
     out
 }
@@ -221,9 +216,7 @@ pub fn nemesis_scenario(
     cfg.unsafe_skip_decision_log = unsafe_skip_decision_log;
     let fed = SimFederation::new(cfg);
     let (s1, s2) = (SiteId::new(1), SiteId::new(2));
-    for site in [s1, s2] {
-        fed.load_site(site, &initial_counters(site, NEMESIS_TXNS));
-    }
+    load(&fed.federation(), NEMESIS_TXNS);
     let programs = (0..NEMESIS_TXNS)
         .map(|i| {
             (
@@ -337,21 +330,21 @@ pub fn nemesis_table(rows: &[NemesisRow]) -> TextTable {
 pub fn nemesis_verdicts(rows: &[NemesisRow]) -> Vec<String> {
     let mut out = Vec::new();
     let clean = rows.iter().all(|r| r.violations == 0);
-    out.push(format!(
-        "[{}] E5c-1: zero atomicity/conservation violations across the sweep",
-        if clean { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        clean,
+        "E5c-1: zero atomicity/conservation violations across the sweep",
     ));
     let resolved = rows.iter().all(|r| r.unresolved == 0);
-    out.push(format!(
-        "[{}] E5c-2: every transfer resolves once the faults are over",
-        if resolved { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        resolved,
+        "E5c-2: every transfer resolves once the faults are over",
     ));
     let faults_bit = rows
         .iter()
         .any(|r| r.net.dropped > 0 || r.net.partitioned_drops > 0 || r.retransmissions > 0);
-    out.push(format!(
-        "[{}] E5c-3: the schedules actually perturbed the runs (drops/partitions/retransmits observed)",
-        if faults_bit { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        faults_bit,
+        "E5c-3: the schedules actually perturbed the runs (drops/partitions/retransmits observed)",
     ));
     out
 }
@@ -389,22 +382,43 @@ pub fn table(rows: &[Row]) -> TextTable {
 pub fn verdicts(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
     let all_resolved = rows.iter().all(|r| r.verdict.is_some());
-    out.push(format!(
-        "[{}] E5-1: every crash scenario resolves before the horizon",
-        if all_resolved { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        all_resolved,
+        "E5-1: every crash scenario resolves before the horizon",
     ));
     let all_atomic = rows.iter().all(|r| r.atomic);
-    out.push(format!(
-        "[{}] E5-2: atomicity holds in every scenario (all-or-nothing at both sites)",
-        if all_atomic { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        all_atomic,
+        "E5-2: atomicity holds in every scenario (all-or-nothing at both sites)",
     ));
     let crashes_need_timer = rows
         .iter()
         .filter(|r| r.verdict.is_some())
         .any(|r| r.retransmissions > 0);
-    out.push(format!(
-        "[{}] E5-3: recovery is driven by coordinator retransmission (observed in at least one case)",
-        if crashes_need_timer { "PASS" } else { "FAIL" },
+    out.push(verdict(
+        crashes_need_timer,
+        "E5-3: recovery is driven by coordinator retransmission (observed in at least one case)",
     ));
     out
+}
+
+/// The report section: site crashes, central crashes, the nemesis sweep.
+pub fn report(quick: bool) -> String {
+    let crash_times: &[u64] = if quick {
+        &[100, 1_500]
+    } else {
+        &[100, 400, 800, 1_200, 1_600, 2_400]
+    };
+    let seeds: Vec<u64> = (0..if quick { 4 } else { 20 }).collect();
+    let (site, central, nemesis) = (
+        run(crash_times, 40),
+        run_central(crash_times, 40),
+        run_nemesis(&seeds),
+    );
+    [
+        section(&[table(&site)], &verdicts(&site)),
+        section(&[central_table(&central)], &central_verdicts(&central)),
+        section(&[nemesis_table(&nemesis)], &nemesis_verdicts(&nemesis)),
+    ]
+    .join("\n")
 }

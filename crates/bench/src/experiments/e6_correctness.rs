@@ -11,8 +11,8 @@
 //!
 //! The reproduced number is boring by design: **zero violations**.
 
-use crate::setup::{build_recording_federation, program_batch};
-use crate::table::TextTable;
+use crate::setup::{build_recording_federation, program_batch, sizes};
+use crate::table::{section, verdict, TextTable};
 use amc_core::TxnOutcome;
 use amc_mlt::ConflictPolicy;
 use amc_types::{GlobalTxnId, GlobalVerdict, ObjectId, Operation, ProtocolKind, SiteId, Value};
@@ -191,9 +191,15 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
     let clean = rows.iter().all(|r| {
         r.serializability_violations == 0 && r.atomicity_violations == 0 && r.state_divergences == 0
     });
-    vec![format!(
-        "[{}] E6: zero violations across {} audited runs",
-        if clean { "PASS" } else { "FAIL" },
-        rows.len(),
+    vec![verdict(
+        clean,
+        format!("E6: zero violations across {} audited runs", rows.len()),
     )]
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let seeds: &[u64] = if quick { &[1] } else { &[1, 2, 3] };
+    let rows = run(seeds, if quick { 40 } else { 120 }, sizes(quick).1);
+    section(&[table(&rows)], &verdicts(&rows))
 }

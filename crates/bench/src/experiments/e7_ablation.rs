@@ -12,8 +12,8 @@
 //! Isolates the multi-level-transaction contribution (1 vs 2) from the
 //! commit-point contribution (2 vs 3).
 
-use crate::setup::{build_federation, program_batch};
-use crate::table::{f2, opt2, TextTable};
+use crate::setup::{build_federation, program_batch, sizes};
+use crate::table::{f2, opt2, section, verdict, TextTable};
 use amc_mlt::ConflictPolicy;
 use amc_types::ProtocolKind;
 use amc_workload::{OpMix, WorkloadSpec};
@@ -118,31 +118,35 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         let st = semantic.throughput.unwrap_or(0.0);
         let rt = rw.throughput.unwrap_or(0.0);
         let ft = flat.throughput.unwrap_or(0.0);
-        out.push(format!(
-            "[{}] C4-1: semantic conflicts beat read/write conflicts on hot increments ({:.1} vs {:.1} txn/s)",
-            if semantic.throughput.is_some() && st > rt { "PASS" } else { "FAIL" },
-            st,
-            rt,
+        out.push(verdict(
+            semantic.throughput.is_some() && st > rt,
+            format!(
+                "C4-1: semantic conflicts beat read/write conflicts on hot increments \
+                 ({st:.1} vs {rt:.1} txn/s)"
+            ),
         ));
-        out.push(format!(
-            "[{}] C4-2: semantic MLT beats flat 2PC ({:.1} vs {:.1} txn/s)",
-            if semantic.throughput.is_some() && st > ft {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            st,
-            ft,
+        out.push(verdict(
+            semantic.throughput.is_some() && st > ft,
+            format!(
+                "C4-2: semantic MLT beats flat 2PC ({:.1} vs {:.1} txn/s)",
+                st, ft
+            ),
         ));
-        out.push(format!(
-            "[{}] C4-3: increments never collide at L1 under the semantic policy ({} rejections)",
-            if semantic.l1_rejections == 0 {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            semantic.l1_rejections,
+        out.push(verdict(
+            semantic.l1_rejections == 0,
+            format!(
+                "C4-3: increments never collide at L1 under the semantic policy ({} rejections)",
+                semantic.l1_rejections
+            ),
         ));
     }
     out
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let thetas: &[f64] = if quick { &[0.99] } else { &[0.0, 0.9, 0.99] };
+    let (txns, threads) = sizes(quick);
+    let rows = run(txns, threads, thetas);
+    section(&[table(&rows)], &verdicts(&rows))
 }

@@ -13,7 +13,7 @@
 //!   share a leader's force and push the ratio below 1.
 
 use crate::setup::{build_federation, program_batch};
-use crate::table::{opt2, TextTable};
+use crate::table::{opt2, section, verdict, TextTable};
 use amc_mlt::ConflictPolicy;
 use amc_types::ProtocolKind;
 use amc_workload::{OpMix, WorkloadSpec};
@@ -142,14 +142,16 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         .map(|r| format!("{}T {}", r.threads, opt2(r.forces_per_commit)))
         .collect::<Vec<_>>()
         .join(", ");
-    out.push(format!(
-        "[{}] E9-1: group commit forces < 1 per commit record at >=4 threads (commit-before: {})",
-        if batched { "PASS" } else { "FAIL" },
-        if shown.is_empty() {
-            "n=0".into()
-        } else {
-            shown
-        },
+    out.push(verdict(
+        batched,
+        format!(
+            "E9-1: group commit forces < 1 per commit record at >=4 threads (commit-before: {})",
+            if shown.is_empty() {
+                "n=0".into()
+            } else {
+                shown
+            }
+        ),
     ));
     // E9-2: the decomposed engine actually scales — some protocol must at
     // least double its 1-thread throughput at the widest sweep point.
@@ -160,12 +162,21 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         .filter_map(|r| r.speedup.map(|s| (r.protocol, s)))
         .max_by(|a, b| a.1.total_cmp(&b.1));
     out.push(match best {
-        Some((p, s)) => format!(
-            "[{}] E9-2: {max_threads}-thread throughput >= 2x single-thread for some protocol (best: {} at {s:.2}x)",
-            if s >= 2.0 { "PASS" } else { "FAIL" },
-            p.label(),
+        Some((p, s)) => verdict(
+            s >= 2.0,
+            format!(
+                "E9-2: {max_threads}-thread throughput >= 2x single-thread for some protocol \
+                 (best: {} at {s:.2}x)",
+                p.label()
+            ),
         ),
         None => "[FAIL] E9-2: no speedup measured (n=0)".to_string(),
     });
     out
+}
+
+/// The report section.
+pub fn report(quick: bool) -> String {
+    let rows = run(if quick { 60 } else { 200 }, &[1, 2, 4, 8]);
+    section(&[table(&rows)], &verdicts(&rows))
 }

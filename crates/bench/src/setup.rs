@@ -1,14 +1,25 @@
-//! Shared experiment setup: build loaded federations and program batches.
+//! Shared experiment setup: the one [`Testbed`] every cell is built on, the
+//! protocol axis ([`Regime`]) and program batches.
 
-use amc_core::{Federation, FederationConfig, ProtocolKind};
+use amc_core::{submit_mode_for, Federation, FederationConfig, ProtocolKind};
 use amc_engine::TplConfig;
 use amc_mlt::ConflictPolicy;
+use amc_rpc::Fleet;
 use amc_types::{Operation, SiteId};
 use amc_wal::GroupCommitConfig;
-use amc_workload::{GlobalProgram, MixGen, MixKind, MixSpec, WorkloadGen, WorkloadSpec};
+use amc_workload::{
+    initial_counters, GlobalProgram, MixGen, MixKind, MixSpec, WorkloadGen, WorkloadSpec,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
+
+pub use amc_rpc::Wire;
+
+/// The two wires every in-process-vs-TCP lane compares (E10, E13, E15):
+/// function calls, and thread-per-connection servers under the pooled
+/// client over loopback.
+pub const WIRES: [Wire; 2] = [Wire::InProcess, Wire::ThreadedPooled];
 
 /// A program batch in the form `run_concurrent` consumes.
 pub type ProgramBatch = Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)>;
@@ -54,60 +65,191 @@ pub fn tuned_config(
     cfg
 }
 
-/// Build a federation for `protocol` with `policy`, engines tuned for
-/// benchmarking ([`tuned_config`]), and every site pre-loaded with the
-/// spec's initial data.
+/// The configuration of the wire experiments (E10, E13, E15's wire lane):
+/// engines with **no** modelled delays — real syscall and scheduling cost
+/// is the thing measured, so nothing synthetic is added on any wire — and
+/// the short timeouts of [`tuned_config`].
+pub fn wire_config(sites: u32, protocol: ProtocolKind, policy: ConflictPolicy) -> FederationConfig {
+    let mut cfg = FederationConfig::uniform(sites, protocol);
+    cfg.policy = policy;
+    cfg.tpl.lock_timeout = Duration::from_millis(100);
+    cfg.tpl.deadlock_check = Duration::from_millis(1);
+    cfg.l1_timeout = Duration::from_millis(500);
+    cfg
+}
+
+/// One column of every protocol comparison: a commit protocol plus the
+/// options that change its message pattern or its L1 conflict policy.
+/// `CommitBeforeRw` is the MLT-off ablation — same undo protocol,
+/// read/write locks instead of semantic modes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Regime {
+    /// Classic 2PC — explicit work, prepare and decision rounds.
+    Classic2pc,
+    /// 2PC with the fast path: vote piggyback + single-site bypass.
+    FastPath,
+    /// Commit-after (redo recovery), §3.2.
+    CommitAfter,
+    /// Commit-before (undo recovery) with semantic L1 locks, §3.3 + §4.
+    CommitBefore,
+    /// Commit-before with read/write L1 locks — MLT commutativity off.
+    CommitBeforeRw,
+}
+
+impl Regime {
+    /// Every regime, in table order. The first four are the commit
+    /// *layers* E13 compares (no L1 ablation).
+    pub const ALL: [Regime; 5] = [
+        Regime::Classic2pc,
+        Regime::FastPath,
+        Regime::CommitAfter,
+        Regime::CommitBefore,
+        Regime::CommitBeforeRw,
+    ];
+
+    /// Short label for the tables and OPERATORS.md.
+    pub fn label(self) -> &'static str {
+        match self {
+            Regime::Classic2pc => "2pc",
+            Regime::FastPath => "2pc+fast-path",
+            Regime::CommitAfter => "commit-after",
+            Regime::CommitBefore => "commit-before",
+            Regime::CommitBeforeRw => "commit-before/rw",
+        }
+    }
+
+    fn protocol(self) -> ProtocolKind {
+        match self {
+            Regime::Classic2pc | Regime::FastPath => ProtocolKind::TwoPhaseCommit,
+            Regime::CommitAfter => ProtocolKind::CommitAfter,
+            Regime::CommitBefore | Regime::CommitBeforeRw => ProtocolKind::CommitBefore,
+        }
+    }
+
+    fn policy(self) -> ConflictPolicy {
+        match self {
+            Regime::CommitBeforeRw => ConflictPolicy::ReadWriteOnly,
+            _ => ConflictPolicy::Semantic,
+        }
+    }
+
+    /// This regime over `base` ([`tuned_config`] or [`wire_config`]).
+    pub fn config(
+        self,
+        sites: u32,
+        base: fn(u32, ProtocolKind, ConflictPolicy) -> FederationConfig,
+    ) -> FederationConfig {
+        let cfg = base(sites, self.protocol(), self.policy());
+        if self == Regime::FastPath {
+            cfg.with_fast_path()
+        } else {
+            cfg
+        }
+    }
+}
+
+/// The Fig. 1 system every cell runs on: `cfg`'s engines behind their
+/// communication managers, deployed over `wire`, a central system on top,
+/// every site loaded. Two cells built here differ only in what their
+/// `cfg` and `wire` say. Dereferences to the federation; dropping it
+/// drops the federation first, then stops the fleet's servers.
+pub struct Testbed {
+    fed: Arc<Federation>,
+    fleet: Fleet,
+}
+
+impl Testbed {
+    /// Build it, with `objects` initial counters on every site.
+    pub fn build(cfg: FederationConfig, wire: Wire, objects: u64) -> Testbed {
+        let mode = submit_mode_for(cfg.protocol);
+        let fleet = Fleet::spawn(cfg.build_managers(), mode, wire, cfg.message_delay)
+            .expect("bind loopback");
+        let fed = Federation::with_transport(cfg, fleet.transport());
+        load(&fed, objects);
+        Testbed {
+            fed: Arc::new(fed),
+            fleet,
+        }
+    }
+
+    /// The deployment under the federation: its managers (fault
+    /// injection) and its connection count.
+    pub fn fleet(&self) -> &Fleet {
+        &self.fleet
+    }
+}
+
+impl std::ops::Deref for Testbed {
+    type Target = Arc<Federation>;
+
+    fn deref(&self) -> &Arc<Federation> {
+        &self.fed
+    }
+}
+
+/// Load `objects` initial counters into every site of `fed`.
+pub fn load(fed: &Federation, objects: u64) {
+    for site in fed.transport().sites() {
+        fed.load_site(site, &initial_counters(site, objects))
+            .expect("load");
+    }
+}
+
+/// A federation for `protocol` with `policy` on the in-process wire,
+/// engines tuned for benchmarking ([`tuned_config`]), every site loaded
+/// with the spec's initial data.
 pub fn build_federation(
     protocol: ProtocolKind,
     policy: ConflictPolicy,
     spec: &WorkloadSpec,
-) -> Arc<Federation> {
+) -> Testbed {
     let cfg = tuned_config(spec.sites, protocol, policy);
-    let mut fed = Federation::new(cfg);
-    // Benchmarks skip the oracle bookkeeping; correctness runs (E6)
-    // re-enable it explicitly.
-    fed.set_recording(false, false);
-    for s in 1..=spec.sites {
-        let site = SiteId::new(s);
-        fed.load_site(site, &spec.initial_data(site)).expect("load");
-    }
-    Arc::new(fed)
+    Testbed::build(cfg, Wire::InProcess, spec.objects_per_site)
 }
 
-/// Same, with recording on (oracle experiments).
+/// Same over untuned engines, with the oracle recording on (E6).
 pub fn build_recording_federation(
     protocol: ProtocolKind,
     policy: ConflictPolicy,
     spec: &WorkloadSpec,
-) -> Arc<Federation> {
+) -> Testbed {
     let mut cfg = FederationConfig::uniform(spec.sites, protocol);
     cfg.policy = policy;
     cfg.l1_timeout = Duration::from_millis(500);
     cfg.tpl.lock_timeout = Duration::from_millis(500);
-    let fed = Federation::new(cfg);
-    for s in 1..=spec.sites {
-        let site = SiteId::new(s);
-        fed.load_site(site, &spec.initial_data(site)).expect("load");
-    }
-    Arc::new(fed)
+    let mut bed = Testbed::build(cfg, Wire::InProcess, spec.objects_per_site);
+    Arc::get_mut(&mut bed.fed)
+        .expect("a fresh testbed's federation is unshared")
+        .set_recording(true, true);
+    bed
+}
+
+/// A generated program stream in the form `run_concurrent` consumes.
+pub fn batch(programs: Vec<GlobalProgram>) -> ProgramBatch {
+    programs
+        .into_iter()
+        .map(|p| (p.per_site, p.intends_abort))
+        .collect()
 }
 
 /// Generate `n` programs as a batch.
 pub fn program_batch(spec: &WorkloadSpec, seed: u64, n: usize) -> ProgramBatch {
-    let mut gen = WorkloadGen::new(spec.clone(), seed);
-    gen.programs(n)
-        .into_iter()
-        .map(|p: GlobalProgram| (p.per_site, p.intends_abort))
-        .collect()
+    batch(WorkloadGen::new(spec.clone(), seed).programs(n))
 }
 
 /// Generate `n` programs of a contention-aware mix as a batch (E15).
 pub fn mix_batch(kind: MixKind, spec: &MixSpec, seed: u64, n: usize) -> ProgramBatch {
-    let mut gen = MixGen::new(kind, spec.clone(), seed);
-    gen.programs(n)
-        .into_iter()
-        .map(|p: GlobalProgram| (p.per_site, p.intends_abort))
-        .collect()
+    batch(MixGen::new(kind, spec.clone(), seed).programs(n))
+}
+
+/// The `(transactions, client threads)` most lanes run at: `report quick`
+/// or the full report.
+pub fn sizes(quick: bool) -> (usize, usize) {
+    if quick {
+        (60, 4)
+    } else {
+        (240, 6)
+    }
 }
 
 #[cfg(test)]

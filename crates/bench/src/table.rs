@@ -64,6 +64,25 @@ impl TextTable {
     }
 }
 
+/// One shape check as the report prints it: `[PASS] <text>` or
+/// `[FAIL] <text>`, the text starting with the check's id (`E10-2: ...`).
+/// The only spelling of a verdict — CI compares the id set of a fresh
+/// report with the committed one.
+pub fn verdict(ok: bool, text: impl std::fmt::Display) -> String {
+    format!("[{}] {text}", if ok { "PASS" } else { "FAIL" })
+}
+
+/// One block of the report: its tables, then its verdict (and winner)
+/// lines.
+pub fn section(tables: &[TextTable], lines: &[String]) -> String {
+    let mut out: String = tables.iter().map(TextTable::render).collect();
+    for line in lines {
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
 /// Format a float with 2 decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")

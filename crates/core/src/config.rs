@@ -250,31 +250,33 @@ impl FederationConfig {
 
     /// Build the per-site communication managers (fresh engines).
     pub fn build_managers(&self) -> Vec<Arc<LocalCommManager>> {
-        self.engines
-            .iter()
-            .enumerate()
-            .map(|(i, kind)| {
-                let site = SiteId::new(i as u32 + 1);
-                let handle = match kind {
-                    EngineKind::TwoPL => {
-                        // 2PL engines are preparable; whether the protocol
-                        // may *use* prepare is decided by the protocol
-                        // itself. Modelling fidelity: under the two portable
-                        // protocols, hand out the sealed interface only.
-                        let engine = Arc::new(TwoPLEngine::new_at(self.tpl.clone(), site));
-                        if self.protocol == ProtocolKind::TwoPhaseCommit {
-                            EngineHandle::Preparable(engine)
-                        } else {
-                            EngineHandle::Plain(engine)
-                        }
-                    }
-                    EngineKind::Occ => {
-                        EngineHandle::Plain(Arc::new(OccEngine::with_defaults_at(site)))
-                    }
-                };
-                Arc::new(LocalCommManager::new(site, handle))
-            })
+        (1..)
+            .map(SiteId::new)
+            .zip(&self.engines)
+            .map(|(site, kind)| self.build_manager(site, *kind))
             .collect()
+    }
+
+    /// One site's communication manager over a fresh `kind` engine — the
+    /// only place a federation's engines are constructed, so a site that
+    /// joins later (`amc-shard`'s online `Add`) is tuned like the rest.
+    pub fn build_manager(&self, site: SiteId, kind: EngineKind) -> Arc<LocalCommManager> {
+        let handle = match kind {
+            EngineKind::TwoPL => {
+                // 2PL engines are preparable; whether the protocol may
+                // *use* prepare is decided by the protocol itself.
+                // Modelling fidelity: under the two portable protocols,
+                // hand out the sealed interface only.
+                let engine = Arc::new(TwoPLEngine::new_at(self.tpl.clone(), site));
+                if self.protocol == ProtocolKind::TwoPhaseCommit {
+                    EngineHandle::Preparable(engine)
+                } else {
+                    EngineHandle::Plain(engine)
+                }
+            }
+            EngineKind::Occ => EngineHandle::Plain(Arc::new(OccEngine::with_defaults_at(site))),
+        };
+        Arc::new(LocalCommManager::new(site, handle))
     }
 }
 

@@ -290,8 +290,8 @@ impl Federation {
             history: Mutex::new(History::new()),
             trace: Mutex::new(MessageTrace::new()),
             seq: AtomicU64::new(1),
-            record_history: true,
-            record_trace: true,
+            record_history: false,
+            record_trace: false,
             unresolved: Mutex::new(Vec::new()),
             obs: ObsSink::disabled(),
             decisions: None,
@@ -300,7 +300,11 @@ impl Federation {
         }
     }
 
-    /// Disable oracle/trace recording (benchmark hot paths).
+    /// Opt in to oracle bookkeeping: the operation [`History`] the
+    /// `amc-verify` checkers replay, and the [`MessageTrace`]. Both are
+    /// off by default — each grows under a federation-wide mutex taken per
+    /// message, which an embedding that only wants transactions run must
+    /// not pay for (or forget to switch off).
     pub fn set_recording(&mut self, history: bool, trace: bool) {
         self.record_history = history;
         self.record_trace = trace;
@@ -310,6 +314,11 @@ impl Federation {
     /// federation runs in-process (transports hide remote managers).
     pub fn manager(&self, site: SiteId) -> Option<&Arc<LocalCommManager>> {
         self.managers.get(&site)
+    }
+
+    /// The configuration this federation was built from.
+    pub fn config(&self) -> &FederationConfig {
+        &self.cfg
     }
 
     /// The transport sites are reached through.
@@ -1013,13 +1022,20 @@ mod tests {
         Value::counter(n)
     }
 
-    fn loaded(protocol: ProtocolKind, sites: u32) -> Arc<Federation> {
-        let fed = Federation::new(FederationConfig::uniform(sites, protocol));
+    /// `cfg`'s federation, oracle recording on, 50 counters of 100 per site.
+    fn loaded_with(cfg: FederationConfig) -> Arc<Federation> {
+        let sites = cfg.site_count();
+        let mut fed = Federation::new(cfg);
+        fed.set_recording(true, true);
         for s in 1..=sites {
             let data: Vec<(ObjectId, Value)> = (0..50).map(|i| (obj(s, i), v(100))).collect();
             fed.load_site(site(s), &data).unwrap();
         }
         Arc::new(fed)
+    }
+
+    fn loaded(protocol: ProtocolKind, sites: u32) -> Arc<Federation> {
+        loaded_with(FederationConfig::uniform(sites, protocol))
     }
 
     fn transfer(from_site: u32, to_site: u32, amount: i64) -> BTreeMap<SiteId, Vec<Operation>> {
@@ -1420,14 +1436,10 @@ mod tests {
     fn paxos_loaded(sites: u32, acceptors: u32, tag: &str) -> Arc<Federation> {
         let dir = std::env::temp_dir().join(format!("amc-fed-paxos-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit)
-            .with_paxos_commit(acceptors, &dir);
-        let fed = Federation::new(cfg);
-        for s in 1..=sites {
-            let data: Vec<(ObjectId, Value)> = (0..50).map(|i| (obj(s, i), v(100))).collect();
-            fed.load_site(site(s), &data).unwrap();
-        }
-        Arc::new(fed)
+        loaded_with(
+            FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit)
+                .with_paxos_commit(acceptors, &dir),
+        )
     }
 
     #[test]
@@ -1572,13 +1584,7 @@ mod tests {
     }
 
     fn fast_loaded(sites: u32) -> Arc<Federation> {
-        let cfg = FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit).with_fast_path();
-        let fed = Federation::new(cfg);
-        for s in 1..=sites {
-            let data: Vec<(ObjectId, Value)> = (0..50).map(|i| (obj(s, i), v(100))).collect();
-            fed.load_site(site(s), &data).unwrap();
-        }
-        Arc::new(fed)
+        loaded_with(FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit).with_fast_path())
     }
 
     #[test]
@@ -1844,6 +1850,36 @@ mod tests {
             report.messages,
             delay
         );
+    }
+
+    /// Recording is opt-in: an embedding that never asks for the oracle
+    /// bookkeeping accumulates none of it.
+    #[test]
+    fn a_default_federation_records_no_history_and_no_trace() {
+        for transport in [false, true] {
+            let cfg = FederationConfig::uniform(2, ProtocolKind::CommitBefore);
+            let fed = if transport {
+                let managers = cfg.build_managers().into_iter().map(|m| (m.site(), m));
+                let inner = InProcessTransport::new(
+                    managers.collect(),
+                    SubmitMode::CommitBefore,
+                    Duration::ZERO,
+                );
+                Federation::with_transport(cfg, Arc::new(inner))
+            } else {
+                Federation::new(cfg)
+            };
+            for s in 1..=2 {
+                fed.load_site(site(s), &[(obj(s, 0), v(100))]).unwrap();
+            }
+            let report = fed.run_transaction(&transfer(1, 2, 30)).unwrap();
+            assert_eq!(report.outcome, TxnOutcome::Committed);
+            assert!(report.messages > 0);
+            let history = fed.history();
+            assert!(history.events().is_empty(), "transport={transport}");
+            assert_eq!(history.outcome(report.gtx), None, "transport={transport}");
+            assert!(fed.trace().is_empty(), "transport={transport}");
+        }
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl RunMetrics {
         Some(self.total_l0_hold.as_secs_f64() * 1e3 / self.l0_hold_count as f64)
     }
 
-    /// Median L0 lock tenure in milliseconds.
-    pub fn l0_hold_p50_ms(&self) -> Option<f64> {
-        self.l0_hold_us.p50().map(|us| us as f64 / 1e3)
-    }
-
     /// 99th-percentile L0 lock tenure in milliseconds.
     pub fn l0_hold_p99_ms(&self) -> Option<f64> {
         self.l0_hold_us.p99().map(|us| us as f64 / 1e3)

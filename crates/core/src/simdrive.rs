@@ -148,11 +148,13 @@ impl SimFederation {
     pub fn new(cfg: SimConfig) -> Self {
         cfg.faults.validate().expect("invalid fault plan");
         let obs = ObsSink::enabled(cfg.event_cap);
-        let fed = Federation::build(
+        let mut fed = Federation::build(
             cfg.federation.clone(),
             obs.clone(),
             !cfg.unsafe_skip_decision_log,
         );
+        // The simulator is the oracle driver: every run feeds the checkers.
+        fed.set_recording(true, true);
         let mut rng = SimRng::new(cfg.seed);
         let mut router = Router::new(cfg.router.clone(), rng.fork());
         router.attach_obs(obs.clone());

@@ -282,11 +282,6 @@ impl TwoPLEngine {
         }
     }
 
-    /// The L0 lock hold count right now (observed by E1's instrumentation).
-    pub fn locks_held(&self) -> usize {
-        self.locks.granted_count()
-    }
-
     /// Lock-manager counters (waits, victims) for reports.
     pub fn lock_stats(&self) -> amc_lock::LockStats {
         self.locks.stats()

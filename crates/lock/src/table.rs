@@ -251,14 +251,6 @@ where
             .any(|s| s.queue.iter().any(|(t, _)| *t == txn))
     }
 
-    /// Resources held by `txn` (empty if none).
-    pub fn held_resources(&self, txn: T) -> Vec<R> {
-        self.held
-            .get(&txn)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Number of distinct locks currently granted.
     pub fn granted_count(&self) -> usize {
         self.resources.values().map(|s| s.granted.len()).sum()

@@ -13,24 +13,22 @@
 //!   managers can be integrated as transaction managers for transactions at
 //!   level L0".
 //!
-//! The crate provides the three mechanisms §4.3 says the commit-before
-//! protocol *reuses* (which is why that protocol adds no overhead):
+//! The crate provides the two mechanisms §4.3 says the commit-before
+//! protocol *reuses* (which is why that protocol adds no overhead); the
+//! third, the undo-log of inverse actions, lives with the work it undoes
+//! (`WorkEntry::inverse_ops` in `amc-net`'s communication manager):
 //!
 //! * [`inverse`] — inverse L1 actions (`Incr⁻¹ = Decr`, `Ins⁻¹ = Del`, ...),
 //!   the undo mechanism of multi-level recovery;
 //! * [`locks`] — the L1 lock manager: a thin policy wrapper over
 //!   [`amc_lock::BlockingLockManager`] with [`amc_lock::SemanticMode`]s,
-//!   including the read/write-only degraded mode for the E7 ablation;
-//! * [`undo_log`] — the central undo-log holding inverse actions per global
-//!   transaction, replayed (in reverse) on a global abort.
+//!   including the read/write-only degraded mode for the E7 ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod inverse;
 pub mod locks;
-pub mod undo_log;
 
 pub use inverse::{inverse_of, needs_before_image};
 pub use locks::{ConflictPolicy, L1LockManager};
-pub use undo_log::CentralUndoLog;

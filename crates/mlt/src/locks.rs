@@ -90,15 +90,9 @@ impl L1LockManager {
         self.policy
     }
 
-    /// Acquire the L1 lock `op` needs for `gtx`. Blocks; returns the raw
+    /// Acquire an explicit mode on an object. Blocks; returns the raw
     /// acquire result so callers can map deadlock/timeout to a global
-    /// abort.
-    pub fn acquire_for(&self, gtx: GlobalTxnId, op: &Operation) -> AcquireResult {
-        self.acquire_observed(gtx, op.object(), self.policy.mode_for(op))
-    }
-
-    /// Acquire an explicit mode on an object. Callers that know a
-    /// transaction's whole access set fold the per-operation modes with
+    /// abort. Callers that know a transaction's whole access set fold the per-operation modes with
     /// [`amc_lock::LockMode::combine`] and acquire each object **once** at
     /// its strongest mode — upgrades (and the classic upgrade deadlock)
     /// then cannot occur at L1.
@@ -160,11 +154,16 @@ mod tests {
         }
     }
 
+    /// The L1 lock `op` needs, at the mode the manager's policy gives it.
+    fn acquire(m: &L1LockManager, gtx: GlobalTxnId, op: &Operation) -> AcquireResult {
+        m.acquire_mode(gtx, op.object(), m.policy().mode_for(op))
+    }
+
     #[test]
     fn fig8_increments_interleave_under_semantic_policy() {
         let m = L1LockManager::new(ConflictPolicy::Semantic, Duration::from_millis(50));
-        assert_eq!(m.acquire_for(gtx(1), &incr(1)), AcquireResult::Granted);
-        assert_eq!(m.acquire_for(gtx(2), &incr(1)), AcquireResult::Granted);
+        assert_eq!(acquire(&m, gtx(1), &incr(1)), AcquireResult::Granted);
+        assert_eq!(acquire(&m, gtx(2), &incr(1)), AcquireResult::Granted);
         assert_eq!(
             m.granted_count(),
             2,
@@ -180,10 +179,10 @@ mod tests {
             ConflictPolicy::ReadWriteOnly,
             Duration::from_millis(30),
         ));
-        assert_eq!(m.acquire_for(gtx(1), &incr(1)), AcquireResult::Granted);
+        assert_eq!(acquire(&m, gtx(1), &incr(1)), AcquireResult::Granted);
         // Under the ablation policy the second increment must wait (and here
         // time out, since nobody releases).
-        assert_eq!(m.acquire_for(gtx(2), &incr(1)), AcquireResult::Timeout);
+        assert_eq!(acquire(&m, gtx(2), &incr(1)), AcquireResult::Timeout);
         m.release_all(gtx(1));
         m.release_all(gtx(2));
     }
@@ -192,8 +191,8 @@ mod tests {
     fn writers_block_under_both_policies() {
         for policy in [ConflictPolicy::Semantic, ConflictPolicy::ReadWriteOnly] {
             let m = L1LockManager::new(policy, Duration::from_millis(20));
-            assert_eq!(m.acquire_for(gtx(1), &write(1)), AcquireResult::Granted);
-            assert_eq!(m.acquire_for(gtx(2), &write(1)), AcquireResult::Timeout);
+            assert_eq!(acquire(&m, gtx(1), &write(1)), AcquireResult::Granted);
+            assert_eq!(acquire(&m, gtx(2), &write(1)), AcquireResult::Timeout);
             m.release_all(gtx(1));
             m.release_all(gtx(2));
         }
@@ -202,8 +201,8 @@ mod tests {
     #[test]
     fn different_objects_never_conflict() {
         let m = L1LockManager::new(ConflictPolicy::ReadWriteOnly, Duration::from_millis(20));
-        assert_eq!(m.acquire_for(gtx(1), &write(1)), AcquireResult::Granted);
-        assert_eq!(m.acquire_for(gtx(2), &write(2)), AcquireResult::Granted);
+        assert_eq!(acquire(&m, gtx(1), &write(1)), AcquireResult::Granted);
+        assert_eq!(acquire(&m, gtx(2), &write(2)), AcquireResult::Granted);
         m.release_all(gtx(1));
         m.release_all(gtx(2));
     }
@@ -213,8 +212,8 @@ mod tests {
         let sink = ObsSink::enabled(16);
         let mut m = L1LockManager::new(ConflictPolicy::ReadWriteOnly, Duration::from_millis(10));
         m.set_obs(sink.clone());
-        assert_eq!(m.acquire_for(gtx(1), &write(1)), AcquireResult::Granted);
-        assert_eq!(m.acquire_for(gtx(2), &write(1)), AcquireResult::Timeout);
+        assert_eq!(acquire(&m, gtx(1), &write(1)), AcquireResult::Granted);
+        assert_eq!(acquire(&m, gtx(2), &write(1)), AcquireResult::Timeout);
         m.release_all(gtx(1));
         let kinds: Vec<String> = sink
             .snapshot()
@@ -243,9 +242,9 @@ mod tests {
             ConflictPolicy::Semantic,
             Duration::from_secs(5),
         ));
-        assert_eq!(m.acquire_for(gtx(1), &write(1)), AcquireResult::Granted);
+        assert_eq!(acquire(&m, gtx(1), &write(1)), AcquireResult::Granted);
         let m2 = m.clone();
-        let h = std::thread::spawn(move || m2.acquire_for(gtx(2), &write(1)));
+        let h = std::thread::spawn(move || acquire(&m2, gtx(2), &write(1)));
         std::thread::sleep(Duration::from_millis(20));
         m.release_all(gtx(1));
         assert_eq!(h.join().unwrap(), AcquireResult::Granted);

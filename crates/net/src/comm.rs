@@ -284,6 +284,18 @@ impl EngineHandle {
     }
 }
 
+/// Repetition bound — the paper argues repetitions terminate; we bound
+/// them anyway so a sick test fails loudly instead of spinning.
+const MAX_ATTEMPTS: u32 = 100;
+
+/// The two bounded repetitions of §3: commit-after's redo of the forward
+/// program, commit-before's undo by the inverse program.
+#[derive(Clone, Copy)]
+enum Repeat {
+    Redo,
+    Undo,
+}
+
 /// How many independently locked maps the per-transaction state is
 /// spread over.
 const WORK_STRIPES: usize = 16;
@@ -298,9 +310,6 @@ pub struct LocalCommManager {
     /// would serialize on its one lock).
     work: [Mutex<HashMap<GlobalTxnId, Slot>>; WORK_STRIPES],
     stats: Mutex<CommStats>,
-    /// Repetition bound — the paper argues repetitions terminate; we bound
-    /// them anyway so a sick test fails loudly instead of spinning.
-    max_attempts: u32,
     /// Pre-vote retry bound. Deliberately small: a submit that keeps
     /// hitting erroneous aborts may be one leg of a *distributed* lock
     /// cycle with another transaction's mandatory redo — and before the
@@ -328,7 +337,6 @@ impl LocalCommManager {
             handle,
             work: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             stats: Mutex::new(CommStats::default()),
-            max_attempts: 100,
             pre_vote_retries: 5,
             injector: Mutex::new(None),
             journal: None,
@@ -470,12 +478,6 @@ impl LocalCommManager {
         std::thread::sleep(std::time::Duration::from_micros(base_us + jitter_us));
     }
 
-    /// Bound the redo/undo/retry loops (simulation configs use small
-    /// bounds so probe transactions fail fast instead of spinning).
-    pub fn set_max_attempts(&mut self, n: u32) {
-        self.max_attempts = n.max(1);
-    }
-
     /// Arm the E2 injector: after each commit-after ready vote, the local
     /// transaction is erroneously aborted with probability `p` (seeded,
     /// deterministic). Pass `0.0` to disarm.
@@ -509,7 +511,7 @@ impl LocalCommManager {
     fn marker_present(&self, obj: ObjectId) -> AmcResult<bool> {
         self.stats.lock().marker_checks += 1;
         let engine = self.handle.engine();
-        for attempt in 0..self.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             self.backoff(attempt);
             let t = engine.begin()?;
             match engine.execute(t, &Operation::Read { obj }) {
@@ -932,38 +934,60 @@ impl LocalCommManager {
                 return Ok(());
             }
         }
-        for attempt in 0..self.max_attempts {
+        if let Some(ltx) = self.repeat_until_marked(gtx, ops, Repeat::Redo)? {
+            self.note_local_commit(gtx, Some(ltx));
+        }
+        Ok(())
+    }
+
+    /// §3.2's redo and §3.3's undo are one loop (Fig. 4's and Fig. 6's
+    /// double arrows): back off; if the marker proves an earlier run
+    /// committed, done; else run `ops` plus the marker insert as one local
+    /// transaction, again while it aborts erroneously. Returns the local
+    /// transaction that committed, `None` when the marker already had.
+    fn repeat_until_marked(
+        &self,
+        gtx: GlobalTxnId,
+        ops: &[Operation],
+        kind: Repeat,
+    ) -> AmcResult<Option<LocalTxnId>> {
+        let (marker, program, name) = match kind {
+            Repeat::Redo => (forward_marker(gtx), "redo", "redo"),
+            Repeat::Undo => (undo_marker(gtx), "inverse transaction", "undo"),
+        };
+        for attempt in 0..MAX_ATTEMPTS {
             self.backoff(attempt);
-            if self.marker_present(forward_marker(gtx))? {
-                return Ok(());
+            if self.marker_present(marker)? {
+                return Ok(None);
             }
-            self.stats.lock().redo_runs += 1;
-            self.obs.emit(
-                Some(gtx),
-                self.site,
-                EventKind::RedoRun {
-                    attempt: u64::from(attempt) + 1,
-                },
-            );
-            match self.run_ops(ops, Some(forward_marker(gtx)), true, None)? {
-                Ok(ltx) => {
-                    self.note_local_commit(gtx, Some(ltx));
-                    return Ok(());
+            let attempt = u64::from(attempt) + 1;
+            let event = match kind {
+                Repeat::Redo => {
+                    self.stats.lock().redo_runs += 1;
+                    EventKind::RedoRun { attempt }
                 }
+                Repeat::Undo => {
+                    self.stats.lock().undo_runs += 1;
+                    EventKind::UndoRun { attempt }
+                }
+            };
+            self.obs.emit(Some(gtx), self.site, event);
+            match self.run_ops(ops, Some(marker), true, None)? {
+                Ok(ltx) => return Ok(Some(ltx)),
                 Err(r) if r.is_erroneous() => continue,
                 Err(r) => {
-                    // §3.2's termination argument: the first run finished
-                    // all actions, so a repetition cannot fail for logical
-                    // reasons. If it does, a protocol invariant is broken.
+                    // The termination arguments of §3.2/§3.3: the first run
+                    // finished all actions, so neither its repetition nor
+                    // its inverse can fail for logical reasons. If one
+                    // does, a protocol invariant is broken.
                     return Err(AmcError::Protocol(format!(
-                        "redo of {gtx} failed with intended abort ({r})"
+                        "{program} of {gtx} failed with intended abort ({r})"
                     )));
                 }
             }
         }
         Err(AmcError::Protocol(format!(
-            "redo of {gtx} exceeded {} attempts",
-            self.max_attempts
+            "{name} of {gtx} exceeded {MAX_ATTEMPTS} attempts"
         )))
     }
 
@@ -1132,37 +1156,9 @@ impl LocalCommManager {
         } else {
             inverse_ops
         };
-        for attempt in 0..self.max_attempts {
-            self.backoff(attempt);
-            if self.marker_present(undo_marker(gtx))? {
-                self.finish(gtx, amc_types::GlobalVerdict::Abort, false);
-                return Ok(Payload::Finished { gtx });
-            }
-            self.stats.lock().undo_runs += 1;
-            self.obs.emit(
-                Some(gtx),
-                self.site,
-                EventKind::UndoRun {
-                    attempt: u64::from(attempt) + 1,
-                },
-            );
-            match self.run_ops(&inverse_ops, Some(undo_marker(gtx)), true, None)? {
-                Ok(_) => {
-                    self.finish(gtx, amc_types::GlobalVerdict::Abort, false);
-                    return Ok(Payload::Finished { gtx });
-                }
-                Err(r) if r.is_erroneous() => continue, // Fig. 6: repeat inverse
-                Err(r) => {
-                    return Err(AmcError::Protocol(format!(
-                        "inverse transaction of {gtx} failed with intended abort ({r})"
-                    )))
-                }
-            }
-        }
-        Err(AmcError::Protocol(format!(
-            "undo of {gtx} exceeded {} attempts",
-            self.max_attempts
-        )))
+        self.repeat_until_marked(gtx, &inverse_ops, Repeat::Undo)?;
+        self.finish(gtx, amc_types::GlobalVerdict::Abort, false);
+        Ok(Payload::Finished { gtx })
     }
 }
 
@@ -1877,5 +1873,121 @@ mod tests {
         assert_eq!(again(1, CommitAfter), LocalVote::ReadyReadOnly);
         assert_eq!(again(3, CommitBefore), LocalVote::Aborted);
         assert_eq!(again(4, CommitBefore), LocalVote::Ready);
+    }
+
+    /// A sealed engine whose next `aborts` writes each abort their
+    /// transaction erroneously — a deadlock victim on demand. Reads pass,
+    /// so the marker checks between runs are not disturbed.
+    struct VictimEngine {
+        inner: Arc<TwoPLEngine>,
+        aborts: std::sync::atomic::AtomicU32,
+    }
+
+    impl amc_engine::LocalEngine for VictimEngine {
+        fn execute(&self, txn: LocalTxnId, op: &Operation) -> AmcResult<amc_types::OpResult> {
+            use std::sync::atomic::Ordering::SeqCst;
+            let armed = |n: u32| n.checked_sub(1);
+            if !matches!(op, Op::Read { .. })
+                && self.aborts.fetch_update(SeqCst, SeqCst, armed).is_ok()
+            {
+                self.inner.abort(txn, AbortReason::Deadlock)?;
+                return Err(AmcError::Aborted(AbortReason::Deadlock));
+            }
+            self.inner.execute(txn, op)
+        }
+        fn begin(&self) -> AmcResult<LocalTxnId> {
+            self.inner.begin()
+        }
+        fn commit(&self, txn: LocalTxnId) -> AmcResult<()> {
+            self.inner.commit(txn)
+        }
+        fn abort(&self, txn: LocalTxnId, reason: AbortReason) -> AmcResult<()> {
+            self.inner.abort(txn, reason)
+        }
+        fn state_of(&self, txn: LocalTxnId) -> Option<LocalRunState> {
+            self.inner.state_of(txn)
+        }
+        fn is_up(&self) -> bool {
+            self.inner.is_up()
+        }
+        fn crash(&self) {
+            self.inner.crash()
+        }
+        fn recover(&self) -> AmcResult<amc_engine::api::RecoveryReport> {
+            self.inner.recover()
+        }
+        fn kind(&self) -> &'static str {
+            self.inner.kind()
+        }
+        fn stats(&self) -> amc_engine::api::EngineStats {
+            amc_engine::LocalEngine::stats(&*self.inner)
+        }
+        fn dump(&self) -> AmcResult<std::collections::BTreeMap<ObjectId, Value>> {
+            self.inner.dump()
+        }
+        fn bulk_load(&self, data: &[(ObjectId, Value)]) -> AmcResult<()> {
+            self.inner.bulk_load(data)
+        }
+        fn log_stats(&self) -> amc_wal::LogStats {
+            self.inner.log_stats()
+        }
+    }
+
+    /// §3.2's redo and §3.3's undo through `K` erroneous aborts each: the
+    /// repetition runs exactly `K + 1` times, leaves exactly one marker,
+    /// and applies its program exactly once.
+    #[test]
+    fn redo_and_undo_repeat_through_k_erroneous_aborts_exactly_once() {
+        const K: u32 = 3;
+        let engine = Arc::new(VictimEngine {
+            inner: Arc::new(TwoPLEngine::new(TplConfig::default())),
+            aborts: 0.into(),
+        });
+        engine.bulk_load(&[(obj(1), v(10))]).unwrap();
+        let mgr = LocalCommManager::new(SiteId::new(1), EngineHandle::Plain(engine.clone()));
+        let bump = || {
+            vec![Op::Increment {
+                obj: obj(1),
+                delta: 5,
+            }]
+        };
+        let state = || {
+            let dump = engine.dump().unwrap();
+            let markers = dump
+                .keys()
+                .filter(|o| crate::marker::is_marker(**o))
+                .count();
+            (dump[&obj(1)], markers)
+        };
+
+        // Redo: the voted-ready transaction is lost, then K repetitions are.
+        mgr.handle_submit(gtx(1), bump(), SubmitMode::CommitAfter)
+            .unwrap();
+        let lost = mgr.local_txn_of(gtx(1)).unwrap();
+        engine.abort(lost, AbortReason::LockTimeout).unwrap();
+        engine.aborts.store(K, std::sync::atomic::Ordering::SeqCst);
+        mgr.handle_decision(gtx(1), GlobalVerdict::Commit).unwrap();
+        assert_eq!(mgr.stats().redo_runs, u64::from(K) + 1);
+        assert_eq!(state(), (v(15), 1));
+        assert!(engine.dump().unwrap().contains_key(&forward_marker(gtx(1))));
+
+        // Undo: a locally committed commit-before transaction, K lost inverses.
+        mgr.handle_submit(gtx(2), bump(), SubmitMode::CommitBefore)
+            .unwrap();
+        assert_eq!(state(), (v(20), 2));
+        engine.aborts.store(K, std::sync::atomic::Ordering::SeqCst);
+        mgr.handle_undo(gtx(2), Vec::new()).unwrap();
+        assert_eq!(mgr.stats().undo_runs, u64::from(K) + 1);
+        // The inverse deleted gtx 2's forward marker and left its undo marker.
+        assert_eq!(state(), (v(15), 2));
+        assert!(engine.dump().unwrap().contains_key(&undo_marker(gtx(2))));
+        // A duplicate of either message repeats nothing.
+        mgr.handle_redo(gtx(1), bump()).unwrap();
+        mgr.handle_undo(gtx(2), Vec::new()).unwrap();
+        assert_eq!(
+            mgr.stats().redo_runs + mgr.stats().undo_runs,
+            2 * u64::from(K) + 2
+        );
+        assert_eq!(state(), (v(15), 2));
     }
 }

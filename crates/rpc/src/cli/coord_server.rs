@@ -55,8 +55,7 @@ pub fn main() {
 
     let sites = addrs.len() as u32;
     let cfg = FederationConfig::uniform(sites, protocol).sharded(slot, coordinators);
-    let mut fed = Federation::with_transport(cfg, coordinator_transport(&addrs));
-    fed.set_recording(false, false);
+    let fed = Federation::with_transport(cfg, coordinator_transport(&addrs));
     let info = CoordInfo {
         slot,
         coordinators,

@@ -46,7 +46,7 @@
 //! `explain --events --coordinator <k>` can isolate one shard's traffic.
 
 use super::{site_addrs, Flags};
-use crate::{CoordClient, RetryPolicy, TcpTransport};
+use crate::{CoordClient, RetryPolicy, Wire};
 use amc_core::{
     closed_loop, owner_slot_of, Federation, FederationConfig, Program, RunMetrics, TxnOutcome,
     TxnReport,
@@ -163,13 +163,9 @@ pub fn main() {
     let protocol = flags.value_with("--protocol", ProtocolKind::parse);
     // Mux by default: one pipelined connection per site regardless of how
     // many clients drive transactions through it.
-    let mux = flags
-        .value_with("--client", |v| match v {
-            "mux" => Some(true),
-            "pooled" => Some(false),
-            _ => None,
-        })
-        .unwrap_or(true);
+    let wire = flags
+        .value_with("--client", Wire::with_client)
+        .unwrap_or(Wire::EventMux);
     let events_out: Option<String> = flags.value("--events-out");
     let load = Load {
         txns: flags.value("--txns").unwrap_or(100),
@@ -194,7 +190,7 @@ pub fn main() {
         // Protocol and site addresses live with the coordinator servers.
         sharded_mode(&load, &coordinators)
     } else if let (false, Some(protocol)) = (sites.is_empty(), protocol) {
-        site_mode(&load, &sites, protocol, mux)
+        site_mode(&load, &sites, protocol, wire)
     } else {
         flags.usage()
     };
@@ -225,22 +221,13 @@ pub fn main() {
 }
 
 /// Site mode: the generator is the coordinator, over `addrs`.
-fn site_mode(load: &Load, addrs: &[SocketAddr], protocol: ProtocolKind, mux: bool) -> Outcome {
+fn site_mode(load: &Load, addrs: &[SocketAddr], protocol: ProtocolKind, wire: Wire) -> Outcome {
     let obs = if load.record {
         ObsSink::enabled(1 << 20)
     } else {
         ObsSink::disabled()
     };
-    let connect = if mux {
-        TcpTransport::new_mux
-    } else {
-        TcpTransport::new
-    };
-    let tcp = Arc::new(connect(
-        site_addrs(addrs),
-        RetryPolicy::default(),
-        obs.clone(),
-    ));
+    let tcp = Arc::new(wire.connect(site_addrs(addrs), RetryPolicy::default(), obs.clone()));
     let sites = addrs.len() as u32;
     let spec = load.spec(sites);
     for (site, addr) in site_addrs(addrs) {
@@ -253,8 +240,7 @@ fn site_mode(load: &Load, addrs: &[SocketAddr], protocol: ProtocolKind, mux: boo
     }
 
     let cfg = FederationConfig::uniform(sites, protocol);
-    let mut fed = Federation::with_transport(cfg, tcp.clone() as Arc<dyn FederationTransport>);
-    fed.set_recording(false, false);
+    let fed = Federation::with_transport(cfg, tcp.clone() as Arc<dyn FederationTransport>);
     let (metrics, shape) = load.offer(sites, |p| fed.run_transaction(p));
 
     let events = obs

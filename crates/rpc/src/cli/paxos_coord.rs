@@ -53,8 +53,7 @@ pub fn main() {
         acceptors,
         std::env::temp_dir().join("amc-paxos-coord-unused"),
     );
-    let mut fed = Federation::with_transport(cfg, coordinator_transport(&addrs));
-    fed.set_recording(false, false);
+    let fed = Federation::with_transport(cfg, coordinator_transport(&addrs));
     fed.set_first_gtx(first_gtx);
 
     if load {

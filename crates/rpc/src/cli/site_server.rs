@@ -19,7 +19,8 @@
 //! in-memory, as before.
 
 use super::Flags;
-use crate::{EventServer, SiteRecoveryManager, SiteServer};
+use crate::fleet::Server;
+use crate::{SiteRecoveryManager, Wire};
 use amc_core::submit_mode_for;
 use amc_engine::{TplConfig, TwoPLEngine};
 use amc_net::comm::EngineHandle;
@@ -35,15 +36,6 @@ const USAGE: &str = "amc-site-server --site <n> --listen <host:port> \
      [--wal-dir <dir>] [--acceptor-log <path>] \
      [--runtime <event-loop|threaded>]";
 
-/// Which server runtime fronts the site.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Runtime {
-    /// Epoll loop + worker pool (the default).
-    EventLoop,
-    /// Thread per connection (the legacy runtime).
-    Threaded,
-}
-
 /// The binary's entry point: parse the process arguments, run, exit.
 pub fn main() {
     let mut flags = Flags::from_env(USAGE);
@@ -55,13 +47,12 @@ pub fn main() {
     let lock_timeout = Duration::from_millis(flags.value("--lock-timeout-ms").unwrap_or(500));
     let wal_dir: Option<String> = flags.value("--wal-dir");
     let acceptor_log: Option<String> = flags.value("--acceptor-log");
-    let runtime = flags
-        .value_with("--runtime", |v| match v {
-            "event-loop" => Some(Runtime::EventLoop),
-            "threaded" => Some(Runtime::Threaded),
-            _ => None,
-        })
-        .unwrap_or(Runtime::EventLoop);
+    // The server half of a `Wire`: the epoll loop + worker pool (the
+    // default) or the legacy thread per connection. The client half is
+    // the dialler's choice (`amc-loadgen --client`).
+    let wire = flags
+        .value_with("--runtime", Wire::with_runtime)
+        .unwrap_or(Wire::EventPooled);
     flags.finish();
     let (Some(site_n), Some(protocol)) = (site, protocol) else {
         flags.usage()
@@ -126,47 +117,16 @@ pub fn main() {
 
     // Both runtimes retry AddrInUse internally, so a restart in place
     // (same port) survives the kernel's TIME_WAIT on the old listener.
-    let addr = match runtime {
-        Runtime::EventLoop => {
-            match EventServer::spawn_with_acceptor(
-                site,
-                manager,
-                mode,
-                &listen,
-                ObsSink::disabled(),
-                acceptor,
-            ) {
-                Ok(s) => {
-                    let addr = s.addr();
-                    // Leak: the server lives for the process.
-                    std::mem::forget(s);
-                    addr
-                }
-                Err(e) => {
-                    eprintln!("bind {listen}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let addr = match Server::spawn(wire, manager, mode, &listen, acceptor) {
+        Ok(server) => {
+            let addr = server.addr();
+            // Leak: the server lives for the process.
+            std::mem::forget(server);
+            addr
         }
-        Runtime::Threaded => {
-            match SiteServer::spawn_with_acceptor(
-                site,
-                manager,
-                mode,
-                &listen,
-                ObsSink::disabled(),
-                acceptor,
-            ) {
-                Ok(s) => {
-                    let addr = s.addr();
-                    std::mem::forget(s);
-                    addr
-                }
-                Err(e) => {
-                    eprintln!("bind {listen}: {e}");
-                    std::process::exit(1);
-                }
-            }
+        Err(e) => {
+            eprintln!("bind {listen}: {e}");
+            std::process::exit(1);
         }
     };
     println!("listening on {addr}");

@@ -498,13 +498,6 @@ pub struct RpcClient {
 
 client_surface!(RpcClient, PooledLink);
 
-impl RpcClient {
-    /// Idle pooled connections (checked in, not currently in flight).
-    pub fn pooled_connections(&self) -> usize {
-        self.core.link.idle.lock().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -225,9 +225,7 @@ mod tests {
     fn spawn_coord(slot: u32, coordinators: u32) -> (CoordServer, Arc<Federation>) {
         let cfg =
             FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).sharded(slot, coordinators);
-        let mut fed = Federation::new(cfg);
-        fed.set_recording(false, false);
-        let fed = Arc::new(fed);
+        let fed = Arc::new(Federation::new(cfg));
         let info = CoordInfo {
             slot,
             coordinators,

@@ -37,6 +37,10 @@
 //! * [`transport`] — the [`amc_net::transport::FederationTransport`] impl
 //!   putting one request core per site under
 //!   `amc_core::Federation::with_transport`;
+//! * [`fleet`] — the deployment axis ([`Wire`]: in-process, or one of
+//!   the server-runtime × client-link pairs above) and the one loopback
+//!   builder ([`Fleet`]) every experiment, the site-server binary and the
+//!   process tests deploy through;
 //! * [`recovery`] — durable restart: a site started with `--wal-dir`
 //!   persists its engine WAL and work journal there, and
 //!   [`SiteRecoveryManager`] rebuilds both after a `kill -9`, resolving
@@ -54,6 +58,7 @@ pub mod cli;
 pub mod client;
 pub mod coord;
 pub mod event_loop;
+pub mod fleet;
 pub mod mux;
 pub mod recovery;
 pub mod server;
@@ -63,6 +68,7 @@ pub mod wire;
 pub use client::{RetryPolicy, RpcClient};
 pub use coord::{CoordClient, CoordInfo, CoordServer};
 pub use event_loop::{EventServer, EventServerStats, MAX_IN_FLIGHT_PER_CONN, MAX_WBUF_BYTES};
+pub use fleet::{Fleet, Wire};
 pub use mux::MuxClient;
 pub use recovery::{FileWorkJournal, SiteRecoveryManager};
 pub use server::SiteServer;

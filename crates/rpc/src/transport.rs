@@ -49,14 +49,6 @@ impl TcpTransport {
         Self::with_links::<MuxLink>(addrs, policy, obs)
     }
 
-    /// Repoint one site's client (a restarted site server may listen on a
-    /// new port).
-    pub fn set_site_addr(&self, site: SiteId, addr: SocketAddr) {
-        if let Some(c) = self.clients.get(&site) {
-            c.set_addr(addr);
-        }
-    }
-
     /// Total load-shed (`BufferExhausted`) answers across every site's
     /// client, retried and terminal alike.
     pub fn sheds(&self) -> u64 {
@@ -117,7 +109,8 @@ impl FederationTransport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventServer, SiteServer};
+    use crate::fleet::Server;
+    use crate::Wire;
     use amc_core::{Federation, FederationConfig, TxnOutcome};
     use amc_engine::{TplConfig, TwoPLEngine};
     use amc_net::comm::EngineHandle;
@@ -130,21 +123,6 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
-
-    /// Either server runtime, kept alive for the test's duration.
-    enum Server {
-        Blocking(SiteServer),
-        Event(EventServer),
-    }
-
-    impl Server {
-        fn addr(&self) -> SocketAddr {
-            match self {
-                Server::Blocking(s) => s.addr(),
-                Server::Event(s) => s.addr(),
-            }
-        }
-    }
 
     fn manager(site: SiteId) -> Arc<LocalCommManager> {
         let cfg = TplConfig {
@@ -167,31 +145,21 @@ mod tests {
         dead: &[(SiteId, SocketAddr)],
         policy: RetryPolicy,
     ) -> (TcpTransport, Vec<Server>) {
+        let wire = if mux {
+            Wire::EventMux
+        } else {
+            Wire::ThreadedPooled
+        };
         let mut addrs: BTreeMap<SiteId, SocketAddr> = dead.iter().copied().collect();
         let mut servers = Vec::new();
         for (&site, manager) in managers {
-            let (manager, mode, obs) = (
-                Arc::clone(manager),
-                SubmitMode::TwoPhase,
-                ObsSink::disabled(),
-            );
-            let server = if mux {
-                Server::Event(EventServer::spawn(site, manager, mode, "127.0.0.1:0", obs).unwrap())
-            } else {
-                Server::Blocking(
-                    SiteServer::spawn(site, manager, mode, "127.0.0.1:0", obs).unwrap(),
-                )
-            };
+            let manager = Arc::clone(manager);
+            let server =
+                Server::spawn(wire, manager, SubmitMode::TwoPhase, "127.0.0.1:0", None).unwrap();
             addrs.insert(site, server.addr());
             servers.push(server);
         }
-        let obs = ObsSink::disabled();
-        let transport = if mux {
-            TcpTransport::new_mux(addrs, policy, obs)
-        } else {
-            TcpTransport::new(addrs, policy, obs)
-        };
-        (transport, servers)
+        (wire.connect(addrs, policy, ObsSink::disabled()), servers)
     }
 
     fn obj(site: u32, i: u64) -> ObjectId {

@@ -38,12 +38,12 @@
 //!    the gate.
 
 use crate::map::{ShardMap, SiteChange};
+use amc_core::config::EngineKind;
 use amc_core::federation::{submit_mode_for, TxnReport};
 use amc_core::{Federation, FederationConfig, TxnOutcome};
-use amc_engine::TwoPLEngine;
 use amc_net::marker::{is_marker, EPOCH_OBJECT};
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport};
-use amc_net::{EngineHandle, InProcessTransport, LocalCommManager};
+use amc_net::{InProcessTransport, LocalCommManager};
 use amc_types::{AmcError, AmcResult, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -192,15 +192,10 @@ impl ShardRouter {
             .map(|k| {
                 let mut cfg = FederationConfig::uniform(sites, protocol).sharded(k, coordinators);
                 cfg.message_delay = message_delay;
-                let mut fed = Federation::with_transport(
+                Arc::new(Federation::with_transport(
                     cfg,
                     Arc::clone(&fleet) as Arc<dyn FederationTransport>,
-                );
-                // Benchmark posture: the router is a throughput/reconfig
-                // runtime; per-op history recording belongs to the oracle
-                // drivers.
-                fed.set_recording(false, false);
-                Arc::new(fed)
+                ))
             })
             .collect();
         let map = ShardMap::new(coordinators, (1..=sites).map(SiteId::new));
@@ -237,11 +232,6 @@ impl ShardRouter {
     /// Coordinator `slot`'s federation instance.
     pub fn coordinator(&self, slot: u32) -> &Arc<Federation> {
         &self.coordinators[slot as usize]
-    }
-
-    /// Number of coordinator slots.
-    pub fn coordinator_count(&self) -> u32 {
-        self.coordinators.len() as u32
     }
 
     /// Per-coordinator lifetime outcome counters.
@@ -303,11 +293,9 @@ impl ShardRouter {
                 }
                 // A fresh 2PL engine joins the shared fleet; it becomes
                 // addressable only once the epoch bump commits.
-                let engine = Arc::new(TwoPLEngine::new_at(Default::default(), site));
-                let manager = Arc::new(LocalCommManager::new(
-                    site,
-                    EngineHandle::Preparable(engine),
-                ));
+                let manager = self.coordinators[0]
+                    .config()
+                    .build_manager(site, EngineKind::TwoPL);
                 self.fleet.add_site(site, manager);
                 // Provision its epoch object at the *old* epoch so the
                 // bump transaction below carries every site to the new one.

@@ -150,11 +150,6 @@ impl LocalVote {
     pub fn is_yes(&self) -> bool {
         !matches!(self, LocalVote::Aborted)
     }
-
-    /// Whether the participant has dropped out of the decision round.
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, LocalVote::ReadyReadOnly)
-    }
 }
 
 /// Run-state of one local execution attempt, as observed through the

@@ -81,15 +81,6 @@ impl ModelDb {
         }
     }
 
-    /// Apply a whole program; stops at the first failing operation and
-    /// rolls nothing back (callers model transactions themselves).
-    pub fn apply_all(&mut self, ops: &[Operation]) -> AmcResult<()> {
-        for op in ops {
-            self.apply(op)?;
-        }
-        Ok(())
-    }
-
     /// Apply a program transactionally: all ops or none.
     pub fn apply_atomic(&mut self, ops: &[Operation]) -> AmcResult<()> {
         let snapshot = self.state.clone();

@@ -17,29 +17,11 @@ pub struct OpMix {
 }
 
 impl OpMix {
-    /// All increments — the Fig. 8 / bank-transfer regime.
-    pub const INCREMENT_HEAVY: OpMix = OpMix {
-        write: 0.0,
-        increment: 0.8,
-        reserve: 0.0,
-    };
-    /// Classic read/write mix with no commutative structure.
-    pub const WRITE_HEAVY: OpMix = OpMix {
-        write: 0.5,
-        increment: 0.0,
-        reserve: 0.0,
-    };
     /// A balanced mix.
     pub const MIXED: OpMix = OpMix {
         write: 0.2,
         increment: 0.4,
         reserve: 0.0,
-    };
-    /// Order processing: mostly reserves plus restocks.
-    pub const ESCROW_HEAVY: OpMix = OpMix {
-        write: 0.0,
-        increment: 0.2,
-        reserve: 0.6,
     };
 }
 

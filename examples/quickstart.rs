@@ -12,7 +12,10 @@ use std::collections::BTreeMap;
 fn main() {
     // Three "existing" database systems behind sealed begin/commit/abort
     // interfaces, coordinated by a central system (Fig. 1 of the paper).
-    let federation = Federation::new(FederationConfig::uniform(3, ProtocolKind::CommitBefore));
+    let mut federation = Federation::new(FederationConfig::uniform(3, ProtocolKind::CommitBefore));
+    // Keep the message trace this example prints at the end (recording is
+    // opt-in: a federation that only runs transactions keeps nothing).
+    federation.set_recording(true, true);
 
     // Each site owns a slice of the object space. Load an account per site.
     let account = |site: u32| ObjectId::new(u64::from(site) * (1 << 32));

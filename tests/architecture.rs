@@ -11,7 +11,8 @@ fn obj(site: u32, i: u64) -> ObjectId {
 }
 
 fn loaded(protocol: ProtocolKind, sites: u32) -> Federation {
-    let fed = Federation::new(FederationConfig::uniform(sites, protocol));
+    let mut fed = Federation::new(FederationConfig::uniform(sites, protocol));
+    fed.set_recording(true, true);
     for s in 1..=sites {
         let data: Vec<(ObjectId, Value)> =
             (0..16).map(|i| (obj(s, i), Value::counter(100))).collect();
@@ -237,6 +238,44 @@ fn one_file_constructs_feeds_and_resumes_coordinators() {
     }
 }
 
+/// The testbed exists once: `amc_rpc::Fleet` is the only code that turns
+/// managers into a loopback deployment, and `amc_rpc::Wire` the only enum
+/// naming the deployments. Outside `amc-rpc`'s own server and transport
+/// modules and the CLI, nothing under `crates/*/src` spawns a site server
+/// or dials a TCP transport by hand — an experiment that does is a cell
+/// that differs from its neighbours in more than the axis it sweeps.
+#[test]
+fn loopback_fleets_are_built_and_named_in_one_place() {
+    let by_hand = non_test_code_having(
+        &[
+            "SiteServer::spawn",
+            "EventServer::spawn",
+            "TcpTransport::new",
+        ],
+        &[
+            "rpc/src/server.rs",     // the threaded runtime itself
+            "rpc/src/event_loop.rs", // the event-loop runtime itself
+            "rpc/src/transport.rs",  // the TCP transport itself
+            "rpc/src/client.rs",     // RpcClient's doc example: one client, one server
+            "rpc/src/fleet.rs",      // the one builder
+            "rpc/src/cli/",          // the deployed processes
+        ],
+    );
+    assert!(by_hand.is_empty(), "a hand-built fleet in {by_hand:?}");
+    // The deployment labels (`--runtime` / `--client` values included) are
+    // string literals of exactly one file, which declares exactly one
+    // public enum.
+    let labelled = non_test_code_having(&["\"in-process\"", "\"threaded", "\"event-loop"], &[]);
+    assert_eq!(labelled.len(), 1, "deployment labels in {labelled:?}");
+    assert!(labelled[0].ends_with("rpc/src/fleet.rs"), "{labelled:?}");
+    let (_, fleet) = crate_sources()
+        .into_iter()
+        .find(|(path, _)| *path == labelled[0])
+        .unwrap();
+    assert_eq!(fleet.matches("\npub enum ").count(), 1);
+    assert!(fleet.contains("\npub enum Wire {"));
+}
+
 /// The reserved id region — the store's direct-mapped relation, the
 /// markers, the epoch object, every oracle's filter — hangs on one bit, and
 /// one file says which: `ObjectId::RESERVED`.
@@ -254,7 +293,7 @@ fn the_reserved_region_bit_is_defined_in_one_file() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 25_098;
+    const CEILING: usize = 24_688;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| {

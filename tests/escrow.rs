@@ -16,7 +16,8 @@ fn obj(site: u32, i: u64) -> ObjectId {
 }
 
 fn loaded(protocol: ProtocolKind) -> Arc<Federation> {
-    let fed = Federation::new(FederationConfig::uniform(2, protocol));
+    let mut fed = Federation::new(FederationConfig::uniform(2, protocol));
+    fed.set_recording(true, true);
     for s in 1..=2u32 {
         fed.load_site(
             SiteId::new(s),

@@ -415,7 +415,8 @@ fn blocking_pump_and_simulator_exchange_the_same_messages_per_link() {
                 sim(protocol, FaultPlan::none()).run(vec![(SimDuration::ZERO, program.clone())]);
             assert_eq!(report.outcomes.get(&G1), Some(&verdict), "{protocol}");
 
-            let fed = amc::core::Federation::new(FederationConfig::uniform(2, protocol));
+            let mut fed = amc::core::Federation::new(FederationConfig::uniform(2, protocol));
+            fed.set_recording(true, true);
             for s in 1..=2u32 {
                 let data = [
                     (obj(s, 0), Value::counter(100)),

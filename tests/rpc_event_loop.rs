@@ -21,15 +21,15 @@
 //!    site-server restart in place.
 
 use amc::core::{submit_mode_for, Federation, FederationConfig, TxnOutcome};
-use amc::engine::{LocalEngine, TplConfig, TwoPLEngine};
+use amc::engine::{TplConfig, TwoPLEngine};
 use amc::net::comm::EngineHandle;
 use amc::net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc::net::{LocalCommManager, Payload, SubmitMode};
 use amc::obs::ObsSink;
 use amc::rpc::wire::{read_frame, write_frame, CoordReply, CoordRequest};
 use amc::rpc::{
-    CoordInfo, CoordServer, EventServer, Frame, MuxClient, RetryPolicy, SiteServer, TcpTransport,
-    MAX_IN_FLIGHT_PER_CONN,
+    CoordInfo, CoordServer, EventServer, Fleet, Frame, MuxClient, RetryPolicy, SiteServer,
+    TcpTransport, Wire, MAX_IN_FLIGHT_PER_CONN,
 };
 use amc::types::{AmcError, GlobalTxnId, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
@@ -688,37 +688,9 @@ fn federation_over_mux_and_event_servers_conserves_and_survives_restart() {
     const OBJS: u64 = 8;
     const PER_OBJ: i64 = 100;
     let protocol = ProtocolKind::TwoPhaseCommit;
-    let mode = submit_mode_for(protocol);
-
-    let mut engines = BTreeMap::new();
-    let mut managers = BTreeMap::new();
-    let mut servers: BTreeMap<SiteId, EventServer> = BTreeMap::new();
-    let mut addrs = BTreeMap::new();
-    for s in 1..=SITES {
-        let site = SiteId::new(s);
-        let cfg = TplConfig {
-            lock_timeout: Duration::from_millis(200),
-            deadlock_check: Duration::from_millis(1),
-            ..TplConfig::default()
-        };
-        let engine = Arc::new(TwoPLEngine::new(cfg));
-        let mgr = Arc::new(LocalCommManager::new(
-            site,
-            EngineHandle::Preparable(Arc::clone(&engine) as _),
-        ));
-        let srv = EventServer::spawn(
-            site,
-            Arc::clone(&mgr),
-            mode,
-            "127.0.0.1:0",
-            ObsSink::disabled(),
-        )
-        .expect("bind loopback");
-        addrs.insert(site, srv.addr());
-        engines.insert(site, engine);
-        managers.insert(site, mgr);
-        servers.insert(site, srv);
-    }
+    let mut cfg = FederationConfig::uniform(SITES, protocol);
+    cfg.tpl.lock_timeout = Duration::from_millis(200);
+    cfg.tpl.deadlock_check = Duration::from_millis(1);
     let policy = RetryPolicy {
         connect_timeout: Duration::from_millis(200),
         request_timeout: Duration::from_secs(2),
@@ -726,12 +698,17 @@ fn federation_over_mux_and_event_servers_conserves_and_survives_restart() {
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(40),
     };
-    let transport = Arc::new(TcpTransport::new_mux(addrs, policy, ObsSink::disabled()));
-    assert!(transport.supports_pipelining());
-    let fed = Arc::new(Federation::with_transport(
-        FederationConfig::uniform(SITES, protocol),
-        Arc::clone(&transport) as Arc<dyn FederationTransport>,
-    ));
+    let mut fleet = Fleet::spawn_with(
+        cfg.build_managers(),
+        submit_mode_for(protocol),
+        Wire::EventMux,
+        Duration::ZERO,
+        policy,
+        ObsSink::disabled(),
+    )
+    .expect("bind loopback");
+    assert!(fleet.transport().supports_pipelining());
+    let fed = Arc::new(Federation::with_transport(cfg, fleet.transport()));
     for s in 1..=SITES {
         let data: Vec<(ObjectId, Value)> = (0..OBJS)
             .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
@@ -798,21 +775,9 @@ fn federation_over_mux_and_event_servers_conserves_and_survives_restart() {
     // Restart site 2's server in place: same manager, same port. The mux
     // client must redial through its retry path.
     let site2 = SiteId::new(2);
-    let old = servers.remove(&site2).unwrap();
-    let addr = old.addr();
-    old.shutdown();
-    engines[&site2].crash();
-    engines[&site2].recover().expect("recovery");
-    let srv = EventServer::spawn(
-        site2,
-        Arc::clone(&managers[&site2]),
-        mode,
-        &addr.to_string(),
-        ObsSink::disabled(),
-    )
-    .expect("rebind in place");
-    assert_eq!(srv.addr(), addr);
-    servers.insert(site2, srv);
+    let addr = fleet.addrs()[&site2];
+    fleet.restart_site(site2).expect("rebind in place");
+    assert_eq!(fleet.addrs()[&site2], addr);
 
     let after = run(1000, 8);
     assert!(after > 0, "nothing committed after restart");

@@ -2,24 +2,21 @@
 //! servers over loopback TCP, through the framed codec and the
 //! deadline/retry client — including a site restart mid-run.
 //!
-//! For each protocol: spawn one [`SiteServer`] per site (ephemeral
-//! loopback ports), run a mixed transfer workload through
-//! `Federation::with_transport`, then kill one site's server, crash and
-//! recover its engine, and respawn the server **in place on the same
-//! port** — exactly what a restarted production process does, leaning on
-//! the server's bind retry to ride out the old listener's TIME_WAIT. The
+//! For each protocol: deploy a loopback [`Fleet`] (one thread-per-
+//! connection site server per site, ephemeral ports), run a mixed
+//! transfer workload through `Federation::with_transport`, then
+//! [`Fleet::restart_site`]: kill one site's server, crash and recover its
+//! engine, and respawn the server **in place on the same port** — exactly
+//! what a restarted production process does, leaning on the server's bind
+//! retry to ride out the old listener's TIME_WAIT. The
 //! run must commit transactions both before and after the restart, the
 //! client must log a reconnect, and the global sum must be conserved at
 //! the end — the paper's atomicity guarantee surviving an actual socket
 //! teardown, not a simulated one.
 
-use amc::core::{Federation, FederationConfig, TxnOutcome};
-use amc::engine::{LocalEngine, TplConfig, TwoPLEngine};
-use amc::net::comm::EngineHandle;
-use amc::net::transport::FederationTransport;
-use amc::net::LocalCommManager;
+use amc::core::{submit_mode_for, Federation, FederationConfig, TxnOutcome};
 use amc::obs::{EventKind, ObsSink};
-use amc::rpc::{RetryPolicy, SiteServer, TcpTransport};
+use amc::rpc::{Fleet, RetryPolicy, Wire};
 use amc::types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,90 +39,6 @@ fn fast_policy() -> RetryPolicy {
         max_attempts: 6,
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(40),
-    }
-}
-
-/// One site's independently owned stack: engine + manager, fronted by a
-/// restartable TCP server.
-struct Site {
-    engine: Arc<TwoPLEngine>,
-    manager: Arc<LocalCommManager>,
-    server: Option<SiteServer>,
-}
-
-struct Cluster {
-    mode: amc::net::SubmitMode,
-    sites: BTreeMap<SiteId, Site>,
-    transport: Arc<TcpTransport>,
-    obs: ObsSink,
-}
-
-impl Cluster {
-    fn spawn(protocol: ProtocolKind) -> Cluster {
-        let mode = amc::core::submit_mode_for(protocol);
-        let obs = ObsSink::enabled(1 << 16);
-        let mut sites = BTreeMap::new();
-        let mut addrs = BTreeMap::new();
-        for s in 1..=SITES {
-            let site = SiteId::new(s);
-            let cfg = TplConfig {
-                lock_timeout: Duration::from_millis(200),
-                deadlock_check: Duration::from_millis(1),
-                ..TplConfig::default()
-            };
-            let engine = Arc::new(TwoPLEngine::new(cfg));
-            let manager = Arc::new(LocalCommManager::new(
-                site,
-                EngineHandle::Preparable(Arc::clone(&engine) as _),
-            ));
-            let server = SiteServer::spawn(
-                site,
-                Arc::clone(&manager),
-                mode,
-                "127.0.0.1:0",
-                ObsSink::disabled(),
-            )
-            .expect("bind loopback");
-            addrs.insert(site, server.addr());
-            sites.insert(
-                site,
-                Site {
-                    engine,
-                    manager,
-                    server: Some(server),
-                },
-            );
-        }
-        let transport = Arc::new(TcpTransport::new(addrs, fast_policy(), obs.clone()));
-        Cluster {
-            mode,
-            sites,
-            transport,
-            obs,
-        }
-    }
-
-    /// Tear the site's server down (sockets die), crash + recover its
-    /// engine, and bring a new server up **in place** — same port, so the
-    /// transport needs no repointing. `SiteServer::spawn` retries the
-    /// bind through whatever TIME_WAIT the dead listener left behind.
-    fn restart_site(&mut self, site: SiteId) {
-        let entry = self.sites.get_mut(&site).expect("known site");
-        let server = entry.server.take().expect("server running");
-        let addr = server.addr();
-        server.shutdown();
-        entry.engine.crash();
-        entry.engine.recover().expect("recovery");
-        let server = SiteServer::spawn(
-            site,
-            Arc::clone(&entry.manager),
-            self.mode,
-            &addr.to_string(),
-            ObsSink::disabled(),
-        )
-        .expect("rebind loopback in place");
-        assert_eq!(server.addr(), addr, "restart must reuse the same port");
-        entry.server = Some(server);
     }
 }
 
@@ -181,12 +94,20 @@ fn drive(fed: &Arc<Federation>, base: u64, n: u64) -> u64 {
 }
 
 fn restart_run(protocol: ProtocolKind) {
-    let mut cluster = Cluster::spawn(protocol);
-    let cfg = FederationConfig::uniform(SITES, protocol);
-    let fed = Arc::new(Federation::with_transport(
-        cfg,
-        Arc::clone(&cluster.transport) as Arc<dyn FederationTransport>,
-    ));
+    let mut cfg = FederationConfig::uniform(SITES, protocol);
+    cfg.tpl.lock_timeout = Duration::from_millis(200);
+    cfg.tpl.deadlock_check = Duration::from_millis(1);
+    let obs = ObsSink::enabled(1 << 16);
+    let mut fleet = Fleet::spawn_with(
+        cfg.build_managers(),
+        submit_mode_for(protocol),
+        Wire::ThreadedPooled,
+        Duration::ZERO,
+        fast_policy(),
+        obs.clone(),
+    )
+    .expect("bind loopback");
+    let fed = Arc::new(Federation::with_transport(cfg, fleet.transport()));
     for s in 1..=SITES {
         let data: Vec<(ObjectId, Value)> = (0..OBJS)
             .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
@@ -197,13 +118,19 @@ fn restart_run(protocol: ProtocolKind) {
     let before = drive(&fed, 0, 15);
     assert!(before > 0, "{protocol:?}: nothing committed before restart");
 
-    cluster.restart_site(SiteId::new(2));
+    // Server down (sockets die), engine crashed and recovered, a new
+    // server up in place on the same port.
+    let addr = fleet.addrs()[&SiteId::new(2)];
+    fleet
+        .restart_site(SiteId::new(2))
+        .expect("restart in place");
+    assert_eq!(fleet.addrs()[&SiteId::new(2)], addr, "same port");
 
     let after = drive(&fed, 100, 15);
     assert!(after > 0, "{protocol:?}: nothing committed after restart");
 
     // The client must have survived the socket teardown by reconnecting.
-    let log = cluster.obs.snapshot();
+    let log = obs.snapshot();
     let reconnected = log
         .events()
         .any(|e| matches!(e.kind, EventKind::RpcReconnect { to } if to == SiteId::new(2)));

@@ -10,14 +10,9 @@
 //! compares protocols, never workloads.
 
 use amc::core::{Federation, FederationConfig, ProtocolKind};
-use amc::engine::{TplConfig, TwoPLEngine};
 use amc::mlt::ConflictPolicy;
-use amc::net::comm::EngineHandle;
 use amc::net::marker::is_marker;
-use amc::net::transport::FederationTransport;
-use amc::net::LocalCommManager;
-use amc::obs::ObsSink;
-use amc::rpc::{RetryPolicy, SiteServer, TcpTransport};
+use amc::rpc::{Fleet, Wire};
 use amc::types::{Operation, SiteId};
 use amc::workload::{fingerprint, MixGen, MixKind, MixSpec, ZipfKeys};
 use std::collections::BTreeMap;
@@ -158,50 +153,32 @@ fn hotkey_mix_conserves_sum_with_mlt_enabled() {
     assert_eq!(counter_sum(&fed), spec.initial_sum(), "sum drifted");
 }
 
-/// Spawn one loopback TCP [`SiteServer`] per site and return the
-/// federation wired through a real [`TcpTransport`], plus the servers
-/// (shut down by the caller after the run).
+/// A loaded federation over a loopback TCP [`Fleet`] (thread-per-
+/// connection site servers, pooled client), plus the fleet keeping its
+/// servers alive.
 fn tcp_federation(
     protocol: ProtocolKind,
     policy: ConflictPolicy,
     spec: &MixSpec,
-) -> (Arc<Federation>, Vec<SiteServer>) {
-    let mode = amc::core::submit_mode_for(protocol);
-    let mut servers = Vec::new();
-    let mut addrs = BTreeMap::new();
-    for s in 1..=spec.sites {
-        let site = SiteId::new(s);
-        let tpl = TplConfig {
-            lock_timeout: Duration::from_millis(100),
-            deadlock_check: Duration::from_millis(1),
-            ..TplConfig::default()
-        };
-        let engine = Arc::new(TwoPLEngine::new(tpl));
-        let manager = Arc::new(LocalCommManager::new(
-            site,
-            EngineHandle::Preparable(engine),
-        ));
-        let server = SiteServer::spawn(site, manager, mode, "127.0.0.1:0", ObsSink::disabled())
-            .expect("bind loopback");
-        addrs.insert(site, server.addr());
-        servers.push(server);
-    }
-    let transport = Arc::new(TcpTransport::new(
-        addrs,
-        RetryPolicy::default(),
-        ObsSink::disabled(),
-    ));
+) -> (Arc<Federation>, Fleet) {
     let mut cfg = FederationConfig::uniform(spec.sites, protocol);
     cfg.policy = policy;
     cfg.l1_timeout = Duration::from_millis(500);
-    let mut fed = Federation::with_transport(cfg, transport as Arc<dyn FederationTransport>);
-    fed.set_recording(false, false);
-    let fed = Arc::new(fed);
+    cfg.tpl.lock_timeout = Duration::from_millis(100);
+    cfg.tpl.deadlock_check = Duration::from_millis(1);
+    let fleet = Fleet::spawn(
+        cfg.build_managers(),
+        amc::core::submit_mode_for(protocol),
+        Wire::ThreadedPooled,
+        Duration::ZERO,
+    )
+    .expect("bind loopback");
+    let fed = Arc::new(Federation::with_transport(cfg, fleet.transport()));
     for s in 1..=spec.sites {
         let site = SiteId::new(s);
         fed.load_site(site, &spec.initial_data(site)).unwrap();
     }
-    (fed, servers)
+    (fed, fleet)
 }
 
 /// The same seeded hot-key stream the in-process test replays, over real
@@ -218,8 +195,7 @@ fn tcp_runtime_replays_the_same_stream_and_conserves() {
         "runtimes fed different streams"
     );
 
-    let (fed, servers) =
-        tcp_federation(ProtocolKind::CommitBefore, ConflictPolicy::Semantic, &spec);
+    let (fed, _fleet) = tcp_federation(ProtocolKind::CommitBefore, ConflictPolicy::Semantic, &spec);
     let batch = programs
         .into_iter()
         .map(|p| (p.per_site, p.intends_abort))
@@ -232,10 +208,6 @@ fn tcp_runtime_replays_the_same_stream_and_conserves() {
         spec.initial_sum(),
         "sum drifted over TCP"
     );
-    drop(fed);
-    for srv in servers {
-        srv.shutdown();
-    }
 }
 
 /// The tpcc-lite escrow reserves travel the wire: stock counters are
@@ -251,7 +223,7 @@ fn tpcc_lite_escrow_bound_holds_over_tcp() {
         intended_abort_prob: 0.0,
         max_fanout: 2,
     };
-    let (fed, servers) = tcp_federation(
+    let (fed, _fleet) = tcp_federation(
         ProtocolKind::TwoPhaseCommit,
         ConflictPolicy::Semantic,
         &spec,
@@ -266,8 +238,4 @@ fn tpcc_lite_escrow_bound_holds_over_tcp() {
     assert!(m.committed > 0, "no NewOrder committed over TCP");
     let floor = min_counter(&fed);
     assert!(floor >= 0, "escrow bound violated: counter at {floor}");
-    drop(fed);
-    for srv in servers {
-        srv.shutdown();
-    }
 }
