@@ -1,7 +1,8 @@
 //! **E10 — the wire: loopback TCP vs in-process dispatch** (amc-rpc).
 //!
 //! Run the same mixed workload through the same coordinator against the
-//! same engines, swapping only the [`Wire`] of the [`Testbed`]: direct
+//! same engines, swapping only the [`Wire`] of the
+//! [`Testbed`](crate::setup::Testbed): direct
 //! in-process function calls vs the real framed codec over loopback TCP
 //! (thread-per-connection site servers, deadline/retry client). Sweep
 //! client concurrency and report committed-transaction throughput with
@@ -17,157 +18,95 @@
 //!   protocol) at every client count, the E4 message-count ordering
 //!   re-observed as socket round trips.
 
-use crate::setup::{program_batch, wire_config, Testbed, Wire, WIRES};
-use crate::table::{opt2, section, verdict, TextTable};
-use amc_mlt::ConflictPolicy;
-use amc_types::ProtocolKind;
-use amc_workload::{OpMix, WorkloadSpec};
+use crate::setup::{increment_heavy, offer, sweep, wire_config, Cell, Point, Regime, Wire, WIRES};
+use crate::table::{cells, section, verdict, Col, TextTable};
 
 /// The wire lane's TCP deployment.
 const TCP: Wire = WIRES[1];
 
-/// One measured cell of either lane.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Client (driver thread) concurrency.
-    pub clients: usize,
-    /// Protocol under test.
-    pub protocol: ProtocolKind,
-    /// Deployment under test.
-    pub wire: Wire,
-    /// Commits achieved.
-    pub committed: u64,
-    /// Committed txns per second.
-    pub throughput: Option<f64>,
-    /// Median commit latency, ms.
-    pub p50_ms: Option<f64>,
-    /// Tail commit latency, ms.
-    pub p99_ms: Option<f64>,
-    /// Load-shed (`BufferExhausted`) replies the clients absorbed per
-    /// committed transaction — the backpressure the event runtime
-    /// applied past its in-flight cap.
-    pub sheds_per_txn: Option<f64>,
-    /// Server-side connections, summed across site servers.
-    pub connections: u64,
-}
+const COLS: [Col; 7] = [
+    Col::fact("clients"),
+    Col::fact("protocol"),
+    Col::fact("wire"),
+    Col::COMMITS,
+    Col::TXN_S,
+    Col::P50_MS,
+    Col::P99_MS,
+];
 
-/// Low contention, increment-heavy, 2-site transactions: the measured
-/// cost is the message path, not lock queueing.
-fn spec() -> WorkloadSpec {
-    WorkloadSpec {
-        sites: 3,
-        objects_per_site: 64,
-        zipf_theta: 0.0,
-        ops_per_txn: 4,
-        sites_per_txn: 2,
-        mix: OpMix {
-            write: 0.0,
-            increment: 0.9,
-            reserve: 0.0,
-        },
-        intended_abort_prob: 0.0,
-    }
-}
+const HC_COLS: [Col; 9] = [
+    Col::fact("runtime"),
+    Col::fact("clients"),
+    Col::COMMITS,
+    Col::TXN_S,
+    Col::P50_MS,
+    Col::P99_MS,
+    // The backpressure the event runtime applied past its in-flight cap.
+    Col::SHED_PER_TXN,
+    Col::fact("conns"),
+    Col::fact("conns/core"),
+];
 
-/// Run one (protocol, wire, clients) cell on the seeded batch `seed`.
-fn run_cell(protocol: ProtocolKind, wire: Wire, clients: usize, txns: usize, seed: u64) -> Row {
-    let spec = spec();
-    let cfg = wire_config(spec.sites, protocol, ConflictPolicy::Semantic);
-    let bed = Testbed::build(cfg, wire, spec.objects_per_site);
-    let m = bed.run_concurrent(program_batch(&spec, seed + clients as u64, txns), clients);
-    Row {
-        clients,
-        protocol,
-        wire,
-        committed: m.committed,
-        throughput: m.throughput(),
-        p50_ms: m.latency_p50_ms(),
-        p99_ms: m.latency_p99_ms(),
-        sheds_per_txn: m.sheds_per_commit(),
-        connections: bed.fleet().connections(),
-    }
+/// Sites in every cell of both lanes.
+const SITES: u64 = 3;
+
+/// One sweep point per client count, its batch drawn from `seed + clients`.
+/// Low contention, increment-heavy, 2-site transactions: the measured cost
+/// is the message path, not lock queueing.
+fn points(seed: u64, txns: usize, client_counts: &[usize]) -> Vec<Point> {
+    let spec = increment_heavy(0.0, 4);
+    let point = |&clients: &usize| {
+        let seed = seed + clients as u64;
+        Point::of_spec(clients as f64, &spec, seed, txns, clients)
+    };
+    client_counts.iter().map(point).collect()
 }
 
 /// Run the wire sweep: every protocol over both [`WIRES`].
-pub fn run(txns: usize, client_counts: &[usize]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for protocol in ProtocolKind::ALL {
-        for wire in WIRES {
-            for &clients in client_counts {
-                rows.push(run_cell(protocol, wire, clients, txns, 10_000));
-            }
-        }
-    }
-    rows
+pub fn run(txns: usize, client_counts: &[usize]) -> Vec<Cell> {
+    let points = points(10_000, txns, client_counts);
+    let lane = |regime| sweep(wire_config, &WIRES, &points, &[regime], offer);
+    Regime::PROTOCOLS.into_iter().flat_map(lane).collect()
 }
 
 /// Render as the report table.
-pub fn table(rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn table(rows: &[Cell]) -> TextTable {
+    let facts = |c: &Cell| [c.labels(), vec![c.wire.label().to_string()]].concat();
+    cells(
         "E10 — the wire: loopback TCP (amc-rpc) vs in-process dispatch",
-        &[
-            "clients", "protocol", "wire", "commits", "txn/s", "p50 ms", "p99 ms",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.clients.to_string(),
-            r.protocol.label().to_string(),
-            r.wire.label().to_string(),
-            r.committed.to_string(),
-            opt2(r.throughput),
-            opt2(r.p50_ms),
-            opt2(r.p99_ms),
-        ]);
-    }
-    t
+        &COLS,
+        rows.iter().map(|c| (facts(c), &c.m)),
+    )
 }
 
 /// Run the high-concurrency sweep: every TCP deployment at `clients`
 /// driver threads (the profile pins `clients >= 200`) hammering
 /// commit-before — the paper's protocol, the cheapest message path, so
 /// the transport is the bottleneck under test.
-pub fn run_high_concurrency(txns: usize, clients: usize) -> Vec<Row> {
-    Wire::ALL
-        .into_iter()
-        .filter(|w| w.is_tcp())
-        .map(|w| run_cell(ProtocolKind::CommitBefore, w, clients, txns, 20_000))
-        .collect()
+pub fn run_high_concurrency(txns: usize, clients: usize) -> Vec<Cell> {
+    let tcp: Vec<Wire> = Wire::ALL.into_iter().filter(|w| w.is_tcp()).collect();
+    let points = points(20_000, txns, &[clients]);
+    sweep(wire_config, &tcp, &points, &[Regime::CommitBefore], offer)
 }
 
 /// Render the high-concurrency table.
-pub fn hc_table(rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
-        "E10 — high concurrency: server runtime × client flavour over loopback TCP",
-        &[
-            "runtime",
-            "clients",
-            "commits",
-            "txn/s",
-            "p50 ms",
-            "p99 ms",
-            "shed/txn",
-            "conns",
-            "conns/core",
-        ],
-    );
+pub fn hc_table(rows: &[Cell]) -> TextTable {
     // Connections per available core: the "how many sockets does a core
     // carry" figure the event loop exists to improve.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as f64;
-    for r in rows {
-        t.row(vec![
-            r.wire.label().to_string(),
-            r.clients.to_string(),
-            r.committed.to_string(),
-            opt2(r.throughput),
-            opt2(r.p50_ms),
-            opt2(r.p99_ms),
-            opt2(r.sheds_per_txn),
-            r.connections.to_string(),
-            format!("{:.2}", r.connections as f64 / cores),
-        ]);
-    }
-    t
+    let facts = |c: &Cell| {
+        vec![
+            c.wire.label().to_string(),
+            c.axis.clone(),
+            c.connections.to_string(),
+            format!("{:.2}", c.connections as f64 / cores),
+        ]
+    };
+    cells(
+        "E10 — high concurrency: server runtime × client flavour over loopback TCP",
+        &HC_COLS,
+        rows.iter().map(|c| (facts(c), &c.m)),
+    )
 }
 
 /// The report section: both lanes.
@@ -181,16 +120,16 @@ pub fn report(quick: bool) -> String {
 }
 
 /// Shape checks for the high-concurrency profile.
-pub fn hc_verdicts(rows: &[Row]) -> Vec<String> {
+pub fn hc_verdicts(rows: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
     // E10-4: every runtime serves hundreds of concurrent clients.
-    let enough = rows.iter().all(|r| r.clients >= 200);
-    let all_commit = rows.iter().all(|r| r.committed > 0);
+    let enough = rows.iter().all(|c| c.x >= 200.0);
+    let all_commit = rows.iter().all(|c| c.m.committed > 0);
     out.push(verdict(
         enough && all_commit,
         format!(
             "E10-4: every runtime commits at >=200 concurrent clients ({} clients)",
-            rows.first().map(|r| r.clients).unwrap_or(0)
+            rows.first().map_or("0", |c| &c.axis)
         ),
     ));
     // E10-5: multiplexing collapses the connection count — the mux
@@ -199,7 +138,7 @@ pub fn hc_verdicts(rows: &[Row]) -> Vec<String> {
     let mux = rows.iter().find(|r| r.wire == Wire::EventMux);
     let pooled = rows.iter().find(|r| r.wire == Wire::EventPooled);
     let collapsed = match (mux, pooled) {
-        (Some(m), Some(p)) => m.connections <= spec().sites as u64 && m.connections < p.connections,
+        (Some(m), Some(p)) => m.connections <= SITES && m.connections < p.connections,
         _ => false,
     };
     out.push(verdict(
@@ -215,11 +154,11 @@ pub fn hc_verdicts(rows: &[Row]) -> Vec<String> {
 }
 
 /// The shape checks for this experiment.
-pub fn verdicts(rows: &[Row]) -> Vec<String> {
+pub fn verdicts(rows: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
     // E10-1: every cell commits — all three protocols complete the
     // workload over real sockets at every client count.
-    let all_commit = rows.iter().all(|r| r.committed > 0);
+    let all_commit = rows.iter().all(|c| c.m.committed > 0);
     out.push(verdict(
         all_commit,
         format!(
@@ -232,10 +171,14 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
     let mut pairs = 0;
     let mut costly = 0;
     for r in rows.iter().filter(|r| r.wire == TCP) {
-        let twin = rows.iter().find(|q| {
-            q.wire == Wire::InProcess && q.protocol == r.protocol && q.clients == r.clients
-        });
-        if let (Some(tcp), Some(inp)) = (r.p50_ms, twin.and_then(|q| q.p50_ms)) {
+        let twin = rows
+            .iter()
+            .find(|q| q.wire == Wire::InProcess && q.regime == r.regime && q.x == r.x);
+        let p50s = (
+            r.m.latency_p50_ms(),
+            twin.and_then(|q| q.m.latency_p50_ms()),
+        );
+        if let (Some(tcp), Some(inp)) = p50s {
             pairs += 1;
             if tcp >= inp {
                 costly += 1;
@@ -253,25 +196,19 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
     // E10-3: message complexity shows on the wire — at every client
     // count, 2PC's extra voting round costs it at least commit-before's
     // TCP p50 (E4's message ordering, re-observed as socket round trips).
-    let p50 = |protocol: ProtocolKind, clients: usize| {
+    let p50 = |regime: Regime, clients: &str| {
         rows.iter()
-            .find(|r| r.wire == TCP && r.protocol == protocol && r.clients == clients)
-            .and_then(|r| r.p50_ms)
+            .find(|r| r.wire == TCP && r.regime == regime && r.axis == clients)
+            .and_then(|r| r.m.latency_p50_ms())
     };
-    let mut counts: Vec<usize> = rows
+    let two_pc_cells = rows
         .iter()
-        .filter(|r| r.wire == TCP)
-        .map(|r| r.clients)
-        .collect();
-    counts.sort_unstable();
-    counts.dedup();
+        .filter(|r| r.wire == TCP && r.regime == Regime::Classic2pc);
+    let counts: Vec<&str> = two_pc_cells.map(|r| r.axis.as_str()).collect();
     let mut ordered = !counts.is_empty();
     let mut shown = Vec::new();
-    for &c in &counts {
-        match (
-            p50(ProtocolKind::TwoPhaseCommit, c),
-            p50(ProtocolKind::CommitBefore, c),
-        ) {
+    for c in counts {
+        match (p50(Regime::Classic2pc, c), p50(Regime::CommitBefore, c)) {
             (Some(two_pc), Some(cb)) => {
                 if two_pc < cb {
                     ordered = false;
@@ -289,4 +226,24 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         ),
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_wire_sweep_is_protocol_major_and_only_tcp_cells_hold_connections() {
+        let rows = run(16, &[1, 2]);
+        assert_eq!(rows.len(), Regime::PROTOCOLS.len() * WIRES.len() * 2);
+        let order: Vec<_> = rows.iter().map(|c| (c.regime, c.wire, c.x)).collect();
+        assert_eq!(order[0], (Regime::Classic2pc, Wire::InProcess, 1.0));
+        assert_eq!(order[3], (Regime::Classic2pc, TCP, 2.0));
+        assert_eq!(order[4].0, Regime::CommitAfter);
+        for cell in &rows {
+            assert_eq!(cell.m.committed, 16, "{:?}", cell.regime);
+            assert_eq!(cell.connections > 0, cell.wire == TCP);
+        }
+        assert!(verdicts(&rows)[0].starts_with("[PASS] E10-1"));
+    }
 }

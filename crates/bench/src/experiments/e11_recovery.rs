@@ -131,7 +131,6 @@ fn run_fsync_cell(linger_us: u64, clients: usize, txns: usize) -> FsyncRow {
     let path = dir.join("e11.wal");
     let cfg = TplConfig {
         group_commit: GroupCommitConfig {
-            max_batch: 64,
             max_wait: Duration::from_micros(linger_us),
             force_latency: Duration::ZERO,
         },

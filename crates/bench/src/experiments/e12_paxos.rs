@@ -23,13 +23,14 @@
 //!   constant-factor message overhead and a latency cost that buys the
 //!   non-blocking property measured above.
 
-use crate::setup::load;
-use crate::table::{opt2, section, verdict, TextTable};
+use crate::setup::{load, Cell, ProgramBatch};
+use crate::table::{cells, opt2, section, verdict, Col, TextTable};
 use amc_core::{Federation, FederationConfig, TxnOutcome};
 use amc_types::{Operation, ProtocolKind, SiteId};
 use amc_workload::object;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SITES: u32 = 5; // sites 1..=3 host the acceptors; 4 and 5 trade
@@ -57,7 +58,7 @@ fn loaded(paxos: Option<(&std::path::Path, Option<Duration>)>) -> Federation {
     fed
 }
 
-/// Transfer over object pair `i`: site 4 pays site 5.
+/// Transfer over object pair `i % OBJECTS`: site 4 pays site 5.
 fn transfer(i: u64) -> BTreeMap<SiteId, Vec<Operation>> {
     let pair = i % OBJECTS;
     amc_workload::transfer(
@@ -126,113 +127,70 @@ fn run_window_cell(outage_ms: u64, classic: bool) -> f64 {
 
 // --- part B: messages + latency at f = 1 -----------------------------------
 
-/// One measured protocol lane.
-#[derive(Debug, Clone)]
-pub struct CostRow {
-    /// "2pc" or "paxos-commit(3)".
-    pub mode: &'static str,
-    /// Committed transactions (all must commit).
-    pub committed: u64,
-    /// Protocol messages per transaction (registration, vote
-    /// replication, and decision distribution included).
-    pub msgs_per_txn: f64,
-    /// Median commit latency, µs.
-    pub p50_us: f64,
-    /// p99 commit latency, µs.
-    pub p99_us: f64,
+/// Transfers `0..txns`, each meant to commit. Consecutive transfers use
+/// different object pairs, so the `OBJECTS` or fewer in flight at once
+/// never conflict.
+fn transfers(txns: u64) -> ProgramBatch {
+    (0..txns).map(|i| (transfer(i), false)).collect()
 }
 
-fn run_cost_cell(mode: &'static str, paxos: bool, txns: u64) -> CostRow {
+const COST_COLS: [Col; 5] = [
+    Col::fact("mode"),
+    Col::COMMITS.named("committed"),
+    // Registration, vote replication and decision distribution included.
+    Col::MSG_PER_TXN.named("msgs/txn"),
+    Col::P50_US,
+    Col::P99_US,
+];
+
+/// One protocol lane — "2pc" or "paxos-commit(3)" — from one client.
+fn run_cost_cell(mode: &'static str, paxos: bool, txns: u64) -> Cell {
     let dir = scratch_dir(&format!("cost-{mode}"));
-    let fed = loaded(paxos.then_some((dir.as_path(), None)));
-    let mut committed = 0u64;
-    let mut messages = 0u64;
-    let mut lat_us: Vec<f64> = Vec::with_capacity(txns as usize);
-    for i in 0..txns {
-        let t0 = Instant::now();
-        let report = fed.run_transaction(&transfer(i)).expect("transfer");
-        lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        assert_eq!(report.outcome, TxnOutcome::Committed);
-        committed += 1;
-        messages += report.messages;
-    }
+    let fed = Arc::new(loaded(paxos.then_some((dir.as_path(), None))));
+    let m = fed.run_concurrent(transfers(txns), 1);
     let _ = std::fs::remove_dir_all(&dir);
-    lat_us.sort_by(|a, b| a.total_cmp(b));
-    let pick = |q: f64| lat_us[((lat_us.len() - 1) as f64 * q) as usize];
-    CostRow {
-        mode,
-        committed,
-        msgs_per_txn: messages as f64 / committed as f64,
-        p50_us: pick(0.50),
-        p99_us: pick(0.99),
-    }
+    Cell::of(mode.to_string(), 0.0, txns as usize, m)
 }
 
 // --- part C: group-commit linger on the acceptor log -----------------------
 
-/// One measured acceptor-sync discipline under concurrent load.
-#[derive(Debug, Clone)]
-pub struct LingerRow {
-    /// "fsync-per-append" or "group-commit <µs>".
-    pub label: String,
-    /// Committed transactions (all must commit).
-    pub committed: u64,
-    /// Aggregate throughput, txn/s.
-    pub txn_per_s: f64,
-    /// Median commit latency, µs.
-    pub p50_us: f64,
-    /// p99 commit latency, µs.
-    pub p99_us: f64,
-    /// Durability-critical frames appended across all acceptor logs.
-    pub appends: u64,
-    /// fsyncs actually paid for them (== `appends` without a linger).
-    pub fsyncs: u64,
+const LINGER_COLS: [Col; 8] = [
+    Col::fact("acceptor sync"),
+    Col::COMMITS.named("committed"),
+    Col::TXN_S,
+    Col::P50_US,
+    Col::P99_US,
+    Col::fact("appends"),
+    Col::fact("fsyncs"),
+    Col::fact("appends/fsync"),
+];
+
+/// One measured acceptor-sync discipline under concurrent load: the cell
+/// ("fsync-per-append" or "group-commit <µs>"), the durability-critical
+/// frames appended across all acceptor logs, and the fsyncs actually paid
+/// for them (== appends without a linger).
+pub type LingerCell = (Cell, u64, u64);
+
+/// Appends amortised per fsync — the group-commit batching factor.
+fn batching((_, appends, fsyncs): &LingerCell) -> f64 {
+    *appends as f64 / (*fsyncs as f64).max(1.0)
 }
 
-impl LingerRow {
-    /// Appends amortised per fsync — the group-commit batching factor.
-    pub fn batching(&self) -> f64 {
-        self.appends as f64 / (self.fsyncs as f64).max(1.0)
-    }
-}
-
-/// Drive `threads` disjoint transfer streams through one Paxos Commit
-/// federation and measure commit latency under the given acceptor sync
-/// discipline. Every acceptor append is durability-critical; without a
-/// linger each one pays its own fsync, serialised under the acceptor
-/// lock — exactly the collapse group commit exists to amortise.
-fn run_linger_cell(linger: Option<Duration>, txns_per_thread: u64, threads: usize) -> LingerRow {
+/// Drive `txns` disjoint transfers through one Paxos Commit federation
+/// from `clients` closed-loop clients and measure commit latency under
+/// the given acceptor sync discipline. Every acceptor append is
+/// durability-critical; without a linger each one pays its own fsync,
+/// serialised under the acceptor lock — exactly the collapse group commit
+/// exists to amortise. Disjoint objects: pure fsync pressure, no lock
+/// conflicts.
+fn run_linger_cell(linger: Option<Duration>, txns: u64, clients: usize) -> LingerCell {
     let label = match linger {
         None => "fsync-per-append".to_string(),
         Some(d) => format!("group-commit {}µs", d.as_micros()),
     };
     let dir = scratch_dir(&format!("linger-{}", linger.map_or(0, |d| d.as_micros())));
-    let fed = &loaded(Some((&dir, linger)));
-    let t0 = Instant::now();
-    let per_thread: Vec<Vec<f64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    // Disjoint object slices per thread: pure fsync
-                    // pressure, no lock conflicts.
-                    let span = OBJECTS / threads as u64;
-                    let base = t as u64 * span;
-                    let mut lat = Vec::with_capacity(txns_per_thread as usize);
-                    for i in 0..txns_per_thread {
-                        let tx0 = Instant::now();
-                        let report = fed
-                            .run_transaction(&transfer(base + i % span.max(1)))
-                            .expect("transfer");
-                        assert_eq!(report.outcome, TxnOutcome::Committed);
-                        lat.push(tx0.elapsed().as_secs_f64() * 1e6);
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = t0.elapsed().as_secs_f64();
+    let fed = Arc::new(loaded(Some((&dir, linger))));
+    let m = fed.run_concurrent(transfers(txns), clients);
     // Read the durability counters before the federation is dropped:
     // frames appended across every acceptor log, and how many fsyncs
     // actually covered them (sync-per-record pays one per frame).
@@ -252,75 +210,52 @@ fn run_linger_cell(linger: Option<Duration>, txns_per_thread: u64, threads: usiz
         appends
     };
     let _ = std::fs::remove_dir_all(&dir);
-    let mut lat_us: Vec<f64> = per_thread.into_iter().flatten().collect();
-    lat_us.sort_by(|a, b| a.total_cmp(b));
-    let pick = |q: f64| lat_us[((lat_us.len() - 1) as f64 * q) as usize];
-    LingerRow {
-        label,
-        committed: lat_us.len() as u64,
-        txn_per_s: lat_us.len() as f64 / wall.max(1e-9),
-        p50_us: pick(0.50),
-        p99_us: pick(0.99),
-        appends,
-        fsyncs,
-    }
+    (Cell::of(label, 0.0, txns as usize, m), appends, fsyncs)
 }
 
 /// Run part C: the same concurrent workload with and without the
 /// acceptor group-commit linger.
-pub fn run_linger(txns_per_thread: u64, threads: usize) -> Vec<LingerRow> {
+pub fn run_linger(txns: u64, clients: usize) -> Vec<LingerCell> {
     vec![
-        run_linger_cell(None, txns_per_thread, threads),
-        run_linger_cell(Some(Duration::from_micros(200)), txns_per_thread, threads),
+        run_linger_cell(None, txns, clients),
+        run_linger_cell(Some(Duration::from_micros(200)), txns, clients),
     ]
 }
 
 /// Render part C.
-pub fn linger_table(rows: &[LingerRow]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn linger_table(rows: &[LingerCell]) -> TextTable {
+    let facts = |row: &LingerCell| {
+        let (cell, appends, fsyncs) = row;
+        let batching = format!("{:.1}", batching(row));
+        vec![
+            cell.axis.clone(),
+            appends.to_string(),
+            fsyncs.to_string(),
+            batching,
+        ]
+    };
+    cells(
         "E12c — acceptor group commit under concurrency (paxos-commit(3), 8 disjoint streams)",
-        &[
-            "acceptor sync",
-            "committed",
-            "txn/s",
-            "p50 µs",
-            "p99 µs",
-            "appends",
-            "fsyncs",
-            "appends/fsync",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.label.clone(),
-            r.committed.to_string(),
-            format!("{:.0}", r.txn_per_s),
-            format!("{:.0}", r.p50_us),
-            format!("{:.0}", r.p99_us),
-            r.appends.to_string(),
-            r.fsyncs.to_string(),
-            format!("{:.1}", r.batching()),
-        ]);
-    }
-    t
+        &LINGER_COLS,
+        rows.iter().map(|row| (facts(row), &row.0.m)),
+    )
 }
 
 /// The shape check for part C.
-pub fn linger_verdicts(rows: &[LingerRow]) -> Vec<String> {
-    let base = rows.iter().find(|r| r.label.starts_with("fsync"));
-    let grouped = rows.iter().find(|r| r.label.starts_with("group"));
+pub fn linger_verdicts(rows: &[LingerCell]) -> Vec<String> {
+    let base = rows.iter().find(|r| r.0.axis.starts_with("fsync"));
+    let grouped = rows.iter().find(|r| r.0.axis.starts_with("group"));
     // The durability arithmetic, not the wall clock: the linger must
     // make concurrent appends share fsyncs (≥ 2× batching) without
     // losing a commit. Throughput is reported but not gated on — on a
     // fast medium the fsync is cheap enough that the wall-clock delta
     // drowns in scheduler noise.
-    let amortised = matches!(
-        (base, grouped),
-        (Some(b), Some(g))
-            if g.committed == b.committed
-                && g.fsyncs < g.appends
-                && g.batching() >= 2.0
-    );
+    let amortised = match (base, grouped) {
+        (Some((b, ..)), Some(g @ (cell, appends, fsyncs))) => {
+            cell.m.committed == b.m.committed && fsyncs < appends && batching(g) >= 2.0
+        }
+        _ => false,
+    };
     vec![verdict(
         amortised,
         "E12-4: group commit amortises the acceptor durability point — concurrent \
@@ -329,7 +264,7 @@ pub fn linger_verdicts(rows: &[LingerRow]) -> Vec<String> {
 }
 
 /// Run both sweeps.
-pub fn run(outages_ms: &[u64], cost_txns: u64) -> (Vec<WindowRow>, Vec<CostRow>) {
+pub fn run(outages_ms: &[u64], cost_txns: u64) -> (Vec<WindowRow>, Vec<Cell>) {
     let windows = outages_ms
         .iter()
         .map(|&d| {
@@ -373,25 +308,16 @@ pub fn window_table(rows: &[WindowRow]) -> TextTable {
 }
 
 /// Render part B.
-pub fn cost_table(rows: &[CostRow]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn cost_table(rows: &[Cell]) -> TextTable {
+    cells(
         "E12b — replication cost at f = 1 (5 sites, acceptors co-located on 1-3)",
-        &["mode", "committed", "msgs/txn", "p50 µs", "p99 µs"],
-    );
-    for r in rows {
-        t.row(vec![
-            r.mode.to_string(),
-            r.committed.to_string(),
-            format!("{:.1}", r.msgs_per_txn),
-            format!("{:.0}", r.p50_us),
-            format!("{:.0}", r.p99_us),
-        ]);
-    }
-    t
+        &COST_COLS,
+        rows.iter().map(|c| (vec![c.axis.clone()], &c.m)),
+    )
 }
 
 /// The shape checks for this experiment.
-pub fn verdicts(windows: &[WindowRow], costs: &[CostRow]) -> Vec<String> {
+pub fn verdicts(windows: &[WindowRow], costs: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
     // E12-1: the classic window is the outage — it contains the full
     // restart delay in every row.
@@ -422,14 +348,14 @@ pub fn verdicts(windows: &[WindowRow], costs: &[CostRow]) -> Vec<String> {
     // E12-3: replication costs a bounded constant factor — everything
     // still commits, and messages/txn grow by at most 6x (registration +
     // vote replication + decision notes across 3 acceptors).
-    let classic = costs.iter().find(|r| r.mode == "2pc");
-    let paxos = costs.iter().find(|r| r.mode != "2pc");
+    let classic = costs.iter().find(|c| c.axis == "2pc");
+    let paxos = costs.iter().find(|c| c.axis != "2pc");
     let bounded = matches!(
         (classic, paxos),
         (Some(c), Some(p))
-            if c.committed > 0
-                && p.committed == c.committed
-                && p.msgs_per_txn <= 6.0 * c.msgs_per_txn
+            if c.m.committed > 0
+                && p.m.committed == c.m.committed
+                && p.m.messages <= 6 * c.m.messages
     );
     out.push(verdict(
         bounded,
@@ -442,9 +368,36 @@ pub fn verdicts(windows: &[WindowRow], costs: &[CostRow]) -> Vec<String> {
 pub fn report(quick: bool) -> String {
     let outages: &[u64] = if quick { &[25, 200] } else { &[25, 100, 400] };
     let (windows, costs) = run(outages, if quick { 60 } else { 200 });
-    let linger = run_linger(if quick { 25 } else { 60 }, 8);
+    let linger = run_linger(if quick { 200 } else { 480 }, 8);
     section(
         &[window_table(&windows), cost_table(&costs)],
         &verdicts(&windows, &costs),
     ) + &section(&[linger_table(&linger)], &linger_verdicts(&linger))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// E12-3 and E12-4 are count verdicts; so are the exact message
+    /// counts behind them.
+    #[test]
+    fn replication_triples_the_messages_and_the_linger_shares_fsyncs() {
+        let costs = [
+            run_cost_cell("2pc", false, 16),
+            run_cost_cell("paxos-commit(3)", true, 16),
+        ];
+        assert_eq!(costs[0].m.messages_per_commit(), Some(12.0));
+        assert_eq!(costs[1].m.messages_per_commit(), Some(36.0));
+        assert!(costs
+            .iter()
+            .all(|c| c.m.committed == 16 && c.m.latency_us.n() == 16));
+        assert!(verdicts(&[], &costs)[2].starts_with("[PASS] E12-3"));
+
+        let linger = run_linger(64, 8);
+        let (plain, appends, fsyncs) = &linger[0];
+        assert_eq!(plain.m.committed, 64);
+        assert_eq!(appends, fsyncs, "without a linger every append is an fsync");
+        assert!(linger_verdicts(&linger)[0].starts_with("[PASS] E12-4"));
+    }
 }

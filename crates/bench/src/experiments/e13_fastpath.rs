@@ -18,8 +18,10 @@
 //!   solo dispatch and its reply are the only messages (2/txn, against
 //!   classic 2PC's 6).
 
-use crate::setup::{sizes, wire_config, ProgramBatch, Regime, Testbed, Wire, WIRES};
-use crate::table::{opt2, section, verdict, TextTable};
+use crate::setup::{
+    offer, sizes, sweep, wire_config, Cell, Point, ProgramBatch, Regime, Wire, WIRES,
+};
+use crate::table::{cells, opt2, section, verdict, Col, TextTable};
 use amc_types::SiteId;
 use amc_workload::{object, transfer};
 
@@ -29,24 +31,15 @@ const SITES: u32 = 2;
 /// portable baselines — [`Regime`] without its L1 ablation.
 pub const LAYERS: &[Regime] = Regime::ALL.split_at(4).0;
 
-/// One measured point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Percentage of single-site transactions in the mix.
-    pub pct_single: usize,
-    /// Commit layer under test.
-    pub layer: Regime,
-    /// Transport under test.
-    pub wire: Wire,
-    /// Commits achieved.
-    pub committed: u64,
-    /// Protocol messages per committed transaction.
-    pub msgs_per_txn: Option<f64>,
-    /// Median commit latency, ms.
-    pub p50_ms: Option<f64>,
-    /// Tail commit latency, ms.
-    pub p99_ms: Option<f64>,
-}
+const COLS: [Col; 7] = [
+    Col::fact("single %"),
+    Col::fact("layer"),
+    Col::fact("wire"),
+    Col::COMMITS,
+    Col::MSG_PER_TXN,
+    Col::P50_MS,
+    Col::P99_MS,
+];
 
 /// Disjoint sum-neutral programs: transaction *i* touches only its own
 /// objects, so the measured cost is the message path, not lock queueing.
@@ -66,37 +59,22 @@ fn programs(txns: usize, pct_single: usize) -> ProgramBatch {
         .collect()
 }
 
-/// Run one (layer, wire, single-site fraction) cell and return its row.
-/// Engines carry no modelled delays ([`wire_config`]): the fast path's
-/// win is fewer message rounds, so nothing synthetic is added.
-fn run_cell(layer: Regime, wire: Wire, pct_single: usize, txns: usize, clients: usize) -> Row {
-    let bed = Testbed::build(layer.config(SITES, wire_config), wire, 2 * txns as u64);
-    let m = bed.run_concurrent(programs(txns, pct_single), clients);
-    Row {
-        pct_single,
-        layer,
-        wire,
-        committed: m.committed,
-        msgs_per_txn: m.messages_per_commit(),
-        p50_ms: m.latency_p50_ms(),
-        p99_ms: m.latency_p99_ms(),
-    }
-}
-
 /// The sweep points: single-site fraction 0% → 100%.
 pub const SWEEP: [usize; 5] = [0, 25, 50, 75, 100];
 
-/// Run the sweep.
-pub fn run(txns: usize, clients: usize) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for wire in WIRES {
-        for pct in SWEEP {
-            for &layer in LAYERS {
-                rows.push(run_cell(layer, wire, pct, txns, clients));
-            }
-        }
-    }
-    rows
+/// Run the sweep. Engines carry no modelled delays ([`wire_config`]): the
+/// fast path's win is fewer message rounds, so nothing synthetic is added.
+pub fn run(txns: usize, clients: usize) -> Vec<Cell> {
+    let points = SWEEP.map(|pct| Point {
+        axis: pct.to_string(),
+        x: pct as f64,
+        sites: SITES,
+        objects: 2 * txns as u64,
+        seed: 0,
+        programs: programs(txns, pct),
+        clients,
+    });
+    sweep(wire_config, &WIRES, &points, LAYERS, offer)
 }
 
 /// The report section.
@@ -106,37 +84,27 @@ pub fn report(quick: bool) -> String {
 }
 
 /// Render as the report table.
-pub fn table(rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn table(rows: &[Cell]) -> TextTable {
+    let facts = |c: &Cell| [c.labels(), vec![c.wire.label().to_string()]].concat();
+    cells(
         "E13 — fast-path commit layer: vote piggyback + single-site bypass",
-        &[
-            "single %", "layer", "wire", "commits", "msg/txn", "p50 ms", "p99 ms",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.pct_single.to_string(),
-            r.layer.label().to_string(),
-            r.wire.label().to_string(),
-            r.committed.to_string(),
-            opt2(r.msgs_per_txn),
-            opt2(r.p50_ms),
-            opt2(r.p99_ms),
-        ]);
-    }
-    t
+        &COLS,
+        rows.iter().map(|c| (facts(c), &c.m)),
+    )
 }
 
 /// The shape checks for this experiment.
-pub fn verdicts(rows: &[Row]) -> Vec<String> {
+pub fn verdicts(rows: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
-    let cell = |layer: Regime, wire: Wire, pct: usize| {
+    // Messages per committed transaction of one cell.
+    let msgs = |layer: Regime, wire: Wire, pct: usize| {
         rows.iter()
-            .find(|r| r.layer == layer && r.wire == wire && r.pct_single == pct)
+            .find(|c| c.regime == layer && c.wire == wire && c.x == pct as f64)
+            .and_then(|c| c.m.messages_per_commit())
     };
 
     // E13-1: every (layer, wire, fraction) cell commits.
-    let all_commit = rows.iter().all(|r| r.committed > 0);
+    let all_commit = rows.iter().all(|c| c.m.committed > 0);
     out.push(verdict(
         all_commit,
         format!(
@@ -154,8 +122,8 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
     for wire in WIRES {
         for pct in SWEEP {
             let (fast, classic) = (
-                cell(Regime::FastPath, wire, pct).and_then(|r| r.msgs_per_txn),
-                cell(Regime::Classic2pc, wire, pct).and_then(|r| r.msgs_per_txn),
+                msgs(Regime::FastPath, wire, pct),
+                msgs(Regime::Classic2pc, wire, pct),
             );
             if let (Some(f), Some(c)) = (fast, classic) {
                 points += 1;
@@ -175,7 +143,7 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
     // the solo dispatch and its reply are the only messages.
     let mut solo_ok = true;
     for wire in WIRES {
-        match cell(Regime::FastPath, wire, 100).and_then(|r| r.msgs_per_txn) {
+        match msgs(Regime::FastPath, wire, 100) {
             Some(m) if m <= 2.0 + 1e-9 => {}
             _ => solo_ok = false,
         }
@@ -184,8 +152,8 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
         solo_ok,
         format!(
             "E13-3: 100% single-site commits at 2 msgs/txn — no global round ({} / {})",
-            opt2(cell(Regime::FastPath, Wire::InProcess, 100).and_then(|r| r.msgs_per_txn)),
-            opt2(cell(Regime::FastPath, Wire::ThreadedPooled, 100).and_then(|r| r.msgs_per_txn))
+            opt2(msgs(Regime::FastPath, Wire::InProcess, 100)),
+            opt2(msgs(Regime::FastPath, Wire::ThreadedPooled, 100))
         ),
     ));
     out
@@ -207,8 +175,8 @@ mod tests {
         // single-site mix costs 2 against 6.
         let cell = |layer: Regime, pct: usize| {
             rows.iter()
-                .find(|r| r.layer == layer && r.wire == Wire::InProcess && r.pct_single == pct)
-                .and_then(|r| r.msgs_per_txn)
+                .find(|c| c.regime == layer && c.wire == Wire::InProcess && c.x == pct as f64)
+                .and_then(|c| c.m.messages_per_commit())
                 .unwrap()
         };
         assert_eq!(cell(Regime::FastPath, 0), 8.0);

@@ -25,8 +25,8 @@
 //!   coordinator with a transaction id in that coordinator's disjoint
 //!   id range.
 
-use crate::setup::load;
-use crate::table::{f2, section, verdict, TextTable};
+use crate::setup::{load, Cell, ProgramBatch};
+use crate::table::{cells, opt2, section, verdict, Col, TextTable};
 use amc_core::{closed_loop, coord_slot_of, Program, TxnOutcome};
 use amc_rpc::{CoordClient, CoordInfo, CoordServer, RetryPolicy};
 use amc_shard::{ShardRouter, SiteChange};
@@ -34,7 +34,7 @@ use amc_types::{ProtocolKind, SiteId};
 use amc_workload::object;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Fleet size for every lane.
 const SITES: u32 = 3;
@@ -53,29 +53,21 @@ fn transfer(i: u64, idx: u64) -> Program {
     amc_workload::transfer(object(site(i), idx), object(site(i + 1), idx), 1)
 }
 
-/// One weak-scaling point.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    /// Coordinator count.
-    pub coordinators: u32,
-    /// Total client threads (coordinators × fixed population).
-    pub clients: usize,
-    /// Transactions offered (and expected to commit).
-    pub offered: u64,
-    /// Transactions committed.
-    pub committed: u64,
-    /// Aggregate committed transactions per second.
-    pub txn_per_s: f64,
-    /// Throughput relative to the 1-coordinator row.
-    pub speedup: f64,
-}
+const SCALE_COLS: [Col; 6] = [
+    Col::fact("coordinators"),
+    Col::fact("clients"),
+    Col::fact("offered"),
+    Col::COMMITS.named("committed"),
+    Col::TXN_S,
+    Col::fact("speedup"),
+];
 
-/// Weak scaling over `n_values` coordinator counts: every coordinator
-/// gets its own `txns_per_coord` transactions (owner-affine by the shard
-/// map's hash rule) and its own fixed client population.
-pub fn run_scaling(txns_per_coord: usize, n_values: &[u32]) -> Vec<ScaleRow> {
-    let mut rows: Vec<ScaleRow> = Vec::new();
-    for &n in n_values {
+/// Weak scaling over `n_values` coordinator counts, one cell each (its
+/// coordinate is the count): every coordinator gets its own
+/// `txns_per_coord` transactions (owner-affine by the shard map's hash
+/// rule) and `CLIENTS_PER_COORD` clients' worth of the one closed loop.
+pub fn run_scaling(txns_per_coord: usize, n_values: &[u32]) -> Vec<Cell> {
+    let cell = |&n: &u32| {
         let router = Arc::new(
             ShardRouter::in_process(n, SITES, ProtocolKind::TwoPhaseCommit, SCALE_DELAY)
                 .expect("build router"),
@@ -84,12 +76,12 @@ pub fn run_scaling(txns_per_coord: usize, n_values: &[u32]) -> Vec<ScaleRow> {
         // quota; ownership is the map's hash of the minimum key, so the
         // draw is rejection sampling with a generous id budget.
         let budget = (txns_per_coord * n as usize * 8) as u64;
-        let mut queues: Vec<Vec<(Program, bool)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut queues: Vec<Vec<Program>> = (0..n).map(|_| Vec::new()).collect();
         for idx in 0..budget {
             let p = transfer(idx, idx);
             let queue = &mut queues[router.owner_of(&p) as usize];
             if queue.len() < txns_per_coord {
-                queue.push((p, false));
+                queue.push(p);
             }
         }
         assert!(
@@ -98,32 +90,22 @@ pub fn run_scaling(txns_per_coord: usize, n_values: &[u32]) -> Vec<ScaleRow> {
         );
         load(router.coordinator(0), budget);
 
-        // One closed loop per coordinator, side by side: each queue is
-        // drained by its own fixed client population.
-        let started = Instant::now();
-        let committed: u64 = std::thread::scope(|s| {
-            let loops: Vec<_> = queues
-                .into_iter()
-                .map(|q| s.spawn(|| closed_loop(q, CLIENTS_PER_COORD, |p| router.run(p))))
-                .collect();
-            loops
-                .into_iter()
-                .map(|l| l.join().expect("client loop").committed)
-                .sum()
-        });
-        let elapsed = started.elapsed();
-        let txn_per_s = committed as f64 / elapsed.as_secs_f64();
-        let base = rows.first().map_or(txn_per_s, |r: &ScaleRow| r.txn_per_s);
-        rows.push(ScaleRow {
-            coordinators: n,
-            clients: n as usize * CLIENTS_PER_COORD,
-            offered: (txns_per_coord * n as usize) as u64,
-            committed,
-            txn_per_s,
-            speedup: txn_per_s / base,
-        });
-    }
-    rows
+        // Round-robin over the owners: whichever programs are in flight
+        // at once, they are spread evenly over the coordinators.
+        let offered: ProgramBatch = (0..txns_per_coord)
+            .flat_map(|i| queues.iter().map(move |q| (q[i].clone(), false)))
+            .collect();
+        let (clients, txns) = (n as usize * CLIENTS_PER_COORD, offered.len());
+        let m = closed_loop(offered, clients, |p| router.run(p));
+        Cell::of(n.to_string(), f64::from(n), txns, m)
+    };
+    n_values.iter().map(cell).collect()
+}
+
+/// Transactions per second of the cell at `n` coordinators.
+fn txn_s_at(rows: &[Cell], n: u32) -> Option<f64> {
+    let at = rows.iter().find(|c| c.x == f64::from(n))?;
+    at.m.throughput()
 }
 
 /// Outcome of the reconfiguration-under-chaos lane.
@@ -251,44 +233,46 @@ pub fn run_reconfig(min_txns: u64) -> ReconfigRow {
     }
 }
 
-/// Outcome of the coordinator-RPC-over-TCP lane.
-#[derive(Debug, Clone)]
-pub struct TcpRow {
-    /// Coordinator count (each behind its own TCP listener).
-    pub coordinators: u32,
-    /// Client threads.
-    pub clients: usize,
-    /// Transactions offered.
-    pub offered: u64,
-    /// Transactions committed.
-    pub committed: u64,
-    /// Aggregate committed transactions per second.
-    pub txn_per_s: f64,
-    /// Transactions whose id came back in the owning coordinator's
-    /// disjoint id range (must equal `offered`).
-    pub slot_matched: u64,
-    /// Coordinator slots that committed at least one transaction.
-    pub busy_coordinators: usize,
-}
+const TCP_COORDS: u32 = 2;
+
+const TCP_COLS: [Col; 7] = [
+    Col::fact("coordinators"),
+    Col::fact("clients"),
+    Col::fact("offered"),
+    Col::COMMITS.named("committed"),
+    Col::TXN_S,
+    Col::fact("slot-matched"),
+    Col::fact("busy coords"),
+];
+
+/// Outcome of the coordinator-RPC-over-TCP lane: the cell (its coordinate
+/// is the client count), the transactions whose id came back in
+/// the owning coordinator's disjoint id range (must equal the offered
+/// count), and the coordinator slots that committed at least one.
+pub type TcpCell = (Cell, u64, usize);
 
 /// Drive a 2-coordinator sharded fleet through coordinator frames on
 /// loopback TCP.
-pub fn run_tcp(txns: usize, clients: usize) -> TcpRow {
-    const COORDS: u32 = 2;
+pub fn run_tcp(txns: usize, clients: usize) -> TcpCell {
     let router = Arc::new(
-        ShardRouter::in_process(COORDS, SITES, ProtocolKind::TwoPhaseCommit, Duration::ZERO)
-            .expect("build router"),
+        ShardRouter::in_process(
+            TCP_COORDS,
+            SITES,
+            ProtocolKind::TwoPhaseCommit,
+            Duration::ZERO,
+        )
+        .expect("build router"),
     );
     load(router.coordinator(0), txns as u64);
     let sites = router.map().sites();
     let mut servers = Vec::new();
     let mut tcp_clients = Vec::new();
-    for k in 0..COORDS {
+    for k in 0..TCP_COORDS {
         let srv = CoordServer::spawn(
             Arc::clone(router.coordinator(k)),
             CoordInfo {
                 slot: k,
-                coordinators: COORDS,
+                coordinators: TCP_COORDS,
                 epoch: router.epoch(),
                 sites: sites.clone(),
             },
@@ -301,7 +285,7 @@ pub fn run_tcp(txns: usize, clients: usize) -> TcpRow {
 
     let programs = (0..txns as u64).map(|i| (transfer(i, i), false)).collect();
     let slot_matched = AtomicU64::new(0);
-    let per_coord: Vec<AtomicU64> = (0..COORDS).map(|_| AtomicU64::new(0)).collect();
+    let per_coord: Vec<AtomicU64> = (0..TCP_COORDS).map(|_| AtomicU64::new(0)).collect();
     let metrics = closed_loop(programs, clients, |p| {
         let owner = router.owner_of(p);
         let report = tcp_clients[owner as usize].exec(p.clone())?;
@@ -316,45 +300,33 @@ pub fn run_tcp(txns: usize, clients: usize) -> TcpRow {
     for srv in servers {
         srv.shutdown();
     }
-    TcpRow {
-        coordinators: COORDS,
-        clients,
-        offered: txns as u64,
-        committed: metrics.committed,
-        txn_per_s: metrics.throughput().unwrap_or(0.0),
-        slot_matched: slot_matched.into_inner(),
-        busy_coordinators: per_coord
-            .iter()
-            .filter(|c| c.load(Ordering::Relaxed) > 0)
-            .count(),
-    }
+    let busy = per_coord.iter().filter(|c| c.load(Ordering::Relaxed) > 0);
+    (
+        Cell::of(clients.to_string(), clients as f64, txns, metrics),
+        slot_matched.into_inner(),
+        busy.count(),
+    )
 }
 
 /// Render the weak-scaling lane.
-pub fn scaling_table(rows: &[ScaleRow]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn scaling_table(rows: &[Cell]) -> TextTable {
+    let base = txn_s_at(rows, 1);
+    let facts = |c: &Cell| {
+        let n = c.x as usize;
+        let speedup = c.m.throughput().zip(base).map(|(t, b)| t / b);
+        vec![
+            c.axis.clone(),
+            (n * CLIENTS_PER_COORD).to_string(),
+            c.offered.to_string(),
+            opt2(speedup),
+        ]
+    };
+    cells(
         "E14a — coordinator scale-out, weak scaling (2PC, 3 shared sites, \
          2 clients/coordinator, 300µs legs)",
-        &[
-            "coordinators",
-            "clients",
-            "offered",
-            "committed",
-            "txn/s",
-            "speedup",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.coordinators.to_string(),
-            r.clients.to_string(),
-            r.offered.to_string(),
-            r.committed.to_string(),
-            format!("{:.1}", r.txn_per_s),
-            f2(r.speedup),
-        ]);
-    }
-    t
+        &SCALE_COLS,
+        rows.iter().map(|c| (facts(c), &c.m)),
+    )
 }
 
 /// Render the reconfiguration-under-chaos lane.
@@ -389,38 +361,28 @@ pub fn reconfig_table(r: &ReconfigRow) -> TextTable {
 }
 
 /// Render the TCP lane.
-pub fn tcp_table(r: &TcpRow) -> TextTable {
-    let mut t = TextTable::new(
+pub fn tcp_table((cell, slot_matched, busy): &TcpCell) -> TextTable {
+    let facts = vec![
+        TCP_COORDS.to_string(),
+        cell.axis.clone(),
+        cell.offered.to_string(),
+        slot_matched.to_string(),
+        busy.to_string(),
+    ];
+    cells(
         "E14c — coordinator RPC over loopback TCP (frames 5/6, clients route by the shard map)",
-        &[
-            "coordinators",
-            "clients",
-            "offered",
-            "committed",
-            "txn/s",
-            "slot-matched",
-            "busy coords",
-        ],
-    );
-    t.row(vec![
-        r.coordinators.to_string(),
-        r.clients.to_string(),
-        r.offered.to_string(),
-        r.committed.to_string(),
-        format!("{:.1}", r.txn_per_s),
-        r.slot_matched.to_string(),
-        r.busy_coordinators.to_string(),
-    ]);
-    t
+        &TCP_COLS,
+        [(facts, &cell.m)],
+    )
 }
 
 /// The shape checks for this experiment.
-pub fn verdicts(scale: &[ScaleRow], reconfig: &ReconfigRow, tcp: &TcpRow) -> Vec<String> {
+pub fn verdicts(scale: &[Cell], reconfig: &ReconfigRow, tcp: &TcpCell) -> Vec<String> {
     let mut out = Vec::new();
 
     // E14-1: every scaling cell commits its full offered load (the
     // transfers are disjoint, so nothing should abort).
-    let all_commit = scale.iter().all(|r| r.committed == r.offered);
+    let all_commit = scale.iter().all(|c| c.m.committed as usize == c.offered);
     out.push(verdict(
         all_commit,
         format!(
@@ -431,10 +393,8 @@ pub fn verdicts(scale: &[ScaleRow], reconfig: &ReconfigRow, tcp: &TcpRow) -> Vec
 
     // E14-2: the pinned scale-out claim — aggregate txn/s at 4
     // coordinators is at least 2.5× the single-coordinator figure.
-    let at = |n: u32| scale.iter().find(|r| r.coordinators == n);
-    let (one, four) = (at(1), at(4));
-    let speedup = match (one, four) {
-        (Some(a), Some(b)) if a.txn_per_s > 0.0 => b.txn_per_s / a.txn_per_s,
+    let speedup = match (txn_s_at(scale, 1), txn_s_at(scale, 4)) {
+        (Some(one), Some(four)) if one > 0.0 => four / one,
         _ => 0.0,
     };
     out.push(verdict(
@@ -471,14 +431,13 @@ pub fn verdicts(scale: &[ScaleRow], reconfig: &ReconfigRow, tcp: &TcpRow) -> Vec
     // E14-4: the TCP lane commits everything, every reply's transaction
     // id sits in its owning coordinator's disjoint range, and more than
     // one coordinator did work.
-    let tcp_ok = tcp.committed == tcp.offered
-        && tcp.slot_matched == tcp.offered
-        && tcp.busy_coordinators > 1;
+    let (tcp, slot_matched, busy) = tcp;
+    let (committed, offered) = (tcp.m.committed, tcp.offered as u64);
     out.push(verdict(
-        tcp_ok,
+        committed == offered && *slot_matched == offered && *busy > 1,
         format!(
-            "E14-4: TCP lane commits {}/{} with {}/{} ids slot-matched across {} coordinators",
-            tcp.committed, tcp.offered, tcp.slot_matched, tcp.offered, tcp.busy_coordinators
+            "E14-4: TCP lane commits {committed}/{offered} with {slot_matched}/{offered} ids \
+             slot-matched across {busy} coordinators"
         ),
     ));
     out

@@ -19,118 +19,85 @@
 //!
 //! Every cell also replays the engine's correctness oracles where they
 //! apply: the hot-key lane checks federation-wide counter conservation,
-//! the wire lane checks the escrow bound (no stock counter below zero)
-//! and pins that both wires consumed bit-identical program streams.
+//! the wire lane checks the escrow bound (no stock counter below zero);
+//! both wires are offered the program stream of one sweep point.
 //!
 //! The measured tables land in `bench_report.txt`; OPERATORS.md turns the
 //! per-cell winners into the operator's regime map.
 //!
 //! [`Reserve`]: amc_types::Operation::Reserve
 
-use crate::setup::{batch, mix_batch, tuned_config, wire_config, Regime, Testbed, Wire, WIRES};
-use crate::table::{opt2, opt3, section, verdict, TextTable};
-use amc_core::{Federation, RunMetrics};
+use crate::setup::{
+    offer, sweep, tuned_config, wire_config, BaseConfig, Cell, Point, Regime, Testbed, Wire, WIRES,
+};
+use crate::table::{cells, opt2, section, verdict, Col, TextTable};
 use amc_net::marker::is_marker;
-use amc_workload::{fingerprint, MixGen, MixKind, MixSpec};
+use amc_workload::{MixKind, MixSpec};
 
 const SITES: u32 = 3;
 
-/// One measured cell of any lane. `axis` is the lane's sweep coordinate
-/// (theta, fan-out, abort rate, or wire), formatted by the lane.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Sweep coordinate, pre-formatted (`"θ=0.9"`, `"fanout=2"`, ...).
-    pub axis: String,
-    /// Regime under test.
-    pub regime: Regime,
-    /// Commits achieved.
-    pub committed: u64,
-    /// Committed txns per second.
-    pub txn_s: Option<f64>,
-    /// Commits plus aborts per second (the C3 denominator).
-    pub done_s: Option<f64>,
-    /// Median commit latency, ms.
-    pub p50_ms: Option<f64>,
-    /// Tail commit latency, ms.
-    pub p99_ms: Option<f64>,
-    /// Total abort fraction.
-    pub abort_rate: Option<f64>,
-    /// Intended (transaction-logic) abort fraction.
-    pub intended_rate: Option<f64>,
-    /// Messages per committed transaction.
-    pub msgs_per_txn: Option<f64>,
-    /// Lane-specific oracle (conservation / escrow bound); `true` where
-    /// the oracle does not apply.
-    pub oracle_ok: bool,
+/// One lane's columns, under its name for the sweep coordinate.
+fn cols(axis: &'static str) -> [Col; 10] {
+    [
+        Col::fact(axis),
+        Col::fact("regime"),
+        Col::COMMITS,
+        Col::TXN_S,
+        Col::DONE_S,
+        Col::P50_MS,
+        Col::P99_MS,
+        Col::ABORT_RATE,
+        Col::INTENDED_RATE,
+        Col::MSG_PER_TXN,
+    ]
 }
 
-impl Row {
-    fn new(axis: String, regime: Regime, m: &RunMetrics, oracle_ok: bool) -> Row {
-        Row {
-            axis,
-            regime,
-            committed: m.committed,
-            txn_s: m.throughput(),
-            done_s: m.completions_per_sec(),
-            p50_ms: m.latency_p50_ms(),
-            p99_ms: m.latency_p99_ms(),
-            abort_rate: m.abort_rate(),
-            intended_rate: m.intended_abort_rate(),
-            msgs_per_txn: m.messages_per_commit(),
-            oracle_ok,
-        }
-    }
-}
-
-/// Run one in-process cell: build a tuned testbed for the regime, run the
-/// seeded batch, then replay the lane oracle over the final dump.
-fn run_cell(
-    regime: Regime,
-    kind: MixKind,
-    spec: &MixSpec,
-    seed: u64,
-    axis: String,
-    txns: usize,
-    clients: usize,
-) -> Row {
-    let fed = Testbed::build(
-        regime.config(spec.sites, tuned_config),
-        Wire::InProcess,
-        spec.objects_per_site,
-    );
-    let m = fed.run_concurrent(mix_batch(kind, spec, seed, txns), clients);
-    // Commit-after may still owe redo executions; settle them so the
-    // conservation oracle sees the final state.
-    let _ = fed.resolve_pending();
-    let oracle_ok = !(kind.conserves_sum() && spec.intended_abort_prob == 0.0)
-        || counters(&fed).iter().sum::<i64>() == spec.initial_sum();
-    Row::new(axis, regime, &m, oracle_ok)
-}
-
-/// Every user-object counter in the federation (markers excluded).
-fn counters(fed: &Federation) -> Vec<i64> {
-    let dumps = fed.dumps().expect("dumps");
+/// Every user-object counter behind `bed` (markers excluded).
+fn counters(bed: &Testbed) -> Vec<i64> {
+    let dumps = bed.dumps().expect("dumps");
     let user = dumps.values().flatten().filter(|(o, _)| !is_marker(**o));
     user.map(|(_, v)| v.counter).collect()
 }
 
-/// One in-process lane: every regime at every `(axis, spec)` sweep point
-/// of the seeded `kind` mix.
-fn run_lane(
+/// What one lane holds fixed while it sweeps.
+struct Lane {
+    /// Engine tuning and the wires every cell runs on.
+    base: BaseConfig,
+    wires: &'static [Wire],
+    /// The seeded mix offered.
     kind: MixKind,
     seed: u64,
-    points: impl IntoIterator<Item = (String, MixSpec)>,
-    txns: usize,
-    clients: usize,
-) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (axis, spec) in points {
-        for regime in Regime::ALL {
-            let axis = axis.clone();
-            rows.push(run_cell(regime, kind, &spec, seed, axis, txns, clients));
-        }
+    /// What precedes the sweep coordinate in the axis column.
+    label: &'static str,
+}
+
+impl Lane {
+    /// Every regime at every `(x, spec)` sweep point on every wire,
+    /// `oracle` replayed over each cell's final counters.
+    fn run<const N: usize>(
+        &self,
+        points: [(f64, MixSpec); N],
+        (txns, clients): (usize, usize),
+        oracle: impl Fn(&[i64]) -> bool,
+    ) -> Vec<Cell> {
+        let points = points.map(|(x, spec)| {
+            Point::of_mix(x, self.kind, &spec, self.seed, txns, clients)
+                .labelled(format!("{}{x}", self.label))
+        });
+        sweep(
+            self.base,
+            self.wires,
+            &points,
+            &Regime::ALL,
+            |bed, point| {
+                let (m, _) = offer(bed, point);
+                // Commit-after may still owe redo executions; settle them so
+                // the oracle sees the final state.
+                let _ = bed.resolve_pending();
+                (m, oracle(&counters(bed)))
+            },
+        )
     }
-    rows
 }
 
 /// A lane's spec: `SITES` sites, no intended aborts unless dialled.
@@ -148,10 +115,20 @@ fn spec(objects_per_site: u64, theta: f64, max_fanout: u32) -> MixSpec {
 pub const THETAS: [f64; 4] = [0.0, 0.6, 0.9, 1.2];
 
 /// Lane 1 — contention: hot-key commuting counters over a small hot set
-/// (48 objects/site), theta 0 → 1.2.
-pub fn run_contention(txns: usize, clients: usize) -> Vec<Row> {
-    let points = THETAS.map(|theta| (format!("theta={theta}"), spec(48, theta, 3)));
-    run_lane(MixKind::HotKey, 0xE15A, points, txns, clients)
+/// (48 objects/site), theta 0 → 1.2. The mix conserves the federation-wide
+/// counter sum, and the oracle checks it.
+pub fn run_contention(txns: usize, clients: usize) -> Vec<Cell> {
+    let lane = Lane {
+        base: tuned_config,
+        wires: &[Wire::InProcess],
+        kind: MixKind::HotKey,
+        seed: 0xE15A,
+        label: "theta=",
+    };
+    let sum = spec(48, 0.0, 3).initial_sum();
+    let conserved = |counters: &[i64]| counters.iter().sum::<i64>() == sum;
+    let points = THETAS.map(|theta| (theta, spec(48, theta, 3)));
+    lane.run(points, (txns, clients), conserved)
 }
 
 /// The fan-out sweep points (participating sites per `NewOrder`).
@@ -159,9 +136,16 @@ pub const FANOUTS: [u32; 3] = [1, 2, 3];
 
 /// Lane 2 — fan-out: the TPC-C-style `NewOrder` profile capped at 1, 2,
 /// then 3 participating sites.
-pub fn run_fanout(txns: usize, clients: usize) -> Vec<Row> {
-    let points = FANOUTS.map(|fanout| (format!("fanout<={fanout}"), spec(256, 0.6, fanout)));
-    run_lane(MixKind::TpccLite, 0xE15B, points, txns, clients)
+pub fn run_fanout(txns: usize, clients: usize) -> Vec<Cell> {
+    let lane = Lane {
+        base: tuned_config,
+        wires: &[Wire::InProcess],
+        kind: MixKind::TpccLite,
+        seed: 0xE15B,
+        label: "fanout<=",
+    };
+    let points = FANOUTS.map(|fanout| (f64::from(fanout), spec(256, 0.6, fanout)));
+    lane.run(points, (txns, clients), |_| true)
 }
 
 /// The intended-abort sweep points.
@@ -169,106 +153,54 @@ pub const ABORT_RATES: [f64; 3] = [0.0, 0.2, 0.4];
 
 /// Lane 3 — intended aborts: the generic Zipf mix with the
 /// transaction-logic abort dial at 0%, 20%, 40%.
-pub fn run_aborts(txns: usize, clients: usize) -> Vec<Row> {
+pub fn run_aborts(txns: usize, clients: usize) -> Vec<Cell> {
+    let lane = Lane {
+        base: tuned_config,
+        wires: &[Wire::InProcess],
+        kind: MixKind::Zipf,
+        seed: 0xE15C,
+        label: "abort=",
+    };
     let points = ABORT_RATES.map(|intended_abort_prob| {
         let spec = MixSpec {
             intended_abort_prob,
             ..spec(256, 0.6, 2)
         };
-        (format!("abort={intended_abort_prob}"), spec)
+        (intended_abort_prob, spec)
     });
-    run_lane(MixKind::Zipf, 0xE15C, points, txns, clients)
-}
-
-/// One wire-lane cell: `NewOrder` escrow reserves over a real transport.
-#[derive(Debug, Clone)]
-pub struct WireRow {
-    /// Measurements (axis = wire label).
-    pub row: Row,
-    /// Wire under test.
-    pub wire: Wire,
-    /// Smallest stock counter after the run (escrow bound: must be >= 0).
-    pub min_counter: i64,
-    /// Fingerprint of the program stream this cell consumed.
-    pub stream_fp: u64,
+    lane.run(points, (txns, clients), |_| true)
 }
 
 /// Lane 4 — the wire lane: the `NewOrder` profile (theta 0.9) with its
 /// escrow reserves over in-process dispatch and loopback TCP. Engines run
 /// without modelled delays (as in E10/E13): the wire itself is the cost
-/// under test, and the seeded stream is pinned identical on both.
-pub fn run_wire(txns: usize, clients: usize) -> Vec<WireRow> {
-    let spec = spec(128, 0.9, 3);
-    let mut rows = Vec::new();
-    for wire in WIRES {
-        for regime in Regime::ALL {
-            rows.push(run_wire_cell(regime, wire, &spec, txns, clients));
-        }
+/// under test, and both wires replay the one seeded stream of the lane's
+/// one [`Point`]. The oracle is the escrow bound: a correct `Reserve`
+/// path never drives a stock counter negative. The axis column names the
+/// wire.
+pub fn run_wire(txns: usize, clients: usize) -> Vec<Cell> {
+    let lane = Lane {
+        base: wire_config,
+        wires: &WIRES,
+        kind: MixKind::TpccLite,
+        seed: 0xE15D,
+        label: "theta=",
+    };
+    let bound = |counters: &[i64]| counters.iter().all(|&c| c >= 0);
+    let mut rows = lane.run([(0.9, spec(128, 0.9, 3))], (txns, clients), bound);
+    for cell in &mut rows {
+        cell.axis = cell.wire.label().to_string();
     }
     rows
 }
 
-fn run_wire_cell(
-    regime: Regime,
-    wire: Wire,
-    spec: &MixSpec,
-    txns: usize,
-    clients: usize,
-) -> WireRow {
-    let fed = Testbed::build(
-        regime.config(spec.sites, wire_config),
-        wire,
-        spec.objects_per_site,
-    );
-    // The determinism contract in action: both wires replay the same
-    // seeded stream, and the fingerprint pins it.
-    let programs = MixGen::new(MixKind::TpccLite, spec.clone(), 0xE15D).programs(txns);
-    let stream_fp = fingerprint(&programs);
-    let m = fed.run_concurrent(batch(programs), clients);
-    let _ = fed.resolve_pending();
-    // The escrow bound: a correct `Reserve` path never drives a stock
-    // counter negative.
-    let floor = counters(&fed).into_iter().min().unwrap_or(0);
-    WireRow {
-        row: Row::new(wire.label().to_string(), regime, &m, floor >= 0),
-        wire,
-        min_counter: floor,
-        stream_fp,
-    }
-}
-
 /// Render one lane's table.
-pub fn table(title: &str, axis_header: &str, rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn table(title: &str, axis_header: &'static str, rows: &[Cell]) -> TextTable {
+    cells(
         title,
-        &[
-            axis_header,
-            "regime",
-            "commits",
-            "txn/s",
-            "done/s",
-            "p50 ms",
-            "p99 ms",
-            "abort",
-            "intended",
-            "msg/txn",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.axis.clone(),
-            r.regime.label().to_string(),
-            r.committed.to_string(),
-            opt2(r.txn_s),
-            opt2(r.done_s),
-            opt2(r.p50_ms),
-            opt2(r.p99_ms),
-            opt3(r.abort_rate),
-            opt3(r.intended_rate),
-            opt2(r.msgs_per_txn),
-        ]);
-    }
-    t
+        &cols(axis_header),
+        rows.iter().map(|c| (c.labels(), &c.m)),
+    )
 }
 
 /// The per-cell winners — one line per sweep point naming the regime with
@@ -276,30 +208,26 @@ pub fn table(title: &str, axis_header: &str, rows: &[Row]) -> TextTable {
 /// [`Regime::ALL`] entry). These lines are what OPERATORS.md's regime map
 /// is built from; `done/s` is reported alongside because the C3 lane's
 /// interesting quantity is completions, not just commits.
-pub fn winners(lane: &str, rows: &[Row]) -> Vec<String> {
+pub fn winners(lane: &str, rows: &[Cell]) -> Vec<String> {
     let mut axes: Vec<&str> = Vec::new();
     for r in rows {
         if !axes.contains(&r.axis.as_str()) {
             axes.push(&r.axis);
         }
     }
+    let txn_s = |c: &Cell| c.m.throughput().unwrap_or(0.0);
     axes.iter()
         .map(|axis| {
             let best = rows
                 .iter()
                 .filter(|r| r.axis == *axis)
-                .max_by(|a, b| {
-                    a.txn_s
-                        .unwrap_or(0.0)
-                        .partial_cmp(&b.txn_s.unwrap_or(0.0))
-                        .expect("throughputs are finite")
-                })
+                .max_by(|a, b| txn_s(a).total_cmp(&txn_s(b)))
                 .expect("every axis has rows");
             format!(
                 "winner[{lane}, {axis}]: {} ({} txn/s, {} done/s)",
                 best.regime.label(),
-                opt2(best.txn_s),
-                opt2(best.done_s),
+                opt2(best.m.throughput()),
+                opt2(best.m.completions_per_sec()),
             )
         })
         .collect()
@@ -307,33 +235,28 @@ pub fn winners(lane: &str, rows: &[Row]) -> Vec<String> {
 
 /// The shape checks for this experiment.
 pub fn verdicts(
-    contention: &[Row],
-    fanout: &[Row],
-    aborts: &[Row],
-    wire: &[WireRow],
+    contention: &[Cell],
+    fanout: &[Cell],
+    aborts: &[Cell],
+    wire: &[Cell],
 ) -> Vec<String> {
     let mut out = Vec::new();
-    let all: Vec<&Row> = contention
-        .iter()
-        .chain(fanout.iter())
-        .chain(aborts.iter())
-        .chain(wire.iter().map(|w| &w.row))
-        .collect();
+    let all = || contention.iter().chain(fanout).chain(aborts).chain(wire);
 
     // E15-1: every (lane, axis, regime) cell commits transactions.
-    let committing = all.iter().filter(|r| r.committed > 0).count();
+    let committing = all().filter(|c| c.m.committed > 0).count();
     out.push(verdict(
-        committing == all.len(),
+        committing == all().count(),
         format!(
             "E15-1: every (lane, axis, regime) cell commits ({committing}/{} cells)",
-            all.len()
+            all().count()
         ),
     ));
 
     // E15-2: the hot-key lane conserves the federation-wide counter sum in
     // every cell — aborted and retried programs roll back exactly, under
     // every regime and every theta.
-    let conserved = contention.iter().filter(|r| r.oracle_ok).count();
+    let conserved = contention.iter().filter(|c| c.oracle_ok).count();
     out.push(verdict(
         conserved == contention.len(),
         format!(
@@ -348,8 +271,8 @@ pub fn verdicts(
     let hot = |regime: Regime| {
         contention
             .iter()
-            .find(|r| r.regime == regime && r.axis == "theta=1.2")
-            .and_then(|r| r.txn_s)
+            .find(|c| c.regime == regime && c.x == 1.2)
+            .and_then(|c| c.m.throughput())
     };
     let c4 = match (hot(Regime::CommitBefore), hot(Regime::CommitBeforeRw)) {
         (Some(sem), Some(rw)) => sem >= rw,
@@ -367,52 +290,30 @@ pub fn verdicts(
     // E15-4: the measured intended-abort fraction tracks the dial in the
     // abort lane (within 0.15 absolute at every cell) — the dial acts
     // through transaction logic, not through a side channel.
-    let mut tracked = 0;
-    let mut total = 0;
-    for rate in ABORT_RATES {
-        for r in aborts.iter().filter(|r| r.axis == format!("abort={rate}")) {
-            total += 1;
-            if let Some(measured) = r.intended_rate {
-                if (measured - rate).abs() <= 0.15 {
-                    tracked += 1;
-                }
-            } else if rate == 0.0 && r.committed == 0 {
-                // n=0 cell: nothing ran, nothing to track.
-                tracked += 1;
-            }
-        }
-    }
+    let tracks = |c: &&Cell| match c.m.intended_abort_rate() {
+        Some(measured) => (measured - c.x).abs() <= 0.15,
+        // n=0 cell: nothing ran, nothing to track.
+        None => c.x == 0.0 && c.m.committed == 0,
+    };
+    let tracked = aborts.iter().filter(tracks).count();
     out.push(verdict(
-        tracked == total,
+        tracked == aborts.len(),
         format!(
             "E15-4 (C3 dial): measured intended-abort rate tracks the configured rate \
-             ({tracked}/{total})"
+             ({tracked}/{})",
+            aborts.len()
         ),
     ));
 
-    // E15-5: the wire lane's escrow bound holds (no stock counter below
-    // zero on either wire) and both wires consumed bit-identical program
-    // streams.
-    let escrow_ok = wire.iter().all(|w| w.min_counter >= 0);
-    let fp = |w: Wire, regime: Regime| {
-        wire.iter()
-            .find(|r| r.wire == w && r.row.regime == regime)
-            .map(|r| r.stream_fp)
-    };
-    let streams_match = Regime::ALL
-        .iter()
-        .all(|&r| fp(WIRES[0], r) == fp(WIRES[1], r));
+    // E15-5: the wire lane's escrow bound holds — no stock counter below
+    // zero on either wire, under the one seeded stream both replay.
+    let bounded = wire.iter().filter(|c| c.oracle_ok).count();
     out.push(verdict(
-        escrow_ok && streams_match,
+        bounded == wire.len(),
         format!(
             "E15-5: escrow bound holds over TCP and both wires replay one seeded stream \
-             (min counter {}, streams {})",
-            wire.iter().map(|w| w.min_counter).min().unwrap_or(0),
-            if streams_match {
-                "identical"
-            } else {
-                "DIVERGED"
-            }
+             ({bounded}/{} cells keep every stock counter >= 0)",
+            wire.len()
         ),
     ));
     out
@@ -425,7 +326,6 @@ pub fn report(quick: bool) -> String {
     let fanout = run_fanout(n, clients);
     let aborts = run_aborts(n, clients);
     let wire = run_wire(if quick { 40 } else { 120 }, clients);
-    let wire_rows: Vec<Row> = wire.iter().map(|w| w.row.clone()).collect();
     // Per lane: winner tag, axis column, title, rows.
     let lanes = [
         (
@@ -450,7 +350,7 @@ pub fn report(quick: bool) -> String {
             "wire",
             "wire",
             "wire lane (tpcc-lite escrow reserves, theta 0.9)",
-            &wire_rows,
+            &wire,
         ),
     ];
     let tables: Vec<TextTable> = lanes

@@ -9,30 +9,25 @@
 //! decreases" — expect redo executions ≈ p/(1-p) per participant and a
 //! monotone throughput decline.
 
-use crate::setup::{build_federation, program_batch, sizes};
-use crate::table::{f2, f3, opt2, section, verdict, TextTable};
-use amc_mlt::ConflictPolicy;
-use amc_types::ProtocolKind;
+use crate::setup::{offer, sizes, sweep, tuned_config, Cell, Point, Regime, Testbed, Wire};
+use crate::table::{cells, f2, section, verdict, Col, TextTable};
 use amc_workload::{OpMix, WorkloadSpec};
 
-/// One measured point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Injected post-ready abort probability.
-    pub p: f64,
-    /// Committed txns per second (`None` when the run measured nothing).
-    pub throughput: Option<f64>,
-    /// Redo executions per committed transaction.
-    pub redos_per_commit: f64,
-    /// Mean commit latency (ms).
-    pub latency_ms: Option<f64>,
-    /// Median commit latency (ms).
-    pub latency_p50_ms: Option<f64>,
-    /// Tail (p99) commit latency (ms).
-    pub latency_p99_ms: Option<f64>,
-    /// Commits achieved.
-    pub committed: u64,
-}
+const COLS: [Col; 7] = [
+    Col::fact("p"),
+    Col::TXN_S,
+    Col::REDOS_PER_COMMIT,
+    Col::MEAN_MS,
+    Col::P50_MS.named("lat p50 ms"),
+    Col::P99_MS.named("lat p99 ms"),
+    Col::COMMITS,
+];
+
+/// Independent runs per probability; the median by throughput is kept.
+const ROUNDS: u64 = 3;
+
+/// Round `r` draws its programs from `SEED + r`.
+const SEED: u64 = 2_000;
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec {
@@ -55,98 +50,70 @@ fn spec() -> WorkloadSpec {
 /// between a mandatory redo and a pre-vote submit resolve via timeouts and
 /// can stall one run by ~a second, which would otherwise swamp the ~15%
 /// effect under measurement.
-pub fn run(txns: usize, threads: usize, probabilities: &[f64]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &p in probabilities {
-        let mut candidates: Vec<Row> = (0u64..3)
-            .map(|round| {
-                let spec = spec();
-                let fed =
-                    build_federation(ProtocolKind::CommitAfter, ConflictPolicy::Semantic, &spec);
-                for (site, manager) in fed.fleet().managers() {
-                    let seed = 0xE2 + u64::from(site.raw()) + round * 977;
-                    manager.inject_post_ready_aborts(p, seed);
-                }
-                let batch = program_batch(&spec, 2_000 + round, txns);
-                let m = fed.run_concurrent(batch, threads);
-                Row {
-                    p,
-                    throughput: m.throughput(),
-                    redos_per_commit: if m.committed > 0 {
-                        m.redo_runs as f64 / m.committed as f64
-                    } else {
-                        0.0
-                    },
-                    latency_ms: m.mean_latency_ms(),
-                    latency_p50_ms: m.latency_p50_ms(),
-                    latency_p99_ms: m.latency_p99_ms(),
-                    committed: m.committed,
-                }
-            })
-            .collect();
-        candidates.sort_by(|a, b| {
-            a.throughput
-                .unwrap_or(0.0)
-                .total_cmp(&b.throughput.unwrap_or(0.0))
-        });
-        rows.push(candidates.swap_remove(1)); // median by throughput
+pub fn run(txns: usize, threads: usize, probabilities: &[f64]) -> Vec<Cell> {
+    let spec = spec();
+    let rounds = |&p: &f64| (0..ROUNDS).map(move |round| (p, round));
+    let points: Vec<Point> = probabilities
+        .iter()
+        .flat_map(rounds)
+        .map(|(p, round)| Point::of_spec(p, &spec, SEED + round, txns, threads).labelled(f2(p)))
+        .collect();
+    // The §3.2 hazard, injected at every communication manager before
+    // the load is offered.
+    let inject = |bed: &Testbed, point: &Point| {
+        for (site, manager) in bed.fleet().managers() {
+            let seed = 0xE2 + u64::from(site.raw()) + (point.seed - SEED) * 977;
+            manager.inject_post_ready_aborts(point.x, seed);
+        }
+        offer(bed, point)
+    };
+    let regime = [Regime::CommitAfter];
+    let mut cells = sweep(tuned_config, &[Wire::InProcess], &points, &regime, inject);
+    let throughput = |c: &Cell| c.m.throughput().unwrap_or(0.0);
+    for rounds in cells.chunks_mut(ROUNDS as usize) {
+        rounds.sort_by(|a, b| throughput(a).total_cmp(&throughput(b)));
     }
-    rows
+    cells.into_iter().skip(1).step_by(ROUNDS as usize).collect()
 }
 
 /// Render the report table.
-pub fn table(rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn table(rows: &[Cell]) -> TextTable {
+    cells(
         "E2 — commit-after redo cost vs post-ready erroneous-abort probability",
-        &[
-            "p",
-            "txn/s",
-            "redos/commit",
-            "latency ms",
-            "lat p50 ms",
-            "lat p99 ms",
-            "commits",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            f2(r.p),
-            opt2(r.throughput),
-            f3(r.redos_per_commit),
-            opt2(r.latency_ms),
-            opt2(r.latency_p50_ms),
-            opt2(r.latency_p99_ms),
-            r.committed.to_string(),
-        ]);
-    }
-    t
+        &COLS,
+        rows.iter().map(|c| (vec![c.axis.clone()], &c.m)),
+    )
 }
 
 /// Shape checks.
-pub fn verdicts(rows: &[Row]) -> Vec<String> {
+pub fn verdicts(rows: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
     if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
+        let redos = |c: &Cell| c.m.redos_per_commit().unwrap_or(0.0);
         out.push(verdict(
-            last.redos_per_commit > first.redos_per_commit,
+            redos(last) > redos(first),
             format!(
                 "C3a-1: redo rate grows with p ({:.3} at p={:.1} -> {:.3} at p={:.1})",
-                first.redos_per_commit, first.p, last.redos_per_commit, last.p
+                redos(first),
+                first.x,
+                redos(last),
+                last.x
             ),
         ));
-        let first_t = first.throughput.unwrap_or(0.0);
-        let last_t = last.throughput.unwrap_or(0.0);
+        let first_t = first.m.throughput().unwrap_or(0.0);
+        let last_t = last.m.throughput().unwrap_or(0.0);
         out.push(verdict(
-            first.throughput.is_some() && last_t < first_t,
+            first.m.throughput().is_some() && last_t < first_t,
             format!(
                 "C3a-2: throughput declines with p ({:.1} -> {:.1} txn/s)",
                 first_t, last_t
             ),
         ));
         out.push(verdict(
-            rows.iter().all(|r| r.committed > 0),
+            rows.iter().all(|c| c.m.committed > 0),
             format!(
                 "C3a-3: atomicity holds — every submitted txn still commits ({} commits)",
-                last.committed
+                last.m.committed
             ),
         ));
     }
@@ -163,4 +130,21 @@ pub fn report(quick: bool) -> String {
     let (txns, threads) = sizes(quick);
     let rows = run(txns, threads, ps);
     section(&[table(&rows)], &verdicts(&rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_probability_keeps_the_median_run_and_redo_counts_follow_the_injection() {
+        let rows = run(12, 2, &[0.0, 0.5]);
+        let ps: Vec<f64> = rows.iter().map(|c| c.x).collect();
+        assert_eq!(ps, [0.0, 0.5], "one median cell per probability");
+        // Atomicity is a count: every offered program commits, redo or not.
+        assert!(rows.iter().all(|c| c.m.committed == 12));
+        assert_eq!(rows[0].m.redo_runs, 0, "nothing injected, nothing redone");
+        assert!(rows[1].m.redo_runs > 0, "p = 0.5 over 24 participants");
+        assert_eq!(rows[0].m.redos_per_commit(), Some(0.0));
+    }
 }

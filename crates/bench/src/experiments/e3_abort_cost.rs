@@ -8,33 +8,21 @@
 //! commit-after aborts running locals for free. The shape to reproduce: the
 //! commit-before advantage shrinks (or inverts) as the abort rate grows.
 
-use crate::setup::{build_federation, program_batch, sizes};
-use crate::table::{f2, f3, opt2, section, verdict, TextTable};
-use amc_mlt::ConflictPolicy;
-use amc_types::ProtocolKind;
+use crate::setup::{offer, sizes, sweep, tuned_config, Cell, Point, Regime, Wire};
+use crate::table::{cells, f2, section, verdict, Col, TextTable};
 use amc_workload::{OpMix, WorkloadSpec};
 
-/// One measured point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Protocol.
-    pub protocol: ProtocolKind,
-    /// Intended abort probability in the workload.
-    pub abort_rate: f64,
-    /// All-transaction completion rate (commits + aborts) per second —
-    /// aborted work still costs time.
-    pub completions_per_s: f64,
-    /// Inverse transactions executed per intended abort.
-    pub undos_per_abort: f64,
-    /// Median commit latency (ms); `None` when nothing committed.
-    pub latency_p50_ms: Option<f64>,
-    /// Tail (p99) commit latency (ms); `None` when nothing committed.
-    pub latency_p99_ms: Option<f64>,
-    /// Commits achieved.
-    pub committed: u64,
-    /// Intended aborts observed.
-    pub aborted: u64,
-}
+const COLS: [Col; 8] = [
+    Col::fact("abort-rate"),
+    Col::fact("protocol"),
+    // Aborted work still costs time.
+    Col::DONE_S.named("completions/s"),
+    Col::UNDOS_PER_ABORT,
+    Col::P50_MS.named("lat p50 ms"),
+    Col::P99_MS.named("lat p99 ms"),
+    Col::COMMITS,
+    Col::INTENDED_ABORTS,
+];
 
 fn spec(abort_prob: f64) -> WorkloadSpec {
     WorkloadSpec {
@@ -49,112 +37,60 @@ fn spec(abort_prob: f64) -> WorkloadSpec {
 }
 
 /// Run the sweep.
-pub fn run(txns: usize, threads: usize, abort_rates: &[f64]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &rate in abort_rates {
-        for protocol in [ProtocolKind::CommitBefore, ProtocolKind::CommitAfter] {
-            let spec = spec(rate);
-            let fed = build_federation(protocol, ConflictPolicy::Semantic, &spec);
-            let batch = program_batch(&spec, 3_000, txns);
-            let m = fed.run_concurrent(batch, threads);
-            let aborted = m.aborted_intended;
-            rows.push(Row {
-                protocol,
-                abort_rate: rate,
-                completions_per_s: if m.wall.is_zero() {
-                    0.0
-                } else {
-                    (m.committed + m.aborted_intended + m.aborted_erroneous) as f64
-                        / m.wall.as_secs_f64()
-                },
-                undos_per_abort: if aborted > 0 {
-                    m.undo_runs as f64 / aborted as f64
-                } else {
-                    0.0
-                },
-                latency_p50_ms: m.latency_p50_ms(),
-                latency_p99_ms: m.latency_p99_ms(),
-                committed: m.committed,
-                aborted,
-            });
-        }
-    }
-    rows
+pub fn run(txns: usize, threads: usize, abort_rates: &[f64]) -> Vec<Cell> {
+    let point =
+        |&rate: &f64| Point::of_spec(rate, &spec(rate), 3_000, txns, threads).labelled(f2(rate));
+    let points: Vec<Point> = abort_rates.iter().map(point).collect();
+    let regimes = [Regime::CommitBefore, Regime::CommitAfter];
+    sweep(tuned_config, &[Wire::InProcess], &points, &regimes, offer)
 }
 
 /// Render the report table.
-pub fn table(rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn table(rows: &[Cell]) -> TextTable {
+    cells(
         "E3 — intended-abort handling: commit-before pays undo, commit-after aborts for free",
-        &[
-            "abort-rate",
-            "protocol",
-            "completions/s",
-            "undos/abort",
-            "lat p50 ms",
-            "lat p99 ms",
-            "commits",
-            "aborts",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            f2(r.abort_rate),
-            r.protocol.label().to_string(),
-            f2(r.completions_per_s),
-            f3(r.undos_per_abort),
-            opt2(r.latency_p50_ms),
-            opt2(r.latency_p99_ms),
-            r.committed.to_string(),
-            r.aborted.to_string(),
-        ]);
-    }
-    t
+        &COLS,
+        rows.iter().map(|c| (c.labels(), &c.m)),
+    )
 }
 
 /// Shape checks.
-pub fn verdicts(rows: &[Row]) -> Vec<String> {
+pub fn verdicts(rows: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
+    // The first cell of `regime` at a low (`<= 0.01`) or high (`>= 0.3`)
+    // abort rate.
+    let pick = |regime: Regime, high: bool| {
+        rows.iter()
+            .find(|c| c.regime == regime && if high { c.x >= 0.3 } else { c.x <= 0.01 })
+    };
     // Commit-before must run >= 1 inverse transaction per intended abort
     // with committed locals; commit-after must run none.
-    let cb_high = rows
-        .iter()
-        .find(|r| r.protocol == ProtocolKind::CommitBefore && r.abort_rate >= 0.3);
-    let ca_high = rows
-        .iter()
-        .find(|r| r.protocol == ProtocolKind::CommitAfter && r.abort_rate >= 0.3);
-    if let (Some(cb), Some(ca)) = (cb_high, ca_high) {
+    if let (Some(cb), Some(ca)) = (
+        pick(Regime::CommitBefore, true),
+        pick(Regime::CommitAfter, true),
+    ) {
+        let (cb, ca) = (cb.m.undos_per_abort(), ca.m.undos_per_abort());
         out.push(verdict(
-            cb.undos_per_abort > 0.0,
+            cb.is_some_and(|u| u > 0.0),
             format!(
                 "C3b-1: commit-before runs inverse txns on intended aborts ({:.2}/abort)",
-                cb.undos_per_abort
+                cb.unwrap_or(0.0)
             ),
         ));
         out.push(verdict(
-            ca.undos_per_abort == 0.0,
+            ca == Some(0.0),
             format!(
                 "C3b-2: commit-after needs no undo machinery ({:.2}/abort)",
-                ca.undos_per_abort
+                ca.unwrap_or(0.0)
             ),
         ));
     }
     // The relative gap between the protocols must shrink as aborts rise.
-    let gap_at = |rate_lo: bool| -> Option<f64> {
-        let pick = |p: ProtocolKind| {
-            rows.iter().filter(|r| r.protocol == p).find(|r| {
-                if rate_lo {
-                    r.abort_rate <= 0.01
-                } else {
-                    r.abort_rate >= 0.3
-                }
-            })
-        };
-        let cb = pick(ProtocolKind::CommitBefore)?;
-        let ca = pick(ProtocolKind::CommitAfter)?;
-        Some(cb.completions_per_s / ca.completions_per_s.max(1e-9))
+    let gap_at = |high: bool| -> Option<f64> {
+        let done = |regime| pick(regime, high)?.m.completions_per_sec();
+        Some(done(Regime::CommitBefore)? / done(Regime::CommitAfter)?.max(1e-9))
     };
-    if let (Some(lo), Some(hi)) = (gap_at(true), gap_at(false)) {
+    if let (Some(lo), Some(hi)) = (gap_at(false), gap_at(true)) {
         out.push(verdict(
             hi < lo,
             format!(
@@ -176,4 +112,29 @@ pub fn report(quick: bool) -> String {
     let (txns, threads) = sizes(quick);
     let rows = run(txns, threads, rates);
     section(&[table(&rows)], &verdicts(&rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn both_protocols_see_the_same_aborts_and_only_commit_before_undoes() {
+        let rows = run(20, 2, &[0.0, 0.4]);
+        assert_eq!(rows.len(), 4);
+        let at = |regime, x: f64| {
+            let cell = rows.iter().find(|c| c.regime == regime && c.x == x);
+            &cell.expect("swept").m
+        };
+        let (cb, ca) = (at(Regime::CommitBefore, 0.4), at(Regime::CommitAfter, 0.4));
+        // One seeded stream: the same programs intend their abort.
+        assert!(cb.aborted_intended > 0);
+        assert_eq!(cb.aborted_intended, ca.aborted_intended);
+        assert_eq!(cb.committed + cb.aborted_intended, 20);
+        assert!(cb.undo_runs > 0);
+        assert_eq!(ca.undo_runs, 0);
+        // Nothing intended an abort at rate 0: the ratio is absent, not 0.
+        assert_eq!(at(Regime::CommitBefore, 0.0).undos_per_abort(), None);
+        assert!(table(&rows).render().contains("n=0"));
+    }
 }

@@ -12,26 +12,24 @@
 //! Isolates the multi-level-transaction contribution (1 vs 2) from the
 //! commit-point contribution (2 vs 3).
 
-use crate::setup::{build_federation, program_batch, sizes};
-use crate::table::{f2, opt2, section, verdict, TextTable};
-use amc_mlt::ConflictPolicy;
-use amc_types::ProtocolKind;
+use crate::setup::{offer, sizes, sweep, tuned_config, Cell, Point, Regime, Wire};
+use crate::table::{cells, f2, section, verdict, Col, TextTable};
 use amc_workload::{OpMix, WorkloadSpec};
 
-/// One configuration's measurement.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Human-readable configuration name.
-    pub config: &'static str,
-    /// Zipf skew.
-    pub theta: f64,
-    /// Committed txns per second (`None` when the run measured nothing).
-    pub throughput: Option<f64>,
-    /// Transactions rejected at L1 (lock conflicts among globals).
-    pub l1_rejections: u64,
-    /// Commits.
-    pub committed: u64,
-}
+const COLS: [Col; 5] = [
+    Col::fact("theta"),
+    Col::fact("config"),
+    Col::TXN_S,
+    Col::L1_REJECTIONS,
+    Col::COMMITS,
+];
+
+/// The three configurations, and what this table calls them.
+const CONFIGS: [(Regime, &str); 3] = [
+    (Regime::CommitBefore, "commit-before + semantic (MLT)"),
+    (Regime::CommitBeforeRw, "commit-before + read/write"),
+    (Regime::Classic2pc, "2PC flat"),
+];
 
 fn spec(theta: f64) -> WorkloadSpec {
     WorkloadSpec {
@@ -50,93 +48,60 @@ fn spec(theta: f64) -> WorkloadSpec {
 }
 
 /// Run the three configurations across `thetas`.
-pub fn run(txns: usize, threads: usize, thetas: &[f64]) -> Vec<Row> {
-    let configs: [(&'static str, ProtocolKind, ConflictPolicy); 3] = [
-        (
-            "commit-before + semantic (MLT)",
-            ProtocolKind::CommitBefore,
-            ConflictPolicy::Semantic,
-        ),
-        (
-            "commit-before + read/write",
-            ProtocolKind::CommitBefore,
-            ConflictPolicy::ReadWriteOnly,
-        ),
-        (
-            "2PC flat",
-            ProtocolKind::TwoPhaseCommit,
-            ConflictPolicy::Semantic, // unused: 2PC has no L1 layer
-        ),
-    ];
-    let mut rows = Vec::new();
-    for &theta in thetas {
-        for (name, protocol, policy) in configs {
-            let spec = spec(theta);
-            let fed = build_federation(protocol, policy, &spec);
-            let batch = program_batch(&spec, 0xE7, txns);
-            let m = fed.run_concurrent(batch, threads);
-            rows.push(Row {
-                config: name,
-                theta,
-                throughput: m.throughput(),
-                l1_rejections: m.l1_rejections,
-                committed: m.committed,
-            });
-        }
-    }
-    rows
+pub fn run(txns: usize, threads: usize, thetas: &[f64]) -> Vec<Cell> {
+    let point =
+        |&theta: &f64| Point::of_spec(theta, &spec(theta), 0xE7, txns, threads).labelled(f2(theta));
+    let points: Vec<Point> = thetas.iter().map(point).collect();
+    let regimes = CONFIGS.map(|(regime, _)| regime);
+    sweep(tuned_config, &[Wire::InProcess], &points, &regimes, offer)
 }
 
 /// Render the report table.
-pub fn table(rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn table(rows: &[Cell]) -> TextTable {
+    let config = |c: &Cell| {
+        CONFIGS
+            .iter()
+            .find(|(r, _)| *r == c.regime)
+            .expect("swept")
+            .1
+    };
+    cells(
         "E7 — ablation: semantic (MLT) conflicts vs read/write conflicts vs flat 2PC (pure increments)",
-        &["theta", "config", "txn/s", "l1-rejections", "commits"],
-    );
-    for r in rows {
-        t.row(vec![
-            f2(r.theta),
-            r.config.to_string(),
-            opt2(r.throughput),
-            r.l1_rejections.to_string(),
-            r.committed.to_string(),
-        ]);
-    }
-    t
+        &COLS,
+        rows.iter()
+            .map(|c| (vec![c.axis.clone(), config(c).to_string()], &c.m)),
+    )
 }
 
 /// Shape checks.
-pub fn verdicts(rows: &[Row]) -> Vec<String> {
+pub fn verdicts(rows: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
-    let hot: Vec<&Row> = rows.iter().filter(|r| r.theta >= 0.9).collect();
-    let get = |name: &str| hot.iter().find(|r| r.config.starts_with(name));
+    let get = |r: Regime| rows.iter().find(|c| c.x >= 0.9 && c.regime == r);
     if let (Some(semantic), Some(rw), Some(flat)) = (
-        get("commit-before + semantic"),
-        get("commit-before + read/write"),
-        get("2PC"),
+        get(Regime::CommitBefore),
+        get(Regime::CommitBeforeRw),
+        get(Regime::Classic2pc),
     ) {
-        let st = semantic.throughput.unwrap_or(0.0);
-        let rt = rw.throughput.unwrap_or(0.0);
-        let ft = flat.throughput.unwrap_or(0.0);
+        let [st, rt, ft] = [semantic, rw, flat].map(|c| c.m.throughput().unwrap_or(0.0));
         out.push(verdict(
-            semantic.throughput.is_some() && st > rt,
+            semantic.m.throughput().is_some() && st > rt,
             format!(
                 "C4-1: semantic conflicts beat read/write conflicts on hot increments \
                  ({st:.1} vs {rt:.1} txn/s)"
             ),
         ));
         out.push(verdict(
-            semantic.throughput.is_some() && st > ft,
+            semantic.m.throughput().is_some() && st > ft,
             format!(
                 "C4-2: semantic MLT beats flat 2PC ({:.1} vs {:.1} txn/s)",
                 st, ft
             ),
         ));
         out.push(verdict(
-            semantic.l1_rejections == 0,
+            semantic.m.l1_rejections == 0,
             format!(
                 "C4-3: increments never collide at L1 under the semantic policy ({} rejections)",
-                semantic.l1_rejections
+                semantic.m.l1_rejections
             ),
         ));
     }
@@ -149,4 +114,23 @@ pub fn report(quick: bool) -> String {
     let (txns, threads) = sizes(quick);
     let rows = run(txns, threads, thetas);
     section(&[table(&rows)], &verdicts(&rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_three_configurations_are_three_regimes_of_one_sweep() {
+        let rows = run(12, 2, &[0.99]);
+        let regimes: Vec<Regime> = rows.iter().map(|c| c.regime).collect();
+        assert_eq!(regimes, CONFIGS.map(|(regime, _)| regime));
+        assert!(rows.iter().all(|c| c.m.committed == 12));
+        // C4-3 is a count: commuting increments never collide at L1.
+        assert_eq!(rows[0].m.l1_rejections, 0);
+        let rendered = table(&rows).render();
+        for (_, name) in CONFIGS {
+            assert!(rendered.contains(name), "{rendered}");
+        }
+    }
 }

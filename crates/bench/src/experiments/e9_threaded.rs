@@ -12,134 +12,70 @@
 //!   record pays a full force (ratio 1.0), while concurrent committers
 //!   share a leader's force and push the ratio below 1.
 
-use crate::setup::{build_federation, program_batch};
-use crate::table::{opt2, section, verdict, TextTable};
-use amc_mlt::ConflictPolicy;
-use amc_types::ProtocolKind;
-use amc_workload::{OpMix, WorkloadSpec};
+use crate::setup::{increment_heavy, offer, sweep, tuned_config, Cell, Point, Regime, Wire};
+use crate::table::{cells, opt2, section, verdict, Col, TextTable};
 
-/// One measured point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Worker threads driving the federation.
-    pub threads: usize,
-    /// Protocol under test.
-    pub protocol: ProtocolKind,
-    /// Committed txns per second.
-    pub throughput: Option<f64>,
-    /// Throughput relative to this protocol's 1-thread run.
-    pub speedup: Option<f64>,
-    /// Commits achieved.
-    pub committed: u64,
-    /// Physical log forces across all engines.
-    pub forces: u64,
-    /// Forces issued by group-commit leaders.
-    pub group_forces: u64,
-    /// Commit/prepare records acknowledged through group-commit batches.
-    pub batched_commits: u64,
-    /// Physical forces per durably acknowledged record.
-    pub forces_per_commit: Option<f64>,
+const COLS: [Col; 9] = [
+    Col::fact("threads"),
+    Col::fact("protocol"),
+    Col::TXN_S,
+    Col::fact("speedup"),
+    Col::COMMITS,
+    Col::FORCES,
+    Col::GRP_FORCES,
+    Col::BATCHED,
+    Col::FORCES_PER_COMMIT,
+];
+
+/// Run the sweep, protocol by protocol. Low contention so the thread
+/// sweep measures the engine hot path, not lock queueing: uniform access
+/// over a decent object set, increment-heavy.
+pub fn run(txns: usize, thread_counts: &[usize]) -> Vec<Cell> {
+    let spec = increment_heavy(0.0, 6);
+    let point = |&threads: &usize| {
+        let seed = 9_000 + threads as u64;
+        Point::of_spec(threads as f64, &spec, seed, txns, threads)
+    };
+    let points: Vec<Point> = thread_counts.iter().map(point).collect();
+    let lane = |regime| sweep(tuned_config, &[Wire::InProcess], &points, &[regime], offer);
+    Regime::PROTOCOLS.into_iter().flat_map(lane).collect()
 }
 
-/// Low contention so the thread sweep measures the engine hot path, not
-/// lock queueing: uniform access over a decent object set, increment-heavy.
-fn spec() -> WorkloadSpec {
-    WorkloadSpec {
-        sites: 3,
-        objects_per_site: 64,
-        zipf_theta: 0.0,
-        ops_per_txn: 6,
-        sites_per_txn: 2,
-        mix: OpMix {
-            write: 0.0,
-            increment: 0.9,
-            reserve: 0.0,
-        },
-        intended_abort_prob: 0.0,
-    }
-}
-
-/// Run the sweep.
-pub fn run(txns: usize, thread_counts: &[usize]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for protocol in ProtocolKind::ALL {
-        let mut base: Option<f64> = None;
-        for &threads in thread_counts {
-            let spec = spec();
-            let fed = build_federation(protocol, ConflictPolicy::Semantic, &spec);
-            let batch = program_batch(&spec, 9_000 + threads as u64, txns);
-            let m = fed.run_concurrent(batch, threads);
-            if threads == thread_counts[0] {
-                base = m.throughput();
-            }
-            rows.push(Row {
-                threads,
-                protocol,
-                throughput: m.throughput(),
-                speedup: match (m.throughput(), base) {
-                    (Some(t), Some(b)) if b > 0.0 => Some(t / b),
-                    _ => None,
-                },
-                committed: m.committed,
-                forces: m.log_forces,
-                group_forces: m.group_forces,
-                batched_commits: m.batched_commits,
-                forces_per_commit: m.forces_per_commit(),
-            });
-        }
-    }
-    rows
+/// `cell`'s throughput relative to its protocol's run at the first (the
+/// smallest) thread count.
+fn speedup(rows: &[Cell], cell: &Cell) -> Option<f64> {
+    let base = rows.iter().find(|c| c.regime == cell.regime)?;
+    let (t, b) = (cell.m.throughput()?, base.m.throughput()?);
+    (b > 0.0).then(|| t / b)
 }
 
 /// Render as the report table.
-pub fn table(rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
+pub fn table(rows: &[Cell]) -> TextTable {
+    let facts = |c: &Cell| [c.labels(), vec![opt2(speedup(rows, c))]].concat();
+    cells(
         "E9 — threaded scaling: throughput & group-commit amortization vs worker threads",
-        &[
-            "threads",
-            "protocol",
-            "txn/s",
-            "speedup",
-            "commits",
-            "forces",
-            "grp-forces",
-            "batched",
-            "forces/commit",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.threads.to_string(),
-            r.protocol.label().to_string(),
-            opt2(r.throughput),
-            opt2(r.speedup),
-            r.committed.to_string(),
-            r.forces.to_string(),
-            r.group_forces.to_string(),
-            r.batched_commits.to_string(),
-            opt2(r.forces_per_commit),
-        ]);
-    }
-    t
+        &COLS,
+        rows.iter().map(|c| (facts(c), &c.m)),
+    )
 }
 
 /// The shape checks for this experiment.
-pub fn verdicts(rows: &[Row]) -> Vec<String> {
+pub fn verdicts(rows: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
     // E9-1: group commit amortizes forces once ≥4 committers run — the
     // commit-before rows (the paper's protocol) must show < 1 force per
     // acknowledged record at every thread count ≥ 4.
-    let hot: Vec<&Row> = rows
+    let hot: Vec<&Cell> = rows
         .iter()
-        .filter(|r| r.protocol == ProtocolKind::CommitBefore && r.threads >= 4)
+        .filter(|c| c.regime == Regime::CommitBefore && c.x >= 4.0)
         .collect();
     let batched = !hot.is_empty()
         && hot
             .iter()
-            .all(|r| r.forces_per_commit.is_some_and(|f| f < 1.0));
+            .all(|c| c.m.forces_per_commit().is_some_and(|f| f < 1.0));
     let shown = hot
         .iter()
-        .map(|r| format!("{}T {}", r.threads, opt2(r.forces_per_commit)))
+        .map(|c| format!("{}T {}", c.axis, opt2(c.m.forces_per_commit())))
         .collect::<Vec<_>>()
         .join(", ");
     out.push(verdict(
@@ -155,11 +91,11 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
     ));
     // E9-2: the decomposed engine actually scales — some protocol must at
     // least double its 1-thread throughput at the widest sweep point.
-    let max_threads = rows.iter().map(|r| r.threads).max().unwrap_or(0);
+    let max_threads = rows.iter().map(|c| c.x).fold(0.0, f64::max);
     let best = rows
         .iter()
-        .filter(|r| r.threads == max_threads)
-        .filter_map(|r| r.speedup.map(|s| (r.protocol, s)))
+        .filter(|c| c.x == max_threads)
+        .filter_map(|c| speedup(rows, c).map(|s| (c.regime, s)))
         .max_by(|a, b| a.1.total_cmp(&b.1));
     out.push(match best {
         Some((p, s)) => verdict(
@@ -170,7 +106,7 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
                 p.label()
             ),
         ),
-        None => "[FAIL] E9-2: no speedup measured (n=0)".to_string(),
+        None => verdict(false, "E9-2: no speedup measured (n=0)"),
     });
     out
 }
@@ -179,4 +115,26 @@ pub fn verdicts(rows: &[Row]) -> Vec<String> {
 pub fn report(quick: bool) -> String {
     let rows = run(if quick { 60 } else { 200 }, &[1, 2, 4, 8]);
     section(&[table(&rows)], &verdicts(&rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn speedup_is_relative_to_each_protocols_first_thread_count() {
+        let rows = run(12, &[1, 2]);
+        let order: Vec<_> = rows.iter().map(|c| (c.regime, c.x)).collect();
+        let expected: Vec<_> = Regime::PROTOCOLS
+            .into_iter()
+            .flat_map(|r| [(r, 1.0), (r, 2.0)])
+            .collect();
+        assert_eq!(order, expected, "protocol by protocol, threads inside");
+        for base in rows.iter().filter(|c| c.x == 1.0) {
+            assert_eq!(speedup(&rows, base), Some(1.0));
+            // One committer: every acknowledged record paid its own force.
+            assert_eq!(base.m.forces_per_commit(), Some(1.0));
+        }
+        assert!(rows.iter().all(|c| speedup(&rows, c).is_some()));
+    }
 }

@@ -1,14 +1,15 @@
 //! Shared experiment setup: the one [`Testbed`] every cell is built on, the
-//! protocol axis ([`Regime`]) and program batches.
+//! protocol axis ([`Regime`]), program batches, and the one [`sweep`] that
+//! turns sweep [`Point`]s into measured [`Cell`]s.
 
-use amc_core::{submit_mode_for, Federation, FederationConfig, ProtocolKind};
+use amc_core::{submit_mode_for, Federation, FederationConfig, ProtocolKind, RunMetrics};
 use amc_engine::TplConfig;
 use amc_mlt::ConflictPolicy;
 use amc_rpc::Fleet;
 use amc_types::{Operation, SiteId};
 use amc_wal::GroupCommitConfig;
 use amc_workload::{
-    initial_counters, GlobalProgram, MixGen, MixKind, MixSpec, WorkloadGen, WorkloadSpec,
+    initial_counters, GlobalProgram, MixGen, MixKind, MixSpec, OpMix, WorkloadGen, WorkloadSpec,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,6 +24,9 @@ pub const WIRES: [Wire; 2] = [Wire::InProcess, Wire::ThreadedPooled];
 
 /// A program batch in the form `run_concurrent` consumes.
 pub type ProgramBatch = Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)>;
+
+/// A lane's engine tuning: [`tuned_config`] or [`wire_config`].
+pub type BaseConfig = fn(u32, ProtocolKind, ConflictPolicy) -> FederationConfig;
 
 /// The benchmark tuning every throughput experiment shares: short lock
 /// timeouts so contention resolves quickly, modelled 1991-scale service
@@ -53,7 +57,6 @@ pub fn tuned_config(
         group_commit: GroupCommitConfig {
             force_latency: Duration::from_micros(500),
             max_wait: Duration::from_micros(200),
-            ..GroupCommitConfig::default()
         },
     };
     cfg.l1_timeout = Duration::from_millis(500);
@@ -97,6 +100,13 @@ pub enum Regime {
 }
 
 impl Regime {
+    /// The three protocols without options, in `ProtocolKind::ALL` order.
+    pub const PROTOCOLS: [Regime; 3] = [
+        Regime::Classic2pc,
+        Regime::CommitAfter,
+        Regime::CommitBefore,
+    ];
+
     /// Every regime, in table order. The first four are the commit
     /// *layers* E13 compares (no L1 ablation).
     pub const ALL: [Regime; 5] = [
@@ -134,11 +144,7 @@ impl Regime {
     }
 
     /// This regime over `base` ([`tuned_config`] or [`wire_config`]).
-    pub fn config(
-        self,
-        sites: u32,
-        base: fn(u32, ProtocolKind, ConflictPolicy) -> FederationConfig,
-    ) -> FederationConfig {
+    pub fn config(self, sites: u32, base: BaseConfig) -> FederationConfig {
         let cfg = base(sites, self.protocol(), self.policy());
         if self == Regime::FastPath {
             cfg.with_fast_path()
@@ -195,19 +201,9 @@ pub fn load(fed: &Federation, objects: u64) {
     }
 }
 
-/// A federation for `protocol` with `policy` on the in-process wire,
-/// engines tuned for benchmarking ([`tuned_config`]), every site loaded
-/// with the spec's initial data.
-pub fn build_federation(
-    protocol: ProtocolKind,
-    policy: ConflictPolicy,
-    spec: &WorkloadSpec,
-) -> Testbed {
-    let cfg = tuned_config(spec.sites, protocol, policy);
-    Testbed::build(cfg, Wire::InProcess, spec.objects_per_site)
-}
-
-/// Same over untuned engines, with the oracle recording on (E6).
+/// A federation for `protocol` with `policy` on the in-process wire over
+/// untuned engines, every site loaded with the spec's initial data, the
+/// oracle recording on (E6).
 pub fn build_recording_federation(
     protocol: ProtocolKind,
     policy: ConflictPolicy,
@@ -237,9 +233,172 @@ pub fn program_batch(spec: &WorkloadSpec, seed: u64, n: usize) -> ProgramBatch {
     batch(WorkloadGen::new(spec.clone(), seed).programs(n))
 }
 
-/// Generate `n` programs of a contention-aware mix as a batch (E15).
-pub fn mix_batch(kind: MixKind, spec: &MixSpec, seed: u64, n: usize) -> ProgramBatch {
-    batch(MixGen::new(kind, spec.clone(), seed).programs(n))
+/// The increment-heavy mix (90% increments, the rest reads — the MLT sweet
+/// spot) over 3 sites of 64 objects, two sites per transaction.
+pub fn increment_heavy(zipf_theta: f64, ops_per_txn: usize) -> WorkloadSpec {
+    WorkloadSpec {
+        sites: 3,
+        objects_per_site: 64,
+        zipf_theta,
+        ops_per_txn,
+        sites_per_txn: 2,
+        mix: OpMix {
+            write: 0.0,
+            increment: 0.9,
+            reserve: 0.0,
+        },
+        intended_abort_prob: 0.0,
+    }
+}
+
+/// One sweep point: the system to build and the load to offer it.
+#[derive(Debug, Clone)]
+pub struct Point {
+    /// The sweep coordinate as the table prints it.
+    pub axis: String,
+    /// The sweep coordinate as a number, for the verdicts.
+    pub x: f64,
+    /// Sites in the federation.
+    pub sites: u32,
+    /// Initial counters per site.
+    pub objects: u64,
+    /// The seed `programs` was drawn from (fault-injecting lanes derive
+    /// theirs from it).
+    pub seed: u64,
+    /// The program stream, identical for every cell of this point.
+    pub programs: ProgramBatch,
+    /// Closed-loop clients.
+    pub clients: usize,
+}
+
+impl Point {
+    /// `txns` programs of the parameterised mix `spec`, drawn from `seed`,
+    /// at coordinate `x` (labelled as `x` prints).
+    pub fn of_spec(x: f64, spec: &WorkloadSpec, seed: u64, txns: usize, clients: usize) -> Point {
+        Point {
+            axis: x.to_string(),
+            x,
+            sites: spec.sites,
+            objects: spec.objects_per_site,
+            seed,
+            programs: program_batch(spec, seed, txns),
+            clients,
+        }
+    }
+
+    /// `txns` programs of the contention-aware mix `kind`, drawn from `seed`.
+    pub fn of_mix(
+        x: f64,
+        kind: MixKind,
+        spec: &MixSpec,
+        seed: u64,
+        txns: usize,
+        clients: usize,
+    ) -> Point {
+        Point {
+            axis: x.to_string(),
+            x,
+            sites: spec.sites,
+            objects: spec.objects_per_site,
+            seed,
+            programs: batch(MixGen::new(kind, spec.clone(), seed).programs(txns)),
+            clients,
+        }
+    }
+
+    /// The same point under the label its table prints.
+    pub fn labelled(self, axis: String) -> Point {
+        Point { axis, ..self }
+    }
+}
+
+/// One measured cell: where it sits in its lane's sweep and what the run
+/// measured. A table row is `m` printed through the lane's
+/// [`Col`](crate::table::Col)s; a verdict reads `m` directly.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The sweep coordinate as the table prints it.
+    pub axis: String,
+    /// The sweep coordinate as a number.
+    pub x: f64,
+    /// Protocol regime under test.
+    pub regime: Regime,
+    /// Deployment under test.
+    pub wire: Wire,
+    /// Programs offered.
+    pub offered: usize,
+    /// What the closed-loop driver and the sites counted.
+    pub m: RunMetrics,
+    /// Server-side connections after the run, summed across site servers
+    /// (0 in process).
+    pub connections: u64,
+    /// The lane's oracle over the final state; `true` where none applies.
+    pub oracle_ok: bool,
+}
+
+impl Cell {
+    /// The two leading fact columns of most tables: the axis label and
+    /// the regime's.
+    pub fn labels(&self) -> Vec<String> {
+        vec![self.axis.clone(), self.regime.label().to_string()]
+    }
+
+    /// A cell measured off something other than a [`Testbed`] — E12's
+    /// Paxos federation, E14's shard router: 2PC, sites in process.
+    pub fn of(axis: String, x: f64, offered: usize, m: RunMetrics) -> Cell {
+        Cell {
+            axis,
+            x,
+            regime: Regime::Classic2pc,
+            wire: Wire::InProcess,
+            offered,
+            m,
+            connections: 0,
+            oracle_ok: true,
+        }
+    }
+}
+
+/// Offer `point`'s programs to `bed` from its closed-loop clients; no
+/// oracle. The plain `run` of a [`sweep`], and the middle of every other.
+pub fn offer(bed: &Testbed, point: &Point) -> (RunMetrics, bool) {
+    (
+        bed.run_concurrent(point.programs.clone(), point.clients),
+        true,
+    )
+}
+
+/// Measure every cell of `wires` × `points` × `regimes`, in that nesting:
+/// build the [`Testbed`] the cell names over `base`, hand it to `run`
+/// ([`offer`], or a lane's wrapper around it that injects a fault before
+/// or replays an oracle after), keep what came back.
+pub fn sweep(
+    base: BaseConfig,
+    wires: &[Wire],
+    points: &[Point],
+    regimes: &[Regime],
+    run: impl Fn(&Testbed, &Point) -> (RunMetrics, bool),
+) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &wire in wires {
+        for point in points {
+            for &regime in regimes {
+                let bed = Testbed::build(regime.config(point.sites, base), wire, point.objects);
+                let (m, oracle_ok) = run(&bed, point);
+                cells.push(Cell {
+                    axis: point.axis.clone(),
+                    x: point.x,
+                    regime,
+                    wire,
+                    offered: point.programs.len(),
+                    m,
+                    connections: bed.fleet().connections(),
+                    oracle_ok,
+                });
+            }
+        }
+    }
+    cells
 }
 
 /// The `(transactions, client threads)` most lanes run at: `report quick`
@@ -257,17 +416,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_and_run_smoke() {
+    fn sweep_measures_every_cell_in_wire_point_regime_order() {
         let spec = WorkloadSpec {
             sites: 2,
             objects_per_site: 50,
             ops_per_txn: 4,
             ..WorkloadSpec::default()
         };
-        let fed = build_federation(ProtocolKind::CommitBefore, ConflictPolicy::Semantic, &spec);
-        let batch = program_batch(&spec, 1, 10);
-        assert_eq!(batch.len(), 10);
-        let metrics = fed.run_concurrent(batch, 2);
-        assert!(metrics.committed > 0);
+        let point = Point::of_spec(1.0, &spec, 1, 10, 2);
+        assert_eq!(point.programs.len(), 10);
+        let regimes = [Regime::CommitAfter, Regime::CommitBefore];
+        let cells = sweep(tuned_config, &WIRES, &[point], &regimes, offer);
+        let order: Vec<_> = cells.iter().map(|c| (c.wire, c.regime)).collect();
+        let expected: Vec<_> = WIRES
+            .iter()
+            .flat_map(|&w| regimes.map(|r| (w, r)))
+            .collect();
+        assert_eq!(order, expected);
+        assert!(cells.iter().all(|c| c.m.committed > 0 && c.oracle_ok));
+        assert_eq!(cells[0].connections, 0, "in process");
+        assert!(cells[2].connections > 0, "over loopback TCP");
     }
 }

@@ -70,13 +70,6 @@ pub struct PaxosCommitConfig {
     /// Acceptor-hosting sites — `2f+1` of them to tolerate `f` failures.
     /// Every entry must be an existing site of the federation.
     pub acceptors: Vec<SiteId>,
-    /// This coordinator replica's ballot tie-break id. Recovery ballots
-    /// are `(round ≥ 1, replica)`; ballot 0 is the incumbent fast path.
-    pub replica: u32,
-    /// Standby takeover lease: how long a registered-but-undecided
-    /// transaction may stay open before a standby assumes the incumbent
-    /// died and claims ballot leadership.
-    pub lease: Duration,
     /// Directory for the in-process acceptor logs (used by
     /// `Federation::new`; TCP deployments mount acceptors in their site
     /// servers instead).
@@ -91,12 +84,11 @@ pub struct PaxosCommitConfig {
 
 impl PaxosCommitConfig {
     /// A config tolerating `f = (acceptors-1)/2` failures with logs under
-    /// `log_dir`, speaking as replica 0 (the incumbent).
+    /// `log_dir`. The federation speaks as replica 0, the incumbent:
+    /// recovery ballots are `(round ≥ 1, replica)`, ballot 0 its fast path.
     pub fn new(acceptors: Vec<SiteId>, log_dir: impl Into<PathBuf>) -> Self {
         PaxosCommitConfig {
             acceptors,
-            replica: 0,
-            lease: Duration::from_millis(200),
             log_dir: log_dir.into(),
             acceptor_linger: None,
         }

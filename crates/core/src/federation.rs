@@ -19,12 +19,12 @@ use crate::metrics::RunMetrics;
 use amc_mlt::L1LockManager;
 use amc_net::comm::SubmitMode;
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport, InProcessTransport};
-use amc_net::{Envelope, LocalCommManager, MessageTrace, Payload};
-use amc_obs::{EventKind, ObsSink};
+use amc_net::{LocalCommManager, Payload};
+use amc_obs::{EventKind, EventLog, ObsSink};
 use amc_paxos::{majority, AcceptorHost, AcceptorTransport, CommitLedger, ReplicaDriver};
 use amc_types::{
     AbortReason, AmcError, AmcResult, GlobalTxnId, GlobalVerdict, ObjectId, Operation,
-    ProtocolKind, SimTime, SiteId, Value,
+    ProtocolKind, SiteId, Value,
 };
 use amc_verify::{History, OpEvent};
 use parking_lot::Mutex;
@@ -167,14 +167,13 @@ pub struct Federation {
     l1: L1LockManager,
     next_gtx: AtomicU64,
     history: Mutex<History>,
-    trace: Mutex<MessageTrace>,
     seq: AtomicU64,
     record_history: bool,
-    record_trace: bool,
     /// Coordinators that decided but still owe an unreachable site its
     /// final state.
     unresolved: Mutex<Vec<Coordinator>>,
-    /// Given to every coordinator: the simulator's sink, else disabled.
+    /// Given to every coordinator: the simulator's sink, an event log
+    /// opted into by [`Federation::set_recording`], else disabled.
     obs: ObsSink,
     /// The central decision log: a verdict is recorded (the acceptors'
     /// under Paxos Commit) before any message carrying it leaves `step`,
@@ -288,10 +287,8 @@ impl Federation {
             l1,
             next_gtx: AtomicU64::new(first_gtx),
             history: Mutex::new(History::new()),
-            trace: Mutex::new(MessageTrace::new()),
             seq: AtomicU64::new(1),
             record_history: false,
-            record_trace: false,
             unresolved: Mutex::new(Vec::new()),
             obs: ObsSink::disabled(),
             decisions: None,
@@ -301,13 +298,17 @@ impl Federation {
     }
 
     /// Opt in to oracle bookkeeping: the operation [`History`] the
-    /// `amc-verify` checkers replay, and the [`MessageTrace`]. Both are
-    /// off by default — each grows under a federation-wide mutex taken per
-    /// message, which an embedding that only wants transactions run must
-    /// not pay for (or forget to switch off).
+    /// `amc-verify` checkers replay, and (`trace`) an event log of every
+    /// message and coordinator transition, read back through
+    /// [`Federation::events`]. Both are off by default — each grows under
+    /// a federation-wide mutex taken per message, which an embedding that
+    /// only wants transactions run must not pay for (or forget to switch
+    /// off).
     pub fn set_recording(&mut self, history: bool, trace: bool) {
         self.record_history = history;
-        self.record_trace = trace;
+        if trace && !self.obs.is_enabled() {
+            self.obs = ObsSink::enabled(amc_obs::log::DEFAULT_EVENT_CAP);
+        }
     }
 
     /// The communication manager of `site` — only available when the
@@ -358,9 +359,9 @@ impl Federation {
         self.history.lock().clone()
     }
 
-    /// Snapshot of the message trace.
-    pub fn trace(&self) -> MessageTrace {
-        self.trace.lock().clone()
+    /// Snapshot of the event log (empty unless one is kept).
+    pub fn events(&self) -> EventLog {
+        self.obs.snapshot()
     }
 
     /// Aggregate communication-manager counters.
@@ -398,30 +399,42 @@ impl Federation {
         self.l1.stats()
     }
 
-    /// The message trace's copy of an outgoing message, when a trace is
-    /// kept (the message itself moves into the transport).
-    fn traced(&self, payload: &Payload) -> Option<Payload> {
-        self.record_trace.then(|| payload.clone())
-    }
-
-    /// Record one exchange as a (request, reply) pair.
-    fn record_exchange(&self, site: SiteId, request: Option<Payload>, reply: &AmcResult<Payload>) {
-        let Some(request) = request else { return };
-        let mut trace = self.trace.lock();
-        trace.record(SimTime::ZERO, Envelope::new(SiteId::CENTRAL, site, request));
+    /// The blocking pump's message events: `request` went out to `site`
+    /// and `reply`, if one came, back in — what the simulator's router
+    /// and the rpc client emit on their wires. A request that met an
+    /// outage is a `MsgSend` nobody received.
+    fn observe_exchange(
+        &self,
+        gtx: GlobalTxnId,
+        site: SiteId,
+        request: &'static str,
+        reply: &AmcResult<Payload>,
+    ) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let send = |label, from: SiteId, to: SiteId| {
+            let sent = EventKind::MsgSend { label, from, to };
+            self.obs.emit(Some(gtx), from, sent);
+        };
+        let deliver = |label, from: SiteId, to: SiteId| {
+            let delivered = EventKind::MsgDeliver { label, from };
+            self.obs.emit(Some(gtx), to, delivered);
+        };
+        send(request, SiteId::CENTRAL, site);
+        // Only an answer shows that the request arrived.
         if let Ok(reply) = reply {
-            trace.record(
-                SimTime::ZERO,
-                Envelope::new(site, SiteId::CENTRAL, reply.clone()),
-            );
+            deliver(request, SiteId::CENTRAL, site);
+            send(reply.label(), site, SiteId::CENTRAL);
+            deliver(reply.label(), site, SiteId::CENTRAL);
         }
     }
 
     /// One message and its reply.
     fn dispatch(&self, site: SiteId, payload: Payload) -> AmcResult<Payload> {
-        let request = self.traced(&payload);
+        let (gtx, request) = (payload.gtx(), payload.label());
         let reply = self.transport.call(site, payload);
-        self.record_exchange(site, request, &reply);
+        self.observe_exchange(gtx, site, request, &reply);
         reply
     }
 
@@ -704,6 +717,7 @@ impl Federation {
     /// the other's at the next — a distributed deadlock no site can see
     /// and only `lock_timeout` breaks.
     fn pump(&self, txn: &mut Txn, first: Sends, l0: &mut L0Tenures) -> AmcResult<()> {
+        let gtx = txn.gtx();
         let keeps_l0 = txn.coordinator.protocol() != ProtocolKind::CommitBefore;
         let mut batches = VecDeque::from([first]);
         while let Some(sends) = batches.pop_front() {
@@ -732,12 +746,12 @@ impl Federation {
                 Ok(())
             };
             if whole {
-                let requests: Vec<(SiteId, Option<Payload>)> =
-                    sends.iter().map(|(s, p)| (*s, self.traced(p))).collect();
+                let requests: Vec<(SiteId, &'static str)> =
+                    sends.iter().map(|(s, p)| (*s, p.label())).collect();
                 let sent_at = Instant::now();
                 let replies = self.transport.call_round(sends);
                 for ((site, request), reply) in requests.into_iter().zip(replies) {
-                    self.record_exchange(site, request, &reply);
+                    self.observe_exchange(gtx, site, request, &reply);
                     on_reply(site, sent_at, reply)?;
                 }
             } else {
@@ -972,8 +986,7 @@ impl PaxosRun {
         }
         // Every instance chose Prepared at a majority at ballot 0: the
         // commit is already the replicated, durable fact.
-        let px = fed.paxos_config();
-        let acceptors = px.acceptors.len();
+        let acceptors = fed.paxos_config().acceptors.len();
         if v == GlobalVerdict::Commit && self.ledger.all_chosen(&self.participants, acceptors) {
             return Ok(None);
         }
@@ -982,7 +995,7 @@ impl PaxosRun {
         // ballot: a unilateral decision could contradict what a standby
         // reads from the acceptor logs.
         self.messages += 2 * acceptors as u64 * (1 + self.participants.len() as u64);
-        let driver = fed.replica_driver(px.replica);
+        let driver = fed.replica_driver(0); // the incumbent
         let (verdict, _) = driver.decide(gtx, &self.participants)?;
         Ok((verdict != v).then_some(verdict))
     }
@@ -1878,17 +1891,63 @@ mod tests {
             let history = fed.history();
             assert!(history.events().is_empty(), "transport={transport}");
             assert_eq!(history.outcome(report.gtx), None, "transport={transport}");
-            assert!(fed.trace().is_empty(), "transport={transport}");
+            assert!(fed.events().is_empty(), "transport={transport}");
         }
     }
 
+    /// The blocking pump's event log: every message is a `MsgSend` at its
+    /// sender followed by its `MsgDeliver` at the receiver, one end of
+    /// every hop is the central system, and the coordinator's own
+    /// transitions share the log.
     #[test]
-    fn trace_respects_star_topology() {
+    fn the_blocking_pump_logs_each_hop_as_send_then_deliver() {
         let fed = loaded(ProtocolKind::CommitAfter, 2);
-        fed.run_transaction(&transfer(1, 2, 1)).unwrap();
-        for entry in fed.trace().entries() {
-            assert!(entry.envelope.respects_star_topology());
+        let gtx = fed.run_transaction(&transfer(1, 2, 1)).unwrap().gtx;
+        let log = fed.events();
+        let events: Vec<_> = log.timeline(gtx);
+        let mut hops = 0;
+        for (i, e) in events.iter().enumerate() {
+            if let EventKind::MsgSend { label, from, to } = e.kind {
+                hops += 1;
+                assert!(from.is_central() != to.is_central(), "{e}");
+                assert_eq!(e.site, from);
+                let next = events[i + 1];
+                assert_eq!(next.kind, EventKind::MsgDeliver { label, from });
+                assert_eq!(next.site, to);
+            }
         }
+        assert_eq!(hops, 8, "submit, ready, commit, finished with each site");
+        assert_eq!(log.message_labels(gtx).len(), 8);
+        let done = EventKind::Done {
+            verdict: GlobalVerdict::Commit,
+        };
+        assert!(events.iter().any(|e| e.kind == done));
+    }
+
+    /// A request that meets an outage is logged as sent, never as
+    /// delivered, and has no reply.
+    #[test]
+    fn an_unanswered_request_is_logged_as_sent_and_not_delivered() {
+        let (mut fed, transport) = flaky(ProtocolKind::CommitAfter, 2);
+        let recording = Arc::get_mut(&mut fed).expect("nobody else holds the federation yet");
+        recording.set_recording(false, true);
+        *transport.fail_finish_for.lock() = Some(site(2));
+        let gtx = fed.run_transaction(&transfer(1, 2, 5)).unwrap().gtx;
+        let log = fed.events();
+        let labels = log.message_labels(gtx);
+        assert_eq!(labels.last().map(String::as_str), Some("commit:0->2"));
+        assert!(!labels.contains(&"finished:2->0".to_string()), "{labels:?}");
+        let lost = EventKind::MsgDeliver {
+            label: "commit",
+            from: SiteId::CENTRAL,
+        };
+        let received_at = |s| {
+            log.timeline(gtx)
+                .iter()
+                .any(|e| e.site == site(s) && e.kind == lost)
+        };
+        assert!(received_at(1) && !received_at(2));
+        assert_eq!(fed.pending_obligations(), 1);
     }
 
     #[test]

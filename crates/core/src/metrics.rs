@@ -137,6 +137,18 @@ impl RunMetrics {
         Some(self.log_forces as f64 / self.batched_commits as f64)
     }
 
+    /// Commit-after repetitions per committed transaction (E2's headline
+    /// series, §3.2); `None` when nothing committed.
+    pub fn redos_per_commit(&self) -> Option<f64> {
+        (self.committed > 0).then(|| self.redo_runs as f64 / self.committed as f64)
+    }
+
+    /// Commit-before inverse transactions per intended abort (E3, §3.3);
+    /// `None` when no transaction intended its abort.
+    pub fn undos_per_abort(&self) -> Option<f64> {
+        (self.aborted_intended > 0).then(|| self.undo_runs as f64 / self.aborted_intended as f64)
+    }
+
     /// Fraction of attempts that globally aborted; `None` when nothing ran.
     pub fn abort_rate(&self) -> Option<f64> {
         let total = self.committed + self.aborted_intended + self.aborted_erroneous;
@@ -215,6 +227,8 @@ mod tests {
         assert_eq!(m.completions_per_sec(), None);
         assert_eq!(m.sheds_per_commit(), None);
         assert_eq!(m.forces_per_commit(), None);
+        assert_eq!(m.redos_per_commit(), None);
+        assert_eq!(m.undos_per_abort(), None);
     }
 
     #[test]
@@ -233,6 +247,20 @@ mod tests {
                 < 1e-9
         );
         assert!((m.completions_per_sec().unwrap() - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn repetitions_are_per_commit_and_per_intended_abort() {
+        let mut m = RunMetrics::new();
+        m.committed = 40;
+        m.redo_runs = 10;
+        m.undo_runs = 6;
+        assert_eq!(m.redos_per_commit(), Some(0.25));
+        // No transaction intended its abort: no denominator, no ratio.
+        assert_eq!(m.undos_per_abort(), None);
+        m.aborted_intended = 4;
+        m.aborted_erroneous = 9;
+        assert_eq!(m.undos_per_abort(), Some(1.5));
     }
 
     #[test]

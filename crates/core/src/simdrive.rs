@@ -26,7 +26,7 @@ use crate::config::FederationConfig;
 use crate::drive::Program;
 use crate::federation::{Completion, Federation, Sends, Txn};
 use amc_net::router::{NetStats, RouterConfig, Routing};
-use amc_net::{Envelope, LocalCommManager, MessageTrace, Payload, Router};
+use amc_net::{Envelope, LocalCommManager, Payload, Router};
 use amc_obs::{EventKind, EventLog, ObsSink};
 use amc_sim::{EventQueue, FaultEvent, FaultKind, FaultPlan, LinkDir, SimRng};
 use amc_types::{AmcError, GlobalTxnId, GlobalVerdict, SimDuration, SimTime, SiteId};
@@ -57,10 +57,6 @@ pub struct SimConfig {
     /// exactly the bug the chaos sweep + shrinker demo must catch. Never
     /// set outside tests.
     pub unsafe_skip_decision_log: bool,
-    /// Retention bound for the structured event log (ring buffer; the
-    /// oldest events are evicted past this). Events are stamped with the
-    /// virtual clock, so equal seeds give bit-identical logs.
-    pub event_cap: usize,
 }
 
 impl SimConfig {
@@ -82,7 +78,6 @@ impl SimConfig {
             retransmit_every: SimDuration::from_millis(20),
             horizon: SimDuration::from_millis(10_000),
             unsafe_skip_decision_log: false,
-            event_cap: amc_obs::log::DEFAULT_EVENT_CAP,
         }
     }
 }
@@ -94,8 +89,6 @@ pub struct SimReport {
     pub outcomes: BTreeMap<GlobalTxnId, GlobalVerdict>,
     /// Virtual start→done duration per transaction.
     pub resolution: BTreeMap<GlobalTxnId, SimDuration>,
-    /// Every message that entered the network.
-    pub trace: MessageTrace,
     /// Network accounting: messages admitted, dropped (loss, down sites,
     /// partitions), duplicated.
     pub net: NetStats,
@@ -109,7 +102,11 @@ pub struct SimReport {
     /// Final virtual time.
     pub end_time: SimTime,
     /// Structured event log: every protocol transition, message fate,
-    /// fault and recovery step, stamped with the virtual clock. Feed to
+    /// fault and recovery step, stamped with the virtual clock (equal
+    /// seeds give bit-identical logs), in a ring of
+    /// [`DEFAULT_EVENT_CAP`](amc_obs::log::DEFAULT_EVENT_CAP) events. Every
+    /// message that entered the network is a `MsgSend` or `MsgDrop` here
+    /// ([`EventLog::message_labels`]). Feed to
     /// [`EventLog::timeline`] / [`EventLog::derive`] for per-transaction
     /// explanations and histogram metrics.
     pub events: EventLog,
@@ -132,7 +129,6 @@ pub struct SimFederation {
     /// them, a restart recovers them from `programs` and the decision log.
     txns: BTreeMap<GlobalTxnId, Txn>,
     programs: BTreeMap<GlobalTxnId, Program>,
-    trace: MessageTrace,
     retransmissions: u64,
     errors: Vec<String>,
     /// When each transaction was admitted.
@@ -147,14 +143,14 @@ impl SimFederation {
     /// Build the federation, router and queue from `cfg`.
     pub fn new(cfg: SimConfig) -> Self {
         cfg.faults.validate().expect("invalid fault plan");
-        let obs = ObsSink::enabled(cfg.event_cap);
+        let obs = ObsSink::enabled(amc_obs::log::DEFAULT_EVENT_CAP);
         let mut fed = Federation::build(
             cfg.federation.clone(),
             obs.clone(),
             !cfg.unsafe_skip_decision_log,
         );
         // The simulator is the oracle driver: every run feeds the checkers.
-        fed.set_recording(true, true);
+        fed.set_recording(true, false);
         let mut rng = SimRng::new(cfg.seed);
         let mut router = Router::new(cfg.router.clone(), rng.fork());
         router.attach_obs(obs.clone());
@@ -165,7 +161,6 @@ impl SimFederation {
             queue: EventQueue::new(),
             txns: BTreeMap::new(),
             programs: BTreeMap::new(),
-            trace: MessageTrace::new(),
             retransmissions: 0,
             errors: Vec::new(),
             start_times: BTreeMap::new(),
@@ -193,7 +188,6 @@ impl SimFederation {
     /// service time; none at the central system).
     fn send(&mut self, from: SiteId, to: SiteId, payload: Payload, after: SimDuration) {
         let env = Envelope::new(from, to, payload);
-        self.trace.record(self.queue.now(), env.clone());
         match self.router.route(&env) {
             Routing::Deliver(latency) => {
                 self.queue
@@ -432,7 +426,6 @@ impl SimFederation {
         SimReport {
             outcomes,
             resolution,
-            trace: self.trace,
             net: self.router.stats(),
             retransmissions: self.retransmissions,
             unresolved,
@@ -538,7 +531,7 @@ mod tests {
         // coordinator needs no further messages ("does not need to start
         // further actions").
         assert_eq!(
-            report.trace.labels_for(GlobalTxnId::new(1)),
+            report.events.message_labels(GlobalTxnId::new(1)),
             vec!["submit:0->1", "submit:0->2", "ready:1->0", "ready:2->0",]
         );
     }
@@ -548,7 +541,7 @@ mod tests {
         let fed = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none());
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 5))]);
         assert_eq!(
-            report.trace.labels_for(GlobalTxnId::new(1)),
+            report.events.message_labels(GlobalTxnId::new(1)),
             vec![
                 "submit:0->1",
                 "submit:0->2",
@@ -590,7 +583,7 @@ mod tests {
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 5))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(
-            report.trace.labels_for(GlobalTxnId::new(1)),
+            report.events.message_labels(GlobalTxnId::new(1)),
             vec![
                 "submit-prepare:0->1",
                 "submit-prepare:0->2",
@@ -628,7 +621,7 @@ mod tests {
                 let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 5))]);
                 assert!(report.errors.is_empty(), "{:?}", report.errors);
                 assert_eq!(report.outcomes[&GlobalTxnId::new(1)], GlobalVerdict::Commit);
-                report.trace.labels_for(GlobalTxnId::new(1))
+                report.events.message_labels(GlobalTxnId::new(1))
             };
             let mut flagged = plain.clone();
             flagged.fast_path = true;
@@ -754,7 +747,7 @@ mod tests {
         );
         assert!(report.net.partitioned_drops > 0, "the partition never bit");
         assert!(report.retransmissions > 0, "the lost vote needed the timer");
-        let labels = report.trace.labels_for(GlobalTxnId::new(1));
+        let labels = report.events.message_labels(GlobalTxnId::new(1));
         assert!(
             labels.iter().any(|l| l == "prepare:0->2"),
             "re-inquiry must use the classic prepare: {labels:?}"
@@ -778,7 +771,7 @@ mod tests {
                 report.outcomes,
                 report.net,
                 report.end_time,
-                report.trace.render(),
+                report.events.render(),
             )
         };
         assert_eq!(run(), run());
@@ -920,7 +913,7 @@ mod tests {
                 report.outcomes,
                 report.net,
                 report.end_time,
-                report.trace.render(),
+                report.events.render(),
             )
         };
         assert_eq!(run(), run());

@@ -9,8 +9,6 @@
 //! * [`router`] — a deterministic simulated network: per-message latency
 //!   from a seeded model, messages to a crashed site are dropped, and the
 //!   star invariant is enforced on every send;
-//! * [`trace`] — a recorder producing the golden message traces that
-//!   reproduce Figs. 2, 4 and 6, plus per-kind counters for experiment E4;
 //! * [`comm`] — the **local communication manager** of §2: the component
 //!   "on top of" each unmodifiable engine that listens for global calls and
 //!   implements the redo (§3.2) and undo (§3.3) mechanics, including the
@@ -36,14 +34,12 @@ pub mod journal;
 pub mod marker;
 pub mod message;
 pub mod router;
-pub mod trace;
 pub mod transport;
 
 pub use comm::{CommStats, EngineHandle, LocalCommManager, SubmitMode};
 pub use journal::{RecoveryStats, WorkEntry, WorkJournal};
 pub use message::{Envelope, Payload};
 pub use router::{NetStats, Router, RouterConfig};
-pub use trace::{MessageTrace, TraceEntry};
 pub use transport::{
     AdminReply, AdminRequest, FederationTransport, InProcessTransport, PaxosOpenEntry,
 };

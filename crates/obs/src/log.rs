@@ -89,6 +89,20 @@ impl EventLog {
         self.events.iter().filter(|e| e.txn == Some(gtx)).collect()
     }
 
+    /// Every message of one transaction that entered the network —
+    /// delivered (`MsgSend`) or lost (`MsgDrop`) — as `label:from->to`,
+    /// oldest first: the golden-trace form of Figs. 2, 4 and 6.
+    pub fn message_labels(&self, gtx: GlobalTxnId) -> Vec<String> {
+        let label = |e: &&Event| match &e.kind {
+            EventKind::MsgSend { label, from, to }
+            | EventKind::MsgDrop {
+                label, from, to, ..
+            } => Some(format!("{label}:{}->{}", from.raw(), to.raw())),
+            _ => None,
+        };
+        self.timeline(gtx).iter().filter_map(label).collect()
+    }
+
     /// Render one transaction's timeline as text, one event per line.
     /// Empty string when the log holds nothing for that transaction.
     pub fn render_timeline(&self, gtx: GlobalTxnId) -> String {
@@ -260,6 +274,48 @@ mod tests {
         assert!(text.contains("txn-start"), "{text}");
         assert!(text.contains("done commit"), "{text}");
         assert!(!text.contains("G2"), "{text}");
+    }
+
+    #[test]
+    fn message_labels_list_sends_and_drops_of_one_txn() {
+        let mut log = EventLog::default();
+        let (g1, g2, s1) = (GlobalTxnId::new(1), GlobalTxnId::new(2), SiteId::new(1));
+        let send = |label, from, to| EventKind::MsgSend { label, from, to };
+        log.push(
+            SimTime(1),
+            Some(g1),
+            central(),
+            send("prepare", central(), s1),
+        );
+        log.push(
+            SimTime(1),
+            Some(g1),
+            s1,
+            EventKind::MsgDeliver {
+                label: "prepare",
+                from: central(),
+            },
+        );
+        log.push(
+            SimTime(2),
+            Some(g1),
+            s1,
+            EventKind::MsgDrop {
+                label: "ready",
+                from: s1,
+                to: central(),
+                cause: crate::event::DropCause::Loss,
+            },
+        );
+        log.push(
+            SimTime(3),
+            Some(g2),
+            central(),
+            send("prepare", central(), s1),
+        );
+        assert_eq!(log.message_labels(g1), ["prepare:0->1", "ready:1->0"]);
+        assert_eq!(log.message_labels(g2), ["prepare:0->1"]);
+        assert!(log.message_labels(GlobalTxnId::new(9)).is_empty());
     }
 
     #[test]

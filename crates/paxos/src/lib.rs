@@ -18,7 +18,7 @@
 //!   for the cross-replication of votes;
 //! * any standby coordinator replica can finish an in-doubt transaction
 //!   from the acceptor logs alone ([`driver`]), taking over ballot
-//!   leadership when the incumbent misses its lease ([`lease`]).
+//!   leadership from an incumbent that stopped making progress.
 //!
 //! The crate is sans-IO at its core (pure [`acceptor::AcceptorState`] and
 //! [`leader`] decision logic) with thin runtime adapters: the
@@ -33,7 +33,6 @@ pub mod ballot;
 pub mod driver;
 pub mod host;
 pub mod leader;
-pub mod lease;
 pub mod transport;
 
 pub use acceptor::{AcceptorState, DurableAcceptor, PromiseOutcome, Record};
@@ -41,5 +40,4 @@ pub use ballot::Ballot;
 pub use driver::{ReplicaDriver, MAX_BALLOT_ATTEMPTS};
 pub use host::AcceptorHost;
 pub use leader::{majority, plan_from_promises, CommitLedger, RecoveryPlan};
-pub use lease::StandbyMonitor;
 pub use transport::AcceptorTransport;

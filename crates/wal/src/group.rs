@@ -32,11 +32,13 @@ use amc_types::Lsn;
 use parking_lot::{Condvar, Mutex};
 use std::time::Duration;
 
+/// A leader stops lingering for followers once this many commits are
+/// pending.
+pub const MAX_BATCH: usize = 64;
+
 /// Tuning for [`GroupCommitter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupCommitConfig {
-    /// Stop lingering for followers once this many commits are pending.
-    pub max_batch: usize,
     /// How long a leader lingers for followers before forcing. Zero (the
     /// default) means "force whatever is queued right now" — batching then
     /// comes purely from commits that arrive while a force is in flight.
@@ -45,16 +47,6 @@ pub struct GroupCommitConfig {
     /// amortizes). The leader sleeps this long **without** holding the log
     /// mutex, so concurrent committers can append and queue meanwhile.
     pub force_latency: Duration,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig {
-            max_batch: 64,
-            max_wait: Duration::ZERO,
-            force_latency: Duration::ZERO,
-        }
-    }
 }
 
 struct GcInner {
@@ -154,8 +146,7 @@ impl GroupCommitter {
                 continue;
             }
             // We are the leader-elect for everything queued so far.
-            if !lingered && !self.cfg.max_wait.is_zero() && inner.pending.len() < self.cfg.max_batch
-            {
+            if !lingered && !self.cfg.max_wait.is_zero() && inner.pending.len() < MAX_BATCH {
                 // Linger briefly so followers can join this batch.
                 lingered = true;
                 self.cv.wait_for(&mut inner, self.cfg.max_wait);
@@ -297,7 +288,6 @@ mod tests {
     #[test]
     fn lingering_leader_collects_followers() {
         let cfg = GroupCommitConfig {
-            max_batch: 64,
             max_wait: Duration::from_millis(10),
             force_latency: Duration::ZERO,
         };

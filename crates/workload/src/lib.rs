@@ -18,7 +18,7 @@
 //!   (read-check-then-write: the conservative end).
 //!
 //! On top of the scenario generators sits the **contention-aware workload
-//! engine** ([`mixes`]): a seeded Zipfian key stream ([`zipf::ZipfKeys`])
+//! engine** ([`mixes`]): seeded Zipfian keys (`amc_sim::SimRng::zipf`)
 //! feeding production-shaped mixes — balanced transfers, a generic skewed
 //! mix, hot-key commuting counters, a TPC-C-style `NewOrder` profile with
 //! escrow reserves, and read-heavy scans with short writers. The same
@@ -33,7 +33,6 @@ pub mod generator;
 pub mod mixes;
 pub mod program;
 pub mod scenario;
-pub mod zipf;
 
 pub use generator::{OpMix, WorkloadGen, WorkloadSpec};
 pub use mixes::{fingerprint, MixGen, MixKind, MixSpec};
@@ -41,4 +40,3 @@ pub use program::{
     initial_counters, object, site_of_object, transfer, GlobalProgram, INITIAL_PER_OBJECT,
 };
 pub use scenario::Scenario;
-pub use zipf::ZipfKeys;

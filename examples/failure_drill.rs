@@ -70,7 +70,7 @@ fn main() {
             (v1, v2) == (70, 130) || (v1, v2) == (100, 100)
         );
         println!("transcript:");
-        for line in report.trace.render().lines() {
+        for line in report.events.render_timeline(gtx).lines() {
             println!("  {line}");
         }
         assert!(

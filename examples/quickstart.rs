@@ -54,7 +54,9 @@ fn main() {
     println!();
     println!("message flow (note: no decision round on the commit path —");
     println!("locals committed before the global decision, §3.3):");
-    print!("{}", federation.trace().render());
+    for message in federation.events().message_labels(report.gtx) {
+        println!("  {message}");
+    }
     println!();
 
     let dumps = federation.dumps().expect("dump");

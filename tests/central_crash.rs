@@ -11,6 +11,7 @@
 //!   that had committed, the decision-holding protocols ship the abort.
 
 use amc::core::{FederationConfig, ProtocolKind, SimConfig, SimFederation};
+use amc::obs::{Event, EventKind};
 use amc::sim::FaultPlan;
 use amc::types::{
     GlobalTxnId, GlobalVerdict, ObjectId, Operation, SimDuration, SimTime, SiteId, Value,
@@ -142,7 +143,7 @@ fn presumed_abort_undoes_committed_locals_under_commit_before() {
     );
     assert_atomic(&report, &dumps, "presumed abort with committed locals");
     // The undo really ran: look for undo messages in the trace.
-    let labels = report.trace.labels_for(GlobalTxnId::new(1));
+    let labels = report.events.message_labels(GlobalTxnId::new(1));
     assert!(
         labels.iter().any(|l| l.starts_with("undo:")),
         "expected inverse transactions, got {labels:?}"
@@ -266,11 +267,12 @@ fn logged_commit_retakes_its_l1_locks_before_a_new_start_is_admitted() {
     assert_eq!(dumps[&SiteId::new(1)][&obj(1, 0)].counter, 70);
     assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)].counter, 7);
     let g1_ended = SimTime::ZERO + report.resolution[&g1];
+    let is_message = |e: &&&Event| matches!(e.kind, EventKind::MsgSend { .. });
     let g2_first_message = report
-        .trace
-        .entries()
+        .events
+        .timeline(g2)
         .iter()
-        .find(|e| e.envelope.payload.gtx() == g2)
+        .find(is_message)
         .expect("G2 ran")
         .at;
     assert!(

@@ -17,7 +17,7 @@ fn obj(site: u32, i: u64) -> ObjectId {
 
 fn loaded(protocol: ProtocolKind) -> Arc<Federation> {
     let mut fed = Federation::new(FederationConfig::uniform(2, protocol));
-    fed.set_recording(true, true);
+    fed.set_recording(true, false);
     for s in 1..=2u32 {
         fed.load_site(
             SiteId::new(s),

@@ -287,14 +287,14 @@ fn fast_path_solo_chaos_sweep_is_violation_free() {
                     report.outcomes,
                     report.net,
                     report.end_time,
-                    report.trace.render(),
+                    report.events.render(),
                     dumps
                 ),
                 (
                     again.outcomes,
                     again.net,
                     again.end_time,
-                    again.trace.render(),
+                    again.events.render(),
                     dumps_again
                 ),
                 "{label}: not reproducible"
@@ -486,7 +486,7 @@ fn chaos_runs_reproduce_per_seed() {
                     report.net,
                     report.retransmissions,
                     report.end_time,
-                    report.trace.render(),
+                    report.events.render(),
                     dumps,
                 )
             };

@@ -70,7 +70,7 @@ fn fig2_two_phase_commit_trace() {
     let report = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     assert_eq!(
-        report.trace.labels_for(G1),
+        report.events.message_labels(G1),
         vec![
             "submit:0->1",
             "submit:0->2",
@@ -95,7 +95,7 @@ fn fig2_two_phase_commit_trace() {
 fn fig2_two_phase_abort_trace() {
     let report = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, failing_at_site_2())]);
-    let labels = report.trace.labels_for(G1);
+    let labels = report.events.message_labels(G1);
     assert_eq!(
         labels,
         vec![
@@ -119,7 +119,7 @@ fn fig4_commit_after_trace() {
     let report = sim(ProtocolKind::CommitAfter, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     assert_eq!(
-        report.trace.labels_for(G1),
+        report.events.message_labels(G1),
         vec![
             "submit:0->1",
             "submit:0->2",
@@ -143,7 +143,7 @@ fn fig4_redo_retransmission_after_crash() {
         FaultPlan::none().outage(SiteId::new(2), SimTime(1_450), SimDuration::from_millis(25));
     let report =
         sim(ProtocolKind::CommitAfter, failures).run(vec![(SimDuration::ZERO, transfer())]);
-    let labels = report.trace.labels_for(G1);
+    let labels = report.events.message_labels(G1);
     assert_eq!(report.outcomes.get(&G1), Some(&GlobalVerdict::Commit));
     assert!(
         labels.iter().any(|l| l == "redo:0->2"),
@@ -157,7 +157,7 @@ fn fig6_commit_before_commit_trace() {
     let report = sim(ProtocolKind::CommitBefore, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
     assert_eq!(
-        report.trace.labels_for(G1),
+        report.events.message_labels(G1),
         vec!["submit:0->1", "submit:0->2", "ready:1->0", "ready:2->0"]
     );
     assert_eq!(report.outcomes[&G1], GlobalVerdict::Commit);
@@ -169,7 +169,7 @@ fn fig6_commit_before_commit_trace() {
 fn fig6_commit_before_undo_trace() {
     let report = sim(ProtocolKind::CommitBefore, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, failing_at_site_2())]);
-    let labels = report.trace.labels_for(G1);
+    let labels = report.events.message_labels(G1);
     assert_eq!(
         labels,
         vec![
@@ -191,7 +191,7 @@ fn fig3_5_7_commit_point_orderings() {
     // 2PC: decision between ready and commit messages (middle).
     let two_pc = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
-    let labels = two_pc.trace.labels_for(G1);
+    let labels = two_pc.events.message_labels(G1);
     let ready_pos = labels.iter().position(|l| l.starts_with("ready")).unwrap();
     let commit_pos = labels.iter().position(|l| l.starts_with("commit")).unwrap();
     assert!(ready_pos < commit_pos, "Fig. 3: decision in the middle");
@@ -200,7 +200,7 @@ fn fig3_5_7_commit_point_orderings() {
     // happens after every vote — there is no local commit before "commit".
     let after = sim(ProtocolKind::CommitAfter, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
-    let labels = after.trace.labels_for(G1);
+    let labels = after.events.message_labels(G1);
     let last_vote = labels.iter().rposition(|l| l.starts_with("ready")).unwrap();
     let decision = labels.iter().position(|l| l.starts_with("commit")).unwrap();
     assert!(
@@ -212,7 +212,7 @@ fn fig3_5_7_commit_point_orderings() {
     // local commits all precede the (silent) decision (Fig. 7).
     let before = sim(ProtocolKind::CommitBefore, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, transfer())]);
-    let labels = before.trace.labels_for(G1);
+    let labels = before.events.message_labels(G1);
     assert!(
         labels.iter().all(|l| !l.starts_with("commit:")),
         "Fig. 7: no commit message on the wire"
@@ -241,7 +241,7 @@ fn read_only_participant_drops_out_of_decision_round() {
     let report = sim(ProtocolKind::TwoPhaseCommit, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, read_only_program())]);
     assert_eq!(
-        report.trace.labels_for(G1),
+        report.events.message_labels(G1),
         vec![
             "submit:0->1",
             "submit:0->2",
@@ -262,7 +262,7 @@ fn read_only_participant_drops_out_of_decision_round() {
     let report = sim(ProtocolKind::CommitAfter, FaultPlan::none())
         .run(vec![(SimDuration::ZERO, read_only_program())]);
     assert_eq!(
-        report.trace.labels_for(G1),
+        report.events.message_labels(G1),
         vec![
             "submit:0->1",
             "submit:0->2",
@@ -295,7 +295,7 @@ fn read_only_participant_needs_no_undo_on_abort() {
     let report =
         sim(ProtocolKind::CommitBefore, FaultPlan::none()).run(vec![(SimDuration::ZERO, program)]);
     assert_eq!(report.outcomes[&G1], GlobalVerdict::Abort);
-    let labels = report.trace.labels_for(G1);
+    let labels = report.events.message_labels(G1);
     assert_eq!(
         labels,
         vec![
@@ -325,7 +325,7 @@ fn fast_path_single_site_trace_is_two_messages() {
     let report = fed.run(vec![(SimDuration::ZERO, program)]);
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert_eq!(
-        report.trace.labels_for(G1),
+        report.events.message_labels(G1),
         vec!["submit-solo:0->2", "ready:2->0"]
     );
     assert_eq!(report.net.sent, 2);
@@ -335,44 +335,45 @@ fn fast_path_single_site_trace_is_two_messages() {
 }
 
 /// The threaded `Federation` hands a round's sends to the transport
-/// together, but records each exchange as a (request, reply) pair in
+/// together, but logs each exchange as a (request, reply) pair in
 /// emission order — over the serial in-process transport, exactly the
-/// sequence it recorded when it made the calls one by one.
+/// sequence it logged when it made the calls one by one.
 #[test]
 fn threaded_federation_records_rounds_as_request_reply_pairs() {
-    let goldens = [
+    let goldens: [(ProtocolKind, &[&str]); 3] = [
         (
             ProtocolKind::TwoPhaseCommit,
-            "[t+0us] site-0 -> site-1: submit(G1)\n\
-             [t+0us] site-1 -> site-0: ready(G1)\n\
-             [t+0us] site-0 -> site-2: submit(G1)\n\
-             [t+0us] site-2 -> site-0: ready(G1)\n\
-             [t+0us] site-0 -> site-1: prepare(G1)\n\
-             [t+0us] site-1 -> site-0: ready(G1)\n\
-             [t+0us] site-0 -> site-2: prepare(G1)\n\
-             [t+0us] site-2 -> site-0: ready(G1)\n\
-             [t+0us] site-0 -> site-1: commit(G1)\n\
-             [t+0us] site-1 -> site-0: finished(G1)\n\
-             [t+0us] site-0 -> site-2: commit(G1)\n\
-             [t+0us] site-2 -> site-0: finished(G1)\n",
+            &[
+                "submit:0->1",
+                "ready:1->0",
+                "submit:0->2",
+                "ready:2->0",
+                "prepare:0->1",
+                "ready:1->0",
+                "prepare:0->2",
+                "ready:2->0",
+                "commit:0->1",
+                "finished:1->0",
+                "commit:0->2",
+                "finished:2->0",
+            ],
         ),
         (
             ProtocolKind::CommitAfter,
-            "[t+0us] site-0 -> site-1: submit(G1)\n\
-             [t+0us] site-1 -> site-0: ready(G1)\n\
-             [t+0us] site-0 -> site-2: submit(G1)\n\
-             [t+0us] site-2 -> site-0: ready(G1)\n\
-             [t+0us] site-0 -> site-1: commit(G1)\n\
-             [t+0us] site-1 -> site-0: finished(G1)\n\
-             [t+0us] site-0 -> site-2: commit(G1)\n\
-             [t+0us] site-2 -> site-0: finished(G1)\n",
+            &[
+                "submit:0->1",
+                "ready:1->0",
+                "submit:0->2",
+                "ready:2->0",
+                "commit:0->1",
+                "finished:1->0",
+                "commit:0->2",
+                "finished:2->0",
+            ],
         ),
         (
             ProtocolKind::CommitBefore,
-            "[t+0us] site-0 -> site-1: submit(G1)\n\
-             [t+0us] site-1 -> site-0: ready(G1)\n\
-             [t+0us] site-0 -> site-2: submit(G1)\n\
-             [t+0us] site-2 -> site-0: ready(G1)\n",
+            &["submit:0->1", "ready:1->0", "submit:0->2", "ready:2->0"],
         ),
     ];
     for (protocol, golden) in goldens {
@@ -383,7 +384,7 @@ fn threaded_federation_records_rounds_as_request_reply_pairs() {
                 .unwrap();
         }
         fed.run_transaction(&transfer()).unwrap();
-        assert_eq!(fed.trace().render(), golden, "{protocol:?}");
+        assert_eq!(fed.events().message_labels(G1), golden, "{protocol:?}");
     }
 }
 
@@ -427,8 +428,8 @@ fn blocking_pump_and_simulator_exchange_the_same_messages_per_link() {
             let pumped = fed.run_transaction(&program).unwrap();
             assert_eq!(pumped.gtx, G1);
 
-            let simulated = report.trace.labels_for(G1);
-            let blocking = fed.trace().labels_for(G1);
+            let simulated = report.events.message_labels(G1);
+            let blocking = fed.events().message_labels(G1);
             assert_eq!(blocking.len(), simulated.len(), "{protocol} {verdict:?}");
             assert_eq!(
                 per_link(blocking),

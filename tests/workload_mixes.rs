@@ -13,8 +13,9 @@ use amc::core::{Federation, FederationConfig, ProtocolKind};
 use amc::mlt::ConflictPolicy;
 use amc::net::marker::is_marker;
 use amc::rpc::{Fleet, Wire};
+use amc::sim::SimRng;
 use amc::types::{Operation, SiteId};
-use amc::workload::{fingerprint, MixGen, MixKind, MixSpec, ZipfKeys};
+use amc::workload::{fingerprint, MixGen, MixKind, MixSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,8 +103,9 @@ fn theta_is_part_of_the_stream_identity() {
     }
 }
 
-/// The Zipf generator's skew dial works: the hottest key's frequency is
-/// monotone in theta, from ~uniform at 0 to heavily skewed at 1.2.
+/// The skew dial every mix draws its keys from (`SimRng::zipf`) works: the
+/// hottest key's frequency is monotone in theta, from ~uniform at 0 to
+/// heavily skewed at 1.2.
 #[test]
 fn zipf_top1_frequency_is_monotone_in_theta() {
     let n = 64u64;
@@ -111,8 +113,9 @@ fn zipf_top1_frequency_is_monotone_in_theta() {
     let mut last = 0.0f64;
     for theta in [0.0, 0.6, 0.9, 1.2] {
         let mut counts = BTreeMap::new();
-        for key in ZipfKeys::new(n, theta, 99).take(draws) {
-            *counts.entry(key).or_insert(0u64) += 1;
+        let mut rng = SimRng::new(99);
+        for _ in 0..draws {
+            *counts.entry(rng.zipf(n, theta)).or_insert(0u64) += 1;
         }
         let top1 = *counts.values().max().unwrap() as f64 / draws as f64;
         assert!(
