@@ -14,7 +14,7 @@
 use amc_net::Payload;
 use amc_obs::{EventKind, ObsSink};
 use amc_types::{
-    AmcError, AmcResult, GlobalPhase, GlobalTxnId, GlobalVerdict, LocalVote, Operation,
+    AmcError, AmcResult, GlobalPhase, GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation,
     ProtocolKind, SiteId,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -234,6 +234,11 @@ impl Coordinator {
     /// The operations shipped to `site` (empty for a non-participant).
     pub fn program(&self, site: SiteId) -> &[Operation] {
         self.programs.get(&site).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every object the programs touch, in site order (repeats included).
+    pub(crate) fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.programs.values().flatten().map(Operation::object)
     }
 
     /// This coordinator's transaction.

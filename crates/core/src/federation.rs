@@ -514,22 +514,23 @@ impl Federation {
                 .and_modify(|m| *m = m.combine(mode))
                 .or_insert(mode);
         }
-        for (obj, mode) in needed {
+        for (&obj, &mode) in &needed {
             let reason = match self.l1.acquire_mode(gtx, obj, mode) {
                 AcquireResult::Granted => continue,
                 AcquireResult::Deadlock => AbortReason::Deadlock,
                 AcquireResult::Timeout => AbortReason::LockTimeout,
             };
-            self.release_l1(gtx);
+            self.release_l1(gtx, needed.range(..obj).map(|(o, _)| *o));
             return Err(reason);
         }
         Ok(())
     }
 
-    /// Global end of `gtx` (2PC takes no L1 locks).
-    fn release_l1(&self, gtx: GlobalTxnId) {
+    /// Global end of `gtx`: release the L1 locks it took on `objects`
+    /// (2PC takes none).
+    fn release_l1(&self, gtx: GlobalTxnId, objects: impl Iterator<Item = ObjectId>) {
         if self.cfg.protocol != ProtocolKind::TwoPhaseCommit {
-            self.l1.release_all(gtx);
+            self.l1.release(gtx, &objects.collect::<Vec<_>>());
         }
     }
 
@@ -590,11 +591,11 @@ impl Federation {
 
     /// Central crash: everything volatile is lost — the `live`
     /// transactions, the parked coordinators, and with them the whole L1
-    /// table. The decision log survives.
+    /// table, swept per lost transaction. The decision log survives.
     pub(crate) fn crash(&self, live: impl IntoIterator<Item = Txn>) {
         let parked = std::mem::take(&mut *self.unresolved.lock());
         let lost = live.into_iter().map(|txn| txn.coordinator).chain(parked);
-        lost.for_each(|coordinator| self.release_l1(coordinator.gtx()));
+        lost.for_each(|coordinator| self.l1.release_all(coordinator.gtx()));
     }
 
     /// Feed `txn` one completion; returns the messages to send next. An
@@ -693,7 +694,7 @@ impl Federation {
         if verdict.is_some() && !txn.is_done() {
             self.unresolved.lock().push(txn.coordinator);
         } else {
-            self.release_l1(gtx);
+            self.release_l1(gtx, txn.coordinator.objects());
         }
         (verdict, messages)
     }
@@ -1442,6 +1443,61 @@ mod tests {
             (0, 0)
         );
         assert_eq!(user_sum(&fed), 100 * 2 * 50);
+    }
+
+    /// Every L1 release path — global end, a first-pass rejection giving
+    /// back what it got, a parked coordinator resolved later — frees
+    /// exactly what its program took: under contention nothing is left.
+    #[test]
+    fn contended_l1_run_releases_every_lock_it_took() {
+        for protocol in [ProtocolKind::CommitAfter, ProtocolKind::CommitBefore] {
+            let mut cfg = FederationConfig::uniform(3, protocol);
+            cfg.policy = amc_mlt::ConflictPolicy::ReadWriteOnly;
+            cfg.l1_timeout = Duration::from_millis(1);
+            let (fed, transport) = flaky_with(cfg);
+            // Site 3 hears no final state: its aborts (and, commit-after,
+            // its commits) park with their locks, rejecting later work.
+            *transport.fail_finish_for.lock() = Some(site(3));
+            let (rejected, aborted) = (AtomicU64::new(0), AtomicU64::new(0));
+            std::thread::scope(|scope| {
+                for client in 0..3u32 {
+                    let (fed, rejected, aborted) = (&fed, &rejected, &aborted);
+                    scope.spawn(move || {
+                        for i in 0..40u32 {
+                            let from = 1 + (client + i) % 3;
+                            let mut program = transfer(from, 1 + from % 3, 1);
+                            if i % 4 == 0 {
+                                let at_from = program.get_mut(&site(from)).unwrap();
+                                at_from.insert(
+                                    0,
+                                    Operation::Read {
+                                        obj: obj(from, 999),
+                                    },
+                                );
+                            }
+                            match fed.run_transaction(&program).unwrap().outcome {
+                                TxnOutcome::L1Rejected(_) => rejected,
+                                TxnOutcome::Aborted => aborted,
+                                TxnOutcome::Committed => continue,
+                            }
+                            .fetch_add(1, Ordering::Relaxed);
+                            if i == 20 {
+                                fed.resolve_pending().unwrap();
+                            }
+                        }
+                    });
+                }
+            });
+            assert!(fed.pending_obligations() > 0, "{protocol}: nothing parked");
+            assert!(rejected.into_inner() > 0, "{protocol}: no L1 rejection");
+            assert!(aborted.into_inner() > 0, "{protocol}");
+            *transport.fail_finish_for.lock() = None;
+            fed.resolve_pending().unwrap();
+            assert_eq!(fed.pending_obligations(), 0, "{protocol}");
+            assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
+            fed.l1().check_invariants().unwrap();
+            assert_eq!(user_sum(&fed), 100 * 3 * 50, "{protocol}");
+        }
     }
 
     /// A 2PC federation with Paxos Commit: `acceptors` durable acceptors

@@ -102,11 +102,6 @@ impl OccEngine {
         Ok((engine, report))
     }
 
-    /// Default sizing.
-    pub fn with_defaults() -> Self {
-        Self::new(64, 128)
-    }
-
     /// Default sizing, serving `site`.
     pub fn with_defaults_at(site: SiteId) -> Self {
         Self::new_at(64, 128, site)
@@ -340,7 +335,7 @@ mod tests {
     }
 
     fn engine_with(data: &[(u64, i64)]) -> OccEngine {
-        let e = OccEngine::with_defaults();
+        let e = OccEngine::new(64, 128);
         e.load(data.iter().map(|&(o, val)| (obj(o), v(val))))
             .unwrap();
         e

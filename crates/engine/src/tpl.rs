@@ -79,6 +79,25 @@ struct TxnCtx {
     /// Undo entries in execution order: `(object, image before the update,
     /// image after the update)`.
     undo: Vec<(ObjectId, Option<Value>, Option<Value>)>,
+    /// Every page this transaction locked or is asking to lock: what its
+    /// commit or abort releases, one stripe visit per distinct stripe.
+    held: Vec<PageId>,
+}
+
+impl TxnCtx {
+    fn new(state: LocalRunState) -> Self {
+        TxnCtx {
+            state,
+            undo: Vec::new(),
+            held: Vec::new(),
+        }
+    }
+
+    fn hold(&mut self, page: PageId) {
+        if !self.held.contains(&page) {
+            self.held.push(page);
+        }
+    }
 }
 
 /// Transaction metadata, liveness flag and counters — one of the engine's
@@ -147,11 +166,6 @@ impl TwoPLEngine {
         let engine = Self::over(cfg, site, LogManager::open_durable(path)?, false);
         let report = engine.recover()?;
         Ok((engine, report))
-    }
-
-    /// Convenience: default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(TplConfig::default())
     }
 
     /// The site this engine reports in `SiteDown` errors.
@@ -245,7 +259,7 @@ impl TwoPLEngine {
                 txns.stats.erroneous_aborts += 1;
             }
         }
-        self.locks.release_txn(txn);
+        self.locks.release(txn, &ctx.held);
         Ok(())
     }
 
@@ -276,7 +290,8 @@ impl TwoPLEngine {
             victims
         };
         // Free the lock table so parked waiters wake (they will observe the
-        // site is down and fail their operation).
+        // site is down and fail their operation). The sweep also purges a
+        // victim's own parked request, which no list of grants names.
         for t in victims {
             self.locks.release_txn(t);
         }
@@ -291,14 +306,6 @@ impl TwoPLEngine {
     pub fn io_stats(&self) -> (DiskStats, BufferStats) {
         self.store.lock().stats()
     }
-
-    /// Reset every statistics counter.
-    pub fn reset_stats(&self) {
-        self.txns.lock().stats = EngineStats::default();
-        self.wal.with_log(|log| log.reset_stats());
-        self.store.lock().reset_stats();
-        self.locks.reset_stats();
-    }
 }
 
 impl LocalEngine for TwoPLEngine {
@@ -309,13 +316,7 @@ impl LocalEngine for TwoPLEngine {
         }
         let txn = LocalTxnId::new(txns.next_txn);
         txns.next_txn += 1;
-        txns.active.insert(
-            txn,
-            TxnCtx {
-                state: LocalRunState::Running,
-                undo: Vec::new(),
-            },
-        );
+        txns.active.insert(txn, TxnCtx::new(LocalRunState::Running));
         txns.stats.begins += 1;
         // `txns` → `wal` nesting keeps the Begin record atomic with the
         // table insert (a crash can't separate them).
@@ -324,14 +325,17 @@ impl LocalEngine for TwoPLEngine {
     }
 
     fn execute(&self, txn: LocalTxnId, op: &Operation) -> AmcResult<OpResult> {
-        // Phase 1: validate the transaction and find the locking granule.
+        // The store was opened with `cfg.buckets`; no need for its lock.
+        let page = PageStore::bucket_page(self.cfg.buckets, op.object());
+        // Phase 1: validate the transaction and note the locking granule
+        // before asking for it, so whatever ends the transaction releases it.
         {
-            let txns = self.txns.lock();
+            let mut txns = self.txns.lock();
             if !txns.up {
                 return Err(self.site_down());
             }
-            match txns.active.get(&txn) {
-                Some(ctx) if ctx.state == LocalRunState::Running => {}
+            match txns.active.get_mut(&txn) {
+                Some(ctx) if ctx.state == LocalRunState::Running => ctx.hold(page),
                 Some(ctx) => {
                     return Err(AmcError::InvalidState(format!(
                         "execute in state {}",
@@ -341,8 +345,6 @@ impl LocalEngine for TwoPLEngine {
                 None => return Err(AmcError::UnknownTxn),
             }
         }
-        // The store was opened with `cfg.buckets`; no need for its lock.
-        let page = PageStore::bucket_page(self.cfg.buckets, op.object());
 
         // Phase 2: block on the page lock with no component mutex held.
         let mode = if op.is_update() {
@@ -433,17 +435,22 @@ impl LocalEngine for TwoPLEngine {
             // never happened (crash_impl already drained the transaction).
             return Err(self.site_down());
         }
-        {
+        let ctx = {
             let mut txns = self.txns.lock();
             // The record is durable, so the transaction is committed even
-            // if a crash raced us here and drained `active` already —
-            // recovery will redo it; make the terminal state agree.
-            if txns.active.remove(&txn).is_some() {
+            // if a crash raced us here and drained `active` already (and
+            // released its locks) — recovery will redo it; make the
+            // terminal state agree.
+            let ctx = txns.active.remove(&txn);
+            if ctx.is_some() {
                 txns.stats.commits += 1;
             }
             txns.terminated.insert(txn, LocalRunState::Committed);
+            ctx
+        };
+        if let Some(ctx) = ctx {
+            self.locks.release(txn, &ctx.held);
         }
-        self.locks.release_txn(txn);
         Ok(())
     }
 
@@ -495,15 +502,8 @@ impl LocalEngine for TwoPLEngine {
         // isolated until the coordinator decides (the blocking 2PC hazard).
         let records = self.wal.with_log(|log| log.stable_records())?;
         txns.next_txn = txns.next_txn.max(first_id_after(&records));
-        let mut doubt_pages: HashMap<LocalTxnId, Vec<PageId>> = HashMap::new();
         for t in &outcome.in_doubt {
-            txns.active.insert(
-                *t,
-                TxnCtx {
-                    state: LocalRunState::Ready,
-                    undo: Vec::new(),
-                },
-            );
+            txns.active.insert(*t, TxnCtx::new(LocalRunState::Ready));
         }
         for (_, r) in &records {
             if let LogRecord::Update {
@@ -515,13 +515,9 @@ impl LocalEngine for TwoPLEngine {
             } = r
             {
                 if outcome.in_doubt.contains(txn) {
-                    let page = store.page_of(*obj);
-                    doubt_pages.entry(*txn).or_default().push(page);
-                    txns.active
-                        .get_mut(txn)
-                        .expect("inserted above")
-                        .undo
-                        .push((*obj, *before, *after));
+                    let ctx = txns.active.get_mut(txn).expect("inserted above");
+                    ctx.hold(store.page_of(*obj));
+                    ctx.undo.push((*obj, *before, *after));
                 }
             }
         }
@@ -532,6 +528,11 @@ impl LocalEngine for TwoPLEngine {
             log.append_forced(&LogRecord::Checkpoint { active });
         });
         txns.up = true;
+        let doubt_pages: Vec<(LocalTxnId, Vec<PageId>)> = txns
+            .active
+            .iter()
+            .map(|(txn, ctx)| (*txn, ctx.held.clone()))
+            .collect();
         drop(store);
         drop(txns);
 
@@ -623,7 +624,7 @@ mod tests {
     }
 
     fn engine_with(data: &[(u64, i64)]) -> TwoPLEngine {
-        let e = TwoPLEngine::with_defaults();
+        let e = TwoPLEngine::new(TplConfig::default());
         e.load(data.iter().map(|&(o, val)| (obj(o), v(val))))
             .unwrap();
         e
@@ -877,6 +878,46 @@ mod tests {
         // Coordinator decides commit: the change lands.
         e.commit(t).unwrap();
         assert_eq!(e.dump().unwrap().get(&obj(1)), Some(&v(42)));
+    }
+
+    #[test]
+    fn in_doubt_transaction_releases_exactly_its_reheld_pages() {
+        let data: Vec<(u64, i64)> = (0..32).map(|i| (i, 0)).collect();
+        for commit in [true, false] {
+            let e = engine_with(&data);
+            let page = |o: u64| PageStore::bucket_page(e.cfg.buckets, obj(o));
+            let other = (1..32).find(|o| page(*o) != page(0)).expect("two pages");
+            let t = e.begin().unwrap();
+            for o in [0, other, 0] {
+                let inc = Op::Increment {
+                    obj: obj(o),
+                    delta: 1,
+                };
+                e.execute(t, &inc).unwrap();
+            }
+            e.prepare(t).unwrap();
+            e.crash();
+            assert_eq!(e.recover().unwrap().in_doubt, vec![t]);
+            // Recovery re-locked each of its pages once and noted them.
+            let mut held = e.txns.lock().active[&t].held.clone();
+            held.sort();
+            let mut pages = vec![page(0), page(other)];
+            pages.sort();
+            assert_eq!(held, pages);
+            assert_eq!(e.locks.granted_count(), 2);
+            if commit {
+                e.commit(t).unwrap();
+            } else {
+                e.abort(t, AbortReason::GlobalDecision).unwrap();
+            }
+            assert_eq!(e.locks.granted_count(), 0, "commit {commit}");
+            let t2 = e.begin().unwrap();
+            for o in [0, other] {
+                e.execute(t2, &Op::Read { obj: obj(o) }).unwrap();
+            }
+            e.commit(t2).unwrap();
+            assert_eq!(e.locks.granted_count(), 0);
+        }
     }
 
     #[test]

@@ -32,12 +32,8 @@ pub enum LockOutcome {
 pub struct LockStats {
     /// Total requests.
     pub requests: u64,
-    /// Granted without waiting.
-    pub immediate: u64,
     /// Requests that had to queue.
     pub waits: u64,
-    /// In-place upgrades.
-    pub upgrades: u64,
     /// Deadlock victims chosen.
     pub victims: u64,
 }
@@ -60,11 +56,13 @@ impl<T, M> Default for ResourceState<T, M> {
     }
 }
 
-/// A lock table over resources `R`, owners `T` and modes `M`.
+/// A lock table over resources `R`, owners `T` and modes `M`. It keeps no
+/// per-owner index: a holder remembers what it was granted and releases
+/// exactly that ([`LockTable::release`]); [`LockTable::release_all`] is the
+/// sweep for a holder whose memory is lost.
 #[derive(Debug)]
 pub struct LockTable<R, T, M> {
     resources: HashMap<R, ResourceState<T, M>>,
-    held: HashMap<T, HashSet<R>>,
     stats: LockStats,
 }
 
@@ -89,7 +87,6 @@ where
     pub fn new() -> Self {
         LockTable {
             resources: HashMap::new(),
-            held: HashMap::new(),
             stats: LockStats::default(),
         }
     }
@@ -104,7 +101,6 @@ where
             let wanted = current.combine(mode);
             if wanted == current {
                 // Re-entrant: already covered.
-                self.stats.immediate += 1;
                 return LockOutcome::Granted;
             }
             // Upgrade: allowed in place iff compatible with every *other*
@@ -117,8 +113,6 @@ where
                 .all(|(t, m)| *t == txn || wanted.compatible(*m));
             if ok {
                 state.granted[pos].1 = wanted;
-                self.stats.upgrades += 1;
-                self.stats.immediate += 1;
                 return LockOutcome::Granted;
             }
             // Upgrades queue at the *front*: they block everyone behind them
@@ -132,8 +126,6 @@ where
         let compatible_with_granted = state.granted.iter().all(|(_, m)| mode.compatible(*m));
         if compatible_with_granted && state.queue.is_empty() {
             state.granted.push((txn, mode));
-            self.held.entry(txn).or_default().insert(resource);
-            self.stats.immediate += 1;
             return LockOutcome::Granted;
         }
         state.queue.push_back((txn, mode));
@@ -141,40 +133,21 @@ where
         LockOutcome::Queued
     }
 
-    /// Release everything `txn` holds and cancel any wait it has queued.
+    /// Release `txn`'s grant on `resource` (a no-op when it holds none).
     /// Returns the transactions newly granted as a result.
+    pub fn release(&mut self, txn: T, resource: R) -> Vec<T> {
+        match self.resources.get_mut(&resource) {
+            Some(state) => state.granted.retain(|(t, _)| *t != txn),
+            None => return Vec::new(),
+        }
+        self.promote(resource)
+    }
+
+    /// Release everything `txn` holds and cancel any wait it has queued, by
+    /// sweeping the whole table. Returns the transactions newly granted as
+    /// a result.
     pub fn release_all(&mut self, txn: T) -> Vec<T> {
-        let mut woken = Vec::new();
-        // Purge the transaction's own queued requests *before* promoting
-        // anyone: promotion after the grant removal could otherwise hand a
-        // freed resource straight back to the dead transaction's stale
-        // queue entry.
-        let queued_on: Vec<R> = self
-            .resources
-            .iter()
-            .filter(|(_, s)| s.queue.iter().any(|(t, _)| *t == txn))
-            .map(|(r, _)| *r)
-            .collect();
-        for r in &queued_on {
-            if let Some(state) = self.resources.get_mut(r) {
-                state.queue.retain(|(t, _)| *t != txn);
-            }
-        }
-        let resources: Vec<R> = self.held.remove(&txn).into_iter().flatten().collect();
-        for r in resources {
-            if let Some(state) = self.resources.get_mut(&r) {
-                state.granted.retain(|(t, _)| *t != txn);
-            }
-            woken.extend(self.promote(r));
-        }
-        // Cancelling a queued entry can unblock requests behind it even on
-        // resources where nothing was granted to `txn`.
-        for r in queued_on {
-            woken.extend(self.promote(r));
-        }
-        woken.sort();
-        woken.dedup();
-        woken
+        self.purge(txn, true)
     }
 
     /// Cancel `txn`'s queued requests without touching its grants (a
@@ -182,19 +155,28 @@ where
     /// has finished — strict 2PL). Returns transactions newly granted
     /// because the cancelled entry was blocking them.
     pub fn cancel_waits(&mut self, txn: T) -> Vec<T> {
-        let queued_on: Vec<R> = self
+        self.purge(txn, false)
+    }
+
+    /// Drop `txn`'s queued requests — and its grants, when `grants` — on
+    /// every resource, then promote where anything went.
+    fn purge(&mut self, txn: T, grants: bool) -> Vec<T> {
+        // Every stale queue entry goes before anyone is promoted: promotion
+        // could otherwise hand a freed resource straight back to the dead
+        // transaction's own request.
+        let touched: Vec<R> = self
             .resources
-            .iter()
-            .filter(|(_, s)| s.queue.iter().any(|(t, _)| *t == txn))
-            .map(|(r, _)| *r)
+            .iter_mut()
+            .filter_map(|(r, s)| {
+                let before = s.granted.len() + s.queue.len();
+                s.queue.retain(|(t, _)| *t != txn);
+                if grants {
+                    s.granted.retain(|(t, _)| *t != txn);
+                }
+                (s.granted.len() + s.queue.len() != before).then_some(*r)
+            })
             .collect();
-        let mut woken = Vec::new();
-        for r in queued_on {
-            if let Some(state) = self.resources.get_mut(&r) {
-                state.queue.retain(|(t, _)| *t != txn);
-            }
-            woken.extend(self.promote(r));
-        }
+        let mut woken: Vec<T> = touched.into_iter().flat_map(|r| self.promote(r)).collect();
         woken.sort();
         woken.dedup();
         woken
@@ -221,7 +203,6 @@ where
             } else {
                 state.granted.push((txn, mode));
             }
-            self.held.entry(txn).or_default().insert(resource);
             woken.push(txn);
         }
         if state.granted.is_empty() && state.queue.is_empty() {
@@ -230,25 +211,11 @@ where
         woken
     }
 
-    /// Whether `txn` currently holds a lock on `resource`.
-    pub fn holds(&self, txn: T, resource: R) -> bool {
-        self.resources
-            .get(&resource)
-            .is_some_and(|s| s.granted.iter().any(|(t, _)| *t == txn))
-    }
-
     /// The mode `txn` holds on `resource`, if any.
     pub fn held_mode(&self, txn: T, resource: R) -> Option<M> {
         self.resources
             .get(&resource)
             .and_then(|s| s.granted.iter().find(|(t, _)| *t == txn).map(|(_, m)| *m))
-    }
-
-    /// Whether `txn` is queued anywhere.
-    pub fn is_waiting(&self, txn: T) -> bool {
-        self.resources
-            .values()
-            .any(|s| s.queue.iter().any(|(t, _)| *t == txn))
     }
 
     /// Number of distinct locks currently granted.
@@ -280,23 +247,9 @@ where
         edges
     }
 
-    /// Detect deadlocks and pick one victim per cycle (the youngest, i.e.
-    /// largest id). The caller must abort the victims — typically via
-    /// [`LockTable::release_all`].
-    pub fn detect_deadlock_victims(&mut self) -> Vec<T> {
-        let out = victims_from_edges(&self.wait_for_edges());
-        self.stats.victims += out.len() as u64;
-        out
-    }
-
     /// Accounting so far.
     pub fn stats(&self) -> LockStats {
         self.stats
-    }
-
-    /// Reset accounting.
-    pub fn reset_stats(&mut self) {
-        self.stats = LockStats::default();
     }
 
     /// Invariant check used by property tests: no two holders of a resource
@@ -318,9 +271,9 @@ where
 }
 
 /// Pick one victim per cycle (the youngest, i.e. largest id) from a
-/// wait-for edge list. Factored out of [`LockTable::detect_deadlock_victims`]
-/// so the striped blocking manager can run detection over a **merged**
-/// snapshot of several tables' edges (a cycle can span stripes).
+/// wait-for edge list — one table's [`LockTable::wait_for_edges`], or the
+/// striped blocking manager's **merged** snapshot of all its tables' edges
+/// (a cycle can span stripes). The caller must abort the victims.
 pub fn victims_from_edges<T>(edges: &[(T, T)]) -> Vec<T>
 where
     T: Copy + Eq + Ord + Hash,
@@ -388,6 +341,26 @@ where
 }
 
 #[cfg(test)]
+impl<R, T, M> LockTable<R, T, M>
+where
+    R: Copy + Eq + Hash + Debug,
+    T: Copy + Eq + Ord + Hash + Debug,
+    M: LockMode,
+{
+    /// Whether `txn` currently holds a lock on `resource`.
+    pub(crate) fn holds(&self, txn: T, resource: R) -> bool {
+        self.held_mode(txn, resource).is_some()
+    }
+
+    /// Whether `txn` is queued anywhere.
+    pub(crate) fn is_waiting(&self, txn: T) -> bool {
+        self.resources
+            .values()
+            .any(|s| s.queue.iter().any(|(t, _)| *t == txn))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::modes::{PageMode, SemanticMode};
@@ -443,7 +416,7 @@ mod tests {
         t.request(1, 10, PageMode::Shared);
         assert_eq!(t.request(1, 10, PageMode::Exclusive), LockOutcome::Granted);
         assert_eq!(t.held_mode(1, 10), Some(PageMode::Exclusive));
-        assert_eq!(t.stats().upgrades, 1);
+        assert_eq!(t.stats().waits, 0);
     }
 
     #[test]
@@ -464,7 +437,7 @@ mod tests {
         t.request(2, 10, PageMode::Shared);
         t.request(1, 10, PageMode::Exclusive); // waits on 2
         t.request(2, 10, PageMode::Exclusive); // waits on 1 -> cycle
-        let victims = t.detect_deadlock_victims();
+        let victims = victims_from_edges(&t.wait_for_edges());
         assert_eq!(victims, vec![2], "youngest transaction dies");
         let woken = t.release_all(2);
         assert_eq!(woken, vec![1]);
@@ -478,7 +451,7 @@ mod tests {
         t.request(2, 20, PageMode::Exclusive);
         t.request(1, 20, PageMode::Exclusive); // 1 waits on 2
         t.request(2, 10, PageMode::Exclusive); // 2 waits on 1
-        assert_eq!(t.detect_deadlock_victims(), vec![2]);
+        assert_eq!(victims_from_edges(&t.wait_for_edges()), vec![2]);
     }
 
     #[test]
@@ -487,7 +460,7 @@ mod tests {
         t.request(1, 10, PageMode::Exclusive);
         t.request(2, 10, PageMode::Exclusive);
         t.request(3, 10, PageMode::Exclusive);
-        assert!(t.detect_deadlock_victims().is_empty());
+        assert!(victims_from_edges(&t.wait_for_edges()).is_empty());
     }
 
     #[test]
@@ -501,6 +474,23 @@ mod tests {
         assert!(edges.contains(&(2, 1)));
         assert!(edges.contains(&(3, 2)));
         assert!(!edges.contains(&(3, 1)), "S does not conflict with S");
+    }
+
+    #[test]
+    fn release_frees_one_grant_and_promotes_its_waiters() {
+        let mut t = T::new();
+        t.request(1, 10, PageMode::Exclusive);
+        t.request(1, 20, PageMode::Exclusive);
+        t.request(2, 10, PageMode::Shared);
+        t.request(3, 10, PageMode::Shared);
+        assert_eq!(t.release(1, 10), vec![2, 3]);
+        assert!(t.holds(1, 20) && t.holds(2, 10) && t.holds(3, 10));
+        assert!(t.release(1, 30).is_empty(), "nothing held, nothing moves");
+        assert!(t.release(1, 20).is_empty());
+        assert_eq!(t.granted_count(), 2);
+        t.release(2, 10);
+        t.release(3, 10);
+        assert_eq!(t.resources.len(), 0);
     }
 
     #[test]
@@ -541,7 +531,6 @@ mod tests {
         t.request(2, 10, PageMode::Exclusive);
         let s = t.stats();
         assert_eq!(s.requests, 2);
-        assert_eq!(s.immediate, 1);
         assert_eq!(s.waits, 1);
     }
 

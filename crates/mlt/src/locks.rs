@@ -61,7 +61,18 @@ impl L1LockManager {
         self.obs = sink;
     }
 
-    fn acquire_observed(
+    /// The active policy.
+    pub fn policy(&self) -> ConflictPolicy {
+        self.policy
+    }
+
+    /// Acquire an explicit mode on an object. Blocks; returns the raw
+    /// acquire result so callers can map deadlock/timeout to a global
+    /// abort. Callers that know a transaction's whole access set fold the per-operation modes with
+    /// [`amc_lock::LockMode::combine`] and acquire each object **once** at
+    /// its strongest mode — upgrades (and the classic upgrade deadlock)
+    /// then cannot occur at L1.
+    pub fn acquire_mode(
         &self,
         gtx: GlobalTxnId,
         obj: ObjectId,
@@ -85,28 +96,14 @@ impl L1LockManager {
         result
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> ConflictPolicy {
-        self.policy
+    /// Release `gtx`'s L1 locks on `objects` — the ones its program took
+    /// — only at global end (strict 2PL at L1).
+    pub fn release(&self, gtx: GlobalTxnId, objects: &[ObjectId]) {
+        self.inner.release(gtx, objects);
     }
 
-    /// Acquire an explicit mode on an object. Blocks; returns the raw
-    /// acquire result so callers can map deadlock/timeout to a global
-    /// abort. Callers that know a transaction's whole access set fold the per-operation modes with
-    /// [`amc_lock::LockMode::combine`] and acquire each object **once** at
-    /// its strongest mode — upgrades (and the classic upgrade deadlock)
-    /// then cannot occur at L1.
-    pub fn acquire_mode(
-        &self,
-        gtx: GlobalTxnId,
-        obj: ObjectId,
-        mode: SemanticMode,
-    ) -> AcquireResult {
-        self.acquire_observed(gtx, obj, mode)
-    }
-
-    /// Release every L1 lock of `gtx` — only at global end (strict 2PL at
-    /// L1).
+    /// Release every L1 lock of `gtx` by sweeping the whole table: for a
+    /// central crash, which loses the programs that say what was taken.
     pub fn release_all(&self, gtx: GlobalTxnId) {
         self.inner.release_txn(gtx);
     }
@@ -169,8 +166,9 @@ mod tests {
             2,
             "both transactions hold the increment lock"
         );
-        m.release_all(gtx(1));
-        m.release_all(gtx(2));
+        m.release(gtx(1), &[obj(1)]);
+        m.release(gtx(2), &[obj(1)]);
+        assert_eq!(m.granted_count(), 0);
     }
 
     #[test]
@@ -246,8 +244,9 @@ mod tests {
         let m2 = m.clone();
         let h = std::thread::spawn(move || acquire(&m2, gtx(2), &write(1)));
         std::thread::sleep(Duration::from_millis(20));
-        m.release_all(gtx(1));
+        m.release(gtx(1), &[obj(1)]);
         assert_eq!(h.join().unwrap(), AcquireResult::Granted);
-        m.release_all(gtx(2));
+        m.release(gtx(2), &[obj(1)]);
+        assert_eq!(m.granted_count(), 0);
     }
 }

@@ -1568,7 +1568,7 @@ mod tests {
 
     #[test]
     fn two_phase_on_plain_engine_is_a_config_error() {
-        let engine = Arc::new(TwoPLEngine::with_defaults());
+        let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
         engine.load([(obj(1), v(1))]).unwrap();
         // Wrap as *plain* — the integration reality.
         let mgr = LocalCommManager::new(SiteId::new(1), EngineHandle::Plain(engine));

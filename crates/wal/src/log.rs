@@ -417,11 +417,6 @@ impl LogManager {
         self.stats
     }
 
-    /// Reset accounting (between benchmark phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = LogStats::default();
-    }
-
     /// Truncate the durable prefix before `lsn` (log reclamation after a
     /// checkpoint). Records with LSN < `lsn` are discarded; LSNs are **not**
     /// renumbered — subsequent reads simply start later.

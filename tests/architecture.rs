@@ -227,6 +227,7 @@ fn one_file_constructs_feeds_and_resumes_coordinators() {
         "CoordAction::Decided",
         ".resume(",
         "l1.acquire_mode(",
+        "l1.release(",
         "l1.release_all(",
     ] {
         let files = non_test_code_having(&[needle], &["core/src/coordinator.rs"]);
@@ -381,6 +382,38 @@ fn the_reserved_region_bit_is_defined_in_one_file() {
     assert!(defining[0].ends_with("types/src/ids.rs"), "{defining:?}");
 }
 
+/// A commit or abort gives back exactly what its holder recorded taking
+/// (`BlockingLockManager::release`, `L1LockManager::release`): one visit
+/// per stripe it used. Sweeping every stripe for a transaction is for a
+/// holder whose record was lost with it — a crash. Each sweeping caller is
+/// named here, by file and enclosing function, with its reason.
+#[test]
+fn whole_table_lock_sweeps_serve_only_crash_paths() {
+    const CRASH_PATHS: &[(&str, &str)] = &[
+        ("core/src/federation.rs", "crash"), // a central crash loses every coordinator's program
+        ("engine/src/tpl.rs", "crash_impl"), // a site crash drops its transactions' page lists
+        ("mlt/src/locks.rs", "release_all"), // the L1 sweep the central crash calls
+    ];
+    let mut callers = Vec::new();
+    for (path, text) in crate_sources() {
+        let code = text.split("\n#[cfg(test)]").next().unwrap_or(&text);
+        for needle in [".release_txn(", "l1.release_all("] {
+            for (at, _) in code.match_indices(needle) {
+                let (_, after_fn) = code[..at].rsplit_once("fn ").expect("inside a function");
+                let name = after_fn.split(['(', '<']).next().unwrap();
+                let file = path.split("crates/").last().unwrap();
+                callers.push((file.to_string(), name.to_string()));
+            }
+        }
+    }
+    callers.sort();
+    let expected: Vec<(String, String)> = CRASH_PATHS
+        .iter()
+        .map(|(file, name)| (file.to_string(), name.to_string()))
+        .collect();
+    assert_eq!(callers, expected, "whole-table lock sweeps");
+}
+
 /// ROADMAP 5(c)'s score, computed instead of copied: the lines of every
 /// `crates/*/src` file up to its first column-0 `#[cfg(test)]`. The
 /// ceiling is the count of the last PR that lowered it; a PR that needs
@@ -388,7 +421,7 @@ fn the_reserved_region_bit_is_defined_in_one_file() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 24_110;
+    const CEILING: usize = 24_104;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| {

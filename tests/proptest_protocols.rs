@@ -10,7 +10,7 @@
 
 use amc::core::{CoordAction, CoordEvent, Coordinator};
 use amc::engine::{LocalEngine, TplConfig, TwoPLEngine};
-use amc::lock::{LockTable, PageMode};
+use amc::lock::{victims_from_edges, LockTable, PageMode};
 use amc::types::{
     GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation, ProtocolKind, SiteId, Value,
 };
@@ -220,7 +220,7 @@ proptest! {
             }
             table.check_invariants().map_err(TestCaseError::fail)?;
             // Deadlock victims must always be live waiters.
-            for v in table.detect_deadlock_victims() {
+            for v in victims_from_edges(&table.wait_for_edges()) {
                 prop_assert!(live.contains(&v));
             }
         }
