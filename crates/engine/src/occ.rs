@@ -125,7 +125,6 @@ impl OccEngine {
         }
         let txn = LocalTxnId::new(inner.next_txn);
         inner.next_txn += 1;
-        inner.log.append(&LogRecord::Begin { txn });
         for (o, v) in data {
             let before = inner.store.put(o, v)?;
             inner.log.append(&LogRecord::Update {

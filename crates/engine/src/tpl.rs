@@ -196,7 +196,6 @@ impl TwoPLEngine {
             txns.next_txn += 1;
             t
         };
-        self.wal.append(&LogRecord::Begin { txn });
         {
             let mut store = self.store.lock();
             for (o, v) in data {
@@ -318,9 +317,8 @@ impl LocalEngine for TwoPLEngine {
         txns.next_txn += 1;
         txns.active.insert(txn, TxnCtx::new(LocalRunState::Running));
         txns.stats.begins += 1;
-        // `txns` → `wal` nesting keeps the Begin record atomic with the
-        // table insert (a crash can't separate them).
-        self.wal.append(&LogRecord::Begin { txn });
+        // Nothing is logged: the transaction's first record names it, and
+        // recovery knows a transaction by any record that does.
         Ok(txn)
     }
 
@@ -787,28 +785,42 @@ mod tests {
         .unwrap();
         e.commit(a).unwrap();
         let b = e.begin().unwrap();
-        e.execute(
-            b,
-            &Op::Write {
-                obj: obj(2),
-                value: v(99),
-            },
-        )
-        .unwrap();
-        // Tail now holds B's Begin + Update; keep the Begin, tear the rest.
+        for (o, val) in [(2, 99), (1, 0)] {
+            let write = Op::Write {
+                obj: obj(o),
+                value: v(val),
+            };
+            e.execute(b, &write).unwrap();
+        }
+        // Tail now holds B's two Updates; keep the first, tear the second.
         e.crash_partial(1, true);
         let report = e.recover().unwrap();
+        assert!(report.torn_tail);
         assert!(report.committed.contains(&a));
-        assert!(report.rolled_back.contains(&b), "B's Begin survived: loser");
+        assert!(report.rolled_back.contains(&b), "B's Update: a loser");
         let d = e.dump().unwrap();
-        assert_eq!(d.get(&obj(1)), Some(&v(11)));
-        assert_eq!(d.get(&obj(2)), Some(&v(20)), "torn update never applied");
+        assert_eq!(d.get(&obj(1)), Some(&v(11)), "torn update never applied");
+        assert_eq!(d.get(&obj(2)), Some(&v(20)), "durable update undone");
         // Crash again cleanly and re-recover: same state.
         e.crash();
         e.recover().unwrap();
         let d2 = e.dump().unwrap();
         assert_eq!(d2.get(&obj(1)), Some(&v(11)));
         assert_eq!(d2.get(&obj(2)), Some(&v(20)));
+    }
+
+    #[test]
+    fn a_transaction_without_updates_logs_nothing_before_its_decision() {
+        let e = engine_with(&[(1, 10)]);
+        let appends = || e.log_stats().appends;
+        let before = appends();
+        let t = e.begin().unwrap();
+        e.execute(t, &Op::Read { obj: obj(1) }).unwrap();
+        assert_eq!(appends(), before, "begin and a read append no record");
+        e.commit(t).unwrap();
+        assert_eq!(appends(), before + 1, "the Commit record alone");
+        let records = e.wal.with_log(|log| log.stable_records()).unwrap();
+        assert_eq!(records.last().unwrap().1, LogRecord::Commit { txn: t });
     }
 
     #[test]
@@ -1257,9 +1269,13 @@ mod tests {
         assert_eq!(d.get(&obj(2)), Some(&v(99)));
         assert_eq!(e.state_of(t_prepared), Some(LocalRunState::Ready));
 
-        // Fresh local ids must not collide with replayed ones.
+        // Fresh local ids must not collide with replayed ones: no Begin
+        // record names a transaction, but every id the log holds is below.
         let fresh = e.begin().unwrap();
-        assert!(fresh.raw() > t_prepared.raw(), "{fresh} vs {t_prepared}");
+        let records = e.wal.with_log(|log| log.stable_records()).unwrap();
+        let logged: Vec<LocalTxnId> = records.iter().filter_map(|(_, r)| r.txn()).collect();
+        assert!(logged.contains(&t_prepared));
+        assert!(logged.iter().all(|t| *t < fresh), "{fresh} vs {logged:?}");
         e.abort(fresh, AbortReason::Intended).unwrap();
 
         // Coordinator decides commit: the in-doubt value stands, durably.

@@ -248,13 +248,6 @@ impl Router {
         self.stats
     }
 
-    /// Zero the traffic counters. A sweep that reuses one router across
-    /// runs calls this between them so each run reports its own traffic
-    /// (the alternative is diffing snapshots via [`NetStats::since`]).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-    }
-
     /// Messages delivered twice.
     pub fn duplicated(&self) -> u64 {
         self.stats.duplicated
@@ -266,6 +259,13 @@ mod tests {
     use super::*;
     use crate::message::Payload;
     use amc_types::GlobalTxnId;
+
+    impl Router {
+        /// Zero the traffic counters.
+        fn reset_stats(&mut self) {
+            self.stats = NetStats::default();
+        }
+    }
 
     fn env(from: u32, to: u32) -> Envelope {
         Envelope::new(

@@ -19,7 +19,9 @@
 use crate::disk::StableStorage;
 use crate::page::Page;
 use amc_types::{AmcError, AmcResult, PageId};
-use std::collections::HashMap;
+
+/// A [`BufferPool::slot_of`] entry for a page with no frame.
+const NOT_RESIDENT: u32 = u32::MAX;
 
 /// Hit/miss/eviction accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,8 +48,9 @@ pub struct BufferPool {
     capacity: usize,
     /// At most `capacity` slots, filled in order; the clock hand walks them.
     frames: Vec<Frame>,
-    /// Which slot holds a resident page.
-    slot_of: HashMap<PageId, usize>,
+    /// The slot holding each page, indexed by page id — ids are dense, as
+    /// they come from the store's allocation cursor — or `NOT_RESIDENT`.
+    slot_of: Vec<u32>,
     hand: usize,
     stats: BufferStats,
 }
@@ -59,25 +62,15 @@ impl BufferPool {
         BufferPool {
             capacity,
             frames: Vec::with_capacity(capacity),
-            slot_of: HashMap::with_capacity(capacity),
+            slot_of: Vec::new(),
             hand: 0,
             stats: BufferStats::default(),
         }
     }
 
-    /// Number of resident frames.
-    pub fn resident(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Accounting so far.
     pub fn stats(&self) -> BufferStats {
         self.stats
-    }
-
-    /// Reset accounting (between benchmark phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = BufferStats::default();
     }
 
     /// Run `f` with mutable access to the page, faulting it in from `disk`
@@ -104,9 +97,14 @@ impl BufferPool {
     /// The slot holding page `id`, reading it in over an evicted frame on a
     /// miss.
     fn fault_in(&mut self, id: PageId, disk: &mut StableStorage) -> AmcResult<usize> {
-        if let Some(&slot) = self.slot_of.get(&id) {
-            self.stats.hits += 1;
-            return Ok(slot);
+        let at = id.raw() as usize;
+        match self.slot_of.get(at) {
+            Some(&slot) if slot != NOT_RESIDENT => {
+                self.stats.hits += 1;
+                return Ok(slot as usize);
+            }
+            Some(_) => {}
+            None => self.slot_of.resize(at + 1, NOT_RESIDENT),
         }
         self.stats.misses += 1;
         let slot = if self.frames.len() < self.capacity {
@@ -126,11 +124,11 @@ impl BufferPool {
             if !Self::read_with_retry(id, disk, page)? {
                 *page = Page::new(id);
             }
-            self.slot_of.remove(&victim);
+            self.slot_of[victim.raw() as usize] = NOT_RESIDENT;
             self.stats.evictions += 1;
             slot
         };
-        self.slot_of.insert(id, slot);
+        self.slot_of[at] = slot as u32;
         Ok(slot)
     }
 
@@ -189,6 +187,18 @@ impl BufferPool {
 mod tests {
     use super::*;
     use amc_types::{ObjectId, Value};
+
+    impl BufferPool {
+        /// Number of resident frames.
+        fn resident(&self) -> usize {
+            self.frames.len()
+        }
+
+        /// Reset accounting (between measured phases of a test).
+        pub(crate) fn reset_stats(&mut self) {
+            self.stats = BufferStats::default();
+        }
+    }
 
     fn obj(n: u64) -> ObjectId {
         ObjectId::new(n)

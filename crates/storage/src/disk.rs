@@ -58,11 +58,6 @@ impl StableStorage {
         self.faults = None;
     }
 
-    /// Number of page slots on the disk.
-    pub fn capacity(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Atomically write a page image.
     ///
     /// With faults injected, the write may be silently **lost**: it is
@@ -119,11 +114,6 @@ impl StableStorage {
     pub fn stats(&self) -> DiskStats {
         self.stats
     }
-
-    /// Reset the I/O counters (e.g. between benchmark phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -132,6 +122,16 @@ mod tests {
     use amc_types::{ObjectId, Value};
 
     impl StableStorage {
+        /// Reset the I/O counters (between measured phases of a test).
+        pub(crate) fn reset_stats(&mut self) {
+            self.stats = DiskStats::default();
+        }
+
+        /// Number of page slots on the disk.
+        fn capacity(&self) -> usize {
+            self.pages.len()
+        }
+
         /// Read and verify a page image; `Ok(None)` when never written.
         fn read_page(&mut self, id: PageId) -> AmcResult<Option<Page>> {
             let mut page = Page::new(id);

@@ -15,8 +15,8 @@
 //!   *volatile*: [`buffer::BufferPool::crash`] drops everything, modelling a
 //!   site failure.
 //! * [`store::PageStore`] — a hash-partitioned object store with overflow
-//!   chaining, plus one direct-mapped page per window of reserved ids; the
-//!   engine-facing API (`get`, and `update` under `put`/`remove`).
+//!   chaining whose known objects are one page away, plus one page per
+//!   window of reserved ids; the engine API (`get`, `update`, `put`, `remove`).
 //!
 //! Crash semantics matter here because both alternative commitment protocols
 //! hinge on them: commit-after must redo local transactions lost in a crash
@@ -33,8 +33,5 @@ pub mod fault;
 pub mod page;
 pub mod store;
 
-pub use buffer::BufferPool;
-pub use disk::StableStorage;
-pub use fault::FaultConfig;
 pub use page::Page;
 pub use store::PageStore;

@@ -22,6 +22,11 @@
 //! access after `open` and after `crash` alike. Any entry names its page's
 //! window; a page that lost all of them stays linked, empty and unused.
 //!
+//! A user object a walk found or placed is one page away: objects never move
+//! (removal swaps within a page, inserts never relocate), so a volatile
+//! `ObjectId → PageId` directory names its page until `crash` forgets it.
+//! Ids it does not know — and one a lost write took off its page — walk.
+//!
 //! Placement is not the lock granule: the engines lock `bucket_page(buckets,
 //! obj)` for every id, or concurrent markers would queue on their window.
 //!
@@ -34,6 +39,7 @@ use crate::disk::{DiskStats, StableStorage};
 use crate::page::Page;
 use amc_types::{AmcError, AmcResult, ObjectId, PageId, Value};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const META_PAGE: PageId = PageId::new(0);
 const META_BUCKETS: ObjectId = ObjectId::new(0);
@@ -50,10 +56,30 @@ fn window_of(obj: ObjectId) -> u64 {
     (obj.raw() & !ObjectId::RESERVED) / Page::CAPACITY as u64
 }
 
+/// The directories' hash: [`PageStore::bucket_page`]'s scramble folded over
+/// the key's words, where SipHash would build a keyed state per lookup. Ids
+/// crafted to collide here already share one bucket chain of the store.
+#[derive(Default)]
+struct Scramble(u64);
+
+impl Hasher for Scramble {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Directory<K> = HashMap<K, PageId, BuildHasherDefault<Scramble>>;
+
 /// The directory of the reserved relation.
 #[derive(Debug, Default)]
 struct Windows {
-    page_of: HashMap<u64, PageId>,
+    page_of: Directory<u64>,
     /// Last page of the window list: where the next one is linked.
     tail: Option<PageId>,
 }
@@ -67,6 +93,8 @@ pub struct PageStore {
     next_free: u32,
     /// `None` until read from the disk (see [`PageStore::windows`]).
     windows: Option<Windows>,
+    /// The page each user object a walk found or placed lives on.
+    objects: Directory<ObjectId>,
 }
 
 impl PageStore {
@@ -96,6 +124,7 @@ impl PageStore {
             buckets,
             next_free,
             windows: None,
+            objects: Directory::default(),
         })
     }
 
@@ -179,20 +208,50 @@ impl PageStore {
         Ok(page.map(|&pid| (pid, false)))
     }
 
+    /// Note the page user object `obj` lives on now (`None`: none).
+    fn note(&mut self, obj: ObjectId, home: Option<PageId>) {
+        match home {
+            Some(home) if !obj.is_reserved() => drop(self.objects.insert(obj, home)),
+            _ => drop(self.objects.remove(&obj)),
+        }
+    }
+
+    /// Visit the page the directory names for `obj`; `None` when it names
+    /// none or `visit` misses `obj` there — a lost write: the entry goes.
+    fn at_home<R>(
+        &mut self,
+        obj: ObjectId,
+        visit: impl FnOnce(&mut Page) -> Option<R>,
+    ) -> AmcResult<Option<R>> {
+        let Some(&home) = self.objects.get(&obj) else {
+            return Ok(None);
+        };
+        let here = self.pool.with_page(home, &mut self.disk, visit)?;
+        if here.is_none() {
+            self.objects.remove(&obj);
+        }
+        Ok(here)
+    }
+
     /// Read an object's value.
     pub fn get(&mut self, obj: ObjectId) -> AmcResult<Option<Value>> {
-        match self.pages_of(obj)? {
-            Some((head, follow)) => self.walk(head, follow, |p, _| p.get(obj)),
-            None => Ok(None),
+        if let Some(value) = self.at_home(obj, |p| p.get(obj))? {
+            return Ok(Some(value));
         }
+        let Some((head, follow)) = self.pages_of(obj)? else {
+            return Ok(None);
+        };
+        let found = self.walk(head, follow, |p, _| Some((p.get(obj)?, p.id())))?;
+        self.note(obj, found.map(|(_, home)| home));
+        Ok(found.map(|(value, _)| value))
     }
 
     /// Read-modify-write in one pass over the object's pages: `f` sees the
     /// current value (`None` = absent) and answers the one to leave, or an
     /// error that leaves the store untouched. Returns `(before, after)`. A
-    /// present key is rewritten where it is found; an absent one goes to the
-    /// first page with space — noted on the way, so only a hole *before* the
-    /// last page costs a second visit — or to a fresh page linked behind it.
+    /// present key is rewritten where it is (a known one: its one page); an
+    /// absent one goes to the first page with space — noted on the way, so
+    /// only a hole *before* the last page costs a second visit — or a new one.
     pub fn update(
         &mut self,
         obj: ObjectId,
@@ -200,10 +259,18 @@ impl PageStore {
     ) -> AmcResult<(Option<Value>, Option<Value>)> {
         let mut f = Some(f);
         let mut decide = |found| f.take().expect("an object is found or not, once")(found);
-        let (mut room, mut last) = (None, None);
+        if let Some(done) = self.at_home(obj, |p| p.update(obj, |v| decide(Some(v))))? {
+            let (before, after) = done?;
+            if after.is_none() {
+                self.objects.remove(&obj);
+            }
+            return Ok((Some(before), after));
+        }
+        let (mut room, mut last, mut home) = (None, None, None);
         if let Some((head, follow)) = self.pages_of(obj)? {
             let done = self.walk(head, follow, |p, is_last| {
                 if let Some(found) = p.update(obj, |v| decide(Some(v))) {
+                    home = Some(p.id());
                     return Some(found.map(|(before, after)| (Some(before), after)));
                 }
                 if room.is_none() && !p.is_full() {
@@ -223,7 +290,9 @@ impl PageStore {
                 })
             })?;
             if let Some(done) = done {
-                return done;
+                let (before, after) = done?;
+                self.note(obj, after.and(home.or(last)));
+                return Ok((before, after));
             }
         }
         let Some(value) = decide(None)? else {
@@ -243,6 +312,7 @@ impl PageStore {
         };
         self.pool
             .with_page(target, &mut self.disk, |p| p.push(obj, value))?;
+        self.note(obj, Some(target));
         Ok((None, Some(value)))
     }
 
@@ -282,21 +352,16 @@ impl PageStore {
 
     /// Simulate a site crash: volatile state is lost, stable state kept.
     /// The allocation cursor stays ahead of the disk's (harmless: it skips
-    /// pages); the window directory is forgotten and re-read.
+    /// pages); both directories are forgotten and re-read by walks.
     pub fn crash(&mut self) {
         self.pool.crash();
         self.windows = None;
+        self.objects.clear();
     }
 
     /// Combined I/O and buffer statistics.
     pub fn stats(&self) -> (DiskStats, BufferStats) {
         (self.disk.stats(), self.pool.stats())
-    }
-
-    /// Reset statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.disk.reset_stats();
-        self.pool.reset_stats();
     }
 
     /// Enumerate all objects, reserved ones included (test/verification
@@ -318,9 +383,30 @@ impl PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
     use crate::page::Page;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
+
+    impl PageStore {
+        /// Reset statistics counters.
+        fn reset_stats(&mut self) {
+            self.disk.reset_stats();
+            self.pool.reset_stats();
+        }
+
+        /// Directory entries that do not name a page of their key's chain
+        /// holding the key.
+        fn misplaced(&mut self) -> Vec<(ObjectId, PageId)> {
+            let entries: Vec<_> = self.objects.iter().map(|(o, p)| (*o, *p)).collect();
+            let holds = |s: &mut Self, (obj, home): (ObjectId, PageId)| {
+                let head = s.page_of(obj);
+                let here = s.walk(head, true, |p, _| (p.id() == home).then(|| p.get(obj)));
+                !obj.is_reserved() && here.unwrap().flatten().is_some()
+            };
+            entries.into_iter().filter(|e| !holds(self, *e)).collect()
+        }
+    }
 
     fn obj(n: u64) -> ObjectId {
         ObjectId::new(n)
@@ -467,8 +553,14 @@ mod tests {
     #[test]
     fn reading_dirties_nothing_however_much_it_evicts() {
         let mut s = spilling();
-        for i in 0..Page::CAPACITY as u64 * 6 {
-            assert!(s.get(obj(i + 10)).unwrap().is_some());
+        let n = Page::CAPACITY as u64 * 6;
+        // Every key twice, hopping between pages: walking the chains (the
+        // directory forgotten), then one page per read.
+        s.crash();
+        for _ in 0..2 {
+            for i in 0..n {
+                assert!(s.get(obj(10 + i * 37 % n)).unwrap().is_some());
+            }
         }
         s.flush().unwrap();
         let (disk, pool) = s.stats();
@@ -579,14 +671,71 @@ mod tests {
     }
 
     #[test]
+    fn a_known_object_is_one_access_away_until_a_crash_or_its_removal() {
+        let mut s = spilling();
+        let deep = obj(Page::CAPACITY as u64 * 6 + 9);
+        let pages = chain_len(&mut s, deep);
+        assert!(pages >= 3);
+        let bump = |found: Option<Value>| Ok(found.map(|v| v.incremented(1)));
+        // Placed by `spilling`'s puts, so the directory knows its page.
+        assert_eq!(accesses(&mut s, |s| drop(s.get(deep))), 1);
+        assert_eq!(accesses(&mut s, |s| drop(s.update(deep, bump))), 1);
+        // A crash forgets it: the first touch walks, the second does not.
+        s.crash();
+        assert_eq!(accesses(&mut s, |s| drop(s.get(deep))), pages);
+        assert_eq!(accesses(&mut s, |s| drop(s.update(deep, bump))), 1);
+        assert_eq!(accesses(&mut s, |s| drop(s.put(deep, Value::ZERO))), 1);
+        // Removed, it is unknown again and a lookup walks.
+        assert_eq!(accesses(&mut s, |s| drop(s.remove(deep))), 1);
+        assert_eq!(accesses(&mut s, |s| drop(s.get(deep))), pages);
+        assert!(s.misplaced().is_empty() && !s.objects.contains_key(&deep));
+    }
+
+    #[test]
+    fn a_lost_write_sends_the_lookup_back_to_the_chain() {
+        let mut s = spilling();
+        let mut model: BTreeMap<_, _> = s.scan().unwrap().into_iter().collect();
+        // The last key inserted on a chain lives on its last page; the first
+        // one on its head.
+        let deep = obj(Page::CAPACITY as u64 * 6 + 9);
+        let head = s.page_of(deep);
+        let shallow = (10..).map(obj).find(|o| s.page_of(*o) == head).unwrap();
+        s.disk.inject_faults(FaultConfig {
+            read_error_probability: 0.0,
+            lost_write_probability: 1.0,
+            seed: 9,
+        });
+        // Move `deep` into the hole `shallow` leaves at the head ...
+        s.remove(shallow).unwrap();
+        let value = s.remove(deep).unwrap();
+        s.put(deep, value.unwrap()).unwrap();
+        assert_eq!(s.objects[&deep], head);
+        // ... and lose every write that did it, evicting every frame: the
+        // disk still holds `deep` on the last page, not where the directory
+        // says.
+        s.flush().unwrap();
+        s.pool.crash();
+        s.disk.clear_faults();
+        let before = s.put(deep, Value::counter(-5)).unwrap();
+        assert_eq!(before, value, "found where the walk put it first");
+        model.insert(deep, Value::counter(-5));
+        let model: Vec<_> = model.into_iter().collect();
+        assert_eq!(s.scan().unwrap(), model, "one copy of each key");
+        assert_ne!(s.objects[&deep], head);
+        assert!(s.misplaced().is_empty());
+        assert_eq!(accesses(&mut s, |s| drop(s.get(deep))), 1);
+    }
+
+    #[test]
     fn update_and_absent_put_visit_each_page_of_the_chain_at_most_once() {
         let mut s = spilling();
         let deep = obj(Page::CAPACITY as u64 * 6 + 9);
         let pages = chain_len(&mut s, deep);
         assert!(pages >= 3);
         let bump = |found: Option<Value>| Ok(found.map(|v| v.incremented(1)));
+        s.crash();
         let cost = accesses(&mut s, |s| drop(s.update(deep, bump)));
-        assert_eq!(cost, pages, "the deepest key: every page, once");
+        assert_eq!(cost, pages, "the deepest key, unknown: every page, once");
         // Absent keys of the same chain: the first may have to grow it.
         let head = s.page_of(deep);
         let mut absent = (1_000_000..).map(obj).filter(|key| s.page_of(*key) == head);
@@ -727,6 +876,9 @@ mod tests {
                         }
                     }
                 }
+                // Every entry of the object directory names a page on its
+                // key's chain that holds the key.
+                prop_assert_eq!(store.misplaced(), vec![]);
             }
         }
     }

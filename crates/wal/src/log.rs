@@ -153,7 +153,7 @@ impl LogManager {
 
     /// Open a durable log backed by the frame file at `path`, loading the
     /// surviving stable prefix. A torn final frame is truncated (and
-    /// reported via [`LogManager::torn_at_open`]); corruption anywhere
+    /// reported by the next [`crate::recover`]); corruption anywhere
     /// earlier is fatal.
     ///
     /// `Checkpoint` records from the previous process are dropped (and the
@@ -188,11 +188,6 @@ impl LogManager {
     /// Whether this log persists its stable prefix to disk.
     pub fn is_durable(&self) -> bool {
         self.sink.is_some()
-    }
-
-    /// Whether [`LogManager::open_durable`] truncated a torn final frame.
-    pub fn torn_at_open(&self) -> bool {
-        self.torn_at_open
     }
 
     /// Consume the torn-at-open flag (recovery folds it into its outcome
@@ -384,20 +379,6 @@ impl LogManager {
         }
     }
 
-    /// Test hook: corrupt the durable frame at `idx` (0-based into the
-    /// current stable prefix) by flipping its final byte. Used to exercise
-    /// the mid-log-corruption-is-fatal path.
-    pub fn corrupt_stable(&mut self, idx: usize) {
-        if idx < self.stable.len() {
-            let mut frames: Vec<Vec<u8>> = self.stable.iter().map(<[u8]>::to_vec).collect();
-            if let Some(last) = frames[idx].last_mut() {
-                *last ^= 0xFF;
-            }
-            self.stable = frames.iter().map(Vec::as_slice).collect();
-            self.mirror_stable();
-        }
-    }
-
     /// Decode and return all durable records in LSN order.
     pub fn stable_records(&self) -> AmcResult<Vec<(Lsn, LogRecord)>> {
         self.stable
@@ -433,17 +414,33 @@ impl LogManager {
         self.stable = self.stable.iter().skip(keep_from).collect();
         self.mirror_stable();
     }
-
-    /// Number of records truncated from the front (LSN offset).
-    pub fn truncated(&self) -> u64 {
-        self.truncated
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use amc_types::LocalTxnId;
+
+    impl LogManager {
+        /// Corrupt the durable frame at `idx` (0-based into the current
+        /// stable prefix) by flipping its final byte: the
+        /// mid-log-corruption-is-fatal path.
+        pub(crate) fn corrupt_stable(&mut self, idx: usize) {
+            if idx < self.stable.len() {
+                let mut frames: Vec<Vec<u8>> = self.stable.iter().map(<[u8]>::to_vec).collect();
+                if let Some(last) = frames[idx].last_mut() {
+                    *last ^= 0xFF;
+                }
+                self.stable = frames.iter().map(Vec::as_slice).collect();
+                self.mirror_stable();
+            }
+        }
+
+        /// Number of records truncated from the front (LSN offset).
+        fn truncated(&self) -> u64 {
+            self.truncated
+        }
+    }
 
     fn begin(n: u64) -> LogRecord {
         LogRecord::Begin {

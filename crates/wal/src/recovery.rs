@@ -29,7 +29,7 @@ use crate::log::LogManager;
 use crate::record::LogRecord;
 use amc_obs::EventKind;
 use amc_types::{AmcResult, LocalTxnId, ObjectId, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// What recovery found and did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -156,10 +156,11 @@ pub fn recover(
     Ok(outcome)
 }
 
-/// Convenience for tests and small tools: recover into a [`BTreeMap`] model.
-pub fn recover_into_map(
+/// Recover into a `BTreeMap` model (tests).
+#[cfg(test)]
+pub(crate) fn recover_into_map(
     log: &mut LogManager,
-    state: &mut BTreeMap<ObjectId, Value>,
+    state: &mut std::collections::BTreeMap<ObjectId, Value>,
 ) -> AmcResult<RecoveryOutcome> {
     recover(log, |obj, img| {
         match img {
@@ -177,6 +178,7 @@ pub fn recover_into_map(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn ltx(n: u64) -> LocalTxnId {
         LocalTxnId::new(n)
