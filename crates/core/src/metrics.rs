@@ -103,11 +103,6 @@ impl RunMetrics {
         Some(self.total_l0_hold.as_secs_f64() * 1e3 / self.l0_hold_count as f64)
     }
 
-    /// 99th-percentile L0 lock tenure in milliseconds.
-    pub fn l0_hold_p99_ms(&self) -> Option<f64> {
-        self.l0_hold_us.p99().map(|us| us as f64 / 1e3)
-    }
-
     /// Messages per committed transaction (E4); `None` when nothing
     /// committed.
     pub fn messages_per_commit(&self) -> Option<f64> {
@@ -169,16 +164,6 @@ impl RunMetrics {
         Some(self.aborted_intended as f64 / total as f64)
     }
 
-    /// Fraction of attempts aborted erroneously (contention casualties:
-    /// vote failures, prepare timeouts); `None` when nothing ran.
-    pub fn erroneous_abort_rate(&self) -> Option<f64> {
-        let total = self.committed + self.aborted_intended + self.aborted_erroneous;
-        if total == 0 {
-            return None;
-        }
-        Some(self.aborted_erroneous as f64 / total as f64)
-    }
-
     /// Commits plus aborts per second — "completions": aborted work costs
     /// wall time too, the denominator of the C3 (intended-abort) regime
     /// comparison. `None` for a zero-length run.
@@ -188,6 +173,24 @@ impl RunMetrics {
         }
         let done = self.committed + self.aborted_intended + self.aborted_erroneous;
         Some(done as f64 / self.wall.as_secs_f64())
+    }
+}
+
+#[cfg(test)]
+impl RunMetrics {
+    /// 99th-percentile L0 lock tenure in milliseconds.
+    pub fn l0_hold_p99_ms(&self) -> Option<f64> {
+        self.l0_hold_us.p99().map(|us| us as f64 / 1e3)
+    }
+
+    /// Fraction of attempts aborted erroneously (contention casualties:
+    /// vote failures, prepare timeouts); `None` when nothing ran.
+    pub fn erroneous_abort_rate(&self) -> Option<f64> {
+        let total = self.committed + self.aborted_intended + self.aborted_erroneous;
+        if total == 0 {
+            return None;
+        }
+        Some(self.aborted_erroneous as f64 / total as f64)
     }
 }
 

@@ -1,8 +1,8 @@
 //! # amc-epoll
 //!
 //! The smallest readiness layer the event-loop runtime needs: a
-//! level-triggered [`Poller`] over Linux `epoll(7)` and a cross-thread
-//! [`Waker`] over `eventfd(2)`.
+//! [`Poller`] over Linux `epoll(7)` and a cross-thread [`Waker`] over
+//! `eventfd(2)`.
 //!
 //! The build environment has no registry access, so `mio` is not an
 //! option; instead this crate binds the four syscall wrappers it needs
@@ -11,10 +11,13 @@
 //! register/reregister/deregister an fd under a `u64` token, wait for
 //! events, wake the loop from another thread.
 //!
-//! Everything is level-triggered on purpose: a reader that drains until
+//! Registrations are level-triggered: a reader that drains until
 //! `WouldBlock` and a writer that flushes until `WouldBlock` need no
 //! edge-tracking state, and a missed event is re-reported on the next
-//! wait instead of being lost.
+//! wait instead of being lost. The site server's listener, waker and
+//! connections are also *one-shot* ([`Interest::oneshot`]): reported to
+//! exactly one of the threads waiting on their poller, then silent until
+//! that thread re-arms them — what lets many threads share one poller.
 
 #![deny(missing_docs)]
 #![cfg(target_os = "linux")]
@@ -41,6 +44,7 @@ const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -81,6 +85,8 @@ pub struct Interest {
     pub readable: bool,
     /// Report writable.
     pub writable: bool,
+    /// Report once, then nothing until [`Poller::reregister`] re-arms it.
+    pub oneshot: bool,
 }
 
 impl Interest {
@@ -88,26 +94,27 @@ impl Interest {
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
-    };
-    /// Read + write interest.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
+        oneshot: false,
     };
 
     fn bits(self) -> u32 {
-        let mut bits = EPOLLRDHUP;
+        let mut bits = 0;
         if self.readable {
-            bits |= EPOLLIN;
+            // A peer's half-close is a read-side event: an fd watched
+            // only for writing must not keep reporting it.
+            bits |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             bits |= EPOLLOUT;
+        }
+        if self.oneshot {
+            bits |= EPOLLONESHOT;
         }
         bits
     }
 }
 
-/// A level-triggered epoll instance.
+/// An epoll instance. Any number of threads may wait on it at once.
 pub struct Poller {
     epfd: RawFd,
 }
@@ -164,31 +171,47 @@ impl Poller {
     /// returns the number of events. EINTR retries internally.
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         out.clear();
-        const CAP: usize = 256;
-        let mut raw: [EpollEvent; CAP] = unsafe { std::mem::zeroed() };
-        let timeout_ms: i32 = match timeout {
-            None => -1,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-        };
+        // SAFETY: `EpollEvent` is two integers; all-zero is a valid value.
+        let mut raw: [EpollEvent; 256] = unsafe { std::mem::zeroed() };
+        let n = self.wait_raw(&mut raw, timeout)?;
+        out.extend(raw[..n].iter().map(EpollEvent::event));
+        Ok(n)
+    }
+
+    /// Like [`Poller::wait`], but take at most one report: the shape for
+    /// many threads sharing one poller, where a thread that took several
+    /// would serve them one after another while its peers sat idle.
+    pub fn wait_one(&self, timeout: Option<Duration>) -> io::Result<Option<Event>> {
+        let mut raw = [EpollEvent { events: 0, data: 0 }];
+        let n = self.wait_raw(&mut raw, timeout)?;
+        Ok((n == 1).then(|| raw[0].event()))
+    }
+
+    fn wait_raw(&self, raw: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
+        let ms = timeout.map_or(-1, |d| d.as_millis().min(i32::MAX as u128) as i32);
         loop {
-            let n = unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), CAP as i32, timeout_ms) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    continue;
-                }
+            // SAFETY: `raw` is a live, writable buffer of `raw.len()`
+            // events, and the kernel writes at most that many.
+            let n = unsafe { epoll_wait(self.epfd, raw.as_mut_ptr(), raw.len() as i32, ms) };
+            if n >= 0 {
+                return Ok(n as usize);
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
                 return Err(err);
             }
-            for ev in raw.iter().take(n as usize) {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    error: bits & (EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            return Ok(n as usize);
+        }
+    }
+}
+
+impl EpollEvent {
+    fn event(&self) -> Event {
+        let bits = self.events;
+        Event {
+            token: self.data,
+            readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+            writable: bits & EPOLLOUT != 0,
+            error: bits & (EPOLLERR | EPOLLHUP) != 0,
         }
     }
 }
@@ -321,7 +344,14 @@ mod tests {
         s.set_nonblocking(true).unwrap();
         let poller = Poller::new().unwrap();
         poller
-            .register(s.as_raw_fd(), 3, Interest::READ_WRITE)
+            .register(
+                s.as_raw_fd(),
+                3,
+                Interest {
+                    writable: true,
+                    ..Interest::READ
+                },
+            )
             .unwrap();
         let mut events = Vec::new();
         poller
@@ -333,5 +363,59 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn oneshot_reports_once_until_rearmed() {
+        let poller = Poller::new().unwrap();
+        let waker = Waker::new().unwrap();
+        let interest = Interest {
+            oneshot: true,
+            ..Interest::READ
+        };
+        poller.register(waker.fd(), 5, interest).unwrap();
+        waker.wake();
+        let tick = Some(Duration::from_millis(10));
+        let first = poller.wait_one(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(first.map(|e| e.token), Some(5));
+        // Still readable (never drained), yet silent: the report was spent.
+        assert!(poller.wait_one(tick).unwrap().is_none());
+        poller.reregister(waker.fd(), 5, interest).unwrap();
+        assert_eq!(poller.wait_one(tick).unwrap().map(|e| e.token), Some(5));
+    }
+
+    #[test]
+    fn two_waiting_threads_each_take_a_different_report() {
+        let poller = Poller::new().unwrap();
+        let wakers = [Waker::new().unwrap(), Waker::new().unwrap()];
+        let interest = Interest {
+            oneshot: true,
+            ..Interest::READ
+        };
+        for (token, w) in wakers.iter().enumerate() {
+            poller.register(w.fd(), token as u64, interest).unwrap();
+        }
+        let barrier = std::sync::Barrier::new(3);
+        let tokens: Vec<u64> = std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let ev = poller.wait_one(Some(Duration::from_secs(5))).unwrap();
+                        ev.expect("a report for each waiter").token
+                    })
+                })
+                .collect();
+            barrier.wait();
+            wakers.iter().for_each(Waker::wake);
+            waiters.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut sorted = tokens.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            [0, 1],
+            "one report each, never the same: {tokens:?}"
+        );
     }
 }

@@ -164,11 +164,6 @@ impl Router {
         self.heal(b, a);
     }
 
-    /// Whether the directed link `from -> to` is currently severed.
-    pub fn is_partitioned(&self, from: SiteId, to: SiteId) -> bool {
-        self.partitioned.contains(&(from, to))
-    }
-
     /// Begin a loss burst: until [`Router::clear_loss_burst`], every message
     /// is lost with `probability` instead of the configured baseline.
     pub fn set_loss_burst(&mut self, probability: f64) {
@@ -251,6 +246,14 @@ impl Router {
     /// Messages delivered twice.
     pub fn duplicated(&self) -> u64 {
         self.stats.duplicated
+    }
+}
+
+#[cfg(test)]
+impl Router {
+    /// Whether the directed link `from -> to` is currently severed.
+    pub fn is_partitioned(&self, from: SiteId, to: SiteId) -> bool {
+        self.partitioned.contains(&(from, to))
     }
 }
 

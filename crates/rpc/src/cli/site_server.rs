@@ -47,7 +47,7 @@ pub fn main() {
     let lock_timeout = Duration::from_millis(flags.value("--lock-timeout-ms").unwrap_or(500));
     let wal_dir: Option<String> = flags.value("--wal-dir");
     let acceptor_log: Option<String> = flags.value("--acceptor-log");
-    // The server half of a `Wire`: the epoll loop + worker pool (the
+    // The server half of a `Wire`: the one-shot epoll runtime (the
     // default) or the legacy thread per connection. The client half is
     // the dialler's choice (`amc-loadgen --client`).
     let wire = flags

@@ -1,25 +1,35 @@
 //! The event-loop site-server runtime.
 //!
-//! One epoll thread reads every socket; a small worker pool owns every
-//! dispatch and, normally, the reply. The loop never blocks on I/O or on
-//! the engine:
+//! A fixed set of symmetric threads waits on one epoll instance; whichever
+//! thread is told a socket is readable reads it and serves what it read.
+//! There is no loop thread and no hand-off to a worker on the common path:
 //!
-//! - **Reads** are nonblocking and incremental. Bytes land in a
-//!   per-connection [`FrameBuffer`]; a frame that arrives in ten pieces
-//!   is ten cheap appends and one decode. There is no `read_exact`
+//! - **One-shot readiness.** The listener, the waker and every connection
+//!   are armed `EPOLLONESHOT`, so each readiness report goes to exactly
+//!   one thread and the fd stays silent until that thread re-arms it.
+//!   Nothing else serialises the threads.
+//! - **Reads** are nonblocking and incremental. Bytes land in the
+//!   connection's [`FrameBuffer`]; a frame that arrives in ten pieces is
+//!   ten cheap appends and one decode. There is no `read_exact`
 //!   anywhere, so there is no way for a timeout to eat half a frame.
-//! - **Dispatch** happens off-loop. Each decoded request becomes a job
-//!   for the worker pool, so a dispatch that blocks (a WAL fsync, a lock
-//!   wait) stalls one worker, not the loop — and concurrent workers
+//! - **The reader serves.** After the read the thread re-arms the
+//!   connection and runs the first decoded request itself. Requests
+//!   behind it in the same read go to a shared queue, and the `eventfd`
+//!   waker rouses a polling thread for them; threads also drain the
+//!   queue on their way back to waiting. A request that blocks (a WAL
+//!   fsync, a lock wait) stalls one thread, and concurrent threads
 //!   hitting the WAL together are exactly what
 //!   [`amc_wal::GroupCommitter`] needs to merge their fsyncs.
-//! - **Writes** are made by whoever has the reply. The worker that
-//!   produced it encodes it and, when the connection has no queued
-//!   output, writes it to the non-blocking socket itself — no hop back
-//!   through the loop. Only what the socket would not take (or a reply
-//!   finishing behind queued output) lands in the connection's write
-//!   buffer; the worker then rings the loop, which flushes on
-//!   `EPOLLOUT`. A slow reader causes buffering, never a blocked thread.
+//! - **The last poller only reads.** A thread serves a request only
+//!   while another thread is polling. When every other thread is wedged
+//!   the last poller queues work instead of running it, so the server
+//!   always keeps reading, shedding and accepting.
+//! - **Writes** are made by whoever has the reply: it is written to the
+//!   non-blocking socket directly. Only what the socket would not take
+//!   (or a reply finishing behind queued output) lands in the
+//!   connection's write buffer, and the connection is re-armed for
+//!   writing there and then. A slow reader causes buffering, never a
+//!   blocked thread.
 //! - **Backpressure** is per connection and explicit. At most
 //!   [`MAX_IN_FLIGHT_PER_CONN`] requests may be dispatched concurrently
 //!   per connection; excess requests are not queued but *shed* with an
@@ -33,17 +43,17 @@
 
 use crate::server::{bind_with_retry, site_handler, Handler};
 use crate::wire::{encode_frame, Frame, FrameBuffer};
-use amc_epoll::{Interest, Poller, Waker};
+use amc_epoll::{Event, Interest, Poller, Waker};
 use amc_net::{LocalCommManager, SubmitMode};
 use amc_obs::ObsSink;
 use amc_paxos::AcceptorHost;
 use amc_types::{AmcError, SiteId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -71,9 +81,17 @@ const TOKEN_WAKER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
 
 /// How long one epoll wait sleeps before re-checking the stop flag.
+/// Shutdown does not wait it out: the waker is passed from thread to
+/// thread instead.
 const WAIT_TICK: Duration = Duration::from_millis(100);
 
-/// Counters the loop maintains; cheap enough to read any time.
+/// How the listener, the waker and a connection awaiting requests are armed.
+const READ_ONESHOT: Interest = Interest {
+    oneshot: true,
+    ..Interest::READ
+};
+
+/// Counters the server maintains; cheap enough to read any time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventServerStats {
     /// Connections currently registered with the poller.
@@ -83,7 +101,7 @@ pub struct EventServerStats {
     /// Requests answered with a load-shed `ErrorReply` instead of being
     /// dispatched.
     pub load_sheds: u64,
-    /// Requests dispatched to the worker pool.
+    /// Requests dispatched to the handler.
     pub dispatched: u64,
     /// Connections closed because a stalled reader let its write buffer
     /// exceed [`MAX_WBUF_BYTES`].
@@ -92,39 +110,28 @@ pub struct EventServerStats {
 
 #[derive(Default)]
 struct SharedStats {
-    current: AtomicU64,
     peak: AtomicU64,
     load_sheds: AtomicU64,
     dispatched: AtomicU64,
     wbuf_overflows: AtomicU64,
 }
 
-/// A dispatch job: which connection asked, and what it asked.
+/// A dispatched request: which connection asked, and what it asked.
 struct Job {
     conn: Arc<Peer>,
     frame: Frame,
 }
 
-/// Worker-pool plumbing: the job queue the loop pushes into, and the
-/// list of connections a worker left for the loop to look at, with the
-/// eventfd waker as the loop's doorbell.
-struct Pool {
-    jobs: Mutex<VecDeque<Job>>,
-    jobs_cv: Condvar,
-    /// Tokens of connections whose [`Outbox`] a worker left in a state
-    /// only the loop can act on: output the socket would not take (arm
-    /// `EPOLLOUT`), or a connection that must now close.
-    attention: Mutex<Vec<u64>>,
-    waker: Waker,
-    stop: AtomicBool,
-}
-
-/// The half of a connection the loop shares with the workers: the
-/// socket, and everything about its output side. Whoever holds `out`
-/// may write to the socket, so frames never interleave.
+/// One connection: the socket, its read side and its output side.
+/// Whoever holds `out` may write to the socket, so frames never
+/// interleave.
 struct Peer {
     token: u64,
     stream: TcpStream,
+    /// Bytes read but not yet decoded. Only the thread holding the
+    /// connection's one-shot report reads, so this lock is uncontended
+    /// unless a reply re-armed the connection mid-read.
+    rbuf: Mutex<FrameBuffer>,
     out: Mutex<Outbox>,
 }
 
@@ -132,18 +139,20 @@ struct Peer {
 struct Outbox {
     /// Output the socket would not take yet; `wpos` is how much of it
     /// has already been written. Empty on the fast path: a reply goes
-    /// straight from the worker that made it to the socket.
+    /// straight from the thread that made it to the socket.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Requests currently dispatched to the pool for this connection.
+    /// Requests dispatched for this connection and not yet answered.
     in_flight: usize,
     /// Reads hit EOF; the connection closes as soon as the write buffer
     /// drains and the in-flight count is zero.
-    closing: bool,
+    eof: bool,
     /// No further output is accepted: a write failed, the backlog passed
-    /// [`MAX_WBUF_BYTES`], or the loop has dropped the connection. A
-    /// reply that completes after this is discarded.
+    /// [`MAX_WBUF_BYTES`], or the server is shutting down. A reply that
+    /// completes after this is discarded.
     dead: bool,
+    /// The connection has been deregistered and shut down.
+    closed: bool,
 }
 
 impl Outbox {
@@ -207,12 +216,21 @@ fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
     Ok(done)
 }
 
-/// Per-connection state owned by the event loop.
-struct Conn {
-    peer: Arc<Peer>,
-    rbuf: FrameBuffer,
-    /// The interest currently registered with the poller.
-    interest: Interest,
+/// Everything the server's threads share.
+struct Server {
+    poller: Poller,
+    listener: TcpListener,
+    waker: Waker,
+    handler: Handler,
+    /// Live connections by epoll token.
+    conns: Mutex<HashMap<u64, Arc<Peer>>>,
+    next_token: AtomicU64,
+    /// Requests decoded behind the one their reader serves itself.
+    queue: Mutex<VecDeque<Job>>,
+    /// Threads currently waiting in the poller.
+    polling: AtomicUsize,
+    stop: AtomicBool,
+    stats: SharedStats,
 }
 
 /// A running event-loop site server. Drop-in replacement for
@@ -221,11 +239,8 @@ struct Conn {
 pub struct EventServer {
     site: SiteId,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    pool: Arc<Pool>,
-    stats: Arc<SharedStats>,
-    loop_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: Arc<Server>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl EventServer {
@@ -254,57 +269,44 @@ impl EventServer {
         let listener = bind_with_retry(listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(SharedStats::default());
-        let pool = Arc::new(Pool {
-            jobs: Mutex::new(VecDeque::new()),
-            jobs_cv: Condvar::new(),
-            attention: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
+        let poller = Poller::new()?;
+        let waker = Waker::new()?;
+        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, READ_ONESHOT)?;
+        poller.register(waker.fd(), TOKEN_WAKER, READ_ONESHOT)?;
+        let server = Arc::new(Server {
+            poller,
+            listener,
+            waker,
+            handler: site_handler(site, manager, mode, obs, acceptor),
+            conns: Mutex::new(HashMap::new()),
+            next_token: AtomicU64::new(TOKEN_FIRST_CONN),
+            queue: Mutex::new(VecDeque::new()),
+            polling: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
+            stats: SharedStats::default(),
         });
 
-        // Workers spend most of their life *waiting* — on locks, on the
-        // group committer's fsync — not computing, so the pool is sized
-        // well past the core count: enough that a burst of wedged
-        // dispatches (every worker parked on the same hot lock) still
-        // leaves hands free for the requests behind it, few enough that
-        // hundreds of connections don't mean hundreds of threads.
-        let n_workers = (2 * std::thread::available_parallelism()
+        // Threads spend most of their life *waiting* — on locks, on the
+        // group committer's fsync — not computing, so there are well
+        // more than cores: enough that a burst of wedged requests (every
+        // thread parked on the same hot lock) still leaves hands free for
+        // the requests behind it, few enough that hundreds of connections
+        // don't mean hundreds of threads.
+        let n_threads = (2 * std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4))
         .clamp(16, 32);
-        let handler = site_handler(site, manager, mode, obs, acceptor);
-        let workers = (0..n_workers)
+        let threads = (0..n_threads)
             .map(|_| {
-                let pool = Arc::clone(&pool);
-                let handler = Arc::clone(&handler);
-                let stats = Arc::clone(&stats);
-                std::thread::spawn(move || worker_loop(&pool, &handler, &stats))
+                let server = Arc::clone(&server);
+                std::thread::spawn(move || server.run())
             })
             .collect();
-
-        let loop_thread = {
-            let stop = Arc::clone(&stop);
-            let pool = Arc::clone(&pool);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                // A loop that cannot set itself up serves nothing; every
-                // connection attempt will see ECONNREFUSED once the
-                // listener drops.
-                let _ = event_loop(listener, stop, pool, stats);
-            })
-        };
-
         Ok(EventServer {
             site,
             addr,
-            stop,
-            pool,
-            stats,
-            loop_thread: Some(loop_thread),
-            workers,
+            server,
+            threads,
         })
     }
 
@@ -318,18 +320,19 @@ impl EventServer {
         self.addr
     }
 
-    /// Current loop counters.
+    /// Current counters.
     pub fn stats(&self) -> EventServerStats {
+        let stats = &self.server.stats;
         EventServerStats {
-            current_connections: self.stats.current.load(Ordering::Relaxed),
-            peak_connections: self.stats.peak.load(Ordering::Relaxed),
-            load_sheds: self.stats.load_sheds.load(Ordering::Relaxed),
-            dispatched: self.stats.dispatched.load(Ordering::Relaxed),
-            wbuf_overflows: self.stats.wbuf_overflows.load(Ordering::Relaxed),
+            current_connections: self.server.conns.lock().len() as u64,
+            peak_connections: stats.peak.load(Ordering::Relaxed),
+            load_sheds: stats.load_sheds.load(Ordering::Relaxed),
+            dispatched: stats.dispatched.load(Ordering::Relaxed),
+            wbuf_overflows: stats.wbuf_overflows.load(Ordering::Relaxed),
         }
     }
 
-    /// Stop the loop and the workers, dropping every connection.
+    /// Stop every thread, dropping every connection.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -337,261 +340,252 @@ impl EventServer {
 
 impl Drop for EventServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.pool.waker.wake();
-        if let Some(h) = self.loop_thread.take() {
-            let _ = h.join();
-        }
-        self.pool.stop.store(true, Ordering::SeqCst);
-        self.pool.jobs_cv.notify_all();
-        for h in self.workers.drain(..) {
+        self.server.stop.store(true, Ordering::SeqCst);
+        self.server.waker.wake();
+        // With the threads gone this is the last handle on the server:
+        // every connection and queued request is dropped with it.
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// One worker: pull a job, run it through the shared site handler and
-/// answer the peer itself. The loop hears of it only when the socket
-/// would not take the whole reply, or the connection is now due to close.
-fn worker_loop(pool: &Pool, handler: &Handler, stats: &SharedStats) {
-    loop {
-        let job = {
-            let mut jobs = pool.jobs.lock();
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break job;
+impl Server {
+    /// One thread: serve what was queued, then wait for the next
+    /// readiness report and act on it.
+    fn run(&self) {
+        loop {
+            self.drain();
+            if self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            // Work queued while the last poller could not serve it waits
+            // for the next thread to come by: this one, if another thread
+            // is polling now.
+            if self.polling.fetch_add(1, Ordering::SeqCst) > 0 && !self.queue.lock().is_empty() {
+                self.polling.fetch_sub(1, Ordering::SeqCst);
+                continue;
+            }
+            let ev = self.poller.wait_one(Some(WAIT_TICK));
+            self.polling.fetch_sub(1, Ordering::SeqCst);
+            match ev {
+                Ok(Some(ev)) => self.on_report(ev),
+                Ok(None) => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// May this thread run a request now? Only while another thread is
+    /// polling: the last poller must stay free to read, shed and accept.
+    fn may_serve(&self) -> bool {
+        self.polling.load(Ordering::SeqCst) > 0
+    }
+
+    /// Serve queued requests while the last-poller rule allows, ringing
+    /// the waker for another thread whenever more remain behind the one
+    /// taken, so that a queue is never served one after another by one
+    /// thread while the others sleep.
+    fn drain(&self) {
+        while self.may_serve() {
+            let (job, more) = {
+                let mut queue = self.queue.lock();
+                (queue.pop_front(), !queue.is_empty())
+            };
+            if more {
+                self.waker.wake();
+            }
+            match job {
+                Some(job) => self.answer(job),
+                None => return,
+            }
+        }
+    }
+
+    fn on_report(&self, ev: Event) {
+        let fd = match ev.token {
+            TOKEN_LISTENER => {
+                self.accept_ready();
+                self.listener.as_raw_fd()
+            }
+            TOKEN_WAKER => {
+                // On shutdown the waker is left readable, so re-arming
+                // it passes the wake-up on to the next waiting thread.
+                if !self.stop.load(Ordering::SeqCst) {
+                    self.waker.drain();
                 }
-                if pool.stop.load(Ordering::SeqCst) {
-                    return;
+                self.waker.fd()
+            }
+            token => {
+                let peer = self.conns.lock().get(&token).cloned();
+                if let Some(job) = peer.and_then(|peer| self.on_ready(peer, ev)) {
+                    self.answer(job);
                 }
-                pool.jobs_cv.wait(&mut jobs);
+                return;
             }
         };
+        let _ = self.poller.reregister(fd, ev.token, READ_ONESHOT);
+    }
+
+    /// Accept every pending connection (the listener is nonblocking).
+    fn accept_ready(&self) {
+        loop {
+            let Ok((stream, _)) = self.listener.accept() else {
+                return;
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+            let fd = stream.as_raw_fd();
+            let peer = Arc::new(Peer {
+                token,
+                stream,
+                rbuf: Mutex::new(FrameBuffer::new()),
+                out: Mutex::new(Outbox::default()),
+            });
+            let mut conns = self.conns.lock();
+            if self.poller.register(fd, token, READ_ONESHOT).is_ok() {
+                conns.insert(token, peer);
+                let now = conns.len() as u64;
+                self.stats.peak.fetch_max(now, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Act on one report for `peer`: flush what is pending, drain the
+    /// socket into the frame buffer, decode every complete frame, shed
+    /// past the in-flight bound, re-arm — and return the first request
+    /// for this thread to serve; the rest are queued. A poisoned stream,
+    /// or a peer that sends reply-kind frames, kills the connection.
+    fn on_ready(&self, peer: Arc<Peer>, ev: Event) -> Option<Job> {
+        let mut rbuf = peer.rbuf.lock();
+        let mut eof = false;
+        let mut poisoned = ev.error;
+        if ev.readable && !poisoned {
+            let mut chunk = [0u8; 16 * 1024];
+            loop {
+                match (&peer.stream).read(&mut chunk) {
+                    // EOF: no new requests, but in-flight replies still
+                    // get written back before the close.
+                    Ok(0) => {
+                        eof = true;
+                        break;
+                    }
+                    Ok(n) => rbuf.extend(&chunk[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        poisoned = true;
+                        break;
+                    }
+                }
+            }
+        }
+        let mut out = peer.out.lock();
+        if ev.writable {
+            out.flush(&peer.stream);
+        }
+        out.eof |= eof;
+        let mut first = None;
+        let mut queued = 0;
+        // One queue lock for however many frames arrived, taken only once
+        // there is a job to queue.
+        let mut queue = None;
+        while !poisoned {
+            match rbuf.next_frame() {
+                Ok(Some(frame @ (Frame::Request { .. } | Frame::AdminRequest { .. }))) => {
+                    if out.in_flight >= MAX_IN_FLIGHT_PER_CONN {
+                        // Load shed: answer now, dispatch never. A peer that
+                        // floods requests while never reading these replies
+                        // runs the outbox past its bound and is closed.
+                        self.stats.load_sheds.fetch_add(1, Ordering::Relaxed);
+                        let shed = Frame::ErrorReply {
+                            req_id: frame.req_id(),
+                            error: AmcError::BufferExhausted,
+                        };
+                        out.send(&peer.stream, &encode_frame(&shed), &self.stats);
+                        continue;
+                    }
+                    out.in_flight += 1;
+                    self.stats.dispatched.fetch_add(1, Ordering::Relaxed);
+                    let job = Job {
+                        conn: Arc::clone(&peer),
+                        frame,
+                    };
+                    if first.is_none() && self.may_serve() {
+                        first = Some(job);
+                    } else {
+                        queue
+                            .get_or_insert_with(|| self.queue.lock())
+                            .push_back(job);
+                        queued += 1;
+                    }
+                }
+                Ok(None) => break,
+                // A server only accepts requests (cf. the blocking runtime).
+                Ok(Some(_)) | Err(_) => poisoned = true,
+            }
+        }
+        drop(rbuf);
+        out.dead |= poisoned;
+        self.settle(&peer, &mut out, true);
+        drop(out);
+        drop(queue);
+        if queued > 0 {
+            self.waker.wake();
+        }
+        first
+    }
+
+    /// Run one request through the shared site handler and answer the
+    /// peer. Only request-kind frames are ever dispatched, so the handler
+    /// always produces a reply here.
+    fn answer(&self, job: Job) {
         let Job { conn, frame } = job;
-        // Only request-kind frames are ever enqueued, so the handler
-        // always produces a reply here.
-        let reply = handler(frame).map(|reply| encode_frame(&reply));
+        let reply = (self.handler)(frame).map(|reply| encode_frame(&reply));
         let mut out = conn.out.lock();
         out.in_flight -= 1;
+        let was_pending = out.pending() > 0;
         if let (Some(bytes), false) = (&reply, out.dead) {
-            out.send(&conn.stream, bytes, stats);
+            out.send(&conn.stream, bytes, &self.stats);
         }
-        let ring = out.dead || out.pending() > 0 || (out.closing && out.in_flight == 0);
-        drop(out);
-        if ring {
-            pool.attention.lock().push(conn.token);
-            pool.waker.wake();
-        }
-    }
-}
-
-/// The loop itself: accept, read/decode, hand out jobs, and finish what
-/// the workers could not: flush backed-up output, close connections.
-fn event_loop(
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    pool: Arc<Pool>,
-    stats: Arc<SharedStats>,
-) -> io::Result<()> {
-    let poller = Poller::new()?;
-    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-    poller.register(pool.waker.fd(), TOKEN_WAKER, Interest::READ)?;
-
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = TOKEN_FIRST_CONN;
-    let mut events = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-
-    while !stop.load(Ordering::SeqCst) {
-        poller.wait(&mut events, Some(WAIT_TICK))?;
-        for ev in &events {
-            match ev.token {
-                TOKEN_LISTENER => {
-                    accept_ready(&listener, &poller, &mut conns, &mut next_token, &stats);
-                }
-                TOKEN_WAKER => {
-                    pool.waker.drain();
-                    let tokens = std::mem::take(&mut *pool.attention.lock());
-                    for token in tokens {
-                        finish_or_update(&poller, &mut conns, token, &stats);
-                    }
-                }
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    if ev.error {
-                        conn.peer.out.lock().dead = true;
-                    } else {
-                        if ev.readable {
-                            read_ready(conn, &mut chunk, &pool, &stats);
-                        }
-                        if ev.writable {
-                            conn.peer.out.lock().flush(&conn.peer.stream);
-                        }
-                    }
-                    finish_or_update(&poller, &mut conns, token, &stats);
-                }
-            }
-        }
+        // Output the socket would not take arms the connection for
+        // writing; output already pending has armed it before.
+        let arm = !was_pending && out.pending() > 0;
+        self.settle(&conn, &mut out, arm);
     }
 
-    // Shutdown: deregister and drop everything. Replies still in
-    // workers' hands find their outbox dead.
-    for (_, conn) in conns.drain() {
-        conn.peer.out.lock().dead = true;
-        poller.deregister(conn.peer.stream.as_raw_fd());
-    }
-    poller.deregister(listener.as_raw_fd());
-    poller.deregister(pool.waker.fd());
-    Ok(())
-}
-
-/// Accept every pending connection (the listener is level-triggered and
-/// nonblocking).
-fn accept_ready(
-    listener: &TcpListener,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-    stats: &SharedStats,
-) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(s) => s,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(_) => return,
+    /// Under `peer`'s outbox lock: close the connection — exactly once —
+    /// if it is dead or finished (EOF, nothing to write, nothing in
+    /// flight); otherwise, when `arm`, re-arm its one-shot registration
+    /// for what it now waits on. After EOF that is writing alone, and
+    /// only while output is pending: a half-closed socket is readable
+    /// for ever and must not keep reporting it.
+    fn settle(&self, peer: &Peer, out: &mut Outbox, arm: bool) {
+        if out.closed {
+            return;
+        }
+        let fd = peer.stream.as_raw_fd();
+        let want = Interest {
+            readable: !out.eof,
+            writable: out.pending() > 0,
+            oneshot: true,
         };
-        if stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        let _ = stream.set_nodelay(true);
-        let token = *next_token;
-        *next_token += 1;
-        if poller
-            .register(stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
-            continue;
-        }
-        conns.insert(
-            token,
-            Conn {
-                peer: Arc::new(Peer {
-                    token,
-                    stream,
-                    out: Mutex::new(Outbox::default()),
-                }),
-                rbuf: FrameBuffer::new(),
-                interest: Interest::READ,
-            },
-        );
-        let now = conns.len() as u64;
-        stats.current.store(now, Ordering::Relaxed);
-        stats.peak.fetch_max(now, Ordering::Relaxed);
-    }
-}
-
-/// Drain the socket into the frame buffer, decode every complete frame
-/// and queue it for the workers (or shed it). A poisoned stream, or a
-/// peer that sends reply-kind frames, marks the outbox dead: the
-/// connection must die *immediately*.
-fn read_ready(conn: &mut Conn, chunk: &mut [u8], pool: &Pool, stats: &SharedStats) {
-    let peer = &conn.peer;
-    let mut eof = false;
-    let mut poisoned = false;
-    loop {
-        match (&peer.stream).read(chunk) {
-            // EOF: no new requests, but in-flight replies still get
-            // written back before the close.
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => conn.rbuf.extend(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                poisoned = true;
-                break;
+        let finished = out.eof && !want.writable && out.in_flight == 0;
+        if !out.dead && !finished {
+            let rearm = arm && (want.readable || want.writable);
+            if !rearm || self.poller.reregister(fd, peer.token, want).is_ok() {
+                return;
             }
         }
-    }
-    let mut out = peer.out.lock();
-    out.closing |= eof;
-    // One queue lock for however many frames arrived, taken only once
-    // there is a job to push.
-    let mut queue = None;
-    let mut queued = 0;
-    while !poisoned {
-        match conn.rbuf.next_frame() {
-            Ok(Some(frame @ (Frame::Request { .. } | Frame::AdminRequest { .. }))) => {
-                if out.in_flight >= MAX_IN_FLIGHT_PER_CONN {
-                    // Load shed: answer now, dispatch never. A peer that
-                    // floods requests while never reading these replies
-                    // runs the outbox past its bound and is closed.
-                    stats.load_sheds.fetch_add(1, Ordering::Relaxed);
-                    let shed = Frame::ErrorReply {
-                        req_id: frame.req_id(),
-                        error: AmcError::BufferExhausted,
-                    };
-                    out.send(&peer.stream, &encode_frame(&shed), stats);
-                } else {
-                    out.in_flight += 1;
-                    stats.dispatched.fetch_add(1, Ordering::Relaxed);
-                    let conn = Arc::clone(peer);
-                    queue
-                        .get_or_insert_with(|| pool.jobs.lock())
-                        .push_back(Job { conn, frame });
-                    queued += 1;
-                }
-            }
-            Ok(None) => break,
-            // A server only accepts requests (cf. the blocking runtime).
-            Ok(Some(_)) | Err(_) => poisoned = true,
-        }
-    }
-    drop(queue);
-    // Wake one worker per job, not the whole pool: `notify_all` here
-    // stampedes every idle worker onto one queue lock per request.
-    for _ in 0..queued {
-        pool.jobs_cv.notify_one();
-    }
-    out.dead |= poisoned;
-}
-
-/// Close a connection that is done (or dead), or fix up its poller
-/// interest to match whether output is pending.
-fn finish_or_update(
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    token: u64,
-    stats: &SharedStats,
-) {
-    let Some(conn) = conns.get_mut(&token) else {
-        return;
-    };
-    let mut out = conn.peer.out.lock();
-    let drained = out.pending() == 0;
-    if out.dead || (out.closing && drained && out.in_flight == 0) {
         out.dead = true;
-        drop(out);
-        poller.deregister(conn.peer.stream.as_raw_fd());
-        conns.remove(&token);
-        stats.current.store(conns.len() as u64, Ordering::Relaxed);
-        return;
-    }
-    drop(out);
-    let want = if drained {
-        Interest::READ
-    } else {
-        Interest::READ_WRITE
-    };
-    if want != conn.interest
-        && poller
-            .reregister(conn.peer.stream.as_raw_fd(), token, want)
-            .is_ok()
-    {
-        conn.interest = want;
+        out.closed = true;
+        self.poller.deregister(fd);
+        // Replies still being made hold the socket open; the peer must
+        // see the close now, not when the last of them is dropped.
+        let _ = peer.stream.shutdown(Shutdown::Both);
+        self.conns.lock().remove(&peer.token);
     }
 }

@@ -13,12 +13,12 @@
 //!   **site server** on it: each request dispatched to the same
 //!   `LocalCommManager` the in-process runtime uses. Malformed frames
 //!   kill their connection, never the server;
-//! * [`event_loop`] — the **event-loop site server**: one epoll thread
-//!   multiplexing every connection, incremental frame decode, batched
-//!   reply writes, a worker pool running the *same* site handler, and
-//!   explicit per-connection backpressure (excess requests are shed with
-//!   `BufferExhausted`, not queued). Same spawn surface and wire
-//!   vocabulary as [`server`];
+//! * [`event_loop`] — the **event-loop site server**: symmetric threads
+//!   on one one-shot epoll set, the thread that reads a request running
+//!   the *same* site handler and writing the reply, incremental frame
+//!   decode, and explicit per-connection backpressure (excess requests
+//!   are shed with `BufferExhausted`, not queued). Same spawn surface and
+//!   wire vocabulary as [`server`];
 //! * [`coord`] — the TCP **coordinator server** + client: one
 //!   [`amc_core::Federation`] shard slot behind the blocking runtime
 //!   speaking the coordinator frames (kinds `5`/`6`), so a remote router
@@ -31,9 +31,9 @@
 //!   pooled link (a connection checked out per request) behind
 //!   [`RpcClient`];
 //! * [`mux`] — the multiplexed pipelining link behind [`MuxClient`]: one
-//!   shared connection per site, any number of concurrent callers,
-//!   replies matched to callers by request id in whatever order the
-//!   server finishes them;
+//!   shared connection per site, any number of concurrent callers, a
+//!   waiting caller reading everyone's replies, matched by request id in
+//!   whatever order the server finishes them, until its own is in;
 //! * [`transport`] — the [`amc_net::transport::FederationTransport`] impl
 //!   putting one request core per site under
 //!   `amc_core::Federation::with_transport`;

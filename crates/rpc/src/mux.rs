@@ -3,13 +3,17 @@
 //! Where [`RpcClient`](crate::RpcClient) checks a whole connection out
 //! of a pool per request — N concurrent requests need N sockets — a
 //! [`MuxClient`] shares **one** connection among every caller. Each
-//! request is tagged with a fresh id and written to the shared socket;
-//! a dedicated reader thread decodes replies incrementally (through a
-//! [`FrameBuffer`], so partial frames survive read-timeout ticks) and
-//! completes whichever caller's id each reply names — in whatever order
-//! the server finished them. That is the client half of pipelining: many
-//! requests in flight on one stream, out-of-order completion, no
-//! head-of-line coupling between callers.
+//! request is tagged with a fresh id and written to the shared socket,
+//! and the callers read the replies themselves: a waiting caller that
+//! finds nobody reading claims the read half, decodes replies
+//! incrementally (through a [`FrameBuffer`], so partial frames survive
+//! read timeouts and a change of reader) and completes whichever
+//! caller's id each reply names — in whatever order the server finished
+//! them — until its own reply is in. When it leaves it wakes the callers
+//! still waiting, and one of them takes over reading. That is the client
+//! half of pipelining: many requests in flight on one stream,
+//! out-of-order completion, no head-of-line coupling between callers,
+//! and no thread between the socket and the caller.
 //!
 //! Only the connection strategy lives here (`MuxLink`); request ids,
 //! retries, backoff, shed accounting and trace events are the shared
@@ -26,14 +30,14 @@ use amc_obs::ObsSink;
 use amc_types::{AmcResult, SiteId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::Read as _;
+use std::io::{ErrorKind, Read as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often the reader thread's blocked read wakes to check for
-/// shutdown.
+/// The longest one blocking read (or one park) lasts before its caller
+/// looks at its slot and the channel again.
 const READ_TICK: Duration = Duration::from_millis(100);
 
 /// One caller's parking spot: its own mutex + condvar, so completing a
@@ -52,98 +56,117 @@ impl Slot {
     }
 }
 
-/// One live multiplexed connection: the shared write half, the pending
-/// table the reader thread completes into, and the reader itself.
+/// The read side of a channel: the socket and what has been read off it
+/// but not yet decoded.
+struct ReadHalf {
+    stream: TcpStream,
+    buf: FrameBuffer,
+    /// The read timeout currently set on `stream`.
+    timeout: Option<Duration>,
+}
+
+/// One live multiplexed connection: the shared write half, the read half
+/// whichever caller claims it reads for everyone, and the pending table
+/// that reader completes into.
 pub(crate) struct Channel {
     /// Writers serialize frame writes through this lock; a frame is
     /// written atomically, so interleaved callers never corrupt framing.
     writer: Mutex<TcpStream>,
+    reader: Mutex<ReadHalf>,
+    /// A caller holds `reader`. Claimed by swap before the lock is taken
+    /// and cleared after it is released, so a waiting caller can tell
+    /// whether anyone will read for it.
+    reading: AtomicBool,
     /// `req_id` → the caller waiting for that reply.
     pending: Mutex<HashMap<u64, Arc<Slot>>>,
-    /// The reader saw EOF/garbage/reset: nothing further will complete.
+    /// A read hit EOF/garbage/reset or a write failed: nothing further
+    /// will complete.
     dead: AtomicBool,
-    stop: AtomicBool,
 }
 
 impl Channel {
     /// Kill the channel and wake every waiter so they can fail fast.
     fn poison(&self) {
         self.dead.store(true, Ordering::SeqCst);
-        for (_, slot) in self.pending.lock().drain() {
-            // Lock-then-notify: the waiter either holds the slot lock
-            // (and will observe `dead` on its next check) or is parked
-            // in `wait_for` (and this wakes it).
+        self.wake(self.pending.lock().drain().map(|(_, slot)| slot));
+    }
+
+    /// Wake each of `slots`. Lock-then-notify: the waiter either holds
+    /// the slot lock (and will see what changed on its next check) or is
+    /// parked in `wait_for` (and this wakes it).
+    fn wake(&self, slots: impl Iterator<Item = Arc<Slot>>) {
+        for slot in slots {
             let _guard = slot.reply.lock();
+            slot.cv.notify_one();
+        }
+    }
+
+    /// Read for every caller until `mine` holds a reply, `deadline`
+    /// passes or the channel dies.
+    fn read_for(&self, half: &mut ReadHalf, mine: &Arc<Slot>, deadline: Instant) {
+        let mut chunk = [0u8; 16 * 1024];
+        while mine.reply.lock().is_none() && !self.dead.load(Ordering::SeqCst) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            // Never block past the deadline — and never ask for a zero
+            // timeout, which the socket refuses.
+            let timeout = Some(left.min(READ_TICK));
+            if half.timeout != timeout {
+                if half.stream.set_read_timeout(timeout).is_err() {
+                    return self.poison();
+                }
+                half.timeout = timeout;
+            }
+            match (&half.stream).read(&mut chunk) {
+                Ok(0) => return self.poison(),
+                Ok(n) => half.buf.extend(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) =>
+                {
+                    continue
+                }
+                Err(_) => return self.poison(),
+            }
+            loop {
+                match half.buf.next_frame() {
+                    Ok(Some(frame)) => self.complete(frame, mine),
+                    Ok(None) => break,
+                    Err(_) => return self.poison(),
+                }
+            }
+        }
+    }
+
+    /// Fill the slot of the caller `frame` answers. An id nobody waits
+    /// for is a reply whose caller already timed out and withdrew: drop
+    /// it.
+    fn complete(&self, frame: Frame, mine: &Arc<Slot>) {
+        let Some(slot) = self.pending.lock().remove(&frame.req_id()) else {
+            return;
+        };
+        // Notify while holding the slot lock so the caller cannot slip
+        // into `wait_for` between the fill and the wakeup. The reader's
+        // own slot has nobody parked on it.
+        let mut reply = slot.reply.lock();
+        *reply = Some(frame);
+        if !Arc::ptr_eq(&slot, mine) {
             slot.cv.notify_one();
         }
     }
 }
 
-/// Reader thread: pump bytes into a [`FrameBuffer`], route each decoded
-/// frame to its pending slot by request id.
-fn reader_loop(mut stream: TcpStream, chan: Arc<Channel>) {
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        chan.poison();
-        return;
-    }
-    let mut buf = FrameBuffer::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if chan.stop.load(Ordering::SeqCst) {
-            chan.poison();
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                chan.poison();
-                return;
-            }
-            Ok(n) => buf.extend(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue
-            }
-            Err(_) => {
-                chan.poison();
-                return;
-            }
-        }
-        loop {
-            match buf.next_frame() {
-                Ok(Some(frame)) => {
-                    // An id nobody waits for is a reply whose caller
-                    // already timed out and withdrew: drop it.
-                    let slot = chan.pending.lock().remove(&frame.req_id());
-                    if let Some(slot) = slot {
-                        // Notify while holding the slot lock so the
-                        // caller cannot slip into `wait_for` between the
-                        // fill and the wakeup.
-                        let mut reply = slot.reply.lock();
-                        *reply = Some(frame);
-                        slot.cv.notify_one();
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    chan.poison();
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// The multiplexed link: one shared connection, lazily (re)dialed, with
-/// a reader thread completing callers by request id.
+/// The multiplexed link: one shared connection, lazily (re)dialed, read
+/// by its waiting callers.
 #[derive(Default)]
 pub(crate) struct MuxLink {
     /// The current channel. Dead channels are replaced on the next
     /// attempt.
     chan: Mutex<Option<Arc<Channel>>>,
-    reader: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Link for MuxLink {
@@ -168,10 +191,12 @@ impl Link for MuxLink {
         })
     }
 
-    /// A deadline that expires withdraws only this request: the
+    /// Wait for the reply — reading it off the socket when nobody else
+    /// is. A deadline that expires withdraws only this request: the
     /// connection and every other pending request stay healthy, and a
-    /// late reply to this id is dropped by the reader. A dead channel
-    /// fails every pending request, each of which retries independently.
+    /// late reply to this id is dropped by whoever reads it. A dead
+    /// channel fails every pending request, each of which retries
+    /// independently.
     fn finish(&self, ep: &Endpoint, sent: InFlight) -> Result<Frame, ()> {
         let req_id = sent.req_id;
         let InFlightConn::Mux(chan, slot) = sent.conn else {
@@ -189,34 +214,45 @@ impl Link for MuxLink {
                 self.discard(&chan);
                 return Err(());
             }
-            let wait = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                Some(left) if left.is_zero() => {
-                    drop(reply);
-                    if chan.pending.lock().remove(&req_id).is_some() {
-                        return Err(());
-                    }
-                    // The withdraw lost a race: this id is no longer
-                    // pending because the reader (or poison) already
-                    // claimed it. The reader fills the slot right after
-                    // unpending, so the reply is ours — reporting a
-                    // timeout here would discard an answer that arrived
-                    // in time and retry a request the site already
-                    // served. Keep waiting, deadline-free, for the fill
-                    // (or for poison to mark the channel dead).
-                    deadline = None;
-                    reply = slot.reply.lock();
-                    continue;
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                drop(reply);
+                if chan.pending.lock().remove(&req_id).is_some() {
+                    return Err(());
                 }
-                Some(left) => left,
-                None => READ_TICK,
-            };
-            slot.cv.wait_for(&mut reply, wait);
+                // The withdraw lost a race: this id is no longer
+                // pending because a reader (or poison) already claimed
+                // it. The reader fills the slot right after unpending,
+                // so the reply is ours — reporting a timeout here would
+                // discard an answer that arrived in time and retry a
+                // request the site already served. Keep waiting,
+                // deadline-free, for the fill (or for poison to mark
+                // the channel dead).
+                deadline = None;
+                reply = slot.reply.lock();
+                continue;
+            }
+            // Nobody is reading (checked under the slot lock, so a
+            // reader leaving after this check wakes the park below):
+            // read for everyone until this reply is in, then hand the
+            // read half on to whoever still waits.
+            if let (Some(deadline), false) = (deadline, chan.reading.load(Ordering::SeqCst)) {
+                drop(reply);
+                if !chan.reading.swap(true, Ordering::SeqCst) {
+                    chan.read_for(&mut chan.reader.lock(), &slot, deadline);
+                    chan.reading.store(false, Ordering::SeqCst);
+                    chan.wake(chan.pending.lock().values().cloned());
+                }
+                reply = slot.reply.lock();
+                continue;
+            }
+            slot.cv
+                .wait_for(&mut reply, left.unwrap_or(READ_TICK).min(READ_TICK));
         }
     }
 
     fn reset(&self) {
         if let Some(chan) = self.chan.lock().take() {
-            chan.stop.store(true, Ordering::SeqCst);
             chan.poison();
         }
     }
@@ -232,23 +268,19 @@ impl MuxLink {
                 return Ok(Arc::clone(chan));
             }
         }
-        // (Re)dial. Join the previous reader first so dead readers don't
-        // pile up across reconnects.
-        if let Some(h) = self.reader.lock().take() {
-            let _ = h.join();
-        }
         let stream = ep.dial()?;
         let read_half = stream.try_clone().map_err(|_| ())?;
         let chan = Arc::new(Channel {
             writer: Mutex::new(stream),
+            reader: Mutex::new(ReadHalf {
+                stream: read_half,
+                buf: FrameBuffer::new(),
+                timeout: None,
+            }),
+            reading: AtomicBool::new(false),
             pending: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
         });
-        let reader_chan = Arc::clone(&chan);
-        *self.reader.lock() = Some(std::thread::spawn(move || {
-            reader_loop(read_half, reader_chan);
-        }));
         *current = Some(Arc::clone(&chan));
         Ok(chan)
     }
@@ -260,15 +292,6 @@ impl MuxLink {
         let mut current = self.chan.lock();
         if current.as_ref().is_some_and(|c| Arc::ptr_eq(c, chan)) {
             *current = None;
-        }
-    }
-}
-
-impl Drop for MuxLink {
-    fn drop(&mut self) {
-        self.reset();
-        if let Some(h) = self.reader.lock().take() {
-            let _ = h.join();
         }
     }
 }

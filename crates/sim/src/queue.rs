@@ -105,7 +105,10 @@ impl<E> EventQueue<E> {
         self.processed += 1;
         Some((entry.at, entry.event))
     }
+}
 
+#[cfg(test)]
+impl<E> EventQueue<E> {
     /// Peek at the next event's timestamp without advancing.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.at)

@@ -119,27 +119,6 @@ crate::wire_enum!(AmcError, "error" {
     10 => InvalidState(message: String),
 });
 
-impl AmcError {
-    /// Shorthand for an intended abort.
-    pub fn intended_abort() -> Self {
-        AmcError::Aborted(AbortReason::Intended)
-    }
-
-    /// The abort reason, if this error represents an abort.
-    pub fn abort_reason(&self) -> Option<&AbortReason> {
-        match self {
-            AmcError::Aborted(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// True if the error is an *erroneous* abort that commit-after would
-    /// repair by repetition.
-    pub fn is_erroneous_abort(&self) -> bool {
-        self.abort_reason().is_some_and(AbortReason::is_erroneous)
-    }
-}
-
 impl fmt::Display for AmcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -164,6 +143,28 @@ impl std::error::Error for AmcError {}
 
 /// Convenience alias used across the workspace.
 pub type AmcResult<T> = Result<T, AmcError>;
+
+#[cfg(test)]
+impl AmcError {
+    /// Shorthand for an intended abort.
+    pub fn intended_abort() -> Self {
+        AmcError::Aborted(AbortReason::Intended)
+    }
+
+    /// The abort reason, if this error represents an abort.
+    pub fn abort_reason(&self) -> Option<&AbortReason> {
+        match self {
+            AmcError::Aborted(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// True if the error is an *erroneous* abort that commit-after would
+    /// repair by repetition.
+    pub fn is_erroneous_abort(&self) -> bool {
+        self.abort_reason().is_some_and(AbortReason::is_erroneous)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -62,12 +62,6 @@ impl SimDuration {
     pub const fn micros(self) -> u64 {
         self.0
     }
-
-    /// As fractional milliseconds (for reports).
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -117,6 +111,15 @@ impl fmt::Display for SimTime {
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}us", self.0)
+    }
+}
+
+#[cfg(test)]
+impl SimDuration {
+    /// As fractional milliseconds (for reports).
+    #[inline]
+    pub fn as_millis_f64(self) -> f64 {
+        self.0 as f64 / 1_000.0
     }
 }
 

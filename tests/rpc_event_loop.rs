@@ -12,13 +12,16 @@
 //!    accept loop reaps finished handles.
 //! 3. **Pipelining on the event loop** — many requests written
 //!    back-to-back on one connection all get answered, matched by
-//!    request id regardless of completion order; flooding past the
-//!    per-connection in-flight bound is answered with explicit
-//!    `BufferExhausted` load-shed replies, not queueing or collapse.
-//! 4. **End-to-end over mux** — the full coordinator stack over
-//!    [`TcpTransport::new_mux`] against [`EventServer`]s: concurrent
-//!    transfer workloads commit, conserve the global sum, and survive a
-//!    site-server restart in place.
+//!    request id regardless of completion order; the thread that reads
+//!    them serves only the first and queues the rest for its peers;
+//!    flooding past the per-connection in-flight bound is answered with
+//!    explicit `BufferExhausted` load-shed replies, not queueing or
+//!    collapse — even with every thread but the last poller wedged.
+//! 4. **End-to-end over mux** — callers that read their own replies hand
+//!    the read half on and keep their deadlines; the full coordinator
+//!    stack over [`TcpTransport::new_mux`] against [`EventServer`]s:
+//!    concurrent transfer workloads commit, conserve the global sum, and
+//!    survive a site-server restart in place.
 
 use amc::core::{submit_mode_for, Federation, FederationConfig, TxnOutcome};
 use amc::engine::{TplConfig, TwoPLEngine};
@@ -252,6 +255,74 @@ fn event_server_answers_pipelined_requests_by_id() {
     srv.shutdown();
 }
 
+/// One read, two requests: a submit that blocks on a held page lock and
+/// the holder's decision that releases it. The thread that read them
+/// serves one and queues the other for a peer, so the decision never
+/// waits behind the blocked submit on one thread — both replies come
+/// back long before the 5 s lock timeout.
+#[test]
+fn event_server_serves_the_first_request_inline_and_queues_the_rest() {
+    let site = SiteId::new(1);
+    let mgr = manager(site, Duration::from_secs(5));
+    mgr.handle()
+        .engine()
+        .bulk_load(&[(obj(1, 0), Value::counter(0))])
+        .unwrap();
+    let srv = EventServer::spawn(
+        site,
+        mgr,
+        SubmitMode::TwoPhase,
+        "127.0.0.1:0",
+        ObsSink::disabled(),
+    )
+    .expect("bind loopback");
+    let submit = |gtx: u64| Frame::Request {
+        req_id: gtx,
+        payload: Payload::Submit {
+            gtx: GlobalTxnId::new(gtx),
+            ops: vec![Operation::Increment {
+                obj: obj(1, 0),
+                delta: 1,
+            }],
+        },
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut holder = TcpStream::connect(srv.addr()).unwrap();
+    holder
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    write_frame(&mut holder, &submit(1)).unwrap();
+    let held = read_until(&mut holder, deadline);
+    assert!(
+        matches!(&held, Frame::Reply { payload: Payload::Vote { vote, .. }, .. } if vote.is_yes()),
+        "the holder must vote yes and keep its page lock: {held:?}"
+    );
+
+    let mut conn = TcpStream::connect(srv.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut batch = amc::rpc::wire::encode_frame(&submit(2));
+    batch.extend_from_slice(&amc::rpc::wire::encode_frame(&Frame::Request {
+        req_id: 3,
+        payload: Payload::Decision {
+            gtx: GlobalTxnId::new(1),
+            verdict: amc::types::GlobalVerdict::Abort,
+        },
+    }));
+    let started = Instant::now();
+    conn.write_all(&batch).unwrap();
+    let answered: std::collections::BTreeSet<u64> = (0..2)
+        .map(|_| read_until(&mut conn, deadline).req_id())
+        .collect();
+    let took = started.elapsed();
+    assert_eq!(answered, [2, 3].into());
+    assert!(
+        took < Duration::from_secs(2),
+        "the decision queued behind the submit it unblocks: {took:?}"
+    );
+    srv.shutdown();
+}
+
 /// Flooding one connection far past the in-flight bound while every
 /// worker is wedged behind a lock produces explicit `BufferExhausted`
 /// load-shed replies for the excess — the server answers instead of
@@ -342,6 +413,84 @@ fn event_server_sheds_load_past_the_in_flight_bound() {
         },
     )
     .unwrap();
+    srv.shutdown();
+}
+
+/// The last poller only reads. A first flood of `MAX_IN_FLIGHT_PER_CONN`
+/// submits behind a held page lock wedges every thread that may serve;
+/// a second flood on the same connection must still be read and shed at
+/// once — by the one thread the server keeps polling — not when the
+/// first lock wait times out.
+#[test]
+fn event_server_keeps_reading_and_shedding_with_every_thread_wedged() {
+    let site = SiteId::new(1);
+    let lock_timeout = Duration::from_secs(1);
+    let mgr = manager(site, lock_timeout);
+    mgr.handle()
+        .engine()
+        .bulk_load(&[(obj(1, 0), Value::counter(0))])
+        .unwrap();
+    let srv = EventServer::spawn(
+        site,
+        mgr,
+        SubmitMode::TwoPhase,
+        "127.0.0.1:0",
+        ObsSink::disabled(),
+    )
+    .expect("bind loopback");
+    let submit = |gtx: u64| Frame::Request {
+        req_id: gtx,
+        payload: Payload::Submit {
+            gtx: GlobalTxnId::new(gtx),
+            ops: vec![Operation::Increment {
+                obj: obj(1, 0),
+                delta: 1,
+            }],
+        },
+    };
+    let flood = |from: u64| -> Vec<u8> {
+        (from..from + MAX_IN_FLIGHT_PER_CONN as u64)
+            .flat_map(|gtx| amc::rpc::wire::encode_frame(&submit(gtx)))
+            .collect()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut holder = TcpStream::connect(srv.addr()).unwrap();
+    holder
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    write_frame(&mut holder, &submit(1)).unwrap();
+    let held = read_until(&mut holder, deadline);
+    assert!(
+        matches!(&held, Frame::Reply { payload: Payload::Vote { vote, .. }, .. } if vote.is_yes()),
+        "the holder must vote yes and keep its page lock: {held:?}"
+    );
+
+    let mut conn = TcpStream::connect(srv.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    conn.write_all(&flood(100)).unwrap();
+    // Give the first flood's queue time to wake every thread onto the lock.
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    conn.write_all(&flood(1_000)).unwrap();
+    for _ in 0..MAX_IN_FLIGHT_PER_CONN {
+        let reply = read_until(&mut conn, deadline);
+        assert!(
+            matches!(
+                reply,
+                Frame::ErrorReply {
+                    error: AmcError::BufferExhausted,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+    }
+    let took = started.elapsed();
+    assert!(
+        took < lock_timeout / 2,
+        "the second flood waited for a wedged thread: {took:?}"
+    );
     srv.shutdown();
 }
 
@@ -499,7 +648,7 @@ fn event_server_drops_a_peer_that_left_before_its_reply() {
 
 /// Hammer the mux client's timeout path: a server whose reply delays
 /// straddle the client's request timeout forces constant races between
-/// the caller's deadline withdraw and the reader thread's completion.
+/// the caller's deadline withdraw and the reading caller's completion.
 /// Every call must eventually succeed (retries absorb the genuinely
 /// late replies), none may panic, cross replies, or wedge the channel.
 #[test]
@@ -617,6 +766,86 @@ fn mux_client_survives_short_timeouts_racing_delayed_replies() {
     drop(client); // closes the socket; the connection handler sees EOF
     drop(transport);
     server.join().unwrap();
+}
+
+/// Two callers share one `MuxClient` against a server that answers the
+/// first request it reads at once and the second 20 ms later. Whichever
+/// caller reads the first reply leaves the read half to the other; a
+/// missed hand-off would park that caller for a whole 100 ms read tick.
+#[test]
+fn mux_caller_hands_the_read_half_to_the_caller_still_waiting() {
+    const ROUNDS: usize = 20;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut answer = |delay: Duration| {
+            let req_id = read_frame(&mut conn).unwrap().req_id();
+            std::thread::sleep(delay);
+            let pong = Frame::AdminReply {
+                req_id,
+                reply: AdminReply::Pong,
+            };
+            write_frame(&mut conn, &pong).unwrap();
+        };
+        for _ in 0..ROUNDS {
+            answer(Duration::ZERO);
+            answer(Duration::from_millis(20));
+        }
+    });
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    let client = MuxClient::new(SiteId::new(1), addr, policy, ObsSink::disabled());
+    for round in 0..ROUNDS {
+        let barrier = std::sync::Barrier::new(2);
+        let slowest = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let started = Instant::now();
+                        assert_eq!(client.admin(AdminRequest::Ping).unwrap(), AdminReply::Pong);
+                        started.elapsed()
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).max()
+        });
+        let slowest = slowest.unwrap();
+        assert!(
+            slowest < Duration::from_millis(80),
+            "round {round}: the second caller took {slowest:?}"
+        );
+    }
+    server.join().unwrap();
+}
+
+/// A caller reading for itself never blocks past its own deadline:
+/// against a server that accepts and never answers, a 30 ms request
+/// timeout with one attempt ends in `SiteDown` well inside one 100 ms
+/// read tick.
+#[test]
+fn mux_caller_reading_its_own_reply_keeps_its_deadline() {
+    // Connections complete in the listener's backlog; nobody accepts.
+    let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+    let policy = RetryPolicy {
+        request_timeout: Duration::from_millis(30),
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    let client = MuxClient::new(
+        SiteId::new(1),
+        silent.local_addr().unwrap(),
+        policy,
+        ObsSink::disabled(),
+    );
+    let started = Instant::now();
+    let err = client.admin(AdminRequest::Ping).unwrap_err();
+    let took = started.elapsed();
+    assert!(matches!(err, AmcError::SiteDown(_)), "{err:?}");
+    assert!(took < Duration::from_millis(80), "took {took:?}");
 }
 
 /// Many threads calling through ONE `MuxClient` — one socket — all get
