@@ -198,8 +198,8 @@ impl Coordinator {
     ///
     /// A transaction with **one** participant needs no global round at
     /// all: its dispatch is marked `solo`, the site commits locally at
-    /// once through its commit-before machinery (forward marker, captured
-    /// inverses, journal), and this machine is a commit-before coordinator
+    /// once through its commit-before machinery (forward marker, before-image
+    /// rows), and this machine is a commit-before coordinator
     /// of one — a ready vote is the commit, a lost reply is inquired about
     /// and undone if the site had committed (§3.3).
     pub fn with_piggyback(mut self) -> Self {
@@ -425,14 +425,10 @@ impl Coordinator {
                 // actions").
                 (ProtocolKind::CommitBefore, GlobalVerdict::Commit) => None,
                 // Commit-before, abort: undo the sites that committed.
-                // Empty inverse_ops selects the manager-local undo-log.
                 // Sites with *unknown* final state must be inquired until
                 // they answer — a silent site may have committed (§3.3).
                 (ProtocolKind::CommitBefore, GlobalVerdict::Abort) => match voted {
-                    Some(LocalVote::Ready) => Some(Payload::Undo {
-                        gtx: self.gtx,
-                        inverse_ops: Vec::new(),
-                    }),
+                    Some(LocalVote::Ready) => Some(self.undo(*site)),
                     // Read-only: committed, but with no effects to invert.
                     Some(LocalVote::ReadyReadOnly) => None,
                     Some(LocalVote::Aborted) => None,
@@ -480,10 +476,7 @@ impl Coordinator {
         self.emit(EventKind::Vote { from: site, vote });
         let mut actions = Vec::new();
         if vote == LocalVote::Ready {
-            let payload = Payload::Undo {
-                gtx: self.gtx,
-                inverse_ops: Vec::new(),
-            };
+            let payload = self.undo(site);
             self.pending_finish.insert(site, payload.clone());
             actions.push(CoordAction::Send { site, payload });
         }
@@ -494,6 +487,15 @@ impl Coordinator {
             actions.push(CoordAction::Done(verdict));
         }
         actions
+    }
+
+    /// The `Undo` for `site`: it carries the site's forward program, whose
+    /// inverse the site derives (§3.3), as `Redo` carries it for §3.2.
+    fn undo(&self, site: SiteId) -> Payload {
+        Payload::Undo {
+            gtx: self.gtx,
+            ops: self.programs[&site].clone(),
+        }
     }
 
     fn on_finished(&mut self, site: SiteId) -> Vec<CoordAction> {
@@ -1065,8 +1067,14 @@ mod tests {
             vote: LocalVote::Aborted,
         });
         assert_eq!(a[0], CoordAction::Decided(GlobalVerdict::Abort));
-        // Only site 1 committed; only site 1 gets an undo (Fig. 6).
+        // Only site 1 committed; only site 1 gets an undo (Fig. 6), and it
+        // carries the site's forward program for the site to invert.
         assert_eq!(sends(&a[1..]), vec![(site(1), "undo")]);
+        let undo = Payload::Undo {
+            gtx: gtx(),
+            ops: programs(&[1])[&site(1)].clone(),
+        };
+        assert!(matches!(&a[1], CoordAction::Send { payload, .. } if *payload == undo));
         assert_eq!(c.phase(), GlobalPhase::WaitingToAbort);
         let a = c.on_event(CoordEvent::Finished { site: site(1) });
         assert_eq!(a, vec![CoordAction::Done(GlobalVerdict::Abort)]);

@@ -1099,6 +1099,11 @@ mod tests {
         for protocol in ProtocolKind::ALL {
             let fed = loaded(protocol, 2);
             let mut program = transfer(1, 2, 30);
+            // Site 1 also overwrites a value: its undo needs a before image.
+            program.get_mut(&site(1)).unwrap().push(Operation::Write {
+                obj: obj(1, 1),
+                value: v(7),
+            });
             // Site 2's program additionally reads a missing object: the
             // transaction logic fails there.
             program.get_mut(&site(2)).unwrap().push(Operation::Read {
@@ -1111,6 +1116,7 @@ mod tests {
             assert_eq!(user_sum(&fed), 100 * 2 * 50, "{protocol}");
             let dumps = fed.dumps().unwrap();
             assert_eq!(dumps[&site(1)][&obj(1, 0)], v(100), "{protocol}");
+            assert_eq!(dumps[&site(1)][&obj(1, 1)], v(100), "{protocol}");
         }
     }
 
@@ -1124,6 +1130,10 @@ mod tests {
         /// This site *answers* final-state messages, with a rejection: a
         /// protocol error, not an outage.
         reject_finish_for: Mutex<Option<SiteId>>,
+        /// Just before this site's next final-state message, its manager
+        /// process restarts: a fresh manager over the same database,
+        /// rebuilt from it as a restarted site server rebuilds.
+        restart_before_finish: Mutex<Option<SiteId>>,
         /// The labels of every round handed over whole.
         rounds: Mutex<Vec<Vec<&'static str>>>,
     }
@@ -1145,6 +1155,21 @@ mod tests {
             }
             if finish && *self.reject_finish_for.lock() == Some(site) {
                 return Err(AmcError::Protocol(format!("{site} rejects {payload}")));
+            }
+            if finish
+                && self
+                    .restart_before_finish
+                    .lock()
+                    .take_if(|s| *s == site)
+                    .is_some()
+            {
+                let old = self.inner.remove_site(site).expect("a member");
+                let engine = old.handle().engine();
+                engine.crash();
+                let report = engine.recover()?;
+                let fresh = LocalCommManager::new(site, old.handle().clone());
+                fresh.restore_work(&report.prepared)?;
+                self.inner.add_site(site, Arc::new(fresh));
             }
             self.inner.call(site, payload)
         }
@@ -1175,6 +1200,7 @@ mod tests {
             down: Mutex::new(Default::default()),
             fail_finish_for: Mutex::new(None),
             reject_finish_for: Mutex::new(None),
+            restart_before_finish: Mutex::new(None),
             rounds: Mutex::new(Vec::new()),
         });
         let fed = Federation::with_transport(cfg, transport.clone());
@@ -1254,6 +1280,54 @@ mod tests {
             let dumps = fed.dumps().unwrap();
             assert_eq!(dumps[&site(1)][&obj(1, 0)], v(70), "{protocol}");
             assert_eq!(dumps[&site(2)][&obj(2, 0)], v(130), "{protocol}");
+            assert_eq!(user_sum(&fed), 100 * 2 * 50, "{protocol}");
+        }
+    }
+
+    /// A site whose manager process restarts inside the decision window —
+    /// after its vote, before its final-state message lands — has lost
+    /// everything it held in memory. The transaction still finishes from
+    /// what its database kept: 2PC's decision finds the local transaction
+    /// its prepare record names; commit-before's `Undo` brings the program
+    /// to invert; commit-after's site answers the decision with an outage,
+    /// and the obligation re-ships the program as `Redo`.
+    #[test]
+    fn a_site_restarted_inside_the_decision_window_finishes_from_its_database() {
+        for protocol in ProtocolKind::ALL {
+            let (fed, transport) = flaky(protocol, 2);
+            *transport.restart_before_finish.lock() = Some(site(2));
+            let mut program = transfer(1, 2, 30);
+            if protocol == ProtocolKind::CommitBefore {
+                // Site 2 hears of the outcome only if it must undo.
+                program.get_mut(&site(1)).unwrap().push(Operation::Read {
+                    obj: obj(1, 999_999),
+                });
+            }
+            let report = fed.run_transaction(&program).unwrap();
+            assert_eq!(*transport.restart_before_finish.lock(), None, "{protocol}");
+            fed.resolve_pending().unwrap();
+            assert_eq!(fed.pending_obligations(), 0, "{protocol}");
+            // What the restarted site had to repeat from a shipped program.
+            let Ok(AdminReply::CommStats(stats)) =
+                transport.admin(site(2), AdminRequest::CommStats)
+            else {
+                panic!("{protocol}: no stats");
+            };
+            let repeated = match protocol {
+                ProtocolKind::TwoPhaseCommit => (0, 0),
+                ProtocolKind::CommitAfter => (1, 0),
+                ProtocolKind::CommitBefore => (0, 1),
+            };
+            assert_eq!((stats.redo_runs, stats.undo_runs), repeated, "{protocol}");
+            let expected = match report.outcome {
+                TxnOutcome::Committed => v(130),
+                _ => v(100),
+            };
+            assert_eq!(
+                fed.dumps().unwrap()[&site(2)][&obj(2, 0)],
+                expected,
+                "{protocol}"
+            );
             assert_eq!(user_sum(&fed), 100 * 2 * 50, "{protocol}");
         }
     }
@@ -1722,9 +1796,8 @@ mod tests {
         let report = fed.run_transaction(&program).unwrap();
         assert_eq!(report.outcome, TxnOutcome::Aborted);
         assert_eq!(fed.pending_obligations(), 1);
-        // The site recovers; the undo obligation lands and the presumed
-        // abort becomes fact (the site never committed, so the undo is a
-        // no-op guarded by its journal).
+        // The site recovers; the obligation lands and the presumed abort
+        // becomes fact (the site never committed, so nothing is undone).
         transport.down.lock().remove(&site(1));
         assert_eq!(fed.resolve_pending().unwrap(), 1);
         assert_eq!(user_sum(&fed), 100 * 2 * 50);

@@ -12,7 +12,8 @@
 
 use amc_obs::ObsSink;
 use amc_types::{
-    AbortReason, AmcResult, LocalRunState, LocalTxnId, ObjectId, OpResult, Operation, SiteId, Value,
+    AbortReason, AmcResult, GlobalTxnId, LocalRunState, LocalTxnId, ObjectId, OpResult, Operation,
+    SiteId, Value,
 };
 use amc_wal::LogStats;
 use std::collections::BTreeMap;
@@ -44,6 +45,9 @@ pub struct RecoveryReport {
     pub rolled_back: Vec<LocalTxnId>,
     /// 2PC in-doubt transactions awaiting a coordinator decision.
     pub in_doubt: Vec<LocalTxnId>,
+    /// Every prepared transaction whose prepare named its global
+    /// transaction ([`PreparableEngine::prepare_as`]), decided or not.
+    pub prepared: Vec<(GlobalTxnId, LocalTxnId)>,
     /// WAL records applied during replay (redo + undo applications).
     pub replayed: u64,
     /// Whether a torn final WAL frame was truncated away at open.
@@ -85,6 +89,7 @@ impl Terminated {
             committed: outcome.committed.iter().copied().collect(),
             rolled_back: outcome.losers.iter().copied().collect(),
             in_doubt: outcome.in_doubt.iter().copied().collect(),
+            prepared: outcome.prepared.iter().map(|(t, g)| (*g, *t)).collect(),
             replayed: outcome.redo_applied + outcome.undo_applied,
             torn_tail: outcome.torn_tail_truncated,
         }
@@ -182,13 +187,23 @@ pub trait PreparableEngine: LocalEngine {
     /// across a crash.
     fn prepare(&self, txn: LocalTxnId) -> AmcResult<()>;
 
+    /// [`prepare`](Self::prepare), naming the global transaction `txn`
+    /// serves in the durable prepare record, so that restart recovery
+    /// reports the pair ([`RecoveryReport::prepared`]) — XA's
+    /// `xa_prepare(xid)` and `xa_recover`. The default forgets the name:
+    /// an engine that wraps another must forward this call to keep it.
+    fn prepare_as(&self, txn: LocalTxnId, gtx: GlobalTxnId) -> AmcResult<()> {
+        let _ = gtx;
+        self.prepare(txn)
+    }
+
     /// The 1PC fast-path entry point: execute `ops` inside `txn` and drive
     /// it to the ready state in one call, so the op records and the
     /// prepare record land in the **same group-commit batch** — one log
     /// force covers both, and the reply to the combined dispatch doubles
     /// as the site's vote.
     ///
-    /// The durable outcome is identical to `execute`* + `prepare`: restart
+    /// The durable outcome is identical to `execute`* + `prepare_as`: restart
     /// recovery resurrects a piggybacked prepare exactly like a classic
     /// one. The default does exactly that sequence — engines whose
     /// `execute` appends its log records unforced and whose `prepare`
@@ -197,12 +212,17 @@ pub trait PreparableEngine: LocalEngine {
     /// On an engine-initiated abort mid-ops the transaction is already
     /// rolled back when the error surfaces (same contract as
     /// [`LocalEngine::execute`]); the prepare record is never written.
-    fn apply_and_prepare(&self, txn: LocalTxnId, ops: &[Operation]) -> AmcResult<Vec<OpResult>> {
+    fn apply_and_prepare(
+        &self,
+        txn: LocalTxnId,
+        gtx: GlobalTxnId,
+        ops: &[Operation],
+    ) -> AmcResult<Vec<OpResult>> {
         let mut results = Vec::with_capacity(ops.len());
         for op in ops {
             results.push(self.execute(txn, op)?);
         }
-        self.prepare(txn)?;
+        self.prepare_as(txn, gtx)?;
         Ok(results)
     }
 }

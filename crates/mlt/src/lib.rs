@@ -15,8 +15,9 @@
 //!
 //! The crate provides the two mechanisms §4.3 says the commit-before
 //! protocol *reuses* (which is why that protocol adds no overhead); the
-//! third, the undo-log of inverse actions, lives with the work it undoes
-//! (`WorkEntry::inverse_ops` in `amc-net`'s communication manager):
+//! third, the undo-log of inverse actions, is derived from the forward
+//! program plus before-image rows the forward local transaction commits
+//! (`amc-net`'s communication manager and its `marker::before_image`):
 //!
 //! * [`inverse`] — inverse L1 actions (`Incr⁻¹ = Decr`, `Ins⁻¹ = Del`, ...),
 //!   the undo mechanism of multi-level recovery;

@@ -14,12 +14,10 @@
 //!   implements the redo (§3.2) and undo (§3.3) mechanics, including the
 //!   commit-propagation markers that make both idempotent across crashes
 //!   (experiment E8);
-//! * [`journal`] — the manager's durable work journal: serializable
-//!   work-map entries plus the [`WorkJournal`] sink trait the networked
-//!   runtime uses to restore protocol obligations after a site restart;
-//! * [`marker`] — reserved object ids used as durable commit markers (the
-//!   paper's "redo-log ... written into the existing database by the local
-//!   transaction, e.g. as an additional relation");
+//! * [`marker`] — reserved object ids used as durable commit markers and
+//!   before-image rows (the paper's "redo-log ... written into the existing
+//!   database by the local transaction, e.g. as an additional relation"):
+//!   the manager keeps no log of its own;
 //! * [`transport`] — the [`FederationTransport`] abstraction over *how* a
 //!   coordinator message reaches a site: in-process function calls (the
 //!   historical runtime, with mutable site membership for `amc-shard`'s
@@ -30,14 +28,12 @@
 #![warn(missing_docs)]
 
 pub mod comm;
-pub mod journal;
 pub mod marker;
 pub mod message;
 pub mod router;
 pub mod transport;
 
-pub use comm::{CommStats, EngineHandle, LocalCommManager, SubmitMode};
-pub use journal::{RecoveryStats, WorkEntry, WorkJournal};
+pub use comm::{CommStats, EngineHandle, LocalCommManager, RecoveryStats, SubmitMode};
 pub use message::{Envelope, Payload};
 pub use router::{NetStats, Router, RouterConfig};
 pub use transport::{

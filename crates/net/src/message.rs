@@ -66,12 +66,15 @@ pub enum Payload {
         ops: Vec<Operation>,
     },
     /// Central → local (commit-before only): undo the locally committed
-    /// transaction by executing its inverse (§3.3).
+    /// transaction by executing its inverse (§3.3) — carries the forward
+    /// operations, whose inverse the site derives with the before images
+    /// its local transaction committed, so a crashed site needs no local
+    /// state.
     Undo {
         /// Global transaction.
         gtx: GlobalTxnId,
-        /// The inverse operations, from the central undo-log.
-        inverse_ops: Vec<Operation>,
+        /// The forward operations to invert.
+        ops: Vec<Operation>,
     },
     /// Local → central: decision fully applied at this site.
     Finished {
@@ -167,7 +170,7 @@ amc_types::wire_enum!(Payload, "payload" {
     2 => Vote { gtx: GlobalTxnId, vote: LocalVote },
     3 => Decision { gtx: GlobalTxnId, verdict: GlobalVerdict },
     4 => Redo { gtx: GlobalTxnId, ops: Vec<Operation> },
-    5 => Undo { gtx: GlobalTxnId, inverse_ops: Vec<Operation> },
+    5 => Undo { gtx: GlobalTxnId, ops: Vec<Operation> },
     6 => Finished { gtx: GlobalTxnId },
     7 => PaxosRegister { gtx: GlobalTxnId, participants: Vec<SiteId> },
     8 => PaxosAck { gtx: GlobalTxnId },
@@ -333,7 +336,7 @@ mod tests {
         assert_eq!(
             Payload::Undo {
                 gtx: gtx(1),
-                inverse_ops: vec![]
+                ops: vec![]
             }
             .label(),
             "undo"
@@ -389,7 +392,7 @@ mod tests {
             },
             Payload::Undo {
                 gtx: gtx(3),
-                inverse_ops: vec![],
+                ops: vec![],
             },
             Payload::Finished { gtx: gtx(3) },
             Payload::PaxosRegister {

@@ -19,8 +19,7 @@
 //! simulator, the threaded in-process federation, and the networked
 //! runtime share one message grammar.
 
-use crate::comm::{CommStats, LocalCommManager, SubmitMode};
-use crate::journal::RecoveryStats;
+use crate::comm::{CommStats, LocalCommManager, RecoveryStats, SubmitMode};
 use crate::message::Payload;
 use amc_types::{AmcError, AmcResult, ObjectId, SiteId, Value};
 use amc_wal::LogStats;
@@ -170,7 +169,7 @@ pub fn dispatch_to_manager(
         Payload::Prepare { gtx } => manager.handle_prepare(gtx),
         Payload::Decision { gtx, verdict } => manager.handle_decision(gtx, verdict),
         Payload::Redo { gtx, ops } => manager.handle_redo(gtx, ops),
-        Payload::Undo { gtx, inverse_ops } => manager.handle_undo(gtx, inverse_ops),
+        Payload::Undo { gtx, ops } => manager.handle_undo(gtx, ops),
         Payload::Vote { .. } | Payload::Finished { .. } => {
             Err(AmcError::Protocol("central received its own reply".into()))
         }

@@ -10,11 +10,12 @@
 //! host:0` the kernel picks the port; the chosen address is printed as
 //! `listening on <addr>` so an orchestrator can parse it.
 //!
-//! With `--wal-dir <dir>` the engine WAL and the communication manager's
-//! work journal are persisted to `<dir>/site-N.wal` / `<dir>/site-N.jrn`,
-//! and startup becomes a recovery pass: committed state is replayed,
-//! losers are rolled back, and in-doubt transactions are resurrected to
-//! await the coordinator's final state. A `recovered <summary>` line is
+//! With `--wal-dir <dir>` the engine WAL is persisted to
+//! `<dir>/site-N.wal` — the site's one durable file — and startup becomes
+//! a recovery pass: committed state is replayed, losers are rolled back,
+//! in-doubt transactions are resurrected to await the coordinator's final
+//! state, and the communication manager's work map is rebuilt from the
+//! markers and prepare records the log carries. A `recovered <summary>` line is
 //! printed after the replay. Without the flag the site is purely
 //! in-memory, as before.
 

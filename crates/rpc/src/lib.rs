@@ -42,9 +42,10 @@
 //!   builder ([`Fleet`]) every experiment, the site-server binary and the
 //!   process tests deploy through;
 //! * [`recovery`] — durable restart: a site started with `--wal-dir`
-//!   persists its engine WAL and work journal there, and
-//!   [`SiteRecoveryManager`] rebuilds both after a `kill -9`, resolving
-//!   in-doubt transactions through the coordinator's inquiry path;
+//!   persists its engine WAL there — its one durable file — and
+//!   [`SiteRecoveryManager`] rebuilds the engine and the manager's work
+//!   map from it after a `kill -9`, resolving in-doubt transactions
+//!   through the coordinator's inquiry path;
 //! * [`cli`] — the bodies of the `amc-site-server`, `amc-loadgen`,
 //!   `amc-coord-server` and `amc-paxos-coord` binaries (declared by the
 //!   root package), which run the same pieces as separate OS processes;
@@ -70,7 +71,7 @@ pub use coord::{CoordClient, CoordInfo, CoordServer};
 pub use event_loop::{EventServer, EventServerStats, MAX_IN_FLIGHT_PER_CONN, MAX_WBUF_BYTES};
 pub use fleet::{Fleet, Wire};
 pub use mux::MuxClient;
-pub use recovery::{FileWorkJournal, SiteRecoveryManager};
+pub use recovery::SiteRecoveryManager;
 pub use server::SiteServer;
 pub use transport::TcpTransport;
 pub use wire::{Frame, FrameBuffer, FrameReadError, WireError, MAX_FRAME_LEN, WIRE_VERSION};

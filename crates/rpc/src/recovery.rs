@@ -1,16 +1,15 @@
 //! Site restart recovery: rebuild a networked site from its `--wal-dir`.
 //!
-//! A site server started with a WAL directory keeps two frame files,
-//! both in the checksummed format of [`amc_wal::DurableFile`]:
-//!
-//! * `site-N.wal` — the engine's write-ahead log; replaying it rebuilds
-//!   the page store, redoes committed updates, rolls back losers, and
-//!   resurrects prepared (in-doubt) transactions in the ready state;
-//! * `site-N.jrn` — the communication manager's work journal
-//!   ([`amc_net::journal`]): the `gtx → work` map that lets the restarted
-//!   site answer the coordinator's final-state inquiry per protocol —
-//!   matching retransmitted 2PC decisions to resurrected locals, and
-//!   running §3.3 inverse transactions from their persisted undo-log.
+//! A site server started with a WAL directory keeps one durable file,
+//! `site-N.wal`, in the checksummed format of [`amc_wal::DurableFile`]: the
+//! engine's write-ahead log. Replaying it rebuilds the page store, redoes
+//! committed updates, rolls back losers, and resurrects prepared
+//! (in-doubt) transactions in the ready state. The communication manager
+//! keeps no file of its own: what it must still answer for after a crash
+//! was written by the local transactions themselves — commit markers and
+//! before-image rows in the store, and the global transaction named in
+//! each prepare record (`amc_net::comm`'s module docs) — so every durable
+//! write of the site goes through the engine's group commit.
 //!
 //! [`SiteRecoveryManager::open`] performs the whole restart sequence and
 //! returns a ready-to-serve manager plus the [`RecoveryStats`] the admin
@@ -19,52 +18,11 @@
 
 use amc_engine::{TplConfig, TwoPLEngine};
 use amc_net::comm::EngineHandle;
-use amc_net::journal::{RecoveryStats, WorkEntry, WorkJournal};
-use amc_net::LocalCommManager;
+use amc_net::{LocalCommManager, RecoveryStats};
 use amc_obs::ObsSink;
-use amc_types::{AmcResult, GlobalTxnId, SiteId};
-use amc_wal::RecordFile;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use amc_types::{AmcResult, SiteId};
+use std::path::PathBuf;
 use std::sync::Arc;
-
-/// A [`WorkJournal`] persisting entries to an append-only record file.
-///
-/// Appends are synced before `record` returns, so an entry the manager
-/// believes journaled survives a `kill -9`. Supersession is by replay:
-/// the file may hold many records per global transaction; loading keeps
-/// the last one.
-pub struct FileWorkJournal {
-    file: Mutex<RecordFile<WorkEntry>>,
-}
-
-impl FileWorkJournal {
-    /// Open (creating if absent) the journal at `path` and return it
-    /// together with the surviving entries, deduplicated to the last
-    /// record per global transaction. A torn final frame — a crash mid
-    /// `record` — is truncated away: the entry was never durable, so the
-    /// manager never acted on its being journaled.
-    pub fn open(path: impl AsRef<Path>) -> AmcResult<(FileWorkJournal, Vec<WorkEntry>)> {
-        let (file, entries) = RecordFile::<WorkEntry>::open(path)?;
-        let last: HashMap<GlobalTxnId, WorkEntry> =
-            entries.into_iter().map(|e| (e.gtx, e)).collect();
-        Ok((
-            FileWorkJournal {
-                file: Mutex::new(file),
-            },
-            last.into_values().collect(),
-        ))
-    }
-}
-
-impl WorkJournal for FileWorkJournal {
-    fn record(&self, entry: &WorkEntry) {
-        let mut file = self.file.lock();
-        file.append(entry);
-        file.sync();
-    }
-}
 
 /// Builds (or rebuilds) one networked site from its durable state.
 pub struct SiteRecoveryManager {
@@ -84,22 +42,16 @@ impl SiteRecoveryManager {
         self.wal_dir.join(format!("site-{}.wal", site.raw()))
     }
 
-    /// The work-journal path for `site`.
-    pub fn journal_path(&self, site: SiteId) -> PathBuf {
-        self.wal_dir.join(format!("site-{}.jrn", site.raw()))
-    }
-
     /// Run the full restart sequence for `site`:
     ///
     /// 1. open the engine over its durable WAL (redo, undo, resurrect
     ///    in-doubt transactions — §3.1's local recovery);
-    /// 2. open the work journal and restore the manager's `gtx → work`
-    ///    map, consulting the commit markers where the journal alone
-    ///    cannot know which side of a local commit the crash fell on;
+    /// 2. rebuild the manager's `gtx → work` map from the database: its
+    ///    forward markers and the prepare records that named their global
+    ///    transaction;
     /// 3. record [`RecoveryStats`] for the admin `Recovery` request.
     ///
-    /// The returned manager journals all further work to the same files,
-    /// so the site can crash and recover any number of times.
+    /// The site can crash and recover this way any number of times.
     pub fn open(
         &self,
         site: SiteId,
@@ -113,12 +65,9 @@ impl SiteRecoveryManager {
             )));
         }
         let (engine, report) = TwoPLEngine::open_durable(cfg, site, self.wal_path(site))?;
-        let (journal, entries) = FileWorkJournal::open(self.journal_path(site))?;
         let mut manager = LocalCommManager::new(site, EngineHandle::Preparable(Arc::new(engine)));
         manager.set_obs(obs);
-        manager.set_journal(Box::new(journal));
-        let manager = Arc::new(manager);
-        let restored = manager.restore_work(entries)?;
+        let restored = manager.restore_work(&report.prepared)?;
         let stats = RecoveryStats {
             committed: report.committed.len() as u64,
             rolled_back: report.rolled_back.len() as u64,
@@ -128,7 +77,7 @@ impl SiteRecoveryManager {
             torn_tail: report.torn_tail,
         };
         manager.set_recovery_stats(stats);
-        Ok((manager, stats))
+        Ok((Arc::new(manager), stats))
     }
 }
 
@@ -137,10 +86,11 @@ mod tests {
     use super::*;
     use amc_net::comm::SubmitMode;
     use amc_net::Payload;
-    use amc_types::{GlobalVerdict, LocalVote, ObjectId, Operation, Value};
+    use amc_types::{GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation, Value};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("amc-recovery-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -150,37 +100,6 @@ mod tests {
             Payload::Vote { vote, .. } => vote,
             other => panic!("expected vote, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn file_journal_round_trips_with_last_record_winning() {
-        let dir = tmp_dir("journal");
-        let path = dir.join("j.jrn");
-        let _ = std::fs::remove_file(&path);
-        let (journal, entries) = FileWorkJournal::open(&path).unwrap();
-        assert!(entries.is_empty());
-        let mut e = WorkEntry {
-            gtx: GlobalTxnId::new(1),
-            mode: SubmitMode::CommitBefore,
-            ltx: None,
-            committed_locally: false,
-            vote: None,
-            ops: vec![Operation::Increment {
-                obj: ObjectId::new(1),
-                delta: 2,
-            }],
-            inverse_ops: vec![Operation::Increment {
-                obj: ObjectId::new(1),
-                delta: -2,
-            }],
-        };
-        journal.record(&e);
-        e.committed_locally = true;
-        e.vote = Some(LocalVote::Ready);
-        journal.record(&e);
-        drop(journal);
-        let (_, entries) = FileWorkJournal::open(&path).unwrap();
-        assert_eq!(entries, vec![e]);
     }
 
     #[test]
@@ -195,50 +114,106 @@ mod tests {
         assert!(manager.handle().engine().dump().unwrap().is_empty());
     }
 
+    /// Commit-before work committed before a `kill -9` is undone after the
+    /// restart from what the database kept — the before-image row of its
+    /// write and the forward marker — and the `Undo`'s forward program. The
+    /// site's directory holds its WAL and nothing else.
     #[test]
     fn commit_before_work_survives_reopen_and_undoes_on_global_abort() {
         let dir = tmp_dir("cb-undo");
         let site = SiteId::new(1);
         let recovery = SiteRecoveryManager::new(&dir);
         let gtx = GlobalTxnId::new(9);
+        let forward = vec![
+            Operation::Increment {
+                obj: ObjectId::new(1),
+                delta: -30,
+            },
+            Operation::Write {
+                obj: ObjectId::new(2),
+                value: Value::counter(5),
+            },
+        ];
         {
             let (manager, _) = recovery
                 .open(site, TplConfig::default(), ObsSink::disabled())
                 .unwrap();
-            manager
-                .handle()
-                .engine()
-                .bulk_load(&[(ObjectId::new(1), Value::counter(100))])
-                .unwrap();
+            let data = [1, 2].map(|o| (ObjectId::new(o), Value::counter(100)));
+            manager.handle().engine().bulk_load(&data).unwrap();
             let vote = vote_of(
                 manager
-                    .handle_submit(
-                        gtx,
-                        vec![Operation::Increment {
-                            obj: ObjectId::new(1),
-                            delta: -30,
-                        }],
-                        SubmitMode::CommitBefore,
-                    )
+                    .handle_submit(gtx, forward.clone(), SubmitMode::CommitBefore)
                     .unwrap(),
             );
             assert_eq!(vote, LocalVote::Ready);
-            // Crash: the manager (and its memory of the inverse ops) dies.
+            // Crash: the manager (and everything in its memory) dies.
         }
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["site-1.wal"], "one durable write path per site");
         let (manager, stats) = recovery
             .open(site, TplConfig::default(), ObsSink::disabled())
             .unwrap();
-        assert!(stats.restored_entries >= 1);
+        assert_eq!(stats.restored_entries, 1, "the forward marker");
         // The committed forward transaction survived...
         assert_eq!(
             vote_of(manager.handle_prepare(gtx).unwrap()),
             LocalVote::Ready
         );
-        // ...and a global abort still finds the §3.3 undo-log: an empty
-        // Undo payload means "use your journaled inverses".
-        manager.handle_undo(gtx, Vec::new()).unwrap();
+        // ...and a global abort, which re-ships the forward program, still
+        // finds the §3.3 undo-log in the database.
+        manager.handle_undo(gtx, forward).unwrap();
         let dump = manager.handle().engine().dump().unwrap();
         assert_eq!(dump.get(&ObjectId::new(1)), Some(&Value::counter(100)));
+        assert_eq!(dump.get(&ObjectId::new(2)), Some(&Value::counter(100)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Commit-after work voted ready but not yet committed dies with the
+    /// process, program and all. After the restart the site answers the
+    /// commit decision with an outage, which makes a coordinator re-ship
+    /// the program as `Redo`; the redo's marker then answers every later
+    /// duplicate, across another restart too.
+    #[test]
+    fn commit_after_work_lost_in_a_restart_comes_back_with_its_redo() {
+        let dir = tmp_dir("ca-redo");
+        let site = SiteId::new(3);
+        let recovery = SiteRecoveryManager::new(&dir);
+        let open = || {
+            recovery
+                .open(site, TplConfig::default(), ObsSink::disabled())
+                .unwrap()
+        };
+        let gtx = GlobalTxnId::new(4);
+        let ops = vec![Operation::Increment {
+            obj: ObjectId::new(1),
+            delta: 5,
+        }];
+        let counter = |m: &LocalCommManager| m.handle().engine().dump().unwrap()[&ObjectId::new(1)];
+        {
+            let (manager, _) = open();
+            let data = [(ObjectId::new(1), Value::counter(10))];
+            manager.handle().engine().bulk_load(&data).unwrap();
+            let vote = manager.handle_submit(gtx, ops.clone(), SubmitMode::CommitAfter);
+            assert_eq!(vote_of(vote.unwrap()), LocalVote::Ready);
+        }
+        let (manager, stats) = open();
+        assert_eq!(stats.restored_entries, 0, "nothing committed yet");
+        assert!(matches!(
+            manager.handle_decision(gtx, GlobalVerdict::Commit),
+            Err(amc_types::AmcError::TransientIo(_))
+        ));
+        manager.handle_redo(gtx, ops).unwrap();
+        assert_eq!(counter(&manager), Value::counter(15));
+        drop(manager);
+        let (manager, stats) = open();
+        assert_eq!(stats.restored_entries, 1, "the redo's marker");
+        let fin = manager.handle_decision(gtx, GlobalVerdict::Commit).unwrap();
+        assert_eq!(fin, Payload::Finished { gtx });
+        assert_eq!(counter(&manager), Value::counter(15));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -279,6 +254,7 @@ mod tests {
             .open(site, TplConfig::default(), ObsSink::disabled())
             .unwrap();
         assert_eq!(stats.in_doubt, 1);
+        assert_eq!(stats.restored_entries, 1, "the prepare record names {gtx}");
         // Re-inquiry still answers ready (the vote is a promise)...
         assert_eq!(
             vote_of(manager.handle_prepare(gtx).unwrap()),
@@ -288,11 +264,15 @@ mod tests {
         manager.handle_decision(gtx, GlobalVerdict::Commit).unwrap();
         let dump = manager.handle().engine().dump().unwrap();
         assert_eq!(dump.get(&ObjectId::new(7)), Some(&Value::counter(2)));
-        // A second restart finds the decision durable: nothing in doubt.
+        // A second restart finds the decision durable: nothing in doubt,
+        // and a duplicate decision still finds the local transaction.
         drop(manager);
-        let (_, stats) = recovery
+        let (manager, stats) = recovery
             .open(site, TplConfig::default(), ObsSink::disabled())
             .unwrap();
         assert_eq!(stats.in_doubt, 0);
+        let fin = manager.handle_decision(gtx, GlobalVerdict::Commit).unwrap();
+        assert_eq!(fin, Payload::Finished { gtx });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

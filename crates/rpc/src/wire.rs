@@ -385,8 +385,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_net::comm::SubmitMode;
-    use amc_net::{CommStats, PaxosOpenEntry, RecoveryStats, WorkEntry};
+    use amc_net::{CommStats, PaxosOpenEntry, RecoveryStats};
     use amc_paxos::{Ballot, Record};
     use amc_types::{AbortReason, GlobalVerdict, LocalTxnId, LocalVote, ObjectId, Value};
     use amc_wal::{LogRecord, LogStats};
@@ -817,13 +816,7 @@ mod tests {
             ),
             (3, Payload::Decision { gtx, verdict }),
             (4, Payload::Redo { gtx, ops: ops() }),
-            (
-                5,
-                Payload::Undo {
-                    gtx,
-                    inverse_ops: ops(),
-                },
-            ),
+            (5, Payload::Undo { gtx, ops: ops() }),
             (6, Payload::Finished { gtx }),
             (
                 7,
@@ -1024,7 +1017,7 @@ mod tests {
         ]);
     }
 
-    /// The three on-disk formats are tables of the same codec: their tag
+    /// The two on-disk formats are tables of the same codec: their tag
     /// bytes are as fixed as the wire's (a log written by this build must
     /// replay under the next).
     #[test]
@@ -1034,11 +1027,6 @@ mod tests {
         let obj = ObjectId::new(3);
         let site = SiteId::new(2);
         let value = Value::counter(11);
-        assert_table(&[
-            (0, SubmitMode::TwoPhase),
-            (1, SubmitMode::CommitAfter),
-            (2, SubmitMode::CommitBefore),
-        ]);
         assert_table(&[
             (1, LogRecord::Begin { txn }),
             (
@@ -1053,7 +1041,13 @@ mod tests {
             (3, LogRecord::Commit { txn }),
             (4, LogRecord::Abort { txn }),
             (5, LogRecord::Checkpoint { active: vec![txn] }),
-            (6, LogRecord::Prepare { txn }),
+            (
+                6,
+                LogRecord::Prepare {
+                    txn,
+                    gtx: Some(gtx),
+                },
+            ),
         ]);
         let ballot = Ballot::new(1, 2);
         assert_table(&[
@@ -1082,41 +1076,6 @@ mod tests {
                 },
             ),
         ]);
-    }
-
-    /// "Declared once": the `Operation` bytes inside a journal entry are
-    /// the bytes inside a wire `Submit`.
-    #[test]
-    fn journal_and_wire_share_the_operation_layout() {
-        let gtx = GlobalTxnId::new(7);
-        let ops = vec![
-            Operation::Write {
-                obj: ObjectId::new(9),
-                value: Value::tagged(-3, 5),
-            },
-            Operation::Reserve {
-                obj: ObjectId::new(1),
-                amount: 2,
-            },
-        ];
-        let entry = WorkEntry {
-            gtx,
-            mode: SubmitMode::CommitAfter,
-            ltx: None,
-            committed_locally: false,
-            vote: None,
-            ops: ops.clone(),
-            inverse_ops: vec![],
-        };
-        let op_bytes = amc_types::codec::encode(&ops);
-        let journal = entry.encode();
-        let wire = encode_frame(&Frame::Request {
-            req_id: 1,
-            payload: Payload::Submit { gtx, ops },
-        });
-        let inverse_count = 4;
-        assert!(journal[..journal.len() - inverse_count].ends_with(&op_bytes));
-        assert!(wire.ends_with(&op_bytes));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The row-table binary codec under every byte layout in the workspace:
-//! the wire (`amc-rpc`), the WAL (`amc-wal`), the communication manager's
-//! work journal (`amc-net`) and the Paxos acceptor log (`amc-paxos`).
+//! the wire (`amc-rpc`), the WAL (`amc-wal`) and the Paxos acceptor log
+//! (`amc-paxos`).
 //!
 //! All integers are little-endian. Enums are a `u8` tag followed by the
 //! variant's fields. Vectors and maps are a `u32` count followed by the
@@ -15,8 +15,8 @@
 //! `tag => Variant { field: Type }` rows. The writer, the reader, the
 //! hostile-count guard and the [`CodecError::BadTag`] label all derive
 //! from that one declaration, so a layout that appears in two formats
-//! (an [`Operation`](crate::Operation) inside a wire `Submit` and inside
-//! a journal entry) is the same bytes in both.
+//! (a [`GlobalTxnId`] inside a wire `Submit` and inside a WAL `Prepare`
+//! record) is the same bytes in both.
 
 use crate::error::AmcError;
 use crate::ids::{GlobalTxnId, LocalTxnId, ObjectId, SiteId};

@@ -1,5 +1,5 @@
-//! The on-disk frame store behind a durable [`LogManager`](crate::LogManager),
-//! the work journal and the acceptor log.
+//! The on-disk frame store behind a durable [`LogManager`](crate::LogManager)
+//! and the acceptor log.
 //!
 //! A [`DurableFile`] is one append-only file: a plain concatenation of
 //! frames,
@@ -275,7 +275,7 @@ impl DurableFile {
 }
 
 /// A [`DurableFile`] whose every frame is one `T`, encoded by `T`'s row
-/// table: the work journal and the acceptor log.
+/// table: the acceptor log.
 #[derive(Debug)]
 pub struct RecordFile<T> {
     file: DurableFile,

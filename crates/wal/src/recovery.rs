@@ -28,8 +28,8 @@
 use crate::log::LogManager;
 use crate::record::LogRecord;
 use amc_obs::EventKind;
-use amc_types::{AmcResult, LocalTxnId, ObjectId, Value};
-use std::collections::BTreeSet;
+use amc_types::{AmcResult, GlobalTxnId, LocalTxnId, ObjectId, Value};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What recovery found and did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -41,6 +41,9 @@ pub struct RecoveryOutcome {
     /// In-doubt: prepared but undecided (2PC ready state). Their updates
     /// are redone and must stay isolated until the coordinator decides.
     pub in_doubt: BTreeSet<LocalTxnId>,
+    /// Every `Prepare` record that named its global transaction, decided
+    /// or not: which local transaction served which global one.
+    pub prepared: BTreeMap<LocalTxnId, GlobalTxnId>,
     /// Losers: active at the crash, rolled back by the undo pass.
     pub losers: BTreeSet<LocalTxnId>,
     /// Number of redo applications performed.
@@ -93,8 +96,11 @@ pub fn recover(
             seen.insert(t);
         }
         match r {
-            LogRecord::Prepare { txn } => {
+            LogRecord::Prepare { txn, gtx } => {
                 prepared.insert(*txn);
+                if let Some(gtx) = gtx {
+                    outcome.prepared.insert(*txn, *gtx);
+                }
             }
             LogRecord::Commit { txn } => {
                 outcome.committed.insert(*txn);
@@ -213,6 +219,33 @@ mod tests {
         assert!(out.losers.is_empty());
         assert_eq!(state.get(&obj(10)), Some(&v(5)));
         assert_eq!(out.redo_applied, 1);
+    }
+
+    /// Every prepare that named its global transaction is reported with
+    /// it, whatever became of the transaction; an unnamed one is in doubt
+    /// all the same, but nameless.
+    #[test]
+    fn named_prepares_are_reported_decided_or_not() {
+        let mut log = LogManager::new();
+        let gtx = |n| Some(GlobalTxnId::new(n));
+        for (t, name) in [(1, gtx(11)), (2, gtx(12)), (3, None)] {
+            log.append(&update(t, t, None, Some(1)));
+            log.append(&LogRecord::Prepare {
+                txn: ltx(t),
+                gtx: name,
+            });
+        }
+        log.append(&LogRecord::Commit { txn: ltx(1) });
+        log.force();
+
+        let out = recover_into_map(&mut log, &mut BTreeMap::new()).unwrap();
+        let named = [
+            (ltx(1), GlobalTxnId::new(11)),
+            (ltx(2), GlobalTxnId::new(12)),
+        ];
+        assert_eq!(out.prepared, BTreeMap::from(named));
+        assert_eq!(out.in_doubt, [ltx(2), ltx(3)].into());
+        assert!(out.committed.contains(&ltx(1)));
     }
 
     #[test]

@@ -421,7 +421,7 @@ fn whole_table_lock_sweeps_serve_only_crash_paths() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 24_091;
+    const CEILING: usize = 23_995;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| {

@@ -1,6 +1,5 @@
 //! One harness for every row table of the workspace codec
-//! (`amc_types::codec`) — the wire's, the WAL's, the work journal's and
-//! the acceptor log's. For arbitrary values of each table:
+//! (`amc_types::codec`) — the wire's, the WAL's and the acceptor log's. For arbitrary values of each table:
 //!
 //! * **round trip**: `decode(encode(v)) == v`;
 //! * **prefixes**: decoding any proper prefix is an `Err`, never a panic
@@ -12,9 +11,8 @@
 //! bytes in `tests/wire_codec.rs`.
 
 use amc::core::TxnOutcome;
-use amc::net::comm::SubmitMode;
 use amc::net::transport::{AdminReply, AdminRequest};
-use amc::net::{CommStats, PaxosOpenEntry, Payload, RecoveryStats, WorkEntry};
+use amc::net::{CommStats, PaxosOpenEntry, Payload, RecoveryStats};
 use amc::paxos::{Ballot, Record};
 use amc::rpc::wire::{CoordReply, CoordRequest, Frame};
 use amc::types::codec::{self, CodecError, Wire};
@@ -108,13 +106,6 @@ fn reason() -> impl Strategy<Value = AbortReason> {
         Just(AbortReason::Injected),
     ]
 }
-fn mode() -> impl Strategy<Value = SubmitMode> {
-    prop_oneof![
-        Just(SubmitMode::TwoPhase),
-        Just(SubmitMode::CommitAfter),
-        Just(SubmitMode::CommitBefore),
-    ]
-}
 fn outcome() -> impl Strategy<Value = TxnOutcome> {
     prop_oneof![
         Just(TxnOutcome::Committed),
@@ -149,7 +140,7 @@ fn payload() -> impl Strategy<Value = Payload> {
         (gtx(), vote()).prop_map(|(gtx, vote)| Payload::Vote { gtx, vote }),
         (gtx(), verdict()).prop_map(|(gtx, verdict)| Payload::Decision { gtx, verdict }),
         (gtx(), ops()).prop_map(|(gtx, ops)| Payload::Redo { gtx, ops }),
-        (gtx(), ops()).prop_map(|(gtx, inverse_ops)| Payload::Undo { gtx, inverse_ops }),
+        (gtx(), ops()).prop_map(|(gtx, ops)| Payload::Undo { gtx, ops }),
         gtx().prop_map(|gtx| Payload::Finished { gtx }),
         (gtx(), sites())
             .prop_map(|(gtx, participants)| Payload::PaxosRegister { gtx, participants }),
@@ -299,25 +290,6 @@ fn frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
-fn work_entry() -> impl Strategy<Value = WorkEntry> {
-    (
-        (gtx(), mode(), option::of(ltx())),
-        (any::<bool>(), option::of(vote())),
-        (ops(), ops()),
-    )
-        .prop_map(
-            |((gtx, mode, ltx), (committed_locally, vote), (ops, inverse_ops))| WorkEntry {
-                gtx,
-                mode,
-                ltx,
-                committed_locally,
-                vote,
-                ops,
-                inverse_ops,
-            },
-        )
-}
-
 fn log_record() -> impl Strategy<Value = LogRecord> {
     prop_oneof![
         ltx().prop_map(|txn| LogRecord::Begin { txn }),
@@ -329,7 +301,7 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
                 after,
             }
         ),
-        ltx().prop_map(|txn| LogRecord::Prepare { txn }),
+        (ltx(), option::of(gtx())).prop_map(|(txn, gtx)| LogRecord::Prepare { txn, gtx }),
         ltx().prop_map(|txn| LogRecord::Commit { txn }),
         ltx().prop_map(|txn| LogRecord::Abort { txn }),
         vec(ltx(), 0..6).prop_map(|active| LogRecord::Checkpoint { active }),
@@ -382,8 +354,6 @@ tables! {
     comm_stats_table: comm_stats(),
     recovery_stats_table: recovery_stats(),
     paxos_open_entry_table: open_entry(),
-    submit_mode_table: mode(),
-    work_entry_table: work_entry(),
     // amc-wal
     log_record_table: log_record(),
     log_stats_table: log_stats(),

@@ -81,15 +81,16 @@ fn undo_window_crash_after_undo_commit() {
     mgr.handle_submit(G, incr(5), SubmitMode::CommitBefore)
         .unwrap();
     assert_eq!(counter(&engine), 105);
-    // Global abort: undo runs and commits...
-    mgr.handle_undo(G, vec![]).unwrap();
+    // Global abort: the undo re-ships the forward program; its inverse
+    // runs and commits...
+    mgr.handle_undo(G, incr(5)).unwrap();
     assert_eq!(counter(&engine), 100);
     // ...but the acknowledgement is lost in a crash; the coordinator
     // retransmits the undo.
     engine.crash();
     engine.recover().unwrap();
     for _ in 0..3 {
-        mgr.handle_undo(G, vec![]).unwrap();
+        mgr.handle_undo(G, incr(5)).unwrap();
         assert_eq!(counter(&engine), 100, "undo must not double-apply");
     }
 }
@@ -106,9 +107,9 @@ fn undo_window_crash_before_undo_commit() {
     engine.crash();
     engine.recover().unwrap();
     assert_eq!(counter(&engine), 105, "forward commit survived the crash");
-    mgr.handle_undo(G, incr(-5)).unwrap();
+    mgr.handle_undo(G, incr(5)).unwrap();
     assert_eq!(counter(&engine), 100);
-    mgr.handle_undo(G, incr(-5)).unwrap();
+    mgr.handle_undo(G, incr(5)).unwrap();
     assert_eq!(counter(&engine), 100);
 }
 

@@ -136,18 +136,18 @@ fn retained_per_txn(protocol: ProtocolKind) -> (f64, String) {
 #[test]
 fn finished_transactions_shrink_to_their_scalars() {
     // Bytes of live heap a finished two-site transfer may keep: log bytes
-    // (194 / 238 / 238 — no record only names a transaction — and nothing
-    // cuts a log yet, ROADMAP item 6), two work-map slots, and for the
-    // portable protocols two marker entries. 2PC and commit-after hear the
-    // decision and shrink to scalars (measured 282 / 403 B). Commit-before
-    // never hears of a commit (§3.3: "no further actions"), so its two undo
-    // programs (the inverse operation, 32 B each; the marker's delete is
-    // implied) stay until item 6's low-water mark tells the site: 467 B
-    // measured, still above the 450 B asked of it; 500 is what is pinned.
+    // (212 / 238 / 238 — each 2PC prepare record names its global
+    // transaction, and nothing cuts a log yet, ROADMAP item 6), two
+    // work-map slots, and for the portable protocols two marker entries.
+    // 2PC and commit-after hear the decision and shrink to scalars
+    // (measured 301 / 403 B). Commit-before shrinks to scalars at its vote:
+    // an `Undo` brings the forward program and the database holds the
+    // before images, so nothing waits in memory for a decision it never
+    // hears (§3.3: "no further actions"): 403 B measured.
     let budgets = [
         (ProtocolKind::TwoPhaseCommit, 320.0),
         (ProtocolKind::CommitAfter, 430.0),
-        (ProtocolKind::CommitBefore, 500.0),
+        (ProtocolKind::CommitBefore, 430.0),
     ];
     for (protocol, budget) in budgets {
         let (per_txn, table) = retained_per_txn(protocol);

@@ -82,10 +82,7 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
                     },
                 },
                 4 => Payload::Redo { gtx, ops },
-                5 => Payload::Undo {
-                    gtx,
-                    inverse_ops: ops,
-                },
+                5 => Payload::Undo { gtx, ops },
                 _ => Payload::Finished { gtx },
             }
         })
@@ -183,10 +180,7 @@ fn each_payload_variant_round_trips() {
             gtx,
             ops: ops.clone(),
         },
-        Payload::Undo {
-            gtx,
-            inverse_ops: ops,
-        },
+        Payload::Undo { gtx, ops },
         Payload::Finished { gtx },
         Payload::SubmitPrepare {
             gtx,
