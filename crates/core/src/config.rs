@@ -125,12 +125,10 @@ pub struct FederationConfig {
     pub tpl: TplConfig,
     /// How long a global transaction may wait for one L1 lock.
     pub l1_timeout: Duration,
-    /// Modelled round-trip cost of one coordinator↔site exchange in the
-    /// threaded driver (network + handler service time). Zero disables the
-    /// model; the concurrency experiments set a realistic value so that
-    /// lock-tenure differences between the protocols are visible, exactly
-    /// as they were on 1991 networks where a message round trip dwarfed
-    /// local work.
+    /// Modelled cost of each leg of a coordinator↔site exchange in the
+    /// threaded driver; a round's exchanges overlap, so a round costs two
+    /// legs. Zero disables the model. The concurrency experiments set a
+    /// 1991-scale value, where a round trip dwarfed local work.
     pub message_delay: Duration,
     /// Replicated, non-blocking coordination (Paxos Commit). `None` runs
     /// the classical single coordinator of Fig. 2.

@@ -706,17 +706,8 @@ impl Federation {
     /// to [`Federation::step`] in emission order, repeat until no message
     /// is in flight. Both `run_transaction` and `resolve_pending` come
     /// through here, so a final-state message is whatever the state
-    /// machine says it is, the first time and every later time.
-    ///
-    /// A round goes to the transport whole — which may overlap its sends
-    /// instead of paying one round trip each — except two kinds, sent one
-    /// call at a time in site order. Paxos rounds: registration and vote
-    /// replication interleave with the sends. And the submit round of a
-    /// protocol that keeps the L0 locks it takes until the decision (all
-    /// but commit-before): reaching the sites in one global order keeps two
-    /// transactions from each holding a page at one site while waiting for
-    /// the other's at the next — a distributed deadlock no site can see
-    /// and only `lock_timeout` breaks.
+    /// machine says it is, the first time and every later time. Which
+    /// rounds go whole: DESIGN.md §9, "One round primitive".
     fn pump(&self, txn: &mut Txn, first: Sends, l0: &mut L0Tenures) -> AmcResult<()> {
         let gtx = txn.gtx();
         let keeps_l0 = txn.coordinator.protocol() != ProtocolKind::CommitBefore;
@@ -1991,6 +1982,47 @@ mod tests {
             report.latency,
             report.messages,
             delay
+        );
+    }
+
+    /// A round of the in-process transport with a modelled delay overlaps
+    /// its exchanges, so it costs one exchange (two legs) however many
+    /// sites it addresses — not the serial sum of every message.
+    #[test]
+    fn a_round_costs_its_slowest_exchange() {
+        let delay = Duration::from_millis(4);
+        let mut cfg = FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit);
+        cfg.message_delay = delay;
+        let fed = Federation::new(cfg);
+        fed.load_site(site(1), &[(obj(1, 0), v(100))]).unwrap();
+        fed.load_site(site(2), &[(obj(2, 0), v(100))]).unwrap();
+        let inc = |s, delta| {
+            (
+                site(s),
+                vec![Operation::Increment {
+                    obj: obj(s, 0),
+                    delta,
+                }],
+            )
+        };
+        let report = fed
+            .run_transaction(&BTreeMap::from([inc(1, -7), inc(2, 7)]))
+            .unwrap();
+        assert_eq!(report.outcome, TxnOutcome::Committed);
+        // The submits keep their L0 locks, so they go one at a time in site
+        // order; the prepare and decision rounds go whole.
+        let rounds = 4;
+        assert_eq!(report.messages, 12, "3 exchanges per site");
+        assert!(
+            report.latency >= 2 * delay * rounds,
+            "latency {:?} must cover {rounds} rounds of two legs",
+            report.latency
+        );
+        assert!(
+            report.latency < delay * report.messages as u32,
+            "latency {:?} is the serial sum of {} legs",
+            report.latency,
+            report.messages
         );
     }
 

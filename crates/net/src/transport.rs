@@ -118,14 +118,8 @@ pub trait FederationTransport: Send + Sync {
 
     /// Send one message round — the central system addresses every
     /// participating site, then waits for all of them — and return the
-    /// replies in *send* order, whatever order the sites answered in.
-    ///
-    /// The default delivers the round as serial [`call`]s: the in-process
-    /// transport keeps it, because its modelled delays charge one
-    /// exchange after another. A transport whose sends can be in flight
-    /// together overrides it to put every request on the wire before
-    /// waiting for the first reply, so a round costs one round trip
-    /// instead of one per site.
+    /// replies in *send* order. The default is serial [`call`]s; an
+    /// override overlaps the sends, so a round costs its slowest exchange.
     ///
     /// [`call`]: FederationTransport::call
     fn call_round(&self, sends: Vec<(SiteId, Payload)>) -> Vec<AmcResult<Payload>> {
@@ -135,10 +129,8 @@ pub trait FederationTransport: Send + Sync {
             .collect()
     }
 
-    /// Whether [`FederationTransport::call_round`] overlaps its sends
-    /// (`true` for both TCP transports, `false` for the serial default).
-    /// Informational: the coordinator decides which rounds go to
-    /// `call_round` from the protocol, not from the transport.
+    /// Whether the TCP transports' [`FederationTransport::call_round`]
+    /// pipelines its sends on the wire. Informational only.
     fn supports_pipelining(&self) -> bool {
         false
     }
@@ -218,8 +210,7 @@ struct Fleet {
 }
 
 /// The in-process transport: managers live in the same address space and a
-/// message is a function call, with `message_delay` slept on each leg so a
-/// `messages` count of *n* means *n* modelled hops.
+/// message is a function call, with `message_delay` slept on each leg.
 ///
 /// Site membership sits behind a lock, so sites can be added and removed
 /// *while coordinators are driving traffic* — the substrate for
@@ -317,6 +308,25 @@ impl FederationTransport for InProcessTransport {
         Ok(reply)
     }
 
+    /// With a modelled delay the exchanges overlap: the first on the
+    /// caller, the rest on scoped threads. With none there is nothing in
+    /// flight to overlap, and a spawn costs more than the exchange.
+    fn call_round(&self, sends: Vec<(SiteId, Payload)>) -> Vec<AmcResult<Payload>> {
+        let mut sends = sends.into_iter();
+        if self.message_delay.is_zero() || sends.len() < 2 {
+            return sends.map(|(to, payload)| self.call(to, payload)).collect();
+        }
+        let (to, payload) = sends.next().expect("two or more sends");
+        std::thread::scope(|scope| {
+            let rest: Vec<_> = sends
+                .map(|(to, payload)| scope.spawn(move || self.call(to, payload)))
+                .collect();
+            let first = self.call(to, payload);
+            let rest = rest.into_iter().map(|h| h.join().unwrap());
+            std::iter::once(first).chain(rest).collect()
+        })
+    }
+
     fn admin(&self, to: SiteId, req: AdminRequest) -> AmcResult<AdminReply> {
         let manager = self.manager(to)?;
         admin_to_manager(&manager, req)
@@ -331,8 +341,77 @@ mod tests {
     use amc_types::{GlobalTxnId, GlobalVerdict, Operation};
 
     fn transport(sites: u32) -> InProcessTransport {
+        delayed(sites, Duration::ZERO)
+    }
+
+    /// `sites` managers, object 1 loaded at each, `delay` slept per leg.
+    fn delayed(sites: u32, delay: Duration) -> InProcessTransport {
         let managers = (1..=sites).map(|s| (SiteId::new(s), manager(s))).collect();
-        InProcessTransport::new(managers, SubmitMode::CommitBefore, Duration::ZERO)
+        let t = InProcessTransport::new(managers, SubmitMode::CommitBefore, delay);
+        for s in t.sites() {
+            let load = AdminRequest::Load(vec![(ObjectId::new(1), Value::counter(10))]);
+            t.admin(s, load).unwrap();
+        }
+        t
+    }
+
+    /// One submit per site, each under its own gtx (10 + site) so a reply
+    /// names the send it answers; site 3's reads a missing object and
+    /// votes abort.
+    fn submit_round(sites: u32) -> Vec<(SiteId, Payload)> {
+        (1..=sites)
+            .map(|s| {
+                let obj = ObjectId::new(if s == 3 { 99 } else { 1 });
+                let ops = vec![Operation::Read { obj }];
+                let gtx = GlobalTxnId::new(10 + u64::from(s));
+                (SiteId::new(s), Payload::Submit { gtx, ops })
+            })
+            .collect()
+    }
+
+    fn voted(reply: &AmcResult<Payload>) -> Option<(u64, bool)> {
+        match reply {
+            Ok(Payload::Vote { gtx, vote }) => Some((gtx.raw(), vote.is_yes())),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_delayed_round_answers_a_down_site_in_its_slot() {
+        let t = delayed(3, Duration::from_millis(1));
+        t.set_down(SiteId::new(2), true);
+        let replies = t.call_round(submit_round(3));
+        assert_eq!(replies.len(), 3);
+        assert_eq!(voted(&replies[0]), Some((11, true)));
+        assert!(matches!(replies[1], Err(AmcError::SiteDown(s)) if s == SiteId::new(2)));
+        assert_eq!(voted(&replies[2]), Some((13, false)));
+    }
+
+    #[test]
+    fn a_delayed_round_costs_one_exchange_not_one_per_site() {
+        let delay = Duration::from_millis(20);
+        let t = delayed(3, delay);
+        let started = std::time::Instant::now();
+        let replies = t.call_round(submit_round(3));
+        let took = started.elapsed();
+        assert!(replies.iter().all(|r| voted(r).is_some()), "{replies:?}");
+        assert!(took >= 2 * delay, "a round pays both legs: {took:?}");
+        // The serial loop pays 3 exchanges × 2 legs = 120 ms.
+        assert!(took < 4 * delay, "the round took {took:?}");
+    }
+
+    #[test]
+    fn a_zero_delay_round_answers_as_serial_calls() {
+        let (round, serial) = (transport(4), transport(4));
+        for t in [&round, &serial] {
+            t.set_down(SiteId::new(2), true);
+        }
+        let by_round = round.call_round(submit_round(4));
+        let by_call: Vec<_> = submit_round(4)
+            .into_iter()
+            .map(|(to, payload)| serial.call(to, payload))
+            .collect();
+        assert_eq!(by_round, by_call);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Docs stay navigable: every intra-repo markdown link in the top-level
-//! documents resolves to a file that exists, and the operator's guide
-//! (OPERATORS.md) is reachable from the entry-point docs. CI runs this
-//! suite in the test step, so a renamed file or a typo'd link fails the
-//! build instead of rotting silently.
+//! documents resolves to a file that exists, the operator's guide
+//! (OPERATORS.md) is reachable from the entry-point docs, and a
+//! `CHANGES.md` entry stays short. CI runs this suite in the test step, so
+//! a renamed file or a typo'd link fails the build instead of rotting
+//! silently.
 
 use std::path::{Path, PathBuf};
 
@@ -100,4 +101,49 @@ fn operators_guide_is_cross_linked() {
     for back in ["EXPERIMENTS.md", "bench_report.txt"] {
         assert!(ops.contains(back), "OPERATORS.md does not reference {back}");
     }
+}
+
+/// ROADMAP 10(b): a `CHANGES.md` entry says what changed and why in at
+/// most 15 non-blank lines and 3 000 bytes; measurement tables belong
+/// elsewhere. Entries numbered below `FIRST_BOUNDED` predate the rule and
+/// are exempt.
+#[test]
+fn changes_entries_stay_short() {
+    const FIRST_BOUNDED: u32 = 37;
+    const MAX_LINES: usize = 15;
+    const MAX_BYTES: usize = 3_000;
+    let text = std::fs::read_to_string(repo_root().join("CHANGES.md")).expect("CHANGES.md");
+    let mut entries: Vec<(u32, Vec<&str>)> = Vec::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        match (entry_number(line), entries.last_mut()) {
+            (Some(pr), _) => entries.push((pr, vec![line])),
+            (None, Some((_, lines))) => lines.push(line),
+            (None, None) => {}
+        }
+    }
+    let bounded: Vec<_> = entries
+        .iter()
+        .filter(|(pr, _)| *pr >= FIRST_BOUNDED)
+        .collect();
+    assert!(
+        !bounded.is_empty(),
+        "no CHANGES.md entry from PR {FIRST_BOUNDED} on"
+    );
+    for (pr, lines) in bounded {
+        let bytes: usize = lines.iter().map(|l| l.len() + 1).sum();
+        assert!(
+            lines.len() <= MAX_LINES && bytes <= MAX_BYTES,
+            "CHANGES.md entry PR {pr}: {} lines, {bytes} bytes (at most {MAX_LINES}, {MAX_BYTES})",
+            lines.len()
+        );
+    }
+}
+
+/// The number an entry opens with — `PR <n>: …`, `- PR <n>: …` or
+/// `- **PR <n> — …` — or `None` for an indented continuation line.
+fn entry_number(line: &str) -> Option<u32> {
+    let head = line.strip_prefix("- ").unwrap_or(line);
+    let head = head.trim_start_matches('*').strip_prefix("PR ")?;
+    let digits: String = head.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().ok()
 }

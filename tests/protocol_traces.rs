@@ -336,8 +336,8 @@ fn fast_path_single_site_trace_is_two_messages() {
 
 /// The threaded `Federation` hands a round's sends to the transport
 /// together, but logs each exchange as a (request, reply) pair in
-/// emission order — over the serial in-process transport, exactly the
-/// sequence it logged when it made the calls one by one.
+/// emission order — exactly the sequence it logged when it made the calls
+/// one by one.
 #[test]
 fn threaded_federation_records_rounds_as_request_reply_pairs() {
     let goldens: [(ProtocolKind, &[&str]); 3] = [
