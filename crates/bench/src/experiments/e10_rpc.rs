@@ -62,7 +62,7 @@ fn points(seed: u64, txns: usize, client_counts: &[usize]) -> Vec<Point> {
     client_counts.iter().map(point).collect()
 }
 
-/// Run the wire sweep: every protocol over both [`WIRES`].
+/// Run the wire sweep: every protocol over both `WIRES`.
 pub fn run(txns: usize, client_counts: &[usize]) -> Vec<Cell> {
     let points = points(10_000, txns, client_counts);
     let lane = |regime| sweep(wire_config, &WIRES, &points, &[regime], offer);
@@ -83,14 +83,14 @@ pub fn table(rows: &[Cell]) -> TextTable {
 /// driver threads (the profile pins `clients >= 200`) hammering
 /// commit-before — the paper's protocol, the cheapest message path, so
 /// the transport is the bottleneck under test.
-pub fn run_high_concurrency(txns: usize, clients: usize) -> Vec<Cell> {
+pub(crate) fn run_high_concurrency(txns: usize, clients: usize) -> Vec<Cell> {
     let tcp: Vec<Wire> = Wire::ALL.into_iter().filter(|w| w.is_tcp()).collect();
     let points = points(20_000, txns, &[clients]);
     sweep(wire_config, &tcp, &points, &[Regime::CommitBefore], offer)
 }
 
 /// Render the high-concurrency table.
-pub fn hc_table(rows: &[Cell]) -> TextTable {
+pub(crate) fn hc_table(rows: &[Cell]) -> TextTable {
     // Connections per available core: the "how many sockets does a core
     // carry" figure the event loop exists to improve.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as f64;
@@ -120,7 +120,7 @@ pub fn report(quick: bool) -> String {
 }
 
 /// Shape checks for the high-concurrency profile.
-pub fn hc_verdicts(rows: &[Cell]) -> Vec<String> {
+pub(crate) fn hc_verdicts(rows: &[Cell]) -> Vec<String> {
     let mut out = Vec::new();
     // E10-4: every runtime serves hundreds of concurrent clients.
     let enough = rows.iter().all(|c| c.x >= 200.0);

@@ -183,7 +183,7 @@ pub fn run(
 }
 
 /// Render part A.
-pub fn recovery_table(rows: &[RecoveryRow]) -> TextTable {
+pub(crate) fn recovery_table(rows: &[RecoveryRow]) -> TextTable {
     let mut t = TextTable::new(
         "E11a — restart recovery time vs durable log length",
         &[
@@ -209,7 +209,7 @@ pub fn recovery_table(rows: &[RecoveryRow]) -> TextTable {
 }
 
 /// Render part B.
-pub fn fsync_table(rows: &[FsyncRow]) -> TextTable {
+pub(crate) fn fsync_table(rows: &[FsyncRow]) -> TextTable {
     let mut t = TextTable::new(
         "E11b — fsync cost vs group-commit linger (8 committer threads)",
         &[

@@ -169,7 +169,7 @@ const LINGER_COLS: [Col; 8] = [
 /// ("fsync-per-append" or "group-commit <µs>"), the durability-critical
 /// frames appended across all acceptor logs, and the fsyncs actually paid
 /// for them (== appends without a linger).
-pub type LingerCell = (Cell, u64, u64);
+pub(crate) type LingerCell = (Cell, u64, u64);
 
 /// Appends amortised per fsync — the group-commit batching factor.
 fn batching((_, appends, fsyncs): &LingerCell) -> f64 {
@@ -215,7 +215,7 @@ fn run_linger_cell(linger: Option<Duration>, txns: u64, clients: usize) -> Linge
 
 /// Run part C: the same concurrent workload with and without the
 /// acceptor group-commit linger.
-pub fn run_linger(txns: u64, clients: usize) -> Vec<LingerCell> {
+pub(crate) fn run_linger(txns: u64, clients: usize) -> Vec<LingerCell> {
     vec![
         run_linger_cell(None, txns, clients),
         run_linger_cell(Some(Duration::from_micros(200)), txns, clients),
@@ -223,7 +223,7 @@ pub fn run_linger(txns: u64, clients: usize) -> Vec<LingerCell> {
 }
 
 /// Render part C.
-pub fn linger_table(rows: &[LingerCell]) -> TextTable {
+pub(crate) fn linger_table(rows: &[LingerCell]) -> TextTable {
     let facts = |row: &LingerCell| {
         let (cell, appends, fsyncs) = row;
         let batching = format!("{:.1}", batching(row));
@@ -242,7 +242,7 @@ pub fn linger_table(rows: &[LingerCell]) -> TextTable {
 }
 
 /// The shape check for part C.
-pub fn linger_verdicts(rows: &[LingerCell]) -> Vec<String> {
+pub(crate) fn linger_verdicts(rows: &[LingerCell]) -> Vec<String> {
     let base = rows.iter().find(|r| r.0.axis.starts_with("fsync"));
     let grouped = rows.iter().find(|r| r.0.axis.starts_with("group"));
     // The durability arithmetic, not the wall clock: the linger must
@@ -286,7 +286,7 @@ pub fn run(outages_ms: &[u64], cost_txns: u64) -> (Vec<WindowRow>, Vec<Cell>) {
 }
 
 /// Render part A.
-pub fn window_table(rows: &[WindowRow]) -> TextTable {
+pub(crate) fn window_table(rows: &[WindowRow]) -> TextTable {
     let mut t = TextTable::new(
         "E12a — blocking window after a coordinator crash (in-doubt transfer, f = 1)",
         &[
@@ -308,7 +308,7 @@ pub fn window_table(rows: &[WindowRow]) -> TextTable {
 }
 
 /// Render part B.
-pub fn cost_table(rows: &[Cell]) -> TextTable {
+pub(crate) fn cost_table(rows: &[Cell]) -> TextTable {
     cells(
         "E12b — replication cost at f = 1 (5 sites, acceptors co-located on 1-3)",
         &COST_COLS,

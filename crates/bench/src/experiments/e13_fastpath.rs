@@ -29,7 +29,7 @@ const SITES: u32 = 2;
 
 /// The commit layers compared: classic 2PC, the fast path, and the two
 /// portable baselines — [`Regime`] without its L1 ablation.
-pub const LAYERS: &[Regime] = Regime::ALL.split_at(4).0;
+pub(crate) const LAYERS: &[Regime] = Regime::ALL.split_at(4).0;
 
 const COLS: [Col; 7] = [
     Col::fact("single %"),
@@ -60,9 +60,9 @@ fn programs(txns: usize, pct_single: usize) -> ProgramBatch {
 }
 
 /// The sweep points: single-site fraction 0% → 100%.
-pub const SWEEP: [usize; 5] = [0, 25, 50, 75, 100];
+pub(crate) const SWEEP: [usize; 5] = [0, 25, 50, 75, 100];
 
-/// Run the sweep. Engines carry no modelled delays ([`wire_config`]): the
+/// Run the sweep. Engines carry no modelled delays (`wire_config`): the
 /// fast path's win is fewer message rounds, so nothing synthetic is added.
 pub fn run(txns: usize, clients: usize) -> Vec<Cell> {
     let points = SWEEP.map(|pct| Point {

@@ -66,7 +66,7 @@ const SCALE_COLS: [Col; 6] = [
 /// coordinate is the count): every coordinator gets its own
 /// `txns_per_coord` transactions (owner-affine by the shard map's hash
 /// rule) and `CLIENTS_PER_COORD` clients' worth of the one closed loop.
-pub fn run_scaling(txns_per_coord: usize, n_values: &[u32]) -> Vec<Cell> {
+pub(crate) fn run_scaling(txns_per_coord: usize, n_values: &[u32]) -> Vec<Cell> {
     let cell = |&n: &u32| {
         let router = Arc::new(
             ShardRouter::in_process(n, SITES, ProtocolKind::TwoPhaseCommit, SCALE_DELAY)
@@ -138,7 +138,7 @@ pub struct ReconfigRow {
 
 /// Add site 4, then retire site 1 onto it mid-workload, with the
 /// successor knocked down by the nemesis just as the migration starts.
-pub fn run_reconfig(min_txns: u64) -> ReconfigRow {
+pub(crate) fn run_reconfig(min_txns: u64) -> ReconfigRow {
     let router = Arc::new(
         ShardRouter::in_process(
             2,
@@ -253,7 +253,7 @@ pub type TcpCell = (Cell, u64, usize);
 
 /// Drive a 2-coordinator sharded fleet through coordinator frames on
 /// loopback TCP.
-pub fn run_tcp(txns: usize, clients: usize) -> TcpCell {
+pub(crate) fn run_tcp(txns: usize, clients: usize) -> TcpCell {
     let router = Arc::new(
         ShardRouter::in_process(
             TCP_COORDS,
@@ -309,7 +309,7 @@ pub fn run_tcp(txns: usize, clients: usize) -> TcpCell {
 }
 
 /// Render the weak-scaling lane.
-pub fn scaling_table(rows: &[Cell]) -> TextTable {
+pub(crate) fn scaling_table(rows: &[Cell]) -> TextTable {
     let base = txn_s_at(rows, 1);
     let facts = |c: &Cell| {
         let n = c.x as usize;
@@ -330,7 +330,7 @@ pub fn scaling_table(rows: &[Cell]) -> TextTable {
 }
 
 /// Render the reconfiguration-under-chaos lane.
-pub fn reconfig_table(r: &ReconfigRow) -> TextTable {
+pub(crate) fn reconfig_table(r: &ReconfigRow) -> TextTable {
     let mut t = TextTable::new(
         "E14b — online reconfiguration under chaos (add site 4, retire site 1, \
          nemesis kills the successor during migration)",
@@ -361,7 +361,7 @@ pub fn reconfig_table(r: &ReconfigRow) -> TextTable {
 }
 
 /// Render the TCP lane.
-pub fn tcp_table((cell, slot_matched, busy): &TcpCell) -> TextTable {
+pub(crate) fn tcp_table((cell, slot_matched, busy): &TcpCell) -> TextTable {
     let facts = vec![
         TCP_COORDS.to_string(),
         cell.axis.clone(),

@@ -112,12 +112,12 @@ fn spec(objects_per_site: u64, theta: f64, max_fanout: u32) -> MixSpec {
 }
 
 /// The contention sweep points.
-pub const THETAS: [f64; 4] = [0.0, 0.6, 0.9, 1.2];
+pub(crate) const THETAS: [f64; 4] = [0.0, 0.6, 0.9, 1.2];
 
 /// Lane 1 — contention: hot-key commuting counters over a small hot set
 /// (48 objects/site), theta 0 → 1.2. The mix conserves the federation-wide
 /// counter sum, and the oracle checks it.
-pub fn run_contention(txns: usize, clients: usize) -> Vec<Cell> {
+pub(crate) fn run_contention(txns: usize, clients: usize) -> Vec<Cell> {
     let lane = Lane {
         base: tuned_config,
         wires: &[Wire::InProcess],
@@ -132,11 +132,11 @@ pub fn run_contention(txns: usize, clients: usize) -> Vec<Cell> {
 }
 
 /// The fan-out sweep points (participating sites per `NewOrder`).
-pub const FANOUTS: [u32; 3] = [1, 2, 3];
+pub(crate) const FANOUTS: [u32; 3] = [1, 2, 3];
 
 /// Lane 2 — fan-out: the TPC-C-style `NewOrder` profile capped at 1, 2,
 /// then 3 participating sites.
-pub fn run_fanout(txns: usize, clients: usize) -> Vec<Cell> {
+pub(crate) fn run_fanout(txns: usize, clients: usize) -> Vec<Cell> {
     let lane = Lane {
         base: tuned_config,
         wires: &[Wire::InProcess],
@@ -149,11 +149,11 @@ pub fn run_fanout(txns: usize, clients: usize) -> Vec<Cell> {
 }
 
 /// The intended-abort sweep points.
-pub const ABORT_RATES: [f64; 3] = [0.0, 0.2, 0.4];
+pub(crate) const ABORT_RATES: [f64; 3] = [0.0, 0.2, 0.4];
 
 /// Lane 3 — intended aborts: the generic Zipf mix with the
 /// transaction-logic abort dial at 0%, 20%, 40%.
-pub fn run_aborts(txns: usize, clients: usize) -> Vec<Cell> {
+pub(crate) fn run_aborts(txns: usize, clients: usize) -> Vec<Cell> {
     let lane = Lane {
         base: tuned_config,
         wires: &[Wire::InProcess],
@@ -178,7 +178,7 @@ pub fn run_aborts(txns: usize, clients: usize) -> Vec<Cell> {
 /// one [`Point`]. The oracle is the escrow bound: a correct `Reserve`
 /// path never drives a stock counter negative. The axis column names the
 /// wire.
-pub fn run_wire(txns: usize, clients: usize) -> Vec<Cell> {
+pub(crate) fn run_wire(txns: usize, clients: usize) -> Vec<Cell> {
     let lane = Lane {
         base: wire_config,
         wires: &WIRES,
@@ -208,7 +208,7 @@ pub fn table(title: &str, axis_header: &'static str, rows: &[Cell]) -> TextTable
 /// [`Regime::ALL`] entry). These lines are what OPERATORS.md's regime map
 /// is built from; `done/s` is reported alongside because the C3 lane's
 /// interesting quantity is completions, not just commits.
-pub fn winners(lane: &str, rows: &[Cell]) -> Vec<String> {
+pub(crate) fn winners(lane: &str, rows: &[Cell]) -> Vec<String> {
     let mut axes: Vec<&str> = Vec::new();
     for r in rows {
         if !axes.contains(&r.axis.as_str()) {

@@ -48,7 +48,7 @@ pub fn run(crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
 
 /// Central-system crash sweep (extension: coordinator-side recovery with
 /// a forced decision log and presumed abort).
-pub fn run_central(crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
+pub(crate) fn run_central(crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
     sweep(SiteId::CENTRAL, crash_times_us, outage_ms)
 }
 
@@ -99,7 +99,7 @@ fn sweep(victim: SiteId, crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
 }
 
 /// Render the central-crash report table.
-pub fn central_table(rows: &[Row]) -> TextTable {
+pub(crate) fn central_table(rows: &[Row]) -> TextTable {
     let mut t = TextTable::new(
         "E5b — central-system crash sweep (coordinator crashes mid-protocol; decision log + presumed abort)",
         &[
@@ -128,7 +128,7 @@ pub fn central_table(rows: &[Row]) -> TextTable {
 }
 
 /// Shape checks for the central sweep.
-pub fn central_verdicts(rows: &[Row]) -> Vec<String> {
+pub(crate) fn central_verdicts(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
     out.push(verdict(
         rows.iter().all(|r| r.atomic),
@@ -286,7 +286,7 @@ pub fn run_nemesis(seeds: &[u64]) -> Vec<NemesisRow> {
 }
 
 /// Render the nemesis sweep table.
-pub fn nemesis_table(rows: &[NemesisRow]) -> TextTable {
+pub(crate) fn nemesis_table(rows: &[NemesisRow]) -> TextTable {
     let mut t = TextTable::new(
         "E5c — nemesis chaos sweep (seeded composed crash/torn-tail/partition/loss-burst schedules)",
         &[
@@ -327,7 +327,7 @@ pub fn nemesis_table(rows: &[NemesisRow]) -> TextTable {
 }
 
 /// Shape checks for the nemesis sweep.
-pub fn nemesis_verdicts(rows: &[NemesisRow]) -> Vec<String> {
+pub(crate) fn nemesis_verdicts(rows: &[NemesisRow]) -> Vec<String> {
     let mut out = Vec::new();
     let clean = rows.iter().all(|r| r.violations == 0);
     out.push(verdict(

@@ -20,12 +20,12 @@ pub use amc_rpc::Wire;
 /// The two wires every in-process-vs-TCP lane compares (E10, E13, E15):
 /// function calls, and thread-per-connection servers under the pooled
 /// client over loopback.
-pub const WIRES: [Wire; 2] = [Wire::InProcess, Wire::ThreadedPooled];
+pub(crate) const WIRES: [Wire; 2] = [Wire::InProcess, Wire::ThreadedPooled];
 
 /// A program batch in the form `run_concurrent` consumes.
 pub type ProgramBatch = Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)>;
 
-/// A lane's engine tuning: [`tuned_config`] or [`wire_config`].
+/// A lane's engine tuning: [`tuned_config`] or `wire_config`.
 pub type BaseConfig = fn(u32, ProtocolKind, ConflictPolicy) -> FederationConfig;
 
 /// The benchmark tuning every throughput experiment shares: short lock
@@ -72,7 +72,11 @@ pub fn tuned_config(
 /// engines with **no** modelled delays — real syscall and scheduling cost
 /// is the thing measured, so nothing synthetic is added on any wire — and
 /// the short timeouts of [`tuned_config`].
-pub fn wire_config(sites: u32, protocol: ProtocolKind, policy: ConflictPolicy) -> FederationConfig {
+pub(crate) fn wire_config(
+    sites: u32,
+    protocol: ProtocolKind,
+    policy: ConflictPolicy,
+) -> FederationConfig {
     let mut cfg = FederationConfig::uniform(sites, protocol);
     cfg.policy = policy;
     cfg.tpl.lock_timeout = Duration::from_millis(100);
@@ -101,7 +105,7 @@ pub enum Regime {
 
 impl Regime {
     /// The three protocols without options, in `ProtocolKind::ALL` order.
-    pub const PROTOCOLS: [Regime; 3] = [
+    pub(crate) const PROTOCOLS: [Regime; 3] = [
         Regime::Classic2pc,
         Regime::CommitAfter,
         Regime::CommitBefore,
@@ -143,7 +147,7 @@ impl Regime {
         }
     }
 
-    /// This regime over `base` ([`tuned_config`] or [`wire_config`]).
+    /// This regime over `base` ([`tuned_config`] or `wire_config`).
     pub fn config(self, sites: u32, base: BaseConfig) -> FederationConfig {
         let cfg = base(sites, self.protocol(), self.policy());
         if self == Regime::FastPath {
@@ -204,7 +208,7 @@ pub fn load(fed: &Federation, objects: u64) {
 /// A federation for `protocol` with `policy` on the in-process wire over
 /// untuned engines, every site loaded with the spec's initial data, the
 /// oracle recording on (E6).
-pub fn build_recording_federation(
+pub(crate) fn build_recording_federation(
     protocol: ProtocolKind,
     policy: ConflictPolicy,
     spec: &WorkloadSpec,
@@ -229,13 +233,13 @@ pub fn batch(programs: Vec<GlobalProgram>) -> ProgramBatch {
 }
 
 /// Generate `n` programs as a batch.
-pub fn program_batch(spec: &WorkloadSpec, seed: u64, n: usize) -> ProgramBatch {
+pub(crate) fn program_batch(spec: &WorkloadSpec, seed: u64, n: usize) -> ProgramBatch {
     batch(WorkloadGen::new(spec.clone(), seed).programs(n))
 }
 
 /// The increment-heavy mix (90% increments, the rest reads — the MLT sweet
 /// spot) over 3 sites of 64 objects, two sites per transaction.
-pub fn increment_heavy(zipf_theta: f64, ops_per_txn: usize) -> WorkloadSpec {
+pub(crate) fn increment_heavy(zipf_theta: f64, ops_per_txn: usize) -> WorkloadSpec {
     WorkloadSpec {
         sites: 3,
         objects_per_site: 64,
@@ -274,7 +278,13 @@ pub struct Point {
 impl Point {
     /// `txns` programs of the parameterised mix `spec`, drawn from `seed`,
     /// at coordinate `x` (labelled as `x` prints).
-    pub fn of_spec(x: f64, spec: &WorkloadSpec, seed: u64, txns: usize, clients: usize) -> Point {
+    pub(crate) fn of_spec(
+        x: f64,
+        spec: &WorkloadSpec,
+        seed: u64,
+        txns: usize,
+        clients: usize,
+    ) -> Point {
         Point {
             axis: x.to_string(),
             x,
@@ -287,7 +297,7 @@ impl Point {
     }
 
     /// `txns` programs of the contention-aware mix `kind`, drawn from `seed`.
-    pub fn of_mix(
+    pub(crate) fn of_mix(
         x: f64,
         kind: MixKind,
         spec: &MixSpec,
@@ -307,7 +317,7 @@ impl Point {
     }
 
     /// The same point under the label its table prints.
-    pub fn labelled(self, axis: String) -> Point {
+    pub(crate) fn labelled(self, axis: String) -> Point {
         Point { axis, ..self }
     }
 }
@@ -403,7 +413,7 @@ pub fn sweep(
 
 /// The `(transactions, client threads)` most lanes run at: `report quick`
 /// or the full report.
-pub fn sizes(quick: bool) -> (usize, usize) {
+pub(crate) fn sizes(quick: bool) -> (usize, usize) {
     if quick {
         (60, 4)
     } else {

@@ -85,7 +85,7 @@ impl Col {
     }
 
     /// A column the lane fills itself.
-    pub const fn fact(header: &'static str) -> Col {
+    pub(crate) const fn fact(header: &'static str) -> Col {
         Col { header, cell: None }
     }
 
@@ -95,56 +95,61 @@ impl Col {
     }
 
     /// Globally committed transactions.
-    pub const COMMITS: Col = Col::metric("commits", |m| m.committed.to_string());
+    pub(crate) const COMMITS: Col = Col::metric("commits", |m| m.committed.to_string());
     /// Committed transactions per second of wall clock.
-    pub const TXN_S: Col = Col::metric("txn/s", |m| opt2(m.throughput()));
+    pub(crate) const TXN_S: Col = Col::metric("txn/s", |m| opt2(m.throughput()));
     /// Commits plus aborts per second: aborted work costs time too.
-    pub const DONE_S: Col = Col::metric("done/s", |m| opt2(m.completions_per_sec()));
+    pub(crate) const DONE_S: Col = Col::metric("done/s", |m| opt2(m.completions_per_sec()));
     /// Median commit latency, ms.
-    pub const P50_MS: Col = Col::metric("p50 ms", |m| opt2(m.latency_p50_ms()));
+    pub(crate) const P50_MS: Col = Col::metric("p50 ms", |m| opt2(m.latency_p50_ms()));
     /// 99th-percentile (nearest-rank) commit latency, ms.
-    pub const P99_MS: Col = Col::metric("p99 ms", |m| opt2(m.latency_p99_ms()));
+    pub(crate) const P99_MS: Col = Col::metric("p99 ms", |m| opt2(m.latency_p99_ms()));
     /// Median commit latency, µs.
-    pub const P50_US: Col = Col::metric("p50 µs", |m| us(m.latency_us.p50()));
+    pub(crate) const P50_US: Col = Col::metric("p50 µs", |m| us(m.latency_us.p50()));
     /// 99th-percentile (nearest-rank) commit latency, µs.
-    pub const P99_US: Col = Col::metric("p99 µs", |m| us(m.latency_us.p99()));
+    pub(crate) const P99_US: Col = Col::metric("p99 µs", |m| us(m.latency_us.p99()));
     /// Mean commit latency, ms.
-    pub const MEAN_MS: Col = Col::metric("latency ms", |m| opt2(m.mean_latency_ms()));
+    pub(crate) const MEAN_MS: Col = Col::metric("latency ms", |m| opt2(m.mean_latency_ms()));
     /// Mean L0 lock tenure per (transaction, site), ms.
-    pub const L0_HOLD_MS: Col = Col::metric("l0-hold ms", |m| opt2(m.mean_l0_hold_ms()));
+    pub(crate) const L0_HOLD_MS: Col = Col::metric("l0-hold ms", |m| opt2(m.mean_l0_hold_ms()));
     /// Protocol messages per committed transaction.
-    pub const MSG_PER_TXN: Col = Col::metric("msg/txn", |m| opt2(m.messages_per_commit()));
+    pub(crate) const MSG_PER_TXN: Col = Col::metric("msg/txn", |m| opt2(m.messages_per_commit()));
     /// Fraction of attempts that globally aborted.
-    pub const ABORT_RATE: Col = Col::metric("abort", |m| opt3(m.abort_rate()));
+    pub(crate) const ABORT_RATE: Col = Col::metric("abort", |m| opt3(m.abort_rate()));
     /// Fraction of attempts aborted by the transaction's own logic.
-    pub const INTENDED_RATE: Col = Col::metric("intended", |m| opt3(m.intended_abort_rate()));
+    pub(crate) const INTENDED_RATE: Col =
+        Col::metric("intended", |m| opt3(m.intended_abort_rate()));
     /// Intended aborts, counted.
-    pub const INTENDED_ABORTS: Col = Col::metric("aborts", |m| m.aborted_intended.to_string());
+    pub(crate) const INTENDED_ABORTS: Col =
+        Col::metric("aborts", |m| m.aborted_intended.to_string());
     /// Casualties of contention: erroneous aborts plus L1 rejections.
-    pub const CONTENTION_ABORTS: Col = Col::metric("contention-aborts", |m| {
+    pub(crate) const CONTENTION_ABORTS: Col = Col::metric("contention-aborts", |m| {
         (m.aborted_erroneous + m.l1_rejections).to_string()
     });
     /// Attempts turned away at L1 acquisition.
-    pub const L1_REJECTIONS: Col = Col::metric("l1-rejections", |m| m.l1_rejections.to_string());
+    pub(crate) const L1_REJECTIONS: Col =
+        Col::metric("l1-rejections", |m| m.l1_rejections.to_string());
     /// Commit-after repetitions per committed transaction (§3.2).
-    pub const REDOS_PER_COMMIT: Col = Col::metric("redos/commit", |m| opt3(m.redos_per_commit()));
+    pub(crate) const REDOS_PER_COMMIT: Col =
+        Col::metric("redos/commit", |m| opt3(m.redos_per_commit()));
     /// Commit-before inverse transactions per intended abort (§3.3).
-    pub const UNDOS_PER_ABORT: Col = Col::metric("undos/abort", |m| opt3(m.undos_per_abort()));
+    pub(crate) const UNDOS_PER_ABORT: Col =
+        Col::metric("undos/abort", |m| opt3(m.undos_per_abort()));
     /// Physical log forces across all engines.
-    pub const FORCES: Col = Col::metric("forces", |m| m.log_forces.to_string());
+    pub(crate) const FORCES: Col = Col::metric("forces", |m| m.log_forces.to_string());
     /// Forces issued by group-commit leaders.
-    pub const GRP_FORCES: Col = Col::metric("grp-forces", |m| m.group_forces.to_string());
+    pub(crate) const GRP_FORCES: Col = Col::metric("grp-forces", |m| m.group_forces.to_string());
     /// Commit/prepare records acknowledged through group-commit batches.
-    pub const BATCHED: Col = Col::metric("batched", |m| m.batched_commits.to_string());
+    pub(crate) const BATCHED: Col = Col::metric("batched", |m| m.batched_commits.to_string());
     /// Physical forces per durably acknowledged record.
-    pub const FORCES_PER_COMMIT: Col =
+    pub(crate) const FORCES_PER_COMMIT: Col =
         Col::metric("forces/commit", |m| opt2(m.forces_per_commit()));
     /// Load-shed replies absorbed per committed transaction.
-    pub const SHED_PER_TXN: Col = Col::metric("shed/txn", |m| opt2(m.sheds_per_commit()));
+    pub(crate) const SHED_PER_TXN: Col = Col::metric("shed/txn", |m| opt2(m.sheds_per_commit()));
 }
 
 /// A lane's table: one row per measured cell, `cols` in order. Each row
-/// brings its facts — one per [`Col::fact`] column, in column order — and
+/// brings its facts — one per `Col::fact` column, in column order — and
 /// the `RunMetrics` every other column is printed from.
 pub fn cells<'a>(
     title: &str,
@@ -185,20 +190,20 @@ pub fn section(tables: &[TextTable], lines: &[String]) -> String {
 }
 
 /// Format a float with 2 decimals.
-pub fn f2(x: f64) -> String {
+pub(crate) fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
 /// Format an optional statistic with 2 decimals. An absent value (the
 /// underlying sample count was zero) renders as `n=0` — never NaN, never a
 /// fabricated 0.00.
-pub fn opt2(x: Option<f64>) -> String {
+pub(crate) fn opt2(x: Option<f64>) -> String {
     x.map_or_else(|| "n=0".to_string(), f2)
 }
 
 /// Format an optional statistic with 3 decimals (rates/fractions), with
 /// the same `n=0` convention as [`opt2`].
-pub fn opt3(x: Option<f64>) -> String {
+pub(crate) fn opt3(x: Option<f64>) -> String {
     x.map_or_else(|| "n=0".to_string(), |x| format!("{x:.3}"))
 }
 

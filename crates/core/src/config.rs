@@ -16,7 +16,7 @@ use std::time::Duration;
 /// gtx seen in a log or trace names its coordinator via [`coord_slot_of`].
 /// 2^40 ids per slot leaves room for 2^21 slots below the reserved marker
 /// region (`MARKER_BIT = 1<<63`).
-pub const COORD_GTX_SPAN: u64 = 1 << 40;
+pub(crate) const COORD_GTX_SPAN: u64 = 1 << 40;
 
 /// Which coordinator slot allocated `gtx` (slot 0 for unsharded runs,
 /// whose ids start at 1).
@@ -167,7 +167,7 @@ impl FederationConfig {
 
     /// Run this federation instance as coordinator `slot` of a
     /// `coordinators`-wide sharded topology: its global transaction ids
-    /// are allocated from the slot's disjoint [`COORD_GTX_SPAN`] range, so
+    /// are allocated from the slot's disjoint `COORD_GTX_SPAN` range, so
     /// concurrent coordinators driving the same site fleet never collide.
     pub fn sharded(mut self, slot: u32, coordinators: u32) -> Self {
         assert!(slot < coordinators, "slot must be < coordinators");
@@ -227,13 +227,13 @@ impl FederationConfig {
     }
 
     /// Number of local sites.
-    pub fn site_count(&self) -> u32 {
+    pub(crate) fn site_count(&self) -> u32 {
         self.engines.len() as u32
     }
 
     /// Whether this configuration can run at all: 2PC needs every engine to
     /// be preparable (the paper's infeasibility argument, §3.1).
-    pub fn is_runnable(&self) -> bool {
+    pub(crate) fn is_runnable(&self) -> bool {
         self.protocol != ProtocolKind::TwoPhaseCommit
             || self.engines.iter().all(|e| *e == EngineKind::TwoPL)
     }

@@ -14,8 +14,8 @@
 use amc_net::Payload;
 use amc_obs::{EventKind, ObsSink};
 use amc_types::{
-    AmcError, AmcResult, GlobalPhase, GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation,
-    ProtocolKind, SiteId,
+    AmcError, AmcResult, GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation, ProtocolKind,
+    SiteId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -53,7 +53,7 @@ impl CoordEvent {
     /// What `site`'s answer to a coordinator message — or the failure to
     /// get one — means to the machine. An outage is an event; any other
     /// error, or a reply no participant should send, is the caller's.
-    pub fn from_reply(site: SiteId, reply: AmcResult<Payload>) -> AmcResult<Self> {
+    pub(crate) fn from_reply(site: SiteId, reply: AmcResult<Payload>) -> AmcResult<Self> {
         match reply {
             Ok(Payload::Vote { vote, .. }) => Ok(CoordEvent::Vote { site, vote }),
             Ok(Payload::Finished { .. }) => Ok(CoordEvent::Finished { site }),
@@ -202,7 +202,7 @@ impl Coordinator {
     /// rows), and this machine is a commit-before coordinator
     /// of one — a ready vote is the commit, a lost reply is inquired about
     /// and undone if the site had committed (§3.3).
-    pub fn with_piggyback(mut self) -> Self {
+    pub(crate) fn with_piggyback(mut self) -> Self {
         debug_assert_eq!(
             self.protocol,
             ProtocolKind::TwoPhaseCommit,
@@ -254,19 +254,6 @@ impl Coordinator {
     /// The decision, once made.
     pub fn verdict(&self) -> Option<GlobalVerdict> {
         self.verdict
-    }
-
-    /// The paper's global-transaction phase (Figs. 2/4/6 left columns).
-    pub fn phase(&self) -> GlobalPhase {
-        match (self.round, self.verdict) {
-            (Round::Work, _) if self.votes.values().all(Option::is_none) => GlobalPhase::Running,
-            (Round::Work, _) | (Round::Prepare, _) => GlobalPhase::Inquiring,
-            (Round::Finish, Some(GlobalVerdict::Commit)) => GlobalPhase::WaitingToCommit,
-            (Round::Finish, Some(GlobalVerdict::Abort)) => GlobalPhase::WaitingToAbort,
-            (Round::Done, Some(GlobalVerdict::Commit)) => GlobalPhase::Committed,
-            (Round::Done, _) => GlobalPhase::Aborted,
-            (Round::Finish, None) => unreachable!("finish round implies a verdict"),
-        }
     }
 
     /// True once the protocol is complete.
@@ -537,7 +524,7 @@ impl Coordinator {
     /// repeat it (§3.2) — and re-inquire every site whose final state is
     /// still unknown after a commit-before abort: losing either the
     /// one-shot inquiry or its answer must not end the inquiry (§3.3).
-    pub fn outstanding(&self) -> Vec<(SiteId, Payload)> {
+    pub(crate) fn outstanding(&self) -> Vec<(SiteId, Payload)> {
         let inquiry = |site: &SiteId| (*site, Payload::Prepare { gtx: self.gtx });
         match self.round {
             Round::Work | Round::Prepare => self
@@ -592,9 +579,26 @@ impl Coordinator {
 }
 
 #[cfg(test)]
+impl Coordinator {
+    /// The paper's global-transaction phase (Figs. 2/4/6 left columns).
+    pub(crate) fn phase(&self) -> amc_types::GlobalPhase {
+        use amc_types::GlobalPhase;
+        match (self.round, self.verdict) {
+            (Round::Work, _) if self.votes.values().all(Option::is_none) => GlobalPhase::Running,
+            (Round::Work, _) | (Round::Prepare, _) => GlobalPhase::Inquiring,
+            (Round::Finish, Some(GlobalVerdict::Commit)) => GlobalPhase::WaitingToCommit,
+            (Round::Finish, Some(GlobalVerdict::Abort)) => GlobalPhase::WaitingToAbort,
+            (Round::Done, Some(GlobalVerdict::Commit)) => GlobalPhase::Committed,
+            (Round::Done, _) => GlobalPhase::Aborted,
+            (Round::Finish, None) => unreachable!("finish round implies a verdict"),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use amc_types::Value;
+    use amc_types::{GlobalPhase, Value};
 
     fn gtx() -> GlobalTxnId {
         GlobalTxnId::new(1)

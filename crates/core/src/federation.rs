@@ -800,11 +800,11 @@ impl Federation {
     /// demands, and the transaction's retained L1 locks are finally
     /// released.
     ///
-    /// One pass per coordinator per call, from what it has
-    /// [outstanding](Coordinator::outstanding); one whose sites are still
-    /// down stays parked, and so does every coordinator not yet done when
-    /// a pass fails with something other than an outage — that error is
-    /// returned. Otherwise returns how many owed messages were discharged.
+    /// One pass per coordinator per call, from what it has outstanding;
+    /// one whose sites are still down stays parked, and so does every
+    /// coordinator not yet done when a pass fails with something other
+    /// than an outage — that error is returned. Otherwise returns how many
+    /// owed messages were discharged.
     pub fn resolve_pending(&self) -> AmcResult<usize> {
         let parked = std::mem::take(&mut *self.unresolved.lock());
         let mut discharged = 0usize;

@@ -44,7 +44,6 @@ pub mod simdrive;
 pub use amc_types::ProtocolKind;
 pub use config::{
     coord_slot_of, owner_slot_of, CoordIdentity, FederationConfig, PaxosCommitConfig,
-    COORD_GTX_SPAN,
 };
 pub use coordinator::{CoordAction, CoordEvent, Coordinator};
 pub use drive::{closed_loop, Program};

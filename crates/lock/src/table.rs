@@ -154,7 +154,7 @@ where
     /// deadlock victim or timed-out waiter keeps its locks until rollback
     /// has finished — strict 2PL). Returns transactions newly granted
     /// because the cancelled entry was blocking them.
-    pub fn cancel_waits(&mut self, txn: T) -> Vec<T> {
+    pub(crate) fn cancel_waits(&mut self, txn: T) -> Vec<T> {
         self.purge(txn, false)
     }
 
@@ -212,7 +212,7 @@ where
     }
 
     /// The mode `txn` holds on `resource`, if any.
-    pub fn held_mode(&self, txn: T, resource: R) -> Option<M> {
+    pub(crate) fn held_mode(&self, txn: T, resource: R) -> Option<M> {
         self.resources
             .get(&resource)
             .and_then(|s| s.granted.iter().find(|(t, _)| *t == txn).map(|(_, m)| *m))

@@ -24,7 +24,7 @@
 //! work it describes:
 //!
 //! * commit-before's forward transaction writes its marker and the before
-//!   images its inverse will need ([`crate::marker::before_image`] rows);
+//!   images its inverse will need (`crate::marker::before_image` rows);
 //!   the rest of the inverse is a function of the forward program, which
 //!   the coordinator re-ships in its `Undo`;
 //! * a 2PC prepare names its global transaction in the engine's own
@@ -495,7 +495,7 @@ impl LocalCommManager {
 
     /// The local transaction currently associated with `gtx` (none once
     /// commit-before work has committed: that local transaction is over).
-    pub fn local_txn_of(&self, gtx: GlobalTxnId) -> Option<LocalTxnId> {
+    pub(crate) fn local_txn_of(&self, gtx: GlobalTxnId) -> Option<LocalTxnId> {
         self.snapshot_of(gtx)?.ltx
     }
 
@@ -719,7 +719,7 @@ impl LocalCommManager {
     ///   and recovery resurrects the prepare exactly like a classic one.
     /// * piggyback under the portable protocols: their vote already rides
     ///   the submit reply, so the ordinary submit path *is* the fast path.
-    pub fn handle_submit_prepare(
+    pub(crate) fn handle_submit_prepare(
         &self,
         gtx: GlobalTxnId,
         ops: Vec<Operation>,

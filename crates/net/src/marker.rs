@@ -56,14 +56,14 @@ const IMAGE_INDEX_SHIFT: u32 = 49;
 /// commit (§3.3's undo-log, "written into the existing database by the
 /// local transaction"). `None` past the id space: transaction ids from
 /// `1 << 49` on, or operations from the 4 096th on.
-pub fn before_image(gtx: GlobalTxnId, index: usize) -> Option<ObjectId> {
+pub(crate) fn before_image(gtx: GlobalTxnId, index: usize) -> Option<ObjectId> {
     let index = u64::try_from(index).ok().filter(|i| *i < 1 << 12)?;
     let row = ObjectId::RESERVED | IMAGE_BITS | index << IMAGE_INDEX_SHIFT | gtx.raw();
     (gtx.raw() < 1 << IMAGE_INDEX_SHIFT).then_some(ObjectId::new(row))
 }
 
 /// The transaction whose forward marker `obj` is, if it is one.
-pub fn forward_gtx(obj: ObjectId) -> Option<GlobalTxnId> {
+pub(crate) fn forward_gtx(obj: ObjectId) -> Option<GlobalTxnId> {
     let raw = obj.raw() & !ObjectId::RESERVED;
     let forward = obj.is_reserved() && raw & (UNDO_BIT | EPOCH_BIT) == 0;
     forward.then(|| GlobalTxnId::new(raw))
@@ -74,12 +74,12 @@ pub fn is_marker(obj: ObjectId) -> bool {
     obj.is_reserved()
 }
 
-/// Largest workload object id that avoids the reserved region.
-pub const MAX_USER_OBJECT: u64 = (1 << 62) - 1;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Largest workload object id that avoids the reserved region.
+    const MAX_USER_OBJECT: u64 = (1 << 62) - 1;
 
     #[test]
     fn markers_are_distinct_and_reserved() {

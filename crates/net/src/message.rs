@@ -276,7 +276,7 @@ impl Envelope {
     }
 
     /// The Fig. 1 invariant: every message involves the central system.
-    pub fn respects_star_topology(&self) -> bool {
+    pub(crate) fn respects_star_topology(&self) -> bool {
         (self.from.is_central() || self.to.is_central()) && self.from != self.to
     }
 }

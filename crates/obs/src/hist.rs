@@ -76,11 +76,6 @@ impl Histogram {
     pub fn min(&self) -> Option<u64> {
         self.samples.iter().copied().min()
     }
-
-    /// Merge another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -128,17 +123,6 @@ mod tests {
         assert_eq!(h.p99(), Some(42));
         assert_eq!(h.min(), Some(42));
         assert_eq!(h.max(), Some(42));
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = Histogram::new();
-        a.record(1);
-        let mut b = Histogram::new();
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.n(), 2);
-        assert_eq!(a.max(), Some(3));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   [`EventLog::render_timeline`]) — the `explain` binary's backbone;
 //! * [`DerivedStats`] histograms ([`EventLog::derive`]): commit latency,
 //!   blocking-window length, redo/undo chain depth, messages per
-//!   transaction — the p50/p99 columns in the E1–E5 report tables.
+//!   transaction — read by E5's crash tables and the `explain` binary.
 //!
 //! The [`ObsSink`] handle is a cheap-to-clone `Option<Arc<..>>`; a disabled
 //! sink ([`ObsSink::disabled`]) costs one branch per emission site, so every

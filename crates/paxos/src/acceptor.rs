@@ -315,7 +315,7 @@ impl DurableAcceptor {
     /// Hand the fsync responsibility to an external group-syncer:
     /// `persist` appends without syncing, and the host fsyncs batches via
     /// [`DurableAcceptor::sync_handle`]. See the struct docs' contract.
-    pub fn set_deferred_sync(&mut self, deferred: bool) {
+    pub(crate) fn set_deferred_sync(&mut self, deferred: bool) {
         self.deferred_sync = deferred;
     }
 

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 /// Bound on ballot-bumping retries before a finish attempt gives up (the
 /// caller's next pass starts fresh).
-pub const MAX_BALLOT_ATTEMPTS: u32 = 8;
+pub(crate) const MAX_BALLOT_ATTEMPTS: u32 = 8;
 
 /// A coordinator replica's view of the acceptor group.
 pub struct ReplicaDriver<'a> {
@@ -61,7 +61,7 @@ impl<'a> ReplicaDriver<'a> {
     /// reachable acceptors. Errs unless a majority answered — with fewer,
     /// a transaction registered at only the unreachable minority could be
     /// missed and silently presumed absent.
-    pub fn open_transactions(&self) -> AmcResult<Vec<PaxosOpenEntry>> {
+    pub(crate) fn open_transactions(&self) -> AmcResult<Vec<PaxosOpenEntry>> {
         let mut reachable = 0usize;
         let mut union: BTreeMap<GlobalTxnId, PaxosOpenEntry> = BTreeMap::new();
         for a in &self.acceptors {

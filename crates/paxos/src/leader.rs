@@ -39,7 +39,7 @@ impl CommitLedger {
     }
 
     /// True when a majority of `total` acceptors accepted `instance`.
-    pub fn chosen(&self, instance: SiteId, total: usize) -> bool {
+    pub(crate) fn chosen(&self, instance: SiteId, total: usize) -> bool {
         self.accepted
             .get(&instance)
             .map(|s| s.len() >= majority(total))
@@ -54,7 +54,7 @@ impl CommitLedger {
 
 /// What a recovery leader proposes after phase 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryPlan {
+pub(crate) struct RecoveryPlan {
     /// The union of participant sets reported by the promising acceptors.
     pub participants: Vec<SiteId>,
     /// The value to propose per instance at the new ballot.
@@ -63,7 +63,7 @@ pub struct RecoveryPlan {
 
 impl RecoveryPlan {
     /// The verdict these values decide once every instance is chosen.
-    pub fn verdict(&self) -> GlobalVerdict {
+    pub(crate) fn verdict(&self) -> GlobalVerdict {
         if !self.values.is_empty() && self.values.values().all(|p| *p) {
             GlobalVerdict::Commit
         } else {
@@ -80,7 +80,7 @@ impl RecoveryPlan {
 ///
 /// `hint` seeds the participant set for the caller that already knows it
 /// (e.g. from its own acceptor's registration).
-pub fn plan_from_promises(hint: &[SiteId], promises: &[PromiseOutcome]) -> RecoveryPlan {
+pub(crate) fn plan_from_promises(hint: &[SiteId], promises: &[PromiseOutcome]) -> RecoveryPlan {
     let mut participants: BTreeSet<SiteId> = hint.iter().copied().collect();
     for p in promises {
         participants.extend(p.participants.iter().copied());

@@ -37,7 +37,7 @@ pub mod transport;
 
 pub use acceptor::{AcceptorState, DurableAcceptor, PromiseOutcome, Record};
 pub use ballot::Ballot;
-pub use driver::{ReplicaDriver, MAX_BALLOT_ATTEMPTS};
+pub use driver::ReplicaDriver;
 pub use host::AcceptorHost;
-pub use leader::{majority, plan_from_promises, CommitLedger, RecoveryPlan};
+pub use leader::{majority, CommitLedger};
 pub use transport::AcceptorTransport;

@@ -21,7 +21,8 @@
 
 use super::Flags;
 use crate::fleet::Server;
-use crate::{SiteRecoveryManager, Wire};
+use crate::recovery::SiteRecoveryManager;
+use crate::Wire;
 use amc_core::submit_mode_for;
 use amc_engine::{TplConfig, TwoPLEngine};
 use amc_net::comm::EngineHandle;

@@ -65,7 +65,7 @@ impl RetryPolicy {
     /// jittered value inside `[envelope/2, envelope]` (equal jitter) so
     /// that the many clients a coordinator runs — one per site — do not
     /// re-dial a recovering site in lockstep after a shared outage.
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff_after(&self, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(1).min(16);
         self.backoff_base
             .saturating_mul(1u32 << exp)
@@ -88,7 +88,7 @@ impl RetryPolicy {
 /// dial, how long to wait, and where to report what it does.
 pub(crate) struct Endpoint {
     site: SiteId,
-    addr: Mutex<SocketAddr>,
+    addr: SocketAddr,
     pub(crate) policy: RetryPolicy,
     ever_connected: AtomicBool,
     obs: ObsSink,
@@ -98,9 +98,8 @@ impl Endpoint {
     /// Dial a fresh connection; every dial after the first is a
     /// reconnect and is traced as one.
     pub(crate) fn dial(&self) -> Result<TcpStream, ()> {
-        let addr = *self.addr.lock();
         let conn =
-            TcpStream::connect_timeout(&addr, self.policy.connect_timeout).map_err(|_| ())?;
+            TcpStream::connect_timeout(&self.addr, self.policy.connect_timeout).map_err(|_| ())?;
         let _ = conn.set_nodelay(true);
         if self.ever_connected.swap(true, Ordering::Relaxed) {
             self.obs.emit(
@@ -167,9 +166,6 @@ pub(crate) trait Link: Send + Sync {
     fn attempt(&self, ep: &Endpoint, frame: &Frame) -> Result<Frame, ()> {
         self.finish(ep, self.start(ep, frame)?)
     }
-
-    /// Drop every connection (the address changed).
-    fn reset(&self);
 }
 
 impl Link for Box<dyn Link> {
@@ -178,9 +174,6 @@ impl Link for Box<dyn Link> {
     }
     fn finish(&self, ep: &Endpoint, sent: InFlight) -> Result<Frame, ()> {
         (**self).finish(ep, sent)
-    }
-    fn reset(&self) {
-        (**self).reset();
     }
 }
 
@@ -209,7 +202,7 @@ impl<L: Link> Core<L> {
         Core {
             ep: Endpoint {
                 site,
-                addr: Mutex::new(addr),
+                addr,
                 policy,
                 ever_connected: AtomicBool::new(false),
                 obs,
@@ -225,11 +218,6 @@ impl<L: Link> Core<L> {
 
     pub(crate) fn sheds(&self) -> u64 {
         self.sheds.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_addr(&self, addr: SocketAddr) {
-        *self.ep.addr.lock() = addr;
-        self.link.reset();
     }
 
     /// Next jitter word (SplitMix64).
@@ -394,13 +382,6 @@ macro_rules! client_surface {
                 self.core.sheds()
             }
 
-            /// Point the client at a new address (a restarted site may
-            /// come back on a different port). Connections to the old
-            /// address are dropped.
-            pub fn set_addr(&self, addr: SocketAddr) {
-                self.core.set_addr(addr);
-            }
-
             /// Send one protocol message and wait for the site's reply.
             pub fn call(&self, payload: Payload) -> AmcResult<Payload> {
                 self.core.call(payload)
@@ -460,10 +441,6 @@ impl Link for PooledLink {
         }
         self.idle.lock().push(conn);
         Ok(reply)
-    }
-
-    fn reset(&self) {
-        self.idle.lock().clear();
     }
 }
 

@@ -124,7 +124,7 @@ fn coord_reply_for_frame(frame: Frame, federation: &Federation, info: &CoordInfo
 
 /// A blocking client for one coordinator server.
 ///
-/// [`CoordClient::ping`] and [`CoordClient::describe`] retry with the
+/// [`CoordClient::ping`] and `CoordClient::describe` retry with the
 /// policy's backoff (they are idempotent); [`CoordClient::exec`] makes
 /// exactly **one** attempt — a transaction is not idempotent, and a
 /// transport failure after the frame left leaves the outcome unknown, so
@@ -158,7 +158,7 @@ impl CoordClient {
     }
 
     /// Ask the coordinator who it is, retried per the policy.
-    pub fn describe(&self) -> AmcResult<CoordInfo> {
+    pub(crate) fn describe(&self) -> AmcResult<CoordInfo> {
         match self.request(CoordRequest::Describe, self.core.ep.policy.max_attempts)? {
             CoordReply::Coord {
                 slot,

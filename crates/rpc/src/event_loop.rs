@@ -72,7 +72,7 @@ pub const MAX_IN_FLIGHT_PER_CONN: usize = 64;
 /// get near it: [`MAX_IN_FLIGHT_PER_CONN`] bounds outstanding real
 /// replies, and shed replies only accumulate while the peer floods
 /// without reading — exactly the behaviour this cap punishes.
-pub const MAX_WBUF_BYTES: usize = 256 * 1024;
+pub(crate) const MAX_WBUF_BYTES: usize = 256 * 1024;
 
 /// Epoll tokens 0/1 are the listener and the waker; connections start
 /// above them.
@@ -104,7 +104,7 @@ pub struct EventServerStats {
     /// Requests dispatched to the handler.
     pub dispatched: u64,
     /// Connections closed because a stalled reader let its write buffer
-    /// exceed [`MAX_WBUF_BYTES`].
+    /// exceed `MAX_WBUF_BYTES`.
     pub wbuf_overflows: u64,
 }
 
@@ -258,7 +258,7 @@ impl EventServer {
     /// Like [`EventServer::spawn`], additionally mounting a co-located
     /// Paxos Commit acceptor (see
     /// [`SiteServer::spawn_with_acceptor`](crate::SiteServer::spawn_with_acceptor)).
-    pub fn spawn_with_acceptor(
+    pub(crate) fn spawn_with_acceptor(
         site: SiteId,
         manager: Arc<LocalCommManager>,
         mode: SubmitMode,

@@ -65,13 +65,13 @@ impl Wire {
 
     /// The server half alone, as `amc-site-server --runtime` names it:
     /// that runtime under the pooled client.
-    pub fn with_runtime(runtime: &str) -> Option<Wire> {
+    pub(crate) fn with_runtime(runtime: &str) -> Option<Wire> {
         Wire::parse(&format!("{runtime}+pooled"))
     }
 
     /// The client half alone, as `amc-loadgen --client` names it: that
     /// link against event-loop servers.
-    pub fn with_client(client: &str) -> Option<Wire> {
+    pub(crate) fn with_client(client: &str) -> Option<Wire> {
         Wire::parse(&format!("event-loop+{client}"))
     }
 

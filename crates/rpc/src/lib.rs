@@ -41,9 +41,9 @@
 //!   the server-runtime × client-link pairs above) and the one loopback
 //!   builder ([`Fleet`]) every experiment, the site-server binary and the
 //!   process tests deploy through;
-//! * [`recovery`] — durable restart: a site started with `--wal-dir`
+//! * `recovery` — durable restart: a site started with `--wal-dir`
 //!   persists its engine WAL there — its one durable file — and
-//!   [`SiteRecoveryManager`] rebuilds the engine and the manager's work
+//!   `SiteRecoveryManager` rebuilds the engine and the manager's work
 //!   map from it after a `kill -9`, resolving in-doubt transactions
 //!   through the coordinator's inquiry path;
 //! * [`cli`] — the bodies of the `amc-site-server`, `amc-loadgen`,
@@ -61,17 +61,16 @@ pub mod coord;
 pub mod event_loop;
 pub mod fleet;
 pub mod mux;
-pub mod recovery;
+mod recovery;
 pub mod server;
 pub mod transport;
 pub mod wire;
 
 pub use client::{RetryPolicy, RpcClient};
 pub use coord::{CoordClient, CoordInfo, CoordServer};
-pub use event_loop::{EventServer, EventServerStats, MAX_IN_FLIGHT_PER_CONN, MAX_WBUF_BYTES};
+pub use event_loop::{EventServer, EventServerStats, MAX_IN_FLIGHT_PER_CONN};
 pub use fleet::{Fleet, Wire};
 pub use mux::MuxClient;
-pub use recovery::SiteRecoveryManager;
 pub use server::SiteServer;
 pub use transport::TcpTransport;
-pub use wire::{Frame, FrameBuffer, FrameReadError, WireError, MAX_FRAME_LEN, WIRE_VERSION};
+pub use wire::{Frame, FrameBuffer, FrameReadError, WireError, WIRE_VERSION};

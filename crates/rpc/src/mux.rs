@@ -250,12 +250,6 @@ impl Link for MuxLink {
                 .wait_for(&mut reply, left.unwrap_or(READ_TICK).min(READ_TICK));
         }
     }
-
-    fn reset(&self) {
-        if let Some(chan) = self.chan.lock().take() {
-            chan.poison();
-        }
-    }
 }
 
 impl MuxLink {

@@ -11,7 +11,7 @@
 //! each prepare record (`amc_net::comm`'s module docs) — so every durable
 //! write of the site goes through the engine's group commit.
 //!
-//! [`SiteRecoveryManager::open`] performs the whole restart sequence and
+//! `SiteRecoveryManager::open` performs the whole restart sequence and
 //! returns a ready-to-serve manager plus the [`RecoveryStats`] the admin
 //! `Recovery` request reports. A first boot (empty directory) is just a
 //! recovery of zero records.
@@ -25,20 +25,20 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Builds (or rebuilds) one networked site from its durable state.
-pub struct SiteRecoveryManager {
+pub(crate) struct SiteRecoveryManager {
     wal_dir: PathBuf,
 }
 
 impl SiteRecoveryManager {
     /// Recovery rooted at `wal_dir` (created if absent).
-    pub fn new(wal_dir: impl Into<PathBuf>) -> Self {
+    pub(crate) fn new(wal_dir: impl Into<PathBuf>) -> Self {
         SiteRecoveryManager {
             wal_dir: wal_dir.into(),
         }
     }
 
     /// The engine WAL path for `site`.
-    pub fn wal_path(&self, site: SiteId) -> PathBuf {
+    pub(crate) fn wal_path(&self, site: SiteId) -> PathBuf {
         self.wal_dir.join(format!("site-{}.wal", site.raw()))
     }
 
@@ -52,7 +52,7 @@ impl SiteRecoveryManager {
     /// 3. record [`RecoveryStats`] for the admin `Recovery` request.
     ///
     /// The site can crash and recover this way any number of times.
-    pub fn open(
+    pub(crate) fn open(
         &self,
         site: SiteId,
         cfg: TplConfig,

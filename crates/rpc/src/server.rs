@@ -218,7 +218,7 @@ impl SiteServer {
     /// acceptor's durable log, vote replies are run through the
     /// vote-as-accept hook before they leave the process, and a
     /// participant's `Decision` closes its acceptor instances.
-    pub fn spawn_with_acceptor(
+    pub(crate) fn spawn_with_acceptor(
         site: SiteId,
         manager: Arc<LocalCommManager>,
         mode: SubmitMode,

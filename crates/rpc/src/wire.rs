@@ -37,7 +37,7 @@ pub const WIRE_VERSION: u8 = 1;
 
 /// Upper bound on the post-prefix frame length: anything larger is a
 /// corrupt or hostile frame and the connection is dropped.
-pub const MAX_FRAME_LEN: u32 = 4 << 20;
+pub(crate) const MAX_FRAME_LEN: u32 = 4 << 20;
 
 /// What a shard router (or any driver) asks of a coordinator server —
 /// the discovery/execution surface of the sharded topology (frame kind
@@ -160,7 +160,7 @@ impl Frame {
 pub enum WireError {
     /// The body does not match its row tables.
     Codec(CodecError),
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
+    /// The length prefix exceeds `MAX_FRAME_LEN`.
     Oversized(u32),
     /// Unknown wire version.
     BadVersion(u8),
@@ -249,7 +249,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 }
 
 /// Decode the post-prefix bytes of one frame (version byte onward).
-pub fn decode_frame_body(body: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn decode_frame_body(body: &[u8]) -> Result<Frame, WireError> {
     let mut r = Reader::new(body);
     let version = u8::get(&mut r)?;
     if version != WIRE_VERSION {

@@ -17,10 +17,10 @@
 //!   objects. Workload programs address nominal sites (the names baked
 //!   into their object ids); after an online `Remove { old, successor }`
 //!   reconfiguration the nominal site's objects live on the successor, and
-//!   [`ShardMap::rehome`] rewrites a program's site buckets accordingly.
+//!   `ShardMap::rehome` rewrites a program's site buckets accordingly.
 //!
 //! Maps are immutable values: a reconfiguration builds the next epoch with
-//! [`ShardMap::with_site_added`] / [`ShardMap::with_site_removed`] and the
+//! `ShardMap::with_site_added` / `ShardMap::with_site_removed` and the
 //! router swaps the `Arc` only after the epoch bump committed on every
 //! site. In-flight transactions keep the `Arc` they snapshotted — exactly
 //! the old-epoch stragglers the router's drain gate waits out.
@@ -102,7 +102,7 @@ impl ShardMap {
     /// Rewrite a nominally-addressed program to actual sites, merging
     /// buckets whose nominal sites share a home (ops append in ascending
     /// nominal order, so the result is deterministic).
-    pub fn rehome(
+    pub(crate) fn rehome(
         &self,
         per_site: &BTreeMap<SiteId, Vec<Operation>>,
     ) -> BTreeMap<SiteId, Vec<Operation>> {
@@ -117,7 +117,7 @@ impl ShardMap {
 
     /// The next epoch after adding `site` to the fleet. The new site is
     /// its own home (a fresh nominal identity).
-    pub fn with_site_added(&self, site: SiteId) -> ShardMap {
+    pub(crate) fn with_site_added(&self, site: SiteId) -> ShardMap {
         let mut next = self.clone();
         next.epoch += 1;
         next.sites.insert(site);
@@ -131,7 +131,7 @@ impl ShardMap {
     ///
     /// # Panics
     /// When `old` or `successor` is not a member, or they are equal.
-    pub fn with_site_removed(&self, old: SiteId, successor: SiteId) -> ShardMap {
+    pub(crate) fn with_site_removed(&self, old: SiteId, successor: SiteId) -> ShardMap {
         assert!(self.sites.contains(&old), "removing a non-member site");
         assert!(
             self.sites.contains(&successor),

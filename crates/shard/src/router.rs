@@ -3,7 +3,7 @@
 //!
 //! Scale-out shape: every coordinator is a full [`Federation`] instance —
 //! its own commit state machines, its own disjoint transaction-id range
-//! ([`amc_core::COORD_GTX_SPAN`]) — and all of them drive the **same**
+//! (`amc_core::COORD_GTX_SPAN`) — and all of them drive the **same**
 //! site fleet through one shared [`InProcessTransport`]. The router in front
 //! routes each transaction to its owning coordinator by the shard map's
 //! deterministic key rule ([`ShardMap::owner_of`]), so the single-central-

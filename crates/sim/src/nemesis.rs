@@ -106,7 +106,7 @@ impl FaultPlan {
     }
 
     /// Build directly from an event list (the shrinker's constructor).
-    pub fn from_events(events: Vec<FaultEvent>) -> Self {
+    pub(crate) fn from_events(events: Vec<FaultEvent>) -> Self {
         FaultPlan { events }
     }
 
@@ -180,7 +180,7 @@ impl FaultPlan {
 
     /// The leading coordinator replica dies at `at`, `after_votes`
     /// replicated prepare votes into the transaction it is driving.
-    pub fn coordinator_crash(mut self, at: SimTime, after_votes: u32) -> Self {
+    pub(crate) fn coordinator_crash(mut self, at: SimTime, after_votes: u32) -> Self {
         self.events.push(FaultEvent {
             at,
             site: SiteId::CENTRAL,
@@ -190,7 +190,7 @@ impl FaultPlan {
     }
 
     /// Standby `replica` takes over ballot leadership at `at`.
-    pub fn coordinator_takeover(mut self, at: SimTime, replica: u32) -> Self {
+    pub(crate) fn coordinator_takeover(mut self, at: SimTime, replica: u32) -> Self {
         self.events.push(FaultEvent {
             at,
             site: SiteId::CENTRAL,
@@ -200,7 +200,7 @@ impl FaultPlan {
     }
 
     /// Incumbent dies at `at`; standby `replica` takes over `hold` later.
-    pub fn coordinator_outage(
+    pub(crate) fn coordinator_outage(
         self,
         at: SimTime,
         hold: SimDuration,

@@ -38,7 +38,6 @@ pub struct EventQueue<E> {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    processed: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -54,18 +53,12 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            processed: 0,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Events popped so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Pending event count.
@@ -102,7 +95,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(entry) = self.heap.pop()?;
         self.now = entry.at;
-        self.processed += 1;
         Some((entry.at, entry.event))
     }
 }
@@ -131,7 +123,6 @@ mod tests {
         assert_eq!(q.now(), SimTime(20));
         assert_eq!(q.pop(), Some((SimTime(30), "c")));
         assert_eq!(q.pop(), None);
-        assert_eq!(q.processed(), 3);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! change with a site kill timed to land *during* the migration it
 //! triggers.
 //!
-//! Same `(config, seed)` pair, same schedule, forever — the regression
-//! tests and the E14 chaos lane both replay plans by seed.
+//! Same `(config, seed)` pair, same schedule, forever — the shard
+//! reconfiguration regression tests replay plans by seed.
 //!
 //! The vocabulary deliberately mirrors `amc_shard::SiteChange` without
 //! depending on it (`amc-shard` sits above this crate in the dependency

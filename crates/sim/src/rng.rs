@@ -35,7 +35,7 @@ impl SimRng {
     }
 
     /// Uniform in an inclusive range.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         self.rng.gen_range(lo..=hi)
     }
 
@@ -58,7 +58,7 @@ impl SimRng {
 
     /// Exponentially distributed duration with the given mean (inverse
     /// transform sampling; used for think times and inter-arrival gaps).
-    pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
+    pub(crate) fn exponential(&mut self, mean: SimDuration) -> SimDuration {
         let u: f64 = 1.0 - self.rng.gen::<f64>(); // (0, 1]
         let x = -(u.ln()) * mean.micros() as f64;
         SimDuration::from_micros(x.min(1e15) as u64)

@@ -1,18 +1,18 @@
 //! Buffer pool with clock (second-chance) eviction.
 //!
 //! The pool caches page frames between operations. It is **volatile**:
-//! [`BufferPool::crash`] discards every frame, including dirty ones — the
+//! `BufferPool::crash` discards every frame, including dirty ones — the
 //! WAL (in `amc-wal`) is what makes committed work survive. The engine
 //! layer decides when to flush (force at local commit for the 2PC/ready
 //! path; redo-from-log otherwise).
 //!
-//! A frame is a [`Page`], which is its 4 KB image: a miss verifies the
+//! A frame is a `Page`, which is its 4 KB image: a miss verifies the
 //! stored image and copies it over the victim's frame, an eviction seals a
 //! **dirty** frame into the disk slot's buffer, and neither allocates.
 //! A frame is dirty exactly when the page was mutated (the page notes that
 //! itself); pages a chain walk merely passed through are evicted for free.
 //!
-//! Access is scoped: [`BufferPool::with_page`] lends a frame to a closure
+//! Access is scoped: `BufferPool::with_page` lends a frame to a closure
 //! while holding `&mut self`, so eviction can never pull a page out from
 //! under an in-flight operation.
 
@@ -44,7 +44,7 @@ struct Frame {
 
 /// A fixed-capacity buffer pool over one [`StableStorage`].
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     capacity: usize,
     /// At most `capacity` slots, filled in order; the clock hand walks them.
     frames: Vec<Frame>,
@@ -57,7 +57,7 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool holding at most `capacity` frames (must be ≥ 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer pool needs at least one frame");
         BufferPool {
             capacity,
@@ -69,7 +69,7 @@ impl BufferPool {
     }
 
     /// Accounting so far.
-    pub fn stats(&self) -> BufferStats {
+    pub(crate) fn stats(&self) -> BufferStats {
         self.stats
     }
 
@@ -77,7 +77,7 @@ impl BufferPool {
     /// if necessary (or initializing a fresh page when the slot was never
     /// written). The frame cannot be evicted while `f` runs, and is written
     /// back later only if `f` (or an earlier access) mutated the page.
-    pub fn with_page<R>(
+    pub(crate) fn with_page<R>(
         &mut self,
         id: PageId,
         disk: &mut StableStorage,
@@ -171,12 +171,12 @@ impl BufferPool {
     }
 
     /// Write every dirty frame back (checkpoint).
-    pub fn flush_all(&mut self, disk: &mut StableStorage) -> AmcResult<()> {
+    pub(crate) fn flush_all(&mut self, disk: &mut StableStorage) -> AmcResult<()> {
         (0..self.frames.len()).try_for_each(|slot| self.write_back(slot, disk))
     }
 
     /// Crash: lose every frame, dirty or not. Stable storage is untouched.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.frames.clear();
         self.slot_of.clear();
         self.hand = 0;

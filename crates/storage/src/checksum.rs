@@ -3,7 +3,7 @@
 //! A cryptographic hash would be overkill: the threat model is torn or
 //! stale simulated I/O, not an adversary. [`fnv1a`] (byte-serial) seals the
 //! `[len][fnv1a]` frame header of the WAL, the work journal and the acceptor
-//! log — payloads ≤ 100 bytes, bytes on disk under `--wal-dir`. [`page_sum`]
+//! log — payloads ≤ 100 bytes, bytes on disk under `--wal-dir`. `page_sum`
 //! (word-wise, four independent lanes) seals 4 KB page images, where
 //! FNV-1a's 4 072 dependent multiplies were most of a buffer-pool miss.
 //! Both are allocation-free and dependency-free.
@@ -46,7 +46,7 @@ fn lane_step(h: u64, word: u64) -> u64 {
 ///
 /// # Panics
 /// When `data` is not a whole number of words (a page body is 509).
-pub fn page_sum(data: &[u8]) -> u64 {
+pub(crate) fn page_sum(data: &[u8]) -> u64 {
     assert_eq!(data.len() % 8, 0, "page body is whole 8-byte words");
     let mut lanes = LANE_SEED;
     let mut blocks = data.chunks_exact(8 * LANES);

@@ -7,10 +7,11 @@
 //!
 //! I/O is counted so experiment E4 can report physical writes per protocol.
 //!
-//! The nemesis can attach a seeded [`FaultConfig`] to a disk: reads then
-//! fail transiently with some probability (callers retry — see
-//! `BufferPool`), and writes can be silently *lost* (acknowledged but never
-//! stored), the classic fault stable-storage constructions mask.
+//! A seeded [`FaultConfig`] can be attached to a disk (today only this
+//! crate's tests do): reads then fail transiently with some probability
+//! (callers retry — see `BufferPool`), and writes can be silently *lost*
+//! (acknowledged but never stored), the classic fault stable-storage
+//! constructions mask.
 
 use crate::fault::{FaultConfig, FaultState};
 use crate::page::{Page, PAGE_SIZE};
@@ -63,7 +64,7 @@ impl StableStorage {
     /// With faults injected, the write may be silently **lost**: it is
     /// acknowledged (`Ok`) but the previous image stays on the medium —
     /// exactly the failure a caller cannot detect without reading back.
-    pub fn write_page(&mut self, page: &Page) -> AmcResult<()> {
+    pub(crate) fn write_page(&mut self, page: &Page) -> AmcResult<()> {
         let idx = page.id().raw() as usize;
         if idx >= self.pages.len() {
             self.pages.resize(idx + 1, None); // the disk grows on demand
@@ -88,7 +89,7 @@ impl StableStorage {
     ///
     /// With faults injected, the read may fail with
     /// [`AmcError::TransientIo`]; retrying redraws the fault dice.
-    pub fn read_into(&mut self, id: PageId, page: &mut Page) -> AmcResult<bool> {
+    pub(crate) fn read_into(&mut self, id: PageId, page: &mut Page) -> AmcResult<bool> {
         if let Some(f) = &mut self.faults {
             if f.rng.chance(f.cfg.read_error_probability) {
                 self.stats.read_faults += 1;
@@ -106,7 +107,7 @@ impl StableStorage {
     }
 
     /// True when the slot holds a page image.
-    pub fn is_allocated(&self, id: PageId) -> bool {
+    pub(crate) fn is_allocated(&self, id: PageId) -> bool {
         matches!(self.pages.get(id.raw() as usize), Some(Some(_)))
     }
 

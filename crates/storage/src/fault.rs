@@ -4,7 +4,7 @@
 //! fail transiently (media retry, controller hiccup) and a write can be
 //! silently **lost** (acknowledged but never reaching the platter — the
 //! fault [Gra 78]'s stable-storage construction exists to mask). The
-//! simulator injects both behind a [`FaultConfig`], driven by a local
+//! disk injects both behind a [`FaultConfig`], driven by a local
 //! deterministic PRNG so a chaos run reproduces bit-for-bit from its seed.
 //!
 //! The PRNG is a self-contained splitmix64, deliberately *not* `amc-sim`'s

@@ -6,13 +6,13 @@
 //! management, stable vs volatile state across crashes) we build the box
 //! from scratch:
 //!
-//! * [`page::Page`] — a fixed-size slotted page holding `(ObjectId, Value)`
+//! * `page::Page` — a fixed-size slotted page holding `(ObjectId, Value)`
 //!   entries in place in its 4 KB image, sealed with a word-wise checksum.
 //! * [`disk::StableStorage`] — a simulated disk with atomic page writes and
 //!   I/O accounting. Contents survive crashes.
-//! * [`buffer::BufferPool`] — a clock-eviction buffer pool whose frames are
+//! * `buffer::BufferPool` — a clock-eviction buffer pool whose frames are
 //!   those images and are written back only when mutated. Contents are
-//!   *volatile*: [`buffer::BufferPool::crash`] drops everything, modelling a
+//!   *volatile*: `buffer::BufferPool::crash` drops everything, modelling a
 //!   site failure.
 //! * [`store::PageStore`] — a hash-partitioned object store with overflow
 //!   chaining whose known objects are one page away, plus one page per
@@ -30,8 +30,7 @@ pub mod buffer;
 pub mod checksum;
 pub mod disk;
 pub mod fault;
-pub mod page;
+mod page;
 pub mod store;
 
-pub use page::Page;
 pub use store::PageStore;

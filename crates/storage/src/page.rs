@@ -1,8 +1,8 @@
 //! Fixed-size slotted pages.
 //!
-//! A page stores up to [`Page::CAPACITY`] `(ObjectId, Value)` entries plus a
+//! A page stores up to `Page::CAPACITY` `(ObjectId, Value)` entries plus a
 //! link to an optional overflow page (used by [`crate::store::PageStore`]'s
-//! hash-partitioned layout). A [`Page`] **is** its 4 KB image: entries are
+//! hash-partitioned layout). A `Page` **is** its 4 KB image: entries are
 //! read and written in place, so a buffer-pool miss is one copy plus one
 //! checksum verify and a write-back is one copy plus one seal — nothing is
 //! transcoded. The format, in memory and on the simulated disk:
@@ -24,11 +24,11 @@ use crate::checksum::page_sum;
 use amc_types::{AmcError, AmcResult, ObjectId, PageId, Value};
 
 /// On-disk page size in bytes.
-pub const PAGE_SIZE: usize = 4096;
+pub(crate) const PAGE_SIZE: usize = 4096;
 /// Size of the fixed header.
-pub const HEADER_SIZE: usize = 24;
+pub(crate) const HEADER_SIZE: usize = 24;
 /// Size of one packed entry.
-pub const ENTRY_SIZE: usize = 8 + 12;
+pub(crate) const ENTRY_SIZE: usize = 8 + 12;
 
 const MAGIC: [u8; 4] = *b"AMCP";
 const NO_OVERFLOW: u32 = u32::MAX;
@@ -36,7 +36,7 @@ const SUM_AT: std::ops::Range<usize> = 16..24;
 
 /// A slotted page, held as its image.
 #[derive(Debug, Clone)]
-pub struct Page {
+pub(crate) struct Page {
     image: Box<[u8; PAGE_SIZE]>,
     /// An entry or the overflow link changed since the image last matched
     /// the disk. The page notes this itself, so no caller can forget to.
@@ -67,10 +67,10 @@ fn entry_value(entry: &[u8]) -> Value {
 
 impl Page {
     /// Maximum number of entries a page can hold.
-    pub const CAPACITY: usize = (PAGE_SIZE - HEADER_SIZE) / ENTRY_SIZE;
+    pub(crate) const CAPACITY: usize = (PAGE_SIZE - HEADER_SIZE) / ENTRY_SIZE;
 
     /// A fresh, empty page.
-    pub fn new(id: PageId) -> Self {
+    pub(crate) fn new(id: PageId) -> Self {
         let mut image = Box::new([0u8; PAGE_SIZE]);
         image[0..4].copy_from_slice(&MAGIC);
         image[4..8].copy_from_slice(&id.raw().to_le_bytes());
@@ -83,19 +83,19 @@ impl Page {
 
     /// This page's id.
     #[inline]
-    pub fn id(&self) -> PageId {
+    pub(crate) fn id(&self) -> PageId {
         PageId::new(le_u32(&self.image[4..]))
     }
 
     /// The overflow page chained after this one, if any.
     #[inline]
-    pub fn overflow(&self) -> Option<PageId> {
+    pub(crate) fn overflow(&self) -> Option<PageId> {
         let link = le_u32(&self.image[8..]);
         (link != NO_OVERFLOW).then(|| PageId::new(link))
     }
 
     /// Set or clear the overflow link.
-    pub fn set_overflow(&mut self, next: Option<PageId>) {
+    pub(crate) fn set_overflow(&mut self, next: Option<PageId>) {
         let link = next.map_or(NO_OVERFLOW, PageId::raw);
         self.image[8..12].copy_from_slice(&link.to_le_bytes());
         self.dirty = true;
@@ -114,13 +114,13 @@ impl Page {
 
     /// True when no further entry fits.
     #[inline]
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.len() >= Self::CAPACITY
     }
 
     /// Whether the page changed since it was loaded or last written back.
     #[inline]
-    pub fn is_dirty(&self) -> bool {
+    pub(crate) fn is_dirty(&self) -> bool {
         self.dirty
     }
 
@@ -144,7 +144,7 @@ impl Page {
 
     /// Look up an object's value on this page (linear scan; pages are small
     /// and hot pages live in the buffer pool).
-    pub fn get(&self, obj: ObjectId) -> Option<Value> {
+    pub(crate) fn get(&self, obj: ObjectId) -> Option<Value> {
         self.find(obj).map(|at| entry_value(&self.image[at..]))
     }
 
@@ -166,7 +166,7 @@ impl Page {
 
     /// Insert or overwrite an entry. Returns the previous value, or an error
     /// if the page is full and the object is not already present.
-    pub fn upsert(&mut self, obj: ObjectId, value: Value) -> AmcResult<Option<Value>> {
+    pub(crate) fn upsert(&mut self, obj: ObjectId, value: Value) -> AmcResult<Option<Value>> {
         if let Some(at) = self.find(obj) {
             let old = entry_value(&self.image[at..]);
             self.set_value(at, value);
@@ -210,7 +210,7 @@ impl Page {
     }
 
     /// Iterate over live entries.
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Value)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjectId, Value)> + '_ {
         self.entries()
             .map(|e| (ObjectId::new(entry_obj(e)), entry_value(e)))
     }

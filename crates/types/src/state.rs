@@ -1,10 +1,9 @@
-//! Transaction state enums shared between the protocol state machines and
-//! the trace/verification tooling.
+//! Transaction state enums shared by the crates that speak the protocol:
+//! the coordinator, the engines, the communication managers and the wire.
 //!
 //! These mirror the state diagrams of Figs. 2, 4 and 6 in the paper. The
-//! actual transition logic lives in `amc-core`; keeping the state names here
-//! lets `amc-verify` and the golden-trace tests speak the same language
-//! without depending on the protocol implementations.
+//! transition logic lives where the states are held: the global phases in
+//! `amc-core`'s coordinator, the local run states in `amc-engine`.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -44,13 +43,6 @@ impl ProtocolKind {
     pub fn parse(s: &str) -> Option<ProtocolKind> {
         ProtocolKind::ALL.into_iter().find(|p| p.label() == s)
     }
-
-    /// Whether the protocol requires local engines to expose a ready state
-    /// (i.e. requires *modifying* existing transaction managers — the thing
-    /// the paper says is infeasible for integration).
-    pub fn requires_ready_state(&self) -> bool {
-        matches!(self, ProtocolKind::TwoPhaseCommit)
-    }
 }
 
 impl fmt::Display for ProtocolKind {
@@ -77,13 +69,6 @@ pub enum GlobalPhase {
     Committed,
     /// Terminal: globally aborted.
     Aborted,
-}
-
-impl GlobalPhase {
-    /// True for the two terminal phases.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, GlobalPhase::Committed | GlobalPhase::Aborted)
-    }
 }
 
 impl fmt::Display for GlobalPhase {
@@ -167,23 +152,6 @@ pub enum LocalRunState {
     Aborted,
 }
 
-impl LocalRunState {
-    /// Legal transitions of the *unmodified* engine interface: Running may
-    /// go to Committed or Aborted, and nothing leaves a terminal state.
-    /// `Ready` is reachable only on preparable (modified) engines.
-    pub fn can_transition_to(&self, next: LocalRunState) -> bool {
-        use LocalRunState::*;
-        matches!(
-            (self, next),
-            (Running, Ready)
-                | (Running, Committed)
-                | (Running, Aborted)
-                | (Ready, Committed)
-                | (Ready, Aborted)
-        )
-    }
-}
-
 impl fmt::Display for LocalRunState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -209,39 +177,5 @@ mod tests {
             assert_eq!(ProtocolKind::parse(p.label()), Some(p));
         }
         assert_eq!(ProtocolKind::parse("3pc"), None);
-    }
-
-    #[test]
-    fn only_2pc_needs_ready_state() {
-        assert!(ProtocolKind::TwoPhaseCommit.requires_ready_state());
-        assert!(!ProtocolKind::CommitAfter.requires_ready_state());
-        assert!(!ProtocolKind::CommitBefore.requires_ready_state());
-    }
-
-    #[test]
-    fn terminal_phases() {
-        assert!(GlobalPhase::Committed.is_terminal());
-        assert!(GlobalPhase::Aborted.is_terminal());
-        assert!(!GlobalPhase::Inquiring.is_terminal());
-        assert!(!GlobalPhase::WaitingToAbort.is_terminal());
-    }
-
-    #[test]
-    fn local_state_machine_shape() {
-        use LocalRunState::*;
-        // Atomic running→committed transition of unmodified engines (§3.1:
-        // "the state transition from running to committed is atomic").
-        assert!(Running.can_transition_to(Committed));
-        assert!(Running.can_transition_to(Aborted));
-        // 2PC's interruptible commit path.
-        assert!(Running.can_transition_to(Ready));
-        assert!(Ready.can_transition_to(Committed));
-        assert!(Ready.can_transition_to(Aborted));
-        // Terminal states are terminal.
-        assert!(!Committed.can_transition_to(Running));
-        assert!(!Committed.can_transition_to(Aborted));
-        assert!(!Aborted.can_transition_to(Committed));
-        // No skipping backwards.
-        assert!(!Ready.can_transition_to(Running));
     }
 }

@@ -121,7 +121,10 @@ impl History {
     }
 
     /// Build the conflict graph over **committed** transactions.
-    pub fn conflict_edges(&self, def: ConflictDefinition) -> BTreeSet<(GlobalTxnId, GlobalTxnId)> {
+    pub(crate) fn conflict_edges(
+        &self,
+        def: ConflictDefinition,
+    ) -> BTreeSet<(GlobalTxnId, GlobalTxnId)> {
         let committed: BTreeSet<GlobalTxnId> = self.committed().into_iter().collect();
         // Group events per site, ordered by seq.
         let mut per_site: BTreeMap<SiteId, Vec<&OpEvent>> = BTreeMap::new();

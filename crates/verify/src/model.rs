@@ -82,7 +82,7 @@ impl ModelDb {
     }
 
     /// Apply a program transactionally: all ops or none.
-    pub fn apply_atomic(&mut self, ops: &[Operation]) -> AmcResult<()> {
+    pub(crate) fn apply_atomic(&mut self, ops: &[Operation]) -> AmcResult<()> {
         let snapshot = self.state.clone();
         for op in ops {
             if let Err(e) = self.apply(op) {
@@ -109,7 +109,7 @@ impl ModelDb {
     }
 
     /// Consume into the state map.
-    pub fn into_state(self) -> BTreeMap<ObjectId, Value> {
+    pub(crate) fn into_state(self) -> BTreeMap<ObjectId, Value> {
         self.state
     }
 }

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! This module is the only code that reads or writes that header
-//! ([`frame`], [`unframe`], [`split_frame`]); the payload is whatever
+//! ([`frame`], [`unframe`], `split_frame`); the payload is whatever
 //! row table (`amc_types::codec`) the record type declares. WAL frames
 //! are written to disk byte-for-byte as they exist in memory; a
 //! [`RecordFile`] is the same file typed by its record.
@@ -19,7 +19,7 @@
 //! ## Crash contract
 //!
 //! [`DurableFile::open`] scans the file front to back and classifies it
-//! exactly as [`LogManager::truncate_torn_tail`](crate::LogManager::truncate_torn_tail)
+//! exactly as `LogManager::truncate_torn_tail`
 //! classifies the in-memory stable prefix:
 //!
 //! * a final frame whose header or payload runs past end-of-file, or whose
@@ -71,7 +71,7 @@ pub fn frame<T: Wire>(record: &T) -> Vec<u8> {
 /// Split the first physically complete frame off `bytes` (header
 /// included, checksum not yet verified). `None` when `bytes` ends inside
 /// the header or before the length the header promises.
-pub fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+pub(crate) fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
     let len = u32::from_le_bytes(bytes.get(..4)?.try_into().expect("4 bytes")) as usize;
     let total = FRAME_HEADER.checked_add(len)?;
     (bytes.len() >= total).then(|| bytes.split_at(total))
@@ -112,7 +112,7 @@ pub struct Opened {
 /// An append-only file of checksummed frames.
 ///
 /// Tracks the byte offset of every frame so the in-memory log's
-/// truncations ([`crate::LogManager::truncate_torn_tail`],
+/// truncations (`crate::LogManager::truncate_torn_tail`,
 /// [`crate::LogManager::truncate_before`]) can be mirrored to disk.
 #[derive(Debug)]
 pub struct DurableFile {
@@ -239,7 +239,7 @@ impl DurableFile {
     ///
     /// # Panics
     /// On I/O failure.
-    pub fn truncate_frames(&mut self, keep: usize) {
+    pub(crate) fn truncate_frames(&mut self, keep: usize) {
         if keep >= self.offsets.len() {
             return;
         }
@@ -254,7 +254,7 @@ impl DurableFile {
     ///
     /// # Panics
     /// On I/O failure.
-    pub fn rewrite(&mut self, frames: impl IntoIterator<Item = impl AsRef<[u8]>>) {
+    pub(crate) fn rewrite(&mut self, frames: impl IntoIterator<Item = impl AsRef<[u8]>>) {
         self.offsets.clear();
         self.end = 0;
         self.physically_truncate(0)

@@ -34,7 +34,7 @@ use std::time::Duration;
 
 /// A leader stops lingering for followers once this many commits are
 /// pending.
-pub const MAX_BATCH: usize = 64;
+pub(crate) const MAX_BATCH: usize = 64;
 
 /// Tuning for [`GroupCommitter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

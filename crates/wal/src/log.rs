@@ -231,7 +231,7 @@ impl LogManager {
     /// Force the tail up to (and including) `upto`; later frames stay
     /// volatile. One physical write — counts as a single force when it
     /// moves at least one frame. Returns the number of frames forced.
-    pub fn force_upto(&mut self, upto: Lsn) -> u64 {
+    pub(crate) fn force_upto(&mut self, upto: Lsn) -> u64 {
         let durable = self.truncated + self.stable.len() as u64;
         let target = upto.raw().min(self.head().raw());
         if target <= durable {
@@ -272,7 +272,7 @@ impl LogManager {
     /// group counters and emits [`EventKind::GroupForce`] when a sink is
     /// attached (the physical write was already accounted by
     /// [`LogManager::force_upto`]).
-    pub fn note_group_batch(&mut self, commits: u64, records: u64, bytes: u64) {
+    pub(crate) fn note_group_batch(&mut self, commits: u64, records: u64, bytes: u64) {
         self.stats.group_forces += 1;
         self.stats.batched_commits += commits;
         if self.obs.is_enabled() {
@@ -357,7 +357,7 @@ impl LogManager {
     /// A corrupt frame anywhere **before** the end is not a torn tail — it
     /// is mid-log corruption, and recovery must not silently drop committed
     /// history — so that stays a fatal [`amc_types::AmcError::Corruption`].
-    pub fn truncate_torn_tail(&mut self) -> AmcResult<bool> {
+    pub(crate) fn truncate_torn_tail(&mut self) -> AmcResult<bool> {
         let first_bad = self
             .stable
             .iter()

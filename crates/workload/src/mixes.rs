@@ -75,15 +75,6 @@ impl MixKind {
     pub fn parse(s: &str) -> Option<MixKind> {
         MixKind::ALL.into_iter().find(|k| k.label() == s)
     }
-
-    /// Whether every non-aborting program of this mix preserves the
-    /// federation-wide counter sum (the conservation oracle applies).
-    pub fn conserves_sum(self) -> bool {
-        matches!(
-            self,
-            MixKind::Transfer | MixKind::HotKey | MixKind::ReadHeavy
-        )
-    }
 }
 
 /// Shared parameters of every mix.
@@ -449,6 +440,18 @@ pub fn fingerprint(programs: &[GlobalProgram]) -> u64 {
         eat(b"|");
     }
     h
+}
+
+#[cfg(test)]
+impl MixKind {
+    /// Whether every non-aborting program of this mix preserves the
+    /// federation-wide counter sum (the conservation oracle applies).
+    pub(crate) fn conserves_sum(self) -> bool {
+        matches!(
+            self,
+            MixKind::Transfer | MixKind::HotKey | MixKind::ReadHeavy
+        )
+    }
 }
 
 #[cfg(test)]

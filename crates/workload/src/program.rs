@@ -10,7 +10,7 @@ use amc_types::{ObjectId, Operation, SiteId, Value};
 use std::collections::BTreeMap;
 
 /// Id stride per site — supports up to this many objects per site.
-pub const OBJECTS_PER_SITE_STRIDE: u64 = 1 << 32;
+pub(crate) const OBJECTS_PER_SITE_STRIDE: u64 = 1 << 32;
 
 /// The object with `index` at `site` (sites are 1-based; 0 is the central
 /// system which stores no workload data).
@@ -82,12 +82,6 @@ impl GlobalProgram {
         self.per_site.values().map(Vec::len).sum()
     }
 
-    /// All operations merged in site order (the canonical replay program
-    /// for the equivalence oracle).
-    pub fn merged_ops(&self) -> Vec<Operation> {
-        self.per_site.values().flatten().copied().collect()
-    }
-
     /// Sanity: every operation is addressed to the site it is filed under.
     pub fn check_placement(&self) -> Result<(), String> {
         for (site, ops) in &self.per_site {
@@ -99,6 +93,15 @@ impl GlobalProgram {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl GlobalProgram {
+    /// All operations merged in site order (the canonical replay program
+    /// for the equivalence oracle).
+    pub(crate) fn merged_ops(&self) -> Vec<Operation> {
+        self.per_site.values().flatten().copied().collect()
     }
 }
 

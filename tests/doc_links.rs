@@ -147,3 +147,27 @@ fn entry_number(line: &str) -> Option<u32> {
     let digits: String = head.chars().take_while(char::is_ascii_digit).collect();
     digits.parse().ok()
 }
+
+/// ROADMAP 10(a): the two scores `tests/architecture.rs` holds the crates
+/// to are quoted in ARCHITECTURE.md exactly as that file sets them, so a
+/// PR that lowers one cannot leave the prose behind.
+#[test]
+fn architecture_quotes_the_committed_scores() {
+    let rules = std::fs::read_to_string(repo_root().join("tests/architecture.rs"))
+        .expect("tests/architecture.rs");
+    let architecture =
+        std::fs::read_to_string(repo_root().join("ARCHITECTURE.md")).expect("ARCHITECTURE.md");
+    for score in ["CEILING", "PUBLIC_ITEMS"] {
+        let declared = format!("const {score}: usize = ");
+        let value = rules
+            .lines()
+            .find_map(|line| line.trim().strip_prefix(declared.as_str()))
+            .and_then(|rest| rest.strip_suffix(';'))
+            .unwrap_or_else(|| panic!("tests/architecture.rs sets no `{score}`"));
+        let quote = format!("`{score} = {value}`");
+        assert!(
+            architecture.contains(&quote),
+            "ARCHITECTURE.md does not quote {quote}"
+        );
+    }
+}
