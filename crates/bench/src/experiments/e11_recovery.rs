@@ -11,21 +11,19 @@
 //!   band across a 20× length spread, once the fixed open cost is
 //!   amortized).
 //!
-//! * **Fsync cost vs group-commit batch size.** Fixed committer
-//!   concurrency against one durable engine, sweeping the group-commit
-//!   linger window. Longer lingers let one physical force (a real
-//!   `fsync` here, not a modelled sleep) carry more commit
-//!   acknowledgements. The claimed shape: commits-per-force grows with
-//!   the linger — the batching knob, not the disk, decides how often
-//!   the site pays for durability.
+//! * **Fsync cost vs committer concurrency.** 1 / 2 / 8 committer threads
+//!   against one durable engine under the default config: no timer, the
+//!   group-commit leader waits for the real `fsync` outside the log
+//!   mutex, so commits arriving during one fsync share the next. The
+//!   claimed shape: one committer pays exactly one fsync per commit, and
+//!   eight share them — concurrency, not a knob, sets the batch.
 
 use crate::table::{opt2, section, verdict, TextTable};
 use amc_engine::{LocalEngine, TplConfig, TwoPLEngine};
 use amc_types::{ObjectId, Operation, SiteId, Value};
-use amc_wal::GroupCommitConfig;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const OBJECTS: u64 = 64;
 
@@ -108,11 +106,9 @@ fn run_recovery_cell(n: usize) -> RecoveryRow {
 
 // --- part B: fsync cost vs group-commit batching --------------------------
 
-/// One measured linger setting.
+/// One measured committer count.
 #[derive(Debug, Clone)]
 pub struct FsyncRow {
-    /// Group-commit linger window, microseconds.
-    pub linger_us: u64,
     /// Committer threads.
     pub clients: usize,
     /// Committed transactions.
@@ -125,18 +121,11 @@ pub struct FsyncRow {
     pub throughput: Option<f64>,
 }
 
-/// Run `txns` commits over `clients` threads at one linger setting.
-fn run_fsync_cell(linger_us: u64, clients: usize, txns: usize) -> FsyncRow {
-    let dir = scratch_dir(&format!("fsync-{linger_us}"));
+/// Run `txns` commits over `clients` threads.
+fn run_fsync_cell(clients: usize, txns: usize) -> FsyncRow {
+    let dir = scratch_dir(&format!("fsync-{clients}"));
     let path = dir.join("e11.wal");
-    let cfg = TplConfig {
-        group_commit: GroupCommitConfig {
-            max_wait: Duration::from_micros(linger_us),
-            force_latency: Duration::ZERO,
-        },
-        ..TplConfig::default()
-    };
-    let engine = Arc::new(loaded_durable(cfg, &path));
+    let engine = Arc::new(loaded_durable(TplConfig::default(), &path));
     let base = engine.log_stats();
     let per_client = txns / clients;
     let t0 = Instant::now();
@@ -159,7 +148,6 @@ fn run_fsync_cell(linger_us: u64, clients: usize, txns: usize) -> FsyncRow {
     let commits = (per_client * clients) as u64;
     let forces = stats.forces.saturating_sub(base.forces);
     FsyncRow {
-        linger_us,
         clients,
         commits,
         forces,
@@ -171,13 +159,13 @@ fn run_fsync_cell(linger_us: u64, clients: usize, txns: usize) -> FsyncRow {
 /// Run both sweeps.
 pub fn run(
     lengths: &[usize],
-    lingers_us: &[u64],
+    clients: &[usize],
     fsync_txns: usize,
 ) -> (Vec<RecoveryRow>, Vec<FsyncRow>) {
     let recovery = lengths.iter().map(|&n| run_recovery_cell(n)).collect();
-    let fsync = lingers_us
+    let fsync = clients
         .iter()
-        .map(|&l| run_fsync_cell(l, 8, fsync_txns))
+        .map(|&c| run_fsync_cell(c, fsync_txns))
         .collect();
     (recovery, fsync)
 }
@@ -211,19 +199,11 @@ pub(crate) fn recovery_table(rows: &[RecoveryRow]) -> TextTable {
 /// Render part B.
 pub(crate) fn fsync_table(rows: &[FsyncRow]) -> TextTable {
     let mut t = TextTable::new(
-        "E11b — fsync cost vs group-commit linger (8 committer threads)",
-        &[
-            "linger µs",
-            "clients",
-            "commits",
-            "forces",
-            "commits/force",
-            "txn/s",
-        ],
+        "E11b — fsync cost vs committer threads (default config, no timer)",
+        &["clients", "commits", "forces", "commits/force", "txn/s"],
     );
     for r in rows {
         t.row(vec![
-            r.linger_us.to_string(),
             r.clients.to_string(),
             r.commits.to_string(),
             r.forces.to_string(),
@@ -262,24 +242,19 @@ pub fn verdicts(recovery: &[RecoveryRow], fsync: &[FsyncRow]) -> Vec<String> {
         linearish,
         "E11-2: per-transaction replay cost stays within a 25x band across log lengths",
     ));
-    // E11-3: the linger knob amortizes fsync — the longest linger packs
-    // at least as many commits per force as the zero linger, and some
-    // setting actually batches (> 1 commit per force).
-    let zero = fsync
-        .iter()
-        .find(|r| r.linger_us == 0)
-        .and_then(|r| r.commits_per_force);
-    let longest = fsync
-        .iter()
-        .max_by_key(|r| r.linger_us)
-        .and_then(|r| r.commits_per_force);
-    let amortizes = matches!((zero, longest), (Some(z), Some(l)) if l >= z)
-        && fsync
+    // E11-3: group commit amortizes fsync with no timer — a lone
+    // committer pays exactly one fsync per commit, and eight committers,
+    // arriving during each other's fsyncs, share them at >= 2 per force.
+    let per_force = |n| {
+        fsync
             .iter()
-            .any(|r| r.commits_per_force.is_some_and(|c| c > 1.0));
+            .find(|r| r.clients == n)
+            .and_then(|r| r.commits_per_force)
+    };
+    let amortizes = per_force(1) == Some(1.0) && per_force(8).is_some_and(|c| c >= 2.0);
     out.push(verdict(
         amortizes,
-        "E11-3: group-commit linger amortizes fsyncs (commits/force grows with the window)",
+        "E11-3: one committer pays 1.00 fsync per commit; 8 share them at >= 2 commits/force, no timer",
     ));
     out
 }
@@ -291,12 +266,8 @@ pub fn report(quick: bool) -> String {
     } else {
         &[200, 1000, 4000]
     };
-    let lingers: &[u64] = if quick {
-        &[0, 2000]
-    } else {
-        &[0, 100, 500, 2000]
-    };
-    let (recovery, fsync) = run(lengths, lingers, if quick { 400 } else { 1600 });
+    let clients = [1, 2, 8];
+    let (recovery, fsync) = run(lengths, &clients, if quick { 400 } else { 1600 });
     section(
         &[recovery_table(&recovery), fsync_table(&fsync)],
         &verdicts(&recovery, &fsync),

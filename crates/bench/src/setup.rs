@@ -51,12 +51,10 @@ pub fn tuned_config(
         // repeated execution (redo) has a visible cost.
         op_service_time: Duration::from_micros(50),
         // Commit-record forces cost a modelled ~0.5 ms of "disk" (a 1991
-        // fsync is not free either), and leaders linger briefly so
-        // concurrent committers share one force — the group-commit
-        // amortization E9 measures.
+        // fsync is not free either); committers arriving during one force
+        // share the next — the group-commit amortization E9 measures.
         group_commit: GroupCommitConfig {
             force_latency: Duration::from_micros(500),
-            max_wait: Duration::from_micros(200),
         },
     };
     cfg.l1_timeout = Duration::from_millis(500);

@@ -1986,14 +1986,17 @@ mod tests {
     }
 
     /// A round of the in-process transport with a modelled delay overlaps
-    /// its exchanges, so it costs one exchange (two legs) however many
-    /// sites it addresses — not the serial sum of every message.
+    /// its exchanges: all of them are in flight together, so it costs one
+    /// exchange (two legs) however many sites it addresses.
     #[test]
     fn a_round_costs_its_slowest_exchange() {
         let delay = Duration::from_millis(4);
         let mut cfg = FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit);
         cfg.message_delay = delay;
-        let fed = Federation::new(cfg);
+        let managers = cfg.build_managers().into_iter().map(|m| (m.site(), m));
+        let mode = submit_mode_for(cfg.protocol);
+        let transport = Arc::new(InProcessTransport::new(managers.collect(), mode, delay));
+        let fed = Federation::with_transport(cfg, transport.clone());
         fed.load_site(site(1), &[(obj(1, 0), v(100))]).unwrap();
         fed.load_site(site(2), &[(obj(2, 0), v(100))]).unwrap();
         let inc = |s, delta| {
@@ -2018,11 +2021,10 @@ mod tests {
             "latency {:?} must cover {rounds} rounds of two legs",
             report.latency
         );
-        assert!(
-            report.latency < delay * report.messages as u32,
-            "latency {:?} is the serial sum of {} legs",
-            report.latency,
-            report.messages
+        assert_eq!(
+            transport.peak_in_flight(),
+            2,
+            "a 2-site round has both exchanges in flight at once"
         );
     }
 

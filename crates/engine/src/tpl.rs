@@ -54,8 +54,8 @@ pub struct TplConfig {
     /// ratio between local work and messaging, so that *re-executing* a
     /// transaction (the §3.2 redo) costs what the paper assumes it costs.
     pub op_service_time: Duration,
-    /// Group-commit batching for the WAL. The default (zero force latency,
-    /// zero linger) degenerates to `append_forced` semantics, so the
+    /// Group-commit batching for the WAL. The default (zero force latency)
+    /// on an in-memory log degenerates to `append_forced` semantics, so the
     /// deterministic simulator and single-threaded tests are unaffected.
     pub group_commit: GroupCommitConfig,
 }
@@ -1184,7 +1184,6 @@ mod tests {
         let cfg = TplConfig {
             group_commit: GroupCommitConfig {
                 force_latency: Duration::from_millis(2),
-                ..GroupCommitConfig::default()
             },
             ..TplConfig::default()
         };

@@ -25,6 +25,7 @@ use amc_types::{AmcError, AmcResult, ObjectId, SiteId, Value};
 use amc_wal::LogStats;
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -225,6 +226,9 @@ pub struct InProcessTransport {
     fleet: RwLock<Fleet>,
     mode: SubmitMode,
     message_delay: Duration,
+    /// Delayed exchanges sent and not yet answered, and the most ever.
+    in_flight: AtomicUsize,
+    peak_in_flight: AtomicUsize,
 }
 
 impl InProcessTransport {
@@ -242,7 +246,34 @@ impl InProcessTransport {
             }),
             mode,
             message_delay,
+            in_flight: AtomicUsize::new(0),
+            peak_in_flight: AtomicUsize::new(0),
         }
+    }
+
+    /// The most delayed exchanges ever in flight at once (sent, reply not
+    /// yet in): a round's width if it overlaps them, else 1.
+    pub fn peak_in_flight(&self) -> usize {
+        self.peak_in_flight.load(Ordering::Relaxed)
+    }
+
+    /// `n` delayed requests leave; `exchange` lands each reply.
+    fn send(&self, n: usize) {
+        let now = self.in_flight.fetch_add(n, Ordering::Relaxed) + n;
+        self.peak_in_flight.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// One exchange counted by `send`, `message_delay` slept on each leg.
+    fn exchange(&self, to: SiteId, payload: Payload) -> AmcResult<Payload> {
+        let reply = self.manager(to).and_then(|manager| {
+            std::thread::sleep(self.message_delay);
+            let reply = dispatch_to_manager(&manager, payload, self.mode)?;
+            // Reply leg: the model charges both directions of the exchange.
+            std::thread::sleep(self.message_delay);
+            Ok(reply)
+        });
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        reply
     }
 
     /// Add `site` to the fleet (idempotent: re-adding replaces the manager).
@@ -295,33 +326,30 @@ impl FederationTransport for InProcessTransport {
     }
 
     fn call(&self, to: SiteId, payload: Payload) -> AmcResult<Payload> {
-        let manager = self.manager(to)?;
-        // Request leg.
-        if !self.message_delay.is_zero() {
-            std::thread::sleep(self.message_delay);
+        if self.message_delay.is_zero() {
+            let manager = self.manager(to)?;
+            return dispatch_to_manager(&manager, payload, self.mode);
         }
-        let reply = dispatch_to_manager(&manager, payload, self.mode)?;
-        // Reply leg: the model charges both directions of the exchange.
-        if !self.message_delay.is_zero() {
-            std::thread::sleep(self.message_delay);
-        }
-        Ok(reply)
+        self.send(1);
+        self.exchange(to, payload)
     }
 
-    /// With a modelled delay the exchanges overlap: the first on the
-    /// caller, the rest on scoped threads. With none there is nothing in
-    /// flight to overlap, and a spawn costs more than the exchange.
+    /// With a modelled delay the exchanges overlap: every request leaves
+    /// before any reply is awaited, the first on the caller, the rest on
+    /// scoped threads. With no delay there is nothing in flight to
+    /// overlap, and a spawn costs more than the exchange.
     fn call_round(&self, sends: Vec<(SiteId, Payload)>) -> Vec<AmcResult<Payload>> {
         let mut sends = sends.into_iter();
         if self.message_delay.is_zero() || sends.len() < 2 {
             return sends.map(|(to, payload)| self.call(to, payload)).collect();
         }
+        self.send(sends.len());
         let (to, payload) = sends.next().expect("two or more sends");
         std::thread::scope(|scope| {
             let rest: Vec<_> = sends
-                .map(|(to, payload)| scope.spawn(move || self.call(to, payload)))
+                .map(|(to, payload)| scope.spawn(move || self.exchange(to, payload)))
                 .collect();
-            let first = self.call(to, payload);
+            let first = self.exchange(to, payload);
             let rest = rest.into_iter().map(|h| h.join().unwrap());
             std::iter::once(first).chain(rest).collect()
         })

@@ -13,36 +13,32 @@
 //!
 //! * [`GroupCommitter::append_durable`] returns only once the record is on
 //!   stable storage — the WAL rule is never weakened, only batched.
-//! * The leader snapshots the tail head, **releases the log mutex** for the
-//!   modelled fsync latency, then publishes the batch. Followers appending
-//!   during that window queue up for the *next* leader, which is what makes
-//!   batch size track concurrency.
-//! * A crash while committers are parked bumps an epoch; those committers
-//!   return "not durable" and their transactions fail with `SiteDown`, so a
-//!   commit is acknowledged iff its record survived the crash.
+//! * Self-clocking, no timer: the leader writes the tail up to its target
+//!   under the log mutex, **releases the mutex** for the whole durability
+//!   wait — the modelled `force_latency` and the real `fsync`, through a
+//!   handle cloned once from the durable sink — then re-locks and
+//!   publishes the batch. Whatever was appended during one force is the
+//!   next batch, which is what makes batch size track concurrency.
+//! * A crash while the leader is out bumps an epoch and drops the
+//!   unsynced frames from the log and its file; every committer of that
+//!   batch returns "not durable" and its transaction fails with `SiteDown`,
+//!   so a commit is acknowledged iff its record survived the crash.
 //!
-//! With a zero `force_latency` and zero `max_wait` (the defaults) the whole
-//! path degenerates to `append_forced` under one mutex acquisition — the
-//! deterministic simulator and single-threaded tests observe behavior
-//! identical to the unbatched log.
+//! An in-memory log with zero `force_latency` (the default) never releases
+//! the mutex: `append_durable` is `append_forced` under one mutex
+//! acquisition, so the deterministic simulator and single-threaded tests
+//! observe behavior identical to the unbatched log.
 
 use crate::log::{LogManager, LogStats};
 use crate::record::LogRecord;
 use amc_types::Lsn;
 use parking_lot::{Condvar, Mutex};
+use std::fs::File;
 use std::time::Duration;
-
-/// A leader stops lingering for followers once this many commits are
-/// pending.
-pub(crate) const MAX_BATCH: usize = 64;
 
 /// Tuning for [`GroupCommitter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupCommitConfig {
-    /// How long a leader lingers for followers before forcing. Zero (the
-    /// default) means "force whatever is queued right now" — batching then
-    /// comes purely from commits that arrive while a force is in flight.
-    pub max_wait: Duration,
     /// Modelled latency of one physical force (the fsync the batch
     /// amortizes). The leader sleeps this long **without** holding the log
     /// mutex, so concurrent committers can append and queue meanwhile.
@@ -54,7 +50,7 @@ struct GcInner {
     /// Bumped on every crash. A committer whose epoch moved while it was
     /// parked was never acknowledged — its record may be gone.
     epoch: u64,
-    /// A leader is currently forcing; followers park instead of competing.
+    /// A leader is out forcing; followers park instead of competing.
     forcing: bool,
     /// LSNs of durable-append requests awaiting acknowledgement.
     pending: Vec<Lsn>,
@@ -62,10 +58,9 @@ struct GcInner {
 
 /// A [`LogManager`] wrapped with leader/follower group commit.
 ///
-/// With the default config (zero linger, zero modelled fsync latency) the
-/// committer behaves exactly like an unbatched forced append — one force
-/// per durable record — which makes single-threaded use easy to reason
-/// about:
+/// With the default config on an in-memory log the committer behaves
+/// exactly like an unbatched forced append — one force per durable
+/// record — which makes single-threaded use easy to reason about:
 ///
 /// ```
 /// use amc_types::LocalTxnId;
@@ -83,17 +78,20 @@ struct GcInner {
 ///
 /// Under concurrency the interesting number is `batched_commits /
 /// group_forces` — how many acknowledgements each physical force paid for
-/// (experiment E11b sweeps it against the linger window).
+/// (experiment E11b sweeps it against the number of committers).
 pub struct GroupCommitter {
     inner: Mutex<GcInner>,
     cv: Condvar,
     cfg: GroupCommitConfig,
+    /// The durable sink's file: the leader fsyncs through it unlocked.
+    syncer: Option<File>,
 }
 
 impl GroupCommitter {
     /// Wrap `log` with the given batching config.
     pub fn new(log: LogManager, cfg: GroupCommitConfig) -> Self {
         GroupCommitter {
+            syncer: log.sync_handle(),
             inner: Mutex::new(GcInner {
                 log,
                 epoch: 0,
@@ -103,11 +101,6 @@ impl GroupCommitter {
             cv: Condvar::new(),
             cfg,
         }
-    }
-
-    /// The active batching config.
-    pub fn config(&self) -> GroupCommitConfig {
-        self.cfg
     }
 
     /// Run `f` with exclusive access to the wrapped log (stats, recovery,
@@ -131,7 +124,6 @@ impl GroupCommitter {
         let epoch = inner.epoch;
         let lsn = inner.log.append(record);
         inner.pending.push(lsn);
-        let mut lingered = false;
         loop {
             if inner.epoch != epoch {
                 return false;
@@ -140,45 +132,35 @@ impl GroupCommitter {
                 return true;
             }
             if inner.forcing {
-                // A leader is writing a batch that may or may not cover us;
-                // park until it publishes, then re-check.
+                // A leader is out forcing a batch that may or may not cover
+                // us; park until it publishes, then re-check.
                 self.cv.wait(&mut inner);
                 continue;
             }
-            // We are the leader-elect for everything queued so far.
-            if !lingered && !self.cfg.max_wait.is_zero() && inner.pending.len() < MAX_BATCH {
-                // Linger briefly so followers can join this batch.
-                lingered = true;
-                self.cv.wait_for(&mut inner, self.cfg.max_wait);
-                continue;
-            }
-            inner.forcing = true;
+            // We lead everything appended so far.
             let target = inner.log.head();
-            if !self.cfg.force_latency.is_zero() {
-                // Modelled fsync: release the mutex so committers arriving
-                // during the write queue up for the next batch.
+            if self.syncer.is_some() || !self.cfg.force_latency.is_zero() {
+                inner.forcing = true;
+                inner.log.write_upto(target);
                 drop(inner);
                 std::thread::sleep(self.cfg.force_latency);
+                if let Some(file) = &self.syncer {
+                    file.sync_data().expect("WAL fsync");
+                }
                 inner = self.inner.lock();
-            }
-            if inner.epoch != epoch {
-                // Crashed while "the disk was writing": nothing in this
-                // batch became durable and nobody gets acknowledged.
+                if inner.epoch != epoch {
+                    // A crash struck while the disk was writing: it dropped
+                    // this batch, reset `forcing` and woke everyone.
+                    return false;
+                }
                 inner.forcing = false;
-                self.cv.notify_all();
-                return false;
             }
-            let (records, bytes_before) = {
-                let b = inner.log.stats().stable_bytes;
-                (inner.log.force_upto(target), b)
-            };
-            let bytes = inner.log.stats().stable_bytes - bytes_before;
+            let (records, bytes) = inner.log.force_upto(target, false);
             let acked = inner.pending.iter().filter(|l| **l <= target).count() as u64;
             inner.pending.retain(|l| *l > target);
             if acked > 0 {
                 inner.log.note_group_batch(acked, records, bytes);
             }
-            inner.forcing = false;
             self.cv.notify_all();
             // Our own record is ≤ target by construction.
             return true;
@@ -188,23 +170,22 @@ impl GroupCommitter {
     /// Crash: the volatile tail is lost and every parked committer is
     /// released unacknowledged.
     pub fn crash(&self) {
-        let mut inner = self.inner.lock();
-        inner.epoch += 1;
-        inner.pending.clear();
-        inner.forcing = false;
-        inner.log.crash();
-        self.cv.notify_all();
+        self.crash_with(LogManager::crash);
     }
 
     /// Crash mid-force (see [`LogManager::crash_during_force`]): a prefix
     /// of the tail survives, but **no** parked committer is acknowledged —
     /// exactly like a real fsync that never returned.
     pub fn crash_during_force(&self, keep_frames: usize, torn: bool) {
+        self.crash_with(|log| log.crash_during_force(keep_frames, torn));
+    }
+
+    fn crash_with(&self, crash: impl FnOnce(&mut LogManager)) {
         let mut inner = self.inner.lock();
         inner.epoch += 1;
         inner.pending.clear();
         inner.forcing = false;
-        inner.log.crash_during_force(keep_frames, torn);
+        crash(&mut inner.log);
         self.cv.notify_all();
     }
 
@@ -255,7 +236,6 @@ mod tests {
     fn concurrent_committers_batch_behind_one_force() {
         let cfg = GroupCommitConfig {
             force_latency: Duration::from_millis(3),
-            ..GroupCommitConfig::default()
         };
         let gc = Arc::new(GroupCommitter::new(LogManager::new(), cfg));
         let threads = 8;
@@ -285,55 +265,122 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lingering_leader_collects_followers() {
+    type Crash = fn(&GroupCommitter);
+
+    /// A durable log in a fresh file named `name`, and its path.
+    fn durable_log(name: &str) -> (LogManager, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("amc-wal-group-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        (LogManager::open_durable(&path).unwrap(), path)
+    }
+
+    /// Commit 0 is acknowledged; then four committers race while each
+    /// leader spends 50 ms out of the mutex, and `crash` strikes once all
+    /// four have appended and a leader is out. Nothing is acknowledged
+    /// that did not survive, and `durable()` never counted the batch that
+    /// was out. Returns the committer and the commits it acknowledged.
+    fn crash_while_the_leader_is_out(
+        log: LogManager,
+        crash: Crash,
+    ) -> (Arc<GroupCommitter>, Vec<LocalTxnId>) {
         let cfg = GroupCommitConfig {
-            max_wait: Duration::from_millis(10),
-            force_latency: Duration::ZERO,
+            force_latency: Duration::from_millis(50),
         };
-        let gc = Arc::new(GroupCommitter::new(LogManager::new(), cfg));
-        let handles: Vec<_> = (0..4u64)
+        let gc = Arc::new(GroupCommitter::new(log, cfg));
+        assert!(gc.append_durable(&commit(0)));
+        let handles: Vec<_> = (1..=4u64)
             .map(|t| {
                 let gc = Arc::clone(&gc);
-                std::thread::spawn(move || assert!(gc.append_durable(&commit(t))))
+                std::thread::spawn(move || (t, gc.append_durable(&commit(t))))
+            })
+            .collect();
+        // A liveness deadline, not a timing bound.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let inner = gc.inner.lock();
+            if inner.forcing && inner.log.head() == Lsn::new(5) {
+                assert!(
+                    inner.log.durable() < inner.log.head(),
+                    "a batch whose force has not returned is not durable"
+                );
+                break;
+            }
+            drop(inner);
+            assert!(std::time::Instant::now() < deadline, "no leader went out");
+            std::thread::yield_now();
+        }
+        crash(&gc);
+        let mut acked = vec![LocalTxnId::new(0)];
+        for h in handles {
+            let (t, ok) = h.join().unwrap();
+            if ok {
+                acked.push(LocalTxnId::new(t));
+            }
+        }
+        let stable = committed_txns(&gc);
+        for t in &acked {
+            assert!(stable.contains(t), "acknowledged commit {t:?} was lost");
+        }
+        (gc, acked)
+    }
+
+    #[test]
+    fn crash_releases_parked_committers_unacknowledged() {
+        let (gc, acked) = crash_while_the_leader_is_out(LogManager::new(), GroupCommitter::crash);
+        // A plain crash keeps no unsynced frame: durable iff acknowledged.
+        let mut stable = committed_txns(&gc);
+        stable.sort();
+        assert_eq!(stable, acked);
+    }
+
+    #[test]
+    fn crash_while_a_durable_leader_is_out_leaves_file_and_model_equal() {
+        let crashes: [(&str, Crash); 2] = [
+            ("crash.wal", GroupCommitter::crash),
+            ("torn.wal", |gc| gc.crash_during_force(1, false)),
+        ];
+        for (name, crash) in crashes {
+            let (log, path) = durable_log(name);
+            let (gc, _) = crash_while_the_leader_is_out(log, crash);
+            let model = gc.with_log(|log| log.stable_records().unwrap());
+            let reopened = LogManager::open_durable(&path).unwrap();
+            assert_eq!(reopened.stable_records().unwrap(), model, "{name}");
+        }
+    }
+
+    #[test]
+    fn durable_committers_share_fsyncs_without_a_timer() {
+        let (log, path) = durable_log("share.wal");
+        let gc = Arc::new(GroupCommitter::new(log, GroupCommitConfig::default()));
+        let (threads, per_thread) = (8u64, 25u64);
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let gc = Arc::clone(&gc);
+                std::thread::spawn(move || {
+                    for i in 0..per_thread {
+                        assert!(gc.append_durable(&commit(t * 100 + i)));
+                    }
+                })
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
         let s = gc.stats();
-        assert_eq!(s.batched_commits, 4);
-        assert!(s.group_forces <= 4);
-    }
-
-    #[test]
-    fn crash_releases_parked_committers_unacknowledged() {
-        let cfg = GroupCommitConfig {
-            force_latency: Duration::from_millis(50),
-            ..GroupCommitConfig::default()
-        };
-        let gc = Arc::new(GroupCommitter::new(LogManager::new(), cfg));
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let gc = Arc::clone(&gc);
-                std::thread::spawn(move || (t, gc.append_durable(&commit(t))))
-            })
-            .collect();
-        // Let the leader start its (long) force, then crash mid-write.
-        std::thread::sleep(Duration::from_millis(10));
-        gc.crash();
-        let stable: Vec<LocalTxnId> = committed_txns(&gc);
-        for h in handles {
-            let (t, acked) = h.join().unwrap();
-            if acked {
-                assert!(
-                    stable.contains(&LocalTxnId::new(t)),
-                    "acknowledged commit {t} must be durable"
-                );
-            }
-        }
-        // The crash hit while the leader slept, so in fact nobody was acked.
-        assert_eq!(gc.stats().batched_commits, 0);
+        assert_eq!(s.batched_commits, threads * per_thread);
+        assert!(
+            s.forces < s.batched_commits,
+            "{} fsyncs for {} commits: no batch ever formed",
+            s.forces,
+            s.batched_commits
+        );
+        let reopened = LogManager::open_durable(&path).unwrap();
+        assert_eq!(
+            reopened.stable_records().unwrap().len() as u64,
+            threads * per_thread
+        );
     }
 
     #[test]

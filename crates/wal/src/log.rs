@@ -131,6 +131,10 @@ pub struct LogManager {
     stable: Frames,
     /// Volatile frames not yet forced.
     tail: Vec<Vec<u8>>,
+    /// The first `written` tail frames are already in the durable sink,
+    /// their fsync not yet returned (see [`LogManager::write_upto`]). The
+    /// file holds the stable prefix followed by exactly these frames.
+    written: usize,
     /// Records reclaimed from the front (see [`LogManager::truncate_before`]).
     truncated: u64,
     stats: LogStats,
@@ -225,46 +229,61 @@ impl LogManager {
     /// Force the whole tail to stable storage.
     pub fn force(&mut self) {
         let head = self.head();
-        self.force_upto(head);
+        self.force_upto(head, true);
     }
 
-    /// Force the tail up to (and including) `upto`; later frames stay
-    /// volatile. One physical write — counts as a single force when it
-    /// moves at least one frame. Returns the number of frames forced.
-    pub(crate) fn force_upto(&mut self, upto: Lsn) -> u64 {
-        let durable = self.truncated + self.stable.len() as u64;
+    /// The first half of a force whose fsync runs outside the caller's
+    /// lock: append the tail up to `upto` to the durable sink, unsynced.
+    /// The frames stay volatile until `force_upto(upto, false)`.
+    pub(crate) fn write_upto(&mut self, upto: Lsn) {
+        let n = upto.raw().saturating_sub(self.durable().raw()) as usize;
+        if let Some(sink) = self.sink.as_mut() {
+            let n = n.min(self.tail.len());
+            for frame in &self.tail[self.written.min(n)..n] {
+                sink.append(frame);
+            }
+            self.written = self.written.max(n);
+        }
+    }
+
+    /// A clone of the durable sink's file, to fsync with the log unlocked.
+    pub(crate) fn sync_handle(&self) -> Option<std::fs::File> {
+        let sink = self.sink.as_ref()?;
+        Some(sink.sync_handle().expect("clone the WAL file handle"))
+    }
+
+    /// Move the tail up to (and including) `upto` into the stable prefix:
+    /// one force, returning the frames and bytes moved. Appends what
+    /// `write_upto` has not, then fsyncs, unless `sync` is off (an fsync
+    /// begun after `write_upto(upto)` has returned) and nothing was new.
+    pub(crate) fn force_upto(&mut self, upto: Lsn, sync: bool) -> (u64, u64) {
+        let durable = self.durable().raw();
         let target = upto.raw().min(self.head().raw());
         if target <= durable {
-            return 0;
+            return (0, 0);
         }
         let n = (target - durable) as usize;
         self.stats.forces += 1;
         let mut bytes = 0u64;
-        for frame in self.tail.drain(..n) {
+        let written = std::mem::take(&mut self.written);
+        for (i, frame) in self.tail.drain(..n).enumerate() {
             self.stats.stable_records += 1;
             self.stats.stable_bytes += frame.len() as u64;
             bytes += frame.len() as u64;
-            if let Some(sink) = self.sink.as_mut() {
+            if let Some(sink) = self.sink.as_mut().filter(|_| i >= written) {
                 sink.append(&frame);
             }
             self.stable.push(&frame);
         }
+        self.written = written.saturating_sub(n);
         // One physical fsync per acknowledged force, however many frames
         // it carried — the cost group commit amortizes.
-        if let Some(sink) = self.sink.as_mut() {
+        if let Some(sink) = self.sink.as_mut().filter(|_| sync || n > written) {
             sink.sync();
         }
-        if self.obs.is_enabled() {
-            self.obs.emit(
-                None,
-                self.obs_site.unwrap_or(SiteId::new(0)),
-                EventKind::LogForce {
-                    records: n as u64,
-                    bytes,
-                },
-            );
-        }
-        n as u64
+        let records = n as u64;
+        self.emit(EventKind::LogForce { records, bytes });
+        (records, bytes)
     }
 
     /// Record that a group-commit leader's force covered `commits` commit
@@ -275,17 +294,11 @@ impl LogManager {
     pub(crate) fn note_group_batch(&mut self, commits: u64, records: u64, bytes: u64) {
         self.stats.group_forces += 1;
         self.stats.batched_commits += commits;
-        if self.obs.is_enabled() {
-            self.obs.emit(
-                None,
-                self.obs_site.unwrap_or(SiteId::new(0)),
-                EventKind::GroupForce {
-                    commits,
-                    records,
-                    bytes,
-                },
-            );
-        }
+        self.emit(EventKind::GroupForce {
+            commits,
+            records,
+            bytes,
+        });
     }
 
     /// Attach an observability sink; subsequent [`LogManager::force`] calls
@@ -302,9 +315,14 @@ impl LogManager {
         lsn
     }
 
-    /// Crash: the volatile tail is lost.
+    /// Crash: the volatile tail is lost, and with it any frames written
+    /// by a force whose fsync never returned — cut from the file too.
     pub fn crash(&mut self) {
         self.tail.clear();
+        if let Some(sink) = self.sink.as_mut().filter(|_| self.written > 0) {
+            sink.truncate_frames(self.stable.len());
+        }
+        self.written = 0;
     }
 
     /// Crash **in the middle of a `force()`**: a prefix of the volatile tail
@@ -337,6 +355,7 @@ impl LogManager {
             }
         }
         self.tail.clear();
+        self.written = 0;
         // A durable sink must reflect what physically hit the medium.
         self.mirror_stable();
     }
@@ -346,7 +365,8 @@ impl LogManager {
     /// directly instead of going through appends.
     fn mirror_stable(&mut self) {
         if let Some(sink) = self.sink.as_mut() {
-            sink.rewrite(self.stable.iter());
+            let written = self.tail[..self.written].iter().map(Vec::as_slice);
+            sink.rewrite(self.stable.iter().chain(written));
         }
     }
 
