@@ -18,10 +18,18 @@
 //! * **Messages + commit latency at f = 1.** The same workload over the
 //!   same five sites, with and without a 3-acceptor (2f+1, f = 1)
 //!   Paxos Commit group co-located on sites 1–3. Replication is not
-//!   free: registration and vote replication add messages, and every
-//!   acceptor append is a real fsync. The claimed shape: a bounded
-//!   constant-factor message overhead and a latency cost that buys the
-//!   non-blocking property measured above.
+//!   free: registration and vote replication add messages. The claimed
+//!   shape: a bounded constant-factor message overhead that buys the
+//!   non-blocking property measured above. Each acceptor writes through
+//!   an in-memory log of its own, and every force — acceptor and engine
+//!   alike — is modelled at [`FORCE`], so the latency columns price the
+//!   extra rounds and the forces they wait for.
+//!
+//! * **Acceptor forces vs streams.** Every acceptor row is forced before
+//!   its reply leaves, through the same group committer as the engine
+//!   WAL (no timer). Under a modelled force latency, one stream pays one
+//!   force per acceptor append; concurrent streams arriving during each
+//!   other's forces share them.
 
 use crate::setup::{load, Cell, ProgramBatch};
 use crate::table::{cells, opt2, section, verdict, Col, TextTable};
@@ -29,29 +37,23 @@ use amc_core::{Federation, FederationConfig, TxnOutcome};
 use amc_types::{Operation, ProtocolKind, SiteId};
 use amc_workload::object;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SITES: u32 = 5; // sites 1..=3 host the acceptors; 4 and 5 trade
 const ACCEPTORS: u32 = 3; // 2f+1 with f = 1
 const OBJECTS: u64 = 64;
+/// The modelled force of every log, engine and acceptor: the durability
+/// wait a reply pays and a group-commit batch amortises.
+const FORCE: Duration = Duration::from_micros(500);
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("amc-e12-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A loaded 2PC federation; with `paxos`, `(acceptor log dir, group-commit
-/// linger)`, under a Paxos Commit acceptor group.
-fn loaded(paxos: Option<(&std::path::Path, Option<Duration>)>) -> Federation {
+/// A loaded 2PC federation, every force modelled at [`FORCE`]; with
+/// `paxos`, under a Paxos Commit acceptor group.
+fn loaded(paxos: bool) -> Federation {
     let mut cfg = FederationConfig::uniform(SITES, ProtocolKind::TwoPhaseCommit);
-    if let Some((dir, linger)) = paxos {
-        cfg = cfg.with_paxos_commit(ACCEPTORS, dir);
-        if let Some(d) = linger {
-            cfg.paxos = cfg.paxos.map(|p| p.with_acceptor_linger(d));
-        }
+    cfg.tpl.group_commit.force_latency = FORCE;
+    if paxos {
+        cfg = cfg.with_paxos_commit(ACCEPTORS);
     }
     let fed = Federation::new(cfg);
     load(&fed, OBJECTS);
@@ -93,8 +95,7 @@ pub struct WindowRow {
 /// incumbent may decide) vs not at all (Paxos lane: any standby may).
 fn run_window_cell(outage_ms: u64, classic: bool) -> f64 {
     let lane = if classic { "classic" } else { "paxos" };
-    let dir = scratch_dir(&format!("window-{lane}-{outage_ms}"));
-    let fed = loaded(Some((&dir, None)));
+    let fed = loaded(true);
     // Warm the path so neither lane pays first-transaction setup.
     assert_eq!(
         fed.run_transaction(&transfer(1)).expect("warmup").outcome,
@@ -120,9 +121,7 @@ fn run_window_cell(outage_ms: u64, classic: bool) -> f64 {
     // The window closes when the wedged objects take a new transfer.
     let probe = fed.run_transaction(&transfer(0)).expect("probe");
     assert_eq!(probe.outcome, TxnOutcome::Committed, "{lane} probe");
-    let window = t0.elapsed().as_secs_f64() * 1e3;
-    let _ = std::fs::remove_dir_all(&dir);
-    window
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 // --- part B: messages + latency at f = 1 -----------------------------------
@@ -145,121 +144,85 @@ const COST_COLS: [Col; 5] = [
 
 /// One protocol lane — "2pc" or "paxos-commit(3)" — from one client.
 fn run_cost_cell(mode: &'static str, paxos: bool, txns: u64) -> Cell {
-    let dir = scratch_dir(&format!("cost-{mode}"));
-    let fed = Arc::new(loaded(paxos.then_some((dir.as_path(), None))));
+    let fed = Arc::new(loaded(paxos));
     let m = fed.run_concurrent(transfers(txns), 1);
-    let _ = std::fs::remove_dir_all(&dir);
     Cell::of(mode.to_string(), 0.0, txns as usize, m)
 }
 
-// --- part C: group-commit linger on the acceptor log -----------------------
+// --- part C: acceptor forces vs streams -----------------------------------
 
-const LINGER_COLS: [Col; 8] = [
-    Col::fact("acceptor sync"),
+const FORCE_COLS: [Col; 6] = [
+    Col::fact("streams"),
     Col::COMMITS.named("committed"),
+    Col::fact("acceptor appends"),
+    Col::fact("acceptor forces"),
+    Col::fact("appends/force"),
     Col::TXN_S,
-    Col::P50_US,
-    Col::P99_US,
-    Col::fact("appends"),
-    Col::fact("fsyncs"),
-    Col::fact("appends/fsync"),
 ];
 
-/// One measured acceptor-sync discipline under concurrent load: the cell
-/// ("fsync-per-append" or "group-commit <µs>"), the durability-critical
-/// frames appended across all acceptor logs, and the fsyncs actually paid
-/// for them (== appends without a linger).
-pub(crate) type LingerCell = (Cell, u64, u64);
+/// One stream count's cell, with the rows appended across all acceptor
+/// logs and the forces that covered them.
+pub(crate) type ForceCell = (Cell, u64, u64);
 
-/// Appends amortised per fsync — the group-commit batching factor.
-fn batching((_, appends, fsyncs): &LingerCell) -> f64 {
-    *appends as f64 / (*fsyncs as f64).max(1.0)
+/// Acceptor appends amortised per force — the group-commit batching
+/// factor.
+fn batching((_, appends, forces): &ForceCell) -> Option<f64> {
+    (*forces > 0).then(|| *appends as f64 / *forces as f64)
 }
 
 /// Drive `txns` disjoint transfers through one Paxos Commit federation
-/// from `clients` closed-loop clients and measure commit latency under
-/// the given acceptor sync discipline. Every acceptor append is
-/// durability-critical; without a linger each one pays its own fsync,
-/// serialised under the acceptor lock — exactly the collapse group commit
-/// exists to amortise. Disjoint objects: pure fsync pressure, no lock
-/// conflicts.
-fn run_linger_cell(linger: Option<Duration>, txns: u64, clients: usize) -> LingerCell {
-    let label = match linger {
-        None => "fsync-per-append".to_string(),
-        Some(d) => format!("group-commit {}µs", d.as_micros()),
-    };
-    let dir = scratch_dir(&format!("linger-{}", linger.map_or(0, |d| d.as_micros())));
-    let fed = Arc::new(loaded(Some((&dir, linger))));
-    let m = fed.run_concurrent(transfers(txns), clients);
-    // Read the durability counters before the federation is dropped:
-    // frames appended across every acceptor log, and how many fsyncs
-    // actually covered them (sync-per-record pays one per frame).
-    let mut appends = 0u64;
-    let mut group_fsyncs = 0u64;
-    if let Some(tp) = fed.paxos_transport() {
-        for s in 1..=SITES {
-            if let Some(h) = tp.host(SiteId::new(s)) {
-                appends += h.log_frames() as u64;
-                group_fsyncs += h.group_fsyncs();
-            }
-        }
+/// from `streams` closed-loop clients, every force modelled at [`FORCE`],
+/// and count the acceptor rows and the forces that made them durable.
+/// Disjoint objects: pure force pressure, no lock conflicts.
+fn run_force_cell(streams: usize, txns: u64) -> ForceCell {
+    let fed = Arc::new(loaded(true));
+    let m = fed.run_concurrent(transfers(txns), streams);
+    let (mut appends, mut forces) = (0, 0);
+    let tp = fed.paxos_transport().expect("a paxos federation");
+    for a in (1..=ACCEPTORS).map(SiteId::new) {
+        let stats = tp.host(a).expect("an acceptor").wal().stats();
+        appends += stats.appends;
+        forces += stats.forces;
     }
-    let fsyncs = if linger.is_some() {
-        group_fsyncs
-    } else {
-        appends
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    (Cell::of(label, 0.0, txns as usize, m), appends, fsyncs)
+    let cell = Cell::of(streams.to_string(), streams as f64, txns as usize, m);
+    (cell, appends, forces)
 }
 
-/// Run part C: the same concurrent workload with and without the
-/// acceptor group-commit linger.
-pub(crate) fn run_linger(txns: u64, clients: usize) -> Vec<LingerCell> {
-    vec![
-        run_linger_cell(None, txns, clients),
-        run_linger_cell(Some(Duration::from_micros(200)), txns, clients),
-    ]
+/// Run part C: one stream, then eight. A batch holds what arrived during
+/// the previous force.
+pub(crate) fn run_forces(txns: u64) -> Vec<ForceCell> {
+    [1, 8].map(|streams| run_force_cell(streams, txns)).into()
 }
 
 /// Render part C.
-pub(crate) fn linger_table(rows: &[LingerCell]) -> TextTable {
-    let facts = |row: &LingerCell| {
-        let (cell, appends, fsyncs) = row;
-        let batching = format!("{:.1}", batching(row));
+pub(crate) fn force_table(rows: &[ForceCell]) -> TextTable {
+    let facts = |row: &ForceCell| {
+        let (cell, appends, forces) = row;
         vec![
             cell.axis.clone(),
             appends.to_string(),
-            fsyncs.to_string(),
-            batching,
+            forces.to_string(),
+            opt2(batching(row)),
         ]
     };
     cells(
-        "E12c — acceptor group commit under concurrency (paxos-commit(3), 8 disjoint streams)",
-        &LINGER_COLS,
+        "E12c — acceptor forces vs streams (paxos-commit(3), disjoint transfers, 500 µs force, no timer)",
+        &FORCE_COLS,
         rows.iter().map(|row| (facts(row), &row.0.m)),
     )
 }
 
-/// The shape check for part C.
-pub(crate) fn linger_verdicts(rows: &[LingerCell]) -> Vec<String> {
-    let base = rows.iter().find(|r| r.0.axis.starts_with("fsync"));
-    let grouped = rows.iter().find(|r| r.0.axis.starts_with("group"));
-    // The durability arithmetic, not the wall clock: the linger must
-    // make concurrent appends share fsyncs (≥ 2× batching) without
-    // losing a commit. Throughput is reported but not gated on — on a
-    // fast medium the fsync is cheap enough that the wall-clock delta
-    // drowns in scheduler noise.
-    let amortised = match (base, grouped) {
-        (Some((b, ..)), Some(g @ (cell, appends, fsyncs))) => {
-            cell.m.committed == b.m.committed && fsyncs < appends && batching(g) >= 2.0
-        }
-        _ => false,
-    };
+/// The shape check for part C: counts, not the wall clock.
+pub(crate) fn force_verdicts(rows: &[ForceCell]) -> Vec<String> {
+    let per_force = |streams: f64| rows.iter().find(|r| r.0.x == streams).and_then(batching);
+    let kept = rows
+        .iter()
+        .all(|(cell, ..)| cell.m.committed as usize == cell.offered);
+    let shared = per_force(1.0) == Some(1.0) && per_force(8.0).is_some_and(|b| b > 1.0);
     vec![verdict(
-        amortised,
-        "E12-4: group commit amortises the acceptor durability point — concurrent \
-         appends share fsyncs at >= 2x batching, every commit kept",
+        kept && shared,
+        "E12-4: one stream pays exactly 1 force per acceptor append; 8 streams share them \
+         (> 1 append/force) with no timer, and every commit is kept",
     )]
 }
 
@@ -364,15 +327,15 @@ pub fn verdicts(windows: &[WindowRow], costs: &[Cell]) -> Vec<String> {
     out
 }
 
-/// The report section: blocking window and cost, then acceptor linger.
+/// The report section: blocking window and cost, then acceptor forces.
 pub fn report(quick: bool) -> String {
     let outages: &[u64] = if quick { &[25, 200] } else { &[25, 100, 400] };
     let (windows, costs) = run(outages, if quick { 60 } else { 200 });
-    let linger = run_linger(if quick { 200 } else { 480 }, 8);
+    let forces = run_forces(if quick { 200 } else { 480 });
     section(
         &[window_table(&windows), cost_table(&costs)],
         &verdicts(&windows, &costs),
-    ) + &section(&[linger_table(&linger)], &linger_verdicts(&linger))
+    ) + &section(&[force_table(&forces)], &force_verdicts(&forces))
 }
 
 #[cfg(test)]
@@ -380,9 +343,9 @@ mod tests {
     use super::*;
 
     /// E12-3 and E12-4 are count verdicts; so are the exact message
-    /// counts behind them.
+    /// and force counts behind them.
     #[test]
-    fn replication_triples_the_messages_and_the_linger_shares_fsyncs() {
+    fn replication_triples_the_messages_and_streams_share_forces() {
         let costs = [
             run_cost_cell("2pc", false, 16),
             run_cost_cell("paxos-commit(3)", true, 16),
@@ -394,10 +357,13 @@ mod tests {
             .all(|c| c.m.committed == 16 && c.m.latency_us.n() == 16));
         assert!(verdicts(&[], &costs)[2].starts_with("[PASS] E12-3"));
 
-        let linger = run_linger(64, 8);
-        let (plain, appends, fsyncs) = &linger[0];
-        assert_eq!(plain.m.committed, 64);
-        assert_eq!(appends, fsyncs, "without a linger every append is an fsync");
-        assert!(linger_verdicts(&linger)[0].starts_with("[PASS] E12-4"));
+        let forces = run_forces(64);
+        let (one, appends, forced) = &forces[0];
+        assert_eq!(one.m.committed, 64);
+        // Per transfer: 3 registers, 2 votes cross-replicated to 3
+        // acceptors, 3 decision notes.
+        assert_eq!(*appends, 64 * 12);
+        assert_eq!(appends, forced, "one stream: one force per append");
+        assert!(force_verdicts(&forces)[0].starts_with("[PASS] E12-4"));
     }
 }

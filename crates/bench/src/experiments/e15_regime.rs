@@ -31,8 +31,11 @@ use crate::setup::{
     offer, sweep, tuned_config, wire_config, BaseConfig, Cell, Point, Regime, Testbed, Wire, WIRES,
 };
 use crate::table::{cells, opt2, section, verdict, Col, TextTable};
+use amc_core::{FederationConfig, SimConfig, SimFederation, SimReport};
+use amc_mlt::ConflictPolicy;
 use amc_net::marker::is_marker;
-use amc_workload::{MixKind, MixSpec};
+use amc_types::{ProtocolKind, SimDuration, SiteId};
+use amc_workload::{MixGen, MixKind, MixSpec};
 
 const SITES: u32 = 3;
 
@@ -129,6 +132,32 @@ pub(crate) fn run_contention(txns: usize, clients: usize) -> Vec<Cell> {
     let conserved = |counters: &[i64]| counters.iter().sum::<i64>() == sum;
     let points = THETAS.map(|theta| (theta, spec(48, theta, 3)));
     lane.run(points, (txns, clients), conserved)
+}
+
+/// E15-3's lane: the contention lane's seeded stream at its hottest point
+/// (theta 1.2), every program offered at virtual time 0, through the
+/// discrete-event pump under commit-before — once with semantic L1 locks,
+/// once with the read/write projection. Virtual time reads no clock: the
+/// same seed gives the same turn-aways and finish times on any box.
+pub(crate) fn run_hot_stream(txns: usize) -> [SimReport; 2] {
+    let spec = spec(48, 1.2, 3);
+    [ConflictPolicy::Semantic, ConflictPolicy::ReadWriteOnly].map(|policy| {
+        let federation = FederationConfig {
+            policy,
+            ..FederationConfig::uniform(SITES, ProtocolKind::CommitBefore)
+        };
+        let sim = SimFederation::new(SimConfig::new(federation));
+        for site in (1..=SITES).map(SiteId::new) {
+            sim.load_site(site, &spec.initial_data(site));
+        }
+        let programs = MixGen::new(MixKind::HotKey, spec.clone(), 0xE15A).programs(txns);
+        sim.run(
+            programs
+                .into_iter()
+                .map(|p| (SimDuration::ZERO, p.per_site))
+                .collect(),
+        )
+    })
 }
 
 /// The fan-out sweep points (participating sites per `NewOrder`).
@@ -239,6 +268,7 @@ pub fn verdicts(
     fanout: &[Cell],
     aborts: &[Cell],
     wire: &[Cell],
+    hot: &[SimReport; 2],
 ) -> Vec<String> {
     let mut out = Vec::new();
     let all = || contention.iter().chain(fanout).chain(aborts).chain(wire);
@@ -265,25 +295,28 @@ pub fn verdicts(
         ),
     ));
 
-    // E15-3 (C4): at the hottest point (theta 1.2) semantic L1 locking
-    // out-commits the read/write ablation — commuting increments should
-    // not queue.
-    let hot = |regime: Regime| {
-        contention
-            .iter()
-            .find(|c| c.regime == regime && c.x == 1.2)
-            .and_then(|c| c.m.throughput())
-    };
-    let c4 = match (hot(Regime::CommitBefore), hot(Regime::CommitBeforeRw)) {
-        (Some(sem), Some(rw)) => sem >= rw,
-        _ => false,
-    };
+    // E15-3 (C4): MLT admits interleavings read/write locking forbids. On
+    // the hottest stream, read/write L1 turns starts away that semantic L1
+    // admits — commuting increments never queue — and semantic finishes
+    // no later in virtual time.
+    let [semantic, read_write] = hot;
+    let finished = |r: &SimReport| r.unresolved.is_empty() && r.errors.is_empty();
+    let c4 = finished(semantic)
+        && finished(read_write)
+        && semantic.turned_away == 0
+        && read_write.turned_away >= 1
+        && semantic.end_time <= read_write.end_time;
+    let virtual_ms = |r: &SimReport| r.end_time.micros() as f64 / 1e3;
     out.push(verdict(
         c4,
         format!(
-            "E15-3 (C4): semantic L1 >= read/write L1 at theta=1.2 ({} vs {} txn/s)",
-            opt2(hot(Regime::CommitBefore)),
-            opt2(hot(Regime::CommitBeforeRw))
+            "E15-3 (C4): on one seeded DES hot-increment stream (theta=1.2, commit-before) \
+             semantic L1 turns away {} starts and read/write L1 {}; semantic finishes no later \
+             ({:.1} vs {:.1} virtual ms)",
+            semantic.turned_away,
+            read_write.turned_away,
+            virtual_ms(semantic),
+            virtual_ms(read_write),
         ),
     ));
 
@@ -326,6 +359,7 @@ pub fn report(quick: bool) -> String {
     let fanout = run_fanout(n, clients);
     let aborts = run_aborts(n, clients);
     let wire = run_wire(if quick { 40 } else { 120 }, clients);
+    let hot = run_hot_stream(n);
     // Per lane: winner tag, axis column, title, rows.
     let lanes = [
         (
@@ -361,7 +395,7 @@ pub fn report(quick: bool) -> String {
         .iter()
         .flat_map(|(lane, _, _, rows)| winners(lane, rows))
         .collect();
-    lines.extend(verdicts(&contention, &fanout, &aborts, &wire));
+    lines.extend(verdicts(&contention, &fanout, &aborts, &wire, &hot));
     section(&tables, &lines)
 }
 
@@ -377,11 +411,12 @@ mod tests {
         let fanout = run_fanout(30, 4);
         let aborts = run_aborts(40, 4);
         let wire = run_wire(30, 4);
+        let hot = run_hot_stream(30);
         assert_eq!(contention.len(), THETAS.len() * Regime::ALL.len());
         assert_eq!(fanout.len(), FANOUTS.len() * Regime::ALL.len());
         assert_eq!(aborts.len(), ABORT_RATES.len() * Regime::ALL.len());
         assert_eq!(wire.len(), 2 * Regime::ALL.len());
-        for v in verdicts(&contention, &fanout, &aborts, &wire) {
+        for v in verdicts(&contention, &fanout, &aborts, &wire, &hot) {
             assert!(v.starts_with("[PASS]"), "{v}");
         }
         assert_eq!(winners("contention", &contention).len(), THETAS.len());

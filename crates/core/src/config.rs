@@ -5,7 +5,6 @@ use amc_mlt::ConflictPolicy;
 use amc_net::{EngineHandle, LocalCommManager};
 use amc_types::{GlobalTxnId, Operation, ProtocolKind, SiteId};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,42 +63,17 @@ pub struct CoordIdentity {
 /// Only meaningful under [`ProtocolKind::TwoPhaseCommit`]: Paxos Commit
 /// replicates the prepare/decision structure of 2PC (it is 2PC's
 /// non-blocking generalisation); the portable protocols have no prepared
-/// state to make durable.
+/// state to make durable. In process, each acceptor writes through a log
+/// and group committer of its own, tuned like the engines' by
+/// [`TplConfig::group_commit`]; a deployed site's acceptor writes through
+/// its engine's.
 #[derive(Debug, Clone)]
 pub struct PaxosCommitConfig {
     /// Acceptor-hosting sites — `2f+1` of them to tolerate `f` failures.
-    /// Every entry must be an existing site of the federation.
+    /// Every entry must be an existing site of the federation. The
+    /// federation speaks as replica 0, the incumbent: recovery ballots are
+    /// `(round ≥ 1, replica)`, ballot 0 its fast path.
     pub acceptors: Vec<SiteId>,
-    /// Directory for the in-process acceptor logs (used by
-    /// `Federation::new`; TCP deployments mount acceptors in their site
-    /// servers instead).
-    pub log_dir: PathBuf,
-    /// Group-commit linger for the acceptor logs: accepts arriving within
-    /// this window of each other share one fsync instead of paying one
-    /// each (the `amc-wal` group-committer pattern applied to the Paxos
-    /// durability point). `None` keeps the historical sync-per-record
-    /// behaviour.
-    pub acceptor_linger: Option<Duration>,
-}
-
-impl PaxosCommitConfig {
-    /// A config tolerating `f = (acceptors-1)/2` failures with logs under
-    /// `log_dir`. The federation speaks as replica 0, the incumbent:
-    /// recovery ballots are `(round ≥ 1, replica)`, ballot 0 its fast path.
-    pub fn new(acceptors: Vec<SiteId>, log_dir: impl Into<PathBuf>) -> Self {
-        PaxosCommitConfig {
-            acceptors,
-            log_dir: log_dir.into(),
-            acceptor_linger: None,
-        }
-    }
-
-    /// Batch acceptor-log fsyncs through a `linger`-long group-commit
-    /// window.
-    pub fn with_acceptor_linger(mut self, linger: Duration) -> Self {
-        self.acceptor_linger = Some(linger);
-        self
-    }
 }
 
 /// Which engine flavour a site runs — the federation's heterogeneity axis.
@@ -199,13 +173,13 @@ impl FederationConfig {
 
     /// Enable Paxos Commit with acceptors at the first `2f+1` sites
     /// (requires the 2PC protocol and at least `acceptors` sites).
-    pub fn with_paxos_commit(mut self, acceptors: u32, log_dir: impl Into<PathBuf>) -> Self {
+    pub fn with_paxos_commit(mut self, acceptors: u32) -> Self {
         assert!(
             acceptors <= self.site_count(),
             "acceptors are co-located with sites"
         );
-        let group = (1..=acceptors).map(SiteId::new).collect();
-        self.paxos = Some(PaxosCommitConfig::new(group, log_dir));
+        let acceptors = (1..=acceptors).map(SiteId::new).collect();
+        self.paxos = Some(PaxosCommitConfig { acceptors });
         self
     }
 

@@ -27,6 +27,7 @@ use amc_types::{
     ProtocolKind, SiteId, Value,
 };
 use amc_verify::{History, OpEvent};
+use amc_wal::{GroupCommitter, LogManager};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,9 +227,11 @@ impl Federation {
         let mut paxos_transport = None;
         let transport: Arc<dyn FederationTransport> = match &cfg.paxos {
             None => Arc::new(inner),
-            // Replicated coordination: mount a durable acceptor at each
+            // Replicated coordination: mount an acceptor at each
             // configured site by decorating the transport — the same
-            // interception the TCP site server performs.
+            // interception the TCP site server performs. Each writes
+            // through an in-memory log and group committer of its own,
+            // as the in-process engines do.
             Some(px) => {
                 assert_eq!(
                     cfg.protocol,
@@ -240,11 +243,10 @@ impl Federation {
                     px.acceptors.iter().all(|a| managers.contains_key(a)),
                     "acceptors must be co-located with existing sites"
                 );
-                std::fs::create_dir_all(&px.log_dir).expect("create acceptor log dir");
                 let host = |a: &SiteId| {
-                    let path = px.log_dir.join(format!("acceptor-{}.log", a.raw()));
-                    let host = AcceptorHost::open_with_linger(*a, path, px.acceptor_linger);
-                    (*a, host.expect("open acceptor log"))
+                    let wal = GroupCommitter::new(LogManager::new(), cfg.tpl.group_commit);
+                    let host = AcceptorHost::mount(*a, Arc::new(wal));
+                    (*a, host.expect("an empty log replays"))
                 };
                 let hosts = px.acceptors.iter().map(host).collect();
                 let decorated = Arc::new(AcceptorTransport::new(inner, hosts));
@@ -1565,20 +1567,18 @@ mod tests {
         }
     }
 
-    /// A 2PC federation with Paxos Commit: `acceptors` durable acceptors
-    /// co-located with the first sites, logs under a per-test temp dir.
-    fn paxos_loaded(sites: u32, acceptors: u32, tag: &str) -> Arc<Federation> {
-        let dir = std::env::temp_dir().join(format!("amc-fed-paxos-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A 2PC federation with Paxos Commit: `acceptors` acceptors
+    /// co-located with the first sites.
+    fn paxos_loaded(sites: u32, acceptors: u32) -> Arc<Federation> {
         loaded_with(
             FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit)
-                .with_paxos_commit(acceptors, &dir),
+                .with_paxos_commit(acceptors),
         )
     }
 
     #[test]
     fn paxos_commit_happy_path_replicates_and_commits() {
-        let fed = paxos_loaded(3, 3, "happy");
+        let fed = paxos_loaded(3, 3);
         let report = fed.run_transaction(&transfer(1, 2, 30)).unwrap();
         assert_eq!(report.outcome, TxnOutcome::Committed);
         let dumps = fed.dumps().unwrap();
@@ -1591,15 +1591,16 @@ mod tests {
         let transport = fed.paxos_transport().unwrap();
         for a in 1..=3 {
             let host = transport.host(site(a)).unwrap();
-            host.with_acceptor(|acc| {
+            host.with_state(|acc| {
                 assert_eq!(
-                    acc.state().decision(report.gtx),
+                    acc.decision(report.gtx),
                     Some(GlobalVerdict::Commit),
                     "acceptor {a}"
                 );
-                assert!(acc.state().open_entries().is_empty(), "acceptor {a}");
-                assert!(acc.frame_count() > 0, "acceptor {a} must have logged");
+                assert!(acc.open_entries().is_empty(), "acceptor {a}");
             });
+            let log = host.wal().stats();
+            assert!(log.forces > 0, "acceptor {a} must have forced its rows");
         }
         // The prepare votes of the two participants were accepted at a
         // majority at ballot 0, so the commit took the fast path — but it
@@ -1613,7 +1614,7 @@ mod tests {
         // instance set cannot be opened durably at a majority, and the
         // transaction (on the disjoint sites 4 and 5) aborts cleanly
         // before any site prepares.
-        let fed = paxos_loaded(5, 3, "minority");
+        let fed = paxos_loaded(5, 3);
         let transport = fed.paxos_transport().unwrap();
         transport.set_down(site(2), true);
         transport.set_down(site(3), true);
@@ -1634,7 +1635,7 @@ mod tests {
         // vote: site 1 is prepared and in doubt, site 2 never saw a
         // prepare. A standby surveys the acceptors — instance 2 is free,
         // so presume-abort — and finishes the transaction itself.
-        let fed = paxos_loaded(3, 3, "standby-abort");
+        let fed = paxos_loaded(3, 3);
         fed.inject_coordinator_crash_after_votes(1);
         let err = fed.run_transaction(&transfer(1, 2, 30)).unwrap_err();
         assert!(matches!(err, AmcError::InvalidState(_)), "{err}");
@@ -1654,7 +1655,7 @@ mod tests {
         // every instance already chose Prepared at a majority, so the
         // standby must conclude commit — aborting here would contradict
         // the replicated decision.
-        let fed = paxos_loaded(3, 3, "standby-commit");
+        let fed = paxos_loaded(3, 3);
         fed.inject_coordinator_crash_after_votes(2);
         let err = fed.run_transaction(&transfer(1, 2, 30)).unwrap_err();
         assert!(matches!(err, AmcError::InvalidState(_)), "{err}");
@@ -1676,7 +1677,7 @@ mod tests {
     /// deliver it — the transaction is a standby's to decide.
     #[test]
     fn paxos_gate_failure_leaves_the_transaction_in_doubt_not_parked() {
-        let fed = paxos_loaded(5, 3, "gate-fails");
+        let fed = paxos_loaded(5, 3);
         let acceptors = fed.paxos_transport().unwrap();
         let (mut txn, mut sends) = fed
             .begin(&transfer(4, 5, 30))

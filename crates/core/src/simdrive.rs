@@ -94,6 +94,10 @@ pub struct SimReport {
     pub net: NetStats,
     /// Coordinator timer firings that retransmitted something.
     pub retransmissions: u64,
+    /// Starts the L1 lock table turned away (each offered again a
+    /// retransmission period later): the conflicts the central system's
+    /// conflict policy serialised.
+    pub turned_away: u64,
     /// Transactions unresolved when the horizon hit.
     pub unresolved: Vec<GlobalTxnId>,
     /// Handler errors observed (site-down races are expected; anything
@@ -130,6 +134,7 @@ pub struct SimFederation {
     txns: BTreeMap<GlobalTxnId, Txn>,
     programs: BTreeMap<GlobalTxnId, Program>,
     retransmissions: u64,
+    turned_away: u64,
     errors: Vec<String>,
     /// When each transaction was admitted.
     start_times: BTreeMap<GlobalTxnId, SimTime>,
@@ -162,6 +167,7 @@ impl SimFederation {
             txns: BTreeMap::new(),
             programs: BTreeMap::new(),
             retransmissions: 0,
+            turned_away: 0,
             errors: Vec::new(),
             start_times: BTreeMap::new(),
             completed: BTreeMap::new(),
@@ -313,7 +319,13 @@ impl SimFederation {
                     self.fed.set_first_gtx(gtx.raw());
                     let begun = match self.router.is_down(SiteId::CENTRAL) {
                         true => None,
-                        false => self.fed.begin(&self.programs[&gtx]).ok(),
+                        false => match self.fed.begin(&self.programs[&gtx]) {
+                            Ok(begun) => Some(begun),
+                            Err(_) => {
+                                self.turned_away += 1;
+                                None
+                            }
+                        },
                     };
                     let Some((txn, sends)) = begun else {
                         self.retry_later(Event::Start(gtx));
@@ -428,6 +440,7 @@ impl SimFederation {
             resolution,
             net: self.router.stats(),
             retransmissions: self.retransmissions,
+            turned_away: self.turned_away,
             unresolved,
             errors: self.errors,
             end_time: self.queue.now(),
@@ -607,12 +620,10 @@ mod tests {
     /// `submit-prepare` in release).
     #[test]
     fn fast_path_flag_is_inert_where_the_blocking_pump_ignores_it() {
-        let dir = std::env::temp_dir().join(format!("amc-sim-paxos-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let configs = [
             FederationConfig::uniform(2, ProtocolKind::CommitAfter),
             FederationConfig::uniform(2, ProtocolKind::CommitBefore),
-            FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_paxos_commit(2, &dir),
+            FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_paxos_commit(2),
         ];
         for plain in configs {
             let labels = |federation: FederationConfig| {
@@ -631,11 +642,9 @@ mod tests {
         }
     }
 
-    fn sim_paxos(tag: &str, faults: FaultPlan) -> SimFederation {
-        let dir = std::env::temp_dir().join(format!("amc-sim-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn sim_paxos(faults: FaultPlan) -> SimFederation {
         let federation =
-            FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_paxos_commit(2, &dir);
+            FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_paxos_commit(2);
         let mut cfg = SimConfig::new(federation);
         cfg.faults = faults;
         let fed = SimFederation::new(cfg);
@@ -649,7 +658,7 @@ mod tests {
     #[test]
     fn paxos_commit_survives_a_loss_burst() {
         let burst = FaultPlan::none().loss_burst(SimTime(0), SimDuration::from_millis(2), 1.0);
-        let fed = sim_paxos("burst", burst);
+        let fed = sim_paxos(burst);
         let managers = fed.managers();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
@@ -681,7 +690,7 @@ mod tests {
             SimTime(3_000),
             SimDuration::from_millis(10),
         );
-        let fed = sim_paxos("outage", outage);
+        let fed = sim_paxos(outage);
         let managers = fed.managers();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);

@@ -35,6 +35,7 @@ use amc_wal::{GroupCommitConfig, GroupCommitter, LogManager, LogRecord};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Construction parameters for a [`TwoPLEngine`].
@@ -114,7 +115,8 @@ struct TxnTable {
 pub struct TwoPLEngine {
     txns: Mutex<TxnTable>,
     store: Mutex<PageStore>,
-    wal: GroupCommitter,
+    /// Shared: a co-located Paxos acceptor writes through it too.
+    wal: Arc<GroupCommitter>,
     locks: BlockingLockManager<PageId, LocalTxnId, PageMode>,
     cfg: TplConfig,
     /// The site this engine serves, carried in `SiteDown` errors so report
@@ -134,7 +136,7 @@ impl TwoPLEngine {
                 stats: EngineStats::default(),
             }),
             store: Mutex::new(PageStore::new(cfg.buckets, cfg.pool_frames)),
-            wal: GroupCommitter::new(log, cfg.group_commit),
+            wal: Arc::new(GroupCommitter::new(log, cfg.group_commit)),
             locks: BlockingLockManager::new(cfg.deadlock_check),
             cfg,
             site: AtomicU32::new(site.raw()),
@@ -166,6 +168,13 @@ impl TwoPLEngine {
         let engine = Self::over(cfg, site, LogManager::open_durable(path)?, false);
         let report = engine.recover()?;
         Ok((engine, report))
+    }
+
+    /// The engine's group committer: what a co-located Paxos acceptor
+    /// writes its rows through, so the site keeps one log, one file and
+    /// one force path.
+    pub fn wal(&self) -> &Arc<GroupCommitter> {
+        &self.wal
     }
 
     /// The site this engine reports in `SiteDown` errors.

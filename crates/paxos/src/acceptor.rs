@@ -3,83 +3,22 @@
 //! One acceptor participates in **every** per-site Paxos instance of every
 //! transaction; with `2f + 1` acceptors the commit protocol tolerates `f`
 //! simultaneous acceptor/coordinator failures without blocking. The
-//! acceptor is split sans-IO style:
-//!
-//! * [`Record`] — the durable log vocabulary (registration, promise,
-//!   accept, decision note), one row table in the workspace codec;
-//! * [`AcceptorState`] — the pure state machine: applying a sequence of
-//!   records from any log prefix reproduces exactly the state the acceptor
-//!   had when the last record of that prefix was written;
-//! * [`DurableAcceptor`] — the production wrapper that appends each record
-//!   to an [`amc_wal::RecordFile`] and fsyncs **before** the reply is
-//!   released, so an acknowledged promise/accept survives `kill -9`.
+//! acceptor is sans-IO: [`AcceptorState`] is the pure state machine, and
+//! its durable vocabulary — registration, promise, accept, decision note —
+//! is four rows of the site's write-ahead log (`amc_wal::LogRecord` tags
+//! 7–10). Applying the acceptor rows of any log prefix reproduces exactly
+//! the state the acceptor had when the last of them was written. The
+//! [`AcceptorHost`](crate::AcceptorHost) appends them through the site's
+//! group committer and releases no reply before they are durable.
 
-use crate::ballot::Ballot;
 use amc_net::PaxosOpenEntry;
-use amc_types::{codec, AmcResult, GlobalTxnId, GlobalVerdict, SiteId};
-use amc_wal::RecordFile;
+use amc_types::{Ballot, GlobalTxnId, GlobalVerdict, SiteId};
+use amc_wal::LogRecord;
 use std::collections::BTreeMap;
-use std::path::Path;
-
-/// One durable acceptor-log entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Record {
-    /// A transaction entered commit processing with these participants.
-    Register {
-        /// The transaction.
-        gtx: GlobalTxnId,
-        /// Participant sites — one Paxos instance each.
-        participants: Vec<SiteId>,
-    },
-    /// The acceptor promised `ballot` for all of `gtx`'s instances.
-    Promise {
-        /// The transaction.
-        gtx: GlobalTxnId,
-        /// The promised ballot.
-        ballot: Ballot,
-    },
-    /// The acceptor accepted `prepared` for instance `site` at `ballot`.
-    Accept {
-        /// The transaction.
-        gtx: GlobalTxnId,
-        /// The instance.
-        site: SiteId,
-        /// The ballot of the accepted value.
-        ballot: Ballot,
-        /// The value: true = Prepared, false = Aborted.
-        prepared: bool,
-    },
-    /// The global decision reached `gtx`; its instances are closed.
-    Decision {
-        /// The transaction.
-        gtx: GlobalTxnId,
-        /// The verdict.
-        verdict: GlobalVerdict,
-    },
-}
-
-amc_types::wire_enum!(Record, "acceptor-record" {
-    1 => Register { gtx: GlobalTxnId, participants: Vec<SiteId> },
-    2 => Promise { gtx: GlobalTxnId, ballot: Ballot },
-    3 => Accept { gtx: GlobalTxnId, site: SiteId, ballot: Ballot, prepared: bool },
-    4 => Decision { gtx: GlobalTxnId, verdict: GlobalVerdict },
-});
-
-impl Record {
-    /// Binary encoding (pre-framing payload).
-    pub fn encode(&self) -> Vec<u8> {
-        codec::encode(self)
-    }
-
-    /// Decode one record. Rejects trailing garbage.
-    pub fn decode(buf: &[u8]) -> AmcResult<Record> {
-        Ok(codec::decode(buf)?)
-    }
-}
 
 /// What a phase-1b reply carries back to the asking replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PromiseOutcome {
+pub(crate) struct PromiseOutcome {
     /// True when the asked ballot was promised.
     pub promised: bool,
     /// The highest ballot this acceptor has promised (the asked ballot
@@ -102,7 +41,7 @@ struct TxnState {
 
 /// The pure acceptor state machine.
 ///
-/// Every mutating method applies the change **and** returns the [`Record`]
+/// Every mutating method applies the change **and** returns the log row
 /// to persist (or `None` when the operation was an idempotent no-op and
 /// the log already implies the state).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -116,8 +55,9 @@ impl AcceptorState {
         Self::default()
     }
 
-    /// Rebuild state from decoded records (a log replay).
-    pub fn replay<'a>(records: impl IntoIterator<Item = &'a Record>) -> Self {
+    /// Rebuild state from a site's decoded log (a replay): its acceptor
+    /// rows, in log order; every engine row is skipped.
+    pub fn replay<'a>(records: impl IntoIterator<Item = &'a LogRecord>) -> Self {
         let mut s = AcceptorState::new();
         for r in records {
             s.apply(r);
@@ -125,21 +65,22 @@ impl AcceptorState {
         s
     }
 
-    /// Apply one record (replay path — no admission checks, the log is
-    /// trusted to have been admitted when written).
-    pub fn apply(&mut self, record: &Record) {
+    /// Apply one log row (replay path — no admission checks, the log is
+    /// trusted to have been admitted when written). Engine rows are not
+    /// the acceptor's and change nothing.
+    pub fn apply(&mut self, record: &LogRecord) {
         match record {
-            Record::Register { gtx, participants } => {
+            LogRecord::Register { gtx, participants } => {
                 let t = self.txns.entry(*gtx).or_default();
                 if t.participants.is_empty() {
                     t.participants = participants.clone();
                 }
             }
-            Record::Promise { gtx, ballot } => {
+            LogRecord::Promise { gtx, ballot } => {
                 let t = self.txns.entry(*gtx).or_default();
                 t.promised = t.promised.max(*ballot);
             }
-            Record::Accept {
+            LogRecord::Accept {
                 gtx,
                 site,
                 ballot,
@@ -152,20 +93,26 @@ impl AcceptorState {
                     *slot = (*ballot, *prepared);
                 }
             }
-            Record::Decision { gtx, verdict } => {
+            LogRecord::Decision { gtx, verdict } => {
                 let t = self.txns.entry(*gtx).or_default();
                 t.decided = Some(*verdict);
             }
+            LogRecord::Begin { .. }
+            | LogRecord::Update { .. }
+            | LogRecord::Prepare { .. }
+            | LogRecord::Commit { .. }
+            | LogRecord::Abort { .. }
+            | LogRecord::Checkpoint { .. } => {}
         }
     }
 
     /// Open `gtx`'s instance set (*BeginCommit*). Idempotent.
-    pub fn register(&mut self, gtx: GlobalTxnId, participants: &[SiteId]) -> Option<Record> {
+    pub fn register(&mut self, gtx: GlobalTxnId, participants: &[SiteId]) -> Option<LogRecord> {
         let t = self.txns.entry(gtx).or_default();
         if !t.participants.is_empty() {
             return None;
         }
-        let rec = Record::Register {
+        let rec = LogRecord::Register {
             gtx,
             participants: participants.to_vec(),
         };
@@ -174,15 +121,15 @@ impl AcceptorState {
     }
 
     /// Phase 1b: try to promise `ballot` for all of `gtx`'s instances.
-    pub fn promise(
+    pub(crate) fn promise(
         &mut self,
         gtx: GlobalTxnId,
         ballot: Ballot,
-    ) -> (PromiseOutcome, Option<Record>) {
+    ) -> (PromiseOutcome, Option<LogRecord>) {
         let t = self.txns.entry(gtx).or_default();
         let granted = ballot >= t.promised;
         let rec = if granted && ballot > t.promised {
-            let rec = Record::Promise { gtx, ballot };
+            let rec = LogRecord::Promise { gtx, ballot };
             self.apply(&rec);
             Some(rec)
         } else {
@@ -208,7 +155,7 @@ impl AcceptorState {
         site: SiteId,
         ballot: Ballot,
         prepared: bool,
-    ) -> (bool, Option<Record>) {
+    ) -> (bool, Option<LogRecord>) {
         let t = self.txns.entry(gtx).or_default();
         if ballot < t.promised {
             return (false, None);
@@ -216,7 +163,7 @@ impl AcceptorState {
         if t.accepted.get(&site) == Some(&(ballot, prepared)) {
             return (true, None); // duplicate delivery — already durable
         }
-        let rec = Record::Accept {
+        let rec = LogRecord::Accept {
             gtx,
             site,
             ballot,
@@ -231,12 +178,16 @@ impl AcceptorState {
     /// registration, promise or accept) — their outcome is covered by
     /// presume-abort, and noting them would grow the log with entries for
     /// every transaction that merely passed through the site.
-    pub fn note_decision(&mut self, gtx: GlobalTxnId, verdict: GlobalVerdict) -> Option<Record> {
+    pub(crate) fn note_decision(
+        &mut self,
+        gtx: GlobalTxnId,
+        verdict: GlobalVerdict,
+    ) -> Option<LogRecord> {
         match self.txns.get(&gtx) {
             None => None,
             Some(t) if t.decided.is_some() => None,
             Some(_) => {
-                let rec = Record::Decision { gtx, verdict };
+                let rec = LogRecord::Decision { gtx, verdict };
                 self.apply(&rec);
                 Some(rec)
             }
@@ -254,6 +205,12 @@ impl AcceptorState {
                 participants: t.participants.clone(),
             })
             .collect()
+    }
+
+    /// Whether the acceptor holds any state for `gtx`: a message that
+    /// finds none is not Paxos traffic for this acceptor.
+    pub(crate) fn knows(&self, gtx: GlobalTxnId) -> bool {
+        self.txns.contains_key(&gtx)
     }
 
     /// The noted decision for `gtx`, if any.
@@ -284,99 +241,6 @@ impl AcceptorState {
     }
 }
 
-/// An acceptor whose log lives in an [`amc_wal::RecordFile`].
-///
-/// Invariant: a method returns only after the record it implies has been
-/// appended — and, unless deferred-sync mode is on, **fsynced** — so the
-/// caller may release the network reply the moment the method returns. In
-/// deferred-sync mode the *host* owns the durability barrier: it batches
-/// the fsyncs of concurrent appenders through a group-commit linger and
-/// must not release any reply before the record's frame is covered by a
-/// completed fsync on [`DurableAcceptor::sync_handle`].
-#[derive(Debug)]
-pub struct DurableAcceptor {
-    state: AcceptorState,
-    file: RecordFile<Record>,
-    deferred_sync: bool,
-}
-
-impl DurableAcceptor {
-    /// Open (or create) the acceptor log at `path` and replay it (torn
-    /// tail truncated, real corruption fatal — see [`RecordFile::open`]).
-    pub fn open(path: impl AsRef<Path>) -> AmcResult<DurableAcceptor> {
-        let (file, records) = RecordFile::open(path)?;
-        Ok(DurableAcceptor {
-            state: AcceptorState::replay(&records),
-            file,
-            deferred_sync: false,
-        })
-    }
-
-    /// Hand the fsync responsibility to an external group-syncer:
-    /// `persist` appends without syncing, and the host fsyncs batches via
-    /// [`DurableAcceptor::sync_handle`]. See the struct docs' contract.
-    pub(crate) fn set_deferred_sync(&mut self, deferred: bool) {
-        self.deferred_sync = deferred;
-    }
-
-    /// A second handle to the log file for issuing batched fsyncs from
-    /// the group-syncer while this acceptor keeps appending.
-    pub fn sync_handle(&self) -> std::io::Result<std::fs::File> {
-        self.file.file().sync_handle()
-    }
-
-    fn persist(&mut self, rec: Option<Record>) {
-        if let Some(rec) = rec {
-            self.file.append(&rec);
-            if !self.deferred_sync {
-                self.file.sync();
-            }
-        }
-    }
-
-    /// See [`AcceptorState::register`].
-    pub fn register(&mut self, gtx: GlobalTxnId, participants: &[SiteId]) {
-        let rec = self.state.register(gtx, participants);
-        self.persist(rec);
-    }
-
-    /// See [`AcceptorState::promise`].
-    pub fn promise(&mut self, gtx: GlobalTxnId, ballot: Ballot) -> PromiseOutcome {
-        let (out, rec) = self.state.promise(gtx, ballot);
-        self.persist(rec);
-        out
-    }
-
-    /// See [`AcceptorState::accept`].
-    pub fn accept(
-        &mut self,
-        gtx: GlobalTxnId,
-        site: SiteId,
-        ballot: Ballot,
-        prepared: bool,
-    ) -> bool {
-        let (ok, rec) = self.state.accept(gtx, site, ballot, prepared);
-        self.persist(rec);
-        ok
-    }
-
-    /// See [`AcceptorState::note_decision`].
-    pub fn note_decision(&mut self, gtx: GlobalTxnId, verdict: GlobalVerdict) {
-        let rec = self.state.note_decision(gtx, verdict);
-        self.persist(rec);
-    }
-
-    /// The in-memory state (for queries).
-    pub fn state(&self) -> &AcceptorState {
-        &self.state
-    }
-
-    /// Number of durable log frames (tests).
-    pub fn frame_count(&self) -> usize {
-        self.file.file().frame_count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,56 +250,6 @@ mod tests {
     }
     fn site(n: u32) -> SiteId {
         SiteId::new(n)
-    }
-
-    #[test]
-    fn records_round_trip() {
-        let recs = vec![
-            Record::Register {
-                gtx: gtx(9),
-                participants: vec![site(1), site(2), site(3)],
-            },
-            Record::Promise {
-                gtx: gtx(9),
-                ballot: Ballot::new(1, 2),
-            },
-            Record::Accept {
-                gtx: gtx(9),
-                site: site(2),
-                ballot: Ballot::ZERO,
-                prepared: true,
-            },
-            Record::Decision {
-                gtx: gtx(9),
-                verdict: GlobalVerdict::Abort,
-            },
-        ];
-        for r in recs {
-            assert_eq!(Record::decode(&r.encode()).unwrap(), r);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(Record::decode(&[]).is_err());
-        assert!(Record::decode(&[99, 0, 0]).is_err());
-        // Hostile participant count.
-        let mut buf = Record::Register {
-            gtx: gtx(7),
-            participants: vec![],
-        }
-        .encode();
-        let count_at = buf.len() - 4;
-        buf[count_at..].fill(0xFF);
-        assert!(Record::decode(&buf).is_err());
-        // Trailing bytes.
-        let mut ok = Record::Decision {
-            gtx: gtx(1),
-            verdict: GlobalVerdict::Commit,
-        }
-        .encode();
-        ok.push(0);
-        assert!(Record::decode(&ok).is_err());
     }
 
     #[test]
@@ -501,39 +315,19 @@ mod tests {
     }
 
     #[test]
-    fn durable_acceptor_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("amc-paxos-acc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("acceptor.log");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut a = DurableAcceptor::open(&path).unwrap();
-            a.register(gtx(5), &[site(1), site(2)]);
-            a.accept(gtx(5), site(1), Ballot::ZERO, true);
-            a.promise(gtx(5), Ballot::new(1, 2));
-            assert_eq!(a.frame_count(), 3);
-        }
-        let a = DurableAcceptor::open(&path).unwrap();
-        assert_eq!(a.state().promised(gtx(5)), Ballot::new(1, 2));
-        assert_eq!(
-            a.state().accepted(gtx(5), site(1)),
-            Some((Ballot::ZERO, true))
-        );
-        assert_eq!(a.state().open_entries().len(), 1);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn duplicate_accept_writes_no_second_frame() {
-        let dir = std::env::temp_dir().join(format!("amc-paxos-dup-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dup.log");
-        let _ = std::fs::remove_file(&path);
-        let mut a = DurableAcceptor::open(&path).unwrap();
-        assert!(a.accept(gtx(1), site(1), Ballot::ZERO, true));
-        let frames = a.frame_count();
-        assert!(a.accept(gtx(1), site(1), Ballot::ZERO, true));
-        assert_eq!(a.frame_count(), frames);
-        let _ = std::fs::remove_file(&path);
+    fn replay_skips_engine_rows_and_matches_the_live_state() {
+        let mut live = AcceptorState::new();
+        let mut log = vec![LogRecord::Begin {
+            txn: amc_types::LocalTxnId::new(1),
+        }];
+        log.extend(live.register(gtx(5), &[site(1), site(2)]));
+        log.push(LogRecord::Commit {
+            txn: amc_types::LocalTxnId::new(1),
+        });
+        log.extend(live.accept(gtx(5), site(1), Ballot::ZERO, true).1);
+        log.extend(live.promise(gtx(5), Ballot::new(1, 2)).1);
+        assert_eq!(AcceptorState::replay(&log), live);
+        assert_eq!(live.promised(gtx(5)), Ballot::new(1, 2));
+        assert_eq!(live.open_entries().len(), 1);
     }
 }

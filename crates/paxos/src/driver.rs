@@ -24,9 +24,9 @@
 //! both leaders then compute the **same** verdict from them.
 
 use crate::acceptor::PromiseOutcome;
-use crate::ballot::Ballot;
 use crate::leader::{majority, plan_from_promises};
 use amc_net::{AdminReply, AdminRequest, FederationTransport, PaxosOpenEntry, Payload};
+use amc_types::Ballot;
 use amc_types::{AmcError, AmcResult, GlobalTxnId, GlobalVerdict, SiteId};
 use std::collections::BTreeMap;
 

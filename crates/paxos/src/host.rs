@@ -17,172 +17,71 @@
 //! host.post_dispatch(&reply)?;   // vote-as-accept; Err = superseded
 //! ```
 
-use crate::acceptor::DurableAcceptor;
-use crate::ballot::Ballot;
+use crate::acceptor::AcceptorState;
 use amc_net::{AdminReply, AdminRequest, Payload};
-use amc_types::{AmcError, AmcResult, SiteId};
-use parking_lot::{Condvar, Mutex};
-use std::fs::File;
-use std::path::Path;
+use amc_types::{AmcError, AmcResult, Ballot, GlobalTxnId, SiteId};
+use amc_wal::{GroupCommitter, LogRecord};
+use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Group-commit for the acceptor log: concurrent appenders share one
-/// fsync instead of paying one each (the `amc-wal` group-committer's
-/// leader/follower pattern applied to the Paxos durability point).
+/// An acceptor mounted at one site, writing through the site's group
+/// committer.
 ///
-/// Progress is measured in *frames appended*: a caller that appended
-/// frame `n` waits until a completed fsync covers at least `n` frames.
-/// The first waiter becomes the leader — it lingers briefly so followers
-/// pile on, reads the high-water mark, fsyncs once on a cloned handle
-/// (so appends under the acceptor lock continue concurrently), and
-/// releases every waiter at or below the mark.
-struct GroupSync {
-    handle: File,
-    linger: Duration,
-    state: Mutex<SyncState>,
-    cond: Condvar,
-}
-
-struct SyncState {
-    /// Highest frame count any appender has announced.
-    appended: usize,
-    /// Frame count covered by a completed fsync.
-    synced: usize,
-    /// Whether a leader is currently lingering/fsyncing.
-    syncing: bool,
-    /// Completed group fsyncs (observability: batching factor is
-    /// appends/fsyncs).
-    fsyncs: u64,
-}
-
-impl GroupSync {
-    fn new(handle: File, linger: Duration, already_durable: usize) -> GroupSync {
-        GroupSync {
-            handle,
-            linger,
-            state: Mutex::new(SyncState {
-                appended: already_durable,
-                synced: already_durable,
-                syncing: false,
-                fsyncs: 0,
-            }),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Block until a completed fsync covers at least `watermark` frames.
-    fn wait_durable(&self, watermark: usize) {
-        let mut st = self.state.lock();
-        st.appended = st.appended.max(watermark);
-        loop {
-            if st.synced >= watermark {
-                return;
-            }
-            if st.syncing {
-                self.cond.wait(&mut st);
-                continue;
-            }
-            // Leader: linger so concurrent appenders join the batch, then
-            // pay one fsync for everything appended so far. The mark must
-            // be read *before* the fsync — frames appended while the
-            // fsync is in flight are not guaranteed covered by it.
-            st.syncing = true;
-            drop(st);
-            if !self.linger.is_zero() {
-                std::thread::sleep(self.linger);
-            }
-            let target = self.state.lock().appended;
-            self.handle
-                .sync_data()
-                .expect("acceptor-log group fsync (medium gone; cannot ack accepts)");
-            st = self.state.lock();
-            st.synced = st.synced.max(target);
-            st.syncing = false;
-            st.fsyncs += 1;
-            self.cond.notify_all();
-        }
-    }
-}
-
-/// A durable acceptor mounted at one site.
+/// Its rows share the log with whatever else the committer carries (a
+/// deployed site's engine WAL), so one force covers both and one file
+/// holds both. The durability rule: a row is appended under the acceptor
+/// lock, so log order is state order; the committer's head is read there;
+/// and the reply waits, outside the lock, until a completed force covers
+/// that head. A reply from state whose row is still in a batch being
+/// forced — an idempotent duplicate — waits for that batch too. A message
+/// for a transaction the acceptor holds no state for appends nothing and
+/// never waits.
 pub struct AcceptorHost {
     site: SiteId,
-    acceptor: Mutex<DurableAcceptor>,
-    group: Option<Arc<GroupSync>>,
+    state: Mutex<AcceptorState>,
+    wal: Arc<GroupCommitter>,
 }
 
 impl AcceptorHost {
-    /// Open the acceptor log at `path` (replaying any existing state) and
-    /// mount it at `site`. Every record is fsynced individually.
-    pub fn open(site: SiteId, path: impl AsRef<Path>) -> AmcResult<AcceptorHost> {
+    /// Mount an acceptor at `site` over `wal`, replaying the acceptor rows
+    /// of its stable prefix: a restarted acceptor keeps its word. On a
+    /// restarted site, mount after engine recovery has cut any torn tail.
+    pub fn mount(site: SiteId, wal: Arc<GroupCommitter>) -> AmcResult<AcceptorHost> {
+        let records = wal.with_log(|log| log.stable_records())?;
         Ok(AcceptorHost {
             site,
-            acceptor: Mutex::new(DurableAcceptor::open(path)?),
-            group: None,
+            state: Mutex::new(AcceptorState::replay(records.iter().map(|(_, r)| r))),
+            wal,
         })
     }
 
-    /// Like [`AcceptorHost::open`], but batch log fsyncs through a
-    /// `linger`-long group-commit window: an accept's reply is still
-    /// released only after its record is covered by a completed fsync,
-    /// but concurrent accepts share that fsync. `None` keeps the
-    /// sync-per-record behaviour.
-    pub fn open_with_linger(
-        site: SiteId,
-        path: impl AsRef<Path>,
-        linger: Option<Duration>,
-    ) -> AmcResult<AcceptorHost> {
-        let mut acceptor = DurableAcceptor::open(path)?;
-        let group = match linger {
-            Some(l) => {
-                let handle = acceptor.sync_handle().map_err(|e| {
-                    AmcError::TransientIo(format!("clone acceptor-log handle: {e}"))
-                })?;
-                let durable = acceptor.frame_count();
-                acceptor.set_deferred_sync(true);
-                Some(Arc::new(GroupSync::new(handle, l, durable)))
+    /// The committer the acceptor writes through (its counters are the
+    /// acceptor's appends and forces when it owns the log alone).
+    pub fn wal(&self) -> &GroupCommitter {
+        &self.wal
+    }
+
+    /// Run `f` under the acceptor lock and append the row it returns;
+    /// then, if the acceptor holds state for `gtx`, wait outside the lock
+    /// until the log is durable up to the head read under it. A crash in
+    /// between is an error: the caller must not answer.
+    fn durably<R>(
+        &self,
+        gtx: GlobalTxnId,
+        f: impl FnOnce(&mut AcceptorState) -> (R, Option<LogRecord>),
+    ) -> AmcResult<R> {
+        let (r, mark) = {
+            let mut state = self.state.lock();
+            let (r, row) = f(&mut state);
+            if let Some(row) = &row {
+                self.wal.append(row);
             }
-            None => None,
+            (r, state.knows(gtx).then(|| self.wal.mark()))
         };
-        Ok(AcceptorHost {
-            site,
-            acceptor: Mutex::new(acceptor),
-            group,
-        })
-    }
-
-    /// The hosting site.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
-    /// Completed group fsyncs (0 when the host syncs per record).
-    pub fn group_fsyncs(&self) -> u64 {
-        self.group.as_ref().map_or(0, |g| g.state.lock().fsyncs)
-    }
-
-    /// Frames appended to the acceptor log so far. With `group_fsyncs`
-    /// this gives the group-commit batching factor (appends per fsync);
-    /// in sync-per-record mode every frame paid its own fsync.
-    pub fn log_frames(&self) -> usize {
-        self.acceptor.lock().frame_count()
-    }
-
-    /// Run `f` under the acceptor lock, then — in group-commit mode —
-    /// block outside the lock until the records it appended are covered
-    /// by a completed fsync. This is the durability barrier the struct
-    /// docs of [`DurableAcceptor`] require before a reply is released.
-    fn durably<R>(&self, f: impl FnOnce(&mut DurableAcceptor) -> R) -> R {
-        let (r, watermark) = {
-            let mut acceptor = self.acceptor.lock();
-            let r = f(&mut acceptor);
-            (r, acceptor.frame_count())
-        };
-        if let Some(group) = &self.group {
-            group.wait_durable(watermark);
+        match mark {
+            Some(mark) if !self.wal.wait_durable(mark) => Err(AmcError::SiteDown(self.site)),
+            _ => Ok(r),
         }
-        r
     }
 
     /// Intercept a request before normal dispatch. `Ok(Some(reply))`
@@ -191,11 +90,11 @@ impl AcceptorHost {
     pub fn pre_dispatch(&self, payload: &Payload) -> AmcResult<Option<Payload>> {
         match payload {
             Payload::PaxosRegister { gtx, participants } => {
-                self.durably(|a| a.register(*gtx, participants));
+                self.durably(*gtx, |a| ((), a.register(*gtx, participants)))?;
                 Ok(Some(Payload::PaxosAck { gtx: *gtx }))
             }
             Payload::PaxosP1a { gtx, ballot } => {
-                let out = self.durably(|a| a.promise(*gtx, Ballot(*ballot)));
+                let out = self.durably(*gtx, |a| a.promise(*gtx, Ballot(*ballot)))?;
                 Ok(Some(Payload::PaxosP1b {
                     gtx: *gtx,
                     ballot: *ballot,
@@ -215,7 +114,8 @@ impl AcceptorHost {
                 ballot,
                 prepared,
             } => {
-                let accepted = self.durably(|a| a.accept(*gtx, *site, Ballot(*ballot), *prepared));
+                let accepted =
+                    self.durably(*gtx, |a| a.accept(*gtx, *site, Ballot(*ballot), *prepared))?;
                 Ok(Some(Payload::PaxosP2b {
                     gtx: *gtx,
                     site: *site,
@@ -224,13 +124,13 @@ impl AcceptorHost {
                 }))
             }
             Payload::PaxosDecided { gtx, verdict } => {
-                self.durably(|a| a.note_decision(*gtx, *verdict));
+                self.durably(*gtx, |a| ((), a.note_decision(*gtx, *verdict)))?;
                 Ok(Some(Payload::PaxosAck { gtx: *gtx }))
             }
             Payload::Decision { gtx, verdict } => {
                 // Piggyback: a participant's decision closes its
                 // co-located acceptor's instances, no extra message.
-                self.durably(|a| a.note_decision(*gtx, *verdict));
+                self.durably(*gtx, |a| ((), a.note_decision(*gtx, *verdict)))?;
                 Ok(None)
             }
             _ => Ok(None),
@@ -252,10 +152,13 @@ impl AcceptorHost {
     /// prepare-round votes land here.
     pub fn post_dispatch(&self, reply: &Payload) -> AmcResult<()> {
         if let Payload::Vote { gtx, vote } = reply {
-            let accepted = self.durably(|a| {
-                a.state().participants(*gtx)?;
-                Some(a.accept(*gtx, self.site, Ballot::ZERO, vote.is_yes()))
-            });
+            let accepted = self.durably(*gtx, |a| match a.participants(*gtx) {
+                None => (None, None),
+                Some(_) => {
+                    let (ok, row) = a.accept(*gtx, self.site, Ballot::ZERO, vote.is_yes());
+                    (Some(ok), row)
+                }
+            })?;
             if accepted == Some(false) {
                 return Err(AmcError::Protocol(format!(
                     "paxos: {gtx} vote at {} superseded by a recovery ballot",
@@ -269,46 +172,76 @@ impl AcceptorHost {
     /// Intercept an admin request; `Some` when handled by the acceptor.
     pub fn admin_pre(&self, req: &AdminRequest) -> Option<AdminReply> {
         match req {
-            AdminRequest::PaxosOpen => Some(AdminReply::PaxosOpen(
-                self.acceptor.lock().state().open_entries(),
-            )),
+            AdminRequest::PaxosOpen => {
+                Some(AdminReply::PaxosOpen(self.state.lock().open_entries()))
+            }
             _ => None,
         }
     }
 
-    /// Inspect the underlying acceptor (tests and experiments).
-    pub fn with_acceptor<R>(&self, f: impl FnOnce(&DurableAcceptor) -> R) -> R {
-        f(&self.acceptor.lock())
+    /// Inspect the acceptor's state (tests and experiments).
+    pub fn with_state<R>(&self, f: impl FnOnce(&AcceptorState) -> R) -> R {
+        f(&self.state.lock())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_types::{GlobalTxnId, GlobalVerdict, LocalVote};
+    use amc_types::{GlobalVerdict, LocalVote, Lsn};
+    use amc_wal::{GroupCommitConfig, LogManager};
+    use std::path::{Path, PathBuf};
+    use std::time::{Duration, Instant};
 
     fn gtx(n: u64) -> GlobalTxnId {
         GlobalTxnId::new(n)
     }
 
-    fn host(site: u32, tag: &str) -> AcceptorHost {
+    /// An acceptor over an in-memory log of its own.
+    fn host(site: u32) -> AcceptorHost {
+        let wal = GroupCommitter::new(LogManager::new(), GroupCommitConfig::default());
+        AcceptorHost::mount(SiteId::new(site), Arc::new(wal)).unwrap()
+    }
+
+    /// A fresh durable WAL file named `name`.
+    fn wal_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("amc-paxos-host-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}-{site}.log"));
+        let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
-        AcceptorHost::open(SiteId::new(site), path).unwrap()
+        path
+    }
+
+    /// An acceptor over the durable WAL at `path`, forces modelled at
+    /// `force_latency` on top of the real fsync.
+    fn durable_host(site: u32, path: &Path, force_latency: Duration) -> AcceptorHost {
+        let log = LogManager::open_durable(path).unwrap();
+        let wal = GroupCommitter::new(log, GroupCommitConfig { force_latency });
+        AcceptorHost::mount(SiteId::new(site), Arc::new(wal)).unwrap()
+    }
+
+    fn register(gtx: GlobalTxnId, participants: &[u32]) -> Payload {
+        let participants = participants.iter().copied().map(SiteId::new).collect();
+        Payload::PaxosRegister { gtx, participants }
+    }
+
+    fn accept(gtx: GlobalTxnId, site: u32) -> Payload {
+        Payload::PaxosP2a {
+            gtx,
+            site: SiteId::new(site),
+            ballot: 0,
+            prepared: true,
+        }
+    }
+
+    fn durable_lsn(h: &AcceptorHost) -> Lsn {
+        h.wal().with_log(|log| log.durable())
     }
 
     #[test]
     fn register_then_vote_then_decision_closes_the_txn() {
-        let h = host(1, "flow");
-        let reply = h
-            .pre_dispatch(&Payload::PaxosRegister {
-                gtx: gtx(1),
-                participants: vec![SiteId::new(1), SiteId::new(2)],
-            })
-            .unwrap()
-            .unwrap();
+        let h = host(1);
+        let reply = h.pre_dispatch(&register(gtx(1), &[1, 2])).unwrap().unwrap();
         assert_eq!(reply, Payload::PaxosAck { gtx: gtx(1) });
         // The site's own vote reply is the ballot-0 accept.
         h.post_dispatch(&Payload::Vote {
@@ -317,7 +250,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(
-            h.with_acceptor(|a| a.state().accepted(gtx(1), SiteId::new(1))),
+            h.with_state(|a| a.accepted(gtx(1), SiteId::new(1))),
             Some((Ballot::ZERO, true))
         );
         assert_eq!(
@@ -340,16 +273,17 @@ mod tests {
             h.admin_pre(&AdminRequest::PaxosOpen),
             Some(AdminReply::PaxosOpen(vec![]))
         );
+        // Every row was forced before its reply: one force each. None is
+        // a commit acknowledgement.
+        let stats = h.wal().stats();
+        assert_eq!((stats.appends, stats.forces), (3, 3));
+        assert_eq!((stats.group_forces, stats.batched_commits), (0, 0));
     }
 
     #[test]
     fn superseded_vote_is_refused() {
-        let h = host(2, "superseded");
-        h.pre_dispatch(&Payload::PaxosRegister {
-            gtx: gtx(4),
-            participants: vec![SiteId::new(2)],
-        })
-        .unwrap();
+        let h = host(2);
+        h.pre_dispatch(&register(gtx(4), &[2])).unwrap();
         // A recovery replica promised ballot (1, 9) before the vote landed.
         let p1b = h
             .pre_dispatch(&Payload::PaxosP1a {
@@ -372,41 +306,87 @@ mod tests {
     fn unregistered_vote_is_not_treated_as_an_accept() {
         // 2PC's work-round submit reply is also a `Vote`; before the
         // incumbent registers the transaction it must pass through
-        // without touching the acceptor log.
-        let h = host(5, "work-round");
+        // without touching the log.
+        let h = host(5);
         h.post_dispatch(&Payload::Vote {
             gtx: gtx(8),
             vote: LocalVote::Ready,
         })
         .unwrap();
-        assert_eq!(
-            h.with_acceptor(|a| a.state().accepted(gtx(8), SiteId::new(5))),
-            None
-        );
-        assert_eq!(h.with_acceptor(|a| a.frame_count()), 0);
+        assert_eq!(h.with_state(|a| a.accepted(gtx(8), SiteId::new(5))), None);
+        assert_eq!(h.wal().stats(), Default::default());
+    }
+
+    /// Non-Paxos traffic pays nothing: no row, no force, no wait.
+    #[test]
+    fn non_paxos_payloads_pass_through() {
+        let h = host(3);
+        assert!(h
+            .pre_dispatch(&Payload::Prepare { gtx: gtx(1) })
+            .unwrap()
+            .is_none());
+        let decision = Payload::Decision {
+            gtx: gtx(1),
+            verdict: GlobalVerdict::Abort,
+        };
+        assert!(h.pre_dispatch(&decision).unwrap().is_none());
+        assert!(h.admin_pre(&AdminRequest::Ping).is_none());
+        h.post_dispatch(&Payload::Finished { gtx: gtx(1) }).unwrap();
+        assert_eq!(h.wal().stats(), Default::default());
+    }
+
+    /// Everything an acceptor answered survives a reopen of the WAL it
+    /// writes through.
+    #[test]
+    fn durable_acceptor_survives_reopen() {
+        let path = wal_path("reopen.wal");
+        {
+            let h = durable_host(1, &path, Duration::ZERO);
+            h.pre_dispatch(&register(gtx(5), &[1, 2])).unwrap();
+            h.post_dispatch(&Payload::Vote {
+                gtx: gtx(5),
+                vote: LocalVote::Ready,
+            })
+            .unwrap();
+            h.pre_dispatch(&Payload::PaxosP1a {
+                gtx: gtx(5),
+                ballot: Ballot::new(1, 2).0,
+            })
+            .unwrap();
+            assert_eq!(h.wal().stats().appends, 3);
+        }
+        let h = durable_host(1, &path, Duration::ZERO);
+        h.with_state(|a| {
+            assert_eq!(a.promised(gtx(5)), Ballot::new(1, 2));
+            assert_eq!(
+                a.accepted(gtx(5), SiteId::new(1)),
+                Some((Ballot::ZERO, true))
+            );
+            assert_eq!(a.open_entries().len(), 1);
+        });
     }
 
     #[test]
-    fn linger_mode_is_durable_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("amc-paxos-host-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("linger-7.log");
-        let _ = std::fs::remove_file(&path);
-        let h = Arc::new(
-            AcceptorHost::open_with_linger(SiteId::new(7), &path, Some(Duration::from_micros(200)))
-                .unwrap(),
-        );
-        // Concurrent registered votes: each reply must wait for a covering
-        // fsync, and the batch shares them.
+    fn duplicate_accept_writes_no_second_frame() {
+        let h = host(1);
+        for _ in 0..2 {
+            let reply = h.pre_dispatch(&accept(gtx(1), 1)).unwrap().unwrap();
+            assert!(matches!(reply, Payload::PaxosP2b { accepted: true, .. }));
+        }
+        assert_eq!(h.wal().stats().appends, 1);
+    }
+
+    /// Concurrent registered votes over one durable WAL: every reply left
+    /// after its rows were forced, and a reopen replays all of them.
+    #[test]
+    fn concurrent_votes_are_durable_across_reopen() {
+        let path = wal_path("concurrent.wal");
+        let h = Arc::new(durable_host(7, &path, Duration::ZERO));
         let handles: Vec<_> = (1..=8u64)
             .map(|n| {
                 let h = Arc::clone(&h);
                 std::thread::spawn(move || {
-                    h.pre_dispatch(&Payload::PaxosRegister {
-                        gtx: gtx(n),
-                        participants: vec![SiteId::new(7)],
-                    })
-                    .unwrap();
+                    h.pre_dispatch(&register(gtx(n), &[7])).unwrap();
                     h.post_dispatch(&Payload::Vote {
                         gtx: gtx(n),
                         vote: LocalVote::Ready,
@@ -418,28 +398,60 @@ mod tests {
         for t in handles {
             t.join().unwrap();
         }
-        assert!(h.group_fsyncs() >= 1);
-        // 16 records (8 registers + 8 accepts) reached the log; a plain
-        // reopen replays all of them.
+        let stats = h.wal().stats();
+        assert_eq!(stats.appends, 16);
+        assert_eq!(durable_lsn(&h), Lsn::new(16));
+        assert!(stats.forces <= stats.appends);
         drop(h);
-        let reopened = AcceptorHost::open(SiteId::new(7), &path).unwrap();
-        assert_eq!(reopened.with_acceptor(|a| a.frame_count()), 16);
+        let reopened = durable_host(7, &path, Duration::ZERO);
         for n in 1..=8u64 {
             assert_eq!(
-                reopened.with_acceptor(|a| a.state().accepted(gtx(n), SiteId::new(7))),
+                reopened.with_state(|a| a.accepted(gtx(n), SiteId::new(7))),
                 Some((Ballot::ZERO, true))
             );
         }
     }
 
+    /// Block until the file at `path` is longer than `len`: a leader has
+    /// written its batch and is out forcing it.
+    fn wait_until_out(path: &Path, len: u64) -> u64 {
+        // A liveness deadline, not a timing bound.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let now = std::fs::metadata(path).unwrap().len();
+            if now > len {
+                return now;
+            }
+            assert!(Instant::now() < deadline, "no leader went out");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A repeated register and a duplicate accept, sent while the first
+    /// one's batch is out being forced, are answered from state whose
+    /// row is not yet durable: each reply waits for that batch.
     #[test]
-    fn non_paxos_payloads_pass_through() {
-        let h = host(3, "pass");
-        assert!(h
-            .pre_dispatch(&Payload::Prepare { gtx: gtx(1) })
-            .unwrap()
-            .is_none());
-        assert!(h.admin_pre(&AdminRequest::Ping).is_none());
-        h.post_dispatch(&Payload::Finished { gtx: gtx(1) }).unwrap();
+    fn a_duplicate_waits_for_the_batch_that_carries_its_state() {
+        let path = wal_path("duplicate.wal");
+        let h = Arc::new(durable_host(1, &path, Duration::from_millis(300)));
+        let firsts = [register(gtx(1), &[1, 2]), accept(gtx(1), 2)];
+        let mut len = 0;
+        for (n, first) in firsts.into_iter().enumerate() {
+            let lsn = Lsn::new(n as u64 + 1);
+            let leader = {
+                let (h, first) = (Arc::clone(&h), first.clone());
+                std::thread::spawn(move || h.pre_dispatch(&first).unwrap())
+            };
+            // The duplicate goes in while the first row's force (300 ms)
+            // is out.
+            len = wait_until_out(&path, len);
+            let reply = h.pre_dispatch(&first).unwrap();
+            assert!(
+                durable_lsn(&h) >= lsn,
+                "a duplicate of {first} was answered before its row was durable"
+            );
+            assert_eq!(leader.join().unwrap(), reply);
+        }
+        assert_eq!(h.wal().stats().appends, 2, "duplicates append nothing");
     }
 }

@@ -9,7 +9,7 @@
 //! the same acceptor set*, two leaders can never reach different verdicts.
 
 use crate::acceptor::PromiseOutcome;
-use crate::ballot::Ballot;
+use amc_types::Ballot;
 use amc_types::{GlobalVerdict, SiteId};
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -11,7 +11,8 @@
 //! * each participant site's vote is the value of one **Paxos instance**;
 //!   the transaction commits iff every instance chooses *Prepared*;
 //! * `2f + 1` **acceptors** ([`acceptor`]) durably log promises, accepts
-//!   and decisions, tolerating `f` simultaneous failures;
+//!   and decisions — as rows of the hosting site's write-ahead log,
+//!   through its group committer — tolerating `f` simultaneous failures;
 //! * acceptors are **co-located** with site servers ([`host`]), so a
 //!   site's vote reply doubles as the ballot-0 accept for its own
 //!   instance — the fault tolerance costs one extra message round only
@@ -29,14 +30,12 @@
 #![warn(missing_docs)]
 
 pub mod acceptor;
-pub mod ballot;
 pub mod driver;
 pub mod host;
 pub mod leader;
 pub mod transport;
 
-pub use acceptor::{AcceptorState, DurableAcceptor, PromiseOutcome, Record};
-pub use ballot::Ballot;
+pub use acceptor::AcceptorState;
 pub use driver::ReplicaDriver;
 pub use host::AcceptorHost;
 pub use leader::{majority, CommitLedger};

@@ -2,8 +2,9 @@
 //!
 //! The in-process runtimes (threaded federation, nemesis sweeps) get
 //! co-located acceptors by wrapping their transport: Paxos messages to a
-//! hosting site are answered by its [`AcceptorHost`] (backed by a real
-//! `DurableFile` log), everything else flows to the inner transport, and
+//! hosting site are answered by its [`AcceptorHost`] (writing through a
+//! group committer of its own), everything else flows to the inner
+//! transport, and
 //! vote replies are run through the vote-as-accept hook on the way out —
 //! the same interception the TCP site server performs, so the in-process
 //! sweeps exercise the identical protocol logic.

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! Site *i* (1-based) is the *i*-th address; the first `--acceptors`
-//! sites must have been started with `--acceptor-log` so the replicated
-//! prepare/decision state lands in their durable acceptor logs. The
+//! sites must be `--protocol 2pc` site servers started with `--wal-dir`,
+//! so each hosts an acceptor whose promises and accepts are rows of its
+//! own write-ahead log. The
 //! process loads initial counters (unless `--no-load`), then drives
 //! `--txns` sequential cross-site transfers, printing one `txn <i>
 //! <outcome>` line each.
@@ -47,12 +48,9 @@ pub fn main() {
         flags.usage();
     }
     let sites = addrs.len() as u32;
-    // The acceptor logs live in the *site servers*; the log_dir here only
-    // matters for in-process deployments and stays unused over TCP.
-    let cfg = FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit).with_paxos_commit(
-        acceptors,
-        std::env::temp_dir().join("amc-paxos-coord-unused"),
-    );
+    // The acceptors live in the site servers, behind the transport.
+    let cfg =
+        FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit).with_paxos_commit(acceptors);
     let fed = Federation::with_transport(cfg, coordinator_transport(&addrs));
     fed.set_first_gtx(first_gtx);
 

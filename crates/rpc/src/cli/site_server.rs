@@ -18,6 +18,13 @@
 //! markers and prepare records the log carries. A `recovered <summary>` line is
 //! printed after the replay. Without the flag the site is purely
 //! in-memory, as before.
+//!
+//! A `--protocol 2pc` site with `--wal-dir` also hosts a Paxos Commit
+//! acceptor (`amc-paxos-coord`), mounted over the engine's group
+//! committer: its promises and accepts are rows of `site-N.wal`, forced
+//! with the engine's records, and replayed after engine recovery, so a
+//! restarted acceptor keeps its word. A site without `--wal-dir` hosts no
+//! acceptor: an acceptor is durable or absent.
 
 use super::Flags;
 use crate::fleet::Server;
@@ -35,7 +42,7 @@ use std::time::Duration;
 
 const USAGE: &str = "amc-site-server --site <n> --listen <host:port> \
      --protocol <2pc|commit-after|commit-before> [--lock-timeout-ms <ms>] \
-     [--wal-dir <dir>] [--acceptor-log <path>] \
+     [--wal-dir <dir>] \
      [--runtime <event-loop|threaded>]";
 
 /// The binary's entry point: parse the process arguments, run, exit.
@@ -48,7 +55,6 @@ pub fn main() {
     let protocol = flags.value_with("--protocol", ProtocolKind::parse);
     let lock_timeout = Duration::from_millis(flags.value("--lock-timeout-ms").unwrap_or(500));
     let wal_dir: Option<String> = flags.value("--wal-dir");
-    let acceptor_log: Option<String> = flags.value("--acceptor-log");
     // The server half of a `Wire`: the one-shot epoll runtime (the
     // default) or the legacy thread per connection. The client half is
     // the dialler's choice (`amc-loadgen --client`).
@@ -70,9 +76,9 @@ pub fn main() {
         deadlock_check: Duration::from_millis(1),
         ..TplConfig::default()
     };
-    let manager = match &wal_dir {
+    let (manager, acceptor) = match &wal_dir {
         Some(dir) => match SiteRecoveryManager::new(dir).open(site, cfg, ObsSink::disabled()) {
-            Ok((manager, stats)) => {
+            Ok((manager, stats, wal)) => {
                 println!(
                     "recovered site {site_n}: {} committed, {} rolled back, \
                          {} in doubt, {} records replayed, {} work entries restored{}",
@@ -87,7 +93,19 @@ pub fn main() {
                         ""
                     }
                 );
-                manager
+                // Mounted after engine recovery cut any torn tail: the
+                // acceptor replays its rows from the stable prefix.
+                let acceptor = match protocol {
+                    ProtocolKind::TwoPhaseCommit => match AcceptorHost::mount(site, wal) {
+                        Ok(host) => Some(Arc::new(host)),
+                        Err(e) => {
+                            eprintln!("acceptor replay from {dir}: {e}");
+                            std::process::exit(1);
+                        }
+                    },
+                    _ => None,
+                };
+                (manager, acceptor)
             }
             Err(e) => {
                 eprintln!("recovery from {dir}: {e}");
@@ -96,26 +114,10 @@ pub fn main() {
         },
         None => {
             let engine = Arc::new(TwoPLEngine::new(cfg));
-            Arc::new(LocalCommManager::new(
-                site,
-                EngineHandle::Preparable(engine),
-            ))
+            let engine = EngineHandle::Preparable(engine);
+            (Arc::new(LocalCommManager::new(site, engine)), None)
         }
     };
-
-    // With --acceptor-log the site co-hosts a Paxos Commit acceptor:
-    // opening the log replays any previous incarnation's promises and
-    // accepts, so a restarted acceptor keeps its word.
-    let acceptor = acceptor_log.map(|path| match AcceptorHost::open(site, &path) {
-        Ok(host) => {
-            println!("acceptor mounted at {path}");
-            Arc::new(host)
-        }
-        Err(e) => {
-            eprintln!("acceptor log {path}: {e}");
-            std::process::exit(1);
-        }
-    });
 
     // Both runtimes retry AddrInUse internally, so a restart in place
     // (same port) survives the kernel's TIME_WAIT on the old listener.

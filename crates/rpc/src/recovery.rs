@@ -2,7 +2,8 @@
 //!
 //! A site server started with a WAL directory keeps one durable file,
 //! `site-N.wal`, in the checksummed format of [`amc_wal::DurableFile`]: the
-//! engine's write-ahead log. Replaying it rebuilds the page store, redoes
+//! engine's write-ahead log, which also carries the rows of the site's
+//! co-located Paxos acceptor when it hosts one. Replaying it rebuilds the page store, redoes
 //! committed updates, rolls back losers, and resurrects prepared
 //! (in-doubt) transactions in the ready state. The communication manager
 //! keeps no file of its own: what it must still answer for after a crash
@@ -12,15 +13,18 @@
 //! write of the site goes through the engine's group commit.
 //!
 //! `SiteRecoveryManager::open` performs the whole restart sequence and
-//! returns a ready-to-serve manager plus the [`RecoveryStats`] the admin
-//! `Recovery` request reports. A first boot (empty directory) is just a
-//! recovery of zero records.
+//! returns a ready-to-serve manager, the [`RecoveryStats`] the admin
+//! `Recovery` request reports, and the engine's group committer — which an
+//! acceptor mounts on once engine recovery has cut any torn tail, to
+//! replay its own rows. A first boot (empty directory) is just a recovery
+//! of zero records.
 
 use amc_engine::{TplConfig, TwoPLEngine};
 use amc_net::comm::EngineHandle;
 use amc_net::{LocalCommManager, RecoveryStats};
 use amc_obs::ObsSink;
 use amc_types::{AmcResult, SiteId};
+use amc_wal::GroupCommitter;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -57,7 +61,7 @@ impl SiteRecoveryManager {
         site: SiteId,
         cfg: TplConfig,
         obs: ObsSink,
-    ) -> AmcResult<(Arc<LocalCommManager>, RecoveryStats)> {
+    ) -> AmcResult<(Arc<LocalCommManager>, RecoveryStats, Arc<GroupCommitter>)> {
         if let Err(e) = std::fs::create_dir_all(&self.wal_dir) {
             return Err(amc_types::AmcError::TransientIo(format!(
                 "create {}: {e}",
@@ -65,6 +69,7 @@ impl SiteRecoveryManager {
             )));
         }
         let (engine, report) = TwoPLEngine::open_durable(cfg, site, self.wal_path(site))?;
+        let wal = Arc::clone(engine.wal());
         let mut manager = LocalCommManager::new(site, EngineHandle::Preparable(Arc::new(engine)));
         manager.set_obs(obs);
         let restored = manager.restore_work(&report.prepared)?;
@@ -77,7 +82,7 @@ impl SiteRecoveryManager {
             torn_tail: report.torn_tail,
         };
         manager.set_recovery_stats(stats);
-        Ok((Arc::new(manager), stats))
+        Ok((Arc::new(manager), stats, wal))
     }
 }
 
@@ -106,7 +111,7 @@ mod tests {
     fn first_boot_is_a_zero_record_recovery() {
         let dir = tmp_dir("boot");
         let site = SiteId::new(3);
-        let (manager, stats) = SiteRecoveryManager::new(&dir)
+        let (manager, stats, _) = SiteRecoveryManager::new(&dir)
             .open(site, TplConfig::default(), ObsSink::disabled())
             .unwrap();
         assert_eq!(stats, RecoveryStats::default());
@@ -135,7 +140,7 @@ mod tests {
             },
         ];
         {
-            let (manager, _) = recovery
+            let (manager, ..) = recovery
                 .open(site, TplConfig::default(), ObsSink::disabled())
                 .unwrap();
             let data = [1, 2].map(|o| (ObjectId::new(o), Value::counter(100)));
@@ -153,7 +158,7 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(files, ["site-1.wal"], "one durable write path per site");
-        let (manager, stats) = recovery
+        let (manager, stats, _) = recovery
             .open(site, TplConfig::default(), ObsSink::disabled())
             .unwrap();
         assert_eq!(stats.restored_entries, 1, "the forward marker");
@@ -193,13 +198,13 @@ mod tests {
         }];
         let counter = |m: &LocalCommManager| m.handle().engine().dump().unwrap()[&ObjectId::new(1)];
         {
-            let (manager, _) = open();
+            let (manager, ..) = open();
             let data = [(ObjectId::new(1), Value::counter(10))];
             manager.handle().engine().bulk_load(&data).unwrap();
             let vote = manager.handle_submit(gtx, ops.clone(), SubmitMode::CommitAfter);
             assert_eq!(vote_of(vote.unwrap()), LocalVote::Ready);
         }
-        let (manager, stats) = open();
+        let (manager, stats, _) = open();
         assert_eq!(stats.restored_entries, 0, "nothing committed yet");
         assert!(matches!(
             manager.handle_decision(gtx, GlobalVerdict::Commit),
@@ -208,7 +213,7 @@ mod tests {
         manager.handle_redo(gtx, ops).unwrap();
         assert_eq!(counter(&manager), Value::counter(15));
         drop(manager);
-        let (manager, stats) = open();
+        let (manager, stats, _) = open();
         assert_eq!(stats.restored_entries, 1, "the redo's marker");
         let fin = manager.handle_decision(gtx, GlobalVerdict::Commit).unwrap();
         assert_eq!(fin, Payload::Finished { gtx });
@@ -223,7 +228,7 @@ mod tests {
         let recovery = SiteRecoveryManager::new(&dir);
         let gtx = GlobalTxnId::new(5);
         {
-            let (manager, _) = recovery
+            let (manager, ..) = recovery
                 .open(site, TplConfig::default(), ObsSink::disabled())
                 .unwrap();
             manager
@@ -250,7 +255,7 @@ mod tests {
             );
             // Crash inside the in-doubt window.
         }
-        let (manager, stats) = recovery
+        let (manager, stats, _) = recovery
             .open(site, TplConfig::default(), ObsSink::disabled())
             .unwrap();
         assert_eq!(stats.in_doubt, 1);
@@ -267,7 +272,7 @@ mod tests {
         // A second restart finds the decision durable: nothing in doubt,
         // and a duplicate decision still finds the local transaction.
         drop(manager);
-        let (manager, stats) = recovery
+        let (manager, stats, _) = recovery
             .open(site, TplConfig::default(), ObsSink::disabled())
             .unwrap();
         assert_eq!(stats.in_doubt, 0);

@@ -386,8 +386,7 @@ impl FrameBuffer {
 mod tests {
     use super::*;
     use amc_net::{CommStats, PaxosOpenEntry, RecoveryStats};
-    use amc_paxos::{Ballot, Record};
-    use amc_types::{AbortReason, GlobalVerdict, LocalTxnId, LocalVote, ObjectId, Value};
+    use amc_types::{AbortReason, Ballot, GlobalVerdict, LocalTxnId, LocalVote, ObjectId, Value};
     use amc_wal::{LogRecord, LogStats};
 
     /// A hand-written (possibly hostile) frame body under its length
@@ -1017,9 +1016,9 @@ mod tests {
         ]);
     }
 
-    /// The two on-disk formats are tables of the same codec: their tag
-    /// bytes are as fixed as the wire's (a log written by this build must
-    /// replay under the next).
+    /// The on-disk format is a table of the same codec: its tag bytes are
+    /// as fixed as the wire's (a log written by this build must replay
+    /// under the next). Rows 7–10 are the co-located acceptor's.
     #[test]
     fn every_disk_table_row_round_trips_under_its_golden_tag() {
         let gtx = GlobalTxnId::new(7);
@@ -1027,6 +1026,7 @@ mod tests {
         let obj = ObjectId::new(3);
         let site = SiteId::new(2);
         let value = Value::counter(11);
+        let ballot = Ballot::new(1, 2);
         assert_table(&[
             (1, LogRecord::Begin { txn }),
             (
@@ -1048,20 +1048,17 @@ mod tests {
                     gtx: Some(gtx),
                 },
             ),
-        ]);
-        let ballot = Ballot::new(1, 2);
-        assert_table(&[
             (
-                1,
-                Record::Register {
+                7,
+                LogRecord::Register {
                     gtx,
                     participants: vec![site],
                 },
             ),
-            (2, Record::Promise { gtx, ballot }),
+            (8, LogRecord::Promise { gtx, ballot }),
             (
-                3,
-                Record::Accept {
+                9,
+                LogRecord::Accept {
                     gtx,
                     site,
                     ballot,
@@ -1069,8 +1066,8 @@ mod tests {
                 },
             ),
             (
-                4,
-                Record::Decision {
+                10,
+                LogRecord::Decision {
                     gtx,
                     verdict: GlobalVerdict::Abort,
                 },

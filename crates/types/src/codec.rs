@@ -1,6 +1,6 @@
 //! The row-table binary codec under every byte layout in the workspace:
-//! the wire (`amc-rpc`), the WAL (`amc-wal`) and the Paxos acceptor log
-//! (`amc-paxos`).
+//! the wire (`amc-rpc`) and the WAL (`amc-wal`), whose rows include the
+//! Paxos acceptor's (`amc-paxos`).
 //!
 //! All integers are little-endian. Enums are a `u8` tag followed by the
 //! variant's fields. Vectors and maps are a `u32` count followed by the

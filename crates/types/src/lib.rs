@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ballot;
 pub mod codec;
 pub mod error;
 pub mod ids;
@@ -40,6 +41,7 @@ pub mod state;
 pub mod time;
 pub mod value;
 
+pub use ballot::Ballot;
 pub use error::{AbortReason, AmcError, AmcResult};
 pub use ids::{GlobalTxnId, LocalTxnId, Lsn, ObjectId, PageId, SiteId};
 pub use op::{OpResult, Operation};

@@ -1,5 +1,4 @@
-//! The on-disk frame store behind a durable [`LogManager`](crate::LogManager)
-//! and the acceptor log.
+//! The on-disk frame store behind a durable [`LogManager`](crate::LogManager).
 //!
 //! A [`DurableFile`] is one append-only file: a plain concatenation of
 //! frames,
@@ -11,10 +10,9 @@
 //! ```
 //!
 //! This module is the only code that reads or writes that header
-//! ([`frame`], [`unframe`], `split_frame`); the payload is whatever
+//! ([`frame`], `unframe`, `split_frame`); the payload is whatever
 //! row table (`amc_types::codec`) the record type declares. WAL frames
-//! are written to disk byte-for-byte as they exist in memory; a
-//! [`RecordFile`] is the same file typed by its record.
+//! are written to disk byte-for-byte as they exist in memory.
 //!
 //! ## Crash contract
 //!
@@ -42,11 +40,10 @@
 //! crash-consistent outcome.
 
 use amc_storage::checksum::fnv1a;
-use amc_types::codec::{self, Wire, Writer};
+use amc_types::codec::{Wire, Writer};
 use amc_types::{AmcError, AmcResult};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Length + checksum header preceding every frame payload.
@@ -78,7 +75,7 @@ pub(crate) fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
 }
 
 /// Verify a frame's header and checksum and return its payload.
-pub fn unframe(frame: &[u8]) -> AmcResult<&[u8]> {
+pub(crate) fn unframe(frame: &[u8]) -> AmcResult<&[u8]> {
     match split_frame(frame) {
         Some((whole, [])) => {
             let stored = u64::from_le_bytes(whole[4..FRAME_HEADER].try_into().expect("8 bytes"));
@@ -194,11 +191,6 @@ impl DurableFile {
         &self.path
     }
 
-    /// Number of frames currently on disk.
-    pub fn frame_count(&self) -> usize {
-        self.offsets.len()
-    }
-
     /// Append one already-framed record (no fsync — call
     /// [`DurableFile::sync`] at the durability barrier).
     ///
@@ -230,7 +222,7 @@ impl DurableFile {
     /// written through either handle — file data is shared; only the seek
     /// cursor is per-handle, and [`DurableFile::append`] never relies on
     /// the cursor (it seeks explicitly on every write).
-    pub fn sync_handle(&self) -> std::io::Result<File> {
+    pub(crate) fn sync_handle(&self) -> std::io::Result<File> {
         self.file.try_clone()
     }
 
@@ -271,50 +263,6 @@ impl DurableFile {
             .set_len(len)
             .and_then(|_| self.file.sync_data())
             .map_err(|e| AmcError::TransientIo(format!("truncate {}: {e}", self.path.display())))
-    }
-}
-
-/// A [`DurableFile`] whose every frame is one `T`, encoded by `T`'s row
-/// table: the acceptor log.
-#[derive(Debug)]
-pub struct RecordFile<T> {
-    file: DurableFile,
-    _record: PhantomData<fn(T)>,
-}
-
-impl<T: Wire> RecordFile<T> {
-    /// Open (creating if absent) the record file at `path` and decode
-    /// every surviving record, front to back, for the caller to fold into
-    /// its state. A torn final frame was already truncated by
-    /// [`DurableFile::open`]; an undecodable *complete* frame is real
-    /// corruption and fails the open.
-    pub fn open(path: impl AsRef<Path>) -> AmcResult<(RecordFile<T>, Vec<T>)> {
-        let opened = DurableFile::open(path)?;
-        let records = opened
-            .frames
-            .iter()
-            .map(|f| Ok(codec::decode(unframe(f)?)?))
-            .collect::<AmcResult<_>>()?;
-        let file = RecordFile {
-            file: opened.file,
-            _record: PhantomData,
-        };
-        Ok((file, records))
-    }
-
-    /// Append one record (no fsync — see [`DurableFile::append`]).
-    pub fn append(&mut self, record: &T) {
-        self.file.append(&frame(record));
-    }
-
-    /// The durability barrier — see [`DurableFile::sync`].
-    pub fn sync(&mut self) {
-        self.file.sync();
-    }
-
-    /// The frame file underneath (frame count, sync handle).
-    pub fn file(&self) -> &DurableFile {
-        &self.file
     }
 }
 
@@ -441,7 +389,7 @@ mod tests {
     fn frame_and_unframe_roundtrip() {
         let payload = String::from("not a log record at all");
         let f = frame(&payload);
-        assert_eq!(unframe(&f).unwrap(), codec::encode(&payload));
+        assert_eq!(unframe(&f).unwrap(), amc_types::codec::encode(&payload));
         let mut torn = f.clone();
         torn.pop();
         assert!(unframe(&torn).is_err());

@@ -13,6 +13,9 @@
 //!
 //! * [`GroupCommitter::append_durable`] returns only once the record is on
 //!   stable storage — the WAL rule is never weakened, only batched.
+//! * [`GroupCommitter::wait_durable`] is the same loop for a caller that
+//!   appended under a lock of its own (a co-located Paxos acceptor): it
+//!   reads a [`Mark`] there and waits for it outside that lock.
 //! * Self-clocking, no timer: the leader writes the tail up to its target
 //!   under the log mutex, **releases the mutex** for the whole durability
 //!   wait — the modelled `force_latency` and the real `fsync`, through a
@@ -32,7 +35,7 @@
 use crate::log::{LogManager, LogStats};
 use crate::record::LogRecord;
 use amc_types::Lsn;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fs::File;
 use std::time::Duration;
 
@@ -45,6 +48,14 @@ pub struct GroupCommitConfig {
     pub force_latency: Duration,
 }
 
+/// A point in the log to wait for: the head when it was read, and the
+/// crash epoch it was read in (see [`GroupCommitter::mark`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark {
+    lsn: Lsn,
+    epoch: u64,
+}
+
 struct GcInner {
     log: LogManager,
     /// Bumped on every crash. A committer whose epoch moved while it was
@@ -52,7 +63,7 @@ struct GcInner {
     epoch: u64,
     /// A leader is out forcing; followers park instead of competing.
     forcing: bool,
-    /// LSNs of durable-append requests awaiting acknowledgement.
+    /// LSNs of commits (durable appends) awaiting acknowledgement.
     pending: Vec<Lsn>,
 }
 
@@ -124,6 +135,33 @@ impl GroupCommitter {
         let epoch = inner.epoch;
         let lsn = inner.log.append(record);
         inner.pending.push(lsn);
+        self.durable_through(inner, Mark { lsn, epoch })
+    }
+
+    /// The log's head now, as a point [`GroupCommitter::wait_durable`]
+    /// can wait for. A caller that appended under its own lock reads the
+    /// mark there and waits outside it: whatever it answers from, every
+    /// record up to the mark is covered.
+    pub fn mark(&self) -> Mark {
+        let inner = self.inner.lock();
+        Mark {
+            lsn: inner.log.head(),
+            epoch: inner.epoch,
+        }
+    }
+
+    /// Return once every record up to `mark` is durable, joining (or
+    /// leading) a group force as [`GroupCommitter::append_durable`] does.
+    /// `false` iff a crash struck after the mark was taken: records up to
+    /// it may be gone, and nothing that depends on them may be answered.
+    /// A wait is not a commit: it is never counted in `batched_commits`.
+    pub fn wait_durable(&self, mark: Mark) -> bool {
+        self.durable_through(self.inner.lock(), mark)
+    }
+
+    /// The group-commit loop shared by both entry points.
+    fn durable_through<'a>(&'a self, mut inner: MutexGuard<'a, GcInner>, mark: Mark) -> bool {
+        let Mark { lsn, epoch } = mark;
         loop {
             if inner.epoch != epoch {
                 return false;
@@ -400,6 +438,34 @@ mod tests {
             !stable.contains(&LocalTxnId::new(3)),
             "unacknowledged, unforced commit is lost"
         );
+    }
+
+    #[test]
+    fn a_mark_is_durable_once_waited_and_a_crash_voids_it() {
+        let gc = GroupCommitter::new(LogManager::new(), GroupCommitConfig::default());
+        gc.append(&commit(1));
+        let mark = gc.mark();
+        assert_eq!(gc.with_log(|log| log.durable()), Lsn::ZERO);
+        assert!(gc.wait_durable(mark));
+        assert_eq!(gc.with_log(|log| log.durable()), Lsn::new(1));
+        // A mark already covered costs no force.
+        assert!(gc.wait_durable(gc.mark()));
+        assert_eq!(gc.stats().forces, 1);
+        // A crash after the mark was read: the record may be gone, so
+        // the wait reports it.
+        gc.append(&commit(2));
+        let mark = gc.mark();
+        gc.crash();
+        assert!(!gc.wait_durable(mark));
+        assert_eq!(committed_txns(&gc), vec![LocalTxnId::new(1)]);
+        // A wait acknowledges no commit, even beside one in its batch.
+        assert_eq!(gc.stats().batched_commits, 0);
+        gc.append(&commit(5));
+        let mark = gc.mark();
+        assert!(gc.append_durable(&commit(6)));
+        assert!(gc.wait_durable(mark));
+        let s = gc.stats();
+        assert_eq!((s.group_forces, s.batched_commits), (1, 1));
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub mod log;
 pub mod record;
 pub mod recovery;
 
-pub use durable::{DurableFile, Opened, RecordFile};
-pub use group::{GroupCommitConfig, GroupCommitter};
+pub use durable::{DurableFile, Opened};
+pub use group::{GroupCommitConfig, GroupCommitter, Mark};
 pub use log::{LogManager, LogStats};
 pub use record::LogRecord;
 pub use recovery::{recover, RecoveryOutcome};

@@ -3,9 +3,16 @@
 //! A record travels as one [`crate::durable`] frame whose payload is the
 //! row table below: a tag byte, then the fields. `None` before-images
 //! mean "object did not exist"; `None` after-images mean "object deleted".
+//!
+//! Rows 1–6 are the engine's; rows 7–10 are a co-located Paxos Commit
+//! acceptor's (`amc-paxos`), which shares the site's log, its group
+//! commit and its file. Each side's replay skips the other's rows. Tags
+//! are append-only: a row keeps its tag for as long as logs exist.
 
 use crate::durable::{frame, unframe};
-use amc_types::{codec, AmcResult, GlobalTxnId, LocalTxnId, ObjectId, Value};
+use amc_types::{
+    codec, AmcResult, Ballot, GlobalTxnId, GlobalVerdict, LocalTxnId, ObjectId, SiteId, Value,
+};
 
 /// One write-ahead-log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,10 +66,45 @@ pub enum LogRecord {
         /// Transactions active at checkpoint time.
         active: Vec<LocalTxnId>,
     },
+    /// Acceptor: `gtx` entered commit processing with these participants,
+    /// one Paxos instance each.
+    Register {
+        /// The global transaction.
+        gtx: GlobalTxnId,
+        /// Participant sites.
+        participants: Vec<SiteId>,
+    },
+    /// Acceptor: promised `ballot` for all of `gtx`'s instances.
+    Promise {
+        /// The global transaction.
+        gtx: GlobalTxnId,
+        /// The promised ballot.
+        ballot: Ballot,
+    },
+    /// Acceptor: accepted `prepared` for instance `site` at `ballot`.
+    Accept {
+        /// The global transaction.
+        gtx: GlobalTxnId,
+        /// The instance.
+        site: SiteId,
+        /// The ballot of the accepted value.
+        ballot: Ballot,
+        /// The value: true = Prepared, false = Aborted.
+        prepared: bool,
+    },
+    /// Acceptor: the global decision reached `gtx`; its instances are
+    /// closed.
+    Decision {
+        /// The global transaction.
+        gtx: GlobalTxnId,
+        /// The verdict.
+        verdict: GlobalVerdict,
+    },
 }
 
 impl LogRecord {
-    /// The transaction a record belongs to, if any.
+    /// The local transaction a record belongs to, if any (none for a
+    /// checkpoint or an acceptor row).
     pub fn txn(&self) -> Option<LocalTxnId> {
         match self {
             LogRecord::Begin { txn }
@@ -70,7 +112,11 @@ impl LogRecord {
             | LogRecord::Prepare { txn, .. }
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn } => Some(*txn),
-            LogRecord::Checkpoint { .. } => None,
+            LogRecord::Checkpoint { .. }
+            | LogRecord::Register { .. }
+            | LogRecord::Promise { .. }
+            | LogRecord::Accept { .. }
+            | LogRecord::Decision { .. } => None,
         }
     }
 
@@ -93,6 +139,10 @@ amc_types::wire_enum!(LogRecord, "log-record" {
     4 => Abort { txn: LocalTxnId },
     5 => Checkpoint { active: Vec<LocalTxnId> },
     6 => Prepare { txn: LocalTxnId, gtx: Option<GlobalTxnId> },
+    7 => Register { gtx: GlobalTxnId, participants: Vec<SiteId> },
+    8 => Promise { gtx: GlobalTxnId, ballot: Ballot },
+    9 => Accept { gtx: GlobalTxnId, site: SiteId, ballot: Ballot, prepared: bool },
+    10 => Decision { gtx: GlobalTxnId, verdict: GlobalVerdict },
 });
 
 #[cfg(test)]
@@ -134,6 +184,24 @@ mod tests {
             LogRecord::Checkpoint {
                 active: vec![ltx(3), ltx(4), ltx(5)],
             },
+            LogRecord::Register {
+                gtx: GlobalTxnId::new(9),
+                participants: vec![SiteId::new(1), SiteId::new(2), SiteId::new(3)],
+            },
+            LogRecord::Promise {
+                gtx: GlobalTxnId::new(9),
+                ballot: Ballot::new(1, 2),
+            },
+            LogRecord::Accept {
+                gtx: GlobalTxnId::new(9),
+                site: SiteId::new(2),
+                ballot: Ballot::ZERO,
+                prepared: true,
+            },
+            LogRecord::Decision {
+                gtx: GlobalTxnId::new(9),
+                verdict: GlobalVerdict::Abort,
+            },
         ];
         for r in records {
             assert_eq!(LogRecord::decode(&r.encode()).unwrap(), r, "{r:?}");
@@ -164,6 +232,18 @@ mod tests {
     fn checksum_valid_checkpoint_claiming_u32_max_actives_is_corruption() {
         // Checkpoint tag, active count, one transaction id.
         let frame = frame(&(5u8, u32::MAX, 0u64));
+        assert!(matches!(
+            LogRecord::decode(&frame),
+            Err(amc_types::AmcError::Corruption(_))
+        ));
+    }
+
+    /// The same guard for an acceptor's `Register`: a checksum-valid
+    /// frame claiming `u32::MAX` participants sizes no vector.
+    #[test]
+    fn checksum_valid_register_claiming_u32_max_participants_is_corruption() {
+        // Register tag, gtx, participant count, one site.
+        let frame = frame(&(7u8, 7u64, (u32::MAX, 1u32)));
         assert!(matches!(
             LogRecord::decode(&frame),
             Err(amc_types::AmcError::Corruption(_))

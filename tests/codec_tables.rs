@@ -1,5 +1,6 @@
 //! One harness for every row table of the workspace codec
-//! (`amc_types::codec`) — the wire's, the WAL's and the acceptor log's. For arbitrary values of each table:
+//! (`amc_types::codec`) — the wire's and the WAL's, whose rows 7–10 are
+//! the co-located acceptor's. For arbitrary values of each table:
 //!
 //! * **round trip**: `decode(encode(v)) == v`;
 //! * **prefixes**: decoding any proper prefix is an `Err`, never a panic
@@ -13,12 +14,11 @@
 use amc::core::TxnOutcome;
 use amc::net::transport::{AdminReply, AdminRequest};
 use amc::net::{CommStats, PaxosOpenEntry, Payload, RecoveryStats};
-use amc::paxos::{Ballot, Record};
 use amc::rpc::wire::{CoordReply, CoordRequest, Frame};
 use amc::types::codec::{self, CodecError, Wire};
 use amc::types::{
-    AbortReason, AmcError, GlobalTxnId, GlobalVerdict, LocalTxnId, LocalVote, ObjectId, Operation,
-    SiteId, Value,
+    AbortReason, AmcError, Ballot, GlobalTxnId, GlobalVerdict, LocalTxnId, LocalVote, ObjectId,
+    Operation, SiteId, Value,
 };
 use amc::wal::{LogRecord, LogStats};
 use proptest::collection::{btree_map, vec};
@@ -305,25 +305,27 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
         ltx().prop_map(|txn| LogRecord::Commit { txn }),
         ltx().prop_map(|txn| LogRecord::Abort { txn }),
         vec(ltx(), 0..6).prop_map(|active| LogRecord::Checkpoint { active }),
+        acceptor_record(),
     ]
 }
 
 fn ballot() -> impl Strategy<Value = Ballot> {
     any::<u64>().prop_map(Ballot)
 }
-fn acceptor_record() -> impl Strategy<Value = Record> {
+/// The co-located acceptor's rows of the log table (tags 7–10).
+fn acceptor_record() -> impl Strategy<Value = LogRecord> {
     prop_oneof![
-        (gtx(), sites()).prop_map(|(gtx, participants)| Record::Register { gtx, participants }),
-        (gtx(), ballot()).prop_map(|(gtx, ballot)| Record::Promise { gtx, ballot }),
+        (gtx(), sites()).prop_map(|(gtx, participants)| LogRecord::Register { gtx, participants }),
+        (gtx(), ballot()).prop_map(|(gtx, ballot)| LogRecord::Promise { gtx, ballot }),
         (gtx(), site(), ballot(), any::<bool>()).prop_map(|(gtx, site, ballot, prepared)| {
-            Record::Accept {
+            LogRecord::Accept {
                 gtx,
                 site,
                 ballot,
                 prepared,
             }
         }),
-        (gtx(), verdict()).prop_map(|(gtx, verdict)| Record::Decision { gtx, verdict }),
+        (gtx(), verdict()).prop_map(|(gtx, verdict)| LogRecord::Decision { gtx, verdict }),
     ]
 }
 
@@ -347,6 +349,7 @@ tables! {
     verdict_table: verdict(),
     abort_reason_table: reason(),
     error_table: error(),
+    ballot_table: ballot(),
     // amc-net
     payload_table: payload(),
     admin_request_table: admin_request(),
@@ -356,12 +359,10 @@ tables! {
     paxos_open_entry_table: open_entry(),
     // amc-wal
     log_record_table: log_record(),
+    acceptor_record_table: acceptor_record(),
     log_stats_table: log_stats(),
     // amc-core
     txn_outcome_table: outcome(),
-    // amc-paxos
-    acceptor_record_table: acceptor_record(),
-    ballot_table: ballot(),
     // amc-rpc
     coord_request_table: coord_request(),
     coord_reply_table: coord_reply(),

@@ -5,10 +5,12 @@
 //! * **Golden wire bytes**: the v1 layout of every Paxos payload
 //!   (`PaxosRegister` … `PaxosP2b`) is pinned byte-for-byte, same
 //!   contract as `wire_codec.rs` pins for the classical payloads.
-//! * **Durable acceptor log**: any frame-boundary prefix of an
-//!   acceptor's log replays to exactly the state the pure
-//!   [`AcceptorState::replay`] computes over the decoded prefix records
-//!   — the on-disk codec, the boundary scan, and the replay agree.
+//! * **One durable log per site**: an acceptor writes its rows through
+//!   its site's engine WAL. Any frame-boundary prefix of that file reopens
+//!   to exactly the acceptor state the pure [`AcceptorState::replay`]
+//!   computes over the prefix's acceptor rows, and to the engine state the
+//!   same prefix without them recovers to — the codec, the boundary scan
+//!   and both replays agree.
 //! * **Nemesis sweep**: 100+ seeded fault schedules — acceptor
 //!   partitions, leading-coordinator-replica crashes mid-replication,
 //!   standby takeovers — against an in-process Paxos federation. After
@@ -18,20 +20,23 @@
 //!   SIGKILL with a transaction fully prepared but undecided; a standby
 //!   replica in this test finishes it *Commit* from the acceptor logs
 //!   alone, a replacement coordinator process keeps committing, and the
-//!   books balance.
+//!   books balance. Killing and restarting an acceptor site as well loses
+//!   neither its prepare nor its accept.
 
 use amc::core::{Federation, FederationConfig};
+use amc::engine::{LocalEngine, PreparableEngine, TplConfig, TwoPLEngine};
 use amc::net::marker::is_marker;
 use amc::net::transport::{AdminReply, AdminRequest, FederationTransport};
 use amc::net::Payload;
 use amc::obs::ObsSink;
-use amc::paxos::{AcceptorState, Ballot, DurableAcceptor, Record, ReplicaDriver};
+use amc::paxos::{AcceptorHost, AcceptorState, ReplicaDriver};
 use amc::rpc::wire::{decode_frame, encode_frame, Frame};
 use amc::rpc::{RetryPolicy, TcpTransport, WIRE_VERSION};
 use amc::sim::{generate_faults, FaultKind, NemesisConfig};
-use amc::types::{GlobalTxnId, GlobalVerdict, ObjectId, Operation, ProtocolKind, SiteId, Value};
-use amc::wal::durable::unframe;
-use amc::wal::DurableFile;
+use amc::types::{
+    Ballot, GlobalTxnId, GlobalVerdict, ObjectId, Operation, ProtocolKind, SiteId, Value,
+};
+use amc::wal::{DurableFile, LogRecord};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::io::BufRead;
@@ -237,13 +242,13 @@ fn golden_bytes_paxos_p2_and_decided_v1() {
     assert_eq!(decode_frame(&expect).expect("decode"), decided);
 }
 
-// --------------------------------------- acceptor-log prefix replay --
+// ------------------------------------------- one-log prefix replay --
 
-/// One operation against a durable acceptor, over a small universe so
-/// the interesting collisions (re-registration, stale ballots, accepts
-/// after decisions) actually happen.
+/// One operation at a site that hosts an acceptor, over a small universe
+/// so the interesting collisions (re-registration, stale ballots, accepts
+/// after decisions, page-lock conflicts) actually happen.
 #[derive(Debug, Clone)]
-enum AccOp {
+enum SiteOp {
     Register {
         gtx: u64,
         mask: u8,
@@ -264,35 +269,60 @@ enum AccOp {
         gtx: u64,
         commit: bool,
     },
+    /// A local transaction writing `value` to object `obj`, then
+    /// committing (0), aborting (1), preparing (2) or left running (3).
+    Local {
+        obj: u64,
+        value: i64,
+        end: u8,
+    },
 }
 
-fn arb_acc_op() -> impl Strategy<Value = AccOp> {
-    (0u8..4, 1u64..4, 1u8..8, 1u32..4, 0u32..9, any::<bool>()).prop_map(
+fn arb_site_op() -> impl Strategy<Value = SiteOp> {
+    (0u8..6, 1u64..4, 1u8..8, 1u32..4, 0u32..9, any::<bool>()).prop_map(
         |(tag, gtx, mask, s, ballot, flag)| {
             let (round, replica) = (ballot / 3, ballot % 3);
             match tag {
-                0 => AccOp::Register { gtx, mask },
-                1 => AccOp::Promise {
+                0 => SiteOp::Register { gtx, mask },
+                1 => SiteOp::Promise {
                     gtx,
                     round,
                     replica,
                 },
-                2 => AccOp::Accept {
+                2 => SiteOp::Accept {
                     gtx,
                     site: s,
                     round,
                     replica,
                     prepared: flag,
                 },
-                _ => AccOp::Decide { gtx, commit: flag },
+                3 => SiteOp::Decide { gtx, commit: flag },
+                _ => SiteOp::Local {
+                    obj: u64::from(mask % 4),
+                    value: i64::from(ballot),
+                    end: (u32::from(mask) + s) as u8 % 4,
+                },
             }
         },
     )
 }
 
-fn apply_acc_op(acc: &mut DurableAcceptor, op: &AccOp) {
-    match op {
-        AccOp::Register { gtx, mask } => {
+/// A durable site: its engine recovered from the WAL at `path`, and an
+/// acceptor mounted over the engine's committer.
+fn open_site(path: &std::path::Path) -> (TwoPLEngine, amc::engine::RecoveryReport, AcceptorHost) {
+    let cfg = TplConfig {
+        lock_timeout: Duration::from_millis(1),
+        ..TplConfig::default()
+    };
+    let (engine, report) = TwoPLEngine::open_durable(cfg, site(1), path).unwrap();
+    let host = AcceptorHost::mount(site(1), Arc::clone(engine.wal())).unwrap();
+    (engine, report, host)
+}
+
+fn apply_site_op(engine: &TwoPLEngine, host: &AcceptorHost, op: &SiteOp) {
+    let gtx = |n: &u64| GlobalTxnId::new(*n);
+    let payload = match op {
+        SiteOp::Register { gtx: g, mask } => {
             let participants: Vec<SiteId> = (1..=3u32)
                 .filter(|s| mask & (1 << s) != 0)
                 .map(site)
@@ -302,94 +332,126 @@ fn apply_acc_op(acc: &mut DurableAcceptor, op: &AccOp) {
             } else {
                 participants
             };
-            acc.register(GlobalTxnId::new(*gtx), &participants);
+            Payload::PaxosRegister {
+                gtx: gtx(g),
+                participants,
+            }
         }
-        AccOp::Promise {
-            gtx,
+        SiteOp::Promise {
+            gtx: g,
             round,
             replica,
-        } => {
-            acc.promise(GlobalTxnId::new(*gtx), Ballot::new(*round, *replica));
-        }
-        AccOp::Accept {
-            gtx,
+        } => Payload::PaxosP1a {
+            gtx: gtx(g),
+            ballot: Ballot::new(*round, *replica).0,
+        },
+        SiteOp::Accept {
+            gtx: g,
             site: s,
             round,
             replica,
             prepared,
-        } => {
-            acc.accept(
-                GlobalTxnId::new(*gtx),
-                site(*s),
-                Ballot::new(*round, *replica),
-                *prepared,
-            );
+        } => Payload::PaxosP2a {
+            gtx: gtx(g),
+            site: site(*s),
+            ballot: Ballot::new(*round, *replica).0,
+            prepared: *prepared,
+        },
+        SiteOp::Decide { gtx: g, commit } => Payload::PaxosDecided {
+            gtx: gtx(g),
+            verdict: if *commit {
+                GlobalVerdict::Commit
+            } else {
+                GlobalVerdict::Abort
+            },
+        },
+        SiteOp::Local { obj, value, end } => {
+            let t = engine.begin().unwrap();
+            let write = Operation::Write {
+                obj: ObjectId::new(*obj),
+                value: Value::counter(*value),
+            };
+            // A page-lock conflict with a transaction left running or
+            // prepared aborts this one: also a history worth replaying.
+            if engine.execute(t, &write).is_ok() {
+                let _ = match end {
+                    0 => engine.commit(t),
+                    1 => engine.abort(t, amc::types::AbortReason::Intended),
+                    2 => engine.prepare_as(t, GlobalTxnId::new(100 + t.raw())),
+                    _ => Ok(()),
+                };
+            }
+            return;
         }
-        AccOp::Decide { gtx, commit } => {
-            acc.note_decision(
-                GlobalTxnId::new(*gtx),
-                if *commit {
-                    GlobalVerdict::Commit
-                } else {
-                    GlobalVerdict::Abort
-                },
-            );
-        }
-    }
+    };
+    assert!(host.pre_dispatch(&payload).unwrap().is_some());
+}
+
+/// The acceptor's rows of the log table.
+fn is_acceptor_row(record: &LogRecord) -> bool {
+    matches!(
+        record,
+        LogRecord::Register { .. }
+            | LogRecord::Promise { .. }
+            | LogRecord::Accept { .. }
+            | LogRecord::Decision { .. }
+    )
 }
 
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(24))]
 
-    /// Any frame-boundary prefix of an acceptor's durable log replays
-    /// consistently: reopening the truncated file yields exactly the
-    /// state the pure `AcceptorState::replay` computes over the decoded
-    /// prefix records, and the full log round-trips to the live state.
-    /// This is the promise a recovery ballot leans on — whatever an
-    /// acceptor said before the crash, its restarted incarnation still
-    /// says.
+    /// Any frame-boundary prefix of a site's one durable log — engine
+    /// transactions interleaved with a co-located acceptor's rows —
+    /// replays consistently for both: the acceptor reopens to exactly the
+    /// state the pure `AcceptorState::replay` computes over the prefix's
+    /// acceptor rows, and the engine recovers to exactly what the same
+    /// prefix with those rows removed recovers to. The full log
+    /// round-trips to the live acceptor state. This is the promise a
+    /// recovery ballot leans on — whatever an acceptor said before the
+    /// crash, its restarted incarnation still says — and the proof that
+    /// the acceptor's rows cost engine recovery nothing.
     #[test]
     fn any_frame_prefix_of_the_acceptor_log_replays_consistently(
-        ops in proptest::collection::vec(arb_acc_op(), 1..40),
+        ops in proptest::collection::vec(arb_site_op(), 1..40),
         cut in any::<u64>(),
     ) {
         let dir = fresh_dir("prefix");
-        let path = dir.join("acceptor.log");
-        let mut acc = DurableAcceptor::open(&path).unwrap();
+        let path = dir.join("site-1.wal");
+        let (engine, _, host) = open_site(&path);
         for op in &ops {
-            apply_acc_op(&mut acc, op);
+            apply_site_op(&engine, &host, op);
         }
-        let live = acc.state().clone();
-        let frames = acc.frame_count();
-        drop(acc);
-
-        // Full-log reopen must reproduce the live state exactly.
-        let reopened = DurableAcceptor::open(&path).unwrap();
-        prop_assert_eq!(reopened.state(), &live);
-        prop_assert_eq!(reopened.frame_count(), frames);
-        drop(reopened);
-
-        // Cut at an arbitrary frame boundary; the prefix must decode and
-        // replay to the same state a pure fold over its records gives.
+        let live = host.with_state(AcceptorState::clone);
+        drop((host, engine));
         let opened = DurableFile::open(&path).unwrap();
         prop_assert!(!opened.torn_truncated);
-        let mut bounds = vec![0usize];
-        for f in &opened.frames {
-            bounds.push(bounds.last().unwrap() + f.len());
-        }
-        let keep = (cut as usize) % bounds.len();
-        let records: Vec<Record> = opened.frames[..keep]
-            .iter()
-            .map(|f| Record::decode(unframe(f).unwrap()).unwrap())
-            .collect();
-        drop(opened);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bounds[keep]]).unwrap();
+        let frames = opened.frames;
+        drop(opened.file);
 
-        let truncated = DurableAcceptor::open(&path).unwrap();
-        prop_assert_eq!(truncated.frame_count(), keep);
-        prop_assert_eq!(truncated.state(), &AcceptorState::replay(&records));
-        drop(truncated);
+        // Full-log reopen must reproduce the live acceptor state exactly.
+        let (_, _, reopened) = open_site(&path);
+        prop_assert_eq!(reopened.with_state(AcceptorState::clone), live);
+        drop(reopened);
+
+        // Cut at an arbitrary frame boundary.
+        let keep = (cut as usize) % (frames.len() + 1);
+        let prefix = &frames[..keep];
+        let records: Vec<LogRecord> =
+            prefix.iter().map(|f| LogRecord::decode(f).unwrap()).collect();
+        let rows: Vec<LogRecord> = records.iter().filter(|r| is_acceptor_row(r)).cloned().collect();
+        let cut_path = dir.join("cut.wal");
+        std::fs::write(&cut_path, prefix.concat()).unwrap();
+        let engine_only = dir.join("engine-only.wal");
+        let engine_frames = prefix.iter().zip(&records).filter(|(_, r)| !is_acceptor_row(r));
+        std::fs::write(&engine_only, engine_frames.map(|(f, _)| f.as_slice()).collect::<Vec<_>>().concat()).unwrap();
+
+        let (engine, report, host) = open_site(&cut_path);
+        prop_assert_eq!(host.with_state(AcceptorState::clone), AcceptorState::replay(&rows));
+        let (plain, plain_report, _) = open_site(&engine_only);
+        prop_assert_eq!(report, plain_report);
+        prop_assert_eq!(engine.dump().unwrap(), plain.dump().unwrap());
+        drop((host, engine, plain));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -455,9 +517,8 @@ fn user_sum(fed: &Federation) -> i64 {
 /// Run one seeded schedule; returns the per-transaction outcome labels
 /// and the final (healed, drained) dumps for determinism comparison.
 fn run_sweep_seed(seed: u64) -> (Vec<String>, BTreeMap<SiteId, BTreeMap<ObjectId, Value>>) {
-    let dir = fresh_dir(&format!("sweep-{seed}"));
     let cfg = FederationConfig::uniform(SWEEP_SITES, ProtocolKind::TwoPhaseCommit)
-        .with_paxos_commit(ACCEPTORS, &dir);
+        .with_paxos_commit(ACCEPTORS);
     let fed = Federation::new(cfg);
     for s in 1..=SWEEP_SITES {
         let data: Vec<(ObjectId, Value)> = (0..SWEEP_TXNS)
@@ -528,7 +589,7 @@ fn run_sweep_seed(seed: u64) -> (Vec<String>, BTreeMap<SiteId, BTreeMap<ObjectId
         let open = pt
             .host(site(a))
             .expect("acceptor host")
-            .with_acceptor(|acc| acc.state().open_entries());
+            .with_state(AcceptorState::open_entries);
         assert!(
             open.is_empty(),
             "seed {seed}: acceptor {a} still has open transactions {open:?}"
@@ -541,7 +602,6 @@ fn run_sweep_seed(seed: u64) -> (Vec<String>, BTreeMap<SiteId, BTreeMap<ObjectId
         "seed {seed}: global sum not conserved (outcomes {outcomes:?})"
     );
     let dumps = fed.dumps().expect("dumps");
-    let _ = std::fs::remove_dir_all(&dir);
     (outcomes, dumps)
 }
 
@@ -601,20 +661,22 @@ impl Drop for Proc {
     }
 }
 
-fn spawn_acceptor_site(s: u32, dir: &std::path::Path) -> (Proc, SocketAddr) {
-    let log = dir.join(format!("acceptor-{s}.log"));
+/// A `--protocol 2pc` site server with a WAL directory of its own under
+/// `dir`: it hosts an acceptor whose rows ride its one log file.
+fn spawn_acceptor_site(s: u32, dir: &std::path::Path, listen: &str) -> (Proc, SocketAddr) {
+    let wal_dir = dir.join(format!("site-{s}"));
     let mut child = Command::new(SITE_SERVER)
         .args([
             "--site",
             &s.to_string(),
             "--listen",
-            "127.0.0.1:0",
+            listen,
             "--protocol",
             "2pc",
             "--lock-timeout-ms",
             "200",
-            "--acceptor-log",
-            log.to_str().expect("utf-8 path"),
+            "--wal-dir",
+            wal_dir.to_str().expect("utf-8 path"),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -639,44 +701,21 @@ fn spawn_acceptor_site(s: u32, dir: &std::path::Path) -> (Proc, SocketAddr) {
     )
 }
 
-fn fast_policy() -> RetryPolicy {
-    RetryPolicy {
-        connect_timeout: Duration::from_millis(200),
-        request_timeout: Duration::from_secs(2),
-        max_attempts: 6,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(40),
-    }
+/// `TCP_SITES` acceptor sites under `dir`, and their addresses.
+fn spawn_acceptor_sites(dir: &std::path::Path) -> (Vec<Proc>, Vec<SocketAddr>) {
+    (1..=TCP_SITES)
+        .map(|s| spawn_acceptor_site(s, dir, "127.0.0.1:0"))
+        .unzip()
 }
 
-/// The incumbent coordinator replica is `kill -9`ed with transaction 7
-/// fully prepared but undecided — the classical 2PC blocking window. A
-/// standby replica reads the acceptor logs, finds the in-doubt
-/// transaction, decides *Commit* (both instances chose Prepared at a
-/// majority), and delivers it; a replacement coordinator process then
-/// keeps committing against the same sites; the global sum is conserved.
-#[test]
-fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
-    let dir = fresh_dir("kill9");
-    let mut procs = Vec::new();
-    let mut addrs = Vec::new();
-    for s in 1..=TCP_SITES {
-        let (p, a) = spawn_acceptor_site(s, &dir);
-        procs.push(p);
-        addrs.push(a);
-    }
-    let addr_list = addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-
-    // The incumbent: crashes (parks for our SIGKILL) mid-transaction 6,
-    // after both prepare votes are replicated to the acceptor group.
+/// Start the incumbent over `addrs`, crashing (parked for our SIGKILL)
+/// mid-transaction `CRASH_TXN` after both prepare votes are replicated;
+/// returns it, the transactions it committed first, and the in-doubt one.
+fn spawn_doomed_incumbent(addrs: &[SocketAddr]) -> (Child, u64, GlobalTxnId) {
     let mut coord = Command::new(PAXOS_COORD)
         .args([
             "--sites",
-            &addr_list,
+            &addr_list(addrs),
             "--acceptors",
             &TCP_SITES.to_string(),
             "--txns",
@@ -712,6 +751,71 @@ fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
         }
     }
     let in_doubt = GlobalTxnId::new(in_doubt.expect("incumbent never reported the in-doubt gtx"));
+    (coord, committed_before, in_doubt)
+}
+
+fn addr_list(addrs: &[SocketAddr]) -> String {
+    addrs
+        .iter()
+        .map(|a| a.to_string())
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// A standby's view of the fleet.
+fn tcp_transport(addrs: &[SocketAddr]) -> Arc<TcpTransport> {
+    let addr_map: BTreeMap<SiteId, SocketAddr> = addrs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| (site(i as u32 + 1), *a))
+        .collect();
+    Arc::new(TcpTransport::new(
+        addr_map,
+        fast_policy(),
+        ObsSink::disabled(),
+    ))
+}
+
+/// Every site's user counters, summed.
+fn fleet_sum(transport: &TcpTransport) -> i64 {
+    let mut sum = 0i64;
+    for s in 1..=TCP_SITES {
+        match transport.admin(site(s), AdminRequest::Dump) {
+            Ok(AdminReply::Dump(state)) => {
+                sum += state
+                    .iter()
+                    .filter(|(o, _)| !is_marker(**o))
+                    .map(|(_, v)| v.counter)
+                    .sum::<i64>();
+            }
+            other => panic!("dump site {s}: {other:?}"),
+        }
+    }
+    sum
+}
+
+fn fast_policy() -> RetryPolicy {
+    RetryPolicy {
+        connect_timeout: Duration::from_millis(200),
+        request_timeout: Duration::from_secs(2),
+        max_attempts: 6,
+        backoff_base: Duration::from_millis(5),
+        backoff_cap: Duration::from_millis(40),
+    }
+}
+
+/// The incumbent coordinator replica is `kill -9`ed with transaction 7
+/// fully prepared but undecided — the classical 2PC blocking window. A
+/// standby replica reads the acceptor logs, finds the in-doubt
+/// transaction, decides *Commit* (both instances chose Prepared at a
+/// majority), and delivers it; a replacement coordinator process then
+/// keeps committing against the same sites; the global sum is conserved.
+#[test]
+fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
+    let dir = fresh_dir("kill9");
+    let (procs, addrs) = spawn_acceptor_sites(&dir);
+    let addr_list = addr_list(&addrs);
+    let (mut coord, committed_before, in_doubt) = spawn_doomed_incumbent(&addrs);
     assert!(
         committed_before > 0,
         "nothing committed before the incumbent died"
@@ -723,16 +827,7 @@ fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
     // The standby (ballot id 7): the acceptor logs alone name the
     // in-doubt transaction and both of its Prepared instances — the
     // verdict must be Commit, never a presumed abort.
-    let addr_map: BTreeMap<SiteId, SocketAddr> = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (site(i as u32 + 1), *a))
-        .collect();
-    let transport = Arc::new(TcpTransport::new(
-        addr_map,
-        fast_policy(),
-        ObsSink::disabled(),
-    ));
+    let transport = tcp_transport(&addrs);
     let acceptors: Vec<SiteId> = (1..=TCP_SITES).map(site).collect();
     let driver = ReplicaDriver::new(&*transport, acceptors.clone(), 7);
     let swept = driver.run_once().expect("standby sweep");
@@ -775,24 +870,68 @@ fn kill_9_of_the_leading_coordinator_replica_does_not_block() {
 
     // Conservation across the kill: every site's books, summed, are
     // exactly the initial load.
-    let mut sum = 0i64;
-    for s in 1..=TCP_SITES {
-        match transport.admin(site(s), AdminRequest::Dump) {
-            Ok(AdminReply::Dump(state)) => {
-                sum += state
-                    .iter()
-                    .filter(|(o, _)| !is_marker(**o))
-                    .map(|(_, v)| v.counter)
-                    .sum::<i64>();
-            }
-            other => panic!("dump site {s}: {other:?}"),
-        }
-    }
     assert_eq!(
-        sum,
+        fleet_sum(&transport),
         i64::from(TCP_SITES) * TCP_OBJS as i64 * 100,
         "global sum not conserved across the coordinator kill"
     );
+    drop(procs);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// After the incumbent dies in doubt, site 1 — a participant of the
+/// in-doubt transfer and one of its acceptors — is `kill -9`ed as well and
+/// restarted in place from its `--wal-dir`. Its one log file carried both
+/// the engine's prepare and the acceptor's rows: the restarted acceptor
+/// still lists the transaction open, the standby decides Commit from the
+/// acceptors, site 1 applies it to its resurrected prepare, the books
+/// balance, and the directory holds that one file.
+#[test]
+fn kill_9_of_an_acceptor_site_keeps_its_prepare_and_its_accept() {
+    let dir = fresh_dir("kill9-site");
+    let (mut procs, addrs) = spawn_acceptor_sites(&dir);
+    let (mut coord, _, in_doubt) = spawn_doomed_incumbent(&addrs);
+    coord.kill().expect("kill -9 the incumbent");
+    coord.wait().expect("reap the incumbent");
+
+    // Transfer `CRASH_TXN` debits site 1 (the incumbent's deterministic
+    // site cycle): kill it too, then restart it on the same port.
+    assert_eq!(1 + CRASH_TXN % u64::from(TCP_SITES), 1);
+    drop(procs.remove(0));
+    procs.insert(0, spawn_acceptor_site(1, &dir, &addrs[0].to_string()).0);
+
+    let transport = tcp_transport(&addrs);
+    match transport.admin(site(1), AdminRequest::PaxosOpen) {
+        Ok(AdminReply::PaxosOpen(open)) => assert_eq!(
+            open.iter().map(|e| e.gtx).collect::<Vec<_>>(),
+            vec![in_doubt],
+            "the restarted acceptor forgot its registration"
+        ),
+        other => panic!("paxos-open at site 1: {other:?}"),
+    }
+    let acceptors: Vec<SiteId> = (1..=TCP_SITES).map(site).collect();
+    let swept = ReplicaDriver::new(&*transport, acceptors, 7)
+        .run_once()
+        .expect("standby sweep");
+    assert_eq!(swept, vec![(in_doubt, GlobalVerdict::Commit)]);
+
+    // Site 1 applied the Commit to the prepare it resurrected.
+    let debited = amc::workload::object(site(1), CRASH_TXN % TCP_OBJS);
+    let amount = 1 + (CRASH_TXN % 5) as i64;
+    match transport.admin(site(1), AdminRequest::Dump) {
+        Ok(AdminReply::Dump(state)) => assert_eq!(state[&debited].counter, 100 - amount),
+        other => panic!("dump site 1: {other:?}"),
+    }
+    assert_eq!(
+        fleet_sum(&transport),
+        i64::from(TCP_SITES) * TCP_OBJS as i64 * 100,
+        "global sum not conserved across the site kill"
+    );
+    let files: Vec<_> = std::fs::read_dir(dir.join("site-1"))
+        .expect("site 1's wal dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(files, ["site-1.wal"], "one durable file per site");
     drop(procs);
     let _ = std::fs::remove_dir_all(&dir);
 }
