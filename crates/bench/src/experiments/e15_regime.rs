@@ -232,11 +232,14 @@ pub fn table(title: &str, axis_header: &'static str, rows: &[Cell]) -> TextTable
     )
 }
 
+/// A runner-up this close to the best txn/s ties it: one run cannot tell.
+const TIE_MARGIN: f64 = 0.05;
+
 /// The per-cell winners — one line per sweep point naming the regime with
-/// the highest committed throughput (ties broken toward the earlier
-/// [`Regime::ALL`] entry). These lines are what OPERATORS.md's regime map
-/// is built from; `done/s` is reported alongside because the C3 lane's
-/// interesting quantity is completions, not just commits.
+/// the highest committed throughput, or every regime within [`TIE_MARGIN`]
+/// of it as a tie. These lines are what OPERATORS.md's regime map is built
+/// from; `done/s` is reported alongside because the C3 lane's interesting
+/// quantity is completions, not just commits.
 pub(crate) fn winners(lane: &str, rows: &[Cell]) -> Vec<String> {
     let mut axes: Vec<&str> = Vec::new();
     for r in rows {
@@ -247,14 +250,16 @@ pub(crate) fn winners(lane: &str, rows: &[Cell]) -> Vec<String> {
     let txn_s = |c: &Cell| c.m.throughput().unwrap_or(0.0);
     axes.iter()
         .map(|axis| {
-            let best = rows
-                .iter()
-                .filter(|r| r.axis == *axis)
+            let on_axis = || rows.iter().filter(|r| r.axis == *axis);
+            let best = on_axis()
                 .max_by(|a, b| txn_s(a).total_cmp(&txn_s(b)))
                 .expect("every axis has rows");
+            let close = |r: &&Cell| txn_s(r) >= txn_s(best) * (1.0 - TIE_MARGIN);
+            let tied: Vec<&str> = on_axis().filter(close).map(|r| r.regime.label()).collect();
+            let tie = if tied.len() > 1 { "tie " } else { "" };
             format!(
-                "winner[{lane}, {axis}]: {} ({} txn/s, {} done/s)",
-                best.regime.label(),
+                "winner[{lane}, {axis}]: {tie}{} ({} txn/s, {} done/s)",
+                tied.join(" = "),
                 opt2(best.m.throughput()),
                 opt2(best.m.completions_per_sec()),
             )
@@ -421,5 +426,33 @@ mod tests {
         }
         assert_eq!(winners("contention", &contention).len(), THETAS.len());
         assert_eq!(winners("fan-out", &fanout).len(), FANOUTS.len());
+    }
+
+    #[test]
+    fn a_runner_up_within_the_margin_ties() {
+        let cell = |regime, committed| {
+            let m = amc_core::RunMetrics {
+                committed,
+                wall: std::time::Duration::from_secs(1),
+                ..Default::default()
+            };
+            Cell {
+                regime,
+                ..Cell::of("x".into(), 0.0, 0, m)
+            }
+        };
+        let rows = [
+            cell(Regime::Classic2pc, 90),
+            cell(Regime::CommitAfter, 96),
+            cell(Regime::CommitBefore, 100),
+        ];
+        let [line] = &winners("l", &rows)[..] else {
+            panic!("one axis, one line")
+        };
+        assert!(line.starts_with("winner[l, x]: tie commit-after = commit-before (100.00 txn/s"));
+        let [line] = &winners("l", &rows[..1])[..] else {
+            panic!("one axis, one line")
+        };
+        assert!(line.starts_with("winner[l, x]: 2pc (90.00 txn/s"), "{line}");
     }
 }

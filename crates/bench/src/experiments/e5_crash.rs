@@ -98,10 +98,15 @@ fn sweep(victim: SiteId, crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
     rows
 }
 
-/// Render the central-crash report table.
-pub(crate) fn central_table(rows: &[Row]) -> TextTable {
+const SITE_TITLE: &str =
+    "E5 — participant crash sweep (site 2 crashes mid-protocol, restarts later)";
+const CENTRAL_TITLE: &str = "E5b — central-system crash sweep (coordinator crashes \
+                             mid-protocol; decision log + presumed abort)";
+
+/// Render a crash sweep's report table under `title`.
+fn table(title: &str, rows: &[Row]) -> TextTable {
     let mut t = TextTable::new(
-        "E5b — central-system crash sweep (coordinator crashes mid-protocol; decision log + presumed abort)",
+        title,
         &[
             "protocol",
             "crash at us",
@@ -349,35 +354,6 @@ pub(crate) fn nemesis_verdicts(rows: &[NemesisRow]) -> Vec<String> {
     out
 }
 
-/// Render the report table.
-pub fn table(rows: &[Row]) -> TextTable {
-    let mut t = TextTable::new(
-        "E5 — participant crash sweep (site 2 crashes mid-protocol, restarts later)",
-        &[
-            "protocol",
-            "crash at us",
-            "verdict",
-            "resolution ms",
-            "block ms",
-            "retransmits",
-            "atomic",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.protocol.label().to_string(),
-            r.crash_at_us.to_string(),
-            r.verdict
-                .map_or("UNRESOLVED".to_string(), |v| v.to_string()),
-            opt2(r.resolution_ms),
-            opt2(r.blocking_ms),
-            r.retransmissions.to_string(),
-            if r.atomic { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    t
-}
-
 /// Shape checks.
 pub fn verdicts(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
@@ -416,8 +392,11 @@ pub fn report(quick: bool) -> String {
         run_nemesis(&seeds),
     );
     [
-        section(&[table(&site)], &verdicts(&site)),
-        section(&[central_table(&central)], &central_verdicts(&central)),
+        section(&[table(SITE_TITLE, &site)], &verdicts(&site)),
+        section(
+            &[table(CENTRAL_TITLE, &central)],
+            &central_verdicts(&central),
+        ),
         section(&[nemesis_table(&nemesis)], &nemesis_verdicts(&nemesis)),
     ]
     .join("\n")

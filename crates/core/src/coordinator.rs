@@ -416,16 +416,10 @@ impl Coordinator {
                 // they answer — a silent site may have committed (§3.3).
                 (ProtocolKind::CommitBefore, GlobalVerdict::Abort) => match voted {
                     Some(LocalVote::Ready) => Some(self.undo(*site)),
-                    // Read-only: committed, but with no effects to invert.
-                    Some(LocalVote::ReadyReadOnly) => None,
-                    Some(LocalVote::Aborted) => None,
+                    Some(LocalVote::ReadyReadOnly | LocalVote::Aborted) => None, // nothing to invert
                     None => {
                         self.awaiting_final_state.insert(*site);
-                        self.obs.emit(
-                            Some(self.gtx),
-                            SiteId::CENTRAL,
-                            EventKind::Inquiry { to: *site },
-                        );
+                        self.emit(EventKind::Inquiry { to: *site });
                         actions.push(CoordAction::Send {
                             site: *site,
                             payload: Payload::Prepare { gtx: self.gtx },
@@ -442,11 +436,7 @@ impl Coordinator {
                 });
             }
         }
-        if self.pending_finish.is_empty() && self.awaiting_final_state.is_empty() {
-            self.round = Round::Done;
-            self.emit(EventKind::Done { verdict });
-            actions.push(CoordAction::Done(verdict));
-        }
+        actions.extend(self.done_if_settled());
         actions
     }
 
@@ -467,12 +457,7 @@ impl Coordinator {
             self.pending_finish.insert(site, payload.clone());
             actions.push(CoordAction::Send { site, payload });
         }
-        if self.pending_finish.is_empty() && self.awaiting_final_state.is_empty() {
-            self.round = Round::Done;
-            let verdict = self.verdict.expect("decided");
-            self.emit(EventKind::Done { verdict });
-            actions.push(CoordAction::Done(verdict));
-        }
+        actions.extend(self.done_if_settled());
         actions
     }
 
@@ -491,13 +476,18 @@ impl Coordinator {
         }
         self.pending_finish.remove(&site);
         self.backoff.remove(&site);
-        if self.pending_finish.is_empty() && self.awaiting_final_state.is_empty() {
-            self.round = Round::Done;
-            let verdict = self.verdict.expect("finish round has a verdict");
-            self.emit(EventKind::Done { verdict });
-            return vec![CoordAction::Done(verdict)];
+        self.done_if_settled().into_iter().collect()
+    }
+
+    /// Complete once no site is owed, or asked for, its final state.
+    fn done_if_settled(&mut self) -> Option<CoordAction> {
+        if !self.pending_finish.is_empty() || !self.awaiting_final_state.is_empty() {
+            return None;
         }
-        Vec::new()
+        self.round = Round::Done;
+        let verdict = self.verdict.expect("the finish round has a verdict");
+        self.emit(EventKind::Done { verdict });
+        Some(CoordAction::Done(verdict))
     }
 
     /// The driver gave up on `site` for this round. A site that cannot be
@@ -549,6 +539,18 @@ impl Coordinator {
                 .chain(self.awaiting_final_state.iter().map(inquiry))
                 .collect(),
             Round::Done => Vec::new(),
+        }
+    }
+
+    /// Whether `payload`, emitted for `site` earlier, is still owed: once
+    /// decided, no work dispatch is (the site gets the abort and keeps a
+    /// tombstone), nor an inquiry to a site whose final state is known.
+    pub(crate) fn owes(&self, site: SiteId, payload: &Payload) -> bool {
+        let decided = self.verdict.is_some();
+        match payload {
+            Payload::Submit { .. } | Payload::SubmitPrepare { .. } => !decided,
+            Payload::Prepare { .. } => !decided || self.awaiting_final_state.contains(&site),
+            _ => true,
         }
     }
 

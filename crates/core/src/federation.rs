@@ -709,17 +709,39 @@ impl Federation {
     /// is in flight. Both `run_transaction` and `resolve_pending` come
     /// through here, so a final-state message is whatever the state
     /// machine says it is, the first time and every later time. Which
-    /// rounds go whole: DESIGN.md §9, "One round primitive".
+    /// rounds go whole: DESIGN.md §9, "One round primitive". A message the
+    /// machine stopped owing after it emitted it is neither shipped nor
+    /// counted: a dispatch queued behind the vote that decided, an inquiry
+    /// a later reply of its round answered.
     fn pump(&self, txn: &mut Txn, first: Sends, l0: &mut L0Tenures) -> AmcResult<()> {
         let gtx = txn.gtx();
         let keeps_l0 = txn.coordinator.protocol() != ProtocolKind::CommitBefore;
         let mut batches = VecDeque::from([first]);
-        while let Some(sends) = batches.pop_front() {
+        while let Some(mut sends) = batches.pop_front() {
+            sends.retain(|(site, p)| {
+                let owed = txn.coordinator.owes(*site, p);
+                txn.messages -= 2 * u64::from(!owed);
+                owed
+            });
             let is_submit =
                 |p: &Payload| matches!(p, Payload::Submit { .. } | Payload::SubmitPrepare { .. });
             let submits = sends.iter().any(|(_, p)| is_submit(p));
             let whole = txn.paxos.is_none() && sends.len() > 1 && !(keeps_l0 && submits);
-            let mut on_reply = |site, sent_at, reply: AmcResult<Payload>| -> AmcResult<()> {
+            if !whole && sends.len() > 1 {
+                // One at a time: the rest is owed, or not, after this reply.
+                batches.push_front(sends.split_off(1));
+            }
+            let requests: Vec<(SiteId, &'static str)> =
+                sends.iter().map(|(s, p)| (*s, p.label())).collect();
+            let sent_at = Instant::now();
+            let replies = if whole {
+                self.transport.call_round(sends)
+            } else {
+                let call = |(site, p)| self.transport.call(site, p);
+                sends.into_iter().map(call).collect()
+            };
+            for ((site, request), reply) in requests.into_iter().zip(replies) {
+                self.observe_exchange(gtx, site, request, &reply);
                 if submits {
                     l0.insert(site, (sent_at, None));
                 }
@@ -736,22 +758,6 @@ impl Federation {
                 let next = self.step(txn, Completion::Reply { site, reply })?;
                 if !next.is_empty() {
                     batches.push_back(next);
-                }
-                Ok(())
-            };
-            if whole {
-                let requests: Vec<(SiteId, &'static str)> =
-                    sends.iter().map(|(s, p)| (*s, p.label())).collect();
-                let sent_at = Instant::now();
-                let replies = self.transport.call_round(sends);
-                for ((site, request), reply) in requests.into_iter().zip(replies) {
-                    self.observe_exchange(gtx, site, request, &reply);
-                    on_reply(site, sent_at, reply)?;
-                }
-            } else {
-                for (site, payload) in sends {
-                    let sent_at = Instant::now();
-                    on_reply(site, sent_at, self.dispatch(site, payload))?;
                 }
             }
         }
@@ -784,16 +790,15 @@ impl Federation {
         // sites that never saw a finish (commit-before commit path) already
         // released at their vote.
         let tenure = |(t0, t1): &(Instant, Option<Instant>)| Some((*t1)?.duration_since(*t0));
-        match verdict {
+        let (outcome, l0_holds) = match verdict {
             Some(GlobalVerdict::Commit) => {
                 let l0_holds = l0.values().filter_map(tenure).collect();
-                Ok(report(gtx, TxnOutcome::Committed, l0_holds, messages))
+                (TxnOutcome::Committed, l0_holds)
             }
-            Some(GlobalVerdict::Abort) => {
-                Ok(report(gtx, TxnOutcome::Aborted, Vec::new(), messages))
-            }
-            None => Err(AmcError::Protocol("coordinator never decided".into())),
-        }
+            Some(GlobalVerdict::Abort) => (TxnOutcome::Aborted, Vec::new()),
+            None => return Err(AmcError::Protocol("coordinator never decided".into())),
+        };
+        Ok(report(gtx, outcome, l0_holds, messages))
     }
 
     /// Re-drive every parked coordinator — the coordinator side of a

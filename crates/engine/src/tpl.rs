@@ -425,19 +425,21 @@ impl LocalEngine for TwoPLEngine {
     }
 
     fn commit(&self, txn: LocalTxnId) -> AmcResult<()> {
-        {
+        let logged = {
             let txns = self.txns.lock();
             if !txns.up {
                 return Err(self.site_down());
             }
-            if !txns.active.contains_key(&txn) {
-                return Err(AmcError::UnknownTxn);
-            }
-        }
+            let ctx = txns.active.get(&txn).ok_or(AmcError::UnknownTxn)?;
+            // Nothing written, nothing prepared: no record, no force. Under
+            // strict 2PL all it read was durably committed before its
+            // writers' locks let go, so there is no decision to recover.
+            !ctx.undo.is_empty() || ctx.state != LocalRunState::Running
+        };
         // The unmodified engine's atomic running->committed transition:
         // append + force the commit record (§3.1) — via group commit, with
         // no component mutex held, so concurrent committers share one force.
-        if !self.wal.append_durable(&LogRecord::Commit { txn }) {
+        if logged && !self.wal.append_durable(&LogRecord::Commit { txn }) {
             // A crash wiped the record before it was forced: the commit
             // never happened (crash_impl already drained the transaction).
             return Err(self.site_down());
@@ -831,17 +833,47 @@ mod tests {
     }
 
     #[test]
-    fn a_transaction_without_updates_logs_nothing_before_its_decision() {
+    fn a_read_only_commit_logs_and_forces_nothing() {
         let e = engine_with(&[(1, 10)]);
-        let appends = || e.log_stats().appends;
-        let before = appends();
+        let (before, dump) = (e.log_stats(), e.dump().unwrap());
         let t = e.begin().unwrap();
         e.execute(t, &Op::Read { obj: obj(1) }).unwrap();
-        assert_eq!(appends(), before, "begin and a read append no record");
         e.commit(t).unwrap();
-        assert_eq!(appends(), before + 1, "the Commit record alone");
+        let after = e.log_stats();
+        assert_eq!(after.appends, before.appends, "no record");
+        assert_eq!(after.forces, before.forces, "no force");
+        assert_eq!(e.state_of(t), Some(LocalRunState::Committed));
+        e.crash();
+        e.recover().unwrap();
+        assert_eq!(
+            e.dump().unwrap(),
+            dump,
+            "a crash right after recovers the same state"
+        );
+
+        // Its shared lock is released: a writer gets the page at once.
+        let r = e.begin().unwrap();
+        e.execute(r, &Op::Read { obj: obj(1) }).unwrap();
+        e.commit(r).unwrap();
+        let w = e.begin().unwrap();
+        e.execute(
+            w,
+            &Op::Increment {
+                obj: obj(1),
+                delta: 1,
+            },
+        )
+        .unwrap();
+        e.commit(w).unwrap();
+
+        // A prepared transaction decided in the log: its commit is
+        // recorded even with nothing written.
+        let p = e.begin().unwrap();
+        e.execute(p, &Op::Read { obj: obj(1) }).unwrap();
+        e.prepare(p).unwrap();
+        e.commit(p).unwrap();
         let records = e.wal.with_log(|log| log.stable_records()).unwrap();
-        assert_eq!(records.last().unwrap().1, LogRecord::Commit { txn: t });
+        assert_eq!(records.last().unwrap().1, LogRecord::Commit { txn: p });
     }
 
     #[test]

@@ -192,6 +192,8 @@ impl GroupCommitter {
                     return false;
                 }
                 inner.forcing = false;
+                // Only a leader that let go of the mutex has followers.
+                self.cv.notify_all();
             }
             let (records, bytes) = inner.log.force_upto(target, false);
             let acked = inner.pending.iter().filter(|l| **l <= target).count() as u64;
@@ -199,7 +201,6 @@ impl GroupCommitter {
             if acked > 0 {
                 inner.log.note_group_batch(acked, records, bytes);
             }
-            self.cv.notify_all();
             // Our own record is ≤ target by construction.
             return true;
         }

@@ -427,7 +427,8 @@ pub mod prelude {
 
 /// Define property tests. Supports an optional leading
 /// `#![proptest_config(expr)]` and any number of test functions whose
-/// arguments use `pattern in strategy` syntax.
+/// arguments use `pattern in strategy` syntax. As upstream, each function
+/// carries its own attributes, `#[test]` included; none is added.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -450,7 +451,6 @@ macro_rules! __proptest_impl {
         fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::test_runner::Config = $cfg;
             for __case in 0..config.cases {
@@ -501,6 +501,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
         fn ranges_in_bounds(x in 3u64..9, y in -5i64..=5, (a, b) in (0u8..4, any::<bool>())) {
             prop_assert!((3..9).contains(&x));
             prop_assert!((-5..=5).contains(&y));
@@ -508,6 +509,7 @@ mod tests {
             let _ = b;
         }
 
+        #[test]
         fn combinators_compose(
             v in crate::collection::vec(0u32..10, 1..6),
             m in crate::collection::btree_map(0u64..4, any::<i64>(), 0..5),

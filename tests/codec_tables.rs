@@ -335,6 +335,7 @@ fn acceptor_record() -> impl Strategy<Value = LogRecord> {
 macro_rules! tables {
     ($($name:ident: $strategy:expr),* $(,)?) => {
         proptest! {$(
+            #[test]
             fn $name(value in $strategy) {
                 check(&value);
             }

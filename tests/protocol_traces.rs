@@ -9,9 +9,10 @@
 //! dedicated voting round and in post-crash re-inquiry.
 
 use amc::core::{FederationConfig, ProtocolKind, SimConfig, SimFederation};
+use amc::net::{Payload, SubmitMode};
 use amc::sim::FaultPlan;
 use amc::types::{
-    GlobalTxnId, GlobalVerdict, ObjectId, Operation, SimDuration, SimTime, SiteId, Value,
+    GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation, SimDuration, SimTime, SiteId, Value,
 };
 use std::collections::BTreeMap;
 
@@ -59,6 +60,14 @@ fn failing_at_site_2() -> BTreeMap<SiteId, Vec<Operation>> {
     p.get_mut(&SiteId::new(2))
         .unwrap()
         .push(Operation::Read { obj: obj(2, 999) }); // does not exist
+    p
+}
+
+fn failing_at_site_1() -> BTreeMap<SiteId, Vec<Operation>> {
+    let mut p = transfer();
+    p.get_mut(&SiteId::new(1))
+        .unwrap()
+        .push(Operation::Read { obj: obj(1, 999) }); // does not exist
     p
 }
 
@@ -388,54 +397,134 @@ fn threaded_federation_records_rounds_as_request_reply_pairs() {
     }
 }
 
+/// Group `labels` by the site each message goes to or comes from.
+fn per_link(labels: Vec<String>) -> BTreeMap<String, Vec<String>> {
+    let mut links: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for label in labels {
+        let (from, to) = label
+            .split_once(':')
+            .and_then(|(_, l)| l.split_once("->"))
+            .unwrap();
+        let site = if from == "0" { to } else { from }.to_string();
+        links.entry(site).or_default().push(label);
+    }
+    links
+}
+
+/// A threaded federation of two sites holding two counters each.
+fn blocking(protocol: ProtocolKind) -> amc::core::Federation {
+    let mut fed = amc::core::Federation::new(FederationConfig::uniform(2, protocol));
+    fed.set_recording(true, true);
+    for s in 1..=2u32 {
+        let data = [
+            (obj(s, 0), Value::counter(100)),
+            (obj(s, 1), Value::counter(100)),
+        ];
+        fed.load_site(SiteId::new(s), &data).unwrap();
+    }
+    fed
+}
+
 /// One central system, two pumps: for every protocol, on the commit path
 /// and on an intended abort, the blocking pump and the failure-free
 /// simulator exchange the same messages with each site in the same order.
 /// (Across sites the two interleave differently — one waits for a whole
 /// round, the other for each arrival — so the comparison is per link.)
+/// When the first site votes abort, the blocking pump learns the decision
+/// before it ships what the simulator already has in flight, and skips
+/// what the machine no longer owes: on every link it exchanges a
+/// subsequence of the simulator's messages.
 #[test]
 fn blocking_pump_and_simulator_exchange_the_same_messages_per_link() {
-    let per_link = |labels: Vec<String>| -> BTreeMap<String, Vec<String>> {
-        let mut links: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for label in labels {
-            let (from, to) = label
-                .split_once(':')
-                .and_then(|(_, l)| l.split_once("->"))
-                .unwrap();
-            let site = if from == "0" { to } else { from }.to_string();
-            links.entry(site).or_default().push(label);
-        }
-        links
-    };
     for protocol in ProtocolKind::ALL {
-        for (program, verdict) in [
-            (transfer(), GlobalVerdict::Commit),
-            (failing_at_site_2(), GlobalVerdict::Abort),
+        for (program, verdict, first_fails) in [
+            (transfer(), GlobalVerdict::Commit, false),
+            (failing_at_site_2(), GlobalVerdict::Abort, false),
+            (failing_at_site_1(), GlobalVerdict::Abort, true),
         ] {
             let report =
                 sim(protocol, FaultPlan::none()).run(vec![(SimDuration::ZERO, program.clone())]);
             assert_eq!(report.outcomes.get(&G1), Some(&verdict), "{protocol}");
 
-            let mut fed = amc::core::Federation::new(FederationConfig::uniform(2, protocol));
-            fed.set_recording(true, true);
-            for s in 1..=2u32 {
-                let data = [
-                    (obj(s, 0), Value::counter(100)),
-                    (obj(s, 1), Value::counter(100)),
-                ];
-                fed.load_site(SiteId::new(s), &data).unwrap();
-            }
+            let fed = blocking(protocol);
             let pumped = fed.run_transaction(&program).unwrap();
             assert_eq!(pumped.gtx, G1);
 
-            let simulated = report.events.message_labels(G1);
-            let blocking = fed.events().message_labels(G1);
-            assert_eq!(blocking.len(), simulated.len(), "{protocol} {verdict:?}");
-            assert_eq!(
-                per_link(blocking),
-                per_link(simulated),
-                "{protocol} {verdict:?}"
-            );
+            let simulated = per_link(report.events.message_labels(G1));
+            let blocking = per_link(fed.events().message_labels(G1));
+            if !first_fails {
+                assert_eq!(blocking, simulated, "{protocol} {verdict:?}");
+                continue;
+            }
+            for (link, labels) in &blocking {
+                let mut sim = simulated[link].iter();
+                let subsequence = labels.iter().all(|l| sim.any(|s| s == l));
+                assert!(
+                    subsequence,
+                    "{protocol} {link}: {labels:?} vs {simulated:?}"
+                );
+            }
         }
     }
+}
+
+/// 2PC and commit-after ship the submits one site at a time. When the
+/// first site votes abort the second one's submit is no longer owed: that
+/// site's engine begins no local transaction, learns the abort for a
+/// transaction it never saw, and keeps a tombstone that turns a late
+/// submit away.
+#[test]
+fn an_abort_at_the_first_site_ships_no_work_to_the_second() {
+    for protocol in [ProtocolKind::TwoPhaseCommit, ProtocolKind::CommitAfter] {
+        let fed = blocking(protocol);
+        let second = fed.manager(SiteId::new(2)).unwrap();
+        let begins = || second.handle().engine().stats().begins;
+        let before = begins();
+        let report = fed.run_transaction(&failing_at_site_1()).unwrap();
+        assert_eq!(report.outcome, amc::core::TxnOutcome::Aborted);
+        assert_eq!(begins(), before, "{protocol}: no local transaction");
+        let labels = fed.events().message_labels(G1);
+        assert!(!labels.contains(&"submit:0->2".to_string()), "{labels:?}");
+        assert!(labels.contains(&"abort:0->2".to_string()), "{labels:?}");
+
+        let mode = match protocol {
+            ProtocolKind::TwoPhaseCommit => SubmitMode::TwoPhase,
+            _ => SubmitMode::CommitAfter,
+        };
+        let late = second
+            .handle_submit(G1, transfer()[&SiteId::new(2)].clone(), mode)
+            .unwrap();
+        let aborted = Payload::Vote {
+            gtx: G1,
+            vote: LocalVote::Aborted,
+        };
+        assert_eq!(late, aborted, "{protocol}: the tombstone answers");
+        assert_eq!(begins(), before, "{protocol}: the late submit ran nothing");
+    }
+}
+
+/// Commit-before, first site votes abort: the second site's ready vote
+/// arrives in the same round, so the coordinator holds its final state
+/// and sends no inquiry. The committed site runs one undo local
+/// transaction, and forces twice: its forward commit and the inverse —
+/// the exactly-once marker check before the undo reads, and writes no
+/// log record.
+#[test]
+fn a_commit_before_abort_inquires_nothing_it_knows_and_forces_only_its_writes() {
+    let fed = blocking(ProtocolKind::CommitBefore);
+    let second = fed.manager(SiteId::new(2)).unwrap();
+    let (comm, forces) = (second.stats(), second.handle().engine().log_stats().forces);
+    let report = fed.run_transaction(&failing_at_site_1()).unwrap();
+    assert_eq!(report.outcome, amc::core::TxnOutcome::Aborted);
+    let labels = fed.events().message_labels(G1);
+    assert!(
+        labels.iter().all(|l| !l.starts_with("prepare")),
+        "{labels:?}"
+    );
+    assert!(labels.contains(&"undo:0->2".to_string()), "{labels:?}");
+    assert_eq!(second.stats().undo_runs - comm.undo_runs, 1);
+    let taken = second.handle().engine().log_stats().forces - forces;
+    assert_eq!(taken, 2, "the forward commit and the inverse");
+    let dumps = fed.dumps().unwrap();
+    assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)], Value::counter(100));
 }
