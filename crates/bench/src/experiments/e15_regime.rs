@@ -428,19 +428,22 @@ mod tests {
         assert_eq!(winners("fan-out", &fanout).len(), FANOUTS.len());
     }
 
+    /// A cell at sweep point `axis` that committed `committed` in 1 s.
+    fn cell_at(axis: &str, regime: Regime, committed: u64) -> Cell {
+        let m = amc_core::RunMetrics {
+            committed,
+            wall: std::time::Duration::from_secs(1),
+            ..Default::default()
+        };
+        Cell {
+            regime,
+            ..Cell::of(axis.into(), 0.0, 0, m)
+        }
+    }
+
     #[test]
     fn a_runner_up_within_the_margin_ties() {
-        let cell = |regime, committed| {
-            let m = amc_core::RunMetrics {
-                committed,
-                wall: std::time::Duration::from_secs(1),
-                ..Default::default()
-            };
-            Cell {
-                regime,
-                ..Cell::of("x".into(), 0.0, 0, m)
-            }
-        };
+        let cell = |regime, committed| cell_at("x", regime, committed);
         let rows = [
             cell(Regime::Classic2pc, 90),
             cell(Regime::CommitAfter, 96),
@@ -454,5 +457,42 @@ mod tests {
             panic!("one axis, one line")
         };
         assert!(line.starts_with("winner[l, x]: 2pc (90.00 txn/s"), "{line}");
+    }
+
+    #[test]
+    fn a_runner_up_past_the_margin_does_not_tie() {
+        let rows = [
+            cell_at("x", Regime::Classic2pc, 94),
+            cell_at("x", Regime::CommitBefore, 100),
+        ];
+        let [line] = &winners("l", &rows)[..] else {
+            panic!("one axis, one line")
+        };
+        assert!(
+            line.starts_with("winner[l, x]: commit-before (100.00 txn/s"),
+            "{line}"
+        );
+    }
+
+    /// Each sweep point is judged on its own rows, in the order the sweep
+    /// first names it: a regime that wins one point does not win another.
+    #[test]
+    fn each_sweep_point_names_its_own_winner() {
+        let rows = [
+            cell_at("b", Regime::Classic2pc, 100),
+            cell_at("a", Regime::Classic2pc, 10),
+            cell_at("b", Regime::CommitAfter, 50),
+            cell_at("a", Regime::CommitAfter, 20),
+        ];
+        let lines = winners("l", &rows);
+        assert_eq!(lines.len(), 2);
+        assert!(
+            lines[0].starts_with("winner[l, b]: 2pc (100.00"),
+            "{lines:?}"
+        );
+        assert!(
+            lines[1].starts_with("winner[l, a]: commit-after (20.00"),
+            "{lines:?}"
+        );
     }
 }

@@ -906,6 +906,120 @@ mod tests {
         assert!(c.on_event(CoordEvent::Timer).is_empty());
     }
 
+    /// Every `Send` in `actions`, and whether `c` still owes it now.
+    fn owed(c: &Coordinator, actions: &[CoordAction]) -> Vec<(SiteId, &'static str, bool)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                CoordAction::Send { site, payload } => {
+                    Some((*site, payload.label(), c.owes(*site, payload)))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_dispatch_stops_being_owed_at_the_decision() {
+        for piggyback in [false, true] {
+            let mut c = Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1, 2]));
+            if piggyback {
+                c = c.with_piggyback();
+            }
+            let work = c.on_event(CoordEvent::Start);
+            let label = if piggyback {
+                "submit-prepare"
+            } else {
+                "submit"
+            };
+            let both = |owed| vec![(site(1), label, owed), (site(2), label, owed)];
+            assert_eq!(owed(&c, &work), both(true), "piggyback={piggyback}");
+            // Site 1 votes no before site 2's dispatch leaves: site 2 is
+            // owed the abort, not the work.
+            let abort = vote(&mut c, 1, LocalVote::Aborted);
+            assert_eq!(owed(&c, &work), both(false), "piggyback={piggyback}");
+            assert_eq!(
+                owed(&c, &abort),
+                vec![(site(1), "abort", true), (site(2), "abort", true)]
+            );
+        }
+    }
+
+    /// Commit-before: site 1 votes no while site 2's reply is still in the
+    /// round. The decision inquires site 2; its ready vote, landing next,
+    /// answers that inquiry and owes the undo instead.
+    #[test]
+    fn an_inquiry_stops_being_owed_once_its_round_answers_it() {
+        let mut c = Coordinator::new(gtx(), ProtocolKind::CommitBefore, programs(&[1, 2]));
+        c.on_event(CoordEvent::Start);
+        let decided = vote(&mut c, 1, LocalVote::Aborted);
+        assert_eq!(c.verdict(), Some(GlobalVerdict::Abort));
+        assert_eq!(owed(&c, &decided), vec![(site(2), "prepare", true)]);
+        let undo = vote(&mut c, 2, LocalVote::Ready);
+        assert_eq!(owed(&c, &decided), vec![(site(2), "prepare", false)]);
+        assert_eq!(owed(&c, &undo), vec![(site(2), "undo", true)]);
+        // The site that decided it is owed no inquiry either.
+        assert!(!c.owes(site(1), &Payload::Prepare { gtx: gtx() }));
+        let done = c.on_event(CoordEvent::Finished { site: site(2) });
+        assert_eq!(done, vec![CoordAction::Done(GlobalVerdict::Abort)]);
+    }
+
+    /// Before the decision the machine drops nothing: a vote inquiry is
+    /// owed to every site, silent or not, in every protocol.
+    #[test]
+    fn before_the_decision_every_inquiry_is_owed() {
+        let inquiry = Payload::Prepare { gtx: gtx() };
+        for protocol in ProtocolKind::ALL {
+            let mut c = Coordinator::new(gtx(), protocol, programs(&[1, 2]));
+            c.on_event(CoordEvent::Start);
+            vote(&mut c, 1, LocalVote::Ready);
+            let timer = c.on_event(CoordEvent::Timer);
+            assert_eq!(
+                owed(&c, &timer),
+                vec![(site(2), "prepare", true)],
+                "{protocol}"
+            );
+            assert!(c.owes(site(1), &inquiry), "{protocol}");
+        }
+        // 2PC's prepare round is owed whole.
+        let mut c = Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1, 2]));
+        c.on_event(CoordEvent::Start);
+        vote(&mut c, 1, LocalVote::Ready);
+        let prepare = vote(&mut c, 2, LocalVote::Ready);
+        assert_eq!(
+            owed(&c, &prepare),
+            vec![(site(1), "prepare", true), (site(2), "prepare", true)]
+        );
+    }
+
+    /// What carries the decision is owed until the site finishes, however
+    /// often it is retransmitted: commit-after's commit and its redo, and
+    /// commit-before's undo.
+    #[test]
+    fn a_final_state_message_stays_owed_after_the_decision() {
+        let mut c = Coordinator::new(gtx(), ProtocolKind::CommitAfter, programs(&[1, 2]));
+        c.on_event(CoordEvent::Start);
+        vote(&mut c, 1, LocalVote::Ready);
+        let commit = vote(&mut c, 2, LocalVote::Ready);
+        let redo = c.on_event(CoordEvent::Timer);
+        assert_eq!(
+            owed(&c, &commit),
+            vec![(site(1), "commit", true), (site(2), "commit", true)]
+        );
+        assert_eq!(
+            owed(&c, &redo),
+            vec![(site(1), "redo", true), (site(2), "redo", true)]
+        );
+
+        let mut c = Coordinator::new(gtx(), ProtocolKind::CommitBefore, programs(&[1, 2]));
+        c.on_event(CoordEvent::Start);
+        vote(&mut c, 1, LocalVote::Ready);
+        let undo = vote(&mut c, 2, LocalVote::Aborted);
+        assert_eq!(owed(&c, &undo), vec![(site(1), "undo", true)]);
+        let again = c.on_event(CoordEvent::Timer);
+        assert_eq!(owed(&c, &again), owed(&c, &undo));
+    }
+
     fn solo() -> Coordinator {
         let mut c =
             Coordinator::new(gtx(), ProtocolKind::TwoPhaseCommit, programs(&[1])).with_piggyback();

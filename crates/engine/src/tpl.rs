@@ -876,6 +876,58 @@ mod tests {
         assert_eq!(records.last().unwrap().1, LogRecord::Commit { txn: p });
     }
 
+    /// A transaction that wrote still forces its Commit record, once.
+    #[test]
+    fn a_commit_with_updates_forces_its_record() {
+        let e = engine_with(&[(1, 10)]);
+        let forces = e.log_stats().forces;
+        let t = e.begin().unwrap();
+        e.execute(
+            t,
+            &Op::Increment {
+                obj: obj(1),
+                delta: 1,
+            },
+        )
+        .unwrap();
+        e.commit(t).unwrap();
+        assert_eq!(e.log_stats().forces, forces + 1);
+        let records = e.wal.with_log(|log| log.stable_records()).unwrap();
+        assert_eq!(records.last().unwrap().1, LogRecord::Commit { txn: t });
+        e.crash();
+        e.recover().unwrap();
+        assert_eq!(e.dump().unwrap().get(&obj(1)), Some(&v(11)));
+    }
+
+    /// The unlogged commit is still a commit of a live site: a crash kills
+    /// the read-only transaction, and its commit fails.
+    #[test]
+    fn a_read_only_commit_fails_on_a_crashed_site() {
+        let e = engine_with(&[(1, 10)]);
+        let t = e.begin().unwrap();
+        e.execute(t, &Op::Read { obj: obj(1) }).unwrap();
+        e.crash();
+        assert!(matches!(e.commit(t), Err(AmcError::SiteDown(_))));
+        e.recover().unwrap();
+        assert!(matches!(e.commit(t), Err(AmcError::UnknownTxn)));
+        assert_eq!(e.state_of(t), Some(LocalRunState::Aborted));
+        assert_eq!(e.stats().commits, 0);
+    }
+
+    /// Aborting a transaction that wrote nothing and never prepared
+    /// undoes nothing and forces nothing.
+    #[test]
+    fn a_read_only_abort_forces_nothing() {
+        let e = engine_with(&[(1, 10)]);
+        let forces = e.log_stats().forces;
+        let t = e.begin().unwrap();
+        e.execute(t, &Op::Read { obj: obj(1) }).unwrap();
+        e.abort(t, AbortReason::Intended).unwrap();
+        assert_eq!(e.log_stats().forces, forces);
+        assert_eq!(e.state_of(t), Some(LocalRunState::Aborted));
+        assert_eq!(e.dump().unwrap().get(&obj(1)), Some(&v(10)));
+    }
+
     #[test]
     fn durable_uncommitted_work_is_rolled_back_by_recovery() {
         let e = engine_with(&[(1, 10), (2, 20)]);

@@ -249,4 +249,22 @@ mod tests {
         m.release(gtx(2), &[obj(1)]);
         assert_eq!(m.granted_count(), 0);
     }
+
+    /// A central crash loses the programs, so the sweep must free every
+    /// L1 lock the transaction holds, and nobody else's.
+    #[test]
+    fn release_all_frees_every_lock_of_one_transaction_only() {
+        let m = L1LockManager::new(ConflictPolicy::Semantic, Duration::from_millis(10));
+        for o in 1..=3 {
+            assert_eq!(acquire(&m, gtx(1), &write(o)), AcquireResult::Granted);
+        }
+        assert_eq!(acquire(&m, gtx(2), &write(4)), AcquireResult::Granted);
+        m.release_all(gtx(1));
+        assert_eq!(m.granted_count(), 1);
+        m.check_invariants().unwrap();
+        for o in 1..=3 {
+            assert_eq!(acquire(&m, gtx(3), &write(o)), AcquireResult::Granted);
+        }
+        assert_ne!(acquire(&m, gtx(3), &write(4)), AcquireResult::Granted);
+    }
 }

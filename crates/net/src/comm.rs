@@ -1837,6 +1837,113 @@ mod tests {
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
     }
 
+    /// The engine's log counters as `(appends, forces)`.
+    fn logged(engine: &TwoPLEngine) -> (u64, u64) {
+        let stats = engine.log_stats();
+        (stats.appends, stats.forces)
+    }
+
+    fn read_vote(p: Payload) -> LocalVote {
+        match p {
+            Payload::Vote { vote, .. } => vote,
+            other => panic!("not a vote: {other:?}"),
+        }
+    }
+
+    /// A read-only participant under the portable protocols commits at its
+    /// vote with nothing written: no log record, no force.
+    #[test]
+    fn a_portable_read_only_vote_forces_nothing() {
+        let (mgr, engine) = manager_with(&[(1, 10)]);
+        let before = logged(&engine);
+        for (n, mode) in [(1, SubmitMode::CommitAfter), (2, SubmitMode::CommitBefore)] {
+            let read = vec![Op::Read { obj: obj(1) }];
+            let vote = read_vote(mgr.handle_submit(gtx(n), read, mode).unwrap());
+            assert_eq!(vote, LocalVote::ReadyReadOnly, "{mode:?}");
+        }
+        assert_eq!(logged(&engine), before);
+        assert_eq!(engine.stats().commits, 2);
+    }
+
+    /// 2PC applies the read-only optimization at the prepare inquiry: the
+    /// participant commits there, unlogged, and a duplicate inquiry is
+    /// answered the same way without touching the engine.
+    #[test]
+    fn a_two_phase_read_only_prepare_forces_nothing() {
+        let (mgr, engine) = manager_with(&[(1, 10)]);
+        let before = logged(&engine);
+        let read = vec![Op::Read { obj: obj(1) }];
+        let work = mgr
+            .handle_submit(gtx(1), read, SubmitMode::TwoPhase)
+            .unwrap();
+        assert_eq!(read_vote(work), LocalVote::Ready);
+        for _ in 0..2 {
+            let vote = read_vote(mgr.handle_prepare(gtx(1)).unwrap());
+            assert_eq!(vote, LocalVote::ReadyReadOnly);
+        }
+        let ltx = mgr.local_txn_of(gtx(1)).unwrap();
+        assert_eq!(engine.state_of(ltx), Some(LocalRunState::Committed));
+        assert_eq!(logged(&engine), before);
+    }
+
+    /// The 1PC piggyback's read-only participant commits at the combined
+    /// dispatch, unlogged.
+    #[test]
+    fn a_piggybacked_read_only_vote_forces_nothing() {
+        let (mgr, engine) = manager_with(&[(1, 10)]);
+        let before = logged(&engine);
+        let read = vec![Op::Read { obj: obj(1) }];
+        let p = mgr
+            .handle_submit_prepare(gtx(1), read, false, SubmitMode::TwoPhase)
+            .unwrap();
+        assert_eq!(read_vote(p), LocalVote::ReadyReadOnly);
+        assert_eq!(logged(&engine), before);
+    }
+
+    /// A redo after a crash checks its exactly-once marker with a read-only
+    /// local transaction before it runs: only the redo itself forces. A
+    /// duplicate finds the marker and forces nothing.
+    #[test]
+    fn a_redo_forces_only_its_own_commit() {
+        let (mgr, engine) = manager_with(&[(1, 10)]);
+        let bump = vec![Op::Increment {
+            obj: obj(1),
+            delta: 5,
+        }];
+        mgr.handle_submit(gtx(1), bump.clone(), SubmitMode::CommitAfter)
+            .unwrap();
+        engine.crash();
+        engine.recover().unwrap();
+        let forces = || engine.log_stats().forces;
+        let before = forces();
+        mgr.handle_redo(gtx(1), bump.clone()).unwrap();
+        assert_eq!(forces() - before, 1, "the redo's commit");
+        mgr.handle_redo(gtx(1), bump).unwrap();
+        assert_eq!(forces() - before, 1, "the duplicate only reads its marker");
+        assert_eq!(mgr.stats().redo_runs, 1);
+        assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(15)));
+    }
+
+    /// An undo forces its inverse once; a retransmitted undo reads the
+    /// undo marker and forces nothing.
+    #[test]
+    fn a_duplicate_undo_forces_nothing() {
+        let (mgr, engine) = manager_with(&[(1, 10)]);
+        let bump = vec![Op::Increment {
+            obj: obj(1),
+            delta: 5,
+        }];
+        mgr.handle_submit(gtx(1), bump.clone(), SubmitMode::CommitBefore)
+            .unwrap();
+        let forces = || engine.log_stats().forces;
+        let before = forces();
+        mgr.handle_undo(gtx(1), bump.clone()).unwrap();
+        assert_eq!(forces() - before, 1, "the inverse transaction");
+        mgr.handle_undo(gtx(1), bump).unwrap();
+        assert_eq!(forces() - before, 1, "the duplicate only reads its marker");
+        assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
+    }
+
     #[test]
     fn late_abort_decision_for_unknown_gtx_is_tolerated() {
         let (mgr, _) = manager_with(&[]);

@@ -428,6 +428,28 @@ mod tests {
         assert!(took < 4 * delay, "the round took {took:?}");
     }
 
+    /// The peak counts delayed exchanges sent and not yet answered: a
+    /// serial call is one, an overlapped round its width, and the peak
+    /// keeps the most once the round is in. Undelayed calls are never in
+    /// flight.
+    #[test]
+    fn peak_in_flight_is_the_widest_overlap_of_delayed_exchanges() {
+        let t = delayed(3, Duration::from_millis(1));
+        assert_eq!(t.peak_in_flight(), 0);
+        let (to, payload) = submit_round(1).remove(0);
+        assert!(voted(&t.call(to, payload)).is_some());
+        assert_eq!(t.peak_in_flight(), 1);
+        t.call_round(submit_round(3));
+        assert_eq!(t.peak_in_flight(), 3);
+        let (to, payload) = submit_round(2).remove(1);
+        t.call(to, payload).unwrap();
+        assert_eq!(t.peak_in_flight(), 3, "a later call lowers nothing");
+
+        let undelayed = transport(3);
+        undelayed.call_round(submit_round(3));
+        assert_eq!(undelayed.peak_in_flight(), 0);
+    }
+
     #[test]
     fn a_zero_delay_round_answers_as_serial_calls() {
         let (round, serial) = (transport(4), transport(4));

@@ -139,4 +139,24 @@ mod tests {
         assert_eq!(a.p99(), b.p99());
         assert_eq!(a.mean(), b.mean());
     }
+
+    #[test]
+    fn percentiles_at_the_ends_are_the_extremes() {
+        let mut h = Histogram::new();
+        for v in [40, 10, 30, 20] {
+            h.record(v);
+        }
+        assert_eq!(h.percentile(0.0), h.min());
+        assert_eq!(h.percentile(100.0), h.max());
+        assert_eq!((h.min(), h.max()), (Some(10), Some(40)));
+    }
+
+    /// The mean sums in 128 bits: samples near `u64::MAX` do not wrap.
+    #[test]
+    fn mean_of_huge_samples_does_not_overflow() {
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(u64::MAX);
+        assert_eq!(h.mean(), Some(u64::MAX as f64));
+    }
 }

@@ -283,6 +283,7 @@ mod tests {
             backoff_cap: Duration::from_millis(2),
         };
         let program = BTreeMap::from([(s1, vec![increment(1)]), (s3, vec![increment(3)])]);
+        let data = [(obj(1, 0), Value::counter(0))];
         let cfg = || FederationConfig::uniform(3, ProtocolKind::TwoPhaseCommit);
 
         // The serial reference: the in-process transport with site 3 down.
@@ -291,12 +292,14 @@ mod tests {
             let transport = InProcessTransport::new(managers, SubmitMode::TwoPhase, Duration::ZERO);
             transport.set_down(s3, true);
             let fed = Federation::with_transport(cfg(), Arc::new(transport));
+            fed.load_site(s1, &data).unwrap();
             let report = fed.run_transaction(&program).unwrap();
             (report.outcome, report.messages, fed.pending_obligations())
         };
-        // Site 1 holds no data and votes abort first, so site 3 is owed only
-        // the abort: three exchanges, six messages.
-        assert_eq!(reference, (TxnOutcome::Aborted, 6, 1));
+        // Site 1 votes ready; site 3's submit finds it down, which decides
+        // the abort. Both are sent it, and site 3 stays owed its abort: four
+        // exchanges, eight messages.
+        assert_eq!(reference, (TxnOutcome::Aborted, 8, 1));
 
         for mux in [false, true] {
             let dials = Arc::new(AtomicU32::new(0));
@@ -304,7 +307,9 @@ mod tests {
             let managers = BTreeMap::from([(s1, manager(s1)), (s2, manager(s2))]);
             let (transport, _servers) = rig(mux, &managers, &[(s3, dead_addr)], policy);
 
-            let gtx = GlobalTxnId::new(1);
+            // A transaction the federation below never numbers: an inquiry
+            // leaves a tombstone that would turn its own submit away.
+            let gtx = GlobalTxnId::new(99);
             let replies = transport.call_round(vec![
                 (s1, Payload::Prepare { gtx }),
                 (s3, Payload::Prepare { gtx }),
@@ -325,6 +330,7 @@ mod tests {
             );
 
             let fed = Federation::with_transport(cfg(), Arc::new(transport));
+            fed.load_site(s1, &data).unwrap();
             let report = fed.run_transaction(&program).unwrap();
             assert_eq!(
                 (report.outcome, report.messages, fed.pending_obligations()),

@@ -253,4 +253,35 @@ mod tests {
         // Ascending nominal order: site 1's ops precede site 2's.
         assert!(matches!(rehomed[&site(2)][0], Operation::Increment { .. }));
     }
+
+    #[test]
+    fn a_readded_site_is_its_own_home_again() {
+        let map = ShardMap::new(2, (1..=3).map(site)).with_site_removed(site(1), site(2));
+        assert_eq!(map.actual(site(1)), site(2));
+        let back = map.with_site_added(site(1));
+        assert_eq!(back.epoch, 3);
+        assert!(back.is_member(site(1)));
+        assert_eq!(back.actual(site(1)), site(1));
+        assert_eq!(back.sites(), vec![site(1), site(2), site(3)]);
+    }
+
+    /// Ownership is a function of the program and the coordinator count
+    /// alone: reconfiguring the fleet moves no transaction between slots.
+    #[test]
+    fn owners_survive_a_reconfiguration() {
+        let map = ShardMap::new(4, (1..=3).map(site));
+        let next = map
+            .with_site_added(site(4))
+            .with_site_removed(site(1), site(4));
+        for o in 0..64u64 {
+            let p = program(&[o, o + 100]);
+            assert_eq!(map.owner_of(&p), next.owner_of(&p), "object {o}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "successor must be a member")]
+    fn a_successor_outside_the_fleet_is_rejected() {
+        ShardMap::new(2, (1..=3).map(site)).with_site_removed(site(1), site(9));
+    }
 }

@@ -480,4 +480,36 @@ mod tests {
         assert_eq!(s.forces, 10);
         assert_eq!(s.group_forces, 10);
     }
+
+    /// With no modelled latency and no file, a committer forces under the
+    /// mutex it appended under: no one ever waits for a leader, and each
+    /// force carries exactly its own commit, however many threads commit.
+    #[test]
+    fn zero_latency_committers_on_threads_each_force_their_own() {
+        let gc = Arc::new(GroupCommitter::new(
+            LogManager::new(),
+            GroupCommitConfig::default(),
+        ));
+        let (threads, per_thread) = (4u64, 25u64);
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let gc = Arc::clone(&gc);
+                std::thread::spawn(move || {
+                    for i in 0..per_thread {
+                        assert!(gc.append_durable(&commit(t * 100 + i)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let s = gc.stats();
+        let total = threads * per_thread;
+        assert_eq!(
+            (s.forces, s.group_forces, s.batched_commits),
+            (total, total, total)
+        );
+        assert_eq!(committed_txns(&gc).len(), total as usize);
+    }
 }

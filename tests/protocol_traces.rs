@@ -528,3 +528,77 @@ fn a_commit_before_abort_inquires_nothing_it_knows_and_forces_only_its_writes() 
     let dumps = fed.dumps().unwrap();
     assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)], Value::counter(100));
 }
+
+/// With the 1PC fast path 2PC ships its combined dispatches one site at a
+/// time too: a no from the first site leaves the second one's
+/// `submit-prepare` unowed, so that site prepares nothing and is sent the
+/// abort alone.
+#[test]
+fn a_piggybacked_abort_at_the_first_site_ships_no_work_to_the_second() {
+    let cfg = FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_fast_path();
+    let mut fed = amc::core::Federation::new(cfg);
+    fed.set_recording(true, true);
+    for s in 1..=2u32 {
+        fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))])
+            .unwrap();
+    }
+    let second = fed.manager(SiteId::new(2)).unwrap();
+    let begins = || second.handle().engine().stats().begins;
+    let before = begins();
+    let report = fed.run_transaction(&failing_at_site_1()).unwrap();
+    assert_eq!(report.outcome, amc::core::TxnOutcome::Aborted);
+    assert_eq!(begins(), before, "no local transaction at site 2");
+    let to_second: Vec<String> = fed
+        .events()
+        .message_labels(G1)
+        .into_iter()
+        .filter(|l| l.ends_with(":0->2"))
+        .collect();
+    assert_eq!(to_second, ["abort:0->2"]);
+}
+
+/// A message the pump skips is not counted: for every protocol, on the
+/// commit path and on an intended abort at either site, the report's count
+/// is the number of messages the event log saw leave or arrive.
+#[test]
+fn a_skipped_message_is_not_counted() {
+    for protocol in ProtocolKind::ALL {
+        for program in [transfer(), failing_at_site_1(), failing_at_site_2()] {
+            let fed = blocking(protocol);
+            let report = fed.run_transaction(&program).unwrap();
+            let labels = fed.events().message_labels(G1);
+            assert_eq!(
+                report.messages,
+                labels.len() as u64,
+                "{protocol}: {labels:?}"
+            );
+        }
+    }
+}
+
+/// A participant that only reads commits at its vote under every
+/// protocol, and its engine takes no force for it: there is nothing to
+/// make durable.
+#[test]
+fn a_read_only_participant_forces_nothing_under_any_protocol() {
+    let mut program = transfer();
+    program.insert(SiteId::new(2), vec![Operation::Read { obj: obj(2, 0) }]);
+    for protocol in ProtocolKind::ALL {
+        let fed = blocking(protocol);
+        let second = fed.manager(SiteId::new(2)).unwrap();
+        let forces = || second.handle().engine().log_stats().forces;
+        let before = forces();
+        let report = fed.run_transaction(&program).unwrap();
+        assert_eq!(
+            report.outcome,
+            amc::core::TxnOutcome::Committed,
+            "{protocol}"
+        );
+        assert_eq!(forces(), before, "{protocol}");
+        let labels = fed.events().message_labels(G1);
+        assert!(
+            labels.contains(&"ready-ro:2->0".to_string()),
+            "{protocol}: {labels:?}"
+        );
+    }
+}
