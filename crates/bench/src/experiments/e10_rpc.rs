@@ -8,6 +8,9 @@
 //! client concurrency and report committed-transaction throughput with
 //! p50/p99 commit latency per protocol.
 //!
+//! One more cell puts the deployed wire under hundreds of concurrent
+//! clients: commit-before over `threaded+pooled` at [`MANY_CLIENTS`].
+//!
 //! The claimed shapes:
 //!
 //! * the wire costs real latency — every TCP p50 sits above its
@@ -16,13 +19,18 @@
 //! * message complexity shows on the wire — 2PC's extra voting round
 //!   buys it a higher TCP commit p50 than commit-before (the paper's
 //!   protocol) at every client count, the E4 message-count ordering
-//!   re-observed as socket round trips.
+//!   re-observed as socket round trips;
+//! * the deployed wire serves hundreds of concurrent clients and loses
+//!   nothing — a count, not a timing.
 
-use crate::setup::{increment_heavy, offer, sweep, wire_config, Cell, Point, Regime, Wire, WIRES};
+use crate::setup::{increment_heavy, offer, sweep, wire_config, Cell, Point, Regime, Wire};
 use crate::table::{cells, section, verdict, Col, TextTable};
 
 /// The wire lane's TCP deployment.
-const TCP: Wire = WIRES[1];
+const TCP: Wire = Wire::ThreadedPooled;
+
+/// Driver threads in E10-4's cell.
+const MANY_CLIENTS: usize = 200;
 
 const COLS: [Col; 7] = [
     Col::fact("clients"),
@@ -33,22 +41,6 @@ const COLS: [Col; 7] = [
     Col::P50_MS,
     Col::P99_MS,
 ];
-
-const HC_COLS: [Col; 9] = [
-    Col::fact("runtime"),
-    Col::fact("clients"),
-    Col::COMMITS,
-    Col::TXN_S,
-    Col::P50_MS,
-    Col::P99_MS,
-    // The backpressure the event runtime applied past its in-flight cap.
-    Col::SHED_PER_TXN,
-    Col::fact("conns"),
-    Col::fact("conns/core"),
-];
-
-/// Sites in every cell of both lanes.
-const SITES: u64 = 3;
 
 /// One sweep point per client count, its batch drawn from `seed + clients`.
 /// Low contention, increment-heavy, 2-site transactions: the measured cost
@@ -62,11 +54,19 @@ fn points(seed: u64, txns: usize, client_counts: &[usize]) -> Vec<Point> {
     client_counts.iter().map(point).collect()
 }
 
-/// Run the wire sweep: every protocol over both `WIRES`.
+/// Run the wire sweep: every protocol over both wires.
 pub fn run(txns: usize, client_counts: &[usize]) -> Vec<Cell> {
     let points = points(10_000, txns, client_counts);
-    let lane = |regime| sweep(wire_config, &WIRES, &points, &[regime], offer);
+    let lane = |regime| sweep(wire_config, &Wire::ALL, &points, &[regime], offer);
     Regime::PROTOCOLS.into_iter().flat_map(lane).collect()
+}
+
+/// E10-4's cell: `txns` programs from [`MANY_CLIENTS`] driver threads
+/// over the deployed wire, under commit-before — the paper's protocol,
+/// the cheapest message path, so the transport is what is under load.
+fn run_many_clients(txns: usize) -> Vec<Cell> {
+    let points = points(20_000, txns, &[MANY_CLIENTS]);
+    sweep(wire_config, &[TCP], &points, &[Regime::CommitBefore], offer)
 }
 
 /// Render as the report table.
@@ -79,78 +79,12 @@ pub fn table(rows: &[Cell]) -> TextTable {
     )
 }
 
-/// Run the high-concurrency sweep: every TCP deployment at `clients`
-/// driver threads (the profile pins `clients >= 200`) hammering
-/// commit-before — the paper's protocol, the cheapest message path, so
-/// the transport is the bottleneck under test.
-pub(crate) fn run_high_concurrency(txns: usize, clients: usize) -> Vec<Cell> {
-    let tcp: Vec<Wire> = Wire::ALL.into_iter().filter(|w| w.is_tcp()).collect();
-    let points = points(20_000, txns, &[clients]);
-    sweep(wire_config, &tcp, &points, &[Regime::CommitBefore], offer)
-}
-
-/// Render the high-concurrency table.
-pub(crate) fn hc_table(rows: &[Cell]) -> TextTable {
-    // Connections per available core: the "how many sockets does a core
-    // carry" figure the event loop exists to improve.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as f64;
-    let facts = |c: &Cell| {
-        vec![
-            c.wire.label().to_string(),
-            c.axis.clone(),
-            c.connections.to_string(),
-            format!("{:.2}", c.connections as f64 / cores),
-        ]
-    };
-    cells(
-        "E10 — high concurrency: server runtime × client flavour over loopback TCP",
-        &HC_COLS,
-        rows.iter().map(|c| (facts(c), &c.m)),
-    )
-}
-
-/// The report section: both lanes.
+/// The report section: the wire sweep, then E10-4's cell.
 pub fn report(quick: bool) -> String {
     let client_counts: &[usize] = if quick { &[1, 4] } else { &[1, 4, 8] };
-    let rows = run(if quick { 80 } else { 240 }, client_counts);
-    // Hundreds of driver threads, every server-runtime × client-flavour
-    // combination.
-    let hc = run_high_concurrency(if quick { 400 } else { 1000 }, 200);
-    section(&[table(&rows)], &verdicts(&rows)) + &section(&[hc_table(&hc)], &hc_verdicts(&hc))
-}
-
-/// Shape checks for the high-concurrency profile.
-pub(crate) fn hc_verdicts(rows: &[Cell]) -> Vec<String> {
-    let mut out = Vec::new();
-    // E10-4: every runtime serves hundreds of concurrent clients.
-    let enough = rows.iter().all(|c| c.x >= 200.0);
-    let all_commit = rows.iter().all(|c| c.m.committed > 0);
-    out.push(verdict(
-        enough && all_commit,
-        format!(
-            "E10-4: every runtime commits at >=200 concurrent clients ({} clients)",
-            rows.first().map_or("0", |c| &c.axis)
-        ),
-    ));
-    // E10-5: multiplexing collapses the connection count — the mux
-    // transport rides one connection per site where the pooled client
-    // opens a connection per in-flight request.
-    let mux = rows.iter().find(|r| r.wire == Wire::EventMux);
-    let pooled = rows.iter().find(|r| r.wire == Wire::EventPooled);
-    let collapsed = match (mux, pooled) {
-        (Some(m), Some(p)) => m.connections <= SITES && m.connections < p.connections,
-        _ => false,
-    };
-    out.push(verdict(
-        collapsed,
-        format!(
-            "E10-5: {} rides <=1 connection per site (mux {} vs pooled {})",
-            Wire::EventMux.label(),
-            mux.map(|r| r.connections).unwrap_or(0),
-            pooled.map(|r| r.connections).unwrap_or(0)
-        ),
-    ));
-    out
+    let mut rows = run(if quick { 80 } else { 240 }, client_counts);
+    rows.extend(run_many_clients(if quick { 400 } else { 1000 }));
+    section(&[table(&rows)], &verdicts(&rows))
 }
 
 /// The shape checks for this experiment.
@@ -225,6 +159,25 @@ pub fn verdicts(rows: &[Cell]) -> Vec<String> {
             shown.join(", ")
         ),
     ));
+    // E10-4: hundreds of concurrent clients on the deployed wire, and
+    // every program offered commits — counted, not timed.
+    let many: Vec<&Cell> = rows
+        .iter()
+        .filter(|c| c.wire == TCP && c.x >= MANY_CLIENTS as f64)
+        .collect();
+    let whole = !many.is_empty() && many.iter().all(|c| c.m.committed == c.offered as u64);
+    let counts: Vec<String> = many
+        .iter()
+        .map(|c| format!("{}/{}", c.m.committed, c.offered))
+        .collect();
+    out.push(verdict(
+        whole,
+        format!(
+            "E10-4: {} commits every program at {MANY_CLIENTS} concurrent clients ({})",
+            TCP.label(),
+            counts.join(", ")
+        ),
+    ));
     out
 }
 
@@ -233,17 +186,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_wire_sweep_is_protocol_major_and_only_tcp_cells_hold_connections() {
+    fn the_wire_sweep_is_protocol_major() {
         let rows = run(16, &[1, 2]);
-        assert_eq!(rows.len(), Regime::PROTOCOLS.len() * WIRES.len() * 2);
+        assert_eq!(rows.len(), Regime::PROTOCOLS.len() * Wire::ALL.len() * 2);
         let order: Vec<_> = rows.iter().map(|c| (c.regime, c.wire, c.x)).collect();
         assert_eq!(order[0], (Regime::Classic2pc, Wire::InProcess, 1.0));
         assert_eq!(order[3], (Regime::Classic2pc, TCP, 2.0));
         assert_eq!(order[4].0, Regime::CommitAfter);
         for cell in &rows {
             assert_eq!(cell.m.committed, 16, "{:?}", cell.regime);
-            assert_eq!(cell.connections > 0, cell.wire == TCP);
         }
         assert!(verdicts(&rows)[0].starts_with("[PASS] E10-1"));
+    }
+
+    /// E10-4 is a count: it passes when the many-client cell committed
+    /// every program offered, fails on one short, and fails with no cell.
+    #[test]
+    fn e10_4_counts_every_offered_program() {
+        let e10_4 = |rows: &[Cell]| verdicts(rows).pop().unwrap();
+        let mut rows = run_many_clients(MANY_CLIENTS);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].m.committed, MANY_CLIENTS as u64);
+        assert!(e10_4(&rows).starts_with("[PASS] E10-4"), "{}", e10_4(&rows));
+        rows[0].m.committed -= 1;
+        assert!(e10_4(&rows).starts_with("[FAIL] E10-4"));
+        assert!(e10_4(&[]).starts_with("[FAIL] E10-4"));
     }
 }

@@ -18,9 +18,7 @@
 //!   solo dispatch and its reply are the only messages (2/txn, against
 //!   classic 2PC's 6).
 
-use crate::setup::{
-    offer, sizes, sweep, wire_config, Cell, Point, ProgramBatch, Regime, Wire, WIRES,
-};
+use crate::setup::{offer, sizes, sweep, wire_config, Cell, Point, ProgramBatch, Regime, Wire};
 use crate::table::{cells, opt2, section, verdict, Col, TextTable};
 use amc_types::SiteId;
 use amc_workload::{object, transfer};
@@ -74,7 +72,7 @@ pub fn run(txns: usize, clients: usize) -> Vec<Cell> {
         programs: programs(txns, pct),
         clients,
     });
-    sweep(wire_config, &WIRES, &points, LAYERS, offer)
+    sweep(wire_config, &Wire::ALL, &points, LAYERS, offer)
 }
 
 /// The report section.
@@ -119,7 +117,7 @@ pub fn verdicts(rows: &[Cell]) -> Vec<String> {
     // multi-site transactions.
     let mut points = 0;
     let mut saved = 0;
-    for wire in WIRES {
+    for wire in Wire::ALL {
         for pct in SWEEP {
             let (fast, classic) = (
                 msgs(Regime::FastPath, wire, pct),
@@ -142,7 +140,7 @@ pub fn verdicts(rows: &[Cell]) -> Vec<String> {
     // E13-3: a 100%-single-site mix commits with zero global rounds —
     // the solo dispatch and its reply are the only messages.
     let mut solo_ok = true;
-    for wire in WIRES {
+    for wire in Wire::ALL {
         match msgs(Regime::FastPath, wire, 100) {
             Some(m) if m <= 2.0 + 1e-9 => {}
             _ => solo_ok = false,

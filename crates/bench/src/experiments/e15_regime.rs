@@ -28,7 +28,7 @@
 //! [`Reserve`]: amc_types::Operation::Reserve
 
 use crate::setup::{
-    offer, sweep, tuned_config, wire_config, BaseConfig, Cell, Point, Regime, Testbed, Wire, WIRES,
+    offer, sweep, tuned_config, wire_config, BaseConfig, Cell, Point, Regime, Testbed, Wire,
 };
 use crate::table::{cells, opt2, section, verdict, Col, TextTable};
 use amc_core::{FederationConfig, SimConfig, SimFederation, SimReport};
@@ -210,7 +210,7 @@ pub(crate) fn run_aborts(txns: usize, clients: usize) -> Vec<Cell> {
 pub(crate) fn run_wire(txns: usize, clients: usize) -> Vec<Cell> {
     let lane = Lane {
         base: wire_config,
-        wires: &WIRES,
+        wires: &Wire::ALL,
         kind: MixKind::TpccLite,
         seed: 0xE15D,
         label: "theta=",
@@ -265,6 +265,22 @@ pub(crate) fn winners(lane: &str, rows: &[Cell]) -> Vec<String> {
             )
         })
         .collect()
+}
+
+/// One sweep point's txn/s per regime, as information: no winner is
+/// named. The wire lane's in-process cells are a hundred-odd transactions
+/// of a few milliseconds each, and a few lock waits swing them 4× from one
+/// run of the same commit to the next.
+pub(crate) fn unranked(lane: &str, rows: &[Cell]) -> String {
+    let axis = rows.first().map_or("", |r| r.axis.as_str());
+    let each: Vec<String> = rows
+        .iter()
+        .map(|r| format!("{} {}", r.regime.label(), opt2(r.m.throughput())))
+        .collect();
+    format!(
+        "unranked[{lane}, {axis}]: {} txn/s (cells too short to rank)",
+        each.join(", ")
+    )
 }
 
 /// The shape checks for this experiment.
@@ -396,10 +412,17 @@ pub fn report(quick: bool) -> String {
         .iter()
         .map(|(_, axis, title, rows)| table(&format!("E15 — regime map, {title}"), axis, rows))
         .collect();
-    let mut lines: Vec<String> = lanes
+    // The wire lane's in-process cells are too short to rank (`unranked`).
+    let (in_process, tcp): (Vec<Cell>, Vec<Cell>) = wire
+        .iter()
+        .cloned()
+        .partition(|c| c.wire == Wire::InProcess);
+    let mut lines: Vec<String> = lanes[..3]
         .iter()
         .flat_map(|(lane, _, _, rows)| winners(lane, rows))
         .collect();
+    lines.push(unranked("wire", &in_process));
+    lines.extend(winners("wire", &tcp));
     lines.extend(verdicts(&contention, &fanout, &aborts, &wire, &hot));
     section(&tables, &lines)
 }
@@ -471,6 +494,21 @@ mod tests {
         assert!(
             line.starts_with("winner[l, x]: commit-before (100.00 txn/s"),
             "{line}"
+        );
+    }
+
+    /// An unranked sweep point lists every regime's txn/s and names no
+    /// winner, however far ahead one regime is.
+    #[test]
+    fn an_unranked_point_names_no_winner() {
+        let rows = [
+            cell_at("in-process", Regime::Classic2pc, 10),
+            cell_at("in-process", Regime::CommitBefore, 100),
+        ];
+        assert_eq!(
+            unranked("wire", &rows),
+            "unranked[wire, in-process]: 2pc 10.00, commit-before 100.00 txn/s \
+             (cells too short to rank)"
         );
     }
 

@@ -17,11 +17,6 @@ use std::time::Duration;
 
 pub use amc_rpc::Wire;
 
-/// The two wires every in-process-vs-TCP lane compares (E10, E13, E15):
-/// function calls, and thread-per-connection servers under the pooled
-/// client over loopback.
-pub(crate) const WIRES: [Wire; 2] = [Wire::InProcess, Wire::ThreadedPooled];
-
 /// A program batch in the form `run_concurrent` consumes.
 pub type ProgramBatch = Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)>;
 
@@ -337,9 +332,6 @@ pub struct Cell {
     pub offered: usize,
     /// What the closed-loop driver and the sites counted.
     pub m: RunMetrics,
-    /// Server-side connections after the run, summed across site servers
-    /// (0 in process).
-    pub connections: u64,
     /// The lane's oracle over the final state; `true` where none applies.
     pub oracle_ok: bool,
 }
@@ -361,7 +353,6 @@ impl Cell {
             wire: Wire::InProcess,
             offered,
             m,
-            connections: 0,
             oracle_ok: true,
         }
     }
@@ -400,7 +391,6 @@ pub fn sweep(
                     wire,
                     offered: point.programs.len(),
                     m,
-                    connections: bed.fleet().connections(),
                     oracle_ok,
                 });
             }
@@ -434,15 +424,13 @@ mod tests {
         let point = Point::of_spec(1.0, &spec, 1, 10, 2);
         assert_eq!(point.programs.len(), 10);
         let regimes = [Regime::CommitAfter, Regime::CommitBefore];
-        let cells = sweep(tuned_config, &WIRES, &[point], &regimes, offer);
+        let cells = sweep(tuned_config, &Wire::ALL, &[point], &regimes, offer);
         let order: Vec<_> = cells.iter().map(|c| (c.wire, c.regime)).collect();
-        let expected: Vec<_> = WIRES
+        let expected: Vec<_> = Wire::ALL
             .iter()
             .flat_map(|&w| regimes.map(|r| (w, r)))
             .collect();
         assert_eq!(order, expected);
         assert!(cells.iter().all(|c| c.m.committed > 0 && c.oracle_ok));
-        assert_eq!(cells[0].connections, 0, "in process");
-        assert!(cells[2].connections > 0, "over loopback TCP");
     }
 }

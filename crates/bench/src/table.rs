@@ -144,8 +144,6 @@ impl Col {
     /// Physical forces per durably acknowledged record.
     pub(crate) const FORCES_PER_COMMIT: Col =
         Col::metric("forces/commit", |m| opt2(m.forces_per_commit()));
-    /// Load-shed replies absorbed per committed transaction.
-    pub(crate) const SHED_PER_TXN: Col = Col::metric("shed/txn", |m| opt2(m.sheds_per_commit()));
 }
 
 /// A lane's table: one row per measured cell, `cols` in order. Each row
@@ -212,7 +210,7 @@ mod tests {
     use super::*;
 
     /// Every `RunMetrics` column.
-    const ALL: [Col; 22] = [
+    const ALL: [Col; 21] = [
         Col::COMMITS,
         Col::TXN_S,
         Col::DONE_S,
@@ -234,7 +232,6 @@ mod tests {
         Col::GRP_FORCES,
         Col::BATCHED,
         Col::FORCES_PER_COMMIT,
-        Col::SHED_PER_TXN,
     ];
 
     #[test]
@@ -275,7 +272,6 @@ mod tests {
             messages: 96,
             redo_runs: 4,
             undo_runs: 3,
-            load_sheds: 2,
             log_forces: 20,
             group_forces: 18,
             batched_commits: 40,
@@ -315,7 +311,6 @@ mod tests {
             ("grp-forces", "18", "0"),
             ("batched", "40", "0"),
             ("forces/commit", "0.50", "n=0"),
-            ("shed/txn", "0.25", "n=0"),
         ];
         assert_eq!(lines[0], "## golden");
         assert_eq!(cut(lines[1]), golden.map(|g| g.0));

@@ -860,13 +860,11 @@ impl Federation {
         programs: Vec<(Program, bool)>,
         threads: usize,
     ) -> RunMetrics {
-        let sheds_before = self.transport.load_sheds();
         let mut metrics = closed_loop(programs, threads, |program| {
             Ok(self
                 .run_transaction(program)
                 .unwrap_or_else(|e| panic!("federation error: {e}")))
         });
-        metrics.load_sheds = self.transport.load_sheds().saturating_sub(sheds_before);
         let comm = self.comm_stats();
         metrics.redo_runs = comm.redo_runs;
         metrics.undo_runs = comm.undo_runs;

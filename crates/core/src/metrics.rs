@@ -44,12 +44,6 @@ pub struct RunMetrics {
     pub undo_runs: u64,
     /// Pre-vote retries at the communication managers.
     pub pre_vote_retries: u64,
-    /// Requests the sites answered with a load-shed (`BufferExhausted`
-    /// backpressure reply). Always 0 over the in-process transport;
-    /// networked runs report their RPC clients' counters — retried and
-    /// terminal sheds both count, so an overloaded run is visible even
-    /// when every shed request eventually succeeded.
-    pub load_sheds: u64,
     /// Log forces across all engines.
     pub log_forces: u64,
     /// Durable log bytes across all engines.
@@ -110,15 +104,6 @@ impl RunMetrics {
             return None;
         }
         Some(self.messages as f64 / self.committed as f64)
-    }
-
-    /// Load-shed replies per committed transaction (E10-HC's backpressure
-    /// column); `None` when nothing committed.
-    pub fn sheds_per_commit(&self) -> Option<f64> {
-        if self.committed == 0 {
-            return None;
-        }
-        Some(self.load_sheds as f64 / self.committed as f64)
     }
 
     /// Physical log forces per durably acknowledged commit/prepare record
@@ -228,7 +213,6 @@ mod tests {
         assert_eq!(m.intended_abort_rate(), None);
         assert_eq!(m.erroneous_abort_rate(), None);
         assert_eq!(m.completions_per_sec(), None);
-        assert_eq!(m.sheds_per_commit(), None);
         assert_eq!(m.forces_per_commit(), None);
         assert_eq!(m.redos_per_commit(), None);
         assert_eq!(m.undos_per_abort(), None);

@@ -139,8 +139,8 @@ pub trait FederationTransport: Send + Sync {
     /// How many requests the sites answered with a load-shed
     /// (`BufferExhausted`) since this transport was created. The
     /// in-process transport never sheds; networked transports report
-    /// their clients' counters so a run's backpressure is visible in the
-    /// run-metric aggregates instead of being silently retried away.
+    /// their clients' counters, so a run's backpressure is visible
+    /// instead of being silently retried away.
     fn load_sheds(&self) -> u64 {
         0
     }

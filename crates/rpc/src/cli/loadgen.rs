@@ -29,7 +29,7 @@
 //! for the same parameters. One summary line follows,
 //!
 //! ```text
-//! committed=N aborted=N errors=N sheds=N throughput=T txn/s p50=Xms p99=Yms \
+//! committed=N aborted=N errors=N throughput=T txn/s p50=Xms p99=Yms \
 //!     workload=W theta=θ ops_read=N ops_inc=N ops_write=N ops_reserve=N
 //! ```
 //!
@@ -40,13 +40,13 @@
 //!
 //! With `--events-out <path>` an event log is dumped as TSV (`seq  at_us
 //! txn  site  event`) for `explain --events`: in site mode the client-side
-//! observability log — rpc-shed and rpc-retry rows included, so
-//! backpressure and retry storms are attributable per transaction; in
-//! sharded mode one row per `Exec`, with `C<k>` in the site column so
-//! `explain --events --coordinator <k>` can isolate one shard's traffic.
+//! observability log — rpc-retry rows included, so retry storms are
+//! attributable per transaction; in sharded mode one row per `Exec`, with
+//! `C<k>` in the site column so `explain --events --coordinator <k>` can
+//! isolate one shard's traffic.
 
 use super::{site_addrs, Flags};
-use crate::{CoordClient, RetryPolicy, Wire};
+use crate::{CoordClient, RetryPolicy, TcpTransport};
 use amc_core::{
     closed_loop, owner_slot_of, Federation, FederationConfig, Program, RunMetrics, TxnOutcome,
     TxnReport,
@@ -63,7 +63,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "amc-loadgen --sites <addr,addr,...> \
-     --protocol <2pc|commit-after|commit-before> [--client <mux|pooled>] <load>\n\
+     --protocol <2pc|commit-after|commit-before> <load>\n\
      \x20  or: amc-loadgen --coordinators <addr,addr,...> <load>\n\
      load: [--txns <n>] [--clients <n>] [--objects <n, at least 8>] [--seed <n>] \
      [--workload <transfer|zipf|hotkey|tpcc-lite|read-heavy>] [--theta <0..=2>] \
@@ -99,12 +99,11 @@ struct Load {
 }
 
 /// What a mode measured: the driver's tally, the summary's `workload=…`
-/// columns, load-shed replies seen, `(committed, aborted)` per coordinator
-/// (sharded mode) and the `--events-out` rows.
+/// columns, `(committed, aborted)` per coordinator (sharded mode) and the
+/// `--events-out` rows.
 struct Outcome {
     metrics: RunMetrics,
     shape: String,
-    sheds: u64,
     per_coord: Vec<(u64, u64)>,
     events: Vec<String>,
 }
@@ -161,11 +160,6 @@ pub fn main() {
     let sites: Vec<SocketAddr> = flags.list("--sites");
     let coordinators: Vec<SocketAddr> = flags.list("--coordinators");
     let protocol = flags.value_with("--protocol", ProtocolKind::parse);
-    // Mux by default: one pipelined connection per site regardless of how
-    // many clients drive transactions through it.
-    let wire = flags
-        .value_with("--client", Wire::with_client)
-        .unwrap_or(Wire::EventMux);
     let events_out: Option<String> = flags.value("--events-out");
     let load = Load {
         txns: flags.value("--txns").unwrap_or(100),
@@ -190,18 +184,17 @@ pub fn main() {
         // Protocol and site addresses live with the coordinator servers.
         sharded_mode(&load, &coordinators)
     } else if let (false, Some(protocol)) = (sites.is_empty(), protocol) {
-        site_mode(&load, &sites, protocol, wire)
+        site_mode(&load, &sites, protocol)
     } else {
         flags.usage()
     };
 
     let m = &outcome.metrics;
     println!(
-        "committed={} aborted={} errors={} sheds={} throughput={:.1} txn/s p50={:.2}ms p99={:.2}ms {}",
+        "committed={} aborted={} errors={} throughput={:.1} txn/s p50={:.2}ms p99={:.2}ms {}",
         m.committed,
         m.aborted_intended + m.aborted_erroneous,
         m.errors,
-        outcome.sheds,
         m.throughput().unwrap_or(0.0),
         m.latency_p50_ms().unwrap_or(0.0),
         m.latency_p99_ms().unwrap_or(0.0),
@@ -221,13 +214,17 @@ pub fn main() {
 }
 
 /// Site mode: the generator is the coordinator, over `addrs`.
-fn site_mode(load: &Load, addrs: &[SocketAddr], protocol: ProtocolKind, wire: Wire) -> Outcome {
+fn site_mode(load: &Load, addrs: &[SocketAddr], protocol: ProtocolKind) -> Outcome {
     let obs = if load.record {
         ObsSink::enabled(1 << 20)
     } else {
         ObsSink::disabled()
     };
-    let tcp = Arc::new(wire.connect(site_addrs(addrs), RetryPolicy::default(), obs.clone()));
+    let tcp: Arc<dyn FederationTransport> = Arc::new(TcpTransport::new(
+        site_addrs(addrs),
+        RetryPolicy::default(),
+        obs.clone(),
+    ));
     let sites = addrs.len() as u32;
     let spec = load.spec(sites);
     for (site, addr) in site_addrs(addrs) {
@@ -240,7 +237,7 @@ fn site_mode(load: &Load, addrs: &[SocketAddr], protocol: ProtocolKind, wire: Wi
     }
 
     let cfg = FederationConfig::uniform(sites, protocol);
-    let fed = Federation::with_transport(cfg, tcp.clone() as Arc<dyn FederationTransport>);
+    let fed = Federation::with_transport(cfg, tcp);
     let (metrics, shape) = load.offer(sites, |p| fed.run_transaction(p));
 
     let events = obs
@@ -254,7 +251,6 @@ fn site_mode(load: &Load, addrs: &[SocketAddr], protocol: ProtocolKind, wire: Wi
     Outcome {
         metrics,
         shape,
-        sheds: tcp.sheds(),
         per_coord: Vec::new(),
         events,
     }
@@ -346,7 +342,6 @@ fn sharded_mode(load: &Load, addrs: &[SocketAddr]) -> Outcome {
     Outcome {
         metrics,
         shape,
-        sheds: 0,
         per_coord,
         events,
     }

@@ -5,10 +5,11 @@
 //! ```
 //!
 //! The server owns its engine + WAL and serves protocol and admin frames
-//! until killed. It starts empty; the load generator (or any driver)
-//! pushes initial data through the admin `Load` request. With `--listen
-//! host:0` the kernel picks the port; the chosen address is printed as
-//! `listening on <addr>` so an orchestrator can parse it.
+//! on a thread per connection ([`SiteServer`]) until killed. It starts
+//! empty; the load generator (or any driver) pushes initial data through
+//! the admin `Load` request. With `--listen host:0` the kernel picks the
+//! port; the chosen address is printed as `listening on <addr>` so an
+//! orchestrator can parse it.
 //!
 //! With `--wal-dir <dir>` the engine WAL is persisted to
 //! `<dir>/site-N.wal` — the site's one durable file — and startup becomes
@@ -27,9 +28,8 @@
 //! acceptor: an acceptor is durable or absent.
 
 use super::Flags;
-use crate::fleet::Server;
 use crate::recovery::SiteRecoveryManager;
-use crate::Wire;
+use crate::SiteServer;
 use amc_core::submit_mode_for;
 use amc_engine::{TplConfig, TwoPLEngine};
 use amc_net::comm::EngineHandle;
@@ -42,8 +42,7 @@ use std::time::Duration;
 
 const USAGE: &str = "amc-site-server --site <n> --listen <host:port> \
      --protocol <2pc|commit-after|commit-before> [--lock-timeout-ms <ms>] \
-     [--wal-dir <dir>] \
-     [--runtime <event-loop|threaded>]";
+     [--wal-dir <dir>]";
 
 /// The binary's entry point: parse the process arguments, run, exit.
 pub fn main() {
@@ -55,12 +54,6 @@ pub fn main() {
     let protocol = flags.value_with("--protocol", ProtocolKind::parse);
     let lock_timeout = Duration::from_millis(flags.value("--lock-timeout-ms").unwrap_or(500));
     let wal_dir: Option<String> = flags.value("--wal-dir");
-    // The server half of a `Wire`: the one-shot epoll runtime (the
-    // default) or the legacy thread per connection. The client half is
-    // the dialler's choice (`amc-loadgen --client`).
-    let wire = flags
-        .value_with("--runtime", Wire::with_runtime)
-        .unwrap_or(Wire::EventPooled);
     flags.finish();
     let (Some(site_n), Some(protocol)) = (site, protocol) else {
         flags.usage()
@@ -119,9 +112,10 @@ pub fn main() {
         }
     };
 
-    // Both runtimes retry AddrInUse internally, so a restart in place
-    // (same port) survives the kernel's TIME_WAIT on the old listener.
-    let addr = match Server::spawn(wire, manager, mode, &listen, acceptor) {
+    // The bind retries AddrInUse, so a restart in place (same port)
+    // survives the kernel's TIME_WAIT on the old listener.
+    let obs = ObsSink::disabled();
+    let addr = match SiteServer::spawn_with_acceptor(site, manager, mode, &listen, obs, acceptor) {
         Ok(server) => {
             let addr = server.addr();
             // Leak: the server lives for the process.

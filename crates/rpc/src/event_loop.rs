@@ -1,5 +1,10 @@
 //! The event-loop site-server runtime.
 //!
+//! No deployment serves on it: the fleet and `amc-site-server` run the
+//! thread-per-connection [`SiteServer`](crate::SiteServer), which measured
+//! faster for every protocol. It stays as the subject the benchmark's
+//! `tcp-mux` workload prices against that server.
+//!
 //! A fixed set of symmetric threads waits on one epoll instance; whichever
 //! thread is told a socket is readable reads it and serves what it read.
 //! There is no loop thread and no hand-off to a worker on the common path:
@@ -46,7 +51,6 @@ use crate::wire::{encode_frame, Frame, FrameBuffer};
 use amc_epoll::{Event, Interest, Poller, Waker};
 use amc_net::{LocalCommManager, SubmitMode};
 use amc_obs::ObsSink;
-use amc_paxos::AcceptorHost;
 use amc_types::{AmcError, SiteId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -233,9 +237,9 @@ struct Server {
     stats: SharedStats,
 }
 
-/// A running event-loop site server. Drop-in replacement for
-/// [`SiteServer`](crate::SiteServer): same spawn surface, same wire
-/// vocabulary, same acceptor hook — different concurrency model.
+/// A running event-loop site server. Same spawn surface and wire
+/// vocabulary as [`SiteServer`](crate::SiteServer), different concurrency
+/// model; it mounts no Paxos acceptor.
 pub struct EventServer {
     site: SiteId,
     addr: SocketAddr,
@@ -252,20 +256,6 @@ impl EventServer {
         listen: &str,
         obs: ObsSink,
     ) -> io::Result<EventServer> {
-        Self::spawn_with_acceptor(site, manager, mode, listen, obs, None)
-    }
-
-    /// Like [`EventServer::spawn`], additionally mounting a co-located
-    /// Paxos Commit acceptor (see
-    /// [`SiteServer::spawn_with_acceptor`](crate::SiteServer::spawn_with_acceptor)).
-    pub(crate) fn spawn_with_acceptor(
-        site: SiteId,
-        manager: Arc<LocalCommManager>,
-        mode: SubmitMode,
-        listen: &str,
-        obs: ObsSink,
-        acceptor: Option<Arc<AcceptorHost>>,
-    ) -> io::Result<EventServer> {
         let listener = bind_with_retry(listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -277,7 +267,7 @@ impl EventServer {
             poller,
             listener,
             waker,
-            handler: site_handler(site, manager, mode, obs, acceptor),
+            handler: site_handler(site, manager, mode, obs, None),
             conns: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(TOKEN_FIRST_CONN),
             queue: Mutex::new(VecDeque::new()),

@@ -4,15 +4,15 @@
 //! fixed and sweeps one thing. [`Wire`] is the "how do messages reach the
 //! sites" axis — each deployment named and labelled exactly once — and
 //! [`Fleet`] is the only code that turns a set of communication managers
-//! into that deployment on loopback: the experiments, the CLI's site
-//! server and the process tests all come through here, so two cells that
-//! differ in their wire differ in nothing else.
+//! into that deployment on loopback: the experiments and the process
+//! tests all come through here, so two cells that differ in their wire
+//! differ in nothing else. `amc-site-server` serves on the same
+//! [`SiteServer`], one per process.
 
-use crate::{EventServer, RetryPolicy, SiteServer, TcpTransport};
+use crate::{RetryPolicy, SiteServer, TcpTransport};
 use amc_net::transport::{FederationTransport, InProcessTransport};
 use amc_net::{LocalCommManager, SubmitMode};
 use amc_obs::ObsSink;
-use amc_paxos::AcceptorHost;
 use amc_types::SiteId;
 use std::collections::BTreeMap;
 use std::io;
@@ -20,41 +20,28 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the central system reaches its sites: the server runtime fronting
-/// each site and the client link dialling it.
+/// How the central system reaches its sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wire {
     /// No sockets: a message is a call into the manager
     /// ([`InProcessTransport`]).
     InProcess,
     /// Thread-per-connection [`SiteServer`]s, pooled blocking client (a
-    /// connection checked out per in-flight request).
+    /// connection checked out per in-flight request): the one deployed
+    /// wire.
     ThreadedPooled,
-    /// Event-loop [`EventServer`]s, pooled blocking client.
-    EventPooled,
-    /// Event-loop [`EventServer`]s, multiplexed pipelining client (one
-    /// shared connection per site).
-    EventMux,
 }
 
 impl Wire {
     /// Every deployment, cheapest wire first.
-    pub const ALL: [Wire; 4] = [
-        Wire::InProcess,
-        Wire::ThreadedPooled,
-        Wire::EventPooled,
-        Wire::EventMux,
-    ];
+    pub const ALL: [Wire; 2] = [Wire::InProcess, Wire::ThreadedPooled];
 
-    /// The name tables, flags and docs use: `<runtime>+<client>` for the
-    /// TCP deployments, the halves being the values of `amc-site-server
-    /// --runtime` and `amc-loadgen --client`.
+    /// The name tables and docs use: `<runtime>+<client>` for the TCP
+    /// deployment.
     pub fn label(self) -> &'static str {
         match self {
             Wire::InProcess => "in-process",
             Wire::ThreadedPooled => "threaded+pooled",
-            Wire::EventPooled => "event-loop+pooled",
-            Wire::EventMux => "event-loop+mux",
         }
     }
 
@@ -63,82 +50,9 @@ impl Wire {
         Wire::ALL.into_iter().find(|w| w.label() == label)
     }
 
-    /// The server half alone, as `amc-site-server --runtime` names it:
-    /// that runtime under the pooled client.
-    pub(crate) fn with_runtime(runtime: &str) -> Option<Wire> {
-        Wire::parse(&format!("{runtime}+pooled"))
-    }
-
-    /// The client half alone, as `amc-loadgen --client` names it: that
-    /// link against event-loop servers.
-    pub(crate) fn with_client(client: &str) -> Option<Wire> {
-        Wire::parse(&format!("event-loop+{client}"))
-    }
-
     /// Whether messages cross a socket.
     pub fn is_tcp(self) -> bool {
         self != Wire::InProcess
-    }
-
-    /// The client half: a transport dialling `addrs` over this wire's
-    /// link (multiplexed for [`Wire::EventMux`], pooled otherwise).
-    pub fn connect(
-        self,
-        addrs: BTreeMap<SiteId, SocketAddr>,
-        policy: RetryPolicy,
-        obs: ObsSink,
-    ) -> TcpTransport {
-        match self {
-            Wire::EventMux => TcpTransport::new_mux(addrs, policy, obs),
-            _ => TcpTransport::new(addrs, policy, obs),
-        }
-    }
-}
-
-/// The server half: one site's listener on either runtime. Dropping it
-/// stops the listener and joins its threads.
-pub(crate) enum Server {
-    Threaded(SiteServer),
-    Event(EventServer),
-}
-
-impl Server {
-    /// Bind `listen` and serve `manager` on `wire`'s runtime (the
-    /// event loop for [`Wire::EventPooled`] and [`Wire::EventMux`],
-    /// thread-per-connection otherwise), mounting `acceptor` if given.
-    pub(crate) fn spawn(
-        wire: Wire,
-        manager: Arc<LocalCommManager>,
-        mode: SubmitMode,
-        listen: &str,
-        acceptor: Option<Arc<AcceptorHost>>,
-    ) -> io::Result<Server> {
-        let (site, obs) = (manager.site(), ObsSink::disabled());
-        Ok(match wire {
-            Wire::EventPooled | Wire::EventMux => Server::Event(EventServer::spawn_with_acceptor(
-                site, manager, mode, listen, obs, acceptor,
-            )?),
-            Wire::InProcess | Wire::ThreadedPooled => Server::Threaded(
-                SiteServer::spawn_with_acceptor(site, manager, mode, listen, obs, acceptor)?,
-            ),
-        })
-    }
-
-    pub(crate) fn addr(&self) -> SocketAddr {
-        match self {
-            Server::Threaded(s) => s.addr(),
-            Server::Event(s) => s.addr(),
-        }
-    }
-
-    /// Connections this server carried: the threaded runtime's retained
-    /// connection threads (each live connection is a thread), the event
-    /// loop's high-water mark.
-    fn connections(&self) -> u64 {
-        match self {
-            Server::Threaded(s) => s.connection_threads() as u64,
-            Server::Event(s) => s.stats().peak_connections,
-        }
     }
 }
 
@@ -146,11 +60,10 @@ impl Server {
 /// the central system drives them through, and the servers behind it.
 /// Dropping the fleet stops every listener and joins every server thread.
 pub struct Fleet {
-    wire: Wire,
     mode: SubmitMode,
     transport: Arc<dyn FederationTransport>,
     managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
-    servers: BTreeMap<SiteId, Server>,
+    servers: BTreeMap<SiteId, SiteServer>,
 }
 
 impl Fleet {
@@ -181,16 +94,16 @@ impl Fleet {
         let mut servers = BTreeMap::new();
         let transport: Arc<dyn FederationTransport> = if wire.is_tcp() {
             for (&site, manager) in &managers {
-                let server = Server::spawn(wire, Arc::clone(manager), mode, "127.0.0.1:0", None)?;
+                let (manager, quiet) = (Arc::clone(manager), ObsSink::disabled());
+                let server = SiteServer::spawn(site, manager, mode, "127.0.0.1:0", quiet)?;
                 servers.insert(site, server);
             }
             let addrs = servers.iter().map(|(&s, srv)| (s, srv.addr())).collect();
-            Arc::new(wire.connect(addrs, policy, obs))
+            Arc::new(TcpTransport::new(addrs, policy, obs))
         } else {
             Arc::new(InProcessTransport::new(managers.clone(), mode, delay))
         };
         Ok(Fleet {
-            wire,
             mode,
             transport,
             managers,
@@ -217,11 +130,6 @@ impl Fleet {
             .collect()
     }
 
-    /// Server-side connections carried so far, summed over the sites.
-    pub fn connections(&self) -> u64 {
-        self.servers.values().map(Server::connections).sum()
-    }
-
     /// Kill `site` and restart it in place: its server goes down (sockets
     /// die), its engine crashes and recovers, and a new server binds the
     /// **same port** — what a restarted production process does, leaning
@@ -234,7 +142,8 @@ impl Fleet {
         engine.crash();
         engine.recover().map_err(io::Error::other)?;
         if let Some(addr) = addr {
-            let server = Server::spawn(self.wire, manager, self.mode, &addr.to_string(), None)?;
+            let (listen, obs) = (addr.to_string(), ObsSink::disabled());
+            let server = SiteServer::spawn(site, manager, self.mode, &listen, obs)?;
             self.servers.insert(site, server);
         }
         Ok(())

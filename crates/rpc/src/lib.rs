@@ -18,7 +18,8 @@
 //!   the *same* site handler and writing the reply, incremental frame
 //!   decode, and explicit per-connection backpressure (excess requests
 //!   are shed with `BufferExhausted`, not queued). Same spawn surface and
-//!   wire vocabulary as [`server`];
+//!   wire vocabulary as [`server`]; not deployed — the benchmark's
+//!   `tcp-mux` workload measures it;
 //! * [`coord`] — the TCP **coordinator server** + client: one
 //!   [`amc_core::Federation`] shard slot behind the blocking runtime
 //!   speaking the coordinator frames (kinds `5`/`6`), so a remote router
@@ -33,14 +34,15 @@
 //! * [`mux`] — the multiplexed pipelining link behind [`MuxClient`]: one
 //!   shared connection per site, any number of concurrent callers, a
 //!   waiting caller reading everyone's replies, matched by request id in
-//!   whatever order the server finishes them, until its own is in;
+//!   whatever order the server finishes them, until its own is in; not
+//!   deployed — the client half of the benchmark's `tcp-mux` workload;
 //! * [`transport`] — the [`amc_net::transport::FederationTransport`] impl
 //!   putting one request core per site under
 //!   `amc_core::Federation::with_transport`;
-//! * [`fleet`] — the deployment axis ([`Wire`]: in-process, or one of
-//!   the server-runtime × client-link pairs above) and the one loopback
-//!   builder ([`Fleet`]) every experiment, the site-server binary and the
-//!   process tests deploy through;
+//! * [`fleet`] — the deployment axis ([`Wire`]: in-process, or
+//!   thread-per-connection site servers under the pooled client) and the
+//!   one loopback builder ([`Fleet`]) the experiments and the process
+//!   tests deploy through;
 //! * `recovery` — durable restart: a site started with `--wal-dir`
 //!   persists its engine WAL there — its one durable file — and
 //!   `SiteRecoveryManager` rebuilds the engine and the manager's work

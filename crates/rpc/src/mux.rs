@@ -1,5 +1,9 @@
 //! The multiplexed, pipelining link and its client.
 //!
+//! No deployment dials with it: `amc-loadgen` and the fleet use the pooled
+//! [`RpcClient`](crate::RpcClient), which measured faster. It stays as the
+//! client half of the benchmark's `tcp-mux` workload.
+//!
 //! Where [`RpcClient`](crate::RpcClient) checks a whole connection out
 //! of a pool per request — N concurrent requests need N sockets — a
 //! [`MuxClient`] shares **one** connection among every caller. Each

@@ -48,12 +48,6 @@ impl TcpTransport {
     pub fn new_mux(addrs: BTreeMap<SiteId, SocketAddr>, policy: RetryPolicy, obs: ObsSink) -> Self {
         Self::with_links::<MuxLink>(addrs, policy, obs)
     }
-
-    /// Total load-shed (`BufferExhausted`) answers across every site's
-    /// client, retried and terminal alike.
-    pub fn sheds(&self) -> u64 {
-        self.clients.values().map(Core::sheds).sum()
-    }
 }
 
 impl FederationTransport for TcpTransport {
@@ -101,16 +95,17 @@ impl FederationTransport for TcpTransport {
         true
     }
 
+    /// Load-shed (`BufferExhausted`) answers across every site's client,
+    /// retried and terminal alike.
     fn load_sheds(&self) -> u64 {
-        self.sheds()
+        self.clients.values().map(Core::sheds).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::Server;
-    use crate::Wire;
+    use crate::{EventServer, SiteServer};
     use amc_core::{Federation, FederationConfig, TxnOutcome};
     use amc_engine::{TplConfig, TwoPLEngine};
     use amc_net::comm::EngineHandle;
@@ -119,6 +114,7 @@ mod tests {
     use amc_types::{
         GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, Operation, ProtocolKind, Value,
     };
+    use std::any::Any;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
@@ -138,28 +134,34 @@ mod tests {
 
     /// Both link kinds against their natural server: pooled connections
     /// to thread-per-connection servers, one multiplexed connection to
-    /// event-loop servers.
+    /// event-loop servers. The servers live as long as the returned boxes.
     fn rig(
         mux: bool,
         managers: &BTreeMap<SiteId, Arc<LocalCommManager>>,
         dead: &[(SiteId, SocketAddr)],
         policy: RetryPolicy,
-    ) -> (TcpTransport, Vec<Server>) {
-        let wire = if mux {
-            Wire::EventMux
-        } else {
-            Wire::ThreadedPooled
-        };
+    ) -> (TcpTransport, Vec<Box<dyn Any>>) {
         let mut addrs: BTreeMap<SiteId, SocketAddr> = dead.iter().copied().collect();
-        let mut servers = Vec::new();
+        let mut servers: Vec<Box<dyn Any>> = Vec::new();
+        let (mode, listen) = (SubmitMode::TwoPhase, "127.0.0.1:0");
         for (&site, manager) in managers {
-            let manager = Arc::clone(manager);
-            let server =
-                Server::spawn(wire, manager, SubmitMode::TwoPhase, "127.0.0.1:0", None).unwrap();
-            addrs.insert(site, server.addr());
+            let (manager, obs) = (Arc::clone(manager), ObsSink::disabled());
+            let (addr, server): (SocketAddr, Box<dyn Any>) = if mux {
+                let server = EventServer::spawn(site, manager, mode, listen, obs).unwrap();
+                (server.addr(), Box::new(server))
+            } else {
+                let server = SiteServer::spawn(site, manager, mode, listen, obs).unwrap();
+                (server.addr(), Box::new(server))
+            };
+            addrs.insert(site, addr);
             servers.push(server);
         }
-        (wire.connect(addrs, policy, ObsSink::disabled()), servers)
+        let transport = if mux {
+            TcpTransport::new_mux(addrs, policy, ObsSink::disabled())
+        } else {
+            TcpTransport::new(addrs, policy, ObsSink::disabled())
+        };
+        (transport, servers)
     }
 
     fn obj(site: u32, i: u64) -> ObjectId {

@@ -289,10 +289,9 @@ fn loopback_fleets_are_built_and_named_in_one_place() {
         ],
     );
     assert!(by_hand.is_empty(), "a hand-built fleet in {by_hand:?}");
-    // The deployment labels (`--runtime` / `--client` values included) are
-    // string literals of exactly one file, which declares exactly one
-    // public enum.
-    let labelled = non_test_code_having(&["\"in-process\"", "\"threaded", "\"event-loop"], &[]);
+    // The deployment labels are string literals of exactly one file,
+    // which declares exactly one public enum.
+    let labelled = non_test_code_having(&["\"in-process\"", "\"threaded"], &[]);
     assert_eq!(labelled.len(), 1, "deployment labels in {labelled:?}");
     assert!(labelled[0].ends_with("rpc/src/fleet.rs"), "{labelled:?}");
     let (_, fleet) = crate_sources()
@@ -440,7 +439,7 @@ fn whole_table_lock_sweeps_serve_only_crash_paths() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 23_714;
+    const CEILING: usize = 23_549;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| non_test_lines(text).count())
@@ -826,11 +825,322 @@ fn the_public_item_scanner_tells_reached_from_unreached() {
     );
 }
 
+/// `text` with every comment, string literal and char literal blanked to
+/// spaces, newlines kept: braces, parentheses and commas that remain are
+/// code.
+fn code_only(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(text.len());
+    let blank = |out: &mut String, from: &[char]| {
+        out.extend(from.iter().map(|&c| if c == '\n' { c } else { ' ' }));
+    };
+    let mut i = 0;
+    while i < chars.len() {
+        let (c, next) = (chars[i], chars.get(i + 1).copied());
+        // `r"…"`, `r#"…"#`: the hashes that open it close it.
+        let raw = (c == 'r' && !chars[..i].last().is_some_and(|p| p.is_alphanumeric()))
+            .then(|| chars[i + 1..].iter().take_while(|&&h| h == '#').count())
+            .filter(|&h| chars.get(i + 1 + h) == Some(&'"'));
+        let len = if c == '/' && next == Some('/') {
+            chars[i..]
+                .iter()
+                .position(|&e| e == '\n')
+                .unwrap_or(chars.len() - i)
+        } else if c == '"' || raw.is_some() {
+            let hashes = raw.unwrap_or(0);
+            let open = if raw.is_some() { 2 + hashes } else { 1 };
+            let mut at = i + open;
+            while at < chars.len() {
+                if raw.is_none() && chars[at] == '\\' {
+                    at += 2;
+                } else if chars[at] == '"' && chars[at + 1..].iter().take(hashes).all(|&h| h == '#')
+                {
+                    at += 1 + hashes;
+                    break;
+                } else {
+                    at += 1;
+                }
+            }
+            at.min(chars.len()) - i
+        } else if c == '\'' && next == Some('\\') {
+            // '\n', '\'', '\u{..}': up to the quote after the escape.
+            chars[i + 3..]
+                .iter()
+                .position(|&q| q == '\'')
+                .map_or(1, |p| p + 4)
+        } else if c == '\'' && chars.get(i + 2) == Some(&'\'') {
+            3 // '{'; a lifetime has no closing quote
+        } else {
+            out.push(c);
+            i += 1;
+            continue;
+        };
+        blank(&mut out, &chars[i..i + len]);
+        i += len;
+    }
+    out
+}
+
+/// The text between the bracket at byte `open` of `code` and the one that
+/// closes it.
+fn bracketed(code: &str, open: usize) -> &str {
+    let mut depth = 0;
+    for (at, c) in code[open..].char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &code[open + 1..open + at];
+                }
+            }
+            _ => {}
+        }
+    }
+    &code[open + 1..]
+}
+
+/// The test fns of `sources` that read the wall clock (`Instant::now`,
+/// `.elapsed()`) and assert an ordering on what they read — a duration, a
+/// latency or a throughput — as `path::fn`. Scanned: `tests/*.rs` and
+/// the part of each `crates/*/src` file from its first column-0
+/// `#[cfg(test)]` on.
+fn wall_clock_bounds(sources: &[(String, String)]) -> Vec<String> {
+    const ORDERINGS: [&str; 4] = [" < ", " > ", " <= ", " >= "];
+    const TIMING: [&str; 5] = ["latency", "throughput", "txn_s", "p50", "p99"];
+    let mut found = Vec::new();
+    for (path, text) in sources {
+        let scanned = if path.starts_with("tests/") && path.matches('/').count() == 1 {
+            text.as_str()
+        } else if path.starts_with("crates/") {
+            match text.find("\n#[cfg(test)]") {
+                Some(at) => &text[at..],
+                None => continue,
+            }
+        } else {
+            continue;
+        };
+        let code = code_only(scanned);
+        for (at, _) in code.match_indices("#[test]") {
+            let Some(fn_at) = code[at..].find("fn ").map(|f| at + f) else {
+                continue;
+            };
+            let name = words(&code[fn_at + 3..]).next().unwrap_or_default();
+            let Some(body_at) = code[fn_at..].find('{').map(|b| fn_at + b) else {
+                continue;
+            };
+            let body = bracketed(&code, body_at);
+            if !body.contains("Instant::now") && !body.contains(".elapsed()") {
+                continue;
+            }
+            // What the body read off the clock, by the names it bound.
+            let mut clock: HashSet<&str> = ["elapsed", "Instant", "Duration"].into();
+            for statement in body.split(';') {
+                let statement = statement.rsplit(['{', '}']).next().unwrap_or(statement);
+                let reads = statement.contains("Instant::now") || statement.contains(".elapsed()");
+                if let (true, Some(bound)) = (reads, statement.trim_start().strip_prefix("let ")) {
+                    let bound = bound.strip_prefix("mut ").unwrap_or(bound);
+                    clock.extend(words(bound).next());
+                }
+            }
+            let timed =
+                |word: &str| clock.contains(word) || TIMING.iter().any(|t| word.contains(t));
+            let bounds_time = body.match_indices("assert!(").any(|(a, _)| {
+                let args = bracketed(body, a + "assert!".len());
+                let mut depth = 0;
+                let cut = args.find(|c| {
+                    match c {
+                        '(' | '[' | '{' => depth += 1,
+                        ')' | ']' | '}' => depth -= 1,
+                        _ => {}
+                    }
+                    c == ',' && depth == 0
+                });
+                let condition = &args[..cut.unwrap_or(args.len())];
+                ORDERINGS.iter().any(|o| condition.contains(o)) && words(condition).any(timed)
+            });
+            if bounds_time {
+                found.push(format!("{path}::{name}"));
+            }
+        }
+    }
+    found
+}
+
+/// Tier-1 test fns that read the wall clock and bound it, each with its
+/// reason. The list only shrinks (`WALL_CLOCK_BOUNDS`), and an entry
+/// whose test no longer bounds the clock fails the rule.
+const WALL_CLOCK_ALLOWED: &[(&str, &str)] = &[
+    (
+        "tests/rpc_event_loop.rs::event_server_serves_the_first_request_inline_and_queues_the_rest",
+        "timing bound, 2 s against a 5 s lock timeout: a queued decision behind \
+         its blocked submit waits the timeout out; goes with the event loop",
+    ),
+    (
+        "tests/rpc_event_loop.rs::event_server_keeps_reading_and_shedding_with_every_thread_wedged",
+        "timing bound, half a lock timeout: a second flood shed only after the \
+         first times out; goes with the event loop",
+    ),
+    (
+        "tests/rpc_event_loop.rs::event_server_closes_a_stalled_reader_instead_of_buffering_without_bound",
+        "liveness deadline: polls server stats until the stalled reader is dropped",
+    ),
+    (
+        "tests/rpc_event_loop.rs::event_server_drops_a_peer_that_left_before_its_reply",
+        "liveness deadline: polls server stats until the departed peer is dropped",
+    ),
+    (
+        "tests/rpc_event_loop.rs::mux_caller_hands_the_read_half_to_the_caller_still_waiting",
+        "timing bound, 80 ms against a 100 ms read tick: a missed hand-off costs \
+         a whole tick; goes with the mux",
+    ),
+    (
+        "tests/rpc_event_loop.rs::mux_caller_reading_its_own_reply_keeps_its_deadline",
+        "timing bound, 80 ms against a 100 ms read tick: a caller blocked past \
+         its 30 ms deadline; goes with the mux",
+    ),
+    (
+        "crates/engine/src/tpl.rs::stats_count_an_l0_lock_wait",
+        "liveness deadline: polls lock stats until the waiter is queued",
+    ),
+    (
+        "crates/net/src/transport.rs::a_delayed_round_costs_one_exchange_not_one_per_site",
+        "lower bound the modelled sleeps guarantee, and an upper bound of 4 \
+         delays against the serial loop's 6; peak_in_flight pins the overlap by count",
+    ),
+    (
+        "crates/rpc/src/transport.rs::call_round_returns_replies_in_send_order",
+        "liveness deadline: polls manager stats until site 2 has voted",
+    ),
+];
+
+/// The length `WALL_CLOCK_ALLOWED` may not grow past: lowered by the PR
+/// that shortens the list, as `CEILING` is.
+const WALL_CLOCK_BOUNDS: usize = 9;
+
+/// The flagged test fns of `sources` that `allowed` does not list.
+fn unlisted_wall_clock_bounds(sources: &[(String, String)], allowed: &[&str]) -> Vec<String> {
+    wall_clock_bounds(sources)
+        .into_iter()
+        .filter(|f| !allowed.contains(&f.as_str()))
+        .collect()
+}
+
+/// Tier-1 passes or fails on what the code does, not on how fast a loaded
+/// box ran it: no test fn reads the wall clock and asserts an ordering on
+/// a duration, a latency or a throughput, unless `WALL_CLOCK_ALLOWED`
+/// lists it with its reason. A timing claim is the benchmark's to make.
+#[test]
+fn no_wall_clock_bounds_in_tier1() {
+    // This file holds the scanner's fixture as data.
+    let sources: Vec<_> = rust_sources()
+        .into_iter()
+        .filter(|(path, _)| path != "tests/architecture.rs")
+        .collect();
+    let allowed: Vec<&str> = WALL_CLOCK_ALLOWED.iter().map(|(name, _)| *name).collect();
+    let unlisted = unlisted_wall_clock_bounds(&sources, &allowed);
+    assert!(
+        unlisted.is_empty(),
+        "{} tier-1 tests bound the wall clock (assert a count instead):\n{}",
+        unlisted.len(),
+        unlisted.join("\n")
+    );
+    let flagged = wall_clock_bounds(&sources);
+    for (name, reason) in WALL_CLOCK_ALLOWED {
+        assert!(!reason.is_empty(), "`{name}` is allowed without a reason");
+        assert!(
+            flagged.iter().any(|f| f == name),
+            "`{name}` no longer bounds the wall clock: remove its entry"
+        );
+    }
+    assert!(
+        WALL_CLOCK_ALLOWED.len() <= WALL_CLOCK_BOUNDS,
+        "wall-clock bounds grew: {} > {WALL_CLOCK_BOUNDS}",
+        WALL_CLOCK_ALLOWED.len()
+    );
+    println!(
+        "wall-clock bounds: {} (ceiling {WALL_CLOCK_BOUNDS})",
+        WALL_CLOCK_ALLOWED.len()
+    );
+}
+
+/// The wall-clock scanner on a fixture: a planted timing bound is
+/// flagged, a listed liveness deadline passes, and a test that reads the
+/// clock but asserts only a count is not a bound.
+#[test]
+fn the_wall_clock_scanner_tells_bounds_from_counts() {
+    let file = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let sources = [
+        file(
+            "tests/t.rs",
+            "#[test]\n\
+             fn planted_bound() {\n\
+             \x20   let t0 = Instant::now();\n\
+             \x20   work();\n\
+             \x20   let took = t0.elapsed();\n\
+             \x20   assert!(took < limit, \"slow: {took:?}\");\n\
+             }\n\
+             #[test]\n\
+             fn liveness_deadline() {\n\
+             \x20   let deadline = Instant::now() + Duration::from_secs(10);\n\
+             \x20   while !done() {\n\
+             \x20       assert!(Instant::now() < deadline, \"never done\");\n\
+             \x20   }\n\
+             }\n\
+             #[test]\n\
+             fn a_count() {\n\
+             \x20   let t0 = Instant::now();\n\
+             \x20   assert!(hits() >= 2, \"after {:?}\", t0.elapsed());\n\
+             }\n\
+             #[test]\n\
+             fn no_clock_read() {\n\
+             \x20   assert!(run().latency_p50 < modelled);\n\
+             }\n\
+             #[test]\n\
+             fn a_bound_in_a_message() {\n\
+             \x20   let t0 = Instant::now();\n\
+             \x20   assert!(ok(), \"took < {:?}\", t0.elapsed());\n\
+             }\n",
+        ),
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn outside_tests() {\n\
+             \x20   let t0 = Instant::now();\n\
+             \x20   assert!(t0.elapsed() < LIMIT);\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+             \x20   #[test]\n\
+             \x20   fn throughput_floor() {\n\
+             \x20       let started = Instant::now();\n\
+             \x20       let txn_s = 100.0 / started.elapsed().as_secs_f64();\n\
+             \x20       assert!(txn_s >= 50.0);\n\
+             \x20   }\n\
+             }\n",
+        ),
+    ];
+    assert_eq!(
+        wall_clock_bounds(&sources),
+        [
+            "tests/t.rs::planted_bound",
+            "tests/t.rs::liveness_deadline",
+            "crates/a/src/lib.rs::throughput_floor",
+        ]
+    );
+    assert_eq!(
+        unlisted_wall_clock_bounds(&sources, &["tests/t.rs::liveness_deadline"]),
+        [
+            "tests/t.rs::planted_bound",
+            "crates/a/src/lib.rs::throughput_floor",
+        ]
+    );
+}
+
 /// The second score beside `CEILING`: public items under `crates/*/src`,
 /// counted by the scanner of `pub_items_are_named_outside_their_crate`.
 #[test]
 fn public_items_only_go_down() {
-    const PUBLIC_ITEMS: usize = 735;
+    const PUBLIC_ITEMS: usize = 730;
     let score = pub_items(&rust_sources()).len();
     assert!(
         score <= PUBLIC_ITEMS,

@@ -50,24 +50,56 @@ fn booking(units: u64) -> BTreeMap<SiteId, Vec<Operation>> {
     ])
 }
 
+/// `n` 1-unit bookings; `true`: a failed bound check is transaction
+/// logic, an intended abort.
+fn bookings(n: usize) -> Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)> {
+    (0..n).map(|_| (booking(1), true)).collect()
+}
+
+/// The stock counters at sites 1 and 2.
+fn stock(fed: &Federation) -> (i64, i64) {
+    let dumps = fed.dumps().unwrap();
+    (
+        dumps[&SiteId::new(1)][&obj(1, 0)].counter,
+        dumps[&SiteId::new(2)][&obj(2, 0)].counter,
+    )
+}
+
 #[test]
 fn concurrent_reserves_interleave_and_never_oversell() {
-    // 10 units of stock, 20 concurrent 1-unit bookings: exactly 10 commit,
-    // 10 fail their bound check, stock ends at exactly zero.
+    // 10 units of stock per site, 20 bookings from 8 clients. Commit-before
+    // hands a booking's two reserves over as one round, so a booking whose
+    // site-1 reserve failed still holds a site-2 unit until its inverse
+    // runs (§3.3), and a concurrent booking can fail its bound check
+    // against that unit: fewer than 10 may commit, with stock left over.
+    // What holds is the bound and atomicity: no oversell, both legs of
+    // every booking together, each commit one unit from each site, every
+    // other booking an intended abort, and no L1 conflict among reserves.
     let fed = loaded(ProtocolKind::CommitBefore);
-    let programs: Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)> =
-        (0..20).map(|_| (booking(1), true)).collect();
-    // `true`: a failed bound check is transaction logic, an intended abort.
-    let metrics = fed.run_concurrent(programs, 8);
-    assert_eq!(metrics.committed, 10, "{metrics:?}");
-    assert_eq!(metrics.aborted_intended, 10);
+    let metrics = fed.run_concurrent(bookings(20), 8);
+    let (s1, s2) = stock(&fed);
+    assert!(s1 >= 0 && s2 >= 0, "oversold ({s1},{s2})");
+    assert_eq!(s1, s2, "both legs of every booking are atomic");
+    for left in [s1, s2] {
+        assert_eq!(metrics.committed as i64, 10 - left, "{metrics:?}");
+    }
+    assert_eq!(metrics.aborted_intended, 20 - metrics.committed);
     assert_eq!(
         metrics.l1_rejections, 0,
         "reserves hold compatible L1 locks"
     );
-    let dumps = fed.dumps().unwrap();
-    assert_eq!(dumps[&SiteId::new(1)][&obj(1, 0)], Value::counter(0));
-    assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)], Value::counter(0));
+}
+
+#[test]
+fn serial_reserves_sell_exactly_the_stock() {
+    // One client: each booking sees the last one's outcome, so exactly 10
+    // commit, 10 fail their bound check, and the stock ends at zero.
+    let fed = loaded(ProtocolKind::CommitBefore);
+    let metrics = fed.run_concurrent(bookings(20), 1);
+    assert_eq!(metrics.committed, 10, "{metrics:?}");
+    assert_eq!(metrics.aborted_intended, 10);
+    assert_eq!(metrics.l1_rejections, 0);
+    assert_eq!(stock(&fed), (0, 0));
 }
 
 #[test]

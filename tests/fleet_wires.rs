@@ -1,5 +1,5 @@
 //! The one loopback fleet builder under every deployment: the same seeded
-//! program stream through all four [`Wire`]s leaves the same state behind,
+//! program stream through both [`Wire`]s leaves the same state behind,
 //! and a dropped [`Fleet`] leaves nothing behind.
 //!
 //! This is the property every wire comparison in EXPERIMENTS.md rests on:

@@ -214,13 +214,14 @@ fn a_bad_command_line_exits_2_with_usage() {
             "--txns",
             "many",
         ],
+        // One client link is deployed: there is no flag to pick another.
         &[
             "--sites",
             "127.0.0.1:1",
             "--protocol",
             "2pc",
             "--client",
-            "udp",
+            "mux",
         ],
         &[
             "--sites",
@@ -238,6 +239,21 @@ fn a_bad_command_line_exits_2_with_usage() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: amc-loadgen"), "{args:?}: {stderr}");
+    }
+}
+
+/// One server runtime is deployed: `amc-site-server` has no flag to pick
+/// another, and rejects one before it binds anything.
+#[test]
+fn a_site_server_takes_no_runtime_flag() {
+    for runtime in ["event-loop", "threaded"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_amc-site-server"))
+            .args(["--site", "1", "--protocol", "2pc", "--runtime", runtime])
+            .output()
+            .expect("run amc-site-server");
+        assert_eq!(out.status.code(), Some(2), "{runtime}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: amc-site-server"), "{stderr}");
     }
 }
 

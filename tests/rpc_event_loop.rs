@@ -31,8 +31,8 @@ use amc::net::{LocalCommManager, Payload, SubmitMode};
 use amc::obs::ObsSink;
 use amc::rpc::wire::{read_frame, write_frame, CoordReply, CoordRequest};
 use amc::rpc::{
-    CoordInfo, CoordServer, EventServer, Fleet, Frame, MuxClient, RetryPolicy, SiteServer,
-    TcpTransport, Wire, MAX_IN_FLIGHT_PER_CONN,
+    CoordInfo, CoordServer, EventServer, Frame, MuxClient, RetryPolicy, SiteServer, TcpTransport,
+    MAX_IN_FLIGHT_PER_CONN,
 };
 use amc::types::{AmcError, GlobalTxnId, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use std::collections::BTreeMap;
@@ -927,17 +927,18 @@ fn federation_over_mux_and_event_servers_conserves_and_survives_restart() {
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(40),
     };
-    let mut fleet = Fleet::spawn_with(
-        cfg.build_managers(),
-        submit_mode_for(protocol),
-        Wire::EventMux,
-        Duration::ZERO,
-        policy,
-        ObsSink::disabled(),
-    )
-    .expect("bind loopback");
-    assert!(fleet.transport().supports_pipelining());
-    let fed = Arc::new(Federation::with_transport(cfg, fleet.transport()));
+    let mode = submit_mode_for(protocol);
+    let spawn = |manager: &Arc<LocalCommManager>, listen: &str| {
+        let site = manager.site();
+        EventServer::spawn(site, Arc::clone(manager), mode, listen, ObsSink::disabled())
+            .expect("bind loopback")
+    };
+    let managers = cfg.build_managers();
+    let mut servers: Vec<EventServer> = managers.iter().map(|m| spawn(m, "127.0.0.1:0")).collect();
+    let addrs = servers.iter().map(|s| (s.site(), s.addr())).collect();
+    let transport = Arc::new(TcpTransport::new_mux(addrs, policy, ObsSink::disabled()));
+    assert!(transport.supports_pipelining());
+    let fed = Arc::new(Federation::with_transport(cfg, transport));
     for s in 1..=SITES {
         let data: Vec<(ObjectId, Value)> = (0..OBJS)
             .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
@@ -1001,12 +1002,18 @@ fn federation_over_mux_and_event_servers_conserves_and_survives_restart() {
     let before = run(0, 8);
     assert!(before > 0, "nothing committed before restart");
 
-    // Restart site 2's server in place: same manager, same port. The mux
-    // client must redial through its retry path.
-    let site2 = SiteId::new(2);
-    let addr = fleet.addrs()[&site2];
-    fleet.restart_site(site2).expect("rebind in place");
-    assert_eq!(fleet.addrs()[&site2], addr);
+    // Restart site 2's server in place: its listener goes down, its
+    // engine crashes and recovers, and a new server binds the same port.
+    // The mux client must redial through its retry path.
+    let old = servers.pop().expect("site 2's server");
+    assert_eq!(old.site(), SiteId::new(2));
+    let addr = old.addr();
+    old.shutdown();
+    let engine = managers[1].handle().engine();
+    engine.crash();
+    engine.recover().expect("recover site 2");
+    servers.push(spawn(&managers[1], &addr.to_string()));
+    assert_eq!(servers[1].addr(), addr);
 
     let after = run(1000, 8);
     assert!(after > 0, "nothing committed after restart");
