@@ -9,7 +9,7 @@
 //! p50/p99 commit latency per protocol.
 //!
 //! One more cell puts the deployed wire under hundreds of concurrent
-//! clients: commit-before over `threaded+pooled` at [`MANY_CLIENTS`].
+//! clients: commit-before over `threaded+pooled` at `MANY_CLIENTS` (200).
 //!
 //! The claimed shapes:
 //!
@@ -23,8 +23,9 @@
 //! * the deployed wire serves hundreds of concurrent clients and loses
 //!   nothing — a count, not a timing.
 
-use crate::setup::{increment_heavy, offer, sweep, wire_config, Cell, Point, Regime, Wire};
+use crate::setup::{offer, sweep, wire_config, Cell, Point, Regime, Wire};
 use crate::table::{cells, section, verdict, Col, TextTable};
+use amc_workload::{MixKind, MixSpec};
 
 /// The wire lane's TCP deployment.
 const TCP: Wire = Wire::ThreadedPooled;
@@ -43,13 +44,18 @@ const COLS: [Col; 7] = [
 ];
 
 /// One sweep point per client count, its batch drawn from `seed + clients`.
-/// Low contention, increment-heavy, 2-site transactions: the measured cost
-/// is the message path, not lock queueing.
+/// Low contention, hot-key commuting increments, at most 2 sites per
+/// transaction: the measured cost is the message path, not lock queueing.
 fn points(seed: u64, txns: usize, client_counts: &[usize]) -> Vec<Point> {
-    let spec = increment_heavy(0.0, 4);
+    let spec = MixSpec {
+        objects_per_site: 64,
+        theta: 0.0,
+        max_fanout: 2,
+        ..MixSpec::default()
+    };
     let point = |&clients: &usize| {
         let seed = seed + clients as u64;
-        Point::of_spec(clients as f64, &spec, seed, txns, clients)
+        Point::of_mix(clients as f64, MixKind::HotKey, &spec, seed, txns, clients)
     };
     client_counts.iter().map(point).collect()
 }

@@ -22,7 +22,7 @@
 //!   shape: a bounded constant-factor message overhead that buys the
 //!   non-blocking property measured above. Each acceptor writes through
 //!   an in-memory log of its own, and every force — acceptor and engine
-//!   alike — is modelled at [`FORCE`], so the latency columns price the
+//!   alike — is modelled at `FORCE`, so the latency columns price the
 //!   extra rounds and the forces they wait for.
 //!
 //! * **Acceptor forces vs streams.** Every acceptor row is forced before

@@ -7,8 +7,9 @@
 //! throughput degrades least as contention rises; 2PC and commit-after
 //! hold L0 locks to the global end and lose the multi-level advantage.
 
-use crate::setup::{increment_heavy, offer, sizes, sweep, tuned_config, Cell, Point, Regime, Wire};
+use crate::setup::{offer, sizes, sweep, tuned_config, Cell, Point, Regime, Wire};
 use crate::table::{cells, f2, section, verdict, Col, TextTable};
+use amc_workload::{MixKind, MixSpec};
 
 const COLS: [Col; 9] = [
     Col::fact("theta"),
@@ -22,13 +23,18 @@ const COLS: [Col; 9] = [
     Col::CONTENTION_ABORTS,
 ];
 
-/// Run the sweep: increment-heavy (the MLT sweet spot), 3 sites, a small
-/// hot set so θ bites.
+/// Run the sweep: hot-key commuting increments (the MLT sweet spot), 3
+/// sites, a small hot set of 64 counters so θ bites.
 pub fn run(txns: usize, threads: usize, thetas: &[f64]) -> Vec<Cell> {
     let point = |&theta: &f64| {
         let seed = 7_000 + (theta * 100.0) as u64;
-        let spec = increment_heavy(theta, 6);
-        Point::of_spec(theta, &spec, seed, txns, threads).labelled(f2(theta))
+        let spec = MixSpec {
+            objects_per_site: 64,
+            theta,
+            max_fanout: 2,
+            ..MixSpec::default()
+        };
+        Point::of_mix(theta, MixKind::HotKey, &spec, seed, txns, threads).labelled(f2(theta))
     };
     let points: Vec<Point> = thetas.iter().map(point).collect();
     sweep(

@@ -11,7 +11,7 @@
 
 use crate::setup::{offer, sizes, sweep, tuned_config, Cell, Point, Regime, Testbed, Wire};
 use crate::table::{cells, f2, section, verdict, Col, TextTable};
-use amc_workload::{OpMix, WorkloadSpec};
+use amc_workload::{MixKind, MixSpec};
 
 const COLS: [Col; 7] = [
     Col::fact("p"),
@@ -29,19 +29,18 @@ const ROUNDS: u64 = 3;
 /// Round `r` draws its programs from `SEED + r`.
 const SEED: u64 = 2_000;
 
-fn spec() -> WorkloadSpec {
-    WorkloadSpec {
+/// The generic read/increment/write mix over 3 sites of 128 objects.
+fn spec() -> MixSpec {
+    MixSpec {
         sites: 3,
         objects_per_site: 128,
         // Moderate contention: a repetition extends the transaction's lock
         // tenure, and that is what other transactions pay for — the paper's
         // "if local transactions have to be repeated frequently,
         // performance decreases" is a statement about a loaded system.
-        zipf_theta: 0.6,
-        ops_per_txn: 6,
-        sites_per_txn: 2,
-        mix: OpMix::MIXED,
+        theta: 0.6,
         intended_abort_prob: 0.0,
+        max_fanout: 2,
     }
 }
 
@@ -56,7 +55,9 @@ pub fn run(txns: usize, threads: usize, probabilities: &[f64]) -> Vec<Cell> {
     let points: Vec<Point> = probabilities
         .iter()
         .flat_map(rounds)
-        .map(|(p, round)| Point::of_spec(p, &spec, SEED + round, txns, threads).labelled(f2(p)))
+        .map(|(p, round)| {
+            Point::of_mix(p, MixKind::Zipf, &spec, SEED + round, txns, threads).labelled(f2(p))
+        })
         .collect();
     // The §3.2 hazard, injected at every communication manager before
     // the load is offered.

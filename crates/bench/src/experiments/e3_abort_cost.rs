@@ -10,7 +10,7 @@
 
 use crate::setup::{offer, sizes, sweep, tuned_config, Cell, Point, Regime, Wire};
 use crate::table::{cells, f2, section, verdict, Col, TextTable};
-use amc_workload::{OpMix, WorkloadSpec};
+use amc_workload::{MixKind, MixSpec};
 
 const COLS: [Col; 8] = [
     Col::fact("abort-rate"),
@@ -24,22 +24,23 @@ const COLS: [Col; 8] = [
     Col::INTENDED_ABORTS,
 ];
 
-fn spec(abort_prob: f64) -> WorkloadSpec {
-    WorkloadSpec {
+/// The generic read/increment/write mix, uniform over 3 sites of 512
+/// objects, at intended-abort rate `abort_prob`.
+fn spec(abort_prob: f64) -> MixSpec {
+    MixSpec {
         sites: 3,
         objects_per_site: 512,
-        zipf_theta: 0.0,
-        ops_per_txn: 6,
-        sites_per_txn: 2,
-        mix: OpMix::MIXED,
+        theta: 0.0,
         intended_abort_prob: abort_prob,
+        max_fanout: 2,
     }
 }
 
 /// Run the sweep.
 pub fn run(txns: usize, threads: usize, abort_rates: &[f64]) -> Vec<Cell> {
-    let point =
-        |&rate: &f64| Point::of_spec(rate, &spec(rate), 3_000, txns, threads).labelled(f2(rate));
+    let point = |&rate: &f64| {
+        Point::of_mix(rate, MixKind::Zipf, &spec(rate), 3_000, txns, threads).labelled(f2(rate))
+    };
     let points: Vec<Point> = abort_rates.iter().map(point).collect();
     let regimes = [Regime::CommitBefore, Regime::CommitAfter];
     sweep(tuned_config, &[Wire::InProcess], &points, &regimes, offer)

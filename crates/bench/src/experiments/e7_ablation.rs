@@ -14,7 +14,7 @@
 
 use crate::setup::{offer, sizes, sweep, tuned_config, Cell, Point, Regime, Wire};
 use crate::table::{cells, f2, section, verdict, Col, TextTable};
-use amc_workload::{OpMix, WorkloadSpec};
+use amc_workload::{MixKind, MixSpec};
 
 const COLS: [Col; 5] = [
     Col::fact("theta"),
@@ -31,26 +31,22 @@ const CONFIGS: [(Regime, &str); 3] = [
     (Regime::Classic2pc, "2PC flat"),
 ];
 
-fn spec(theta: f64) -> WorkloadSpec {
-    WorkloadSpec {
+/// Hot-key commuting increments over 2 sites of 16 counters.
+fn spec(theta: f64) -> MixSpec {
+    MixSpec {
         sites: 2,
         objects_per_site: 16, // very hot: commutativity is the whole game
-        zipf_theta: theta,
-        ops_per_txn: 4,
-        sites_per_txn: 2,
-        mix: OpMix {
-            write: 0.0,
-            increment: 1.0,
-            reserve: 0.0,
-        },
+        theta,
         intended_abort_prob: 0.0,
+        max_fanout: 2,
     }
 }
 
 /// Run the three configurations across `thetas`.
 pub fn run(txns: usize, threads: usize, thetas: &[f64]) -> Vec<Cell> {
-    let point =
-        |&theta: &f64| Point::of_spec(theta, &spec(theta), 0xE7, txns, threads).labelled(f2(theta));
+    let point = |&theta: &f64| {
+        Point::of_mix(theta, MixKind::HotKey, &spec(theta), 0xE7, txns, threads).labelled(f2(theta))
+    };
     let points: Vec<Point> = thetas.iter().map(point).collect();
     let regimes = CONFIGS.map(|(regime, _)| regime);
     sweep(tuned_config, &[Wire::InProcess], &points, &regimes, offer)

@@ -12,8 +12,9 @@
 //!   record pays a full force (ratio 1.0), while concurrent committers
 //!   share a leader's force and push the ratio below 1.
 
-use crate::setup::{increment_heavy, offer, sweep, tuned_config, Cell, Point, Regime, Wire};
+use crate::setup::{offer, sweep, tuned_config, Cell, Point, Regime, Wire};
 use crate::table::{cells, opt2, section, verdict, Col, TextTable};
+use amc_workload::{MixKind, MixSpec};
 
 const COLS: [Col; 9] = [
     Col::fact("threads"),
@@ -29,12 +30,17 @@ const COLS: [Col; 9] = [
 
 /// Run the sweep, protocol by protocol. Low contention so the thread
 /// sweep measures the engine hot path, not lock queueing: uniform access
-/// over a decent object set, increment-heavy.
+/// over 64 counters per site, hot-key commuting increments.
 pub fn run(txns: usize, thread_counts: &[usize]) -> Vec<Cell> {
-    let spec = increment_heavy(0.0, 6);
+    let spec = MixSpec {
+        objects_per_site: 64,
+        theta: 0.0,
+        max_fanout: 2,
+        ..MixSpec::default()
+    };
     let point = |&threads: &usize| {
         let seed = 9_000 + threads as u64;
-        Point::of_spec(threads as f64, &spec, seed, txns, threads)
+        Point::of_mix(threads as f64, MixKind::HotKey, &spec, seed, txns, threads)
     };
     let points: Vec<Point> = thread_counts.iter().map(point).collect();
     let lane = |regime| sweep(tuned_config, &[Wire::InProcess], &points, &[regime], offer);

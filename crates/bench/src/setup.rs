@@ -8,9 +8,7 @@ use amc_mlt::ConflictPolicy;
 use amc_rpc::Fleet;
 use amc_types::{Operation, SiteId};
 use amc_wal::GroupCommitConfig;
-use amc_workload::{
-    initial_counters, GlobalProgram, MixGen, MixKind, MixSpec, OpMix, WorkloadGen, WorkloadSpec,
-};
+use amc_workload::{initial_counters, GlobalProgram, MixGen, MixKind, MixSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -204,7 +202,7 @@ pub fn load(fed: &Federation, objects: u64) {
 pub(crate) fn build_recording_federation(
     protocol: ProtocolKind,
     policy: ConflictPolicy,
-    spec: &WorkloadSpec,
+    spec: &MixSpec,
 ) -> Testbed {
     let mut cfg = FederationConfig::uniform(spec.sites, protocol);
     cfg.policy = policy;
@@ -223,29 +221,6 @@ pub fn batch(programs: Vec<GlobalProgram>) -> ProgramBatch {
         .into_iter()
         .map(|p| (p.per_site, p.intends_abort))
         .collect()
-}
-
-/// Generate `n` programs as a batch.
-pub(crate) fn program_batch(spec: &WorkloadSpec, seed: u64, n: usize) -> ProgramBatch {
-    batch(WorkloadGen::new(spec.clone(), seed).programs(n))
-}
-
-/// The increment-heavy mix (90% increments, the rest reads — the MLT sweet
-/// spot) over 3 sites of 64 objects, two sites per transaction.
-pub(crate) fn increment_heavy(zipf_theta: f64, ops_per_txn: usize) -> WorkloadSpec {
-    WorkloadSpec {
-        sites: 3,
-        objects_per_site: 64,
-        zipf_theta,
-        ops_per_txn,
-        sites_per_txn: 2,
-        mix: OpMix {
-            write: 0.0,
-            increment: 0.9,
-            reserve: 0.0,
-        },
-        intended_abort_prob: 0.0,
-    }
 }
 
 /// One sweep point: the system to build and the load to offer it.
@@ -269,27 +244,7 @@ pub struct Point {
 }
 
 impl Point {
-    /// `txns` programs of the parameterised mix `spec`, drawn from `seed`,
-    /// at coordinate `x` (labelled as `x` prints).
-    pub(crate) fn of_spec(
-        x: f64,
-        spec: &WorkloadSpec,
-        seed: u64,
-        txns: usize,
-        clients: usize,
-    ) -> Point {
-        Point {
-            axis: x.to_string(),
-            x,
-            sites: spec.sites,
-            objects: spec.objects_per_site,
-            seed,
-            programs: program_batch(spec, seed, txns),
-            clients,
-        }
-    }
-
-    /// `txns` programs of the contention-aware mix `kind`, drawn from `seed`.
+    /// `txns` programs of mix `kind` over `spec`, drawn from `seed`, at coordinate `x`.
     pub(crate) fn of_mix(
         x: f64,
         kind: MixKind,
@@ -415,13 +370,12 @@ mod tests {
 
     #[test]
     fn sweep_measures_every_cell_in_wire_point_regime_order() {
-        let spec = WorkloadSpec {
+        let spec = MixSpec {
             sites: 2,
             objects_per_site: 50,
-            ops_per_txn: 4,
-            ..WorkloadSpec::default()
+            ..MixSpec::default()
         };
-        let point = Point::of_spec(1.0, &spec, 1, 10, 2);
+        let point = Point::of_mix(1.0, MixKind::Zipf, &spec, 1, 10, 2);
         assert_eq!(point.programs.len(), 10);
         let regimes = [Regime::CommitAfter, Regime::CommitBefore];
         let cells = sweep(tuned_config, &Wire::ALL, &[point], &regimes, offer);

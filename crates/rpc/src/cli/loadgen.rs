@@ -10,6 +10,8 @@
 //! The generator embeds the coordinator: it waits for every site to answer
 //! a ping, loads the mix's initial counters through the admin channel and
 //! runs the programs through the full coordinator + TCP transport stack.
+//! Its transaction ids start at 1, so it refuses (exit 1) a site that has
+//! already handled a submit: run it once per fresh set of site servers.
 //!
 //! **Sharded mode** (`--coordinators`): the addresses are running
 //! `amc-coord-server` processes. The generator discovers each one's slot
@@ -231,6 +233,19 @@ fn site_mode(load: &Load, addrs: &[SocketAddr], protocol: ProtocolKind) -> Outco
         wait_for(&format!("{site} at {addr}"), || {
             matches!(tcp.admin(site, AdminRequest::Ping), Ok(AdminReply::Pong)).then_some(())
         });
+        // This run's gtx start at 1 again, and a site answers an id it
+        // already holds with its old vote without running the program:
+        // the work would be reported, never done (ROADMAP 26).
+        if let Ok(AdminReply::CommStats(stats)) = tcp.admin(site, AdminRequest::CommStats) {
+            if stats.submits > 0 {
+                fail(format!(
+                    "{site} at {addr} has already handled {} submits: this run would reuse \
+                     its transaction ids and report work that never ran (ROADMAP 26); \
+                     restart the site servers",
+                    stats.submits
+                ));
+            }
+        }
         if let Err(e) = tcp.admin(site, AdminRequest::Load(spec.initial_data(site))) {
             fail(format!("load {site}: {e}"));
         }

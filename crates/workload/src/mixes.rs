@@ -552,6 +552,102 @@ mod tests {
     }
 
     #[test]
+    fn abort_programs_touch_a_missing_object() {
+        let spec = MixSpec {
+            intended_abort_prob: 1.0,
+            ..MixSpec::default()
+        };
+        for kind in MixKind::ALL {
+            let p = MixGen::new(kind, spec.clone(), 3).next_program();
+            assert!(p.intends_abort);
+            let missing = p.merged_ops().iter().any(|op| {
+                matches!(op, Operation::Read { obj }
+                    if obj.raw() % program::OBJECTS_PER_SITE_STRIDE >= spec.objects_per_site)
+            });
+            assert!(missing, "{kind:?} aborts without a missing read");
+        }
+    }
+
+    #[test]
+    fn skew_concentrates_accesses() {
+        let spec = MixSpec {
+            sites: 1,
+            objects_per_site: 1000,
+            theta: 0.99,
+            ..MixSpec::default()
+        };
+        let mut hot = MixGen::new(MixKind::Zipf, spec, 5);
+        let (mut head, mut total) = (0usize, 0usize);
+        for p in hot.programs(500) {
+            for op in p.merged_ops() {
+                total += 1;
+                head += usize::from(op.object().raw() % program::OBJECTS_PER_SITE_STRIDE < 20);
+            }
+        }
+        assert!(head * 3 > total, "hot head got {head}/{total} accesses");
+    }
+
+    #[test]
+    fn initial_data_covers_every_site_and_sums_to_initial_sum() {
+        let spec = MixSpec {
+            objects_per_site: 10,
+            ..MixSpec::default()
+        };
+        let rows: Vec<_> = (1..=spec.sites)
+            .flat_map(|s| spec.initial_data(SiteId::new(s)))
+            .collect();
+        assert_eq!(rows.len(), 30);
+        assert!(rows
+            .iter()
+            .any(|(obj, _)| *obj == object(SiteId::new(3), 9)));
+        let sum: i64 = rows.iter().map(|(_, v)| v.counter).sum();
+        assert_eq!(sum, spec.initial_sum());
+    }
+
+    /// The shape E2, E3 and E6 run: 6 reads, increments and writes over
+    /// at most two sites, whatever the fan-out cap.
+    #[test]
+    fn zipf_mix_is_six_ops_over_at_most_two_sites() {
+        let mut g = MixGen::new(MixKind::Zipf, MixSpec::default(), 8);
+        let mut kinds = [0usize; 3];
+        for p in g.programs(300) {
+            assert_eq!(p.op_count(), 6);
+            assert!((1..=2).contains(&p.sites().len()));
+            for op in p.merged_ops() {
+                kinds[match op {
+                    Operation::Write { .. } => 0,
+                    Operation::Increment { .. } => 1,
+                    Operation::Read { .. } => 2,
+                    other => panic!("zipf produced {other}"),
+                }] += 1;
+            }
+        }
+        assert!(
+            kinds.iter().all(|&n| n > 0),
+            "a class never drawn: {kinds:?}"
+        );
+        assert!(
+            kinds[0] < kinds[1],
+            "fewer writes than increments: {kinds:?}"
+        );
+    }
+
+    /// The shape E1, E7, E9 and E10 run: a `+d`/`-d` pair, three in four
+    /// across two sites, the rest on one.
+    #[test]
+    fn hotkey_pairs_cross_sites_three_times_in_four() {
+        let mut g = MixGen::new(MixKind::HotKey, MixSpec::default(), 6);
+        let n = 2000;
+        let mut cross = 0usize;
+        for p in g.programs(n) {
+            assert_eq!(p.op_count(), 2);
+            cross += usize::from(p.sites().len() == 2);
+        }
+        let rate = cross as f64 / n as f64;
+        assert!((0.7..0.8).contains(&rate), "cross-site rate {rate}");
+    }
+
+    #[test]
     fn fingerprint_detects_any_divergence() {
         let a = MixGen::new(MixKind::HotKey, MixSpec::default(), 1).programs(50);
         let b = MixGen::new(MixKind::HotKey, MixSpec::default(), 1).programs(50);

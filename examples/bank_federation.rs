@@ -11,59 +11,10 @@
 //! ```
 
 use amc::core::{Federation, FederationConfig, ProtocolKind};
-use amc::sim::SimRng;
-use amc::types::{Operation, SiteId};
-use amc::workload::{object, Scenario};
-use std::collections::BTreeMap;
+use amc::types::SiteId;
+use amc::workload::{MixGen, MixKind, MixSpec};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Balanced transfers: -amount at one bank, +amount at another, so the
-/// federation-wide total is invariant. A small fraction of transfers name a
-/// non-existent beneficiary account — the intended-abort path.
-fn transfer_programs(
-    sites: u32,
-    accounts: u64,
-    n: usize,
-    seed: u64,
-) -> Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)> {
-    let mut rng = SimRng::new(seed);
-    (0..n)
-        .map(|_| {
-            let from = SiteId::new(1 + rng.below(u64::from(sites)) as u32);
-            let to = loop {
-                let t = SiteId::new(1 + rng.below(u64::from(sites)) as u32);
-                if t != from {
-                    break t;
-                }
-            };
-            let amount = 1 + rng.below(50) as i64;
-            let bad_beneficiary = rng.chance(0.02);
-            let to_account = if bad_beneficiary {
-                object(to, accounts + 1_000) // not a real account
-            } else {
-                object(to, rng.zipf(accounts, 0.6))
-            };
-            let program = BTreeMap::from([
-                (
-                    from,
-                    vec![Operation::Increment {
-                        obj: object(from, rng.zipf(accounts, 0.6)),
-                        delta: -amount,
-                    }],
-                ),
-                (
-                    to,
-                    vec![Operation::Increment {
-                        obj: to_account,
-                        delta: amount,
-                    }],
-                ),
-            ]);
-            (program, bad_beneficiary)
-        })
-        .collect()
-}
 
 fn total_balance(fed: &Federation) -> i64 {
     fed.dumps()
@@ -76,8 +27,16 @@ fn total_balance(fed: &Federation) -> i64 {
 }
 
 fn main() {
-    let scenario = Scenario::Bank;
-    let spec = scenario.spec();
+    // Balanced transfers between accounts at different banks, so the
+    // federation-wide total is invariant; 2% of them fail their own logic
+    // (a read of a non-existent account) — the intended-abort path.
+    let spec = MixSpec {
+        sites: 3,
+        objects_per_site: 500,
+        theta: 0.6,
+        intended_abort_prob: 0.02,
+        max_fanout: 2,
+    };
     let transfers = 300;
     let threads = 6;
 
@@ -104,7 +63,11 @@ fn main() {
         let fed = Arc::new(fed);
 
         let initial_total = total_balance(&fed);
-        let programs = transfer_programs(spec.sites, spec.objects_per_site, transfers, 2024);
+        let programs = MixGen::new(MixKind::Transfer, spec.clone(), 2024)
+            .programs(transfers)
+            .into_iter()
+            .map(|p| (p.per_site, p.intends_abort))
+            .collect();
         let metrics = fed.run_concurrent(programs, threads);
         let engines: String = (1..=spec.sites)
             .map(|s| {

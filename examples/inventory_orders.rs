@@ -1,7 +1,8 @@
 //! Inventory / order processing across four warehouse databases, using the
-//! escrow-heavy workload: orders *reserve* stock (self-commuting at L1,
-//! bound-checked at L0), restocks *increment* it, and a fraction of orders
-//! fail their own checks and are rolled back federation-wide.
+//! tpcc-lite `NewOrder` mix: orders *reserve* stock (self-commuting at L1,
+//! bound-checked at L0), bump district totals by *increments*, write an
+//! order record, and a fraction of orders fail their own checks and are
+//! rolled back federation-wide.
 //!
 //! Prints a per-protocol comparison plus the audit that makes escrow worth
 //! having: stock can never go negative, no matter how hot the contention.
@@ -13,23 +14,27 @@
 use amc::core::{Federation, FederationConfig, ProtocolKind};
 use amc::mlt::ConflictPolicy;
 use amc::net::marker::is_marker;
-use amc::types::{Operation, SiteId};
-use amc::workload::{object, Scenario, WorkloadGen};
-use std::collections::BTreeMap;
+use amc::types::SiteId;
+use amc::workload::{MixGen, MixKind, MixSpec};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    let spec = Scenario::Inventory.spec();
+    let spec = MixSpec {
+        sites: 4,
+        objects_per_site: 400,
+        theta: 0.8,
+        intended_abort_prob: 0.05,
+        max_fanout: 2,
+    };
     let orders = 250;
     let threads = 6;
 
     println!(
-        "inventory federation: {} warehouses, {} orders ({}% reserves, {}% restocks), {} threads",
+        "inventory federation: {} warehouses, {} NewOrder-shaped orders ({}% intended aborts), {} threads",
         spec.sites,
         orders,
-        (spec.mix.reserve * 100.0) as u32,
-        (spec.mix.increment * 100.0) as u32,
+        (spec.intended_abort_prob * 100.0) as u32,
         threads
     );
     println!("{:-<78}", "");
@@ -47,8 +52,7 @@ fn main() {
         }
         let fed = Arc::new(fed);
 
-        let mut gen = WorkloadGen::new(spec.clone(), 77);
-        let programs: Vec<(BTreeMap<SiteId, Vec<Operation>>, bool)> = gen
+        let programs = MixGen::new(MixKind::TpccLite, spec.clone(), 77)
             .programs(orders)
             .into_iter()
             .map(|p| (p.per_site, p.intends_abort))
@@ -84,7 +88,4 @@ fn main() {
     println!("{:-<78}", "");
     println!("no warehouse ever oversold; rejected orders were restocked by");
     println!("inverse transactions (commit-before) or never committed at all.");
-
-    // Show one object's lineage for colour.
-    let _ = object(SiteId::new(1), 0);
 }

@@ -439,7 +439,7 @@ fn whole_table_lock_sweeps_serve_only_crash_paths() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 23_549;
+    const CEILING: usize = 23_286;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| non_test_lines(text).count())
@@ -1004,11 +1004,6 @@ const WALL_CLOCK_ALLOWED: &[(&str, &str)] = &[
         "liveness deadline: polls lock stats until the waiter is queued",
     ),
     (
-        "crates/net/src/transport.rs::a_delayed_round_costs_one_exchange_not_one_per_site",
-        "lower bound the modelled sleeps guarantee, and an upper bound of 4 \
-         delays against the serial loop's 6; peak_in_flight pins the overlap by count",
-    ),
-    (
         "crates/rpc/src/transport.rs::call_round_returns_replies_in_send_order",
         "liveness deadline: polls manager stats until site 2 has voted",
     ),
@@ -1016,7 +1011,7 @@ const WALL_CLOCK_ALLOWED: &[(&str, &str)] = &[
 
 /// The length `WALL_CLOCK_ALLOWED` may not grow past: lowered by the PR
 /// that shortens the list, as `CEILING` is.
-const WALL_CLOCK_BOUNDS: usize = 9;
+const WALL_CLOCK_BOUNDS: usize = 8;
 
 /// The flagged test fns of `sources` that `allowed` does not list.
 fn unlisted_wall_clock_bounds(sources: &[(String, String)], allowed: &[&str]) -> Vec<String> {
@@ -1140,7 +1135,7 @@ fn the_wall_clock_scanner_tells_bounds_from_counts() {
 /// counted by the scanner of `pub_items_are_named_outside_their_crate`.
 #[test]
 fn public_items_only_go_down() {
-    const PUBLIC_ITEMS: usize = 730;
+    const PUBLIC_ITEMS: usize = 716;
     let score = pub_items(&rust_sources()).len();
     assert!(
         score <= PUBLIC_ITEMS,

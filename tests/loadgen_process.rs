@@ -140,6 +140,34 @@ fn site_mode_commits_the_default_workload_and_dumps_its_events() {
     assert_event_rows(&events);
 }
 
+/// A second run's gtx restart at 1, and the sites would answer each with
+/// the first run's vote without running anything: loadgen refuses sites
+/// that have handled a submit instead of reporting work that never ran.
+#[test]
+fn a_second_site_mode_run_against_the_same_sites_exits_1() {
+    let fleet = sites("commit-before");
+    let args = [
+        "--sites",
+        &addr_list(&fleet),
+        "--protocol",
+        "commit-before",
+        "--txns",
+        "20",
+    ];
+    assert_summary(&loadgen(&args));
+    let again = loadgen(&args);
+    let stderr = String::from_utf8_lossy(&again.stderr);
+    assert_eq!(again.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("already handled") && stderr.contains("ROADMAP 26"),
+        "{stderr}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&again.stdout).contains("committed="),
+        "a refused run printed a summary"
+    );
+}
+
 #[test]
 fn sharded_mode_takes_a_workload_and_reports_every_coordinator() {
     let fleet = sites("2pc");

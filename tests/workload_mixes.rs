@@ -82,6 +82,53 @@ fn per_seed_streams_replay_bit_for_bit() {
     }
 }
 
+/// The pinned streams: 80 programs at seed 1 of every mix at
+/// `MixSpec::default()`, in `MixKind::ALL` order. A change here means a
+/// generator (or `shims/rand`) changed, and every seeded table with it.
+const DEFAULT_FPS: [u64; 5] = [
+    1_948_384_987_638_769_724,
+    2_022_136_165_935_819_636,
+    6_054_866_725_118_833_264,
+    6_898_216_339_537_571_213,
+    2_811_921_162_700_743_144,
+];
+
+/// perfbench's three streams, 80 programs at seed 1: `Transfer` over 3
+/// uniform sites at 1 024 and 65 536 objects, and `HotKey` over 8 hot
+/// keys at θ 1.2 with 20 % intended aborts.
+const PERFBENCH_FPS: [u64; 3] = [
+    14_117_339_266_792_492_385,
+    14_490_779_730_262_961_781,
+    14_890_542_178_251_538_235,
+];
+
+#[test]
+fn every_stream_is_pinned() {
+    let fp = |kind, spec| fingerprint(&MixGen::new(kind, spec, 1).programs(80));
+    let defaults = MixKind::ALL.map(|kind| fp(kind, MixSpec::default()));
+    let transfer = |objects_per_site| MixSpec {
+        sites: 3,
+        objects_per_site,
+        theta: 0.0,
+        intended_abort_prob: 0.0,
+        max_fanout: 2,
+    };
+    let hot = MixSpec {
+        sites: 3,
+        objects_per_site: 8,
+        theta: 1.2,
+        intended_abort_prob: 0.2,
+        max_fanout: 2,
+    };
+    let perfbench = [
+        fp(MixKind::Transfer, transfer(1_024)),
+        fp(MixKind::Transfer, transfer(65_536)),
+        fp(MixKind::HotKey, hot),
+    ];
+    assert_eq!(defaults, DEFAULT_FPS, "a default stream moved");
+    assert_eq!(perfbench, PERFBENCH_FPS, "a perfbench stream moved");
+}
+
 /// The spec shapes the stream: changing theta changes every mix's
 /// fingerprint (key choice flows through the Zipf generator everywhere).
 #[test]
@@ -154,6 +201,82 @@ fn hotkey_mix_conserves_sum_with_mlt_enabled() {
     assert!(m.committed > 0, "nothing committed");
     let _ = fed.resolve_pending();
     assert_eq!(counter_sum(&fed), spec.initial_sum(), "sum drifted");
+}
+
+/// 120 programs of `kind` over `spec` from `seed`, offered by 4 clients
+/// to a freshly loaded in-process federation built from `cfg`.
+fn run_scenario(
+    cfg: FederationConfig,
+    kind: MixKind,
+    spec: &MixSpec,
+    seed: u64,
+) -> Arc<Federation> {
+    let mut cfg = cfg;
+    cfg.tpl.lock_timeout = Duration::from_millis(100);
+    cfg.l1_timeout = Duration::from_millis(500);
+    let fed = Federation::new(cfg);
+    for s in 1..=spec.sites {
+        let site = SiteId::new(s);
+        fed.load_site(site, &spec.initial_data(site)).unwrap();
+    }
+    let fed = Arc::new(fed);
+    let batch = MixGen::new(kind, spec.clone(), seed)
+        .programs(120)
+        .into_iter()
+        .map(|p| (p.per_site, p.intends_abort))
+        .collect();
+    let m = fed.run_concurrent(batch, 4);
+    assert!(m.committed > 0, "{kind:?}: nothing committed");
+    assert!(m.aborted_intended > 0, "{kind:?}: no program aborted");
+    fed
+}
+
+/// `examples/bank_federation.rs` in tier-1: transfers over 3 banks of 500
+/// accounts (θ 0.6, 2% intended aborts) conserve the money under every
+/// protocol — 2PC on 2PL engines, the portable protocols with an OCC bank.
+#[test]
+fn bank_transfers_conserve_money_under_every_protocol() {
+    let bank = MixSpec {
+        sites: 3,
+        objects_per_site: 500,
+        theta: 0.6,
+        intended_abort_prob: 0.02,
+        max_fanout: 2,
+    };
+    for protocol in ProtocolKind::ALL {
+        let cfg = if protocol == ProtocolKind::TwoPhaseCommit {
+            FederationConfig::uniform(bank.sites, protocol)
+        } else {
+            FederationConfig::heterogeneous(bank.sites, protocol)
+        };
+        let fed = run_scenario(cfg, MixKind::Transfer, &bank, 2024);
+        assert_eq!(
+            counter_sum(&fed),
+            bank.initial_sum(),
+            "{protocol}: money leaked"
+        );
+    }
+}
+
+/// `examples/inventory_orders.rs` in tier-1: tpcc-lite orders over 4
+/// warehouses of 400 items (θ 0.8, 5% intended aborts) never oversell
+/// under any protocol.
+#[test]
+fn inventory_orders_never_oversell_under_every_protocol() {
+    let inventory = MixSpec {
+        sites: 4,
+        objects_per_site: 400,
+        theta: 0.8,
+        intended_abort_prob: 0.05,
+        max_fanout: 2,
+    };
+    for protocol in ProtocolKind::ALL {
+        let mut cfg = FederationConfig::uniform(inventory.sites, protocol);
+        cfg.policy = ConflictPolicy::Semantic;
+        let fed = run_scenario(cfg, MixKind::TpccLite, &inventory, 77);
+        let floor = min_counter(&fed);
+        assert!(floor >= 0, "{protocol}: oversold, min stock {floor}");
+    }
 }
 
 /// A loaded federation over a loopback TCP [`Fleet`] (thread-per-
