@@ -10,7 +10,7 @@
 //! * **fan-out** — the TPC-C-style `NewOrder` profile at 1–3 participating
 //!   sites (message complexity vs. lock tenure as transactions widen);
 //! * **aborts** — the generic Zipf mix with an *intended*-abort dial
-//!   (claim C3: commit-after's edge is transactions that abort through
+//!   (claim C3-b: commit-after's edge is transactions that abort through
 //!   their own logic);
 //! * **wire** — the `NewOrder` profile with its escrow [`Reserve`]s run
 //!   over both the in-process dispatch and loopback TCP: the same seeded
@@ -22,13 +22,17 @@
 //! the wire lane checks the escrow bound (no stock counter below zero);
 //! both wires are offered the program stream of one sweep point.
 //!
+//! The paper's C2 and C3-b shape claims are read off these cells (the
+//! contention lane's hottest point, the abort lane's two ends), C4's off
+//! E15-3's virtual-time stream and the contention lane's L1 count.
+//!
 //! The measured tables land in `bench_report.txt`; OPERATORS.md turns the
 //! per-cell winners into the operator's regime map.
 //!
 //! [`Reserve`]: amc_types::Operation::Reserve
 
 use crate::setup::{
-    offer, sweep, tuned_config, wire_config, BaseConfig, Cell, Point, Regime, Testbed, Wire,
+    offer, sizes, sweep, tuned_config, wire_config, BaseConfig, Cell, Point, Regime, Testbed, Wire,
 };
 use crate::table::{cells, opt2, section, verdict, Col, TextTable};
 use amc_core::{FederationConfig, SimConfig, SimFederation, SimReport};
@@ -40,7 +44,7 @@ use amc_workload::{MixGen, MixKind, MixSpec};
 const SITES: u32 = 3;
 
 /// One lane's columns, under its name for the sweep coordinate.
-fn cols(axis: &'static str) -> [Col; 10] {
+fn cols(axis: &'static str) -> [Col; 12] {
     [
         Col::fact(axis),
         Col::fact("regime"),
@@ -49,8 +53,10 @@ fn cols(axis: &'static str) -> [Col; 10] {
         Col::DONE_S,
         Col::P50_MS,
         Col::P99_MS,
+        Col::L0_HOLD_MS,
         Col::ABORT_RATE,
         Col::INTENDED_RATE,
+        Col::UNDOS_PER_ABORT,
         Col::MSG_PER_TXN,
     ]
 }
@@ -268,7 +274,7 @@ pub(crate) fn winners(lane: &str, rows: &[Cell]) -> Vec<String> {
 }
 
 /// One sweep point's txn/s per regime, as information: no winner is
-/// named. The wire lane's in-process cells are a hundred-odd transactions
+/// named. The wire lane's in-process cells are a few hundred transactions
 /// of a few milliseconds each, and a few lock waits swing them 4× from one
 /// run of the same commit to the next.
 pub(crate) fn unranked(lane: &str, rows: &[Cell]) -> String {
@@ -283,7 +289,110 @@ pub(crate) fn unranked(lane: &str, rows: &[Cell]) -> String {
     )
 }
 
-/// The shape checks for this experiment.
+/// The cell of `regime` at sweep point `x`.
+fn cell(rows: &[Cell], x: f64, regime: Regime) -> Option<&Cell> {
+    rows.iter().find(|c| c.x == x && c.regime == regime)
+}
+
+/// The paper's claims read off the lanes: C2 (§4.3) at the contention
+/// lane's hottest point, C3-b (§4.3) at the abort lane's lowest and
+/// highest dial, and C4-3 (§4.1) over every commit-before contention cell.
+fn claims(contention: &[Cell], aborts: &[Cell]) -> Vec<String> {
+    let mut out = Vec::new();
+    let hottest = THETAS[THETAS.len() - 1];
+    let hot = |regime| cell(contention, hottest, regime);
+    if let (Some(before), Some(after), Some(two_pc)) = (
+        hot(Regime::CommitBefore),
+        hot(Regime::CommitAfter),
+        hot(Regime::Classic2pc),
+    ) {
+        // An absent measurement (n=0) can never PASS a superiority claim.
+        let [bt, at, tt] = [before, after, two_pc].map(|c| c.m.throughput().unwrap_or(0.0));
+        let [bh, ah, th] = [before, after, two_pc].map(|c| c.m.mean_l0_hold_ms());
+        let measured = before.m.throughput().is_some();
+        out.push(verdict(
+            measured && bt >= at,
+            format!(
+                "C2a: commit-before throughput >= commit-after under contention \
+                 ({bt:.1} vs {at:.1} txn/s)"
+            ),
+        ));
+        out.push(verdict(
+            measured && bt >= tt,
+            format!(
+                "C2b: commit-before throughput >= 2PC under contention ({bt:.1} vs {tt:.1} txn/s)"
+            ),
+        ));
+        let worst = |h: Option<f64>| h.unwrap_or(f64::MAX);
+        out.push(verdict(
+            bh.is_some() && worst(bh) <= worst(ah) && worst(bh) <= worst(th),
+            format!(
+                "C2c: commit-before holds L0 locks shortest ({:.2} ms vs {:.2} / {:.2})",
+                bh.unwrap_or(0.0),
+                ah.unwrap_or(0.0),
+                th.unwrap_or(0.0)
+            ),
+        ));
+    }
+
+    let [low, high] = [ABORT_RATES[0], ABORT_RATES[ABORT_RATES.len() - 1]];
+    let pair = |x| {
+        let of = |regime| cell(aborts, x, regime);
+        (of(Regime::CommitBefore), of(Regime::CommitAfter))
+    };
+    if let (Some(cb), Some(ca)) = pair(high) {
+        // Commit-before must run >= 1 inverse transaction per intended
+        // abort with committed locals; commit-after must run none.
+        let (cb, ca) = (cb.m.undos_per_abort(), ca.m.undos_per_abort());
+        out.push(verdict(
+            cb.is_some_and(|u| u > 0.0),
+            format!(
+                "C3b-1: commit-before runs inverse txns on intended aborts ({:.2}/abort)",
+                cb.unwrap_or(0.0)
+            ),
+        ));
+        out.push(verdict(
+            ca == Some(0.0),
+            format!(
+                "C3b-2: commit-after needs no undo machinery ({:.2}/abort)",
+                ca.unwrap_or(0.0)
+            ),
+        ));
+    }
+    // Commit-before's completions/s over commit-after's must shrink as
+    // the dial rises.
+    let edge = |x| -> Option<f64> {
+        let (cb, ca) = pair(x);
+        Some(cb?.m.completions_per_sec()? / ca?.m.completions_per_sec()?.max(1e-9))
+    };
+    if let (Some(lo), Some(hi)) = (edge(low), edge(high)) {
+        out.push(verdict(
+            hi < lo,
+            format!(
+                "C3b-3: commit-before's edge shrinks as the abort rate grows \
+                 (ratio {lo:.2} -> {hi:.2})"
+            ),
+        ));
+    }
+
+    let semantic: Vec<&Cell> = contention
+        .iter()
+        .filter(|c| c.regime == Regime::CommitBefore)
+        .collect();
+    let rejections: u64 = semantic.iter().map(|c| c.m.l1_rejections).sum();
+    out.push(verdict(
+        !semantic.is_empty() && rejections == 0,
+        format!(
+            "C4-3: increments never collide at L1 under the semantic policy \
+             ({rejections} rejections over {} commit-before cells)",
+            semantic.len()
+        ),
+    ));
+    out
+}
+
+/// The shape checks for this experiment: the paper's claims it carries,
+/// then its own.
 pub fn verdicts(
     contention: &[Cell],
     fanout: &[Cell],
@@ -291,7 +400,7 @@ pub fn verdicts(
     wire: &[Cell],
     hot: &[SimReport; 2],
 ) -> Vec<String> {
-    let mut out = Vec::new();
+    let mut out = claims(contention, aborts);
     let all = || contention.iter().chain(fanout).chain(aborts).chain(wire);
 
     // E15-1: every (lane, axis, regime) cell commits transactions.
@@ -375,11 +484,11 @@ pub fn verdicts(
 
 /// The report section: the four lanes, their winners, the verdicts.
 pub fn report(quick: bool) -> String {
-    let (n, clients) = if quick { (40, 4) } else { (160, 6) };
+    let (n, clients) = sizes(quick);
     let contention = run_contention(n, clients);
     let fanout = run_fanout(n, clients);
     let aborts = run_aborts(n, clients);
-    let wire = run_wire(if quick { 40 } else { 120 }, clients);
+    let wire = run_wire(n, clients);
     let hot = run_hot_stream(n);
     // Per lane: winner tag, axis column, title, rows.
     let lanes = [
@@ -431,8 +540,13 @@ pub fn report(quick: bool) -> String {
 mod tests {
     use super::*;
 
+    /// The verdicts that order wall-clock timings. Tier-1 asserts that
+    /// each is printed; every other verdict is a count and must pass.
+    const TIMINGS: [&str; 4] = ["C2a", "C2b", "C2c", "C3b-3"];
+
     /// The `report -- quick` smoke at CI size: every lane runs, every
-    /// verdict passes, winners cover every sweep point.
+    /// count verdict passes, every timing verdict is read, winners cover
+    /// every sweep point.
     #[test]
     fn quick_regime_map_passes_all_verdicts() {
         let contention = run_contention(30, 4);
@@ -444,11 +558,40 @@ mod tests {
         assert_eq!(fanout.len(), FANOUTS.len() * Regime::ALL.len());
         assert_eq!(aborts.len(), ABORT_RATES.len() * Regime::ALL.len());
         assert_eq!(wire.len(), 2 * Regime::ALL.len());
-        for v in verdicts(&contention, &fanout, &aborts, &wire, &hot) {
-            assert!(v.starts_with("[PASS]"), "{v}");
+        let lines = verdicts(&contention, &fanout, &aborts, &wire, &hot);
+        let id = |line: &str| line[7..].split(':').next().unwrap_or("").to_string();
+        for line in &lines {
+            assert!(
+                TIMINGS.contains(&id(line).as_str()) || line.starts_with("[PASS]"),
+                "{line}"
+            );
         }
+        for timing in TIMINGS {
+            assert!(lines.iter().any(|l| id(l) == timing), "{timing} not read");
+        }
+        assert_eq!(lines.len(), TIMINGS.len() + 3 + 5, "{lines:?}");
         assert_eq!(winners("contention", &contention).len(), THETAS.len());
         assert_eq!(winners("fan-out", &fanout).len(), FANOUTS.len());
+    }
+
+    /// One seeded stream: every regime meets the same intended aborts, and
+    /// only commit-before (either L1 policy) undoes committed locals.
+    #[test]
+    fn both_protocols_see_the_same_aborts_and_only_commit_before_undoes() {
+        let rows = run_aborts(20, 2);
+        let at = |x, regime| &cell(&rows, x, regime).expect("swept").m;
+        let cb = at(0.4, Regime::CommitBefore);
+        assert!(cb.aborted_intended > 0);
+        assert_eq!(cb.committed + cb.aborted_intended, 20);
+        for regime in Regime::ALL {
+            let m = at(0.4, regime);
+            assert_eq!(m.aborted_intended, cb.aborted_intended, "{regime:?}");
+            let undoes = matches!(regime, Regime::CommitBefore | Regime::CommitBeforeRw);
+            assert_eq!(m.undo_runs > 0, undoes, "{regime:?}");
+        }
+        // Nothing intended an abort at rate 0: the ratio is absent, not 0.
+        assert_eq!(at(0.0, Regime::CommitBefore).undos_per_abort(), None);
+        assert!(table("t", "abort dial", &rows).render().contains("n=0"));
     }
 
     /// A cell at sweep point `axis` that committed `committed` in 1 s.

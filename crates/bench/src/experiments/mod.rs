@@ -6,11 +6,8 @@ pub mod e12_paxos;
 pub mod e13_fastpath;
 pub mod e14_shard;
 pub mod e15_regime;
-pub mod e1_concurrency;
 pub mod e2_redo;
-pub mod e3_abort_cost;
 pub mod e4_complexity;
 pub mod e5_crash;
 pub mod e6_correctness;
-pub mod e7_ablation;
 pub mod e9_threaded;

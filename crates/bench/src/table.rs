@@ -119,16 +119,6 @@ impl Col {
     /// Fraction of attempts aborted by the transaction's own logic.
     pub(crate) const INTENDED_RATE: Col =
         Col::metric("intended", |m| opt3(m.intended_abort_rate()));
-    /// Intended aborts, counted.
-    pub(crate) const INTENDED_ABORTS: Col =
-        Col::metric("aborts", |m| m.aborted_intended.to_string());
-    /// Casualties of contention: erroneous aborts plus L1 rejections.
-    pub(crate) const CONTENTION_ABORTS: Col = Col::metric("contention-aborts", |m| {
-        (m.aborted_erroneous + m.l1_rejections).to_string()
-    });
-    /// Attempts turned away at L1 acquisition.
-    pub(crate) const L1_REJECTIONS: Col =
-        Col::metric("l1-rejections", |m| m.l1_rejections.to_string());
     /// Commit-after repetitions per committed transaction (§3.2).
     pub(crate) const REDOS_PER_COMMIT: Col =
         Col::metric("redos/commit", |m| opt3(m.redos_per_commit()));
@@ -210,7 +200,7 @@ mod tests {
     use super::*;
 
     /// Every `RunMetrics` column.
-    const ALL: [Col; 21] = [
+    const ALL: [Col; 18] = [
         Col::COMMITS,
         Col::TXN_S,
         Col::DONE_S,
@@ -223,9 +213,6 @@ mod tests {
         Col::MSG_PER_TXN,
         Col::ABORT_RATE,
         Col::INTENDED_RATE,
-        Col::INTENDED_ABORTS,
-        Col::CONTENTION_ABORTS,
-        Col::L1_REJECTIONS,
         Col::REDOS_PER_COMMIT,
         Col::UNDOS_PER_ABORT,
         Col::FORCES,
@@ -302,9 +289,6 @@ mod tests {
             ("msg/txn", "12.00", "n=0"),
             ("abort", "0.273", "n=0"),
             ("intended", "0.182", "n=0"),
-            ("aborts", "2", "0"),
-            ("contention-aborts", "4", "0"),
-            ("l1-rejections", "3", "0"),
             ("redos/commit", "0.500", "n=0"),
             ("undos/abort", "1.500", "n=0"),
             ("forces", "20", "0"),

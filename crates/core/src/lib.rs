@@ -19,7 +19,7 @@
 //!
 //! * the **blocking pump** ([`Federation::run_transaction`]) — one OS
 //!   thread per transaction over a transport: the throughput experiments
-//!   (E1–E3, E7) and the TCP deployments;
+//!   (E2, E9, E10, E15) and the TCP deployments;
 //! * the **discrete-event pump** ([`simdrive::SimFederation`]) — seeded
 //!   router, virtual clock, fault plan: golden traces (F2–F5), crash
 //!   experiments (E5), message accounting (E4), the nemesis sweeps.

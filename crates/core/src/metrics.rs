@@ -88,7 +88,7 @@ impl RunMetrics {
         self.latency_us.p99().map(|us| us as f64 / 1e3)
     }
 
-    /// Mean L0 lock tenure in milliseconds (E1's headline series); `None`
+    /// Mean L0 lock tenure in milliseconds (claim C2c's series); `None`
     /// when no tenure was recorded.
     pub fn mean_l0_hold_ms(&self) -> Option<f64> {
         if self.l0_hold_count == 0 {
@@ -123,7 +123,7 @@ impl RunMetrics {
         (self.committed > 0).then(|| self.redo_runs as f64 / self.committed as f64)
     }
 
-    /// Commit-before inverse transactions per intended abort (E3, §3.3);
+    /// Commit-before inverse transactions per intended abort (claim C3-b, §3.3);
     /// `None` when no transaction intended its abort.
     pub fn undos_per_abort(&self) -> Option<f64> {
         (self.aborted_intended > 0).then(|| self.undo_runs as f64 / self.aborted_intended as f64)

@@ -33,8 +33,9 @@ pub use program::{
 mod generator {
     //! [`MixGen`] held to what an experiment lane needs of its program
     //! generator: a replayable stream, the spec's fan-out and sites, and
-    //! the spec's intended-abort rate. E2, E3 and E6 draw
-    //! [`MixKind::Zipf`]; E1, E7, E9 and E10 draw [`MixKind::HotKey`].
+    //! the spec's intended-abort rate. E2, E6 and E15's abort lane draw
+    //! [`MixKind::Zipf`]; E9, E10 and E15's contention lane draw
+    //! [`MixKind::HotKey`].
     mod tests {
         use crate::{MixGen, MixKind, MixSpec};
 

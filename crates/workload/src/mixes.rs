@@ -604,7 +604,7 @@ mod tests {
         assert_eq!(sum, spec.initial_sum());
     }
 
-    /// The shape E2, E3 and E6 run: 6 reads, increments and writes over
+    /// The shape E2, E6 and E15's abort lane run: 6 reads, increments and writes over
     /// at most two sites, whatever the fan-out cap.
     #[test]
     fn zipf_mix_is_six_ops_over_at_most_two_sites() {
@@ -632,7 +632,7 @@ mod tests {
         );
     }
 
-    /// The shape E1, E7, E9 and E10 run: a `+d`/`-d` pair, three in four
+    /// The shape E9, E10 and E15's contention lane run: a `+d`/`-d` pair, three in four
     /// across two sites, the rest on one.
     #[test]
     fn hotkey_pairs_cross_sites_three_times_in_four() {

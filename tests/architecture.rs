@@ -367,7 +367,7 @@ fn experiment_rows_are_run_metrics_and_load_goes_through_the_one_driver() {
             "{path} picks percentiles by hand"
         );
     }
-    assert!(experiments >= 14, "experiments not found: {experiments}");
+    assert!(experiments >= 12, "experiments not found: {experiments}");
 }
 
 /// Every runtime's messages are `MsgSend` / `MsgDeliver` events of one
@@ -439,7 +439,7 @@ fn whole_table_lock_sweeps_serve_only_crash_paths() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 23_286;
+    const CEILING: usize = 23_067;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| non_test_lines(text).count())
@@ -1135,7 +1135,7 @@ fn the_wall_clock_scanner_tells_bounds_from_counts() {
 /// counted by the scanner of `pub_items_are_named_outside_their_crate`.
 #[test]
 fn public_items_only_go_down() {
-    const PUBLIC_ITEMS: usize = 716;
+    const PUBLIC_ITEMS: usize = 704;
     let score = pub_items(&rust_sources()).len();
     assert!(
         score <= PUBLIC_ITEMS,

@@ -171,3 +171,96 @@ fn architecture_quotes_the_committed_scores() {
         );
     }
 }
+
+/// ROADMAP 10(a): every verdict id the prose cites is one that
+/// `bench_report.txt` prints, so a retired or renamed verdict cannot live
+/// on in the docs.
+#[test]
+fn cited_verdict_ids_are_printed_by_the_report() {
+    let read = |file: &str| {
+        std::fs::read_to_string(repo_root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+    };
+    let report = read("bench_report.txt");
+    let printed: Vec<String> = report
+        .lines()
+        .filter_map(|l| l.strip_prefix("[PASS] ").or(l.strip_prefix("[FAIL] ")))
+        .flat_map(|l| verdict_ids(l.split(':').next().unwrap_or("")))
+        .collect();
+    assert!(printed.len() >= 40, "bench_report.txt prints {printed:?}");
+    let mut stale = Vec::new();
+    for doc in [
+        "README.md",
+        "EXPERIMENTS.md",
+        "OPERATORS.md",
+        "DESIGN.md",
+        "ARCHITECTURE.md",
+    ] {
+        for id in verdict_ids(&read(doc)) {
+            if !printed.contains(&id) {
+                stale.push(format!("{doc}: {id}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "verdict ids that bench_report.txt does not print:\n  {}",
+        stale.join("\n  ")
+    );
+}
+
+/// Every match of `C\d[a-z]?-\d+|C\d[a-z]|E\d+[a-z]?-\d+` in `text`,
+/// leftmost first, as a regex engine would find them.
+fn verdict_ids(text: &str) -> Vec<String> {
+    let b = text.as_bytes();
+    let digits = |i: usize| {
+        b[i.min(b.len())..]
+            .iter()
+            .take_while(|c| c.is_ascii_digit())
+            .count()
+    };
+    let lower = |i: usize| usize::from(b.get(i).is_some_and(u8::is_ascii_lowercase));
+    // The length of `-\d+` at `i`, or 0.
+    let dashed = |i: usize| match (b.get(i), digits(i + 1)) {
+        (Some(b'-'), n) if n > 0 => 1 + n,
+        _ => 0,
+    };
+    // The length of the match starting at `i`, or 0.
+    let at = |i: usize| match b[i] {
+        b'C' if digits(i + 1) > 0 => {
+            let letter = lower(i + 2);
+            match dashed(i + 2 + letter) {
+                0 => 3 * letter, // `C\d[a-z]`, or nothing
+                n => 2 + letter + n,
+            }
+        }
+        b'E' if digits(i + 1) > 0 => {
+            let end = i + 1 + digits(i + 1);
+            match dashed(end + lower(end)) {
+                0 => 0,
+                n => end + lower(end) + n - i,
+            }
+        }
+        _ => 0,
+    };
+    let mut ids = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        match at(i) {
+            0 => i += 1,
+            n => {
+                ids.push(text[i..i + n].to_string());
+                i += n;
+            }
+        }
+    }
+    ids
+}
+
+#[test]
+fn the_verdict_id_scanner_follows_its_pattern() {
+    let text = "C2a–c, C3b-1, C4-3; E15-3 (C4) E12b/c E5b-2 C22-1 0xE15A E9-x C2-";
+    assert_eq!(
+        verdict_ids(text),
+        ["C2a", "C3b-1", "C4-3", "E15-3", "E5b-2"]
+    );
+}
