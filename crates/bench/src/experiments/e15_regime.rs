@@ -153,8 +153,9 @@ pub(crate) fn run_hot_stream(txns: usize) -> [SimReport; 2] {
             ..FederationConfig::uniform(SITES, ProtocolKind::CommitBefore)
         };
         let sim = SimFederation::new(SimConfig::new(federation));
+        let fed = sim.federation();
         for site in (1..=SITES).map(SiteId::new) {
-            sim.load_site(site, &spec.initial_data(site));
+            fed.load_site(site, &spec.initial_data(site)).unwrap();
         }
         let programs = MixGen::new(MixKind::HotKey, spec.clone(), 0xE15A).programs(txns);
         sim.run(

@@ -43,20 +43,13 @@ pub fn run(txns: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     for protocol in ProtocolKind::ALL {
         let cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
-        let fed = SimFederation::new(cfg);
+        let sim = SimFederation::new(cfg);
+        let fed = sim.federation();
         let (s1, s2) = (SiteId::new(1), SiteId::new(2));
-        load(&fed.federation(), txns as u64);
-        let managers = fed.managers();
-        // Pre-run force baseline (bulk load may have forced nothing, but be
+        load(&fed, txns as u64);
+        // Pre-run baseline (bulk load may have forced nothing, but be
         // exact anyway).
-        let forces_before: u64 = managers
-            .values()
-            .map(|m| m.handle().engine().log_stats().forces)
-            .sum();
-        let bytes_before: u64 = managers
-            .values()
-            .map(|m| m.handle().engine().log_stats().stable_bytes)
-            .sum();
+        let before = fed.log_stats();
         // Disjoint transfers so no contention muddies the counts; stagger
         // starts so the simulator interleaves them.
         let programs: Vec<(SimDuration, BTreeMap<SiteId, Vec<Operation>>)> = (0..txns)
@@ -65,7 +58,7 @@ pub fn run(txns: usize) -> Vec<Row> {
                 (SimDuration::from_millis(i as u64 * 5), program)
             })
             .collect();
-        let report = fed.run(programs);
+        let report = sim.run(programs);
         assert!(report.errors.is_empty(), "{protocol}: {:?}", report.errors);
         let committed = report
             .outcomes
@@ -73,14 +66,7 @@ pub fn run(txns: usize) -> Vec<Row> {
             .filter(|v| **v == GlobalVerdict::Commit)
             .count() as f64;
         assert!(committed > 0.0, "{protocol}: nothing committed");
-        let forces_after: u64 = managers
-            .values()
-            .map(|m| m.handle().engine().log_stats().forces)
-            .sum();
-        let bytes_after: u64 = managers
-            .values()
-            .map(|m| m.handle().engine().log_stats().stable_bytes)
-            .sum();
+        let after = fed.log_stats();
         let mean_latency_us: f64 = report
             .resolution
             .values()
@@ -94,8 +80,8 @@ pub fn run(txns: usize) -> Vec<Row> {
         rows.push(Row {
             protocol,
             msgs_per_txn: report.net.sent as f64 / committed,
-            forces_per_txn: (forces_after - forces_before) as f64 / committed,
-            log_bytes_per_txn: (bytes_after - bytes_before) as f64 / committed,
+            forces_per_txn: (after.forces - before.forces) as f64 / committed,
+            log_bytes_per_txn: (after.stable_bytes - before.stable_bytes) as f64 / committed,
             latency_ms: mean_latency_us / 1e3,
             latency_p50_ms: latency_us.p50().map(|us| us as f64 / 1e3),
             latency_p99_ms: latency_us.p99().map(|us| us as f64 / 1e3),

@@ -65,13 +65,13 @@ fn sweep(victim: SiteId, crash_times_us: &[u64], outage_ms: u64) -> Vec<Row> {
             cfg.horizon = SimDuration::from_millis(5_000);
             let fed = SimFederation::new(cfg);
             let (s1, s2) = (SiteId::new(1), SiteId::new(2));
-            load(&fed.federation(), 1);
-            let managers = fed.managers();
+            let federation = fed.federation();
+            load(&federation, 1);
             let program = transfer(object(s1, 0), object(s2, 0), 30);
             let report = fed.run(vec![(SimDuration::ZERO, program)]);
             let gtx = amc_types::GlobalTxnId::new(1);
             let verdict = report.outcomes.get(&gtx).copied();
-            let dumps = SimFederation::dumps(&managers);
+            let dumps = federation.dumps().unwrap();
             let v1 = dumps[&s1][&object(s1, 0)].counter;
             let v2 = dumps[&s2][&object(s2, 0)].counter;
             let atomic = match verdict {
@@ -241,9 +241,9 @@ pub fn run_nemesis(seeds: &[u64]) -> Vec<NemesisRow> {
     for protocol in ProtocolKind::ALL {
         for &seed in seeds {
             let (plan, fed, programs) = nemesis_scenario(protocol, seed, false);
-            let managers = fed.managers();
+            let federation = fed.federation();
             let report = fed.run(programs);
-            let dumps = SimFederation::dumps(&managers);
+            let dumps = federation.dumps().unwrap();
             let (mut committed, mut aborted, mut violations) = (0usize, 0usize, 0usize);
             let mut total = 0i64;
             for i in 0..OBJS {

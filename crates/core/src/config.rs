@@ -90,8 +90,8 @@ pub enum EngineKind {
 pub struct FederationConfig {
     /// Commit protocol.
     pub protocol: ProtocolKind,
-    /// L1 conflict policy (semantic vs read/write-only, for the E7
-    /// ablation). Ignored by the 2PC baseline, which has no L1 layer.
+    /// L1 conflict policy (semantic, or read/write-only as E15's
+    /// `commit-before/rw`: E15-3, C4-3). 2PC has no L1 layer to apply it.
     pub policy: ConflictPolicy,
     /// One engine per local site; site ids are `1..=engines.len()`.
     pub engines: Vec<EngineKind>,

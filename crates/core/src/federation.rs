@@ -1,17 +1,18 @@
 //! The central system and its blocking pump.
 //!
-//! A [`Federation`] is the paper's central system (§2) — L1 lock table,
-//! parked coordinators, decision log, the transport to the sites — and a
-//! [`Txn`] is one global transaction in it, sans IO:
-//! [`Federation::begin`] takes its L1 locks and builds its
-//! [`Coordinator`], [`Federation::step`] feeds it one [`Completion`] and
-//! returns the messages to send, [`Federation::end`] releases or parks
-//! it. No other code constructs, feeds, logs for, parks or resumes a
-//! coordinator. [`Federation::run_transaction`] and
+//! A [`Federation`] is the paper's central system (§2) — its state (ids,
+//! L1 lock table, decision log, parked coordinators) in one `Central`,
+//! and the transport to the sites — and a `Txn` is one global
+//! transaction in it, sans IO: `Federation::begin` has `Central` admit it
+//! and builds its [`Coordinator`], `Federation::step` feeds it one
+//! `Completion` and returns the messages to send, `Federation::end`
+//! releases or parks it. No other code constructs, feeds, logs for, parks
+//! or resumes a coordinator. [`Federation::run_transaction`] and
 //! [`Federation::resolve_pending`] are the blocking pump over it (one OS
 //! thread per transaction over a [`FederationTransport`]); the
 //! discrete-event pump is [`SimFederation`](crate::SimFederation).
 
+use crate::central::Central;
 use crate::config::{FederationConfig, PaxosCommitConfig};
 use crate::coordinator::{CoordAction, CoordEvent, Coordinator};
 use crate::drive::{closed_loop, Program};
@@ -74,7 +75,7 @@ pub struct TxnReport {
 /// One global transaction at the central system: created by
 /// [`Federation::begin`], advanced by [`Federation::step`], closed by
 /// [`Federation::end`]. Performs no IO itself.
-pub struct Txn {
+pub(crate) struct Txn {
     coordinator: Coordinator,
     /// Replicated coordination (2PC federations that configure it).
     paxos: Option<PaxosRun>,
@@ -98,18 +99,18 @@ impl Txn {
     }
 
     /// This transaction's id.
-    pub fn gtx(&self) -> GlobalTxnId {
+    pub(crate) fn gtx(&self) -> GlobalTxnId {
         self.coordinator.gtx()
     }
 
     /// True once every site has its final state (global end).
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.coordinator.is_done()
     }
 }
 
 /// What a pump feeds a [`Txn`].
-pub enum Completion {
+pub(crate) enum Completion {
     /// `site` answered a message of this transaction, or the pump stopped
     /// waiting for it: an outage (`SiteDown`, `TransientIo`) is the
     /// coordinator's `Unreachable` event, any other error is the pump's.
@@ -124,7 +125,7 @@ pub enum Completion {
 }
 
 /// The messages a [`Txn`] asks its pump to send: one per site, independent.
-pub type Sends = Vec<(SiteId, Payload)>;
+pub(crate) type Sends = Vec<(SiteId, Payload)>;
 
 /// What moves a coordinator: an event, or the verdict a decision log
 /// remembers (none: presume abort) overruling whatever it knew.
@@ -165,22 +166,13 @@ pub struct Federation {
     cfg: FederationConfig,
     pub(crate) managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
     transport: Arc<dyn FederationTransport>,
-    l1: L1LockManager,
-    next_gtx: AtomicU64,
+    pub(crate) central: Central,
     history: Mutex<History>,
     seq: AtomicU64,
     record_history: bool,
-    /// Coordinators that decided but still owe an unreachable site its
-    /// final state.
-    unresolved: Mutex<Vec<Coordinator>>,
     /// Given to every coordinator: the simulator's sink, an event log
     /// opted into by [`Federation::set_recording`], else disabled.
     obs: ObsSink,
-    /// The central decision log: a verdict is recorded (the acceptors'
-    /// under Paxos Commit) before any message carrying it leaves `step`,
-    /// and a restart resumes from it. In memory, kept only under the
-    /// simulator (ROADMAP item 8 makes it durable and universal).
-    decisions: Option<Mutex<BTreeMap<GlobalTxnId, GlobalVerdict>>>,
     /// In-process acceptor group (Paxos federations built by
     /// [`Federation::new`] only — TCP deployments mount acceptors in
     /// their site servers).
@@ -256,9 +248,8 @@ impl Federation {
         };
         Federation {
             obs,
-            decisions: decision_log.then(Mutex::default),
             paxos_transport,
-            ..Self::assemble(cfg, managers, transport)
+            ..Self::assemble(cfg, managers, transport, decision_log)
         }
     }
 
@@ -267,33 +258,24 @@ impl Federation {
     /// engines live behind the transport; [`Federation::manager`] returns
     /// `None` for every site.
     pub fn with_transport(cfg: FederationConfig, transport: Arc<dyn FederationTransport>) -> Self {
-        Self::assemble(cfg, BTreeMap::new(), transport)
+        Self::assemble(cfg, BTreeMap::new(), transport, false)
     }
 
     fn assemble(
         cfg: FederationConfig,
         managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
         transport: Arc<dyn FederationTransport>,
+        decision_log: bool,
     ) -> Self {
-        let l1 = L1LockManager::new(cfg.policy, cfg.l1_timeout);
-        // A sharded coordinator allocates from its slot's disjoint id
-        // range; slot 0 (and every unsharded federation) starts at 1.
-        let first_gtx = match &cfg.coordinator {
-            Some(id) => u64::from(id.slot) * crate::config::COORD_GTX_SPAN + 1,
-            None => 1,
-        };
         Federation {
+            central: Central::new(&cfg, decision_log),
             cfg,
             managers,
             transport,
-            l1,
-            next_gtx: AtomicU64::new(first_gtx),
             history: Mutex::new(History::new()),
             seq: AtomicU64::new(1),
             record_history: false,
-            unresolved: Mutex::new(Vec::new()),
             obs: ObsSink::disabled(),
-            decisions: None,
             paxos_transport: None,
             paxos_crash_after: Mutex::new(None),
         }
@@ -367,7 +349,7 @@ impl Federation {
     }
 
     /// Aggregate communication-manager counters.
-    pub fn comm_stats(&self) -> amc_net::CommStats {
+    pub(crate) fn comm_stats(&self) -> amc_net::CommStats {
         let mut total = amc_net::CommStats::default();
         for site in self.transport.sites() {
             if let Ok(AdminReply::CommStats(s)) =
@@ -391,14 +373,14 @@ impl Federation {
         total
     }
 
-    /// The L1 lock table (invariant checks, granted count).
-    pub fn l1(&self) -> &L1LockManager {
-        &self.l1
+    /// The L1 lock table (invariant checks, granted count); 2PC has none.
+    pub fn l1(&self) -> Option<&L1LockManager> {
+        self.central.l1()
     }
 
-    /// L1 lock-manager counters.
+    /// L1 lock-manager counters (all zero under 2PC).
     pub fn l1_stats(&self) -> amc_lock::LockStats {
-        self.l1.stats()
+        self.l1().map(L1LockManager::stats).unwrap_or_default()
     }
 
     /// The blocking pump's message events: `request` went out to `site`
@@ -443,8 +425,7 @@ impl Federation {
     /// Number of final-state messages still owed to unreachable sites: the
     /// outstanding sites of every parked coordinator.
     pub fn pending_obligations(&self) -> usize {
-        let parked = self.unresolved.lock();
-        parked.iter().map(|c| c.outstanding().len()).sum()
+        self.central.pending_obligations()
     }
 
     /// Start numbering transactions at `first` instead of 1. A
@@ -452,7 +433,7 @@ impl Federation {
     /// predecessor already burned at the sites — ids only need to be
     /// unique, not dense.
     pub fn set_first_gtx(&self, first: u64) {
-        self.next_gtx.store(first.max(1), Ordering::Relaxed);
+        self.central.set_first_gtx(first);
     }
 
     /// The in-process acceptor group, when this federation was built with
@@ -495,47 +476,6 @@ impl Federation {
 
     // --- The central system: begin → step → end ----------------------------
 
-    /// Acquire every L1 lock `program` needs for `gtx`, or none of them
-    /// (2PC has no L1 layer). The whole lock set is known before execution
-    /// starts, so each object's accesses fold into one *strongest* mode,
-    /// acquired in canonical object order. Ordered acquisition removes lock
-    /// cycles across objects; one-shot strongest-mode acquisition removes
-    /// upgrade deadlocks on the same object. L1 deadlock is impossible by
-    /// construction (timeouts remain the overload safety valve).
-    fn acquire_l1(&self, gtx: GlobalTxnId, program: &Program) -> Result<(), AbortReason> {
-        use amc_lock::blocking::AcquireResult;
-        use amc_lock::LockMode;
-        if self.cfg.protocol == ProtocolKind::TwoPhaseCommit {
-            return Ok(());
-        }
-        let mut needed: BTreeMap<ObjectId, amc_lock::SemanticMode> = BTreeMap::new();
-        for op in program.values().flatten() {
-            let mode = self.cfg.policy.mode_for(op);
-            needed
-                .entry(op.object())
-                .and_modify(|m| *m = m.combine(mode))
-                .or_insert(mode);
-        }
-        for (&obj, &mode) in &needed {
-            let reason = match self.l1.acquire_mode(gtx, obj, mode) {
-                AcquireResult::Granted => continue,
-                AcquireResult::Deadlock => AbortReason::Deadlock,
-                AcquireResult::Timeout => AbortReason::LockTimeout,
-            };
-            self.release_l1(gtx, needed.range(..obj).map(|(o, _)| *o));
-            return Err(reason);
-        }
-        Ok(())
-    }
-
-    /// Global end of `gtx`: release the L1 locks it took on `objects`
-    /// (2PC takes none).
-    fn release_l1(&self, gtx: GlobalTxnId, objects: impl Iterator<Item = ObjectId>) {
-        if self.cfg.protocol != ProtocolKind::TwoPhaseCommit {
-            self.l1.release(gtx, &objects.collect::<Vec<_>>());
-        }
-    }
-
     /// The coordinator of `gtx` as it is before anything happened to it —
     /// at `begin`, and again when a restarted central system recovers it.
     fn open(&self, gtx: GlobalTxnId, program: &Program) -> Txn {
@@ -555,13 +495,15 @@ impl Federation {
         Txn::new(coordinator, paxos)
     }
 
-    /// Admit one global transaction: allocate its id, take its L1 locks
-    /// before any local work (§4.3), build its coordinator and start it.
-    /// Returns the transaction and the messages that ship its programs —
-    /// or the id it burned and why L1 turned it away (retry).
-    pub fn begin(&self, program: &Program) -> Result<(Txn, Sends), (GlobalTxnId, AbortReason)> {
-        let gtx = GlobalTxnId::new(self.next_gtx.fetch_add(1, Ordering::Relaxed));
-        self.acquire_l1(gtx, program).map_err(|why| (gtx, why))?;
+    /// Admit one global transaction: its id and L1 locks before any local
+    /// work (§4.3), then build its coordinator and start it. Returns the
+    /// transaction and the messages that ship its programs — or the id it
+    /// burned and why L1 turned it away (retry).
+    pub(crate) fn begin(
+        &self,
+        program: &Program,
+    ) -> Result<(Txn, Sends), (GlobalTxnId, AbortReason)> {
+        let gtx = self.central.admit(program)?;
         self.obs
             .emit(Some(gtx), SiteId::CENTRAL, EventKind::TxnStart);
         let mut txn = self.open(gtx, program);
@@ -570,18 +512,11 @@ impl Federation {
         Ok((txn, first.expect("no acceptor is asked at a start")))
     }
 
-    /// Rebuild `gtx` after a central restart from the decision log: a
-    /// logged decision resumes its finish round, anything else is presumed
-    /// aborted. Either way it retakes its L1 locks first — the repair still
-    /// owed (redo, undo) needs the isolation the original work had — so the
-    /// caller recovers every unfinished transaction before admitting a new one.
+    /// Rebuild `gtx` after a central restart from what `Central` readmits
+    /// it with: a logged decision resumes its finish round, anything else
+    /// is presumed aborted.
     pub(crate) fn recover(&self, gtx: GlobalTxnId, program: &Program) -> (Txn, Sends) {
-        self.acquire_l1(gtx, program)
-            .expect("transactions that held their L1 locks together can retake them");
-        let logged = self
-            .decisions
-            .as_ref()
-            .and_then(|log| log.lock().get(&gtx).copied());
+        let logged = self.central.readmit(gtx, program);
         self.obs
             .emit(Some(gtx), SiteId::CENTRAL, EventKind::Resume { logged });
         let mut txn = self.open(gtx, program);
@@ -591,19 +526,10 @@ impl Federation {
         (txn, sends.expect("no acceptor is asked at a restart"))
     }
 
-    /// Central crash: everything volatile is lost — the `live`
-    /// transactions, the parked coordinators, and with them the whole L1
-    /// table, swept per lost transaction. The decision log survives.
-    pub(crate) fn crash(&self, live: impl IntoIterator<Item = Txn>) {
-        let parked = std::mem::take(&mut *self.unresolved.lock());
-        let lost = live.into_iter().map(|txn| txn.coordinator).chain(parked);
-        lost.for_each(|coordinator| self.l1.release_all(coordinator.gtx()));
-    }
-
     /// Feed `txn` one completion; returns the messages to send next. An
     /// `Err` — a reply no participant should send, a failed acceptor group
     /// — is the pump's to surface, after [`end`](Federation::end)ing `txn`.
-    pub fn step(&self, txn: &mut Txn, completion: Completion) -> AmcResult<Sends> {
+    pub(crate) fn step(&self, txn: &mut Txn, completion: Completion) -> AmcResult<Sends> {
         let gtx = txn.gtx();
         let (site, reply) = match completion {
             Completion::Timer => return self.advance(txn, Input::Event(CoordEvent::Timer)),
@@ -646,9 +572,7 @@ impl Federation {
                             overruled = paxos.on_decided(self, gtx, v)?;
                         }
                         let stands = overruled.unwrap_or(v);
-                        if let Some(log) = &self.decisions {
-                            log.lock().insert(gtx, stands);
-                        }
+                        self.central.log(gtx, stands);
                         txn.decided = Some(stands);
                     }
                     CoordAction::Done(_) => {}
@@ -680,7 +604,7 @@ impl Federation {
     /// stopped its pump. One whose acceptor group failed it is dropped in
     /// doubt — a standby decides it. Returns the verdict, if any, and
     /// messages exchanged.
-    pub fn end(&self, mut txn: Txn) -> (Option<GlobalVerdict>, u64) {
+    pub(crate) fn end(&self, mut txn: Txn) -> (Option<GlobalVerdict>, u64) {
         let gtx = txn.gtx();
         let verdict = txn.decided;
         let mut messages = txn.messages;
@@ -694,9 +618,9 @@ impl Federation {
             }
         }
         if verdict.is_some() && !txn.is_done() {
-            self.unresolved.lock().push(txn.coordinator);
+            self.central.park(txn.coordinator);
         } else {
-            self.release_l1(gtx, txn.coordinator.objects());
+            self.central.release(gtx, txn.coordinator.objects());
         }
         (verdict, messages)
     }
@@ -813,7 +737,7 @@ impl Federation {
     /// than an outage — that error is returned. Otherwise returns how many
     /// owed messages were discharged.
     pub fn resolve_pending(&self) -> AmcResult<usize> {
-        let parked = std::mem::take(&mut *self.unresolved.lock());
+        let parked = self.central.unpark();
         let mut discharged = 0usize;
         let mut result = Ok(());
         for coordinator in parked {
@@ -1065,6 +989,11 @@ mod tests {
                 }],
             ),
         ])
+    }
+
+    /// L1 locks granted (2PC has no L1 layer: none).
+    fn l1_held(fed: &Federation) -> usize {
+        fed.l1().map_or(0, L1LockManager::granted_count)
     }
 
     fn user_sum(fed: &Federation) -> i64 {
@@ -1409,7 +1338,7 @@ mod tests {
             *transport.reject_finish_for.lock() = None;
             assert_eq!(fed.resolve_pending().unwrap(), 1, "{protocol}");
             assert_eq!(fed.pending_obligations(), 0, "{protocol}");
-            assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
+            assert_eq!(l1_held(&fed), 0, "{protocol}");
             let report = fed.run_transaction(&write_at_2).unwrap();
             assert_eq!(report.outcome, TxnOutcome::Committed, "{protocol}");
         }
@@ -1467,7 +1396,7 @@ mod tests {
             assert_eq!(verdict, Some(GlobalVerdict::Commit), "{protocol}");
             assert!(messages >= 4, "{protocol}: {messages}");
             assert_eq!(fed.pending_obligations(), 0, "{protocol}");
-            assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
+            assert_eq!(l1_held(&fed), 0, "{protocol}");
             let dumps = fed.dumps().unwrap();
             assert_eq!(dumps[&site(1)][&obj(1, 0)], v(70), "{protocol}");
             assert_eq!(dumps[&site(2)][&obj(2, 0)], v(130), "{protocol}");
@@ -1484,12 +1413,9 @@ mod tests {
             .begin(&transfer(1, 2, 5))
             .unwrap_or_else(|e| panic!("{e:?}"));
         assert_eq!(first.len(), 2);
-        assert!(fed.l1().granted_count() > 0);
+        assert!(l1_held(&fed) > 0);
         assert_eq!(fed.end(txn), (None, 4));
-        assert_eq!(
-            (fed.pending_obligations(), fed.l1().granted_count()),
-            (0, 0)
-        );
+        assert_eq!((fed.pending_obligations(), l1_held(&fed)), (0, 0));
         // Decided, site 2 never told: both votes in, no decision delivered.
         let (mut txn, first) = fed
             .begin(&transfer(1, 2, 5))
@@ -1506,12 +1432,9 @@ mod tests {
         let (verdict, _) = fed.end(txn);
         assert_eq!(verdict, Some(GlobalVerdict::Commit));
         assert_eq!(fed.pending_obligations(), 2);
-        assert!(fed.l1().granted_count() > 0, "parked with its locks");
+        assert!(l1_held(&fed) > 0, "parked with its locks");
         assert_eq!(fed.resolve_pending().unwrap(), 2);
-        assert_eq!(
-            (fed.pending_obligations(), fed.l1().granted_count()),
-            (0, 0)
-        );
+        assert_eq!((fed.pending_obligations(), l1_held(&fed)), (0, 0));
         assert_eq!(user_sum(&fed), 100 * 2 * 50);
     }
 
@@ -1564,8 +1487,8 @@ mod tests {
             *transport.fail_finish_for.lock() = None;
             fed.resolve_pending().unwrap();
             assert_eq!(fed.pending_obligations(), 0, "{protocol}");
-            assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
-            fed.l1().check_invariants().unwrap();
+            assert_eq!(l1_held(&fed), 0, "{protocol}");
+            fed.l1().unwrap().check_invariants().unwrap();
             assert_eq!(user_sum(&fed), 100 * 3 * 50, "{protocol}");
         }
     }

@@ -12,10 +12,10 @@
 //!
 //! **One central system, two pumps.** The protocol logic is a sans-IO
 //! state machine ([`coordinator::Coordinator`]), and so is the central
-//! system around it: [`federation::Federation`] owns the L1 lock table,
-//! the decision log and the parked coordinators, and `begin →`
-//! [`Txn`]` → step → end` is the only code that constructs, feeds, logs
-//! for, parks or resumes a coordinator. Two pumps move its messages:
+//! system around it: [`federation::Federation`]'s one `Central` owns ids,
+//! L1 lock table, decision log and parked coordinators, and `begin → Txn
+//! → step → end` is the only code that constructs, feeds, logs for, parks
+//! or resumes a coordinator. Two pumps move its messages:
 //!
 //! * the **blocking pump** ([`Federation::run_transaction`]) — one OS
 //!   thread per transaction over a transport: the throughput experiments
@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod central;
 pub mod config;
 pub mod coordinator;
 pub mod drive;
@@ -47,6 +48,6 @@ pub use config::{
 };
 pub use coordinator::{CoordAction, CoordEvent, Coordinator};
 pub use drive::{closed_loop, Program};
-pub use federation::{submit_mode_for, Completion, Federation, Sends, Txn, TxnOutcome, TxnReport};
+pub use federation::{submit_mode_for, Federation, TxnOutcome, TxnReport};
 pub use metrics::RunMetrics;
 pub use simdrive::{SimConfig, SimFederation, SimReport};

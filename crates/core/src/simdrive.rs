@@ -26,7 +26,7 @@ use crate::config::FederationConfig;
 use crate::drive::Program;
 use crate::federation::{Completion, Federation, Sends, Txn};
 use amc_net::router::{NetStats, RouterConfig, Routing};
-use amc_net::{Envelope, LocalCommManager, Payload, Router};
+use amc_net::{Envelope, Payload, Router};
 use amc_obs::{EventKind, EventLog, ObsSink};
 use amc_sim::{EventQueue, FaultEvent, FaultKind, FaultPlan, LinkDir, SimRng};
 use amc_types::{AmcError, GlobalTxnId, GlobalVerdict, SimDuration, SimTime, SiteId};
@@ -180,16 +180,6 @@ impl SimFederation {
         Arc::clone(&self.fed)
     }
 
-    /// Access a site's manager (setup: loading data).
-    pub fn manager(&self, site: SiteId) -> &Arc<LocalCommManager> {
-        &self.fed.managers[&site]
-    }
-
-    /// Load initial data into a site.
-    pub fn load_site(&self, site: SiteId, data: &[(amc_types::ObjectId, amc_types::Value)]) {
-        self.fed.load_site(site, data).expect("bulk load");
-    }
-
     /// Put a message on the network `after` a local delay (a site's
     /// service time; none at the central system).
     fn send(&mut self, from: SiteId, to: SiteId, payload: Payload, after: SimDuration) {
@@ -246,7 +236,7 @@ impl SimFederation {
     }
 
     fn handle_at_site(&mut self, site: SiteId, payload: Payload) {
-        if !self.manager(site).handle().engine().is_up() {
+        if !self.fed.managers[&site].handle().engine().is_up() {
             return; // crashed between routing and delivery
         }
         match self.fed.transport().call(site, payload) {
@@ -262,7 +252,9 @@ impl SimFederation {
     /// WAL tail has no analogue here).
     fn crash_central(&mut self) {
         self.router.site_down(SiteId::CENTRAL);
-        self.fed.crash(std::mem::take(&mut self.txns).into_values());
+        self.fed
+            .central
+            .crash(std::mem::take(&mut self.txns).into_keys());
     }
 
     /// Central restart: recover every unfinished transaction from the
@@ -386,7 +378,7 @@ impl SimFederation {
                         }
                         (FaultKind::Crash { torn }, false) => {
                             self.router.site_down(ev.site);
-                            let engine = self.manager(ev.site).handle().engine();
+                            let engine = self.fed.managers[&ev.site].handle().engine();
                             match torn {
                                 Some(t) => engine.crash_partial(t.keep_frames, true),
                                 None => engine.crash(),
@@ -394,7 +386,8 @@ impl SimFederation {
                         }
                         (FaultKind::Restart, false) => {
                             self.router.site_up(ev.site);
-                            if let Err(e) = self.manager(ev.site).handle().engine().recover() {
+                            let engine = self.fed.managers[&ev.site].handle().engine();
+                            if let Err(e) = engine.recover() {
                                 self.errors.push(format!("recovery at {}: {e}", ev.site));
                             }
                         }
@@ -447,23 +440,6 @@ impl SimFederation {
             events: self.obs.snapshot(),
         }
     }
-
-    /// Final committed state per site (post-run inspection is done through
-    /// the report; this helper serves tests built around `run`).
-    pub fn dumps(
-        managers: &BTreeMap<SiteId, Arc<LocalCommManager>>,
-    ) -> BTreeMap<SiteId, BTreeMap<amc_types::ObjectId, amc_types::Value>> {
-        managers
-            .iter()
-            .map(|(s, m)| (*s, m.handle().engine().dump().expect("dump")))
-            .collect()
-    }
-
-    /// Clone the manager map (so callers can inspect state after `run`
-    /// consumed the federation).
-    pub fn managers(&self) -> BTreeMap<SiteId, Arc<LocalCommManager>> {
-        self.fed.managers.clone()
-    }
 }
 
 #[cfg(test)]
@@ -501,11 +477,7 @@ mod tests {
         let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
         cfg.faults = failures;
         let fed = SimFederation::new(cfg);
-        for s in 1..=2u32 {
-            let data: Vec<(ObjectId, Value)> =
-                (0..10).map(|i| (obj(s, i), Value::counter(100))).collect();
-            fed.load_site(site(s), &data);
-        }
+        load(&fed);
         fed
     }
 
@@ -513,7 +485,7 @@ mod tests {
     fn failure_free_run_commits_under_all_protocols() {
         for protocol in ProtocolKind::ALL {
             let fed = sim(protocol, FaultPlan::none());
-            let managers = fed.managers();
+            let federation = fed.federation();
             let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
             assert!(report.errors.is_empty(), "{protocol}: {:?}", report.errors);
             assert_eq!(
@@ -522,7 +494,7 @@ mod tests {
                 "{protocol}"
             );
             assert!(report.unresolved.is_empty());
-            let dumps = SimFederation::dumps(&managers);
+            let dumps = federation.dumps().unwrap();
             assert_eq!(
                 dumps[&site(1)][&obj(1, 0)],
                 Value::counter(70),
@@ -578,11 +550,7 @@ mod tests {
         );
         cfg.faults = failures;
         let fed = SimFederation::new(cfg);
-        for s in 1..=2u32 {
-            let data: Vec<(ObjectId, Value)> =
-                (0..10).map(|i| (obj(s, i), Value::counter(100))).collect();
-            fed.load_site(site(s), &data);
-        }
+        load(&fed);
         fed
     }
 
@@ -592,7 +560,7 @@ mod tests {
         // the vote — 8 messages instead of the classic 12 (fig. 2 minus the
         // explicit prepare round).
         let fed = sim_fast(FaultPlan::none());
-        let managers = fed.managers();
+        let federation = fed.federation();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 5))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(
@@ -608,7 +576,7 @@ mod tests {
                 "finished:2->0",
             ]
         );
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         assert_eq!(dumps[&site(1)][&obj(1, 0)], Value::counter(95));
         assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(105));
     }
@@ -659,7 +627,7 @@ mod tests {
     fn paxos_commit_survives_a_loss_burst() {
         let burst = FaultPlan::none().loss_burst(SimTime(0), SimDuration::from_millis(2), 1.0);
         let fed = sim_paxos(burst);
-        let managers = fed.managers();
+        let federation = fed.federation();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(
@@ -673,7 +641,7 @@ mod tests {
             report.retransmissions > 0,
             "the lost submits needed the timer"
         );
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         assert_eq!(dumps[&site(1)][&obj(1, 0)], Value::counter(70));
         assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(130));
     }
@@ -691,7 +659,7 @@ mod tests {
             SimDuration::from_millis(10),
         );
         let fed = sim_paxos(outage);
-        let managers = fed.managers();
+        let federation = fed.federation();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(
@@ -705,7 +673,7 @@ mod tests {
             e.kind == EventKind::Resume { logged }
         });
         assert!(resumed, "the outage missed the window");
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         assert_eq!(dumps[&site(1)][&obj(1, 0)], Value::counter(70));
         assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(130));
     }
@@ -718,13 +686,13 @@ mod tests {
         let (txn, _) = fed.fed.begin(&transfer(1, 2, 5)).expect("admitted");
         let gtx = txn.gtx();
         fed.txns.insert(gtx, txn);
-        assert!(fed.fed.l1().granted_count() > 0);
+        assert!(fed.fed.l1().unwrap().granted_count() > 0);
         let reply = Err(AmcError::Protocol("no participant says this".into()));
         let site = site(1);
         assert_eq!(fed.step(gtx, Completion::Reply { site, reply }), None);
         assert_eq!(fed.errors.len(), 1);
         assert!(fed.txns.is_empty());
-        assert_eq!(fed.fed.l1().granted_count(), 0);
+        assert_eq!(fed.fed.l1().unwrap().granted_count(), 0);
         assert_eq!(fed.fed.pending_obligations(), 0);
     }
 
@@ -745,7 +713,7 @@ mod tests {
         );
         let fed = SimFederation::new(cfg);
         load(&fed);
-        let managers = fed.managers();
+        let federation = fed.federation();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(
@@ -761,7 +729,7 @@ mod tests {
             labels.iter().any(|l| l == "prepare:0->2"),
             "re-inquiry must use the classic prepare: {labels:?}"
         );
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         assert_eq!(dumps[&site(1)][&obj(1, 0)], Value::counter(70));
         assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(130));
     }
@@ -794,7 +762,7 @@ mod tests {
         let failures =
             FaultPlan::none().outage(site(2), SimTime(100), SimDuration::from_millis(50));
         let fed = sim(ProtocolKind::CommitBefore, failures);
-        let managers = fed.managers();
+        let federation = fed.federation();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert_eq!(
             report.outcomes.get(&GlobalTxnId::new(1)),
@@ -803,7 +771,7 @@ mod tests {
             report.unresolved,
             report.errors
         );
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         // Undone at site 1, never applied at site 2.
         assert_eq!(dumps[&site(1)][&obj(1, 0)], Value::counter(100));
         assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(100));
@@ -821,7 +789,7 @@ mod tests {
             SimDuration::from_millis(30),
         );
         let fed = sim(ProtocolKind::CommitAfter, failures);
-        let managers = fed.managers();
+        let federation = fed.federation();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         let outcome = report.outcomes.get(&GlobalTxnId::new(1)).copied();
@@ -829,7 +797,7 @@ mod tests {
         // transaction either commits (crash after decision, redo repairs)
         // or aborts (crash before site 2 voted). Both are atomic; neither
         // may leave a partial transfer.
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         let v1 = dumps[&site(1)][&obj(1, 0)].counter;
         let v2 = dumps[&site(2)][&obj(2, 0)].counter;
         match outcome {
@@ -844,10 +812,11 @@ mod tests {
     }
 
     fn load(fed: &SimFederation) {
+        let federation = fed.federation();
         for s in 1..=2u32 {
             let data: Vec<(ObjectId, Value)> =
                 (0..10).map(|i| (obj(s, i), Value::counter(100))).collect();
-            fed.load_site(site(s), &data);
+            federation.load_site(site(s), &data).unwrap();
         }
     }
 
@@ -866,7 +835,7 @@ mod tests {
         );
         let fed = SimFederation::new(cfg);
         load(&fed);
-        let managers = fed.managers();
+        let federation = fed.federation();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(
@@ -877,7 +846,7 @@ mod tests {
         );
         assert!(report.net.partitioned_drops > 0, "the partition never bit");
         assert!(report.retransmissions > 0, "the heal needed the timer");
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         assert_eq!(dumps[&site(1)][&obj(1, 0)], Value::counter(70));
         assert_eq!(dumps[&site(2)][&obj(2, 0)], Value::counter(130));
     }
@@ -894,10 +863,10 @@ mod tests {
             .restart(site(2), SimTime(30_000));
         let fed = SimFederation::new(cfg);
         load(&fed);
-        let managers = fed.managers();
+        let federation = fed.federation();
         let report = fed.run(vec![(SimDuration::ZERO, transfer(1, 2, 30))]);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         let v1 = dumps[&site(1)][&obj(1, 0)].counter;
         let v2 = dumps[&site(2)][&obj(2, 0)].counter;
         assert_eq!(v1 + v2, 200, "conservation violated: {v1} + {v2}");

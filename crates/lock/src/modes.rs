@@ -109,9 +109,8 @@ impl SemanticMode {
         }
     }
 
-    /// The degenerate read/write projection used by the E7 ablation: ignore
-    /// commutativity and treat increments as plain writes (what a
-    /// single-level system would do).
+    /// The read/write projection of E15's `commit-before/rw` regime (E15-3,
+    /// C4-3): increments as plain writes, as a single-level system sees them.
     pub fn for_operation_rw_only(op: &Operation) -> SemanticMode {
         match op {
             Operation::Read { .. } => SemanticMode::Read,

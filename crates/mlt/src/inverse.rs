@@ -12,8 +12,8 @@ use amc_types::{Operation, Value};
 /// *before* the operation executed.
 ///
 /// The commit-before communication manager uses this to decide when it must
-/// issue a capture read in front of an update — the per-operation cost that
-/// the E7 ablation charges against non-commutative workloads.
+/// issue a capture read in front of an update — a cost increments never pay
+/// (their L1 side is E15's `commit-before/rw` regime: E15-3, C4-3).
 pub fn needs_before_image(op: &Operation) -> bool {
     matches!(op, Operation::Write { .. } | Operation::Delete { .. })
 }

@@ -23,7 +23,7 @@
 //!   the undo mechanism of multi-level recovery;
 //! * [`locks`] — the L1 lock manager: a thin policy wrapper over
 //!   [`amc_lock::BlockingLockManager`] with [`amc_lock::SemanticMode`]s,
-//!   including the read/write-only degraded mode for the E7 ablation.
+//!   and the read/write-only mode of E15's `commit-before/rw` (E15-3, C4-3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,13 +8,13 @@
 //! serializability requirements.
 //!
 //! [`ConflictPolicy`] selects between the semantic matrix (the paper's
-//! proposal) and a read/write-only projection (the E7 ablation, i.e. what a
-//! system ignorant of commutativity would do).
+//! proposal) and a read/write-only projection (E15's `commit-before/rw`
+//! regime, E15-3 and C4-3: what a system ignorant of commutativity would
+//! do).
 
 use amc_lock::blocking::AcquireResult;
 use amc_lock::{BlockingLockManager, LockStats, SemanticMode};
-use amc_obs::{EventKind, ObsSink};
-use amc_types::{GlobalTxnId, ObjectId, Operation, SiteId};
+use amc_types::{GlobalTxnId, ObjectId, Operation};
 use std::time::Duration;
 
 /// How L1 modes are derived from operations.
@@ -41,7 +41,6 @@ pub struct L1LockManager {
     inner: BlockingLockManager<ObjectId, GlobalTxnId, SemanticMode>,
     policy: ConflictPolicy,
     timeout: Duration,
-    obs: ObsSink,
 }
 
 impl L1LockManager {
@@ -51,14 +50,7 @@ impl L1LockManager {
             inner: BlockingLockManager::new(Duration::from_millis(2)),
             policy,
             timeout,
-            obs: ObsSink::disabled(),
         }
-    }
-
-    /// Attach an observability sink; acquisitions emit lock wait/grant
-    /// events attributed to the central system (L1 lives there).
-    pub fn set_obs(&mut self, sink: ObsSink) {
-        self.obs = sink;
     }
 
     /// The active policy.
@@ -78,22 +70,7 @@ impl L1LockManager {
         obj: ObjectId,
         mode: SemanticMode,
     ) -> AcquireResult {
-        if self.obs.is_enabled() {
-            self.obs
-                .emit(Some(gtx), SiteId::new(0), EventKind::LockWait { obj });
-        }
-        let result = self.inner.acquire(gtx, obj, mode, self.timeout);
-        if self.obs.is_enabled() {
-            self.obs.emit(
-                Some(gtx),
-                SiteId::new(0),
-                EventKind::LockGrant {
-                    obj,
-                    granted: result == AcquireResult::Granted,
-                },
-            );
-        }
-        result
+        self.inner.acquire(gtx, obj, mode, self.timeout)
     }
 
     /// Release `gtx`'s L1 locks on `objects` — the ones its program took
@@ -203,35 +180,6 @@ mod tests {
         assert_eq!(acquire(&m, gtx(2), &write(2)), AcquireResult::Granted);
         m.release_all(gtx(1));
         m.release_all(gtx(2));
-    }
-
-    #[test]
-    fn lock_events_flow_to_attached_sink() {
-        let sink = ObsSink::enabled(16);
-        let mut m = L1LockManager::new(ConflictPolicy::ReadWriteOnly, Duration::from_millis(10));
-        m.set_obs(sink.clone());
-        assert_eq!(acquire(&m, gtx(1), &write(1)), AcquireResult::Granted);
-        assert_eq!(acquire(&m, gtx(2), &write(1)), AcquireResult::Timeout);
-        m.release_all(gtx(1));
-        let kinds: Vec<String> = sink
-            .snapshot()
-            .events()
-            .map(|e| format!("{}:{}", e.txn.unwrap(), e.kind.label()))
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "G1:lock-wait",
-                "G1:lock-grant",
-                "G2:lock-wait",
-                "G2:lock-grant"
-            ]
-        );
-        let rejected = sink
-            .snapshot()
-            .events()
-            .any(|e| matches!(e.kind, EventKind::LockGrant { granted: false, .. }));
-        assert!(rejected, "the timeout must surface as a rejected grant");
     }
 
     #[test]

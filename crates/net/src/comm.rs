@@ -543,8 +543,8 @@ impl LocalCommManager {
     /// preceded by a read of its before image, which the same transaction
     /// stores as the operation's [`before_image`] row of that global
     /// transaction — §3.3's undo-log, committed with the work it undoes.
-    /// Commutative increments need neither the read nor a row, which is the
-    /// MLT cost advantage the E7 ablation measures.
+    /// Commutative increments need neither: MLT's site-side advantage (its
+    /// L1 side is E15's `commit-before/rw` regime, E15-3 and C4-3).
     fn run_ops(
         &self,
         ops: &[Operation],

@@ -1,7 +1,7 @@
 //! The event taxonomy: one typed variant per significant protocol
 //! transition, stamped with virtual time and a global sequence number.
 
-use amc_types::{GlobalTxnId, GlobalVerdict, LocalVote, ObjectId, SimTime, SiteId};
+use amc_types::{GlobalTxnId, GlobalVerdict, LocalVote, SimTime, SiteId};
 use std::fmt;
 
 /// Why the router refused to deliver a message.
@@ -125,18 +125,6 @@ pub enum EventKind {
         /// The decision that released the participant.
         verdict: GlobalVerdict,
     },
-    /// An L1 (global) lock request was queued.
-    LockWait {
-        /// The object being locked.
-        obj: ObjectId,
-    },
-    /// An L1 lock request resolved.
-    LockGrant {
-        /// The object being locked.
-        obj: ObjectId,
-        /// `true` if granted, `false` if rejected (timeout/deadlock).
-        granted: bool,
-    },
     /// A fault-plan crash hit this site (or the central system).
     Crash {
         /// Whether the crash tore the WAL tail mid-force.
@@ -206,8 +194,6 @@ impl EventKind {
             EventKind::UndoRun { .. } => "undo-run",
             EventKind::BlockEnter => "block-enter",
             EventKind::BlockExit { .. } => "block-exit",
-            EventKind::LockWait { .. } => "lock-wait",
-            EventKind::LockGrant { .. } => "lock-grant",
             EventKind::Crash { .. } => "crash",
             EventKind::Restart => "restart",
             EventKind::RpcRetry { .. } => "rpc-retry",
@@ -263,12 +249,6 @@ impl fmt::Display for EventKind {
             EventKind::UndoRun { attempt } => write!(f, "undo-run attempt {attempt}"),
             EventKind::BlockEnter => write!(f, "block-enter (in doubt)"),
             EventKind::BlockExit { verdict } => write!(f, "block-exit ({verdict})"),
-            EventKind::LockWait { obj } => write!(f, "lock-wait {obj}"),
-            EventKind::LockGrant { obj, granted: true } => write!(f, "lock-grant {obj}"),
-            EventKind::LockGrant {
-                obj,
-                granted: false,
-            } => write!(f, "lock-reject {obj}"),
             EventKind::Crash { torn: true } => write!(f, "crash (torn WAL tail)"),
             EventKind::Crash { torn: false } => write!(f, "crash"),
             EventKind::Restart => write!(f, "restart"),

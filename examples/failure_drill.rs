@@ -27,10 +27,12 @@ fn main() {
         cfg.faults =
             FaultPlan::none().outage(SiteId::new(2), SimTime(1_200), SimDuration::from_millis(40));
         let fed = SimFederation::new(cfg);
+        let federation = fed.federation();
         for s in 1..=2u32 {
-            fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))]);
+            federation
+                .load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))])
+                .unwrap();
         }
-        let managers = fed.managers();
 
         let program = BTreeMap::from([
             (
@@ -62,7 +64,7 @@ fn main() {
                 .map_or(f64::NAN, |d| d.micros() as f64 / 1e3),
             report.retransmissions,
         );
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         let v1 = dumps[&SiteId::new(1)][&obj(1, 0)].counter;
         let v2 = dumps[&SiteId::new(2)][&obj(2, 0)].counter;
         println!(
@@ -116,12 +118,12 @@ fn nemesis_drill(seed: u64) {
         cfg.retransmit_every = SimDuration::from_millis(5);
         cfg.horizon = SimDuration::from_millis(30_000);
         let fed = SimFederation::new(cfg);
+        let federation = fed.federation();
         for s in 1..=2u32 {
             let data: Vec<(ObjectId, Value)> =
                 (0..10).map(|i| (obj(s, i), Value::counter(100))).collect();
-            fed.load_site(SiteId::new(s), &data);
+            federation.load_site(SiteId::new(s), &data).unwrap();
         }
-        let managers = fed.managers();
         let programs = (0..10u64)
             .map(|i| {
                 (
@@ -146,7 +148,7 @@ fn nemesis_drill(seed: u64) {
             })
             .collect();
         let report = fed.run(programs);
-        let dumps = SimFederation::dumps(&managers);
+        let dumps = federation.dumps().unwrap();
         let total: i64 = (1..=2u32)
             .flat_map(|s| (0..10).map(move |i| (s, i)))
             .map(|(s, i)| dumps[&SiteId::new(s)][&obj(s, i)].counter)

@@ -52,16 +52,17 @@
 //!     SimTime(100),
 //!     SimDuration::from_millis(40),
 //! );
-//! let fed = SimFederation::new(cfg);
+//! let sim = SimFederation::new(cfg);
+//! let fed = sim.federation();
 //! let acct = |site: u32| ObjectId::new(u64::from(site) << 32);
 //! for s in 1..=2u32 {
-//!     fed.load_site(SiteId::new(s), &[(acct(s), Value::counter(100))]);
+//!     fed.load_site(SiteId::new(s), &[(acct(s), Value::counter(100))]).unwrap();
 //! }
 //! let program = BTreeMap::from([
 //!     (SiteId::new(1), vec![Operation::Increment { obj: acct(1), delta: -25 }]),
 //!     (SiteId::new(2), vec![Operation::Increment { obj: acct(2), delta: 25 }]),
 //! ]);
-//! let report = fed.run(vec![(SimDuration::ZERO, program)]);
+//! let report = sim.run(vec![(SimDuration::ZERO, program)]);
 //! // The crash forced a global abort; atomicity held (nothing applied).
 //! assert_eq!(report.outcomes[&GlobalTxnId::new(1)], GlobalVerdict::Abort);
 //! assert!(report.unresolved.is_empty());

@@ -32,12 +32,12 @@ fn run_with(
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(30_000);
     let fed = SimFederation::new(cfg);
+    let federation = fed.federation();
     for s in 1..=2u32 {
         let data: Vec<(ObjectId, Value)> =
             (0..5).map(|i| (obj(s, i), Value::counter(100))).collect();
-        fed.load_site(SiteId::new(s), &data);
+        federation.load_site(SiteId::new(s), &data).unwrap();
     }
-    let managers = fed.managers();
     // Disjoint objects per transaction: the discrete-event driver is
     // single-threaded, so programs must not conflict at L0 (see the
     // simdrive module docs); contention belongs to the threaded driver.
@@ -65,7 +65,7 @@ fn run_with(
         })
         .collect();
     let report = fed.run(programs);
-    let dumps = SimFederation::dumps(&managers);
+    let dumps = federation.dumps().unwrap();
     (report, dumps)
 }
 

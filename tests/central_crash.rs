@@ -57,14 +57,14 @@ fn run(
     );
     cfg.horizon = SimDuration::from_millis(10_000);
     let fed = SimFederation::new(cfg);
+    let federation = fed.federation();
     for s in 1..=2u32 {
         let data: Vec<(ObjectId, Value)> =
             (0..4).map(|i| (obj(s, i), Value::counter(100))).collect();
-        fed.load_site(SiteId::new(s), &data);
+        federation.load_site(SiteId::new(s), &data).unwrap();
     }
-    let managers = fed.managers();
     let report = fed.run(vec![(SimDuration::ZERO, transfer(0))]);
-    let dumps = SimFederation::dumps(&managers);
+    let dumps = federation.dumps().unwrap();
     (report, dumps)
 }
 
@@ -156,12 +156,12 @@ fn client_requests_during_central_outage_are_served_after_restart() {
     cfg.faults =
         FaultPlan::none().outage(SiteId::CENTRAL, SimTime(10), SimDuration::from_millis(20));
     let fed = SimFederation::new(cfg);
+    let federation = fed.federation();
     for s in 1..=2u32 {
         let data: Vec<(ObjectId, Value)> =
             (0..4).map(|i| (obj(s, i), Value::counter(100))).collect();
-        fed.load_site(SiteId::new(s), &data);
+        federation.load_site(SiteId::new(s), &data).unwrap();
     }
-    let managers = fed.managers();
     // This transaction arrives while the central system is down.
     let report = fed.run(vec![(SimDuration::from_millis(5), transfer(1))]);
     assert_eq!(
@@ -170,7 +170,7 @@ fn client_requests_during_central_outage_are_served_after_restart() {
         "request queued during the outage commits after restart: {:?}",
         report.unresolved
     );
-    let dumps = SimFederation::dumps(&managers);
+    let dumps = federation.dumps().unwrap();
     assert_eq!(dumps[&SiteId::new(1)][&obj(1, 1)].counter, 70);
     assert_eq!(dumps[&SiteId::new(2)][&obj(2, 1)].counter, 130);
 }
@@ -193,14 +193,14 @@ fn run_keeping_the_federation(
         SimDuration::from_millis(40),
     );
     let sim = SimFederation::new(cfg);
+    let fed = sim.federation();
     for s in 1..=2u32 {
         let data: Vec<(ObjectId, Value)> =
             (0..4).map(|i| (obj(s, i), Value::counter(100))).collect();
-        sim.load_site(SiteId::new(s), &data);
+        fed.load_site(SiteId::new(s), &data).unwrap();
     }
-    let (managers, fed) = (sim.managers(), sim.federation());
     let report = sim.run(programs);
-    (report, SimFederation::dumps(&managers), fed)
+    (report, fed.dumps().unwrap(), fed)
 }
 
 #[test]
@@ -219,22 +219,23 @@ fn central_crash_before_the_decision_leaves_no_l1_lock_behind() {
         assert_atomic(&report, &dumps, &format!("{protocol} early-crash"));
         // Two objects, locked at begin and again at recovery.
         assert_eq!(fed.l1_stats().requests, 4, "{protocol}");
-        assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
-        fed.l1().check_invariants().unwrap();
+        assert_eq!(fed.l1().unwrap().granted_count(), 0, "{protocol}");
+        fed.l1().unwrap().check_invariants().unwrap();
 
         // And while the central system is down there is no L1 table at all.
         let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
         cfg.faults = FaultPlan::none().crash(SiteId::CENTRAL, SimTime(100));
         cfg.horizon = SimDuration::from_millis(50);
         let sim = SimFederation::new(cfg);
-        for s in 1..=2u32 {
-            sim.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))]);
-        }
         let fed = sim.federation();
+        for s in 1..=2u32 {
+            fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(100))])
+                .unwrap();
+        }
         let report = sim.run(vec![(SimDuration::ZERO, transfer(0))]);
         assert_eq!(report.unresolved, vec![GlobalTxnId::new(1)], "{protocol}");
         assert_eq!(fed.l1_stats().requests, 2, "{protocol}");
-        assert_eq!(fed.l1().granted_count(), 0, "{protocol}");
+        assert_eq!(fed.l1().unwrap().granted_count(), 0, "{protocol}");
     }
 }
 
@@ -280,6 +281,6 @@ fn logged_commit_retakes_its_l1_locks_before_a_new_start_is_admitted() {
         "G1 ended at {g1_ended}, G2 started at {g2_first_message}"
     );
     assert!(fed.l1_stats().waits >= 1, "L1 never turned G2 away");
-    assert_eq!(fed.l1().granted_count(), 0);
-    fed.l1().check_invariants().unwrap();
+    assert_eq!(fed.l1().unwrap().granted_count(), 0);
+    fed.l1().unwrap().check_invariants().unwrap();
 }

@@ -81,15 +81,15 @@ fn run_chaos_lane(
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(30_000);
     let fed = SimFederation::new(cfg);
+    let federation = fed.federation();
     for s in 1..=2u32 {
         let data: Vec<(ObjectId, Value)> = (0..OBJS)
             .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
             .collect();
-        fed.load_site(SiteId::new(s), &data);
+        federation.load_site(SiteId::new(s), &data).unwrap();
     }
-    let managers = fed.managers();
     let report = fed.run(programs);
-    let dumps = SimFederation::dumps(&managers);
+    let dumps = federation.dumps().unwrap();
     (report, dumps)
 }
 
@@ -385,15 +385,15 @@ fn l1_contention_chaos_sweep() {
             cfg.retransmit_every = SimDuration::from_millis(5);
             cfg.horizon = SimDuration::from_millis(30_000);
             let sim = SimFederation::new(cfg);
+            let fed = sim.federation();
             for s in 1..=2u32 {
                 let data: Vec<(ObjectId, Value)> = (0..=8)
                     .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
                     .collect();
-                sim.load_site(SiteId::new(s), &data);
+                fed.load_site(SiteId::new(s), &data).unwrap();
             }
-            let (managers, fed) = (sim.managers(), sim.federation());
             let report = sim.run(programs.clone());
-            let dumps = SimFederation::dumps(&managers);
+            let dumps = fed.dumps().unwrap();
 
             let label = format!("{protocol} seed {seed}");
             let context = || {
@@ -442,10 +442,11 @@ fn l1_contention_chaos_sweep() {
             );
 
             fed.l1()
+                .unwrap()
                 .check_invariants()
                 .unwrap_or_else(|e| panic!("{e}: {}", context()));
             assert_eq!(
-                fed.l1().granted_count(),
+                fed.l1().unwrap().granted_count(),
                 0,
                 "leaked L1 locks: {}",
                 context()

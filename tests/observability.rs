@@ -54,11 +54,12 @@ fn run_nemesis(protocol: ProtocolKind, seed: u64) -> SimReport {
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(30_000);
     let fed = SimFederation::new(cfg);
+    let federation = fed.federation();
     for s in 1..=2u32 {
         let data: Vec<(ObjectId, Value)> = (0..OBJS)
             .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
             .collect();
-        fed.load_site(SiteId::new(s), &data);
+        federation.load_site(SiteId::new(s), &data).unwrap();
     }
     fed.run(programs())
 }
@@ -114,11 +115,12 @@ fn timelines_cover_every_transaction_and_blocking_is_2pc_only() {
     for protocol in ProtocolKind::ALL {
         let cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
         let fed = SimFederation::new(cfg);
+        let federation = fed.federation();
         for s in 1..=2u32 {
             let data: Vec<(ObjectId, Value)> = (0..OBJS)
                 .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
                 .collect();
-            fed.load_site(SiteId::new(s), &data);
+            federation.load_site(SiteId::new(s), &data).unwrap();
         }
         let report = fed.run(programs());
         assert!(report.errors.is_empty(), "{protocol}: {:?}", report.errors);
@@ -167,8 +169,11 @@ fn event_log_reconstructs_the_skip_decision_log_bug_as_a_causal_chain() {
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(5_000);
     let fed = SimFederation::new(cfg);
+    let federation = fed.federation();
     for s in 1..=2u32 {
-        fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(PER_OBJ))]);
+        federation
+            .load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(PER_OBJ))])
+            .unwrap();
     }
     let program = BTreeMap::from([
         (
@@ -247,8 +252,11 @@ fn decision_log_force_survives_the_same_crash() {
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(5_000);
     let fed = SimFederation::new(cfg);
+    let federation = fed.federation();
     for s in 1..=2u32 {
-        fed.load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(PER_OBJ))]);
+        federation
+            .load_site(SiteId::new(s), &[(obj(s, 0), Value::counter(PER_OBJ))])
+            .unwrap();
     }
     let program = BTreeMap::from([
         (

@@ -32,13 +32,13 @@ fn run_bank(protocol: ProtocolKind, plan: FaultPlan, seed: u64) -> (i64, usize) 
     cfg.retransmit_every = SimDuration::from_millis(5);
     cfg.horizon = SimDuration::from_millis(30_000);
     let fed = SimFederation::new(cfg);
+    let federation = fed.federation();
     for s in 1..=2u32 {
         let data: Vec<(ObjectId, Value)> = (0..OBJS)
             .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
             .collect();
-        fed.load_site(SiteId::new(s), &data);
+        federation.load_site(SiteId::new(s), &data).unwrap();
     }
-    let managers = fed.managers();
     let programs = (0..OBJS)
         .map(|i| {
             (
@@ -63,7 +63,7 @@ fn run_bank(protocol: ProtocolKind, plan: FaultPlan, seed: u64) -> (i64, usize) 
         })
         .collect();
     let report = fed.run(programs);
-    let dumps = SimFederation::dumps(&managers);
+    let dumps = federation.dumps().unwrap();
     let total = (1..=2u32)
         .flat_map(|s| (0..OBJS).map(move |i| (s, i)))
         .map(|(s, i)| dumps[&SiteId::new(s)][&obj(s, i)].counter)

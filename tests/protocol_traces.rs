@@ -23,17 +23,16 @@ fn obj(site: u32, i: u64) -> ObjectId {
 fn sim(protocol: ProtocolKind, failures: FaultPlan) -> SimFederation {
     let mut cfg = SimConfig::new(FederationConfig::uniform(2, protocol));
     cfg.faults = failures;
-    let fed = SimFederation::new(cfg);
+    let sim = SimFederation::new(cfg);
+    let fed = sim.federation();
     for s in 1..=2u32 {
-        fed.load_site(
-            SiteId::new(s),
-            &[
-                (obj(s, 0), Value::counter(100)),
-                (obj(s, 1), Value::counter(100)),
-            ],
-        );
+        let data = [
+            (obj(s, 0), Value::counter(100)),
+            (obj(s, 1), Value::counter(100)),
+        ];
+        fed.load_site(SiteId::new(s), &data).unwrap();
     }
-    fed
+    sim
 }
 
 fn transfer() -> BTreeMap<SiteId, Vec<Operation>> {
@@ -327,8 +326,10 @@ fn fast_path_single_site_trace_is_two_messages() {
         SimConfig::new(FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit).with_fast_path());
     cfg.faults = FaultPlan::none();
     let fed = SimFederation::new(cfg);
-    fed.load_site(SiteId::new(2), &[(obj(2, 0), Value::counter(100))]);
-    let managers = fed.managers();
+    let federation = fed.federation();
+    federation
+        .load_site(SiteId::new(2), &[(obj(2, 0), Value::counter(100))])
+        .unwrap();
     let mut program = transfer();
     program.remove(&SiteId::new(1));
     let report = fed.run(vec![(SimDuration::ZERO, program)]);
@@ -339,7 +340,7 @@ fn fast_path_single_site_trace_is_two_messages() {
     );
     assert_eq!(report.net.sent, 2);
     assert_eq!(report.outcomes[&G1], GlobalVerdict::Commit);
-    let dumps = SimFederation::dumps(&managers);
+    let dumps = federation.dumps().unwrap();
     assert_eq!(dumps[&SiteId::new(2)][&obj(2, 0)], Value::counter(130));
 }
 
