@@ -17,16 +17,23 @@
 //! lock manager — so lock waits, modelled op service time, and commit-record
 //! forces no longer serialize unrelated transactions (E9 measures exactly
 //! this). Internal lock order: `txns` → `store` → `wal`; page locks are
-//! acquired while holding none of the three. Strict 2PL is what keeps the
-//! out-of-mutex WAL appends sound: conflicting updates are ordered by their
-//! page lock, which is held past the append, so the log orders every
-//! conflicting pair exactly as the store applied them.
+//! acquired while holding none of the three. An update is applied and its
+//! record appended in one `store` critical section, and the store stamps
+//! the record's LSN on every page the update dirtied: no page is written
+//! back before the log is durable through it (the write-ahead rule).
+//!
+//! An in-memory log is cut behind a checkpoint: once the stable log grew
+//! by the pool's size in bytes since the last cut, the committing thread
+//! forces the log, writes every dirty page back and drops the records no
+//! restart can need (see [`LogManager::cut_point`]). A durable log is never
+//! cut: the page store does not outlive its process, so a restart redoes
+//! from the log's origin.
 
 use crate::api::{
     first_id_after, EngineStats, LocalEngine, PreparableEngine, RecoveryReport, Terminated,
 };
 use amc_lock::{blocking::AcquireResult, BlockingLockManager, PageMode};
-use amc_storage::{buffer::BufferStats, disk::DiskStats, PageStore};
+use amc_storage::{buffer::BufferStats, disk::DiskStats, PageStore, PAGE_SIZE};
 use amc_types::{
     AbortReason, AmcError, AmcResult, GlobalTxnId, LocalRunState, LocalTxnId, ObjectId, OpResult,
     Operation, PageId, SiteId, Value,
@@ -34,7 +41,7 @@ use amc_types::{
 use amc_wal::{GroupCommitConfig, GroupCommitter, LogManager, LogRecord};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,11 +129,22 @@ pub struct TwoPLEngine {
     /// The site this engine serves, carried in `SiteDown` errors so report
     /// tables attribute failures to the real site (0 = unattached).
     site: AtomicU32,
+    /// The log's `stable_bytes` at which the next cut is due; never, for
+    /// a durable log.
+    next_cut: AtomicU64,
 }
 
 impl TwoPLEngine {
     /// An engine over a fresh simulated disk and `log`, serving `site`.
     fn over(cfg: TplConfig, site: SiteId, log: LogManager, up: bool) -> Self {
+        let next_cut = if log.is_durable() {
+            u64::MAX
+        } else {
+            Self::cut_every(&cfg)
+        };
+        let wal = Arc::new(GroupCommitter::new(log, cfg.group_commit));
+        let mut store = PageStore::new(cfg.buckets, cfg.pool_frames);
+        store.follow(wal.clone());
         TwoPLEngine {
             txns: Mutex::new(TxnTable {
                 active: HashMap::new(),
@@ -135,12 +153,50 @@ impl TwoPLEngine {
                 up,
                 stats: EngineStats::default(),
             }),
-            store: Mutex::new(PageStore::new(cfg.buckets, cfg.pool_frames)),
-            wal: Arc::new(GroupCommitter::new(log, cfg.group_commit)),
+            store: Mutex::new(store),
+            wal,
             locks: BlockingLockManager::new(cfg.deadlock_check),
             cfg,
             site: AtomicU32::new(site.raw()),
+            next_cut: AtomicU64::new(next_cut),
         }
+    }
+
+    /// Stable log bytes between cuts: the buffer pool's size.
+    fn cut_every(cfg: &TplConfig) -> u64 {
+        (cfg.pool_frames * PAGE_SIZE) as u64
+    }
+
+    /// Cut the log if it grew by [`TwoPLEngine::cut_every`] since the last
+    /// cut: under `store`, note where it may be cut, force it through the
+    /// head, write every dirty page back, and drop what precedes the cut.
+    /// Called by a committer that holds no component mutex.
+    fn cut_if_due(&self) {
+        let due = || self.wal.stable_bytes() >= self.next_cut.load(Ordering::Relaxed);
+        if !due() {
+            return;
+        }
+        let txns = self.txns.lock();
+        if !txns.up {
+            return;
+        }
+        // Holding `store` keeps a crash out until the cut is done: the
+        // crash takes it to drop the pool, and the log with it.
+        let mut store = self.store.lock();
+        drop(txns);
+        if !due() {
+            return; // another committer cut first
+        }
+        let at = self.wal.with_log(|log| log.cut_point());
+        if !self.wal.wait_durable(self.wal.mark()) || store.flush().is_err() {
+            return;
+        }
+        let grown = self.wal.with_log(|log| {
+            log.truncate_before(at);
+            log.stats().stable_bytes
+        });
+        self.next_cut
+            .store(grown + Self::cut_every(&self.cfg), Ordering::Relaxed);
     }
 
     /// A fresh engine over a fresh simulated disk, serving `site`.
@@ -205,23 +261,21 @@ impl TwoPLEngine {
             txns.next_txn += 1;
             t
         };
-        {
-            let mut store = self.store.lock();
-            for (o, v) in data {
-                let before = store.put(o, v)?;
-                self.wal.append(&LogRecord::Update {
-                    txn,
-                    obj: o,
-                    before,
-                    after: Some(v),
-                });
-            }
-            store.flush()?;
+        let mut store = self.store.lock();
+        for (o, v) in data {
+            let before = store.put(o, v)?;
+            store.stamp(self.wal.append(&LogRecord::Update {
+                txn,
+                obj: o,
+                before,
+                after: Some(v),
+            }));
         }
+        // Committed first, so the flush finds every record durable.
         if !self.wal.append_durable(&LogRecord::Commit { txn }) {
             return Err(self.site_down());
         }
-        Ok(())
+        store.flush()
     }
 
     /// Roll back and terminate `txn`; must be called *without* any engine
@@ -238,12 +292,12 @@ impl TwoPLEngine {
             let mut store = self.store.lock();
             for &(obj, before, after) in ctx.undo.iter().rev() {
                 store.update(obj, |_| Ok(before))?;
-                self.wal.append(&LogRecord::Update {
+                store.stamp(self.wal.append(&LogRecord::Update {
                     txn,
                     obj,
                     before: after,
                     after: before,
-                });
+                }));
             }
         }
         if was_prepared {
@@ -277,13 +331,17 @@ impl TwoPLEngine {
         let victims: Vec<LocalTxnId> = {
             let mut txns = self.txns.lock();
             txns.up = false;
-            self.store.lock().crash();
+            // The pool and the log tail go together: no one holding the
+            // store sees one crashed and not the other.
+            let mut store = self.store.lock();
+            store.crash();
             // Waking parked committers (epoch bump) happens here, while the
             // liveness flag is already down — they fail with SiteDown.
             match partial {
                 Some((keep, torn)) => self.wal.crash_during_force(keep as usize, torn),
                 None => self.wal.crash(),
             }
+            drop(store);
             let victims: Vec<LocalTxnId> = txns.active.keys().copied().collect();
             for t in &victims {
                 let ctx = txns.active.remove(t).expect("listed");
@@ -377,16 +435,26 @@ impl LocalEngine for TwoPLEngine {
             std::thread::sleep(self.cfg.op_service_time);
         }
 
-        // Phase 3: apply to the store, then log + register undo under the
-        // transaction table. The page lock (held past commit) orders every
-        // conflicting pair identically in the store and the log; a crash
-        // between the two phases is driver-initiated and quiesced in both
-        // runtimes, so the store image cannot outlive its log record.
+        // Phase 3: apply and log in one store critical section, stamping
+        // the record on the pages the update dirtied; then register undo
+        // under the transaction table. The page lock (held past commit)
+        // orders every conflicting pair identically in the store and the
+        // log.
         let obj = op.object();
         let applied = if op.is_update() {
             // One chain walk: the transition runs where the object is found.
             let mut store = self.store.lock();
-            store.update(obj, |found| op.applied_to(found))
+            let applied = store.update(obj, |found| op.applied_to(found));
+            if let Ok((before, after)) = applied {
+                let record = LogRecord::Update {
+                    txn,
+                    obj,
+                    before,
+                    after,
+                };
+                store.stamp(self.wal.append(&record));
+            }
+            applied
         } else {
             let found = self.store.lock().get(obj);
             let seen = found.and_then(|found| op.applied_to(found));
@@ -413,12 +481,6 @@ impl LocalEngine for TwoPLEngine {
                 return Err(AmcError::UnknownTxn);
             };
             ctx.undo.push((obj, before, after));
-            self.wal.append(&LogRecord::Update {
-                txn,
-                obj,
-                before,
-                after,
-            });
             return Ok(OpResult::Done);
         }
         Ok(OpResult::Value(after.expect("a read leaves what it found")))
@@ -459,6 +521,9 @@ impl LocalEngine for TwoPLEngine {
         };
         if let Some(ctx) = ctx {
             self.locks.release(txn, &ctx.held);
+        }
+        if logged {
+            self.cut_if_due();
         }
         Ok(())
     }
@@ -1526,6 +1591,293 @@ mod tests {
         let report = e.recover().unwrap();
         assert!(report.in_doubt.is_empty(), "{report:?}");
         assert_eq!(e.dump().unwrap().get(&obj(1)), Some(&v(10)));
+    }
+
+    /// An uncommitted write that eviction steals to the disk does not
+    /// survive a crash: its page goes to the disk only behind its durable
+    /// log record, which recovery then undoes.
+    #[test]
+    fn a_stolen_uncommitted_write_is_undone_after_a_crash() {
+        let cfg = TplConfig {
+            buckets: 4,
+            pool_frames: 2,
+            ..TplConfig::default()
+        };
+        let e = TwoPLEngine::new(cfg);
+        e.load((0..3000).map(|o| (obj(o), v(10)))).unwrap();
+        let t = e.begin().unwrap();
+        let write = Op::Write {
+            obj: obj(1),
+            value: v(42),
+        };
+        e.execute(t, &write).unwrap();
+        // Reads of every other page evict T's dirty frame.
+        let writebacks = e.io_stats().1.writebacks;
+        let page = |o: u64| PageStore::bucket_page(4, obj(o));
+        let reader = e.begin().unwrap();
+        for o in (2..3000).filter(|o| page(*o) != page(1)) {
+            e.execute(reader, &Op::Read { obj: obj(o) }).unwrap();
+        }
+        assert!(e.io_stats().1.writebacks > writebacks, "T's page was stolen");
+        e.crash();
+        let report = e.recover().unwrap();
+        assert_eq!(e.dump().unwrap()[&obj(1)], v(10));
+        assert_eq!(report.rolled_back, vec![t]);
+    }
+
+    /// Bytes the stable log holds.
+    fn log_bytes(e: &TwoPLEngine) -> u64 {
+        let s = e.log_stats();
+        s.stable_bytes - s.truncated_bytes
+    }
+
+    /// A 2-frame pool cuts its log every 8 KB. A seeded mix of
+    /// transactions that commit, abort, or prepare and then hear a
+    /// decision runs through more than ten cuts, crashing every 50th step
+    /// and right after each cut that open transactions with writes span.
+    /// After each recovery the dump equals the model (committed state plus
+    /// what the in-doubt transactions wrote), the in-doubt transactions
+    /// hold exactly the pages they wrote, and the stable log never exceeds
+    /// twice the pool.
+    #[test]
+    fn crashes_across_cuts_recover_the_model_and_keep_the_log_short() {
+        #[derive(PartialEq)]
+        enum Phase {
+            Running,
+            Prepared,
+        }
+        struct Open {
+            txn: LocalTxnId,
+            phase: Phase,
+            /// What it wrote: the value each object holds in its view.
+            writes: BTreeMap<ObjectId, Option<Value>>,
+            /// Pages it touched, so no other open transaction waits on it.
+            pages: Vec<PageId>,
+        }
+        let cfg = TplConfig {
+            buckets: 8,
+            pool_frames: 2,
+            ..TplConfig::default()
+        };
+        let buckets = cfg.buckets;
+        let bound = 2 * TwoPLEngine::cut_every(&cfg);
+        let e = TwoPLEngine::new(cfg);
+        let mut model: BTreeMap<ObjectId, Value> = (0..400).map(|o| (obj(o), v(0))).collect();
+        e.load(model.iter().map(|(o, val)| (*o, *val))).unwrap();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let mut open: Vec<Open> = Vec::new();
+        let (mut cuts, mut truncated, mut crashes) = (0, 0, 0);
+        // Open transactions with writes at the last cut, and the crashes
+        // that found one of them still running or prepared.
+        let (mut spanning, mut crash_next) = (Vec::new(), false);
+        let (mut killed_across, mut in_doubt_across) = (0, 0);
+        for step in 1..=5_000u64 {
+            if step % 50 == 0 || std::mem::take(&mut crash_next) {
+                e.crash();
+                crashes += 1;
+                for o in open.iter().filter(|o| spanning.contains(&o.txn)) {
+                    match o.phase {
+                        Phase::Running => killed_across += 1,
+                        Phase::Prepared => in_doubt_across += 1,
+                    }
+                }
+                open.retain(|o| o.phase == Phase::Prepared);
+                let report = e.recover().unwrap();
+                let mut expect: Vec<LocalTxnId> = open.iter().map(|o| o.txn).collect();
+                expect.sort();
+                assert_eq!(report.in_doubt, expect, "step {step}");
+                let mut view = model.clone();
+                let mut locked = 0;
+                for o in &open {
+                    for (obj, val) in &o.writes {
+                        match val {
+                            Some(val) => view.insert(*obj, *val),
+                            None => view.remove(obj),
+                        };
+                    }
+                    let mut wrote: Vec<PageId> = o
+                        .writes
+                        .keys()
+                        .map(|obj| PageStore::bucket_page(buckets, *obj))
+                        .collect();
+                    wrote.sort();
+                    wrote.dedup();
+                    let mut held = e.txns.lock().active[&o.txn].held.clone();
+                    held.sort();
+                    assert_eq!(held, wrote, "step {step}: {}'s page locks", o.txn);
+                    locked += wrote.len();
+                }
+                assert_eq!(e.locks.granted_count(), locked, "step {step}");
+                assert_eq!(e.dump().unwrap(), view, "step {step}");
+            } else if open.len() < 3 && next(3) == 0 {
+                let txn = e.begin().unwrap();
+                let (writes, pages) = (BTreeMap::new(), Vec::new());
+                let phase = Phase::Running;
+                open.push(Open {
+                    txn,
+                    phase,
+                    writes,
+                    pages,
+                });
+            } else if !open.is_empty() {
+                let i = next(open.len() as u64) as usize;
+                let roll = next(100);
+                // An object on no page another open transaction touched.
+                let free = |o: &ObjectId| {
+                    let page = PageStore::bucket_page(buckets, *o);
+                    let mine = |j: usize| j == i || !open[j].pages.contains(&page);
+                    (0..open.len()).all(mine)
+                };
+                let target = (0..20).map(|_| obj(next(500))).find(free);
+                let t = &mut open[i];
+                if let Some(o) = target.filter(|_| t.phase == Phase::Running && roll < 60) {
+                    let seen = t.writes.get(&o).copied().unwrap_or(model.get(&o).copied());
+                    let op = match (seen, next(4)) {
+                        (None, _) => Op::Insert {
+                            obj: o,
+                            value: v(next(1000) as i64),
+                        },
+                        (Some(_), 0) => Op::Read { obj: o },
+                        (Some(_), 1) => Op::Delete { obj: o },
+                        (Some(_), 2) => Op::Write {
+                            obj: o,
+                            value: v(next(1000) as i64),
+                        },
+                        (Some(_), _) => Op::Increment {
+                            obj: o,
+                            delta: next(9) as i64 - 4,
+                        },
+                    };
+                    e.execute(t.txn, &op).unwrap();
+                    t.pages.push(PageStore::bucket_page(buckets, o));
+                    if op.is_update() {
+                        t.writes.insert(o, op.applied_to(seen).unwrap());
+                    }
+                } else if t.phase == Phase::Running && roll < 75 {
+                    e.prepare(t.txn).unwrap();
+                    t.phase = Phase::Prepared;
+                } else if roll < 85 {
+                    e.abort(t.txn, AbortReason::Intended).unwrap();
+                    open.remove(i);
+                } else {
+                    e.commit(t.txn).unwrap();
+                    for (o, val) in &t.writes {
+                        match val {
+                            Some(val) => model.insert(*o, *val),
+                            None => model.remove(o),
+                        };
+                    }
+                    open.remove(i);
+                }
+            }
+            let now = e.log_stats().truncated_bytes;
+            if now > truncated {
+                cuts += 1;
+                truncated = now;
+                let wrote = open.iter().filter(|o| !o.writes.is_empty());
+                spanning = wrote.map(|o| o.txn).collect();
+                crash_next = !spanning.is_empty();
+            }
+            assert!(log_bytes(&e) <= bound, "step {step}: {} B", log_bytes(&e));
+        }
+        assert!(cuts >= 10, "{cuts} cuts");
+        assert!(crashes > 100, "{crashes} crashes");
+        assert!(killed_across > 0 && in_doubt_across > 0, "crashes across cuts");
+    }
+
+    /// A co-located acceptor's rows share the log: no cut passes the
+    /// first, so a remount replays them all.
+    #[test]
+    fn cuts_keep_every_acceptor_row() {
+        use amc_types::{Ballot, GlobalVerdict};
+        let e = TwoPLEngine::new(TplConfig {
+            pool_frames: 2,
+            ..TplConfig::default()
+        });
+        e.load((0..64).map(|o| (obj(o), v(0)))).unwrap();
+        let bump = |n: u64| {
+            let t = e.begin().unwrap();
+            let inc = Op::Increment {
+                obj: obj(n % 64),
+                delta: 1,
+            };
+            e.execute(t, &inc).unwrap();
+            e.commit(t).unwrap();
+        };
+        // Cut before the first row ...
+        (0..200).for_each(bump);
+        let cut = e.log_stats().truncated_bytes;
+        assert!(cut > 0, "the log was cut");
+        let acceptor_rows = |e: &TwoPLEngine| -> Vec<LogRecord> {
+            let records = e.wal.with_log(|log| log.stable_records()).unwrap();
+            let rows = records.into_iter().map(|(_, r)| r);
+            rows.filter(|r| r.txn().is_none() && !matches!(r, LogRecord::Checkpoint { .. }))
+                .collect()
+        };
+        // ... and never past it.
+        let mut rows = Vec::new();
+        for n in 200..600u64 {
+            if n % 40 == 0 {
+                let gtx = GlobalTxnId::new(n);
+                let row = match n % 80 {
+                    0 => LogRecord::Accept {
+                        gtx,
+                        site: SiteId::new(1),
+                        ballot: Ballot::ZERO,
+                        prepared: true,
+                    },
+                    _ => LogRecord::Decision {
+                        gtx,
+                        verdict: GlobalVerdict::Commit,
+                    },
+                };
+                assert!(e.wal().append_durable(&row));
+                rows.push(row);
+            }
+            bump(n);
+        }
+        assert_eq!(acceptor_rows(&e), rows);
+        e.crash();
+        e.recover().unwrap();
+        assert_eq!(acceptor_rows(&e), rows);
+        let total: i64 = e.dump().unwrap().values().map(|val| val.counter).sum();
+        assert_eq!(total, 600);
+    }
+
+    /// A loser of one recovery is undone once: a second crash, after a
+    /// later transaction committed over the same object, redoes that
+    /// commit and leaves the loser alone.
+    #[test]
+    fn a_loser_is_not_undone_again_by_a_later_recovery() {
+        let e = engine_with(&[(1, 10), (2, 0)]);
+        let loser = e.begin().unwrap();
+        let write = |val| Op::Write {
+            obj: obj(1),
+            value: v(val),
+        };
+        e.execute(loser, &write(20)).unwrap();
+        // Another commit forces the loser's record with its own.
+        let other = e.begin().unwrap();
+        let bump = Op::Increment {
+            obj: obj(2),
+            delta: 1,
+        };
+        e.execute(other, &bump).unwrap();
+        e.commit(other).unwrap();
+        e.crash();
+        assert_eq!(e.recover().unwrap().rolled_back, vec![loser]);
+        let t = e.begin().unwrap();
+        e.execute(t, &write(30)).unwrap();
+        e.commit(t).unwrap();
+        e.crash();
+        assert!(e.recover().unwrap().rolled_back.is_empty());
+        assert_eq!(e.dump().unwrap()[&obj(1)], v(30));
     }
 
     #[test]

@@ -400,6 +400,13 @@ impl LocalCommManager {
     /// Restored slots are flagged so the message that settles one emits an
     /// `InDoubtResolved` event.
     ///
+    /// Over an in-memory log that a checkpoint has cut, `prepared` holds
+    /// only the prepares the cut kept: every undecided one, since no cut
+    /// passes a live transaction, but not every decided one.
+    /// `Fleet::restart_site` and the in-process runtimes keep their
+    /// manager across an engine restart; the managers rebuilt here are a
+    /// durable site's, whose log is never cut, and test harnesses'.
+    ///
     /// Returns the number of slots restored.
     pub fn restore_work(&self, prepared: &[(GlobalTxnId, LocalTxnId)]) -> AmcResult<u64> {
         let committed = self

@@ -15,10 +15,30 @@
 //! Access is scoped: `BufferPool::with_page` lends a frame to a closure
 //! while holding `&mut self`, so eviction can never pull a page out from
 //! under an in-flight operation.
+//!
+//! Write-ahead: each frame keeps the LSN of the newest log record that
+//! describes a change to it (`BufferPool::stamp`, beside the image, not in
+//! it), and a dirty frame is written back — evicted or flushed — only once
+//! the pool's [`WriteAhead`] log is durable through that LSN.
 
 use crate::disk::StableStorage;
 use crate::page::Page;
-use amc_types::{AmcError, AmcResult, PageId};
+use amc_types::{AmcError, AmcResult, Lsn, PageId};
+use std::sync::Arc;
+
+/// The log a pool's dirty frames wait for: no page is written back ahead
+/// of the records that describe it.
+pub trait WriteAhead: Send + Sync {
+    /// Return once the log is durable through `lsn`, forcing it if it is
+    /// not yet; `false` when it never will be (a crash took the records).
+    fn force_through(&self, lsn: Lsn) -> bool;
+}
+
+impl std::fmt::Debug for dyn WriteAhead {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("WriteAhead")
+    }
+}
 
 /// A [`BufferPool::slot_of`] entry for a page with no frame.
 const NOT_RESIDENT: u32 = u32::MAX;
@@ -40,6 +60,8 @@ pub struct BufferStats {
 struct Frame {
     page: Page,
     referenced: bool,
+    /// The newest log record that describes a change to this frame.
+    lsn: Lsn,
 }
 
 /// A fixed-capacity buffer pool over one [`StableStorage`].
@@ -53,6 +75,12 @@ pub(crate) struct BufferPool {
     slot_of: Vec<u32>,
     hand: usize,
     stats: BufferStats,
+    /// Slots changed since the last `stamp`: the operation in progress,
+    /// whose record is not appended yet.
+    changed: Vec<u32>,
+    /// What a dirty frame waits for before it is written back; none for a
+    /// store no log describes.
+    wal: Option<Arc<dyn WriteAhead>>,
 }
 
 impl BufferPool {
@@ -65,6 +93,21 @@ impl BufferPool {
             slot_of: Vec::new(),
             hand: 0,
             stats: BufferStats::default(),
+            changed: Vec::new(),
+            wal: None,
+        }
+    }
+
+    /// Write no dirty frame back before `wal` is durable through its LSN.
+    pub(crate) fn follow(&mut self, wal: Arc<dyn WriteAhead>) {
+        self.wal = Some(wal);
+    }
+
+    /// `lsn` is the record that describes what changed since the last
+    /// stamp: note it on every frame those changes dirtied.
+    pub(crate) fn stamp(&mut self, lsn: Lsn) {
+        for slot in self.changed.drain(..) {
+            self.frames[slot as usize].lsn = lsn;
         }
     }
 
@@ -86,7 +129,11 @@ impl BufferPool {
         let slot = self.fault_in(id, disk)?;
         let frame = &mut self.frames[slot];
         frame.referenced = true;
-        Ok(f(&mut frame.page))
+        let (out, changed) = frame.page.changed_by(f);
+        if changed && !self.changed.contains(&(slot as u32)) {
+            self.changed.push(slot as u32);
+        }
+        Ok(out)
     }
 
     /// Bounded retries against injected transient read errors before the
@@ -113,11 +160,16 @@ impl BufferPool {
             self.frames.push(Frame {
                 page,
                 referenced: true,
+                lsn: Lsn::ZERO,
             });
             self.frames.len() - 1
         } else {
             let slot = self.pick_victim();
             self.write_back(slot, disk)?;
+            // The victim is clean now: no stamp, old or pending, passes to
+            // the page this slot holds next.
+            self.changed.retain(|s| *s as usize != slot);
+            self.frames[slot].lsn = Lsn::ZERO;
             // A failed read leaves the victim resident (and now clean).
             let page = &mut self.frames[slot].page;
             let victim = page.id();
@@ -159,26 +211,39 @@ impl BufferPool {
         }
     }
 
-    /// Write the frame in `slot` back if it is dirty.
+    /// Write the frame in `slot` back if it is dirty, once the log is
+    /// durable through the frame's LSN.
     fn write_back(&mut self, slot: usize, disk: &mut StableStorage) -> AmcResult<()> {
-        let page = &mut self.frames[slot].page;
-        if page.is_dirty() {
-            disk.write_page(page)?;
-            page.written_back();
-            self.stats.writebacks += 1;
+        let Frame { page, lsn, .. } = &mut self.frames[slot];
+        if !page.is_dirty() {
+            return Ok(());
         }
+        if let Some(wal) = self.wal.as_ref().filter(|_| *lsn > Lsn::ZERO) {
+            if !wal.force_through(*lsn) {
+                return Err(AmcError::InvalidState(format!(
+                    "page {}: the log lost record {lsn} that describes it",
+                    page.id()
+                )));
+            }
+        }
+        disk.write_page(page)?;
+        page.written_back();
+        self.stats.writebacks += 1;
         Ok(())
     }
 
     /// Write every dirty frame back (checkpoint).
     pub(crate) fn flush_all(&mut self, disk: &mut StableStorage) -> AmcResult<()> {
-        (0..self.frames.len()).try_for_each(|slot| self.write_back(slot, disk))
+        (0..self.frames.len()).try_for_each(|slot| self.write_back(slot, disk))?;
+        self.changed.clear();
+        Ok(())
     }
 
     /// Crash: lose every frame, dirty or not. Stable storage is untouched.
     pub(crate) fn crash(&mut self) {
         self.frames.clear();
         self.slot_of.clear();
+        self.changed.clear();
         self.hand = 0;
     }
 }
@@ -369,6 +434,51 @@ mod tests {
             .unwrap();
         assert_eq!((dirty, v), (false, Some(Value::counter(7))));
         assert_eq!(pool.stats().hits, hits + 1);
+    }
+
+    /// A log that answers how far it is durable, counting forces.
+    struct Log {
+        durable: std::sync::Mutex<(Lsn, u32)>,
+    }
+
+    impl WriteAhead for Log {
+        fn force_through(&self, lsn: Lsn) -> bool {
+            let mut state = self.durable.lock().unwrap();
+            if state.0 < lsn {
+                *state = (lsn, state.1 + 1);
+            }
+            true
+        }
+    }
+
+    /// A dirty frame is written back only once the log is durable through
+    /// the record stamped on it; a clean one, or one whose record is
+    /// durable, costs no force.
+    #[test]
+    fn a_dirty_frame_waits_for_its_record() {
+        let log = Arc::new(Log {
+            durable: std::sync::Mutex::new((Lsn::ZERO, 0)),
+        });
+        let mut disk = StableStorage::new(8);
+        let mut pool = BufferPool::new(1);
+        pool.follow(log.clone());
+        let put = |pool: &mut BufferPool, disk: &mut StableStorage, page: u32, n: i64| {
+            pool.with_page(pid(page), disk, |p| {
+                p.upsert(obj(u64::from(page)), Value::counter(n)).unwrap();
+            })
+            .unwrap();
+        };
+        put(&mut pool, &mut disk, 1, 7);
+        pool.stamp(Lsn::new(5));
+        // Reading page 1 again changes nothing: the stamp stays 5.
+        pool.with_page(pid(1), &mut disk, |p| p.get(obj(1))).unwrap();
+        pool.stamp(Lsn::new(6));
+        put(&mut pool, &mut disk, 2, 8); // evicts page 1
+        assert_eq!(*log.durable.lock().unwrap(), (Lsn::new(5), 1));
+        pool.stamp(Lsn::new(3));
+        pool.flush_all(&mut disk).unwrap();
+        assert_eq!(*log.durable.lock().unwrap(), (Lsn::new(5), 1), "3 is durable");
+        assert_eq!(pool.stats().writebacks, 2);
     }
 
     #[test]

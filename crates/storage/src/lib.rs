@@ -33,4 +33,6 @@ pub mod fault;
 mod page;
 pub mod store;
 
+pub use buffer::WriteAhead;
+pub use page::PAGE_SIZE;
 pub use store::PageStore;

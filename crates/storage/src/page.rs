@@ -24,7 +24,7 @@ use crate::checksum::page_sum;
 use amc_types::{AmcError, AmcResult, ObjectId, PageId, Value};
 
 /// On-disk page size in bytes.
-pub(crate) const PAGE_SIZE: usize = 4096;
+pub const PAGE_SIZE: usize = 4096;
 /// Size of the fixed header.
 pub(crate) const HEADER_SIZE: usize = 24;
 /// Size of one packed entry.
@@ -127,6 +127,16 @@ impl Page {
     /// The buffer pool wrote this image back: it matches the disk again.
     pub(crate) fn written_back(&mut self) {
         self.dirty = false;
+    }
+
+    /// Run `f` over the page, and tell whether `f` itself changed it —
+    /// whatever earlier changes left it dirty.
+    pub(crate) fn changed_by<R>(&mut self, f: impl FnOnce(&mut Page) -> R) -> (R, bool) {
+        let earlier = std::mem::take(&mut self.dirty);
+        let out = f(self);
+        let changed = self.dirty;
+        self.dirty |= earlier;
+        (out, changed)
     }
 
     /// The packed live entries. `len() ≤ CAPACITY` holds for every image a

@@ -34,12 +34,13 @@
 //! **no transactional semantics of its own** — atomicity and durability of
 //! engine transactions come from the WAL on top.
 
-use crate::buffer::{BufferPool, BufferStats};
+use crate::buffer::{BufferPool, BufferStats, WriteAhead};
 use crate::disk::{DiskStats, StableStorage};
 use crate::page::Page;
-use amc_types::{AmcError, AmcResult, ObjectId, PageId, Value};
+use amc_types::{AmcError, AmcResult, Lsn, ObjectId, PageId, Value};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 const META_PAGE: PageId = PageId::new(0);
 const META_BUCKETS: ObjectId = ObjectId::new(0);
@@ -343,6 +344,20 @@ impl PageStore {
                 .with_page(pred, &mut self.disk, |p| p.set_overflow(Some(fresh)))?;
         }
         Ok(fresh)
+    }
+
+    /// Write no page back ahead of its log: from now on a dirty page waits
+    /// until `wal` is durable through the newest record that describes it
+    /// (see [`PageStore::stamp`]).
+    pub fn follow(&mut self, wal: Arc<dyn WriteAhead>) {
+        self.pool.follow(wal);
+    }
+
+    /// `lsn` is the log record that describes the change just made: every
+    /// page that change dirtied — the object's, and any page it linked —
+    /// is written back only once the log is durable through `lsn`.
+    pub fn stamp(&mut self, lsn: Lsn) {
+        self.pool.stamp(lsn);
     }
 
     /// Flush every dirty buffer frame (checkpoint / force).

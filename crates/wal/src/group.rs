@@ -34,9 +34,11 @@
 
 use crate::log::{LogManager, LogStats};
 use crate::record::LogRecord;
+use amc_storage::WriteAhead;
 use amc_types::Lsn;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fs::File;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Tuning for [`GroupCommitter`].
@@ -96,6 +98,9 @@ pub struct GroupCommitter {
     cfg: GroupCommitConfig,
     /// The durable sink's file: the leader fsyncs through it unlocked.
     syncer: Option<File>,
+    /// The log's `stable_bytes` as of the last force, read without the
+    /// mutex (see [`GroupCommitter::stable_bytes`]).
+    stable_bytes: AtomicU64,
 }
 
 impl GroupCommitter {
@@ -103,6 +108,7 @@ impl GroupCommitter {
     pub fn new(log: LogManager, cfg: GroupCommitConfig) -> Self {
         GroupCommitter {
             syncer: log.sync_handle(),
+            stable_bytes: AtomicU64::new(log.stats().stable_bytes),
             inner: Mutex::new(GcInner {
                 log,
                 epoch: 0,
@@ -196,6 +202,8 @@ impl GroupCommitter {
                 self.cv.notify_all();
             }
             let (records, bytes) = inner.log.force_upto(target, false);
+            let stable = inner.log.stats().stable_bytes;
+            self.stable_bytes.store(stable, Ordering::Relaxed);
             let acked = inner.pending.iter().filter(|l| **l <= target).count() as u64;
             inner.pending.retain(|l| *l > target);
             if acked > 0 {
@@ -231,6 +239,25 @@ impl GroupCommitter {
     /// Counter snapshot of the wrapped log.
     pub fn stats(&self) -> LogStats {
         self.inner.lock().log.stats()
+    }
+
+    /// Bytes made durable by group forces so far: `stats().stable_bytes`
+    /// without taking the log mutex, as of the last force.
+    pub fn stable_bytes(&self) -> u64 {
+        self.stable_bytes.load(Ordering::Relaxed)
+    }
+}
+
+/// The buffer pool's write-ahead rule: a dirty page whose records are
+/// durable goes at once; one whose are not joins (or leads) a group force.
+impl WriteAhead for GroupCommitter {
+    fn force_through(&self, lsn: Lsn) -> bool {
+        let inner = self.inner.lock();
+        if inner.log.head() < lsn {
+            return false;
+        }
+        let epoch = inner.epoch;
+        self.durable_through(inner, Mark { lsn, epoch })
     }
 }
 

@@ -11,7 +11,8 @@
 use crate::durable::{split_frame, DurableFile};
 use crate::record::LogRecord;
 use amc_obs::{EventKind, ObsSink};
-use amc_types::{AmcResult, Lsn, SiteId};
+use amc_types::{AmcResult, LocalTxnId, Lsn, SiteId};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Log I/O accounting.
@@ -31,6 +32,10 @@ pub struct LogStats {
     /// `batched_commits > group_forces`, at least one force carried more
     /// than one commit — the group-commit win E9 measures.
     pub batched_commits: u64,
+    /// Stable bytes truncated away: cut behind a checkpoint, or a torn
+    /// final frame. `stable_bytes - truncated_bytes` is what the stable
+    /// log holds.
+    pub truncated_bytes: u64,
 }
 
 amc_types::wire_struct!(LogStats {
@@ -40,6 +45,7 @@ amc_types::wire_struct!(LogStats {
     stable_bytes: u64,
     group_forces: u64,
     batched_commits: u64,
+    truncated_bytes: u64,
 });
 
 impl std::ops::AddAssign for LogStats {
@@ -53,6 +59,7 @@ impl std::ops::AddAssign for LogStats {
             stable_bytes,
             group_forces,
             batched_commits,
+            truncated_bytes,
         } = other;
         self.appends += appends;
         self.forces += forces;
@@ -60,6 +67,7 @@ impl std::ops::AddAssign for LogStats {
         self.stable_bytes += stable_bytes;
         self.group_forces += group_forces;
         self.batched_commits += batched_commits;
+        self.truncated_bytes += truncated_bytes;
     }
 }
 
@@ -80,6 +88,14 @@ struct Frames {
 impl Frames {
     fn len(&self) -> usize {
         self.len
+    }
+
+    /// The first `n` frames dropped; answers their bytes.
+    fn drop_front(&mut self, n: usize) -> u64 {
+        let gone: usize = self.iter().take(n).map(<[u8]>::len).sum();
+        let kept: Frames = self.iter().skip(n).collect();
+        *self = kept;
+        gone as u64
     }
 
     fn push(&mut self, frame: &[u8]) {
@@ -147,6 +163,12 @@ pub struct LogManager {
     /// Whether [`LogManager::open_durable`] truncated a torn final frame
     /// off the file; folded into the recovery outcome.
     torn_at_open: bool,
+    /// The first LSN of every local transaction with no `Commit` or
+    /// `Abort` record yet (a `Prepare` keeps it here): no cut passes one.
+    live: BTreeMap<LocalTxnId, Lsn>,
+    /// The first acceptor row. A mounted acceptor replays every row, so
+    /// no cut passes it.
+    acceptor_floor: Option<Lsn>,
 }
 
 impl LogManager {
@@ -213,7 +235,43 @@ impl LogManager {
     pub fn append(&mut self, record: &LogRecord) -> Lsn {
         self.tail.push(record.encode());
         self.stats.appends += 1;
-        self.head()
+        let lsn = self.head();
+        match (record, record.txn()) {
+            (LogRecord::Commit { .. } | LogRecord::Abort { .. }, Some(txn)) => {
+                self.live.remove(&txn);
+            }
+            (_, Some(txn)) => {
+                self.live.entry(txn).or_insert(lsn);
+            }
+            (LogRecord::Checkpoint { .. }, None) => {}
+            (_, None) => {
+                self.acceptor_floor.get_or_insert(lsn);
+            }
+        }
+        lsn
+    }
+
+    /// Where a checkpoint taken now may cut the log, once the log is
+    /// durable through the head and every page a record up to it changed
+    /// is written back: past the head, but not past the first record of a
+    /// live local transaction nor the first acceptor row.
+    pub fn cut_point(&self) -> Lsn {
+        let floors = self.live.values().copied().chain(self.acceptor_floor);
+        floors.fold(self.head().next(), Lsn::min)
+    }
+
+    /// After restart recovery only the in-doubt transactions are live:
+    /// `first` maps each to its first LSN.
+    pub(crate) fn reset_live(&mut self, first: BTreeMap<LocalTxnId, Lsn>) {
+        self.live = first;
+    }
+
+    /// A crash lost every record past the durable point: no floor stays
+    /// on one.
+    fn forget_lost_floors(&mut self) {
+        let durable = self.durable();
+        self.live.retain(|_, first| *first <= durable);
+        self.acceptor_floor = self.acceptor_floor.filter(|first| *first <= durable);
     }
 
     /// LSN of the most recently appended record (0 when empty).
@@ -323,6 +381,7 @@ impl LogManager {
             sink.truncate_frames(self.stable.len());
         }
         self.written = 0;
+        self.forget_lost_floors();
     }
 
     /// Crash **in the middle of a `force()`**: a prefix of the volatile tail
@@ -356,6 +415,7 @@ impl LogManager {
         }
         self.tail.clear();
         self.written = 0;
+        self.forget_lost_floors();
         // A durable sink must reflect what physically hit the medium.
         self.mirror_stable();
     }
@@ -385,6 +445,8 @@ impl LogManager {
         match first_bad {
             None => Ok(false),
             Some(i) if i + 1 == self.stable.len() => {
+                let torn = self.stable.iter().nth(i).map_or(0, <[u8]>::len);
+                self.stats.truncated_bytes += torn as u64;
                 self.stable = self.stable.iter().take(i).collect();
                 if let Some(sink) = self.sink.as_mut() {
                     sink.truncate_frames(i);
@@ -422,8 +484,8 @@ impl LogManager {
     /// checkpoint). Records with LSN < `lsn` are discarded; LSNs are **not**
     /// renumbered — subsequent reads simply start later.
     ///
-    /// Only safe when recovery will never need the truncated records, i.e.
-    /// after a checkpoint with no transaction active across it.
+    /// Only safe when recovery will never need the truncated records: at a
+    /// [`LogManager::cut_point`] noted under a checkpoint.
     pub fn truncate_before(&mut self, lsn: Lsn) {
         let keep_from = lsn.raw().saturating_sub(self.truncated + 1) as usize;
         if keep_from == 0 || self.stable.len() == 0 {
@@ -431,7 +493,7 @@ impl LogManager {
         }
         let keep_from = keep_from.min(self.stable.len());
         self.truncated += keep_from as u64;
-        self.stable = self.stable.iter().skip(keep_from).collect();
+        self.stats.truncated_bytes += self.stable.drop_front(keep_from);
         self.mirror_stable();
     }
 }
@@ -634,6 +696,47 @@ mod tests {
         assert!(out.committed.contains(&LocalTxnId::new(2)));
         assert!(!out.committed.contains(&LocalTxnId::new(1)), "reclaimed");
         assert_eq!(state[&ObjectId::new(9)], Value::counter(6));
+    }
+
+    /// A cut stops at the first record of a transaction with no decision
+    /// yet (a prepare keeps it live) and at the first acceptor row; a
+    /// crash forgets floors it took with the tail.
+    #[test]
+    fn the_cut_point_stops_at_live_transactions_and_acceptor_rows() {
+        let mut log = LogManager::new();
+        let t = LocalTxnId::new;
+        let update = |n| LogRecord::Update {
+            txn: t(n),
+            obj: amc_types::ObjectId::new(n),
+            before: None,
+            after: None,
+        };
+        log.append(&update(1));
+        log.append(&LogRecord::Commit { txn: t(1) });
+        assert_eq!(log.cut_point(), Lsn::new(3), "nothing live: past the head");
+        log.append(&update(2)); // 3
+        log.append(&LogRecord::Prepare { txn: t(2), gtx: None });
+        log.append(&update(3)); // 5
+        log.append(&LogRecord::Abort { txn: t(3) });
+        assert_eq!(log.cut_point(), Lsn::new(3), "the prepared one is live");
+        log.append(&LogRecord::Commit { txn: t(2) });
+        assert_eq!(log.cut_point(), Lsn::new(8));
+        log.append(&LogRecord::Decision {
+            gtx: amc_types::GlobalTxnId::new(9),
+            verdict: amc_types::GlobalVerdict::Commit,
+        }); // 8
+        log.append(&update(4));
+        log.append(&LogRecord::Commit { txn: t(4) });
+        assert_eq!(log.cut_point(), Lsn::new(8), "the first acceptor row");
+        log.force();
+        log.truncate_before(log.cut_point());
+        let first = log.stable_records().unwrap()[0].clone();
+        assert_eq!(first.0, Lsn::new(8));
+        assert!(log.stats().truncated_bytes > 0);
+        // A transaction whose first record the crash took is no floor.
+        log.append(&update(5));
+        log.crash();
+        assert_eq!(log.cut_point(), Lsn::new(8));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!    seen since (plus those active at the checkpoint) as *finished*
 //!    (commit or abort record present), **in-doubt** (a forced `Prepare`
 //!    but no decision — 2PC's ready state surviving the crash) or *loser*.
+//!    A transaction seen only before the checkpoint and not active at it
+//!    is finished: a loser of an earlier recovery, undone and flushed
+//!    before that recovery wrote the checkpoint, is not undone again.
 //! 2. **Redo** — forward from the checkpoint, re-apply every `Update` of a
 //!    finished transaction (aborted ones included: their compensating
 //!    updates come later in the log and net out the rollback).
@@ -91,8 +94,8 @@ pub fn recover(
     };
     let mut seen: BTreeSet<LocalTxnId> = ckpt_active;
     let mut prepared: BTreeSet<LocalTxnId> = BTreeSet::new();
-    for (_, r) in &records {
-        if let Some(t) = r.txn() {
+    for (i, (_, r)) in records.iter().enumerate() {
+        if let Some(t) = r.txn().filter(|_| i >= ckpt_idx) {
             seen.insert(t);
         }
         match r {
@@ -158,6 +161,13 @@ pub fn recover(
             }
         }
     }
+
+    // Only the in-doubt transactions live on: no cut may pass them.
+    let first = outcome.in_doubt.iter().filter_map(|t| {
+        let first = records.iter().find(|(_, r)| r.txn() == Some(*t));
+        first.map(|(lsn, _)| (*t, *lsn))
+    });
+    log.reset_live(first.collect());
 
     Ok(outcome)
 }

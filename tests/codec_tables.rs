@@ -203,13 +203,14 @@ fn comm_stats() -> impl Strategy<Value = CommStats> {
     })
 }
 fn log_stats() -> impl Strategy<Value = LogStats> {
-    counters::<6>().prop_map(|[a, b, c, d, e, f]| LogStats {
+    counters::<7>().prop_map(|[a, b, c, d, e, f, g]| LogStats {
         appends: a,
         forces: b,
         stable_records: c,
         stable_bytes: d,
         group_forces: e,
         batched_commits: f,
+        truncated_bytes: g,
     })
 }
 fn recovery_stats() -> impl Strategy<Value = RecoveryStats> {

@@ -456,6 +456,57 @@ proptest! {
     }
 }
 
+/// An in-memory site's log is cut behind checkpoints, but never past its
+/// acceptor's first row: a remount — before or after an engine crash —
+/// replays every row to the live acceptor state.
+#[test]
+fn cuts_of_an_in_memory_log_keep_every_acceptor_row() {
+    let cfg = TplConfig {
+        pool_frames: 2,
+        lock_timeout: Duration::from_millis(1),
+        ..TplConfig::default()
+    };
+    let engine = TwoPLEngine::new(cfg);
+    engine
+        .load((0..4).map(|o| (ObjectId::new(o), Value::counter(0))))
+        .unwrap();
+    let host = AcceptorHost::mount(site(1), Arc::clone(engine.wal())).unwrap();
+    let local = |i: u64| SiteOp::Local {
+        obj: i % 4,
+        value: i as i64,
+        end: 0,
+    };
+    for i in 0..300 {
+        apply_site_op(&engine, &host, &local(i));
+    }
+    assert!(engine.log_stats().truncated_bytes > 0, "the log was cut");
+    for i in 0..600u64 {
+        let gtx = 1 + i / 30;
+        let op = match i % 30 {
+            0 => SiteOp::Register { gtx, mask: 0b110 },
+            10 => SiteOp::Accept {
+                gtx,
+                site: 1,
+                round: 0,
+                replica: 0,
+                prepared: true,
+            },
+            20 => SiteOp::Decide { gtx, commit: true },
+            _ => local(i),
+        };
+        apply_site_op(&engine, &host, &op);
+    }
+    let live = host.with_state(AcceptorState::clone);
+    let remount = || {
+        let host = AcceptorHost::mount(site(1), Arc::clone(engine.wal())).unwrap();
+        host.with_state(AcceptorState::clone)
+    };
+    assert_eq!(remount(), live);
+    engine.crash();
+    engine.recover().unwrap();
+    assert_eq!(remount(), live);
+}
+
 // ------------------------------------------------ nemesis chaos sweep --
 
 const SWEEP_SITES: u32 = 5; // 1..=3 host acceptors; 4 and 5 trade

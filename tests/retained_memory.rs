@@ -1,16 +1,21 @@
 //! What a finished transaction keeps for good (ROADMAP 6(c)'s first
-//! ledger number). Work-map slots, the in-memory WAL and the engines'
-//! terminated tables are never reclaimed — the piggy-backed low-water mark
-//! and log truncation are ROADMAP item 6 — so whatever a finished
-//! transaction retains is what every transaction costs until teardown, and
-//! at tens of thousands of transactions per second it is what decides a
-//! run's peak RSS.
+//! ledger number). Work-map slots, markers and the engines' terminated
+//! tables are never reclaimed — the piggy-backed low-water mark is ROADMAP
+//! 6(a) — so whatever a finished transaction retains is what every
+//! transaction costs until teardown, and at tens of thousands of
+//! transactions per second it is what decides a run's peak RSS. The
+//! in-memory WAL is not among them: a checkpoint cuts it each time it grew
+//! by the buffer pool's size, so it stays within twice the pool.
 //!
 //! A counting global allocator measures live-heap growth over 10 000
 //! two-site transfers on an in-process three-site federation and holds it
-//! to a per-protocol budget.
+//! to a per-protocol budget. Each site's pool is 8 frames, so its log is
+//! cut every 32 KB, about twenty times in the run, and what is left of it
+//! at the end is one 64 KB segment per site — 20 B of each transfer's
+//! figure, wherever the last cut fell.
 
 use amc::core::{Federation, FederationConfig, ProtocolKind, TxnOutcome};
+use amc::storage::PAGE_SIZE;
 use amc::types::SiteId;
 use amc::workload::{initial_counters, object, transfer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,10 +103,13 @@ fn table(before: &Census, after: &Census, txns: i64) -> String {
 const SITES: u32 = 3;
 const OBJECTS: u64 = 64;
 const TXNS: u64 = 10_000;
+const POOL_FRAMES: usize = 8;
 
 /// Live-heap growth per finished transfer, with the table that explains it.
 fn retained_per_txn(protocol: ProtocolKind) -> (f64, String) {
-    let mut fed = Federation::new(FederationConfig::uniform(SITES, protocol));
+    let mut cfg = FederationConfig::uniform(SITES, protocol);
+    cfg.tpl.pool_frames = POOL_FRAMES;
+    let mut fed = Federation::new(cfg);
     fed.set_recording(false, false);
     for s in 1..=SITES {
         let site = SiteId::new(s);
@@ -127,6 +135,13 @@ fn retained_per_txn(protocol: ProtocolKind) -> (f64, String) {
     }
     assert_eq!(fed.pending_obligations(), 0, "{protocol}");
     let after = census();
+    let bound = 2 * (POOL_FRAMES * PAGE_SIZE) as u64;
+    for s in 1..=SITES {
+        let log = fed.manager(SiteId::new(s)).unwrap().handle().engine().log_stats();
+        let held = log.stable_bytes - log.truncated_bytes;
+        assert!(log.truncated_bytes > 0, "{protocol}: site {s}'s log was never cut");
+        assert!(held <= bound, "{protocol}: site {s} holds {held} B of log > {bound}");
+    }
     let per_txn = (after.live - before.live) as f64 / TXNS as f64;
     (per_txn, table(&before, &after, TXNS as i64))
 }
@@ -135,19 +150,18 @@ fn retained_per_txn(protocol: ProtocolKind) -> (f64, String) {
 /// concurrent test would be counted too.
 #[test]
 fn finished_transactions_shrink_to_their_scalars() {
-    // Bytes of live heap a finished two-site transfer may keep: log bytes
-    // (212 / 238 / 238 — each 2PC prepare record names its global
-    // transaction, and nothing cuts a log yet, ROADMAP item 6), two
-    // work-map slots, and for the portable protocols two marker entries.
-    // 2PC and commit-after hear the decision and shrink to scalars
-    // (measured 301 / 403 B). Commit-before shrinks to scalars at its vote:
-    // an `Undo` brings the forward program and the database holds the
-    // before images, so nothing waits in memory for a decision it never
-    // hears (§3.3: "no further actions"): 403 B measured.
+    // Bytes of live heap a finished two-site transfer may keep: two
+    // work-map slots, and for the portable protocols two marker entries;
+    // its log bytes (212 / 238 / 238 written) go at the next cut. 2PC and
+    // commit-after hear the decision and shrink to scalars. Commit-before
+    // shrinks to scalars at its vote: an `Undo` brings the forward program
+    // and the database holds the before images, so nothing waits in
+    // memory for a decision it never hears (§3.3: "no further actions").
+    // Measured 105 / 166 / 166 B (301 / 403 / 403 before the cut).
     let budgets = [
-        (ProtocolKind::TwoPhaseCommit, 320.0),
-        (ProtocolKind::CommitAfter, 430.0),
-        (ProtocolKind::CommitBefore, 430.0),
+        (ProtocolKind::TwoPhaseCommit, 120.0),
+        (ProtocolKind::CommitAfter, 180.0),
+        (ProtocolKind::CommitBefore, 180.0),
     ];
     for (protocol, budget) in budgets {
         let (per_txn, table) = retained_per_txn(protocol);
