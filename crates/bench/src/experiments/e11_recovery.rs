@@ -5,8 +5,8 @@
 //!
 //! * **Recovery time vs log length.** Build logs of increasing length
 //!   (one committed increment per transaction), then time a cold
-//!   [`TwoPLEngine::open_durable`] — the same replay a killed site
-//!   server performs at restart. The claimed shape: replay cost scales
+//!   [`Site::open`] over the log's directory — the same open a killed
+//!   site server performs at restart. The claimed shape: replay cost scales
 //!   roughly linearly with the log (per-record cost stays in one narrow
 //!   band across a 20× length spread, once the fixed open cost is
 //!   amortized).
@@ -19,10 +19,12 @@
 //!   eight share them — concurrency, not a knob, sets the batch.
 
 use crate::table::{opt2, section, verdict, TextTable};
-use amc_engine::{LocalEngine, TplConfig, TwoPLEngine};
-use amc_types::{ObjectId, Operation, SiteId, Value};
-use std::path::PathBuf;
-use std::sync::Arc;
+use amc_core::config::EngineKind;
+use amc_core::site::{Site, SiteLog, SiteSpec};
+use amc_engine::{LocalEngine, TplConfig};
+use amc_net::RecoveryStats;
+use amc_types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const OBJECTS: u64 = 64;
@@ -34,17 +36,31 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn loaded_durable(cfg: TplConfig, path: &std::path::Path) -> TwoPLEngine {
-    let (engine, _) = TwoPLEngine::open_durable(cfg, SiteId::new(1), path).expect("open durable");
+/// Site 1 over `dir` (its log is `site-1.wal`), under the default config.
+fn open(dir: &Path) -> (Site, RecoveryStats) {
+    Site::open(SiteSpec {
+        id: SiteId::new(1),
+        engine: EngineKind::TwoPL,
+        protocol: ProtocolKind::TwoPhaseCommit,
+        log: SiteLog::Dir(dir.to_path_buf()),
+        acceptor: false,
+        tpl: TplConfig::default(),
+    })
+    .expect("open site")
+}
+
+fn loaded_durable(dir: &Path) -> Site {
+    let (site, _) = open(dir);
     let data: Vec<(ObjectId, Value)> = (0..OBJECTS)
         .map(|i| (ObjectId::new(i), Value::counter(0)))
         .collect();
+    let engine = site.manager().handle().engine();
     engine.bulk_load(&data).expect("bulk load");
-    engine
+    site
 }
 
 /// One committed single-increment transaction.
-fn commit_one(engine: &TwoPLEngine, obj: u64, delta: i64) {
+fn commit_one(engine: &dyn LocalEngine, obj: u64, delta: i64) {
     let t = engine.begin().expect("begin");
     engine
         .execute(
@@ -80,25 +96,24 @@ pub struct RecoveryRow {
 /// Build a log of `n` committed transactions, then time recovering it.
 fn run_recovery_cell(n: usize) -> RecoveryRow {
     let dir = scratch_dir(&format!("recover-{n}"));
-    let path = dir.join("e11.wal");
     {
-        let engine = loaded_durable(TplConfig::default(), &path);
+        let site = loaded_durable(&dir);
         for i in 0..n {
-            commit_one(&engine, i as u64 % OBJECTS, 1);
+            commit_one(site.manager().handle().engine(), i as u64 % OBJECTS, 1);
         }
     }
-    let wal_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    let wal = dir.join("site-1.wal");
+    let wal_bytes = std::fs::metadata(&wal).map(|m| m.len()).unwrap_or(0);
     let t0 = Instant::now();
-    let (engine, report) =
-        TwoPLEngine::open_durable(TplConfig::default(), SiteId::new(1), &path).expect("recover");
+    let (site, stats) = open(&dir);
     let recover_ms = t0.elapsed().as_secs_f64() * 1e3;
-    drop(engine);
+    drop(site);
     let _ = std::fs::remove_dir_all(&dir);
     RecoveryRow {
         txns: n,
         wal_bytes,
-        committed: report.committed.len(),
-        replayed: report.replayed,
+        committed: stats.committed as usize,
+        replayed: stats.replayed,
         recover_ms,
         ms_per_1k: (n > 0).then(|| recover_ms * 1000.0 / n as f64),
     }
@@ -124,26 +139,25 @@ pub struct FsyncRow {
 /// Run `txns` commits over `clients` threads.
 fn run_fsync_cell(clients: usize, txns: usize) -> FsyncRow {
     let dir = scratch_dir(&format!("fsync-{clients}"));
-    let path = dir.join("e11.wal");
-    let engine = Arc::new(loaded_durable(TplConfig::default(), &path));
+    let site = loaded_durable(&dir);
+    let engine = site.manager().handle().engine();
     let base = engine.log_stats();
     let per_client = txns / clients;
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for c in 0..clients {
-            let engine = Arc::clone(&engine);
             scope.spawn(move || {
                 // Disjoint objects per thread: the measured contention is
                 // on the log's force path, not on page locks.
                 for i in 0..per_client {
-                    commit_one(&engine, (c as u64 * 7 + i as u64) % OBJECTS, 1);
+                    commit_one(engine, (c as u64 * 7 + i as u64) % OBJECTS, 1);
                 }
             });
         }
     });
     let elapsed = t0.elapsed().as_secs_f64();
     let stats = engine.log_stats();
-    drop(engine);
+    drop(site);
     let _ = std::fs::remove_dir_all(&dir);
     let commits = (per_client * clients) as u64;
     let forces = stats.forces.saturating_sub(base.forces);

@@ -62,9 +62,9 @@ pub fn run(txns: usize, threads: usize, probabilities: &[f64]) -> Vec<Cell> {
     // The §3.2 hazard, injected at every communication manager before
     // the load is offered.
     let inject = |bed: &Testbed, point: &Point| {
-        for (site, manager) in bed.fleet().managers() {
-            let seed = 0xE2 + u64::from(site.raw()) + (point.seed - SEED) * 977;
-            manager.inject_post_ready_aborts(point.x, seed);
+        for (id, site) in bed.fleet().sites() {
+            let seed = 0xE2 + u64::from(id.raw()) + (point.seed - SEED) * 977;
+            site.manager().inject_post_ready_aborts(point.x, seed);
         }
         offer(bed, point)
     };

@@ -2,10 +2,11 @@
 //! protocol axis ([`Regime`]), program batches, and the one [`sweep`] that
 //! turns sweep [`Point`]s into measured [`Cell`]s.
 
-use amc_core::{submit_mode_for, Federation, FederationConfig, ProtocolKind, RunMetrics};
+use amc_core::{Federation, FederationConfig, ProtocolKind, RunMetrics};
 use amc_engine::TplConfig;
 use amc_mlt::ConflictPolicy;
-use amc_rpc::Fleet;
+use amc_obs::ObsSink;
+use amc_rpc::{Fleet, RetryPolicy};
 use amc_types::{Operation, SiteId};
 use amc_wal::GroupCommitConfig;
 use amc_workload::{initial_counters, GlobalProgram, MixGen, MixKind, MixSpec};
@@ -162,9 +163,8 @@ pub struct Testbed {
 impl Testbed {
     /// Build it, with `objects` initial counters on every site.
     pub fn build(cfg: FederationConfig, wire: Wire, objects: u64) -> Testbed {
-        let mode = submit_mode_for(cfg.protocol);
-        let fleet = Fleet::spawn(cfg.build_managers(), mode, wire, cfg.message_delay)
-            .expect("bind loopback");
+        let (policy, obs) = (RetryPolicy::default(), ObsSink::disabled());
+        let fleet = Fleet::spawn(&cfg, wire, policy, obs).expect("bind loopback");
         let fed = Federation::with_transport(cfg, fleet.transport());
         load(&fed, objects);
         Testbed {

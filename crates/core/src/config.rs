@@ -1,11 +1,10 @@
 //! Federation configuration.
 
-use amc_engine::{OccEngine, TplConfig, TwoPLEngine};
+use crate::site::{Site, SiteLog, SiteSpec};
+use amc_engine::TplConfig;
 use amc_mlt::ConflictPolicy;
-use amc_net::{EngineHandle, LocalCommManager};
 use amc_types::{GlobalTxnId, Operation, ProtocolKind, SiteId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Size of the global-transaction-id range owned by one coordinator of a
@@ -212,51 +211,47 @@ impl FederationConfig {
             || self.engines.iter().all(|e| *e == EngineKind::TwoPL)
     }
 
-    /// Build the per-site communication managers (fresh engines).
-    pub fn build_managers(&self) -> Vec<Arc<LocalCommManager>> {
+    /// Every site of this federation, fresh and in memory: ids
+    /// `1..=engines.len()`.
+    pub fn open_sites(&self) -> Vec<Site> {
         (1..)
             .map(SiteId::new)
             .zip(&self.engines)
-            .map(|(site, kind)| self.build_manager(site, *kind))
+            .map(|(id, engine)| self.open_site(id, *engine))
             .collect()
     }
 
-    /// One site's communication manager over a fresh `kind` engine — the
-    /// only place a federation's engines are constructed, so a site that
-    /// joins later (`amc-shard`'s online `Add`) is tuned like the rest.
-    pub fn build_manager(&self, site: SiteId, kind: EngineKind) -> Arc<LocalCommManager> {
-        let handle = match kind {
-            EngineKind::TwoPL => {
-                // 2PL engines are preparable; whether the protocol may
-                // *use* prepare is decided by the protocol itself.
-                // Modelling fidelity: under the two portable protocols,
-                // hand out the sealed interface only.
-                let engine = Arc::new(TwoPLEngine::new_at(self.tpl.clone(), site));
-                if self.protocol == ProtocolKind::TwoPhaseCommit {
-                    EngineHandle::Preparable(engine)
-                } else {
-                    EngineHandle::Plain(engine)
-                }
-            }
-            EngineKind::Occ => EngineHandle::Plain(Arc::new(OccEngine::with_defaults_at(site))),
+    /// One fresh in-memory site of this federation running `engine` — the
+    /// only place a federation's sites are opened, so a site that joins
+    /// later (`amc-shard`'s online `Add`) is tuned like the rest.
+    pub fn open_site(&self, id: SiteId, engine: EngineKind) -> Site {
+        let spec = SiteSpec {
+            id,
+            engine,
+            protocol: self.protocol,
+            log: SiteLog::Memory,
+            acceptor: false,
+            tpl: self.tpl.clone(),
         };
-        Arc::new(LocalCommManager::new(site, handle))
+        let (site, _) = Site::open(spec).expect("an in-memory site opens");
+        site
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amc_net::EngineHandle;
 
     #[test]
     fn uniform_builds_n_sites() {
         let cfg = FederationConfig::uniform(3, ProtocolKind::CommitBefore);
         assert_eq!(cfg.site_count(), 3);
         assert!(cfg.is_runnable());
-        let managers = cfg.build_managers();
-        assert_eq!(managers.len(), 3);
-        assert_eq!(managers[0].site(), SiteId::new(1));
-        assert_eq!(managers[2].site(), SiteId::new(3));
+        let sites = cfg.open_sites();
+        assert_eq!(sites.len(), 3);
+        assert_eq!(sites[0].manager().site(), SiteId::new(1));
+        assert_eq!(sites[2].manager().site(), SiteId::new(3));
     }
 
     #[test]
@@ -302,10 +297,14 @@ mod tests {
     #[test]
     fn portable_protocols_get_sealed_engines() {
         let cfg = FederationConfig::uniform(1, ProtocolKind::CommitBefore);
-        let managers = cfg.build_managers();
-        assert!(managers[0].handle().preparable().is_none());
-        let cfg = FederationConfig::uniform(1, ProtocolKind::TwoPhaseCommit);
-        let managers = cfg.build_managers();
-        assert!(managers[0].handle().preparable().is_some());
+        let sealed = |cfg: FederationConfig| {
+            let sites = cfg.open_sites();
+            matches!(sites[0].manager().handle(), EngineHandle::Plain(_))
+        };
+        assert!(sealed(cfg));
+        assert!(!sealed(FederationConfig::uniform(
+            1,
+            ProtocolKind::TwoPhaseCommit
+        )));
     }
 }

@@ -17,6 +17,7 @@ use crate::config::{FederationConfig, PaxosCommitConfig};
 use crate::coordinator::{CoordAction, CoordEvent, Coordinator};
 use crate::drive::{closed_loop, Program};
 use crate::metrics::RunMetrics;
+use crate::site::Site;
 use amc_mlt::L1LockManager;
 use amc_net::comm::SubmitMode;
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport, InProcessTransport};
@@ -160,11 +161,11 @@ pub fn submit_mode_for(protocol: ProtocolKind) -> SubmitMode {
 /// reply that released its L0 locks was processed.
 type L0Tenures = BTreeMap<SiteId, (Instant, Option<Instant>)>;
 
-/// A running federation: central system + communication managers + sealed
-/// engines.
+/// A running federation: central system + the sites it opened in process
+/// (none when the sites live behind an external transport).
 pub struct Federation {
     cfg: FederationConfig,
-    pub(crate) managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
+    pub(crate) sites: BTreeMap<SiteId, Site>,
     transport: Arc<dyn FederationTransport>,
     pub(crate) central: Central,
     history: Mutex<History>,
@@ -199,20 +200,21 @@ impl Federation {
             cfg.is_runnable(),
             "2PC cannot run on a federation with non-preparable engines (§3.1)"
         );
-        let managers: BTreeMap<SiteId, Arc<LocalCommManager>> = cfg
-            .build_managers()
+        let sites: BTreeMap<SiteId, Site> = cfg
+            .open_sites()
             .into_iter()
-            .map(|mut m| {
+            .map(|mut site| {
                 if obs.is_enabled() {
-                    Arc::get_mut(&mut m)
-                        .expect("freshly built manager is unshared")
-                        .set_obs(obs.clone());
+                    site.observe(obs.clone());
                 }
-                (m.site(), m)
+                (site.manager().site(), site)
             })
             .collect();
         let inner = InProcessTransport::new(
-            managers.clone(),
+            sites
+                .iter()
+                .map(|(&id, s)| (id, Arc::clone(s.manager())))
+                .collect(),
             submit_mode_for(cfg.protocol),
             cfg.message_delay,
         );
@@ -232,7 +234,7 @@ impl Federation {
                      portable protocols have no prepared state to make durable"
                 );
                 assert!(
-                    px.acceptors.iter().all(|a| managers.contains_key(a)),
+                    px.acceptors.iter().all(|a| sites.contains_key(a)),
                     "acceptors must be co-located with existing sites"
                 );
                 let host = |a: &SiteId| {
@@ -249,7 +251,7 @@ impl Federation {
         Federation {
             obs,
             paxos_transport,
-            ..Self::assemble(cfg, managers, transport, decision_log)
+            ..Self::assemble(cfg, sites, transport, decision_log)
         }
     }
 
@@ -263,14 +265,14 @@ impl Federation {
 
     fn assemble(
         cfg: FederationConfig,
-        managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
+        sites: BTreeMap<SiteId, Site>,
         transport: Arc<dyn FederationTransport>,
         decision_log: bool,
     ) -> Self {
         Federation {
             central: Central::new(&cfg, decision_log),
             cfg,
-            managers,
+            sites,
             transport,
             history: Mutex::new(History::new()),
             seq: AtomicU64::new(1),
@@ -298,7 +300,7 @@ impl Federation {
     /// The communication manager of `site` — only available when the
     /// federation runs in-process (transports hide remote managers).
     pub fn manager(&self, site: SiteId) -> Option<&Arc<LocalCommManager>> {
-        self.managers.get(&site)
+        self.sites.get(&site).map(Site::manager)
     }
 
     /// The configuration this federation was built from.
@@ -1045,19 +1047,25 @@ mod tests {
         }
     }
 
+    /// What an in-process transport dispatches to: each site's manager.
+    fn managers_of(sites: &BTreeMap<SiteId, Site>) -> BTreeMap<SiteId, Arc<LocalCommManager>> {
+        let manager = |(&id, site): (&SiteId, &Site)| (id, Arc::clone(site.manager()));
+        sites.iter().map(manager).collect()
+    }
+
     /// An in-process transport whose sites can be taken "down": calls to a
     /// down site fail like a dead TCP peer, while admin (used by
     /// `load_site`/`dumps`) keeps working so tests can observe state.
     struct FlakyTransport {
         inner: InProcessTransport,
+        sites: BTreeMap<SiteId, Site>,
         down: Mutex<std::collections::BTreeSet<SiteId>>,
         fail_finish_for: Mutex<Option<SiteId>>,
         /// This site *answers* final-state messages, with a rejection: a
         /// protocol error, not an outage.
         reject_finish_for: Mutex<Option<SiteId>>,
-        /// Just before this site's next final-state message, its manager
-        /// process restarts: a fresh manager over the same database,
-        /// rebuilt from it as a restarted site server rebuilds.
+        /// Just before this site's next final-state message, the site
+        /// restarts as a restarted site server does.
         restart_before_finish: Mutex<Option<SiteId>>,
         /// The labels of every round handed over whole.
         rounds: Mutex<Vec<Vec<&'static str>>>,
@@ -1088,13 +1096,7 @@ mod tests {
                     .take_if(|s| *s == site)
                     .is_some()
             {
-                let old = self.inner.remove_site(site).expect("a member");
-                let engine = old.handle().engine();
-                engine.crash();
-                let report = engine.recover()?;
-                let fresh = LocalCommManager::new(site, old.handle().clone());
-                fresh.restore_work(&report.prepared)?;
-                self.inner.add_site(site, Arc::new(fresh));
+                self.sites[&site].restart()?;
             }
             self.inner.call(site, payload)
         }
@@ -1115,13 +1117,12 @@ mod tests {
     fn flaky_with(cfg: FederationConfig) -> (Arc<Federation>, Arc<FlakyTransport>) {
         let sites = cfg.site_count();
         let protocol = cfg.protocol;
-        let managers: BTreeMap<SiteId, Arc<LocalCommManager>> = cfg
-            .build_managers()
-            .into_iter()
-            .map(|m| (m.site(), m))
-            .collect();
+        let opened = cfg.open_sites().into_iter();
+        let opened = opened.map(|site| (site.manager().site(), site)).collect();
+        let (mode, delay) = (submit_mode_for(protocol), cfg.message_delay);
         let transport = Arc::new(FlakyTransport {
-            inner: InProcessTransport::new(managers, submit_mode_for(protocol), cfg.message_delay),
+            inner: InProcessTransport::new(managers_of(&opened), mode, delay),
+            sites: opened,
             down: Mutex::new(Default::default()),
             fail_finish_for: Mutex::new(None),
             reject_finish_for: Mutex::new(None),
@@ -1920,7 +1921,8 @@ mod tests {
         let delay = Duration::from_millis(4);
         let mut cfg = FederationConfig::uniform(2, ProtocolKind::TwoPhaseCommit);
         cfg.message_delay = delay;
-        let managers = cfg.build_managers().into_iter().map(|m| (m.site(), m));
+        let sites = cfg.open_sites().into_iter();
+        let managers = sites.map(|s| (s.manager().site(), Arc::clone(s.manager())));
         let mode = submit_mode_for(cfg.protocol);
         let transport = Arc::new(InProcessTransport::new(managers.collect(), mode, delay));
         let fed = Federation::with_transport(cfg, transport.clone());
@@ -1962,7 +1964,8 @@ mod tests {
         for transport in [false, true] {
             let cfg = FederationConfig::uniform(2, ProtocolKind::CommitBefore);
             let fed = if transport {
-                let managers = cfg.build_managers().into_iter().map(|m| (m.site(), m));
+                let sites = cfg.open_sites().into_iter();
+                let managers = sites.map(|s| (s.manager().site(), Arc::clone(s.manager())));
                 let inner = InProcessTransport::new(
                     managers.collect(),
                     SubmitMode::CommitBefore,

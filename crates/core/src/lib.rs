@@ -41,6 +41,7 @@ pub mod drive;
 pub mod federation;
 pub mod metrics;
 pub mod simdrive;
+pub mod site;
 
 pub use amc_types::ProtocolKind;
 pub use config::{

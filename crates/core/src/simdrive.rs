@@ -236,7 +236,7 @@ impl SimFederation {
     }
 
     fn handle_at_site(&mut self, site: SiteId, payload: Payload) {
-        if !self.fed.managers[&site].handle().engine().is_up() {
+        if !self.fed.sites[&site].manager().handle().engine().is_up() {
             return; // crashed between routing and delivery
         }
         match self.fed.transport().call(site, payload) {
@@ -378,16 +378,11 @@ impl SimFederation {
                         }
                         (FaultKind::Crash { torn }, false) => {
                             self.router.site_down(ev.site);
-                            let engine = self.fed.managers[&ev.site].handle().engine();
-                            match torn {
-                                Some(t) => engine.crash_partial(t.keep_frames, true),
-                                None => engine.crash(),
-                            }
+                            self.fed.sites[&ev.site].crash(torn.map(|t| t.keep_frames));
                         }
                         (FaultKind::Restart, false) => {
                             self.router.site_up(ev.site);
-                            let engine = self.fed.managers[&ev.site].handle().engine();
-                            if let Err(e) = engine.recover() {
+                            if let Err(e) = self.fed.sites[&ev.site].recover() {
                                 self.errors.push(format!("recovery at {}: {e}", ev.site));
                             }
                         }

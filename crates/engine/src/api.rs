@@ -164,7 +164,8 @@ pub trait LocalEngine: Send + Sync {
     fn dump(&self) -> AmcResult<BTreeMap<ObjectId, Value>>;
 
     /// Bulk-load committed initial data (setup path, outside any
-    /// transaction). Flushes to stable storage.
+    /// transaction). Flushes to stable storage; over a durable log the load
+    /// is journalled as one committed transaction, so it survives restarts.
     fn bulk_load(&self, data: &[(ObjectId, Value)]) -> AmcResult<()>;
 
     /// Write-ahead-log counters (experiment E4).

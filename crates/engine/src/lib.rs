@@ -38,7 +38,7 @@ pub use tpl::{TplConfig, TwoPLEngine};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_types::{AbortReason, LocalRunState, ObjectId, Operation, Value};
+    use amc_types::{AbortReason, LocalRunState, ObjectId, Operation, SiteId, Value};
 
     /// §3.1's local state shape, on the engines themselves: a local
     /// transaction goes running → committed or running → aborted in one
@@ -48,8 +48,8 @@ mod tests {
     #[test]
     fn terminal_local_states_are_final() {
         let engines: [Box<dyn LocalEngine>; 2] = [
-            Box::new(TwoPLEngine::new(TplConfig::default())),
-            Box::new(OccEngine::new(64, 128)),
+            Box::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1))),
+            Box::new(OccEngine::new_at(64, 128, SiteId::new(1))),
         ];
         let obj = ObjectId::new(1);
         let inc = Operation::Increment { obj, delta: 1 };
@@ -86,7 +86,7 @@ mod tests {
     /// commits stays committed.
     #[test]
     fn ready_is_reached_by_prepare_alone() {
-        let e = TwoPLEngine::new(TplConfig::default());
+        let e = TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1));
         let t = e.begin().unwrap();
         assert_eq!(e.state_of(t), Some(LocalRunState::Running));
         e.prepare(t).unwrap();

@@ -79,16 +79,8 @@ impl OccEngine {
         Self::over(buckets, pool_frames, site, LogManager::new(), true)
     }
 
-    /// A fresh engine not yet attributed to a site.
-    pub fn new(buckets: u32, pool_frames: usize) -> Self {
-        Self::new_at(buckets, pool_frames, SiteId::new(0))
-    }
-
-    /// Open an engine whose WAL is backed by the durable frame file at
-    /// `path`, replaying whatever survived a previous process into a fresh
-    /// store. OCC has no ready state, so the report's `in_doubt` is always
-    /// empty: committed transactions are redone, everything else vanished
-    /// with the private buffers.
+    /// Open an engine over the durable frame file at `path`, replaying the
+    /// committed work an earlier process left (OCC has no ready state).
     pub fn open_durable(
         buckets: u32,
         pool_frames: usize,
@@ -102,41 +94,8 @@ impl OccEngine {
         Ok((engine, report))
     }
 
-    /// Default sizing, serving `site`.
-    pub fn with_defaults_at(site: SiteId) -> Self {
-        Self::new_at(64, 128, site)
-    }
-
     fn site_down(&self) -> AmcError {
         AmcError::SiteDown(SiteId::new(self.site.load(Ordering::Relaxed)))
-    }
-
-    /// Pre-load committed state (test/workload setup). When the WAL is
-    /// durable the load is journalled as one committed transaction, so the
-    /// baseline survives a process restart (the store itself is volatile
-    /// across processes — only the log file persists).
-    pub fn load(&self, data: impl IntoIterator<Item = (ObjectId, Value)>) -> AmcResult<()> {
-        let mut inner = self.inner.lock();
-        if !inner.log.is_durable() {
-            for (o, v) in data {
-                inner.store.put(o, v)?;
-            }
-            return inner.store.flush();
-        }
-        let txn = LocalTxnId::new(inner.next_txn);
-        inner.next_txn += 1;
-        for (o, v) in data {
-            let before = inner.store.put(o, v)?;
-            inner.log.append(&LogRecord::Update {
-                txn,
-                obj: o,
-                before,
-                after: Some(v),
-            });
-        }
-        inner.store.flush()?;
-        inner.log.append_forced(&LogRecord::Commit { txn });
-        Ok(())
     }
 
     /// Shared crash path: `partial` carries `(keep_frames, torn)` when the
@@ -309,7 +268,27 @@ impl LocalEngine for OccEngine {
     }
 
     fn bulk_load(&self, data: &[(ObjectId, Value)]) -> AmcResult<()> {
-        self.load(data.iter().copied())
+        let mut inner = self.inner.lock();
+        if !inner.log.is_durable() {
+            for &(o, v) in data {
+                inner.store.put(o, v)?;
+            }
+            return inner.store.flush();
+        }
+        let txn = LocalTxnId::new(inner.next_txn);
+        inner.next_txn += 1;
+        for &(o, v) in data {
+            let before = inner.store.put(o, v)?;
+            inner.log.append(&LogRecord::Update {
+                txn,
+                obj: o,
+                before,
+                after: Some(v),
+            });
+        }
+        inner.store.flush()?;
+        inner.log.append_forced(&LogRecord::Commit { txn });
+        Ok(())
     }
 
     fn log_stats(&self) -> amc_wal::LogStats {
@@ -334,9 +313,14 @@ mod tests {
     }
 
     fn engine_with(data: &[(u64, i64)]) -> OccEngine {
-        let e = OccEngine::new(64, 128);
-        e.load(data.iter().map(|&(o, val)| (obj(o), v(val))))
-            .unwrap();
+        let e = OccEngine::new_at(64, 128, SiteId::new(1));
+        e.bulk_load(
+            &data
+                .iter()
+                .map(|&(o, val)| (obj(o), v(val)))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
         e
     }
 
@@ -556,7 +540,7 @@ mod tests {
 
         let t_committed = {
             let (e, _) = OccEngine::open_durable(64, 128, SiteId::new(2), &path).unwrap();
-            e.load([(obj(1), v(10)), (obj(2), v(20))]).unwrap();
+            e.bulk_load(&[(obj(1), v(10)), (obj(2), v(20))]).unwrap();
             let t = e.begin().unwrap();
             e.execute(
                 t,

@@ -204,17 +204,9 @@ impl TwoPLEngine {
         Self::over(cfg, site, LogManager::new(), true)
     }
 
-    /// A fresh engine not yet attributed to a site.
-    pub fn new(cfg: TplConfig) -> Self {
-        Self::new_at(cfg, SiteId::new(0))
-    }
-
-    /// Open an engine whose WAL is backed by the durable frame file at
-    /// `path`, replaying whatever survived a previous process into a fresh
-    /// store. Returns the running engine and what recovery found: committed
-    /// transactions are redone, losers discarded, and in-doubt (prepared)
-    /// transactions resurrected in the ready state with their page locks
-    /// re-held, awaiting the coordinator's decision.
+    /// Open an engine over the durable frame file at `path`, replaying what
+    /// an earlier process left into a fresh store: committed work redone,
+    /// losers rolled back, prepared work in doubt with its locks re-held.
     pub fn open_durable(
         cfg: TplConfig,
         site: SiteId,
@@ -240,42 +232,6 @@ impl TwoPLEngine {
 
     fn site_down(&self) -> AmcError {
         AmcError::SiteDown(self.site())
-    }
-
-    /// Pre-load committed state without going through a transaction (test
-    /// and workload setup). Flushes to stable storage. When the WAL is
-    /// durable the load is journalled as one committed transaction, so the
-    /// baseline survives a process restart (the store itself is volatile
-    /// across processes — only the log file persists).
-    pub fn load(&self, data: impl IntoIterator<Item = (ObjectId, Value)>) -> AmcResult<()> {
-        if !self.wal.with_log(|log| log.is_durable()) {
-            let mut store = self.store.lock();
-            for (o, v) in data {
-                store.put(o, v)?;
-            }
-            return store.flush();
-        }
-        let txn = {
-            let mut txns = self.txns.lock();
-            let t = LocalTxnId::new(txns.next_txn);
-            txns.next_txn += 1;
-            t
-        };
-        let mut store = self.store.lock();
-        for (o, v) in data {
-            let before = store.put(o, v)?;
-            store.stamp(self.wal.append(&LogRecord::Update {
-                txn,
-                obj: o,
-                before,
-                after: Some(v),
-            }));
-        }
-        // Committed first, so the flush finds every record durable.
-        if !self.wal.append_durable(&LogRecord::Commit { txn }) {
-            return Err(self.site_down());
-        }
-        store.flush()
     }
 
     /// Roll back and terminate `txn`; must be called *without* any engine
@@ -643,7 +599,34 @@ impl LocalEngine for TwoPLEngine {
     }
 
     fn bulk_load(&self, data: &[(ObjectId, Value)]) -> AmcResult<()> {
-        self.load(data.iter().copied())
+        if !self.wal.with_log(|log| log.is_durable()) {
+            let mut store = self.store.lock();
+            for &(o, v) in data {
+                store.put(o, v)?;
+            }
+            return store.flush();
+        }
+        let txn = {
+            let mut txns = self.txns.lock();
+            let t = LocalTxnId::new(txns.next_txn);
+            txns.next_txn += 1;
+            t
+        };
+        let mut store = self.store.lock();
+        for &(o, v) in data {
+            let before = store.put(o, v)?;
+            store.stamp(self.wal.append(&LogRecord::Update {
+                txn,
+                obj: o,
+                before,
+                after: Some(v),
+            }));
+        }
+        // Committed first, so the flush finds every record durable.
+        if !self.wal.append_durable(&LogRecord::Commit { txn }) {
+            return Err(self.site_down());
+        }
+        store.flush()
     }
 
     fn log_stats(&self) -> amc_wal::LogStats {
@@ -710,9 +693,14 @@ mod tests {
     }
 
     fn engine_with(data: &[(u64, i64)]) -> TwoPLEngine {
-        let e = TwoPLEngine::new(TplConfig::default());
-        e.load(data.iter().map(|&(o, val)| (obj(o), v(val))))
-            .unwrap();
+        let e = TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1));
+        e.bulk_load(
+            &data
+                .iter()
+                .map(|&(o, val)| (obj(o), v(val)))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
         e
     }
 
@@ -1195,8 +1183,9 @@ mod tests {
                 lock_timeout: Duration::from_millis(500),
                 ..TplConfig::default()
             };
-            let e = TwoPLEngine::new(cfg);
-            e.load((0..32).map(|i| (obj(i), v(0)))).unwrap();
+            let e = TwoPLEngine::new_at(cfg, SiteId::new(1));
+            e.bulk_load(&(0..32).map(|i| (obj(i), v(0))).collect::<Vec<_>>())
+                .unwrap();
             e
         });
         // Find two objects on different pages.
@@ -1345,8 +1334,9 @@ mod tests {
             },
             ..TplConfig::default()
         };
-        let e = std::sync::Arc::new(TwoPLEngine::new(cfg));
-        e.load((0..8).map(|i| (obj(i), v(0)))).unwrap();
+        let e = std::sync::Arc::new(TwoPLEngine::new_at(cfg, SiteId::new(1)));
+        e.bulk_load(&(0..8).map(|i| (obj(i), v(0))).collect::<Vec<_>>())
+            .unwrap();
         let threads = 8u64;
         let per = 5u64;
         let mut handles = Vec::new();
@@ -1401,7 +1391,7 @@ mod tests {
             let (e, report) =
                 TwoPLEngine::open_durable(TplConfig::default(), SiteId::new(3), &path).unwrap();
             assert!(report.committed.is_empty(), "fresh file, nothing to find");
-            e.load([(obj(1), v(10)), (obj(2), v(20))]).unwrap();
+            e.bulk_load(&[(obj(1), v(10)), (obj(2), v(20))]).unwrap();
             let t = e.begin().unwrap();
             e.execute(
                 t,
@@ -1603,8 +1593,9 @@ mod tests {
             pool_frames: 2,
             ..TplConfig::default()
         };
-        let e = TwoPLEngine::new(cfg);
-        e.load((0..3000).map(|o| (obj(o), v(10)))).unwrap();
+        let e = TwoPLEngine::new_at(cfg, SiteId::new(1));
+        e.bulk_load(&(0..3000).map(|o| (obj(o), v(10))).collect::<Vec<_>>())
+            .unwrap();
         let t = e.begin().unwrap();
         let write = Op::Write {
             obj: obj(1),
@@ -1618,7 +1609,10 @@ mod tests {
         for o in (2..3000).filter(|o| page(*o) != page(1)) {
             e.execute(reader, &Op::Read { obj: obj(o) }).unwrap();
         }
-        assert!(e.io_stats().1.writebacks > writebacks, "T's page was stolen");
+        assert!(
+            e.io_stats().1.writebacks > writebacks,
+            "T's page was stolen"
+        );
         e.crash();
         let report = e.recover().unwrap();
         assert_eq!(e.dump().unwrap()[&obj(1)], v(10));
@@ -1661,9 +1655,10 @@ mod tests {
         };
         let buckets = cfg.buckets;
         let bound = 2 * TwoPLEngine::cut_every(&cfg);
-        let e = TwoPLEngine::new(cfg);
+        let e = TwoPLEngine::new_at(cfg, SiteId::new(1));
         let mut model: BTreeMap<ObjectId, Value> = (0..400).map(|o| (obj(o), v(0))).collect();
-        e.load(model.iter().map(|(o, val)| (*o, *val))).unwrap();
+        e.bulk_load(&model.iter().map(|(o, val)| (*o, *val)).collect::<Vec<_>>())
+            .unwrap();
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = |n: u64| {
             seed ^= seed << 13;
@@ -1677,7 +1672,7 @@ mod tests {
         // that found one of them still running or prepared.
         let (mut spanning, mut crash_next) = (Vec::new(), false);
         let (mut killed_across, mut in_doubt_across) = (0, 0);
-        for step in 1..=5_000u64 {
+        for step in 1..=10_000u64 {
             if step % 50 == 0 || std::mem::take(&mut crash_next) {
                 e.crash();
                 crashes += 1;
@@ -1788,7 +1783,10 @@ mod tests {
         }
         assert!(cuts >= 10, "{cuts} cuts");
         assert!(crashes > 100, "{crashes} crashes");
-        assert!(killed_across > 0 && in_doubt_across > 0, "crashes across cuts");
+        assert!(
+            killed_across > 0 && in_doubt_across > 0,
+            "crashes across cuts: {killed_across} killed, {in_doubt_across} in doubt"
+        );
     }
 
     /// A co-located acceptor's rows share the log: no cut passes the
@@ -1796,11 +1794,15 @@ mod tests {
     #[test]
     fn cuts_keep_every_acceptor_row() {
         use amc_types::{Ballot, GlobalVerdict};
-        let e = TwoPLEngine::new(TplConfig {
-            pool_frames: 2,
-            ..TplConfig::default()
-        });
-        e.load((0..64).map(|o| (obj(o), v(0)))).unwrap();
+        let e = TwoPLEngine::new_at(
+            TplConfig {
+                pool_frames: 2,
+                ..TplConfig::default()
+            },
+            SiteId::new(1),
+        );
+        e.bulk_load(&(0..64).map(|o| (obj(o), v(0))).collect::<Vec<_>>())
+            .unwrap();
         let bump = |n: u64| {
             let t = e.begin().unwrap();
             let inc = Op::Increment {
@@ -1878,6 +1880,50 @@ mod tests {
         e.crash();
         assert!(e.recover().unwrap().rolled_back.is_empty());
         assert_eq!(e.dump().unwrap()[&obj(1)], v(30));
+    }
+
+    /// The same loser across two process restarts of a durable site: the
+    /// first reopen rolls it back and logs what it undid, so the second
+    /// finds it finished and keeps the later commit.
+    #[test]
+    fn a_forced_loser_stays_rolled_back_across_two_reopens() {
+        let dir = std::env::temp_dir().join(format!("amc-tpl-loser-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("loser.wal");
+        let _ = std::fs::remove_file(&path);
+        let open = || TwoPLEngine::open_durable(TplConfig::default(), SiteId::new(3), &path);
+        let write = |val| Op::Write {
+            obj: obj(1),
+            value: v(val),
+        };
+        let loser = {
+            let (e, _) = open().unwrap();
+            e.bulk_load(&[(obj(1), v(10)), (obj(2), v(0))]).unwrap();
+            let loser = e.begin().unwrap();
+            e.execute(loser, &write(20)).unwrap();
+            // A concurrent commit forces the running write with its own.
+            let other = e.begin().unwrap();
+            let bump = Op::Increment {
+                obj: obj(2),
+                delta: 1,
+            };
+            e.execute(other, &bump).unwrap();
+            e.commit(other).unwrap();
+            loser
+        };
+        {
+            let (e, report) = open().unwrap();
+            assert_eq!(report.rolled_back, vec![loser]);
+            assert_eq!(e.dump().unwrap()[&obj(1)], v(10));
+            let t = e.begin().unwrap();
+            e.execute(t, &write(30)).unwrap();
+            e.commit(t).unwrap();
+        }
+        let (e, report) = open().unwrap();
+        assert!(report.rolled_back.is_empty(), "{report:?}");
+        assert_eq!(e.dump().unwrap()[&obj(1)], v(30));
+        assert_eq!(e.dump().unwrap()[&obj(2)], v(1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

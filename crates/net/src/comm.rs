@@ -33,14 +33,14 @@
 //! * commit-after needs nothing: the coordinator re-ships the program in
 //!   its `Redo` and the marker makes the repetition exactly-once (§3.2).
 //!
-//! The `gtx → work` map in memory is a cache of that. A crash that wipes
-//! only the *engine's* volatile state leaves it intact; a process restart
-//! rebuilds what it can from the markers and the prepared pairs
+//! The `gtx → work` map in memory is a cache of that. Every restart —
+//! of a process, or of a site in place — replaces it with what can be
+//! rebuilt from the markers and the prepared pairs
 //! ([`LocalCommManager::restore_work`]).
 
 use crate::marker::{before_image, forward_gtx, forward_marker, undo_marker};
 use crate::message::Payload;
-use amc_engine::{LocalEngine, PreparableEngine};
+use amc_engine::{LocalEngine, PreparableEngine, RecoveryReport};
 use amc_mlt::{inverse_of, needs_before_image};
 use amc_obs::{EventKind, ObsSink};
 use amc_types::{
@@ -293,7 +293,7 @@ impl EngineHandle {
     }
 
     /// The prepare extension, when the engine was "modified".
-    pub fn preparable(&self) -> Option<&dyn PreparableEngine> {
+    pub(crate) fn preparable(&self) -> Option<&dyn PreparableEngine> {
         match self {
             EngineHandle::Plain(_) => None,
             EngineHandle::Preparable(e) => Some(e.as_ref()),
@@ -367,15 +367,9 @@ impl LocalCommManager {
         self.obs = sink;
     }
 
-    /// Record stats from a restart recovery pass (served over the admin
-    /// channel as the `Recovery` reply).
-    pub fn set_recovery_stats(&self, stats: RecoveryStats) {
-        *self.recovery.lock() = Some(stats);
-    }
-
     /// Stats from the last restart recovery pass, if this process went
     /// through one.
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
+    pub(crate) fn recovery_stats(&self) -> Option<RecoveryStats> {
         *self.recovery.lock()
     }
 
@@ -384,31 +378,17 @@ impl LocalCommManager {
         self.work(entry.gtx).insert(entry.gtx, Slot::voted(entry));
     }
 
-    /// Rebuild the work map after a process restart from what the local
-    /// database remembers (see the module docs):
-    ///
-    /// * every forward marker is work that committed here. It comes back
-    ///   as committed commit-before work, which is also every answer a
-    ///   commit-after site owes for it: ready, and nothing left to redo;
-    /// * every `prepared` pair — the named prepare records of the engine's
-    ///   recovery report — is 2PC work whose local transaction the engine
-    ///   resurrected in doubt or finished, as the log says.
-    ///
-    /// Work the database has no trace of needs no slot: its local
-    /// transaction died uncommitted, so an inquiry answers abort, and
-    /// commit-after's program comes back with the coordinator's `Redo`.
-    /// Restored slots are flagged so the message that settles one emits an
-    /// `InDoubtResolved` event.
-    ///
-    /// Over an in-memory log that a checkpoint has cut, `prepared` holds
-    /// only the prepares the cut kept: every undecided one, since no cut
-    /// passes a live transaction, but not every decided one.
-    /// `Fleet::restart_site` and the in-process runtimes keep their
-    /// manager across an engine restart; the managers rebuilt here are a
-    /// durable site's, whose log is never cut, and test harnesses'.
-    ///
-    /// Returns the number of slots restored.
-    pub fn restore_work(&self, prepared: &[(GlobalTxnId, LocalTxnId)]) -> AmcResult<u64> {
+    /// Replace the work map, tombstones included, with what the local
+    /// database remembers (see the module docs), as a new process over the
+    /// same log knows it: every forward marker is committed work (ready,
+    /// nothing to redo), every named prepare of the engine's recovery
+    /// `report` 2PC work the log resurrected in doubt or finished. Work the
+    /// database has no trace of died uncommitted and needs no slot; nor
+    /// does a decided prepare a log cut dropped
+    /// ([`LocalCommManager::handle_decision`]). Restored slots emit an
+    /// `InDoubtResolved` event when a message settles them. Called before
+    /// the site serves again; returns the stats the admin `Recovery` serves.
+    pub fn restore_work(&self, report: &RecoveryReport) -> AmcResult<RecoveryStats> {
         let committed = self
             .handle
             .engine()
@@ -416,11 +396,15 @@ impl LocalCommManager {
             .into_keys()
             .filter_map(forward_gtx);
         let committed = committed.map(|gtx| (gtx, SubmitMode::CommitBefore, None));
-        let prepared = prepared
+        let prepared = report
+            .prepared
             .iter()
             .map(|&(gtx, ltx)| (gtx, SubmitMode::TwoPhase, Some(ltx)));
-        let mut restored = 0;
-        for (gtx, mode, ltx) in committed.chain(prepared) {
+        let restored: Vec<_> = committed.chain(prepared).collect();
+        for stripe in &self.work {
+            stripe.lock().clear();
+        }
+        for &(gtx, mode, ltx) in &restored {
             let slot = Slot::Done(Snapshot {
                 mode,
                 ltx,
@@ -430,9 +414,17 @@ impl LocalCommManager {
                 recovered: true,
             });
             self.work(gtx).insert(gtx, slot);
-            restored += 1;
         }
-        Ok(restored)
+        let stats = RecoveryStats {
+            committed: report.committed.len() as u64,
+            rolled_back: report.rolled_back.len() as u64,
+            in_doubt: report.in_doubt.len() as u64,
+            replayed: report.replayed,
+            restored_entries: restored.len() as u64,
+            torn_tail: report.torn_tail,
+        };
+        *self.recovery.lock() = Some(stats);
+        Ok(stats)
     }
 
     /// The stripe of the work map that holds `gtx`, locked.
@@ -969,11 +961,12 @@ impl LocalCommManager {
         )))
     }
 
-    /// Handle a `Decision`.
+    /// Handle a `Decision` for work submitted under `mode`.
     pub fn handle_decision(
         &self,
         gtx: GlobalTxnId,
         verdict: amc_types::GlobalVerdict,
+        mode: SubmitMode,
     ) -> AmcResult<Payload> {
         use amc_types::GlobalVerdict;
         let snapshot = self.snapshot_of(gtx);
@@ -1073,12 +1066,17 @@ impl LocalCommManager {
             None if verdict == GlobalVerdict::Abort => {
                 self.lay_tombstone(gtx, SubmitMode::CommitAfter);
             }
-            // A commit for work this process does not know: committed here
-            // before a restart with only the reply lost (the marker says
-            // so), or commit-after work whose running local transaction died
-            // with the process — and whose program only the coordinator
-            // still has. An outage answer makes it re-ship the program as
-            // `Redo` (§3.2).
+            // 2PC work this process does not know: a commit decision follows
+            // this site's forced ready vote, and prepared work cannot abort
+            // on its own, so it committed here before a restart whose log
+            // cut passed its prepare. Nothing is left to do.
+            None if mode == SubmitMode::TwoPhase => {}
+            // A commit for portable work this process does not know:
+            // committed here before a restart with only the reply lost (the
+            // marker says so), or commit-after work whose running local
+            // transaction died with the process — and whose program only
+            // the coordinator still has. An outage answer makes it re-ship
+            // the program as `Redo` (§3.2).
             None => {
                 if !self.marker_present(forward_marker(gtx))? {
                     return Err(AmcError::TransientIo(format!(
@@ -1178,9 +1176,14 @@ mod tests {
     }
 
     fn manager_with(data: &[(u64, i64)]) -> (LocalCommManager, Arc<TwoPLEngine>) {
-        let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
+        let engine = Arc::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1)));
         engine
-            .load(data.iter().map(|&(o, val)| (obj(o), v(val))))
+            .bulk_load(
+                &data
+                    .iter()
+                    .map(|&(o, val)| (obj(o), v(val)))
+                    .collect::<Vec<_>>(),
+            )
             .unwrap();
         let mgr = LocalCommManager::new(SiteId::new(1), EngineHandle::Preparable(engine.clone()));
         (mgr, engine)
@@ -1234,7 +1237,9 @@ mod tests {
         let ltx = mgr.local_txn_of(gtx(1)).unwrap();
         assert_eq!(engine.state_of(ltx), Some(LocalRunState::Running));
         // Decision commit completes it.
-        let f = mgr.handle_decision(gtx(1), GlobalVerdict::Commit).unwrap();
+        let f = mgr
+            .handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::CommitAfter)
+            .unwrap();
         assert_eq!(f, Payload::Finished { gtx: gtx(1) });
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(15)));
     }
@@ -1278,7 +1283,8 @@ mod tests {
         let ltx = mgr.local_txn_of(gtx(1)).unwrap();
         engine.abort(ltx, AbortReason::LockTimeout).unwrap();
         // The decision still succeeds via the redo loop.
-        mgr.handle_decision(gtx(1), GlobalVerdict::Commit).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::CommitAfter)
+            .unwrap();
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(15)));
         assert_eq!(mgr.stats().redo_runs, 1);
     }
@@ -1295,7 +1301,8 @@ mod tests {
             SubmitMode::CommitAfter,
         )
         .unwrap();
-        mgr.handle_decision(gtx(1), GlobalVerdict::Commit).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::CommitAfter)
+            .unwrap();
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(15)));
         // Site crashes *after* the commit; the retransmitted Redo must not
         // double-apply (E8).
@@ -1623,14 +1630,15 @@ mod tests {
         );
         let ltx = mgr.local_txn_of(gtx(1)).unwrap();
         assert_eq!(engine.state_of(ltx), Some(LocalRunState::Ready));
-        mgr.handle_decision(gtx(1), GlobalVerdict::Commit).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::TwoPhase)
+            .unwrap();
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(42)));
     }
 
     #[test]
     fn two_phase_on_plain_engine_is_a_config_error() {
-        let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
-        engine.load([(obj(1), v(1))]).unwrap();
+        let engine = Arc::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1)));
+        engine.bulk_load(&[(obj(1), v(1))]).unwrap();
         // Wrap as *plain* — the integration reality.
         let mgr = LocalCommManager::new(SiteId::new(1), EngineHandle::Plain(engine));
         mgr.handle_submit(gtx(1), vec![Op::Read { obj: obj(1) }], SubmitMode::TwoPhase)
@@ -1653,7 +1661,8 @@ mod tests {
             SubmitMode::CommitAfter,
         )
         .unwrap();
-        mgr.handle_decision(gtx(1), GlobalVerdict::Abort).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Abort, SubmitMode::CommitAfter)
+            .unwrap();
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
     }
 
@@ -1690,7 +1699,8 @@ mod tests {
                 vote: LocalVote::Ready
             }
         );
-        mgr.handle_decision(gtx(1), GlobalVerdict::Commit).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::TwoPhase)
+            .unwrap();
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(15)));
     }
 
@@ -1715,9 +1725,10 @@ mod tests {
         assert_eq!(engine.state_of(ltx), Some(LocalRunState::Ready));
 
         let mgr = LocalCommManager::new(SiteId::new(1), first.handle().clone());
-        assert_eq!(mgr.restore_work(&report.prepared).unwrap(), 1);
+        assert_eq!(mgr.restore_work(&report).unwrap().restored_entries, 1);
         assert_eq!(mgr.local_txn_of(gtx(1)), Some(ltx));
-        mgr.handle_decision(gtx(1), GlobalVerdict::Abort).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Abort, SubmitMode::TwoPhase)
+            .unwrap();
         assert_eq!(engine.state_of(ltx), Some(LocalRunState::Aborted));
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
     }
@@ -1736,7 +1747,8 @@ mod tests {
             .handle_submit_prepare(gtx(1), ops, false, SubmitMode::TwoPhase)
             .unwrap();
         assert_eq!(first, second);
-        mgr.handle_decision(gtx(1), GlobalVerdict::Commit).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::TwoPhase)
+            .unwrap();
         assert_eq!(
             engine.dump().unwrap().get(&obj(1)),
             Some(&v(15)),
@@ -1838,7 +1850,9 @@ mod tests {
         .unwrap();
         let ltx = mgr.local_txn_of(gtx(1)).unwrap();
         assert_eq!(engine.state_of(ltx), Some(LocalRunState::Committed));
-        let p = mgr.handle_decision(gtx(1), GlobalVerdict::Abort).unwrap();
+        let p = mgr
+            .handle_decision(gtx(1), GlobalVerdict::Abort, SubmitMode::TwoPhase)
+            .unwrap();
         assert_eq!(p, Payload::Finished { gtx: gtx(1) });
         assert_eq!(engine.state_of(ltx), Some(LocalRunState::Committed));
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
@@ -1954,10 +1968,12 @@ mod tests {
     #[test]
     fn late_abort_decision_for_unknown_gtx_is_tolerated() {
         let (mgr, _) = manager_with(&[]);
-        let p = mgr.handle_decision(gtx(9), GlobalVerdict::Abort).unwrap();
+        let p = mgr
+            .handle_decision(gtx(9), GlobalVerdict::Abort, SubmitMode::CommitAfter)
+            .unwrap();
         assert_eq!(p, Payload::Finished { gtx: gtx(9) });
         assert!(matches!(
-            mgr.handle_decision(gtx(9), GlobalVerdict::Commit),
+            mgr.handle_decision(gtx(9), GlobalVerdict::Commit, SubmitMode::CommitAfter),
             Err(AmcError::Protocol(_))
         ));
     }
@@ -1979,14 +1995,14 @@ mod tests {
         engine.recover().unwrap();
         let restarted = LocalCommManager::new(SiteId::new(1), mgr.handle().clone());
         assert!(matches!(
-            restarted.handle_decision(gtx(1), GlobalVerdict::Commit),
+            restarted.handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::CommitAfter),
             Err(AmcError::TransientIo(_))
         ));
         restarted.handle_redo(gtx(1), ops).unwrap();
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(15)));
         let again = LocalCommManager::new(SiteId::new(1), mgr.handle().clone());
         let p = again
-            .handle_decision(gtx(1), GlobalVerdict::Commit)
+            .handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::CommitAfter)
             .unwrap();
         assert_eq!(p, Payload::Finished { gtx: gtx(1) });
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(15)));
@@ -2034,7 +2050,7 @@ mod tests {
         let mut mgr = LocalCommManager::new(SiteId::new(1), first.handle().clone());
         let sink = ObsSink::enabled(64);
         mgr.set_obs(sink.clone());
-        assert_eq!(mgr.restore_work(&report.prepared).unwrap(), 2);
+        assert_eq!(mgr.restore_work(&report).unwrap().restored_entries, 2);
         assert_eq!(mgr.local_txn_of(gtx(2)), Some(in_doubt));
         let vote = |p: Payload| match p {
             Payload::Vote { vote, .. } => vote,
@@ -2047,17 +2063,21 @@ mod tests {
             LocalVote::Aborted
         );
 
-        mgr.handle_decision(gtx(1), GlobalVerdict::Abort).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Abort, SubmitMode::CommitBefore)
+            .unwrap();
         assert_eq!(in_doubt_resolutions(&sink), 1);
         mgr.handle_undo(gtx(1), bump.clone()).unwrap();
-        mgr.handle_decision(gtx(2), GlobalVerdict::Commit).unwrap();
+        mgr.handle_decision(gtx(2), GlobalVerdict::Commit, SubmitMode::TwoPhase)
+            .unwrap();
         assert_eq!(in_doubt_resolutions(&sink), 2);
         let d = engine.dump().unwrap();
         assert_eq!((d[&obj(1)], d[&obj(2)]), (v(10), v(7)));
         // A duplicate of any message changes and reports nothing more.
-        mgr.handle_decision(gtx(1), GlobalVerdict::Abort).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Abort, SubmitMode::CommitBefore)
+            .unwrap();
         mgr.handle_undo(gtx(1), bump).unwrap();
-        mgr.handle_decision(gtx(2), GlobalVerdict::Commit).unwrap();
+        mgr.handle_decision(gtx(2), GlobalVerdict::Commit, SubmitMode::TwoPhase)
+            .unwrap();
         let d = engine.dump().unwrap();
         assert_eq!((d[&obj(1)], d[&obj(2)]), (v(10), v(7)));
         assert_eq!(in_doubt_resolutions(&sink), 2);
@@ -2081,7 +2101,7 @@ mod tests {
         engine.crash();
         let report = engine.recover().unwrap();
         let mgr = LocalCommManager::new(SiteId::new(1), first.handle().clone());
-        assert_eq!(mgr.restore_work(&report.prepared).unwrap(), 0);
+        assert_eq!(mgr.restore_work(&report).unwrap().restored_entries, 0);
         mgr.handle_undo(gtx(1), forward).unwrap();
         assert_eq!(mgr.stats().undo_runs, 0, "the undo marker stops it");
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
@@ -2193,7 +2213,7 @@ mod tests {
     fn redo_and_undo_repeat_through_k_erroneous_aborts_exactly_once() {
         const K: u32 = 3;
         let engine = Arc::new(VictimEngine {
-            inner: Arc::new(TwoPLEngine::new(TplConfig::default())),
+            inner: Arc::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1))),
             aborts: 0.into(),
         });
         engine.bulk_load(&[(obj(1), v(10))]).unwrap();
@@ -2219,7 +2239,8 @@ mod tests {
         let lost = mgr.local_txn_of(gtx(1)).unwrap();
         engine.abort(lost, AbortReason::LockTimeout).unwrap();
         engine.aborts.store(K, std::sync::atomic::Ordering::SeqCst);
-        mgr.handle_decision(gtx(1), GlobalVerdict::Commit).unwrap();
+        mgr.handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::CommitAfter)
+            .unwrap();
         assert_eq!(mgr.stats().redo_runs, u64::from(K) + 1);
         assert_eq!(state(), (v(15), 1));
         assert!(engine.dump().unwrap().contains_key(&forward_marker(gtx(1))));

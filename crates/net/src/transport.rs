@@ -160,7 +160,7 @@ pub fn dispatch_to_manager(
             manager.handle_submit_prepare(gtx, ops, solo, mode)
         }
         Payload::Prepare { gtx } => manager.handle_prepare(gtx),
-        Payload::Decision { gtx, verdict } => manager.handle_decision(gtx, verdict),
+        Payload::Decision { gtx, verdict } => manager.handle_decision(gtx, verdict, mode),
         Payload::Redo { gtx, ops } => manager.handle_redo(gtx, ops),
         Payload::Undo { gtx, ops } => manager.handle_undo(gtx, ops),
         Payload::Vote { .. } | Payload::Finished { .. } => {
@@ -550,7 +550,7 @@ mod tests {
     }
 
     fn manager(site: u32) -> Arc<LocalCommManager> {
-        let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
+        let engine = Arc::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1)));
         Arc::new(LocalCommManager::new(
             SiteId::new(site),
             EngineHandle::Preparable(engine),

@@ -47,12 +47,17 @@ impl AcceptorHost {
     /// of its stable prefix: a restarted acceptor keeps its word. On a
     /// restarted site, mount after engine recovery has cut any torn tail.
     pub fn mount(site: SiteId, wal: Arc<GroupCommitter>) -> AmcResult<AcceptorHost> {
-        let records = wal.with_log(|log| log.stable_records())?;
-        Ok(AcceptorHost {
-            site,
-            state: Mutex::new(AcceptorState::replay(records.iter().map(|(_, r)| r))),
-            wal,
-        })
+        let state = Mutex::default();
+        let host = AcceptorHost { site, state, wal };
+        host.replay().map(|()| host)
+    }
+
+    /// Forget the acceptor's state and replay it from the rows of the log's
+    /// stable prefix, as a mount in a new process would.
+    pub fn replay(&self) -> AmcResult<()> {
+        let records = self.wal.with_log(|log| log.stable_records())?;
+        *self.state.lock() = AcceptorState::replay(records.iter().map(|(_, r)| r));
+        Ok(())
     }
 
     /// The committer the acceptor writes through (its counters are the

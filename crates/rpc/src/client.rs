@@ -74,7 +74,7 @@ impl RetryPolicy {
 
     /// Apply equal jitter to an envelope: uniform in `[d/2, d]`, driven
     /// by `r` (any uniformly distributed word).
-    pub fn jittered(d: Duration, r: u64) -> Duration {
+    pub(crate) fn jittered(d: Duration, r: u64) -> Duration {
         let nanos = d.as_nanos() as u64;
         let half = nanos / 2;
         if half == 0 {
@@ -450,16 +450,15 @@ impl Link for PooledLink {
 /// ephemeral loopback port:
 ///
 /// ```
-/// use amc_engine::{TplConfig, TwoPLEngine};
-/// use amc_net::{AdminReply, AdminRequest, EngineHandle, LocalCommManager, SubmitMode};
+/// use amc_core::{FederationConfig, ProtocolKind};
+/// use amc_net::{AdminReply, AdminRequest, SubmitMode};
 /// use amc_obs::ObsSink;
 /// use amc_rpc::{RetryPolicy, RpcClient, SiteServer};
 /// use amc_types::SiteId;
 /// use std::sync::Arc;
 ///
-/// let site = SiteId::new(1);
-/// let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
-/// let manager = Arc::new(LocalCommManager::new(site, EngineHandle::Preparable(engine)));
+/// let sites = FederationConfig::uniform(1, ProtocolKind::CommitBefore).open_sites();
+/// let (site, manager) = (SiteId::new(1), Arc::clone(sites[0].manager()));
 /// let server = SiteServer::spawn(
 ///     site, manager, SubmitMode::CommitBefore, "127.0.0.1:0", ObsSink::disabled(),
 /// )?;

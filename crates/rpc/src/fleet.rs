@@ -3,22 +3,22 @@
 //! Every comparison this repository reproduces holds the Fig. 1 system
 //! fixed and sweeps one thing. [`Wire`] is the "how do messages reach the
 //! sites" axis — each deployment named and labelled exactly once — and
-//! [`Fleet`] is the only code that turns a set of communication managers
-//! into that deployment on loopback: the experiments and the process
+//! [`Fleet`] is the only code that turns a federation's sites into that
+//! deployment on loopback: the experiments and the process
 //! tests all come through here, so two cells that differ in their wire
 //! differ in nothing else. `amc-site-server` serves on the same
 //! [`SiteServer`], one per process.
 
 use crate::{RetryPolicy, SiteServer, TcpTransport};
+use amc_core::{site::Site, submit_mode_for, FederationConfig};
 use amc_net::transport::{FederationTransport, InProcessTransport};
-use amc_net::{LocalCommManager, SubmitMode};
+use amc_net::SubmitMode;
 use amc_obs::ObsSink;
 use amc_types::SiteId;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How the central system reaches its sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,57 +56,54 @@ impl Wire {
     }
 }
 
-/// A set of sites deployed on loopback over one [`Wire`]: the transport
-/// the central system drives them through, and the servers behind it.
-/// Dropping the fleet stops every listener and joins every server thread.
+/// A federation's sites deployed on loopback over one [`Wire`]: the
+/// transport the central system drives them through, and the servers
+/// behind it. Dropping the fleet stops every listener and joins every
+/// server thread.
 pub struct Fleet {
     mode: SubmitMode,
     transport: Arc<dyn FederationTransport>,
-    managers: BTreeMap<SiteId, Arc<LocalCommManager>>,
+    sites: BTreeMap<SiteId, Site>,
     servers: BTreeMap<SiteId, SiteServer>,
 }
 
 impl Fleet {
-    /// Deploy `managers` over `wire` with the production retry policy.
-    /// `delay` is the modelled cost of one message leg on the in-process
-    /// wire; sockets pay their own.
+    /// Open `cfg`'s sites and deploy them over `wire`: the in-process wire
+    /// pays `cfg.message_delay` per message leg, sockets pay their own, and
+    /// the TCP client retries under `policy`, emitting its retries,
+    /// reconnects and sheds into `obs`.
     pub fn spawn(
-        managers: Vec<Arc<LocalCommManager>>,
-        mode: SubmitMode,
+        cfg: &FederationConfig,
         wire: Wire,
-        delay: Duration,
-    ) -> io::Result<Fleet> {
-        let (policy, obs) = (RetryPolicy::default(), ObsSink::disabled());
-        Fleet::spawn_with(managers, mode, wire, delay, policy, obs)
-    }
-
-    /// [`Fleet::spawn`] with the client's retry `policy` chosen and its
-    /// events (retries, reconnects, sheds) emitted into `obs`.
-    pub fn spawn_with(
-        managers: Vec<Arc<LocalCommManager>>,
-        mode: SubmitMode,
-        wire: Wire,
-        delay: Duration,
         policy: RetryPolicy,
         obs: ObsSink,
     ) -> io::Result<Fleet> {
-        let managers: BTreeMap<_, _> = managers.into_iter().map(|m| (m.site(), m)).collect();
+        let mode = submit_mode_for(cfg.protocol);
+        let sites: BTreeMap<_, _> = cfg
+            .open_sites()
+            .into_iter()
+            .map(|site| (site.manager().site(), site))
+            .collect();
         let mut servers = BTreeMap::new();
         let transport: Arc<dyn FederationTransport> = if wire.is_tcp() {
-            for (&site, manager) in &managers {
-                let (manager, quiet) = (Arc::clone(manager), ObsSink::disabled());
-                let server = SiteServer::spawn(site, manager, mode, "127.0.0.1:0", quiet)?;
-                servers.insert(site, server);
+            for (&id, site) in &sites {
+                let (manager, quiet) = (Arc::clone(site.manager()), ObsSink::disabled());
+                let server = SiteServer::spawn(id, manager, mode, "127.0.0.1:0", quiet)?;
+                servers.insert(id, server);
             }
             let addrs = servers.iter().map(|(&s, srv)| (s, srv.addr())).collect();
             Arc::new(TcpTransport::new(addrs, policy, obs))
         } else {
-            Arc::new(InProcessTransport::new(managers.clone(), mode, delay))
+            let managers = sites
+                .iter()
+                .map(|(&id, site)| (id, Arc::clone(site.manager())));
+            let delay = cfg.message_delay;
+            Arc::new(InProcessTransport::new(managers.collect(), mode, delay))
         };
         Ok(Fleet {
             mode,
             transport,
-            managers,
+            sites,
             servers,
         })
     }
@@ -117,9 +114,9 @@ impl Fleet {
         Arc::clone(&self.transport)
     }
 
-    /// The sites' communication managers (fault injection, counters).
-    pub fn managers(&self) -> &BTreeMap<SiteId, Arc<LocalCommManager>> {
-        &self.managers
+    /// The sites (fault injection, counters).
+    pub fn sites(&self) -> &BTreeMap<SiteId, Site> {
+        &self.sites
     }
 
     /// Where each site listens; empty on the in-process wire.
@@ -131,17 +128,14 @@ impl Fleet {
     }
 
     /// Kill `site` and restart it in place: its server goes down (sockets
-    /// die), its engine crashes and recovers, and a new server binds the
-    /// **same port** — what a restarted production process does, leaning
-    /// on the bind retry to ride out the old listener's `TIME_WAIT`. The
-    /// transport needs no repointing; its client reconnects.
+    /// die), the site restarts as a killed process would ([`Site::restart`])
+    /// and a new server binds the **same port** (the bind retry rides out
+    /// `TIME_WAIT`); the transport's client reconnects.
     pub fn restart_site(&mut self, site: SiteId) -> io::Result<()> {
-        let manager = Arc::clone(&self.managers[&site]);
         let addr = self.servers.remove(&site).map(|old| old.addr());
-        let engine = manager.handle().engine();
-        engine.crash();
-        engine.recover().map_err(io::Error::other)?;
+        self.sites[&site].restart().map_err(io::Error::other)?;
         if let Some(addr) = addr {
+            let manager = Arc::clone(self.sites[&site].manager());
             let (listen, obs) = (addr.to_string(), ObsSink::disabled());
             let server = SiteServer::spawn(site, manager, self.mode, &listen, obs)?;
             self.servers.insert(site, server);

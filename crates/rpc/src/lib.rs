@@ -42,12 +42,8 @@
 //! * [`fleet`] — the deployment axis ([`Wire`]: in-process, or
 //!   thread-per-connection site servers under the pooled client) and the
 //!   one loopback builder ([`Fleet`]) the experiments and the process
-//!   tests deploy through;
-//! * `recovery` — durable restart: a site started with `--wal-dir`
-//!   persists its engine WAL there — its one durable file — and
-//!   `SiteRecoveryManager` rebuilds the engine and the manager's work
-//!   map from it after a `kill -9`, resolving in-doubt transactions
-//!   through the coordinator's inquiry path;
+//!   tests deploy through, over the sites `amc_core::Site::open` builds
+//!   and `amc_core::Site::restart` restarts;
 //! * [`cli`] — the bodies of the `amc-site-server`, `amc-loadgen`,
 //!   `amc-coord-server` and `amc-paxos-coord` binaries (declared by the
 //!   root package), which run the same pieces as separate OS processes;
@@ -63,7 +59,6 @@ pub mod coord;
 pub mod event_loop;
 pub mod fleet;
 pub mod mux;
-mod recovery;
 pub mod server;
 pub mod transport;
 pub mod wire;

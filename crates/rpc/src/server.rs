@@ -367,7 +367,7 @@ mod tests {
 
     fn server() -> SiteServer {
         let site = SiteId::new(1);
-        let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
+        let engine = Arc::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1)));
         let manager = Arc::new(LocalCommManager::new(
             site,
             EngineHandle::Preparable(engine),

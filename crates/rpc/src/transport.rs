@@ -125,7 +125,7 @@ mod tests {
             lock_timeout: Duration::from_secs(5),
             ..TplConfig::default()
         };
-        let engine = Arc::new(TwoPLEngine::new(cfg));
+        let engine = Arc::new(TwoPLEngine::new_at(cfg, SiteId::new(1)));
         Arc::new(LocalCommManager::new(
             site,
             EngineHandle::Preparable(engine),

@@ -179,9 +179,9 @@ impl ShardRouter {
         assert!(coordinators >= 1, "at least one coordinator");
         let base = FederationConfig::uniform(sites, protocol);
         let managers: BTreeMap<SiteId, Arc<LocalCommManager>> = base
-            .build_managers()
-            .into_iter()
-            .map(|m| (m.site(), m))
+            .open_sites()
+            .iter()
+            .map(|site| (site.manager().site(), Arc::clone(site.manager())))
             .collect();
         let fleet = Arc::new(InProcessTransport::new(
             managers,
@@ -293,10 +293,10 @@ impl ShardRouter {
                 }
                 // A fresh 2PL engine joins the shared fleet; it becomes
                 // addressable only once the epoch bump commits.
-                let manager = self.coordinators[0]
+                let opened = self.coordinators[0]
                     .config()
-                    .build_manager(site, EngineKind::TwoPL);
-                self.fleet.add_site(site, manager);
+                    .open_site(site, EngineKind::TwoPL);
+                self.fleet.add_site(site, Arc::clone(opened.manager()));
                 // Provision its epoch object at the *old* epoch so the
                 // bump transaction below carries every site to the new one.
                 self.coordinators[0].load_site(

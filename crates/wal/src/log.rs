@@ -186,7 +186,8 @@ impl LogManager {
     /// file compacted): a checkpoint's redo-bounding contract says "updates
     /// before me reached stable *page* storage", but the page store is
     /// volatile across process restarts, so redo must run from the log's
-    /// origin.
+    /// origin. Analysis needs none either: recovery logged each loser's
+    /// compensations and abort ([`crate::recover`]).
     pub fn open_durable(path: impl AsRef<Path>) -> AmcResult<Self> {
         let opened = DurableFile::open(path)?;
         let mut frames = opened.frames;
@@ -715,7 +716,10 @@ mod tests {
         log.append(&LogRecord::Commit { txn: t(1) });
         assert_eq!(log.cut_point(), Lsn::new(3), "nothing live: past the head");
         log.append(&update(2)); // 3
-        log.append(&LogRecord::Prepare { txn: t(2), gtx: None });
+        log.append(&LogRecord::Prepare {
+            txn: t(2),
+            gtx: None,
+        });
         log.append(&update(3)); // 5
         log.append(&LogRecord::Abort { txn: t(3) });
         assert_eq!(log.cut_point(), Lsn::new(3), "the prepared one is live");

@@ -4,17 +4,18 @@
 //! by value logging (every step idempotent):
 //!
 //! 1. **Analysis** — find the last checkpoint; classify every transaction
-//!    seen since (plus those active at the checkpoint) as *finished*
-//!    (commit or abort record present), **in-doubt** (a forced `Prepare`
-//!    but no decision — 2PC's ready state surviving the crash) or *loser*.
-//!    A transaction seen only before the checkpoint and not active at it
-//!    is finished: a loser of an earlier recovery, undone and flushed
-//!    before that recovery wrote the checkpoint, is not undone again.
+//!    the log names as *finished* (commit or abort record present),
+//!    **in-doubt** (a forced `Prepare` but no decision — 2PC's ready state
+//!    surviving the crash) or *loser*.
 //! 2. **Redo** — forward from the checkpoint, re-apply every `Update` of a
 //!    finished transaction (aborted ones included: their compensating
 //!    updates come later in the log and net out the rollback).
 //! 3. **Undo** — backward over the whole log, restore the `before` image of
-//!    every update belonging to a loser.
+//!    every update belonging to a loser, then log and force what it did as
+//!    a runtime abort logs it: a compensating `Update` per restored image,
+//!    in undo order, and the loser's `Abort` (ARIES's compensation
+//!    records). A later recovery finds the loser finished, so its undone
+//!    write never comes back over a later commit.
 //!
 //! The caller supplies an `apply` callback (`obj`, `image`) so the module is
 //! independent of the concrete store; `amc-engine` wires it to its
@@ -78,26 +79,18 @@ pub fn recover(
     });
 
     // --- Analysis ---------------------------------------------------------
-    // Find the last checkpoint and the transactions active across it.
-    let mut ckpt_idx = 0usize;
-    let mut ckpt_active: BTreeSet<LocalTxnId> = BTreeSet::new();
-    for (i, (_, r)) in records.iter().enumerate() {
-        if let LogRecord::Checkpoint { active } = r {
-            ckpt_idx = i + 1; // redo starts after the checkpoint record
-            ckpt_active = active.iter().copied().collect();
-        }
-    }
+    // Redo starts after the last checkpoint record.
+    let checkpoint = |(_, r): &(_, LogRecord)| matches!(r, LogRecord::Checkpoint { .. });
+    let ckpt_idx = records.iter().rposition(checkpoint).map_or(0, |i| i + 1);
 
     let mut outcome = RecoveryOutcome {
         torn_tail_truncated,
         ..RecoveryOutcome::default()
     };
-    let mut seen: BTreeSet<LocalTxnId> = ckpt_active;
+    let mut seen: BTreeSet<LocalTxnId> = BTreeSet::new();
     let mut prepared: BTreeSet<LocalTxnId> = BTreeSet::new();
-    for (i, (_, r)) in records.iter().enumerate() {
-        if let Some(t) = r.txn().filter(|_| i >= ckpt_idx) {
-            seen.insert(t);
-        }
+    for (_, r) in &records {
+        seen.extend(r.txn());
         match r {
             LogRecord::Prepare { txn, gtx } => {
                 prepared.insert(*txn);
@@ -148,18 +141,36 @@ pub fn recover(
     }
 
     // --- Undo -------------------------------------------------------------
-    // Backward over the whole log: restore before-images of losers.
+    // Backward over the whole log: restore before-images of losers, and
+    // log each restored image as a compensation, then each loser's abort.
+    let mut compensations = Vec::new();
     for (lsn, r) in records.iter().rev() {
         if let LogRecord::Update {
-            txn, obj, before, ..
+            txn,
+            obj,
+            before,
+            after,
         } = r
         {
             if outcome.losers.contains(txn) {
                 apply(*obj, *before)?;
                 outcome.undo_applied += 1;
                 log.emit(EventKind::ReplayedRecord { lsn: lsn.raw() });
+                compensations.push(LogRecord::Update {
+                    txn: *txn,
+                    obj: *obj,
+                    before: *after,
+                    after: *before,
+                });
             }
         }
+    }
+    let aborts = outcome.losers.iter().map(|&txn| LogRecord::Abort { txn });
+    if !outcome.losers.is_empty() {
+        for record in compensations.into_iter().chain(aborts) {
+            log.append(&record);
+        }
+        log.force();
     }
 
     // Only the in-doubt transactions live on: no cut may pass them.
@@ -271,6 +282,36 @@ mod tests {
         assert!(out.losers.contains(&ltx(1)));
         assert_eq!(state.get(&obj(10)), Some(&v(1)), "before image restored");
         assert_eq!(out.undo_applied, 1);
+    }
+
+    /// Undo logs what it restored, newest first, and the loser's abort,
+    /// durably: the next recovery finds the loser finished, and its redo
+    /// nets out under a later commit of the same object.
+    #[test]
+    fn undone_loser_is_logged_finished() {
+        let mut log = LogManager::new();
+        log.append(&update(1, 10, Some(1), Some(2)));
+        log.append(&update(1, 10, Some(2), Some(3)));
+        log.force();
+        let mut state = BTreeMap::from([(obj(10), v(3))]);
+        recover_into_map(&mut log, &mut state).unwrap();
+        let logged: Vec<LogRecord> = log.stable_records().unwrap()[2..]
+            .iter()
+            .map(|(_, r)| r.clone())
+            .collect();
+        let abort = LogRecord::Abort { txn: ltx(1) };
+        let undo = [
+            update(1, 10, Some(3), Some(2)),
+            update(1, 10, Some(2), Some(1)),
+        ];
+        assert_eq!(logged, [undo[0].clone(), undo[1].clone(), abort]);
+        log.append(&update(2, 10, Some(1), Some(30)));
+        log.append(&LogRecord::Commit { txn: ltx(2) });
+        log.force();
+        let out = recover_into_map(&mut log, &mut state).unwrap();
+        assert!(out.losers.is_empty());
+        assert!(out.aborted.contains(&ltx(1)));
+        assert_eq!(state.get(&obj(10)), Some(&v(30)));
     }
 
     #[test]

@@ -284,6 +284,42 @@ fn one_struct_owns_ids_l1_locks_and_parked_coordinators() {
     }
 }
 
+/// A site has one constructor and one restart: outside tests, only
+/// `core/src/site.rs` builds a communication manager, opens a durable
+/// engine or rebuilds a work map, so every runtime's site is assembled,
+/// and restarted, the way a deployed process is. Acceptors are mounted
+/// there too, and once more by the in-process Paxos federation, whose
+/// acceptors keep in-memory logs of their own: E12c reads those logs'
+/// counters, and moving them onto the engines' committers is a measured
+/// change of its own (ROADMAP 22(d)).
+#[test]
+fn one_struct_opens_and_restarts_sites() {
+    let homes = |needle: &str| -> Vec<String> {
+        let mut files = non_test_code_having(&[needle], &[]);
+        files.sort();
+        files
+    };
+    for needle in [
+        "LocalCommManager::new(",
+        "TwoPLEngine::open_durable(",
+        "OccEngine::open_durable(",
+        ".restore_work(",
+    ] {
+        let files = homes(needle);
+        assert!(
+            files.len() == 1 && files[0].ends_with("core/src/site.rs"),
+            "`{needle}` in {files:?}"
+        );
+    }
+    let mounts = homes("AcceptorHost::mount(");
+    assert!(
+        mounts.len() == 2
+            && mounts[0].ends_with("core/src/federation.rs")
+            && mounts[1].ends_with("core/src/site.rs"),
+        "`AcceptorHost::mount(` in {mounts:?}"
+    );
+}
+
 /// The testbed exists once: `amc_rpc::Fleet` is the only code that turns
 /// managers into a loopback deployment, and `amc_rpc::Wire` the only enum
 /// naming the deployments. Outside `amc-rpc`'s own server and transport
@@ -458,7 +494,7 @@ fn whole_table_lock_sweeps_serve_only_crash_paths() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 23_324;
+    const CEILING: usize = 23_323;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| non_test_lines(text).count())
@@ -1149,7 +1185,7 @@ fn the_wall_clock_scanner_tells_bounds_from_counts() {
 /// counted by the scanner of `pub_items_are_named_outside_their_crate`.
 #[test]
 fn public_items_only_go_down() {
-    const PUBLIC_ITEMS: usize = 696;
+    const PUBLIC_ITEMS: usize = 694;
     let score = pub_items(&rust_sources()).len();
     assert!(
         score <= PUBLIC_ITEMS,

@@ -22,11 +22,14 @@ const G: GlobalTxnId = GlobalTxnId::new(1);
 const X: ObjectId = ObjectId::new(1);
 
 fn setup() -> (LocalCommManager, Arc<TwoPLEngine>) {
-    let engine = Arc::new(TwoPLEngine::new(TplConfig {
-        lock_timeout: Duration::from_millis(50),
-        ..TplConfig::default()
-    }));
-    engine.load([(X, Value::counter(100))]).unwrap();
+    let engine = Arc::new(TwoPLEngine::new_at(
+        TplConfig {
+            lock_timeout: Duration::from_millis(50),
+            ..TplConfig::default()
+        },
+        SiteId::new(1),
+    ));
+    engine.bulk_load(&[(X, Value::counter(100))]).unwrap();
     let mgr = LocalCommManager::new(SiteId::new(1), EngineHandle::Preparable(engine.clone()));
     (mgr, engine)
 }
@@ -67,7 +70,8 @@ fn two_pc_in_doubt_blocks_until_decision() {
     assert!(probe_blocked(&engine), "still blocked on every retry");
 
     // Only the coordinator's decision ends the window.
-    mgr.handle_decision(G, GlobalVerdict::Commit).unwrap();
+    mgr.handle_decision(G, GlobalVerdict::Commit, SubmitMode::TwoPhase)
+        .unwrap();
     assert!(!probe_blocked(&engine), "decision releases the resources");
     assert_eq!(engine.dump().unwrap()[&X], Value::counter(105));
 }
@@ -120,13 +124,16 @@ fn in_doubt_window_also_blocks_same_page_neighbours() {
     // The blocking granule is the page: an in-doubt transaction blocks
     // *other objects* that happen to share its page — collateral damage
     // the commit-before protocol never inflicts.
-    let engine = Arc::new(TwoPLEngine::new(TplConfig {
-        buckets: 1, // every object on one page chain
-        lock_timeout: Duration::from_millis(50),
-        ..TplConfig::default()
-    }));
+    let engine = Arc::new(TwoPLEngine::new_at(
+        TplConfig {
+            buckets: 1, // every object on one page chain
+            lock_timeout: Duration::from_millis(50),
+            ..TplConfig::default()
+        },
+        SiteId::new(1),
+    ));
     engine
-        .load([
+        .bulk_load(&[
             (X, Value::counter(100)),
             (ObjectId::new(2), Value::counter(7)),
         ])

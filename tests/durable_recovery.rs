@@ -7,9 +7,12 @@
 //! cannot vote yes) and each leaves the coordinator owing the dead site
 //! its final state. The site restarts **in place** — same port, same WAL
 //! directory — replays its log, restores its work journal, and the
-//! coordinator's `resolve_pending` discharges every owed message. The
-//! global sum must be conserved through all of it, and the admin
-//! `Recovery` frame must report the replay.
+//! coordinator's `resolve_pending` discharges every owed message. Then the
+//! same site is killed again, this time under concurrent load, and
+//! restarted again. After each restart the global sum must be conserved
+//! and every site's commit counter must equal the number of transfers the
+//! coordinator committed, and the admin `Recovery` frame must report the
+//! replay.
 //!
 //! The property tests below pin the durable-log contract itself: any
 //! frame-boundary prefix of a WAL replays to a consistent store (the
@@ -20,9 +23,10 @@ use amc::core::{Federation, FederationConfig, TxnOutcome};
 use amc::engine::{LocalEngine, TplConfig, TwoPLEngine};
 use amc::net::marker::is_marker;
 use amc::net::transport::{AdminReply, AdminRequest, FederationTransport};
+use amc::net::Payload;
 use amc::obs::ObsSink;
 use amc::rpc::{RetryPolicy, TcpTransport};
-use amc::types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
+use amc::types::{GlobalTxnId, LocalVote, ObjectId, Operation, ProtocolKind, SiteId, Value};
 use amc::wal::durable::{DurableFile, FRAME_HEADER};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -30,13 +34,17 @@ use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const SITES: u32 = 2;
 const OBJS: u64 = 8;
 const PER_OBJ: i64 = 100;
+/// Per site, past the transferred objects, one commit counter per client:
+/// a transfer adds one to its client's counter at both sites, so the
+/// counters of a site sum to the transfers committed there.
+const CLIENTS: u64 = 2;
 
 fn obj(site: u32, i: u64) -> ObjectId {
     ObjectId::new(u64::from(site) * (1 << 32) + i)
@@ -130,24 +138,26 @@ fn spawn_site(site: u32, protocol: ProtocolKind, wal_dir: &Path, listen: &str) -
     }
 }
 
-/// A two-site transfer over an explicit object-index pair.
-fn transfer_on(from: u32, to: u32, fi: u64, ti: u64, amt: i64) -> BTreeMap<SiteId, Vec<Operation>> {
-    BTreeMap::from([
+/// A two-site transfer over an explicit object-index pair, counted at
+/// both sites on `client`'s counter.
+fn transfer_by(
+    client: u64,
+    (from, to): (u32, u32),
+    (fi, ti): (u64, u64),
+    amt: i64,
+) -> BTreeMap<SiteId, Vec<Operation>> {
+    let ops = |site, i, delta| {
+        let count = Operation::Increment {
+            obj: obj(site, OBJS + client),
+            delta: 1,
+        };
+        let obj = obj(site, i);
         (
-            SiteId::new(from),
-            vec![Operation::Increment {
-                obj: obj(from, fi),
-                delta: -amt,
-            }],
-        ),
-        (
-            SiteId::new(to),
-            vec![Operation::Increment {
-                obj: obj(to, ti),
-                delta: amt,
-            }],
-        ),
-    ])
+            SiteId::new(site),
+            vec![Operation::Increment { obj, delta }, count],
+        )
+    };
+    BTreeMap::from([ops(from, fi, -amt), ops(to, ti, amt)])
 }
 
 fn transfer(i: u64) -> BTreeMap<SiteId, Vec<Operation>> {
@@ -156,7 +166,12 @@ fn transfer(i: u64) -> BTreeMap<SiteId, Vec<Operation>> {
     } else {
         (2, 1)
     };
-    transfer_on(from, to, i % OBJS, (i + 3) % OBJS, 1 + (i % 5) as i64)
+    transfer_by(
+        0,
+        (from, to),
+        (i % OBJS, (i + 3) % OBJS),
+        1 + (i % 5) as i64,
+    )
 }
 
 /// Run `n` transfers; returns how many committed.
@@ -178,9 +193,99 @@ fn user_sum(fed: &Federation) -> i64 {
         .expect("dumps")
         .values()
         .flat_map(|d| d.iter())
-        .filter(|(o, _)| !is_marker(**o))
+        .filter(|(o, _)| !is_marker(**o) && o.raw() % (1 << 32) < OBJS)
         .map(|(_, v)| v.counter)
         .sum()
+}
+
+/// Discharge every owed final-state message, then check that transfers
+/// conserved the global sum and that each site counts exactly the
+/// `committed` transfers — no committed write lost, none applied twice.
+fn check_after_restart(fed: &Federation, committed: u64, protocol: ProtocolKind, when: &str) {
+    for _ in 0..100 {
+        if fed.pending_obligations() == 0 {
+            break;
+        }
+        fed.resolve_pending().expect("resolve after restart");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(
+        fed.pending_obligations(),
+        0,
+        "{protocol:?} {when}: obligations never drained"
+    );
+    assert_eq!(
+        user_sum(fed),
+        i64::from(SITES) * OBJS as i64 * PER_OBJ,
+        "{protocol:?} {when}: global sum not conserved"
+    );
+    let dumps = fed.dumps().expect("dumps");
+    for s in 1..=SITES {
+        let counter = |c| dumps[&SiteId::new(s)][&obj(s, OBJS + c)].counter;
+        let counted: i64 = (0..CLIENTS).map(counter).sum();
+        assert_eq!(
+            counted, committed as i64,
+            "{protocol:?} {when}: site {s} counts {counted} of {committed} committed transfers"
+        );
+    }
+}
+
+/// Transfers from concurrent clients, each on its own objects and counter,
+/// while `kill` runs 150 ms in and for 150 ms after; returns how many
+/// committed. A client's work at the victim dies running while the other
+/// client's commits force its records: a loser for the restart to undo.
+fn load_through(fed: &Federation, kill: impl FnOnce()) -> u64 {
+    let stop = AtomicBool::new(false);
+    let client = |c: u64| {
+        let stop = &stop;
+        move || {
+            let mut committed = 0;
+            for i in 0u64.. {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let sites = if i.is_multiple_of(2) { (1, 2) } else { (2, 1) };
+                let program = transfer_by(c, sites, (2 * c, 2 * c + 1), 1);
+                let report = fed.run_transaction(&program).expect("absorbed outage");
+                committed += u64::from(report.outcome == TxnOutcome::Committed);
+            }
+            committed
+        }
+    };
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS).map(|c| scope.spawn(client(c))).collect();
+        std::thread::sleep(Duration::from_millis(150));
+        kill();
+        std::thread::sleep(Duration::from_millis(150));
+        stop.store(true, Ordering::Relaxed);
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    })
+}
+
+/// Leave `victim` running work on client 0's counter, submitted by a stray
+/// coordinator whose decision never comes. The load's commits force its
+/// records, so the kill makes it a loser: the restart rolls it back, and a
+/// later restart must not roll it back again over the commits since.
+/// Commit-before work commits at its submit, so it leaves none.
+fn strand_running_work(transport: &TcpTransport, victim: SiteId, protocol: ProtocolKind) -> bool {
+    if protocol == ProtocolKind::CommitBefore {
+        return false;
+    }
+    let gtx = GlobalTxnId::new(1 << 39);
+    let obj = obj(victim.raw(), OBJS);
+    let ops = vec![Operation::Increment { obj, delta: 1 }];
+    let vote = transport.call(victim, Payload::Submit { gtx, ops });
+    assert!(
+        matches!(
+            vote,
+            Ok(Payload::Vote {
+                vote: LocalVote::Ready,
+                ..
+            })
+        ),
+        "{protocol:?}: stray submit {vote:?}"
+    );
+    true
 }
 
 fn kill9_run(protocol: ProtocolKind) {
@@ -201,9 +306,10 @@ fn kill9_run(protocol: ProtocolKind) {
         Arc::clone(&transport) as Arc<dyn FederationTransport>,
     );
     for s in 1..=SITES {
-        let data: Vec<(ObjectId, Value)> = (0..OBJS)
+        let mut data: Vec<(ObjectId, Value)> = (0..OBJS)
             .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
             .collect();
+        data.extend((0..CLIENTS).map(|c| (obj(s, OBJS + c), Value::counter(0))));
         fed.load_site(SiteId::new(s), &data).expect("load");
     }
 
@@ -214,13 +320,16 @@ fn kill9_run(protocol: ProtocolKind) {
         "{protocol:?}: nothing committed before the kill"
     );
 
-    // Phase 2: SIGKILL site 2 mid-run. Transfers that need it abort, and
+    // Phase 2: SIGKILL site 2 mid-load. Transfers that need it abort, and
     // every abort leaves the dead site owed its final state. Disjoint
     // object pairs keep the retained L1 locks from stalling each other.
     let victim = SiteId::new(2);
-    procs.remove(&victim).expect("victim running"); // Drop kills -9.
+    let stranded = strand_running_work(&transport, victim, protocol);
+    let loaded = load_through(&fed, || {
+        procs.remove(&victim).expect("victim running"); // Drop kills -9.
+    });
     for k in 0..3u64 {
-        let program = transfer_on(1, 2, 2 * k, 2 * k + 1, 5);
+        let program = transfer_by(0, (1, 2), (2 * k, 2 * k + 1), 5);
         let report = fed.run_transaction(&program).expect("absorbed outage");
         assert_eq!(
             report.outcome,
@@ -247,27 +356,34 @@ fn kill9_run(protocol: ProtocolKind) {
         recovered.contains("work entries restored"),
         "unexpected recovery line: {recovered}"
     );
+    assert!(
+        !stranded || !recovered.contains(" 0 rolled back"),
+        "{protocol:?}: the stranded work was not a loser: {recovered}"
+    );
     procs.insert(victim, revived);
 
     // Phase 4: the coordinator discharges every owed final-state message.
-    for _ in 0..50 {
-        if fed.pending_obligations() == 0 {
-            break;
-        }
-        fed.resolve_pending().expect("resolve after restart");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert_eq!(
-        fed.pending_obligations(),
-        0,
-        "{protocol:?}: obligations never drained after restart"
-    );
+    let mut committed = before + loaded;
+    check_after_restart(&fed, committed, protocol, "after the first restart");
 
-    // Phase 5: the revived site serves commits again.
+    // Phase 5: kill the same site again under load, after commits on the
+    // objects the first restart rolled back, and restart it in place again
+    // while the clients run.
+    committed += load_through(&fed, || {
+        procs.remove(&victim).expect("victim running"); // Drop kills -9.
+        std::thread::sleep(Duration::from_millis(300));
+        let revived = spawn_site(victim.raw(), protocol, &wal_dir, &addr.to_string());
+        assert_eq!(revived.addr, addr, "the second restart reuses the port");
+        procs.insert(victim, revived);
+    });
+    check_after_restart(&fed, committed, protocol, "after the second restart");
+
+    // Phase 6: the twice-revived site serves commits again.
     let after = drive(&fed, 200, 12);
     assert!(after > 0, "{protocol:?}: nothing committed after recovery");
+    check_after_restart(&fed, committed + after, protocol, "at the end");
 
-    // The admin frame reports the replay: phase-1 commits were redone and
+    // The admin frame reports the last replay: commits were redone and
     // the journal survived the kill.
     match transport.admin(victim, AdminRequest::Recovery) {
         Ok(AdminReply::Recovery(Some(stats))) => {
@@ -305,8 +421,7 @@ fn two_phase_commit_survives_kill_9() {
 /// the final committed state.
 #[test]
 fn killed_piggybacked_prepare_recovers_identically_to_classic() {
-    use amc::net::Payload;
-    use amc::types::{GlobalTxnId, GlobalVerdict, LocalVote};
+    use amc::types::GlobalVerdict;
 
     let protocol = ProtocolKind::TwoPhaseCommit;
     let site = SiteId::new(1);

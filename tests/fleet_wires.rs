@@ -6,14 +6,14 @@
 //! two cells built by `Fleet::spawn` differ in their wire and in nothing
 //! else — same engines, same managers, same submit mode, same programs.
 
-use amc::core::{submit_mode_for, Federation, FederationConfig, ProtocolKind, TxnOutcome};
+use amc::core::{Federation, FederationConfig, ProtocolKind, TxnOutcome};
 use amc::net::marker::is_marker;
-use amc::rpc::{Fleet, Wire};
+use amc::obs::ObsSink;
+use amc::rpc::{Fleet, RetryPolicy, Wire};
 use amc::types::{ObjectId, SiteId, Value};
 use amc::workload::{fingerprint, MixGen, MixKind, MixSpec};
 use std::collections::BTreeMap;
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// The pinned stream: 40 transfers of seed 0xF1EE7. A change here means
 /// the generator (or `shims/rand`) changed, not the wires.
@@ -36,8 +36,8 @@ type Dumps = BTreeMap<SiteId, BTreeMap<ObjectId, Value>>;
 fn run_over(wire: Wire, protocol: ProtocolKind) -> (Dumps, Vec<std::net::SocketAddr>) {
     let spec = spec();
     let cfg = FederationConfig::uniform(spec.sites, protocol);
-    let mode = submit_mode_for(protocol);
-    let fleet = Fleet::spawn(cfg.build_managers(), mode, wire, Duration::ZERO).expect("bind");
+    let fleet =
+        Fleet::spawn(&cfg, wire, RetryPolicy::default(), ObsSink::disabled()).expect("bind");
     let addrs: Vec<_> = fleet.addrs().into_values().collect();
     assert_eq!(addrs.len(), if wire.is_tcp() { 3 } else { 0 }, "{wire:?}");
 

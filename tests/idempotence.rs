@@ -14,9 +14,9 @@ use amc::types::{GlobalTxnId, GlobalVerdict, ObjectId, Operation, SiteId, Value}
 use std::sync::Arc;
 
 fn setup() -> (LocalCommManager, Arc<TwoPLEngine>) {
-    let engine = Arc::new(TwoPLEngine::new(TplConfig::default()));
+    let engine = Arc::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1)));
     engine
-        .load([(ObjectId::new(1), Value::counter(100))])
+        .bulk_load(&[(ObjectId::new(1), Value::counter(100))])
         .unwrap();
     let mgr = LocalCommManager::new(SiteId::new(1), EngineHandle::Plain(engine.clone()));
     (mgr, engine)
@@ -42,7 +42,8 @@ fn redo_window_crash_after_commit() {
     let (mgr, engine) = setup();
     mgr.handle_submit(G, incr(5), SubmitMode::CommitAfter)
         .unwrap();
-    mgr.handle_decision(G, GlobalVerdict::Commit).unwrap();
+    mgr.handle_decision(G, GlobalVerdict::Commit, SubmitMode::CommitAfter)
+        .unwrap();
     assert_eq!(counter(&engine), 105);
 
     // The `finished` message is lost; the site crashes; the coordinator

@@ -117,9 +117,9 @@ fn fig8_end_to_end_interleaving() {
 /// (decrement) preserves it.
 #[test]
 fn fig8_inverse_action_undo_preserves_concurrent_increment() {
-    let engine = TwoPLEngine::new(TplConfig::default());
+    let engine = TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1));
     engine
-        .load([(ObjectId::new(1), Value::counter(0))])
+        .bulk_load(&[(ObjectId::new(1), Value::counter(0))])
         .unwrap();
 
     // T1 increments x and commits; T2 increments x and commits.

@@ -466,9 +466,13 @@ fn cuts_of_an_in_memory_log_keep_every_acceptor_row() {
         lock_timeout: Duration::from_millis(1),
         ..TplConfig::default()
     };
-    let engine = TwoPLEngine::new(cfg);
+    let engine = TwoPLEngine::new_at(cfg, SiteId::new(1));
     engine
-        .load((0..4).map(|o| (ObjectId::new(o), Value::counter(0))))
+        .bulk_load(
+            &(0..4)
+                .map(|o| (ObjectId::new(o), Value::counter(0)))
+                .collect::<Vec<_>>(),
+        )
         .unwrap();
     let host = AcceptorHost::mount(site(1), Arc::clone(engine.wal())).unwrap();
     let local = |i: u64| SiteOp::Local {

@@ -156,10 +156,10 @@ proptest! {
             1..25,
         ),
     ) {
-        let engine = TwoPLEngine::new(TplConfig::default());
+        let engine = TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1));
         let initial: Vec<(ObjectId, Value)> =
             (1..=4u64).map(|i| (ObjectId::new(i), Value::counter(100))).collect();
-        engine.load(initial.clone()).unwrap();
+        engine.bulk_load(&initial).unwrap();
         let mut model = ModelDb::with(initial);
 
         for (ops, commit) in txns {

@@ -51,7 +51,7 @@ fn manager(site: SiteId, lock_timeout: Duration) -> Arc<LocalCommManager> {
         deadlock_check: Duration::from_millis(1),
         ..TplConfig::default()
     };
-    let engine = Arc::new(TwoPLEngine::new(cfg));
+    let engine = Arc::new(TwoPLEngine::new_at(cfg, SiteId::new(1)));
     Arc::new(LocalCommManager::new(
         site,
         EngineHandle::Preparable(engine),
@@ -933,8 +933,11 @@ fn federation_over_mux_and_event_servers_conserves_and_survives_restart() {
         EventServer::spawn(site, Arc::clone(manager), mode, listen, ObsSink::disabled())
             .expect("bind loopback")
     };
-    let managers = cfg.build_managers();
-    let mut servers: Vec<EventServer> = managers.iter().map(|m| spawn(m, "127.0.0.1:0")).collect();
+    let sites = cfg.open_sites();
+    let mut servers: Vec<EventServer> = sites
+        .iter()
+        .map(|s| spawn(s.manager(), "127.0.0.1:0"))
+        .collect();
     let addrs = servers.iter().map(|s| (s.site(), s.addr())).collect();
     let transport = Arc::new(TcpTransport::new_mux(addrs, policy, ObsSink::disabled()));
     assert!(transport.supports_pipelining());
@@ -1002,17 +1005,16 @@ fn federation_over_mux_and_event_servers_conserves_and_survives_restart() {
     let before = run(0, 8);
     assert!(before > 0, "nothing committed before restart");
 
-    // Restart site 2's server in place: its listener goes down, its
-    // engine crashes and recovers, and a new server binds the same port.
+    // Restart site 2's server in place: its listener goes down, the site
+    // restarts as a killed process would, and a new server binds the same
+    // port.
     // The mux client must redial through its retry path.
     let old = servers.pop().expect("site 2's server");
     assert_eq!(old.site(), SiteId::new(2));
     let addr = old.addr();
     old.shutdown();
-    let engine = managers[1].handle().engine();
-    engine.crash();
-    engine.recover().expect("recover site 2");
-    servers.push(spawn(&managers[1], &addr.to_string()));
+    sites[1].restart().expect("restart site 2");
+    servers.push(spawn(sites[1].manager(), &addr.to_string()));
     assert_eq!(servers[1].addr(), addr);
 
     let after = run(1000, 8);

@@ -5,16 +5,17 @@
 //! For each protocol: deploy a loopback [`Fleet`] (one thread-per-
 //! connection site server per site, ephemeral ports), run a mixed
 //! transfer workload through `Federation::with_transport`, then
-//! [`Fleet::restart_site`]: kill one site's server, crash and recover its
-//! engine, and respawn the server **in place on the same port** — exactly
-//! what a restarted production process does, leaning on the server's bind
-//! retry to ride out the old listener's TIME_WAIT. The
+//! [`Fleet::restart_site`]: kill one site's server, restart the site as a
+//! killed process restarts (`Site::restart`: engine recovery, work map
+//! rebuilt from the database), and respawn the server **in place on the
+//! same port**, leaning on the server's bind retry to ride out the old
+//! listener's TIME_WAIT. The
 //! run must commit transactions both before and after the restart, the
 //! client must log a reconnect, and the global sum must be conserved at
 //! the end — the paper's atomicity guarantee surviving an actual socket
 //! teardown, not a simulated one.
 
-use amc::core::{submit_mode_for, Federation, FederationConfig, TxnOutcome};
+use amc::core::{Federation, FederationConfig, TxnOutcome};
 use amc::obs::{EventKind, ObsSink};
 use amc::rpc::{Fleet, RetryPolicy, Wire};
 use amc::types::{ObjectId, Operation, ProtocolKind, SiteId, Value};
@@ -98,15 +99,8 @@ fn restart_run(protocol: ProtocolKind) {
     cfg.tpl.lock_timeout = Duration::from_millis(200);
     cfg.tpl.deadlock_check = Duration::from_millis(1);
     let obs = ObsSink::enabled(1 << 16);
-    let mut fleet = Fleet::spawn_with(
-        cfg.build_managers(),
-        submit_mode_for(protocol),
-        Wire::ThreadedPooled,
-        Duration::ZERO,
-        fast_policy(),
-        obs.clone(),
-    )
-    .expect("bind loopback");
+    let mut fleet = Fleet::spawn(&cfg, Wire::ThreadedPooled, fast_policy(), obs.clone())
+        .expect("bind loopback");
     let fed = Arc::new(Federation::with_transport(cfg, fleet.transport()));
     for s in 1..=SITES {
         let data: Vec<(ObjectId, Value)> = (0..OBJS)

@@ -12,7 +12,8 @@
 use amc::core::{Federation, FederationConfig, ProtocolKind};
 use amc::mlt::ConflictPolicy;
 use amc::net::marker::is_marker;
-use amc::rpc::{Fleet, Wire};
+use amc::obs::ObsSink;
+use amc::rpc::{Fleet, RetryPolicy, Wire};
 use amc::sim::SimRng;
 use amc::types::{Operation, SiteId};
 use amc::workload::{fingerprint, MixGen, MixKind, MixSpec};
@@ -292,13 +293,8 @@ fn tcp_federation(
     cfg.l1_timeout = Duration::from_millis(500);
     cfg.tpl.lock_timeout = Duration::from_millis(100);
     cfg.tpl.deadlock_check = Duration::from_millis(1);
-    let fleet = Fleet::spawn(
-        cfg.build_managers(),
-        amc::core::submit_mode_for(protocol),
-        Wire::ThreadedPooled,
-        Duration::ZERO,
-    )
-    .expect("bind loopback");
+    let (policy, obs) = (RetryPolicy::default(), ObsSink::disabled());
+    let fleet = Fleet::spawn(&cfg, Wire::ThreadedPooled, policy, obs).expect("bind loopback");
     let fed = Arc::new(Federation::with_transport(cfg, fleet.transport()));
     for s in 1..=spec.sites {
         let site = SiteId::new(s);
