@@ -36,7 +36,7 @@ pub struct SiteSpec {
     pub log: SiteLog,
     /// Host a Paxos Commit acceptor on the engine's log (2PL only).
     pub acceptor: bool,
-    /// Engine tuning (an OCC engine takes its buckets and pool from it).
+    /// Engine tuning, either scheduler.
     pub tpl: TplConfig,
 }
 
@@ -77,10 +77,9 @@ impl Site {
                 }
             }
             EngineKind::Occ => {
-                let (b, f) = (tpl.buckets, tpl.pool_frames);
                 let (engine, report) = match path {
-                    None => (OccEngine::new_at(b, f, id), None),
-                    Some(path) => OccEngine::open_durable(b, f, id, path).map(durable)?,
+                    None => (OccEngine::new_at(tpl, id), None),
+                    Some(path) => OccEngine::open_durable(tpl, id, path).map(durable)?,
                 };
                 (EngineHandle::Plain(Arc::new(engine)), None, report)
             }
@@ -160,9 +159,13 @@ mod tests {
     }
 
     fn spec(id: u32, protocol: ProtocolKind, log: SiteLog) -> SiteSpec {
+        spec_on(EngineKind::TwoPL, id, protocol, log)
+    }
+
+    fn spec_on(engine: EngineKind, id: u32, protocol: ProtocolKind, log: SiteLog) -> SiteSpec {
         SiteSpec {
             id: SiteId::new(id),
-            engine: EngineKind::TwoPL,
+            engine,
             protocol,
             log,
             acceptor: false,
@@ -185,15 +188,23 @@ mod tests {
         }
     }
 
+    /// Both schedulers, each with a protocol it can serve.
+    const ENGINES: [(EngineKind, ProtocolKind); 2] = [
+        (EngineKind::TwoPL, ProtocolKind::TwoPhaseCommit),
+        (EngineKind::Occ, ProtocolKind::CommitBefore),
+    ];
+
     #[test]
     fn first_boot_is_a_zero_record_recovery() {
-        let dir = tmp_dir("boot");
-        let spec = spec(3, ProtocolKind::TwoPhaseCommit, SiteLog::Dir(dir.clone()));
-        let (site, stats) = Site::open(spec).unwrap();
-        assert_eq!(stats, RecoveryStats::default());
-        assert_eq!(served_stats(&site), Some(stats));
-        assert!(site.manager().handle().engine().dump().unwrap().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+        for (engine, protocol) in ENGINES {
+            let dir = tmp_dir(&format!("boot-{engine:?}"));
+            let spec = spec_on(engine, 3, protocol, SiteLog::Dir(dir.clone()));
+            let (site, stats) = Site::open(spec).unwrap();
+            assert_eq!(stats, RecoveryStats::default(), "{engine:?}");
+            assert_eq!(served_stats(&site), Some(stats), "{engine:?}");
+            assert!(site.manager().handle().engine().dump().unwrap().is_empty());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Commit-before work committed before a `kill -9` is undone after the
@@ -202,58 +213,57 @@ mod tests {
     /// site's directory holds its WAL and nothing else.
     #[test]
     fn commit_before_work_survives_reopen_and_undoes_on_global_abort() {
-        let dir = tmp_dir("cb-undo");
-        let open = || {
-            Site::open(spec(
-                1,
-                ProtocolKind::CommitBefore,
-                SiteLog::Dir(dir.clone()),
-            ))
-        };
-        let gtx = GlobalTxnId::new(9);
-        let forward = vec![
-            Operation::Increment {
-                obj: ObjectId::new(1),
-                delta: -30,
-            },
-            Operation::Write {
-                obj: ObjectId::new(2),
-                value: Value::counter(5),
-            },
-        ];
-        {
-            let (site, _) = open().unwrap();
+        for engine in [EngineKind::TwoPL, EngineKind::Occ] {
+            let dir = tmp_dir(&format!("cb-undo-{engine:?}"));
+            let open = || {
+                let log = SiteLog::Dir(dir.clone());
+                Site::open(spec_on(engine, 1, ProtocolKind::CommitBefore, log))
+            };
+            let gtx = GlobalTxnId::new(9);
+            let forward = vec![
+                Operation::Increment {
+                    obj: ObjectId::new(1),
+                    delta: -30,
+                },
+                Operation::Write {
+                    obj: ObjectId::new(2),
+                    value: Value::counter(5),
+                },
+            ];
+            {
+                let (site, _) = open().unwrap();
+                let manager = site.manager();
+                let data = [1, 2].map(|o| (ObjectId::new(o), Value::counter(100)));
+                manager.handle().engine().bulk_load(&data).unwrap();
+                let vote = vote_of(
+                    manager
+                        .handle_submit(gtx, forward.clone(), SubmitMode::CommitBefore)
+                        .unwrap(),
+                );
+                assert_eq!(vote, LocalVote::Ready);
+                // Crash: the site (and everything in its memory) dies.
+            }
+            let files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(files, ["site-1.wal"], "one durable write path per site");
+            let (site, stats) = open().unwrap();
             let manager = site.manager();
-            let data = [1, 2].map(|o| (ObjectId::new(o), Value::counter(100)));
-            manager.handle().engine().bulk_load(&data).unwrap();
-            let vote = vote_of(
-                manager
-                    .handle_submit(gtx, forward.clone(), SubmitMode::CommitBefore)
-                    .unwrap(),
+            assert_eq!(stats.restored_entries, 1, "{engine:?}: the forward marker");
+            // The committed forward transaction survived...
+            assert_eq!(
+                vote_of(manager.handle_prepare(gtx).unwrap()),
+                LocalVote::Ready
             );
-            assert_eq!(vote, LocalVote::Ready);
-            // Crash: the site (and everything in its memory) dies.
+            // ...and a global abort, which re-ships the forward program, still
+            // finds the §3.3 undo-log in the database.
+            manager.handle_undo(gtx, forward).unwrap();
+            let dump = manager.handle().engine().dump().unwrap();
+            assert_eq!(dump.get(&ObjectId::new(1)), Some(&Value::counter(100)));
+            assert_eq!(dump.get(&ObjectId::new(2)), Some(&Value::counter(100)));
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert_eq!(files, ["site-1.wal"], "one durable write path per site");
-        let (site, stats) = open().unwrap();
-        let manager = site.manager();
-        assert_eq!(stats.restored_entries, 1, "the forward marker");
-        // The committed forward transaction survived...
-        assert_eq!(
-            vote_of(manager.handle_prepare(gtx).unwrap()),
-            LocalVote::Ready
-        );
-        // ...and a global abort, which re-ships the forward program, still
-        // finds the §3.3 undo-log in the database.
-        manager.handle_undo(gtx, forward).unwrap();
-        let dump = manager.handle().engine().dump().unwrap();
-        assert_eq!(dump.get(&ObjectId::new(1)), Some(&Value::counter(100)));
-        assert_eq!(dump.get(&ObjectId::new(2)), Some(&Value::counter(100)));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Commit-after work voted ready but not yet committed dies with the
@@ -263,45 +273,52 @@ mod tests {
     /// duplicate, across another restart too.
     #[test]
     fn commit_after_work_lost_in_a_restart_comes_back_with_its_redo() {
-        let dir = tmp_dir("ca-redo");
-        let open = || {
-            let spec = spec(3, ProtocolKind::CommitAfter, SiteLog::Dir(dir.clone()));
-            Site::open(spec).unwrap()
-        };
-        let gtx = GlobalTxnId::new(4);
-        let ops = vec![Operation::Increment {
-            obj: ObjectId::new(1),
-            delta: 5,
-        }];
-        let counter = |s: &Site| s.manager().handle().engine().dump().unwrap()[&ObjectId::new(1)];
-        let commit = |s: &Site| {
-            let mode = SubmitMode::CommitAfter;
-            s.manager()
-                .handle_decision(gtx, GlobalVerdict::Commit, mode)
-        };
-        {
-            let (site, _) = open();
-            let data = [(ObjectId::new(1), Value::counter(10))];
-            site.manager().handle().engine().bulk_load(&data).unwrap();
-            let vote = site
-                .manager()
-                .handle_submit(gtx, ops.clone(), SubmitMode::CommitAfter);
-            assert_eq!(vote_of(vote.unwrap()), LocalVote::Ready);
+        for engine in [EngineKind::TwoPL, EngineKind::Occ] {
+            let dir = tmp_dir(&format!("ca-redo-{engine:?}"));
+            let open = || {
+                let log = SiteLog::Dir(dir.clone());
+                let spec = spec_on(engine, 3, ProtocolKind::CommitAfter, log);
+                Site::open(spec).unwrap()
+            };
+            let gtx = GlobalTxnId::new(4);
+            let ops = vec![Operation::Increment {
+                obj: ObjectId::new(1),
+                delta: 5,
+            }];
+            let counter =
+                |s: &Site| s.manager().handle().engine().dump().unwrap()[&ObjectId::new(1)];
+            let commit = |s: &Site| {
+                let mode = SubmitMode::CommitAfter;
+                s.manager()
+                    .handle_decision(gtx, GlobalVerdict::Commit, mode)
+            };
+            {
+                let (site, _) = open();
+                let data = [(ObjectId::new(1), Value::counter(10))];
+                site.manager().handle().engine().bulk_load(&data).unwrap();
+                let vote = site
+                    .manager()
+                    .handle_submit(gtx, ops.clone(), SubmitMode::CommitAfter);
+                assert_eq!(vote_of(vote.unwrap()), LocalVote::Ready);
+            }
+            let (site, stats) = open();
+            assert_eq!(
+                stats.restored_entries, 0,
+                "{engine:?}: nothing committed yet"
+            );
+            assert!(matches!(
+                commit(&site),
+                Err(amc_types::AmcError::TransientIo(_))
+            ));
+            site.manager().handle_redo(gtx, ops).unwrap();
+            assert_eq!(counter(&site), Value::counter(15));
+            drop(site);
+            let (site, stats) = open();
+            assert_eq!(stats.restored_entries, 1, "{engine:?}: the redo's marker");
+            assert_eq!(commit(&site).unwrap(), Payload::Finished { gtx });
+            assert_eq!(counter(&site), Value::counter(15));
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let (site, stats) = open();
-        assert_eq!(stats.restored_entries, 0, "nothing committed yet");
-        assert!(matches!(
-            commit(&site),
-            Err(amc_types::AmcError::TransientIo(_))
-        ));
-        site.manager().handle_redo(gtx, ops).unwrap();
-        assert_eq!(counter(&site), Value::counter(15));
-        drop(site);
-        let (site, stats) = open();
-        assert_eq!(stats.restored_entries, 1, "the redo's marker");
-        assert_eq!(commit(&site).unwrap(), Payload::Finished { gtx });
-        assert_eq!(counter(&site), Value::counter(15));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The same, with the running commit-after work forced to the log by a
@@ -457,33 +474,36 @@ mod tests {
     /// database remembers.
     #[test]
     fn a_restart_in_place_forgets_what_a_new_process_would() {
-        let (site, _) = Site::open(spec(1, ProtocolKind::CommitAfter, SiteLog::Memory)).unwrap();
-        let manager = Arc::clone(site.manager());
-        let engine = manager.handle().engine();
-        engine
-            .bulk_load(&[(ObjectId::new(1), Value::counter(10))])
-            .unwrap();
-        let (gtx, dead) = (GlobalTxnId::new(1), GlobalTxnId::new(2));
-        let ops = vec![Operation::Increment {
-            obj: ObjectId::new(1),
-            delta: 5,
-        }];
-        let mode = SubmitMode::CommitAfter;
-        manager.handle_submit(gtx, ops.clone(), mode).unwrap();
-        // A presumed-abort tombstone for work that never arrived.
-        manager
-            .handle_decision(dead, GlobalVerdict::Abort, mode)
-            .unwrap();
-        let stats = site.restart().unwrap();
-        assert_eq!(served_stats(&site), Some(stats));
-        assert!(Arc::ptr_eq(&manager, site.manager()));
-        // The running work died with the "process": the commit asks for
-        // its program again.
-        let commit = manager.handle_decision(gtx, GlobalVerdict::Commit, mode);
-        assert!(matches!(commit, Err(AmcError::TransientIo(_))));
-        // The tombstone went too: a submit no restarted process can still
-        // receive would now run.
-        let vote = manager.handle_submit(dead, ops, mode).unwrap();
-        assert_eq!(vote_of(vote), LocalVote::Ready);
+        for engine in [EngineKind::TwoPL, EngineKind::Occ] {
+            let spec = spec_on(engine, 1, ProtocolKind::CommitAfter, SiteLog::Memory);
+            let (site, _) = Site::open(spec).unwrap();
+            let manager = Arc::clone(site.manager());
+            let engine = manager.handle().engine();
+            engine
+                .bulk_load(&[(ObjectId::new(1), Value::counter(10))])
+                .unwrap();
+            let (gtx, dead) = (GlobalTxnId::new(1), GlobalTxnId::new(2));
+            let ops = vec![Operation::Increment {
+                obj: ObjectId::new(1),
+                delta: 5,
+            }];
+            let mode = SubmitMode::CommitAfter;
+            manager.handle_submit(gtx, ops.clone(), mode).unwrap();
+            // A presumed-abort tombstone for work that never arrived.
+            manager
+                .handle_decision(dead, GlobalVerdict::Abort, mode)
+                .unwrap();
+            let stats = site.restart().unwrap();
+            assert_eq!(served_stats(&site), Some(stats));
+            assert!(Arc::ptr_eq(&manager, site.manager()));
+            // The running work died with the "process": the commit asks for
+            // its program again.
+            let commit = manager.handle_decision(gtx, GlobalVerdict::Commit, mode);
+            assert!(matches!(commit, Err(AmcError::TransientIo(_))));
+            // The tombstone went too: a submit no restarted process can still
+            // receive would now run.
+            let vote = manager.handle_submit(dead, ops, mode).unwrap();
+            assert_eq!(vote_of(vote), LocalVote::Ready);
+        }
     }
 }

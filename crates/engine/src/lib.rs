@@ -8,10 +8,14 @@
 //! [`api::PreparableEngine`] models the "modified" engine classical 2PC
 //! would require (§3.1), and only the 2PC baseline is allowed to use it.
 //!
-//! Two heterogeneous implementations:
+//! Two heterogeneous schedulers over one engine core (`core.rs`): the
+//! transaction table, a page store that writes no page back ahead of its
+//! log, the site's one group committer, the checkpoint cut of an in-memory
+//! log, crash with partial-force and torn tails, restart recovery and the
+//! durable open. Neither scheduler touches the log on its own.
 //!
-//! * [`tpl::TwoPLEngine`] — strict two-phase locking over page locks, WAL
-//!   with value logging, restart recovery. Also implements
+//! * [`tpl::TwoPLEngine`] — strict two-phase locking over page locks, with
+//!   undo lists and in-doubt resurrection. Also implements
 //!   `PreparableEngine` so the 2PC baseline has something to run on.
 //! * [`occ::OccEngine`] — optimistic (backward validation) scheduler: no
 //!   read locks, private write buffers, validation at commit. It does
@@ -28,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+mod core;
 pub mod occ;
 pub mod tpl;
 
@@ -38,7 +43,23 @@ pub use tpl::{TplConfig, TwoPLEngine};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amc_types::{AbortReason, LocalRunState, ObjectId, Operation, SiteId, Value};
+    use amc_types::{
+        AbortReason, AmcResult, LocalRunState, LocalTxnId, ObjectId, Operation, SiteId, Value,
+    };
+    use std::path::Path;
+
+    /// One engine of each scheduler over an in-memory log, loaded with
+    /// `data`.
+    fn both(data: &[(ObjectId, Value)]) -> [Box<dyn LocalEngine>; 2] {
+        let engines: [Box<dyn LocalEngine>; 2] = [
+            Box::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1))),
+            Box::new(OccEngine::new_at(TplConfig::default(), SiteId::new(1))),
+        ];
+        for e in &engines {
+            e.bulk_load(data).unwrap();
+        }
+        engines
+    }
 
     /// §3.1's local state shape, on the engines themselves: a local
     /// transaction goes running → committed or running → aborted in one
@@ -47,14 +68,9 @@ mod tests {
     /// preparable engine has a ready state; OCC never reports one.
     #[test]
     fn terminal_local_states_are_final() {
-        let engines: [Box<dyn LocalEngine>; 2] = [
-            Box::new(TwoPLEngine::new_at(TplConfig::default(), SiteId::new(1))),
-            Box::new(OccEngine::new_at(64, 128, SiteId::new(1))),
-        ];
         let obj = ObjectId::new(1);
         let inc = Operation::Increment { obj, delta: 1 };
-        for e in &engines {
-            e.bulk_load(&[(obj, Value::counter(0))]).unwrap();
+        for e in both(&[(obj, Value::counter(0))]) {
             let mut seen = Vec::new();
 
             let committed = e.begin().unwrap();
@@ -94,5 +110,109 @@ mod tests {
         e.commit(t).unwrap();
         assert!(e.abort(t, AbortReason::GlobalDecision).is_err());
         assert_eq!(e.state_of(t), Some(LocalRunState::Committed));
+    }
+
+    /// A committed write outlives a crash, on either scheduler: its forced
+    /// `Commit` is replayed by recovery. Run by `tpl::tests` and
+    /// `occ::tests` under their own names.
+    pub(crate) fn committed_state_survives_crash(e: &dyn LocalEngine) {
+        let obj = ObjectId::new(1);
+        e.bulk_load(&[(obj, Value::counter(10))]).unwrap();
+        let t = e.begin().unwrap();
+        let value = Value::counter(42);
+        e.execute(t, &Operation::Write { obj, value }).unwrap();
+        e.commit(t).unwrap();
+        e.crash();
+        assert!(!e.is_up(), "{}", e.kind());
+        let report = e.recover().unwrap();
+        assert!(report.committed.contains(&t), "{}: {report:?}", e.kind());
+        assert_eq!(e.dump().unwrap()[&obj], value, "{}", e.kind());
+    }
+
+    /// Nothing of a running transaction was forced — 2PL's update sits in
+    /// the volatile tail, OCC's in its private buffer — so recovery sees no
+    /// trace of it, and its write is simply gone.
+    pub(crate) fn uncommitted_work_vanishes_on_crash(e: &dyn LocalEngine) {
+        let obj = ObjectId::new(1);
+        e.bulk_load(&[(obj, Value::counter(10))]).unwrap();
+        let t = e.begin().unwrap();
+        let value = Value::counter(42);
+        e.execute(t, &Operation::Write { obj, value }).unwrap();
+        e.crash();
+        let report = e.recover().unwrap();
+        assert!(report.rolled_back.is_empty(), "{}: {report:?}", e.kind());
+        assert_eq!(e.dump().unwrap()[&obj], Value::counter(10), "{}", e.kind());
+        assert_eq!(e.state_of(t), Some(LocalRunState::Aborted), "{}", e.kind());
+    }
+
+    /// A process commits one transaction and leaves a second running — or,
+    /// where `prepare` can, ready — and dies without any shutdown, the moral
+    /// equivalent of SIGKILL: only forced frames survive in the file. The
+    /// engine `open` reopens the file.
+    pub(crate) fn reopen_recovers<E: LocalEngine>(
+        tag: &str,
+        open: impl Fn(&Path) -> AmcResult<(E, RecoveryReport)>,
+        prepare: impl Fn(&E, LocalTxnId) -> bool,
+    ) {
+        let name = format!("amc-engine-reopen-{tag}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reopen.wal");
+        let _ = std::fs::remove_file(&path);
+        let (a, b) = (ObjectId::new(1), ObjectId::new(2));
+        let (committed, second, prepared) = {
+            let (e, report) = open(&path).unwrap();
+            assert!(
+                report.committed.is_empty(),
+                "{tag}: fresh file, nothing to find"
+            );
+            e.bulk_load(&[(a, Value::counter(10)), (b, Value::counter(20))])
+                .unwrap();
+            let t = e.begin().unwrap();
+            e.execute(t, &Operation::Increment { obj: a, delta: 5 })
+                .unwrap();
+            e.commit(t).unwrap();
+            let p = e.begin().unwrap();
+            let value = Value::counter(99);
+            e.execute(p, &Operation::Write { obj: b, value }).unwrap();
+            (t, p, prepare(&e, p))
+        };
+
+        let (e, report) = open(&path).unwrap();
+        assert!(report.committed.contains(&committed), "{tag}: {report:?}");
+        let in_doubt = if prepared { vec![second] } else { vec![] };
+        assert_eq!(report.in_doubt, in_doubt, "{tag}: {report:?}");
+        let d = e.dump().unwrap();
+        assert_eq!(
+            d[&a],
+            Value::counter(15),
+            "{tag}: load + committed increment"
+        );
+        // A prepared update was redone and stays isolated behind its
+        // re-held page lock until the coordinator decides; a running one
+        // died with the process.
+        let b_reads = Value::counter(if prepared { 99 } else { 20 });
+        assert_eq!(d[&b], b_reads, "{tag}");
+        let ready = prepared.then_some(LocalRunState::Ready);
+        assert_eq!(e.state_of(second), ready, "{tag}");
+
+        // Fresh local ids must not collide with replayed ones: no Begin
+        // record names a transaction, but every id the log holds is below.
+        let fresh = e.begin().unwrap();
+        assert!(
+            fresh > committed && (!prepared || fresh > second),
+            "{tag}: {fresh}"
+        );
+        e.abort(fresh, AbortReason::Intended).unwrap();
+
+        if prepared {
+            // Coordinator decides commit: the in-doubt value stands, durably.
+            e.commit(second).unwrap();
+            drop(e);
+            let (e, report) = open(&path).unwrap();
+            assert!(report.in_doubt.is_empty(), "{tag}: {report:?}");
+            assert_eq!(e.dump().unwrap()[&b], Value::counter(99), "{tag}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,41 +11,30 @@
 //! Fig. 8 scenario real — two different objects on the same page conflict at
 //! L0 even when their L1 operations commute.
 //!
-//! Synchronization: the engine has **no** single state mutex. Each component
-//! carries its own — the transaction table (`TxnTable`), the buffer pool /
-//! page store, the WAL (behind [`GroupCommitter`]), and the striped page
-//! lock manager — so lock waits, modelled op service time, and commit-record
-//! forces no longer serialize unrelated transactions (E9 measures exactly
-//! this). Internal lock order: `txns` → `store` → `wal`; page locks are
-//! acquired while holding none of the three. An update is applied and its
-//! record appended in one `store` critical section, and the store stamps
-//! the record's LSN on every page the update dirtied: no page is written
-//! back before the log is durable through it (the write-ahead rule).
-//!
-//! An in-memory log is cut behind a checkpoint: once the stable log grew
-//! by the pool's size in bytes since the last cut, the committing thread
-//! forces the log, writes every dirty page back and drops the records no
-//! restart can need (see [`LogManager::cut_point`]). A durable log is never
-//! cut: the page store does not outlive its process, so a restart redoes
-//! from the log's origin.
+//! The scheduler is the striped page lock manager and an undo list per
+//! transaction, over the engine core's transaction table, page store
+//! and group committer: lock waits, modelled op service time and
+//! commit-record forces do not serialize unrelated transactions (E9
+//! measures exactly this). Page locks are acquired while holding none of
+//! the core's mutexes, and held past the append, so the log orders every
+//! conflicting pair exactly as the store applied them.
 
-use crate::api::{
-    first_id_after, EngineStats, LocalEngine, PreparableEngine, RecoveryReport, Terminated,
-};
+use crate::api::{EngineStats, LocalEngine, PreparableEngine, RecoveryReport};
+use crate::core::{self, Core, Live};
 use amc_lock::{blocking::AcquireResult, BlockingLockManager, PageMode};
-use amc_storage::{buffer::BufferStats, disk::DiskStats, PageStore, PAGE_SIZE};
+use amc_storage::{buffer::BufferStats, disk::DiskStats, PageStore};
 use amc_types::{
     AbortReason, AmcError, AmcResult, GlobalTxnId, LocalRunState, LocalTxnId, ObjectId, OpResult,
     Operation, PageId, SiteId, Value,
 };
-use amc_wal::{GroupCommitConfig, GroupCommitter, LogManager, LogRecord};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use amc_wal::{GroupCommitConfig, GroupCommitter, LogRecord};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Construction parameters for a [`TwoPLEngine`].
+/// Construction parameters for a local engine, either scheduler. The lock
+/// and service-time knobs are 2PL's; OCC takes no locks and models no
+/// service time.
 #[derive(Debug, Clone)]
 pub struct TplConfig {
     /// Hash buckets in the page store.
@@ -108,100 +97,27 @@ impl TxnCtx {
     }
 }
 
-/// Transaction metadata, liveness flag and counters — one of the engine's
-/// independently locked components.
-struct TxnTable {
-    active: HashMap<LocalTxnId, TxnCtx>,
-    terminated: Terminated,
-    next_txn: u64,
-    up: bool,
-    stats: EngineStats,
+impl Live for TxnCtx {
+    fn state(&self) -> LocalRunState {
+        self.state
+    }
 }
 
 /// A strict-2PL local database engine.
 pub struct TwoPLEngine {
-    txns: Mutex<TxnTable>,
-    store: Mutex<PageStore>,
-    /// Shared: a co-located Paxos acceptor writes through it too.
-    wal: Arc<GroupCommitter>,
+    core: Core<TxnCtx>,
     locks: BlockingLockManager<PageId, LocalTxnId, PageMode>,
-    cfg: TplConfig,
-    /// The site this engine serves, carried in `SiteDown` errors so report
-    /// tables attribute failures to the real site (0 = unattached).
-    site: AtomicU32,
-    /// The log's `stable_bytes` at which the next cut is due; never, for
-    /// a durable log.
-    next_cut: AtomicU64,
 }
 
 impl TwoPLEngine {
-    /// An engine over a fresh simulated disk and `log`, serving `site`.
-    fn over(cfg: TplConfig, site: SiteId, log: LogManager, up: bool) -> Self {
-        let next_cut = if log.is_durable() {
-            u64::MAX
-        } else {
-            Self::cut_every(&cfg)
-        };
-        let wal = Arc::new(GroupCommitter::new(log, cfg.group_commit));
-        let mut store = PageStore::new(cfg.buckets, cfg.pool_frames);
-        store.follow(wal.clone());
-        TwoPLEngine {
-            txns: Mutex::new(TxnTable {
-                active: HashMap::new(),
-                terminated: Terminated::default(),
-                next_txn: 1,
-                up,
-                stats: EngineStats::default(),
-            }),
-            store: Mutex::new(store),
-            wal,
-            locks: BlockingLockManager::new(cfg.deadlock_check),
-            cfg,
-            site: AtomicU32::new(site.raw()),
-            next_cut: AtomicU64::new(next_cut),
-        }
-    }
-
-    /// Stable log bytes between cuts: the buffer pool's size.
-    fn cut_every(cfg: &TplConfig) -> u64 {
-        (cfg.pool_frames * PAGE_SIZE) as u64
-    }
-
-    /// Cut the log if it grew by [`TwoPLEngine::cut_every`] since the last
-    /// cut: under `store`, note where it may be cut, force it through the
-    /// head, write every dirty page back, and drop what precedes the cut.
-    /// Called by a committer that holds no component mutex.
-    fn cut_if_due(&self) {
-        let due = || self.wal.stable_bytes() >= self.next_cut.load(Ordering::Relaxed);
-        if !due() {
-            return;
-        }
-        let txns = self.txns.lock();
-        if !txns.up {
-            return;
-        }
-        // Holding `store` keeps a crash out until the cut is done: the
-        // crash takes it to drop the pool, and the log with it.
-        let mut store = self.store.lock();
-        drop(txns);
-        if !due() {
-            return; // another committer cut first
-        }
-        let at = self.wal.with_log(|log| log.cut_point());
-        if !self.wal.wait_durable(self.wal.mark()) || store.flush().is_err() {
-            return;
-        }
-        let grown = self.wal.with_log(|log| {
-            log.truncate_before(at);
-            log.stats().stable_bytes
-        });
-        self.next_cut
-            .store(grown + Self::cut_every(&self.cfg), Ordering::Relaxed);
+    fn over(core: Core<TxnCtx>) -> Self {
+        let locks = BlockingLockManager::new(core.cfg.deadlock_check);
+        TwoPLEngine { core, locks }
     }
 
     /// A fresh engine over a fresh simulated disk, serving `site`.
     pub fn new_at(cfg: TplConfig, site: SiteId) -> Self {
-        Self::over(cfg, site, LogManager::new(), true)
+        Self::over(Core::new(cfg, site))
     }
 
     /// Open an engine over the durable frame file at `path`, replaying what
@@ -212,26 +128,14 @@ impl TwoPLEngine {
         site: SiteId,
         path: impl AsRef<std::path::Path>,
     ) -> AmcResult<(Self, RecoveryReport)> {
-        // Down until recover() replays the log and re-opens the door.
-        let engine = Self::over(cfg, site, LogManager::open_durable(path)?, false);
-        let report = engine.recover()?;
-        Ok((engine, report))
+        core::open_durable(cfg, site, path, Self::over)
     }
 
     /// The engine's group committer: what a co-located Paxos acceptor
     /// writes its rows through, so the site keeps one log, one file and
     /// one force path.
     pub fn wal(&self) -> &Arc<GroupCommitter> {
-        &self.wal
-    }
-
-    /// The site this engine reports in `SiteDown` errors.
-    fn site(&self) -> SiteId {
-        SiteId::new(self.site.load(Ordering::Relaxed))
-    }
-
-    fn site_down(&self) -> AmcError {
-        AmcError::SiteDown(self.site())
+        &self.core.wal
     }
 
     /// Roll back and terminate `txn`; must be called *without* any engine
@@ -239,23 +143,18 @@ impl TwoPLEngine {
     /// whole rollback (strict 2PL), so nobody observes intermediate undo
     /// state even though the component mutexes interleave.
     fn abort_internal(&self, txn: LocalTxnId, reason: AbortReason) -> AmcResult<()> {
-        let ctx = self.txns.lock().active.remove(&txn);
+        let ctx = self.core.txns.lock().active.remove(&txn);
         let ctx = ctx.ok_or(AmcError::UnknownTxn)?;
         let was_prepared = ctx.state == LocalRunState::Ready;
         // Undo in reverse, logging compensations so forward replay of this
         // (finished) transaction nets out.
         {
-            let mut store = self.store.lock();
-            for &(obj, before, after) in ctx.undo.iter().rev() {
-                store.update(obj, |_| Ok(before))?;
-                store.stamp(self.wal.append(&LogRecord::Update {
-                    txn,
-                    obj,
-                    before: after,
-                    after: before,
-                }));
+            let mut store = self.core.store.lock();
+            for &(obj, before, _) in ctx.undo.iter().rev() {
+                self.core.write(&mut store, txn, obj, |_| Ok(before))?;
             }
         }
+        let wal = &self.core.wal;
         if was_prepared {
             // The prepare record was *forced*: if the abort stayed volatile,
             // a later crash would resurrect this transaction in doubt after
@@ -263,57 +162,22 @@ impl TwoPLEngine {
             // nobody retransmits a collected decision, so the doubt would
             // never resolve. One force closes the window; never-prepared
             // transactions keep the unforced presumed-abort fast path.
-            if !self.wal.append_durable(&LogRecord::Abort { txn }) {
-                return Err(self.site_down());
+            if !wal.append_durable(&LogRecord::Abort { txn }) {
+                return Err(self.core.site_down());
             }
         } else {
-            self.wal.append(&LogRecord::Abort { txn });
+            wal.append(&LogRecord::Abort { txn });
         }
-        {
-            let mut txns = self.txns.lock();
-            txns.terminated.insert(txn, LocalRunState::Aborted);
-            txns.stats.aborts += 1;
-            if reason.is_erroneous() {
-                txns.stats.erroneous_aborts += 1;
-            }
-        }
+        self.core.txns.lock().aborted(txn, reason.is_erroneous());
         self.locks.release(txn, &ctx.held);
         Ok(())
     }
 
-    /// Shared crash path: `partial` carries `(keep_frames, torn)` when the
-    /// crash strikes mid-`force()`, persisting part of the log tail.
-    fn crash_impl(&self, partial: Option<(u32, bool)>) {
-        let victims: Vec<LocalTxnId> = {
-            let mut txns = self.txns.lock();
-            txns.up = false;
-            // The pool and the log tail go together: no one holding the
-            // store sees one crashed and not the other.
-            let mut store = self.store.lock();
-            store.crash();
-            // Waking parked committers (epoch bump) happens here, while the
-            // liveness flag is already down — they fail with SiteDown.
-            match partial {
-                Some((keep, torn)) => self.wal.crash_during_force(keep as usize, torn),
-                None => self.wal.crash(),
-            }
-            drop(store);
-            let victims: Vec<LocalTxnId> = txns.active.keys().copied().collect();
-            for t in &victims {
-                let ctx = txns.active.remove(t).expect("listed");
-                // Prepared transactions stay undecided: recovery will
-                // resurrect them from their forced Prepare records.
-                if ctx.state != LocalRunState::Ready {
-                    txns.terminated.insert(*t, LocalRunState::Aborted);
-                    txns.stats.aborts += 1;
-                    txns.stats.erroneous_aborts += 1;
-                }
-            }
-            victims
-        };
-        // Free the lock table so parked waiters wake (they will observe the
-        // site is down and fail their operation). The sweep also purges a
-        // victim's own parked request, which no list of grants names.
+    /// After the core's crash, sweep the lock table for its `victims`:
+    /// parked waiters wake, observe the site is down and fail their
+    /// operation. The sweep also purges a victim's own parked request,
+    /// which no list of grants names.
+    fn after_crash(&self, victims: Vec<LocalTxnId>) {
         for t in victims {
             self.locks.release_txn(t);
         }
@@ -326,34 +190,27 @@ impl TwoPLEngine {
 
     /// Disk/buffer counters for E4.
     pub fn io_stats(&self) -> (DiskStats, BufferStats) {
-        self.store.lock().stats()
+        self.core.store.lock().stats()
     }
 }
 
 impl LocalEngine for TwoPLEngine {
+    core::answered_by_the_core!();
+
     fn begin(&self) -> AmcResult<LocalTxnId> {
-        let mut txns = self.txns.lock();
-        if !txns.up {
-            return Err(self.site_down());
-        }
-        let txn = LocalTxnId::new(txns.next_txn);
-        txns.next_txn += 1;
-        txns.active.insert(txn, TxnCtx::new(LocalRunState::Running));
-        txns.stats.begins += 1;
-        // Nothing is logged: the transaction's first record names it, and
-        // recovery knows a transaction by any record that does.
-        Ok(txn)
+        self.core.begin(TxnCtx::new(LocalRunState::Running))
     }
 
     fn execute(&self, txn: LocalTxnId, op: &Operation) -> AmcResult<OpResult> {
+        let core = &self.core;
         // The store was opened with `cfg.buckets`; no need for its lock.
-        let page = PageStore::bucket_page(self.cfg.buckets, op.object());
+        let page = PageStore::bucket_page(core.cfg.buckets, op.object());
         // Phase 1: validate the transaction and note the locking granule
         // before asking for it, so whatever ends the transaction releases it.
         {
-            let mut txns = self.txns.lock();
+            let mut txns = core.txns.lock();
             if !txns.up {
-                return Err(self.site_down());
+                return Err(core.site_down());
             }
             match txns.active.get_mut(&txn) {
                 Some(ctx) if ctx.state == LocalRunState::Running => ctx.hold(page),
@@ -373,7 +230,7 @@ impl LocalEngine for TwoPLEngine {
         } else {
             PageMode::Shared
         };
-        match self.locks.acquire(txn, page, mode, self.cfg.lock_timeout) {
+        match self.locks.acquire(txn, page, mode, core.cfg.lock_timeout) {
             AcquireResult::Granted => {}
             AcquireResult::Deadlock => {
                 self.abort_internal(txn, AbortReason::Deadlock)?;
@@ -387,32 +244,21 @@ impl LocalEngine for TwoPLEngine {
 
         // Modelled local work: holds the page lock (acquired above), which
         // serializes only transactions touching this page — not the engine.
-        if !self.cfg.op_service_time.is_zero() {
-            std::thread::sleep(self.cfg.op_service_time);
+        if !core.cfg.op_service_time.is_zero() {
+            std::thread::sleep(core.cfg.op_service_time);
         }
 
-        // Phase 3: apply and log in one store critical section, stamping
-        // the record on the pages the update dirtied; then register undo
-        // under the transaction table. The page lock (held past commit)
-        // orders every conflicting pair identically in the store and the
-        // log.
+        // Phase 3: apply and log through the core's write path; then
+        // register undo under the transaction table. The page lock (held
+        // past commit) orders every conflicting pair identically in the
+        // store and the log.
         let obj = op.object();
         let applied = if op.is_update() {
             // One chain walk: the transition runs where the object is found.
-            let mut store = self.store.lock();
-            let applied = store.update(obj, |found| op.applied_to(found));
-            if let Ok((before, after)) = applied {
-                let record = LogRecord::Update {
-                    txn,
-                    obj,
-                    before,
-                    after,
-                };
-                store.stamp(self.wal.append(&record));
-            }
-            applied
+            let mut store = core.store.lock();
+            core.write(&mut store, txn, obj, |found| op.applied_to(found))
         } else {
-            let found = self.store.lock().get(obj);
+            let found = core.store.lock().get(obj);
             let seen = found.and_then(|found| op.applied_to(found));
             seen.map(|seen| (seen, seen))
         };
@@ -422,14 +268,14 @@ impl LocalEngine for TwoPLEngine {
                 // Logical failure (NotFound/AlreadyExists): the transaction
                 // stays running; the caller decides whether to abort. The
                 // page lock is retained (2PL).
-                self.txns.lock().stats.ops += 1;
+                core.txns.lock().stats.ops += 1;
                 return Err(e);
             }
         };
-        let mut txns = self.txns.lock();
+        let mut txns = core.txns.lock();
         if !txns.up {
             // Crashed while we were applying; the store image is gone too.
-            return Err(self.site_down());
+            return Err(core.site_down());
         }
         txns.stats.ops += 1;
         if op.is_update() {
@@ -443,10 +289,11 @@ impl LocalEngine for TwoPLEngine {
     }
 
     fn commit(&self, txn: LocalTxnId) -> AmcResult<()> {
+        let core = &self.core;
         let logged = {
-            let txns = self.txns.lock();
+            let txns = core.txns.lock();
             if !txns.up {
-                return Err(self.site_down());
+                return Err(core.site_down());
             }
             let ctx = txns.active.get(&txn).ok_or(AmcError::UnknownTxn)?;
             // Nothing written, nothing prepared: no record, no force. Under
@@ -457,13 +304,13 @@ impl LocalEngine for TwoPLEngine {
         // The unmodified engine's atomic running->committed transition:
         // append + force the commit record (§3.1) — via group commit, with
         // no component mutex held, so concurrent committers share one force.
-        if logged && !self.wal.append_durable(&LogRecord::Commit { txn }) {
+        if logged && !core.wal.append_durable(&LogRecord::Commit { txn }) {
             // A crash wiped the record before it was forced: the commit
-            // never happened (crash_impl already drained the transaction).
-            return Err(self.site_down());
+            // never happened (the crash already drained the transaction).
+            return Err(core.site_down());
         }
         let ctx = {
-            let mut txns = self.txns.lock();
+            let mut txns = core.txns.lock();
             // The record is durable, so the transaction is committed even
             // if a crash raced us here and drained `active` already (and
             // released its locks) — recovery will redo it; make the
@@ -479,92 +326,43 @@ impl LocalEngine for TwoPLEngine {
             self.locks.release(txn, &ctx.held);
         }
         if logged {
-            self.cut_if_due();
+            core.cut_if_due();
         }
         Ok(())
     }
 
     fn abort(&self, txn: LocalTxnId, reason: AbortReason) -> AmcResult<()> {
         if !self.is_up() {
-            return Err(self.site_down());
+            return Err(self.core.site_down());
         }
         self.abort_internal(txn, reason)
     }
 
-    fn state_of(&self, txn: LocalTxnId) -> Option<LocalRunState> {
-        let txns = self.txns.lock();
-        txns.active
-            .get(&txn)
-            .map(|c| c.state)
-            .or_else(|| txns.terminated.get(txn))
-    }
-
-    fn is_up(&self) -> bool {
-        self.txns.lock().up
-    }
-
-    fn crash(&self) {
-        self.crash_impl(None);
-    }
-
-    fn crash_partial(&self, keep_frames: u32, torn_frame: bool) {
-        self.crash_impl(Some((keep_frames, torn_frame)));
-    }
-
     fn recover(&self) -> AmcResult<RecoveryReport> {
-        // `txns` → `store` → `wal` — the engine-wide lock order; holding
-        // the first two quiesces the engine for the whole replay.
-        let mut txns = self.txns.lock();
-        if txns.up {
-            return Err(AmcError::InvalidState("recover on a running site".into()));
-        }
-        let mut store = self.store.lock();
-        // Replay the durable log into the store.
-        let outcome = self.wal.with_log(|log| {
-            amc_wal::recover(log, |obj, img| store.update(obj, |_| Ok(img)).map(drop))
-        })?;
-        store.flush()?;
-
-        let report = txns.terminated.absorb(&outcome);
-
         // Resurrect in-doubt transactions: rebuild their undo lists from the
-        // log and re-take exclusive locks on their pages so they stay
+        // log and note their pages, to re-lock exclusively so they stay
         // isolated until the coordinator decides (the blocking 2PC hazard).
-        let records = self.wal.with_log(|log| log.stable_records())?;
-        txns.next_txn = txns.next_txn.max(first_id_after(&records));
-        for t in &outcome.in_doubt {
-            txns.active.insert(*t, TxnCtx::new(LocalRunState::Ready));
-        }
-        for (_, r) in &records {
-            if let LogRecord::Update {
-                txn,
-                obj,
-                before,
-                after,
-                ..
-            } = r
-            {
-                if outcome.in_doubt.contains(txn) {
-                    let ctx = txns.active.get_mut(txn).expect("inserted above");
-                    ctx.hold(store.page_of(*obj));
-                    ctx.undo.push((*obj, *before, *after));
+        let (report, doubt_pages) = self.core.recover(|txns, store, outcome, records| {
+            for t in &outcome.in_doubt {
+                txns.active.insert(*t, TxnCtx::new(LocalRunState::Ready));
+            }
+            for (_, r) in records {
+                if let LogRecord::Update {
+                    txn,
+                    obj,
+                    before,
+                    after,
+                } = r
+                {
+                    if let Some(ctx) = txns.active.get_mut(txn) {
+                        ctx.hold(store.page_of(*obj));
+                        ctx.undo.push((*obj, *before, *after));
+                    }
                 }
             }
-        }
-        // Write a checkpoint: everything replayed is flushed; in-doubt txns
-        // remain active across it.
-        let active: Vec<LocalTxnId> = txns.active.keys().copied().collect();
-        self.wal.with_log(|log| {
-            log.append_forced(&LogRecord::Checkpoint { active });
-        });
-        txns.up = true;
-        let doubt_pages: Vec<(LocalTxnId, Vec<PageId>)> = txns
-            .active
-            .iter()
-            .map(|(txn, ctx)| (*txn, ctx.held.clone()))
-            .collect();
-        drop(store);
-        drop(txns);
+            let pages = txns.active.iter().map(|(t, ctx)| (*t, ctx.held.clone()));
+            pages.collect::<Vec<_>>()
+        })?;
 
         // Nothing else is running during recovery, so these grants are
         // immediate.
@@ -590,52 +388,8 @@ impl LocalEngine for TwoPLEngine {
     fn stats(&self) -> EngineStats {
         EngineStats {
             lock_waits: self.locks.stats().waits,
-            ..self.txns.lock().stats
+            ..self.core.txns.lock().stats
         }
-    }
-
-    fn dump(&self) -> AmcResult<BTreeMap<ObjectId, Value>> {
-        Ok(self.store.lock().scan()?.into_iter().collect())
-    }
-
-    fn bulk_load(&self, data: &[(ObjectId, Value)]) -> AmcResult<()> {
-        if !self.wal.with_log(|log| log.is_durable()) {
-            let mut store = self.store.lock();
-            for &(o, v) in data {
-                store.put(o, v)?;
-            }
-            return store.flush();
-        }
-        let txn = {
-            let mut txns = self.txns.lock();
-            let t = LocalTxnId::new(txns.next_txn);
-            txns.next_txn += 1;
-            t
-        };
-        let mut store = self.store.lock();
-        for &(o, v) in data {
-            let before = store.put(o, v)?;
-            store.stamp(self.wal.append(&LogRecord::Update {
-                txn,
-                obj: o,
-                before,
-                after: Some(v),
-            }));
-        }
-        // Committed first, so the flush finds every record durable.
-        if !self.wal.append_durable(&LogRecord::Commit { txn }) {
-            return Err(self.site_down());
-        }
-        store.flush()
-    }
-
-    fn log_stats(&self) -> amc_wal::LogStats {
-        self.wal.stats()
-    }
-
-    fn attach_obs(&self, sink: amc_obs::ObsSink, site: SiteId) {
-        self.site.store(site.raw(), Ordering::Relaxed);
-        self.wal.with_log(|log| log.attach_obs(sink, site));
     }
 }
 
@@ -654,9 +408,9 @@ impl TwoPLEngine {
     /// names `gtx`, when there is one.
     fn prepare_named(&self, txn: LocalTxnId, gtx: Option<GlobalTxnId>) -> AmcResult<()> {
         {
-            let mut txns = self.txns.lock();
+            let mut txns = self.core.txns.lock();
             if !txns.up {
-                return Err(self.site_down());
+                return Err(self.core.site_down());
             }
             let Some(ctx) = txns.active.get_mut(&txn) else {
                 return Err(AmcError::UnknownTxn);
@@ -671,10 +425,14 @@ impl TwoPLEngine {
         }
         // The §3.1 contract: all changes durable before answering ready.
         // Prepare records ride the same group-commit batches as commits.
-        if !self.wal.append_durable(&LogRecord::Prepare { txn, gtx }) {
+        if !self
+            .core
+            .wal
+            .append_durable(&LogRecord::Prepare { txn, gtx })
+        {
             // Crash before the force: the prepare never became durable, so
             // no vote may be cast (recovery will not resurrect this txn).
-            return Err(self.site_down());
+            return Err(self.core.site_down());
         }
         Ok(())
     }
@@ -803,47 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn committed_state_survives_crash() {
-        let e = engine_with(&[(1, 10)]);
-        let t = e.begin().unwrap();
-        e.execute(
-            t,
-            &Op::Write {
-                obj: obj(1),
-                value: v(42),
-            },
-        )
-        .unwrap();
-        e.commit(t).unwrap();
-        e.crash();
-        assert!(!e.is_up());
-        let report = e.recover().unwrap();
-        assert!(report.committed.contains(&t));
-        assert_eq!(e.dump().unwrap().get(&obj(1)), Some(&v(42)));
-    }
-
-    #[test]
-    fn invisible_uncommitted_work_vanishes_on_crash() {
-        // Nothing of the transaction was forced: recovery sees no trace and
-        // the volatile update is simply gone.
-        let e = engine_with(&[(1, 10)]);
-        let t = e.begin().unwrap();
-        e.execute(
-            t,
-            &Op::Write {
-                obj: obj(1),
-                value: v(42),
-            },
-        )
-        .unwrap();
-        e.crash();
-        let report = e.recover().unwrap();
-        assert!(report.rolled_back.is_empty());
-        assert_eq!(e.dump().unwrap().get(&obj(1)), Some(&v(10)));
-        assert_eq!(e.state_of(t), Some(LocalRunState::Aborted));
-    }
-
-    #[test]
     fn torn_tail_crash_recovers_durable_prefix() {
         // Commit A durably, then leave B's records in the volatile tail and
         // crash mid-force: one frame becomes durable, the next lands torn.
@@ -925,7 +642,7 @@ mod tests {
         e.execute(p, &Op::Read { obj: obj(1) }).unwrap();
         e.prepare(p).unwrap();
         e.commit(p).unwrap();
-        let records = e.wal.with_log(|log| log.stable_records()).unwrap();
+        let records = e.wal().with_log(|log| log.stable_records()).unwrap();
         assert_eq!(records.last().unwrap().1, LogRecord::Commit { txn: p });
     }
 
@@ -945,7 +662,7 @@ mod tests {
         .unwrap();
         e.commit(t).unwrap();
         assert_eq!(e.log_stats().forces, forces + 1);
-        let records = e.wal.with_log(|log| log.stable_records()).unwrap();
+        let records = e.wal().with_log(|log| log.stable_records()).unwrap();
         assert_eq!(records.last().unwrap().1, LogRecord::Commit { txn: t });
         e.crash();
         e.recover().unwrap();
@@ -1055,7 +772,7 @@ mod tests {
         let data: Vec<(u64, i64)> = (0..32).map(|i| (i, 0)).collect();
         for commit in [true, false] {
             let e = engine_with(&data);
-            let page = |o: u64| PageStore::bucket_page(e.cfg.buckets, obj(o));
+            let page = |o: u64| PageStore::bucket_page(e.core.cfg.buckets, obj(o));
             let other = (1..32).find(|o| page(*o) != page(0)).expect("two pages");
             let t = e.begin().unwrap();
             for o in [0, other, 0] {
@@ -1069,7 +786,7 @@ mod tests {
             e.crash();
             assert_eq!(e.recover().unwrap().in_doubt, vec![t]);
             // Recovery re-locked each of its pages once and noted them.
-            let mut held = e.txns.lock().active[&t].held.clone();
+            let mut held = e.core.txns.lock().active[&t].held.clone();
             held.sort();
             let mut pages = vec![page(0), page(other)];
             pages.sort();
@@ -1190,7 +907,7 @@ mod tests {
         });
         // Find two objects on different pages.
         let (a, b) = {
-            let store = e.store.lock();
+            let store = e.core.store.lock();
             let pa = store.page_of(obj(0));
             let other = (1..32)
                 .find(|i| store.page_of(obj(*i)) != pa)
@@ -1378,73 +1095,6 @@ mod tests {
             e.stats().commits as i64,
             "committed increments survive: {report:?}"
         );
-    }
-
-    #[test]
-    fn reopen_from_durable_log_recovers_committed_and_in_doubt() {
-        let dir = std::env::temp_dir().join(format!("amc-tpl-durable-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reopen.wal");
-        let _ = std::fs::remove_file(&path);
-
-        let (t_committed, t_prepared) = {
-            let (e, report) =
-                TwoPLEngine::open_durable(TplConfig::default(), SiteId::new(3), &path).unwrap();
-            assert!(report.committed.is_empty(), "fresh file, nothing to find");
-            e.bulk_load(&[(obj(1), v(10)), (obj(2), v(20))]).unwrap();
-            let t = e.begin().unwrap();
-            e.execute(
-                t,
-                &Op::Increment {
-                    obj: obj(1),
-                    delta: 5,
-                },
-            )
-            .unwrap();
-            e.commit(t).unwrap();
-            let p = e.begin().unwrap();
-            e.execute(
-                p,
-                &Op::Write {
-                    obj: obj(2),
-                    value: v(99),
-                },
-            )
-            .unwrap();
-            e.prepare(p).unwrap();
-            // The engine is dropped here without any shutdown — the moral
-            // equivalent of SIGKILL; only forced frames survive in the file.
-            (t, p)
-        };
-
-        let (e, report) =
-            TwoPLEngine::open_durable(TplConfig::default(), SiteId::new(3), &path).unwrap();
-        assert!(report.committed.contains(&t_committed), "{report:?}");
-        assert_eq!(report.in_doubt, vec![t_prepared], "{report:?}");
-        let d = e.dump().unwrap();
-        assert_eq!(d.get(&obj(1)), Some(&v(15)), "load + committed increment");
-        // The in-doubt update was redone and stays isolated behind its
-        // re-held page lock until the coordinator decides.
-        assert_eq!(d.get(&obj(2)), Some(&v(99)));
-        assert_eq!(e.state_of(t_prepared), Some(LocalRunState::Ready));
-
-        // Fresh local ids must not collide with replayed ones: no Begin
-        // record names a transaction, but every id the log holds is below.
-        let fresh = e.begin().unwrap();
-        let records = e.wal.with_log(|log| log.stable_records()).unwrap();
-        let logged: Vec<LocalTxnId> = records.iter().filter_map(|(_, r)| r.txn()).collect();
-        assert!(logged.contains(&t_prepared));
-        assert!(logged.iter().all(|t| *t < fresh), "{fresh} vs {logged:?}");
-        e.abort(fresh, AbortReason::Intended).unwrap();
-
-        // Coordinator decides commit: the in-doubt value stands, durably.
-        e.commit(t_prepared).unwrap();
-        drop(e);
-        let (e, report) =
-            TwoPLEngine::open_durable(TplConfig::default(), SiteId::new(3), &path).unwrap();
-        assert!(report.in_doubt.is_empty(), "{report:?}");
-        assert_eq!(e.dump().unwrap().get(&obj(2)), Some(&v(99)));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1654,7 +1304,7 @@ mod tests {
             ..TplConfig::default()
         };
         let buckets = cfg.buckets;
-        let bound = 2 * TwoPLEngine::cut_every(&cfg);
+        let bound = 2 * crate::core::cut_every(&cfg);
         let e = TwoPLEngine::new_at(cfg, SiteId::new(1));
         let mut model: BTreeMap<ObjectId, Value> = (0..400).map(|o| (obj(o), v(0))).collect();
         e.bulk_load(&model.iter().map(|(o, val)| (*o, *val)).collect::<Vec<_>>())
@@ -1703,7 +1353,7 @@ mod tests {
                         .collect();
                     wrote.sort();
                     wrote.dedup();
-                    let mut held = e.txns.lock().active[&o.txn].held.clone();
+                    let mut held = e.core.txns.lock().active[&o.txn].held.clone();
                     held.sort();
                     assert_eq!(held, wrote, "step {step}: {}'s page locks", o.txn);
                     locked += wrote.len();
@@ -1817,7 +1467,7 @@ mod tests {
         let cut = e.log_stats().truncated_bytes;
         assert!(cut > 0, "the log was cut");
         let acceptor_rows = |e: &TwoPLEngine| -> Vec<LogRecord> {
-            let records = e.wal.with_log(|log| log.stable_records()).unwrap();
+            let records = e.wal().with_log(|log| log.stable_records()).unwrap();
             let rows = records.into_iter().map(|(_, r)| r);
             rows.filter(|r| r.txn().is_none() && !matches!(r, LogRecord::Checkpoint { .. }))
                 .collect()
@@ -1948,5 +1598,28 @@ mod tests {
                 "round {round}"
             );
         }
+    }
+
+    // The crash and reopen bodies are shared with `occ::tests`, one body
+    // over both schedulers, in the crate's test module.
+    #[test]
+    fn committed_state_survives_crash() {
+        crate::tests::committed_state_survives_crash(&engine_with(&[]));
+    }
+
+    #[test]
+    fn invisible_uncommitted_work_vanishes_on_crash() {
+        crate::tests::uncommitted_work_vanishes_on_crash(&engine_with(&[]));
+    }
+
+    /// The second transaction prepares, so the reopen finds it in doubt
+    /// and a commit decided after it stands across a second reopen.
+    #[test]
+    fn reopen_from_durable_log_recovers_committed_and_in_doubt() {
+        crate::tests::reopen_recovers(
+            "2pl",
+            |path| TwoPLEngine::open_durable(TplConfig::default(), SiteId::new(3), path),
+            |e, t| e.prepare(t).map(|()| true).unwrap(),
+        );
     }
 }

@@ -471,13 +471,18 @@ mod tests {
         put(&mut pool, &mut disk, 1, 7);
         pool.stamp(Lsn::new(5));
         // Reading page 1 again changes nothing: the stamp stays 5.
-        pool.with_page(pid(1), &mut disk, |p| p.get(obj(1))).unwrap();
+        pool.with_page(pid(1), &mut disk, |p| p.get(obj(1)))
+            .unwrap();
         pool.stamp(Lsn::new(6));
         put(&mut pool, &mut disk, 2, 8); // evicts page 1
         assert_eq!(*log.durable.lock().unwrap(), (Lsn::new(5), 1));
         pool.stamp(Lsn::new(3));
         pool.flush_all(&mut disk).unwrap();
-        assert_eq!(*log.durable.lock().unwrap(), (Lsn::new(5), 1), "3 is durable");
+        assert_eq!(
+            *log.durable.lock().unwrap(),
+            (Lsn::new(5), 1),
+            "3 is durable"
+        );
         assert_eq!(pool.stats().writebacks, 2);
     }
 

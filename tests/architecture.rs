@@ -320,6 +320,41 @@ fn one_struct_opens_and_restarts_sites() {
     );
 }
 
+/// One engine core under both schedulers: inside `amc-engine` only
+/// `core.rs` constructs a log or a group committer, and its one forced
+/// append is recovery's checkpoint. Every other record either scheduler
+/// writes goes through the site's `GroupCommitter`, so both get group
+/// commit, the write-ahead rule on eviction and the cut.
+#[test]
+fn one_engine_core_owns_the_log() {
+    for needle in [
+        "LogManager::new(",
+        "LogManager::open_durable(",
+        "GroupCommitter::new(",
+        ".append_forced(",
+    ] {
+        let mut files = non_test_code_having(&[needle], &[]);
+        files.retain(|path| path.starts_with("crates/engine/src/"));
+        assert!(
+            files.len() == 1 && files[0].ends_with("engine/src/core.rs"),
+            "`{needle}` in {files:?}"
+        );
+    }
+    let (_, text) = crate_sources()
+        .into_iter()
+        .find(|(path, _)| path.ends_with("engine/src/core.rs"))
+        .unwrap();
+    let code = text.split("\n#[cfg(test)]").next().unwrap_or(&text);
+    let forcing: Vec<&str> = code
+        .match_indices(".append_forced(")
+        .map(|(at, _)| {
+            let (_, after_fn) = code[..at].rsplit_once("fn ").expect("inside a function");
+            after_fn.split(['(', '<']).next().unwrap()
+        })
+        .collect();
+    assert_eq!(forcing, ["recover"], "forced appends in the engine core");
+}
+
 /// The testbed exists once: `amc_rpc::Fleet` is the only code that turns
 /// managers into a loopback deployment, and `amc_rpc::Wire` the only enum
 /// naming the deployments. Outside `amc-rpc`'s own server and transport
@@ -464,7 +499,7 @@ fn the_reserved_region_bit_is_defined_in_one_file() {
 fn whole_table_lock_sweeps_serve_only_crash_paths() {
     const CRASH_PATHS: &[(&str, &str)] = &[
         ("core/src/central.rs", "crash"), // a central crash loses every coordinator's program
-        ("engine/src/tpl.rs", "crash_impl"), // a site crash drops its transactions' page lists
+        ("engine/src/tpl.rs", "after_crash"), // a site crash drops its transactions' page lists
         ("mlt/src/locks.rs", "release_all"), // the L1 sweep the central crash calls
     ];
     let mut callers = Vec::new();
@@ -494,7 +529,7 @@ fn whole_table_lock_sweeps_serve_only_crash_paths() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 23_323;
+    const CEILING: usize = 23_296;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| non_test_lines(text).count())

@@ -8,8 +8,9 @@
 //! by the buffer pool's size, so it stays within twice the pool.
 //!
 //! A counting global allocator measures live-heap growth over 10 000
-//! two-site transfers on an in-process three-site federation and holds it
-//! to a per-protocol budget. Each site's pool is 8 frames, so its log is
+//! two-site transfers on an in-process three-site federation — all 2PL,
+//! and 2PL/OCC/2PL under the portable protocols — and holds it to a
+//! per-protocol budget. Each site's pool is 8 frames, so its log is
 //! cut every 32 KB, about twenty times in the run, and what is left of it
 //! at the end is one 64 KB segment per site — 20 B of each transfer's
 //! figure, wherever the last cut fell.
@@ -105,9 +106,9 @@ const OBJECTS: u64 = 64;
 const TXNS: u64 = 10_000;
 const POOL_FRAMES: usize = 8;
 
-/// Live-heap growth per finished transfer, with the table that explains it.
-fn retained_per_txn(protocol: ProtocolKind) -> (f64, String) {
-    let mut cfg = FederationConfig::uniform(SITES, protocol);
+/// Live-heap growth per finished transfer on the federation `cfg`
+/// describes, with the table that explains it.
+fn retained_per_txn(lane: &str, mut cfg: FederationConfig) -> (f64, String) {
     cfg.tpl.pool_frames = POOL_FRAMES;
     let mut fed = Federation::new(cfg);
     fed.set_recording(false, false);
@@ -131,23 +132,34 @@ fn retained_per_txn(protocol: ProtocolKind) -> (f64, String) {
     let before = census();
     for program in &programs {
         let report = fed.run_transaction(program).unwrap();
-        assert_eq!(report.outcome, TxnOutcome::Committed, "{protocol}");
+        assert_eq!(report.outcome, TxnOutcome::Committed, "{lane}");
     }
-    assert_eq!(fed.pending_obligations(), 0, "{protocol}");
+    assert_eq!(fed.pending_obligations(), 0, "{lane}");
     let after = census();
     let bound = 2 * (POOL_FRAMES * PAGE_SIZE) as u64;
     for s in 1..=SITES {
-        let log = fed.manager(SiteId::new(s)).unwrap().handle().engine().log_stats();
+        let log = fed
+            .manager(SiteId::new(s))
+            .unwrap()
+            .handle()
+            .engine()
+            .log_stats();
         let held = log.stable_bytes - log.truncated_bytes;
-        assert!(log.truncated_bytes > 0, "{protocol}: site {s}'s log was never cut");
-        assert!(held <= bound, "{protocol}: site {s} holds {held} B of log > {bound}");
+        assert!(
+            log.truncated_bytes > 0,
+            "{lane}: site {s}'s log was never cut"
+        );
+        assert!(
+            held <= bound,
+            "{lane}: site {s} holds {held} B of log > {bound}"
+        );
     }
     let per_txn = (after.live - before.live) as f64 / TXNS as f64;
     (per_txn, table(&before, &after, TXNS as i64))
 }
 
-/// One test, protocols in turn: the allocator is process-wide, so a
-/// concurrent test would be counted too.
+/// One test, lanes in turn: the allocator is process-wide, so a concurrent
+/// test would be counted too.
 #[test]
 fn finished_transactions_shrink_to_their_scalars() {
     // Bytes of live heap a finished two-site transfer may keep: two
@@ -163,12 +175,27 @@ fn finished_transactions_shrink_to_their_scalars() {
         (ProtocolKind::CommitAfter, 180.0),
         (ProtocolKind::CommitBefore, 180.0),
     ];
-    for (protocol, budget) in budgets {
-        let (per_txn, table) = retained_per_txn(protocol);
-        println!("{protocol}: {per_txn:.0} B retained per finished transaction (budget {budget})");
+    let uniform = budgets.map(|(protocol, budget)| {
+        let cfg = FederationConfig::uniform(SITES, protocol);
+        (protocol.to_string(), cfg, budget)
+    });
+    // Site 2 runs the optimistic engine, on the same core: its log is cut
+    // as 2PL's is. Its version table keeps an entry per object it ever
+    // committed, markers included (6(a)). Measured 180 / 180 B.
+    let heterogeneous = [
+        (ProtocolKind::CommitAfter, 195.0),
+        (ProtocolKind::CommitBefore, 195.0),
+    ]
+    .map(|(protocol, budget)| {
+        let cfg = FederationConfig::heterogeneous(SITES, protocol);
+        (format!("{protocol} over 2PL/OCC"), cfg, budget)
+    });
+    for (lane, cfg, budget) in uniform.into_iter().chain(heterogeneous) {
+        let (per_txn, table) = retained_per_txn(&lane, cfg);
+        println!("{lane}: {per_txn:.0} B retained per finished transaction (budget {budget})");
         assert!(
             per_txn <= budget,
-            "{protocol}: {per_txn:.0} B of live heap per finished transaction > {budget}\n{table}"
+            "{lane}: {per_txn:.0} B of live heap per finished transaction > {budget}\n{table}"
         );
     }
 }

@@ -679,6 +679,10 @@ fn mux_client_survives_short_timeouts_racing_delayed_replies() {
                     let stop = Arc::clone(&stop);
                     scope.spawn(move || {
                         stream.set_nonblocking(false).unwrap();
+                        // As the real servers do: without it Nagle holds
+                        // a reply behind an unacknowledged one, past the
+                        // delay this server means to give it.
+                        stream.set_nodelay(true).unwrap();
                         let write_half =
                             std::sync::Mutex::new(stream.try_clone().expect("clone socket"));
                         let mut read_half = stream;
