@@ -62,10 +62,9 @@ pub struct CoordIdentity {
 /// Only meaningful under [`ProtocolKind::TwoPhaseCommit`]: Paxos Commit
 /// replicates the prepare/decision structure of 2PC (it is 2PC's
 /// non-blocking generalisation); the portable protocols have no prepared
-/// state to make durable. In process, each acceptor writes through a log
-/// and group committer of its own, tuned like the engines' by
-/// [`TplConfig::group_commit`]; a deployed site's acceptor writes through
-/// its engine's.
+/// state to make durable. Each acceptor writes its rows through its site
+/// engine's log and group committer, in process and deployed alike, so a
+/// site crash takes its acceptor down and a restart replays both.
 #[derive(Debug, Clone)]
 pub struct PaxosCommitConfig {
     /// Acceptor-hosting sites — `2f+1` of them to tolerate `f` failures.
@@ -173,6 +172,12 @@ impl FederationConfig {
     /// Enable Paxos Commit with acceptors at the first `2f+1` sites
     /// (requires the 2PC protocol and at least `acceptors` sites).
     pub fn with_paxos_commit(mut self, acceptors: u32) -> Self {
+        assert_eq!(
+            self.protocol,
+            ProtocolKind::TwoPhaseCommit,
+            "Paxos Commit replicates the 2PC prepare/decision structure; the \
+             portable protocols have no prepared state to make durable"
+        );
         assert!(
             acceptors <= self.site_count(),
             "acceptors are co-located with sites"
@@ -223,14 +228,16 @@ impl FederationConfig {
 
     /// One fresh in-memory site of this federation running `engine` — the
     /// only place a federation's sites are opened, so a site that joins
-    /// later (`amc-shard`'s online `Add`) is tuned like the rest.
+    /// later (`amc-shard`'s online `Add`) is tuned like the rest. A site
+    /// [`FederationConfig::paxos`] lists hosts an acceptor on its log.
     pub fn open_site(&self, id: SiteId, engine: EngineKind) -> Site {
+        let acceptor = self.paxos.as_ref();
         let spec = SiteSpec {
             id,
             engine,
             protocol: self.protocol,
             log: SiteLog::Memory,
-            acceptor: false,
+            acceptor: acceptor.is_some_and(|px| px.acceptors.contains(&id)),
             tpl: self.tpl.clone(),
         };
         let (site, _) = Site::open(spec).expect("an in-memory site opens");

@@ -23,13 +23,12 @@ use amc_net::comm::SubmitMode;
 use amc_net::transport::{AdminReply, AdminRequest, FederationTransport, InProcessTransport};
 use amc_net::{LocalCommManager, Payload};
 use amc_obs::{EventKind, EventLog, ObsSink};
-use amc_paxos::{majority, AcceptorHost, AcceptorTransport, CommitLedger, ReplicaDriver};
+use amc_paxos::{majority, CommitLedger, ReplicaDriver};
 use amc_types::{
     AbortReason, AmcError, AmcResult, GlobalTxnId, GlobalVerdict, ObjectId, Operation,
     ProtocolKind, SiteId, Value,
 };
 use amc_verify::{History, OpEvent};
-use amc_wal::{GroupCommitter, LogManager};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,10 +173,6 @@ pub struct Federation {
     /// Given to every coordinator: the simulator's sink, an event log
     /// opted into by [`Federation::set_recording`], else disabled.
     obs: ObsSink,
-    /// In-process acceptor group (Paxos federations built by
-    /// [`Federation::new`] only — TCP deployments mount acceptors in
-    /// their site servers).
-    paxos_transport: Option<Arc<AcceptorTransport<InProcessTransport>>>,
     /// Fault injection: simulate the incumbent coordinator dying after
     /// this many more replicated votes, leaving the transaction in doubt.
     paxos_crash_after: Mutex<Option<u32>>,
@@ -200,6 +195,7 @@ impl Federation {
             cfg.is_runnable(),
             "2PC cannot run on a federation with non-preparable engines (§3.1)"
         );
+        // Each site listed as an acceptor opens one on its own log.
         let sites: BTreeMap<SiteId, Site> = cfg
             .open_sites()
             .into_iter()
@@ -210,47 +206,11 @@ impl Federation {
                 (site.manager().site(), site)
             })
             .collect();
-        let inner = InProcessTransport::new(
-            sites
-                .iter()
-                .map(|(&id, s)| (id, Arc::clone(s.manager())))
-                .collect(),
-            submit_mode_for(cfg.protocol),
-            cfg.message_delay,
-        );
-        let mut paxos_transport = None;
-        let transport: Arc<dyn FederationTransport> = match &cfg.paxos {
-            None => Arc::new(inner),
-            // Replicated coordination: mount an acceptor at each
-            // configured site by decorating the transport — the same
-            // interception the TCP site server performs. Each writes
-            // through an in-memory log and group committer of its own,
-            // as the in-process engines do.
-            Some(px) => {
-                assert_eq!(
-                    cfg.protocol,
-                    ProtocolKind::TwoPhaseCommit,
-                    "Paxos Commit replicates the 2PC prepare/decision structure; the \
-                     portable protocols have no prepared state to make durable"
-                );
-                assert!(
-                    px.acceptors.iter().all(|a| sites.contains_key(a)),
-                    "acceptors must be co-located with existing sites"
-                );
-                let host = |a: &SiteId| {
-                    let wal = GroupCommitter::new(LogManager::new(), cfg.tpl.group_commit);
-                    let host = AcceptorHost::mount(*a, Arc::new(wal));
-                    (*a, host.expect("an empty log replays"))
-                };
-                let hosts = px.acceptors.iter().map(host).collect();
-                let decorated = Arc::new(AcceptorTransport::new(inner, hosts));
-                paxos_transport = Some(Arc::clone(&decorated));
-                decorated
-            }
-        };
+        let managers = sites.iter().map(|(&id, s)| (id, Arc::clone(s.manager())));
+        let (mode, delay) = (submit_mode_for(cfg.protocol), cfg.message_delay);
+        let transport = Arc::new(InProcessTransport::new(managers.collect(), mode, delay));
         Federation {
             obs,
-            paxos_transport,
             ..Self::assemble(cfg, sites, transport, decision_log)
         }
     }
@@ -278,7 +238,6 @@ impl Federation {
             seq: AtomicU64::new(1),
             record_history: false,
             obs: ObsSink::disabled(),
-            paxos_transport: None,
             paxos_crash_after: Mutex::new(None),
         }
     }
@@ -436,13 +395,6 @@ impl Federation {
     /// unique, not dense.
     pub fn set_first_gtx(&self, first: u64) {
         self.central.set_first_gtx(first);
-    }
-
-    /// The in-process acceptor group, when this federation was built with
-    /// a [`PaxosCommitConfig`] (fault-injection switchboard for tests and
-    /// experiments).
-    pub fn paxos_transport(&self) -> Option<&Arc<AcceptorTransport<InProcessTransport>>> {
-        self.paxos_transport.as_ref()
     }
 
     fn paxos_config(&self) -> &PaxosCommitConfig {
@@ -1129,7 +1081,8 @@ mod tests {
             restart_before_finish: Mutex::new(None),
             rounds: Mutex::new(Vec::new()),
         });
-        let fed = Federation::with_transport(cfg, transport.clone());
+        let mut fed = Federation::with_transport(cfg, transport.clone());
+        fed.set_recording(true, false);
         for s in 1..=sites {
             let data: Vec<(ObjectId, Value)> = (0..50).map(|i| (obj(s, i), v(100))).collect();
             fed.load_site(site(s), &data).unwrap();
@@ -1503,6 +1456,16 @@ mod tests {
         )
     }
 
+    /// The same over a transport whose sites (and with them their
+    /// acceptors) can be taken down: `inner.set_down` is an outage to
+    /// calls and admin requests alike.
+    fn paxos_flaky(sites: u32, acceptors: u32) -> (Arc<Federation>, Arc<FlakyTransport>) {
+        flaky_with(
+            FederationConfig::uniform(sites, ProtocolKind::TwoPhaseCommit)
+                .with_paxos_commit(acceptors),
+        )
+    }
+
     #[test]
     fn paxos_commit_happy_path_replicates_and_commits() {
         let fed = paxos_loaded(3, 3);
@@ -1515,9 +1478,8 @@ mod tests {
         // the Decision pass through) and the bystander at site 3 (which
         // got an explicit PaxosDecided) — holds the commit durably and
         // reports no open instances.
-        let transport = fed.paxos_transport().unwrap();
         for a in 1..=3 {
-            let host = transport.host(site(a)).unwrap();
+            let host = fed.sites[&site(a)].acceptor().unwrap();
             host.with_state(|acc| {
                 assert_eq!(
                     acc.decision(report.gtx),
@@ -1528,6 +1490,9 @@ mod tests {
             });
             let log = host.wal().stats();
             assert!(log.forces > 0, "acceptor {a} must have forced its rows");
+            // The rows ride the site's own log.
+            let engine = fed.sites[&site(a)].manager().handle().engine();
+            assert_eq!(log, engine.log_stats(), "acceptor {a}");
         }
         // The prepare votes of the two participants were accepted at a
         // majority at ballot 0, so the commit took the fast path — but it
@@ -1541,14 +1506,14 @@ mod tests {
         // instance set cannot be opened durably at a majority, and the
         // transaction (on the disjoint sites 4 and 5) aborts cleanly
         // before any site prepares.
-        let fed = paxos_loaded(5, 3);
-        let transport = fed.paxos_transport().unwrap();
-        transport.set_down(site(2), true);
-        transport.set_down(site(3), true);
+        let (fed, transport) = paxos_flaky(5, 3);
+        let acceptors = &transport.inner;
+        acceptors.set_down(site(2), true);
+        acceptors.set_down(site(3), true);
         let report = fed.run_transaction(&transfer(4, 5, 30)).unwrap();
         assert_eq!(report.outcome, TxnOutcome::Aborted);
-        transport.set_down(site(2), false);
-        transport.set_down(site(3), false);
+        acceptors.set_down(site(2), false);
+        acceptors.set_down(site(3), false);
         assert_eq!(user_sum(&fed), 100 * 5 * 50);
         // With the acceptor majority back, the same program commits.
         let report = fed.run_transaction(&transfer(4, 5, 30)).unwrap();
@@ -1604,8 +1569,8 @@ mod tests {
     /// deliver it — the transaction is a standby's to decide.
     #[test]
     fn paxos_gate_failure_leaves_the_transaction_in_doubt_not_parked() {
-        let fed = paxos_loaded(5, 3);
-        let acceptors = fed.paxos_transport().unwrap();
+        let (fed, transport) = paxos_flaky(5, 3);
+        let acceptors = &transport.inner;
         let (mut txn, mut sends) = fed
             .begin(&transfer(4, 5, 30))
             .unwrap_or_else(|e| panic!("{e:?}"));

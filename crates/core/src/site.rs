@@ -41,7 +41,8 @@ pub struct SiteSpec {
 }
 
 /// A running site: the manager every runtime dispatches to, and the
-/// acceptor on its log, if it hosts one.
+/// acceptor on its log, if it hosts one — handed to the manager, whose
+/// dispatch lets it answer first.
 pub struct Site {
     manager: Arc<LocalCommManager>,
     acceptor: Option<Arc<AcceptorHost>>,
@@ -89,7 +90,11 @@ impl Site {
             (true, Some(wal)) => Some(Arc::new(AcceptorHost::mount(id, wal)?)),
             (true, None) => return Err(AmcError::InvalidState("OCC hosts no acceptor".into())),
         };
-        let manager = Arc::new(LocalCommManager::new(id, handle));
+        let mut manager = LocalCommManager::new(id, handle);
+        if let Some(acceptor) = &acceptor {
+            manager.set_acceptor(Arc::clone(acceptor) as _);
+        }
+        let manager = Arc::new(manager);
         let stats = report.map(|r| manager.restore_work(&r)).transpose()?;
         let stats = stats.unwrap_or_default();
         Ok((Site { manager, acceptor }, stats))

@@ -12,13 +12,13 @@
 //! contains one of these cannot run classical 2PC — the motivating fact of
 //! the whole paper.
 //!
-//! The scheduler is a version table and a write buffer per transaction
-//! over the same engine core as 2PL: its store, group committer, cut
-//! and recovery. Every read and every commit holds the core's transaction
-//! table, so validation, apply, the forced `Commit` and the version bump
-//! are one critical section against readers and validators: nothing reads
-//! or validates against a write before its commit record is durable, and
-//! no crash lands between the apply and the force.
+//! The scheduler is a table of commit stamps and a write buffer per
+//! transaction over the same engine core as 2PL: its store, group
+//! committer, cut and recovery. Every read and every commit holds the
+//! core's transaction table, so validation, apply, the forced `Commit` and
+//! the stamp are one critical section against readers and validators:
+//! nothing reads or validates against a write before its commit record is
+//! durable, and no crash lands between the apply and the force.
 
 use crate::api::{EngineStats, LocalEngine, RecoveryReport};
 use crate::core::{self, Core, Live};
@@ -29,15 +29,53 @@ use amc_types::{
 };
 use amc_wal::LogRecord;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Per-transaction private workspace.
 #[derive(Debug, Default)]
 struct OccTxn {
-    /// Object -> version observed at first read.
-    reads: HashMap<ObjectId, Option<u64>>,
+    /// Object -> the commit stamp current at its first read.
+    reads: HashMap<ObjectId, u64>,
+    /// The stamp of the transaction's first read, its earliest.
+    since: Option<u64>,
     /// Buffered writes: `None` = delete.
     writes: BTreeMap<ObjectId, Option<Value>>,
+}
+
+/// What validation reads: per object, the stamp of its last commit since
+/// the last crash, kept only while a live transaction may have read the
+/// object before it.
+#[derive(Debug, Default)]
+struct Versions {
+    /// Logged commits so far: the stamp of the latest.
+    clock: u64,
+    last: HashMap<ObjectId, u64>,
+    /// `last`'s entries in stamp order, for [`Versions::forget_through`].
+    order: VecDeque<(u64, ObjectId)>,
+}
+
+impl Versions {
+    /// Stamp `objs` as committed now.
+    fn commit(&mut self, objs: impl Iterator<Item = ObjectId>) {
+        self.clock += 1;
+        for obj in objs {
+            self.last.insert(obj, self.clock);
+            self.order.push_back((self.clock, obj));
+        }
+    }
+
+    /// Drop the commits no validation can find any more: those stamped at
+    /// or before `oldest`, the earliest read of a live transaction (none:
+    /// every commit so far).
+    fn forget_through(&mut self, oldest: Option<u64>) {
+        let oldest = oldest.unwrap_or(self.clock);
+        while let Some(&(stamp, obj)) = self.order.front().filter(|(s, _)| *s <= oldest) {
+            self.order.pop_front();
+            if self.last.get(&obj) == Some(&stamp) {
+                self.last.remove(&obj);
+            }
+        }
+    }
 }
 
 impl Live for OccTxn {
@@ -49,9 +87,8 @@ impl Live for OccTxn {
 /// An optimistic local database engine.
 pub struct OccEngine {
     core: Core<OccTxn>,
-    /// Committed writes per object (absent: none since the last crash),
-    /// taken only under the core's transaction table.
-    versions: Mutex<HashMap<ObjectId, u64>>,
+    /// Taken only under the core's transaction table.
+    versions: Mutex<Versions>,
 }
 
 impl OccEngine {
@@ -75,9 +112,9 @@ impl OccEngine {
         core::open_durable(cfg, site, path, Self::over)
     }
 
-    /// The version table lives in memory: a crash loses it.
+    /// The stamps live in memory: a crash loses them, and every reader.
     fn after_crash(&self, _: Vec<LocalTxnId>) {
-        self.versions.lock().clear();
+        *self.versions.lock() = Versions::default();
     }
 }
 
@@ -97,13 +134,14 @@ impl LocalEngine for OccEngine {
         let ctx = table.active.get_mut(&txn).ok_or(AmcError::UnknownTxn)?;
         table.stats.ops += 1;
         // The value `txn` sees: its own buffered write, else the committed
-        // value, whose version joins the read set.
+        // value, whose stamp joins the read set.
         let obj = op.object();
         let seen = match ctx.writes.get(&obj) {
             Some(buffered) => *buffered,
             None => {
-                let version = self.versions.lock().get(&obj).copied();
-                ctx.reads.entry(obj).or_insert(version);
+                let stamp = self.versions.lock().clock;
+                ctx.reads.entry(obj).or_insert(stamp);
+                ctx.since.get_or_insert(stamp);
                 self.core.store.lock().get(obj)?
             }
         };
@@ -123,12 +161,9 @@ impl LocalEngine for OccEngine {
         }
         let ctx = txns.active.remove(&txn).ok_or(AmcError::UnknownTxn)?;
         let mut versions = self.versions.lock();
-        // Backward validation: every read version must still be current.
-        if ctx
-            .reads
-            .iter()
-            .any(|(obj, seen)| versions.get(obj) != seen.as_ref())
-        {
+        // Backward validation: nothing it read was committed since.
+        let stale = |(obj, stamp)| versions.last.get(obj).is_some_and(|last| last > stamp);
+        if ctx.reads.iter().any(stale) {
             txns.aborted(txn, true);
             return Err(AmcError::Aborted(AbortReason::ValidationFailed));
         }
@@ -143,10 +178,9 @@ impl LocalEngine for OccEngine {
             if !core.wal.append_durable(&LogRecord::Commit { txn }) {
                 return Err(core.site_down());
             }
-            for &obj in ctx.writes.keys() {
-                *versions.entry(obj).or_default() += 1;
-            }
+            versions.commit(ctx.writes.keys().copied());
         }
+        versions.forget_through(txns.active.values().filter_map(|t| t.since).min());
         drop(versions);
         txns.terminated.insert(txn, LocalRunState::Committed);
         txns.stats.commits += 1;
@@ -277,6 +311,42 @@ mod tests {
         // The blind writer's value stands.
         assert_eq!(e.dump().unwrap().get(&obj(1)), Some(&v(11)));
         assert_eq!(e.stats().erroneous_aborts, 1);
+    }
+
+    /// Stamps stay while a live reader may validate against them, and go
+    /// once none can: a long-lived reader still fails on a commit made
+    /// after its first read, however many others came and went.
+    #[test]
+    fn stamps_last_only_as_long_as_a_live_read_predates_them() {
+        let e = engine_with(&[(1, 10), (2, 20)]);
+        let kept = || {
+            let versions = e.versions.lock();
+            (versions.last.len(), versions.order.len())
+        };
+        let bump = |o| {
+            let t = e.begin().unwrap();
+            e.execute(
+                t,
+                &Op::Increment {
+                    obj: obj(o),
+                    delta: 1,
+                },
+            )
+            .unwrap();
+            e.commit(t)
+        };
+        bump(1).unwrap();
+        assert_eq!(kept(), (0, 0), "no live reader: nothing kept");
+        let reader = e.begin().unwrap();
+        e.execute(reader, &Op::Read { obj: obj(2) }).unwrap();
+        bump(1).unwrap();
+        bump(1).unwrap();
+        bump(2).unwrap();
+        assert_eq!(kept(), (2, 3), "every commit after the read is kept");
+        let err = e.commit(reader).unwrap_err();
+        assert_eq!(err, AmcError::Aborted(AbortReason::ValidationFailed));
+        bump(1).unwrap();
+        assert_eq!(kept(), (0, 0), "the reader is gone");
     }
 
     #[test]

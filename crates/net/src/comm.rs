@@ -40,6 +40,7 @@
 
 use crate::marker::{before_image, forward_gtx, forward_marker, undo_marker};
 use crate::message::Payload;
+use crate::transport::CoLocatedAcceptor;
 use amc_engine::{LocalEngine, PreparableEngine, RecoveryReport};
 use amc_mlt::{inverse_of, needs_before_image};
 use amc_obs::{EventKind, ObsSink};
@@ -341,6 +342,8 @@ pub struct LocalCommManager {
     backoff_seed: std::sync::atomic::AtomicU64,
     /// Observability sink (disabled unless a driver attaches one).
     obs: ObsSink,
+    /// The Paxos Commit acceptor on this site's log, if it hosts one.
+    pub(crate) acceptor: Option<Arc<dyn CoLocatedAcceptor>>,
 }
 
 impl LocalCommManager {
@@ -356,6 +359,7 @@ impl LocalCommManager {
             recovery: Mutex::new(None),
             backoff_seed: std::sync::atomic::AtomicU64::new(site.raw() as u64 * 7919),
             obs: ObsSink::disabled(),
+            acceptor: None,
         }
     }
 
@@ -365,6 +369,11 @@ impl LocalCommManager {
     pub fn set_obs(&mut self, sink: ObsSink) {
         self.handle.engine().attach_obs(sink.clone(), self.site);
         self.obs = sink;
+    }
+
+    /// Host `acceptor`: every dispatch to this manager reaches it first.
+    pub fn set_acceptor(&mut self, acceptor: Arc<dyn CoLocatedAcceptor>) {
+        self.acceptor = Some(acceptor);
     }
 
     /// Stats from the last restart recovery pass, if this process went

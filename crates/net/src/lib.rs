@@ -22,7 +22,8 @@
 //!   coordinator message reaches a site: in-process function calls (the
 //!   historical runtime, with mutable site membership for `amc-shard`'s
 //!   online add/remove/replace reconfiguration) or real TCP sockets
-//!   (`amc-rpc`).
+//!   (`amc-rpc`); and the one dispatch into a site, where its co-located
+//!   Paxos Commit acceptor, if any, answers first.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,5 +38,6 @@ pub use comm::{CommStats, EngineHandle, LocalCommManager, RecoveryStats, SubmitM
 pub use message::{Envelope, Payload};
 pub use router::{NetStats, Router, RouterConfig};
 pub use transport::{
-    AdminReply, AdminRequest, FederationTransport, InProcessTransport, PaxosOpenEntry,
+    AdminReply, AdminRequest, CoLocatedAcceptor, FederationTransport, InProcessTransport,
+    PaxosOpenEntry,
 };

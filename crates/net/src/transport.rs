@@ -15,9 +15,12 @@
 //!   and messages really cross the OS socket layer, with deadlines,
 //!   retries, and reconnects.
 //!
-//! Both speak the same [`Payload`] vocabulary, so the deterministic
-//! simulator, the threaded in-process federation, and the networked
-//! runtime share one message grammar.
+//! Both speak the same [`Payload`] vocabulary, and every runtime — the
+//! in-process transport, both TCP site servers, the deterministic
+//! simulator — reaches a site through [`dispatch_to_manager`] and
+//! [`admin_to_manager`]. Those two functions are also where a site's
+//! co-located Paxos Commit acceptor ([`CoLocatedAcceptor`]) answers its
+//! messages, so no runtime wires an acceptor of its own.
 
 use crate::comm::{CommStats, LocalCommManager, RecoveryStats, SubmitMode};
 use crate::message::Payload;
@@ -146,14 +149,46 @@ pub trait FederationTransport: Send + Sync {
     }
 }
 
-/// Run one protocol message against a local communication manager. This is
-/// the single dispatch point shared by the in-process transport and the
-/// TCP site server, so both runtimes interpret the vocabulary identically.
+/// A Paxos Commit acceptor co-located with a site (Gray & Lamport §5),
+/// answering its messages ahead of the site's communication manager.
+/// [`dispatch_to_manager`] and [`admin_to_manager`] are its only callers,
+/// so every runtime that reaches a site reaches its acceptor the same way.
+pub trait CoLocatedAcceptor: Send + Sync {
+    /// Intercept a request before the manager sees it. `Ok(Some(reply))`
+    /// means the acceptor answered it; `Ok(None)` means it continues to
+    /// the manager.
+    fn pre_dispatch(&self, payload: &Payload) -> AmcResult<Option<Payload>>;
+
+    /// Observe the manager's reply before it leaves the site: a vote is
+    /// the site's ballot-0 accept. An error means the reply must not be
+    /// sent.
+    fn post_dispatch(&self, reply: &Payload) -> AmcResult<()>;
+
+    /// Intercept an admin request; `Some` when the acceptor answered it.
+    fn admin_pre(&self, req: &AdminRequest) -> Option<AdminReply>;
+}
+
+/// Run one protocol message against a local communication manager and the
+/// acceptor it hosts, if any: the one dispatch point of every runtime, so
+/// all of them interpret the vocabulary identically.
 pub fn dispatch_to_manager(
     manager: &LocalCommManager,
     payload: Payload,
     mode: SubmitMode,
 ) -> AmcResult<Payload> {
+    let Some(acceptor) = manager.acceptor.as_deref() else {
+        return serve(manager, payload, mode);
+    };
+    if let Some(reply) = acceptor.pre_dispatch(&payload)? {
+        return Ok(reply);
+    }
+    let reply = serve(manager, payload, mode)?;
+    acceptor.post_dispatch(&reply)?;
+    Ok(reply)
+}
+
+/// What the communication manager answers to `payload`.
+fn serve(manager: &LocalCommManager, payload: Payload, mode: SubmitMode) -> AmcResult<Payload> {
     match payload {
         Payload::Submit { gtx, ops } => manager.handle_submit(gtx, ops, mode),
         Payload::SubmitPrepare { gtx, ops, solo } => {
@@ -163,28 +198,31 @@ pub fn dispatch_to_manager(
         Payload::Decision { gtx, verdict } => manager.handle_decision(gtx, verdict, mode),
         Payload::Redo { gtx, ops } => manager.handle_redo(gtx, ops),
         Payload::Undo { gtx, ops } => manager.handle_undo(gtx, ops),
-        Payload::Vote { .. } | Payload::Finished { .. } => {
-            Err(AmcError::Protocol("central received its own reply".into()))
-        }
-        // Paxos messages address a site's co-located *acceptor*, not its
-        // communication manager. Runtimes that host acceptors (the TCP
-        // site server, the in-process acceptor decorator) intercept them
-        // before this dispatch; reaching here means the site has none.
+        // Paxos messages address a site's co-located acceptor, which
+        // answers them before the manager; reaching here means the site
+        // hosts none.
         Payload::PaxosRegister { .. }
         | Payload::PaxosP1a { .. }
         | Payload::PaxosP2a { .. }
         | Payload::PaxosDecided { .. } => {
             Err(AmcError::Protocol("site hosts no Paxos acceptor".into()))
         }
-        Payload::PaxosAck { .. } | Payload::PaxosP1b { .. } | Payload::PaxosP2b { .. } => {
+        Payload::Vote { .. }
+        | Payload::Finished { .. }
+        | Payload::PaxosAck { .. }
+        | Payload::PaxosP1b { .. }
+        | Payload::PaxosP2b { .. } => {
             Err(AmcError::Protocol("central received its own reply".into()))
         }
     }
 }
 
-/// Run one admin request against a local communication manager (shared by
-/// the in-process transport and the TCP site server).
+/// Run one admin request against a local communication manager and the
+/// acceptor it hosts, if any (every runtime's one admin dispatch).
 pub fn admin_to_manager(manager: &LocalCommManager, req: AdminRequest) -> AmcResult<AdminReply> {
+    if let Some(reply) = manager.acceptor.as_ref().and_then(|a| a.admin_pre(&req)) {
+        return Ok(reply);
+    }
     match req {
         AdminRequest::Ping => Ok(AdminReply::Pong),
         AdminRequest::Load(data) => {
@@ -195,8 +233,7 @@ pub fn admin_to_manager(manager: &LocalCommManager, req: AdminRequest) -> AmcRes
         AdminRequest::CommStats => Ok(AdminReply::CommStats(manager.stats())),
         AdminRequest::LogStats => Ok(AdminReply::LogStats(manager.handle().engine().log_stats())),
         AdminRequest::Recovery => Ok(AdminReply::Recovery(manager.recovery_stats())),
-        // As with the Paxos payloads above: answered by the acceptor host,
-        // never by the bare communication manager.
+        // As with the Paxos payloads: the acceptor answered it, if any.
         AdminRequest::PaxosOpen => Err(AmcError::Protocol("site hosts no Paxos acceptor".into())),
     }
 }

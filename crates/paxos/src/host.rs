@@ -8,17 +8,15 @@
 //! leaves the process, so one round trip does both the 2PC vote and one
 //! of the Paxos accepts.
 //!
-//! The host is runtime-agnostic. Both the TCP site server and the
-//! in-process transport decorator wrap their normal dispatch like so:
-//!
-//! ```text
-//! if let Some(reply) = host.pre_dispatch(&payload)? { return reply }
-//! let reply = /* normal dispatch to the communication manager */;
-//! host.post_dispatch(&reply)?;   // vote-as-accept; Err = superseded
-//! ```
+//! The host is runtime-agnostic: it is the site's [`CoLocatedAcceptor`],
+//! handed to the site's communication manager when the site opens, and
+//! `amc_net::transport::dispatch_to_manager` — the dispatch of every
+//! runtime, in process or over TCP — runs its hooks around the manager:
+//! Paxos messages are answered here, and a vote reply is accepted (or
+//! refused) here before it leaves the site.
 
 use crate::acceptor::AcceptorState;
-use amc_net::{AdminReply, AdminRequest, Payload};
+use amc_net::{AdminReply, AdminRequest, CoLocatedAcceptor, Payload};
 use amc_types::{AmcError, AmcResult, Ballot, GlobalTxnId, SiteId};
 use amc_wal::{GroupCommitter, LogRecord};
 use parking_lot::Mutex;
@@ -60,8 +58,7 @@ impl AcceptorHost {
         Ok(())
     }
 
-    /// The committer the acceptor writes through (its counters are the
-    /// acceptor's appends and forces when it owns the log alone).
+    /// The committer the acceptor writes through: its site's.
     pub fn wal(&self) -> &GroupCommitter {
         &self.wal
     }
@@ -89,10 +86,16 @@ impl AcceptorHost {
         }
     }
 
-    /// Intercept a request before normal dispatch. `Ok(Some(reply))`
-    /// means the message was fully handled by the acceptor; `Ok(None)`
-    /// means it must continue to the communication manager.
-    pub fn pre_dispatch(&self, payload: &Payload) -> AmcResult<Option<Payload>> {
+    /// Inspect the acceptor's state (tests and experiments).
+    pub fn with_state<R>(&self, f: impl FnOnce(&AcceptorState) -> R) -> R {
+        f(&self.state.lock())
+    }
+}
+
+impl CoLocatedAcceptor for AcceptorHost {
+    /// Paxos messages are answered from the acceptor's state, each row
+    /// forced before the reply; a `Decision` is noted and continues.
+    fn pre_dispatch(&self, payload: &Payload) -> AmcResult<Option<Payload>> {
         match payload {
             Payload::PaxosRegister { gtx, participants } => {
                 self.durably(*gtx, |a| ((), a.register(*gtx, participants)))?;
@@ -155,7 +158,7 @@ impl AcceptorHost {
     /// record Prepared for a site that has not prepared. The incumbent
     /// registers between the work and prepare rounds, so exactly the
     /// prepare-round votes land here.
-    pub fn post_dispatch(&self, reply: &Payload) -> AmcResult<()> {
+    fn post_dispatch(&self, reply: &Payload) -> AmcResult<()> {
         if let Payload::Vote { gtx, vote } = reply {
             let accepted = self.durably(*gtx, |a| match a.participants(*gtx) {
                 None => (None, None),
@@ -175,18 +178,13 @@ impl AcceptorHost {
     }
 
     /// Intercept an admin request; `Some` when handled by the acceptor.
-    pub fn admin_pre(&self, req: &AdminRequest) -> Option<AdminReply> {
+    fn admin_pre(&self, req: &AdminRequest) -> Option<AdminReply> {
         match req {
             AdminRequest::PaxosOpen => {
                 Some(AdminReply::PaxosOpen(self.state.lock().open_entries()))
             }
             _ => None,
         }
-    }
-
-    /// Inspect the acceptor's state (tests and experiments).
-    pub fn with_state<R>(&self, f: impl FnOnce(&AcceptorState) -> R) -> R {
-        f(&self.state.lock())
     }
 }
 

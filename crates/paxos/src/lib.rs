@@ -22,9 +22,10 @@
 //!   leadership from an incumbent that stopped making progress.
 //!
 //! The crate is sans-IO at its core (pure [`acceptor::AcceptorState`] and
-//! [`leader`] decision logic) with thin runtime adapters: the
-//! [`transport::AcceptorTransport`] decorator for in-process federations
-//! and the [`host::AcceptorHost`] hooks the TCP site server mounts.
+//! [`leader`] decision logic) with one runtime adapter: the
+//! [`host::AcceptorHost`] a site opens on its log and hands its
+//! communication manager, whose one dispatch — in process and over TCP
+//! alike — lets the acceptor answer first.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,10 +34,8 @@ pub mod acceptor;
 pub mod driver;
 pub mod host;
 pub mod leader;
-pub mod transport;
 
 pub use acceptor::AcceptorState;
 pub use driver::ReplicaDriver;
 pub use host::AcceptorHost;
 pub use leader::{majority, CommitLedger};
-pub use transport::AcceptorTransport;

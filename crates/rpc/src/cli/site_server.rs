@@ -84,8 +84,7 @@ pub fn main() {
     // The bind retries AddrInUse, so a restart in place (same port)
     // survives the kernel's TIME_WAIT on the old listener.
     let obs = ObsSink::disabled();
-    let (manager, acceptor) = (site.manager().clone(), site.acceptor().cloned());
-    let addr = match SiteServer::spawn_with_acceptor(id, manager, mode, &listen, obs, acceptor) {
+    let addr = match SiteServer::spawn(id, site.manager().clone(), mode, &listen, obs) {
         Ok(server) => {
             let addr = server.addr();
             // Leak: the server lives for the process.

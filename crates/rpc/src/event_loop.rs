@@ -238,8 +238,8 @@ struct Server {
 }
 
 /// A running event-loop site server. Same spawn surface and wire
-/// vocabulary as [`SiteServer`](crate::SiteServer), different concurrency
-/// model; it mounts no Paxos acceptor.
+/// vocabulary as [`SiteServer`](crate::SiteServer), acceptor included,
+/// different concurrency model.
 pub struct EventServer {
     site: SiteId,
     addr: SocketAddr,
@@ -267,7 +267,7 @@ impl EventServer {
             poller,
             listener,
             waker,
-            handler: site_handler(site, manager, mode, obs, None),
+            handler: site_handler(site, manager, mode, obs),
             conns: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(TOKEN_FIRST_CONN),
             queue: Mutex::new(VecDeque::new()),

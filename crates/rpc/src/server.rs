@@ -16,7 +16,6 @@ use crate::wire::{write_frame, Frame, FrameBuffer};
 use amc_net::transport::{admin_to_manager, dispatch_to_manager};
 use amc_net::{LocalCommManager, SubmitMode};
 use amc_obs::{EventKind, ObsSink};
-use amc_paxos::AcceptorHost;
 use amc_types::SiteId;
 use parking_lot::Mutex;
 use std::io::{self, Read as _};
@@ -210,23 +209,7 @@ impl SiteServer {
         listen: &str,
         obs: ObsSink,
     ) -> io::Result<SiteServer> {
-        Self::spawn_with_acceptor(site, manager, mode, listen, obs, None)
-    }
-
-    /// Like [`SiteServer::spawn`], additionally mounting a co-located
-    /// Paxos Commit acceptor: Paxos messages are answered from the
-    /// acceptor's durable log, vote replies are run through the
-    /// vote-as-accept hook before they leave the process, and a
-    /// participant's `Decision` closes its acceptor instances.
-    pub(crate) fn spawn_with_acceptor(
-        site: SiteId,
-        manager: Arc<LocalCommManager>,
-        mode: SubmitMode,
-        listen: &str,
-        obs: ObsSink,
-        acceptor: Option<Arc<AcceptorHost>>,
-    ) -> io::Result<SiteServer> {
-        let handler = site_handler(site, manager, mode, obs, acceptor);
+        let handler = site_handler(site, manager, mode, obs);
         Ok(SiteServer {
             site,
             inner: BlockingServer::spawn(listen, handler)?,
@@ -264,30 +247,8 @@ pub(crate) fn site_handler(
     manager: Arc<LocalCommManager>,
     mode: SubmitMode,
     obs: ObsSink,
-    acceptor: Option<Arc<AcceptorHost>>,
 ) -> Handler {
-    Arc::new(move |frame| reply_for_frame(frame, site, &manager, mode, &obs, acceptor.as_deref()))
-}
-
-/// Normal dispatch wrapped with acceptor interception (when one is
-/// mounted): Paxos messages are answered by the acceptor, and a vote
-/// reply is durably accepted at ballot 0 — or refused, surfacing as an
-/// error — before it is released.
-fn dispatch_with_acceptor(
-    manager: &LocalCommManager,
-    payload: amc_net::Payload,
-    mode: SubmitMode,
-    acceptor: Option<&AcceptorHost>,
-) -> amc_types::AmcResult<amc_net::Payload> {
-    let Some(host) = acceptor else {
-        return dispatch_to_manager(manager, payload, mode);
-    };
-    if let Some(reply) = host.pre_dispatch(&payload)? {
-        return Ok(reply);
-    }
-    let reply = dispatch_to_manager(manager, payload, mode)?;
-    host.post_dispatch(&reply)?;
-    Ok(reply)
+    Arc::new(move |frame| reply_for_frame(frame, site, &manager, mode, &obs))
 }
 
 /// Serve one request frame: dispatch it and build the reply frame.
@@ -296,15 +257,14 @@ fn dispatch_with_acceptor(
 ///
 /// This is the single request-handling path shared by the blocking
 /// thread-per-connection server and the event-loop runtime (through
-/// [`site_handler`]), so both interpret the vocabulary (and the acceptor
-/// interception) identically.
+/// [`site_handler`]); the dispatch it calls is the in-process
+/// transport's, acceptor and all.
 fn reply_for_frame(
     frame: Frame,
     site: SiteId,
     manager: &LocalCommManager,
     mode: SubmitMode,
     obs: &ObsSink,
-    acceptor: Option<&AcceptorHost>,
 ) -> Option<Frame> {
     match frame {
         Frame::Request { req_id, payload } => {
@@ -316,35 +276,26 @@ fn reply_for_frame(
                     from: SiteId::CENTRAL,
                 },
             );
-            Some(
-                match dispatch_with_acceptor(manager, payload, mode, acceptor) {
-                    Ok(payload) => {
-                        obs.emit(
-                            Some(payload.gtx()),
-                            site,
-                            EventKind::MsgSend {
-                                label: payload.label(),
-                                from: site,
-                                to: SiteId::CENTRAL,
-                            },
-                        );
-                        Frame::Reply { req_id, payload }
-                    }
-                    Err(error) => Frame::ErrorReply { req_id, error },
-                },
-            )
-        }
-        Frame::AdminRequest { req_id, req } => {
-            let handled = acceptor.and_then(|h| h.admin_pre(&req));
-            let result = match handled {
-                Some(reply) => Ok(reply),
-                None => admin_to_manager(manager, req),
-            };
-            Some(match result {
-                Ok(reply) => Frame::AdminReply { req_id, reply },
+            Some(match dispatch_to_manager(manager, payload, mode) {
+                Ok(payload) => {
+                    obs.emit(
+                        Some(payload.gtx()),
+                        site,
+                        EventKind::MsgSend {
+                            label: payload.label(),
+                            from: site,
+                            to: SiteId::CENTRAL,
+                        },
+                    );
+                    Frame::Reply { req_id, payload }
+                }
                 Err(error) => Frame::ErrorReply { req_id, error },
             })
         }
+        Frame::AdminRequest { req_id, req } => Some(match admin_to_manager(manager, req) {
+            Ok(reply) => Frame::AdminReply { req_id, reply },
+            Err(error) => Frame::ErrorReply { req_id, error },
+        }),
         // Coordinator frames belong to the router↔coordinator surface; a
         // site server receiving one has a confused peer — drop it.
         Frame::Reply { .. }

@@ -288,10 +288,8 @@ fn one_struct_owns_ids_l1_locks_and_parked_coordinators() {
 /// `core/src/site.rs` builds a communication manager, opens a durable
 /// engine or rebuilds a work map, so every runtime's site is assembled,
 /// and restarted, the way a deployed process is. Acceptors are mounted
-/// there too, and once more by the in-process Paxos federation, whose
-/// acceptors keep in-memory logs of their own: E12c reads those logs'
-/// counters, and moving them onto the engines' committers is a measured
-/// change of its own (ROADMAP 22(d)).
+/// there too and nowhere else, on the site's own log, so every runtime's
+/// acceptor crashes and restarts with its site.
 #[test]
 fn one_struct_opens_and_restarts_sites() {
     let homes = |needle: &str| -> Vec<String> {
@@ -313,11 +311,22 @@ fn one_struct_opens_and_restarts_sites() {
     }
     let mounts = homes("AcceptorHost::mount(");
     assert!(
-        mounts.len() == 2
-            && mounts[0].ends_with("core/src/federation.rs")
-            && mounts[1].ends_with("core/src/site.rs"),
+        mounts.len() == 1 && mounts[0].ends_with("core/src/site.rs"),
         "`AcceptorHost::mount(` in {mounts:?}"
     );
+}
+
+/// A site's acceptor answers its messages in one place: the transport
+/// module's dispatch into a manager, which the in-process transport, both
+/// TCP site servers and the simulator all go through. No runtime wraps
+/// its own interception around the manager.
+#[test]
+fn one_dispatch_runs_the_acceptor_hooks() {
+    let calling = non_test_code_having(
+        &[".pre_dispatch(", ".post_dispatch(", ".admin_pre("],
+        &["net/src/transport.rs"],
+    );
+    assert!(calling.is_empty(), "acceptor hooks called in {calling:?}");
 }
 
 /// One engine core under both schedulers: inside `amc-engine` only
@@ -529,7 +538,7 @@ fn whole_table_lock_sweeps_serve_only_crash_paths() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 23_296;
+    const CEILING: usize = 23_195;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| non_test_lines(text).count())
@@ -1220,7 +1229,7 @@ fn the_wall_clock_scanner_tells_bounds_from_counts() {
 /// counted by the scanner of `pub_items_are_named_outside_their_crate`.
 #[test]
 fn public_items_only_go_down() {
-    const PUBLIC_ITEMS: usize = 694;
+    const PUBLIC_ITEMS: usize = 687;
     let score = pub_items(&rust_sources()).len();
     assert!(
         score <= PUBLIC_ITEMS,

@@ -11,11 +11,11 @@
 //!   computes over the prefix's acceptor rows, and to the engine state the
 //!   same prefix without them recovers to — the codec, the boundary scan
 //!   and both replays agree.
-//! * **Nemesis sweep**: 100+ seeded fault schedules — acceptor
-//!   partitions, leading-coordinator-replica crashes mid-replication,
-//!   standby takeovers — against an in-process Paxos federation. After
-//!   the final standby sweep no transaction is open at any acceptor and
-//!   the global sum is conserved, every seed.
+//! * **Nemesis sweep**: 100+ seeded fault schedules — acceptor site
+//!   crashes and restarts, acceptor partitions, leading-coordinator-replica
+//!   crashes mid-replication, standby takeovers — against an in-process
+//!   Paxos federation. After the final standby sweep no transaction is
+//!   open at any acceptor and the global sum is conserved, every seed.
 //! * **kill -9 over TCP**: a real `amc-paxos-coord` process dies by
 //!   SIGKILL with a transaction fully prepared but undecided; a standby
 //!   replica in this test finishes it *Commit* from the acceptor logs
@@ -23,15 +23,16 @@
 //!   books balance. Killing and restarting an acceptor site as well loses
 //!   neither its prepare nor its accept.
 
-use amc::core::{Federation, FederationConfig};
+use amc::core::site::Site;
+use amc::core::{submit_mode_for, Federation, FederationConfig};
 use amc::engine::{LocalEngine, PreparableEngine, TplConfig, TwoPLEngine};
 use amc::net::marker::is_marker;
 use amc::net::transport::{AdminReply, AdminRequest, FederationTransport};
-use amc::net::Payload;
+use amc::net::{CoLocatedAcceptor, InProcessTransport, Payload};
 use amc::obs::ObsSink;
 use amc::paxos::{AcceptorHost, AcceptorState, ReplicaDriver};
 use amc::rpc::wire::{decode_frame, encode_frame, Frame};
-use amc::rpc::{RetryPolicy, TcpTransport, WIRE_VERSION};
+use amc::rpc::{Fleet, RetryPolicy, TcpTransport, Wire, WIRE_VERSION};
 use amc::sim::{generate_faults, FaultKind, NemesisConfig};
 use amc::types::{
     Ballot, GlobalTxnId, GlobalVerdict, ObjectId, Operation, ProtocolKind, SiteId, Value,
@@ -520,12 +521,13 @@ const PER_OBJ: i64 = 100;
 
 fn sweep_config() -> NemesisConfig {
     NemesisConfig {
-        // Partitions sever acceptor links — that is where Paxos majority
-        // math gets exercised. Classical site crashes stay off: the
-        // threaded federation's fault surface here is the acceptor group
-        // and the coordinator replicas themselves.
+        // Crashes and partitions strike the acceptor sites — that is where
+        // Paxos majority math gets exercised, and where a restart must
+        // replay the acceptor from its site's log. The trading sites 4 and
+        // 5 stay up: the fault surface is the acceptor group and the
+        // coordinator replicas themselves.
         sites: vec![site(1), site(2), site(3)],
-        allow_crashes: false,
+        allow_crashes: true,
         allow_torn_tails: false,
         allow_partitions: true,
         allow_loss_bursts: false,
@@ -574,7 +576,19 @@ fn user_sum(fed: &Federation) -> i64 {
 fn run_sweep_seed(seed: u64) -> (Vec<String>, BTreeMap<SiteId, BTreeMap<ObjectId, Value>>) {
     let cfg = FederationConfig::uniform(SWEEP_SITES, ProtocolKind::TwoPhaseCommit)
         .with_paxos_commit(ACCEPTORS);
-    let fed = Federation::new(cfg);
+    let sites: BTreeMap<SiteId, Site> = cfg
+        .open_sites()
+        .into_iter()
+        .map(|s| (s.manager().site(), s))
+        .collect();
+    let managers = sites.iter().map(|(&id, s)| (id, Arc::clone(s.manager())));
+    let mode = submit_mode_for(cfg.protocol);
+    let transport = Arc::new(InProcessTransport::new(
+        managers.collect(),
+        mode,
+        Duration::ZERO,
+    ));
+    let fed = Federation::with_transport(cfg, transport.clone());
     for s in 1..=SWEEP_SITES {
         let data: Vec<(ObjectId, Value)> = (0..SWEEP_TXNS)
             .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
@@ -590,10 +604,19 @@ fn run_sweep_seed(seed: u64) -> (Vec<String>, BTreeMap<SiteId, BTreeMap<ObjectId
     // virtual time onto the transaction schedule instead.
     let slot = |at: u64| -> u64 { (at * SWEEP_TXNS / horizon).min(SWEEP_TXNS - 1) };
 
-    let pt = fed.paxos_transport().expect("paxos transport").clone();
+    // A site's crashes and partitions never overlap (one lane per site).
+    // A crashed site answers `SiteDown` until its restart replays engine
+    // and acceptor from the one log: nothing reaches it in between, so
+    // what it loses is what the crash at the restart loses.
     let apply = |kind: &FaultKind, s: SiteId| match kind {
-        FaultKind::PartitionStart { .. } => pt.set_down(s, true),
-        FaultKind::PartitionHeal => pt.set_down(s, false),
+        FaultKind::Crash { torn: None } | FaultKind::PartitionStart { .. } => {
+            transport.set_down(s, true)
+        }
+        FaultKind::Restart => {
+            sites[&s].restart().expect("the log replays");
+            transport.set_down(s, false);
+        }
+        FaultKind::PartitionHeal => transport.set_down(s, false),
         FaultKind::CoordinatorCrash { after_votes } => {
             // Cap at the participant count: every transfer replicates at
             // most two prepare votes.
@@ -601,9 +624,9 @@ fn run_sweep_seed(seed: u64) -> (Vec<String>, BTreeMap<SiteId, BTreeMap<ObjectId
         }
         FaultKind::CoordinatorTakeover { replica } => {
             // A standby claims leadership and sweeps. It may fail —
-            // e.g. two acceptors partitioned away leave no majority —
-            // and that is a legal outcome: the in-doubt transactions
-            // simply wait for the final healed sweep.
+            // e.g. two acceptors down leave no majority — and that is a
+            // legal outcome: the in-doubt transactions simply wait for
+            // the final healed sweep.
             let _ = fed.replica_driver(*replica).run_once();
         }
         other => unreachable!("sweep config cannot generate {other:?}"),
@@ -624,26 +647,27 @@ fn run_sweep_seed(seed: u64) -> (Vec<String>, BTreeMap<SiteId, BTreeMap<ObjectId
             Err(_) => outcomes.push("InDoubt".to_string()),
         }
     }
+    // Every crash is followed by its restart, every partition by its heal.
     while next < events.len() {
         apply(&events[next].kind, events[next].site);
         next += 1;
     }
 
-    // Heal everything and let a fresh standby finish whatever is open.
-    for a in 1..=ACCEPTORS {
-        pt.set_down(site(a), false);
-    }
+    // Let a fresh standby finish whatever is open, then deliver what
+    // parked coordinators still owe.
     let swept = fed
         .replica_driver(9)
         .run_once()
         .expect("healed sweep has a majority");
     outcomes.push(format!("swept:{}", swept.len()));
+    fed.resolve_pending().expect("every site is up");
+    assert_eq!(fed.pending_obligations(), 0, "seed {seed}");
 
     // Non-blocking: nothing is left open at any acceptor.
     for a in 1..=ACCEPTORS {
-        let open = pt
-            .host(site(a))
-            .expect("acceptor host")
+        let open = sites[&site(a)]
+            .acceptor()
+            .expect("an acceptor site")
             .with_state(AcceptorState::open_entries);
         assert!(
             open.is_empty(),
@@ -660,26 +684,34 @@ fn run_sweep_seed(seed: u64) -> (Vec<String>, BTreeMap<SiteId, BTreeMap<ObjectId
     (outcomes, dumps)
 }
 
-/// 110 seeded schedules of acceptor partitions + coordinator-replica
-/// crashes and takeovers: every in-doubt window closes, the sum is
-/// conserved, and no acceptor reports an open transaction at the end.
+/// 110 seeded schedules of acceptor site crashes and partitions,
+/// coordinator-replica crashes and takeovers: every in-doubt window
+/// closes, the sum is conserved, and no acceptor reports an open
+/// transaction at the end.
 #[test]
 fn nemesis_sweep_coordinator_crashes_never_block() {
-    let mut crashes_seen = 0u64;
+    let (mut crashes_seen, mut site_crashes) = (0u64, 0u64);
     for seed in 0..110u64 {
         let plan = generate_faults(&sweep_config(), seed);
-        crashes_seen += plan
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::CoordinatorCrash { .. }))
-            .count() as u64;
+        for e in plan.events() {
+            match e.kind {
+                FaultKind::CoordinatorCrash { .. } => crashes_seen += 1,
+                FaultKind::Crash { .. } => site_crashes += 1,
+                _ => {}
+            }
+        }
         run_sweep_seed(seed);
     }
     // The sweep must actually exercise the tentpole: the generator's
-    // coordinator lane has to produce real incumbent deaths.
+    // coordinator lane has to produce real incumbent deaths, and its
+    // site lanes real acceptor restarts.
     assert!(
         crashes_seen >= 20,
         "only {crashes_seen} coordinator crashes across the sweep"
+    );
+    assert!(
+        site_crashes >= 20,
+        "only {site_crashes} acceptor site crashes across the sweep"
     );
 }
 
@@ -693,6 +725,60 @@ fn nemesis_sweep_is_deterministic_per_seed() {
         let (o2, d2) = run_sweep_seed(seed);
         assert_eq!(o1, o2, "seed {seed}: outcome sequence diverged");
         assert_eq!(d1, d2, "seed {seed}: final state diverged");
+    }
+}
+
+/// A loopback fleet of a Paxos Commit configuration serves its acceptors
+/// on either wire with nothing wired for them: each acceptor site's
+/// manager hosts its acceptor. An in-doubt transfer is finished by a
+/// standby after one acceptor site restarted in place.
+#[test]
+fn a_paxos_fleet_serves_its_acceptors_on_every_wire() {
+    for wire in Wire::ALL {
+        let cfg = FederationConfig::uniform(3, ProtocolKind::TwoPhaseCommit).with_paxos_commit(3);
+        let mut fleet = Fleet::spawn(&cfg, wire, fast_policy(), ObsSink::disabled()).unwrap();
+        let fed = Federation::with_transport(cfg, fleet.transport());
+        for s in 1..=3 {
+            let data: Vec<(ObjectId, Value)> = (0..4)
+                .map(|i| (obj(s, i), Value::counter(PER_OBJ)))
+                .collect();
+            fed.load_site(site(s), &data).unwrap();
+        }
+        // Site 1 pays site 2 two units over object pair `i`.
+        let transfer = |i| {
+            let bump = |s, delta| {
+                (
+                    site(s),
+                    vec![Operation::Increment {
+                        obj: obj(s, i),
+                        delta,
+                    }],
+                )
+            };
+            BTreeMap::from([bump(1, -2), bump(2, 2)])
+        };
+        let report = fed.run_transaction(&transfer(0)).unwrap();
+        assert_eq!(format!("{:?}", report.outcome), "Committed", "{wire:?}");
+        fed.inject_coordinator_crash_after_votes(2);
+        assert!(fed.run_transaction(&transfer(1)).is_err(), "{wire:?}");
+        fleet.restart_site(site(3)).unwrap();
+        let finished = fed.replica_driver(1).run_once().unwrap();
+        assert_eq!(finished.len(), 1, "{wire:?}");
+        assert_eq!(finished[0].1, GlobalVerdict::Commit, "{wire:?}");
+        for (a, s) in fleet.sites() {
+            let open = s
+                .acceptor()
+                .unwrap()
+                .with_state(AcceptorState::open_entries);
+            assert!(open.is_empty(), "{wire:?}: acceptor {a} has {open:?}");
+        }
+        let dumps = fed.dumps().unwrap();
+        let user = |d: &BTreeMap<ObjectId, Value>| -> i64 {
+            let counters = d.iter().filter(|(o, _)| !is_marker(**o));
+            counters.map(|(_, v)| v.counter).sum()
+        };
+        assert_eq!(dumps.values().map(user).sum::<i64>(), 3 * 4 * PER_OBJ);
+        assert_eq!(dumps[&site(1)][&obj(1, 1)].counter, PER_OBJ - 2, "{wire:?}");
     }
 }
 
