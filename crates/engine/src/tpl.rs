@@ -1043,58 +1043,7 @@ mod tests {
 
     #[test]
     fn concurrent_commits_share_group_forces() {
-        // With a modelled force latency, committers arriving while the
-        // leader's force is in flight must batch behind the next one.
-        let cfg = TplConfig {
-            group_commit: GroupCommitConfig {
-                force_latency: Duration::from_millis(2),
-            },
-            ..TplConfig::default()
-        };
-        let e = std::sync::Arc::new(TwoPLEngine::new_at(cfg, SiteId::new(1)));
-        e.bulk_load(&(0..8).map(|i| (obj(i), v(0))).collect::<Vec<_>>())
-            .unwrap();
-        let threads = 8u64;
-        let per = 5u64;
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let e = e.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..per {
-                    let tx = e.begin().unwrap();
-                    match e.execute(
-                        tx,
-                        &Op::Increment {
-                            obj: obj(t),
-                            delta: 1,
-                        },
-                    ) {
-                        Ok(_) => e.commit(tx).unwrap(),
-                        Err(AmcError::Aborted(_)) => {} // page collision victim
-                        Err(other) => panic!("unexpected {other}"),
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = e.log_stats();
-        assert!(
-            s.batched_commits > s.group_forces,
-            "expected batching: {} commits acked over {} group forces",
-            s.batched_commits,
-            s.group_forces
-        );
-        // Every acknowledged commit is durable.
-        e.crash();
-        let report = e.recover().unwrap();
-        let total: i64 = e.dump().unwrap().values().map(|val| val.counter).sum();
-        assert_eq!(
-            total,
-            e.stats().commits as i64,
-            "committed increments survive: {report:?}"
-        );
+        crate::tests::concurrent_commits_share_group_forces(TwoPLEngine::new_at);
     }
 
     #[test]

@@ -74,23 +74,6 @@ pub struct NetStats {
     pub partitioned_drops: u64,
 }
 
-impl NetStats {
-    /// Counter-wise difference `self - earlier` (saturating): the traffic
-    /// since an earlier [`Router::stats`] snapshot. Multi-run sweeps that
-    /// reuse one router take a snapshot per run and diff, instead of
-    /// reporting lifetime totals as if they were per-run.
-    pub fn since(&self, earlier: &NetStats) -> NetStats {
-        NetStats {
-            sent: self.sent.saturating_sub(earlier.sent),
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-            duplicated: self.duplicated.saturating_sub(earlier.duplicated),
-            partitioned_drops: self
-                .partitioned_drops
-                .saturating_sub(earlier.partitioned_drops),
-        }
-    }
-}
-
 /// Deterministic star network.
 #[derive(Debug)]
 pub struct Router {
@@ -242,11 +225,6 @@ impl Router {
     pub fn stats(&self) -> NetStats {
         self.stats
     }
-
-    /// Messages delivered twice.
-    pub fn duplicated(&self) -> u64 {
-        self.stats.duplicated
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +329,7 @@ mod tests {
             SimRng::new(3),
         );
         assert!(matches!(r.route(&env(0, 1)), Routing::DeliverTwice(_, _)));
-        assert_eq!(r.duplicated(), 1);
+        assert_eq!(r.stats().duplicated, 1);
     }
 
     #[test]
@@ -409,8 +387,9 @@ mod tests {
         // Snapshot-delta view of run 2.
         r.site_up(SiteId::new(1));
         r.route(&env(0, 1));
-        let run2 = r.stats().since(&run1);
-        assert_eq!((run2.sent, run2.dropped), (1, 0), "delta is per-run");
+        let run2 = r.stats();
+        let delta = (run2.sent - run1.sent, run2.dropped - run1.dropped);
+        assert_eq!(delta, (1, 0), "delta is per-run");
 
         // Reset view of run 3.
         r.reset_stats();

@@ -14,8 +14,9 @@
 //! * [`GroupCommitter::append_durable`] returns only once the record is on
 //!   stable storage — the WAL rule is never weakened, only batched.
 //! * [`GroupCommitter::wait_durable`] is the same loop for a caller that
-//!   appended under a lock of its own (a co-located Paxos acceptor): it
-//!   reads a [`Mark`] there and waits for it outside that lock.
+//!   appended under a lock of its own (a co-located Paxos acceptor, an
+//!   optimistic committer): it reads a [`Mark`] there and waits for it
+//!   outside that lock.
 //! * Self-clocking, no timer: the leader writes the tail up to its target
 //!   under the log mutex, **releases the mutex** for the whole durability
 //!   wait — the modelled `force_latency` and the real `fsync`, through a
@@ -138,10 +139,23 @@ impl GroupCommitter {
     /// caller must not acknowledge its transaction.
     pub fn append_durable(&self, record: &LogRecord) -> bool {
         let mut inner = self.inner.lock();
-        let epoch = inner.epoch;
+        let mark = Self::queue(&mut inner, record);
+        self.durable_through(inner, mark)
+    }
+
+    /// Append the commit `record` without waiting: a committer that
+    /// appended under a lock of its own waits outside it, with
+    /// [`GroupCommitter::wait_durable`] on the mark returned, and is
+    /// acknowledged (and counted) as by `append_durable`.
+    pub fn append_commit(&self, record: &LogRecord) -> Mark {
+        Self::queue(&mut self.inner.lock(), record)
+    }
+
+    fn queue(inner: &mut GcInner, record: &LogRecord) -> Mark {
         let lsn = inner.log.append(record);
         inner.pending.push(lsn);
-        self.durable_through(inner, Mark { lsn, epoch })
+        let epoch = inner.epoch;
+        Mark { lsn, epoch }
     }
 
     /// The log's head now, as a point [`GroupCommitter::wait_durable`]

@@ -3,21 +3,26 @@
 //! tables are never reclaimed — the piggy-backed low-water mark is ROADMAP
 //! 6(a) — so whatever a finished transaction retains is what every
 //! transaction costs until teardown, and at tens of thousands of
-//! transactions per second it is what decides a run's peak RSS. The
-//! in-memory WAL is not among them: a checkpoint cuts it each time it grew
-//! by the buffer pool's size, so it stays within twice the pool.
+//! transactions per second it is what decides a run's peak RSS. A settled
+//! work-map slot is one packed word in a dense per-stripe table, 8 B a site
+//! (27 B of each transfer's figure over three sites, block slack
+//! included). The in-memory WAL is not among them: a checkpoint cuts it
+//! each time it grew by the buffer pool's size, so it stays within twice
+//! the pool.
 //!
 //! A counting global allocator measures live-heap growth over 10 000
 //! two-site transfers on an in-process three-site federation — all 2PL,
 //! and 2PL/OCC/2PL under the portable protocols — and holds it to a
-//! per-protocol budget. Each site's pool is 8 frames, so its log is
-//! cut every 32 KB, about twenty times in the run, and what is left of it
-//! at the end is one 64 KB segment per site — 20 B of each transfer's
-//! figure, wherever the last cut fell.
+//! per-protocol budget; a 2PC lane adds a read-only third participant.
+//! Each site's pool is 8 frames, so its log is cut every 32 KB, about
+//! twenty times in the run, and what is left of it at the end is one
+//! 64 KB segment per site — 20 B of each transfer's figure, wherever the
+//! last cut fell. Every lane prints its figure and its per-size-class
+//! table (`cargo test --release --test retained_memory -- --nocapture`).
 
 use amc::core::{Federation, FederationConfig, ProtocolKind, TxnOutcome};
 use amc::storage::PAGE_SIZE;
-use amc::types::SiteId;
+use amc::types::{Operation, SiteId};
 use amc::workload::{initial_counters, object, transfer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
@@ -107,8 +112,10 @@ const TXNS: u64 = 10_000;
 const POOL_FRAMES: usize = 8;
 
 /// Live-heap growth per finished transfer on the federation `cfg`
-/// describes, with the table that explains it.
-fn retained_per_txn(lane: &str, mut cfg: FederationConfig) -> (f64, String) {
+/// describes, with the table that explains it. With `read_only`, each
+/// transfer also reads an object at the third site, a participant that
+/// votes read-only.
+fn retained_per_txn(lane: &str, mut cfg: FederationConfig, read_only: bool) -> (f64, String) {
     cfg.tpl.pool_frames = POOL_FRAMES;
     let mut fed = Federation::new(cfg);
     fed.set_recording(false, false);
@@ -117,16 +124,20 @@ fn retained_per_txn(lane: &str, mut cfg: FederationConfig) -> (f64, String) {
         fed.load_site(site, &initial_counters(site, OBJECTS))
             .unwrap();
     }
+    let site = |i: u64| SiteId::new(1 + (i % u64::from(SITES)) as u32);
     // Programs exist before the first census: they are the client's.
     let programs: Vec<_> = (0..TXNS)
         .map(|i| {
-            let from = SiteId::new(1 + (i % u64::from(SITES)) as u32);
-            let to = SiteId::new(1 + ((i + 1) % u64::from(SITES)) as u32);
-            transfer(
-                object(from, i % OBJECTS),
-                object(to, (i * 7) % OBJECTS),
+            let mut program = transfer(
+                object(site(i), i % OBJECTS),
+                object(site(i + 1), (i * 7) % OBJECTS),
                 1 + (i % 5) as i64,
-            )
+            );
+            if read_only {
+                let obj = object(site(i + 2), (i * 3) % OBJECTS);
+                program.insert(site(i + 2), vec![Operation::Read { obj }]);
+            }
+            program
         })
         .collect();
     let before = census();
@@ -162,36 +173,38 @@ fn retained_per_txn(lane: &str, mut cfg: FederationConfig) -> (f64, String) {
 /// test would be counted too.
 #[test]
 fn finished_transactions_shrink_to_their_scalars() {
-    // Bytes of live heap a finished two-site transfer may keep: two
-    // work-map slots, and for the portable protocols two marker entries;
+    // Bytes of live heap a finished two-site transfer may keep: one packed
+    // word in the work map of every site whose stripe block its id falls
+    // in (three here), and for the portable protocols two marker entries;
     // its log bytes (212 / 238 / 238 written) go at the next cut. 2PC and
-    // commit-after hear the decision and shrink to scalars. Commit-before
-    // shrinks to scalars at its vote: an `Undo` brings the forward program
-    // and the database holds the before images, so nothing waits in
-    // memory for a decision it never hears (§3.3: "no further actions").
-    // Measured 105 / 166 / 166 B (301 / 403 / 403 before the cut).
+    // commit-after hear the decision and settle to that word. Commit-before
+    // settles at its vote: an `Undo` brings the forward program and the
+    // database holds the before images, so nothing waits in memory for a
+    // decision it never hears (§3.3: "no further actions"). A read-only
+    // 2PC participant settles at its prepare. Measured 50 / 112 / 110 B
+    // (105 / 166 / 166 with a hashed slot map, 301 / 403 / 403 before the
+    // log cut), and 50 B with a read-only third site.
     let budgets = [
-        (ProtocolKind::TwoPhaseCommit, 120.0),
-        (ProtocolKind::CommitAfter, 180.0),
-        (ProtocolKind::CommitBefore, 180.0),
+        (ProtocolKind::TwoPhaseCommit, 64.0),
+        (ProtocolKind::CommitAfter, 128.0),
+        (ProtocolKind::CommitBefore, 128.0),
     ];
     let mut all_2pl = Vec::new();
     for (protocol, budget) in budgets {
         let cfg = FederationConfig::uniform(SITES, protocol);
-        let per_txn = within(&protocol.to_string(), cfg, budget);
+        let per_txn = within(&protocol.to_string(), cfg, false, budget);
         all_2pl.push((protocol, budget, per_txn));
     }
+    let two_pc = FederationConfig::uniform(SITES, ProtocolKind::TwoPhaseCommit);
+    within("2pc with a read-only site", two_pc, true, 64.0);
     // Site 2 runs the optimistic engine, on the same core: its log is cut
     // as 2PL's is, and its commit stamps go once no live transaction read
     // before them. It keeps what a 2PL site keeps, and no more. Measured
-    // 166 / 166 B.
+    // 111 / 110 B.
     for (protocol, budget, uniform) in all_2pl.into_iter().skip(1) {
         let lane = format!("{protocol} over 2PL/OCC");
-        let per_txn = within(
-            &lane,
-            FederationConfig::heterogeneous(SITES, protocol),
-            budget,
-        );
+        let cfg = FederationConfig::heterogeneous(SITES, protocol);
+        let per_txn = within(&lane, cfg, false, budget);
         assert!(
             per_txn <= uniform,
             "{lane}: {per_txn:.1} B per finished transaction > {uniform:.1} B over all-2PL"
@@ -200,9 +213,10 @@ fn finished_transactions_shrink_to_their_scalars() {
 }
 
 /// Run `lane` and hold what a finished transaction retains to `budget`.
-fn within(lane: &str, cfg: FederationConfig, budget: f64) -> f64 {
-    let (per_txn, table) = retained_per_txn(lane, cfg);
+fn within(lane: &str, cfg: FederationConfig, read_only: bool, budget: f64) -> f64 {
+    let (per_txn, table) = retained_per_txn(lane, cfg, read_only);
     println!("{lane}: {per_txn:.1} B retained per finished transaction (budget {budget})");
+    print!("{table}");
     assert!(
         per_txn <= budget,
         "{lane}: {per_txn:.0} B of live heap per finished transaction > {budget}\n{table}"
