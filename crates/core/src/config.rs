@@ -37,10 +37,8 @@ pub fn owner_slot_of(per_site: &BTreeMap<SiteId, Vec<Operation>>, coordinators: 
     else {
         return 0;
     };
-    let mut x = min_obj.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((x ^ (x >> 31)) % u64::from(coordinators)) as u32
+    let x = amc_types::splitmix64(min_obj.wrapping_add(0x9E37_79B9_7F4A_7C15));
+    (x % u64::from(coordinators)) as u32
 }
 
 /// Identity of one coordinator in a sharded (multi-coordinator)

@@ -94,15 +94,12 @@ const BACKOFF_CAP_TICKS: u32 = 64;
 /// them. A pure function (no RNG state) keeps replays of the same
 /// schedule bit-identical.
 fn backoff_jitter(gtx: GlobalTxnId, site: SiteId, misses: u32, base: u32) -> u32 {
-    let mut z = gtx
+    let z = gtx
         .raw()
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(u64::from(site.raw()) << 32)
         .wrapping_add(u64::from(misses));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z as u32) % (base / 4 + 1)
+    (amc_types::splitmix64(z) as u32) % (base / 4 + 1)
 }
 
 /// Per-site retransmission backoff state. A site that stays silent is

@@ -20,6 +20,7 @@
 
 use crate::modes::LockMode;
 use crate::table::{victims_from_edges, LockOutcome, LockStats, LockTable};
+use amc_types::Scramble;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashSet;
 use std::fmt::Debug;
@@ -44,28 +45,6 @@ const STRIPES: usize = 16;
 struct Stripe<R, T, M> {
     table: Mutex<LockTable<R, T, M>>,
     cv: Condvar,
-}
-
-/// The stripe hash: `PageStore::bucket_page`'s multiplicative scramble
-/// folded over the key's integer words, where SipHash would build a keyed
-/// state per grant and per release. A key crafted to collide costs
-/// sharing a stripe, nothing worse; the tables keep SipHash.
-#[derive(Default)]
-struct Scramble(u64);
-
-impl Hasher for Scramble {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
-    }
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Thread-safe, blocking, striped lock manager.
@@ -110,6 +89,8 @@ where
         }
     }
 
+    /// The stripe hash is [`Scramble`], where SipHash would build a keyed
+    /// state per grant and per release; the tables keep SipHash.
     fn stripe_index(&self, resource: &R) -> usize {
         let mut h = Scramble::default();
         resource.hash(&mut h);

@@ -45,12 +45,14 @@ use amc_engine::{LocalEngine, PreparableEngine, RecoveryReport};
 use amc_mlt::{inverse_of, needs_before_image};
 use amc_obs::{EventKind, ObsSink};
 use amc_types::{
-    AbortReason, AmcError, AmcResult, GlobalTxnId, LocalRunState, LocalTxnId, LocalVote, ObjectId,
-    Operation, SiteId, Value,
+    splitmix64, AbortReason, AmcError, AmcResult, GlobalTxnId, LocalRunState, LocalTxnId,
+    LocalVote, ObjectId, Operation, SiteId, Value,
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Deterministic injector for post-ready erroneous aborts (experiment E2).
 ///
@@ -110,7 +112,7 @@ pub struct CommStats {
     pub marker_checks: u64,
 }
 
-amc_types::wire_struct!(CommStats {
+amc_types::wire_struct!(+= CommStats {
     submits: u64,
     votes_ready: u64,
     votes_aborted: u64,
@@ -119,29 +121,6 @@ amc_types::wire_struct!(CommStats {
     pre_vote_retries: u64,
     marker_checks: u64,
 });
-
-impl std::ops::AddAssign for CommStats {
-    fn add_assign(&mut self, other: Self) {
-        // Destructured in full: a new counter does not compile until it
-        // is summed here.
-        let CommStats {
-            submits,
-            votes_ready,
-            votes_aborted,
-            redo_runs,
-            undo_runs,
-            pre_vote_retries,
-            marker_checks,
-        } = other;
-        self.submits += submits;
-        self.votes_ready += votes_ready;
-        self.votes_aborted += votes_aborted;
-        self.redo_runs += redo_runs;
-        self.undo_runs += undo_runs;
-        self.pre_vote_retries += pre_vote_retries;
-        self.marker_checks += marker_checks;
-    }
-}
 
 /// What the manager remembers of a global transaction while it may still
 /// have to run it forward: its scalars, and the program.
@@ -327,12 +306,57 @@ impl EngineHandle {
 /// them anyway so a sick test fails loudly instead of spinning.
 const MAX_ATTEMPTS: u32 = 100;
 
-/// The two bounded repetitions of §3: commit-after's redo of the forward
-/// program, commit-before's undo by the inverse program.
-#[derive(Clone, Copy)]
-enum Repeat {
-    Redo,
-    Undo,
+/// Pre-vote retry bound. Deliberately small: a submit that keeps hitting
+/// erroneous aborts may be one leg of a *distributed* lock cycle with
+/// another transaction's mandatory redo — and before the vote nothing has
+/// been promised, so giving up (voting abort) is always safe and breaks
+/// the cycle. This is the paper's "aborted by the local transaction
+/// manager, e.g. because of time out".
+const PRE_VOTE_RETRIES: u32 = 5;
+
+/// One attempt at a local transaction: `Break` with its outcome — the
+/// transaction, or an abort that repetition cannot cure — or `Continue`
+/// with the local transaction an erroneous abort just ended, to go again.
+type Attempt = ControlFlow<Result<LocalTxnId, AbortReason>, LocalTxnId>;
+
+/// What tells §3.2's redo from §3.3's undo, the two runs of one loop
+/// (Fig. 4's and Fig. 6's double arrows): the marker that proves a run
+/// committed, the counter and the event of each run.
+struct Repetition {
+    name: &'static str,
+    marker: fn(GlobalTxnId) -> ObjectId,
+    runs: fn(&mut CommStats) -> &mut u64,
+    event: fn(u64) -> EventKind,
+}
+
+const REDO: Repetition = Repetition {
+    name: "redo",
+    marker: forward_marker,
+    runs: |stats| &mut stats.redo_runs,
+    event: |attempt| EventKind::RedoRun { attempt },
+};
+
+const UNDO: Repetition = Repetition {
+    name: "undo",
+    marker: undo_marker,
+    runs: |stats| &mut stats.undo_runs,
+    event: |attempt| EventKind::UndoRun { attempt },
+};
+
+/// The pause before repetition attempt `attempt` (from 1): 200 µs per
+/// attempt so far, at most 20, plus a jitter in `[0, 700)` µs. A retry
+/// restarts with a *fresh*, youngest local id — the preferred deadlock
+/// victim — so without spacing two colliding loops can victimise each
+/// other indefinitely. Like the coordinator's `backoff_jitter`, a pure
+/// function: of the site, the loop's `key` (its gtx; a read's first
+/// object, so a marker read's marker), the attempt, and the local
+/// transaction that `failed` before it. That last one parts two loops of
+/// one gtx, which a site can run at once (a duplicate `Submit`, a
+/// retransmitted `Decision` beside a `Redo`): live local ids are unique.
+fn backoff_delay(site: SiteId, key: u64, failed: LocalTxnId, attempt: u32) -> Duration {
+    let at = u64::from(site.raw()) << 32 | u64::from(attempt);
+    let jitter_us = splitmix64(splitmix64(splitmix64(at) ^ key) ^ failed.raw()) % 700;
+    Duration::from_micros(u64::from(attempt.min(20)) * 200 + jitter_us)
 }
 
 /// How many independently locked maps the per-transaction state is
@@ -347,18 +371,9 @@ pub struct LocalCommManager {
     /// handlers of different transactions rarely meet on one lock.
     work: [Mutex<Stripe>; WORK_STRIPES],
     stats: Mutex<CommStats>,
-    /// Pre-vote retry bound. Deliberately small: a submit that keeps
-    /// hitting erroneous aborts may be one leg of a *distributed* lock
-    /// cycle with another transaction's mandatory redo — and before the
-    /// vote nothing has been promised, so giving up (voting abort) is
-    /// always safe and breaks the cycle. This is the paper's "aborted by
-    /// the local transaction manager, e.g. because of time out".
-    pre_vote_retries: u32,
     injector: Mutex<Option<AbortInjector>>,
     /// Stats from the last restart recovery pass, for the admin channel.
     recovery: Mutex<Option<RecoveryStats>>,
-    /// Weyl counter feeding the retry-backoff jitter.
-    backoff_seed: std::sync::atomic::AtomicU64,
     /// Observability sink (disabled unless a driver attaches one).
     obs: ObsSink,
     /// The Paxos Commit acceptor on this site's log, if it hosts one.
@@ -373,10 +388,8 @@ impl LocalCommManager {
             handle,
             work: std::array::from_fn(|_| Mutex::default()),
             stats: Mutex::new(CommStats::default()),
-            pre_vote_retries: 5,
             injector: Mutex::new(None),
             recovery: Mutex::new(None),
-            backoff_seed: std::sync::atomic::AtomicU64::new(site.raw() as u64 * 7919),
             obs: ObsSink::disabled(),
             acceptor: None,
         }
@@ -497,21 +510,28 @@ impl LocalCommManager {
         }
     }
 
-    /// Jittered backoff between repetition attempts. Retries restart with a
-    /// *fresh* local transaction id, which makes them the youngest — and
-    /// therefore the preferred deadlock victim — every time; without
-    /// spacing, two colliding repetition loops can victimise each other
-    /// indefinitely.
-    fn backoff(&self, attempt: u32) {
-        if attempt == 0 {
-            return;
+    /// §3's one bounded repetition — commit-after's redo, commit-before's
+    /// undo, the pre-vote retries and a committed read: run `attempt`
+    /// (numbered from 0) until it `Break`s, at most `bound` times, sleeping
+    /// [`backoff_delay`] of `key` before every attempt but the first.
+    /// `None` when the bound ran out.
+    fn repeat<B>(
+        &self,
+        key: u64,
+        bound: u32,
+        mut attempt: impl FnMut(u32) -> AmcResult<ControlFlow<B, LocalTxnId>>,
+    ) -> AmcResult<Option<B>> {
+        let mut failed = None;
+        for n in 0..bound {
+            if let Some(ltx) = failed {
+                std::thread::sleep(backoff_delay(self.site, key, ltx, n));
+            }
+            match attempt(n)? {
+                Break(done) => return Ok(Some(done)),
+                Continue(ltx) => failed = Some(ltx),
+            }
         }
-        let weyl = self
-            .backoff_seed
-            .fetch_add(0x9e37_79b9_7f4a_7c15, std::sync::atomic::Ordering::Relaxed);
-        let jitter_us = (weyl >> 48) % 700; // 0..700 µs
-        let base_us = u64::from(attempt.min(20)) * 200;
-        std::thread::sleep(std::time::Duration::from_micros(base_us + jitter_us));
+        Ok(None)
     }
 
     /// Arm the E2 injector: after each commit-after ready vote, the local
@@ -552,19 +572,18 @@ impl LocalCommManager {
     /// small read-only transaction. Retries erroneous aborts (the read
     /// itself can be a deadlock victim).
     fn read_committed(&self, objs: &[ObjectId]) -> AmcResult<Vec<Option<Value>>> {
-        if objs.is_empty() {
+        let Some(first) = objs.first() else {
             return Ok(Vec::new());
-        }
+        };
         let engine = self.handle.engine();
-        'attempt: for attempt in 0..MAX_ATTEMPTS {
-            self.backoff(attempt);
+        let read = self.repeat(first.raw(), MAX_ATTEMPTS, |_| {
             let t = engine.begin()?;
             let mut values = Vec::with_capacity(objs.len());
             for &obj in objs {
                 match engine.execute(t, &Operation::Read { obj }) {
                     Ok(read) => values.push(read.value()),
                     Err(AmcError::NotFound(_)) => values.push(None),
-                    Err(AmcError::Aborted(r)) if r.is_erroneous() => continue 'attempt,
+                    Err(AmcError::Aborted(r)) if r.is_erroneous() => return Ok(Continue(t)),
                     Err(e) => {
                         let _ = engine.abort(t, AbortReason::Intended);
                         return Err(e);
@@ -572,15 +591,14 @@ impl LocalCommManager {
                 }
             }
             engine.commit(t)?;
-            return Ok(values);
-        }
-        Err(AmcError::Protocol("committed read never succeeded".into()))
+            Ok(Break(values))
+        })?;
+        read.ok_or_else(|| AmcError::Protocol("committed read never succeeded".into()))
     }
 
     /// Execute `ops`, then the `marker` insert if there is one, inside a
     /// fresh local transaction, leaving it in the state `commit_now`
-    /// dictates. Returns the local txn id on success, or the abort
-    /// classification.
+    /// dictates: one [`Attempt`].
     ///
     /// With `images`, every update that overwrites or removes a value is
     /// preceded by a read of its before image, which the same transaction
@@ -594,7 +612,7 @@ impl LocalCommManager {
         marker: Option<ObjectId>,
         commit_now: bool,
         images: Option<GlobalTxnId>,
-    ) -> AmcResult<Result<LocalTxnId, AbortReason>> {
+    ) -> AmcResult<Attempt> {
         let engine = self.handle.engine();
         let ltx = engine.begin()?;
         let failed = |e| self.failed(ltx, e);
@@ -626,26 +644,31 @@ impl LocalCommManager {
         if commit_now {
             match engine.commit(ltx) {
                 Ok(()) => {}
-                Err(AmcError::Aborted(r)) => return Ok(Err(r)), // e.g. OCC validation
+                Err(e @ AmcError::Aborted(_)) => return failed(e), // e.g. OCC validation
                 Err(e) => return Err(e),
             }
         }
-        Ok(Ok(ltx))
+        Ok(Break(Ok(ltx)))
     }
 
     /// How `ltx` ends after an operation failed with `e`: an engine abort
     /// is already rolled back; NotFound, AlreadyExists and the like are
     /// transaction logic saying no — an *intended* abort (§3.2's
     /// distinction).
-    fn failed(&self, ltx: LocalTxnId, e: AmcError) -> AmcResult<Result<LocalTxnId, AbortReason>> {
-        match e {
-            AmcError::Aborted(r) => Ok(Err(r)),
-            AmcError::SiteDown(s) => Err(AmcError::SiteDown(s)),
+    fn failed(&self, ltx: LocalTxnId, e: AmcError) -> AmcResult<Attempt> {
+        let reason = match e {
+            AmcError::Aborted(r) => r,
+            AmcError::SiteDown(s) => return Err(AmcError::SiteDown(s)),
             _logical => {
                 self.handle.engine().abort(ltx, AbortReason::Intended)?;
-                Ok(Err(AbortReason::Intended))
+                AbortReason::Intended
             }
-        }
+        };
+        Ok(if reason.is_erroneous() {
+            Continue(ltx)
+        } else {
+            Break(Err(reason))
+        })
     }
 
     /// Count `vote` and wrap it as the reply.
@@ -673,26 +696,6 @@ impl LocalCommManager {
         Some(self.work(gtx).get(gtx)?.vote)
     }
 
-    /// Run `attempt` until it succeeds, aborts for a reason repetition
-    /// cannot cure, or the pre-vote retry budget is spent: nothing has
-    /// been promised before the vote, so giving up is always safe.
-    fn retry_pre_vote(
-        &self,
-        mut attempt: impl FnMut() -> AmcResult<Result<LocalTxnId, AbortReason>>,
-    ) -> AmcResult<Result<LocalTxnId, AbortReason>> {
-        let mut retries = 0;
-        loop {
-            match attempt()? {
-                Err(r) if r.is_erroneous() && retries < self.pre_vote_retries => {
-                    self.stats.lock().pre_vote_retries += 1;
-                    retries += 1;
-                    self.backoff(retries);
-                }
-                outcome => return Ok(outcome),
-            }
-        }
-    }
-
     /// Handle a `Submit`: run the decomposed local transaction and vote.
     pub fn handle_submit(
         &self,
@@ -700,37 +703,70 @@ impl LocalCommManager {
         ops: Vec<Operation>,
         mode: SubmitMode,
     ) -> AmcResult<Payload> {
+        self.submit(gtx, ops, mode, false)
+    }
+
+    /// Run `gtx`'s decomposed local transaction and vote: the one path of
+    /// `Submit` and `SubmitPrepare` (see `transport::serve`). With
+    /// `prepare`, 2PC's piggybacked prepare, the local step ends in the
+    /// ready state: one [`PreparableEngine::apply_and_prepare`] call, whose
+    /// op records and prepare record share one group-commit force, and
+    /// which recovery resurrects exactly like a classic prepare.
+    pub(crate) fn submit(
+        &self,
+        gtx: GlobalTxnId,
+        ops: Vec<Operation>,
+        mode: SubmitMode,
+        prepare: bool,
+    ) -> AmcResult<Payload> {
         self.stats.lock().submits += 1;
         if let Some(vote) = self.prior_vote(gtx) {
             return Ok(self.vote_reply(gtx, vote));
         }
         // Read-only optimization (cf. the derived 2PC protocols of §5): a
-        // local transaction with no updates has nothing to redo or undo —
-        // under the portable protocols it commits right here (releasing its
-        // read locks) and drops out of the decision round. 2PC applies the
-        // same optimization at prepare time instead.
+        // local transaction with no updates has nothing to redo, undo or
+        // prepare — under the portable protocols, and at a piggybacked
+        // prepare, it commits right here (releasing its read locks) and
+        // drops out of the decision round. A 2PC submit applies the same
+        // optimization at prepare time instead.
         let read_only = ops.iter().all(|op| !op.is_update());
+        let prep = prepare.then(|| self.preparable()).transpose()?;
+        let prep = prep.filter(|_| !read_only);
+        let commit_now = mode == SubmitMode::CommitBefore
+            || read_only && (mode != SubmitMode::TwoPhase || prepare);
         // The marker participates in the transaction for the two portable
         // protocols (see module docs) — read-only transactions skip it
         // (nothing to repeat, nothing to invert).
         let with_marker = mode != SubmitMode::TwoPhase && !read_only;
-        let commit_now =
-            mode == SubmitMode::CommitBefore || (mode == SubmitMode::CommitAfter && read_only);
-
+        let marker = with_marker.then(|| forward_marker(gtx));
         // Commit-before's undo-log is the before images its local
         // transaction writes beside the work, committed and forced with it.
         let images = (mode == SubmitMode::CommitBefore).then_some(gtx);
-        let marker = with_marker.then(|| forward_marker(gtx));
-        let outcome = self.retry_pre_vote(|| self.run_ops(&ops, marker, commit_now, images))?;
-
-        let vote = match outcome {
-            Ok(_) if read_only && mode != SubmitMode::TwoPhase => LocalVote::ReadyReadOnly,
-            Ok(_) => LocalVote::Ready,
-            Err(_) => LocalVote::Aborted,
+        let outcome = self.repeat(gtx.raw(), 1 + PRE_VOTE_RETRIES, |n| {
+            if n > 0 {
+                self.stats.lock().pre_vote_retries += 1;
+            }
+            let Some(prep) = prep else {
+                return self.run_ops(&ops, marker, commit_now, images);
+            };
+            let ltx = self.handle.engine().begin()?;
+            match prep.apply_and_prepare(ltx, gtx, &ops) {
+                Ok(_) => Ok(Break(Ok(ltx))),
+                Err(e) => self.failed(ltx, e),
+            }
+        })?;
+        let ltx = outcome.and_then(Result::ok);
+        let vote = match ltx {
+            Some(_) if read_only && commit_now => LocalVote::ReadyReadOnly,
+            Some(_) => LocalVote::Ready,
+            None => LocalVote::Aborted,
         };
-        let ltx = outcome.ok();
         let scalars = Snapshot::new(mode, ltx, commit_now && ltx.is_some(), vote);
         self.record_work(gtx, ops, scalars);
+        if vote == LocalVote::Ready && prep.is_some() {
+            // The §5 blocking hazard starts at the piggybacked prepare.
+            self.obs.emit(Some(gtx), self.site, EventKind::BlockEnter);
+        }
         // E2 injection: the §3.2 hazard — an erroneous abort strikes the
         // still-running transaction *after* the ready vote.
         if mode == SubmitMode::CommitAfter && vote == LocalVote::Ready {
@@ -738,63 +774,6 @@ impl LocalCommManager {
             if let (Some(true), Some(l)) = (fire, ltx) {
                 let _ = self.handle.engine().abort(l, AbortReason::LockTimeout);
             }
-        }
-        Ok(self.vote_reply(gtx, vote))
-    }
-
-    /// Handle a `SubmitPrepare` — the 1PC fast path: the final op dispatch
-    /// carries the prepare, so this reply doubles as the site's vote.
-    ///
-    /// * `solo`: the transaction touches only this site — commit locally
-    ///   with no global round. The commit-before machinery (forward marker,
-    ///   before-image rows) is reused verbatim, so a lost
-    ///   reply is safe: the coordinator presumes abort and its `Undo`
-    ///   obligation finds the before images and the exactly-once markers.
-    /// * piggyback under 2PC: run the ops **and** drive the engine to the
-    ///   ready state in one [`PreparableEngine::apply_and_prepare`] call —
-    ///   op records and the prepare record share one group-commit force,
-    ///   and recovery resurrects the prepare exactly like a classic one.
-    /// * piggyback under the portable protocols: their vote already rides
-    ///   the submit reply, so the ordinary submit path *is* the fast path.
-    pub(crate) fn handle_submit_prepare(
-        &self,
-        gtx: GlobalTxnId,
-        ops: Vec<Operation>,
-        solo: bool,
-        mode: SubmitMode,
-    ) -> AmcResult<Payload> {
-        if solo || mode != SubmitMode::TwoPhase {
-            let mode = if solo { SubmitMode::CommitBefore } else { mode };
-            return self.handle_submit(gtx, ops, mode);
-        }
-        self.stats.lock().submits += 1;
-        if let Some(vote) = self.prior_vote(gtx) {
-            return Ok(self.vote_reply(gtx, vote));
-        }
-        let prep = self.preparable()?;
-        // Read-only optimization, applied at the combined dispatch: nothing
-        // to prepare — commit now and drop out of the decision round.
-        let read_only = ops.iter().all(|op| !op.is_update());
-        let outcome = self.retry_pre_vote(|| {
-            if read_only {
-                return self.run_ops(&ops, None, true, None);
-            }
-            let ltx = self.handle.engine().begin()?;
-            match prep.apply_and_prepare(ltx, gtx, &ops) {
-                Ok(_) => Ok(Ok(ltx)),
-                Err(e) => self.failed(ltx, e),
-            }
-        })?;
-        let vote = match outcome {
-            Ok(_) if read_only => LocalVote::ReadyReadOnly,
-            Ok(_) => LocalVote::Ready,
-            Err(_) => LocalVote::Aborted,
-        };
-        let scalars = Snapshot::new(mode, outcome.ok(), read_only && outcome.is_ok(), vote);
-        self.record_work(gtx, ops, scalars);
-        if vote == LocalVote::Ready {
-            // The §5 blocking hazard starts at the piggybacked prepare too.
-            self.obs.emit(Some(gtx), self.site, EventKind::BlockEnter);
         }
         Ok(self.vote_reply(gtx, vote))
     }
@@ -847,20 +826,17 @@ impl LocalCommManager {
                         None => LocalVote::Aborted,
                     }
                 }
-                SubmitMode::CommitAfter => match w.ltx {
-                    // Voted ready and the transaction still exists in some
-                    // live form (running, or already committed via redo).
-                    Some(ltx) => match self.handle.engine().state_of(ltx) {
-                        Some(LocalRunState::Running) | Some(LocalRunState::Committed) => {
-                            LocalVote::Ready
-                        }
-                        // Erroneously aborted after ready: *still ready* —
-                        // the redo mechanism guarantees eventual commit
-                        // (§3.2). Intended aborts voted Aborted at submit.
-                        _ if w.vote == LocalVote::Ready => LocalVote::Ready,
-                        _ => LocalVote::Aborted,
-                    },
-                    None => LocalVote::Aborted,
+                SubmitMode::CommitAfter => match w.ltx.map(|l| self.handle.engine().state_of(l)) {
+                    // The transaction still exists in some live form
+                    // (running, or already committed via redo).
+                    Some(Some(LocalRunState::Running | LocalRunState::Committed)) => {
+                        LocalVote::Ready
+                    }
+                    // Erroneously aborted after ready: *still ready* — the
+                    // redo mechanism guarantees eventual commit (§3.2).
+                    // Intended aborts voted Aborted at submit.
+                    Some(_) if w.vote == LocalVote::Ready => LocalVote::Ready,
+                    _ => LocalVote::Aborted,
                 },
                 // Committed at submit; else ready only if a crash raced
                 // the bookkeeping and the marker shows the commit survived.
@@ -915,10 +891,14 @@ impl LocalCommManager {
     /// local transaction until its marker proves a commit.
     ///
     /// Fast path first: when the *original* local transaction is still
-    /// running (e.g. the commit decision was lost in transit and arrives
-    /// again as a `Redo`), simply commit it — repetition is only for
-    /// transactions that no longer exist.
-    fn redo_until_committed(&self, gtx: GlobalTxnId, ops: &[Operation]) -> AmcResult<()> {
+    /// running (the commit decision, or a `Redo` after the decision was
+    /// lost in transit), simply commit it — repetition, of the `program`
+    /// asked for only then, is for transactions that no longer exist.
+    fn redo_until_committed(
+        &self,
+        gtx: GlobalTxnId,
+        program: impl FnOnce() -> Vec<Operation>,
+    ) -> AmcResult<()> {
         if let Some(ltx) = self.local_txn_of(gtx) {
             if self.handle.engine().state_of(ltx) == Some(LocalRunState::Running)
                 && self.handle.engine().commit(ltx).is_ok()
@@ -927,61 +907,47 @@ impl LocalCommManager {
                 return Ok(());
             }
         }
-        if let Some(ltx) = self.repeat_until_marked(gtx, ops, Repeat::Redo)? {
+        if let Some(ltx) = self.repeat_until_marked(gtx, &program(), &REDO)? {
             self.note_local_commit(gtx, Some(ltx));
         }
         Ok(())
     }
 
     /// §3.2's redo and §3.3's undo are one loop (Fig. 4's and Fig. 6's
-    /// double arrows): back off; if the marker proves an earlier run
-    /// committed, done; else run `ops` plus the marker insert as one local
-    /// transaction, again while it aborts erroneously. Returns the local
-    /// transaction that committed, `None` when the marker already had.
+    /// double arrows): if the marker proves an earlier run committed, done;
+    /// else run `ops` plus the marker insert as one local transaction,
+    /// again while it aborts erroneously. Returns the local transaction
+    /// that committed, `None` when the marker already had.
     fn repeat_until_marked(
         &self,
         gtx: GlobalTxnId,
         ops: &[Operation],
-        kind: Repeat,
+        kind: &Repetition,
     ) -> AmcResult<Option<LocalTxnId>> {
-        let (marker, program, name) = match kind {
-            Repeat::Redo => (forward_marker(gtx), "redo", "redo"),
-            Repeat::Undo => (undo_marker(gtx), "inverse transaction", "undo"),
-        };
-        for attempt in 0..MAX_ATTEMPTS {
-            self.backoff(attempt);
+        let marker = (kind.marker)(gtx);
+        let name = kind.name;
+        let committed = self.repeat(gtx.raw(), MAX_ATTEMPTS, |attempt| {
             if self.marker_present(marker)? {
-                return Ok(None);
+                return Ok(Break(None));
             }
-            let attempt = u64::from(attempt) + 1;
-            let event = match kind {
-                Repeat::Redo => {
-                    self.stats.lock().redo_runs += 1;
-                    EventKind::RedoRun { attempt }
-                }
-                Repeat::Undo => {
-                    self.stats.lock().undo_runs += 1;
-                    EventKind::UndoRun { attempt }
-                }
-            };
+            *(kind.runs)(&mut self.stats.lock()) += 1;
+            let event = (kind.event)(u64::from(attempt) + 1);
             self.obs.emit(Some(gtx), self.site, event);
             match self.run_ops(ops, Some(marker), true, None)? {
-                Ok(ltx) => return Ok(Some(ltx)),
-                Err(r) if r.is_erroneous() => continue,
-                Err(r) => {
-                    // The termination arguments of §3.2/§3.3: the first run
-                    // finished all actions, so neither its repetition nor
-                    // its inverse can fail for logical reasons. If one
-                    // does, a protocol invariant is broken.
-                    return Err(AmcError::Protocol(format!(
-                        "{program} of {gtx} failed with intended abort ({r})"
-                    )));
-                }
+                Break(Ok(ltx)) => Ok(Break(Some(ltx))),
+                Continue(ltx) => Ok(Continue(ltx)),
+                // The termination arguments of §3.2/§3.3: the first run
+                // finished all actions, so neither its repetition nor its
+                // inverse can fail for logical reasons. If one does, a
+                // protocol invariant is broken.
+                Break(Err(r)) => Err(AmcError::Protocol(format!(
+                    "{name} of {gtx} failed with intended abort ({r})"
+                ))),
             }
-        }
-        Err(AmcError::Protocol(format!(
-            "{name} of {gtx} exceeded {MAX_ATTEMPTS} attempts"
-        )))
+        })?;
+        committed.ok_or_else(|| {
+            AmcError::Protocol(format!("{name} of {gtx} exceeded {MAX_ATTEMPTS} attempts"))
+        })
     }
 
     /// Handle a `Decision` for work submitted under `mode`.
@@ -1033,30 +999,19 @@ impl LocalCommManager {
                     self.obs
                         .emit(Some(gtx), self.site, EventKind::BlockExit { verdict });
                 }
-                (SubmitMode::CommitAfter, GlobalVerdict::Commit) => {
-                    if w.committed_locally {
-                        // Read-only participant: already committed at
-                        // submit; a stray decision needs no work.
-                        self.finish(gtx, verdict);
-                        return Ok(Payload::Finished { gtx });
-                    }
-                    // Fast path: the original transaction is still running.
-                    if w.ltx.is_some_and(|ltx| engine.commit(ltx).is_ok()) {
-                        self.note_local_commit(gtx, None);
-                    } else {
-                        // Erroneous abort after ready (or crash): repeat
-                        // until committed. A duplicate has no program: the
-                        // marker ends the loop at once.
+                // Commit the running original, or (erroneous abort after
+                // ready, or crash) repeat until committed. A duplicate has
+                // no program: the marker ends the loop at once.
+                (SubmitMode::CommitAfter, GlobalVerdict::Commit) if !w.committed_locally => {
+                    self.redo_until_committed(gtx, || {
                         let live = self.work(gtx).live.get(&gtx).map(|e| e.ops.clone());
-                        let ops = live.unwrap_or_default();
-                        self.redo_until_committed(gtx, &ops)?;
-                    }
+                        live.unwrap_or_default()
+                    })?;
                 }
-                (SubmitMode::CommitBefore, GlobalVerdict::Commit) => {
-                    // Already committed locally; the decision is a no-op
-                    // (§3.3: "the global transaction manager does not need
-                    // to start further actions").
-                }
+                // Committed locally already — commit-before work (§3.3: "the
+                // global transaction manager does not need to start further
+                // actions"), or a read-only participant at its submit.
+                (_, GlobalVerdict::Commit) => {}
                 (_, GlobalVerdict::Abort) => {
                     // Anything but Running is already gone: it aborted on
                     // its own, or committed before (whose undo travels in a
@@ -1107,7 +1062,7 @@ impl LocalCommManager {
             stripe.live.insert(gtx, entry);
         }
         drop(stripe);
-        self.redo_until_committed(gtx, &ops)?;
+        self.redo_until_committed(gtx, || ops)?;
         self.finish(gtx, amc_types::GlobalVerdict::Commit);
         Ok(Payload::Finished { gtx })
     }
@@ -1124,7 +1079,7 @@ impl LocalCommManager {
     /// exactly like one that was not.
     pub fn handle_undo(&self, gtx: GlobalTxnId, ops: Vec<Operation>) -> AmcResult<Payload> {
         let program = self.inverse_program(gtx, &ops)?;
-        self.repeat_until_marked(gtx, &program, Repeat::Undo)?;
+        self.repeat_until_marked(gtx, &program, &UNDO)?;
         self.finish(gtx, amc_types::GlobalVerdict::Abort);
         Ok(Payload::Finished { gtx })
     }
@@ -1673,17 +1628,17 @@ mod tests {
     #[test]
     fn submit_prepare_piggybacks_the_vote_in_one_exchange() {
         let (mgr, engine) = manager_with(&[(1, 10)]);
-        let p = mgr
-            .handle_submit_prepare(
-                gtx(1),
-                vec![Op::Increment {
-                    obj: obj(1),
-                    delta: 5,
-                }],
-                false,
-                SubmitMode::TwoPhase,
-            )
-            .unwrap();
+        let p = submit_prepare(
+            &mgr,
+            gtx(1),
+            vec![Op::Increment {
+                obj: obj(1),
+                delta: 5,
+            }],
+            false,
+            SubmitMode::TwoPhase,
+        )
+        .unwrap();
         assert_eq!(
             p,
             Payload::Vote {
@@ -1719,9 +1674,7 @@ mod tests {
             obj: obj(1),
             delta: 5,
         }];
-        first
-            .handle_submit_prepare(gtx(1), ops, false, SubmitMode::TwoPhase)
-            .unwrap();
+        submit_prepare(&first, gtx(1), ops, false, SubmitMode::TwoPhase).unwrap();
         let ltx = first.local_txn_of(gtx(1)).unwrap();
         engine.crash();
         let report = engine.recover().unwrap();
@@ -1744,12 +1697,8 @@ mod tests {
             obj: obj(1),
             delta: 5,
         }];
-        let first = mgr
-            .handle_submit_prepare(gtx(1), ops.clone(), false, SubmitMode::TwoPhase)
-            .unwrap();
-        let second = mgr
-            .handle_submit_prepare(gtx(1), ops, false, SubmitMode::TwoPhase)
-            .unwrap();
+        let first = submit_prepare(&mgr, gtx(1), ops.clone(), false, SubmitMode::TwoPhase).unwrap();
+        let second = submit_prepare(&mgr, gtx(1), ops, false, SubmitMode::TwoPhase).unwrap();
         assert_eq!(first, second);
         mgr.handle_decision(gtx(1), GlobalVerdict::Commit, SubmitMode::TwoPhase)
             .unwrap();
@@ -1763,17 +1712,17 @@ mod tests {
     #[test]
     fn submit_prepare_solo_commits_locally_with_undo_obligations() {
         let (mgr, engine) = manager_with(&[(1, 10)]);
-        let p = mgr
-            .handle_submit_prepare(
-                gtx(1),
-                vec![Op::Increment {
-                    obj: obj(1),
-                    delta: 5,
-                }],
-                true,
-                SubmitMode::TwoPhase,
-            )
-            .unwrap();
+        let p = submit_prepare(
+            &mgr,
+            gtx(1),
+            vec![Op::Increment {
+                obj: obj(1),
+                delta: 5,
+            }],
+            true,
+            SubmitMode::TwoPhase,
+        )
+        .unwrap();
         assert_eq!(
             p,
             Payload::Vote {
@@ -1797,14 +1746,14 @@ mod tests {
     #[test]
     fn submit_prepare_intended_failure_votes_abort() {
         let (mgr, engine) = manager_with(&[(1, 10)]);
-        let p = mgr
-            .handle_submit_prepare(
-                gtx(1),
-                vec![Op::Read { obj: obj(99) }],
-                false,
-                SubmitMode::TwoPhase,
-            )
-            .unwrap();
+        let p = submit_prepare(
+            &mgr,
+            gtx(1),
+            vec![Op::Read { obj: obj(99) }],
+            false,
+            SubmitMode::TwoPhase,
+        )
+        .unwrap();
         assert_eq!(
             p,
             Payload::Vote {
@@ -1818,14 +1767,14 @@ mod tests {
     #[test]
     fn submit_prepare_read_only_commits_and_drops_out() {
         let (mgr, engine) = manager_with(&[(1, 10)]);
-        let p = mgr
-            .handle_submit_prepare(
-                gtx(1),
-                vec![Op::Read { obj: obj(1) }],
-                false,
-                SubmitMode::TwoPhase,
-            )
-            .unwrap();
+        let p = submit_prepare(
+            &mgr,
+            gtx(1),
+            vec![Op::Read { obj: obj(1) }],
+            false,
+            SubmitMode::TwoPhase,
+        )
+        .unwrap();
         assert_eq!(
             p,
             Payload::Vote {
@@ -1845,7 +1794,8 @@ mod tests {
     #[test]
     fn abort_decision_after_read_only_local_commit_is_a_no_op() {
         let (mgr, engine) = manager_with(&[(1, 10)]);
-        mgr.handle_submit_prepare(
+        submit_prepare(
+            &mgr,
             gtx(1),
             vec![Op::Read { obj: obj(1) }],
             false,
@@ -1880,6 +1830,18 @@ mod tests {
         assert_eq!(p, Payload::Finished { gtx: gtx(1) });
         assert_eq!(engine.state_of(ltx), Some(LocalRunState::Committed));
         assert_eq!(engine.dump().unwrap().get(&obj(1)), Some(&v(10)));
+    }
+
+    /// A `SubmitPrepare`, served as every runtime serves it.
+    fn submit_prepare(
+        mgr: &LocalCommManager,
+        gtx: GlobalTxnId,
+        ops: Vec<Operation>,
+        solo: bool,
+        mode: SubmitMode,
+    ) -> AmcResult<Payload> {
+        let payload = Payload::SubmitPrepare { gtx, ops, solo };
+        crate::transport::dispatch_to_manager(mgr, payload, mode)
     }
 
     /// The engine's log counters as `(appends, forces)`.
@@ -1938,9 +1900,7 @@ mod tests {
         let (mgr, engine) = manager_with(&[(1, 10)]);
         let before = logged(&engine);
         let read = vec![Op::Read { obj: obj(1) }];
-        let p = mgr
-            .handle_submit_prepare(gtx(1), read, false, SubmitMode::TwoPhase)
-            .unwrap();
+        let p = submit_prepare(&mgr, gtx(1), read, false, SubmitMode::TwoPhase).unwrap();
         assert_eq!(read_vote(p), LocalVote::ReadyReadOnly);
         assert_eq!(logged(&engine), before);
     }
@@ -2340,5 +2300,73 @@ mod tests {
             2 * u64::from(K) + 2
         );
         assert_eq!(state(), (v(15), 2));
+    }
+
+    /// A `Submit` and a piggybacked `SubmitPrepare` of one gtx take one
+    /// path, in either order and under every protocol: the second answers
+    /// the first's vote, and the program runs once.
+    #[test]
+    fn a_submit_and_a_piggybacked_prepare_of_one_gtx_run_the_program_once() {
+        use SubmitMode::*;
+        for mode in [TwoPhase, CommitAfter, CommitBefore] {
+            for piggyback_first in [false, true] {
+                let (mgr, engine) = manager_with(&[(1, 10)]);
+                let bump = vec![Op::Increment {
+                    obj: obj(1),
+                    delta: 5,
+                }];
+                let piggyback = || submit_prepare(&mgr, gtx(1), bump.clone(), false, mode);
+                let submit = || mgr.handle_submit(gtx(1), bump.clone(), mode);
+                let (first, second) = match piggyback_first {
+                    true => (piggyback().unwrap(), submit().unwrap()),
+                    false => (submit().unwrap(), piggyback().unwrap()),
+                };
+                let case = format!("{mode:?}, piggyback first: {piggyback_first}");
+                assert_eq!(read_vote(first.clone()), LocalVote::Ready, "{case}");
+                assert_eq!(second, first, "{case}");
+                assert_eq!(engine.stats().begins, 1, "{case}: the program ran twice");
+                assert_eq!(
+                    read_vote(mgr.handle_prepare(gtx(1)).unwrap()),
+                    LocalVote::Ready
+                );
+                mgr.handle_decision(gtx(1), GlobalVerdict::Commit, mode)
+                    .unwrap();
+                assert_eq!(engine.dump().unwrap()[&obj(1)], v(15), "{case}");
+                assert_eq!(mgr.stats().submits, 2, "{case}");
+            }
+        }
+    }
+
+    /// The site backoff is a pure function of its key, inside its band
+    /// (200 µs per attempt so far, at most 20, plus under 700 µs), and
+    /// different transactions draw different delays.
+    #[test]
+    fn the_site_backoff_is_a_pure_function_of_its_key_inside_its_band() {
+        let site = SiteId::new(3);
+        let mut jitters = std::collections::BTreeSet::new();
+        for attempt in 1..=25 {
+            for key in 0..40 {
+                let failed = LocalTxnId::new(1_000 + key);
+                let delay = backoff_delay(site, key, failed, attempt);
+                assert_eq!(delay, backoff_delay(site, key, failed, attempt));
+                let floor = Duration::from_micros(200 * u64::from(attempt.min(20)));
+                assert!(delay >= floor && delay < floor + Duration::from_micros(700));
+                if attempt == 1 {
+                    jitters.insert(delay - floor);
+                }
+            }
+        }
+        assert!(
+            jitters.len() > 30,
+            "40 transactions drew {} delays",
+            jitters.len()
+        );
+        let other_site = backoff_delay(SiteId::new(4), 7, LocalTxnId::new(1_007), 1);
+        let other_ltx = backoff_delay(site, 7, LocalTxnId::new(2_007), 1);
+        let this = backoff_delay(site, 7, LocalTxnId::new(1_007), 1);
+        assert!(
+            this != other_site || this != other_ltx,
+            "site and failed id are keys"
+        );
     }
 }

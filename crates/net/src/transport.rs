@@ -190,9 +190,13 @@ pub fn dispatch_to_manager(
 /// What the communication manager answers to `payload`.
 fn serve(manager: &LocalCommManager, payload: Payload, mode: SubmitMode) -> AmcResult<Payload> {
     match payload {
-        Payload::Submit { gtx, ops } => manager.handle_submit(gtx, ops, mode),
+        Payload::Submit { gtx, ops } => manager.submit(gtx, ops, mode, false),
+        // The 1PC fast path: a solo submit commits on commit-before's
+        // machinery, so a lost reply is undone like any (§3.3); a 2PC
+        // piggyback ends prepared; a portable vote rides every submit.
         Payload::SubmitPrepare { gtx, ops, solo } => {
-            manager.handle_submit_prepare(gtx, ops, solo, mode)
+            let mode = if solo { SubmitMode::CommitBefore } else { mode };
+            manager.submit(gtx, ops, mode, mode == SubmitMode::TwoPhase)
         }
         Payload::Prepare { gtx } => manager.handle_prepare(gtx),
         Payload::Decision { gtx, verdict } => manager.handle_decision(gtx, verdict, mode),

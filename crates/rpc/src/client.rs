@@ -226,10 +226,7 @@ impl<L: Link> Core<L> {
             .jitter_state
             .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
             .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        amc_types::splitmix64(x)
     }
 
     /// Send the frame `make_frame` builds (a fresh request id per

@@ -6,7 +6,7 @@
 //! log — payloads ≤ 100 bytes, bytes on disk under `--wal-dir`. `page_sum`
 //! (word-wise, four independent lanes) seals 4 KB page images, where
 //! FNV-1a's 4 072 dependent multiplies were most of a buffer-pool miss.
-//! Both are allocation-free and dependency-free.
+//! Both are allocation-free.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -63,11 +63,8 @@ pub(crate) fn page_sum(data: &[u8]) -> u64 {
         ^ lanes[2].rotate_left(32)
         ^ lanes[3].rotate_left(48)
         ^ data.len() as u64;
-    // splitmix64 finalizer: a bijection, so a one-lane difference survives.
-    let mut z = folded;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    // A bijection, so a one-lane difference survives.
+    amc_types::splitmix64(folded)
 }
 
 #[cfg(test)]

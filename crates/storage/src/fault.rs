@@ -7,10 +7,11 @@
 //! disk injects both behind a [`FaultConfig`], driven by a local
 //! deterministic PRNG so a chaos run reproduces bit-for-bit from its seed.
 //!
-//! The PRNG is a self-contained splitmix64, deliberately *not* `amc-sim`'s
-//! `SimRng`: the storage substrate must stay a leaf crate with no dependency
-//! on the simulator (the same crate-independence rule that keeps FNV-1a
-//! duplicated between `checksum` and `amc-wal`).
+//! The PRNG is splitmix64 (its own counter, [`amc_types::splitmix64`]'s
+//! output function), deliberately *not* `amc-sim`'s `SimRng`: the storage
+//! substrate must stay a leaf crate with no dependency on the simulator
+//! (the same crate-independence rule that keeps FNV-1a duplicated between
+//! `checksum` and `amc-wal`).
 
 /// Knobs for injected disk faults. All probabilities are per-operation and
 /// independent.
@@ -37,10 +38,7 @@ impl FaultRng {
 
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        amc_types::splitmix64(self.state)
     }
 
     /// True with probability `p`.

@@ -37,9 +37,9 @@
 use crate::buffer::{BufferPool, BufferStats, WriteAhead};
 use crate::disk::{DiskStats, StableStorage};
 use crate::page::Page;
-use amc_types::{AmcError, AmcResult, Lsn, ObjectId, PageId, Value};
+use amc_types::{AmcError, AmcResult, Lsn, ObjectId, PageId, Scramble, Value};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 const META_PAGE: PageId = PageId::new(0);
@@ -57,24 +57,8 @@ fn window_of(obj: ObjectId) -> u64 {
     (obj.raw() & !ObjectId::RESERVED) / Page::CAPACITY as u64
 }
 
-/// The directories' hash: [`PageStore::bucket_page`]'s scramble folded over
-/// the key's words, where SipHash would build a keyed state per lookup. Ids
-/// crafted to collide here already share one bucket chain of the store.
-#[derive(Default)]
-struct Scramble(u64);
-
-impl Hasher for Scramble {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
-    }
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
+/// The directories' hash is [`Scramble`]: ids crafted to collide there
+/// already share one bucket chain of the store.
 type Directory<K> = HashMap<K, PageId, BuildHasherDefault<Scramble>>;
 
 /// The directory of the reserved relation.

@@ -330,9 +330,21 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// A struct's fields, in layout order.
+/// A struct's fields, in layout order. `wire_struct!(+= Stats { .. })`
+/// also sums a counter table row by row (`AddAssign`): a counter without
+/// a row fails to compile, in `get` and in the sum alike.
 #[macro_export]
 macro_rules! wire_struct {
+    (+= $ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
+        $crate::wire_struct!($ty { $($field: $fty),* });
+        impl ::std::ops::AddAssign for $ty {
+            #[inline]
+            fn add_assign(&mut self, other: Self) {
+                let $ty { $($field),* } = other;
+                $(self.$field += $field;)*
+            }
+        }
+    };
     ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
         impl $crate::codec::Wire for $ty {
             #[inline]

@@ -36,6 +36,7 @@ pub mod ballot;
 pub mod codec;
 pub mod error;
 pub mod ids;
+pub mod mix;
 pub mod op;
 pub mod state;
 pub mod time;
@@ -44,6 +45,7 @@ pub mod value;
 pub use ballot::Ballot;
 pub use error::{AbortReason, AmcError, AmcResult};
 pub use ids::{GlobalTxnId, LocalTxnId, Lsn, ObjectId, PageId, SiteId};
+pub use mix::{splitmix64, Scramble};
 pub use op::{OpResult, Operation};
 pub use state::{GlobalPhase, GlobalVerdict, LocalRunState, LocalVote, ProtocolKind};
 pub use time::{SimDuration, SimTime};

@@ -38,7 +38,7 @@ pub struct LogStats {
     pub truncated_bytes: u64,
 }
 
-amc_types::wire_struct!(LogStats {
+amc_types::wire_struct!(+= LogStats {
     appends: u64,
     forces: u64,
     stable_records: u64,
@@ -47,29 +47,6 @@ amc_types::wire_struct!(LogStats {
     batched_commits: u64,
     truncated_bytes: u64,
 });
-
-impl std::ops::AddAssign for LogStats {
-    fn add_assign(&mut self, other: Self) {
-        // Destructured in full: a new counter does not compile until it
-        // is summed here.
-        let LogStats {
-            appends,
-            forces,
-            stable_records,
-            stable_bytes,
-            group_forces,
-            batched_commits,
-            truncated_bytes,
-        } = other;
-        self.appends += appends;
-        self.forces += forces;
-        self.stable_records += stable_records;
-        self.stable_bytes += stable_bytes;
-        self.group_forces += group_forces;
-        self.batched_commits += batched_commits;
-        self.truncated_bytes += truncated_bytes;
-    }
-}
 
 /// Bytes one segment of the stable prefix holds before the next is opened.
 const SEGMENT_BYTES: usize = 64 * 1024;

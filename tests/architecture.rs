@@ -499,6 +499,31 @@ fn the_reserved_region_bit_is_defined_in_one_file() {
     assert!(defining[0].ends_with("types/src/ids.rs"), "{defining:?}");
 }
 
+/// SplitMix64's output function is written once, `amc_types::splitmix64`:
+/// every seeded draw, jitter and ownership hash that needs it keeps its own
+/// keying and state and mixes through that one function. A copy multiplies
+/// by the mixer's first constant, in whatever case or digit grouping; the
+/// page checksum's lane seeds name the constant without multiplying by it.
+#[test]
+fn the_splitmix64_multiplier_is_written_in_one_file() {
+    let mixing: Vec<_> = crate_sources()
+        .into_iter()
+        .filter(|(_, text)| {
+            let code = text.split("\n#[cfg(test)]").next().unwrap_or(text);
+            let code = code.to_lowercase().replace(['_', ' ', '\n'], "");
+            ["mul(0xbf58476d1ce4e5b9", "*0xbf58476d1ce4e5b9"]
+                .iter()
+                .any(|needle| code.contains(needle))
+        })
+        .map(|(path, _)| path)
+        .collect();
+    assert_eq!(
+        mixing,
+        ["crates/types/src/mix.rs"],
+        "the mixer written in {mixing:?}"
+    );
+}
+
 /// A commit or abort gives back exactly what its holder recorded taking
 /// (`BlockingLockManager::release`, `L1LockManager::release`): one visit
 /// per stripe it used. Sweeping every stripe for a transaction is for a
@@ -538,7 +563,7 @@ fn whole_table_lock_sweeps_serve_only_crash_paths() {
 /// a reviewer sees it.
 #[test]
 fn non_test_lines_only_go_down() {
-    const CEILING: usize = 23_188;
+    const CEILING: usize = 23_131;
     let score: usize = crate_sources()
         .iter()
         .map(|(_, text)| non_test_lines(text).count())
@@ -1229,7 +1254,7 @@ fn the_wall_clock_scanner_tells_bounds_from_counts() {
 /// counted by the scanner of `pub_items_are_named_outside_their_crate`.
 #[test]
 fn public_items_only_go_down() {
-    const PUBLIC_ITEMS: usize = 686;
+    const PUBLIC_ITEMS: usize = 688;
     let score = pub_items(&rust_sources()).len();
     assert!(
         score <= PUBLIC_ITEMS,
